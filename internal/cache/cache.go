@@ -14,6 +14,8 @@ package cache
 import (
 	"sync"
 	"sync/atomic"
+
+	"metainsight/internal/model"
 )
 
 // shardCount is the number of lock shards per cache. 16 comfortably exceeds
@@ -42,12 +44,75 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func fnv1a(s string) uint64 {
-	h := uint64(fnvOffset)
+func fnv1a(s string) uint64 { return fnvAdd(fnvOffset, s) }
+
+// fnvAdd continues an FNV-1a hash h over the bytes of s.
+func fnvAdd(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
+}
+
+// ScopeKey identifies one pattern-cache entry — a data scope — by its parts,
+// so the miner's hot path keys evaluations without concatenating a string.
+// String renders the external identity (trace labels, checkpoint snapshots),
+// byte for byte model.DataScope.Key.
+type ScopeKey struct {
+	Unit    UnitKey
+	Measure string // canonical measure key (model.Measure.Key)
+}
+
+// String returns the scope's canonical key, equal to model.DataScope.Key of
+// the scope it identifies.
+func (k ScopeKey) String() string {
+	return k.Unit.Subspace + "|" + model.EscapeKey(k.Unit.Breakdown) + "|" + k.Measure
+}
+
+// Len returns len(k.String()) without building the string; byte-bounded
+// pattern caches size their entries with it.
+func (k ScopeKey) Len() int {
+	return len(k.Unit.Subspace) + 1 + len(model.EscapeKey(k.Unit.Breakdown)) + 1 + len(k.Measure)
+}
+
+// ParseScopeKey inverts String: it splits a canonical data-scope key at its
+// unescaped separators. The checkpoint restore path uses it to rebuild the
+// simulated pattern cache from the string form a snapshot stores. ok is false
+// when s does not have exactly three parts.
+func ParseScopeKey(s string) (k ScopeKey, ok bool) {
+	var parts [3]string
+	n, start := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++ // the escaped byte is never a separator
+		case '|':
+			if n == 2 {
+				return ScopeKey{}, false
+			}
+			parts[n] = s[start:i]
+			n++
+			start = i + 1
+		}
+	}
+	if n != 2 {
+		return ScopeKey{}, false
+	}
+	parts[2] = s[start:]
+	return ScopeKey{
+		Unit:    UnitKey{Subspace: parts[0], Breakdown: model.UnescapeKey(parts[1])},
+		Measure: parts[2],
+	}, true
+}
+
+// hash returns the FNV-1a hash of String() for shard selection, computed over
+// the parts (an unescaped breakdown hashes as itself).
+func (k ScopeKey) hash() uint64 {
+	h := fnvAdd(fnvOffset, k.Unit.Subspace)
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, k.Unit.Breakdown)
+	h = fnvAdd(h, "|")
+	return fnvAdd(h, k.Measure)
 }
 
 // Unit is one query-cache entry: the aggregation of every measure column of
@@ -298,25 +363,25 @@ func (c *QueryCache) Stats() Stats {
 // pcShard is one lock shard of a PatternCache.
 type pcShard[V any] struct {
 	mu      sync.RWMutex
-	entries map[string]V
-	order   []string // insertion-order FIFO eviction queue when bounded
+	entries map[ScopeKey]V
+	order   []ScopeKey // insertion-order FIFO eviction queue when bounded
 	bytes   int64
 }
 
-// PatternCache memoizes values of type V keyed by string (MetaInsight keys
-// pattern evaluations by data scope), sharded by key hash. A disabled cache
+// PatternCache memoizes values of type V keyed by data scope (MetaInsight
+// memoizes pattern evaluations), sharded by key hash. A disabled cache
 // counts misses and stores nothing, matching the "w/o Pattern Cache"
 // ablation. PatternCache is safe for concurrent use.
 type PatternCache[V any] struct {
 	enabled   bool
 	shards    [shardCount]pcShard[V]
-	flight    Flight[string, V]
+	flight    Flight[ScopeKey, V]
 	hits      atomic.Int64
 	misses    atomic.Int64
 	bytes     atomic.Int64
 	maxBytes  int64
 	shardCap  int64
-	sizeOf    func(key string, v V) int64
+	sizeOf    func(key ScopeKey, v V) int64
 	evictions atomic.Int64
 }
 
@@ -325,7 +390,7 @@ type PatternCache[V any] struct {
 func NewPatternCache[V any](enabled bool) *PatternCache[V] {
 	c := &PatternCache[V]{enabled: enabled}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]V)
+		c.shards[i].entries = make(map[ScopeKey]V)
 	}
 	return c
 }
@@ -337,7 +402,7 @@ func (c *PatternCache[V]) Enabled() bool { return c.enabled }
 // measure entries, with the same per-shard FIFO semantics as
 // QueryCache.SetMaxBytes; maxBytes 0 or a nil sizeOf removes the bound.
 // Must be called before the cache is used concurrently.
-func (c *PatternCache[V]) SetMaxBytes(maxBytes int64, sizeOf func(key string, v V) int64) {
+func (c *PatternCache[V]) SetMaxBytes(maxBytes int64, sizeOf func(key ScopeKey, v V) int64) {
 	if maxBytes < 0 || sizeOf == nil {
 		maxBytes = 0
 	}
@@ -351,7 +416,7 @@ func (c *PatternCache[V]) MaxBytes() int64 { return c.maxBytes }
 
 // SizeOf measures one entry with the configured size function (0 when
 // unbounded). The miner uses it to mirror eviction in its simulated cache.
-func (c *PatternCache[V]) SizeOf(key string, v V) int64 {
+func (c *PatternCache[V]) SizeOf(key ScopeKey, v V) int64 {
 	if c.sizeOf == nil {
 		return 0
 	}
@@ -361,11 +426,11 @@ func (c *PatternCache[V]) SizeOf(key string, v V) int64 {
 // Evictions returns how many entries this cache has physically evicted.
 func (c *PatternCache[V]) Evictions() int64 { return c.evictions.Load() }
 
-func (c *PatternCache[V]) shard(key string) *pcShard[V] {
-	return &c.shards[fnv1a(key)%shardCount]
+func (c *PatternCache[V]) shard(key ScopeKey) *pcShard[V] {
+	return &c.shards[key.hash()%shardCount]
 }
 
-func (c *PatternCache[V]) lookup(key string) (V, bool) {
+func (c *PatternCache[V]) lookup(key ScopeKey) (V, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	v, ok := s.entries[key]
@@ -374,7 +439,7 @@ func (c *PatternCache[V]) lookup(key string) (V, bool) {
 }
 
 // Get looks up key, counting a hit or miss.
-func (c *PatternCache[V]) Get(key string) (V, bool) {
+func (c *PatternCache[V]) Get(key ScopeKey) (V, bool) {
 	var zero V
 	if !c.enabled {
 		c.misses.Add(1)
@@ -389,7 +454,7 @@ func (c *PatternCache[V]) Get(key string) (V, bool) {
 }
 
 // Peek looks up key without touching the hit/miss counters.
-func (c *PatternCache[V]) Peek(key string) (V, bool) {
+func (c *PatternCache[V]) Peek(key ScopeKey) (V, bool) {
 	var zero V
 	if !c.enabled {
 		return zero, false
@@ -398,7 +463,7 @@ func (c *PatternCache[V]) Peek(key string) (V, bool) {
 }
 
 // Put stores key → v, then enforces the shard's byte cap (see SetMaxBytes).
-func (c *PatternCache[V]) Put(key string, v V) {
+func (c *PatternCache[V]) Put(key ScopeKey, v V) {
 	if !c.enabled {
 		return
 	}
@@ -442,7 +507,7 @@ func (c *PatternCache[V]) Put(key string, v V) {
 // compute call. It does not touch the hit/miss counters: the miner accounts
 // for pattern-cache traffic canonically at commit time, independent of the
 // physical interleaving. On a disabled cache every call computes.
-func (c *PatternCache[V]) Materialize(key string, compute func() V) V {
+func (c *PatternCache[V]) Materialize(key ScopeKey, compute func() V) V {
 	if !c.enabled {
 		return compute()
 	}
@@ -459,8 +524,8 @@ func (c *PatternCache[V]) Materialize(key string, compute func() V) V {
 
 // KeySet returns the set of keys currently stored. The miner seeds its
 // canonical accounting from it at the start of a run.
-func (c *PatternCache[V]) KeySet() map[string]struct{} {
-	out := make(map[string]struct{})
+func (c *PatternCache[V]) KeySet() map[ScopeKey]struct{} {
+	out := make(map[ScopeKey]struct{})
 	if !c.enabled {
 		return out
 	}
@@ -478,8 +543,8 @@ func (c *PatternCache[V]) KeySet() map[string]struct{} {
 // KeySizes returns the stored keys with their measured sizes (0 each when
 // the cache is unbounded). The miner seeds its simulated pattern cache from
 // it so warm entries participate in commit-order eviction.
-func (c *PatternCache[V]) KeySizes() map[string]int64 {
-	out := make(map[string]int64)
+func (c *PatternCache[V]) KeySizes() map[ScopeKey]int64 {
+	out := make(map[ScopeKey]int64)
 	if !c.enabled {
 		return out
 	}

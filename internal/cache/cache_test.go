@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"metainsight/internal/model"
 )
 
 func unit(sub, breakdown string, groups int) *Unit {
@@ -94,13 +96,16 @@ func TestUnitApproxBytesGrowsWithGroups(t *testing.T) {
 	}
 }
 
+// sk builds a pattern-cache key over one distinguishing component.
+func sk(measure string) ScopeKey { return ScopeKey{Measure: measure} }
+
 func TestPatternCache(t *testing.T) {
 	c := NewPatternCache[int](true)
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Get(sk("k")); ok {
 		t.Fatal("empty hit")
 	}
-	c.Put("k", 42)
-	v, ok := c.Get("k")
+	c.Put(sk("k"), 42)
+	v, ok := c.Get(sk("k"))
 	if !ok || v != 42 {
 		t.Fatal("value lost")
 	}
@@ -112,8 +117,8 @@ func TestPatternCache(t *testing.T) {
 
 func TestDisabledPatternCache(t *testing.T) {
 	c := NewPatternCache[string](false)
-	c.Put("k", "v")
-	if _, ok := c.Get("k"); ok {
+	c.Put(sk("k"), "v")
+	if _, ok := c.Get(sk("k")); ok {
 		t.Fatal("disabled cache stored a value")
 	}
 }
@@ -235,11 +240,11 @@ func TestQueryCacheSnapshot(t *testing.T) {
 
 func TestPatternCachePeekDoesNotCount(t *testing.T) {
 	c := NewPatternCache[int](true)
-	c.Put("k", 1)
-	if _, ok := c.Peek("k"); !ok {
+	c.Put(sk("k"), 1)
+	if _, ok := c.Peek(sk("k")); !ok {
 		t.Fatal("peek missed stored key")
 	}
-	if _, ok := c.Peek("absent"); ok {
+	if _, ok := c.Peek(sk("absent")); ok {
 		t.Fatal("peek hit absent key")
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
@@ -251,10 +256,10 @@ func TestPatternCacheMaterialize(t *testing.T) {
 	c := NewPatternCache[int](true)
 	calls := 0
 	compute := func() int { calls++; return 9 }
-	if v := c.Materialize("k", compute); v != 9 {
+	if v := c.Materialize(sk("k"), compute); v != 9 {
 		t.Fatalf("materialize = %d", v)
 	}
-	if v := c.Materialize("k", compute); v != 9 {
+	if v := c.Materialize(sk("k"), compute); v != 9 {
 		t.Fatalf("second materialize = %d", v)
 	}
 	if calls != 1 {
@@ -267,8 +272,8 @@ func TestPatternCacheMaterialize(t *testing.T) {
 	// Disabled cache computes every time and stores nothing.
 	d := NewPatternCache[int](false)
 	calls = 0
-	d.Materialize("k", compute)
-	d.Materialize("k", compute)
+	d.Materialize(sk("k"), compute)
+	d.Materialize(sk("k"), compute)
 	if calls != 2 {
 		t.Errorf("disabled materialize computed %d times, want 2", calls)
 	}
@@ -284,7 +289,7 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				key := fmt.Sprintf("k%d", i%7)
-				v := c.Materialize(key, func() int {
+				v := c.Materialize(sk(key), func() int {
 					computed.Add(1)
 					return i % 7
 				})
@@ -306,14 +311,14 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 
 func TestPatternCacheKeySet(t *testing.T) {
 	c := NewPatternCache[int](true)
-	c.Put("a", 1)
-	c.Put("b", 2)
+	c.Put(sk("a"), 1)
+	c.Put(sk("b"), 2)
 	ks := c.KeySet()
 	if len(ks) != 2 {
 		t.Fatalf("keyset = %v", ks)
 	}
 	for _, k := range []string{"a", "b"} {
-		if _, ok := ks[k]; !ok {
+		if _, ok := ks[sk(k)]; !ok {
 			t.Errorf("keyset missing %q", k)
 		}
 	}
@@ -330,5 +335,36 @@ func TestShardDistribution(t *testing.T) {
 	}
 	if len(seen) != shardCount {
 		t.Errorf("keys landed in %d/%d shards", len(seen), shardCount)
+	}
+}
+
+// TestScopeKeyStringIsTheDataScopeKey pins the part-wise pattern-cache key
+// to the external identity it stands for — including names that need
+// escaping — and checks that ParseScopeKey inverts String, which the
+// checkpoint restore path relies on.
+func TestScopeKeyStringIsTheDataScopeKey(t *testing.T) {
+	scopes := []model.DataScope{
+		{Breakdown: "Month", Measure: model.Count("*")},
+		{Subspace: model.NewSubspace(model.Filter{Dim: "City", Value: "LA"}), Breakdown: "Month", Measure: model.Sum("Sales")},
+		{Subspace: model.NewSubspace(model.Filter{Dim: "A|B", Value: "x;y=z"}, model.Filter{Dim: "C", Value: `\{|}`}),
+			Breakdown: `we|rd\`, Measure: model.Avg("a|b")},
+	}
+	for _, ds := range scopes {
+		k := ScopeKey{Unit: UnitKey{Subspace: ds.Subspace.Key(), Breakdown: ds.Breakdown}, Measure: ds.Measure.Key()}
+		if k.String() != ds.Key() {
+			t.Errorf("ScopeKey.String() = %q, DataScope.Key() = %q", k.String(), ds.Key())
+		}
+		if k.Len() != len(ds.Key()) {
+			t.Errorf("ScopeKey.Len() = %d, key %q has %d bytes", k.Len(), ds.Key(), len(ds.Key()))
+		}
+		back, ok := ParseScopeKey(k.String())
+		if !ok || back != k {
+			t.Errorf("ParseScopeKey(%q) = %+v, %v; want %+v", k.String(), back, ok, k)
+		}
+	}
+	for _, bad := range []string{"", "{*}", "{*}|Month", "{*}|Month|COUNT(*)|extra"} {
+		if k, ok := ParseScopeKey(bad); ok {
+			t.Errorf("ParseScopeKey(%q) accepted: %+v", bad, k)
+		}
 	}
 }

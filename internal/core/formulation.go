@@ -32,7 +32,7 @@ func Sim(a, b DataPattern) bool {
 	if !a.Type.Concrete() || !b.Type.Concrete() {
 		return false
 	}
-	return a.Type == b.Type && a.Highlight.Key() == b.Highlight.Key()
+	return a.Type == b.Type && a.Highlight.KeyEqual(b.Highlight)
 }
 
 // HDS is a homogeneous data scope (Definition 3.2): the set of data scopes
@@ -50,16 +50,23 @@ type HDS struct {
 // same sibling-group HDS reached from different anchors has one key — the
 // property the miner's deduplication and the precision metric rely on.
 func (h HDS) Key() string {
-	switch h.Kind {
+	return HDSKey(h.Kind, h.RootSubspace().Key(), h.ExtDim, h.Anchor.Breakdown, h.Anchor.Measure.Key())
+}
+
+// HDSKey assembles HDS.Key from parts, for callers that already hold them as
+// canonical strings: rootKey is the key of HDS.RootSubspace, measureKey the
+// anchor measure's. It is the single definition of the key format.
+func HDSKey(kind model.ExtensionKind, rootKey, extDim, breakdown, measureKey string) string {
+	switch kind {
 	case model.ExtendSubspace:
-		return "S|" + h.Anchor.Subspace.Without(h.ExtDim).Key() + "|" + h.ExtDim +
-			"|" + h.Anchor.Breakdown + "|" + h.Anchor.Measure.Key()
+		return "S|" + rootKey + "|" + model.EscapeKey(extDim) +
+			"|" + model.EscapeKey(breakdown) + "|" + measureKey
 	case model.ExtendMeasure:
-		return "M|" + h.Anchor.Subspace.Key() + "|" + h.Anchor.Breakdown
+		return "M|" + rootKey + "|" + model.EscapeKey(breakdown)
 	case model.ExtendBreakdown:
-		return "B|" + h.Anchor.Subspace.Key() + "|" + h.Anchor.Measure.Key()
+		return "B|" + rootKey + "|" + measureKey
 	default:
-		panic(fmt.Sprintf("core: unknown extension kind %v", h.Kind))
+		panic(fmt.Sprintf("core: unknown extension kind %v", kind))
 	}
 }
 
@@ -77,13 +84,14 @@ func (h HDS) RootSubspace() model.Subspace {
 // SubspaceHDS applies Exd_si (Equation 4): vary the filter on dim over its
 // domain while keeping breakdown and measure fixed. domain is dom(dim).
 func SubspaceHDS(anchor model.DataScope, dim string, domain []string) HDS {
-	h := HDS{Kind: model.ExtendSubspace, Anchor: anchor, ExtDim: dim}
-	for _, v := range domain {
-		h.Scopes = append(h.Scopes, model.DataScope{
+	h := HDS{Kind: model.ExtendSubspace, Anchor: anchor, ExtDim: dim,
+		Scopes: make([]model.DataScope, len(domain))}
+	for i, v := range domain {
+		h.Scopes[i] = model.DataScope{
 			Subspace:  anchor.Subspace.With(dim, v),
 			Breakdown: anchor.Breakdown,
 			Measure:   anchor.Measure,
-		})
+		}
 	}
 	return h
 }
@@ -91,13 +99,10 @@ func SubspaceHDS(anchor model.DataScope, dim string, domain []string) HDS {
 // MeasureHDS applies Exd_m (Equation 5): vary the measure over the full
 // measure set M while keeping subspace and breakdown fixed.
 func MeasureHDS(anchor model.DataScope, measures []model.Measure) HDS {
-	h := HDS{Kind: model.ExtendMeasure, Anchor: anchor}
-	for _, m := range measures {
-		h.Scopes = append(h.Scopes, model.DataScope{
-			Subspace:  anchor.Subspace,
-			Breakdown: anchor.Breakdown,
-			Measure:   m,
-		})
+	h := HDS{Kind: model.ExtendMeasure, Anchor: anchor,
+		Scopes: make([]model.DataScope, len(measures))}
+	for i, m := range measures {
+		h.Scopes[i] = model.DataScope{Subspace: anchor.Subspace, Breakdown: anchor.Breakdown, Measure: m}
 	}
 	return h
 }
@@ -108,7 +113,8 @@ func MeasureHDS(anchor model.DataScope, measures []model.Measure) HDS {
 // Dimensions filtered in the anchor's subspace are skipped, since a data
 // scope may not break down a dimension it fixes.
 func BreakdownHDS(anchor model.DataScope, temporalDims []string) HDS {
-	h := HDS{Kind: model.ExtendBreakdown, Anchor: anchor}
+	h := HDS{Kind: model.ExtendBreakdown, Anchor: anchor,
+		Scopes: make([]model.DataScope, 0, len(temporalDims))}
 	for _, b := range temporalDims {
 		if anchor.Subspace.Has(b) {
 			continue
@@ -128,11 +134,34 @@ type HDP struct {
 	HDS      HDS
 	Type     pattern.Type
 	Patterns []DataPattern
+
+	// key memoizes Key for HDPs built by NewHDP: result ordering compares
+	// keys O(n log n) times per run, and an HDP's identity never changes.
+	key string
+}
+
+// NewHDP builds an HDP with its identity key memoized. key must be the HDP's
+// canonical key — hds.Key() + "|" + t.String() — which the miner already
+// holds as the unit's identity; pass "" to have it computed here.
+func NewHDP(key string, hds HDS, t pattern.Type, patterns []DataPattern) *HDP {
+	h := &HDP{HDS: hds, Type: t, Patterns: patterns, key: key}
+	if key == "" {
+		h.key = h.buildKey()
+	}
+	return h
 }
 
 // Key returns the canonical identity of the HDP (and of any MetaInsight built
-// from it): the HDS key plus the pattern type.
-func (h *HDP) Key() string { return h.HDS.Key() + "|" + h.Type.String() }
+// from it): the HDS key plus the pattern type. It is a field read for HDPs
+// built by NewHDP; literals and decoded values compute it on each call.
+func (h *HDP) Key() string {
+	if h.key != "" {
+		return h.key
+	}
+	return h.buildKey()
+}
+
+func (h *HDP) buildKey() string { return h.HDS.Key() + "|" + h.Type.String() }
 
 // Commonness is one Sim-equivalence class whose ratio exceeds τ
 // (Definition 3.4): a set of data patterns sharing type and highlight.
@@ -233,18 +262,21 @@ func BuildMetaInsight(hdp *HDP, impactHDS float64, p ScoreParams) (*MetaInsight,
 		return nil, false
 	}
 	// Partition the valid patterns into Sim-equivalence classes by
-	// highlight key, preserving first-seen order for determinism.
-	classOrder := []string{}
-	classes := map[string][]int{}
+	// highlight key, preserving first-seen order for determinism. An HDP has
+	// a handful of classes, so a pattern finds its class by scanning them.
+	var classes [][]int // members per class; the first carries the highlight
 	var others, nones []int
 	for i, dp := range hdp.Patterns {
 		switch {
 		case dp.Type == hdp.Type:
-			k := dp.Highlight.Key()
-			if _, seen := classes[k]; !seen {
-				classOrder = append(classOrder, k)
+			c := 0
+			for c < len(classes) && !dp.Highlight.KeyEqual(hdp.Patterns[classes[c][0]].Highlight) {
+				c++
 			}
-			classes[k] = append(classes[k], i)
+			if c == len(classes) {
+				classes = append(classes, nil)
+			}
+			classes[c] = append(classes[c], i)
 		case dp.Type == pattern.OtherPattern:
 			others = append(others, i)
 		case dp.Type == pattern.NoPattern:
@@ -260,8 +292,7 @@ func BuildMetaInsight(hdp *HDP, impactHDS float64, p ScoreParams) (*MetaInsight,
 	mi := &MetaInsight{HDP: hdp, ImpactHDS: impactHDS}
 	var highlightChanges []int
 	total := float64(n)
-	for _, k := range classOrder {
-		members := classes[k]
+	for _, members := range classes {
 		ratio := float64(len(members)) / total
 		if ratio > p.Tau {
 			mi.CommSet = append(mi.CommSet, Commonness{

@@ -24,11 +24,13 @@ func (t *Table) ShardView(lo, hi int) *Table {
 		panic(fmt.Sprintf("dataset: ShardView[%d:%d) out of range for %d rows", lo, hi, t.rows))
 	}
 	v := &Table{
-		name:    fmt.Sprintf("%s[%d:%d)", t.name, lo, hi),
-		rows:    hi - lo,
-		fields:  t.fields,
-		dimIdx:  t.dimIdx,
-		measIdx: t.measIdx,
+		name:     fmt.Sprintf("%s[%d:%d)", t.name, lo, hi),
+		rows:     hi - lo,
+		fields:   t.fields,
+		dimNames: t.dimNames,
+		temporal: t.temporal,
+		dimIdx:   t.dimIdx,
+		measIdx:  t.measIdx,
 	}
 	v.dims = make([]*DimColumn, len(t.dims))
 	for i, d := range t.dims {

@@ -87,6 +87,8 @@ type Table struct {
 	rows     int
 	fields   []model.Field
 	dims     []*DimColumn
+	dimNames []string // dims' names, computed once at build
+	temporal []string // temporal dims' names, computed once at build
 	measures []*MeasureColumn
 	dimIdx   map[string]int
 	measIdx  map[string]int
@@ -134,24 +136,14 @@ func (t *Table) Fields() []model.Field { return t.fields }
 func (t *Table) Dimensions() []*DimColumn { return t.dims }
 
 // DimensionNames returns the names of all dimensions in declaration order.
-func (t *Table) DimensionNames() []string {
-	names := make([]string, len(t.dims))
-	for i, d := range t.dims {
-		names[i] = d.Name
-	}
-	return names
-}
+// The slice is computed once when the table is built and shared by every
+// call; callers must not modify it.
+func (t *Table) DimensionNames() []string { return t.dimNames }
 
-// TemporalDimensions returns the names of all temporal dimensions.
-func (t *Table) TemporalDimensions() []string {
-	var names []string
-	for _, d := range t.dims {
-		if d.Kind == model.KindTemporal {
-			names = append(names, d.Name)
-		}
-	}
-	return names
-}
+// TemporalDimensions returns the names of all temporal dimensions, in
+// declaration order. Like DimensionNames, the slice is computed once and
+// shared; callers must not modify it.
+func (t *Table) TemporalDimensions() []string { return t.temporal }
 
 // Dimension returns the dimension column named name, or nil if absent.
 func (t *Table) Dimension(name string) *DimColumn {
@@ -344,6 +336,10 @@ func (b *Builder) Build() *Table {
 		col := &DimColumn{Name: d.name, Kind: d.kind, dict: sorted, index: index, codes: codes}
 		t.dimIdx[d.name] = len(t.dims)
 		t.dims = append(t.dims, col)
+		t.dimNames = append(t.dimNames, d.name)
+		if d.kind == model.KindTemporal {
+			t.temporal = append(t.temporal, d.name)
+		}
 	}
 	for _, m := range b.meas {
 		col := &MeasureColumn{Name: m.name, vals: m.vals}

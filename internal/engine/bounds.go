@@ -32,8 +32,8 @@ import (
 type impactBounds struct {
 	once  sync.Once
 	sound bool
-	share map[string][]float64 // dim -> code -> impact share of total
-	max   map[string]float64   // dim -> max share over its codes
+	share [][]float64 // dimension index -> code -> impact share of total
+	max   []float64   // dimension index -> max share over its codes
 }
 
 func (e *Engine) impactBoundsData() *impactBounds {
@@ -48,9 +48,9 @@ func (e *Engine) impactBoundsData() *impactBounds {
 				}
 			}
 		}
-		b.share = make(map[string][]float64, len(e.tab.Dimensions()))
-		b.max = make(map[string]float64, len(e.tab.Dimensions()))
-		for _, d := range e.tab.Dimensions() {
+		b.share = make([][]float64, len(e.tab.Dimensions()))
+		b.max = make([]float64, len(e.tab.Dimensions()))
+		for di, d := range e.tab.Dimensions() {
 			sums := make([]float64, d.Cardinality())
 			if vals == nil {
 				for _, code := range d.Codes() {
@@ -68,8 +68,8 @@ func (e *Engine) impactBoundsData() *impactBounds {
 					maxShare = sums[i]
 				}
 			}
-			b.share[d.Name] = sums
-			b.max[d.Name] = maxShare
+			b.share[di] = sums
+			b.max[di] = maxShare
 		}
 		b.sound = true
 	})
@@ -88,7 +88,12 @@ func (e *Engine) BoundsSound() bool { return e.impactBoundsData().sound }
 // 0 for a filter value absent from its column). The bound is a pure function
 // of the immutable table and the subspace.
 func (e *Engine) ImpactShareUpperBound(s model.Subspace) float64 {
-	if len(s) == 0 {
+	return e.ImpactShareUpperBoundAt(e.in.Intern(s))
+}
+
+// ImpactShareUpperBoundAt is ImpactShareUpperBound by handle.
+func (e *Engine) ImpactShareUpperBoundAt(h *Handle) float64 {
+	if h.Len() == 0 {
 		return 1
 	}
 	b := e.impactBoundsData()
@@ -96,16 +101,14 @@ func (e *Engine) ImpactShareUpperBound(s model.Subspace) float64 {
 		return 1
 	}
 	ub := 1.0
-	for _, f := range s {
-		col := e.tab.Dimension(f.Dim)
-		if col == nil {
+	for _, f := range h.filters {
+		if f.dim < 0 {
 			return 1
 		}
-		code := col.Code(f.Value)
-		if code < 0 {
+		if f.code < 0 {
 			return 0 // no rows match: impact is exactly zero
 		}
-		if sh := b.share[f.Dim][code]; sh < ub {
+		if sh := b.share[f.dim][f.code]; sh < ub {
 			ub = sh
 		}
 	}
@@ -118,13 +121,14 @@ func (e *Engine) ImpactShareUpperBound(s model.Subspace) float64 {
 // unknown. The miner uses it to skip an entire frontier expansion scan when
 // even the dimension's heaviest value cannot reach MinSubspaceImpact.
 func (e *Engine) DimMaxImpactShare(dim string) float64 {
+	return e.DimMaxImpactShareAt(e.tab.DimensionIndex(dim))
+}
+
+// DimMaxImpactShareAt is DimMaxImpactShare by table dimension index.
+func (e *Engine) DimMaxImpactShareAt(dim int) float64 {
 	b := e.impactBoundsData()
-	if !b.sound {
+	if !b.sound || dim < 0 {
 		return 1
 	}
-	m, ok := b.max[dim]
-	if !ok {
-		return 1
-	}
-	return m
+	return b.max[dim]
 }

@@ -103,9 +103,9 @@ func (s *Series) Len() int { return len(s.Keys) }
 // augKey identifies one augmented scan: the paper's AugmentedQuery(ds, d) is
 // one scan filtered by ds.Subspace \ d, grouped by (ds.Breakdown, d).
 type augKey struct {
-	base      string // key of ds.Subspace.Without(d)
-	breakdown string
-	ext       string // the augmentation dimension d
+	base      *Handle // ds.Subspace.Without(d)
+	breakdown int     // table dimension indices
+	ext       int     // the augmentation dimension d
 }
 
 // unitRes is a metered unit-flight result: the unit plus whether this flight
@@ -144,6 +144,8 @@ type Engine struct {
 	meter    *Meter
 	obs      *obs.Observer
 	sub      Substrate
+	in       *Interner // the substrate's intern table, or the engine's own
+	dimNames []string  // tab.DimensionNames()
 	inj      *faults.Injector
 	totalImp float64
 	bnd      impactBounds // lazily built impact-sum summaries (bounds.go)
@@ -250,7 +252,16 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		meter:    cfg.Meter,
 		obs:      cfg.Observer,
 		sub:      cfg.Substrate,
+		dimNames: tab.DimensionNames(),
 		inj:      cfg.Faults,
+	}
+	// Handles must come from the table the substrate plans against: adopt its
+	// intern table when it has one over this very table (so plans, keys and
+	// links built by earlier requests are reused), else keep a private one.
+	if ho, ok := cfg.Substrate.(interface{ Interner() *Interner }); ok && ho.Interner().tab == tab {
+		e.in = ho.Interner()
+	} else {
+		e.in = NewInterner(tab)
 	}
 	for _, m := range cfg.Measures {
 		if err := e.checkMeasure(m); err != nil {
@@ -337,6 +348,25 @@ func (e *Engine) totalImpactValue() float64 {
 // TotalImpact returns m_Impact({*}), the denominator of Equation 2.
 func (e *Engine) TotalImpact() float64 { return e.totalImp }
 
+// Intern returns the engine's handle for s. Every query path below resolves
+// its subspace argument through it exactly once; callers that touch a
+// subspace repeatedly (the miner) keep the handle and use the *At forms.
+func (e *Engine) Intern(s model.Subspace) *Handle { return e.in.Intern(s) }
+
+// dimIndex resolves a breakdown (or augmentation) dimension name.
+func (e *Engine) dimIndex(name, role string) (int, error) {
+	if i := e.tab.DimensionIndex(name); i >= 0 {
+		return i, nil
+	}
+	return -1, fmt.Errorf("engine: unknown %s dimension %q", role, name)
+}
+
+// UnitKeyAt returns the query-cache key of (h, breakdown dimension index):
+// two strings that already exist, so forming it allocates nothing.
+func (e *Engine) UnitKeyAt(h *Handle, bdim int) cache.UnitKey {
+	return cache.UnitKey{Subspace: h.key, Breakdown: e.dimNames[bdim]}
+}
+
 // BasicQuery answers the paper's BasicQuery(ds): the aggregate of
 // ds.Measure grouped by ds.Breakdown under ds.Subspace (Table 2, row 1).
 // The result is served from the query cache when possible; a miss scans the
@@ -359,9 +389,15 @@ func (e *Engine) BasicQuery(ds model.DataScope) (*Series, error) {
 // the same scope use this to avoid repeated extraction lookups. Concurrent
 // misses single-flight into one charged scan; followers count as served.
 func (e *Engine) Unit(subspace model.Subspace, breakdown string) (*cache.Unit, error) {
-	if e.tab.Dimension(breakdown) == nil {
-		return nil, fmt.Errorf("engine: unknown breakdown dimension %q", breakdown)
+	bdim, err := e.dimIndex(breakdown, "breakdown")
+	if err != nil {
+		return nil, err
 	}
+	return e.unitAt(e.in.Intern(subspace), bdim)
+}
+
+func (e *Engine) unitAt(h *Handle, bdim int) (*cache.Unit, error) {
+	key := e.UnitKeyAt(h, bdim)
 	// Resolve the query's fate before consulting the cache: a failing
 	// fingerprint fails regardless of cache state (see Config.Faults), so
 	// metered and quiet paths — and the miner's canonical replay — always
@@ -369,27 +405,26 @@ func (e *Engine) Unit(subspace model.Subspace, breakdown string) (*cache.Unit, e
 	// actually executes below.
 	var faultCost float64
 	if e.inj.Enabled() {
-		fp := UnitFingerprint(subspace.Key(), breakdown)
-		fres := e.inj.Resolve(fp, e.ScanCost(subspace))
+		fp := UnitFingerprint(key.Subspace, key.Breakdown)
+		fres := e.inj.Resolve(fp, e.ScanCostAt(h))
 		if !fres.OK {
 			e.meter.AddCost(fres.FaultCost)
 			return nil, fres.Err(fp)
 		}
 		faultCost = fres.FaultCost
 	}
-	unit, ok := e.qc.Get(subspace.Key(), breakdown)
+	unit, ok := e.qc.Get(key.Subspace, key.Breakdown)
 	if ok {
 		e.meter.served.Add(1)
 		return unit, nil
 	}
-	key := cache.UnitKey{Subspace: subspace.Key(), Breakdown: breakdown}
 	res, leader := e.meteredUnits.Do(key, func() unitRes {
 		// Double-check under the flight: a previous leader may have cached
 		// the unit between this caller's miss and its flight entry.
 		if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
 			return unitRes{u: u}
 		}
-		u, scanned, err := e.execScanUnit(subspace, breakdown)
+		u, scanned, err := e.execScanUnit(h.sub, key.Breakdown)
 		if err != nil {
 			return unitRes{err: err}
 		}
@@ -454,6 +489,17 @@ func (e *Engine) CheckAugmented(ds model.DataScope, d string) error {
 	return nil
 }
 
+// augmentedFate resolves the injected fate of the augmented scan of
+// (base, bdim, ext) — before any cache or flight interaction, like every
+// fault decision.
+func (e *Engine) augmentedFate(base *Handle, bdim, ext int) (faults.Resolution, string) {
+	if !e.inj.Enabled() {
+		return faults.Resolution{OK: true}, ""
+	}
+	fp := e.AugmentedFingerprintAt(base, bdim, ext)
+	return e.inj.Resolve(fp, e.ScanCostAt(base)), fp
+}
+
 // AugmentedQuery answers the paper's AugmentedQuery(ds, d) (Table 2, row 2):
 // one scan filtered by ds.Subspace \ d, grouped by (ds.Breakdown, d), across
 // all measures. It returns the cache units for every sibling subspace in
@@ -466,20 +512,15 @@ func (e *Engine) AugmentedQuery(ds model.DataScope, d string) (map[string]*cache
 	if err := e.CheckAugmented(ds, d); err != nil {
 		return nil, err
 	}
-	base := ds.Subspace.Without(d)
-	var faultCost float64
-	if e.inj.Enabled() {
-		fp := AugmentedFingerprint(base.Key(), ds.Breakdown, d)
-		fres := e.inj.Resolve(fp, e.ScanCost(base))
-		if !fres.OK {
-			e.meter.AddCost(fres.FaultCost)
-			return nil, fres.Err(fp)
-		}
-		faultCost = fres.FaultCost
+	bdim, ext := e.tab.DimensionIndex(ds.Breakdown), e.tab.DimensionIndex(d)
+	base := e.in.Intern(ds.Subspace).Without(ext)
+	fres, fp := e.augmentedFate(base, bdim, ext)
+	if !fres.OK {
+		e.meter.AddCost(fres.FaultCost)
+		return nil, fres.Err(fp)
 	}
-	key := augKey{base: base.Key(), breakdown: ds.Breakdown, ext: d}
-	res, leader := e.meteredAug.Do(key, func() augRes {
-		units, scanned, err := e.execScanAugmented(base, ds.Breakdown, d)
+	res, leader := e.meteredAug.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() augRes {
+		units, scanned, err := e.execScanAugmented(base.sub, ds.Breakdown, d)
 		if err != nil {
 			return augRes{err: err}
 		}
@@ -489,7 +530,7 @@ func (e *Engine) AugmentedQuery(ds model.DataScope, d string) (map[string]*cache
 		// One scan answers |dom(d)| sibling queries; charge a single round
 		// trip plus the scan, mirroring the paper's motivation for augmented
 		// queries.
-		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned) + faultCost)
+		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned) + fres.FaultCost)
 		for _, u := range units {
 			e.qc.Put(u)
 		}
@@ -511,19 +552,37 @@ func (e *Engine) AugmentedQuery(ds model.DataScope, d string) (map[string]*cache
 // canonically at commit time, so the numbers reported for a run are
 // independent of worker count and physical interleaving.
 func (e *Engine) MaterializeUnit(subspace model.Subspace, breakdown string) (*cache.Unit, error) {
-	if e.tab.Dimension(breakdown) == nil {
-		return nil, fmt.Errorf("engine: unknown breakdown dimension %q", breakdown)
+	bdim, err := e.dimIndex(breakdown, "breakdown")
+	if err != nil {
+		return nil, err
 	}
+	return e.MaterializeUnitAt(e.in.Intern(subspace), bdim, nil)
+}
+
+// PeekUnitAt returns the cached unit of (h, bdim), if any, without touching
+// counters, the meter or the fault injector.
+func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
+	return e.qc.Peek(h.key, e.dimNames[bdim])
+}
+
+// MaterializeUnitAt is MaterializeUnit by handle and breakdown dimension
+// index. peeked, when non-nil, is the unit a PeekUnitAt of the same scope
+// returned earlier in the same compute unit: it stands in for the cache
+// probe, so a scope resolved once is not looked up again.
+func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*cache.Unit, error) {
+	key := e.UnitKeyAt(h, bdim)
 	// Same purity rule as Unit: the fingerprint's fate is decided before any
 	// cache interaction, so the outcome cannot depend on which worker got
 	// here first or what happens to be cached.
 	if e.inj.Enabled() {
-		fp := UnitFingerprint(subspace.Key(), breakdown)
-		if fres := e.inj.Resolve(fp, e.ScanCost(subspace)); !fres.OK {
+		fp := UnitFingerprint(key.Subspace, key.Breakdown)
+		if fres := e.inj.Resolve(fp, e.ScanCostAt(h)); !fres.OK {
 			return nil, fres.Err(fp)
 		}
 	}
-	key := cache.UnitKey{Subspace: subspace.Key(), Breakdown: breakdown}
+	if peeked != nil {
+		return peeked, nil
+	}
 	if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
 		return u, nil
 	}
@@ -531,7 +590,7 @@ func (e *Engine) MaterializeUnit(subspace model.Subspace, breakdown string) (*ca
 		if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
 			return quietUnitRes{u: u} // raced with another leader's Put
 		}
-		u, scanned, err := e.execScanUnit(subspace, breakdown)
+		u, scanned, err := e.execScanUnit(h.sub, key.Breakdown)
 		if err != nil {
 			return quietUnitRes{err: err}
 		}
@@ -562,16 +621,25 @@ func (e *Engine) MaterializeAugmented(ds model.DataScope, d string) (map[string]
 	if err := e.CheckAugmented(ds, d); err != nil {
 		return nil, err
 	}
-	base := ds.Subspace.Without(d)
-	if e.inj.Enabled() {
-		fp := AugmentedFingerprint(base.Key(), ds.Breakdown, d)
-		if fres := e.inj.Resolve(fp, e.ScanCost(base)); !fres.OK {
-			return nil, fres.Err(fp)
-		}
+	ext := e.tab.DimensionIndex(d)
+	return e.MaterializeAugmentedAt(e.in.Intern(ds.Subspace).Without(ext), e.tab.DimensionIndex(ds.Breakdown), ext)
+}
+
+// MaterializeAugmentedAt is MaterializeAugmented by handle: base is the
+// scope's subspace without the augmentation dimension, bdim and ext the
+// breakdown and augmentation dimension indices.
+func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string]*cache.Unit, error) {
+	if ext < 0 || ext >= len(e.dimNames) {
+		return nil, fmt.Errorf("engine: unknown augmentation dimension index %d", ext)
 	}
-	key := augKey{base: base.Key(), breakdown: ds.Breakdown, ext: d}
-	res, _ := e.quietAug.Do(key, func() augRes {
-		units, scanned, err := e.execScanAugmented(base, ds.Breakdown, d)
+	if ext == bdim {
+		return nil, fmt.Errorf("engine: augmentation dimension %q equals the breakdown", e.dimNames[ext])
+	}
+	if fres, fp := e.augmentedFate(base, bdim, ext); !fres.OK {
+		return nil, fres.Err(fp)
+	}
+	res, _ := e.quietAug.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() augRes {
+		units, scanned, err := e.execScanAugmented(base.sub, e.dimNames[bdim], e.dimNames[ext])
 		if err != nil {
 			return augRes{err: err}
 		}
@@ -582,6 +650,12 @@ func (e *Engine) MaterializeAugmented(ds model.DataScope, d string) (map[string]
 		return augRes{units: units}
 	})
 	return res.units, res.err
+}
+
+// AugmentedFingerprintAt returns the canonical fingerprint of the augmented
+// scan MaterializeAugmentedAt(base, bdim, ext) issues.
+func (e *Engine) AugmentedFingerprintAt(base *Handle, bdim, ext int) string {
+	return AugmentedFingerprint(base.key, e.dimNames[bdim], e.dimNames[ext])
 }
 
 // ScanCost returns the metered cost a unit scan under subspace s would be
@@ -595,23 +669,31 @@ func (e *Engine) MaterializeAugmented(ds model.DataScope, d string) (map[string]
 // posting list. The cost of a scan depends only on the subspace, not the
 // breakdown, and an augmented scan of base subspace b costs exactly
 // ScanCost(b).
-func (e *Engine) ScanCost(s model.Subspace) float64 {
+func (e *Engine) ScanCost(s model.Subspace) float64 { return e.ScanCostAt(e.in.Intern(s)) }
+
+// ScanCostAt is ScanCost by handle; the planned row count is memoized on the
+// handle, so repeated estimates are one atomic load.
+func (e *Engine) ScanCostAt(h *Handle) float64 {
+	return e.cost.PerQuery + e.cost.PerRow*float64(e.plannedRows(h))
+}
+
+func (e *Engine) plannedRows(h *Handle) int {
+	if r := h.rows.Load(); r > 0 {
+		return int(r - 1)
+	}
 	var scanned int
 	if rp, ok := e.sub.(RowPlanner); ok {
-		scanned = rp.PlannedRows(s)
-	} else {
+		scanned = rp.PlannedRows(h.sub)
+	} else if h.valid {
 		scanned = e.tab.Rows()
-		if len(s) > 0 {
-			best := e.tab.Rows() + 1
-			for _, f := range resolveFilters(e.tab, s) {
-				if l := len(f.col.Postings(int(f.code))); l < best {
-					best = l
-				}
+		for _, f := range h.filters {
+			if l := len(e.tab.Dimensions()[f.dim].Postings(int(f.code))); l < scanned {
+				scanned = l
 			}
-			scanned = best
 		}
-	}
-	return e.cost.PerQuery + e.cost.PerRow*float64(scanned)
+	} // else some filter matches no rows: nothing to scan
+	h.rows.Store(int64(scanned) + 1)
+	return scanned
 }
 
 // EvaluationCost returns the metered cost of one data-pattern evaluation.
@@ -625,14 +707,16 @@ func (e *Engine) Impact(s model.Subspace) (float64, error) {
 	if len(s) == 0 {
 		return 1, nil
 	}
+	h := e.in.Intern(s)
+	fallback := e.impactFallbackDim(h)
 	// The fallback scan's fate is resolved before the cache probes: if its
 	// fingerprint fails, the impact lookup fails even when a probe unit
 	// happens to be cached. Cache-dependent outcomes would diverge between
 	// this path and the miner's replay (whose simulated cache can lag or
 	// lead the physical one), breaking worker-count invariance.
 	if e.inj.Enabled() {
-		fp := UnitFingerprint(s.Key(), e.impactFallbackDim(s))
-		fres := e.inj.Resolve(fp, e.ScanCost(s))
+		fp := UnitFingerprint(h.key, e.dimNames[fallback])
+		fres := e.inj.Resolve(fp, e.ScanCostAt(h))
 		if !fres.OK {
 			e.meter.AddCost(fres.FaultCost)
 			return 0, fres.Err(fp)
@@ -640,32 +724,41 @@ func (e *Engine) Impact(s model.Subspace) (float64, error) {
 	}
 	// Any breakdown unit of this subspace can serve the impact value; prefer
 	// a cached one before paying for a scan.
-	for _, dim := range e.tab.DimensionNames() {
-		if s.Has(dim) {
-			continue
-		}
-		if u, ok := e.qc.Peek(s.Key(), dim); ok {
-			return e.unitImpact(u) / e.totalImp, nil
-		}
+	if u := e.peekAnyUnit(h); u != nil {
+		return e.unitImpact(u) / e.totalImp, nil
 	}
-	u, err := e.Unit(s, e.impactFallbackDim(s))
+	u, err := e.unitAt(h, fallback)
 	if err != nil {
 		return 0, err
 	}
 	return e.unitImpact(u) / e.totalImp, nil
 }
 
+// peekAnyUnit returns a cached unit of h on any unfiltered breakdown, probing
+// in table dimension order, or nil.
+func (e *Engine) peekAnyUnit(h *Handle) *cache.Unit {
+	for d, dim := range e.dimNames {
+		if h.Has(d) {
+			continue
+		}
+		if u, ok := e.qc.Peek(h.key, dim); ok {
+			return u
+		}
+	}
+	return nil
+}
+
 // impactFallbackDim picks the breakdown for an impact scan: the first
 // unfiltered dimension. If every dimension is filtered, grouping by a
 // filtered one is still correct: the scan keeps the filter, so the unit
 // holds exactly the one matching group.
-func (e *Engine) impactFallbackDim(s model.Subspace) string {
-	for _, dim := range e.tab.DimensionNames() {
-		if !s.Has(dim) {
-			return dim
+func (e *Engine) impactFallbackDim(h *Handle) int {
+	for d := range e.dimNames {
+		if !h.Has(d) {
+			return d
 		}
 	}
-	return e.tab.DimensionNames()[0]
+	return 0
 }
 
 // ImpactProbe describes how an impact value was (or would canonically be)
@@ -673,11 +766,10 @@ func (e *Engine) impactFallbackDim(s model.Subspace) string {
 // if any probe unit is cached the value is free, otherwise the fallback unit
 // is scanned at Cost and enters the cache.
 type ImpactProbe struct {
-	// Subspace is the canonical key of the probed subspace.
-	Subspace string
-	// Probe lists the unfiltered breakdown dimensions, in table dimension
-	// order; a cached unit on any of them serves the impact value.
-	Probe []string
+	// Handle is the probed subspace. The probe keys are (Handle.Key(), dim)
+	// for every table dimension the handle does not filter, in table
+	// dimension order; a cached unit on any of them serves the impact value.
+	Handle *Handle
 	// Fallback is the unit scanned when no probe key is cached.
 	Fallback cache.UnitKey
 	// Cost is the analytic metered cost of the fallback scan (ScanCost).
@@ -692,20 +784,19 @@ type ImpactProbe struct {
 // recording how the lookup would be charged. The probe is nil for the empty
 // subspace (impact 1 is free dataset metadata).
 func (e *Engine) ImpactUnmetered(s model.Subspace) (float64, *ImpactProbe, error) {
-	if len(s) == 0 {
+	return e.ImpactUnmeteredAt(e.in.Intern(s))
+}
+
+// ImpactUnmeteredAt is ImpactUnmetered by handle.
+func (e *Engine) ImpactUnmeteredAt(h *Handle) (float64, *ImpactProbe, error) {
+	if h.Len() == 0 {
 		return 1, nil, nil
 	}
-	probe := make([]string, 0, len(e.tab.DimensionNames()))
-	for _, dim := range e.tab.DimensionNames() {
-		if !s.Has(dim) {
-			probe = append(probe, dim)
-		}
-	}
+	fallback := e.impactFallbackDim(h)
 	p := &ImpactProbe{
-		Subspace: s.Key(),
-		Probe:    probe,
-		Fallback: cache.UnitKey{Subspace: s.Key(), Breakdown: e.impactFallbackDim(s)},
-		Cost:     e.ScanCost(s),
+		Handle:   h,
+		Fallback: e.UnitKeyAt(h, fallback),
+		Cost:     e.ScanCostAt(h),
 	}
 	// Purity rule (see Impact): resolve the fallback fingerprint before any
 	// cache peek. The probe is returned alongside the error so the miner can
@@ -724,15 +815,10 @@ func (e *Engine) ImpactUnmetered(s model.Subspace) (float64, *ImpactProbe, error
 	// materialize the fallback unit (pure data, worker-count-invariant) and
 	// take its size.
 	if e.qc.MaxBytes() == 0 {
-		for _, dim := range probe {
-			if u, ok := e.qc.Peek(s.Key(), dim); ok {
-				unit = u
-				break
-			}
-		}
+		unit = e.peekAnyUnit(h)
 	}
 	if unit == nil {
-		u, err := e.MaterializeUnit(s, p.Fallback.Breakdown)
+		u, err := e.MaterializeUnitAt(h, fallback, nil)
 		if err != nil {
 			return 0, p, err
 		}
@@ -769,42 +855,52 @@ func Extract(u *cache.Unit, ds model.DataScope) (*Series, error) {
 	return extract(u, ds)
 }
 
+// CheckExtract reports the error Extract(u, ·) would return for measure m,
+// without copying the series. The miner uses it to classify a scope before
+// the pattern-cache lookup and extracts only on a miss.
+func CheckExtract(u *cache.Unit, m model.Measure) error {
+	_, err := measureSource(u, m)
+	return err
+}
+
+// measureSource returns the unit's stored column that measure m reads: the
+// per-group values themselves for COUNT, SUM, MIN and MAX, the sums AVG
+// divides by the counts.
+func measureSource(u *cache.Unit, m model.Measure) ([]float64, error) {
+	var cols map[string][]float64
+	switch m.Agg {
+	case model.AggCount:
+		return u.Counts, nil
+	case model.AggSum, model.AggAvg:
+		cols = u.Sums
+	case model.AggMin:
+		cols = u.Mins
+	case model.AggMax:
+		cols = u.Maxs
+	default:
+		return nil, fmt.Errorf("engine: unsupported aggregate %v", m.Agg)
+	}
+	src, ok := cols[m.Column]
+	if !ok {
+		return nil, fmt.Errorf("engine: unit lacks column %q", m.Column)
+	}
+	return src, nil
+}
+
 // extract materializes one measure's series from a unit. Groups with no
 // records are already absent from the unit.
 func extract(u *cache.Unit, ds model.DataScope) (*Series, error) {
-	n := len(u.GroupKeys)
-	vals := make([]float64, n)
-	switch ds.Measure.Agg {
-	case model.AggCount:
-		copy(vals, u.Counts)
-	case model.AggSum:
-		src, ok := u.Sums[ds.Measure.Column]
-		if !ok {
-			return nil, fmt.Errorf("engine: unit lacks column %q", ds.Measure.Column)
-		}
-		copy(vals, src)
-	case model.AggAvg:
-		src, ok := u.Sums[ds.Measure.Column]
-		if !ok {
-			return nil, fmt.Errorf("engine: unit lacks column %q", ds.Measure.Column)
-		}
+	src, err := measureSource(u, ds.Measure)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, len(u.GroupKeys))
+	if ds.Measure.Agg == model.AggAvg {
 		for i := range vals {
 			vals[i] = src[i] / u.Counts[i]
 		}
-	case model.AggMin:
-		src, ok := u.Mins[ds.Measure.Column]
-		if !ok {
-			return nil, fmt.Errorf("engine: unit lacks column %q", ds.Measure.Column)
-		}
+	} else {
 		copy(vals, src)
-	case model.AggMax:
-		src, ok := u.Maxs[ds.Measure.Column]
-		if !ok {
-			return nil, fmt.Errorf("engine: unit lacks column %q", ds.Measure.Column)
-		}
-		copy(vals, src)
-	default:
-		return nil, fmt.Errorf("engine: unsupported aggregate %v", ds.Measure.Agg)
 	}
 	return &Series{Scope: ds, Keys: u.GroupKeys, Values: vals}, nil
 }

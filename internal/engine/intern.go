@@ -1,0 +1,217 @@
+package engine
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"metainsight/internal/dataset"
+	"metainsight/internal/model"
+)
+
+// Interned subspace handles. Mining touches the same few thousand subspaces
+// hundreds of thousands of times — as cache keys, plan lookups, cost
+// estimates, sibling groups — and almost every touch is a cache hit, so the
+// cost of naming a subspace is the cost of the system. An Interner holds one
+// immutable Handle per distinct subspace of one table: the subspace value,
+// its canonical key built once, its filters resolved to (dimension index,
+// dictionary code), the memoized scan plan, and lazily materialised links to
+// its parents (one filter removed) and children (one filter added), so the
+// hot path navigates base → sibling by (dimension index, code) and never
+// builds or re-derives a string.
+//
+// Strings stay the external identity: trace labels, fault fingerprints,
+// checkpoint bytes, cache.UnitKey as stored on units and MetaInsight keys are
+// all derived from Handle.Key, which equals model.Subspace.Key byte for
+// byte. Handles themselves — their addresses and creation order, which depend
+// on worker interleaving — never reach an ordering, a reported hash or the
+// wire (DESIGN.md §14).
+
+// Interner is the intern table of one table's subspaces. It is owned by
+// whatever outlives a request — the ColumnarSubstrate a Session keeps, or the
+// Engine itself for substrates that bring none — and is safe for concurrent
+// use. Sharing it across requests is determinism-safe: every field of a
+// Handle is a pure function of the immutable table and the subspace.
+type Interner struct {
+	tab  *dataset.Table
+	dims []*dataset.DimColumn
+	root *Handle
+
+	mu    sync.RWMutex
+	byKey map[string]*Handle
+}
+
+// NewInterner creates an empty intern table over tab.
+func NewInterner(tab *dataset.Table) *Interner {
+	in := &Interner{tab: tab, dims: tab.Dimensions(), byKey: make(map[string]*Handle)}
+	in.root = in.newHandle(model.EmptySubspace, model.EmptySubspace.Key())
+	in.byKey[in.root.key] = in.root
+	return in
+}
+
+// handleFilter is one resolved filter of a handle: the table's dimension
+// index and the value's dictionary code. dim is -1 for a dimension the table
+// does not have and code -1 for a value absent from its column; either makes
+// the subspace match no rows.
+type handleFilter struct {
+	dim  int32
+	code int32
+}
+
+// Handle is the interned identity of one subspace. All exported accessors
+// return shared immutable data; callers must not modify it.
+type Handle struct {
+	in      *Interner
+	sub     model.Subspace
+	key     string
+	filters []handleFilter // aligned with sub
+	valid   bool           // every filter names a known dimension and value
+
+	// plan is the owning ColumnarSubstrate's memoized physical plan; rows
+	// memoizes the engine's planned row count plus one (0 = not computed).
+	// Both are pure functions of the subspace for the interner's one owner.
+	plan atomic.Pointer[scanPlan]
+	rows atomic.Int64
+
+	// parents[i] is the handle without filter i. kids[d], for an unfiltered
+	// dimension index d, holds the child handles by dictionary code — the
+	// sibling group SG(·, d) of every child. Entries fill on first use.
+	parents []atomic.Pointer[Handle]
+	kids    []atomic.Pointer[[]atomic.Pointer[Handle]]
+}
+
+// Root returns the handle of the empty subspace.
+func (in *Interner) Root() *Handle { return in.root }
+
+// Intern returns the handle of s, creating it on first use. Equal subspaces
+// always yield the same handle.
+func (in *Interner) Intern(s model.Subspace) *Handle {
+	if len(s) == 0 {
+		return in.root
+	}
+	return in.intern(s, false)
+}
+
+// intern looks s up by its canonical key, built into a stack buffer so a hit
+// allocates nothing. owned reports that s is a fresh slice the handle may
+// keep; otherwise a miss copies it.
+func (in *Interner) intern(s model.Subspace, owned bool) *Handle {
+	var stack [128]byte
+	kb := s.AppendKey(stack[:0])
+	in.mu.RLock()
+	h := in.byKey[string(kb)]
+	in.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	if !owned {
+		s = append(model.Subspace(nil), s...)
+	}
+	h = in.newHandle(s, string(kb))
+	in.mu.Lock()
+	if won, ok := in.byKey[h.key]; ok {
+		h = won // a racing creator won; the handles are interchangeable
+	} else {
+		in.byKey[h.key] = h
+	}
+	in.mu.Unlock()
+	return h
+}
+
+func (in *Interner) newHandle(s model.Subspace, key string) *Handle {
+	h := &Handle{
+		in:      in,
+		sub:     s,
+		key:     key,
+		filters: make([]handleFilter, len(s)),
+		valid:   true,
+		parents: make([]atomic.Pointer[Handle], len(s)),
+		kids:    make([]atomic.Pointer[[]atomic.Pointer[Handle]], len(in.dims)),
+	}
+	for i, f := range s {
+		hf := handleFilter{dim: int32(in.tab.DimensionIndex(f.Dim)), code: -1}
+		if hf.dim >= 0 {
+			hf.code = int32(in.dims[hf.dim].Code(f.Value))
+		}
+		if hf.code < 0 {
+			h.valid = false
+		}
+		h.filters[i] = hf
+	}
+	return h
+}
+
+// Key returns the subspace's canonical key, equal to Subspace().Key().
+func (h *Handle) Key() string { return h.key }
+
+// Subspace returns the subspace value.
+func (h *Handle) Subspace() model.Subspace { return h.sub }
+
+// Len returns the number of filters.
+func (h *Handle) Len() int { return len(h.sub) }
+
+// Valid reports whether every filter names a dimension of the table and a
+// value of that dimension's domain.
+func (h *Handle) Valid() bool { return h.valid }
+
+// Has reports whether the subspace filters the dimension with table index
+// dim.
+func (h *Handle) Has(dim int) bool { return h.filterPos(dim) >= 0 }
+
+func (h *Handle) filterPos(dim int) int {
+	for i, f := range h.filters {
+		if int(f.dim) == dim {
+			return i
+		}
+	}
+	return -1
+}
+
+// Without returns the handle of Subspace().Without(name of dim): the parent
+// with the filter on dimension index dim removed, or h itself when dim is
+// not filtered.
+func (h *Handle) Without(dim int) *Handle {
+	i := h.filterPos(dim)
+	if i < 0 {
+		return h
+	}
+	if p := h.parents[i].Load(); p != nil {
+		return p
+	}
+	var p *Handle
+	if len(h.sub) == 1 {
+		p = h.in.root
+	} else {
+		s := make(model.Subspace, 0, len(h.sub)-1)
+		s = append(append(s, h.sub[:i]...), h.sub[i+1:]...)
+		p = h.in.intern(s, true)
+	}
+	h.parents[i].Store(p)
+	return p
+}
+
+// With returns the handle of Subspace().With(name of dim, value of code):
+// the child adding that filter, or — when dim is already filtered — the
+// sibling carrying the new value. code must be a dictionary code of the
+// dimension.
+func (h *Handle) With(dim, code int) *Handle {
+	if h.Has(dim) {
+		h = h.Without(dim)
+	}
+	g := h.kids[dim].Load()
+	if g == nil {
+		fresh := make([]atomic.Pointer[Handle], h.in.dims[dim].Cardinality())
+		if !h.kids[dim].CompareAndSwap(nil, &fresh) {
+			g = h.kids[dim].Load()
+		} else {
+			g = &fresh
+		}
+	}
+	slot := &(*g)[code]
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	col := h.in.dims[dim]
+	c := h.in.intern(h.sub.With(col.Name, col.Value(code)), true)
+	slot.Store(c)
+	return c
+}

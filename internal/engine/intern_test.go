@@ -1,0 +1,108 @@
+package engine
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"metainsight/internal/dataset"
+	"metainsight/internal/model"
+)
+
+// escapeTable has dimension names and values containing every key separator,
+// so the handle/value agreement below also covers escaped keys.
+func escapeTable() *dataset.Table {
+	b := dataset.NewBuilder("esc", []model.Field{
+		{Name: "A", Kind: model.KindCategorical},
+		{Name: "B;=", Kind: model.KindCategorical},
+		{Name: "C|{}", Kind: model.KindTemporal},
+		{Name: "D", Kind: model.KindCategorical},
+		{Name: "M", Kind: model.KindMeasure},
+	})
+	as := []string{"x", "x;B=y", "{", "\\"}
+	bs := []string{"y", "=", "y}|"}
+	cs := []string{"2019-01", "2019-02", "2019-03"}
+	ds := []string{"p", "q", "r", "s", "t"}
+	for i := 0; i < 120; i++ {
+		b.AddRow([]string{as[i%len(as)], bs[i%len(bs)], cs[i%len(cs)], ds[i%len(ds)]}, []float64{float64(i)})
+	}
+	return b.Build()
+}
+
+// TestHandleNavigationAgreesWithSubspaceValues drives random With/Without
+// chains through handles (by dimension index and code) and through
+// model.Subspace (by name and value) side by side: at every step the handle
+// must carry the value's key and filters, and interning the value must yield
+// that very handle. Eight goroutines share one interner, so run under -race
+// the test also covers concurrent link and table construction.
+func TestHandleNavigationAgreesWithSubspaceValues(t *testing.T) {
+	for _, tab := range []*dataset.Table{randomTable(5, 200), escapeTable()} {
+		in := NewInterner(tab)
+		dims := tab.Dimensions()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				// Goroutines reuse seeds pairwise so identical chains race.
+				r := rand.New(rand.NewSource(seed / 2))
+				for chain := 0; chain < 200; chain++ {
+					h, s := in.Root(), model.EmptySubspace
+					for step := 0; step < 8; step++ {
+						d := r.Intn(len(dims))
+						if r.Intn(3) == 0 {
+							h, s = h.Without(d), s.Without(dims[d].Name)
+						} else {
+							code := r.Intn(dims[d].Cardinality())
+							h, s = h.With(d, code), s.With(dims[d].Name, dims[d].Value(code))
+						}
+						if h.Key() != s.Key() || !h.Subspace().Equal(s) {
+							t.Errorf("handle %q %v diverged from value %q %v", h.Key(), h.Subspace(), s.Key(), s)
+							return
+						}
+						if got := in.Intern(s); got != h {
+							t.Errorf("Intern(%v) = %p (%q), navigation reached %p (%q)", s, got, got.Key(), h, h.Key())
+							return
+						}
+						for di := range dims {
+							if h.Has(di) != s.Has(dims[di].Name) {
+								t.Errorf("%q: Has(%d) = %v, value says %v", h.Key(), di, h.Has(di), !h.Has(di))
+								return
+							}
+						}
+						if !h.Valid() {
+							t.Errorf("%q built from domain values reports invalid", h.Key())
+							return
+						}
+					}
+				}
+			}(int64(g))
+		}
+		wg.Wait()
+	}
+}
+
+// TestInternForeignSubspaces covers handles that cannot be reached by
+// navigation: values outside a dimension's domain and unknown dimensions are
+// interned as invalid handles that match no rows instead of failing.
+func TestInternForeignSubspaces(t *testing.T) {
+	tab := randomTable(6, 100)
+	sub := NewColumnarSubstrate(tab)
+	for _, s := range []model.Subspace{
+		model.EmptySubspace.With("City", "Atlantis"),
+		model.EmptySubspace.With("Planet", "Mars"),
+		model.EmptySubspace.With("City", "LA").With("Planet", "Mars"),
+	} {
+		h := sub.Interner().Intern(s)
+		if h.Valid() || h.Key() != s.Key() {
+			t.Errorf("Intern(%v): valid=%v key=%q", s, h.Valid(), h.Key())
+		}
+		if rows := sub.PlannedRows(s); rows != 0 {
+			t.Errorf("PlannedRows(%v) = %d, want 0", s, rows)
+		}
+		u, rows, err := sub.ScanUnit(s, "Month")
+		if err != nil || rows != 0 || len(u.GroupKeys) != 0 {
+			t.Errorf("ScanUnit(%v) = %d groups, %d rows, err %v; want an empty unit", s, len(u.GroupKeys), rows, err)
+		}
+	}
+}

@@ -193,7 +193,7 @@ func (c *ColumnarSubstrate) scanBlocks(plan *scanPlan, bcodes, dcodes []int32, b
 // merger to fold. Block indices are local to this substrate's table.
 func (c *ColumnarSubstrate) ScanUnitBlocks(s model.Subspace, breakdown string) ([]BlockPartial, int, error) {
 	bcol := c.tab.Dimension(breakdown)
-	plan := c.planFor(s)
+	plan := c.planFor(c.in.Intern(s))
 	return c.scanBlocks(plan, bcol.Codes(), nil, 0, bcol.Cardinality()), plan.rows, nil
 }
 
@@ -203,7 +203,7 @@ func (c *ColumnarSubstrate) ScanAugmentedBlocks(base model.Subspace, breakdown, 
 	bcol := c.tab.Dimension(breakdown)
 	dcol := c.tab.Dimension(ext)
 	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
-	plan := c.planFor(base)
+	plan := c.planFor(c.in.Intern(base))
 	return c.scanBlocks(plan, bcol.Codes(), dcol.Codes(), bcard, bcard*dcard), plan.rows, nil
 }
 
@@ -278,7 +278,7 @@ func (m *PartialMerger) Fold(p *BlockPartial) {
 // and releases the accumulator. The merger must not be reused afterwards.
 func (m *PartialMerger) FinishUnit(s model.Subspace, breakdown string) *cache.Unit {
 	bcol := m.c.tab.Dimension(breakdown)
-	u := m.c.buildUnitSlice(s.Key(), breakdown, bcol.Domain(), m.acc, 0, bcol.Cardinality())
+	u := m.c.buildUnitSlice(m.c.in.Intern(s).key, breakdown, bcol.Domain(), m.acc, 0, bcol.Cardinality())
 	m.c.release(m.acc)
 	m.acc = nil
 	return u
@@ -287,18 +287,7 @@ func (m *PartialMerger) FinishUnit(s model.Subspace, breakdown string) *cache.Un
 // FinishAugmented compresses the folded state into one unit per non-empty
 // ext value, mirroring ScanAugmented's tail, and releases the accumulator.
 func (m *PartialMerger) FinishAugmented(base model.Subspace, breakdown, ext string) map[string]*cache.Unit {
-	bcol := m.c.tab.Dimension(breakdown)
-	dcol := m.c.tab.Dimension(ext)
-	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
-	units := make(map[string]*cache.Unit, dcard)
-	bdomain := bcol.Domain()
-	for dv := 0; dv < dcard; dv++ {
-		sub := base.With(ext, dcol.Value(dv))
-		u := m.c.buildUnitSlice(sub.Key(), breakdown, bdomain, m.acc, dv*bcard, bcard)
-		if len(u.GroupKeys) > 0 {
-			units[dcol.Value(dv)] = u
-		}
-	}
+	units := m.c.augmentedUnits(m.c.in.Intern(base), breakdown, ext, m.acc)
 	m.c.release(m.acc)
 	m.acc = nil
 	return units

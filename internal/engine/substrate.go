@@ -50,12 +50,12 @@ type RowPlanner interface {
 // cache state, worker, or time — which is what keeps injected failures
 // bit-identical across worker counts.
 func UnitFingerprint(subspaceKey, breakdown string) string {
-	return "u|" + subspaceKey + "|" + breakdown
+	return "u|" + subspaceKey + "|" + model.EscapeKey(breakdown)
 }
 
 // AugmentedFingerprint is the canonical identity of an augmented scan.
 func AugmentedFingerprint(baseKey, breakdown, ext string) string {
-	return "a|" + baseKey + "|" + breakdown + "|" + ext
+	return "a|" + baseKey + "|" + model.EscapeKey(breakdown) + "|" + model.EscapeKey(ext)
 }
 
 // PlanMode selects the multi-filter scan strategy of the ColumnarSubstrate.
@@ -114,8 +114,11 @@ type ColumnarSubstrate struct {
 	noPool bool
 	obs    *obs.Observer
 
-	planMu sync.RWMutex
-	plans  map[string]*scanPlan
+	// in interns the subspaces this substrate has planned or scanned; each
+	// handle carries its memoized plan. Engines built over the substrate
+	// share it (Interner), so it outlives a request exactly as the substrate
+	// does.
+	in *Interner
 
 	// Postings telemetry: which dimensions' compressed posting sets this
 	// substrate has planned against, and their cumulative footprint (feeds
@@ -212,7 +215,7 @@ func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarS
 		mode:   cfg.mode,
 		noPool: cfg.noPool,
 		obs:    cfg.obs,
-		plans:  make(map[string]*scanPlan),
+		in:     NewInterner(tab),
 	}
 	for i, mc := range mcols {
 		c.mvals[i] = mc.Values()
@@ -223,6 +226,10 @@ func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarS
 	}
 	return c
 }
+
+// Interner returns the substrate's intern table. An Engine adopts it, so the
+// handles it navigates are the ones the substrate's plans are memoized on.
+func (c *ColumnarSubstrate) Interner() *Interner { return c.in }
 
 // filterSpec is a resolved subspace filter.
 type filterSpec struct {
@@ -274,25 +281,17 @@ const (
 	zoneCheckWeight = 2.0
 )
 
-// planFor returns the memoized plan for s, building it on first use. Plans
-// are pure functions of the immutable table and the subspace, so memoization
-// is invisible to results and costs.
-func (c *ColumnarSubstrate) planFor(s model.Subspace) *scanPlan {
-	key := s.Key()
-	c.planMu.RLock()
-	p := c.plans[key]
-	c.planMu.RUnlock()
-	if p != nil {
+// planFor returns the memoized plan of h, a handle of c's own interner,
+// building it on first use. Plans are pure functions of the immutable table
+// and the subspace, so memoization is invisible to results and costs.
+func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
+	if p := h.plan.Load(); p != nil {
 		return p
 	}
-	p = c.buildPlan(s)
-	c.planMu.Lock()
-	if q, ok := c.plans[key]; ok {
-		p = q // a racing builder won; both plans are identical
-	} else {
-		c.plans[key] = p
+	p := c.buildPlan(h)
+	if !h.plan.CompareAndSwap(nil, p) {
+		p = h.plan.Load() // a racing builder won; both plans are identical
 	}
-	c.planMu.Unlock()
 	return p
 }
 
@@ -322,10 +321,18 @@ func (c *ColumnarSubstrate) planFor(s model.Subspace) *scanPlan {
 // deterministic. Bitmap-planned substrates never materialize sorted-slice
 // posting lists: even a residual plan's drive list is emitted from the
 // compressed set, which is where the index memory reduction comes from.
-func (c *ColumnarSubstrate) buildPlan(s model.Subspace) *scanPlan {
-	filters := resolveFilters(c.tab, s)
-	if len(filters) == 0 {
+func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
+	if h.Len() == 0 {
 		return &scanPlan{full: true, rows: c.tab.Rows()}
+	}
+	if !h.valid {
+		// A filter on an unknown dimension or a value absent from its
+		// column: no rows match, nothing is scanned.
+		return &scanPlan{drive: []int32{}}
+	}
+	filters := make([]filterSpec, len(h.filters))
+	for i, f := range h.filters {
+		filters[i] = filterSpec{col: c.tab.Dimensions()[f.dim], code: f.code}
 	}
 	if c.mode == PlanIntersect || c.mode == PlanResidual {
 		return c.buildSlicePlan(filters)
@@ -517,7 +524,7 @@ func (c *ColumnarSubstrate) buildZonePlan(filters []filterSpec) *scanPlan {
 // PlannedRows implements RowPlanner: the exact rows a unit scan under s
 // visits (and an augmented scan of base s — same plan, same driving rows).
 func (c *ColumnarSubstrate) PlannedRows(s model.Subspace) int {
-	return c.planFor(s).rows
+	return c.planFor(c.in.Intern(s)).rows
 }
 
 // ScanUnit executes one filtered group-by scan across all measure columns,
@@ -525,9 +532,10 @@ func (c *ColumnarSubstrate) PlannedRows(s model.Subspace) int {
 func (c *ColumnarSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
 	bcol := c.tab.Dimension(breakdown)
 	card := bcol.Cardinality()
-	plan := c.planFor(s)
+	h := c.in.Intern(s)
+	plan := c.planFor(h)
 	acc := c.scan(plan, bcol.Codes(), nil, 0, card)
-	u := c.buildUnitSlice(s.Key(), breakdown, bcol.Domain(), acc, 0, card)
+	u := c.buildUnitSlice(h.key, breakdown, bcol.Domain(), acc, 0, card)
 	c.release(acc)
 	return u, plan.rows, nil
 }
@@ -538,18 +546,29 @@ func (c *ColumnarSubstrate) ScanAugmented(base model.Subspace, breakdown, ext st
 	bcol := c.tab.Dimension(breakdown)
 	dcol := c.tab.Dimension(ext)
 	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
-	plan := c.planFor(base)
+	h := c.in.Intern(base)
+	plan := c.planFor(h)
 	acc := c.scan(plan, bcol.Codes(), dcol.Codes(), bcard, bcard*dcard)
+	units := c.augmentedUnits(h, breakdown, ext, acc)
+	c.release(acc)
+	return units, plan.rows, nil
+}
 
+// augmentedUnits splits an augmented accumulator (cell = dcode*bcard+bcode)
+// into one unit per non-empty value of ext, each keyed by its sibling
+// handle's built-once key.
+func (c *ColumnarSubstrate) augmentedUnits(base *Handle, breakdown, ext string, acc *scanAcc) map[string]*cache.Unit {
+	bcol := c.tab.Dimension(breakdown)
+	dcol := c.tab.Dimension(ext)
+	extIdx := c.tab.DimensionIndex(ext)
+	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
 	units := make(map[string]*cache.Unit, dcard)
 	bdomain := bcol.Domain()
 	for dv := 0; dv < dcard; dv++ {
-		sub := base.With(ext, dcol.Value(dv))
-		u := c.buildUnitSlice(sub.Key(), breakdown, bdomain, acc, dv*bcard, bcard)
+		u := c.buildUnitSlice(base.With(extIdx, dv).key, breakdown, bdomain, acc, dv*bcard, bcard)
 		if len(u.GroupKeys) > 0 {
 			units[dcol.Value(dv)] = u
 		}
 	}
-	c.release(acc)
-	return units, plan.rows, nil
+	return units
 }

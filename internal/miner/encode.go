@@ -63,7 +63,9 @@ func encodeUnit(u *workUnit) unitJSON {
 	return j
 }
 
-func decodeUnit(j unitJSON) (*workUnit, error) {
+// decodeUnit rebuilds a pending unit from its wire form and re-interns its
+// subspaces: the wire carries only model values, handles are process-local.
+func (m *Miner) decodeUnit(j unitJSON) (*workUnit, error) {
 	var kind unitKind
 	switch j.Kind {
 	case kindExpand.String():
@@ -90,7 +92,31 @@ func decodeUnit(j unitJSON) (*workUnit, error) {
 	if j.HDS != nil {
 		u.hds = *j.HDS
 	}
+	if err := m.attach(u); err != nil {
+		return nil, err
+	}
 	return u, nil
+}
+
+// attach interns the subspaces of a unit described by model values only,
+// setting the handles the process functions navigate by.
+func (m *Miner) attach(u *workUnit) error {
+	tab := m.eng.Table()
+	u.handle = m.eng.Intern(u.subspace)
+	u.bdim = tab.DimensionIndex(u.breakdown)
+	if u.kind == kindDataPattern && u.bdim < 0 {
+		return fmt.Errorf("data-pattern unit breaks down unknown dimension %q", u.breakdown)
+	}
+	if u.kind == kindMetaInsight {
+		u.scopes = make([]scopeRef, len(u.hds.Scopes))
+		for i, sc := range u.hds.Scopes {
+			u.scopes[i] = scopeRef{h: m.eng.Intern(sc.Subspace), bdim: tab.DimensionIndex(sc.Breakdown)}
+			if u.scopes[i].bdim < 0 {
+				return fmt.Errorf("metainsight unit %q breaks down unknown dimension %q", u.miKey, sc.Breakdown)
+			}
+		}
+	}
+	return nil
 }
 
 // cacheEntryJSON is one simulated query-cache entry; evalEntryJSON one
@@ -177,19 +203,12 @@ func (a *accounting) exportState() acctJSON {
 			st.QC = append(st.QC, cacheEntryJSON{Subspace: k.Subspace, Breakdown: k.Breakdown, Bytes: a.qc[k]})
 		}
 	}
-	if a.pcMaxBytes > 0 {
-		for _, k := range a.pcOrder {
-			st.PC = append(st.PC, evalEntryJSON{Scope: k, Bytes: a.pc[k]})
-		}
-	} else {
-		keys := make([]string, 0, len(a.pc))
-		for k := range a.pc {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			st.PC = append(st.PC, evalEntryJSON{Scope: k, Bytes: a.pc[k]})
-		}
+	pcKeys := a.pcOrder
+	if a.pcMaxBytes == 0 {
+		pcKeys = sortedScopeKeys(a.pc)
+	}
+	for _, k := range pcKeys {
+		st.PC = append(st.PC, evalEntryJSON{Scope: k.String(), Bytes: a.pc[k]})
 	}
 	return st
 }
@@ -198,7 +217,25 @@ func (a *accounting) exportState() acctJSON {
 // the physical caches — empty in a fresh process) with checkpointed state.
 // It expects the meter at zero: the engine a resume runs against must be
 // fresh, and the replay verification catches a non-fresh one immediately.
-func (a *accounting) restoreState(st acctJSON) {
+// The snapshot names pattern-cache entries by their canonical string; they
+// are parsed back into the part-wise keys the replay looks up.
+func (a *accounting) restoreState(st acctJSON) error {
+	pc := make(map[cache.ScopeKey]int64, len(st.PC))
+	var pcOrder []cache.ScopeKey
+	var pcBytes int64
+	for _, e := range st.PC {
+		k, ok := cache.ParseScopeKey(e.Scope)
+		if !ok {
+			return fmt.Errorf("snapshot payload: pattern-cache entry %q is not a data-scope key", e.Scope)
+		}
+		pc[k] = e.Bytes
+		pcBytes += e.Bytes
+		if a.pcMaxBytes > 0 {
+			pcOrder = append(pcOrder, k)
+		}
+	}
+	a.pc, a.pcOrder, a.pcBytes = pc, pcOrder, pcBytes
+
 	a.executed = st.Executed
 	a.augmented = st.Augmented
 	a.served = st.Served
@@ -229,16 +266,7 @@ func (a *accounting) restoreState(st acctJSON) {
 			a.qcOrder = append(a.qcOrder, k)
 		}
 	}
-	a.pc = make(map[string]int64, len(st.PC))
-	a.pcOrder = nil
-	a.pcBytes = 0
-	for _, e := range st.PC {
-		a.pc[e.Scope] = e.Bytes
-		a.pcBytes += e.Bytes
-		if a.pcMaxBytes > 0 {
-			a.pcOrder = append(a.pcOrder, e.Scope)
-		}
-	}
+	return nil
 }
 
 // setObserver swaps the accounting's observer (nil silences it); the resume
@@ -337,13 +365,16 @@ func (m *Miner) restoreSnapshotPayload(payload []byte, patternQ, miQ workQueue) 
 		m.seenMI[k] = true
 	}
 	for _, mi := range snap.Results {
+		// Rebuilt through NewHDP so the decoded result carries its memoized
+		// key like a freshly mined one.
+		mi.HDP = core.NewHDP("", mi.HDP.HDS, mi.HDP.Type, mi.HDP.Patterns)
 		m.results[mi.Key()] = mi
 	}
 	// topScores is derived state (the top-K committed scores), so it is
 	// rebuilt rather than serialized.
 	m.rebuildTopScores()
 	for _, j := range snap.Pending {
-		u, err := decodeUnit(j)
+		u, err := m.decodeUnit(j)
 		if err != nil {
 			return err
 		}
@@ -353,8 +384,7 @@ func (m *Miner) restoreSnapshotPayload(payload []byte, patternQ, miQ workQueue) 
 			patternQ.Push(u)
 		}
 	}
-	m.acct.restoreState(snap.Acct)
-	return nil
+	return m.acct.restoreState(snap.Acct)
 }
 
 // encodeRecord captures the post-commit invariants of one committed unit.

@@ -24,8 +24,8 @@ func testFaultPolicy() faults.Policy {
 	}
 }
 
-func patternSizeOf(key string, se *pattern.ScopeEvaluation) int64 {
-	return int64(len(key)) + se.ApproxBytes()
+func patternSizeOf(key cache.ScopeKey, se *pattern.ScopeEvaluation) int64 {
+	return int64(key.Len()) + se.ApproxBytes()
 }
 
 // traceFingerprint projects a trace onto its deterministic fields (everything

@@ -23,7 +23,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -300,6 +302,12 @@ type Miner struct {
 
 	pcache *cache.PatternCache[*pattern.ScopeEvaluation]
 
+	// Per-table lookups resolved once: the canonical key of each mined
+	// measure (aligned with eng.Measures()) and, per table dimension index,
+	// whether the dimension is temporal.
+	measureKeys []string
+	temporal    []bool
+
 	// stopping is set once the dispatcher stops committing (budget exhausted
 	// or work drained); workers abort promptly, and their output is
 	// discarded, never committed.
@@ -359,13 +367,20 @@ func New(eng *engine.Engine, cfg Config) *Miner {
 	if cfg.PatternCache == nil {
 		cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](true)
 	}
-	return &Miner{
+	m := &Miner{
 		eng:     eng,
 		cfg:     cfg,
 		pcache:  cfg.PatternCache,
 		results: make(map[string]*core.MetaInsight),
 		seenMI:  make(map[string]bool),
 	}
+	for _, ms := range eng.Measures() {
+		m.measureKeys = append(m.measureKeys, ms.Key())
+	}
+	for _, d := range eng.Table().Dimensions() {
+		m.temporal = append(m.temporal, d.Kind == model.KindTemporal)
+	}
+	return m
 }
 
 // completion is the output of one speculatively executed compute unit,
@@ -799,12 +814,13 @@ func (m *Miner) commit(c *completion, miQ, patternQ workQueue) {
 	}
 
 	if c.mi != nil {
-		if _, exists := m.results[c.mi.Key()]; !exists {
-			m.results[c.mi.Key()] = c.mi
+		key := c.mi.Key()
+		if _, exists := m.results[key]; !exists {
+			m.results[key] = c.mi
 			m.recordTopScore(c.mi.Score)
 			o.Count("miner.stored", 1)
 			if traced {
-				o.Event(obs.EvStore, c.mi.Key(), fmt.Sprintf("score=%.6f", c.mi.Score), 0)
+				o.Event(obs.EvStore, key, fmt.Sprintf("score=%.6f", c.mi.Score), 0)
 			}
 			if m.cfg.OnMetaInsight != nil {
 				m.cfg.OnMetaInsight(c.mi)
@@ -822,9 +838,9 @@ func (m *Miner) commit(c *completion, miQ, patternQ workQueue) {
 func describeUnit(u *workUnit) string {
 	switch u.kind {
 	case kindExpand:
-		return u.subspace.Key()
+		return u.handle.Key()
 	case kindDataPattern:
-		return u.subspace.Key() + "|" + u.breakdown
+		return u.handle.Key() + "|" + u.breakdown
 	case kindMetaInsight:
 		return u.miKey
 	default:
@@ -845,6 +861,7 @@ func (m *Miner) pushRoot(patternQ workQueue) {
 		kind:      kindExpand,
 		priority:  1,
 		subspace:  model.EmptySubspace,
+		handle:    m.eng.Intern(model.EmptySubspace),
 		impact:    1,
 		maxDimIdx: -1,
 	})
@@ -980,14 +997,13 @@ func (m *Miner) process(u *workUnit) *completion {
 // same units the data-pattern module will need, so the scans are shared
 // through the query cache).
 func (m *Miner) processExpand(u *workUnit, rec *recorder, delta *statDelta) []*workUnit {
-	tab := m.eng.Table()
+	dims := m.eng.Table().Dimensions()
 	var produced []*workUnit
 
-	for _, dim := range tab.DimensionNames() {
-		if u.subspace.Has(dim) {
+	for idx, col := range dims {
+		if u.handle.Has(idx) {
 			continue
 		}
-		col := tab.Dimension(dim)
 		if col.Cardinality() < 3 {
 			continue // too few groups for any pattern criterion
 		}
@@ -998,53 +1014,56 @@ func (m *Miner) processExpand(u *workUnit, rec *recorder, delta *statDelta) []*w
 			kind:      kindDataPattern,
 			priority:  u.impact,
 			subspace:  u.subspace,
+			handle:    u.handle,
 			impact:    u.impact,
-			breakdown: dim,
+			breakdown: col.Name,
+			bdim:      idx,
 		})
 	}
 
-	if u.subspace.Len() >= m.cfg.MaxSubspaceFilters {
+	if u.handle.Len() >= m.cfg.MaxSubspaceFilters {
 		return produced
 	}
-	dims := tab.Dimensions()
+	cost := m.eng.ScanCostAt(u.handle)
 	for idx := u.maxDimIdx + 1; idx < len(dims); idx++ {
 		if m.stopping.Load() {
 			break
 		}
 		dim := dims[idx]
-		if u.subspace.Has(dim.Name) {
+		if u.handle.Has(idx) {
 			continue
 		}
 		if m.cfg.MaxBreakdownCardinality > 0 && dim.Cardinality() > m.cfg.MaxBreakdownCardinality {
 			continue
 		}
 		if m.cfg.EnableBoundPruning && m.cfg.MinSubspaceImpact > 0 &&
-			m.eng.DimMaxImpactShare(dim.Name) < m.cfg.MinSubspaceImpact {
+			m.eng.DimMaxImpactShareAt(idx) < m.cfg.MinSubspaceImpact {
 			// Even the dimension's heaviest value cannot reach the frontier
 			// threshold, so every child this scan could produce would be
 			// filtered below: skip the group-by entirely.
 			delta.boundScanSkips++
 			continue
 		}
-		unit, err := m.eng.MaterializeUnit(u.subspace, dim.Name)
+		unit, err := m.eng.MaterializeUnitAt(u.handle, idx, nil)
 		if err != nil {
 			// Skipped-but-accounted: the child subspaces behind this group-by
 			// are not explored, but the failed query is charged canonically.
-			rec.recordUnitFail(cache.UnitKey{Subspace: u.subspace.Key(), Breakdown: dim.Name},
-				m.eng.ScanCost(u.subspace))
+			rec.recordUnitFail(m.eng.UnitKeyAt(u.handle, idx), cost)
 			continue
 		}
-		rec.recordUnit(unit, m.eng.ScanCost(u.subspace))
-		childImpacts := m.unitImpacts(unit)
+		rec.recordUnit(unit, cost)
+		src, total := m.impactColumn(unit), m.eng.TotalImpact()
 		for gi, v := range unit.GroupKeys {
-			imp := childImpacts[gi]
+			imp := src[gi] / total
 			if imp < m.cfg.MinSubspaceImpact {
 				continue
 			}
+			child := u.handle.With(idx, dim.Code(v))
 			produced = append(produced, &workUnit{
 				kind:      kindExpand,
 				priority:  imp,
-				subspace:  u.subspace.With(dim.Name, v),
+				subspace:  child.Subspace(),
+				handle:    child,
 				impact:    imp,
 				maxDimIdx: idx,
 			})
@@ -1053,22 +1072,15 @@ func (m *Miner) processExpand(u *workUnit, rec *recorder, delta *statDelta) []*w
 	return produced
 }
 
-// unitImpacts returns the impact of each group's child subspace, using the
-// additive impact measure's per-group values from the unit.
-func (m *Miner) unitImpacts(u *cache.Unit) []float64 {
+// impactColumn returns the unit's per-group values of the additive impact
+// measure; dividing by the total impact gives each group's child-subspace
+// impact.
+func (m *Miner) impactColumn(u *cache.Unit) []float64 {
 	im := m.eng.ImpactMeasure()
-	total := m.eng.TotalImpact()
-	out := make([]float64, len(u.GroupKeys))
-	var src []float64
 	if im.Agg == model.AggCount {
-		src = u.Counts
-	} else {
-		src = u.Sums[im.Column]
+		return u.Counts
 	}
-	for i, v := range src {
-		out[i] = v / total
-	}
-	return out
+	return u.Sums[im.Column]
 }
 
 // processDataPattern evaluates every measure and pattern type on one
@@ -1076,37 +1088,43 @@ func (m *Miner) unitImpacts(u *cache.Unit) []float64 {
 // candidates for each discovered basic data pattern (pattern-guided mining,
 // Figure 4). Candidate dedup and Pruning 2 happen at commit time.
 func (m *Miner) processDataPattern(u *workUnit, rec *recorder, delta *statDelta) []*workUnit {
-	tab := m.eng.Table()
-	bcol := tab.Dimension(u.breakdown)
-	temporal := bcol.Kind == model.KindTemporal
-
+	measures := m.eng.Measures()
+	rec.grow(1 + len(measures))
 	// One unit fetch serves every measure of the scope family (the cache
 	// unit spans all measures, Figure 5).
-	unit, err := m.eng.MaterializeUnit(u.subspace, u.breakdown)
+	cost := m.eng.ScanCostAt(u.handle)
+	unit, err := m.eng.MaterializeUnitAt(u.handle, u.bdim, nil)
 	if err != nil {
-		rec.recordUnitFail(cache.UnitKey{Subspace: u.subspace.Key(), Breakdown: u.breakdown},
-			m.eng.ScanCost(u.subspace))
+		rec.recordUnitFail(m.eng.UnitKeyAt(u.handle, u.bdim), cost)
 		return nil
 	}
-	rec.recordUnit(unit, m.eng.ScanCost(u.subspace))
+	rec.recordUnit(unit, cost)
 	var produced []*workUnit
-	for _, meas := range m.eng.Measures() {
-		ds := model.DataScope{Subspace: u.subspace, Breakdown: u.breakdown, Measure: meas}
-		series, err := engine.Extract(unit, ds)
-		if err != nil {
+	for i, meas := range measures {
+		if engine.CheckExtract(unit, meas) != nil {
 			// Structural extraction failure (e.g. unknown measure column) —
 			// counted separately from ordinary data sparsity.
 			delta.extractErrors++
 			continue
 		}
-		if series.Len() < 3 {
+		if len(unit.GroupKeys) < 3 {
 			delta.shortSeriesSkips++
 			continue
 		}
-		se := m.evaluateScope(rec, ds, series, temporal)
-		for _, t := range se.ValidTypes() {
+		ds := model.DataScope{Subspace: u.subspace, Breakdown: u.breakdown, Measure: meas}
+		se := m.evaluateScope(rec, unit, ds, m.measureKeys[i], m.temporal[u.bdim])
+		// The extension candidates depend on the anchor scope only, so they
+		// are built once and emitted under every type that holds.
+		var exts []extension
+		for t, ev := range se.Evals {
+			if !ev.Valid {
+				continue
+			}
 			delta.patternsFound++
-			produced = append(produced, m.emitMetaInsightUnits(rec, ds, t, u.impact, delta)...)
+			if exts == nil {
+				exts = m.extensions(u, ds, m.measureKeys[i])
+			}
+			produced = emitMetaInsightUnits(produced, rec, exts, pattern.Type(t), delta)
 		}
 	}
 	return produced
@@ -1114,12 +1132,19 @@ func (m *Miner) processDataPattern(u *workUnit, rec *recorder, delta *statDelta)
 
 // evaluateScope runs (or recalls) the all-types evaluation of one data scope
 // through the pattern cache, recording the evaluation for canonical
-// accounting. Concurrent evaluations of the same scope single-flight.
-func (m *Miner) evaluateScope(rec *recorder, ds model.DataScope, series *engine.Series, temporal bool) *pattern.ScopeEvaluation {
-	key := ds.Key()
-	se := m.pcache.Materialize(key, func() *pattern.ScopeEvaluation {
-		return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern)
-	})
+// accounting. The scope is keyed by parts that already exist — the unit's
+// key and the measure's — and the series is extracted from the unit (which
+// CheckExtract has cleared) only when the evaluation actually runs.
+// Concurrent evaluations of the same scope single-flight.
+func (m *Miner) evaluateScope(rec *recorder, unit *cache.Unit, ds model.DataScope, measureKey string, temporal bool) *pattern.ScopeEvaluation {
+	key := cache.ScopeKey{Unit: unit.Key, Measure: measureKey}
+	se, ok := m.pcache.Peek(key)
+	if !ok {
+		se = m.pcache.Materialize(key, func() *pattern.ScopeEvaluation {
+			series, _ := engine.Extract(unit, ds)
+			return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern)
+		})
+	}
 	// Recorded after materialization so a byte-bounded pattern cache can
 	// carry the evaluation's size into the commit-order eviction simulation
 	// (SizeOf is 0 — and unused — when the cache is unbounded).
@@ -1127,69 +1152,131 @@ func (m *Miner) evaluateScope(rec *recorder, ds model.DataScope, series *engine.
 	return se
 }
 
-// emitMetaInsightUnits applies the three extension strategies to a
-// discovered basic data pattern dp = (ds, t, ·) and returns one MetaInsight
-// compute-unit candidate per resulting HDS. Deduplication across anchors and
-// Pruning 2 are applied by the dispatcher at commit time, so candidate
-// filtering is deterministic in commit order.
-func (m *Miner) emitMetaInsightUnits(rec *recorder, ds model.DataScope, t pattern.Type, impactS float64, delta *statDelta) []*workUnit {
-	tab := m.eng.Table()
-	var produced []*workUnit
+// extension is one HDS extended from an anchor data scope, with everything
+// emitting it under a pattern type needs. Extensions are built once per
+// anchor and shared, read-only, by the units of every valid type.
+type extension struct {
+	hds    core.HDS
+	key    string // hds.Key()
+	scopes []scopeRef
+	impact float64 // Impact_HDS
 
-	emit := func(hds core.HDS, impactHDS float64) {
-		if len(hds.Scopes) < 2 {
-			return
-		}
-		produced = append(produced, &workUnit{
-			kind:      kindMetaInsight,
-			priority:  impactHDS,
-			hds:       hds,
-			ptype:     t,
-			impactHDS: impactHDS,
-			miKey:     hds.Key() + "|" + t.String(),
-		})
-	}
+	// probe is the root-impact lookup of a subspace extension (nil
+	// otherwise); it is recorded once per emitting type, as a sequential
+	// execution would perform it. skipped marks an extension the impact-sum
+	// bound cut before that lookup, failed one whose lookup failed: neither
+	// emits a unit.
+	probe   *engine.ImpactProbe
+	skipped bool
+	failed  bool
+}
+
+// extensions applies the three extension strategies to the anchor scope ds
+// of data-pattern unit u, in emission order: one subspace extension per
+// filter, then measure, then breakdown.
+func (m *Miner) extensions(u *workUnit, ds model.DataScope, measureKey string) []extension {
+	tab := m.eng.Table()
+	h := u.handle
+	exts := make([]extension, 0, h.Len()+2)
 
 	// Subspace extending: one HDS per non-empty filter of ds.Subspace.
 	for _, f := range ds.Subspace {
-		col := tab.Dimension(f.Dim)
-		if col == nil || col.Cardinality() < 2 {
+		extIdx := tab.DimensionIndex(f.Dim)
+		if extIdx < 0 {
 			continue
 		}
-		hds := core.SubspaceHDS(ds, f.Dim, col.Domain())
-		if m.cfg.EnableBoundPruning && m.cfg.EnablePruning2 && m.cfg.MinImpact > 0 &&
-			m.eng.ImpactShareUpperBound(hds.RootSubspace()) < m.cfg.MinImpact {
-			// The HDS impact (the root subspace's true impact) cannot reach
-			// MinImpact, so Pruning 2 would discard this candidate at commit:
-			// cut it here, before the root-impact query is ever issued.
-			delta.boundSkips++
+		card := tab.Dimensions()[extIdx].Cardinality()
+		if card < 2 {
 			continue
 		}
 		// Impact_HDS = Impact(subspace without the extended filter), by
 		// additivity of the impact measure over the sibling group.
-		rootImpact, probe, err := m.eng.ImpactUnmetered(hds.RootSubspace())
-		if probe != nil {
-			// Recorded even on failure: the replay recomputes the fallback
-			// scan's fate from its fingerprint and charges the failed attempts.
-			rec.recordImpact(probe)
-		}
-		if err != nil {
+		root := h.Without(extIdx)
+		if m.cfg.EnableBoundPruning && m.cfg.EnablePruning2 && m.cfg.MinImpact > 0 &&
+			m.eng.ImpactShareUpperBoundAt(root) < m.cfg.MinImpact {
+			// The HDS impact (the root subspace's true impact) cannot reach
+			// MinImpact, so Pruning 2 would discard this candidate at commit:
+			// cut it here, before the root-impact query is ever issued.
+			exts = append(exts, extension{skipped: true})
 			continue
 		}
-		emit(hds, rootImpact)
+		rootImpact, probe, err := m.eng.ImpactUnmeteredAt(root)
+		if err != nil {
+			// Recorded even on failure: the replay recomputes the fallback
+			// scan's fate from its fingerprint and charges the failed attempts.
+			exts = append(exts, extension{probe: probe, failed: true})
+			continue
+		}
+		hds := core.HDS{Kind: model.ExtendSubspace, Anchor: ds, ExtDim: f.Dim,
+			Scopes: make([]model.DataScope, card)}
+		scopes := make([]scopeRef, card)
+		for code := range scopes {
+			sib := root.With(extIdx, code)
+			hds.Scopes[code] = model.DataScope{Subspace: sib.Subspace(), Breakdown: ds.Breakdown, Measure: ds.Measure}
+			scopes[code] = scopeRef{h: sib, bdim: u.bdim}
+		}
+		exts = append(exts, extension{
+			hds: hds, key: core.HDSKey(hds.Kind, root.Key(), f.Dim, ds.Breakdown, measureKey),
+			scopes: scopes, impact: rootImpact, probe: probe,
+		})
 	}
 
 	// Measure extending.
 	if ms := m.eng.Measures(); len(ms) >= 2 {
 		hds := core.MeasureHDS(ds, ms)
-		emit(hds, float64(len(ms))*impactS)
+		scopes := make([]scopeRef, len(ms))
+		for i := range scopes {
+			scopes[i] = scopeRef{h: h, bdim: u.bdim}
+		}
+		exts = append(exts, extension{
+			hds: hds, key: core.HDSKey(hds.Kind, h.Key(), "", ds.Breakdown, measureKey),
+			scopes: scopes, impact: float64(len(ms)) * u.impact,
+		})
 	}
 
 	// Breakdown extending: only from a temporal anchor breakdown, across all
 	// temporal dimensions.
-	if tab.Dimension(ds.Breakdown).Kind == model.KindTemporal {
+	if m.temporal[u.bdim] {
 		hds := core.BreakdownHDS(ds, tab.TemporalDimensions())
-		emit(hds, float64(len(hds.Scopes))*impactS)
+		scopes := make([]scopeRef, len(hds.Scopes))
+		for i, sc := range hds.Scopes {
+			scopes[i] = scopeRef{h: h, bdim: tab.DimensionIndex(sc.Breakdown)}
+		}
+		exts = append(exts, extension{
+			hds: hds, key: core.HDSKey(hds.Kind, h.Key(), "", ds.Breakdown, measureKey),
+			scopes: scopes, impact: float64(len(hds.Scopes)) * u.impact,
+		})
+	}
+	return exts
+}
+
+// emitMetaInsightUnits appends one MetaInsight compute-unit candidate per
+// extension of a discovered basic data pattern dp = (ds, t, ·), recording the
+// lookups a sequential execution performs while emitting them.
+// Deduplication across anchors and Pruning 2 are applied by the dispatcher at
+// commit time, so candidate filtering is deterministic in commit order.
+func emitMetaInsightUnits(produced []*workUnit, rec *recorder, exts []extension, t pattern.Type, delta *statDelta) []*workUnit {
+	for i := range exts {
+		x := &exts[i]
+		if x.skipped {
+			delta.boundSkips++
+			continue
+		}
+		if x.probe != nil {
+			rec.recordImpact(x.probe)
+		}
+		if x.failed || len(x.hds.Scopes) < 2 {
+			continue
+		}
+		produced = append(produced, &workUnit{
+			kind:      kindMetaInsight,
+			priority:  x.impact,
+			hds:       x.hds,
+			scopes:    x.scopes,
+			ptype:     t,
+			impactHDS: x.impact,
+			miKey:     x.key + "|" + t.String(),
+		})
 	}
 	return produced
 }
@@ -1206,55 +1293,79 @@ func minClamp(x float64) float64 {
 // augmented query when the query cache is enabled; a failed prefetch falls
 // back to per-sibling basic queries (counted in Stats.PrefetchFailures).
 // Pruning 1 aborts the evaluation as soon as no commonness can reach τ.
+// Each scope is resolved to its unit exactly once: a unit the prefetch
+// already peeked is handed to the materialization instead of probed again.
 func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta) *core.MetaInsight {
-	tab := m.eng.Table()
+	n := len(u.hds.Scopes)
+	rec.grow(2*n + 1)
 
+	var peeked []*cache.Unit
 	if u.hds.Kind == model.ExtendSubspace && m.eng.QueryCache().Enabled() {
-		m.prefetchSiblings(u, rec)
+		peeked = m.prefetchSiblings(u, rec)
 	}
 
-	n := len(u.hds.Scopes)
 	patterns := make([]core.DataPattern, 0, n)
-	classCounts := make(map[string]int)
+	// classes counts the patterns of the unit's type per Sim-equivalence
+	// class (by highlight key, as BuildMetaInsight partitions them); best is
+	// the largest count.
+	type class struct {
+		highlight pattern.Highlight
+		count     int
+	}
+	var classes []class
 	best := 0
 	tau := m.cfg.Score.Tau
+	// Only measure extension varies the measure; the others resolve the
+	// anchor's once.
+	varying := u.hds.Kind == model.ExtendMeasure
+	measureKey, measureOK := m.resolveMeasure(u.hds.Anchor.Measure)
 
 	for j, scope := range u.hds.Scopes {
 		if m.stopping.Load() {
 			return nil
 		}
-		if err := tab.Validate(scope); err != nil {
-			continue
+		ref := u.scopes[j]
+		if varying {
+			measureKey, measureOK = m.resolveMeasure(scope.Measure)
 		}
-		unit, err := m.eng.MaterializeUnit(scope.Subspace, scope.Breakdown)
+		if !measureOK || !ref.h.Valid() || ref.h.Has(ref.bdim) {
+			continue // not a scope of this table (dataset.Table.Validate)
+		}
+		var hint *cache.Unit
+		if peeked != nil {
+			hint = peeked[j]
+		}
+		cost := m.eng.ScanCostAt(ref.h)
+		unit, err := m.eng.MaterializeUnitAt(ref.h, ref.bdim, hint)
 		if err != nil {
 			// Failed sibling query: the scope drops out of the HDP (best
 			// effort) and the failure is charged canonically at commit.
-			rec.recordUnitFail(cache.UnitKey{Subspace: scope.Subspace.Key(), Breakdown: scope.Breakdown},
-				m.eng.ScanCost(scope.Subspace))
+			rec.recordUnitFail(m.eng.UnitKeyAt(ref.h, ref.bdim), cost)
 			continue
 		}
-		rec.recordUnit(unit, m.eng.ScanCost(scope.Subspace))
-		series, err := engine.Extract(unit, scope)
-		if err != nil {
+		rec.recordUnit(unit, cost)
+		if engine.CheckExtract(unit, scope.Measure) != nil {
 			delta.extractErrors++
 			continue
 		}
-		if series.Len() < 3 {
+		if len(unit.GroupKeys) < 3 {
 			// Empty or degenerate sibling: not part of the HDP.
 			delta.shortSeriesSkips++
 			continue
 		}
-		temporal := tab.Dimension(scope.Breakdown).Kind == model.KindTemporal
-		se := m.evaluateScope(rec, scope, series, temporal)
+		se := m.evaluateScope(rec, unit, scope, measureKey, m.temporal[ref.bdim])
 		t, h := se.Induced(u.ptype)
 		patterns = append(patterns, core.DataPattern{Scope: scope, Type: t, Highlight: h})
 		if t == u.ptype {
-			k := h.Key()
-			classCounts[k]++
-			if classCounts[k] > best {
-				best = classCounts[k]
+			c := 0
+			for c < len(classes) && !h.KeyEqual(classes[c].highlight) {
+				c++
 			}
+			if c == len(classes) {
+				classes = append(classes, class{highlight: h})
+			}
+			classes[c].count++
+			best = max(best, classes[c].count)
 		}
 		if m.cfg.EnablePruning1 {
 			remaining := n - j - 1
@@ -1272,22 +1383,35 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 	if len(patterns) < 2 {
 		return nil
 	}
-	hdp := &core.HDP{HDS: u.hds, Type: u.ptype, Patterns: patterns}
-	mi, ok := core.BuildMetaInsight(hdp, u.impactHDS, m.cfg.Score)
+	mi, ok := core.BuildMetaInsight(core.NewHDP(u.miKey, u.hds, u.ptype, patterns), u.impactHDS, m.cfg.Score)
 	if !ok {
 		return nil
 	}
 	return mi
 }
 
+// resolveMeasure returns a measure's canonical key and whether the table can
+// answer it — dataset.Table.Validate's measure rule.
+func (m *Miner) resolveMeasure(meas model.Measure) (key string, ok bool) {
+	for i, ms := range m.eng.Measures() {
+		if ms == meas {
+			return m.measureKeys[i], true // engine.New validated the measure set
+		}
+	}
+	ok = (meas.Agg == model.AggCount && meas.Column == "*") ||
+		m.eng.Table().MeasureColumn(meas.Column) != nil
+	return meas.Key(), ok
+}
+
 // prefetchSiblings records (and, if the physical cache lacks any sibling,
 // executes) the augmented-query prefetch for a subspace-extending HDS. One
 // augmented scan populates the entire sibling group SG(anchor, ExtDim).
 // Whether the canonical run pays for the scan is decided at commit time by
-// replaying the recorded decision against the simulated cache.
-func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) {
+// replaying the recorded decision against the simulated cache. It returns
+// the scope units it peeked (nil entries where it did not look or found
+// nothing), aligned with the unit's scopes, or nil when it peeked none.
+func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) []*cache.Unit {
 	qc := m.eng.QueryCache()
-	scopes := make([]cache.UnitKey, len(u.hds.Scopes))
 	// Under a byte-bounded physical cache the peek shortcut below would
 	// record a sibling list shaped by timing-dependent physical evictions
 	// (an entry can vanish between the check and the reconstruction), so the
@@ -1295,34 +1419,43 @@ func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) {
 	// pure: always take the scan path, whose sibling list is a function of
 	// the data alone. The extra physical scans are the normal price of a
 	// bounded cache; the canonical accounting is unaffected.
+	var peeked []*cache.Unit
 	allCached := qc.MaxBytes() == 0
-	for i, scope := range u.hds.Scopes {
-		scopes[i] = cache.UnitKey{Subspace: scope.Subspace.Key(), Breakdown: scope.Breakdown}
-		if allCached {
-			if _, ok := qc.Peek(scopes[i].Subspace, scopes[i].Breakdown); !ok {
+	if allCached {
+		peeked = make([]*cache.Unit, len(u.scopes))
+		for i, ref := range u.scopes {
+			unit, ok := m.eng.PeekUnitAt(ref.h, ref.bdim)
+			if !ok {
 				allCached = false
+				break
 			}
+			peeked[i] = unit
 		}
 	}
-	base := u.hds.Anchor.Subspace.Without(u.hds.ExtDim)
+	anchor := u.scopes[0] // every scope shares the breakdown and the base
+	ext := m.eng.Table().DimensionIndex(u.hds.ExtDim)
 	use := &siblingUse{
-		scopes: scopes,
-		fp:     engine.AugmentedFingerprint(base.Key(), u.hds.Anchor.Breakdown, u.hds.ExtDim),
-		cost:   m.eng.ScanCost(base),
+		scopes: u.scopes,
+		base:   anchor.h.Without(ext),
+		bdim:   anchor.bdim,
+		ext:    ext,
 	}
+	use.cost = m.eng.ScanCostAt(use.base)
 	if allCached {
 		// Physically nothing to fetch; reconstruct the scan's sibling list
-		// (the non-empty scope units) from the cache so the commit-time
-		// replay can populate its simulation if it decides the prefetch
-		// fires there.
-		for _, k := range scopes {
-			if unit, ok := qc.Peek(k.Subspace, k.Breakdown); ok && len(unit.GroupKeys) > 0 {
-				use.siblings = append(use.siblings, unitUse{key: k, bytes: unit.ApproxBytes()})
+		// (the non-empty scope units) from the peeked units so the
+		// commit-time replay can populate its simulation if it decides the
+		// prefetch fires there.
+		use.siblings = make([]unitUse, 0, len(peeked))
+		for _, unit := range peeked {
+			if len(unit.GroupKeys) > 0 {
+				use.siblings = append(use.siblings, unitUse{key: unit.Key, bytes: unit.ApproxBytes()})
 			}
 		}
-	} else if units, err := m.eng.MaterializeAugmented(u.hds.Anchor, u.hds.ExtDim); err != nil {
+	} else if units, err := m.eng.MaterializeAugmentedAt(use.base, use.bdim, use.ext); err != nil {
 		use.failed = true
 	} else {
+		use.siblings = make([]unitUse, 0, len(units))
 		for _, unit := range units {
 			use.siblings = append(use.siblings, unitUse{key: unit.Key, bytes: unit.ApproxBytes()})
 		}
@@ -1330,12 +1463,12 @@ func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) {
 	// The scan returns a map; the replay stores siblings in recorded order,
 	// which a byte-bounded simulated cache observes through its FIFO eviction
 	// queue. Sort so the recorded order is a pure function of the keys.
-	sort.Slice(use.siblings, func(i, j int) bool {
-		a, b := use.siblings[i].key, use.siblings[j].key
-		if a.Subspace != b.Subspace {
-			return a.Subspace < b.Subspace
+	slices.SortFunc(use.siblings, func(a, b unitUse) int {
+		if c := strings.Compare(a.key.Subspace, b.key.Subspace); c != 0 {
+			return c
 		}
-		return a.Breakdown < b.Breakdown
+		return strings.Compare(a.key.Breakdown, b.key.Breakdown)
 	})
 	rec.recordSiblings(use)
+	return peeked
 }

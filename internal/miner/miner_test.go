@@ -463,6 +463,9 @@ func TestPrefetchFailureFallsBackToBasicQueries(t *testing.T) {
 		impactHDS: 1,
 		miKey:     hds.Key() + "|" + pattern.Unimodality.String(),
 	}
+	if err := m.attach(u); err != nil {
+		t.Fatal(err)
+	}
 
 	c := m.process(u)
 	if c.mi == nil {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 
 	"metainsight/internal/core"
+	"metainsight/internal/engine"
 	"metainsight/internal/model"
 	"metainsight/internal/obs"
 	"metainsight/internal/pattern"
@@ -49,7 +50,10 @@ func (k unitKind) phase() obs.Phase {
 	return obs.PhaseEvaluate
 }
 
-// workUnit is a compute unit. Exactly the fields for its kind are set.
+// workUnit is a compute unit. Exactly the fields for its kind are set. The
+// model values (subspace, breakdown, hds) are the unit's external identity —
+// what traces and checkpoints render; the handles beside them are what the
+// hot path navigates, re-derived by attach after a checkpoint decode.
 type workUnit struct {
 	kind     unitKind
 	priority float64 // impact-based priority (higher first)
@@ -57,17 +61,27 @@ type workUnit struct {
 
 	// kindExpand / kindDataPattern
 	subspace model.Subspace
-	impact   float64 // Impact of subspace (Equation 2)
+	handle   *engine.Handle // interned subspace
+	impact   float64        // Impact of subspace (Equation 2)
 	// kindExpand
 	maxDimIdx int // last dimension index already filtered; children add beyond it
 	// kindDataPattern
 	breakdown string
+	bdim      int // breakdown's table dimension index
 
 	// kindMetaInsight
 	hds       core.HDS
+	scopes    []scopeRef // beside hds.Scopes, entry for entry; shared, read-only
 	ptype     pattern.Type
 	impactHDS float64
 	miKey     string // identity key for commit-time deduplication
+}
+
+// scopeRef is the interned form of one data scope's unit: the subspace
+// handle and the breakdown's table dimension index.
+type scopeRef struct {
+	h    *engine.Handle
+	bdim int
 }
 
 // workQueue abstracts the compute-unit queue so the paper's priority-queue

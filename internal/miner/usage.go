@@ -2,7 +2,9 @@ package miner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"metainsight/internal/cache"
 	"metainsight/internal/engine"
@@ -68,20 +70,17 @@ type unitUse struct {
 	failed bool
 }
 
-// evalUse describes one pattern evaluation: the data-scope key and the
-// evaluation's measured size (0 when the pattern cache is unbounded).
-type evalUse struct {
-	scope string
-	bytes int64
-}
-
 // siblingUse describes one augmented-prefetch decision.
 type siblingUse struct {
-	// scopes are the HDS scope unit keys; the prefetch fires iff any is
-	// missing from the (simulated) cache.
-	scopes []cache.UnitKey
-	// fp is the augmented scan's canonical fingerprint.
-	fp string
+	// scopes are the HDS scopes (the work unit's own slice, read-only); the
+	// prefetch fires iff any scope's unit is missing from the (simulated)
+	// cache.
+	scopes []scopeRef
+	// base, bdim and ext identify the augmented scan — filtered by base,
+	// grouped by (breakdown bdim, extension ext) — from which the replay
+	// derives its canonical fingerprint when a fault layer needs it.
+	base      *engine.Handle
+	bdim, ext int
 	// cost is the analytic cost of the augmented scan.
 	cost float64
 	// failed records that the augmented query failed for a real (non-
@@ -91,13 +90,16 @@ type siblingUse struct {
 	siblings []unitUse
 }
 
-// usageEvent is one recorded event; exactly the field for its kind is set.
+// usageEvent is one recorded event. unit is set for useUnit and useEval —
+// for an evaluation, unit.key is the scope's unit key, measure its canonical
+// measure key and unit.bytes the evaluation's measured size (0 when the
+// pattern cache is unbounded); impact and sibling for their kinds.
 type usageEvent struct {
 	kind    usageKind
-	unit    unitUse             // useUnit
-	eval    evalUse             // useEval
-	impact  *engine.ImpactProbe // useImpact
-	sibling *siblingUse         // useSiblings
+	unit    unitUse
+	measure string
+	impact  *engine.ImpactProbe
+	sibling *siblingUse
 }
 
 // statDelta carries the worker-side counters of one compute unit; the
@@ -120,6 +122,14 @@ type recorder struct {
 	events []usageEvent
 }
 
+// grow reserves room for n more events; each process function knows its
+// event count to within a small factor from its scope count.
+func (r *recorder) grow(n int) {
+	if cap(r.events)-len(r.events) < n {
+		r.events = append(make([]usageEvent, 0, len(r.events)+n), r.events...)
+	}
+}
+
 func (r *recorder) recordUnit(u *cache.Unit, cost float64) {
 	r.events = append(r.events, usageEvent{kind: useUnit, unit: unitUse{
 		key:   u.Key,
@@ -139,8 +149,8 @@ func (r *recorder) recordUnitFail(key cache.UnitKey, cost float64) {
 	}})
 }
 
-func (r *recorder) recordEval(scopeKey string, bytes int64) {
-	r.events = append(r.events, usageEvent{kind: useEval, eval: evalUse{scope: scopeKey, bytes: bytes}})
+func (r *recorder) recordEval(k cache.ScopeKey, bytes int64) {
+	r.events = append(r.events, usageEvent{kind: useEval, unit: unitUse{key: k.Unit, bytes: bytes}, measure: k.Measure})
 }
 
 func (r *recorder) recordImpact(p *engine.ImpactProbe) {
@@ -157,6 +167,8 @@ func (r *recorder) recordSiblings(s *siblingUse) {
 // the charges to the engine's meter, so cost budgets observe only committed
 // (deterministic) spending.
 type accounting struct {
+	eng       *engine.Engine // renders handles as unit keys and fingerprints
+	dimNames  []string       // table dimension names, for impact probe keys
 	meter     *engine.Meter
 	qcEnabled bool
 	pcEnabled bool
@@ -191,8 +203,8 @@ type accounting struct {
 	qcBytes    int64
 	qcMaxBytes int64 // 0 = unbounded
 
-	pc         map[string]int64 // simulated pattern cache: scope → bytes
-	pcOrder    []string
+	pc         map[cache.ScopeKey]int64 // simulated pattern cache: scope → bytes
+	pcOrder    []cache.ScopeKey
 	pcBytes    int64
 	pcMaxBytes int64
 
@@ -219,6 +231,8 @@ type accounting struct {
 func newAccounting(eng *engine.Engine, pc *cache.PatternCache[*pattern.ScopeEvaluation], o *obs.Observer) *accounting {
 	inj := eng.Faults()
 	a := &accounting{
+		eng:        eng,
+		dimNames:   eng.Table().DimensionNames(),
 		meter:      eng.Meter(),
 		qcEnabled:  eng.QueryCache().Enabled(),
 		pcEnabled:  pc.Enabled(),
@@ -255,13 +269,29 @@ func newAccounting(eng *engine.Engine, pc *cache.PatternCache[*pattern.ScopeEval
 		a.pcBytes += b
 	}
 	if a.pcMaxBytes > 0 && len(a.pc) > 0 {
-		a.pcOrder = make([]string, 0, len(a.pc))
-		for k := range a.pc {
-			a.pcOrder = append(a.pcOrder, k)
-		}
-		sort.Strings(a.pcOrder)
+		a.pcOrder = sortedScopeKeys(a.pc)
 	}
 	return a
+}
+
+// sortedScopeKeys returns the keys of a simulated pattern cache ordered by
+// their canonical string form — the external identity, so the order is the
+// same wherever and whenever it is computed.
+func sortedScopeKeys(pc map[cache.ScopeKey]int64) []cache.ScopeKey {
+	type named struct {
+		k cache.ScopeKey
+		s string
+	}
+	ns := make([]named, 0, len(pc))
+	for k := range pc {
+		ns = append(ns, named{k, k.String()})
+	}
+	slices.SortFunc(ns, func(a, b named) int { return strings.Compare(a.s, b.s) })
+	keys := make([]cache.ScopeKey, len(ns))
+	for i, n := range ns {
+		keys[i] = n.k
+	}
+	return keys
 }
 
 func (a *accounting) charge(cost float64) {
@@ -297,7 +327,7 @@ func (a *accounting) store(k cache.UnitKey, bytes int64) {
 }
 
 // storeEval simulates a pattern-cache Put with the same eviction semantics.
-func (a *accounting) storeEval(key string, bytes int64) {
+func (a *accounting) storeEval(key cache.ScopeKey, bytes int64) {
 	if old, ok := a.pc[key]; ok {
 		a.pcBytes -= old
 	} else if a.pcMaxBytes > 0 {
@@ -314,7 +344,7 @@ func (a *accounting) storeEval(key string, bytes int64) {
 				a.pcBytes -= old
 				a.evictions++
 				if a.traced {
-					a.obs.Event(obs.EvEvict, victim, "pattern-cache", float64(old))
+					a.obs.Event(obs.EvEvict, victim.String(), "pattern-cache", float64(old))
 				}
 			}
 		}
@@ -492,20 +522,21 @@ func (a *accounting) apply(ev usageEvent) {
 	case useUnit:
 		a.applyUnit(ev.unit)
 	case useEval:
+		key := cache.ScopeKey{Unit: ev.unit.key, Measure: ev.measure}
 		if a.pcEnabled {
-			if _, ok := a.pc[ev.eval.scope]; ok {
+			if _, ok := a.pc[key]; ok {
 				a.pcHits++
 				if a.traced {
-					a.obs.Event(obs.EvCacheHit, ev.eval.scope, "pattern-cache", 0)
+					a.obs.Event(obs.EvCacheHit, key.String(), "pattern-cache", 0)
 				}
 				return
 			}
-			a.storeEval(ev.eval.scope, ev.eval.bytes)
+			a.storeEval(key, ev.unit.bytes)
 		}
 		a.pcMisses++
 		a.charge(a.evalCost)
 		if a.traced {
-			a.obs.Event(obs.EvPatternEval, ev.eval.scope, "", a.evalCost)
+			a.obs.Event(obs.EvPatternEval, key.String(), "", a.evalCost)
 		}
 	case useImpact:
 		p := ev.impact
@@ -522,10 +553,14 @@ func (a *accounting) apply(ev usageEvent) {
 		if a.qcEnabled {
 			// A cached unit on any unfiltered breakdown serves the impact
 			// value for free (uncounted peek, as in Engine.Impact).
-			for _, dim := range p.Probe {
-				if _, ok := a.qc[cache.UnitKey{Subspace: p.Subspace, Breakdown: dim}]; ok {
+			for d, dim := range a.dimNames {
+				if p.Handle.Has(d) {
+					continue
+				}
+				k := cache.UnitKey{Subspace: p.Handle.Key(), Breakdown: dim}
+				if _, ok := a.qc[k]; ok {
 					if a.traced {
-						a.obs.Event(obs.EvCacheHit, p.Subspace+"|"+dim, "impact-probe", 0)
+						a.obs.Event(obs.EvCacheHit, keyLabel(k), "impact-probe", 0)
 					}
 					return
 				}
@@ -533,75 +568,85 @@ func (a *accounting) apply(ev usageEvent) {
 		}
 		a.applyUnit(unitUse{key: p.Fallback, cost: p.Cost, bytes: p.Bytes})
 	case useSiblings:
-		s := ev.sibling
-		missing := false
-		for _, k := range s.scopes {
-			if _, ok := a.qc[k]; !ok {
-				missing = true
-				break
-			}
+		a.applySiblings(ev.sibling)
+	}
+}
+
+// applySiblings replays one augmented-prefetch decision: skipped when every
+// scope unit is cached, else one augmented scan that populates the sibling
+// group.
+func (a *accounting) applySiblings(s *siblingUse) {
+	missing := false
+	for _, ref := range s.scopes {
+		if _, ok := a.qc[a.eng.UnitKeyAt(ref.h, ref.bdim)]; !ok {
+			missing = true
+			break
 		}
-		rep := ""
-		if a.traced && len(s.scopes) > 0 {
-			rep = keyLabel(s.scopes[0])
+	}
+	rep := ""
+	if a.traced && len(s.scopes) > 0 {
+		rep = keyLabel(a.eng.UnitKeyAt(s.scopes[0].h, s.scopes[0].bdim))
+	}
+	if !missing {
+		// Every sibling unit cached: the prefetch is skipped.
+		if a.traced {
+			a.obs.Event(obs.EvCacheHit, rep, "prefetch skipped: all siblings cached", 0)
 		}
-		if !missing {
-			// Every sibling unit cached: the prefetch is skipped.
-			if a.traced {
-				a.obs.Event(obs.EvCacheHit, rep, "prefetch skipped: all siblings cached", 0)
-			}
+		return
+	}
+	var fp string
+	if a.injEnabled || a.shardsEnabled {
+		fp = a.eng.AugmentedFingerprintAt(s.base, s.bdim, s.ext)
+	}
+	if a.injEnabled {
+		// Recompute the augmented scan's fate from its fingerprint; the
+		// worker-side failed flag is ignored for injected decisions (it
+		// depends on whether the worker physically issued the scan, which
+		// can vary with worker count — the fingerprint cannot).
+		if res := a.inj.Resolve(fp, s.cost); !res.OK {
+			a.prefetchFailures++
+			a.applyFailure(fp, res)
 			return
 		}
-		if a.injEnabled {
-			// Recompute the augmented scan's fate from its fingerprint; the
-			// worker-side failed flag is ignored for injected decisions (it
-			// depends on whether the worker physically issued the scan, which
-			// can vary with worker count — the fingerprint cannot).
-			if res := a.inj.Resolve(s.fp, s.cost); !res.OK {
-				a.prefetchFailures++
-				a.applyFailure(s.fp, res)
-				return
-			}
-		}
-		if a.shardsEnabled {
-			// The prefetch scan executes (some sibling was missing), so its
-			// per-shard fates are replayed here, same discipline as
-			// applyUnitSharded: recompute from the fingerprint, ignore the
-			// worker-observed flag for gate failures.
-			sres := a.shards.ResolveShards(s.fp)
-			a.specReissues += sres.SpeculativeReissues
-			a.shardRetries += sres.Retries
-			if sres.Failed {
-				a.prefetchFailures++
-				if a.traced {
-					a.obs.Event(obs.EvQueryFail, s.fp, "shard failure; per-sibling fallback", 0)
-				}
-				return
-			}
-		}
-		if s.failed {
+	}
+	if a.shardsEnabled {
+		// The prefetch scan executes (some sibling was missing), so its
+		// per-shard fates are replayed here, same discipline as
+		// applyUnitSharded: recompute from the fingerprint, ignore the
+		// worker-observed flag for gate failures.
+		sres := a.shards.ResolveShards(fp)
+		a.specReissues += sres.SpeculativeReissues
+		a.shardRetries += sres.Retries
+		if sres.Failed {
 			a.prefetchFailures++
 			if a.traced {
-				a.obs.Event(obs.EvCacheMiss, rep, "augmented prefetch failed; per-sibling fallback", 0)
+				a.obs.Event(obs.EvQueryFail, fp, "shard failure; per-sibling fallback", 0)
 			}
 			return
 		}
-		a.executed++
-		a.augmented++
-		a.meter.AddExecuted(1)
-		a.meter.AddAugmented(1)
-		faultCost := 0.0
-		if a.injEnabled {
-			faultCost = a.applyExecSuccess(s.fp, a.inj.Resolve(s.fp, s.cost))
-		}
-		a.charge(s.cost + faultCost)
-		for _, sib := range s.siblings {
-			a.store(sib.key, sib.bytes)
-		}
+	}
+	if s.failed {
+		a.prefetchFailures++
 		if a.traced {
-			a.obs.Event(obs.EvQueryExec, rep,
-				fmt.Sprintf("augmented prefetch: %d siblings", len(s.siblings)), s.cost)
+			a.obs.Event(obs.EvCacheMiss, rep, "augmented prefetch failed; per-sibling fallback", 0)
 		}
+		return
+	}
+	a.executed++
+	a.augmented++
+	a.meter.AddExecuted(1)
+	a.meter.AddAugmented(1)
+	faultCost := 0.0
+	if a.injEnabled {
+		faultCost = a.applyExecSuccess(fp, a.inj.Resolve(fp, s.cost))
+	}
+	a.charge(s.cost + faultCost)
+	for _, sib := range s.siblings {
+		a.store(sib.key, sib.bytes)
+	}
+	if a.traced {
+		a.obs.Event(obs.EvQueryExec, rep,
+			fmt.Sprintf("augmented prefetch: %d siblings", len(s.siblings)), s.cost)
 	}
 }
 

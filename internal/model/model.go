@@ -116,8 +116,10 @@ func Max(column string) Measure { return Measure{Agg: AggMax, Column: column} }
 // String renders the measure in SQL style, e.g. "SUM(Sales)".
 func (m Measure) String() string { return m.Agg.String() + "(" + m.Column + ")" }
 
-// Key returns a canonical identifier for the measure, used in cache keys.
-func (m Measure) Key() string { return m.String() }
+// Key returns a canonical identifier for the measure, used in cache keys. It
+// is String with the column name escaped (see EscapeKey), so it can be joined
+// into larger keys unambiguously.
+func (m Measure) Key() string { return m.Agg.String() + "(" + EscapeKey(m.Column) + ")" }
 
 // Filter is a single non-empty filter on one dimension: Dim = Value.
 type Filter struct {
@@ -221,23 +223,99 @@ func (s Subspace) Equal(o Subspace) bool {
 }
 
 // Key returns a canonical string identifier for the subspace, suitable as a
-// cache or set key. The empty subspace's key is "{*}".
+// cache or set key. The empty subspace's key is "{*}". Dimension names and
+// values are escaped (see EscapeKey), so distinct subspaces never share a key.
 func (s Subspace) Key() string {
 	if len(s) == 0 {
 		return "{*}"
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	// Keys of mined subspaces (at most a few short filters) fit the stack
+	// buffer, so the only allocation is the exact-size result string.
+	var stack [128]byte
+	return string(s.AppendKey(stack[:0]))
+}
+
+// AppendKey appends the subspace's canonical key (see Key) to dst and returns
+// the extended slice. Lookups that only need the key transiently use it with
+// a scratch buffer to avoid allocating the string.
+func (s Subspace) AppendKey(dst []byte) []byte {
+	if len(s) == 0 {
+		return append(dst, "{*}"...)
+	}
+	dst = append(dst, '{')
 	for i, f := range s {
 		if i > 0 {
-			b.WriteByte(';')
+			dst = append(dst, ';')
 		}
-		b.WriteString(f.Dim)
-		b.WriteByte('=')
-		b.WriteString(f.Value)
+		dst = AppendEscapedKey(dst, f.Dim)
+		dst = append(dst, '=')
+		dst = AppendEscapedKey(dst, f.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
+}
+
+// keyEscape is the escape byte of canonical keys.
+const keyEscape = '\\'
+
+// keySpecial reports whether c is a separator of some canonical key format
+// (Subspace.Key's "{};=", DataScope.Key's and the HDS keys' "|") or the
+// escape byte itself.
+func keySpecial(c byte) bool {
+	switch c {
+	case '{', '}', ';', '=', '|', keyEscape:
+		return true
+	}
+	return false
+}
+
+// EscapeKey returns s with every key separator byte and the escape byte
+// prefixed by a backslash, making s safe to join into a canonical key.
+// Strings without such bytes — every ordinary dimension name and value — are
+// returned unchanged without allocating.
+func EscapeKey(s string) string {
+	if firstKeySpecial(s) < 0 {
+		return s
+	}
+	return string(AppendEscapedKey(nil, s))
+}
+
+// AppendEscapedKey appends EscapeKey(s) to dst.
+func AppendEscapedKey(dst []byte, s string) []byte {
+	for {
+		i := firstKeySpecial(s)
+		if i < 0 {
+			return append(dst, s...)
+		}
+		dst = append(dst, s[:i]...)
+		dst = append(dst, keyEscape, s[i])
+		s = s[i+1:]
+	}
+}
+
+// UnescapeKey inverts EscapeKey.
+func UnescapeKey(s string) string {
+	if strings.IndexByte(s, keyEscape) < 0 {
+		return s
+	}
+	b := make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] == keyEscape && i+1 < len(s) {
+			i++
+		}
+		b = append(b, s[i])
+	}
+	return string(b)
+}
+
+// firstKeySpecial returns the index of the first byte of s that needs
+// escaping, or -1.
+func firstKeySpecial(s string) int {
+	for i := 0; i < len(s); i++ {
+		if keySpecial(s[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // String renders the subspace using the paper's brace notation, e.g.
@@ -276,7 +354,7 @@ type DataScope struct {
 // Key returns a canonical identifier for the data scope, used as the pattern
 // cache key together with a pattern type.
 func (ds DataScope) Key() string {
-	return ds.Subspace.Key() + "|" + ds.Breakdown + "|" + ds.Measure.Key()
+	return ds.Subspace.Key() + "|" + EscapeKey(ds.Breakdown) + "|" + ds.Measure.Key()
 }
 
 // String renders the data scope in the paper's 3-tuple notation.

@@ -3,6 +3,7 @@ package pattern
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"metainsight/internal/model"
 	"metainsight/internal/stats"
@@ -194,21 +195,6 @@ func EvaluateAll(keys []string, values []float64, temporal bool, cfg Config) *Sc
 	return EvaluateAllScoped(model.DataScope{}, keys, values, temporal, cfg)
 }
 
-// EvaluateAllScoped is EvaluateAll with the data scope made available to
-// scope-aware custom evaluators.
-func EvaluateAllScoped(scope model.DataScope, keys []string, values []float64, temporal bool, cfg Config) *ScopeEvaluation {
-	n := cfg.NumConcreteTypes()
-	se := &ScopeEvaluation{Evals: make([]Evaluation, n)}
-	for t := Type(0); int(t) < n; t++ {
-		ev := EvaluateScoped(scope, t, keys, values, temporal, cfg)
-		se.Evals[t] = ev
-		if ev.Valid {
-			se.AnyValid = true
-		}
-	}
-	return se
-}
-
 func hasNonFinite(values []float64) bool {
 	for _, v := range values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -295,7 +281,11 @@ func evalTrend(values []float64, cfg Config) Evaluation {
 	if len(values) < 5 {
 		return Evaluation{}
 	}
-	fit := stats.OLS(stats.LinSpace(len(values)), values)
+	return trendOf(stats.OLS(stats.LinSpace(len(values)), values), cfg)
+}
+
+// trendOf judges the trend criterion on the series' fit against time.
+func trendOf(fit stats.OLSResult, cfg Config) Evaluation {
 	if math.IsNaN(fit.Slope) || fit.Slope == 0 {
 		return Evaluation{}
 	}
@@ -314,10 +304,16 @@ func evalTrend(values []float64, cfg Config) Evaluation {
 }
 
 func evalOutlier(keys []string, values []float64, cfg Config) Evaluation {
-	n := len(values)
-	if n < 6 {
+	if len(values) < 6 {
 		return Evaluation{}
 	}
+	return outlierWith(make([]float64, 3*len(values)), nil, keys, values, cfg)
+}
+
+// outlierWith is the outlier criterion for a series of n >= 6 points, using
+// buf (3n elements) and medbuf (grown as needed) as working space.
+func outlierWith(buf, medbuf []float64, keys []string, values []float64, cfg Config) Evaluation {
+	n := len(values)
 	window := cfg.SmoothWindow
 	if window >= n {
 		window = n - 1
@@ -325,9 +321,9 @@ func evalOutlier(keys []string, values []float64, cfg Config) Evaluation {
 	// Running median as the non-parametric regression baseline and a
 	// MAD-based robust sigma: neither is contaminated by the outliers the
 	// 3-sigma rule is looking for.
-	baseline := stats.MedianFilter(values, window)
-	resid := stats.Residuals(values, baseline)
-	sd := stats.MAD(resid)
+	baseline := stats.MedianFilterInto(buf[:n], medbuf, values, window)
+	resid := stats.ResidualsInto(buf[n:2*n], values, baseline)
+	sd := stats.MADWith(buf[2*n:3*n], resid)
 	if sd == 0 || math.IsNaN(sd) {
 		sd = stats.StdDev(resid)
 	}
@@ -373,16 +369,22 @@ func evalSeasonality(values []float64, cfg Config) Evaluation {
 	if n < 8 {
 		return Evaluation{}
 	}
+	return seasonalityWith(make([]float64, 3*n), values, stats.OLS(stats.LinSpace(n), values), cfg)
+}
+
+// seasonalityWith is the seasonality criterion for a series of n >= 8 points
+// given its fit against time, using buf (3n elements) as working space.
+func seasonalityWith(buf, values []float64, fit stats.OLSResult, cfg Config) Evaluation {
+	n := len(values)
 	// Detrend first so a strong trend does not masquerade as correlation.
-	fit := stats.OLS(stats.LinSpace(n), values)
-	detrended := make([]float64, n)
+	detrended := buf[:n]
 	for i, v := range values {
 		detrended[i] = v - (fit.Intercept + fit.Slope*float64(i))
 	}
 	// Require at least three complete cycles so short noise runs cannot
 	// masquerade as a period.
 	maxLag := n / 3
-	acf := stats.ACF(detrended, maxLag)
+	acf := stats.ACFInto(buf[n:n+maxLag], detrended)
 	bestLag, bestACF := 0, 0.0
 	for lag := 2; lag <= maxLag; lag++ {
 		a := acf[lag-1]
@@ -398,14 +400,15 @@ func evalSeasonality(values []float64, cfg Config) Evaluation {
 		return Evaluation{}
 	}
 	// Confirm with the explained-variance check: folding the detrended
-	// series by the period must remove most of its variance.
-	strength := stats.SeasonalStrength(detrended, bestLag)
+	// series by the period must remove most of its variance. (The ACF values
+	// are no longer needed, so their space is reused.)
+	strength := stats.SeasonalStrengthWith(buf[n:], detrended, bestLag)
 	if strength < 0.5 {
 		return Evaluation{}
 	}
 	return Evaluation{
 		Valid:     true,
-		Highlight: Highlight{Label: fmt.Sprintf("period=%d", bestLag)},
+		Highlight: Highlight{Label: "period=" + strconv.Itoa(bestLag)},
 		Strength:  bestACF,
 	}
 }

@@ -357,3 +357,35 @@ func TestEvaluatePanicsOnUnregisteredCustom(t *testing.T) {
 	}()
 	Evaluate(CustomType(0), months(), make([]float64, 12), true, DefaultConfig())
 }
+
+// TestHighlightKeyEqualMatchesKey checks the allocation-free key comparison
+// against Key() == Key() on highlights built to share key bytes across
+// different label/position splits.
+func TestHighlightKeyEqualMatchesKey(t *testing.T) {
+	parts := []string{"", "a", "b", "ab", ",", "@", "a,b", "a@b", "peak", "Jan"}
+	var hs []Highlight
+	for _, label := range parts {
+		hs = append(hs, Highlight{Label: label})
+		for _, p := range parts {
+			hs = append(hs, Highlight{Label: label, Positions: []string{p}})
+			for _, q := range parts[:6] {
+				hs = append(hs, Highlight{Label: label, Positions: []string{p, q}})
+			}
+		}
+	}
+	equal := 0
+	for _, a := range hs {
+		for _, b := range hs {
+			want := a.Key() == b.Key()
+			if got := a.KeyEqual(b); got != want {
+				t.Fatalf("KeyEqual(%+v, %+v) = %v, keys %q vs %q", a, b, got, a.Key(), b.Key())
+			}
+			if want {
+				equal++
+			}
+		}
+	}
+	if equal <= len(hs) {
+		t.Errorf("only %d equal pairs among %d highlights: no structurally different pair shares a key", equal, len(hs))
+	}
+}

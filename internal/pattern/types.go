@@ -145,6 +145,49 @@ func (h Highlight) Key() string {
 	return h.Label + "@" + strings.Join(h.Positions, ",")
 }
 
+// KeyEqual reports h.Key() == o.Key() without building either key: it walks
+// the two keys' segments (label, "@", positions joined by ",") in step.
+// Classifying an HDP compares every pattern's highlight, nearly always to an
+// equal one.
+func (h Highlight) KeyEqual(o Highlight) bool {
+	var a, b string
+	i, j := 0, 0
+	for {
+		for a == "" && i < h.keySegments() {
+			a = h.keySegment(i)
+			i++
+		}
+		for b == "" && j < o.keySegments() {
+			b = o.keySegment(j)
+			j++
+		}
+		if a == "" || b == "" {
+			return a == b
+		}
+		n := min(len(a), len(b))
+		if a[:n] != b[:n] {
+			return false
+		}
+		a, b = a[n:], b[n:]
+	}
+}
+
+// keySegments and keySegment enumerate the strings Key concatenates.
+func (h Highlight) keySegments() int { return 2 + max(2*len(h.Positions)-1, 0) }
+
+func (h Highlight) keySegment(i int) string {
+	switch {
+	case i == 0:
+		return h.Label
+	case i == 1:
+		return "@"
+	case i%2 == 0:
+		return h.Positions[(i-2)/2]
+	default:
+		return ","
+	}
+}
+
 // String renders the highlight for display.
 func (h Highlight) String() string {
 	switch {

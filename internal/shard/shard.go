@@ -463,6 +463,11 @@ func (s *Substrate) ScanAugmented(base model.Subspace, breakdown, ext string) (m
 	return merger.FinishAugmented(base, breakdown, ext), s.planner.PlannedRows(base), nil
 }
 
+// Interner returns the whole-table planner's intern table, which an Engine
+// over this substrate adopts: the handles it navigates are then the ones
+// PlannedRows and the merge key their plans and unit keys on.
+func (s *Substrate) Interner() *engine.Interner { return s.planner.Interner() }
+
 // PlannedRows implements engine.RowPlanner via the whole-table planner.
 func (s *Substrate) PlannedRows(sub model.Subspace) int {
 	return s.planner.PlannedRows(sub)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -81,6 +82,26 @@ func RankDescending(xs []float64) []int {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
 	return idx
+}
+
+// RankDescendingInto is RankDescending into dst, which must have len(xs)
+// elements. It sorts with a typed comparison rather than sort.SliceStable's
+// reflection-built swapper, so it allocates nothing; a stable sort's result
+// is unique, so both return the same order. xs must not contain NaN.
+func RankDescendingInto(dst []int, xs []float64) []int {
+	for i := range dst {
+		dst[i] = i
+	}
+	slices.SortStableFunc(dst, func(a, b int) int {
+		switch {
+		case xs[a] > xs[b]:
+			return -1
+		case xs[a] < xs[b]:
+			return 1
+		}
+		return 0
+	})
+	return dst
 }
 
 // CoefficientOfVariation returns StdDev/|Mean|; +Inf when the mean is zero

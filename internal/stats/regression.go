@@ -118,6 +118,12 @@ func MovingAverage(xs []float64, window int) []float64 {
 // Unlike a moving average, the median baseline is not contaminated by the
 // very outliers the 3-sigma rule is trying to detect.
 func MedianFilter(xs []float64, window int) []float64 {
+	return MedianFilterInto(make([]float64, len(xs)), nil, xs, window)
+}
+
+// MedianFilterInto is MedianFilter into out, which must have len(xs)
+// elements; buf is working space that grows to the window as needed.
+func MedianFilterInto(out, buf []float64, xs []float64, window int) []float64 {
 	if window < 1 {
 		window = 1
 	}
@@ -125,8 +131,6 @@ func MedianFilter(xs []float64, window int) []float64 {
 		window++
 	}
 	half := window / 2
-	out := make([]float64, len(xs))
-	buf := make([]float64, 0, window)
 	for i := range xs {
 		lo := i - half
 		if lo < 0 {
@@ -158,11 +162,19 @@ func Median(xs []float64) float64 {
 
 // MAD returns the median absolute deviation of xs scaled by 1.4826, the
 // robust standard-deviation estimate used by the outlier pattern.
-func MAD(xs []float64) float64 {
+func MAD(xs []float64) float64 { return MADWith(nil, xs) }
+
+// MADWith is MAD with work as its working copy; work is replaced when it has
+// fewer than len(xs) elements.
+func MADWith(work, xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	work := append([]float64(nil), xs...)
+	if len(work) < len(xs) {
+		work = make([]float64, len(xs))
+	}
+	work = work[:len(xs)]
+	copy(work, xs)
 	m := Median(work)
 	for i, x := range xs {
 		work[i] = math.Abs(x - m)
@@ -174,6 +186,12 @@ func MAD(xs []float64) float64 {
 // 1 − Var(xs − phase means)/Var(xs), in [0, 1] (clamped). A pure periodic
 // signal scores 1; white noise scores near (period−1)/(n−1).
 func SeasonalStrength(xs []float64, period int) float64 {
+	return SeasonalStrengthWith(nil, xs, period)
+}
+
+// SeasonalStrengthWith is SeasonalStrength with work as its working space;
+// work is replaced when it has fewer than len(xs)+period elements.
+func SeasonalStrengthWith(work, xs []float64, period int) float64 {
 	n := len(xs)
 	if period < 2 || period >= n {
 		return 0
@@ -182,15 +200,18 @@ func SeasonalStrength(xs []float64, period int) float64 {
 	if total == 0 || math.IsNaN(total) {
 		return 0
 	}
-	phaseSum := make([]float64, period)
-	phaseCount := make([]int, period)
+	if len(work) < n+period {
+		work = make([]float64, n+period)
+	}
+	// Every phase ph < period occurs (period < n), ceil((n-ph)/period) times.
+	phaseSum, resid := work[:period], work[period:period+n]
+	clear(phaseSum)
 	for i, x := range xs {
 		phaseSum[i%period] += x
-		phaseCount[i%period]++
 	}
-	resid := make([]float64, n)
 	for i, x := range xs {
-		resid[i] = x - phaseSum[i%period]/float64(phaseCount[i%period])
+		ph := i % period
+		resid[i] = x - phaseSum[ph]/float64((n-ph+period-1)/period)
 	}
 	s := 1 - Variance(resid)/total
 	if s < 0 {
@@ -204,10 +225,14 @@ func SeasonalStrength(xs []float64, period int) float64 {
 
 // Residuals returns xs - fit, element-wise.
 func Residuals(xs, fit []float64) []float64 {
+	return ResidualsInto(make([]float64, len(xs)), xs, fit)
+}
+
+// ResidualsInto is Residuals into out, which must have len(xs) elements.
+func ResidualsInto(out, xs, fit []float64) []float64 {
 	if len(xs) != len(fit) {
 		panic("stats: Residuals length mismatch")
 	}
-	out := make([]float64, len(xs))
 	for i := range xs {
 		out[i] = xs[i] - fit[i]
 	}
@@ -217,8 +242,13 @@ func Residuals(xs, fit []float64) []float64 {
 // ACF returns the sample autocorrelation of xs at lags 1..maxLag.
 // Result index 0 corresponds to lag 1. Lags beyond len(xs)-2 are zero.
 func ACF(xs []float64, maxLag int) []float64 {
-	n := len(xs)
-	out := make([]float64, maxLag)
+	return ACFInto(make([]float64, maxLag), xs)
+}
+
+// ACFInto is ACF at lags 1..len(out) into out.
+func ACFInto(out, xs []float64) []float64 {
+	n, maxLag := len(xs), len(out)
+	clear(out)
 	if n < 2 {
 		return out
 	}

@@ -13,6 +13,7 @@
 package metainsight_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -83,5 +84,55 @@ func TestMineBudget400Par4RegressionGuard(t *testing.T) {
 	if ratio > limit {
 		t.Errorf("mine/budget=400 par=4 regressed against par=1: ratio %.3f exceeds blessed %.2f x 1.2 = %.3f",
 			ratio, blessed, limit)
+	}
+}
+
+type allocGuardBaseline struct {
+	Allocs map[string]struct {
+		Parent  float64 `json:"parent"`
+		Blessed float64 `json:"blessed"`
+	} `json:"mine_allocs_per_analyze"`
+}
+
+// TestMineAllocsGuard pins the allocation bill of one warm Session.Analyze —
+// Sales Forecast, one worker, no budget — to the blessed count in
+// internal/engine/testdata/bench_baseline.json (recorded beside the figure
+// the same measurement gave before subspaces were interned). Mining is
+// allocator- and GC-bound on tables this size, so an allocation regression is
+// a latency regression. The count is near-deterministic at one worker (pools
+// and the Go scheduler move it by well under a percent), which is why this
+// guard, unlike the timed ones, runs in every plain `go test`.
+func TestMineAllocsGuard(t *testing.T) {
+	data, err := os.ReadFile("internal/engine/testdata/bench_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base allocGuardBaseline
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	b, ok := base.Allocs["salesforecast"]
+	if !ok || b.Blessed <= 0 {
+		t.Fatal("baseline has no blessed mine_allocs_per_analyze for salesforecast")
+	}
+	sess, err := metainsight.NewSession(workload.SalesForecast(),
+		metainsight.WithExec(metainsight.ExecConfig{Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	// AllocsPerRun's own warm-up call is the session's first Analyze, which
+	// builds the plans and the intern table every later request reuses.
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := sess.Analyze(context.Background(), metainsight.Request{TopK: 10}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	limit := b.Blessed * 1.05
+	t.Logf("allocations per warm Analyze: %.0f (blessed %.0f, limit %.0f, before interning %.0f)",
+		allocs, b.Blessed, limit, b.Parent)
+	if allocs > limit {
+		t.Errorf("allocations per warm Analyze regressed: %.0f exceeds blessed %.0f x 1.05 = %.0f",
+			allocs, b.Blessed, limit)
 	}
 }

@@ -659,8 +659,8 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 	// report its stats.
 	cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](!o.disablePC)
 	if o.pcBytes > 0 {
-		cfg.PatternCache.SetMaxBytes(o.pcBytes, func(key string, se *pattern.ScopeEvaluation) int64 {
-			return int64(len(key)) + se.ApproxBytes()
+		cfg.PatternCache.SetMaxBytes(o.pcBytes, func(key cache.ScopeKey, se *pattern.ScopeEvaluation) int64 {
+			return int64(key.Len()) + se.ApproxBytes()
 		})
 	}
 	cfg.Observer = o.observer
