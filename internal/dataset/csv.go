@@ -1,13 +1,18 @@
 package dataset
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"metainsight/internal/model"
 )
@@ -64,14 +69,25 @@ type LoadOptions struct {
 	BadMeasures RowPolicy
 }
 
+const (
+	// loadChunkBytes is about how much CSV one parse chunk holds. A body no
+	// longer than this is loaded inline, with no goroutine.
+	loadChunkBytes = 2 << 20
+	// loadPresumeRows is how many well-formed rows the kind presumption
+	// reads before the load proper starts.
+	loadPresumeRows = 4096
+)
+
+// utf8BOM is the byte-order mark spreadsheet exports put before the header.
+var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
+
 // LoadCSVFile reads a CSV file with a header row and builds a Table,
 // inferring each column's kind (categorical / temporal / measure).
 func LoadCSVFile(path string, opts LoadOptions) (*Table, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	if opts.Name == "" {
 		base := path
 		if i := strings.LastIndexByte(base, '/'); i >= 0 {
@@ -79,46 +95,273 @@ func LoadCSVFile(path string, opts LoadOptions) (*Table, error) {
 		}
 		opts.Name = strings.TrimSuffix(base, ".csv")
 	}
-	return LoadCSV(f, opts)
+	return loadCSV(data, opts, loadChunkBytes, loadPresumeRows)
 }
 
 // LoadCSV reads CSV data with a header row and builds a Table. Column kinds
 // are inferred: a column whose every non-empty cell parses as a number is a
 // measure; a column whose values look temporal (months, quarters, years,
 // dates — see LooksTemporal) is a temporal dimension; everything else is a
-// categorical dimension. Overrides in opts take precedence.
+// categorical dimension. Overrides in opts take precedence. One leading UTF-8
+// byte-order mark is ignored.
 func LoadCSV(r io.Reader, opts LoadOptions) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	// Column-count enforcement is deferred to FromRecords, where
-	// opts.RaggedRows decides between rejecting and skip-and-count.
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
-	}
-	var records [][]string
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV row: %w", err)
-		}
-		records = append(records, rec)
+		return nil, fmt.Errorf("dataset: reading CSV: %w", err)
 	}
 	if opts.Name == "" {
 		opts.Name = "csv"
 	}
-	return FromRecords(opts.Name, header, records, opts)
+	return loadCSV(data, opts, loadChunkBytes, loadPresumeRows)
 }
 
 // FromRecords builds a Table from an in-memory header + string records,
-// applying the same inference rules as LoadCSV.
+// applying the same inference rules as LoadCSV. Neither slice is modified.
 func FromRecords(name string, header []string, records [][]string, opts LoadOptions) (*Table, error) {
-	ncols := len(header)
-	seen := make(map[string]bool, ncols)
+	opts.Name = name
+	whole := func() (rowReader, int) {
+		i := 0
+		return func() ([]string, error) {
+			if i == len(records) {
+				return nil, io.EOF
+			}
+			i++
+			return records[i-1], nil
+		}, len(records)
+	}
+	return load(header, source{whole: whole}, opts, loadPresumeRows)
+}
+
+// loadCSV is LoadCSV over bytes already in memory, with the chunk size and the
+// presumption prefix as parameters so tests can force many chunks and late
+// retypes out of a small input.
+func loadCSV(data []byte, opts LoadOptions, chunkBytes, presumeRows int) (*Table, error) {
+	header, src, err := csvSource(bytes.TrimPrefix(data, utf8BOM), chunkBytes)
+	if err != nil {
+		return nil, err
+	}
+	return load(header, src, opts, presumeRows)
+}
+
+// A rowReader yields the next record, or io.EOF after the last. The slice it
+// returns may be overwritten by the following call.
+type rowReader func() ([]string, error)
+
+// A chunk opens a reader over one run of rows and bounds how many there are.
+type chunk func() (next rowReader, maxRows int)
+
+// A source hands the loader its rows: whole reads all of them from the top
+// of the input, pieces the same rows cut into runs that can be read
+// independently. pieces is nil when the input is one chunk's worth.
+type source struct {
+	whole  chunk
+	pieces []chunk
+}
+
+func newCSVReader(b []byte) *csv.Reader {
+	cr := csv.NewReader(bytes.NewReader(b))
+	cr.TrimLeadingSpace = true
+	// Column-count enforcement is the loader's, where opts.RaggedRows decides
+	// between rejecting and skip-and-count.
+	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
+	return cr
+}
+
+// csvSource reads the header off data and cuts the rest into chunks.
+func csvSource(data []byte, chunkBytes int) ([]string, source, error) {
+	cr := newCSVReader(data)
+	header, err := cr.Read()
+	if err != nil {
+		return nil, source{}, fmt.Errorf("dataset: reading CSV header: %w", err)
+	}
+	body := data[cr.InputOffset():]
+	// A well-formed row is at least one byte per column and ends a line, which
+	// bounds the rows of any stretch of body without parsing it.
+	maxRows := func(b []byte) int {
+		return min(bytes.Count(b, []byte{'\n'}), len(b)/len(header)) + 1
+	}
+	src := source{whole: func() (rowReader, int) {
+		// From the top of the input, so that a syntax error carries the line
+		// numbers of the file and not of a chunk.
+		cr := newCSVReader(data)
+		cr.Read() //nolint:errcheck // the header, read without error just above
+		return cr.Read, maxRows(body)
+	}}
+	if cuts := chunkCuts(body, chunkBytes); len(cuts) > 2 {
+		for i := range cuts[:len(cuts)-1] {
+			piece := body[cuts[i]:cuts[i+1]]
+			src.pieces = append(src.pieces, func() (rowReader, int) {
+				return newCSVReader(piece).Read, maxRows(piece)
+			})
+		}
+	}
+	return header, src, nil
+}
+
+// chunkCuts returns offsets 0 = c0 < c1 < … = len(body) about size bytes
+// apart, each inner one just past a newline that an even number of quote
+// bytes precedes. In well-formed CSV that is exactly a newline outside a
+// quoted field, so a record boundary; in malformed CSV it may not be, which
+// is why the loader does not rely on it (see load).
+func chunkCuts(body []byte, size int) []int {
+	cuts := []int{0}
+	pos, quotes := 0, 0 // quotes counts the quote bytes in body[:pos]
+	for {
+		target := cuts[len(cuts)-1] + size
+		if target >= len(body) {
+			break
+		}
+		quotes += bytes.Count(body[pos:target], []byte{'"'})
+		pos = target
+		for {
+			i := bytes.IndexByte(body[pos:], '\n')
+			if i < 0 {
+				pos = len(body)
+				break
+			}
+			quotes += bytes.Count(body[pos:pos+i], []byte{'"'})
+			pos += i + 1
+			if quotes%2 == 0 {
+				break
+			}
+		}
+		if pos == len(body) {
+			break
+		}
+		cuts = append(cuts, pos)
+	}
+	return append(cuts, len(body))
+}
+
+// colMode is how a column's cells are stored while loading.
+type colMode uint8
+
+const (
+	// asNumber parses every cell into a []float64: a column overridden to
+	// measure, or one presumed a measure because no cell has said otherwise.
+	asNumber colMode = iota
+	// asDict dictionary-codes every cell.
+	asDict
+	// retyped marks, within one chunk, a presumed measure that met a cell
+	// that is not a number. The chunk stops storing the column; the load is
+	// re-run with it pinned asDict.
+	retyped
+)
+
+// loader is one load's schema state: what is known about each column before
+// and while the rows are read.
+type loader struct {
+	opts   LoadOptions
+	names  []string  // trimmed header
+	mode   []colMode // presumed from a prefix, corrected by retypes
+	forced []bool    // kind fixed by opts.KindOverrides: no inference, no retype
+}
+
+// segment is one chunk's share of one column.
+type segment struct {
+	vals     []float64 // asNumber: one per kept row
+	nonEmpty bool      // asNumber: some cell of a well-formed row was not empty
+
+	codes []int32          // asDict: one chunk-local code per kept row
+	dict  []string         // asDict: chunk-local code -> value, in order of first occurrence
+	index map[string]int32 // asDict: value -> chunk-local code
+	// unkept holds values met only in rows a bad measure dropped. The old
+	// loader inferred kinds before it dropped rows, so these values count
+	// for the column's kind and cardinality but never enter its dictionary.
+	unkept map[string]struct{}
+}
+
+// part is what parsing one chunk produced.
+type part struct {
+	segs  []segment
+	rows  int // rows kept
+	stats LoadStats
+	// The first defect of each class, worded as if the chunk were the whole
+	// input — which it is whenever one of them is returned to the caller.
+	syntax, ragged, bad error
+	retype              []int // presumed measures that met a non-number
+}
+
+// load builds the table in two stages. Stage one presumes each column's
+// storage from a prefix of the rows; stage two parses all chunks at once into
+// per-chunk column segments, verifying the presumption on every cell, and
+// merges the segments in chunk order. Two things can void a stage-two run:
+//
+//   - A presumed measure meets a cell that is not a number: the column is
+//     pinned as dictionary-coded and the run repeated (at most once per
+//     column, and only on data whose prefix misleads).
+//   - A chunk reports an error. Errors must read as the sequential loader's
+//     did — its row and line numbers, and its precedence: CSV syntax, then
+//     header names, then the first ragged row, then the first bad measure —
+//     so the run is repeated as one chunk from the top of the input. That
+//     also makes the chunk cuts safe without trusting them: a reader that
+//     starts at a record boundary and consumes its chunk without error ends
+//     at one (ending inside a quoted field is an error), so by induction
+//     either every cut is a record boundary or some chunk fails.
+func load(header []string, src source, opts LoadOptions, presumeRows int) (*Table, error) {
+	names, err := columnNames(header)
+	if err != nil {
+		// The sequential loader read every row before it looked at the
+		// names, so a syntax error anywhere wins.
+		next, _ := src.whole()
+		for {
+			if _, rerr := next(); rerr == io.EOF {
+				return nil, err
+			} else if rerr != nil {
+				return nil, syntaxError(rerr)
+			}
+		}
+	}
+	l := newLoader(names, opts)
+	pieces := src.pieces
+	if len(pieces) > 0 {
+		l.presume(pieces[0], presumeRows)
+	} else {
+		l.presume(src.whole, presumeRows)
+	}
+	for {
+		var parts []*part
+		if len(pieces) > 1 {
+			parts = make([]*part, len(pieces))
+			forEach(len(pieces), func(i int) { parts[i] = l.parse(pieces[i]) })
+		} else {
+			parts = []*part{l.parse(src.whole)}
+		}
+		var syntax, ragged, bad error
+		var retype []int
+		for _, p := range parts {
+			syntax, ragged, bad = cmp.Or(syntax, p.syntax), cmp.Or(ragged, p.ragged), cmp.Or(bad, p.bad)
+			retype = append(retype, p.retype...)
+		}
+		// With no syntax error in any chunk the cuts held, so a retype is
+		// real, and it outranks a bad measure: the cell that is not a number
+		// makes the column a dimension, and a dimension has no bad measures.
+		failed := cmp.Or(syntax, ragged)
+		if failed == nil && len(retype) == 0 {
+			failed = bad
+		}
+		switch {
+		case failed != nil && len(parts) > 1:
+			pieces = nil // again, as one chunk from the top
+		case failed != nil:
+			return nil, failed
+		case len(retype) > 0:
+			for _, c := range retype {
+				l.mode[c] = asDict
+			}
+		default:
+			return l.merge(parts), nil
+		}
+	}
+}
+
+func syntaxError(err error) error { return fmt.Errorf("dataset: reading CSV row: %w", err) }
+
+// columnNames returns the trimmed header, or the first empty or repeated name.
+func columnNames(header []string) ([]string, error) {
+	names := make([]string, len(header))
+	seen := make(map[string]bool, len(header))
 	for i, h := range header {
 		h = strings.TrimSpace(h)
 		if h == "" {
@@ -128,130 +371,294 @@ func FromRecords(name string, header []string, records [][]string, opts LoadOpti
 			return nil, fmt.Errorf("dataset: duplicate column name %q", h)
 		}
 		seen[h] = true
-		header[i] = h
+		names[i] = h
 	}
-	var stats LoadStats
-	if opts.RaggedRows == RowError {
-		for i, rec := range records {
-			if len(rec) != ncols {
-				return nil, fmt.Errorf("dataset: row %d has %d columns, header has %d", i+1, len(rec), ncols)
-			}
-		}
-	} else {
-		kept := make([][]string, 0, len(records))
-		for _, rec := range records {
-			if len(rec) != ncols {
-				stats.RaggedSkipped++
-				continue
-			}
-			kept = append(kept, rec)
-		}
-		records = kept
-	}
-	kinds := make([]model.FieldKind, ncols)
-	keep := make([]bool, ncols)
-	for c := 0; c < ncols; c++ {
-		keep[c] = true
-		if k, ok := opts.KindOverrides[header[c]]; ok {
-			kinds[c] = k
+	return names, nil
+}
+
+func newLoader(names []string, opts LoadOptions) *loader {
+	l := &loader{opts: opts, names: names, mode: make([]colMode, len(names)), forced: make([]bool, len(names))}
+	for c, name := range names {
+		k, ok := opts.KindOverrides[name]
+		if !ok {
 			continue
 		}
-		col := columnValues(records, c)
-		switch {
-		case allNumeric(col):
-			kinds[c] = model.KindMeasure
-		case LooksTemporal(col):
-			kinds[c] = model.KindTemporal
+		l.forced[c] = true
+		switch k {
+		case model.KindMeasure:
+		case model.KindCategorical, model.KindTemporal:
+			l.mode[c] = asDict
 		default:
-			kinds[c] = model.KindCategorical
-			if opts.MaxDimensionCardinality > 0 &&
-				distinctCount(col) > opts.MaxDimensionCardinality {
-				keep[c] = false
-			}
+			panic(fmt.Sprintf("dataset: unknown field kind %v", k))
 		}
 	}
-	var fields []model.Field
-	for c := 0; c < ncols; c++ {
-		if keep[c] {
-			fields = append(fields, model.Field{Name: header[c], Kind: kinds[c]})
+	return l
+}
+
+// presume reads up to rows well-formed rows off the head of the input (its
+// first chunk) and stores as dictionary-coded every non-overridden column
+// with a cell in them that is not a number. The rest stay presumed measures — including a column with
+// no non-empty cell so far — so the only correction the load proper can need
+// is from number to dictionary.
+func (l *loader) presume(open chunk, rows int) {
+	next, _ := open()
+	for seen := 0; seen < rows; {
+		rec, err := next()
+		if err != nil {
+			return // the end, or a syntax error the load proper will meet again
 		}
-	}
-	b := NewBuilder(name, fields)
-	dimVals := make([]string, 0, ncols)
-	meaVals := make([]float64, 0, ncols)
-rows:
-	for ri, rec := range records {
-		dimVals = dimVals[:0]
-		meaVals = meaVals[:0]
-		for c := 0; c < ncols; c++ {
-			if !keep[c] {
-				continue
-			}
-			if kinds[c] == model.KindMeasure {
-				v, err := parseNumber(rec[c])
-				if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-					err = fmt.Errorf("non-finite value %q", strings.TrimSpace(rec[c]))
-				}
-				if err != nil {
-					if opts.BadMeasures == RowSkip {
-						stats.BadMeasureSkipped++
-						continue rows
-					}
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", ri+1, header[c], err)
-				}
-				meaVals = append(meaVals, v)
-			} else {
-				dimVals = append(dimVals, strings.TrimSpace(rec[c]))
-			}
-		}
-		b.AddRow(dimVals, meaVals)
-		stats.RowsLoaded++
-	}
-	tab := b.Build()
-	tab.load = stats
-	return tab, nil
-}
-
-func columnValues(records [][]string, c int) []string {
-	out := make([]string, len(records))
-	for i, rec := range records {
-		out[i] = rec[c]
-	}
-	return out
-}
-
-func distinctCount(values []string) int {
-	set := make(map[string]bool, len(values))
-	for _, v := range values {
-		set[strings.TrimSpace(v)] = true
-	}
-	return len(set)
-}
-
-func allNumeric(values []string) bool {
-	any := false
-	for _, v := range values {
-		s := strings.TrimSpace(v)
-		if s == "" {
+		if len(rec) != len(l.names) {
 			continue
 		}
-		if _, err := parseNumber(s); err != nil {
-			return false
+		seen++
+		for c, cell := range rec {
+			if l.mode[c] == asNumber && !l.forced[c] {
+				if _, ok := parseNumber(strings.TrimSpace(cell)); !ok {
+					l.mode[c] = asDict
+				}
+			}
 		}
-		any = true
 	}
-	return any
 }
 
-func parseNumber(s string) (float64, error) {
-	s = strings.TrimSpace(s)
+// parse reads one chunk into column segments. Only a syntax error stops it
+// early: a ragged row or a bad measure under RowError is noted and the scan
+// goes on, because a later cell can still retype a column, which outranks
+// the bad measure.
+func (l *loader) parse(open chunk) *part {
+	next, maxRows := open()
+	ncols := len(l.names)
+	p := &part{segs: make([]segment, ncols)}
+	mode := append([]colMode(nil), l.mode...)
+	for c := range p.segs {
+		if mode[c] == asNumber {
+			p.segs[c].vals = make([]float64, 0, maxRows)
+		} else {
+			p.segs[c].codes = make([]int32, 0, maxRows)
+			p.segs[c].index = make(map[string]int32)
+		}
+	}
+	records, wellFormed := 0, 0
+	for {
+		rec, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			p.syntax = syntaxError(err)
+			break
+		}
+		records++
+		if len(rec) != ncols {
+			if l.opts.RaggedRows == RowSkip {
+				p.stats.RaggedSkipped++
+			} else if p.ragged == nil {
+				p.ragged = fmt.Errorf("dataset: row %d has %d columns, header has %d", records, len(rec), ncols)
+			}
+			continue
+		}
+		wellFormed++
+		// Measures first: whether the row is kept decides what the
+		// dimension cells below may touch.
+		keep := true
+		for c, cell := range rec {
+			if mode[c] != asNumber {
+				continue
+			}
+			seg := &p.segs[c]
+			s := strings.TrimSpace(cell)
+			v, ok := parseNumber(s)
+			seg.nonEmpty = seg.nonEmpty || s != ""
+			switch {
+			case !ok && !l.forced[c]:
+				mode[c] = retyped
+				p.retype = append(p.retype, c)
+			case !ok || math.IsNaN(v) || math.IsInf(v, 0):
+				if l.opts.BadMeasures == RowError && p.bad == nil {
+					p.bad = fmt.Errorf("dataset: row %d column %q: %w", wellFormed, l.names[c], measureError(s, ok))
+				}
+				keep = false
+			default:
+				seg.vals = append(seg.vals, v)
+			}
+		}
+		for c, cell := range rec {
+			if mode[c] != asDict {
+				continue
+			}
+			seg := &p.segs[c]
+			v := strings.TrimSpace(cell)
+			code, ok := seg.index[v]
+			switch {
+			case keep:
+				if !ok {
+					// Cloned, so the dictionary does not pin the record's buffer.
+					v = strings.Clone(v)
+					code = int32(len(seg.dict))
+					seg.index[v] = code
+					seg.dict = append(seg.dict, v)
+				}
+				seg.codes = append(seg.codes, code)
+			case !ok && !l.forced[c]:
+				if seg.unkept == nil {
+					seg.unkept = make(map[string]struct{})
+				}
+				if _, ok := seg.unkept[v]; !ok {
+					seg.unkept[strings.Clone(v)] = struct{}{}
+				}
+			}
+		}
+		if keep {
+			p.rows++
+			continue
+		}
+		if l.opts.BadMeasures == RowSkip {
+			p.stats.BadMeasureSkipped++
+		}
+		for c := range p.segs { // take back the measures stored before the bad one
+			if seg := &p.segs[c]; len(seg.vals) > p.rows {
+				seg.vals = seg.vals[:p.rows]
+			}
+		}
+	}
+	return p
+}
+
+// parseNumber reads a trimmed measure cell: thousands commas are ignored and
+// an empty cell is 0.
+func parseNumber(s string) (float64, bool) {
 	if s == "" {
-		return 0, nil
+		return 0, true
 	}
-	s = strings.ReplaceAll(s, ",", "")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("not a number: %q", s)
+	v, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64)
+	return v, err == nil
+}
+
+// measureError words the defect in trimmed measure cell s: one that did not
+// parse, or one that parsed to NaN or ±Inf.
+func measureError(s string, parsed bool) error {
+	if !parsed {
+		return fmt.Errorf("not a number: %q", strings.ReplaceAll(s, ",", ""))
 	}
-	return v, nil
+	return fmt.Errorf("non-finite value %q", s)
+}
+
+// merge settles every column's kind and assembles the table from the chunks'
+// segments, in chunk order. The kind of a non-overridden column is a function
+// of the set of its values over all well-formed rows — any non-empty and all
+// numbers: measure; LooksTemporal: temporal; else categorical, dropped when
+// the set outgrows MaxDimensionCardinality — so the union of the chunks'
+// dictionaries (and unkept values) decides exactly what a scan of the whole
+// column decided. Final codes come from sorting that union (domainOrder, a
+// total order), so they do not depend on how the input was cut.
+func (l *loader) merge(parts []*part) *Table {
+	offs := make([]int, len(parts)) // first table row of each chunk
+	var stats LoadStats
+	for i, p := range parts {
+		offs[i] = stats.RowsLoaded
+		stats.RowsLoaded += p.rows
+		stats.RaggedSkipped += p.stats.RaggedSkipped
+		stats.BadMeasureSkipped += p.stats.BadMeasureSkipped
+	}
+	rows := stats.RowsLoaded
+	t := newTable(l.opts.Name, rows)
+	t.load = stats
+	for c, name := range l.names {
+		if l.mode[c] == asNumber {
+			nonEmpty := false
+			for _, p := range parts {
+				nonEmpty = nonEmpty || p.segs[c].nonEmpty
+			}
+			if !l.forced[c] && !nonEmpty {
+				// Empty in every row: categorical with the one value "".
+				col := &DimColumn{Name: name, Kind: model.KindCategorical, codes: make([]int32, rows)}
+				if rows > 0 {
+					col.dict = []string{""}
+				}
+				col.index = domainOrder(col.Kind, col.dict)
+				t.addDim(col)
+				continue
+			}
+			vals := parts[0].segs[c].vals // one chunk: its segment is the column
+			if len(parts) > 1 {
+				vals = make([]float64, rows)
+				forEach(len(parts), func(i int) { copy(vals[offs[i]:], parts[i].segs[c].vals) })
+			}
+			t.addMeasure(&MeasureColumn{Name: name, vals: vals})
+			continue
+		}
+		dict, extra := distinctValues(parts, c)
+		kind := l.opts.KindOverrides[name]
+		if !l.forced[c] {
+			kind = model.KindCategorical
+			all := dict
+			if len(extra) > 0 {
+				all = append(extra, dict...)
+			}
+			if LooksTemporal(all) {
+				kind = model.KindTemporal
+			} else if max := l.opts.MaxDimensionCardinality; max > 0 && len(dict)+len(extra) > max {
+				continue
+			}
+		}
+		index := domainOrder(kind, dict)
+		codes := parts[0].segs[c].codes // one chunk: remapped in place
+		if len(parts) > 1 {
+			codes = make([]int32, rows)
+		}
+		forEach(len(parts), func(i int) {
+			seg := &parts[i].segs[c]
+			remapCodes(codes[offs[i]:offs[i]+len(seg.codes)], seg.codes, seg.dict, index)
+		})
+		t.addDim(&DimColumn{Name: name, Kind: kind, dict: dict, index: index, codes: codes})
+	}
+	return t
+}
+
+// distinctValues unions column c's chunk dictionaries, in chunk order: dict
+// holds the values of rows that entered the table, extra those met only in
+// rows a bad measure dropped.
+func distinctValues(parts []*part, c int) (dict, extra []string) {
+	seen := make(map[string]struct{})
+	for _, p := range parts {
+		for _, v := range p.segs[c].dict {
+			if _, ok := seen[v]; !ok {
+				seen[v] = struct{}{}
+				dict = append(dict, v)
+			}
+		}
+	}
+	for _, p := range parts {
+		for v := range p.segs[c].unkept {
+			if _, ok := seen[v]; !ok {
+				seen[v] = struct{}{}
+				extra = append(extra, v)
+			}
+		}
+	}
+	return dict, extra
+}
+
+// forEach calls fn(0) … fn(n-1) on up to GOMAXPROCS goroutines and returns
+// when all have; with one of either it runs them inline.
+func forEach(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,8 +1,13 @@
 package dataset
 
 import (
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"metainsight/internal/model"
 )
@@ -76,5 +81,125 @@ func TestUnparseableMeasureUnderOverrideSkips(t *testing.T) {
 	}
 	if tab.Rows() != 2 || tab.LoadStats().BadMeasureSkipped != 1 {
 		t.Errorf("rows=%d stats=%+v, want 2 rows and 1 bad-measure skip", tab.Rows(), tab.LoadStats())
+	}
+}
+
+func TestFromRecordsLeavesHeaderAlone(t *testing.T) {
+	header := []string{" City ", "Sales\t"}
+	tab, err := FromRecords("t", header, [][]string{{"LA", "1"}}, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if header[0] != " City " || header[1] != "Sales\t" {
+		t.Errorf("caller's header rewritten to %q", header)
+	}
+	if tab.Dimension("City") == nil || tab.MeasureColumn("Sales") == nil {
+		t.Errorf("fields = %v, want trimmed names City and Sales", tab.Fields())
+	}
+}
+
+func TestLoadCSVStripsBOM(t *testing.T) {
+	in := "\ufeffCity,Sales\n1,100\n2,50\n"
+	tab, err := LoadCSV(strings.NewReader(in), LoadOptions{
+		KindOverrides: map[string]model.FieldKind{"City": model.KindCategorical},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Dimension("City") == nil {
+		t.Errorf("fields = %q: the byte-order mark stayed on the first name, so the override missed", tab.Fields())
+	}
+}
+
+// sameAsReference loads in with both loaders and fails unless they agree on
+// the error text or on the table.
+func sameAsReference(t *testing.T, in string, opts LoadOptions, chunkBytes, presumeRows int) {
+	t.Helper()
+	want, werr := refLoadCSV(strings.NewReader(in), opts)
+	got, gerr := loadCSV([]byte(in), opts, chunkBytes, presumeRows)
+	if werr != nil || gerr != nil {
+		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+			t.Errorf("chunk %d: error %v, reference %v", chunkBytes, gerr, werr)
+		}
+		return
+	}
+	if d := TableDiff(got, want); d != "" {
+		t.Errorf("chunk %d: differs from the reference: %s", chunkBytes, d)
+	}
+}
+
+// A column that is numeric for the whole presumption prefix and textual
+// later is re-typed, at the production prefix length, in one chunk or many —
+// and the cell that re-types it outranks the NaN before it, which would
+// otherwise be a bad measure.
+func TestLoadRetypeAfterPrefix(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("K,A,B,V\n")
+	for i := 0; i < loadPresumeRows+50; i++ {
+		fmt.Fprintf(&b, "k%d,%d,%d,%d\n", i%7, i, 2000+i%3, i)
+	}
+	b.WriteString("k1,NaN,2001,1\nk2,n/a,2002,2\nk3,7,Q3,3\n")
+	in := b.String()
+	for _, chunkBytes := range []int{loadChunkBytes, 4096} {
+		sameAsReference(t, in, LoadOptions{Name: "t"}, chunkBytes, loadPresumeRows)
+	}
+	tab, err := LoadCSV(strings.NewReader(in), LoadOptions{Name: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Dimension("A") == nil || tab.Dimension("B") == nil || tab.MeasureColumn("V") == nil {
+		t.Errorf("fields = %v, want A and B re-typed to dimensions and V a measure", tab.Fields())
+	}
+}
+
+// Errors read as the sequential loader's whatever the chunking: its row and
+// line numbers, and its precedence — syntax, header names, first ragged row,
+// first bad measure.
+func TestLoadErrorsReadSequentially(t *testing.T) {
+	skip := LoadOptions{Name: "t", RaggedRows: RowSkip, BadMeasures: RowSkip}
+	for _, tc := range []struct {
+		name, in string
+		opts     LoadOptions
+		want     string
+	}{
+		{"empty input", "", LoadOptions{}, "dataset: reading CSV header: EOF"},
+		{"late syntax error", "a,b\nx,1\n\ny,2\nz,\"3\nw,4\n", skip, `dataset: reading CSV row: record on line 5; parse error on line 6, column 5: extraneous or missing " in quoted-field`},
+		{"bare quote", "a,b\nx,1\ny\"y,2\n", skip, `dataset: reading CSV row: parse error on line 3, column 2: bare " in non-quoted-field`},
+		{"syntax outranks names", "a,a\nx,1\ny\"y,2\n", skip, `dataset: reading CSV row: parse error on line 3, column 2: bare " in non-quoted-field`},
+		{"names outrank ragged", "a,a\nx\n", LoadOptions{}, `dataset: duplicate column name "a"`},
+		{"ragged outranks earlier bad measure", "k,v\na,NaN\nb,1\nc\n", LoadOptions{}, "dataset: row 3 has 1 columns, header has 2"},
+		{"bad measure row counts kept rows", "k,v\na,1\nb\nc,Inf\n", LoadOptions{RaggedRows: RowSkip}, `dataset: row 2 column "v": non-finite value "Inf"`},
+		{"unparseable forced measure", "k,v\na,1\nb,\"1,0x\"\n", LoadOptions{KindOverrides: map[string]model.FieldKind{"v": model.KindMeasure}}, `dataset: row 2 column "v": not a number: "10x"`},
+	} {
+		for chunkBytes := 1; chunkBytes <= 9; chunkBytes++ {
+			_, err := loadCSV([]byte(tc.in), tc.opts, chunkBytes, 1)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s at chunk %d: error %v, want %s", tc.name, chunkBytes, err, tc.want)
+			}
+			sameAsReference(t, tc.in, tc.opts, chunkBytes, 1)
+		}
+	}
+}
+
+func TestLoadCSVReaderError(t *testing.T) {
+	boom := errors.New("boom")
+	r := io.MultiReader(strings.NewReader("a,b\nx,1\n"), iotest.ErrReader(boom))
+	if _, err := LoadCSV(r, LoadOptions{}); !errors.Is(err, boom) {
+		t.Errorf("error %v, want it to wrap the reader's", err)
+	}
+}
+
+// Cuts fall just past newlines outside quoted fields, about size bytes apart.
+func TestChunkCutsSkipQuotedNewlines(t *testing.T) {
+	body := "\"a\nb\",1\n\"c\"\"\nd\",2\nx,3\n"
+	for size, want := range map[int][]int{
+		1:   {0, 8, 18, 22},
+		9:   {0, 18, 22},
+		19:  {0, 22},
+		100: {0, 22},
+	} {
+		if got := chunkCuts([]byte(body), size); !reflect.DeepEqual(got, want) {
+			t.Errorf("size %d: cuts %v, want %v", size, got, want)
+		}
 	}
 }

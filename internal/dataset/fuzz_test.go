@@ -1,62 +1,152 @@
 package dataset
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"metainsight/internal/model"
 )
 
-// FuzzLoadCSV ensures the loader never panics on arbitrary input and that
-// any table it does build is internally consistent (codes decode, measures
-// align). Run with `go test -fuzz=FuzzLoadCSV ./internal/dataset` to explore
-// beyond the seed corpus.
+// FuzzLoadCSV holds the chunked columnar loader equal to the sequential
+// reference it replaced (csv_reference_test.go): for every row-policy
+// combination, a KindOverrides arm and a MaxDimensionCardinality arm, both
+// fail with the same error text or build tables equal in schema,
+// dictionaries, index, codes, measure bits and LoadStats counters. The tune
+// byte picks a chunk size of 1–8 bytes (so nearly every line is its own
+// chunk, and quoted newlines straddle cuts) and a presumption prefix of 0–3
+// rows (so late retypes happen on short inputs); the production sizes run as
+// well. Neither loader may panic, and a built table must be internally
+// consistent with finite measures. Run with `GOMAXPROCS=4 go test
+// -fuzz=FuzzLoadCSV ./internal/dataset` to explore beyond the seed corpus
+// with the chunks parsed concurrently.
 func FuzzLoadCSV(f *testing.F) {
-	f.Add("City,Month,Sales\nLA,Jan,100\nSF,Feb,200\n")
-	f.Add("A,B\n,\n,\n")
-	f.Add("X\n1\n2\n3\n")
-	f.Add("a,b,c\n\"q,uo\",2020-01-01,-5\n")
-	f.Add("К,Ц\nμ,λ\n")
-	f.Add("dup,dup\n1,2\n")
-	f.Add("n\n1e308\n-1e308\nNaN\n")
-	f.Add("r\n1\nx,2\nNaN\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		// Exercise every row-policy combination: none may panic, and under
-		// skip-and-count any built table must be internally consistent with
-		// finite measures.
+	f.Add("City,Month,Sales\nLA,Jan,100\nSF,Feb,200\n", byte(0))
+	f.Add("A,B\n,\n,\n", byte(0))
+	f.Add("X\n1\n2\n3\n", byte(0))
+	f.Add("a,b,c\n\"q,uo\",2020-01-01,-5\n", byte(0))
+	f.Add("К,Ц\nμ,λ\n", byte(0))
+	f.Add("dup,dup\n1,2\n", byte(0))
+	f.Add("n\n1e308\n-1e308\nNaN\n", byte(0))
+	f.Add("r\n1\nx,2\nNaN\n", byte(0))
+	// A quoted field whose newline straddles a cut.
+	f.Add("a,b\n\"x\ny\",1\n\"p\n\nq\",2\nr,3\n", byte(2))
+	// CRLF endings.
+	f.Add("a,b\r\nx,1\r\ny,2\r\n", byte(3))
+	// Numeric for the prefix, textual later: the retype.
+	f.Add("k,v\na,1\nb,2\nc,x\nd,NaN\n", byte(1<<3|4))
+	// The same with a NaN first: the retype outranks the bad measure.
+	f.Add("k,v\na,1\nb,NaN\nc,x\n", byte(1<<3|2))
+	// A column empty in every row is categorical, not a measure.
+	f.Add("a,b\n,x\n,y\n", byte(1))
+	// "xyz" occurs only in a row a bad measure drops, and still turns the
+	// column from temporal to categorical.
+	f.Add("m,v\nJan,1\nFeb,2\nxyz,NaN\n", byte(5))
+	// A ragged row after a bad measure: the ragged row is the error.
+	f.Add("k,v\na,NaN\nb\nc,1\n", byte(0))
+	// Header only.
+	f.Add("a,b\n", byte(0))
+	// A byte-order mark before the header, and a syntax error on a late line.
+	f.Add("\ufeffCity,Sales\nLA,1\nSF,\"2\n", byte(6))
+	f.Fuzz(func(t *testing.T, data string, tune byte) {
+		chunkBytes, presume := int(tune&7)+1, int(tune>>3)&3
+		var arms []LoadOptions
 		for _, ragged := range []RowPolicy{RowError, RowSkip} {
 			for _, bad := range []RowPolicy{RowError, RowSkip} {
-				tab, err := LoadCSV(strings.NewReader(data),
-					LoadOptions{Name: "fuzz", RaggedRows: ragged, BadMeasures: bad})
-				if err != nil {
-					continue // malformed input is allowed to fail, not to panic
-				}
-				st := tab.LoadStats()
-				if st.RowsLoaded != tab.Rows() {
-					t.Fatalf("LoadStats.RowsLoaded=%d but table has %d rows", st.RowsLoaded, tab.Rows())
-				}
-				if ragged == RowError && st.RaggedSkipped != 0 {
-					t.Fatalf("RaggedSkipped=%d under RowError", st.RaggedSkipped)
-				}
-				for _, col := range tab.Dimensions() {
-					for r := 0; r < tab.Rows(); r++ {
-						code := int(col.CodeAt(r))
-						if code < 0 || code >= col.Cardinality() {
-							t.Fatalf("row %d of %q decodes out of range", r, col.Name)
-						}
-						if col.Code(col.Value(code)) != code {
-							t.Fatalf("dictionary roundtrip broken for %q", col.Name)
-						}
+				arms = append(arms, LoadOptions{Name: "fuzz", RaggedRows: ragged, BadMeasures: bad})
+			}
+		}
+		forced := fuzzOverrides(data)
+		arms = append(arms,
+			LoadOptions{Name: "fuzz", KindOverrides: forced},
+			LoadOptions{Name: "fuzz", KindOverrides: forced, RaggedRows: RowSkip, BadMeasures: RowSkip},
+			LoadOptions{Name: "fuzz", MaxDimensionCardinality: 2, RaggedRows: RowSkip, BadMeasures: RowSkip})
+		for _, opts := range arms {
+			want, werr := refLoadCSV(strings.NewReader(data), opts)
+			for _, size := range [][2]int{{chunkBytes, presume}, {loadChunkBytes, loadPresumeRows}} {
+				got, gerr := loadCSV([]byte(data), opts, size[0], size[1])
+				if werr != nil || gerr != nil {
+					if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+						t.Fatalf("opts %+v chunk %d presume %d: error %v, reference %v", opts, size[0], size[1], gerr, werr)
 					}
+					continue
 				}
-				for _, mc := range tab.MeasureColumns() {
-					for r := 0; r < tab.Rows(); r++ {
-						if v := mc.At(r); v != v {
-							t.Fatalf("NaN measure survived ingestion in %q row %d", mc.Name, r)
-						}
-					}
+				if d := TableDiff(got, want); d != "" {
+					t.Fatalf("opts %+v chunk %d presume %d: differs from the reference: %s", opts, size[0], size[1], d)
 				}
+				checkLoaded(t, got, opts)
+			}
+		}
+		// FromRecords takes the same loader from rows already tokenized.
+		cr := newCSVReader([]byte(data))
+		records, err := cr.ReadAll()
+		if err != nil || len(records) == 0 {
+			return
+		}
+		for _, opts := range arms[:4] {
+			want, werr := refFromRecords("fuzz", append([]string(nil), records[0]...), records[1:], opts)
+			got, gerr := FromRecords("fuzz", records[0], records[1:], opts)
+			if werr != nil || gerr != nil {
+				if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+					t.Fatalf("FromRecords opts %+v: error %v, reference %v", opts, gerr, werr)
+				}
+				continue
+			}
+			if d := TableDiff(got, want); d != "" {
+				t.Fatalf("FromRecords opts %+v: differs from the reference: %s", opts, d)
 			}
 		}
 	})
+}
+
+// fuzzOverrides forces two of every four columns the input's header names:
+// by position, to measure, temporal or categorical.
+func fuzzOverrides(data string) map[string]model.FieldKind {
+	header, err := newCSVReader(bytes.TrimPrefix([]byte(data), utf8BOM)).Read()
+	if err != nil {
+		return nil
+	}
+	kinds := map[string]model.FieldKind{}
+	for c, h := range header {
+		switch c % 4 {
+		case 0:
+			kinds[strings.TrimSpace(h)] = model.KindMeasure
+		case 2:
+			kinds[strings.TrimSpace(h)] = []model.FieldKind{model.KindTemporal, model.KindCategorical}[c/4%2]
+		}
+	}
+	return kinds
+}
+
+// checkLoaded asserts a loaded table is internally consistent.
+func checkLoaded(t *testing.T, tab *Table, opts LoadOptions) {
+	t.Helper()
+	st := tab.LoadStats()
+	if st.RowsLoaded != tab.Rows() {
+		t.Fatalf("LoadStats.RowsLoaded=%d but table has %d rows", st.RowsLoaded, tab.Rows())
+	}
+	if opts.RaggedRows == RowError && st.RaggedSkipped != 0 {
+		t.Fatalf("RaggedSkipped=%d under RowError", st.RaggedSkipped)
+	}
+	for _, col := range tab.Dimensions() {
+		for r := 0; r < tab.Rows(); r++ {
+			code := int(col.CodeAt(r))
+			if code < 0 || code >= col.Cardinality() {
+				t.Fatalf("row %d of %q decodes out of range", r, col.Name)
+			}
+			if col.Code(col.Value(code)) != code {
+				t.Fatalf("dictionary roundtrip broken for %q", col.Name)
+			}
+		}
+	}
+	for _, mc := range tab.MeasureColumns() {
+		for r := 0; r < tab.Rows(); r++ {
+			if v := mc.At(r); v != v || math.IsInf(v, 0) {
+				t.Fatalf("non-finite measure survived ingestion in %q row %d", mc.Name, r)
+			}
+		}
+	}
 }
 
 // FuzzContainerRoundTrip feeds arbitrary byte strings — decoded into a

@@ -304,47 +304,73 @@ func (b *Builder) AddRow(dimValues []string, measureValues []float64) {
 }
 
 // Build finalizes the table. Dimension dictionaries are re-sorted into domain
-// order — temporal order for temporal dimensions (see TemporalLess), lexical
-// order otherwise — and row codes are remapped accordingly.
+// order (see domainOrder) and row codes are remapped accordingly.
 func (b *Builder) Build() *Table {
-	t := &Table{
-		name:    b.name,
-		rows:    b.rows,
-		fields:  b.fields,
-		dimIdx:  make(map[string]int, len(b.dims)),
-		measIdx: make(map[string]int, len(b.meas)),
-	}
-	for _, d := range b.dims {
+	t := newTable(b.name, b.rows)
+	for i, f := range b.fields {
+		if p := b.meaPos[i]; p >= 0 {
+			t.addMeasure(&MeasureColumn{Name: f.Name, vals: b.meas[p].vals})
+			continue
+		}
+		d := b.dims[b.dimPos[i]]
 		sorted := append([]string(nil), d.dict...)
-		if d.kind == model.KindTemporal {
-			sort.SliceStable(sorted, func(i, j int) bool { return TemporalLess(sorted[i], sorted[j]) })
-		} else {
-			sort.Strings(sorted)
-		}
-		remap := make([]int32, len(d.dict))
-		index := make(map[string]int, len(sorted))
-		for newCode, v := range sorted {
-			index[v] = newCode
-		}
-		for oldCode, v := range d.dict {
-			remap[oldCode] = int32(index[v])
-		}
+		index := domainOrder(d.kind, sorted)
 		codes := make([]int32, len(d.codes))
-		for i, c := range d.codes {
-			codes[i] = remap[c]
-		}
-		col := &DimColumn{Name: d.name, Kind: d.kind, dict: sorted, index: index, codes: codes}
-		t.dimIdx[d.name] = len(t.dims)
-		t.dims = append(t.dims, col)
-		t.dimNames = append(t.dimNames, d.name)
-		if d.kind == model.KindTemporal {
-			t.temporal = append(t.temporal, d.name)
-		}
-	}
-	for _, m := range b.meas {
-		col := &MeasureColumn{Name: m.name, vals: m.vals}
-		t.measIdx[m.name] = len(t.measures)
-		t.measures = append(t.measures, col)
+		remapCodes(codes, d.codes, d.dict, index)
+		t.addDim(&DimColumn{Name: d.name, Kind: d.kind, dict: sorted, index: index, codes: codes})
 	}
 	return t
+}
+
+func newTable(name string, rows int) *Table {
+	return &Table{name: name, rows: rows, dimIdx: map[string]int{}, measIdx: map[string]int{}}
+}
+
+// addDim appends a dimension column as the table's next field.
+func (t *Table) addDim(col *DimColumn) {
+	t.fields = append(t.fields, model.Field{Name: col.Name, Kind: col.Kind})
+	t.dimIdx[col.Name] = len(t.dims)
+	t.dims = append(t.dims, col)
+	t.dimNames = append(t.dimNames, col.Name)
+	if col.Kind == model.KindTemporal {
+		t.temporal = append(t.temporal, col.Name)
+	}
+}
+
+// addMeasure appends a measure column as the table's next field.
+func (t *Table) addMeasure(col *MeasureColumn) {
+	t.fields = append(t.fields, model.Field{Name: col.Name, Kind: model.KindMeasure})
+	t.measIdx[col.Name] = len(t.measures)
+	t.measures = append(t.measures, col)
+}
+
+// domainOrder sorts a dimension's distinct values into domain order, in
+// place — temporal order for temporal dimensions (see TemporalLess), lexical
+// order otherwise — and returns the value -> code index of the result. Both
+// orders are total on distinct strings, so the codes depend on the set of
+// values alone, not on the order they were met in.
+func domainOrder(kind model.FieldKind, values []string) map[string]int {
+	if kind == model.KindTemporal {
+		sort.SliceStable(values, func(i, j int) bool { return TemporalLess(values[i], values[j]) })
+	} else {
+		sort.Strings(values)
+	}
+	index := make(map[string]int, len(values))
+	for code, v := range values {
+		index[v] = code
+	}
+	return index
+}
+
+// remapCodes translates src, whose codes index the dictionary local, into
+// the codes index assigns the same values, and writes them to dst. dst and
+// src may be the same slice.
+func remapCodes(dst, src []int32, local []string, index map[string]int) {
+	remap := make([]int32, len(local))
+	for code, v := range local {
+		remap[code] = int32(index[v])
+	}
+	for i, code := range src {
+		dst[i] = remap[code]
+	}
 }
