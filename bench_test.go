@@ -1,24 +1,21 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one benchmark per table/figure; see DESIGN.md's experiment index and
 // cmd/experiments for the printing runner), plus micro-benchmarks of the
-// engine, evaluators, miner and ranker, and ablation benches for the design
-// choices DESIGN.md calls out.
+// miner, the QuickInsight baseline and the rankers, and ablation benches for
+// the design choices DESIGN.md calls out. What BENCHMARK.json times (the
+// end-to-end mine, scans, pattern evaluation, worker scaling) is measured by
+// benchmark/, not here.
 package metainsight_test
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
-	"metainsight"
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
 	"metainsight/internal/experiments"
 	"metainsight/internal/miner"
-	"metainsight/internal/model"
-	"metainsight/internal/obs"
-	"metainsight/internal/pattern"
 	"metainsight/internal/quickinsight"
 	"metainsight/internal/ranker"
 	"metainsight/internal/workload"
@@ -87,93 +84,7 @@ func BenchmarkICubeComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkMineEndToEnd measures a full cost-budgeted mining run (mine +
-// rank) end to end at scan parallelism 1 and 4. Results are bit-identical
-// across the two (the morsel pipeline's invariance); only wall-clock may
-// differ.
-func BenchmarkMineEndToEnd(b *testing.B) {
-	tab := workload.CreditCard()
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a, err := metainsight.NewAnalyzer(tab,
-					metainsight.WithCostBudget(400),
-					metainsight.WithScanParallelism(par))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := a.Mine()
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-				a.Rank(res, 10)
-			}
-		})
-	}
-}
-
 // ------------------------------------------------------------- components
-
-func benchEngine(b *testing.B, tab *dataset.Table) *engine.Engine {
-	b.Helper()
-	eng, err := engine.New(tab, engine.Config{QueryCache: cache.NewQueryCache(false)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return eng
-}
-
-// BenchmarkBasicQueryScan measures one uncached filtered group-by scan over
-// the 116k-row Hotel Booking table.
-func BenchmarkBasicQueryScan(b *testing.B) {
-	tab := workload.HotelBooking()
-	eng := benchEngine(b, tab)
-	ds := model.DataScope{
-		Subspace:  model.NewSubspace(model.Filter{Dim: "Channel", Value: "Web"}),
-		Breakdown: "Month",
-		Measure:   model.Sum("Bookings"),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.BasicQuery(ds); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(tab.Rows()))
-}
-
-// BenchmarkAugmentedQueryScan measures the single-scan augmented query that
-// prefetches a whole sibling group, amortizing one scan over |SG| basic
-// queries (Table 2).
-func BenchmarkAugmentedQueryScan(b *testing.B) {
-	tab := workload.HotelBooking()
-	eng := benchEngine(b, tab)
-	anchor := model.DataScope{
-		Subspace:  model.NewSubspace(model.Filter{Dim: "City", Value: "Los Angeles"}),
-		Breakdown: "Month",
-		Measure:   model.Sum("Bookings"),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.AugmentedQuery(anchor, "City"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(tab.Rows()))
-}
-
-// BenchmarkEvaluateAll measures the full 11-type evaluation of one
-// 12-point temporal series.
-func BenchmarkEvaluateAll(b *testing.B) {
-	keys := []string{"Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"}
-	values := []float64{100, 70, 40, 10, 40, 70, 100, 101, 99, 100, 102, 100}
-	cfg := pattern.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pattern.EvaluateAll(keys, values, true, cfg)
-	}
-}
 
 // BenchmarkMinerSalesForecast measures a complete unbudgeted mining run on
 // the Sales Forecast dataset.
@@ -290,22 +201,6 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeEndToEnd measures the public one-call API on a small
-// dataset, the path a downstream user hits first.
-func BenchmarkAnalyzeEndToEnd(b *testing.B) {
-	tab := workload.CreditCard()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		insights, err := metainsight.Analyze(tab, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(insights) == 0 {
-			b.Fatal("no insights")
-		}
-	}
-}
-
 // BenchmarkExactRankingGrouped measures the decomposed exact optimum over a
 // full candidate set (the algorithmic improvement behind Table 4's
 // Baseline row).
@@ -345,95 +240,6 @@ func BenchmarkAblationPatternsFirst(b *testing.B) {
 func BenchmarkDiscussion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.Discussion(io.Discard, 200, 42)
-	}
-}
-
-// BenchmarkFilteredScanIndexed measures a selective filtered scan, which the
-// engine drives from the most selective filter's posting list rather than
-// the full table (compare BenchmarkBasicQueryScan's single-filter scan).
-func BenchmarkFilteredScanIndexed(b *testing.B) {
-	tab := workload.HotelBooking()
-	eng := benchEngine(b, tab)
-	ds := model.DataScope{
-		Subspace: model.NewSubspace(
-			model.Filter{Dim: "City", Value: "Los Angeles"},
-			model.Filter{Dim: "Channel", Value: "Web"},
-			model.Filter{Dim: "RoomType", Value: "Suite"},
-		),
-		Breakdown: "Month",
-		Measure:   model.Sum("Bookings"),
-	}
-	if _, err := eng.BasicQuery(ds); err != nil { // warm the posting lists
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.BasicQuery(ds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchWorkers measures a full unbudgeted mining run at a given worker count
-// (the paper pins 8 worker threads).
-func benchWorkers(b *testing.B, workers int) {
-	tab := workload.TabletSales()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		setup := experiments.FullFunctionality()
-		setup.Workers = workers
-		res, _ := setup.Run(tab)
-		if len(res.MetaInsights) == 0 {
-			b.Fatal("no results")
-		}
-	}
-}
-
-// BenchmarkMinerWorkers1 is the single-threaded reference.
-func BenchmarkMinerWorkers1(b *testing.B) { benchWorkers(b, 1) }
-
-// BenchmarkMinerWorkers2 doubles the evaluation workers.
-func BenchmarkMinerWorkers2(b *testing.B) { benchWorkers(b, 2) }
-
-// BenchmarkMinerWorkers4 quadruples the evaluation workers.
-func BenchmarkMinerWorkers4(b *testing.B) { benchWorkers(b, 4) }
-
-// BenchmarkMinerWorkers8 matches the paper's 8 worker threads.
-func BenchmarkMinerWorkers8(b *testing.B) { benchWorkers(b, 8) }
-
-// BenchmarkParallelScaling runs the same unbudgeted Tablet Sales mining run
-// at 1/2/4/8 workers as sub-benchmarks, so a single invocation reports the
-// whole scaling curve. Results and accounting are identical at every width
-// (single-flight execution + canonical-order commit), so the deltas are pure
-// wall-clock.
-func BenchmarkParallelScaling(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchWorkers(b, w) })
-	}
-}
-
-// BenchmarkParallelScalingObserved is BenchmarkParallelScaling with the
-// observability layer attached (metrics, phase timers and a tracing ring per
-// run), measuring the observer's overhead on the scaling curve. CI runs this
-// once as a smoke test of the instrumented path.
-func BenchmarkParallelScalingObserved(b *testing.B) {
-	tab := workload.TabletSales()
-	for _, w := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ob := obs.New(obs.Options{TraceCapacity: 1 << 14})
-				setup := experiments.FullFunctionality()
-				setup.Workers = w
-				setup.Observer = ob
-				res, _ := setup.Run(tab)
-				if len(res.MetaInsights) == 0 {
-					b.Fatal("no results")
-				}
-				if ob.Trace().Len() == 0 {
-					b.Fatal("no trace events recorded")
-				}
-			}
-		})
 	}
 }
 

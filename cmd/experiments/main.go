@@ -11,9 +11,8 @@
 //
 // The extra "smoke" target is a fast CI check: a short-budget run that
 // verifies Workers=1 and Workers=8 produce identical results and accounting,
-// exiting non-zero on any mismatch. The extra "bench" target runs the
-// reproducible physical scan-layer bench harness and writes its report to
-// -bench-out (default BENCH_10.json). Neither is part of "all".
+// exiting non-zero on any mismatch. It is not part of "all". Timing lives in
+// benchmark/ (see BENCHMARK.json), not here.
 package main
 
 import (
@@ -28,9 +27,8 @@ import (
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiments to run (table1, fig6, fig7, table3, table4, table5, fig8, fig12, icube, discussion, pruning, smoke, bench) or 'all'")
-		seed     = flag.Int64("seed", 20210620, "rater-model seed for fig8")
-		benchOut = flag.String("bench-out", "BENCH_10.json", "output path of the bench report (bench target)")
+		run  = flag.String("run", "all", "comma-separated experiments to run (table1, fig6, fig7, table3, table4, table5, fig8, fig12, icube, discussion, pruning, smoke) or 'all'")
+		seed = flag.Int64("seed", 20210620, "rater-model seed for fig8")
 	)
 	flag.Parse()
 
@@ -66,14 +64,6 @@ func main() {
 	if want["smoke"] {
 		runOne("smoke", func() {
 			if err := experiments.Smoke(w); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		})
-	}
-	if want["bench"] {
-		runOne("bench", func() {
-			if err := experiments.Bench(w, *benchOut); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

@@ -26,6 +26,13 @@ const (
 	// arrayMaxCard is the cardinality at which an array container (2
 	// bytes/value) reaches the flat bitmap container size (8192 bytes).
 	arrayMaxCard = chunkSize / 16
+
+	// gallopRatio is the length ratio |large|/|small| above which an
+	// array×array intersection switches from the linear merge to galloping
+	// search. At ratio r the merge costs small·(1+r) comparisons and
+	// galloping about small·log2(large); 8 is past the crossover for every
+	// array container size (≤ arrayMaxCard).
+	gallopRatio = 8
 )
 
 // Container kinds, in tie-break preference order: when two representations
@@ -310,8 +317,8 @@ func andContainers(a, b *container) container {
 	}
 }
 
-// andArrayArray merges two sorted arrays, galloping when one side is much
-// longer (the same crossover the sorted-slice path uses).
+// andArrayArray merges two sorted arrays, galloping (exponential probe +
+// binary search) when one side is much longer.
 func andArrayArray(a, b *container) container {
 	x, y := a.arr, b.arr
 	if len(x) > len(y) {
@@ -547,7 +554,7 @@ func (b *Bitmap) andUnits() float64 {
 }
 
 // BitmapAndCost estimates the work AndAll(bms...) spends, in units comparable
-// to IntersectCost's comparison counts: each pairwise AND costs roughly the
+// to per-row comparison counts: each pairwise AND costs roughly the
 // smaller operand's container work, and the final materialization touches at
 // most the smallest cardinality. A pure function of container composition so
 // plans — and metered costs — stay deterministic.

@@ -3,10 +3,32 @@ package dataset
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"metainsight/internal/model"
 )
+
+// naiveIntersect is the oracle: map-based intersection, re-sorted.
+func naiveIntersect(lists ...[]int32) []int32 {
+	if len(lists) == 0 {
+		return nil
+	}
+	counts := map[int32]int{}
+	for _, l := range lists {
+		for _, v := range l {
+			counts[v]++
+		}
+	}
+	var out []int32
+	for v, c := range counts {
+		if c == len(lists) {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
 
 // genRows builds adversarial row-id distributions for the container property
 // suite. Each shape stresses a different representation: dense chunks become
@@ -120,21 +142,21 @@ func TestBitmapRoundTrip(t *testing.T) {
 }
 
 // TestBitmapAndMatchesIntersect pins compressed-container intersection
-// against the sorted-slice reference on every pair of adversarial
-// distributions, which exercises all six container-pair kernels.
+// against the map-based oracle on every pair of adversarial distributions,
+// which exercises all six container-pair kernels.
 func TestBitmapAndMatchesIntersect(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, sa := range bitmapShapes {
 		for _, sb := range bitmapShapes {
 			a := genRows(sa, rng)
 			b := genRows(sb, rng)
-			want := Intersect(a, b)
+			want := naiveIntersect(a, b)
 			got := And(NewBitmapFromSorted(a), NewBitmapFromSorted(b)).ToArray(nil)
 			if len(want) == 0 && len(got) == 0 {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s×%s: bitmap AND disagrees with Intersect: got %d rows, want %d", sa, sb, len(got), len(want))
+				t.Fatalf("%s×%s: bitmap AND disagrees with the oracle: got %d rows, want %d", sa, sb, len(got), len(want))
 			}
 		}
 	}
@@ -148,7 +170,7 @@ func TestBitmapAndAllMatchesIntersect(t *testing.T) {
 			genRows("runs", rng),
 			genRows("sparse", rng),
 		}
-		want := Intersect(lists...)
+		want := naiveIntersect(lists...)
 		bms := make([]*Bitmap, len(lists))
 		for i, l := range lists {
 			bms[i] = NewBitmapFromSorted(l)
@@ -158,7 +180,7 @@ func TestBitmapAndAllMatchesIntersect(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: AndAll disagrees with Intersect: got %d rows, want %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: AndAll disagrees with the oracle: got %d rows, want %d", trial, len(got), len(want))
 		}
 	}
 }
@@ -203,31 +225,27 @@ func TestBitmapAndCostPure(t *testing.T) {
 	}
 }
 
-// TestIntersectSingleListCopies pins the defensive copy of the one-list
-// call: mutating the result must not write through to the input.
-func TestIntersectSingleListCopies(t *testing.T) {
-	in := []int32{1, 2, 3}
-	out := Intersect(in)
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("got %v, want %v", out, in)
-	}
-	out[0] = 99
-	if in[0] != 1 {
-		t.Fatal("Intersect aliased its single input; caller mutation corrupted it")
-	}
-}
-
-func TestPostingsBitmapMatchesPostings(t *testing.T) {
-	tab := buildBitmapTestTable(t)
-	for _, d := range tab.Dimensions() {
+// checkPostingsAgainstScan checks every posting set of tb against a
+// brute-force scan of the dictionary codes.
+func checkPostingsAgainstScan(t *testing.T, tb *Table) {
+	t.Helper()
+	for _, d := range tb.Dimensions() {
 		for code := 0; code < d.Cardinality(); code++ {
-			want := d.Postings(code)
-			got := d.PostingsBitmap(code).ToArray(nil)
-			if len(want) == 0 && len(got) == 0 {
-				continue
+			var want []int32
+			for r, c := range d.Codes() {
+				if int(c) == code {
+					want = append(want, int32(r))
+				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("dim %s code %d: bitmap postings disagree with slices", d.Name, code)
+			bm := d.PostingsBitmap(code)
+			if bm.Cardinality() != len(want) {
+				t.Fatalf("%s dim %s code %d: cardinality %d, want %d", tb.Name(), d.Name, code, bm.Cardinality(), len(want))
+			}
+			if got := bm.ToArray(nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s dim %s code %d: bitmap postings disagree with a scan of the codes", tb.Name(), d.Name, code)
+			}
+			if got := d.Postings(code); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s dim %s code %d: Postings disagrees with a scan of the codes", tb.Name(), d.Name, code)
 			}
 		}
 		if d.PostingsBitmap(-1) != nil || d.PostingsBitmap(d.Cardinality()) != nil {
@@ -236,19 +254,16 @@ func TestPostingsBitmapMatchesPostings(t *testing.T) {
 	}
 }
 
+func TestPostingsBitmapMatchesPostings(t *testing.T) {
+	checkPostingsAgainstScan(t, buildBitmapTestTable(t))
+}
+
+// TestShardViewBitmapPostings runs the same check on shard views whose
+// boundaries align with nothing: a view builds its sets from its own code
+// subslice and keeps the parent's full dictionary, so some sets are empty.
 func TestShardViewBitmapPostings(t *testing.T) {
 	tab := buildBitmapTestTable(t)
-	view := tab.ShardView(100, 900)
-	for _, d := range view.Dimensions() {
-		for code := 0; code < d.Cardinality(); code++ {
-			want := d.Postings(code)
-			got := d.PostingsBitmap(code).ToArray(nil)
-			if len(want) == 0 && len(got) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("view dim %s code %d: bitmap postings disagree with slices", d.Name, code)
-			}
-		}
+	for _, r := range [][2]int{{100, 900}, {1, 333}, {457, 999}} {
+		checkPostingsAgainstScan(t, tab.ShardView(r[0], r[1]))
 	}
 }

@@ -1,73 +1,29 @@
 package dataset
 
-// Posting lists: for each (dimension, value) pair, the sorted row ids holding
-// that value. Filtered group-by scans iterate the most selective filter's
-// posting list instead of the whole table, the classic inverted-index
-// optimization of columnar engines. Lists are built lazily per dimension and
+// Posting sets: for each (dimension, value) pair, the rows holding that
+// value, as a compressed bitmap (see bitmap.go). Filtered group-by scans
+// drive the most selective filter's posting set — or the intersection of
+// several — instead of the whole table, the classic inverted-index
+// optimization of columnar engines. Sets are built lazily per dimension and
 // cached on the column; Table is immutable after Build, so the build is
 // idempotent and race-free under sync.Once.
 
-import (
-	"sort"
-	"sync"
-)
-
-// postings holds the per-value row lists of one dimension column.
-type postings struct {
-	once sync.Once
-	rows [][]int32 // code -> sorted row ids
-}
-
 // Postings returns the row ids holding the given dictionary code, in
-// ascending order. The first call per column materializes the lists in one
-// O(rows) pass. The bounds check runs against the dictionary first, so an
-// out-of-range code (e.g. the -1 of an absent filter value) never triggers
-// the build.
+// ascending order, or nil for an out-of-range code. It materializes a fresh
+// list from the compressed posting set on every call; nothing is cached
+// beyond what PostingsBitmap caches.
 func (c *DimColumn) Postings(code int) []int32 {
-	if code < 0 || code >= len(c.dict) {
-		return nil
-	}
-	c.index2().once.Do(c.buildPostings)
-	return c.post.rows[code]
-}
-
-// index2 lazily allocates the postings holder (kept separate so DimColumn's
-// zero value stays cheap for columns never used as filters).
-func (c *DimColumn) index2() *postings {
-	c.postOnce.Do(func() { c.post = &postings{} })
-	return c.post
-}
-
-func (c *DimColumn) buildPostings() {
-	if c.parent != nil {
-		// Shard view: derive the lists from the parent's instead of a fresh
-		// counting pass. Each parent list is sorted, so the view's portion is
-		// one contiguous run found by binary search; rebasing to shard-local
-		// row ids is the only per-row work, and only for rows in the range.
-		c.post.rows = c.parent.sliceRows(int32(c.base), int32(c.base+len(c.codes)))
-		return
-	}
-	counts := make([]int32, len(c.dict))
-	for _, code := range c.codes {
-		counts[code]++
-	}
-	rows := make([][]int32, len(c.dict))
-	for v := range rows {
-		rows[v] = make([]int32, 0, counts[v])
-	}
-	for r, code := range c.codes {
-		rows[code] = append(rows[code], int32(r))
-	}
-	c.post.rows = rows
+	return c.PostingsBitmap(code).ToArray(nil)
 }
 
 // PostingsBitmap returns the compressed bitmap posting set of the given
 // dictionary code, or nil for an out-of-range code (e.g. the -1 of an absent
-// filter value). The first call per column materializes the bitmaps for every
-// code in one O(rows) pass over the dictionary codes — row ids arrive in
-// ascending order per code by construction, which is exactly the builder's
-// input contract. Shard views build from their own code subslice, so no
-// parent posting lists are forced into existence.
+// filter value); the bounds check runs against the dictionary first, so such
+// a code never triggers the build. The first valid call per column
+// materializes the bitmaps for every code in one O(rows) pass over the
+// dictionary codes — row ids arrive in ascending order per code by
+// construction, which is exactly the builder's input contract. Shard views
+// build from their own code subslice.
 func (c *DimColumn) PostingsBitmap(code int) *Bitmap {
 	if code < 0 || code >= len(c.dict) {
 		return nil
@@ -100,25 +56,4 @@ func (c *DimColumn) BitmapPostingsStats() BitmapStats {
 		s.Add(bm.Stats())
 	}
 	return s
-}
-
-// sliceRows returns, for every dictionary code, the parent rows in [lo, hi)
-// rebased to start at zero. It builds the parent's own postings on first use,
-// so all shard views of one table share a single O(rows) counting pass.
-func (c *DimColumn) sliceRows(lo, hi int32) [][]int32 {
-	c.index2().once.Do(c.buildPostings)
-	out := make([][]int32, len(c.dict))
-	for code, rows := range c.post.rows {
-		i := sort.Search(len(rows), func(k int) bool { return rows[k] >= lo })
-		j := sort.Search(len(rows), func(k int) bool { return rows[k] >= hi })
-		if i == j {
-			continue
-		}
-		seg := make([]int32, j-i)
-		for k, r := range rows[i:j] {
-			seg[k] = r - lo
-		}
-		out[code] = seg
-	}
-	return out
 }

@@ -4,21 +4,20 @@ package dataset
 // substrate of sharded scan execution (internal/shard). A view shares the
 // parent's dictionaries and measure value arrays and merely re-slices the
 // per-row code/value vectors, so constructing N shards costs O(N), not
-// O(rows). The expensive lazily-built indexes are derived, not rebuilt:
-// posting lists are binary-search slices of the parent's lists rebased to
-// shard-local row ids (index.go), and zone maps are sub-slices of the
-// parent's block vectors whenever the view is block-aligned (zones.go) —
+// O(rows). Each view builds its own bitmap posting sets from its code
+// subslice (index.go); zone maps are derived, not rebuilt — sub-slices of the
+// parent's block vectors whenever the view is block-aligned (zones.go),
 // which the shard planner guarantees by cutting shards on morsel boundaries.
 
 import "fmt"
 
 // ShardView returns an immutable view of the table covering rows [lo, hi).
 // The view shares the parent's dictionaries, measure storage and — lazily —
-// its posting lists and zone maps; it is safe for concurrent use like any
-// Table. Dictionary codes are identical between parent and view (the
-// dictionary is shared wholesale, including values that never occur inside
-// the row range), so group-by cell ids computed against a view are directly
-// comparable to the parent's.
+// its zone maps; it is safe for concurrent use like any Table. Dictionary
+// codes are identical between parent and view (the dictionary is shared
+// wholesale, including values that never occur inside the row range), so
+// group-by cell ids computed against a view are directly comparable to the
+// parent's.
 func (t *Table) ShardView(lo, hi int) *Table {
 	if lo < 0 || hi > t.rows || lo > hi {
 		panic(fmt.Sprintf("dataset: ShardView[%d:%d) out of range for %d rows", lo, hi, t.rows))
@@ -35,7 +34,7 @@ func (t *Table) ShardView(lo, hi int) *Table {
 	v.dims = make([]*DimColumn, len(t.dims))
 	for i, d := range t.dims {
 		// A view of a view chains to the root parent so all shards of one
-		// table share a single set of root-built indexes.
+		// table share a single set of root-built zone maps.
 		root, base := d, lo
 		if d.parent != nil {
 			root, base = d.parent, d.base+lo

@@ -9,7 +9,7 @@ import (
 )
 
 // shardTestTable builds a deterministic table with clustered and scattered
-// dimensions so zone maps and posting lists both have structure to verify.
+// dimensions so zone maps and posting sets both have structure to verify.
 func shardTestTable(rows int) *Table {
 	b := NewBuilder("shardtest", []model.Field{
 		{Name: "Clustered", Kind: model.KindCategorical},
@@ -56,8 +56,8 @@ func TestShardViewPostingsMatchRebuilt(t *testing.T) {
 			// The view keeps the full parent domain; the rebuilt table only
 			// sees values present in the range. Compare per value.
 			for code, val := range vc.Domain() {
-				got := vc.Postings(code)
-				want := rc.Postings(rc.Code(val))
+				got := vc.PostingsBitmap(code).ToArray(nil)
+				want := rc.PostingsBitmap(rc.Code(val)).ToArray(nil)
 				if len(got) == 0 && len(want) == 0 {
 					continue
 				}

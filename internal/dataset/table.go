@@ -23,19 +23,16 @@ type DimColumn struct {
 	index map[string]int // value -> code
 	codes []int32        // row -> code
 
-	postOnce sync.Once
-	post     *postings // lazily built inverted index (see index.go)
-
 	bmOnce sync.Once
-	bmPost []*Bitmap // code -> compressed posting set (see bitmap.go)
+	bmPost []*Bitmap // code -> lazily built compressed posting set (see index.go)
 
 	zoneMu sync.Mutex
 	zones  map[int]*ZoneMap // block size -> lazily built zone map (see zones.go)
 
 	// Shard views (see shardview.go): non-nil parent marks this column as a
 	// row-range view of parent covering parent rows [base, base+len(codes)).
-	// Views share the parent's dictionary and derive postings and zone maps
-	// from the parent's instead of rebuilding them per shard.
+	// Views share the parent's dictionary and derive zone maps from the
+	// parent's instead of rebuilding them per shard.
 	parent *DimColumn
 	base   int
 }

@@ -85,23 +85,25 @@ func TestZoneMapCached(t *testing.T) {
 // TestPostingsBoundsBeforeBuild is the regression test for the lazy-build
 // ordering bug: an out-of-range code (such as the -1 of an absent filter
 // value) must answer nil from the dictionary bounds alone, without paying
-// the O(rows) posting-list materialization.
+// the O(rows) posting-set materialization.
 func TestPostingsBoundsBeforeBuild(t *testing.T) {
 	col := zoneTestTable(3, 200).Dimension("D")
+	if got := col.PostingsBitmap(-1); got != nil {
+		t.Fatalf("PostingsBitmap(-1) = %v, want nil", got)
+	}
+	if got := col.PostingsBitmap(col.Cardinality()); got != nil {
+		t.Fatalf("PostingsBitmap(card) = %v, want nil", got)
+	}
 	if got := col.Postings(-1); got != nil {
 		t.Fatalf("Postings(-1) = %v, want nil", got)
 	}
-	if got := col.Postings(col.Cardinality()); got != nil {
-		t.Fatalf("Postings(card) = %v, want nil", got)
+	if col.bmPost != nil {
+		t.Fatal("out-of-range lookups materialized the posting sets")
 	}
-	if col.post != nil {
-		t.Fatal("out-of-range lookups materialized the posting lists")
-	}
-	rows := col.Postings(0)
-	if len(rows) == 0 {
+	if col.PostingsBitmap(0).Cardinality() == 0 {
 		t.Fatal("valid code returned no rows")
 	}
-	if col.post == nil {
-		t.Fatal("valid lookup did not build the posting lists")
+	if col.bmPost == nil {
+		t.Fatal("valid lookup did not build the posting sets")
 	}
 }

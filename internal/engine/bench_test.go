@@ -2,8 +2,9 @@ package engine
 
 // Physical-layer benchmarks of the scan substrate: unit and augmented scans
 // across filter depth (0–3), breakdown cardinality (small/large) and scan
-// parallelism (1/4), each with the retained naive reference substrate as the
-// baseline the speedups in BENCH_6.json are measured against. Run with
+// parallelism (1/4), each beside the naive reference substrate (which always
+// reads the whole table). For development only — numbers a claim rests on
+// come from benchmark/. Run with
 //
 //	go test ./internal/engine -bench 'BenchmarkScan' -benchmem
 //

@@ -664,11 +664,11 @@ func (e *Engine) AugmentedFingerprintAt(base *Handle, bdim, ext int) string {
 // (ColumnarSubstrate is), the exact planned row count is used, so the
 // analytic cost agrees bit for bit with what the scan will meter — including
 // when posting-list intersection shrinks the row set below any single
-// filter's posting list. Other substrates fall back to the legacy estimate:
-// the full table when s is unfiltered, otherwise the most selective filter's
-// posting list. The cost of a scan depends only on the subspace, not the
-// breakdown, and an augmented scan of base subspace b costs exactly
-// ScanCost(b).
+// filter's posting set. Other substrates fall back to the most-selective-
+// drive estimate: the full table when s is unfiltered, otherwise the
+// cardinality of the most selective filter's posting set. The cost of a scan
+// depends only on the subspace, not the breakdown, and an augmented scan of
+// base subspace b costs exactly ScanCost(b).
 func (e *Engine) ScanCost(s model.Subspace) float64 { return e.ScanCostAt(e.in.Intern(s)) }
 
 // ScanCostAt is ScanCost by handle; the planned row count is memoized on the
@@ -687,7 +687,7 @@ func (e *Engine) plannedRows(h *Handle) int {
 	} else if h.valid {
 		scanned = e.tab.Rows()
 		for _, f := range h.filters {
-			if l := len(e.tab.Dimensions()[f.dim].Postings(int(f.code))); l < scanned {
+			if l := e.tab.Dimensions()[f.dim].PostingsBitmap(int(f.code)).Cardinality(); l < scanned {
 				scanned = l
 			}
 		}

@@ -385,6 +385,43 @@ func TestScanCostMatchesMeteredCost(t *testing.T) {
 	}
 }
 
+// TestPlannedRowsFallbackMatchesReferenceScan covers the cost path of a
+// substrate that is not a RowPlanner: the engine predicts its rows from the
+// posting-set cardinalities alone, and the prediction must equal what the
+// index-free ReferenceSubstrate meters from its brute-force per-filter counts
+// — for 0 to 3 filters and for a value absent from its column. Equality also
+// cross-checks every bitmap cardinality involved against a scan of the codes.
+func TestPlannedRowsFallbackMatchesReferenceScan(t *testing.T) {
+	tab := randomTable(13, 500)
+	subspaces := []model.Subspace{
+		model.EmptySubspace,
+		model.EmptySubspace.With("City", "LA"),
+		model.EmptySubspace.With("City", "SF").With("Style", "Condo"),
+		model.EmptySubspace.With("City", "SD").With("Style", "1Story").With("Month", "Jan"),
+		model.EmptySubspace.With("City", "Atlantis"),
+		model.EmptySubspace.With("City", "SJ").With("Style", "Igloo"),
+	}
+	for _, s := range subspaces {
+		e, err := New(tab, Config{
+			QueryCache: cache.NewQueryCache(false), // every query scans
+			Substrate:  NewReferenceSubstrate(tab, nil),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.Substrate().(RowPlanner); ok {
+			t.Fatal("ReferenceSubstrate became a RowPlanner; the fallback is no longer under test")
+		}
+		want := e.ScanCost(s)
+		if _, err := e.Unit(s, "Month"); err != nil {
+			t.Fatalf("%s: %v", s.Key(), err)
+		}
+		if got := e.Meter().Cost(); got != want {
+			t.Errorf("subspace %q: ScanCost = %v, reference scan metered %v", s.Key(), want, got)
+		}
+	}
+}
+
 // TestMaterializePathsAreQuiet verifies the Materialize*/ImpactUnmetered
 // paths touch neither the meter nor the cache hit/miss counters, while still
 // caching their scans.

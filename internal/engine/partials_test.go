@@ -135,7 +135,7 @@ func TestBlockPartialsFractionalInvariance(t *testing.T) {
 		model.NewSubspace(model.Filter{Dim: "H", Value: "h2"}, model.Filter{Dim: "G", Value: "g3"}),
 	} {
 		var want string
-		for _, mode := range []PlanMode{PlanAuto, PlanIntersect, PlanResidual, PlanZone} {
+		for _, mode := range []PlanMode{PlanAuto, PlanBitmap, PlanResidual, PlanZone} {
 			if len(filters) == 0 && mode != PlanAuto {
 				continue // unfiltered scans have a single strategy
 			}

@@ -9,11 +9,12 @@ import (
 )
 
 // ReferenceSubstrate is the retained naive scan: a row-at-a-time accumulate
-// closure driving off the most selective filter's posting list, verifying the
-// remaining filters per row, with freshly allocated full-domain accumulators
-// per scan. It is the executable specification the vectorized
-// ColumnarSubstrate is differentially tested against, and the baseline the
-// bench harness measures speedups over. Not used on any production path.
+// closure over every table row, verifying every filter per row, with freshly
+// allocated full-domain accumulators per scan. It touches no posting index
+// and no zone map, so it shares no build code with what it checks. It is the
+// executable specification the vectorized ColumnarSubstrate is
+// differentially tested against, and the one scan oracle. Not used on any
+// production path.
 //
 // To produce byte-comparable units it accepts the same needed-aggregate set
 // as the vectorized substrate (nil = min/max for every measure). Note its
@@ -32,43 +33,30 @@ func NewReferenceSubstrate(tab *dataset.Table, minMax map[string]bool) *Referenc
 	return &ReferenceSubstrate{tab: tab, minMax: minMax}
 }
 
-// refPlan is the legacy strategy: drive the most selective filter's posting
-// list, verify the rest per row.
-func refPlan(tab *dataset.Table, filters []filterSpec) (drive []int32, rest []filterSpec) {
-	if len(filters) == 0 {
-		return nil, nil
-	}
-	best := -1
-	bestLen := tab.Rows() + 1
-	for i, f := range filters {
-		if l := len(f.col.Postings(int(f.code))); l < bestLen {
-			best, bestLen = i, l
-		}
-	}
-	drive = filters[best].col.Postings(int(filters[best].code))
-	rest = make([]filterSpec, 0, len(filters)-1)
-	rest = append(rest, filters[:best]...)
-	rest = append(rest, filters[best+1:]...)
-	return drive, rest
-}
-
-// ScanUnit implements Substrate with the naive per-row scan.
-func (c *ReferenceSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
-	bcol := c.tab.Dimension(breakdown)
-	card := bcol.Cardinality()
+// refScan accumulates every row of the table matching all of s's filters
+// into cell(r) of fresh accumulators. The row count it reports is what a
+// drive off the most selective filter visits — the smallest per-filter match
+// count, brute-forced over the dictionary codes; the whole table when s is
+// unfiltered — which is the cost contract of a substrate that is not a
+// RowPlanner (see Engine.ScanCost).
+func (c *ReferenceSubstrate) refScan(s model.Subspace, cells int, cell func(r int) int) (counts []float64, sums, mins, maxs [][]float64, scanned int) {
 	filters := resolveFilters(c.tab, s)
 	mcols := c.tab.MeasureColumns()
-
-	counts, sums, mins, maxs := refAlloc(card, len(mcols))
-	drive, rest := refPlan(c.tab, filters)
-	scanned := 0
-	accumulate := func(r int) {
-		for _, f := range rest {
-			if f.col.CodeAt(r) != f.code {
-				return
+	counts, sums, mins, maxs = refAlloc(cells, len(mcols))
+	matches := make([]int, len(filters))
+	for r := 0; r < c.tab.Rows(); r++ {
+		all := true
+		for i, f := range filters {
+			if f.col.CodeAt(r) == f.code {
+				matches[i]++
+			} else {
+				all = false
 			}
 		}
-		g := bcol.CodeAt(r)
+		if !all {
+			continue
+		}
+		g := cell(r)
 		counts[g]++
 		for i, mc := range mcols {
 			v := mc.At(r)
@@ -81,22 +69,22 @@ func (c *ReferenceSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cach
 			}
 		}
 	}
-	if drive == nil && len(filters) > 0 {
-		drive = []int32{} // non-empty subspace with an absent value: no rows
-	}
-	if len(filters) == 0 {
-		scanned = c.tab.Rows()
-		for r := 0; r < scanned; r++ {
-			accumulate(r)
-		}
-	} else {
-		scanned = len(drive)
-		for _, r := range drive {
-			accumulate(int(r))
+	scanned = c.tab.Rows()
+	for _, m := range matches {
+		if m < scanned {
+			scanned = m
 		}
 	}
+	return counts, sums, mins, maxs, scanned
+}
 
-	return c.refBuildUnit(s.Key(), breakdown, bcol.Domain(), counts, mcols, sums, mins, maxs), scanned, nil
+// ScanUnit implements Substrate with the naive per-row scan.
+func (c *ReferenceSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
+	bcol := c.tab.Dimension(breakdown)
+	counts, sums, mins, maxs, scanned := c.refScan(s, bcol.Cardinality(), func(r int) int {
+		return int(bcol.CodeAt(r))
+	})
+	return c.refBuildUnit(s.Key(), breakdown, bcol.Domain(), counts, c.tab.MeasureColumns(), sums, mins, maxs), scanned, nil
 }
 
 // ScanAugmented implements Substrate with the naive per-row scan.
@@ -104,45 +92,10 @@ func (c *ReferenceSubstrate) ScanAugmented(base model.Subspace, breakdown, ext s
 	bcol := c.tab.Dimension(breakdown)
 	dcol := c.tab.Dimension(ext)
 	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
-	filters := resolveFilters(c.tab, base)
 	mcols := c.tab.MeasureColumns()
-
-	counts, sums, mins, maxs := refAlloc(bcard*dcard, len(mcols))
-	drive, rest := refPlan(c.tab, filters)
-	scanned := 0
-	accumulate := func(r int) {
-		for _, f := range rest {
-			if f.col.CodeAt(r) != f.code {
-				return
-			}
-		}
-		g := int(dcol.CodeAt(r))*bcard + int(bcol.CodeAt(r))
-		counts[g]++
-		for i, mc := range mcols {
-			v := mc.At(r)
-			sums[i][g] += v
-			if v < mins[i][g] {
-				mins[i][g] = v
-			}
-			if v > maxs[i][g] {
-				maxs[i][g] = v
-			}
-		}
-	}
-	if drive == nil && len(filters) > 0 {
-		drive = []int32{}
-	}
-	if len(filters) == 0 {
-		scanned = c.tab.Rows()
-		for r := 0; r < scanned; r++ {
-			accumulate(r)
-		}
-	} else {
-		scanned = len(drive)
-		for _, r := range drive {
-			accumulate(int(r))
-		}
-	}
+	counts, sums, mins, maxs, scanned := c.refScan(base, bcard*dcard, func(r int) int {
+		return int(dcol.CodeAt(r))*bcard + int(bcol.CodeAt(r))
+	})
 
 	units := make(map[string]*cache.Unit, dcard)
 	bdomain := bcol.Domain()

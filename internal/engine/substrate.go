@@ -62,29 +62,23 @@ func AugmentedFingerprint(baseKey, breakdown, ext string) string {
 type PlanMode int
 
 const (
-	// PlanAuto picks posting-list intersection or residual verification per
-	// subspace with the cost model described at buildPlan (the default).
+	// PlanAuto picks, per multi-filter subspace, among the three strategies
+	// below with the cost model described at buildPlan (the default). The
+	// forced modes exist for tests to pin each physical path.
 	PlanAuto PlanMode = iota
-	// PlanIntersect always intersects the posting lists of a multi-filter
-	// subspace.
-	PlanIntersect
-	// PlanResidual always drives off the most selective posting list and
-	// verifies the remaining filters row by row (the legacy strategy).
+	// PlanBitmap always intersects the compressed bitmap posting sets
+	// (dataset.Bitmap) directly in container form and drives the materialized
+	// row list: the scan visits exactly the matching rows.
+	PlanBitmap
+	// PlanResidual always drives off the most selective posting set and
+	// verifies the remaining filters row by row.
 	PlanResidual
 	// PlanZone always scans via the zone maps: whole morsel-sized blocks
 	// whose per-dimension min/max code range excludes any filter value are
 	// skipped, and every filter is verified per row across the surviving
-	// blocks. PlanAuto considers this strategy for multi-filter subspaces
-	// when the surviving blocks hold no more rows than the most selective
-	// posting list; forcing it exists for tests and benches.
+	// blocks. PlanAuto picks it only when the surviving blocks hold no more
+	// rows than the most selective posting set.
 	PlanZone
-	// PlanBitmap always intersects the compressed bitmap posting sets
-	// (dataset.Bitmap) directly in container form and drives the materialized
-	// row list. It computes the exact same row set as PlanIntersect — the
-	// sorted-slice path is the retained differential reference — so units,
-	// metered rows and Stats are bit-identical between the two
-	// representations.
-	PlanBitmap
 )
 
 // DefaultMorselSize is the fixed morsel width of the parallel scan pipeline,
@@ -179,7 +173,7 @@ func WithMinMaxColumns(cols map[string]bool) ColumnarOption {
 }
 
 // WithPlanMode forces the multi-filter scan strategy; the differential tests
-// and benches use it to pin each physical path. Default PlanAuto.
+// use it to pin each physical path. Default PlanAuto.
 func WithPlanMode(m PlanMode) ColumnarOption {
 	return func(c *columnarConfig) { c.mode = m }
 }
@@ -257,18 +251,17 @@ type residualFilter struct {
 // number of rows the scan visits — the quantity the meter charges and
 // PlannedRows predicts.
 type scanPlan struct {
-	full        bool             // unfiltered: iterate every table row
-	drive       []int32          // rows to visit when !full && !zone (may be empty)
-	rest        []residualFilter // residual filters (residual and zone plans)
-	rows        int              // rows visited = len(drive), table rows when full, or block rows when zone
-	intersected bool
-	zone        bool    // drive the surviving zone blocks instead of a row list
-	zblocks     []int32 // zone plans: surviving block indices, ascending
+	full    bool             // unfiltered: iterate every table row
+	drive   []int32          // rows to visit when !full && !zone (may be empty)
+	rest    []residualFilter // residual filters (residual and zone plans)
+	rows    int              // rows visited = len(drive), table rows when full, or block rows when zone
+	zone    bool             // drive the surviving zone blocks instead of a row list
+	zblocks []int32          // zone plans: surviving block indices, ascending
 }
 
 // Plan-choice weights. A residual check costs random dictionary-code loads
-// per driven row; a merge step streams two sorted lists. Aggregating one
-// surviving row touches the group code plus every measure column. The
+// per driven row; a container AND streams two compressed sets. Aggregating
+// one surviving row touches the group code plus every measure column. The
 // weights bias accordingly; they only steer plan choice and never enter the
 // metered cost, so tuning them is always determinism-safe for a fixed
 // binary.
@@ -299,13 +292,12 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 //
 //   - no filters: full-table scan;
 //   - one filter: drive its posting set;
-//   - several filters: intersect all posting sets and drive the exact
-//     matching row list — directly on the compressed bitmap containers
-//     (PlanAuto, PlanBitmap) or through the sorted-slice merge retained as
-//     the differential reference (PlanIntersect) — drive the most selective
-//     set and verify the rest per row, or — when the zone maps prune the
-//     table below the most selective posting set — scan the surviving zone
-//     blocks sequentially, verifying every filter per row.
+//   - several filters: intersect all posting sets directly on the
+//     compressed bitmap containers and drive the exact matching row list,
+//     drive the most selective set and verify the rest per row, or — when
+//     the zone maps prune the table below the most selective posting set —
+//     scan the surviving zone blocks sequentially, verifying every filter
+//     per row.
 //
 // PlanAuto's choice compares the container-aware intersect estimate
 // (dataset.BitmapAndCost, a pure function of container composition) against
@@ -315,12 +307,11 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 // against the analogous cost of the zone scan. The zone strategy is only
 // eligible when its surviving blocks hold no more rows than the most
 // selective posting set, so the metered row count (and PlannedRows) never
-// exceeds what the legacy drive would have charged. Everything is a pure
-// function of container composition, cardinalities and the immutable zone
-// maps, so the plan — and the metered row count that follows from it — is
-// deterministic. Bitmap-planned substrates never materialize sorted-slice
-// posting lists: even a residual plan's drive list is emitted from the
-// compressed set, which is where the index memory reduction comes from.
+// exceeds what the most-selective-set drive would have charged. Everything
+// is a pure function of container composition, cardinalities and the
+// immutable zone maps, so the plan — and the metered row count that follows
+// from it — is deterministic. Every drive list, a residual plan's included,
+// is emitted from the compressed set: no per-value row list is ever cached.
 func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	if h.Len() == 0 {
 		return &scanPlan{full: true, rows: c.tab.Rows()}
@@ -334,10 +325,6 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	for i, f := range h.filters {
 		filters[i] = filterSpec{col: c.tab.Dimensions()[f.dim], code: f.code}
 	}
-	if c.mode == PlanIntersect || c.mode == PlanResidual {
-		return c.buildSlicePlan(filters)
-	}
-
 	bms := make([]*dataset.Bitmap, len(filters))
 	lens := make([]int, len(filters))
 	best := 0
@@ -386,7 +373,7 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 		drive := dataset.AndAll(bms...).ToArray(nil)
 		c.obs.Count("engine.physical.plan_bitmap", 1)
 		c.obs.Count("engine.physical.rows_pruned", int64(lens[best]-len(drive)))
-		return &scanPlan{drive: drive, rows: len(drive), intersected: true}
+		return &scanPlan{drive: drive, rows: len(drive)}
 	}
 	rest := make([]residualFilter, 0, nRest)
 	for i, f := range filters {
@@ -396,44 +383,6 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	}
 	c.obs.Count("engine.physical.plan_residual", 1)
 	return &scanPlan{drive: bms[best].ToArray(nil), rest: rest, rows: lens[best]}
-}
-
-// buildSlicePlan is the sorted-slice posting-list strategy retained as the
-// differential reference: PlanIntersect merges the per-filter lists with
-// dataset.Intersect, PlanResidual drives the most selective list and
-// verifies the rest per row. It computes exactly the row sets the bitmap
-// path computes, which is what the representation-differential tests pin.
-func (c *ColumnarSubstrate) buildSlicePlan(filters []filterSpec) *scanPlan {
-	lists := make([][]int32, len(filters))
-	lens := make([]int, len(filters))
-	best := 0
-	for i, f := range filters {
-		lists[i] = f.col.Postings(int(f.code))
-		lens[i] = len(lists[i])
-		if lens[i] < lens[best] {
-			best = i
-		}
-	}
-	if lens[best] == 0 {
-		return &scanPlan{drive: []int32{}}
-	}
-	if len(filters) == 1 {
-		return &scanPlan{drive: lists[0], rows: lens[0]}
-	}
-	if c.mode == PlanIntersect {
-		drive := dataset.Intersect(lists...)
-		c.obs.Count("engine.physical.plan_intersect", 1)
-		c.obs.Count("engine.physical.rows_pruned", int64(lens[best]-len(drive)))
-		return &scanPlan{drive: drive, rows: len(drive), intersected: true}
-	}
-	rest := make([]residualFilter, 0, len(filters)-1)
-	for i, f := range filters {
-		if i != best {
-			rest = append(rest, residualFilter{codes: f.col.Codes(), code: f.code})
-		}
-	}
-	c.obs.Count("engine.physical.plan_residual", 1)
-	return &scanPlan{drive: lists[best], rest: rest, rows: lens[best]}
 }
 
 // notePostings feeds the postings storage instruments the first time this

@@ -1,9 +1,9 @@
 // Package shard implements sharded scan execution behind the
 // engine.Substrate seam: a dataset.Table is partitioned into N row-range
-// shards on morsel-block boundaries (so posting lists and zone maps survive
-// as slices of the parent's — see dataset.ShardView), each shard is scanned
-// by its own columnar substrate, and the per-shard aggregates merge into one
-// unit deterministically.
+// shards on morsel-block boundaries (so zone maps survive as slices of the
+// parent's — see dataset.ShardView), each shard is scanned by its own
+// columnar substrate, and the per-shard aggregates merge into one unit
+// deterministically.
 //
 // # Bit-identity at any shard count
 //

@@ -139,7 +139,7 @@ func TestShardDifferentialUnit(t *testing.T) {
 	}
 	for _, sc := range scopes {
 		var want string
-		for _, mode := range []engine.PlanMode{engine.PlanAuto, engine.PlanIntersect, engine.PlanResidual, engine.PlanZone} {
+		for _, mode := range []engine.PlanMode{engine.PlanAuto, engine.PlanBitmap, engine.PlanResidual, engine.PlanZone} {
 			if len(sc.sub) == 0 && mode != engine.PlanAuto {
 				continue
 			}
