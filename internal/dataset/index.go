@@ -22,8 +22,7 @@ func (c *DimColumn) Postings(code int) []int32 {
 // a code never triggers the build. The first valid call per column
 // materializes the bitmaps for every code in one O(rows) pass over the
 // dictionary codes — row ids arrive in ascending order per code by
-// construction, which is exactly the builder's input contract. Shard views
-// build from their own code subslice.
+// construction, which is exactly the builder's input contract.
 func (c *DimColumn) PostingsBitmap(code int) *Bitmap {
 	if code < 0 || code >= len(c.dict) {
 		return nil

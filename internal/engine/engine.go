@@ -205,6 +205,30 @@ type Config struct {
 	Faults *faults.Injector
 }
 
+// MinMaxColumns derives the configuration's needed-aggregate set over tab:
+// the measure columns that some measure in Measures ∪ ExtraMeasures ∪
+// {ImpactMeasure} aggregates with MIN or MAX, the only columns whose MIN/MAX
+// arrays a scan must materialize. The set is non-nil (possibly empty) so
+// undeclared MIN/MAX queries surface as "unit lacks column" rather than
+// silently paying for every column. New builds its default substrate from
+// it; a caller that builds the ColumnarSubstrate itself (to share it across
+// engines) passes the same set to WithMinMaxColumns.
+func (cfg Config) MinMaxColumns(tab *dataset.Table) map[string]bool {
+	measures := cfg.Measures
+	if measures == nil {
+		measures = tab.DefaultMeasures()
+	}
+	need := make(map[string]bool)
+	for _, ms := range [][]model.Measure{measures, cfg.ExtraMeasures, {cfg.ImpactMeasure}} {
+		for _, m := range ms {
+			if m.Agg == model.AggMin || m.Agg == model.AggMax {
+				need[m.Column] = true
+			}
+		}
+	}
+	return need
+}
+
 // New creates an engine over tab.
 func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 	if cfg.Measures == nil {
@@ -226,20 +250,8 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		cfg.Meter = &Meter{}
 	}
 	if cfg.Substrate == nil {
-		// Derive the needed-aggregate set: MIN/MAX arrays are materialized
-		// only for columns some declared measure aggregates that way. The set
-		// is non-nil (possibly empty) so undeclared MIN/MAX queries surface as
-		// "unit lacks column" rather than silently paying for every column.
-		need := make(map[string]bool)
-		for _, ms := range [][]model.Measure{cfg.Measures, cfg.ExtraMeasures, {cfg.ImpactMeasure}} {
-			for _, m := range ms {
-				if m.Agg == model.AggMin || m.Agg == model.AggMax {
-					need[m.Column] = true
-				}
-			}
-		}
 		cfg.Substrate = NewColumnarSubstrate(tab,
-			WithMinMaxColumns(need),
+			WithMinMaxColumns(cfg.MinMaxColumns(tab)),
 			WithScanParallelism(cfg.ScanParallelism),
 			WithScanObserver(cfg.Observer))
 	}
@@ -327,9 +339,6 @@ func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
 // Faults returns the engine's fault injector (possibly nil). The miner uses
 // it to recompute resolutions during canonical commit-order replay.
 func (e *Engine) Faults() *faults.Injector { return e.inj }
-
-// Substrate returns the engine's physical scan layer.
-func (e *Engine) Substrate() Substrate { return e.sub }
 
 // totalImpactValue computes m_Impact({*}) directly (not metered: it is a
 // one-time setup computation, equivalent to dataset metadata).

@@ -409,7 +409,7 @@ func TestPlannedRowsFallbackMatchesReferenceScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := e.Substrate().(RowPlanner); ok {
+		if _, ok := e.sub.(RowPlanner); ok {
 			t.Fatal("ReferenceSubstrate became a RowPlanner; the fallback is no longer under test")
 		}
 		want := e.ScanCost(s)

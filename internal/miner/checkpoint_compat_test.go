@@ -2,8 +2,10 @@ package miner
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -23,7 +25,7 @@ func TestCheckpointWireFormatUnchanged(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		dir := t.TempDir()
-		ckRun(t, workers, dir, 16, 0, false)
+		res, _ := ckRun(t, workers, dir, 16, 0, false)
 		got, err := os.ReadFile(filepath.Join(dir, "snapshot.ck"))
 		if err != nil {
 			t.Fatal(err)
@@ -31,6 +33,24 @@ func TestCheckpointWireFormatUnchanged(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: final snapshot (%d bytes) differs from the one the parent commit wrote (%d bytes)",
 				workers, len(got), len(want))
+		}
+		// The stats encoding keeps its two reserved names, always zero, and
+		// round-trips.
+		raw, err := json.Marshal(res.Stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reserved := range []string{`"speculative_reissues":0,`, `"shard_retries":0,`} {
+			if !strings.Contains(string(raw), reserved) {
+				t.Errorf("workers=%d: stats JSON lacks reserved %s: %s", workers, reserved, raw)
+			}
+		}
+		var back Stats
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != res.Stats {
+			t.Errorf("workers=%d: stats do not round-trip:\n wrote %+v\n read  %+v", workers, res.Stats, back)
 		}
 	}
 }

@@ -32,10 +32,6 @@ func (s Stats) String() string {
 		fmt.Fprintf(&b, " faults[failed=%d retries=%d breaker-trips=%d]",
 			s.FailedUnits, s.Retries, s.BreakerTrips)
 	}
-	if s.SpeculativeReissues > 0 || s.ShardRetries > 0 {
-		fmt.Fprintf(&b, " shard[reissues=%d retries=%d]",
-			s.SpeculativeReissues, s.ShardRetries)
-	}
 	if s.PanickedUnits > 0 {
 		fmt.Fprintf(&b, " panicked=%d", s.PanickedUnits)
 	}
@@ -75,7 +71,10 @@ func toCacheStatsJSON(s cache.Stats) cacheStatsJSON {
 }
 
 // statsJSON fixes the stable wire names of Stats. Fields marshal in
-// declaration order, so the encoding is byte-stable for equal values.
+// declaration order, so the encoding is byte-stable for equal values. The
+// two fields with no Stats counterpart are reserved, always zero: counters
+// of a retired execution mode, kept so checkpoints and response bodies stay
+// byte-identical across its removal.
 type statsJSON struct {
 	ExpandUnits      int64          `json:"expand_units"`
 	DataPatternUnits int64          `json:"data_pattern_units"`
@@ -127,8 +126,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		FailedUnits:      s.FailedUnits,
 		Retries:          s.Retries,
 		BreakerTrips:     s.BreakerTrips,
-		SpecReissues:     s.SpeculativeReissues,
-		ShardRetries:     s.ShardRetries,
 		PanickedUnits:    s.PanickedUnits,
 		Evictions:        s.Evictions,
 		CheckpointWrites: s.CheckpointWrites,
@@ -152,33 +149,31 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*s = Stats{
-		ExpandUnits:         j.ExpandUnits,
-		DataPatternUnits:    j.DataPatternUnits,
-		MetaInsightUnits:    j.MetaInsightUnits,
-		EmittedMIUnits:      j.EmittedMIUnits,
-		PatternsFound:       j.PatternsFound,
-		Pruned1:             j.Pruned1,
-		Pruned2:             j.Pruned2,
-		SStarCut:            j.SStarCut,
-		BoundSkips:          j.BoundSkips,
-		BoundScanSkips:      j.BoundScanSkips,
-		PrefetchFailures:    j.PrefetchFailures,
-		FailedUnits:         j.FailedUnits,
-		Retries:             j.Retries,
-		BreakerTrips:        j.BreakerTrips,
-		SpeculativeReissues: j.SpecReissues,
-		ShardRetries:        j.ShardRetries,
-		PanickedUnits:       j.PanickedUnits,
-		Evictions:           j.Evictions,
-		CheckpointWrites:    j.CheckpointWrites,
-		ResumedUnits:        j.ResumedUnits,
-		ShortSeriesSkips:    j.ShortSeriesSkips,
-		ExtractErrors:       j.ExtractErrors,
-		ExecutedQueries:     j.ExecutedQueries,
-		AugmentedQueries:    j.AugmentedQueries,
-		CacheServed:         j.CacheServed,
-		CostUsed:            j.CostUsed,
-		Cancelled:           j.Cancelled,
+		ExpandUnits:      j.ExpandUnits,
+		DataPatternUnits: j.DataPatternUnits,
+		MetaInsightUnits: j.MetaInsightUnits,
+		EmittedMIUnits:   j.EmittedMIUnits,
+		PatternsFound:    j.PatternsFound,
+		Pruned1:          j.Pruned1,
+		Pruned2:          j.Pruned2,
+		SStarCut:         j.SStarCut,
+		BoundSkips:       j.BoundSkips,
+		BoundScanSkips:   j.BoundScanSkips,
+		PrefetchFailures: j.PrefetchFailures,
+		FailedUnits:      j.FailedUnits,
+		Retries:          j.Retries,
+		BreakerTrips:     j.BreakerTrips,
+		PanickedUnits:    j.PanickedUnits,
+		Evictions:        j.Evictions,
+		CheckpointWrites: j.CheckpointWrites,
+		ResumedUnits:     j.ResumedUnits,
+		ShortSeriesSkips: j.ShortSeriesSkips,
+		ExtractErrors:    j.ExtractErrors,
+		ExecutedQueries:  j.ExecutedQueries,
+		AugmentedQueries: j.AugmentedQueries,
+		CacheServed:      j.CacheServed,
+		CostUsed:         j.CostUsed,
+		Cancelled:        j.Cancelled,
 		QueryCacheStats: cache.Stats{
 			Hits: j.QueryCache.Hits, Misses: j.QueryCache.Misses,
 			Entries: j.QueryCache.Entries, Bytes: j.QueryCache.Bytes,

@@ -26,7 +26,7 @@
 // construction-time settings are grouped into typed configs:
 //
 //	s, err := metainsight.NewSession(tab,
-//		metainsight.WithExec(metainsight.ExecConfig{Workers: 8, Shards: 4}),
+//		metainsight.WithExec(metainsight.ExecConfig{Workers: 8, ScanParallelism: 2}),
 //	)
 //	an, err := s.Analyze(ctx, metainsight.Request{
 //		TopK:   10,
@@ -323,15 +323,11 @@ type analyzerOptions struct {
 	// Fields below are written by the Session-surface options (session.go)
 	// and by the reworked checkpoint options; resolveOptions validates and
 	// lowers them.
-	topKSet     bool
-	shards      int
-	shardBlock  int
-	shardConc   int
-	shardFaults ShardFaultPlan
-	ckDir       string
-	ckEvery     int64
-	resumeDir   string
-	subLimit    int
+	topKSet   bool
+	ckDir     string
+	ckEvery   int64
+	resumeDir string
+	subLimit  int
 }
 
 // WithMeasures sets the measure set M (default: SUM over every measure

@@ -552,4 +552,22 @@ func TestCorrelationPatternsEndToEnd(t *testing.T) {
 	if !named {
 		t.Error("ranked description does not name the correlation type")
 	}
+
+	// A MIN/MAX secondary is declared only through the evaluator's Requires
+	// set: the session-built substrate must materialize it, or the query the
+	// evaluator issues fails with "unit lacks column".
+	a, err = metainsight.NewAnalyzer(tab,
+		metainsight.WithMeasures(metainsight.Sum("Sales"), metainsight.Sum("Profit")),
+		metainsight.WithCorrelationPatterns([2]metainsight.Measure{
+			metainsight.Sum("Sales"), metainsight.Max("Profit"),
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Engine().BasicQuery(metainsight.DataScope{
+		Breakdown: "Month", Measure: metainsight.Max("Profit"),
+	}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -13,8 +13,8 @@ package metainsight
 // of what the session served before. What the session shares across calls
 // is the expensive read-only state: the dataset's dictionaries, posting
 // lists and zone maps (cached on the dataset itself), and the physical scan
-// substrates (plan caches, accumulator pools, shard partitions), reused
-// from a registry keyed by their full configuration.
+// substrates (intern tables, plan caches, accumulator pools), reused from a
+// registry keyed by their full configuration.
 //
 // The pre-Session construction surface (NewAnalyzer, Analyze and the flat
 // With* options) remains supported as thin deprecated shims over this API;
@@ -33,10 +33,8 @@ import (
 	"metainsight/internal/engine"
 	"metainsight/internal/faults"
 	"metainsight/internal/miner"
-	"metainsight/internal/model"
 	"metainsight/internal/pattern"
 	"metainsight/internal/ranker"
-	"metainsight/internal/shard"
 )
 
 // SessionOption configures a Session at construction. It is the same type
@@ -45,53 +43,23 @@ import (
 // WithDurability configs for new code.
 type SessionOption = Option
 
-// ShardFaultPlan configures the per-shard simulated-remote fault model of
-// sharded execution: a fault/latency policy applied independently per shard
-// (each shard derives its own seed), designated straggler shards, and
-// speculative re-issue for straggler mitigation. See ResilienceConfig.
-type ShardFaultPlan = shard.FaultPlan
-
-// ParseShardFaultSpec parses the CLI's -shard-faults specification: every
-// key of ParseFaultSpec applied per shard, plus slow-shard=N (repeatable),
-// slow-factor=F and speculate-after=C.
-func ParseShardFaultSpec(spec string) (ShardFaultPlan, error) {
-	return shard.ParseFaultPlan(spec)
-}
-
 // ExecConfig groups the execution-layout settings: inter-query parallelism
-// (Workers), intra-scan parallelism (ScanParallelism) and horizontal
-// partitioning (Shards). Zero-valued fields leave the corresponding setting
-// at its prior or default value, so partially-filled configs compose with
-// other options.
+// (Workers) and intra-scan parallelism (ScanParallelism). Zero-valued fields
+// leave the corresponding setting at its prior or default value, so
+// partially-filled configs compose with other options.
 type ExecConfig struct {
 	// Workers is the number of evaluation goroutines (default 8). Results
 	// are bit-identical for any value.
 	Workers int
 	// ScanParallelism is how many goroutines one physical scan may use
-	// (default 1). Bit-identical for any value; see WithScanParallelism.
+	// (default 1) — the one way a scan spreads over cores. Bit-identical for
+	// any value; see WithScanParallelism.
 	ScanParallelism int
-	// Shards, when > 1, partitions the dataset into that many row-range
-	// shards (morsel-boundary aligned, so zone maps survive intact), scans
-	// them concurrently and merges per-shard partial aggregates in
-	// deterministic shard order. Results are bit-identical for any shard
-	// count: shards emit per-block partials that the merge folds in global
-	// block order, so the floating-point addition tree never depends on the
-	// partitioning. 0 or 1 means unsharded.
-	Shards int
-	// ShardBlockRows is the block (morsel) size in rows of sharded
-	// execution; shard boundaries align to it. 0 uses the engine default
-	// (8192). Like WithScanParallelism's morsel size, a different block size
-	// is a different deterministic universe: results are reproducible per
-	// value, not across values.
-	ShardBlockRows int
-	// ShardConcurrency caps how many shards scan concurrently (0 = all).
-	ShardConcurrency int
 }
 
 // ResilienceConfig groups the fault-handling settings: deterministic fault
-// injection, retry/backoff/breaker behavior, the degraded-result threshold,
-// and the per-shard fault plan of sharded execution. Zero-valued fields
-// leave the corresponding setting unchanged.
+// injection, retry/backoff/breaker behavior and the degraded-result
+// threshold. Zero-valued fields leave the corresponding setting unchanged.
 type ResilienceConfig struct {
 	// Faults enables deterministic fault injection on every scan path; a
 	// zero policy injects nothing. See WithFaultPolicy.
@@ -104,14 +72,6 @@ type ResilienceConfig struct {
 	// flagged degraded (Result.Err wraps ErrDegraded). 0 keeps the default
 	// (0.1); negative flags any failure; >= 1 never flags.
 	DegradedThreshold float64
-	// ShardFaults is the per-shard fault plan of sharded execution:
-	// per-shard transient/permanent/latency schedules, straggler shards,
-	// and speculative re-issue (SpeculateAfter). Requires ExecConfig.Shards
-	// > 0. Shard fates are pure functions of each query's fingerprint, so
-	// faulty sharded runs stay bit-reproducible; the speculative winner is
-	// picked by deterministic completion cost with ties to the primary,
-	// never by wall clock.
-	ShardFaults ShardFaultPlan
 }
 
 // DurabilityConfig groups crash-safety: checkpoint journaling and resume.
@@ -135,15 +95,6 @@ func WithExec(c ExecConfig) Option {
 		if c.ScanParallelism != 0 {
 			o.scanPar = c.ScanParallelism
 		}
-		if c.Shards != 0 {
-			o.shards = c.Shards
-		}
-		if c.ShardBlockRows != 0 {
-			o.shardBlock = c.ShardBlockRows
-		}
-		if c.ShardConcurrency != 0 {
-			o.shardConc = c.ShardConcurrency
-		}
 	}
 }
 
@@ -160,9 +111,6 @@ func WithResilience(c ResilienceConfig) Option {
 		}
 		if c.DegradedThreshold != 0 {
 			o.minerCfg.DegradedThreshold = c.DegradedThreshold
-		}
-		if c.ShardFaults.Enabled() {
-			o.shardFaults = c.ShardFaults
 		}
 	}
 }
@@ -274,16 +222,8 @@ var (
 	ErrInvalidTopKPruning = errors.New(
 		"metainsight: WithTopKPruning requires k > 0; omit the option to disable early termination")
 	// ErrNegativeOption: a count or size option (workers, scan parallelism,
-	// shards, cache bytes) was negative.
+	// cache bytes) was negative.
 	ErrNegativeOption = errors.New("metainsight: option value must be non-negative")
-	// ErrShardSubstrateConflict: sharded execution builds its own substrate
-	// and cannot be combined with WithSubstrate.
-	ErrShardSubstrateConflict = errors.New(
-		"metainsight: ExecConfig.Shards and WithSubstrate are mutually exclusive")
-	// ErrShardFaultsWithoutShards: a shard fault plan was configured
-	// without sharded execution.
-	ErrShardFaultsWithoutShards = errors.New(
-		"metainsight: ResilienceConfig.ShardFaults requires ExecConfig.Shards > 0")
 	// ErrSessionClosed: Analyze was called on a closed session.
 	ErrSessionClosed = errors.New("metainsight: session is closed")
 )
@@ -316,26 +256,11 @@ func resolveOptions(opts []Option) (*analyzerOptions, error) {
 	if o.scanPar < 0 {
 		return nil, fmt.Errorf("%w: scan parallelism %d", ErrNegativeOption, o.scanPar)
 	}
-	if o.shards < 0 || o.shardBlock < 0 || o.shardConc < 0 {
-		return nil, fmt.Errorf("%w: shards %d, shard block %d, shard concurrency %d",
-			ErrNegativeOption, o.shards, o.shardBlock, o.shardConc)
-	}
 	if o.qcBytes < 0 || o.pcBytes < 0 {
 		return nil, fmt.Errorf("%w: cache bytes %d/%d", ErrNegativeOption, o.qcBytes, o.pcBytes)
 	}
 	if o.subLimit < 0 {
 		return nil, fmt.Errorf("%w: substrate cache limit %d", ErrNegativeOption, o.subLimit)
-	}
-	if o.shards > 0 && o.substrate != nil {
-		return nil, ErrShardSubstrateConflict
-	}
-	if o.shardFaults.Enabled() {
-		if o.shards <= 0 {
-			return nil, ErrShardFaultsWithoutShards
-		}
-		if err := o.shardFaults.Validate(o.shards); err != nil {
-			return nil, err
-		}
 	}
 	switch {
 	case o.resumeDir != "" && o.ckDir != "" && o.resumeDir != o.ckDir:
@@ -375,18 +300,17 @@ type substrateEntry struct {
 }
 
 // DefaultSubstrateCacheLimit bounds how many distinct physical substrates a
-// session retains. Each distinct substrate-shaping configuration (shard
-// layout, scan parallelism, MIN/MAX column set, fault plan, observer
-// identity) builds one substrate; a resident server handling heterogeneous
-// requests would otherwise grow the registry forever. Override with
-// WithSubstrateCacheLimit.
+// session retains. Each distinct substrate-shaping configuration (scan
+// parallelism, MIN/MAX column set, session observer) builds one substrate; a
+// resident server handling heterogeneous requests would otherwise grow the
+// registry forever. Override with WithSubstrateCacheLimit.
 const DefaultSubstrateCacheLimit = 16
 
 // WithSubstrateCacheLimit bounds the session's substrate registry to at most
 // n cached physical substrates, evicted least-recently-used first (ties by
 // construction order). 0 keeps DefaultSubstrateCacheLimit. Eviction never
 // changes results — an evicted substrate is rebuilt on next use — it only
-// re-pays partitioning and plan-cache warmup.
+// re-pays interning and plan-cache warmup.
 func WithSubstrateCacheLimit(n int) Option {
 	return func(o *analyzerOptions) { o.subLimit = n }
 }
@@ -493,62 +417,32 @@ func (s *Session) analyzer(req Request) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildAnalyzer(s.d, o, s)
-}
-
-// needMinMax replicates engine.New's needed-aggregate derivation: MIN/MAX
-// accumulators are materialized only for columns some measure in Measures ∪
-// ExtraMeasures ∪ {ImpactMeasure} aggregates that way. The session builds
-// substrates itself (to share them across requests), which bypasses the
-// engine's derivation, so it must agree with it exactly.
-func needMinMax(d *Dataset, o *analyzerOptions, extra []Measure) map[string]bool {
-	measures := o.measures
-	if measures == nil {
-		measures = d.DefaultMeasures()
+	reg := s
+	if req.Observer != nil {
+		// A substrate bakes its observer in, so one built for a
+		// request-scoped observer can never be hit again: retaining it would
+		// only pin its intern table, plan memos and the observer's trace ring.
+		reg = nil
 	}
-	impact := o.impact
-	if impact == (Measure{}) {
-		impact = model.Count("*")
-	}
-	need := make(map[string]bool)
-	for _, ms := range [][]Measure{measures, extra, {impact}} {
-		for _, m := range ms {
-			if m.Agg == model.AggMin || m.Agg == model.AggMax {
-				need[m.Column] = true
-			}
-		}
-	}
-	return need
+	return buildAnalyzer(s.d, o, reg)
 }
 
 // substrateFor returns the physical scan substrate for one resolved
 // configuration, reusing a previously built one from the session registry
 // when every substrate-affecting setting matches. Substrates are safe to
-// share: scans are read-only over the dataset, plan caches and accumulator
-// pools are internally synchronized, and reuse never changes results — it
-// only skips re-partitioning and re-planning. A nil receiver (the
-// NewAnalyzer shim path on a fresh throwaway session, or direct builds)
-// builds without caching.
+// share: scans are read-only over the dataset, intern tables, plan caches
+// and accumulator pools are internally synchronized, and reuse never changes
+// results — it only skips re-interning and re-planning. A nil receiver (a
+// call with a request-scoped observer) builds without caching.
 func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]bool) (Substrate, error) {
-	build := func() (Substrate, error) {
-		if o.shards > 0 {
-			return shard.New(d, shard.Config{
-				Shards:          o.shards,
-				Block:           o.shardBlock,
-				ScanParallelism: o.scanPar,
-				MinMax:          need,
-				Concurrency:     o.shardConc,
-				Observer:        o.observer,
-				Faults:          o.shardFaults,
-			})
-		}
+	build := func() Substrate {
 		return engine.NewColumnarSubstrate(d,
 			engine.WithMinMaxColumns(need),
 			engine.WithScanParallelism(o.scanPar),
-			engine.WithScanObserver(o.observer)), nil
+			engine.WithScanObserver(o.observer))
 	}
 	if s == nil {
-		return build()
+		return build(), nil
 	}
 	cols := make([]string, 0, len(need))
 	for c := range need {
@@ -556,10 +450,8 @@ func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]b
 	}
 	sort.Strings(cols)
 	// The key covers every input that shapes the substrate, including the
-	// observer identity (substrates bake their observer in) and the full
-	// shard fault plan.
-	key := fmt.Sprintf("shards=%d block=%d conc=%d par=%d mm=%v faults=%+v obs=%p",
-		o.shards, o.shardBlock, o.shardConc, o.scanPar, cols, o.shardFaults, o.observer)
+	// observer identity (substrates bake their observer in).
+	key := fmt.Sprintf("par=%d mm=%v obs=%p", o.scanPar, cols, o.observer)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -570,10 +462,7 @@ func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]b
 		e.lastUse = s.useSeq
 		return e.sub, nil
 	}
-	sub, err := build()
-	if err != nil {
-		return nil, err
-	}
+	sub := build()
 	s.subs[key] = &substrateEntry{sub: sub, lastUse: s.useSeq, ctor: s.useSeq}
 	// Bounded registry: evict least-recently-used entries (ties broken by
 	// construction order) until the limit holds. Eviction only drops the
@@ -614,23 +503,15 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 	// The needed-aggregate set: measures that registered evaluators will
 	// query beyond the mined measure set. Custom patterns declare theirs via
 	// CustomEvaluator.Requires; each correlation pair queries its secondary
-	// measure for the primary's scopes. The engine derives from this which
-	// MIN/MAX accumulators its scan substrate must materialize.
+	// measure for the primary's scopes. engine.Config.MinMaxColumns derives
+	// from this which MIN/MAX accumulators the scan substrate materializes.
 	reqCfg := pattern.Config{Custom: o.customPatterns}
 	for _, pair := range o.correlations {
 		reqCfg.Custom = append(reqCfg.Custom, pattern.CustomEvaluator{
 			Requires: []Measure{pair[0], pair[1]},
 		})
 	}
-	sub := o.substrate
-	if sub == nil {
-		var err error
-		sub, err = sess.substrateFor(d, o, needMinMax(d, o, reqCfg.RequiredMeasures()))
-		if err != nil {
-			return nil, err
-		}
-	}
-	eng, err := engine.New(d, engine.Config{
+	ecfg := engine.Config{
 		Measures:        o.measures,
 		ImpactMeasure:   o.impact,
 		ExtraMeasures:   reqCfg.RequiredMeasures(),
@@ -638,9 +519,19 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 		QueryCache:      qc,
 		Meter:           meter,
 		Observer:        o.observer,
-		Substrate:       sub,
+		Substrate:       o.substrate,
 		Faults:          faults.NewInjector(o.faultPolicy, retry),
-	})
+	}
+	if ecfg.Substrate == nil {
+		// The session builds the default substrate itself, to share it across
+		// requests, from the same needed-aggregate set engine.New would use.
+		var err error
+		ecfg.Substrate, err = sess.substrateFor(d, o, ecfg.MinMaxColumns(d))
+		if err != nil {
+			return nil, err
+		}
+	}
+	eng, err := engine.New(d, ecfg)
 	if err != nil {
 		return nil, err
 	}

@@ -18,19 +18,18 @@ import (
 // results or statistics. Run it under -race (CI does).
 func TestSessionConcurrentAnalyze(t *testing.T) {
 	tab := fracTable(t, 900)
-	plan := metainsight.ShardFaultPlan{
-		Policy: metainsight.FaultPolicy{
-			Seed:          17,
-			TransientRate: 0.04,
-			LatencyRate:   0.1,
-			LatencyUnits:  2,
-		},
-		Retry: metainsight.RetryPolicy{}.WithDefaults(),
-	}
 	sess, err := metainsight.NewSession(tab,
 		metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
-		metainsight.WithExec(metainsight.ExecConfig{Shards: 2, ShardBlockRows: 64}),
-		metainsight.WithResilience(metainsight.ResilienceConfig{ShardFaults: plan}))
+		metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: 2}),
+		metainsight.WithResilience(metainsight.ResilienceConfig{
+			Faults: metainsight.FaultPolicy{
+				Seed:          17,
+				TransientRate: 0.04,
+				LatencyRate:   0.1,
+				LatencyUnits:  2,
+			},
+			Retry: metainsight.RetryPolicy{}.WithDefaults(),
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +57,9 @@ func TestSessionConcurrentAnalyze(t *testing.T) {
 		}
 		if len(facts.keys) == 0 {
 			t.Fatalf("baseline %d mined nothing", i)
+		}
+		if facts.stats.Retries == 0 {
+			t.Fatalf("baseline %d saw no retries: the fault arm is vacuous", i)
 		}
 		base[i] = facts
 	}

@@ -12,12 +12,13 @@ import (
 // helper lives in metainsight_test and is out of reach here).
 func lruTable(t *testing.T) *Dataset {
 	t.Helper()
-	header := []string{"City", "Month", "Sales"}
+	header := []string{"City", "Month", "Sales", "Cost", "Units"}
 	var records [][]string
-	for _, city := range []string{"A", "B", "C"} {
+	for c, city := range []string{"A", "B", "C"} {
 		for m := 0; m < 12; m++ {
 			records = append(records, []string{
 				city, fmt.Sprintf("M%02d", m), strconv.Itoa(10 + (m*7+len(city))%90),
+				strconv.Itoa(5 + (m*3+c)%40), strconv.Itoa(1 + (m+c)%9),
 			})
 		}
 	}
@@ -28,10 +29,23 @@ func lruTable(t *testing.T) *Dataset {
 	return tab
 }
 
+// minOver is a request whose MIN/MAX column set — the one substrate-shaping
+// input a request can vary — is the subset of lruTable's measure columns
+// selected by mask.
+func minOver(mask int) Request {
+	ms := []Measure{Sum("Sales")}
+	for b, col := range []string{"Sales", "Cost", "Units"} {
+		if mask>>b&1 == 1 {
+			ms = append(ms, Min(col))
+		}
+	}
+	return Request{TopK: 3, Measures: ms}
+}
+
 // TestSessionSubstrateLRUBound pins the bounded-registry contract: distinct
-// substrate-shaping configurations (here: distinct per-request observers,
-// the exact shape a resident server produces when every request traces) must
-// not grow the registry past the configured limit.
+// substrate-shaping configurations (here: distinct MIN/MAX column sets, the
+// shape a resident server produces under heterogeneous measure requests)
+// must not grow the registry past the configured limit.
 func TestSessionSubstrateLRUBound(t *testing.T) {
 	tab := lruTable(t)
 	s, err := NewSession(tab, WithSubstrateCacheLimit(2))
@@ -39,25 +53,69 @@ func TestSessionSubstrateLRUBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 6; i++ {
-		req := Request{TopK: 3, Observer: NewObserver(ObserverOptions{})}
-		if _, err := s.Analyze(context.Background(), req); err != nil {
-			t.Fatalf("analyze %d: %v", i, err)
+	for mask := 1; mask <= 6; mask++ {
+		if _, err := s.Analyze(context.Background(), minOver(mask)); err != nil {
+			t.Fatalf("analyze %d: %v", mask, err)
 		}
 		if n := s.substrateCount(); n > 2 {
-			t.Fatalf("after %d distinct-observer requests the registry holds %d substrates, limit 2", i+1, n)
+			t.Fatalf("after %d distinct column sets the registry holds %d substrates, limit 2", mask, n)
 		}
 	}
+	if n := s.substrateCount(); n != 2 {
+		t.Fatalf("registry holds %d substrates after 6 distinct column sets, want the limit 2", n)
+	}
 	// Repeating one configuration must not grow the registry at all.
-	ob := NewObserver(ObserverOptions{})
-	before := s.substrateCount()
 	for i := 0; i < 3; i++ {
-		if _, err := s.Analyze(context.Background(), Request{TopK: 3, Observer: ob}); err != nil {
+		if _, err := s.Analyze(context.Background(), minOver(7)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := s.substrateCount(); n > before+1 {
-		t.Fatalf("repeated identical config grew the registry from %d to %d", before, n)
+	if n := s.substrateCount(); n != 2 {
+		t.Fatalf("repeated identical config left %d substrates, want 2", n)
+	}
+}
+
+// TestSessionRequestObserverNotRetained: a substrate bakes its observer in,
+// so one built for a request-scoped observer can never be hit again and must
+// not enter the registry — the shape a resident server produces when every
+// request traces. The session's own warm substrate stays put and keeps
+// serving untraced requests.
+func TestSessionRequestObserverNotRetained(t *testing.T) {
+	s, err := NewSession(lruTable(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	soleSubstrate := func() Substrate {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.subs) != 1 {
+			t.Fatalf("registry holds %d substrates, want 1", len(s.subs))
+		}
+		for _, e := range s.subs {
+			return e.sub
+		}
+		return nil
+	}
+	if _, err := s.Analyze(context.Background(), Request{TopK: 3}); err != nil {
+		t.Fatal(err)
+	}
+	warm := soleSubstrate()
+	for i := 0; i < 20; i++ {
+		req := Request{TopK: 3, Observer: NewObserver(ObserverOptions{})}
+		if _, err := s.Analyze(context.Background(), req); err != nil {
+			t.Fatalf("traced analyze %d: %v", i, err)
+		}
+		if n := s.substrateCount(); n > 1 {
+			t.Fatalf("after %d traced requests the registry holds %d substrates, want 1", i+1, n)
+		}
+	}
+	if _, err := s.Analyze(context.Background(), Request{TopK: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if soleSubstrate() != warm {
+		t.Fatal("untraced request after traced ones did not reuse the session's warm substrate")
 	}
 }
 
@@ -70,9 +128,8 @@ func TestSessionEvictionPreservesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	obA := NewObserver(ObserverOptions{})
-	run := func(ob *Observer) string {
-		an, err := s.Analyze(context.Background(), Request{TopK: 5, Observer: ob})
+	run := func(req Request) string {
+		an, err := s.Analyze(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +139,11 @@ func TestSessionEvictionPreservesResults(t *testing.T) {
 		}
 		return out
 	}
-	first := run(obA)
-	// Evict obA's substrate by running a different configuration through the
+	first := run(minOver(1))
+	// Evict that substrate by running a different configuration through the
 	// size-1 registry, then rebuild it.
-	run(NewObserver(ObserverOptions{}))
-	if again := run(obA); again != first {
+	run(minOver(2))
+	if again := run(minOver(1)); again != first {
 		t.Fatalf("results changed across eviction:\nfirst:\n%s\nagain:\n%s", first, again)
 	}
 }

@@ -2,25 +2,20 @@ package metainsight_test
 
 // Tests of the Session/Request API redesign: session reuse is hermetic
 // (every Analyze call bit-identical to a fresh Analyzer run), the deprecated
-// shims are trace-identical to the new surface, sharded execution is
-// bit-identical at any shard count and scan parallelism — including under a
-// transient-fault schedule with speculative re-issue — and conflicting
-// options fail at construction with typed errors.
+// shims are trace-identical to the new surface, mining is bit-identical at
+// any scan parallelism and worker count, and conflicting options fail at
+// construction with typed errors.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"metainsight"
-	"metainsight/internal/cache"
-	"metainsight/internal/model"
 )
 
 // fracTable builds a fractional-valued table: bit-identity failures in the
@@ -178,22 +173,19 @@ func TestShimEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionShardGridBitIdentical is the mining-level differential of the
-// sharded substrate: on fractional data, every (shards, scan-parallelism)
-// cell produces bit-identical results, statistics and costs — the
-// block-granular partial merge makes the floating-point addition tree a
-// function of the global block grid only.
-func TestSessionShardGridBitIdentical(t *testing.T) {
-	tab := fracTable(t, 1400)
-	run := func(shards, par int) runFacts {
+// TestSessionScanParallelismGridBitIdentical is the mining-level fractional
+// differential of the morsel-parallel scan: on fractional data, every
+// (scan-parallelism, workers) cell produces bit-identical results, statistics
+// and costs — morsels have fixed boundaries and merge in morsel-index order,
+// so the floating-point addition tree never depends on either setting. The
+// table spans several default-size morsels, unfiltered and behind any single
+// filter, so the cells really split their scans.
+func TestSessionScanParallelismGridBitIdentical(t *testing.T) {
+	tab := fracTable(t, 60000)
+	run := func(par, workers int) runFacts {
 		s, err := metainsight.NewSession(tab,
 			metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
-			metainsight.WithExec(metainsight.ExecConfig{
-				Workers:         4,
-				ScanParallelism: par,
-				Shards:          shards,
-				ShardBlockRows:  64,
-			}))
+			metainsight.WithExec(metainsight.ExecConfig{Workers: workers, ScanParallelism: par}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,91 +199,11 @@ func TestSessionShardGridBitIdentical(t *testing.T) {
 	if len(base.keys) == 0 {
 		t.Fatal("baseline mined nothing")
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, par := range []int{1, 4} {
-			requireSameFacts(t, fmt.Sprintf("shards=%d par=%d", shards, par), base, run(shards, par))
-		}
-	}
-}
-
-// TestSessionShardFaultArm is the resilience arm: a 5%-transient fault
-// schedule with a designated straggler shard and speculative re-issue keeps
-// mining bit-identical across scan parallelism and worker counts, while the
-// canonical accounting reports the speculation and retry work.
-func TestSessionShardFaultArm(t *testing.T) {
-	tab := fracTable(t, 1400)
-	plan := metainsight.ShardFaultPlan{
-		Policy: metainsight.FaultPolicy{
-			Seed:          11,
-			TransientRate: 0.05,
-			LatencyRate:   0.2,
-			LatencyUnits:  4,
-		},
-		Retry:          metainsight.RetryPolicy{}.WithDefaults(),
-		SlowShards:     []int{2},
-		SlowFactor:     50,
-		SpeculateAfter: 10,
-	}
-	run := func(par, workers int) runFacts {
-		s, err := metainsight.NewSession(tab,
-			metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
-			metainsight.WithExec(metainsight.ExecConfig{
-				Workers:         workers,
-				ScanParallelism: par,
-				Shards:          4,
-				ShardBlockRows:  64,
-			}),
-			metainsight.WithResilience(metainsight.ResilienceConfig{ShardFaults: plan}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5})
-		if err != nil && !errors.Is(err, metainsight.ErrDegraded) {
-			t.Fatal(err)
-		}
-		return factsOf(an.Result, an.Insights)
-	}
-	base := run(1, 1)
-	if len(base.keys) == 0 {
-		t.Fatal("faulted baseline mined nothing")
-	}
-	if base.stats.SpeculativeReissues == 0 {
-		t.Error("straggler shard produced no speculative re-issues")
-	}
-	if base.stats.ShardRetries == 0 {
-		t.Error("5% transient rate produced no shard retries")
-	}
-	for _, par := range []int{1, 4} {
+	for _, par := range []int{1, 2, 4, 8} {
 		for _, workers := range []int{1, 8} {
 			requireSameFacts(t, fmt.Sprintf("par=%d workers=%d", par, workers), base, run(par, workers))
 		}
 	}
-
-	// The new counters travel under stable wire names.
-	raw, err := json.Marshal(base.stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"speculative_reissues"`, `"shard_retries"`} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("stats JSON missing %s: %s", want, raw)
-		}
-	}
-	line := base.stats.String()
-	if !strings.Contains(line, "shard[reissues=") {
-		t.Errorf("Stats.String() = %q: missing shard segment", line)
-	}
-}
-
-// stubSubstrate is a do-nothing Substrate for the conflict-validation test.
-type stubSubstrate struct{}
-
-func (stubSubstrate) ScanUnit(model.Subspace, string) (*cache.Unit, int, error) {
-	return nil, 0, errors.New("stub")
-}
-
-func (stubSubstrate) ScanAugmented(model.Subspace, string, string) (map[string]*cache.Unit, int, error) {
-	return nil, 0, errors.New("stub")
 }
 
 // TestConstructionValidation checks that conflicting or malformed option
@@ -320,9 +232,6 @@ func TestConstructionValidation(t *testing.T) {
 		{"negative workers", []metainsight.Option{
 			metainsight.WithWorkers(-1),
 		}, metainsight.ErrNegativeOption},
-		{"negative shards", []metainsight.Option{
-			metainsight.WithExec(metainsight.ExecConfig{Shards: -2}),
-		}, metainsight.ErrNegativeOption},
 		{"negative cache bytes", []metainsight.Option{
 			metainsight.WithCacheBytes(-1, 0),
 		}, metainsight.ErrNegativeOption},
@@ -330,17 +239,6 @@ func TestConstructionValidation(t *testing.T) {
 			metainsight.WithCheckpoint("/tmp/ck-a", 0),
 			metainsight.ResumeFromCheckpoint("/tmp/ck-b"),
 		}, metainsight.ErrConflictingCheckpoints},
-		{"shards with substrate", []metainsight.Option{
-			metainsight.WithExec(metainsight.ExecConfig{Shards: 2}),
-			metainsight.WithSubstrate(stubSubstrate{}),
-		}, metainsight.ErrShardSubstrateConflict},
-		{"shard faults without shards", []metainsight.Option{
-			metainsight.WithResilience(metainsight.ResilienceConfig{
-				ShardFaults: metainsight.ShardFaultPlan{
-					Policy: metainsight.FaultPolicy{Seed: 1, TransientRate: 0.05},
-				},
-			}),
-		}, metainsight.ErrShardFaultsWithoutShards},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
