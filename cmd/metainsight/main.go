@@ -15,8 +15,9 @@
 //	0  the run completed normally
 //	1  the run failed (bad usage, unreadable input, checkpoint error)
 //	2  the run completed degraded: the printed insights are valid
-//	   best-effort output, but the query failure rate exceeded the
-//	   degradation threshold
+//	   best-effort output, but the share of queries the substrate failed
+//	   exceeded the degradation threshold (the built-in columnar scan
+//	   never fails a query, so this command does not produce it today)
 //	3  the run was interrupted (SIGINT/SIGTERM): mining stopped cleanly at
 //	   the next unit commit, the trace and metrics epilogue still ran, and
 //	   with -checkpoint a final snapshot was flushed — re-run with -resume
@@ -59,7 +60,6 @@ func run() int {
 		report  = fs.String("report", "", "write a markdown EDA report to this file")
 		trace   = fs.String("trace", "", "write the structured run trace (JSONL, commit order) to this file")
 		metrics = fs.Bool("metrics", false, "print the metrics snapshot (counters, gauges, phase timers) after the run")
-		faultsS = fs.String("faults", "", "deterministic fault-injection spec, e.g. \"seed=7,transient=0.05,attempts=4,breaker=5\" (keys: seed, transient, permanent, latency-rate, latency, attempts, backoff, backoff-factor, max-backoff, jitter, deadline, breaker)")
 		qcBytes = fs.Int64("cache-bytes", 0, "query-cache byte budget with oldest-first eviction (0 = unbounded)")
 		pcBytes = fs.Int64("pattern-cache-bytes", 0, "pattern-cache byte budget (0 = unbounded)")
 		ragged  = fs.Bool("skip-ragged", false, "skip-and-count rows whose column count differs from the header instead of failing")
@@ -74,7 +74,7 @@ func run() int {
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: metainsight -csv data.csv [flags]")
-		fmt.Fprintln(fs.Output(), "exit codes: 0 completed, 1 failed, 2 completed degraded (best-effort output),")
+		fmt.Fprintln(fs.Output(), "exit codes: 0 completed, 1 failed, 2 completed degraded (best-effort output; substrate queries failed),")
 		fmt.Fprintln(fs.Output(), "            3 interrupted by SIGINT/SIGTERM (partial output; -checkpoint runs resume with -resume)")
 		fs.PrintDefaults()
 	}
@@ -168,16 +168,6 @@ func run() int {
 	if *topKCut > 0 {
 		opts = append(opts, metainsight.WithTopKPruning(*topKCut))
 	}
-	resilience := metainsight.ResilienceConfig{}
-	if *faultsS != "" {
-		policy, retry, err := metainsight.ParseFaultSpec(*faultsS)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metainsight:", err)
-			return 1
-		}
-		resilience.Faults, resilience.Retry = policy, retry
-	}
-	opts = append(opts, metainsight.WithResilience(resilience))
 	if *qcBytes > 0 || *pcBytes > 0 {
 		opts = append(opts, metainsight.WithCacheBytes(*qcBytes, *pcBytes))
 	}

@@ -18,7 +18,6 @@ import (
 
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
-	"metainsight/internal/faults"
 	"metainsight/internal/model"
 	"metainsight/internal/obs"
 )
@@ -146,7 +145,6 @@ type Engine struct {
 	sub      Substrate
 	in       *Interner // the substrate's intern table, or the engine's own
 	dimNames []string  // tab.DimensionNames()
-	inj      *faults.Injector
 	totalImp float64
 	bnd      impactBounds // lazily built impact-sum summaries (bounds.go)
 
@@ -194,15 +192,6 @@ type Config struct {
 	// Substrate is the physical scan layer; nil uses the in-process
 	// ColumnarSubstrate over the table.
 	Substrate Substrate
-	// Faults, when non-nil, injects deterministic failures and latency into
-	// every scan path. A query's fate is a pure function of its canonical
-	// fingerprint: it fails identically on metered and quiet paths,
-	// regardless of cache state, worker count, or timing. In particular a
-	// failing query fails even when its unit happens to be cached (e.g. via
-	// an augmented prefetch under a different fingerprint) — the decision is
-	// attached to the logical query so that physical execution and the
-	// miner's canonical commit-order replay can never disagree.
-	Faults *faults.Injector
 }
 
 // MinMaxColumns derives the configuration's needed-aggregate set over tab:
@@ -265,7 +254,6 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		obs:      cfg.Observer,
 		sub:      cfg.Substrate,
 		dimNames: tab.DimensionNames(),
-		inj:      cfg.Faults,
 	}
 	// Handles must come from the table the substrate plans against: adopt its
 	// intern table when it has one over this very table (so plans, keys and
@@ -336,10 +324,6 @@ func (e *Engine) Meter() *Meter { return e.meter }
 // QueryCache returns the engine's query cache.
 func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
 
-// Faults returns the engine's fault injector (possibly nil). The miner uses
-// it to recompute resolutions during canonical commit-order replay.
-func (e *Engine) Faults() *faults.Injector { return e.inj }
-
 // totalImpactValue computes m_Impact({*}) directly (not metered: it is a
 // one-time setup computation, equivalent to dataset metadata).
 func (e *Engine) totalImpactValue() float64 {
@@ -407,21 +391,6 @@ func (e *Engine) Unit(subspace model.Subspace, breakdown string) (*cache.Unit, e
 
 func (e *Engine) unitAt(h *Handle, bdim int) (*cache.Unit, error) {
 	key := e.UnitKeyAt(h, bdim)
-	// Resolve the query's fate before consulting the cache: a failing
-	// fingerprint fails regardless of cache state (see Config.Faults), so
-	// metered and quiet paths — and the miner's canonical replay — always
-	// agree. Injected retry/latency cost is charged only when the scan
-	// actually executes below.
-	var faultCost float64
-	if e.inj.Enabled() {
-		fp := UnitFingerprint(key.Subspace, key.Breakdown)
-		fres := e.inj.Resolve(fp, e.ScanCostAt(h))
-		if !fres.OK {
-			e.meter.AddCost(fres.FaultCost)
-			return nil, fres.Err(fp)
-		}
-		faultCost = fres.FaultCost
-	}
 	unit, ok := e.qc.Get(key.Subspace, key.Breakdown)
 	if ok {
 		e.meter.served.Add(1)
@@ -433,13 +402,13 @@ func (e *Engine) unitAt(h *Handle, bdim int) (*cache.Unit, error) {
 		if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
 			return unitRes{u: u}
 		}
-		u, scanned, err := e.execScanUnit(h.sub, key.Breakdown)
+		u, scanned, err := e.sub.ScanUnit(h.sub, key.Breakdown)
 		if err != nil {
 			return unitRes{err: err}
 		}
 		e.recordScan(scanned, false)
 		e.meter.executed.Add(1)
-		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned) + faultCost)
+		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned))
 		e.qc.Put(u)
 		return unitRes{u: u, scanned: true}
 	})
@@ -450,36 +419,6 @@ func (e *Engine) unitAt(h *Handle, bdim int) (*cache.Unit, error) {
 		e.meter.served.Add(1)
 	}
 	return res.u, nil
-}
-
-// execScanUnit runs the substrate's unit scan, retrying real substrate
-// errors up to the retry policy's attempt budget. Injected faults never
-// reach this level — they are resolved before the cache lookup.
-func (e *Engine) execScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
-	var u *cache.Unit
-	var rows int
-	var err error
-	for i := 0; i < e.inj.MaxAttempts(); i++ {
-		u, rows, err = e.sub.ScanUnit(s, breakdown)
-		if err == nil {
-			return u, rows, nil
-		}
-	}
-	return nil, rows, err
-}
-
-// execScanAugmented is execScanUnit for augmented scans.
-func (e *Engine) execScanAugmented(base model.Subspace, breakdown, ext string) (map[string]*cache.Unit, int, error) {
-	var units map[string]*cache.Unit
-	var rows int
-	var err error
-	for i := 0; i < e.inj.MaxAttempts(); i++ {
-		units, rows, err = e.sub.ScanAugmented(base, breakdown, ext)
-		if err == nil {
-			return units, rows, nil
-		}
-	}
-	return nil, rows, err
 }
 
 // CheckAugmented validates an AugmentedQuery(ds, d) request without running
@@ -498,17 +437,6 @@ func (e *Engine) CheckAugmented(ds model.DataScope, d string) error {
 	return nil
 }
 
-// augmentedFate resolves the injected fate of the augmented scan of
-// (base, bdim, ext) — before any cache or flight interaction, like every
-// fault decision.
-func (e *Engine) augmentedFate(base *Handle, bdim, ext int) (faults.Resolution, string) {
-	if !e.inj.Enabled() {
-		return faults.Resolution{OK: true}, ""
-	}
-	fp := e.AugmentedFingerprintAt(base, bdim, ext)
-	return e.inj.Resolve(fp, e.ScanCostAt(base)), fp
-}
-
 // AugmentedQuery answers the paper's AugmentedQuery(ds, d) (Table 2, row 2):
 // one scan filtered by ds.Subspace \ d, grouped by (ds.Breakdown, d), across
 // all measures. It returns the cache units for every sibling subspace in
@@ -523,13 +451,8 @@ func (e *Engine) AugmentedQuery(ds model.DataScope, d string) (map[string]*cache
 	}
 	bdim, ext := e.tab.DimensionIndex(ds.Breakdown), e.tab.DimensionIndex(d)
 	base := e.in.Intern(ds.Subspace).Without(ext)
-	fres, fp := e.augmentedFate(base, bdim, ext)
-	if !fres.OK {
-		e.meter.AddCost(fres.FaultCost)
-		return nil, fres.Err(fp)
-	}
 	res, leader := e.meteredAug.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() augRes {
-		units, scanned, err := e.execScanAugmented(base.sub, ds.Breakdown, d)
+		units, scanned, err := e.sub.ScanAugmented(base.sub, ds.Breakdown, d)
 		if err != nil {
 			return augRes{err: err}
 		}
@@ -539,7 +462,7 @@ func (e *Engine) AugmentedQuery(ds model.DataScope, d string) (map[string]*cache
 		// One scan answers |dom(d)| sibling queries; charge a single round
 		// trip plus the scan, mirroring the paper's motivation for augmented
 		// queries.
-		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned) + fres.FaultCost)
+		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned))
 		for _, u := range units {
 			e.qc.Put(u)
 		}
@@ -569,7 +492,7 @@ func (e *Engine) MaterializeUnit(subspace model.Subspace, breakdown string) (*ca
 }
 
 // PeekUnitAt returns the cached unit of (h, bdim), if any, without touching
-// counters, the meter or the fault injector.
+// counters or the meter.
 func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
 	return e.qc.Peek(h.key, e.dimNames[bdim])
 }
@@ -580,15 +503,6 @@ func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
 // probe, so a scope resolved once is not looked up again.
 func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*cache.Unit, error) {
 	key := e.UnitKeyAt(h, bdim)
-	// Same purity rule as Unit: the fingerprint's fate is decided before any
-	// cache interaction, so the outcome cannot depend on which worker got
-	// here first or what happens to be cached.
-	if e.inj.Enabled() {
-		fp := UnitFingerprint(key.Subspace, key.Breakdown)
-		if fres := e.inj.Resolve(fp, e.ScanCostAt(h)); !fres.OK {
-			return nil, fres.Err(fp)
-		}
-	}
 	if peeked != nil {
 		return peeked, nil
 	}
@@ -599,7 +513,7 @@ func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*ca
 		if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
 			return quietUnitRes{u: u} // raced with another leader's Put
 		}
-		u, scanned, err := e.execScanUnit(h.sub, key.Breakdown)
+		u, scanned, err := e.sub.ScanUnit(h.sub, key.Breakdown)
 		if err != nil {
 			return quietUnitRes{err: err}
 		}
@@ -644,11 +558,8 @@ func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string
 	if ext == bdim {
 		return nil, fmt.Errorf("engine: augmentation dimension %q equals the breakdown", e.dimNames[ext])
 	}
-	if fres, fp := e.augmentedFate(base, bdim, ext); !fres.OK {
-		return nil, fres.Err(fp)
-	}
 	res, _ := e.quietAug.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() augRes {
-		units, scanned, err := e.execScanAugmented(base.sub, e.dimNames[bdim], e.dimNames[ext])
+		units, scanned, err := e.sub.ScanAugmented(base.sub, e.dimNames[bdim], e.dimNames[ext])
 		if err != nil {
 			return augRes{err: err}
 		}
@@ -659,12 +570,6 @@ func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string
 		return augRes{units: units}
 	})
 	return res.units, res.err
-}
-
-// AugmentedFingerprintAt returns the canonical fingerprint of the augmented
-// scan MaterializeAugmentedAt(base, bdim, ext) issues.
-func (e *Engine) AugmentedFingerprintAt(base *Handle, bdim, ext int) string {
-	return AugmentedFingerprint(base.key, e.dimNames[bdim], e.dimNames[ext])
 }
 
 // ScanCost returns the metered cost a unit scan under subspace s would be
@@ -717,26 +622,12 @@ func (e *Engine) Impact(s model.Subspace) (float64, error) {
 		return 1, nil
 	}
 	h := e.in.Intern(s)
-	fallback := e.impactFallbackDim(h)
-	// The fallback scan's fate is resolved before the cache probes: if its
-	// fingerprint fails, the impact lookup fails even when a probe unit
-	// happens to be cached. Cache-dependent outcomes would diverge between
-	// this path and the miner's replay (whose simulated cache can lag or
-	// lead the physical one), breaking worker-count invariance.
-	if e.inj.Enabled() {
-		fp := UnitFingerprint(h.key, e.dimNames[fallback])
-		fres := e.inj.Resolve(fp, e.ScanCostAt(h))
-		if !fres.OK {
-			e.meter.AddCost(fres.FaultCost)
-			return 0, fres.Err(fp)
-		}
-	}
 	// Any breakdown unit of this subspace can serve the impact value; prefer
 	// a cached one before paying for a scan.
 	if u := e.peekAnyUnit(h); u != nil {
 		return e.unitImpact(u) / e.totalImp, nil
 	}
-	u, err := e.unitAt(h, fallback)
+	u, err := e.unitAt(h, e.impactFallbackDim(h))
 	if err != nil {
 		return 0, err
 	}
@@ -806,15 +697,6 @@ func (e *Engine) ImpactUnmeteredAt(h *Handle) (float64, *ImpactProbe, error) {
 		Handle:   h,
 		Fallback: e.UnitKeyAt(h, fallback),
 		Cost:     e.ScanCostAt(h),
-	}
-	// Purity rule (see Impact): resolve the fallback fingerprint before any
-	// cache peek. The probe is returned alongside the error so the miner can
-	// record the lookup and recompute the identical resolution at replay.
-	if e.inj.Enabled() {
-		fp := UnitFingerprint(p.Fallback.Subspace, p.Fallback.Breakdown)
-		if fres := e.inj.Resolve(fp, p.Cost); !fres.OK {
-			return 0, p, fres.Err(fp)
-		}
 	}
 	var unit *cache.Unit
 	// With an unbounded cache, p.Bytes is reporting-only, so a probe unit

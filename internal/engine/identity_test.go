@@ -9,7 +9,7 @@ import (
 )
 
 // TestIdentityStringsArePinned pins the external identity formats — the
-// strings that reach traces, fault fingerprints, checkpoints and result keys
+// strings that reach traces, checkpoints and result keys
 // — to literals captured before subspaces were interned. Any change to these
 // bytes invalidates existing checkpoints and traces.
 func TestIdentityStringsArePinned(t *testing.T) {
@@ -27,8 +27,6 @@ func TestIdentityStringsArePinned(t *testing.T) {
 		{"HDS.Key subspace", core.SubspaceHDS(ds, "City", domain).Key(), "S|{Month=2019-04}|City|Style|SUM(Sales)"},
 		{"HDS.Key measure", core.MeasureHDS(ds, []model.Measure{model.Sum("Sales"), model.Count("*")}).Key(), "M|{City=Los Angeles;Month=2019-04}|Style"},
 		{"HDS.Key breakdown", core.BreakdownHDS(ds, []string{"Week"}).Key(), "B|{City=Los Angeles;Month=2019-04}|SUM(Sales)"},
-		{"UnitFingerprint", UnitFingerprint(sub.Key(), "Style"), "u|{City=Los Angeles;Month=2019-04}|Style"},
-		{"AugmentedFingerprint", AugmentedFingerprint(sub.Without("City").Key(), "Style", "City"), "a|{Month=2019-04}|Style|City"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %q, want %q", c.name, c.got, c.want)

@@ -19,10 +19,9 @@ import (
 // hot path navigates base → sibling by (dimension index, code) and never
 // builds or re-derives a string.
 //
-// Strings stay the external identity: trace labels, fault fingerprints,
-// checkpoint bytes, cache.UnitKey as stored on units and MetaInsight keys are
-// all derived from Handle.Key, which equals model.Subspace.Key byte for
-// byte. Handles themselves — their addresses and creation order, which depend
+// Strings stay the external identity: trace labels, checkpoint bytes,
+// cache.UnitKey as stored on units and MetaInsight keys are all derived from
+// Handle.Key, which equals model.Subspace.Key byte for byte. Handles themselves — their addresses and creation order, which depend
 // on worker interleaving — never reach an ordering, a reported hash or the
 // wire (DESIGN.md §14).
 

@@ -13,16 +13,15 @@ import (
 // actually visits rows and produces query-cache units. The paper's substrate
 // was Excel's query interface over IPC; ours is an in-process columnar scan
 // (ColumnarSubstrate). Extracting the interface lets deployments swap in a
-// remote cube or SQL backend — and lets the fault injector model such a
-// backend's failures deterministically without a real one.
+// remote cube or SQL backend, and lets tests substitute one that fails.
 //
 // Contract: both methods report the number of rows physically visited, are
 // safe for concurrent use, and must be deterministic for a fixed table —
 // the engine's single-flight groups assume any two calls with equal
 // arguments are interchangeable. Returned units must carry the canonical
 // cache.UnitKey for their scope and list only non-empty groups in domain
-// order. Errors are retried by the engine up to the retry policy's attempt
-// budget; ColumnarSubstrate never errors.
+// order. An error is returned to the engine's caller as is, never retried
+// (the miner skips and accounts the unit); ColumnarSubstrate never errors.
 type Substrate interface {
 	// ScanUnit executes one filtered group-by scan of (subspace, breakdown)
 	// across all measure columns.
@@ -43,19 +42,6 @@ type Substrate interface {
 // estimate.
 type RowPlanner interface {
 	PlannedRows(s model.Subspace) int
-}
-
-// UnitFingerprint is the canonical identity of a unit scan, the key fault
-// decisions are drawn from. It depends only on the logical query — never on
-// cache state, worker, or time — which is what keeps injected failures
-// bit-identical across worker counts.
-func UnitFingerprint(subspaceKey, breakdown string) string {
-	return "u|" + subspaceKey + "|" + model.EscapeKey(breakdown)
-}
-
-// AugmentedFingerprint is the canonical identity of an augmented scan.
-func AugmentedFingerprint(baseKey, breakdown, ext string) string {
-	return "a|" + baseKey + "|" + model.EscapeKey(breakdown) + "|" + model.EscapeKey(ext)
 }
 
 // PlanMode selects the multi-filter scan strategy of the ColumnarSubstrate.

@@ -21,7 +21,6 @@ import (
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
-	"metainsight/internal/faults"
 	"metainsight/internal/miner"
 	"metainsight/internal/obs"
 	"metainsight/internal/pattern"
@@ -51,11 +50,6 @@ type Setup struct {
 	// Observers are inert: results and statistics must be bit-identical with
 	// or without one (Smoke asserts this in CI).
 	Observer *obs.Observer
-	// Faults, when enabled, injects deterministic query faults into the run
-	// (Smoke exercises the resilience path with it); Retry shapes the
-	// retry/backoff/deadline response.
-	Faults faults.Policy
-	Retry  faults.RetryPolicy
 	// Checkpoint, when set, makes the run crash-safe (journal + snapshots in
 	// the spec's directory); HaltAfterCommits simulates a hard kill. The
 	// checkpoint-resume smoke arm uses both.
@@ -80,7 +74,6 @@ func (s Setup) Run(tab *dataset.Table) (*miner.Result, *engine.Engine) {
 		QueryCache:      cache.NewQueryCache(s.QueryCache),
 		Meter:           meter,
 		Observer:        s.Observer,
-		Faults:          faults.NewInjector(s.Faults, s.Retry),
 		ScanParallelism: s.ScanParallelism,
 	})
 	if err != nil {

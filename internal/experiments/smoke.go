@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"metainsight/internal/faults"
 	"metainsight/internal/miner"
 	"metainsight/internal/obs"
 	"metainsight/internal/workload"
@@ -105,68 +104,16 @@ func Smoke(w io.Writer) error {
 	fprintf(w, "  observer inert: identical results and accounting with tracing on (%d events)\n",
 		ob.Trace().Len())
 
-	return smokeFaults(w)
-}
-
-// smokeFaults reruns the Figure 6 workload under a 5% deterministic transient
-// fault rate: every dataset must still yield a non-empty, best-effort result,
-// the retry machinery must actually fire, and — faults included — the results
-// and the complete accounting must stay bit-identical across worker counts.
-func smokeFaults(w io.Writer) error {
-	policy := faults.Policy{Seed: 42, TransientRate: 0.05, LatencyRate: 0.2, LatencyUnits: 0.5}
-	retry := faults.RetryPolicy{}.WithDefaults()
-	fprintf(w, "Smoke (faults): Figure 6 workload at 5%% transient rate, seed %d\n", policy.Seed)
-	var retries int64
-	for _, tab := range workload.FourLargeDatasets() {
-		run := func(workers int) (map[string]bool, miner.Stats) {
-			s := FullFunctionality()
-			s.Workers = workers
-			s.BudgetUnits = 400
-			s.Faults = policy
-			s.Retry = retry
-			res, _ := s.Run(tab)
-			return res.Keys(), res.Stats
-		}
-		oneKeys, oneStats := run(1)
-		eightKeys, eightStats := run(8)
-		if len(oneKeys) == 0 {
-			return fmt.Errorf("smoke: %s mined nothing under faults", tab.Name())
-		}
-		if len(oneKeys) != len(eightKeys) {
-			return fmt.Errorf("smoke: %s fault-run result counts differ: W=1 %d vs W=8 %d",
-				tab.Name(), len(oneKeys), len(eightKeys))
-		}
-		for k := range oneKeys {
-			if !eightKeys[k] {
-				return fmt.Errorf("smoke: %s: %q mined at W=1 but not at W=8 under faults", tab.Name(), k)
-			}
-		}
-		a, b := oneStats, eightStats
-		a.QueryCacheStats.Bytes = 0
-		b.QueryCacheStats.Bytes = 0
-		if a != b {
-			return fmt.Errorf("smoke: %s fault-run stats differ\n  W=1: %+v\n  W=8: %+v", tab.Name(), a, b)
-		}
-		retries += oneStats.Retries
-		fprintf(w, "  %s: %d MetaInsights, %d retries, %d failed, deterministic at W=1 and W=8\n",
-			tab.Name(), len(oneKeys), oneStats.Retries, oneStats.FailedUnits)
-	}
-	if retries == 0 {
-		return fmt.Errorf("smoke: a 5%% transient rate produced zero retries across the Figure 6 workload")
-	}
-	fprintf(w, "  resilience invariants hold: best-effort results, faults accounted, worker-count invariant\n")
 	return smokeCheckpoint(w)
 }
 
 // smokeCheckpoint is the crash-recovery smoke arm: a checkpointed Credit
-// Card run (snapshot every 50 commits, 5% transient faults) is hard-killed
-// after 125 commits and resumed at a different worker count; the killed
-// run's trace concatenated with the resumed run's must reproduce an
-// uninterrupted run's trace event for event, and results and accounting must
-// match bit for bit.
+// Card run (snapshot every 50 commits) is hard-killed after 125 commits and
+// resumed at a different worker count; the killed run's trace concatenated
+// with the resumed run's must reproduce an uninterrupted run's trace event
+// for event, and results and accounting must match bit for bit.
 func smokeCheckpoint(w io.Writer) error {
 	tab := workload.CreditCard()
-	policy := faults.Policy{Seed: 42, TransientRate: 0.05}
 	const (
 		budget = 400
 		every  = 50
@@ -184,8 +131,6 @@ func smokeCheckpoint(w io.Writer) error {
 		s := FullFunctionality()
 		s.Workers = workers
 		s.BudgetUnits = budget
-		s.Faults = policy
-		s.Retry = faults.RetryPolicy{}.WithDefaults()
 		s.Observer = ob
 		s.Checkpoint = &miner.CheckpointSpec{Dir: dir, Every: every, Resume: resume}
 		s.HaltAfterCommits = halt

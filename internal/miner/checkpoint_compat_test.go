@@ -10,7 +10,9 @@ import (
 )
 
 // The fixture under testdata/ckpt_parent was written by the commit before
-// subspaces were interned (ckRun on the planted table, snapshot cadence 16):
+// the fault simulation was retired, with ckRun's fault policy taken out — the
+// fault-free run that commit and this one both have (planted table, cost
+// budget 400, snapshot cadence 16):
 // killed/ is a W=8 run hard-stopped after 40 commits — a snapshot at commit
 // 32 plus eight journal records — and uninterrupted_snapshot.ck is the final
 // snapshot of the W=1 run that was never stopped. Together they pin the wire
@@ -34,13 +36,13 @@ func TestCheckpointWireFormatUnchanged(t *testing.T) {
 			t.Errorf("workers=%d: final snapshot (%d bytes) differs from the one the parent commit wrote (%d bytes)",
 				workers, len(got), len(want))
 		}
-		// The stats encoding keeps its two reserved names, always zero, and
+		// The stats encoding keeps its four reserved names, always zero, and
 		// round-trips.
 		raw, err := json.Marshal(res.Stats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, reserved := range []string{`"speculative_reissues":0,`, `"shard_retries":0,`} {
+		for _, reserved := range []string{`"retries":0,`, `"breaker_trips":0,`, `"speculative_reissues":0,`, `"shard_retries":0,`} {
 			if !strings.Contains(string(raw), reserved) {
 				t.Errorf("workers=%d: stats JSON lacks reserved %s: %s", workers, reserved, raw)
 			}

@@ -10,25 +10,22 @@ import (
 
 	"metainsight/internal/checkpoint"
 	"metainsight/internal/engine"
-	"metainsight/internal/faults"
 	"metainsight/internal/model"
 	"metainsight/internal/obs"
 	"metainsight/internal/pattern"
 )
 
-// ckRun executes one checkpointed mining pass over the planted table under a
-// 5% transient-fault policy, returning the result and the deterministic
-// trace projection. halt > 0 simulates a hard kill (process death) after
-// that many commits; resume continues a previous pass's directory. Every
-// call builds a fresh engine, meter and caches — exactly what a restarted
-// process sees.
+// ckRun executes one checkpointed mining pass over the planted table,
+// returning the result and the deterministic trace projection. halt > 0
+// simulates a hard kill (process death) after that many commits; resume
+// continues a previous pass's directory. Every call builds a fresh engine,
+// meter and caches — exactly what a restarted process sees.
 func ckRun(t *testing.T, workers int, dir string, every, halt int64, resume bool) (*Result, []traceLine) {
 	t.Helper()
 	ob := obs.New(obs.Options{TraceCapacity: 1 << 18})
 	res := runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
 		meter := &engine.Meter{}
 		e.Meter = meter
-		e.Faults = faults.NewInjector(faults.Policy{Seed: 42, TransientRate: 0.05}, faults.RetryPolicy{})
 		c.Workers = workers
 		c.Observer = ob
 		c.Budget = CostBudget{Meter: meter, Limit: 400}
@@ -78,8 +75,8 @@ func miJSON(t *testing.T, res *Result) string {
 
 // TestCheckpointResumeDeterminism is the acceptance test of crash-safe
 // mining: a run hard-killed after N commits and resumed from its checkpoint
-// produces — at every worker count, under transient faults — the exact
-// results, statistics and trace suffix of the run that was never killed.
+// produces — at every worker count — the exact results, statistics and trace
+// suffix of the run that was never killed.
 // Kill points cover the interesting boundaries: the very first commit,
 // just-before-snapshot, exactly-at-snapshot, and mid-journal-segment.
 func TestCheckpointResumeDeterminism(t *testing.T) {

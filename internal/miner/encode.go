@@ -9,7 +9,6 @@ import (
 
 	"metainsight/internal/cache"
 	"metainsight/internal/core"
-	"metainsight/internal/faults"
 	"metainsight/internal/model"
 	"metainsight/internal/obs"
 	"metainsight/internal/pattern"
@@ -134,7 +133,10 @@ type evalEntryJSON struct {
 	Bytes int64  `json:"n"`
 }
 
-// acctJSON is the accounting's full mutable state, meter included.
+// acctJSON is the accounting's full mutable state, meter included. Retries,
+// BreakerTrips and Breaker are reserved, always zero: state of the retired
+// fault simulation, kept so snapshots stay byte-identical across its removal
+// and the ones written before it still decode.
 type acctJSON struct {
 	Executed         int64   `json:"executed"`
 	Augmented        int64   `json:"augmented"`
@@ -153,7 +155,11 @@ type acctJSON struct {
 	QC []cacheEntryJSON `json:"qc"`
 	PC []evalEntryJSON  `json:"pc"`
 
-	Breaker faults.BreakerState `json:"breaker"`
+	Breaker struct {
+		Consecutive int   `json:"consecutive"`
+		Open        bool  `json:"open"`
+		Trips       int64 `json:"trips"`
+	} `json:"breaker"`
 
 	// Meter state in exact nano-units (AddCost truncates per call, so the
 	// float total is not restorable bit-exactly — the integer is).
@@ -174,11 +180,8 @@ func (a *accounting) exportState() acctJSON {
 		PCMisses:         a.pcMisses,
 		PrefetchFailures: a.prefetchFailures,
 		FailedUnits:      a.failedUnits,
-		Retries:          a.retries,
-		BreakerTrips:     a.breakerTrips,
 		Evictions:        a.evictions,
 		Cost:             a.cost,
-		Breaker:          a.breaker.State(),
 		MeterCostNanos:   a.meter.CostNanos(),
 		MeterExecuted:    a.meter.ExecutedQueries(),
 		MeterServed:      a.meter.ServedQueries(),
@@ -245,11 +248,8 @@ func (a *accounting) restoreState(st acctJSON) error {
 	a.pcMisses = st.PCMisses
 	a.prefetchFailures = st.PrefetchFailures
 	a.failedUnits = st.FailedUnits
-	a.retries = st.Retries
-	a.breakerTrips = st.BreakerTrips
 	a.evictions = st.Evictions
 	a.cost = st.Cost
-	a.breaker.Restore(st.Breaker)
 	a.meter.AddCostNanos(st.MeterCostNanos)
 	a.meter.AddExecuted(st.MeterExecuted)
 	a.meter.AddServed(st.MeterServed)
@@ -407,9 +407,9 @@ func (m *Miner) encodeRecord(c *completion) recordJSON {
 
 // fingerprint hashes everything that shapes the canonical commit stream:
 // the table's shape, the measure set, every scoring/pattern/miner knob, the
-// cache configuration, the fault policy and the budget kind. Workers is
-// deliberately excluded — worker count is a proven run invariant, so a run
-// checkpointed at W=8 may resume at W=1 and still match bit for bit. Custom
+// cache configuration and the budget kind. Workers is deliberately excluded
+// — worker count is a proven run invariant, so a run checkpointed at W=8 may
+// resume at W=1 and still match bit for bit. Custom
 // pattern evaluators contribute their names only (function values have no
 // stable cross-process identity); registering a *different* evaluator under
 // the same name defeats the check, which the API docs call out.
@@ -448,8 +448,10 @@ func (m *Miner) fingerprint() string {
 	qc := m.eng.QueryCache()
 	w("qcache", fmt.Sprintf("%t %d", qc.Enabled(), qc.MaxBytes()))
 	w("pcache", fmt.Sprintf("%t %d", m.pcache.Enabled(), m.pcache.MaxBytes()))
-	inj := m.eng.Faults()
-	w("faults", fmt.Sprintf("%+v", inj.Policy()), fmt.Sprintf("%+v", inj.Retry()))
+	// The retired fault simulation's zero policies, as it rendered them: kept
+	// so checkpoints written before its removal still match.
+	w("faults", "{Seed:0 TransientRate:0 PermanentRate:0 LatencyRate:0 LatencyUnits:0}",
+		"{MaxAttempts:0 BaseBackoff:0 BackoffFactor:0 MaxBackoff:0 JitterFrac:0 DeadlineUnits:0 BreakerThreshold:0}")
 	switch b := m.cfg.Budget.(type) {
 	case Unlimited:
 		w("budget", "unlimited")

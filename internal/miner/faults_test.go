@@ -2,33 +2,53 @@ package miner
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"metainsight/internal/cache"
 	"metainsight/internal/engine"
-	"metainsight/internal/faults"
+	"metainsight/internal/model"
 	"metainsight/internal/obs"
 	"metainsight/internal/pattern"
 )
 
-// testFaultPolicy is an aggressive-but-survivable injection profile: enough
-// transient faults to exercise retries on most runs, a small permanent rate
-// to exercise skip-and-account, and injected latency charged to the meter.
-func testFaultPolicy() faults.Policy {
-	return faults.Policy{
-		Seed:          7,
-		TransientRate: 0.10,
-		PermanentRate: 0.02,
-		LatencyRate:   0.25,
-		LatencyUnits:  0.5,
+// failingSubstrate is the columnar substrate with scans that fail on demand —
+// the one way a query can fail: a Substrate method returning an error.
+// Embedding keeps the row planner and the intern table, so costs and handles
+// are those of a clean run.
+type failingSubstrate struct {
+	*engine.ColumnarSubstrate
+	failUnit func(s model.Subspace, breakdown string) bool
+	failAug  func(base model.Subspace, breakdown, ext string) bool
+}
+
+var errScanFailed = errors.New("failing substrate: scan failed")
+
+func (f *failingSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
+	if f.failUnit != nil && f.failUnit(s, breakdown) {
+		return nil, 0, errScanFailed
 	}
+	return f.ColumnarSubstrate.ScanUnit(s, breakdown)
+}
+
+func (f *failingSubstrate) ScanAugmented(base model.Subspace, breakdown, ext string) (map[string]*cache.Unit, int, error) {
+	if f.failAug != nil && f.failAug(base, breakdown, ext) {
+		return nil, 0, errScanFailed
+	}
+	return f.ColumnarSubstrate.ScanAugmented(base, breakdown, ext)
+}
+
+// failUnitsUnder fails every unit scan whose subspace filters dim.
+func failUnitsUnder(dim string) func(model.Subspace, string) bool {
+	return func(s model.Subspace, _ string) bool { return s.Has(dim) }
 }
 
 func patternSizeOf(key cache.ScopeKey, se *pattern.ScopeEvaluation) int64 {
 	return int64(key.Len()) + se.ApproxBytes()
 }
 
-// traceFingerprint projects a trace onto its deterministic fields (everything
+// traceLine projects a trace event onto its deterministic fields (everything
 // but the wall clock).
 type traceLine struct {
 	Seq    int64
@@ -56,106 +76,164 @@ func tracedRun(t *testing.T, workers int, mutate func(*Config, *engine.Config)) 
 	return res, lines
 }
 
-// TestFaultDeterminismAcrossWorkers is the acceptance test of the
-// fault-tolerant substrate: with an active fault policy — and again with
-// byte-bounded caches on top — the results, the complete statistics
-// (including FailedUnits, Retries, BreakerTrips and Evictions) and the
-// structured trace must be bit-identical for Workers = 1..8.
+func boundedCaches(c *Config, e *engine.Config) {
+	qc := cache.NewQueryCache(true)
+	qc.SetMaxBytes(4096)
+	e.QueryCache = qc
+	pc := cache.NewPatternCache[*pattern.ScopeEvaluation](true)
+	pc.SetMaxBytes(2048, patternSizeOf)
+	c.PatternCache = pc
+}
+
+// TestFaultDeterminismAcrossWorkers asserts that with byte-bounded caches
+// the results, the complete statistics (Evictions and Bytes included) and
+// the structured trace are bit-identical for Workers = 1..8: the recording
+// paths stay pure when physical evictions are timing-dependent.
 func TestFaultDeterminismAcrossWorkers(t *testing.T) {
-	variants := []struct {
-		name   string
-		mutate func(*Config, *engine.Config)
-	}{
-		{"faults", func(c *Config, e *engine.Config) {
-			e.Faults = faults.NewInjector(testFaultPolicy(), faults.RetryPolicy{BreakerThreshold: 4})
-		}},
-		{"faults+bounded-caches", func(c *Config, e *engine.Config) {
-			e.Faults = faults.NewInjector(testFaultPolicy(), faults.RetryPolicy{BreakerThreshold: 4})
-			qc := cache.NewQueryCache(true)
-			qc.SetMaxBytes(4096)
-			e.QueryCache = qc
-			pc := cache.NewPatternCache[*pattern.ScopeEvaluation](true)
-			pc.SetMaxBytes(2048, patternSizeOf)
-			c.PatternCache = pc
-		}},
-		{"faults+deadline", func(c *Config, e *engine.Config) {
-			e.Faults = faults.NewInjector(testFaultPolicy(), faults.RetryPolicy{DeadlineUnits: 6})
-		}},
+	base, baseTrace := tracedRun(t, 1, boundedCaches)
+	if len(base.MetaInsights) == 0 || base.Stats.Evictions == 0 {
+		t.Fatalf("vacuous: %d MetaInsights, %d evictions", len(base.MetaInsights), base.Stats.Evictions)
 	}
-	for _, v := range variants {
-		base, baseTrace := tracedRun(t, 1, v.mutate)
-		if len(base.MetaInsights) == 0 {
-			t.Fatalf("%s: no MetaInsights mined under faults (vacuous)", v.name)
+	for _, workers := range []int{2, 3, 5, 8} {
+		res, trace := tracedRun(t, workers, boundedCaches)
+		assertSameOrderedKeys(t, "bounded caches", base, res)
+		if base.Stats != res.Stats {
+			t.Errorf("stats differ at %d workers\n  w1: %+v\n  w%d: %+v", workers, base.Stats, workers, res.Stats)
 		}
-		for _, workers := range []int{2, 3, 5, 8} {
-			res, trace := tracedRun(t, workers, v.mutate)
-			label := v.name
-			assertSameOrderedKeys(t, label, base, res)
-			// Full bit-identity, Bytes included: under an active fault policy
-			// every recorded size flows through deterministic paths.
-			if base.Stats != res.Stats {
-				t.Errorf("%s: stats differ at %d workers\n  w1: %+v\n  w%d: %+v",
-					label, workers, base.Stats, workers, res.Stats)
+		if len(baseTrace) != len(trace) {
+			t.Errorf("trace lengths differ at %d workers: %d vs %d", workers, len(baseTrace), len(trace))
+			continue
+		}
+		for i := range trace {
+			if trace[i] != baseTrace[i] {
+				t.Errorf("trace diverges at event %d with %d workers:\n  w1: %+v\n  w%d: %+v",
+					i, workers, baseTrace[i], workers, trace[i])
+				break
 			}
-			if len(baseTrace) != len(trace) {
-				t.Errorf("%s: trace lengths differ at %d workers: %d vs %d",
-					label, workers, len(baseTrace), len(trace))
-				continue
+		}
+	}
+}
+
+// TestAugmentedScanFailureFallsBack fails every augmented scan: each
+// prefetch falls back to per-sibling basic queries, so the run mines exactly
+// the clean run's MetaInsights, at the price of more executed queries, and
+// no unit query fails.
+func TestAugmentedScanFailureFallsBack(t *testing.T) {
+	tab := plantedTable(t)
+	clean := runMiner(t, tab, nil)
+	if clean.Stats.AugmentedQueries == 0 {
+		t.Fatal("vacuous: the clean run issues no augmented query")
+	}
+	for _, workers := range []int{1, 8} {
+		res := runMiner(t, tab, func(c *Config, e *engine.Config) {
+			c.Workers = workers
+			e.Substrate = &failingSubstrate{
+				ColumnarSubstrate: engine.NewColumnarSubstrate(tab),
+				failAug:           func(model.Subspace, string, string) bool { return true },
 			}
-			for i := range trace {
-				if trace[i] != baseTrace[i] {
-					t.Errorf("%s: trace diverges at event %d with %d workers:\n  w1: %+v\n  w%d: %+v",
-						label, i, workers, baseTrace[i], workers, trace[i])
-					break
+		})
+		assertSameOrderedKeys(t, "augmented scans fail", clean, res)
+		for i, mi := range res.MetaInsights {
+			if mi.Score != clean.MetaInsights[i].Score {
+				t.Errorf("workers=%d: %s scores %v, clean run %v", workers, mi.Key(), mi.Score, clean.MetaInsights[i].Score)
+			}
+		}
+		if res.Err != nil {
+			t.Errorf("workers=%d: a failed prefetch degraded the run: %v", workers, res.Err)
+		}
+		if workers != 1 {
+			// Which prefetches a worker physically issues depends on what its
+			// peers have cached by then; only the single-worker counts are exact.
+			continue
+		}
+		s := res.Stats
+		if s.PrefetchFailures == 0 || s.AugmentedQueries != 0 || s.FailedUnits != 0 {
+			t.Errorf("prefetch failures %d, augmented queries %d, failed units %d; want > 0, 0, 0",
+				s.PrefetchFailures, s.AugmentedQueries, s.FailedUnits)
+		}
+		if s.ExecutedQueries < clean.Stats.ExecutedQueries {
+			t.Errorf("fallback executed %d queries, fewer than the clean run's %d",
+				s.ExecutedQueries, clean.Stats.ExecutedQueries)
+		}
+	}
+}
+
+// TestFaultInjectionIsAccounted fails every unit scan under a City filter:
+// the run terminates best-effort, each failed query is counted once and
+// traced once, charged nothing, and what is mined is a subset of the clean
+// run's MetaInsights.
+func TestFaultInjectionIsAccounted(t *testing.T) {
+	tab := plantedTable(t)
+	clean := runMiner(t, tab, nil).Keys()
+	for _, workers := range []int{1, 8} {
+		res, trace := tracedRun(t, workers, func(c *Config, e *engine.Config) {
+			e.Substrate = &failingSubstrate{
+				ColumnarSubstrate: engine.NewColumnarSubstrate(tab),
+				failUnit:          failUnitsUnder("City"),
+			}
+		})
+		if res.Stats.FailedUnits == 0 {
+			t.Fatalf("workers=%d: no failed units recorded", workers)
+		}
+		var fails int64
+		for _, ev := range trace {
+			if ev.Kind == obs.EvQueryFail {
+				fails++
+				if ev.Cost != 0 {
+					t.Errorf("workers=%d: failed query %s charged %v", workers, ev.Unit, ev.Cost)
 				}
 			}
 		}
+		if fails != res.Stats.FailedUnits {
+			t.Errorf("workers=%d: %d query-fail events for %d failed units", workers, fails, res.Stats.FailedUnits)
+		}
+		if want := fmt.Sprintf(" failed=%d", fails); !strings.Contains(res.Stats.String(), want) {
+			t.Errorf("workers=%d: stats line %q lacks %q", workers, res.Stats.String(), want)
+		}
+		if len(res.MetaInsights) == 0 {
+			t.Errorf("workers=%d: no best-effort MetaInsights", workers)
+		}
+		for k := range res.Keys() {
+			if !clean[k] {
+				t.Errorf("workers=%d: %q mined under failures but not by the clean run", workers, k)
+			}
+		}
 	}
 }
 
-// TestFaultInjectionIsAccounted asserts the injection profile actually
-// exercises the machinery: retries happen, failures are counted and traced,
-// and the run still produces the planted MetaInsight's family best-effort.
-func TestFaultInjectionIsAccounted(t *testing.T) {
-	res, trace := tracedRun(t, 4, func(c *Config, e *engine.Config) {
-		e.Faults = faults.NewInjector(testFaultPolicy(), faults.RetryPolicy{})
-	})
-	if res.Stats.Retries == 0 {
-		t.Error("no retries recorded at a 10% transient rate")
-	}
-	if res.Stats.FailedUnits == 0 {
-		t.Error("no failed units recorded at a 2% permanent rate")
-	}
-	kinds := map[obs.EventKind]int{}
-	for _, ev := range trace {
-		kinds[ev.Kind]++
-	}
-	if kinds[obs.EvQueryRetry] == 0 || kinds[obs.EvQueryFail] == 0 {
-		t.Errorf("trace lacks fault events: retry=%d fail=%d",
-			kinds[obs.EvQueryRetry], kinds[obs.EvQueryFail])
-	}
-	if len(res.MetaInsights) == 0 {
-		t.Error("no best-effort MetaInsights under faults")
-	}
-}
-
-// TestZeroPolicyMatchesBaseline asserts a zero-value fault policy and
-// unbounded caches are exact no-ops: results and stats match a run with no
-// injector configured at all.
-func TestZeroPolicyMatchesBaseline(t *testing.T) {
+// TestDegradedThreshold asserts ErrDegraded fires exactly on the configured
+// failure-rate boundary: with every filtered unit scan failing (two thirds
+// of the queries) a default-threshold run is flagged and one with the
+// threshold disabled (>= 1) is not; with one city failing (under 1%) the
+// default tolerates it and a negative threshold flags it.
+func TestDegradedThreshold(t *testing.T) {
 	tab := plantedTable(t)
-	baseline := runMiner(t, tab, func(c *Config, e *engine.Config) { c.Workers = 4 })
-	zero := runMiner(t, tab, func(c *Config, e *engine.Config) {
-		c.Workers = 4
-		e.Faults = faults.NewInjector(faults.Policy{}, faults.RetryPolicy{})
-	})
-	assertSameOrderedKeys(t, "zero policy", baseline, zero)
-	assertSameStats(t, "zero policy", baseline.Stats, zero.Stats)
-	if zero.Stats.FailedUnits != 0 || zero.Stats.Retries != 0 || zero.Stats.Evictions != 0 {
-		t.Errorf("zero policy recorded fault activity: %+v", zero.Stats)
+	run := func(threshold float64, failUnit func(model.Subspace, string) bool) *Result {
+		return runMiner(t, tab, func(c *Config, e *engine.Config) {
+			c.DegradedThreshold = threshold
+			e.Substrate = &failingSubstrate{ColumnarSubstrate: engine.NewColumnarSubstrate(tab), failUnit: failUnit}
+		})
 	}
-	if zero.Err != nil {
-		t.Errorf("zero policy degraded: %v", zero.Err)
+	filtered := func(s model.Subspace, _ string) bool { return s.Len() > 0 }
+	flagged := run(0, filtered)
+	if !errors.Is(flagged.Err, ErrDegraded) {
+		t.Errorf("default threshold, %d failed units: Err = %v, want ErrDegraded", flagged.Stats.FailedUnits, flagged.Err)
+	}
+	if tolerant := run(1, filtered); tolerant.Err != nil {
+		t.Errorf("threshold 1 still flagged: %v", tolerant.Err)
+	}
+
+	oneCity := func(s model.Subspace, _ string) bool {
+		v, _ := s.Get("City")
+		return v == "Yuba"
+	}
+	few := run(0, oneCity)
+	if few.Stats.FailedUnits == 0 || few.Err != nil {
+		t.Fatalf("one failing city: %d failed units, Err = %v; want some, under the default threshold",
+			few.Stats.FailedUnits, few.Err)
+	}
+	if strict := run(-1, oneCity); !errors.Is(strict.Err, ErrDegraded) {
+		t.Errorf("negative threshold, %d failed units: Err = %v, want ErrDegraded", strict.Stats.FailedUnits, strict.Err)
 	}
 }
 
@@ -169,12 +247,7 @@ func TestBoundedCacheEvictionRecomputesIdentically(t *testing.T) {
 	unbounded := runMiner(t, tab, func(c *Config, e *engine.Config) { c.Workers = 4 })
 	bounded := runMiner(t, tab, func(c *Config, e *engine.Config) {
 		c.Workers = 4
-		qc := cache.NewQueryCache(true)
-		qc.SetMaxBytes(4096)
-		e.QueryCache = qc
-		pc := cache.NewPatternCache[*pattern.ScopeEvaluation](true)
-		pc.SetMaxBytes(2048, patternSizeOf)
-		c.PatternCache = pc
+		boundedCaches(c, e)
 	})
 	if bounded.Stats.Evictions == 0 {
 		t.Fatal("byte bound never evicted (budget too generous for the test to bite)")
@@ -189,64 +262,32 @@ func TestBoundedCacheEvictionRecomputesIdentically(t *testing.T) {
 	}
 }
 
-// TestDegradedThreshold asserts ErrDegraded fires exactly on the configured
-// failure-rate boundary: a harsh permanent rate degrades a default-threshold
-// run, and the same run with the threshold disabled (>= 1) does not.
-func TestDegradedThreshold(t *testing.T) {
-	harsh := faults.Policy{Seed: 11, PermanentRate: 0.5}
-	flagged := runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
-		c.Workers = 4
-		e.Faults = faults.NewInjector(harsh, faults.RetryPolicy{})
-	})
-	if flagged.Err == nil {
-		t.Fatalf("50%% permanent failures not flagged (FailedUnits=%d)", flagged.Stats.FailedUnits)
-	}
-	if !errors.Is(flagged.Err, ErrDegraded) {
-		t.Errorf("Err = %v, want ErrDegraded", flagged.Err)
-	}
-	tolerant := runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
-		c.Workers = 4
+// TestEveryScanErrorIsOneFailedUnit lets each unit scan succeed once and
+// fails its repeats, under caches small enough to force repeats — among them
+// the fallback scans of root-impact lookups, which a bounded cache always
+// materializes. At one worker every error the substrate returned is exactly
+// one failed unit: none is replayed as an executed, charged query.
+func TestEveryScanErrorIsOneFailedUnit(t *testing.T) {
+	tab := skewedTable(t)
+	seen := map[string]bool{}
+	var errs int64
+	res := runMiner(t, tab, func(c *Config, e *engine.Config) {
+		boundedCaches(c, e)
 		c.DegradedThreshold = 1
-		e.Faults = faults.NewInjector(harsh, faults.RetryPolicy{})
+		e.Substrate = &failingSubstrate{
+			ColumnarSubstrate: engine.NewColumnarSubstrate(tab),
+			failUnit: func(s model.Subspace, breakdown string) bool {
+				key := s.Key() + "|" + breakdown
+				if !seen[key] {
+					seen[key] = true
+					return false
+				}
+				errs++
+				return true
+			},
+		}
 	})
-	if tolerant.Err != nil {
-		t.Errorf("threshold 1 still flagged: %v", tolerant.Err)
-	}
-	// Best-effort semantics: even at a 50% failure rate the run terminates
-	// and reports its accounting.
-	if flagged.Stats.FailedUnits == 0 {
-		t.Error("no failures accounted under a 50% permanent rate")
-	}
-}
-
-// TestBreakerSuppressesRetrySpending asserts the circuit breaker trips under
-// sustained failures and only sheds cost: outcomes (the result set) must be
-// identical with and without it, while the fast-fail path spends less.
-func TestBreakerSuppressesRetrySpending(t *testing.T) {
-	// A transient-dominated profile: failures are exhausted-retry failures,
-	// whose fault cost includes the retry attempts the open breaker shortcuts
-	// away. (Permanent faults fail on the first attempt and cost nothing to
-	// suppress.)
-	harsh := faults.Policy{Seed: 11, TransientRate: 0.75}
-	run := func(breaker int) *Result {
-		return runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
-			c.Workers = 4
-			c.DegradedThreshold = 1
-			e.Faults = faults.NewInjector(harsh, faults.RetryPolicy{BreakerThreshold: breaker})
-		})
-	}
-	without := run(0)
-	with := run(3)
-	if with.Stats.BreakerTrips == 0 {
-		t.Fatal("breaker never tripped under sustained failures")
-	}
-	assertSameOrderedKeys(t, "breaker", without, with)
-	if with.Stats.FailedUnits != without.Stats.FailedUnits {
-		t.Errorf("breaker changed outcomes: %d vs %d failed units",
-			with.Stats.FailedUnits, without.Stats.FailedUnits)
-	}
-	if with.Stats.CostUsed >= without.Stats.CostUsed {
-		t.Errorf("breaker did not shed cost: %.2f with vs %.2f without",
-			with.Stats.CostUsed, without.Stats.CostUsed)
+	if errs == 0 || res.Stats.FailedUnits != errs {
+		t.Errorf("substrate returned %d errors, run counted %d failed units", errs, res.Stats.FailedUnits)
 	}
 }

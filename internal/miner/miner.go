@@ -124,11 +124,11 @@ type Config struct {
 	// budget spending are bit-identical with the observer on or off.
 	Observer *obs.Observer
 	// DegradedThreshold is the failure-rate bound of graceful degradation:
-	// when more than this fraction of the run's unit queries permanently
-	// failed (injected faults or substrate errors), the result is still
-	// returned — best-effort, with every committed MetaInsight — but
-	// Result.Err is set to a wrapped ErrDegraded. The default is 0.1; set
-	// negative to flag any failure, or >= 1 to never flag.
+	// when more than this fraction of the run's unit queries failed
+	// (substrate errors), the result is still returned — best-effort, with
+	// every committed MetaInsight — but Result.Err is set to a wrapped
+	// ErrDegraded. The default is 0.1; set negative to flag any failure, or
+	// >= 1 to never flag.
 	DegradedThreshold float64
 	// PatternsFirst schedules MetaInsight compute units only when no
 	// data-pattern work is pending, following the sequential reading of the
@@ -218,15 +218,9 @@ type Stats struct {
 	BoundSkips       int64
 	BoundScanSkips   int64
 	PrefetchFailures int64 // augmented prefetches that fell back to basic queries
-	// FailedUnits counts queries that permanently failed (injected permanent
-	// faults, exhausted retries, deadline overruns, or real substrate
-	// errors); each is skipped-but-accounted and the run continues.
+	// FailedUnits counts queries whose substrate call returned an error; each
+	// is skipped-but-accounted and the run continues.
 	FailedUnits int64
-	// Retries counts failed attempts that were retried (both those that
-	// eventually succeeded and those that exhausted their attempt budget).
-	Retries int64
-	// BreakerTrips counts circuit-breaker open transitions.
-	BreakerTrips int64
 	// PanickedUnits counts compute units whose evaluation panicked; each was
 	// recovered on its worker and committed as failed-and-accounted (see
 	// EvUnitPanic) instead of crashing the run. Panics are pure functions of
@@ -874,8 +868,6 @@ func (m *Miner) finish() *Result {
 	m.stats.CostUsed = meter.Cost()
 	m.stats.PrefetchFailures = m.acct.prefetchFailures
 	m.stats.FailedUnits = m.acct.failedUnits
-	m.stats.Retries = m.acct.retries
-	m.stats.BreakerTrips = m.acct.breakerTrips
 	m.stats.Evictions = m.acct.evictions
 	m.stats.QueryCacheStats = m.acct.queryStats()
 	m.stats.PatternCacheStats = m.acct.patternStats()
@@ -904,8 +896,6 @@ func (m *Miner) finish() *Result {
 		o.SetGauge("miner.queries.cache_served", float64(m.stats.CacheServed))
 		o.SetGauge("miner.prefetch.failures", float64(m.stats.PrefetchFailures))
 		o.SetGauge("miner.queries.failed", float64(m.stats.FailedUnits))
-		o.SetGauge("miner.queries.retries", float64(m.stats.Retries))
-		o.SetGauge("miner.breaker.trips", float64(m.stats.BreakerTrips))
 		o.SetGauge("miner.cache.evictions", float64(m.stats.Evictions))
 		o.SetGauge("miner.qcache.hit_rate", m.stats.QueryCacheStats.HitRate())
 		o.SetGauge("miner.qcache.entries", float64(m.stats.QueryCacheStats.Entries))
@@ -1032,7 +1022,7 @@ func (m *Miner) processExpand(u *workUnit, rec *recorder, delta *statDelta) []*w
 		unit, err := m.eng.MaterializeUnitAt(u.handle, idx, nil)
 		if err != nil {
 			// Skipped-but-accounted: the child subspaces behind this group-by
-			// are not explored, but the failed query is charged canonically.
+			// are not explored, but the failed query is counted canonically.
 			rec.recordUnitFail(m.eng.UnitKeyAt(u.handle, idx), cost)
 			continue
 		}
@@ -1187,8 +1177,6 @@ func (m *Miner) extensions(u *workUnit, ds model.DataScope, measureKey string) [
 		}
 		rootImpact, probe, err := m.eng.ImpactUnmeteredAt(root)
 		if err != nil {
-			// Recorded even on failure: the replay recomputes the fallback
-			// scan's fate from its fingerprint and charges the failed attempts.
 			exts = append(exts, extension{probe: probe, failed: true})
 			continue
 		}
@@ -1247,10 +1235,16 @@ func emitMetaInsightUnits(produced []*workUnit, rec *recorder, exts []extension,
 			delta.boundSkips++
 			continue
 		}
+		if x.failed {
+			// The lookup's fallback scan errored: a failed query, not a
+			// lookup the replay could serve or charge.
+			rec.recordUnitFail(x.probe.Fallback, x.probe.Cost)
+			continue
+		}
 		if x.probe != nil {
 			rec.recordImpact(x.probe)
 		}
-		if x.failed || len(x.hds.Scopes) < 2 {
+		if len(x.hds.Scopes) < 2 {
 			continue
 		}
 		produced = append(produced, &workUnit{
@@ -1324,7 +1318,7 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 		unit, err := m.eng.MaterializeUnitAt(ref.h, ref.bdim, hint)
 		if err != nil {
 			// Failed sibling query: the scope drops out of the HDP (best
-			// effort) and the failure is charged canonically at commit.
+			// effort) and the failure is counted canonically at commit.
 			rec.recordUnitFail(m.eng.UnitKeyAt(ref.h, ref.bdim), cost)
 			continue
 		}
@@ -1419,13 +1413,8 @@ func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) []*cache.Unit {
 	}
 	anchor := u.scopes[0] // every scope shares the breakdown and the base
 	ext := m.eng.Table().DimensionIndex(u.hds.ExtDim)
-	use := &siblingUse{
-		scopes: u.scopes,
-		base:   anchor.h.Without(ext),
-		bdim:   anchor.bdim,
-		ext:    ext,
-	}
-	use.cost = m.eng.ScanCostAt(use.base)
+	base := anchor.h.Without(ext)
+	use := &siblingUse{scopes: u.scopes, cost: m.eng.ScanCostAt(base)}
 	if allCached {
 		// Physically nothing to fetch; reconstruct the scan's sibling list
 		// (the non-empty scope units) from the peeked units so the
@@ -1437,7 +1426,7 @@ func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) []*cache.Unit {
 				use.siblings = append(use.siblings, unitUse{key: unit.Key, bytes: unit.ApproxBytes()})
 			}
 		}
-	} else if units, err := m.eng.MaterializeAugmentedAt(use.base, use.bdim, use.ext); err != nil {
+	} else if units, err := m.eng.MaterializeAugmentedAt(base, anchor.bdim, ext); err != nil {
 		use.failed = true
 	} else {
 		use.siblings = make([]unitUse, 0, len(units))

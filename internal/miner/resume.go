@@ -14,9 +14,9 @@ import (
 var (
 	// ErrCheckpointMismatch reports a resume against a checkpoint directory
 	// written under a different mining configuration (table shape, scoring,
-	// pattern thresholds, cache bounds, fault policy or budget kind). Worker
-	// count is excluded: it is a proven run invariant, so a run may resume
-	// with any Workers value.
+	// pattern thresholds, cache bounds or budget kind). Worker count is
+	// excluded: it is a proven run invariant, so a run may resume with any
+	// Workers value.
 	ErrCheckpointMismatch = errors.New("miner: checkpoint was written by a different configuration")
 	// ErrReplayDiverged reports that re-executing the journal tail did not
 	// reproduce the journaled commits — the determinism premise of resume is

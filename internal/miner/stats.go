@@ -28,9 +28,8 @@ func (s Stats) String() string {
 	if s.PrefetchFailures > 0 {
 		fmt.Fprintf(&b, " prefetch-failures=%d", s.PrefetchFailures)
 	}
-	if s.FailedUnits > 0 || s.Retries > 0 || s.BreakerTrips > 0 {
-		fmt.Fprintf(&b, " faults[failed=%d retries=%d breaker-trips=%d]",
-			s.FailedUnits, s.Retries, s.BreakerTrips)
+	if s.FailedUnits > 0 {
+		fmt.Fprintf(&b, " failed=%d", s.FailedUnits)
 	}
 	if s.PanickedUnits > 0 {
 		fmt.Fprintf(&b, " panicked=%d", s.PanickedUnits)
@@ -72,9 +71,9 @@ func toCacheStatsJSON(s cache.Stats) cacheStatsJSON {
 
 // statsJSON fixes the stable wire names of Stats. Fields marshal in
 // declaration order, so the encoding is byte-stable for equal values. The
-// two fields with no Stats counterpart are reserved, always zero: counters
-// of a retired execution mode, kept so checkpoints and response bodies stay
-// byte-identical across its removal.
+// four fields with no Stats counterpart are reserved, always zero: counters
+// of the retired sharded execution mode and fault simulation, kept so
+// checkpoints and response bodies stay byte-identical across their removal.
 type statsJSON struct {
 	ExpandUnits      int64          `json:"expand_units"`
 	DataPatternUnits int64          `json:"data_pattern_units"`
@@ -124,8 +123,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		BoundScanSkips:   s.BoundScanSkips,
 		PrefetchFailures: s.PrefetchFailures,
 		FailedUnits:      s.FailedUnits,
-		Retries:          s.Retries,
-		BreakerTrips:     s.BreakerTrips,
 		PanickedUnits:    s.PanickedUnits,
 		Evictions:        s.Evictions,
 		CheckpointWrites: s.CheckpointWrites,
@@ -161,8 +158,6 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 		BoundScanSkips:   j.BoundScanSkips,
 		PrefetchFailures: j.PrefetchFailures,
 		FailedUnits:      j.FailedUnits,
-		Retries:          j.Retries,
-		BreakerTrips:     j.BreakerTrips,
 		PanickedUnits:    j.PanickedUnits,
 		Evictions:        j.Evictions,
 		CheckpointWrites: j.CheckpointWrites,

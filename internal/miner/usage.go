@@ -8,7 +8,6 @@ import (
 
 	"metainsight/internal/cache"
 	"metainsight/internal/engine"
-	"metainsight/internal/faults"
 	"metainsight/internal/obs"
 	"metainsight/internal/pattern"
 )
@@ -25,18 +24,12 @@ import (
 // are bit-identical for any worker count — the at-most-once query accounting
 // the paper's Fig 6/7 and Table 3 assume.
 //
-// Fault handling follows the same discipline. An injected fault is a pure
-// function of the query's canonical fingerprint, so the replay *recomputes*
-// each query's resolution rather than trusting anything the worker observed:
-// retry costs, failures, breaker transitions and the resulting trace events
-// are all decided here, in commit order. The circuit breaker likewise lives
-// here — it only modulates the cost accounting of queries that fail anyway
-// (fast-fail suppresses retry spending while open), never a query's outcome,
-// so it cannot invalidate speculative worker results. When the caches are
-// byte-bounded, the simulation evicts in commit-order FIFO, producing the
-// deterministic Stats.Evictions; the physical caches evict independently
-// (per lock stripe, in physical insertion order), which only ever causes
-// identical re-scans.
+// A query whose substrate call errored is recorded as failed by the worker
+// and replayed as skipped-but-accounted: counted, traced, charged nothing.
+// When the caches are byte-bounded, the simulation evicts in commit-order
+// FIFO, producing the deterministic Stats.Evictions; the physical caches
+// evict independently (per lock stripe, in physical insertion order), which
+// only ever causes identical re-scans.
 
 // usageKind tags one recorded usage event.
 type usageKind int
@@ -63,10 +56,8 @@ type unitUse struct {
 	key   cache.UnitKey
 	cost  float64
 	bytes int64
-	// failed records that the worker's materialization errored. For injected
-	// faults the flag is redundant (the replay recomputes the resolution from
-	// the fingerprint); it matters only for real substrate errors, which are
-	// counted as failed but charged nothing.
+	// failed records that the worker's materialization errored (a substrate
+	// error): the query is counted as failed but charged nothing.
 	failed bool
 }
 
@@ -76,15 +67,10 @@ type siblingUse struct {
 	// prefetch fires iff any scope's unit is missing from the (simulated)
 	// cache.
 	scopes []scopeRef
-	// base, bdim and ext identify the augmented scan — filtered by base,
-	// grouped by (breakdown bdim, extension ext) — from which the replay
-	// derives its canonical fingerprint when a fault layer needs it.
-	base      *engine.Handle
-	bdim, ext int
 	// cost is the analytic cost of the augmented scan.
 	cost float64
-	// failed records that the augmented query failed for a real (non-
-	// injected) reason; the unit fell back to per-sibling basic queries.
+	// failed records that the augmented query errored; the unit fell back to
+	// per-sibling basic queries.
 	failed bool
 	// siblings are the non-empty sibling units the scan produces.
 	siblings []unitUse
@@ -138,9 +124,7 @@ func (r *recorder) recordUnit(u *cache.Unit, cost float64) {
 	}})
 }
 
-// recordUnitFail records a unit query whose materialization errored; the
-// replay decides (from the fingerprint) whether the failure was injected and
-// what it costs.
+// recordUnitFail records a unit query whose materialization errored.
 func (r *recorder) recordUnitFail(key cache.UnitKey, cost float64) {
 	r.events = append(r.events, usageEvent{kind: useUnit, unit: unitUse{
 		key:    key,
@@ -167,7 +151,7 @@ func (r *recorder) recordSiblings(s *siblingUse) {
 // the charges to the engine's meter, so cost budgets observe only committed
 // (deterministic) spending.
 type accounting struct {
-	eng       *engine.Engine // renders handles as unit keys and fingerprints
+	eng       *engine.Engine // renders handles as unit keys
 	dimNames  []string       // table dimension names, for impact probe keys
 	meter     *engine.Meter
 	qcEnabled bool
@@ -179,14 +163,6 @@ type accounting struct {
 	// the Tracing() check so untraced runs skip label construction.
 	obs    *obs.Observer
 	traced bool
-
-	// inj recomputes fault resolutions in commit order; injEnabled caches
-	// the check so fault-free runs skip fingerprint construction entirely.
-	inj        *faults.Injector
-	injEnabled bool
-	// breaker is driven exclusively here, in commit order, which makes its
-	// state — and the retry spending it suppresses — worker-count-invariant.
-	breaker *faults.Breaker
 
 	qc         map[cache.UnitKey]int64 // simulated query cache: key → bytes
 	qcOrder    []cache.UnitKey         // commit-order FIFO eviction queue
@@ -205,8 +181,6 @@ type accounting struct {
 	pcHits, pcMisses int64
 	prefetchFailures int64
 	failedUnits      int64
-	retries          int64
-	breakerTrips     int64
 	evictions        int64
 	cost             float64
 }
@@ -217,7 +191,6 @@ type accounting struct {
 // order (their physical insertion order is not recorded; sorting keeps the
 // seed deterministic).
 func newAccounting(eng *engine.Engine, pc *cache.PatternCache[*pattern.ScopeEvaluation], o *obs.Observer) *accounting {
-	inj := eng.Faults()
 	a := &accounting{
 		eng:        eng,
 		dimNames:   eng.Table().DimensionNames(),
@@ -227,9 +200,6 @@ func newAccounting(eng *engine.Engine, pc *cache.PatternCache[*pattern.ScopeEval
 		evalCost:   eng.EvaluationCost(),
 		obs:        o,
 		traced:     o.Tracing(),
-		inj:        inj,
-		injEnabled: inj.Enabled(),
-		breaker:    faults.NewBreaker(inj.Retry().BreakerThreshold),
 		qc:         eng.QueryCache().Snapshot(),
 		qcMaxBytes: eng.QueryCache().MaxBytes(),
 		pc:         pc.KeySizes(),
@@ -340,69 +310,12 @@ func (a *accounting) storeEval(key cache.ScopeKey, bytes int64) {
 // "subspace|breakdown" shape.
 func keyLabel(k cache.UnitKey) string { return k.Subspace + "|" + k.Breakdown }
 
-// applyFailure charges one permanently failed query: its retry/backoff and
-// latency spending (suppressed to the first attempt's latency while the
-// breaker is open — fail-fast load shedding), the failure counters, and the
-// breaker transition.
-func (a *accounting) applyFailure(label string, res faults.Resolution) {
-	a.failedUnits++
-	cost := res.FaultCost
-	retries := res.Retries()
-	detail := res.Reason.String()
-	if a.breaker.Open() {
-		cost = res.FirstCost
-		retries = 0
-		detail += "; breaker open: fast-fail"
-	}
-	a.retries += retries
-	a.charge(cost)
-	if a.traced {
-		if retries > 0 {
-			a.obs.Event(obs.EvQueryRetry, label, fmt.Sprintf("%d failed retries", retries), cost)
-		}
-		a.obs.Event(obs.EvQueryFail, label, detail, cost)
-	}
-	if a.breaker.Failure() {
-		a.breakerTrips++
-		if a.traced {
-			a.obs.Event(obs.EvBreakerOpen, label,
-				fmt.Sprintf("%d consecutive failures", a.breaker.Consecutive()), 0)
-		}
-	}
-}
-
-// applyExecSuccess folds the fault-side effects of one successfully executed
-// scan: retry accounting and closing the breaker. Returns the fault cost to
-// add to the scan's charge.
-func (a *accounting) applyExecSuccess(label string, res faults.Resolution) float64 {
-	a.breaker.Success()
-	if res.Attempts > 1 {
-		a.retries += res.Retries()
-		if a.traced {
-			a.obs.Event(obs.EvQueryRetry, label,
-				fmt.Sprintf("succeeded after %d attempts", res.Attempts), res.FaultCost)
-		}
-	}
-	return res.FaultCost
-}
-
-// applyUnit replays one unit query: its fault resolution is recomputed from
-// the canonical fingerprint (a failing query fails regardless of cache
-// state, mirroring the engine's purity rule); a cached key is served, a
-// missing one is scanned (counted, charged) and stored.
+// applyUnit replays one unit query: a failed one is counted, a cached key is
+// served, a missing one is scanned (counted, charged) and stored.
 func (a *accounting) applyUnit(u unitUse) {
-	var res faults.Resolution
-	if a.injEnabled {
-		fp := engine.UnitFingerprint(u.key.Subspace, u.key.Breakdown)
-		res = a.inj.Resolve(fp, u.cost)
-		if !res.OK {
-			a.applyFailure(keyLabel(u.key), res)
-			return
-		}
-	}
 	if u.failed {
-		// Real (non-injected) substrate error: skipped-but-accounted, no
-		// charge — the scan never completed.
+		// Substrate error: skipped-but-accounted, no charge — the scan never
+		// completed.
 		a.failedUnits++
 		if a.traced {
 			a.obs.Event(obs.EvQueryFail, keyLabel(u.key), "substrate error", 0)
@@ -413,7 +326,7 @@ func (a *accounting) applyUnit(u unitUse) {
 		a.qcMisses++
 		a.executed++
 		a.meter.AddExecuted(1)
-		a.charge(u.cost + a.applyExecSuccess(keyLabel(u.key), res))
+		a.charge(u.cost)
 		if a.traced {
 			a.obs.Event(obs.EvQueryExec, keyLabel(u.key), "query-cache disabled", u.cost)
 		}
@@ -431,7 +344,7 @@ func (a *accounting) applyUnit(u unitUse) {
 	a.qcMisses++
 	a.executed++
 	a.meter.AddExecuted(1)
-	a.charge(u.cost + a.applyExecSuccess(keyLabel(u.key), res))
+	a.charge(u.cost)
 	a.store(u.key, u.bytes)
 	if a.traced {
 		a.obs.Event(obs.EvCacheMiss, keyLabel(u.key), "query-cache", 0)
@@ -463,16 +376,6 @@ func (a *accounting) apply(ev usageEvent) {
 		}
 	case useImpact:
 		p := ev.impact
-		// Purity rule (see Engine.ImpactUnmetered): the fallback scan's fate
-		// is resolved before the cache probes, so the outcome cannot depend
-		// on simulated cache state.
-		if a.injEnabled {
-			fp := engine.UnitFingerprint(p.Fallback.Subspace, p.Fallback.Breakdown)
-			if res := a.inj.Resolve(fp, p.Cost); !res.OK {
-				a.applyFailure(keyLabel(p.Fallback), res)
-				return
-			}
-		}
 		if a.qcEnabled {
 			// A cached unit on any unfiltered breakdown serves the impact
 			// value for free (uncounted peek, as in Engine.Impact).
@@ -517,19 +420,6 @@ func (a *accounting) applySiblings(s *siblingUse) {
 		}
 		return
 	}
-	var fp string
-	if a.injEnabled {
-		fp = a.eng.AugmentedFingerprintAt(s.base, s.bdim, s.ext)
-		// Recompute the augmented scan's fate from its fingerprint; the
-		// worker-side failed flag is ignored for injected decisions (it
-		// depends on whether the worker physically issued the scan, which
-		// can vary with worker count — the fingerprint cannot).
-		if res := a.inj.Resolve(fp, s.cost); !res.OK {
-			a.prefetchFailures++
-			a.applyFailure(fp, res)
-			return
-		}
-	}
 	if s.failed {
 		a.prefetchFailures++
 		if a.traced {
@@ -541,11 +431,7 @@ func (a *accounting) applySiblings(s *siblingUse) {
 	a.augmented++
 	a.meter.AddExecuted(1)
 	a.meter.AddAugmented(1)
-	faultCost := 0.0
-	if a.injEnabled {
-		faultCost = a.applyExecSuccess(fp, a.inj.Resolve(fp, s.cost))
-	}
-	a.charge(s.cost + faultCost)
+	a.charge(s.cost)
 	for _, sib := range s.siblings {
 		a.store(sib.key, sib.bytes)
 	}

@@ -36,13 +36,8 @@ const (
 	EvBudgetStop
 	// EvCancel marks the run stopping on context cancellation.
 	EvCancel
-	// EvQueryRetry marks a query that needed retries before succeeding or
-	// giving up (value = fault cost charged for the retries).
-	EvQueryRetry
-	// EvQueryFail marks a query that permanently failed and was skipped.
+	// EvQueryFail marks a query whose substrate call errored and was skipped.
 	EvQueryFail
-	// EvBreakerOpen marks the circuit breaker tripping open.
-	EvBreakerOpen
 	// EvEvict marks one entry evicted from a byte-bounded cache (canonical
 	// commit-order simulation).
 	EvEvict
@@ -68,9 +63,7 @@ var eventKindNames = [...]string{
 	EvStore:            "store",
 	EvBudgetStop:       "budget-stop",
 	EvCancel:           "cancel",
-	EvQueryRetry:       "query-retry",
 	EvQueryFail:        "query-fail",
-	EvBreakerOpen:      "breaker-open",
 	EvEvict:            "evict",
 	EvUnitPanic:        "unit-panic",
 	EvCheckpointWrite:  "checkpoint-write",

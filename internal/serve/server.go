@@ -162,8 +162,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 type AnalyzeResponse struct {
 	Insights json.RawMessage `json:"insights"`
 	Stats    json.RawMessage `json:"stats"`
-	// Degraded marks a best-effort result (some mining units failed but the
-	// fault policy kept going) — delivered with HTTP 206.
+	// Degraded marks a best-effort result (the substrate failed more queries
+	// than the degraded threshold allows, or the deadline fired mid-mining)
+	// — delivered with HTTP 206.
 	Degraded bool   `json:"degraded,omitempty"`
 	Warning  string `json:"warning,omitempty"`
 	// Metrics and TraceEvents are attached when the request set "trace".

@@ -325,29 +325,37 @@ func TestJobLifecycleAndRestartRecovery(t *testing.T) {
 	// finished job from its journal with identical results.
 	hs.Close()
 	srv.Close()
-	srv2, err := New(mkCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs2 := httptest.NewServer(srv2.Handler())
-	defer func() {
-		hs2.Close()
-		srv2.Close()
-	}()
-	status, data = getJSON(t, hs2.URL+"/v1/jobs/"+ack.ID)
-	if status != http.StatusOK {
-		t.Fatalf("job lookup after restart: status %d, body %s", status, data)
-	}
-	var st2 JobStatus
-	if err := json.Unmarshal(data, &st2); err != nil {
-		t.Fatal(err)
-	}
+	st2 := jobAfterRestart(t, mkCfg(), ack.ID)
 	if st2.State != JobDone {
 		t.Fatalf("restarted server reports state %q, want done", st2.State)
 	}
 	if string(st2.Insights) != string(st.Insights) {
 		t.Fatal("recovered job's insights differ from the original result")
 	}
+}
+
+// jobAfterRestart starts a fresh server over cfg's state directory and
+// returns job id as that server reports it.
+func jobAfterRestart(t *testing.T, cfg Config, id string) JobStatus {
+	t.Helper()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		srv.Close()
+	}()
+	status, data := getJSON(t, hs.URL+"/v1/jobs/"+id)
+	if status != http.StatusOK {
+		t.Fatalf("job lookup after restart: status %d, body %s", status, data)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func waitJobDone(t *testing.T, base, id string, timeout time.Duration) JobStatus {

@@ -52,7 +52,6 @@ import (
 	"metainsight/internal/core"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
-	"metainsight/internal/faults"
 	"metainsight/internal/miner"
 	"metainsight/internal/model"
 	"metainsight/internal/obs"
@@ -114,14 +113,6 @@ type (
 	// default is the in-process columnar scan; swap it with WithSubstrate to
 	// back analyses by a different executor.
 	Substrate = engine.Substrate
-	// FaultPolicy configures deterministic fault injection: seeded, fingerprint-
-	// keyed transient/permanent failures and simulated latency, for resilience
-	// testing without giving up reproducibility. Attach with WithFaultPolicy.
-	FaultPolicy = faults.Policy
-	// RetryPolicy configures the retry/backoff/deadline/circuit-breaker
-	// behavior of the fault-tolerant query substrate. Attach with
-	// WithRetryPolicy.
-	RetryPolicy = faults.RetryPolicy
 	// LoadStats counts what CSV ingestion kept and dropped
 	// (Dataset.LoadStats).
 	LoadStats = dataset.LoadStats
@@ -143,10 +134,6 @@ const (
 // MiningResult.Err or the error returned by Analyze.
 var ErrDegraded = miner.ErrDegraded
 
-// ErrQueryFailed is the sentinel wrapped by every permanently failed query
-// (injected faults, exhausted retries, deadline overruns).
-var ErrQueryFailed = faults.ErrQueryFailed
-
 // Checkpoint/resume sentinels; test with errors.Is on MiningResult.Err or
 // the error returned by Analyze.
 var (
@@ -165,22 +152,13 @@ var (
 	// that already holds a checkpoint; resume it or remove it explicitly.
 	ErrCheckpointExists = checkpoint.ErrExists
 	// ErrCheckpointMismatch: the checkpoint was written under a different
-	// mining configuration (dataset, measures, scoring, caches, faults or
-	// budget kind); resuming it would not reproduce the original run.
+	// mining configuration (dataset, measures, scoring, caches or budget
+	// kind); resuming it would not reproduce the original run.
 	ErrCheckpointMismatch = miner.ErrCheckpointMismatch
 	// ErrReplayDiverged: re-executing the journal tail did not reproduce the
 	// journaled commits — the inputs changed since the checkpoint was taken.
 	ErrReplayDiverged = miner.ErrReplayDiverged
 )
-
-// ParseFaultSpec parses a "key=value,key=value" fault specification (the
-// CLI's -faults flag) into a fault policy and retry policy. Keys: seed,
-// transient, permanent, latency-rate, latency, attempts, backoff,
-// backoff-factor, max-backoff, jitter, deadline, breaker. An empty spec
-// returns zero policies.
-func ParseFaultSpec(spec string) (FaultPolicy, RetryPolicy, error) {
-	return faults.ParseSpec(spec)
-}
 
 // NewObserver creates an observability collector to attach via WithObserver.
 // A zero ObserverOptions records metrics and phase timers only; set
@@ -312,9 +290,6 @@ type analyzerOptions struct {
 	weights        ranker.Weights
 	observer       *obs.Observer
 	substrate      Substrate
-	faultPolicy    FaultPolicy
-	retryPolicy    RetryPolicy
-	retrySet       bool
 	qcBytes        int64
 	pcBytes        int64
 	checkpoint     *miner.CheckpointSpec
@@ -379,8 +354,8 @@ func WithObserver(ob *Observer) Option {
 // WithScanParallelism sets how many goroutines one physical scan of the
 // default columnar substrate may use (default 1). This is intra-query
 // parallelism, orthogonal to WithWorkers' inter-query parallelism. Scan
-// results — and therefore every mined insight, statistic, fault fingerprint
-// and checkpoint — are bit-identical for any value: the scan pipeline splits
+// results — and therefore every mined insight, statistic and checkpoint —
+// are bit-identical for any value: the scan pipeline splits
 // rows into fixed-size morsels and merges partial aggregates in morsel-index
 // order, so the floating-point grouping never depends on n. Ignored when
 // WithSubstrate replaces the default substrate.
@@ -473,29 +448,12 @@ func WithRankingWeights(w ranker.Weights) Option {
 }
 
 // WithSubstrate replaces the physical scan layer behind the query engine
-// (default: the in-process columnar substrate over the dataset). Real errors
-// returned by a custom substrate are retried per the retry policy and, if
-// permanent, skipped-but-accounted (Stats.FailedUnits).
+// (default: the in-process columnar substrate over the dataset). A query
+// whose substrate call returns an error is not retried: it is skipped and
+// counted (Stats.FailedUnits), the run finishes best-effort, and past
+// ResilienceConfig.DegradedThreshold the result's error wraps ErrDegraded.
 func WithSubstrate(s Substrate) Option {
 	return func(o *analyzerOptions) { o.substrate = s }
-}
-
-// WithFaultPolicy enables deterministic fault injection on every scan path:
-// seeded transient/permanent failures and simulated latency, keyed by each
-// query's canonical fingerprint (never wall-clock or shared RNG), so a faulty
-// run is exactly as reproducible — including across worker counts — as a
-// clean one. A zero policy injects nothing.
-func WithFaultPolicy(p FaultPolicy) Option {
-	return func(o *analyzerOptions) { o.faultPolicy = p }
-}
-
-// WithRetryPolicy configures retries with capped exponential backoff and
-// deterministic jitter, per-query cost deadlines, and the consecutive-failure
-// circuit breaker. Zero-value fields take the defaults
-// (RetryPolicy.WithDefaults). Only meaningful together with WithFaultPolicy
-// or a failure-capable WithSubstrate.
-func WithRetryPolicy(r RetryPolicy) Option {
-	return func(o *analyzerOptions) { o.retryPolicy = r; o.retrySet = true }
 }
 
 // WithCacheBytes bounds the query and pattern caches to the given byte
@@ -650,7 +608,7 @@ func Analyze(d *Dataset, k int, opts ...Option) ([]*Insight, error) {
 
 // AnalyzeContext is Analyze with cancellation; see MineContext for the
 // cancellation contract. A cancelled run still ranks and returns whatever
-// was mined before the cancellation point. Under an active fault policy the
+// was mined before the cancellation point. When substrate queries failed the
 // returned error may wrap ErrDegraded — the insights are still valid
 // best-effort output, so check errors.Is(err, ErrDegraded) before discarding
 // them.

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Prints the two line counts simplicity PRs quote: non-test Go and _test.go
-# lines, both over tracked files outside benchmark/ (which BENCHMARK.json
-# freezes). Informational only: CI prints it, nothing gates on it.
+# Prints what a simplicity PR quotes before and after: non-test Go and
+# _test.go line counts over tracked files outside benchmark/ (which
+# BENCHMARK.json freezes), the root package's exported top-level identifiers
+# (methods and struct fields not counted) and each command's flag count.
+# Informational only: CI prints it, nothing gates on it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,3 +12,13 @@ lines() { tr '\n' '\0' | xargs -0 cat | wc -l; }
 
 echo "non-test Go lines outside benchmark/: $(files | grep -v '_test\.go$' | lines)"
 echo "_test.go lines outside benchmark/:    $(files | grep '_test\.go$' | lines)"
+
+echo "root package exported identifiers:    $(git ls-files -- '*.go' | grep -v / | grep -v '_test\.go$' | xargs awk '
+	/^(var|const|type) \($/ { block = 1; next }
+	block && /^\)/ { block = 0; next }
+	block && /^\t[A-Z][A-Za-z0-9_]*( |,|$)/ { n++; next }
+	/^(func|type|var|const) [A-Z]/ { n++ }
+	END { print n + 0 }')"
+for d in cmd/*/; do
+	echo "$d flags: $(cat "$d"*.go | grep -cE '\<(flag|fs)\.[A-Z][A-Za-z0-9]*\((&[A-Za-z]+, )?"' || true)"
+done

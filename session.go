@@ -25,13 +25,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"metainsight/internal/cache"
 	"metainsight/internal/engine"
-	"metainsight/internal/faults"
 	"metainsight/internal/miner"
 	"metainsight/internal/pattern"
 	"metainsight/internal/ranker"
@@ -57,24 +57,20 @@ type ExecConfig struct {
 	ScanParallelism int
 }
 
-// ResilienceConfig groups the fault-handling settings: deterministic fault
-// injection, retry/backoff/breaker behavior and the degraded-result
-// threshold. Zero-valued fields leave the corresponding setting unchanged.
+// ResilienceConfig groups the failure-handling settings: what a run does
+// when the Substrate returns errors. A failed query is skipped and counted
+// (Stats.FailedUnits) and the run finishes best-effort; this sets when that
+// result is flagged. A zero-valued field leaves the setting unchanged.
 type ResilienceConfig struct {
-	// Faults enables deterministic fault injection on every scan path; a
-	// zero policy injects nothing. See WithFaultPolicy.
-	Faults FaultPolicy
-	// Retry configures retries, backoff, per-query deadlines and the
-	// circuit breaker; a zero value leaves the retry policy unset (or, if
-	// Faults is enabled, the defaults apply). See WithRetryPolicy.
-	Retry RetryPolicy
 	// DegradedThreshold is the query failure rate above which a run is
 	// flagged degraded (Result.Err wraps ErrDegraded). 0 keeps the default
 	// (0.1); negative flags any failure; >= 1 never flags.
 	DegradedThreshold float64
 }
 
-// DurabilityConfig groups crash-safety: checkpoint journaling and resume.
+// DurabilityConfig groups crash-safety: checkpoint journaling and resume. A
+// resumed run continues bit-identically except under Budget.Time, which
+// re-anchors on resume.
 type DurabilityConfig struct {
 	// CheckpointDir is the checkpoint directory. Empty disables
 	// checkpointing.
@@ -102,13 +98,6 @@ func WithExec(c ExecConfig) Option {
 // prior settings untouched.
 func WithResilience(c ResilienceConfig) Option {
 	return func(o *analyzerOptions) {
-		if c.Faults.Enabled() {
-			o.faultPolicy = c.Faults
-		}
-		if c.Retry != (RetryPolicy{}) {
-			o.retryPolicy = c.Retry
-			o.retrySet = true
-		}
 		if c.DegradedThreshold != 0 {
 			o.minerCfg.DegradedThreshold = c.DegradedThreshold
 		}
@@ -138,7 +127,9 @@ func WithDurability(c DurabilityConfig) Option {
 // so the library refuses to combine them (ErrConflictingBudgets).
 type Budget struct {
 	// Time bounds mining by wall clock; mining is progressive and returns
-	// the best-so-far insights at the deadline.
+	// the best-so-far insights at the deadline. A wall-clock budget
+	// re-anchors on resume: a run resumed from a checkpoint gets the full
+	// duration again, so only cost-budgeted and unbounded runs resume exactly.
 	Time time.Duration
 	// Cost bounds mining by deterministic engine cost units.
 	Cost float64
@@ -244,8 +235,8 @@ func resolveOptions(opts []Option) (*analyzerOptions, error) {
 	if o.timeBudget > 0 && o.costBudget > 0 {
 		return nil, ErrConflictingBudgets
 	}
-	if err := o.faultPolicy.Validate(); err != nil {
-		return nil, err
+	if math.IsNaN(o.minerCfg.DegradedThreshold) {
+		return nil, errors.New("metainsight: degraded threshold is NaN")
 	}
 	if o.topKSet && o.minerCfg.TopK <= 0 {
 		return nil, ErrInvalidTopKPruning
@@ -390,8 +381,8 @@ func (an *Analysis) WriteReport(w io.Writer, title string) error {
 func (an *Analysis) Engine() *engine.Engine { return an.a.Engine() }
 
 // Analyze mines and ranks one request. The error mirrors the legacy
-// Analyze contract: it may wrap ErrDegraded (best-effort result under
-// faults) or a checkpoint sentinel, and the returned Analysis is still
+// Analyze contract: it may wrap ErrDegraded (best-effort result, substrate
+// queries failed) or a checkpoint sentinel, and the returned Analysis is still
 // valid best-effort output whenever it is non-nil.
 func (s *Session) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 	a, err := s.analyzer(req)
@@ -486,15 +477,6 @@ func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]b
 // construction path behind both Session.Analyze and the deprecated
 // NewAnalyzer shim, which is what makes the two surfaces bit-identical.
 func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, error) {
-	var retry faults.RetryPolicy
-	if o.retrySet {
-		retry = o.retryPolicy
-		if retry == (faults.RetryPolicy{}) {
-			// All-zero from an explicit WithRetryPolicy still means "use the
-			// defaults", which NewInjector would otherwise read as absent.
-			retry = retry.WithDefaults()
-		}
-	}
 	qc := cache.NewQueryCache(!o.disableQC)
 	if o.qcBytes > 0 {
 		qc.SetMaxBytes(o.qcBytes)
@@ -520,7 +502,6 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 		Meter:           meter,
 		Observer:        o.observer,
 		Substrate:       o.substrate,
-		Faults:          faults.NewInjector(o.faultPolicy, retry),
 	}
 	if ecfg.Substrate == nil {
 		// The session builds the default substrate itself, to share it across

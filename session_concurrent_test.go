@@ -2,7 +2,6 @@ package metainsight_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -11,25 +10,16 @@ import (
 )
 
 // TestSessionConcurrentAnalyze drives one shared session from many
-// goroutines with heterogeneous requests — fault injection on — and checks
-// every concurrent outcome against that request's sequential baseline.
-// Hermeticity is the contract under test: concurrent calls share only
-// read-only indexes and substrates, so interleaving must never change
-// results or statistics. Run it under -race (CI does).
+// goroutines with heterogeneous requests and checks every concurrent outcome
+// against that request's sequential baseline. Hermeticity is the contract
+// under test: concurrent calls share only read-only indexes and substrates,
+// so interleaving must never change results or statistics. Run it under
+// -race (CI does).
 func TestSessionConcurrentAnalyze(t *testing.T) {
 	tab := fracTable(t, 900)
 	sess, err := metainsight.NewSession(tab,
 		metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
-		metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: 2}),
-		metainsight.WithResilience(metainsight.ResilienceConfig{
-			Faults: metainsight.FaultPolicy{
-				Seed:          17,
-				TransientRate: 0.04,
-				LatencyRate:   0.1,
-				LatencyUnits:  2,
-			},
-			Retry: metainsight.RetryPolicy{}.WithDefaults(),
-		}))
+		metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +33,7 @@ func TestSessionConcurrentAnalyze(t *testing.T) {
 	}
 	analyze := func(req metainsight.Request) (runFacts, error) {
 		an, err := sess.Analyze(context.Background(), req)
-		if err != nil && !errors.Is(err, metainsight.ErrDegraded) {
+		if err != nil {
 			return runFacts{}, err
 		}
 		return factsOf(an.Result, an.Insights), nil
@@ -57,9 +47,6 @@ func TestSessionConcurrentAnalyze(t *testing.T) {
 		}
 		if len(facts.keys) == 0 {
 			t.Fatalf("baseline %d mined nothing", i)
-		}
-		if facts.stats.Retries == 0 {
-			t.Fatalf("baseline %d saw no retries: the fault arm is vacuous", i)
 		}
 		base[i] = facts
 	}

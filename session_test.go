@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -249,6 +250,17 @@ func TestConstructionValidation(t *testing.T) {
 				t.Errorf("NewAnalyzer: err = %v, want %v", err, tc.want)
 			}
 		})
+	}
+
+	// A NaN threshold would make "rate > threshold" false forever: degraded
+	// runs would pass as complete.
+	for name, opt := range map[string]metainsight.Option{
+		"WithResilience":        metainsight.WithResilience(metainsight.ResilienceConfig{DegradedThreshold: math.NaN()}),
+		"WithDegradedThreshold": metainsight.WithDegradedThreshold(math.NaN()),
+	} {
+		if _, err := metainsight.NewSession(tab, opt); err == nil {
+			t.Errorf("%s: NaN degraded threshold accepted", name)
+		}
 	}
 
 	// Resuming into the directory WithCheckpoint names is not a conflict.
