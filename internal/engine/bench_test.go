@@ -3,8 +3,10 @@ package engine
 // Physical-layer benchmarks of the scan substrate: unit and augmented scans
 // across filter depth (0–3), breakdown cardinality (small/large) and scan
 // parallelism (1/4), each beside the naive reference substrate (which always
-// reads the whole table). For development only — numbers a claim rests on
-// come from benchmark/. Run with
+// reads the whole table), plus layout=clustered|shuffled arms over one
+// 1 M-row table in generator order and in shuffled row order — the two
+// regimes of the selection-vector kernel. For development only — numbers a
+// claim rests on come from benchmark/. Run with
 //
 //	go test ./internal/engine -bench 'BenchmarkScan' -benchmem
 //
@@ -13,6 +15,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"metainsight/internal/dataset"
@@ -35,10 +38,17 @@ func benchTable(card string) *dataset.Table {
 	case "large":
 		// 221k distinct cells ≈ 221k rows, breakdown cardinality 64.
 		spec = workload.GenSpec{Name: "bench-large", Seed: 67, Cards: []int{64, 24, 12}, Periods: 12, Measures: 2, RowsPerCell: 1}
+	case "clustered", "shuffled":
+		// The benchmark's gen1m shape: ≈1.04 M rows in cross-product order,
+		// two fractional measures. "shuffled" holds the same rows permuted.
+		spec = workload.GenSpec{Name: "bench-1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 300}
 	default:
 		panic("unknown bench table " + card)
 	}
 	t := workload.Generate(spec)
+	if card == "shuffled" {
+		t = permuteRows(t, rand.New(rand.NewSource(1)).Perm(t.Rows()))
+	}
 	benchTables[card] = t
 	return t
 }
@@ -69,7 +79,20 @@ func benchScanUnit(b *testing.B, sub Substrate, s model.Subspace) {
 	b.ReportMetric(float64(rows), "rows/op")
 }
 
+// benchLayouts runs fn over the filters=1,2 × layout=clustered|shuffled arms.
+func benchLayouts(b *testing.B, fn func(b *testing.B, sub Substrate, s model.Subspace)) {
+	for _, layout := range []string{"clustered", "shuffled"} {
+		tab := benchTable(layout)
+		vec := NewColumnarSubstrate(tab)
+		for _, nf := range []int{1, 2} {
+			s := benchSubspace(tab, nf)
+			b.Run(fmt.Sprintf("layout=%s/filters=%d", layout, nf), func(b *testing.B) { fn(b, vec, s) })
+		}
+	}
+}
+
 func BenchmarkScanUnit(b *testing.B) {
+	benchLayouts(b, benchScanUnit)
 	for _, card := range []string{"small", "large"} {
 		tab := benchTable(card)
 		for nf := 0; nf <= 3; nf++ {
@@ -104,6 +127,9 @@ func benchScanAugmented(b *testing.B, sub Substrate, s model.Subspace, ext strin
 }
 
 func BenchmarkScanAugmented(b *testing.B) {
+	benchLayouts(b, func(b *testing.B, sub Substrate, s model.Subspace) {
+		benchScanAugmented(b, sub, s, "Period")
+	})
 	for _, card := range []string{"small", "large"} {
 		tab := benchTable(card)
 		for _, nf := range []int{0, 1, 2} {

@@ -1,8 +1,10 @@
 package engine
 
 // Impact-sum pruning bounds. For each (dimension, code) pair the engine can
-// precompute the impact measure's exact sum over that value's rows — one
-// O(dims × rows) pass, deterministic, built lazily on first use. Because the
+// precompute the impact measure's exact sum over that value's rows, built
+// lazily on first use: for a COUNT impact measure that sum is the cardinality
+// of the value's posting set, an integer the index already holds; a SUM
+// impact measure takes one deterministic O(dims × rows) pass. Because the
 // impact measure is additive and (when these bounds are enabled) non-negative,
 // the share of any single filter is an upper bound on the impact of every
 // conjunctive subspace containing that filter:
@@ -53,8 +55,8 @@ func (e *Engine) impactBoundsData() *impactBounds {
 		for di, d := range e.tab.Dimensions() {
 			sums := make([]float64, d.Cardinality())
 			if vals == nil {
-				for _, code := range d.Codes() {
-					sums[code]++
+				for code := range sums {
+					sums[code] = float64(d.PostingsBitmap(code).Cardinality())
 				}
 			} else {
 				for r, code := range d.Codes() {

@@ -107,6 +107,11 @@ func TestDimMaxImpactShare(t *testing.T) {
 			if truth > m+1e-12 {
 				t.Fatalf("dim %s value %s: impact %g exceeds dim bound %g", d.Name, v, truth, m)
 			}
+			// Under COUNT impact a single filter's share is its posting set's
+			// cardinality over the row count: the impact itself, to the bit.
+			if ub := e.ImpactShareUpperBound(model.NewSubspace(model.Filter{Dim: d.Name, Value: v})); ub != truth {
+				t.Fatalf("dim %s value %s: single-filter bound %g, impact %g", d.Name, v, ub, truth)
+			}
 		}
 	}
 	if m := e.DimMaxImpactShare("NoSuchDim"); m != 1 {

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -109,13 +110,74 @@ func randomSubspace(r *rand.Rand, tab *dataset.Table, depth int) model.Subspace 
 	return sub
 }
 
+// diffTables returns the row layouts the differential tests scan: the
+// uniformly random table (runs ≈ 1 row long, the per-row kernel regime) and
+// three clustered ones whose filtered scans reach the run regime — cross-
+// product row order as workload.buildTable emits it, the random table sorted
+// by one dimension, and sections of single-row runs alternating with
+// sections of runs up to 200 rows long, so that runs straddle the
+// WithMorselSize(64) boundaries and both regimes occur within one scan. All
+// share randomTable's schema and integer-valued measures.
+func diffTables(seed int64) map[string]*dataset.Table {
+	random := randomTable(seed, 700)
+	dims := random.Dimensions()
+	r := rand.New(rand.NewSource(seed))
+	row := func(b *dataset.Builder, city, style, month int) {
+		b.AddRow([]string{dims[0].Value(city), dims[1].Value(style), dims[2].Value(month)},
+			[]float64{math.Floor(r.Float64() * 1000), math.Floor(r.Float64()*200) - 100})
+	}
+
+	cross := dataset.NewBuilder("cross", random.Fields())
+	for city := 0; city < dims[0].Cardinality(); city++ {
+		for style := 0; style < dims[1].Cardinality(); style++ {
+			for month := 0; month < dims[2].Cardinality(); month++ {
+				for rep := 5 + r.Intn(40); rep > 0; rep-- {
+					row(cross, city, style, month)
+				}
+			}
+		}
+	}
+
+	order := make([]int, random.Rows())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return dims[0].CodeAt(order[i]) < dims[0].CodeAt(order[j]) })
+
+	alternating := dataset.NewBuilder("alternating", random.Fields())
+	for section := 0; section < 6; section++ {
+		for i := 0; i < 500; i++ {
+			row(alternating, r.Intn(dims[0].Cardinality()), r.Intn(dims[1].Cardinality()), r.Intn(dims[2].Cardinality()))
+		}
+		for n := 0; n < 500; {
+			city, style, month := r.Intn(dims[0].Cardinality()), r.Intn(dims[1].Cardinality()), r.Intn(dims[2].Cardinality())
+			run := 1 + r.Intn(200)
+			for i := 0; i < run; i++ {
+				row(alternating, city, style, month)
+			}
+			n += run
+		}
+	}
+	return map[string]*dataset.Table{
+		"random":      random,
+		"cross":       cross.Build(),
+		"sorted":      permuteRows(random, order),
+		"alternating": alternating.Build(),
+	}
+}
+
 // TestDifferentialScanUnit proves every physical configuration of the
 // vectorized substrate produces byte-identical units to the retained naive
-// reference scan. The random table's measures are integer-valued, so sums are
-// exact and the comparison is insensitive to the (intentionally different)
-// addition order of the morselized pipeline.
+// reference scan, on every row layout of diffTables. The tables' measures are
+// integer-valued, so sums are exact and the comparison is insensitive to the
+// (intentionally different) addition order of the morselized pipeline.
 func TestDifferentialScanUnit(t *testing.T) {
-	tab := randomTable(41, 700)
+	for layout, tab := range diffTables(41) {
+		t.Run(layout, func(t *testing.T) { differentialScanUnit(t, tab) })
+	}
+}
+
+func differentialScanUnit(t *testing.T, tab *dataset.Table) {
 	for _, minMax := range []map[string]bool{nil, {"Sales": true}, {}} {
 		ref := NewReferenceSubstrate(tab, minMax)
 		subs := diffSubstrates(tab, minMax)
@@ -158,7 +220,12 @@ func TestDifferentialScanUnit(t *testing.T) {
 // TestDifferentialScanAugmented is TestDifferentialScanUnit for the augmented
 // scan path, including the per-ext-value unit splitting.
 func TestDifferentialScanAugmented(t *testing.T) {
-	tab := randomTable(43, 700)
+	for layout, tab := range diffTables(43) {
+		t.Run(layout, func(t *testing.T) { differentialScanAugmented(t, tab) })
+	}
+}
+
+func differentialScanAugmented(t *testing.T, tab *dataset.Table) {
 	ref := NewReferenceSubstrate(tab, nil)
 	subs := diffSubstrates(tab, nil)
 	r := rand.New(rand.NewSource(9))
@@ -307,4 +374,102 @@ func TestDifferentialEdgeCases(t *testing.T) {
 			t.Fatalf("mode %v: disjoint unit differs from reference", mode)
 		}
 	}
+}
+
+// rebuildRows rebuilds tab with the source's row order[i] as its row i,
+// taking measure i of that row from measure(sourceRow, i).
+func rebuildRows(tab *dataset.Table, order []int, measure func(row, i int) float64) *dataset.Table {
+	b := dataset.NewBuilder(tab.Name(), tab.Fields())
+	dims := make([]string, len(tab.Dimensions()))
+	vals := make([]float64, len(tab.MeasureColumns()))
+	for _, r := range order {
+		for i, d := range tab.Dimensions() {
+			dims[i] = d.Value(int(d.CodeAt(r)))
+		}
+		for i := range vals {
+			vals[i] = measure(r, i)
+		}
+		b.AddRow(dims, vals)
+	}
+	return b.Build()
+}
+
+// permuteRows rebuilds tab with the source's row order[i] as its row i.
+func permuteRows(tab *dataset.Table, order []int) *dataset.Table {
+	return rebuildRows(tab, order, func(row, i int) float64 { return tab.MeasureColumns()[i].At(row) })
+}
+
+// fractionalCopy rebuilds tab with the same dimension values and fractional
+// measure values, for tests where float addition order must show.
+func fractionalCopy(tab *dataset.Table, seed int64) *dataset.Table {
+	r := rand.New(rand.NewSource(seed))
+	order := make([]int, tab.Rows())
+	for i := range order {
+		order[i] = i
+	}
+	return rebuildRows(tab, order, func(int, int) float64 { return r.NormFloat64() * 1e3 })
+}
+
+// TestSelectionRegimesBitIdentical feeds the same morsels of fractional
+// values to both stage-3 kernels of the selection-vector path and requires
+// identical accumulator bits: the regime a morsel takes may never show in a
+// result. The alternating layout makes the scan's own choice take either
+// regime, which the test checks so neither kernel goes unexercised.
+func TestSelectionRegimesBitIdentical(t *testing.T) {
+	tab := fractionalCopy(diffTables(51)["alternating"], 51)
+	city, style, month := tab.Dimension("City"), tab.Dimension("Style"), tab.Dimension("Month")
+	one := model.NewSubspace(model.Filter{Dim: "City", Value: city.Value(1)})
+	two := one.With("Style", style.Value(0))
+	runMorsels, rowMorsels := 0, 0
+	for _, mode := range []PlanMode{PlanBitmap, PlanResidual, PlanZone} {
+		for _, minMax := range []map[string]bool{nil, {"Sales": true}} {
+			c := NewColumnarSubstrate(tab, WithPlanMode(mode), WithMorselSize(64), WithMinMaxColumns(minMax))
+			for _, tc := range []struct {
+				sub    model.Subspace
+				dcodes []int32 // nil: unit scan by Month; else augmented by (Month, dcodes)
+				cells  int
+			}{
+				{one, nil, month.Cardinality()},
+				{two, nil, month.Cardinality()},
+				{one, style.Codes(), month.Cardinality() * style.Cardinality()},
+			} {
+				plan := c.planFor(c.in.Intern(tc.sub))
+				byRun, byRow := c.acquire(tc.cells), c.acquire(tc.cells)
+				for mi := 0; mi < c.morselCount(plan, plan.rows); mi++ {
+					lo, hi := c.morselBounds(plan, mi, plan.rows)
+					sel, gids := selectMorsel(plan, lo, hi, month.Codes(), tc.dcodes, month.Cardinality(), byRun)
+					if len(sel) == 0 {
+						continue
+					}
+					runs := byRun.findRuns(sel, gids)
+					if (len(runs)-1)*minMeanRun <= len(sel) {
+						runMorsels++
+					} else {
+						rowMorsels++
+					}
+					c.accumulateSelRuns(byRun, sel, gids, runs)
+					c.accumulateSelRows(byRow, sel, gids)
+				}
+				if fmt.Sprint(byRun.touched) != fmt.Sprint(byRow.touched) {
+					t.Fatalf("mode %v [%s]: touch order differs\n run %v\n row %v", mode, tc.sub.Key(), byRun.touched, byRow.touched)
+				}
+				for _, g := range byRun.touched {
+					same := byRun.counts[g] == byRow.counts[g]
+					for i := range c.mvals {
+						same = same && math.Float64bits(byRun.sums[i][g]) == math.Float64bits(byRow.sums[i][g])
+						if c.needMM[i] {
+							same = same && byRun.mins[i][g] == byRow.mins[i][g] && byRun.maxs[i][g] == byRow.maxs[i][g]
+						}
+					}
+					if !same {
+						t.Fatalf("mode %v [%s] cell %d: run and per-row regimes disagree", mode, tc.sub.Key(), g)
+					}
+				}
+			}
+		}
+	}
+	if runMorsels == 0 || rowMorsels == 0 {
+		t.Fatalf("the scans chose the run regime for %d morsels and the per-row regime for %d: both must occur", runMorsels, rowMorsels)
+	}
+	t.Logf("run regime %d morsels, per-row regime %d", runMorsels, rowMorsels)
 }

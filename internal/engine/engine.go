@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"metainsight/internal/cache"
@@ -123,7 +124,7 @@ type quietUnitRes struct {
 	err error
 }
 
-// augRes is an augmented-flight result (metered or quiet).
+// augRes is a metered augmented-flight result.
 type augRes struct {
 	units map[string]*cache.Unit
 	err   error
@@ -150,11 +151,16 @@ type Engine struct {
 
 	// Single-flight groups. Metered and quiet paths use separate groups: a
 	// quiet follower piggybacking on a metered leader (or vice versa) would
-	// blur which path paid for the scan.
+	// blur which path paid for the scan. Augmented queries of either kind
+	// share the physical flight and memo of scanPair; meteredAug only decides
+	// who is charged.
 	meteredUnits cache.Flight[cache.UnitKey, unitRes]
 	meteredAug   cache.Flight[augKey, augRes]
 	quietUnits   cache.Flight[cache.UnitKey, quietUnitRes]
-	quietAug     cache.Flight[augKey, augRes]
+	pairFlight   cache.Flight[augKey, *pairScan]
+
+	pairMu sync.Mutex
+	pairs  map[augKey]*pairScan // completed augmented scans, see scanPair
 }
 
 // Config configures an Engine.
@@ -452,20 +458,17 @@ func (e *Engine) AugmentedQuery(ds model.DataScope, d string) (map[string]*cache
 	bdim, ext := e.tab.DimensionIndex(ds.Breakdown), e.tab.DimensionIndex(d)
 	base := e.in.Intern(ds.Subspace).Without(ext)
 	res, leader := e.meteredAug.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() augRes {
-		units, scanned, err := e.sub.ScanAugmented(base.sub, ds.Breakdown, d)
+		units, scanned, err := e.scanPair(base, bdim, ext)
 		if err != nil {
 			return augRes{err: err}
 		}
-		e.recordScan(scanned, true)
 		e.meter.executed.Add(1)
 		e.meter.augmented.Add(1)
 		// One scan answers |dom(d)| sibling queries; charge a single round
 		// trip plus the scan, mirroring the paper's motivation for augmented
-		// queries.
+		// queries. The charge is for the logical query: it does not depend on
+		// whether scanPair scanned or served a twin.
 		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned))
-		for _, u := range units {
-			e.qc.Put(u)
-		}
 		return augRes{units: units}
 	})
 	if res.err != nil {
@@ -558,18 +561,8 @@ func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string
 	if ext == bdim {
 		return nil, fmt.Errorf("engine: augmentation dimension %q equals the breakdown", e.dimNames[ext])
 	}
-	res, _ := e.quietAug.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() augRes {
-		units, scanned, err := e.sub.ScanAugmented(base.sub, e.dimNames[bdim], e.dimNames[ext])
-		if err != nil {
-			return augRes{err: err}
-		}
-		e.recordScan(scanned, true)
-		for _, u := range units {
-			e.qc.Put(u)
-		}
-		return augRes{units: units}
-	})
-	return res.units, res.err
+	units, _, err := e.scanPair(base, bdim, ext)
+	return units, err
 }
 
 // ScanCost returns the metered cost a unit scan under subspace s would be

@@ -10,7 +10,13 @@ package engine
 //  2. group ids — one gather computing each selected row's accumulator cell;
 //  3. aggregation — counts, sums and (for measures in the needed-aggregate
 //     set) min/max, with first-touch initialization so there is no O(cells)
-//     ±Inf fill.
+//     ±Inf fill. A run is a maximal stretch of selected rows with consecutive
+//     row ids and one group id. When the morsel's runs average minMeanRun
+//     rows or more (clustered tables: posting-driven rows hit the same cell
+//     hundreds of times in a row) each run folds into its cell held in a
+//     register; otherwise (shuffled data) every row updates its cell in
+//     memory, column at a time. Both add the same values to the same cell in
+//     the same order, so which regime a morsel takes never shows in a result.
 //
 // Contiguous scans (no filters, or one zone block) skip stages 1–2 entirely:
 // the group-id vector is the breakdown code column itself, and aggregation
@@ -64,6 +70,7 @@ type scanAcc struct {
 	touched []int32 // cells first touched by this accumulator, in touch order
 	gids    []int32 // scratch: group id per selected row
 	sel     []int32 // scratch: selection vector under residual filters
+	runs    []int32 // scratch: findRuns' result
 }
 
 // acquire returns a zeroed accumulator sized for cells, reusing a pooled one
@@ -272,21 +279,14 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 // acc. Contiguous full-table morsels take the run-fused path; everything
 // else builds a selection vector and goes through the gather kernels.
 func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, acc *scanAcc) {
-	n := hi - lo
-
-	// Stage 1: selection. Contiguous full-table morsels skip the vector and
-	// address rows [lo, hi) directly; intersection plans drive their exact
-	// row list; residual plans filter the driving slice into acc.sel; zone
-	// plans verify every filter across the block's contiguous rows.
-	var sel []int32
-	switch {
-	case plan.full:
+	if plan.full {
 		if dcodes == nil {
 			// Unit scan over contiguous rows: the group-id vector is the
 			// breakdown code column itself — no copy, no gather.
 			c.accumulateRuns(acc, bcodes[lo:hi], lo)
 			return
 		}
+		n := hi - lo
 		acc.gids = growInt32(acc.gids, n)
 		gids := acc.gids[:n]
 		bc := bcodes[lo:hi]
@@ -296,6 +296,28 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 		}
 		c.accumulateRuns(acc, gids, lo)
 		return
+	}
+	sel, gids := selectMorsel(plan, lo, hi, bcodes, dcodes, bcard, acc)
+	if len(sel) == 0 {
+		return
+	}
+	// Stage 3: aggregation, in the regime the morsel's own runs select.
+	if runs := acc.findRuns(sel, gids); (len(runs)-1)*minMeanRun <= len(sel) {
+		c.accumulateSelRuns(acc, sel, gids, runs)
+	} else {
+		c.accumulateSelRows(acc, sel, gids)
+	}
+}
+
+// selectMorsel runs stages 1 and 2 of a filtered morsel: it returns the
+// selection vector of driving positions [lo, hi) and the group id of every
+// selected row, both possibly views into acc's scratch.
+func selectMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, acc *scanAcc) (sel, gids []int32) {
+	// Stage 1: selection. Intersection plans drive their exact row list;
+	// residual plans filter the driving slice into acc.sel; zone plans verify
+	// every filter across the block's contiguous rows.
+	n := hi - lo
+	switch {
 	case plan.zone:
 		if cap(acc.sel) < n {
 			acc.sel = make([]int32, 0, n)
@@ -337,12 +359,8 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 	}
 
 	// Stage 2: group ids, gathered through the selection vector.
-	m := len(sel)
-	if m == 0 {
-		return
-	}
-	acc.gids = growInt32(acc.gids, m)
-	gids := acc.gids[:m]
+	acc.gids = growInt32(acc.gids, len(sel))
+	gids = acc.gids[:len(sel)]
 	if dcodes == nil {
 		for i, r := range sel {
 			gids[i] = bcodes[r]
@@ -352,11 +370,104 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 			gids[i] = dcodes[r]*int32(bcard) + bcodes[r]
 		}
 	}
+	return sel, gids
+}
 
-	// Stage 3a: counts plus branch-free first-touch tracking. The candidate
-	// cell is written to the touch list unconditionally; the list length
-	// advances only on a first touch, so the hot loop carries no append and
-	// no hard-to-predict branch target — just a conditional increment.
+// minMeanRun is the mean run length (selected rows per run) from which a
+// selection-vector morsel aggregates run by run. Below it — shuffled data,
+// where almost every row starts a run — the per-run bookkeeping costs more
+// than the accumulator round trips it saves, and the per-row loops win: with
+// both kernels called on one 8192-row morsel of runs exactly L long, the run
+// kernel takes 2.2× the per-row kernel's time at L = 1, 1.25× at 2, ties at
+// 3 and wins from 4 on (0.8× at 4, 0.65× at 8, 0.4× at 64). See DESIGN.md §8
+// for which traffic takes which regime.
+const minMeanRun = 4
+
+// findRuns splits the selection into runs: maximal stretches of consecutive
+// row ids (sel[j+1] == sel[j]+1) sharing one group id, so a run's values are
+// one contiguous slice of every measure column. It returns each run's start
+// position in sel followed by len(sel), so run k spans [runs[k], runs[k+1]),
+// in a.runs' scratch. The candidate start is stored unconditionally and the
+// count advances only where a run begins, so the loop carries a conditional
+// increment and no data-dependent branch target.
+func (a *scanAcc) findRuns(sel, gids []int32) []int32 {
+	a.runs = growInt32(a.runs, len(sel)+1)
+	runs := a.runs
+	nr := 0
+	pg, pr := int32(-1), int32(-2)
+	for j, r := range sel {
+		g := gids[j]
+		runs[nr] = int32(j)
+		if (g^pg)|(r^(pr+1)) != 0 {
+			nr++
+		}
+		pg, pr = g, r
+	}
+	runs[nr] = int32(len(sel))
+	return runs[:nr+1]
+}
+
+// accumulateSelRuns is the run regime of stage 3: each run folds into its
+// cell with the cell held in a register — one load and one store per run and
+// measure instead of one load-add-store round trip per row, the dependency
+// chain that dominates when clustered rows hit the same cell hundreds of
+// times in a row. Every value is added to the same cell in the same order as
+// accumulateSelRows adds it, so the two regimes produce identical bits.
+func (c *ColumnarSubstrate) accumulateSelRuns(acc *scanAcc, sel, gids, runs []int32) {
+	nr := len(runs) - 1
+	counts := acc.counts
+	tb := len(acc.touched)
+	for k, j := range runs[:nr] {
+		g := gids[j]
+		if counts[g] == 0 {
+			acc.touched = append(acc.touched, g)
+		}
+		counts[g] += float64(runs[k+1] - j)
+	}
+	newTouched := acc.touched[tb:]
+
+	for i, vals := range c.mvals {
+		sums := acc.sums[i]
+		if !c.needMM[i] {
+			for k, j := range runs[:nr] {
+				g, r := gids[j], sel[j]
+				s := sums[g]
+				for _, x := range vals[r : r+runs[k+1]-j] {
+					s += x
+				}
+				sums[g] = s
+			}
+			continue
+		}
+		mins, maxs := acc.mins[i], acc.maxs[i]
+		for _, g := range newTouched {
+			mins[g] = math.Inf(1)
+			maxs[g] = math.Inf(-1)
+		}
+		for k, j := range runs[:nr] {
+			g, r := gids[j], sel[j]
+			s, mn, mx := sums[g], mins[g], maxs[g]
+			for _, x := range vals[r : r+runs[k+1]-j] {
+				s += x
+				if x < mn {
+					mn = x
+				}
+				if x > mx {
+					mx = x
+				}
+			}
+			sums[g], mins[g], maxs[g] = s, mn, mx
+		}
+	}
+}
+
+// accumulateSelRows is the per-row regime of stage 3, column at a time.
+func (c *ColumnarSubstrate) accumulateSelRows(acc *scanAcc, sel, gids []int32) {
+	// Counts plus branch-free first-touch tracking. The candidate cell is
+	// written to the touch list unconditionally; the list length advances
+	// only on a first touch, so the hot loop carries no append and no
+	// hard-to-predict branch target — just a conditional increment.
+	m := len(sel)
 	counts := acc.counts
 	tb := len(acc.touched)
 	touched := growInt32Keep(acc.touched, tb+m)
@@ -371,7 +482,7 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 	acc.touched = touched[:tl]
 	newTouched := touched[tb:tl]
 
-	// Stage 3b: one fused pass per measure column.
+	// One fused pass per measure column.
 	for i, vals := range c.mvals {
 		sums := acc.sums[i]
 		if !c.needMM[i] {

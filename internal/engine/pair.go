@@ -1,0 +1,221 @@
+package engine
+
+import (
+	"sync"
+
+	"metainsight/internal/cache"
+)
+
+// pairScan is one completed physical augmented scan and, once somebody asks
+// for it, its twin: the same 2-D group-by with breakdown and augmentation
+// dimension swapped, derived by transposing cells instead of scanning again
+// (see Engine.scanPair).
+type pairScan struct {
+	breakdown int                    // the orientation the scan ran in
+	rows      int                    // rows the scan visited
+	units     map[string]*cache.Unit // as scanned: one unit per ext value
+	err       error
+
+	twinOnce sync.Once
+	twin     map[string]*cache.Unit // one unit per breakdown value, grouped by ext
+}
+
+// scanPair is the physical layer under both augmented-query paths: it returns
+// the units of ScanAugmented(base, bdim, ext) and the rows that scan visits,
+// touching neither the meter nor the cache counters.
+//
+// The 2-D group-by over (bdim, ext) under base answers the request and its
+// twin with breakdown and augmentation dimension swapped, so each unordered
+// dimension pair is scanned at most once per engine: the first request scans
+// in its own orientation and is remembered; a later request for the twin is
+// answered by transposing the remembered cells. That is exact, not merely
+// equal up to rounding: a cell (bdim = v, ext = w) receives the same rows in
+// the same order, with the same morsel, run and lane boundaries, whichever way
+// the 2-D accumulator is laid out, so the transposed units are the bytes a
+// twin scan would have produced. Repeated requests for a remembered
+// orientation are served the same way, which also ends the re-scans of
+// sibling groups with an empty member (never all-cached, so the miner asks
+// again for every unit that touches them).
+//
+// Remembered units are exactly ones the query cache was given, so the memo
+// holds nothing the cache does not — provided the cache keeps what it is
+// given. Under a disabled or byte-bounded cache it does not, and the memo
+// would pin what the cache dropped: there every request scans in its own
+// orientation and nothing is remembered, as before.
+func (e *Engine) scanPair(base *Handle, bdim, ext int) (map[string]*cache.Unit, int, error) {
+	if !e.qc.Enabled() || e.qc.MaxBytes() != 0 {
+		// Concurrent identical requests still share one scan, keyed as asked.
+		p, _ := e.pairFlight.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() *pairScan {
+			units, scanned, err := e.scanAugmented(base, bdim, ext)
+			return &pairScan{rows: scanned, units: units, err: err}
+		})
+		return p.units, p.rows, p.err
+	}
+	// One flight and one memo entry per unordered pair.
+	key := augKey{base: base, breakdown: min(bdim, ext), ext: max(bdim, ext)}
+	remembered := func() *pairScan {
+		e.pairMu.Lock()
+		defer e.pairMu.Unlock()
+		return e.pairs[key]
+	}
+	p := remembered()
+	if p == nil {
+		p, _ = e.pairFlight.Do(key, func() *pairScan {
+			if p := remembered(); p != nil {
+				return p // a previous leader finished between the miss and the flight
+			}
+			units, scanned, err := e.scanAugmented(base, bdim, ext)
+			p := &pairScan{breakdown: bdim, rows: scanned, units: units, err: err}
+			if err != nil {
+				return p // not remembered: the next request tries again
+			}
+			e.pairMu.Lock()
+			if e.pairs == nil {
+				e.pairs = make(map[augKey]*pairScan)
+			}
+			e.pairs[key] = p
+			e.pairMu.Unlock()
+			return p
+		})
+	}
+	if p.err != nil {
+		return nil, 0, p.err
+	}
+	if p.breakdown == bdim {
+		return p.units, p.rows, nil
+	}
+	p.twinOnce.Do(func() {
+		p.twin = e.transposeUnits(base, p.units, ext, bdim)
+		for _, u := range p.twin {
+			e.qc.Put(u)
+		}
+	})
+	return p.twin, p.rows, nil
+}
+
+// scanAugmented runs one physical augmented scan and hands its units to the
+// query cache.
+func (e *Engine) scanAugmented(base *Handle, bdim, ext int) (map[string]*cache.Unit, int, error) {
+	units, scanned, err := e.sub.ScanAugmented(base.sub, e.dimNames[bdim], e.dimNames[ext])
+	if err != nil {
+		return nil, 0, err
+	}
+	e.recordScan(scanned, true)
+	for _, u := range units {
+		e.qc.Put(u)
+	}
+	return units, scanned, nil
+}
+
+// unitColumns lists u's float columns in a fixed order — counts, then the
+// sum, min and max columns of the named measures — into cols.
+func unitColumns(u *cache.Unit, sums, minmax []string, cols [][]float64) {
+	cols[0] = u.Counts
+	cols = cols[1:]
+	for i, name := range sums {
+		cols[i] = u.Sums[name]
+	}
+	cols = cols[len(sums):]
+	for i, name := range minmax {
+		cols[2*i], cols[2*i+1] = u.Mins[name], u.Maxs[name]
+	}
+}
+
+// transposeUnits turns the units of ScanAugmented(base, bdim, ext) — one per
+// ext value, grouped by bdim — into those of ScanAugmented(base, ext, bdim):
+// one per bdim value, grouped by ext, copying every aggregate of every
+// non-empty cell. It relies on the Substrate contract that units list only
+// non-empty groups, in domain order, and carry the same columns.
+func (e *Engine) transposeUnits(base *Handle, units map[string]*cache.Unit, bdim, ext int) map[string]*cache.Unit {
+	bcol, dcol := e.tab.Dimensions()[bdim], e.tab.Dimensions()[ext]
+	bdomain := bcol.Domain()
+
+	// Source units in ext domain order, and the group count of every twin.
+	src := make([]*cache.Unit, dcol.Cardinality())
+	groups := make([]int, len(bdomain))
+	var first *cache.Unit
+	for dv := range src {
+		u := units[dcol.Value(dv)]
+		if u == nil {
+			continue
+		}
+		src[dv] = u
+		if first == nil {
+			first = u
+		}
+		code := 0
+		for _, k := range u.GroupKeys {
+			for bdomain[code] != k {
+				code++
+			}
+			groups[code]++
+		}
+	}
+	out := make(map[string]*cache.Unit, len(bdomain))
+	if first == nil {
+		return out
+	}
+	sums := make([]string, 0, len(first.Sums))
+	for name := range first.Sums {
+		sums = append(sums, name)
+	}
+	minmax := make([]string, 0, len(first.Mins))
+	for name := range first.Mins {
+		minmax = append(minmax, name)
+	}
+	ncols := 1 + len(sums) + 2*len(minmax)
+
+	// One unit per non-empty bdim value; as in the substrate, all float
+	// columns of a unit share one slab.
+	twins := make([]*cache.Unit, len(bdomain))
+	dst := make([][]float64, len(bdomain)*ncols)
+	for code, n := range groups {
+		if n == 0 {
+			continue
+		}
+		slab := make([]float64, n*ncols)
+		next := func() []float64 {
+			col := slab[:n:n]
+			slab = slab[n:]
+			return col
+		}
+		u := &cache.Unit{
+			Key:       cache.UnitKey{Subspace: base.With(bdim, code).key, Breakdown: dcol.Name},
+			GroupKeys: make([]string, 0, n),
+			Counts:    next(),
+			Sums:      make(map[string][]float64, len(sums)),
+			Mins:      make(map[string][]float64, len(minmax)),
+			Maxs:      make(map[string][]float64, len(minmax)),
+		}
+		for _, name := range sums {
+			u.Sums[name] = next()
+		}
+		for _, name := range minmax {
+			u.Mins[name], u.Maxs[name] = next(), next()
+		}
+		unitColumns(u, sums, minmax, dst[code*ncols:(code+1)*ncols])
+		twins[code] = u
+		out[bdomain[code]] = u
+	}
+
+	from := make([][]float64, ncols)
+	for dv, u := range src {
+		if u == nil {
+			continue
+		}
+		unitColumns(u, sums, minmax, from)
+		code := 0
+		for g, k := range u.GroupKeys {
+			for bdomain[code] != k {
+				code++
+			}
+			t := twins[code]
+			at := len(t.GroupKeys)
+			t.GroupKeys = append(t.GroupKeys, dcol.Value(dv))
+			for i, col := range dst[code*ncols : (code+1)*ncols] {
+				col[at] = from[i][g]
+			}
+		}
+	}
+	return out
+}

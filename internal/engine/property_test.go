@@ -1,13 +1,17 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/model"
+	"metainsight/internal/obs"
 )
 
 // TestBasicQueryMatchesNaiveProperty cross-checks the engine against direct
@@ -204,5 +208,240 @@ func TestCacheTransparencyProperty(t *testing.T) {
 	}
 	if cached.Meter().ServedQueries() == 0 {
 		t.Error("cache never served — the property was not exercised")
+	}
+}
+
+// sparseTable draws rows over four dimensions from a skewed distribution, so
+// 2-D group-bys under one or two filters have empty siblings and groups
+// present in one sibling only, with fractional measures. clustered sorts the
+// rows, giving filtered scans long runs.
+func sparseTable(seed int64, rows int, clustered bool) *dataset.Table {
+	r := rand.New(rand.NewSource(seed))
+	cards := []int{5, 4, 3, 6}
+	codes := make([][4]int, rows)
+	for i := range codes {
+		for d, card := range cards {
+			codes[i][d] = int(float64(card) * r.Float64() * r.Float64()) // skewed toward 0
+		}
+	}
+	if clustered {
+		sort.Slice(codes, func(i, j int) bool {
+			for d := range cards {
+				if codes[i][d] != codes[j][d] {
+					return codes[i][d] < codes[j][d]
+				}
+			}
+			return false
+		})
+	}
+	b := dataset.NewBuilder("sparse", []model.Field{
+		{Name: "A", Kind: model.KindCategorical},
+		{Name: "B", Kind: model.KindCategorical},
+		{Name: "C", Kind: model.KindCategorical},
+		{Name: "D", Kind: model.KindCategorical},
+		{Name: "V", Kind: model.KindMeasure},
+		{Name: "W", Kind: model.KindMeasure},
+	})
+	for _, c := range codes {
+		b.AddRow([]string{
+			fmt.Sprintf("a%d", c[0]), fmt.Sprintf("b%d", c[1]), fmt.Sprintf("c%d", c[2]), fmt.Sprintf("d%d", c[3]),
+		}, []float64{r.NormFloat64() * 1e3, r.Float64()})
+	}
+	return b.Build()
+}
+
+// TestAugmentedTransposeExactProperty pins pair sharing: on random and
+// clustered fractional tables, for every base of 0–2 filters (one with an
+// absent value) and every dimension pair, a fresh engine asked for both
+// orientations — in either order, quietly or metered — scans once and returns
+// for each the bytes a direct substrate scan of that orientation produces,
+// MIN/MAX columns, empty siblings and one-sibling-only groups included; the
+// meter charges each logical query regardless. Under a byte-bounded query
+// cache nothing is remembered (the memo must not pin what the cache evicts):
+// same bytes, one scan per request.
+func TestAugmentedTransposeExactProperty(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		tab := sparseTable(21, 1500, clustered)
+		sub := NewColumnarSubstrate(tab, WithMorselSize(64))
+		dims := tab.DimensionNames()
+		direct := func(base model.Subspace, b, ext int) (map[string]*cache.Unit, string) {
+			units, _, err := sub.ScanAugmented(base, dims[b], dims[ext])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return units, augUnitsJSON(t, units)
+		}
+		sawEmptySibling, sawPartialGroup := false, false
+		for b := 0; b < len(dims); b++ {
+			for ext := b + 1; ext < len(dims); ext++ {
+				var free []int
+				for d := range dims {
+					if d != b && d != ext {
+						free = append(free, d)
+					}
+				}
+				f0, f1 := tab.Dimension(dims[free[0]]), tab.Dimension(dims[free[1]])
+				bases := []model.Subspace{
+					model.EmptySubspace,
+					model.EmptySubspace.With(f0.Name, "___absent___"),
+				}
+				for _, v := range f0.Domain() {
+					bases = append(bases, model.EmptySubspace.With(f0.Name, v))
+					for _, w := range f1.Domain() {
+						bases = append(bases, model.EmptySubspace.With(f0.Name, v).With(f1.Name, w))
+					}
+				}
+				for _, base := range bases {
+					units, w0 := direct(base, b, ext)
+					_, w1 := direct(base, ext, b)
+					want := [2]string{w0, w1}
+					if n := len(units); n > 0 && n < tab.Dimension(dims[ext]).Cardinality() {
+						sawEmptySibling = true
+					}
+					for _, u := range units {
+						if len(u.GroupKeys) < tab.Dimension(dims[b]).Cardinality() {
+							sawPartialGroup = true
+						}
+					}
+					for _, tc := range []struct {
+						name      string
+						swap      bool  // ask for (ext, b) first
+						metered   bool  // AugmentedQuery instead of MaterializeAugmentedAt
+						maxBytes  int64 // query-cache bound
+						wantScans int64
+					}{
+						{"quiet", false, false, 0, 1},
+						{"quiet swapped", true, false, 0, 1},
+						{"metered", false, true, 0, 1},
+						{"bounded", true, false, 1 << 10, 2},
+					} {
+						ob := obs.New(obs.Options{})
+						qc := cache.NewQueryCache(true)
+						qc.SetMaxBytes(tc.maxBytes)
+						e, err := New(tab, Config{Substrate: sub, QueryCache: qc, Observer: ob})
+						if err != nil {
+							t.Fatal(err)
+						}
+						h := e.Intern(base)
+						if tc.metered && !h.Valid() {
+							continue // AugmentedQuery validates the scope; the quiet path need not
+						}
+						ask := func(bd, xd int) string {
+							var units map[string]*cache.Unit
+							var err error
+							if tc.metered {
+								units, err = e.AugmentedQuery(model.DataScope{Subspace: base, Breakdown: dims[bd], Measure: model.Count("*")}, dims[xd])
+							} else {
+								units, err = e.MaterializeAugmentedAt(h, bd, xd)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, u := range units {
+								if cached, ok := qc.Peek(u.Key.Subspace, u.Key.Breakdown); tc.maxBytes == 0 && (!ok || cached != u) {
+									t.Fatalf("%s [%s] %s+%s: unit %v not in the query cache", tc.name, base.Key(), dims[bd], dims[xd], u.Key)
+								}
+							}
+							return augUnitsJSON(t, units)
+						}
+						var got [2]string
+						if tc.swap {
+							got[1], got[0] = ask(ext, b), ask(b, ext)
+						} else {
+							got[0], got[1] = ask(b, ext), ask(ext, b)
+						}
+						// Asking again must not change what is served.
+						if again := ask(ext, b); again != got[1] {
+							t.Fatalf("%s [%s] %s+%s: repeated request differs", tc.name, base.Key(), dims[ext], dims[b])
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%s [%s] orientation %d of {%s, %s}: engine\n %s\ndirect scan\n %s",
+									tc.name, base.Key(), i, dims[b], dims[ext], got[i], want[i])
+							}
+						}
+						wantScans := tc.wantScans
+						if tc.maxBytes != 0 {
+							wantScans++ // the repeated request scans too
+						}
+						if scans := ob.Snapshot().Counters["engine.physical.augmented_scans"]; scans != wantScans {
+							t.Fatalf("%s [%s] {%s, %s}: %d physical scans, want %d", tc.name, base.Key(), dims[b], dims[ext], scans, wantScans)
+						}
+						if tc.metered {
+							m := e.Meter()
+							if m.ExecutedQueries() != 3 || m.AugmentedQueries() != 3 || math.Abs(m.Cost()-3*e.ScanCost(base)) > 1e-6 {
+								t.Fatalf("metered [%s]: executed %d augmented %d cost %v, want 3 queries at %v each",
+									base.Key(), m.ExecutedQueries(), m.AugmentedQueries(), m.Cost(), e.ScanCost(base))
+							}
+						}
+					}
+				}
+			}
+		}
+		if !sawEmptySibling || !sawPartialGroup {
+			t.Fatalf("clustered=%v: table too dense to exercise empty siblings (%v) or partial groups (%v)",
+				clustered, sawEmptySibling, sawPartialGroup)
+		}
+	}
+}
+
+// augUnitsJSON canonicalizes an augmented result for byte comparison.
+func augUnitsJSON(t *testing.T, units map[string]*cache.Unit) string {
+	t.Helper()
+	m := make(map[string]any, len(units))
+	for k, u := range units {
+		m[k] = u
+	}
+	return augJSON(t, m)
+}
+
+// TestAugmentedPairConcurrent races both orientations of one pair from many
+// goroutines on one engine: every caller gets the direct scan's bytes and the
+// table is scanned exactly once, whichever orientation won the flight.
+func TestAugmentedPairConcurrent(t *testing.T) {
+	tab := sparseTable(23, 1500, true)
+	sub := NewColumnarSubstrate(tab, WithMorselSize(64))
+	base := model.EmptySubspace.With("A", "a0")
+	var want [2]string
+	for i, o := range [2][2]string{{"B", "D"}, {"D", "B"}} {
+		units, _, err := sub.ScanAugmented(base, o[0], o[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = augUnitsJSON(t, units)
+	}
+	for round := 0; round < 20; round++ {
+		ob := obs.New(obs.Options{})
+		e, err := New(tab, Config{Substrate: sub, Observer: ob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, b, d := e.Intern(base), tab.DimensionIndex("B"), tab.DimensionIndex("D")
+		var wg sync.WaitGroup
+		got := make([]map[string]*cache.Unit, 16)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if i%2 == 0 {
+					got[i], err = e.MaterializeAugmentedAt(h, b, d)
+				} else {
+					got[i], err = e.MaterializeAugmentedAt(h, d, b)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, units := range got {
+			if g := augUnitsJSON(t, units); g != want[i%2] {
+				t.Fatalf("round %d caller %d: engine\n %s\ndirect scan\n %s", round, i, g, want[i%2])
+			}
+		}
+		if scans := ob.Snapshot().Counters["engine.physical.augmented_scans"]; scans != 1 {
+			t.Fatalf("round %d: %d physical scans, want 1", round, scans)
+		}
 	}
 }

@@ -20,8 +20,11 @@ import (
 // the engine's single-flight groups assume any two calls with equal
 // arguments are interchangeable. Returned units must carry the canonical
 // cache.UnitKey for their scope and list only non-empty groups in domain
-// order. An error is returned to the engine's caller as is, never retried
-// (the miner skips and accounts the unit); ColumnarSubstrate never errors.
+// order, and the units of one ScanAugmented carry the same measure columns:
+// the engine may answer ScanAugmented(base, b, ext) by transposing the units
+// of ScanAugmented(base, ext, b) (Engine.scanPair). An error is returned to
+// the engine's caller as is, never retried (the miner skips and accounts the
+// unit); ColumnarSubstrate never errors.
 type Substrate interface {
 	// ScanUnit executes one filtered group-by scan of (subspace, breakdown)
 	// across all measure columns.

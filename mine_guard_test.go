@@ -69,3 +69,46 @@ func TestMineAllocsGuard(t *testing.T) {
 			par4, scanParAllocsSlack, par1)
 	}
 }
+
+const (
+	// blessedAugmentedScans and blessedScanRows are the physical augmented
+	// scans and row visits ("engine.physical.*") of one Analyze(TopK 10) at
+	// one worker over the benchmark's generated table at its quick scale,
+	// blessed when each unordered {breakdown, ext} pair came to be scanned
+	// once (the same measurement gave 342 scans and 4,692,347 rows before).
+	blessedAugmentedScans = 232
+	blessedScanRows       = 3092983
+	// scanTrafficSlack is how far past a blessed count a run may go.
+	scanTrafficSlack = 1.02
+)
+
+// TestScanTrafficGuard pins how much physical scanning one request does. The
+// counts are exact at one worker, so a change that quietly re-doubles the
+// augmented scans, or sends filtered scans over more rows, fails here without
+// a benchmark run.
+func TestScanTrafficGuard(t *testing.T) {
+	tab := workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30})
+	sess, err := metainsight.NewSession(tab, metainsight.WithExec(metainsight.ExecConfig{Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ob := metainsight.NewObserver(metainsight.ObserverOptions{})
+	if _, err := sess.Analyze(context.Background(), metainsight.Request{TopK: 10, Observer: ob}); err != nil {
+		t.Fatal(err)
+	}
+	counters := ob.Snapshot().Counters
+	for _, c := range []struct {
+		name    string
+		blessed int64
+	}{
+		{"engine.physical.augmented_scans", blessedAugmentedScans},
+		{"engine.physical.rows", blessedScanRows},
+	} {
+		got, limit := counters[c.name], int64(float64(c.blessed)*scanTrafficSlack)
+		t.Logf("%s: %d (blessed %d, limit %d)", c.name, got, c.blessed, limit)
+		if got > limit {
+			t.Errorf("%s regressed: %d exceeds blessed %d x %.2f = %d", c.name, got, c.blessed, scanTrafficSlack, limit)
+		}
+	}
+}
