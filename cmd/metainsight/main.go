@@ -67,7 +67,7 @@ func run() int {
 		ckDir   = fs.String("checkpoint", "", "crash-safe mining: journal every commit and snapshot periodically into this directory")
 		ckEvery = fs.Int64("checkpoint-every", 256, "commits between checkpoint snapshots (with -checkpoint)")
 		resume  = fs.Bool("resume", false, "resume the run recorded in -checkpoint instead of starting fresh")
-		scanPar = fs.Int("scan-parallelism", 1, "goroutines per physical scan (results are bit-identical for any value)")
+		scanPar = fs.Int("scan-parallelism", 0, "goroutines per physical scan: 0 = one per core, 1 = sequential (results are bit-identical for any value)")
 		topKCut = fs.Int("topk-prune", 0, "S*-bounded early termination: skip candidates that provably cannot enter the score top k (0 = off; size with headroom over -k)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile taken after mining to this file")

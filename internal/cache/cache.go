@@ -426,6 +426,10 @@ func (c *PatternCache[V]) SizeOf(key ScopeKey, v V) int64 {
 // Evictions returns how many entries this cache has physically evicted.
 func (c *PatternCache[V]) Evictions() int64 { return c.evictions.Load() }
 
+// FlightStats reports the callers that waited on another caller's
+// evaluation of the same scope.
+func (c *PatternCache[V]) FlightStats() FlightStats { return c.flight.Stats() }
+
 func (c *PatternCache[V]) shard(key ScopeKey) *pcShard[V] {
 	return &c.shards[key.hash()%shardCount]
 }

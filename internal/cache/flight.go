@@ -1,6 +1,10 @@
 package cache
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // Flight is a generic single-flight group: concurrent Do calls with the same
 // key coalesce into one execution of fn. The first caller for a key (the
@@ -18,6 +22,30 @@ import "sync"
 type Flight[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*flightCall[V]
+
+	// Followers and the time they spent blocked on a leader: worker time
+	// that went to waiting, not to work. Only the follower path — which
+	// parks the goroutine anyway — pays for them.
+	followers atomic.Int64
+	waitNanos atomic.Int64
+}
+
+// FlightStats is how often, and for how long in total, callers of a flight
+// group waited on another caller's execution. Both depend on scheduling.
+type FlightStats struct {
+	Followers int64
+	Wait      time.Duration
+}
+
+// Add folds o into s.
+func (s *FlightStats) Add(o FlightStats) {
+	s.Followers += o.Followers
+	s.Wait += o.Wait
+}
+
+// Stats returns the group's follower totals so far.
+func (f *Flight[K, V]) Stats() FlightStats {
+	return FlightStats{Followers: f.followers.Load(), Wait: time.Duration(f.waitNanos.Load())}
 }
 
 type flightCall[V any] struct {
@@ -43,7 +71,10 @@ func (f *Flight[K, V]) Do(key K, fn func() V) (V, bool) {
 	}
 	if c, ok := f.calls[key]; ok {
 		f.mu.Unlock()
+		t0 := time.Now()
 		<-c.done
+		f.followers.Add(1)
+		f.waitNanos.Add(int64(time.Since(t0)))
 		if c.panicked {
 			panic(c.panicVal)
 		}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"metainsight/internal/dataset"
@@ -295,7 +297,7 @@ func TestDifferentialFractionalParallelism(t *testing.T) {
 
 	for _, mode := range []PlanMode{PlanBitmap, PlanResidual, PlanZone} {
 		var want string
-		for _, par := range []int{1, 2, 8} {
+		for _, par := range []int{1, 0, 2, 3, 8} {
 			for _, pool := range []bool{true, false} {
 				opts := []ColumnarOption{
 					WithPlanMode(mode), WithScanParallelism(par), WithMorselSize(64),
@@ -317,6 +319,76 @@ func TestDifferentialFractionalParallelism(t *testing.T) {
 						mode, par, pool, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestParallelScanManyMorsels drives the parallel path where its hand-overs
+// are densest: hundreds of tiny morsels over eight goroutines, several scans
+// at once on one substrate (so partials circulate through the shared pool),
+// fractional values (so any merge out of morsel order would change bits).
+// Every scan must equal the sequential one byte for byte; under -race this is
+// also the check on the reorder ring and the spare list.
+func TestParallelScanManyMorsels(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	b := dataset.NewBuilder("frac", []model.Field{
+		{Name: "G", Kind: model.KindCategorical},
+		{Name: "H", Kind: model.KindCategorical},
+		{Name: "V", Kind: model.KindMeasure},
+	})
+	for i := 0; i < 6000; i++ {
+		b.AddRow([]string{fmt.Sprintf("g%d", r.Intn(9)), fmt.Sprintf("h%d", r.Intn(4))},
+			[]float64{r.NormFloat64() * 1e3})
+	}
+	tab := b.Build()
+	seq := NewColumnarSubstrate(tab, WithScanParallelism(1), WithMorselSize(16))
+	par := NewColumnarSubstrate(tab, WithScanParallelism(8), WithMorselSize(16))
+	h1 := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
+	scans := []func(c *ColumnarSubstrate) any{
+		func(c *ColumnarSubstrate) any { u, _, _ := c.ScanUnit(model.EmptySubspace, "G"); return u },
+		func(c *ColumnarSubstrate) any { u, _, _ := c.ScanUnit(h1, "G"); return u },
+		func(c *ColumnarSubstrate) any { u, _, _ := c.ScanAugmented(model.EmptySubspace, "G", "H"); return u },
+	}
+	want := make([]string, len(scans))
+	for i, scan := range scans {
+		want[i] = unitJSON(t, scan(seq))
+	}
+	const goroutines, rounds = 4, 5
+	got := make([][]any, goroutines) // got[g] holds that goroutine's scans, in order
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for _, scan := range scans {
+					got[g] = append(got[g], scan(par))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for j, u := range got[g] {
+			if unitJSON(t, u) != want[j%len(scans)] {
+				t.Fatalf("goroutine %d, scan %d differs from the sequential one", g, j)
+			}
+		}
+	}
+}
+
+// TestScanParallelismResolution pins the one place scan parallelism is
+// resolved: 0 (and the option left out) is GOMAXPROCS, 1 is the sequential
+// branch of scan(), n > 1 is n, and a negative n is ignored.
+func TestScanParallelismResolution(t *testing.T) {
+	tab := randomTable(47, 200)
+	procs := runtime.GOMAXPROCS(0)
+	if got := NewColumnarSubstrate(tab).par; got != procs {
+		t.Errorf("default parallelism %d, GOMAXPROCS is %d", got, procs)
+	}
+	for n, want := range map[int]int{-2: procs, 0: procs, 1: 1, 2: 2, 7: 7} {
+		if got := NewColumnarSubstrate(tab, WithScanParallelism(n)).par; got != want {
+			t.Errorf("WithScanParallelism(%d) resolved to %d, want %d", n, got, want)
 		}
 	}
 }
@@ -434,14 +506,14 @@ func TestSelectionRegimesBitIdentical(t *testing.T) {
 				{one, style.Codes(), month.Cardinality() * style.Cardinality()},
 			} {
 				plan := c.planFor(c.in.Intern(tc.sub))
-				byRun, byRow := c.acquire(tc.cells), c.acquire(tc.cells)
+				byRun, byRow, sc := c.acquire(tc.cells), c.acquire(tc.cells), c.acquireScratch()
 				for mi := 0; mi < c.morselCount(plan, plan.rows); mi++ {
 					lo, hi := c.morselBounds(plan, mi, plan.rows)
-					sel, gids := selectMorsel(plan, lo, hi, month.Codes(), tc.dcodes, month.Cardinality(), byRun)
+					sel, gids := selectMorsel(plan, lo, hi, month.Codes(), tc.dcodes, month.Cardinality(), sc)
 					if len(sel) == 0 {
 						continue
 					}
-					runs := byRun.findRuns(sel, gids)
+					runs := sc.findRuns(sel, gids)
 					if (len(runs)-1)*minMeanRun <= len(sel) {
 						runMorsels++
 					} else {

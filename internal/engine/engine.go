@@ -185,8 +185,9 @@ type Config struct {
 	// {ImpactMeasure} actually aggregates with AggMin/AggMax.
 	ExtraMeasures []model.Measure
 	// ScanParallelism is how many goroutines one scan of the default substrate
-	// may use (0 or 1 = sequential). Results are bit-identical for any value;
-	// see WithScanParallelism. Ignored when Substrate is set explicitly.
+	// may use (0 = GOMAXPROCS, 1 = sequential). Results are bit-identical for
+	// any value; see WithScanParallelism. Ignored when Substrate is set
+	// explicitly.
 	ScanParallelism int
 	// Observer, when non-nil, receives physical execution metrics
 	// ("engine.physical.*": scans actually performed and rows actually
@@ -222,6 +223,16 @@ func (cfg Config) MinMaxColumns(tab *dataset.Table) map[string]bool {
 		}
 	}
 	return need
+}
+
+// FlightStats sums the followers of the engine's single-flight groups:
+// callers that asked for a unit some other caller was already scanning.
+func (e *Engine) FlightStats() cache.FlightStats {
+	st := e.meteredUnits.Stats()
+	st.Add(e.meteredAug.Stats())
+	st.Add(e.quietUnits.Stats())
+	st.Add(e.pairFlight.Stats())
+	return st
 }
 
 // New creates an engine over tab.

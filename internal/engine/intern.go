@@ -68,8 +68,9 @@ type Handle struct {
 	// plan is the owning ColumnarSubstrate's memoized physical plan; rows
 	// memoizes the engine's planned row count plus one (0 = not computed).
 	// Both are pure functions of the subspace for the interner's one owner.
-	plan atomic.Pointer[scanPlan]
-	rows atomic.Int64
+	plan   atomic.Pointer[scanPlan]
+	planMu sync.Mutex // serializes building plan
+	rows   atomic.Int64
 
 	// parents[i] is the handle without filter i. kids[d], for an unfiltered
 	// dimension index d, holds the child handles by dictionary code — the

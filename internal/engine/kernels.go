@@ -33,19 +33,23 @@ package engine
 // All accumulator arrays of one scanAcc live in a single flat slab — counts
 // first, then every sum column, then the min/max pairs — so acquire zeroes
 // one contiguous prefix with a single memclr and the kernels stay in one
-// allocation's cache lines.
+// allocation's cache lines. The selection, group-id and run vectors of stages
+// 1–2 live apart from it, in a morselScratch.
 //
 // The driving row set is split into fixed-size morsels. Each morsel
-// accumulates into its own (pooled) accumulator; partials are merged into
-// the scan's result strictly in morsel-index order through an in-order
-// reorder window: as soon as every morsel below i has merged, morsel i
-// merges and its accumulator returns to the pool. Live partials therefore
-// scale with the reorder skew (≈ parallelism), not with the morsel count.
-// Because the morsel boundaries depend only on the morsel size and the
-// plan's driving row count, and the merge order is fixed, every float
-// addition has the same grouping at any parallelism — scan results are
-// bit-identical for WithScanParallelism 1 or 16. Scans whose driving set
-// fits one morsel skip partials and merge entirely.
+// accumulates into a partial accumulator that starts from zero; partials are
+// merged into the scan's result strictly in morsel-index order. The
+// sequential path reuses one partial, merged and reset after every morsel.
+// The parallel path (parScan) gives every goroutine one partial and one
+// scratch for all the morsels it takes, parks a partial that finished ahead
+// of its turn in a small reorder ring, and never lets a goroutine run par or
+// more morsels ahead of the merge frontier: a scan holds fewer than 2·par
+// partials however its goroutines are scheduled. Because the morsel
+// boundaries depend only on the morsel size and the plan's driving row count,
+// and the merge order is fixed, every float addition has the same grouping at
+// any parallelism — scan results are bit-identical for WithScanParallelism 1
+// or 16. Scans whose driving set fits one morsel skip partials and merge
+// entirely.
 
 import (
 	"math"
@@ -56,10 +60,9 @@ import (
 )
 
 // scanAcc is one accumulator set: full-domain counts and per-measure sums
-// (always), min/max arrays for needed measures only, the first-touch group
-// list, and reusable selection/group-id scratch. counts, sums, mins and maxs
-// are views into one flat slab. Instances are pooled per substrate (see
-// acquire/release).
+// (always), min/max arrays for needed measures only, and the first-touch
+// group list. counts, sums, mins and maxs are views into one flat slab.
+// Instances are pooled per substrate (see acquire/release).
 type scanAcc struct {
 	cells   int
 	slab    []float64   // backing storage: counts | sums… | min,max…
@@ -68,9 +71,34 @@ type scanAcc struct {
 	mins    [][]float64 // slab views; nil per measure when min/max not needed
 	maxs    [][]float64
 	touched []int32 // cells first touched by this accumulator, in touch order
-	gids    []int32 // scratch: group id per selected row
-	sel     []int32 // scratch: selection vector under residual filters
-	runs    []int32 // scratch: findRuns' result
+}
+
+// morselScratch is the working memory of stages 1 and 2, one morsel's worth
+// (three vectors of up to a morsel of row ids: 96 KiB at the default morsel
+// size, usually far more than the accumulator slab). It belongs to whoever
+// processes morsels — one per sequential scan, one per goroutine of a
+// parallel one, kept across all the morsels it takes — not to an
+// accumulator: the scan's result and a partial waiting to be merged need
+// none. Pooled per substrate beside the accumulators.
+type morselScratch struct {
+	gids []int32 // group id per selected row
+	sel  []int32 // selection vector under residual filters
+	runs []int32 // findRuns' result
+}
+
+func (c *ColumnarSubstrate) acquireScratch() *morselScratch {
+	if !c.noPool {
+		if v := c.scratch.Get(); v != nil {
+			return v.(*morselScratch)
+		}
+	}
+	return &morselScratch{}
+}
+
+func (c *ColumnarSubstrate) releaseScratch(sc *morselScratch) {
+	if !c.noPool {
+		c.scratch.Put(sc)
+	}
 }
 
 // acquire returns a zeroed accumulator sized for cells, reusing a pooled one
@@ -159,32 +187,88 @@ func growInt32Keep(s []int32, n int) []int32 {
 	return t
 }
 
-// mergeWindow is the in-order reorder window of the parallel scan: workers
-// deposit finished morsel partials, and whichever worker completes the next
-// in-order morsel drains the window, merging consecutive ready partials into
-// the global accumulator and releasing them to the pool immediately. The
-// merge order is exactly morsel-index order — the same order the sequential
-// path uses — so parallel results stay bit-identical; the window just stops
-// partials from accumulating until the end of the scan.
-type mergeWindow struct {
-	mu   sync.Mutex
-	accs []*scanAcc // slot per morsel; non-nil ⇒ completed, awaiting merge
-	next int        // lowest morsel index not yet merged
+// parScan is the shared state of one multi-morsel scan spread over several
+// goroutines. Each goroutine claims morsels off one counter, holds one
+// scratch for the whole scan, and accumulates every morsel it takes into one
+// partial it keeps, handing the partial over only when it cannot merge yet: merging is strictly in morsel-index order, the order the
+// sequential path uses, so results stay bit-identical. A goroutine that
+// finishes morsel i while an earlier one is outstanding parks the partial in
+// the reorder ring and carries on with a spare (one an in-order merge has
+// drained, else a pooled one); whoever completes the in-order morsel merges
+// it and every parked successor. No goroutine runs par or more morsels ahead
+// of the merge frontier — it waits instead — so a scan holds fewer than 2·par
+// partials whatever the scheduler does, where one accumulator per morsel in
+// flight could pile up the whole scan behind a descheduled goroutine.
+type parScan struct {
+	c              *ColumnarSubstrate
+	plan           *scanPlan
+	bcodes, dcodes []int32
+	bcard, cells   int
+	n, nm, par     int
+	global         *scanAcc
+
+	claim atomic.Int64 // morsels handed out so far
+	wg    sync.WaitGroup
+
+	mu     sync.Mutex
+	merged sync.Cond  // signalled when next advances
+	next   int        // lowest morsel index not yet merged
+	parked []*scanAcc // ring of par slots: finished partials of morsels next+1 … next+par-1
+	spare  []*scanAcc // drained partials, reset, free for any goroutine of this scan
 }
 
-// deposit hands a finished morsel partial to the window and merges any
-// now-contiguous run of completed morsels into global.
-func (w *mergeWindow) deposit(c *ColumnarSubstrate, global *scanAcc, mi int, a *scanAcc) {
-	w.mu.Lock()
-	w.accs[mi] = a
-	for w.next < len(w.accs) && w.accs[w.next] != nil {
-		m := w.accs[w.next]
-		w.accs[w.next] = nil
-		w.next++
-		c.mergeAcc(global, m)
-		c.release(m)
+// run is one goroutine's share of the scan.
+func (p *parScan) run() {
+	defer p.wg.Done()
+	sc := p.c.acquireScratch()
+	defer p.c.releaseScratch(sc)
+	var a *scanAcc
+	for {
+		mi := int(p.claim.Add(1)) - 1
+		if mi >= p.nm {
+			break
+		}
+		if a == nil {
+			a = p.c.acquire(p.cells)
+		}
+		lo, hi := p.c.morselBounds(p.plan, mi, p.n)
+		p.c.processMorsel(p.plan, lo, hi, p.bcodes, p.dcodes, p.bcard, a, sc)
+		a = p.deposit(mi, a)
 	}
-	w.mu.Unlock()
+	p.c.release(a)
+}
+
+// deposit merges morsel mi's partial a into the global accumulator if its
+// turn has come, along with any parked successors, and parks it otherwise.
+// It returns the partial the caller continues with, reset; nil when it parked
+// a and no drained one is spare.
+func (p *parScan) deposit(mi int, a *scanAcc) *scanAcc {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for mi >= p.next+p.par {
+		p.merged.Wait()
+	}
+	if mi != p.next {
+		p.parked[mi%p.par] = a
+		if n := len(p.spare); n > 0 {
+			a, p.spare = p.spare[n-1], p.spare[:n-1]
+			return a
+		}
+		return nil
+	}
+	p.c.mergeAcc(p.global, a)
+	a.resetTouched()
+	p.next++
+	for p.next < p.nm && p.parked[p.next%p.par] != nil {
+		m := p.parked[p.next%p.par]
+		p.parked[p.next%p.par] = nil
+		p.next++
+		p.c.mergeAcc(p.global, m)
+		m.resetTouched()
+		p.spare = append(p.spare, m)
+	}
+	p.merged.Broadcast()
+	return a
 }
 
 // morselCount returns how many morsels the plan's driving set splits into.
@@ -228,8 +312,10 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 	nm := c.morselCount(plan, n)
 	c.obs.Count("engine.physical.morsels", int64(nm))
 	if nm == 1 {
+		sc := c.acquireScratch()
 		lo, hi := c.morselBounds(plan, 0, n)
-		c.processMorsel(plan, lo, hi, bcodes, dcodes, bcard, global)
+		c.processMorsel(plan, lo, hi, bcodes, dcodes, bcard, global, sc)
+		c.releaseScratch(sc)
 		return global
 	}
 
@@ -241,44 +327,43 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 		// Sequential multi-morsel: one reusable partial, merged after each
 		// morsel — the identical boundaries and merge order as the parallel
 		// path, so results are bit-identical at any parallelism.
-		m := c.acquire(cells)
+		m, sc := c.acquire(cells), c.acquireScratch()
 		for mi := 0; mi < nm; mi++ {
 			lo, hi := c.morselBounds(plan, mi, n)
-			c.processMorsel(plan, lo, hi, bcodes, dcodes, bcard, m)
+			c.processMorsel(plan, lo, hi, bcodes, dcodes, bcard, m, sc)
 			c.mergeAcc(global, m)
 			m.resetTouched()
 		}
 		c.release(m)
+		c.releaseScratch(sc)
 		return global
 	}
 
-	win := &mergeWindow{accs: make([]*scanAcc, nm)}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mi := int(next.Add(1)) - 1
-				if mi >= nm {
-					return
-				}
-				a := c.acquire(cells)
-				lo, hi := c.morselBounds(plan, mi, n)
-				c.processMorsel(plan, lo, hi, bcodes, dcodes, bcard, a)
-				win.deposit(c, global, mi, a)
-			}
-		}()
+	// One backing array for the ring and the spare list: a scan holds fewer
+	// than 2·par partials, so the spares never outgrow the other 2·par slots.
+	slots := make([]*scanAcc, 3*par)
+	p := &parScan{
+		c: c, plan: plan, bcodes: bcodes, dcodes: dcodes, bcard: bcard, cells: cells,
+		n: n, nm: nm, par: par, global: global,
+		parked: slots[:par:par], spare: slots[par:par],
 	}
-	wg.Wait()
+	p.merged.L = &p.mu
+	p.wg.Add(par)
+	for w := 1; w < par; w++ {
+		go p.run()
+	}
+	p.run() // the caller is one of the par
+	p.wg.Wait()
+	for _, a := range p.spare {
+		c.release(a)
+	}
 	return global
 }
 
 // processMorsel runs the kernel stages for driving positions [lo, hi) into
 // acc. Contiguous full-table morsels take the run-fused path; everything
 // else builds a selection vector and goes through the gather kernels.
-func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, acc *scanAcc) {
+func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, acc *scanAcc, sc *morselScratch) {
 	if plan.full {
 		if dcodes == nil {
 			// Unit scan over contiguous rows: the group-id vector is the
@@ -287,8 +372,8 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 			return
 		}
 		n := hi - lo
-		acc.gids = growInt32(acc.gids, n)
-		gids := acc.gids[:n]
+		sc.gids = growInt32(sc.gids, n)
+		gids := sc.gids[:n]
 		bc := bcodes[lo:hi]
 		dc := dcodes[lo:hi]
 		for i := range bc {
@@ -297,12 +382,12 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 		c.accumulateRuns(acc, gids, lo)
 		return
 	}
-	sel, gids := selectMorsel(plan, lo, hi, bcodes, dcodes, bcard, acc)
+	sel, gids := selectMorsel(plan, lo, hi, bcodes, dcodes, bcard, sc)
 	if len(sel) == 0 {
 		return
 	}
 	// Stage 3: aggregation, in the regime the morsel's own runs select.
-	if runs := acc.findRuns(sel, gids); (len(runs)-1)*minMeanRun <= len(sel) {
+	if runs := sc.findRuns(sel, gids); (len(runs)-1)*minMeanRun <= len(sel) {
 		c.accumulateSelRuns(acc, sel, gids, runs)
 	} else {
 		c.accumulateSelRows(acc, sel, gids)
@@ -311,18 +396,18 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 
 // selectMorsel runs stages 1 and 2 of a filtered morsel: it returns the
 // selection vector of driving positions [lo, hi) and the group id of every
-// selected row, both possibly views into acc's scratch.
-func selectMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, acc *scanAcc) (sel, gids []int32) {
+// selected row, both possibly views into sc.
+func selectMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, sc *morselScratch) (sel, gids []int32) {
 	// Stage 1: selection. Intersection plans drive their exact row list;
-	// residual plans filter the driving slice into acc.sel; zone plans verify
+	// residual plans filter the driving slice into sc.sel; zone plans verify
 	// every filter across the block's contiguous rows.
 	n := hi - lo
 	switch {
 	case plan.zone:
-		if cap(acc.sel) < n {
-			acc.sel = make([]int32, 0, n)
+		if cap(sc.sel) < n {
+			sc.sel = make([]int32, 0, n)
 		}
-		acc.sel = acc.sel[:0]
+		sc.sel = sc.sel[:0]
 		for r := lo; r < hi; r++ {
 			keep := true
 			for _, f := range plan.rest {
@@ -332,17 +417,17 @@ func selectMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int,
 				}
 			}
 			if keep {
-				acc.sel = append(acc.sel, int32(r))
+				sc.sel = append(sc.sel, int32(r))
 			}
 		}
-		sel = acc.sel
+		sel = sc.sel
 	case len(plan.rest) == 0:
 		sel = plan.drive[lo:hi]
 	default:
-		if cap(acc.sel) < n {
-			acc.sel = make([]int32, 0, n)
+		if cap(sc.sel) < n {
+			sc.sel = make([]int32, 0, n)
 		}
-		acc.sel = acc.sel[:0]
+		sc.sel = sc.sel[:0]
 		for _, r := range plan.drive[lo:hi] {
 			keep := true
 			for _, f := range plan.rest {
@@ -352,15 +437,15 @@ func selectMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int,
 				}
 			}
 			if keep {
-				acc.sel = append(acc.sel, r)
+				sc.sel = append(sc.sel, r)
 			}
 		}
-		sel = acc.sel
+		sel = sc.sel
 	}
 
 	// Stage 2: group ids, gathered through the selection vector.
-	acc.gids = growInt32(acc.gids, len(sel))
-	gids = acc.gids[:len(sel)]
+	sc.gids = growInt32(sc.gids, len(sel))
+	gids = sc.gids[:len(sel)]
 	if dcodes == nil {
 		for i, r := range sel {
 			gids[i] = bcodes[r]
@@ -387,12 +472,12 @@ const minMeanRun = 4
 // row ids (sel[j+1] == sel[j]+1) sharing one group id, so a run's values are
 // one contiguous slice of every measure column. It returns each run's start
 // position in sel followed by len(sel), so run k spans [runs[k], runs[k+1]),
-// in a.runs' scratch. The candidate start is stored unconditionally and the
+// in sc.runs. The candidate start is stored unconditionally and the
 // count advances only where a run begins, so the loop carries a conditional
 // increment and no data-dependent branch target.
-func (a *scanAcc) findRuns(sel, gids []int32) []int32 {
-	a.runs = growInt32(a.runs, len(sel)+1)
-	runs := a.runs
+func (sc *morselScratch) findRuns(sel, gids []int32) []int32 {
+	sc.runs = growInt32(sc.runs, len(sel)+1)
+	runs := sc.runs
 	nr := 0
 	pg, pr := int32(-1), int32(-2)
 	for j, r := range sel {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 
 	"metainsight/internal/cache"
@@ -111,7 +112,8 @@ type ColumnarSubstrate struct {
 	bmBytes int64
 	bmRows  int64
 
-	pool sync.Pool // *scanAcc
+	pool    sync.Pool // *scanAcc
+	scratch sync.Pool // *morselScratch
 }
 
 // ColumnarOption customizes a ColumnarSubstrate.
@@ -126,15 +128,17 @@ type columnarConfig struct {
 	obs    *obs.Observer
 }
 
-// WithScanParallelism sets how many goroutines one scan may use (default 1).
-// Results are bit-identical for any value: morsels have fixed boundaries and
-// their partial accumulators merge in morsel-index order, so the floating-
-// point addition grouping never depends on n. This option configures the
-// substrate built by NewColumnarSubstrate; Config.ScanParallelism applies it
-// to the engine's default substrate.
+// WithScanParallelism sets how many goroutines one scan may use: 1 is the
+// sequential path, n > 1 is n, and 0 (the default) is GOMAXPROCS. A scan never
+// uses more goroutines than it has morsels, so one-morsel scans run inline
+// whatever the setting. Results are bit-identical for any value: morsels have
+// fixed boundaries and their partial accumulators merge in morsel-index
+// order, so the floating-point addition grouping never depends on n. This
+// option configures the substrate built by NewColumnarSubstrate;
+// Config.ScanParallelism applies it to the engine's default substrate.
 func WithScanParallelism(n int) ColumnarOption {
 	return func(c *columnarConfig) {
-		if n > 1 {
+		if n > 0 {
 			c.par = n
 		}
 	}
@@ -183,9 +187,15 @@ func WithScanObserver(o *obs.Observer) ColumnarOption {
 
 // NewColumnarSubstrate creates the default in-process substrate over tab.
 func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarSubstrate {
-	cfg := columnarConfig{par: 1, morsel: DefaultMorselSize, mode: PlanAuto}
+	cfg := columnarConfig{morsel: DefaultMorselSize, mode: PlanAuto}
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	if cfg.par == 0 {
+		// Mining leaves cores idle exactly when one scan is all that can run
+		// (the canonical head, its children unknown until it commits); that
+		// scan should have them.
+		cfg.par = runtime.GOMAXPROCS(0)
 	}
 	mcols := tab.MeasureColumns()
 	c := &ColumnarSubstrate{
@@ -270,10 +280,16 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 	if p := h.plan.Load(); p != nil {
 		return p
 	}
-	p := c.buildPlan(h)
-	if !h.plan.CompareAndSwap(nil, p) {
-		p = h.plan.Load() // a racing builder won; both plans are identical
+	// One builder per handle: the units of one subspace are dispatched
+	// together and all want its plan at once, and a plan is a row list of up
+	// to 4 bytes per table row that a losing racer would build and drop.
+	h.planMu.Lock()
+	defer h.planMu.Unlock()
+	if p := h.plan.Load(); p != nil {
+		return p
 	}
+	p := c.buildPlan(h)
+	h.plan.Store(p)
 	return p
 }
 

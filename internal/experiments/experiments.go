@@ -56,8 +56,9 @@ type Setup struct {
 	Checkpoint       *miner.CheckpointSpec
 	HaltAfterCommits int64
 	// ScanParallelism is the per-scan goroutine count of the engine's default
-	// substrate (0/1 = sequential). Scan results are bit-identical at any
-	// value — the morsel pipeline's invariance — which Smoke asserts in CI.
+	// substrate (0 = GOMAXPROCS, 1 = sequential). Scan results are bit-
+	// identical at any value — the morsel pipeline's invariance — which Smoke
+	// asserts in CI.
 	ScanParallelism int
 }
 

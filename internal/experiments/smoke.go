@@ -61,25 +61,28 @@ func Smoke(w io.Writer) error {
 	}
 	fprintf(w, "  accounting identical across worker counts\n")
 
-	// Scan-parallelism invariance: a run whose physical scans each use 4
-	// goroutines must be bit-identical to the sequential runs — the morsel
-	// pipeline's fixed boundaries and in-order merge make the float grouping
-	// independent of intra-scan parallelism.
-	parKeys, parStats := run(8, 4, nil)
-	if len(parKeys) != len(oneKeys) {
-		return fmt.Errorf("smoke: scan parallelism changed result count: %d vs %d", len(parKeys), len(oneKeys))
-	}
-	for k := range oneKeys {
-		if !parKeys[k] {
-			return fmt.Errorf("smoke: %q mined sequentially but not at scan parallelism 4", k)
+	// Scan-parallelism invariance: runs whose physical scans use the default
+	// (one goroutine per core) or 4 goroutines must be bit-identical to the
+	// sequential runs above — the morsel pipeline's fixed boundaries and
+	// in-order merge make the float grouping independent of intra-scan
+	// parallelism.
+	for _, par := range []int{0, 4} {
+		parKeys, parStats := run(8, par, nil)
+		if len(parKeys) != len(oneKeys) {
+			return fmt.Errorf("smoke: scan parallelism %d changed result count: %d vs %d", par, len(parKeys), len(oneKeys))
+		}
+		for k := range oneKeys {
+			if !parKeys[k] {
+				return fmt.Errorf("smoke: %q mined sequentially but not at scan parallelism %d", k, par)
+			}
+		}
+		p := parStats
+		p.QueryCacheStats.Bytes = 0
+		if p != a {
+			return fmt.Errorf("smoke: scan parallelism %d changed stats\n  sequential: %+v\n  par=%d: %+v", par, a, par, p)
 		}
 	}
-	p := parStats
-	p.QueryCacheStats.Bytes = 0
-	if p != a {
-		return fmt.Errorf("smoke: scan parallelism changed stats\n  sequential: %+v\n  par=4: %+v", a, p)
-	}
-	fprintf(w, "  scan-parallelism invariant: identical results and accounting at per-scan parallelism 4\n")
+	fprintf(w, "  scan-parallelism invariant: identical results and accounting at per-scan parallelism 0 (default), 1 and 4\n")
 
 	// Observer inertness: a W=8 run with metrics + tracing enabled must be
 	// indistinguishable from the untraced runs.

@@ -20,6 +20,7 @@
 package miner
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -291,6 +292,10 @@ type Miner struct {
 	measureKeys []string
 	temporal    []bool
 
+	// maxFinished bounds the speculation window's finished entries
+	// (defaultMaxFinished; tests shrink it to run the full-window path).
+	maxFinished int
+
 	// stopping is set once the dispatcher stops committing (budget exhausted
 	// or work drained); workers abort promptly, and their output is
 	// discarded, never committed.
@@ -351,11 +356,12 @@ func New(eng *engine.Engine, cfg Config) *Miner {
 		cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](true)
 	}
 	m := &Miner{
-		eng:     eng,
-		cfg:     cfg,
-		pcache:  cfg.PatternCache,
-		results: make(map[string]*core.MetaInsight),
-		seenMI:  make(map[string]bool),
+		eng:         eng,
+		cfg:         cfg,
+		pcache:      cfg.PatternCache,
+		maxFinished: defaultMaxFinished,
+		results:     make(map[string]*core.MetaInsight),
+		seenMI:      make(map[string]bool),
 	}
 	for _, ms := range eng.Measures() {
 		m.measureKeys = append(m.measureKeys, ms.Key())
@@ -383,12 +389,9 @@ type completion struct {
 	// commit path re-derives the same verdict for units that did execute (the
 	// K-th best score is monotone, so a dispatch-time cut never un-cuts).
 	cut bool
-}
-
-// specEntry tracks one dispatched-but-uncommitted unit.
-type specEntry struct {
-	unit *workUnit
-	comp *completion // nil while the unit is in flight
+	// entry is the window entry the worker was handed, so the dispatcher
+	// files the completion without searching for it.
+	entry *specEntry
 }
 
 // Run executes the mining procedure and returns all discovered MetaInsights.
@@ -425,72 +428,50 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		m.pushRoot(patternQ)
 	}
 
-	workCh := make(chan *workUnit)
+	workCh := make(chan *specEntry)
 	doneCh := make(chan *completion)
 	var wg sync.WaitGroup
 	for i := 0; i < m.cfg.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for u := range workCh {
+			for e := range workCh {
+				var t0 time.Time
+				if o != nil {
+					t0 = time.Now()
+				}
+				c := m.safeProcess(e.unit)
+				c.entry = e
 				if o != nil {
 					// Worker-side phase accounting is atomic-only and
 					// therefore inert; totals are CPU time across workers.
-					t0 := time.Now()
-					c := m.safeProcess(u)
-					o.Phase(u.kind.phase(), time.Since(t0))
-					doneCh <- c
-					continue
+					o.Phase(e.unit.kind.phase(), time.Since(t0))
 				}
-				doneCh <- m.safeProcess(u)
+				doneCh <- c
 			}
 		}()
 	}
 	o.Phase(obs.PhaseInit, time.Since(initStart))
 
-	// spec holds dispatched-but-uncommitted units in dispatch order;
-	// inflight counts those still being processed. Speculation is bounded so
-	// one slow canonical-head unit cannot pile up unbounded completed work.
-	var spec []*specEntry
+	spec := &specWindow{m: m}
 	inflight := 0
-	patternSpec := 0 // spec entries on the pattern side (non-MetaInsight)
-	specCap := 8 * m.cfg.Workers
+	patternSpec := 0 // in-flight or finished entries on the pattern side (non-MetaInsight)
+	windowPeak := 0
+	var spare *specEntry // an entry a lost send left unused
 
-	// bestSpec returns the canonically-first spec entry, optionally
-	// restricted to one side.
-	bestSpec := func(side unitKind, restrict bool) *specEntry {
-		var best *specEntry
-		for _, e := range spec {
-			if restrict && (e.unit.kind == kindMetaInsight) != (side == kindMetaInsight) {
-				continue
-			}
-			if best == nil || m.canonicalBefore(e.unit, best.unit) {
-				best = e
-			}
+	// canonicalNext returns the unit a single-worker run would process next
+	// given the committed state — the first, in canonical order, of the queue
+	// heads and the window's top — and its window entry if it has already been
+	// dispatched.
+	canonicalNext := func() (*workUnit, *specEntry) {
+		next := patternQ.Peek()
+		if u := miQ.Peek(); u != nil && (next == nil || m.canonicalBefore(u, next)) {
+			next = u
 		}
-		return best
-	}
-	firstOf := func(ready *workUnit, e *specEntry) (*workUnit, *specEntry) {
-		if e == nil {
-			return ready, nil
-		}
-		if ready == nil || m.canonicalBefore(e.unit, ready) {
+		if e := spec.top(); e != nil && (next == nil || m.canonicalBefore(e.unit, next)) {
 			return e.unit, e
 		}
-		return ready, nil
-	}
-	// canonicalNext returns the unit a single-worker run would process next
-	// given the committed state, and its spec entry if it has already been
-	// dispatched. Under PatternsFirst, any outstanding pattern-side unit
-	// precedes every MetaInsight unit (the pattern side can still refill).
-	canonicalNext := func() (*workUnit, *specEntry) {
-		if m.cfg.PatternsFirst {
-			if u, e := firstOf(patternQ.Peek(), bestSpec(kindDataPattern, true)); u != nil {
-				return u, e
-			}
-			return firstOf(miQ.Peek(), bestSpec(kindMetaInsight, true))
-		}
-		return firstOf(patternQ.Peek(), bestSpec(0, false))
+		return next, nil
 	}
 	// nextReady returns the queue to dispatch from, mirroring the canonical
 	// preference: pattern work first, and under PatternsFirst no MetaInsight
@@ -508,24 +489,8 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		}
 		return nil
 	}
-	remove := func(e *specEntry) {
-		for i, x := range spec {
-			if x == e {
-				spec = append(spec[:i], spec[i+1:]...)
-				break
-			}
-		}
-		if e.unit.kind != kindMetaInsight {
-			patternSpec--
-		}
-	}
 	receive := func(c *completion) {
-		for _, e := range spec {
-			if e.unit == c.unit {
-				e.comp = c
-				break
-			}
-		}
+		c.entry.comp = c
 		inflight--
 	}
 
@@ -544,12 +509,16 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		if next == nil && inflight == 0 {
 			break
 		}
+		windowPeak = max(windowPeak, spec.Len())
 		if entry != nil && entry.comp != nil {
 			m.commit(entry.comp, miQ, patternQ)
-			remove(entry)
+			heap.Pop(spec) // entry is the window's top
+			if entry.unit.kind != kindMetaInsight {
+				patternSpec--
+			}
 			m.commitIndex++
 			if ck != nil {
-				if err := ck.onCommit(m, entry.comp, patternQ, miQ, spec); err != nil {
+				if err := ck.onCommit(m, entry.comp, patternQ, miQ, spec.entries); err != nil {
 					m.ckErr = err
 					break
 				}
@@ -560,38 +529,63 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 			}
 			continue
 		}
-		if inflight < m.cfg.Workers && len(spec) < specCap {
-			if q := nextReady(); q != nil {
-				u := q.Peek()
-				if m.sstarCut(u) {
-					// Dispatch-time pre-filter: the K-th best score only
-					// grows, so the cut still holds at the unit's canonical
-					// commit slot. Skip the worker round-trip entirely and
-					// let commit record the cut in its slot.
-					q.Pop()
-					spec = append(spec, &specEntry{unit: u, comp: &completion{unit: u, cut: true}})
-					continue
-				}
-				select {
-				case workCh <- u:
-					q.Pop()
-					spec = append(spec, &specEntry{unit: u})
-					if u.kind != kindMetaInsight {
-						patternSpec++
-					}
-					inflight++
-					continue
-				case c := <-doneCh:
-					receive(c)
-					continue
-				}
+		// The head is still in flight or not yet dispatched: feed a worker if
+		// there is room, else wait for a completion. The finished-entry bound
+		// holds back only speculation past a head that is already in the
+		// window; a head still in the queue is always dispatched, or the run
+		// could not advance.
+		var q workQueue
+		var why waitReason
+		switch {
+		case inflight >= m.cfg.Workers:
+			why = waitWorkersBusy
+		case entry != nil && spec.Len()-inflight >= m.maxFinished:
+			why = waitWindowFull
+		default:
+			why, q = waitQueueEmpty, nextReady()
+		}
+		if q != nil {
+			u := q.Peek()
+			if m.sstarCut(u) {
+				// Dispatch-time pre-filter: the K-th best score only grows, so
+				// the cut still holds at the unit's canonical commit slot. Skip
+				// the worker round-trip entirely and let commit record the cut
+				// in its slot.
+				q.Pop()
+				heap.Push(spec, &specEntry{unit: u, comp: &completion{unit: u, cut: true}})
+				continue
 			}
+			if spare == nil {
+				spare = &specEntry{}
+			}
+			spare.unit = u
+			select {
+			case workCh <- spare:
+				q.Pop()
+				heap.Push(spec, spare)
+				spare = nil
+				if u.kind != kindMetaInsight {
+					patternSpec++
+				}
+				inflight++
+			case c := <-doneCh:
+				receive(c)
+			}
+			continue
 		}
 		if inflight == 0 {
 			break
 		}
-		receive(<-doneCh)
+		if o == nil {
+			receive(<-doneCh)
+			continue
+		}
+		t0 := time.Now()
+		c := <-doneCh
+		recordWait(o, why, inflight, time.Since(t0))
+		receive(c)
 	}
+	publishDispatch(o, windowPeak)
 
 	m.stopping.Store(true)
 	close(workCh)
@@ -610,7 +604,7 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 	// deliberately skips it — that is the simulated crash — and after a
 	// checkpoint I/O failure the directory is not trustworthy to advance.
 	if ck != nil && !halted && m.ckErr == nil {
-		if err := ck.writeFinalSnapshot(m, patternQ, miQ, spec); err != nil {
+		if err := ck.writeFinalSnapshot(m, patternQ, miQ, spec.entries); err != nil {
 			m.ckErr = err
 		}
 	}
@@ -662,7 +656,12 @@ func (m *Miner) rebuildTopScores() {
 // canonicalBefore reports whether a precedes b in the canonical processing
 // order: priority descending with seq as tie-breaker under priority queues,
 // emission (seq) order under FIFO queues. It matches the queues' ordering.
+// Under PatternsFirst any pattern-side unit precedes every MetaInsight unit
+// (the pattern side can still refill), as the two queues' precedence does.
 func (m *Miner) canonicalBefore(a, b *workUnit) bool {
+	if m.cfg.PatternsFirst && (a.kind == kindMetaInsight) != (b.kind == kindMetaInsight) {
+		return b.kind == kindMetaInsight
+	}
 	if m.cfg.UsePriorityQueues && a.priority != b.priority {
 		return a.priority > b.priority
 	}

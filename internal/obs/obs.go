@@ -76,6 +76,15 @@ func (o *Observer) Observe(name string, bounds []float64, v float64) {
 	o.registry.Histogram(name, bounds).Observe(v)
 }
 
+// MarkTiming declares the named instruments scheduling-dependent; see
+// Registry.MarkTiming.
+func (o *Observer) MarkTiming(names ...string) {
+	if o == nil {
+		return
+	}
+	o.registry.MarkTiming(names...)
+}
+
 // Event records one trace event; a no-op when tracing is disabled.
 func (o *Observer) Event(kind EventKind, unit, detail string, cost float64) {
 	if o == nil || o.trace == nil {

@@ -95,6 +95,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	timing     map[string]bool // see MarkTiming
 }
 
 // NewRegistry creates an empty registry.
@@ -142,6 +143,22 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// MarkTiming declares the named instruments scheduling-dependent: how long
+// something waited, how many goroutines happened to overlap. Like the phase
+// timers their values differ from run to run over the same data, so a
+// snapshot lists them (Snapshot.Timing) for anything that compares two runs
+// to leave out.
+func (r *Registry) MarkTiming(names ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.timing == nil {
+		r.timing = make(map[string]bool, len(names))
+	}
+	for _, n := range names {
+		r.timing[n] = true
+	}
+}
+
 // Histogram returns the named histogram, creating it with the given bucket
 // upper bounds (ascending) on first use; bounds of later calls are ignored.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
@@ -175,6 +192,36 @@ type Snapshot struct {
 	// PhaseSeconds holds the per-phase wall-clock totals (init / expand /
 	// evaluate / commit / rank), in seconds. Empty when no phases were timed.
 	PhaseSeconds map[string]float64 `json:"phase_seconds"`
+	// Timing names, sorted, the instruments above whose values depend on
+	// scheduling rather than on the data (Registry.MarkTiming); everything
+	// not listed here or under PhaseSeconds repeats exactly at one worker.
+	Timing []string `json:"timing,omitempty"`
+}
+
+// Deterministic returns the snapshot without its run-dependent parts: the
+// instruments listed in Timing and the phase timers.
+func (s Snapshot) Deterministic() Snapshot {
+	timing := make(map[string]bool, len(s.Timing))
+	for _, n := range s.Timing {
+		timing[n] = true
+	}
+	return Snapshot{
+		Counters:     without(s.Counters, timing),
+		Gauges:       without(s.Gauges, timing),
+		Histograms:   without(s.Histograms, timing),
+		PhaseSeconds: map[string]float64{},
+	}
+}
+
+// without copies m, leaving out the keys in drop.
+func without[V any](m map[string]V, drop map[string]bool) map[string]V {
+	out := make(map[string]V, len(m))
+	for k, v := range m {
+		if !drop[k] {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 // Snapshot copies the registry's current values.
@@ -205,6 +252,8 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		s.Histograms[name] = hs
 	}
+	s.Timing = keys(r.timing)
+	sort.Strings(s.Timing)
 	return s
 }
 
@@ -243,6 +292,9 @@ func (s Snapshot) Text() string {
 	})
 	section("phases", keys(s.PhaseSeconds), func(n string) {
 		fmt.Fprintf(&b, "  %-42s %.6fs\n", n, s.PhaseSeconds[n])
+	})
+	section("timing (scheduling-dependent, like the phases)", append([]string(nil), s.Timing...), func(n string) {
+		fmt.Fprintf(&b, "  %s\n", n)
 	})
 	return b.String()
 }

@@ -352,8 +352,11 @@ func WithObserver(ob *Observer) Option {
 }
 
 // WithScanParallelism sets how many goroutines one physical scan of the
-// default columnar substrate may use (default 1). This is intra-query
-// parallelism, orthogonal to WithWorkers' inter-query parallelism. Scan
+// default columnar substrate may use: 0 (the default) is GOMAXPROCS, 1 is the
+// sequential path, n > 1 is n; a scan that fits one morsel (8192 rows) runs
+// inline whatever the setting. This is intra-query parallelism, orthogonal to
+// WithWorkers' inter-query parallelism: it is what uses the other cores while
+// the miner can run only one unit (DESIGN.md §13). Scan
 // results — and therefore every mined insight, statistic and checkpoint —
 // are bit-identical for any value: the scan pipeline splits
 // rows into fixed-size morsels and merges partial aggregates in morsel-index
@@ -584,6 +587,13 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 	for i, ss := range a.cfg.PatternCache.ShardStats() {
 		a.obs.SetGauge(fmt.Sprintf("cache.pattern.shard.%02d.entries", i), float64(ss.Entries))
 	}
+	// Workers that found their unit or scope already being computed by
+	// another worker, and how long they then waited for it.
+	fs := a.eng.FlightStats()
+	fs.Add(a.cfg.PatternCache.FlightStats())
+	a.obs.SetGauge("cache.flight.followers", float64(fs.Followers))
+	a.obs.SetGauge("cache.flight.wait_ns", float64(fs.Wait))
+	a.obs.MarkTiming("cache.flight.followers", "cache.flight.wait_ns")
 	return a.obs.Snapshot()
 }
 

@@ -2,6 +2,8 @@ package metainsight_test
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"metainsight"
@@ -21,6 +23,11 @@ const (
 	// agree to within 0.03 % run to run, and sending every scan through the
 	// goroutine fan-out adds 1.4 %, so the bound sits between the two.
 	scanParAllocsSlack = 1.005
+	// defaultParSlack bounds what the default scan parallelism may allocate,
+	// in objects and in bytes, relative to ScanParallelism 1 on a table of
+	// several morsels: spreading a scan costs one small shared-state object
+	// per scan, not an accumulator per morsel.
+	defaultParSlack = 1.01
 )
 
 // warmAnalyzeAllocs reports the allocations of one warm Analyze on a session
@@ -38,6 +45,40 @@ func warmAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, exec metainsight.
 			t.Fatal(err)
 		}
 	})
+}
+
+// warmAnalyzeBytes reports the allocations and allocated bytes of one warm
+// Analyze on a session over tab, from the runtime's own totals, with
+// GOMAXPROCS as the caller set it (AllocsPerRun measures at GOMAXPROCS 1). It
+// is the lowest of three readings of three calls each: what the pools hand
+// back depends on where the collector's cycles fall, which moves a reading up
+// by a few tenths of a percent and never down.
+func warmAnalyzeBytes(t *testing.T, tab *metainsight.Dataset, exec metainsight.ExecConfig, req metainsight.Request) (allocs, bytes float64) {
+	t.Helper()
+	sess, err := metainsight.NewSession(tab, metainsight.WithExec(exec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	analyze := func() {
+		if _, err := sess.Analyze(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze() // builds the plans and the intern table
+	const readings, calls = 3, 3
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for r := 0; r < readings; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			analyze()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/calls)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	return allocs, bytes
 }
 
 // TestMineAllocsGuard pins the allocation bill of one warm Session.Analyze.
@@ -67,6 +108,29 @@ func TestMineAllocsGuard(t *testing.T) {
 	if par4 > par1*scanParAllocsSlack {
 		t.Errorf("scan parallelism 4 allocates %.0f on a one-morsel table, more than %.3f x the %.0f of parallelism 1",
 			par4, scanParAllocsSlack, par1)
+	}
+
+	// The benchmark's generated table at its quick scale is 13 morsels, so at
+	// the default scan parallelism its unfiltered and lightly filtered scans do
+	// spread whenever there is more than one core. A goroutine keeps one
+	// partial accumulator for all the morsels it takes; were it to take a
+	// pooled accumulator per morsel, as it once did, the pool would grow with
+	// the merge skew and this arm would show it in bytes.
+	gen := workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30})
+	req = metainsight.Request{TopK: 10}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		// Both arms at the same GOMAXPROCS: the pools are per P, so the core
+		// count moves what they retain whatever the scans do.
+		runtime.GOMAXPROCS(procs)
+		seqAllocs, seqBytes := warmAnalyzeBytes(t, gen, metainsight.ExecConfig{Workers: 1, ScanParallelism: 1}, req)
+		allocs, bytes := warmAnalyzeBytes(t, gen, metainsight.ExecConfig{Workers: 1}, req)
+		t.Logf("gen quick, GOMAXPROCS %d: default scan parallelism %.0f allocations / %.0f bytes, sequential %.0f / %.0f (x%.4f / x%.4f)",
+			procs, allocs, bytes, seqAllocs, seqBytes, allocs/seqAllocs, bytes/seqBytes)
+		if allocs > seqAllocs*defaultParSlack || bytes > seqBytes*defaultParSlack {
+			t.Errorf("GOMAXPROCS %d: default scan parallelism allocates %.0f objects / %.0f bytes, more than %.2f x the sequential %.0f / %.0f",
+				procs, allocs, bytes, defaultParSlack, seqAllocs, seqBytes)
+		}
 	}
 }
 

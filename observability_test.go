@@ -325,3 +325,64 @@ func TestSnapshotPublishesEngineAndCacheGauges(t *testing.T) {
 		t.Errorf("observer-less snapshot not empty: %+v", empty)
 	}
 }
+
+// TestSnapshotMarksSchedulingInstruments checks the dispatcher and
+// single-flight instruments: they are present after a multi-worker run, they
+// are listed as timing, and with them (and the phase timers) left out two
+// one-worker runs over the same table snapshot identically — everything else
+// an observer records is a function of the data.
+func TestSnapshotMarksSchedulingInstruments(t *testing.T) {
+	tab := workload.CreditCard()
+	snapshot := func(workers int) metainsight.MetricsSnapshot {
+		t.Helper()
+		sess, err := metainsight.NewSession(tab, metainsight.WithExec(metainsight.ExecConfig{Workers: workers}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		an, err := sess.Analyze(context.Background(), metainsight.Request{
+			TopK: 5, Budget: metainsight.Budget{Cost: 400},
+			Observer: metainsight.NewObserver(metainsight.ObserverOptions{}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an.Snapshot()
+	}
+
+	snap := snapshot(8)
+	timing := make(map[string]bool, len(snap.Timing))
+	for _, n := range snap.Timing {
+		timing[n] = true
+	}
+	for _, n := range []string{
+		"miner.dispatch.wait_workers_busy_ns", "miner.dispatch.wait_window_full_ns",
+		"miner.dispatch.wait_queue_empty_ns", "miner.dispatch.inflight_at_wait",
+		"miner.dispatch.window_peak", "cache.flight.followers", "cache.flight.wait_ns",
+	} {
+		if !timing[n] {
+			t.Errorf("%s is not listed as a timing instrument: %v", n, snap.Timing)
+		}
+	}
+	if snap.Gauges["miner.dispatch.window_peak"] < 1 {
+		t.Errorf("window peak %v after a run that dispatched units", snap.Gauges["miner.dispatch.window_peak"])
+	}
+	if h := snap.Histograms["miner.dispatch.inflight_at_wait"]; h.Count == 0 {
+		t.Error("no blocking wait recorded at 8 workers")
+	}
+	if !strings.Contains(snap.Text(), "miner.dispatch.window_peak") {
+		t.Error("snapshot text lacks the dispatch instruments")
+	}
+
+	a, err := json.Marshal(snapshot(1).Deterministic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(snapshot(1).Deterministic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("two one-worker runs differ outside the timing instruments:\n%s\n%s", a, b)
+	}
+}

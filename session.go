@@ -51,9 +51,10 @@ type ExecConfig struct {
 	// Workers is the number of evaluation goroutines (default 8). Results
 	// are bit-identical for any value.
 	Workers int
-	// ScanParallelism is how many goroutines one physical scan may use
-	// (default 1) — the one way a scan spreads over cores. Bit-identical for
-	// any value; see WithScanParallelism.
+	// ScanParallelism is how many goroutines one physical scan may use — the
+	// one way a scan spreads over cores: 0 (the default) is GOMAXPROCS, 1 is
+	// the sequential path, n > 1 is n. Bit-identical for any value; see
+	// WithScanParallelism.
 	ScanParallelism int
 }
 

@@ -8,6 +8,7 @@ package metainsight_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -200,9 +201,46 @@ func TestSessionScanParallelismGridBitIdentical(t *testing.T) {
 	if len(base.keys) == 0 {
 		t.Fatal("baseline mined nothing")
 	}
-	for _, par := range []int{1, 2, 4, 8} {
+	for _, par := range []int{0, 1, 2, 4, 8} {
 		for _, workers := range []int{1, 8} {
 			requireSameFacts(t, fmt.Sprintf("par=%d workers=%d", par, workers), base, run(par, workers))
+		}
+	}
+}
+
+// TestScanParallelismSpellings pins what the three values of the setting
+// mean — 0 the default (one goroutine per core), 1 the sequential path, n > 1
+// exactly n — through both ways of saying it, and that a whole Analysis
+// encodes to the same bytes under all of them. Before the default became the
+// core count, 1 was dropped as "unset", which would have left no way to ask
+// for the sequential path.
+func TestScanParallelismSpellings(t *testing.T) {
+	tab := fracTable(t, 60000)
+	analysisJSON := func(opts ...metainsight.Option) string {
+		t.Helper()
+		opts = append(opts, metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")))
+		s, err := metainsight.NewSession(tab, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(an)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := analysisJSON(metainsight.WithExec(metainsight.ExecConfig{Workers: 2, ScanParallelism: 1}))
+	for _, par := range []int{0, 1, 3} {
+		if got := analysisJSON(metainsight.WithExec(metainsight.ExecConfig{Workers: 2, ScanParallelism: par})); got != want {
+			t.Errorf("ExecConfig{ScanParallelism: %d}: Analysis JSON differs from the sequential run's", par)
+		}
+		if got := analysisJSON(metainsight.WithWorkers(2), metainsight.WithScanParallelism(par)); got != want {
+			t.Errorf("WithScanParallelism(%d): Analysis JSON differs from the sequential run's", par)
 		}
 	}
 }
