@@ -60,8 +60,6 @@ func run() int {
 		report  = fs.String("report", "", "write a markdown EDA report to this file")
 		trace   = fs.String("trace", "", "write the structured run trace (JSONL, commit order) to this file")
 		metrics = fs.Bool("metrics", false, "print the metrics snapshot (counters, gauges, phase timers) after the run")
-		qcBytes = fs.Int64("cache-bytes", 0, "query-cache byte budget with oldest-first eviction (0 = unbounded)")
-		pcBytes = fs.Int64("pattern-cache-bytes", 0, "pattern-cache byte budget (0 = unbounded)")
 		ragged  = fs.Bool("skip-ragged", false, "skip-and-count rows whose column count differs from the header instead of failing")
 		badMeas = fs.Bool("skip-bad-measures", false, "skip-and-count rows with NaN/Inf/unparseable measure cells instead of failing")
 		ckDir   = fs.String("checkpoint", "", "crash-safe mining: journal every commit and snapshot periodically into this directory")
@@ -167,9 +165,6 @@ func run() int {
 	}
 	if *topKCut > 0 {
 		opts = append(opts, metainsight.WithTopKPruning(*topKCut))
-	}
-	if *qcBytes > 0 || *pcBytes > 0 {
-		opts = append(opts, metainsight.WithCacheBytes(*qcBytes, *pcBytes))
 	}
 	if *ckDir != "" {
 		opts = append(opts, metainsight.WithDurability(metainsight.DurabilityConfig{

@@ -5,10 +5,11 @@
 // results keyed by data scope (Section 4.2.3). Both caches expose hit-rate
 // and size statistics, reproduced in the paper's Table 3.
 //
-// Both caches are sharded by key hash so the paper's 8 worker threads do not
-// serialize on a single lock on the hot path, and the package provides a
-// generic single-flight group (Flight) used to coalesce concurrent misses on
-// the same key into one computation.
+// Both caches are unbounded memos of one mining run: nothing is evicted, and
+// a run starts with fresh ones. They are sharded by key hash so the paper's 8
+// worker threads do not serialize on a single lock on the hot path, and the
+// package provides a generic single-flight group (Flight) used to coalesce
+// concurrent misses on the same key into one computation.
 package cache
 
 import (
@@ -67,12 +68,6 @@ type ScopeKey struct {
 // the scope it identifies.
 func (k ScopeKey) String() string {
 	return k.Unit.Subspace + "|" + model.EscapeKey(k.Unit.Breakdown) + "|" + k.Measure
-}
-
-// Len returns len(k.String()) without building the string; byte-bounded
-// pattern caches size their entries with it.
-func (k ScopeKey) Len() int {
-	return len(k.Unit.Subspace) + 1 + len(model.EscapeKey(k.Unit.Breakdown)) + 1 + len(k.Measure)
 }
 
 // ParseScopeKey inverts String: it splits a canonical data-scope key at its
@@ -170,11 +165,6 @@ func (s Stats) HitRate() float64 {
 type qcShard struct {
 	mu    sync.RWMutex
 	units map[UnitKey]*Unit
-	// order is the insertion order of the live keys, the shard's FIFO
-	// eviction queue when the cache is byte-bounded.
-	order []UnitKey
-	// bytes is the shard's approximate live size.
-	bytes int64
 }
 
 // QueryCache stores query-cache units, sharded by key hash so concurrent
@@ -183,14 +173,11 @@ type qcShard struct {
 // how the paper's "w/o Query Cache" ablation is run. QueryCache is safe for
 // concurrent use.
 type QueryCache struct {
-	enabled   bool
-	shards    [shardCount]qcShard
-	hits      atomic.Int64
-	misses    atomic.Int64
-	bytes     atomic.Int64
-	maxBytes  int64 // 0 = unbounded; set before use
-	shardCap  int64 // maxBytes / shardCount
-	evictions atomic.Int64
+	enabled bool
+	shards  [shardCount]qcShard
+	hits    atomic.Int64
+	misses  atomic.Int64
+	bytes   atomic.Int64
 }
 
 // NewQueryCache creates a query cache. If enabled is false the cache is a
@@ -205,31 +192,6 @@ func NewQueryCache(enabled bool) *QueryCache {
 
 // Enabled reports whether the cache stores anything.
 func (c *QueryCache) Enabled() bool { return c.enabled }
-
-// SetMaxBytes bounds the cache to approximately maxBytes, split evenly into
-// per-shard byte caps; 0 removes the bound. When a Put pushes a shard over
-// its cap, the shard evicts its oldest entries (insertion-order FIFO) until
-// it fits — never the entry just inserted, so the working unit always
-// survives its own Put. Must be called before the cache is used
-// concurrently.
-//
-// Physical evictions depend on insertion interleaving and may vary across
-// worker counts; they only ever cause identical re-scans. The
-// worker-count-invariant eviction count reported in miner.Stats.Evictions
-// comes from the miner's simulated commit-order cache, not from here.
-func (c *QueryCache) SetMaxBytes(maxBytes int64) {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	c.maxBytes = maxBytes
-	c.shardCap = maxBytes / shardCount
-}
-
-// MaxBytes returns the configured bound (0 = unbounded).
-func (c *QueryCache) MaxBytes() int64 { return c.maxBytes }
-
-// Evictions returns how many entries this cache has physically evicted.
-func (c *QueryCache) Evictions() int64 { return c.evictions.Load() }
 
 func (c *QueryCache) shard(k UnitKey) *qcShard {
 	return &c.shards[k.hash()%shardCount]
@@ -267,58 +229,20 @@ func (c *QueryCache) Peek(subspace, breakdown string) (*Unit, bool) {
 	return c.lookup(UnitKey{Subspace: subspace, Breakdown: breakdown})
 }
 
-// Put stores a unit, replacing any previous entry with the same key, then
-// enforces the shard's byte cap (see SetMaxBytes).
+// Put stores a unit, replacing any previous entry with the same key.
 func (c *QueryCache) Put(u *Unit) {
 	if !c.enabled {
 		return
 	}
 	s := c.shard(u.Key)
-	ub := u.ApproxBytes()
+	delta := u.ApproxBytes()
 	s.mu.Lock()
 	if old, ok := s.units[u.Key]; ok {
-		ob := old.ApproxBytes()
-		s.bytes -= ob
-		c.bytes.Add(-ob)
-	} else {
-		s.order = append(s.order, u.Key)
+		delta -= old.ApproxBytes()
 	}
 	s.units[u.Key] = u
-	s.bytes += ub
-	c.bytes.Add(ub)
-	if c.shardCap > 0 {
-		for s.bytes > c.shardCap && len(s.order) > 1 && s.order[0] != u.Key {
-			victim := s.order[0]
-			s.order = s.order[1:]
-			if old, ok := s.units[victim]; ok {
-				ob := old.ApproxBytes()
-				delete(s.units, victim)
-				s.bytes -= ob
-				c.bytes.Add(-ob)
-				c.evictions.Add(1)
-			}
-		}
-	}
 	s.mu.Unlock()
-}
-
-// Snapshot returns the keys currently stored with their approximate sizes.
-// The miner seeds its canonical accounting from it at the start of a run, so
-// a warm cache shared across runs is credited with the hits it will serve.
-func (c *QueryCache) Snapshot() map[UnitKey]int64 {
-	out := make(map[UnitKey]int64)
-	if !c.enabled {
-		return out
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k, u := range s.units {
-			out[k] = u.ApproxBytes()
-		}
-		s.mu.RUnlock()
-	}
-	return out
+	c.bytes.Add(delta)
 }
 
 // ShardStats returns per-shard entry counts and approximate byte sizes, in
@@ -364,8 +288,6 @@ func (c *QueryCache) Stats() Stats {
 type pcShard[V any] struct {
 	mu      sync.RWMutex
 	entries map[ScopeKey]V
-	order   []ScopeKey // insertion-order FIFO eviction queue when bounded
-	bytes   int64
 }
 
 // PatternCache memoizes values of type V keyed by data scope (MetaInsight
@@ -373,16 +295,11 @@ type pcShard[V any] struct {
 // counts misses and stores nothing, matching the "w/o Pattern Cache"
 // ablation. PatternCache is safe for concurrent use.
 type PatternCache[V any] struct {
-	enabled   bool
-	shards    [shardCount]pcShard[V]
-	flight    Flight[ScopeKey, V]
-	hits      atomic.Int64
-	misses    atomic.Int64
-	bytes     atomic.Int64
-	maxBytes  int64
-	shardCap  int64
-	sizeOf    func(key ScopeKey, v V) int64
-	evictions atomic.Int64
+	enabled bool
+	shards  [shardCount]pcShard[V]
+	flight  Flight[ScopeKey, V]
+	hits    atomic.Int64
+	misses  atomic.Int64
 }
 
 // NewPatternCache creates a pattern cache; disabled caches are no-ops that
@@ -397,34 +314,6 @@ func NewPatternCache[V any](enabled bool) *PatternCache[V] {
 
 // Enabled reports whether the cache stores anything.
 func (c *PatternCache[V]) Enabled() bool { return c.enabled }
-
-// SetMaxBytes bounds the cache to approximately maxBytes using sizeOf to
-// measure entries, with the same per-shard FIFO semantics as
-// QueryCache.SetMaxBytes; maxBytes 0 or a nil sizeOf removes the bound.
-// Must be called before the cache is used concurrently.
-func (c *PatternCache[V]) SetMaxBytes(maxBytes int64, sizeOf func(key ScopeKey, v V) int64) {
-	if maxBytes < 0 || sizeOf == nil {
-		maxBytes = 0
-	}
-	c.maxBytes = maxBytes
-	c.shardCap = maxBytes / shardCount
-	c.sizeOf = sizeOf
-}
-
-// MaxBytes returns the configured bound (0 = unbounded).
-func (c *PatternCache[V]) MaxBytes() int64 { return c.maxBytes }
-
-// SizeOf measures one entry with the configured size function (0 when
-// unbounded). The miner uses it to mirror eviction in its simulated cache.
-func (c *PatternCache[V]) SizeOf(key ScopeKey, v V) int64 {
-	if c.sizeOf == nil {
-		return 0
-	}
-	return c.sizeOf(key, v)
-}
-
-// Evictions returns how many entries this cache has physically evicted.
-func (c *PatternCache[V]) Evictions() int64 { return c.evictions.Load() }
 
 // FlightStats reports the callers that waited on another caller's
 // evaluation of the same scope.
@@ -466,43 +355,14 @@ func (c *PatternCache[V]) Peek(key ScopeKey) (V, bool) {
 	return c.lookup(key)
 }
 
-// Put stores key → v, then enforces the shard's byte cap (see SetMaxBytes).
+// Put stores key → v, replacing any previous entry.
 func (c *PatternCache[V]) Put(key ScopeKey, v V) {
 	if !c.enabled {
 		return
 	}
 	s := c.shard(key)
-	bounded := c.shardCap > 0 && c.sizeOf != nil
-	var vb int64
-	if bounded {
-		vb = c.sizeOf(key, v)
-	}
 	s.mu.Lock()
-	if old, ok := s.entries[key]; ok {
-		if bounded {
-			ob := c.sizeOf(key, old)
-			s.bytes -= ob
-			c.bytes.Add(-ob)
-		}
-	} else if bounded {
-		s.order = append(s.order, key)
-	}
 	s.entries[key] = v
-	if bounded {
-		s.bytes += vb
-		c.bytes.Add(vb)
-		for s.bytes > c.shardCap && len(s.order) > 1 && s.order[0] != key {
-			victim := s.order[0]
-			s.order = s.order[1:]
-			if old, ok := s.entries[victim]; ok {
-				ob := c.sizeOf(victim, old)
-				delete(s.entries, victim)
-				s.bytes -= ob
-				c.bytes.Add(-ob)
-				c.evictions.Add(1)
-			}
-		}
-	}
 	s.mu.Unlock()
 }
 
@@ -524,47 +384,6 @@ func (c *PatternCache[V]) Materialize(key ScopeKey, compute func() V) V {
 		return v
 	})
 	return v
-}
-
-// KeySet returns the set of keys currently stored. The miner seeds its
-// canonical accounting from it at the start of a run.
-func (c *PatternCache[V]) KeySet() map[ScopeKey]struct{} {
-	out := make(map[ScopeKey]struct{})
-	if !c.enabled {
-		return out
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k := range s.entries {
-			out[k] = struct{}{}
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
-
-// KeySizes returns the stored keys with their measured sizes (0 each when
-// the cache is unbounded). The miner seeds its simulated pattern cache from
-// it so warm entries participate in commit-order eviction.
-func (c *PatternCache[V]) KeySizes() map[ScopeKey]int64 {
-	out := make(map[ScopeKey]int64)
-	if !c.enabled {
-		return out
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k, v := range s.entries {
-			if c.sizeOf != nil {
-				out[k] = c.sizeOf(k, v)
-			} else {
-				out[k] = 0
-			}
-		}
-		s.mu.RUnlock()
-	}
-	return out
 }
 
 // ShardStats returns per-shard entry counts, in shard order; see

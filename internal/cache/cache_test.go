@@ -221,23 +221,6 @@ func TestFlightForgetsCompletedKeys(t *testing.T) {
 	}
 }
 
-func TestQueryCacheSnapshot(t *testing.T) {
-	c := NewQueryCache(true)
-	a, b := unit("s1", "b", 3), unit("s2", "b", 5)
-	c.Put(a)
-	c.Put(b)
-	snap := c.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d entries", len(snap))
-	}
-	if snap[a.Key] != a.ApproxBytes() || snap[b.Key] != b.ApproxBytes() {
-		t.Errorf("snapshot sizes = %v", snap)
-	}
-	if got := NewQueryCache(false).Snapshot(); len(got) != 0 {
-		t.Errorf("disabled snapshot = %v", got)
-	}
-}
-
 func TestPatternCachePeekDoesNotCount(t *testing.T) {
 	c := NewPatternCache[int](true)
 	c.Put(sk("k"), 1)
@@ -309,21 +292,6 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 	}
 }
 
-func TestPatternCacheKeySet(t *testing.T) {
-	c := NewPatternCache[int](true)
-	c.Put(sk("a"), 1)
-	c.Put(sk("b"), 2)
-	ks := c.KeySet()
-	if len(ks) != 2 {
-		t.Fatalf("keyset = %v", ks)
-	}
-	for _, k := range []string{"a", "b"} {
-		if _, ok := ks[sk(k)]; !ok {
-			t.Errorf("keyset missing %q", k)
-		}
-	}
-}
-
 func TestShardDistribution(t *testing.T) {
 	// Keys spread across shards: with 500 distinct keys and 16 shards, every
 	// shard should receive at least one key (collision into few shards would
@@ -353,9 +321,6 @@ func TestScopeKeyStringIsTheDataScopeKey(t *testing.T) {
 		k := ScopeKey{Unit: UnitKey{Subspace: ds.Subspace.Key(), Breakdown: ds.Breakdown}, Measure: ds.Measure.Key()}
 		if k.String() != ds.Key() {
 			t.Errorf("ScopeKey.String() = %q, DataScope.Key() = %q", k.String(), ds.Key())
-		}
-		if k.Len() != len(ds.Key()) {
-			t.Errorf("ScopeKey.Len() = %d, key %q has %d bytes", k.Len(), ds.Key(), len(ds.Key()))
 		}
 		back, ok := ParseScopeKey(k.String())
 		if !ok || back != k {

@@ -702,16 +702,9 @@ func (e *Engine) ImpactUnmeteredAt(h *Handle) (float64, *ImpactProbe, error) {
 		Fallback: e.UnitKeyAt(h, fallback),
 		Cost:     e.ScanCostAt(h),
 	}
-	var unit *cache.Unit
-	// With an unbounded cache, p.Bytes is reporting-only, so a probe unit
-	// found by a (timing-dependent) peek may serve the value and leave Bytes
-	// zero. Under a byte-bounded cache the recorded size participates in the
-	// canonical eviction simulation, so it must be deterministic: always
-	// materialize the fallback unit (pure data, worker-count-invariant) and
-	// take its size.
-	if e.qc.MaxBytes() == 0 {
-		unit = e.peekAnyUnit(h)
-	}
+	// p.Bytes is reporting-only, so a probe unit found by a (timing-dependent)
+	// peek may serve the value and leave Bytes zero.
+	unit := e.peekAnyUnit(h)
 	if unit == nil {
 		u, err := e.MaterializeUnitAt(h, fallback, nil)
 		if err != nil {

@@ -39,11 +39,11 @@ type pairScan struct {
 //
 // Remembered units are exactly ones the query cache was given, so the memo
 // holds nothing the cache does not — provided the cache keeps what it is
-// given. Under a disabled or byte-bounded cache it does not, and the memo
-// would pin what the cache dropped: there every request scans in its own
-// orientation and nothing is remembered, as before.
+// given. A disabled cache keeps nothing, and the memo would pin what the
+// cache dropped: there every request scans in its own orientation and
+// nothing is remembered.
 func (e *Engine) scanPair(base *Handle, bdim, ext int) (map[string]*cache.Unit, int, error) {
-	if !e.qc.Enabled() || e.qc.MaxBytes() != 0 {
+	if !e.qc.Enabled() {
 		// Concurrent identical requests still share one scan, keyed as asked.
 		p, _ := e.pairFlight.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() *pairScan {
 			units, scanned, err := e.scanAugmented(base, bdim, ext)

@@ -256,9 +256,9 @@ func sparseTable(seed int64, rows int, clustered bool) *dataset.Table {
 // orientations — in either order, quietly or metered — scans once and returns
 // for each the bytes a direct substrate scan of that orientation produces,
 // MIN/MAX columns, empty siblings and one-sibling-only groups included; the
-// meter charges each logical query regardless. Under a byte-bounded query
-// cache nothing is remembered (the memo must not pin what the cache evicts):
-// same bytes, one scan per request.
+// meter charges each logical query regardless. Under a disabled query cache
+// nothing is remembered (the memo must not pin what the cache drops): same
+// bytes, one scan per request.
 func TestAugmentedTransposeExactProperty(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		tab := sparseTable(21, 1500, clustered)
@@ -305,19 +305,18 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 					}
 					for _, tc := range []struct {
 						name      string
-						swap      bool  // ask for (ext, b) first
-						metered   bool  // AugmentedQuery instead of MaterializeAugmentedAt
-						maxBytes  int64 // query-cache bound
+						swap      bool // ask for (ext, b) first
+						metered   bool // AugmentedQuery instead of MaterializeAugmentedAt
+						disabled  bool // query cache off
 						wantScans int64
 					}{
-						{"quiet", false, false, 0, 1},
-						{"quiet swapped", true, false, 0, 1},
-						{"metered", false, true, 0, 1},
-						{"bounded", true, false, 1 << 10, 2},
+						{"quiet", false, false, false, 1},
+						{"quiet swapped", true, false, false, 1},
+						{"metered", false, true, false, 1},
+						{"disabled cache", true, false, true, 2},
 					} {
 						ob := obs.New(obs.Options{})
-						qc := cache.NewQueryCache(true)
-						qc.SetMaxBytes(tc.maxBytes)
+						qc := cache.NewQueryCache(!tc.disabled)
 						e, err := New(tab, Config{Substrate: sub, QueryCache: qc, Observer: ob})
 						if err != nil {
 							t.Fatal(err)
@@ -338,7 +337,7 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 								t.Fatal(err)
 							}
 							for _, u := range units {
-								if cached, ok := qc.Peek(u.Key.Subspace, u.Key.Breakdown); tc.maxBytes == 0 && (!ok || cached != u) {
+								if cached, ok := qc.Peek(u.Key.Subspace, u.Key.Breakdown); !tc.disabled && (!ok || cached != u) {
 									t.Fatalf("%s [%s] %s+%s: unit %v not in the query cache", tc.name, base.Key(), dims[bd], dims[xd], u.Key)
 								}
 							}
@@ -361,7 +360,7 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 							}
 						}
 						wantScans := tc.wantScans
-						if tc.maxBytes != 0 {
+						if tc.disabled {
 							wantScans++ // the repeated request scans too
 						}
 						if scans := ob.Snapshot().Counters["engine.physical.augmented_scans"]; scans != wantScans {

@@ -119,9 +119,9 @@ func (m *Miner) attach(u *workUnit) error {
 }
 
 // cacheEntryJSON is one simulated query-cache entry; evalEntryJSON one
-// simulated pattern-cache entry. When the cache is byte-bounded the entry
-// list preserves the commit-order FIFO eviction queue; unbounded caches have
-// no eviction order and serialize sorted.
+// simulated pattern-cache entry. Both lists serialize sorted. Bytes of a
+// pattern entry is reserved, always zero: the size the retired byte-bounded
+// pattern cache measured, kept so snapshots stay byte-identical.
 type cacheEntryJSON struct {
 	Subspace  string `json:"s"`
 	Breakdown string `json:"b"`
@@ -136,7 +136,8 @@ type evalEntryJSON struct {
 // acctJSON is the accounting's full mutable state, meter included. Retries,
 // BreakerTrips and Breaker are reserved, always zero: state of the retired
 // fault simulation, kept so snapshots stay byte-identical across its removal
-// and the ones written before it still decode.
+// and the ones written before it still decode. Evictions is reserved the
+// same way for the retired byte-bounded caches.
 type acctJSON struct {
 	Executed         int64   `json:"executed"`
 	Augmented        int64   `json:"augmented"`
@@ -180,64 +181,52 @@ func (a *accounting) exportState() acctJSON {
 		PCMisses:         a.pcMisses,
 		PrefetchFailures: a.prefetchFailures,
 		FailedUnits:      a.failedUnits,
-		Evictions:        a.evictions,
 		Cost:             a.cost,
 		MeterCostNanos:   a.meter.CostNanos(),
 		MeterExecuted:    a.meter.ExecutedQueries(),
 		MeterServed:      a.meter.ServedQueries(),
 		MeterAugmented:   a.meter.AugmentedQueries(),
 	}
-	if a.qcMaxBytes > 0 {
-		for _, k := range a.qcOrder {
-			st.QC = append(st.QC, cacheEntryJSON{Subspace: k.Subspace, Breakdown: k.Breakdown, Bytes: a.qc[k]})
-		}
-	} else {
-		keys := make([]cache.UnitKey, 0, len(a.qc))
-		for k := range a.qc {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Subspace != keys[j].Subspace {
-				return keys[i].Subspace < keys[j].Subspace
-			}
-			return keys[i].Breakdown < keys[j].Breakdown
-		})
-		for _, k := range keys {
-			st.QC = append(st.QC, cacheEntryJSON{Subspace: k.Subspace, Breakdown: k.Breakdown, Bytes: a.qc[k]})
-		}
+	keys := make([]cache.UnitKey, 0, len(a.qc))
+	for k := range a.qc {
+		keys = append(keys, k)
 	}
-	pcKeys := a.pcOrder
-	if a.pcMaxBytes == 0 {
-		pcKeys = sortedScopeKeys(a.pc)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Subspace != keys[j].Subspace {
+			return keys[i].Subspace < keys[j].Subspace
+		}
+		return keys[i].Breakdown < keys[j].Breakdown
+	})
+	for _, k := range keys {
+		st.QC = append(st.QC, cacheEntryJSON{Subspace: k.Subspace, Breakdown: k.Breakdown, Bytes: a.qc[k]})
 	}
-	for _, k := range pcKeys {
-		st.PC = append(st.PC, evalEntryJSON{Scope: k.String(), Bytes: a.pc[k]})
+	// Sorted by the canonical string — the external identity, so the order is
+	// the same wherever and whenever it is computed.
+	scopes := make([]string, 0, len(a.pc))
+	for k := range a.pc {
+		scopes = append(scopes, k.String())
+	}
+	sort.Strings(scopes)
+	for _, s := range scopes {
+		st.PC = append(st.PC, evalEntryJSON{Scope: s})
 	}
 	return st
 }
 
-// restoreState overwrites the accounting (which newAccounting seeded from
-// the physical caches — empty in a fresh process) with checkpointed state.
+// restoreState overwrites the (empty) accounting with checkpointed state.
 // It expects the meter at zero: the engine a resume runs against must be
 // fresh, and the replay verification catches a non-fresh one immediately.
 // The snapshot names pattern-cache entries by their canonical string; they
 // are parsed back into the part-wise keys the replay looks up.
 func (a *accounting) restoreState(st acctJSON) error {
-	pc := make(map[cache.ScopeKey]int64, len(st.PC))
-	var pcOrder []cache.ScopeKey
-	var pcBytes int64
+	a.pc = make(map[cache.ScopeKey]struct{}, len(st.PC))
 	for _, e := range st.PC {
 		k, ok := cache.ParseScopeKey(e.Scope)
 		if !ok {
 			return fmt.Errorf("snapshot payload: pattern-cache entry %q is not a data-scope key", e.Scope)
 		}
-		pc[k] = e.Bytes
-		pcBytes += e.Bytes
-		if a.pcMaxBytes > 0 {
-			pcOrder = append(pcOrder, k)
-		}
+		a.pc[k] = struct{}{}
 	}
-	a.pc, a.pcOrder, a.pcBytes = pc, pcOrder, pcBytes
 
 	a.executed = st.Executed
 	a.augmented = st.Augmented
@@ -248,7 +237,6 @@ func (a *accounting) restoreState(st acctJSON) error {
 	a.pcMisses = st.PCMisses
 	a.prefetchFailures = st.PrefetchFailures
 	a.failedUnits = st.FailedUnits
-	a.evictions = st.Evictions
 	a.cost = st.Cost
 	a.meter.AddCostNanos(st.MeterCostNanos)
 	a.meter.AddExecuted(st.MeterExecuted)
@@ -256,15 +244,9 @@ func (a *accounting) restoreState(st acctJSON) error {
 	a.meter.AddAugmented(st.MeterAugmented)
 
 	a.qc = make(map[cache.UnitKey]int64, len(st.QC))
-	a.qcOrder = nil
 	a.qcBytes = 0
 	for _, e := range st.QC {
-		k := cache.UnitKey{Subspace: e.Subspace, Breakdown: e.Breakdown}
-		a.qc[k] = e.Bytes
-		a.qcBytes += e.Bytes
-		if a.qcMaxBytes > 0 {
-			a.qcOrder = append(a.qcOrder, k)
-		}
+		a.store(cache.UnitKey{Subspace: e.Subspace, Breakdown: e.Breakdown}, e.Bytes)
 	}
 	return nil
 }
@@ -301,7 +283,9 @@ type recordJSON struct {
 	CostNanos   int64  `json:"cost_nanos"`
 	Results     int    `json:"results"`
 	FailedUnits int64  `json:"failed_units"`
-	Evictions   int64  `json:"evictions"`
+	// Evictions is reserved, always zero: the retired byte-bounded caches'
+	// eviction count, kept so journals stay byte-identical.
+	Evictions int64 `json:"evictions"`
 	// BoundSkips/BoundScanSkips carry the cumulative bound-pruning counters,
 	// so a resume replay also verifies the restored run makes the exact cut
 	// decisions the original made.
@@ -399,7 +383,6 @@ func (m *Miner) encodeRecord(c *completion) recordJSON {
 		CostNanos:      m.acct.meter.CostNanos(),
 		Results:        len(m.results),
 		FailedUnits:    m.acct.failedUnits,
-		Evictions:      m.acct.evictions,
 		BoundSkips:     m.stats.BoundSkips,
 		BoundScanSkips: m.stats.BoundScanSkips,
 	}
@@ -445,9 +428,10 @@ func (m *Miner) fingerprint() string {
 		m.cfg.MinSubspaceImpact, m.cfg.UsePriorityQueues, m.cfg.EnablePruning1,
 		m.cfg.EnablePruning2, m.cfg.EnableBoundPruning, m.cfg.DegradedThreshold,
 		m.cfg.PatternsFirst, m.cfg.TopK))
-	qc := m.eng.QueryCache()
-	w("qcache", fmt.Sprintf("%t %d", qc.Enabled(), qc.MaxBytes()))
-	w("pcache", fmt.Sprintf("%t %d", m.pcache.Enabled(), m.pcache.MaxBytes()))
+	// The trailing 0 is the retired byte bound, as unbounded caches rendered
+	// it: kept so checkpoints written before its removal still match.
+	w("qcache", fmt.Sprintf("%t 0", m.eng.QueryCache().Enabled()))
+	w("pcache", fmt.Sprintf("%t 0", m.pcache.Enabled()))
 	// The retired fault simulation's zero policies, as it rendered them: kept
 	// so checkpoints written before its removal still match.
 	w("faults", "{Seed:0 TransientRate:0 PermanentRate:0 LatencyRate:0 LatencyUnits:0}",

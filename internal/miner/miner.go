@@ -24,9 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,8 +225,8 @@ type Stats struct {
 	// EvUnitPanic) instead of crashing the run. Panics are pure functions of
 	// the unit and the data, so the count is worker-count-invariant.
 	PanickedUnits int64
-	// Evictions counts entries evicted from the byte-bounded caches, per the
-	// canonical commit-order simulation (0 when the caches are unbounded).
+	// Evictions is reserved, always zero: the caches are unbounded and never
+	// evict. Kept for the callers and wire formats that read it.
 	Evictions int64
 	// ShortSeriesSkips counts (scope, measure) series skipped for having
 	// fewer than 3 points — expected data sparsity, not an error.
@@ -410,7 +408,7 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		miQ = m.newQueue()
 	}
 
-	m.acct = newAccounting(m.eng, m.pcache, m.cfg.Observer)
+	m.acct = newAccounting(m.eng, m.pcache.Enabled(), m.cfg.Observer)
 
 	// stopped is set when a resume's replay was cancelled mid-way: the
 	// restored state is checkpointed again and returned without re-entering
@@ -867,7 +865,6 @@ func (m *Miner) finish() *Result {
 	m.stats.CostUsed = meter.Cost()
 	m.stats.PrefetchFailures = m.acct.prefetchFailures
 	m.stats.FailedUnits = m.acct.failedUnits
-	m.stats.Evictions = m.acct.evictions
 	m.stats.QueryCacheStats = m.acct.queryStats()
 	m.stats.PatternCacheStats = m.acct.patternStats()
 	var runErr error
@@ -895,7 +892,6 @@ func (m *Miner) finish() *Result {
 		o.SetGauge("miner.queries.cache_served", float64(m.stats.CacheServed))
 		o.SetGauge("miner.prefetch.failures", float64(m.stats.PrefetchFailures))
 		o.SetGauge("miner.queries.failed", float64(m.stats.FailedUnits))
-		o.SetGauge("miner.cache.evictions", float64(m.stats.Evictions))
 		o.SetGauge("miner.qcache.hit_rate", m.stats.QueryCacheStats.HitRate())
 		o.SetGauge("miner.qcache.entries", float64(m.stats.QueryCacheStats.Entries))
 		o.SetGauge("miner.qcache.bytes", float64(m.stats.QueryCacheStats.Bytes))
@@ -1119,10 +1115,7 @@ func (m *Miner) evaluateScope(rec *recorder, unit *cache.Unit, ds model.DataScop
 			return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern)
 		})
 	}
-	// Recorded after materialization so a byte-bounded pattern cache can
-	// carry the evaluation's size into the commit-order eviction simulation
-	// (SizeOf is 0 — and unused — when the cache is unbounded).
-	rec.recordEval(key, m.pcache.SizeOf(key, se))
+	rec.recordEval(key)
 	return se
 }
 
@@ -1387,28 +1380,18 @@ func (m *Miner) resolveMeasure(meas model.Measure) (key string, ok bool) {
 // Whether the canonical run pays for the scan is decided at commit time by
 // replaying the recorded decision against the simulated cache. It returns
 // the scope units it peeked (nil entries where it did not look or found
-// nothing), aligned with the unit's scopes, or nil when it peeked none.
+// nothing), aligned with the unit's scopes. The peek shortcut is pure
+// because the physical cache never evicts: a unit once peeked stays.
 func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) []*cache.Unit {
-	qc := m.eng.QueryCache()
-	// Under a byte-bounded physical cache the peek shortcut below would
-	// record a sibling list shaped by timing-dependent physical evictions
-	// (an entry can vanish between the check and the reconstruction), so the
-	// recorded usage would vary with worker interleaving. Recording must be
-	// pure: always take the scan path, whose sibling list is a function of
-	// the data alone. The extra physical scans are the normal price of a
-	// bounded cache; the canonical accounting is unaffected.
-	var peeked []*cache.Unit
-	allCached := qc.MaxBytes() == 0
-	if allCached {
-		peeked = make([]*cache.Unit, len(u.scopes))
-		for i, ref := range u.scopes {
-			unit, ok := m.eng.PeekUnitAt(ref.h, ref.bdim)
-			if !ok {
-				allCached = false
-				break
-			}
-			peeked[i] = unit
+	peeked := make([]*cache.Unit, len(u.scopes))
+	allCached := true
+	for i, ref := range u.scopes {
+		unit, ok := m.eng.PeekUnitAt(ref.h, ref.bdim)
+		if !ok {
+			allCached = false
+			break
 		}
+		peeked[i] = unit
 	}
 	anchor := u.scopes[0] // every scope shares the breakdown and the base
 	ext := m.eng.Table().DimensionIndex(u.hds.ExtDim)
@@ -1433,15 +1416,6 @@ func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) []*cache.Unit {
 			use.siblings = append(use.siblings, unitUse{key: unit.Key, bytes: unit.ApproxBytes()})
 		}
 	}
-	// The scan returns a map; the replay stores siblings in recorded order,
-	// which a byte-bounded simulated cache observes through its FIFO eviction
-	// queue. Sort so the recorded order is a pure function of the keys.
-	slices.SortFunc(use.siblings, func(a, b unitUse) int {
-		if c := strings.Compare(a.key.Subspace, b.key.Subspace); c != 0 {
-			return c
-		}
-		return strings.Compare(a.key.Breakdown, b.key.Breakdown)
-	})
 	rec.recordSiblings(use)
 	return peeked
 }

@@ -447,7 +447,7 @@ func TestPrefetchFailureFallsBackToBasicQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(eng, DefaultConfig())
-	m.acct = newAccounting(eng, m.pcache, nil)
+	m.acct = newAccounting(eng, m.pcache.Enabled(), nil)
 
 	anchor := model.DataScope{
 		Subspace:  model.EmptySubspace.With("City", "Los Angeles"),

@@ -34,9 +34,6 @@ func (s Stats) String() string {
 	if s.PanickedUnits > 0 {
 		fmt.Fprintf(&b, " panicked=%d", s.PanickedUnits)
 	}
-	if s.Evictions > 0 {
-		fmt.Fprintf(&b, " evictions=%d", s.Evictions)
-	}
 	if s.CheckpointWrites > 0 || s.ResumedUnits > 0 {
 		fmt.Fprintf(&b, " checkpoint[writes=%d resumed=%d]", s.CheckpointWrites, s.ResumedUnits)
 	}
@@ -71,9 +68,10 @@ func toCacheStatsJSON(s cache.Stats) cacheStatsJSON {
 
 // statsJSON fixes the stable wire names of Stats. Fields marshal in
 // declaration order, so the encoding is byte-stable for equal values. The
-// four fields with no Stats counterpart are reserved, always zero: counters
-// of the retired sharded execution mode and fault simulation, kept so
-// checkpoints and response bodies stay byte-identical across their removal.
+// four fields with no Stats counterpart, and Evictions, are reserved, always
+// zero: counters of the retired sharded execution mode, fault simulation and
+// byte-bounded caches, kept so checkpoints and response bodies stay
+// byte-identical across their removal.
 type statsJSON struct {
 	ExpandUnits      int64          `json:"expand_units"`
 	DataPatternUnits int64          `json:"data_pattern_units"`
@@ -124,7 +122,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		PrefetchFailures: s.PrefetchFailures,
 		FailedUnits:      s.FailedUnits,
 		PanickedUnits:    s.PanickedUnits,
-		Evictions:        s.Evictions,
 		CheckpointWrites: s.CheckpointWrites,
 		ResumedUnits:     s.ResumedUnits,
 		ShortSeriesSkips: s.ShortSeriesSkips,
@@ -159,7 +156,6 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 		PrefetchFailures: j.PrefetchFailures,
 		FailedUnits:      j.FailedUnits,
 		PanickedUnits:    j.PanickedUnits,
-		Evictions:        j.Evictions,
 		CheckpointWrites: j.CheckpointWrites,
 		ResumedUnits:     j.ResumedUnits,
 		ShortSeriesSkips: j.ShortSeriesSkips,

@@ -2,14 +2,10 @@ package miner
 
 import (
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
 
 	"metainsight/internal/cache"
 	"metainsight/internal/engine"
 	"metainsight/internal/obs"
-	"metainsight/internal/pattern"
 )
 
 // This file implements the miner's canonical accounting. Workers execute
@@ -26,10 +22,8 @@ import (
 //
 // A query whose substrate call errored is recorded as failed by the worker
 // and replayed as skipped-but-accounted: counted, traced, charged nothing.
-// When the caches are byte-bounded, the simulation evicts in commit-order
-// FIFO, producing the deterministic Stats.Evictions; the physical caches
-// evict independently (per lock stripe, in physical insertion order), which
-// only ever causes identical re-scans.
+// The simulated caches are the committed-key sets of one run: they start
+// empty, as the physical caches do, and never evict.
 
 // usageKind tags one recorded usage event.
 type usageKind int
@@ -77,9 +71,8 @@ type siblingUse struct {
 }
 
 // usageEvent is one recorded event. unit is set for useUnit and useEval —
-// for an evaluation, unit.key is the scope's unit key, measure its canonical
-// measure key and unit.bytes the evaluation's measured size (0 when the
-// pattern cache is unbounded); impact and sibling for their kinds.
+// for an evaluation, unit.key is the scope's unit key and measure its
+// canonical measure key; impact and sibling for their kinds.
 type usageEvent struct {
 	kind    usageKind
 	unit    unitUse
@@ -133,8 +126,8 @@ func (r *recorder) recordUnitFail(key cache.UnitKey, cost float64) {
 	}})
 }
 
-func (r *recorder) recordEval(k cache.ScopeKey, bytes int64) {
-	r.events = append(r.events, usageEvent{kind: useEval, unit: unitUse{key: k.Unit, bytes: bytes}, measure: k.Measure})
+func (r *recorder) recordEval(k cache.ScopeKey) {
+	r.events = append(r.events, usageEvent{kind: useEval, unit: unitUse{key: k.Unit}, measure: k.Measure})
 }
 
 func (r *recorder) recordImpact(p *engine.ImpactProbe) {
@@ -164,15 +157,9 @@ type accounting struct {
 	obs    *obs.Observer
 	traced bool
 
-	qc         map[cache.UnitKey]int64 // simulated query cache: key → bytes
-	qcOrder    []cache.UnitKey         // commit-order FIFO eviction queue
-	qcBytes    int64
-	qcMaxBytes int64 // 0 = unbounded
-
-	pc         map[cache.ScopeKey]int64 // simulated pattern cache: scope → bytes
-	pcOrder    []cache.ScopeKey
-	pcBytes    int64
-	pcMaxBytes int64
+	qc      map[cache.UnitKey]int64 // simulated query cache: key → bytes
+	qcBytes int64
+	pc      map[cache.ScopeKey]struct{} // simulated pattern cache: committed scopes
 
 	executed         int64
 	augmented        int64
@@ -181,72 +168,24 @@ type accounting struct {
 	pcHits, pcMisses int64
 	prefetchFailures int64
 	failedUnits      int64
-	evictions        int64
 	cost             float64
 }
 
-// newAccounting creates the simulation, seeded from the physical caches'
-// current contents so warm caches shared across runs are credited with the
-// hits they will serve. Warm entries enter the eviction queues in sorted key
-// order (their physical insertion order is not recorded; sorting keeps the
-// seed deterministic).
-func newAccounting(eng *engine.Engine, pc *cache.PatternCache[*pattern.ScopeEvaluation], o *obs.Observer) *accounting {
-	a := &accounting{
-		eng:        eng,
-		dimNames:   eng.Table().DimensionNames(),
-		meter:      eng.Meter(),
-		qcEnabled:  eng.QueryCache().Enabled(),
-		pcEnabled:  pc.Enabled(),
-		evalCost:   eng.EvaluationCost(),
-		obs:        o,
-		traced:     o.Tracing(),
-		qc:         eng.QueryCache().Snapshot(),
-		qcMaxBytes: eng.QueryCache().MaxBytes(),
-		pc:         pc.KeySizes(),
-		pcMaxBytes: pc.MaxBytes(),
+// newAccounting creates the simulation with empty caches: a run's physical
+// caches start empty too, so a single worker would find nothing cached.
+func newAccounting(eng *engine.Engine, pcEnabled bool, o *obs.Observer) *accounting {
+	return &accounting{
+		eng:       eng,
+		dimNames:  eng.Table().DimensionNames(),
+		meter:     eng.Meter(),
+		qcEnabled: eng.QueryCache().Enabled(),
+		pcEnabled: pcEnabled,
+		evalCost:  eng.EvaluationCost(),
+		obs:       o,
+		traced:    o.Tracing(),
+		qc:        make(map[cache.UnitKey]int64),
+		pc:        make(map[cache.ScopeKey]struct{}),
 	}
-	for _, b := range a.qc {
-		a.qcBytes += b
-	}
-	if a.qcMaxBytes > 0 && len(a.qc) > 0 {
-		a.qcOrder = make([]cache.UnitKey, 0, len(a.qc))
-		for k := range a.qc {
-			a.qcOrder = append(a.qcOrder, k)
-		}
-		sort.Slice(a.qcOrder, func(i, j int) bool {
-			if a.qcOrder[i].Subspace != a.qcOrder[j].Subspace {
-				return a.qcOrder[i].Subspace < a.qcOrder[j].Subspace
-			}
-			return a.qcOrder[i].Breakdown < a.qcOrder[j].Breakdown
-		})
-	}
-	for _, b := range a.pc {
-		a.pcBytes += b
-	}
-	if a.pcMaxBytes > 0 && len(a.pc) > 0 {
-		a.pcOrder = sortedScopeKeys(a.pc)
-	}
-	return a
-}
-
-// sortedScopeKeys returns the keys of a simulated pattern cache ordered by
-// their canonical string form — the external identity, so the order is the
-// same wherever and whenever it is computed.
-func sortedScopeKeys(pc map[cache.ScopeKey]int64) []cache.ScopeKey {
-	type named struct {
-		k cache.ScopeKey
-		s string
-	}
-	ns := make([]named, 0, len(pc))
-	for k := range pc {
-		ns = append(ns, named{k, k.String()})
-	}
-	slices.SortFunc(ns, func(a, b named) int { return strings.Compare(a.s, b.s) })
-	keys := make([]cache.ScopeKey, len(ns))
-	for i, n := range ns {
-		keys[i] = n.k
-	}
-	return keys
 }
 
 func (a *accounting) charge(cost float64) {
@@ -254,56 +193,10 @@ func (a *accounting) charge(cost float64) {
 	a.meter.AddCost(cost)
 }
 
-// store simulates a query-cache Put, replacing any previous entry, then
-// enforces the byte bound by evicting the oldest entries (commit-order FIFO,
-// never the entry just stored).
+// store simulates a query-cache Put, replacing any previous entry.
 func (a *accounting) store(k cache.UnitKey, bytes int64) {
-	if old, ok := a.qc[k]; ok {
-		a.qcBytes -= old
-	} else if a.qcMaxBytes > 0 {
-		a.qcOrder = append(a.qcOrder, k)
-	}
+	a.qcBytes += bytes - a.qc[k]
 	a.qc[k] = bytes
-	a.qcBytes += bytes
-	if a.qcMaxBytes > 0 {
-		for a.qcBytes > a.qcMaxBytes && len(a.qcOrder) > 1 && a.qcOrder[0] != k {
-			victim := a.qcOrder[0]
-			a.qcOrder = a.qcOrder[1:]
-			if old, ok := a.qc[victim]; ok {
-				delete(a.qc, victim)
-				a.qcBytes -= old
-				a.evictions++
-				if a.traced {
-					a.obs.Event(obs.EvEvict, keyLabel(victim), "query-cache", float64(old))
-				}
-			}
-		}
-	}
-}
-
-// storeEval simulates a pattern-cache Put with the same eviction semantics.
-func (a *accounting) storeEval(key cache.ScopeKey, bytes int64) {
-	if old, ok := a.pc[key]; ok {
-		a.pcBytes -= old
-	} else if a.pcMaxBytes > 0 {
-		a.pcOrder = append(a.pcOrder, key)
-	}
-	a.pc[key] = bytes
-	a.pcBytes += bytes
-	if a.pcMaxBytes > 0 {
-		for a.pcBytes > a.pcMaxBytes && len(a.pcOrder) > 1 && a.pcOrder[0] != key {
-			victim := a.pcOrder[0]
-			a.pcOrder = a.pcOrder[1:]
-			if old, ok := a.pc[victim]; ok {
-				delete(a.pc, victim)
-				a.pcBytes -= old
-				a.evictions++
-				if a.traced {
-					a.obs.Event(obs.EvEvict, victim.String(), "pattern-cache", float64(old))
-				}
-			}
-		}
-	}
 }
 
 // keyLabel renders a unit key as a trace label, matching DataScope.Key's
@@ -367,7 +260,7 @@ func (a *accounting) apply(ev usageEvent) {
 				}
 				return
 			}
-			a.storeEval(key, ev.unit.bytes)
+			a.pc[key] = struct{}{}
 		}
 		a.pcMisses++
 		a.charge(a.evalCost)
@@ -444,8 +337,7 @@ func (a *accounting) applySiblings(s *siblingUse) {
 // queryStats reports the simulated query cache as cache.Stats. Bytes is
 // best-effort: an impact-fallback unit observed only through a cached peek
 // reports size 0 (sizes are reporting-only and excluded from the
-// determinism guarantee when the cache is unbounded; bounded caches record
-// sizes deterministically).
+// determinism guarantee).
 func (a *accounting) queryStats() cache.Stats {
 	return cache.Stats{
 		Hits:    a.qcHits,
@@ -455,12 +347,12 @@ func (a *accounting) queryStats() cache.Stats {
 	}
 }
 
-// patternStats reports the simulated pattern cache as cache.Stats.
+// patternStats reports the simulated pattern cache as cache.Stats; Table 3
+// sizes the pattern cache by entries, so Bytes stays zero.
 func (a *accounting) patternStats() cache.Stats {
 	return cache.Stats{
 		Hits:    a.pcHits,
 		Misses:  a.pcMisses,
 		Entries: int64(len(a.pc)),
-		Bytes:   a.pcBytes,
 	}
 }

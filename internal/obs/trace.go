@@ -38,9 +38,6 @@ const (
 	EvCancel
 	// EvQueryFail marks a query whose substrate call errored and was skipped.
 	EvQueryFail
-	// EvEvict marks one entry evicted from a byte-bounded cache (canonical
-	// commit-order simulation).
-	EvEvict
 	// EvUnitPanic marks a compute unit whose evaluation panicked; the worker
 	// recovered and the unit was committed as failed (detail = panic value).
 	EvUnitPanic
@@ -64,7 +61,6 @@ var eventKindNames = [...]string{
 	EvBudgetStop:       "budget-stop",
 	EvCancel:           "cancel",
 	EvQueryFail:        "query-fail",
-	EvEvict:            "evict",
 	EvUnitPanic:        "unit-panic",
 	EvCheckpointWrite:  "checkpoint-write",
 	EvCheckpointResume: "checkpoint-resume",

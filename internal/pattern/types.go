@@ -225,25 +225,6 @@ type ScopeEvaluation struct {
 	AnyValid bool
 }
 
-// ApproxBytes estimates the in-memory size of the evaluation, the unit of
-// account for byte-bounded pattern caches. The estimate is computed from the
-// evaluation's content only (slice lengths and string bytes, plus fixed
-// per-struct overheads), so it is deterministic for deterministic data.
-func (se *ScopeEvaluation) ApproxBytes() int64 {
-	const (
-		structOverhead = 64 // ScopeEvaluation + cache entry bookkeeping
-		evalOverhead   = 56 // Evaluation struct incl. Highlight headers
-	)
-	b := int64(structOverhead) + int64(len(se.Evals))*evalOverhead
-	for _, ev := range se.Evals {
-		b += int64(len(ev.Highlight.Label))
-		for _, p := range ev.Highlight.Positions {
-			b += 16 + int64(len(p))
-		}
-	}
-	return b
-}
-
 // Induced applies the paper's type-induced generative function dp(ds, type):
 // it returns (type, highlight) if type holds; (OtherPattern, zero) if some
 // other type holds; (NoPattern, zero) otherwise.

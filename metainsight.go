@@ -266,9 +266,18 @@ func WithBadMeasures(p RowPolicy) LoadOption {
 
 // Analyzer runs MetaInsight mining and ranking over one dataset.
 type Analyzer struct {
-	eng        *engine.Engine
-	meter      *engine.Meter
-	cfg        miner.Config
+	d   *Dataset
+	o   *analyzerOptions
+	sub Substrate // the physical scan layer every Mine call reuses
+
+	// The state of one run, replaced before every Mine call but the first:
+	// the engine (with its query cache), its meter and the miner config
+	// (with its pattern cache). mined marks that a Mine call has run.
+	eng   *engine.Engine
+	meter *engine.Meter
+	cfg   miner.Config
+	mined bool
+
 	wts        ranker.Weights
 	obs        *obs.Observer
 	timeBudget time.Duration // anchored at each Mine call
@@ -290,8 +299,6 @@ type analyzerOptions struct {
 	weights        ranker.Weights
 	observer       *obs.Observer
 	substrate      Substrate
-	qcBytes        int64
-	pcBytes        int64
 	checkpoint     *miner.CheckpointSpec
 	scanPar        int
 
@@ -459,14 +466,6 @@ func WithSubstrate(s Substrate) Option {
 	return func(o *analyzerOptions) { o.substrate = s }
 }
 
-// WithCacheBytes bounds the query and pattern caches to the given byte
-// budgets (0 = unbounded). Bounded caches evict oldest-first; the miner's
-// canonical commit-order simulation makes the reported Stats.Evictions — and
-// everything downstream — deterministic at any worker count.
-func WithCacheBytes(queryBytes, patternBytes int64) Option {
-	return func(o *analyzerOptions) { o.qcBytes = queryBytes; o.pcBytes = patternBytes }
-}
-
 // WithDegradedThreshold sets the query failure rate above which a run is
 // flagged degraded (MiningResult.Err wraps ErrDegraded; default 0.1). Set
 // negative to flag any failure, or >= 1 to never flag.
@@ -526,6 +525,11 @@ func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 // Mine runs the mining procedure, returning every qualified MetaInsight
 // candidate (deduplicated, score-descending) plus run statistics. It is
 // MineContext with a background context.
+//
+// Each call is hermetic: it mines with a fresh query cache, pattern cache and
+// meter (reusing only the physical scan substrate), so a second call returns
+// exactly what the first did. Calls must not overlap; a Session serves
+// concurrent analyses.
 func (a *Analyzer) Mine() *MiningResult { return a.MineContext(context.Background()) }
 
 // MineContext is Mine with cancellation: the context is checked at every
@@ -533,6 +537,12 @@ func (a *Analyzer) Mine() *MiningResult { return a.MineContext(context.Backgroun
 // returns the best-so-far MetaInsights with Stats.Cancelled set. A run is
 // never torn mid-commit — everything in the result was fully accounted.
 func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
+	if a.mined {
+		if err := a.reset(nil); err != nil {
+			return &MiningResult{Err: err}
+		}
+	}
+	a.mined = true
 	cfg := a.cfg
 	// Time budgets anchor at the call to Mine, not at analyzer creation,
 	// and never override an explicit cost budget.
@@ -601,8 +611,9 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 // direct access to the trace ring.
 func (a *Analyzer) Observer() *Observer { return a.obs }
 
-// Engine exposes the underlying query engine for advanced use (issuing
-// basic/augmented queries directly).
+// Engine exposes the query engine of the last Mine call (before the first,
+// the one it will use) for advanced use (issuing basic/augmented queries
+// directly).
 func (a *Analyzer) Engine() *engine.Engine { return a.eng }
 
 // Analyze is the one-call API: mine with default configuration and return

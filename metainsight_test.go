@@ -2,8 +2,10 @@ package metainsight_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"metainsight"
 	"metainsight/internal/model"
+	"metainsight/internal/workload"
 )
 
 // houseRecords builds the paper's running example as raw records.
@@ -142,6 +145,63 @@ func TestAnalyzerBudgetsAndAblations(t *testing.T) {
 	}
 	if ablated.Stats.ExecutedQueries <= full.Stats.ExecutedQueries {
 		t.Error("disabling the caches should execute more queries")
+	}
+}
+
+// TestAnalyzerMineIsHermetic: every Mine call on one Analyzer starts from
+// empty caches and a zero meter, so the second call returns what the first
+// did — keys, scores and every statistic — and both agree across worker
+// counts, but for the best-effort QueryCacheStats.Bytes. The second call used
+// to start from the first one's caches and meter: a budgeted one committed
+// nothing, and its statistics depended on the worker count.
+func TestAnalyzerMineIsHermetic(t *testing.T) {
+	type run struct {
+		keys   []string
+		scores []float64
+		stats  metainsight.MiningStats
+	}
+	mine := func(a *metainsight.Analyzer) run {
+		t.Helper()
+		res := a.Mine()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		r := run{stats: res.Stats}
+		for _, mi := range res.MetaInsights {
+			r.keys = append(r.keys, mi.Key())
+			r.scores = append(r.scores, mi.Score)
+		}
+		return r
+	}
+	for _, tab := range []*metainsight.Dataset{workload.CreditCard(), workload.SalesForecast()} {
+		for _, budget := range []float64{0, 200} {
+			var ref *run
+			for _, workers := range []int{1, 8} {
+				opts := []metainsight.Option{metainsight.WithWorkers(workers)}
+				if budget > 0 {
+					opts = append(opts, metainsight.WithCostBudget(budget))
+				}
+				a, err := metainsight.NewAnalyzer(tab, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s, budget %v, %d workers", tab.Name(), budget, workers)
+				first, second := mine(a), mine(a)
+				if len(first.keys) == 0 {
+					t.Fatalf("%s: vacuous, nothing mined", label)
+				}
+				if !reflect.DeepEqual(first, second) {
+					t.Errorf("%s: the second Mine differs from the first\n first:  %d insights %+v\n second: %d insights %+v",
+						label, len(first.keys), first.stats, len(second.keys), second.stats)
+				}
+				first.stats.QueryCacheStats.Bytes = 0
+				if ref == nil {
+					ref = &first
+				} else if !reflect.DeepEqual(*ref, first) {
+					t.Errorf("%s: differs from 1 worker\n w1: %+v\n w%d: %+v", label, ref.stats, workers, first.stats)
+				}
+			}
+		}
 	}
 }
 

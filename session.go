@@ -213,8 +213,8 @@ var (
 	// requires k > 0; omit the option to disable early termination.
 	ErrInvalidTopKPruning = errors.New(
 		"metainsight: WithTopKPruning requires k > 0; omit the option to disable early termination")
-	// ErrNegativeOption: a count or size option (workers, scan parallelism,
-	// cache bytes) was negative.
+	// ErrNegativeOption: a count option (workers, scan parallelism,
+	// substrate cache limit) was negative.
 	ErrNegativeOption = errors.New("metainsight: option value must be non-negative")
 	// ErrSessionClosed: Analyze was called on a closed session.
 	ErrSessionClosed = errors.New("metainsight: session is closed")
@@ -247,9 +247,6 @@ func resolveOptions(opts []Option) (*analyzerOptions, error) {
 	}
 	if o.scanPar < 0 {
 		return nil, fmt.Errorf("%w: scan parallelism %d", ErrNegativeOption, o.scanPar)
-	}
-	if o.qcBytes < 0 || o.pcBytes < 0 {
-		return nil, fmt.Errorf("%w: cache bytes %d/%d", ErrNegativeOption, o.qcBytes, o.pcBytes)
 	}
 	if o.subLimit < 0 {
 		return nil, fmt.Errorf("%w: substrate cache limit %d", ErrNegativeOption, o.subLimit)
@@ -478,10 +475,20 @@ func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]b
 // construction path behind both Session.Analyze and the deprecated
 // NewAnalyzer shim, which is what makes the two surfaces bit-identical.
 func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, error) {
-	qc := cache.NewQueryCache(!o.disableQC)
-	if o.qcBytes > 0 {
-		qc.SetMaxBytes(o.qcBytes)
+	a := &Analyzer{d: d, o: o, sub: o.substrate, wts: o.weights, obs: o.observer, timeBudget: o.timeBudget}
+	if err := a.reset(sess); err != nil {
+		return nil, err
 	}
+	return a, nil
+}
+
+// reset gives the analyzer the state of one fresh run: an engine over its
+// substrate with an empty query cache and a zero meter, and a miner config
+// with an empty pattern cache. The substrate is resolved on the first call
+// (from sess's registry when the options name none) and reused after.
+func (a *Analyzer) reset(sess *Session) error {
+	o := a.o
+	qc := cache.NewQueryCache(!o.disableQC)
 	meter := &engine.Meter{}
 	// The needed-aggregate set: measures that registered evaluators will
 	// query beyond the mined measure set. Custom patterns declare theirs via
@@ -502,20 +509,21 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 		QueryCache:      qc,
 		Meter:           meter,
 		Observer:        o.observer,
-		Substrate:       o.substrate,
+		Substrate:       a.sub,
 	}
 	if ecfg.Substrate == nil {
 		// The session builds the default substrate itself, to share it across
 		// requests, from the same needed-aggregate set engine.New would use.
 		var err error
-		ecfg.Substrate, err = sess.substrateFor(d, o, ecfg.MinMaxColumns(d))
+		ecfg.Substrate, err = sess.substrateFor(a.d, o, ecfg.MinMaxColumns(a.d))
 		if err != nil {
-			return nil, err
+			return err
 		}
+		a.sub = ecfg.Substrate
 	}
-	eng, err := engine.New(d, ecfg)
+	eng, err := engine.New(a.d, ecfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cfg := o.minerCfg
 	if len(o.customPatterns) > 0 || len(o.correlations) > 0 {
@@ -527,22 +535,14 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 			cfg.Pattern.Custom = append(cfg.Pattern.Custom, correlationEvaluator(eng, pair[0], pair[1]))
 		}
 	}
-	// The pattern cache is created here (not lazily per Mine call) so it
-	// persists across Mine calls like the query cache, and so Snapshot can
-	// report its stats.
+	// The pattern cache is created here, not inside the miner, so Snapshot
+	// can report its stats.
 	cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](!o.disablePC)
-	if o.pcBytes > 0 {
-		cfg.PatternCache.SetMaxBytes(o.pcBytes, func(key cache.ScopeKey, se *pattern.ScopeEvaluation) int64 {
-			return int64(key.Len()) + se.ApproxBytes()
-		})
-	}
 	cfg.Observer = o.observer
 	cfg.Checkpoint = o.checkpoint
 	if o.costBudget > 0 {
 		cfg.Budget = engine.CostBudget{Meter: meter, Limit: o.costBudget}
 	}
-	return &Analyzer{
-		eng: eng, meter: meter, cfg: cfg, wts: o.weights,
-		obs: o.observer, timeBudget: o.timeBudget,
-	}, nil
+	a.eng, a.meter, a.cfg = eng, meter, cfg
+	return nil
 }

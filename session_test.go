@@ -271,9 +271,6 @@ func TestConstructionValidation(t *testing.T) {
 		{"negative workers", []metainsight.Option{
 			metainsight.WithWorkers(-1),
 		}, metainsight.ErrNegativeOption},
-		{"negative cache bytes", []metainsight.Option{
-			metainsight.WithCacheBytes(-1, 0),
-		}, metainsight.ErrNegativeOption},
 		{"checkpoint dirs", []metainsight.Option{
 			metainsight.WithCheckpoint("/tmp/ck-a", 0),
 			metainsight.ResumeFromCheckpoint("/tmp/ck-b"),
