@@ -2,19 +2,21 @@
 // procedure (Section 4.2): the query cache, whose unit is a 2-dimensional
 // aggregation grid across all measures for one (subspace, breakdown) pair
 // (Figure 5), and the pattern cache, which memoizes data-pattern evaluation
-// results keyed by data scope (Section 4.2.3). Both caches expose hit-rate
-// and size statistics, reproduced in the paper's Table 3.
+// results keyed by data scope (Section 4.2.3).
 //
-// Both caches are unbounded memos of one mining run: nothing is evicted, and
-// a run starts with fresh ones. They are sharded by key hash so the paper's 8
-// worker threads do not serialize on a single lock on the hot path, and the
-// package provides a generic single-flight group (Flight) used to coalesce
-// concurrent misses on the same key into one computation.
+// Both caches are plain, unbounded memos of one mining run: nothing is
+// evicted, a run starts with fresh ones, and they count nothing. The hit
+// rates and sizes of the paper's Table 3 are the miner's canonical
+// accounting (reported in the Stats shape below), not a property of the
+// physical caches, whose traffic depends on worker scheduling. They are
+// sharded by key hash so the paper's 8 worker threads do not serialize on a
+// single lock on the hot path, and the package provides a generic
+// single-flight group (Flight) used to coalesce concurrent misses on the same
+// key into one computation.
 package cache
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"metainsight/internal/model"
 )
@@ -144,7 +146,9 @@ func (u *Unit) ApproxBytes() int64 {
 	return bytes
 }
 
-// Stats is a point-in-time snapshot of a cache's counters.
+// Stats is the cache statistics shape of Table 3. The miner's canonical
+// accounting fills every field; a physical cache reports only its occupancy
+// (Entries, and per shard Bytes), having no counters.
 type Stats struct {
 	Hits    int64
 	Misses  int64
@@ -169,19 +173,15 @@ type qcShard struct {
 
 // QueryCache stores query-cache units, sharded by key hash so concurrent
 // workers do not serialize on one global lock. A disabled cache (see
-// NewQueryCache) counts every lookup as a miss and drops every Put, which is
-// how the paper's "w/o Query Cache" ablation is run. QueryCache is safe for
-// concurrent use.
+// NewQueryCache) finds nothing and drops every Put, which is how the paper's
+// "w/o Query Cache" ablation is run. QueryCache is safe for concurrent use.
 type QueryCache struct {
 	enabled bool
 	shards  [shardCount]qcShard
-	hits    atomic.Int64
-	misses  atomic.Int64
-	bytes   atomic.Int64
 }
 
 // NewQueryCache creates a query cache. If enabled is false the cache is a
-// no-op that still counts misses, for ablation experiments.
+// no-op, for ablation experiments.
 func NewQueryCache(enabled bool) *QueryCache {
 	c := &QueryCache{enabled: enabled}
 	for i := range c.shards {
@@ -197,36 +197,17 @@ func (c *QueryCache) shard(k UnitKey) *qcShard {
 	return &c.shards[k.hash()%shardCount]
 }
 
-func (c *QueryCache) lookup(k UnitKey) (*Unit, bool) {
+// Peek looks up the unit for (subspace, breakdown).
+func (c *QueryCache) Peek(subspace, breakdown string) (*Unit, bool) {
+	if !c.enabled {
+		return nil, false
+	}
+	k := UnitKey{Subspace: subspace, Breakdown: breakdown}
 	s := c.shard(k)
 	s.mu.RLock()
 	u, ok := s.units[k]
 	s.mu.RUnlock()
 	return u, ok
-}
-
-// Get looks up the unit for (subspace, breakdown), counting a hit or miss.
-func (c *QueryCache) Get(subspace, breakdown string) (*Unit, bool) {
-	if !c.enabled {
-		c.misses.Add(1)
-		return nil, false
-	}
-	u, ok := c.lookup(UnitKey{Subspace: subspace, Breakdown: breakdown})
-	if ok {
-		c.hits.Add(1)
-		return u, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// Peek looks up a unit without touching the hit/miss counters. The miner's
-// prefetch paths use it to avoid double-counting lookups it just performed.
-func (c *QueryCache) Peek(subspace, breakdown string) (*Unit, bool) {
-	if !c.enabled {
-		return nil, false
-	}
-	return c.lookup(UnitKey{Subspace: subspace, Breakdown: breakdown})
 }
 
 // Put stores a unit, replacing any previous entry with the same key.
@@ -235,20 +216,14 @@ func (c *QueryCache) Put(u *Unit) {
 		return
 	}
 	s := c.shard(u.Key)
-	delta := u.ApproxBytes()
 	s.mu.Lock()
-	if old, ok := s.units[u.Key]; ok {
-		delta -= old.ApproxBytes()
-	}
 	s.units[u.Key] = u
 	s.mu.Unlock()
-	c.bytes.Add(delta)
 }
 
 // ShardStats returns per-shard entry counts and approximate byte sizes, in
-// shard order. Hit/miss counters are cache-global (kept atomic off the shard
-// locks) and therefore zero in each entry; the observability layer publishes
-// shard occupancy to make hash-skew across the lock shards visible.
+// shard order; the observability layer publishes shard occupancy to make
+// hash-skew across the lock shards visible.
 func (c *QueryCache) ShardStats() []Stats {
 	out := make([]Stats, shardCount)
 	if !c.enabled {
@@ -267,7 +242,7 @@ func (c *QueryCache) ShardStats() []Stats {
 	return out
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats reports the cache's occupancy: Entries only.
 func (c *QueryCache) Stats() Stats {
 	var entries int64
 	for i := range c.shards {
@@ -276,12 +251,7 @@ func (c *QueryCache) Stats() Stats {
 		entries += int64(len(s.units))
 		s.mu.RUnlock()
 	}
-	return Stats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Entries: entries,
-		Bytes:   c.bytes.Load(),
-	}
+	return Stats{Entries: entries}
 }
 
 // pcShard is one lock shard of a PatternCache.
@@ -292,18 +262,15 @@ type pcShard[V any] struct {
 
 // PatternCache memoizes values of type V keyed by data scope (MetaInsight
 // memoizes pattern evaluations), sharded by key hash. A disabled cache
-// counts misses and stores nothing, matching the "w/o Pattern Cache"
-// ablation. PatternCache is safe for concurrent use.
+// stores nothing, matching the "w/o Pattern Cache" ablation. PatternCache is
+// safe for concurrent use.
 type PatternCache[V any] struct {
 	enabled bool
 	shards  [shardCount]pcShard[V]
 	flight  Flight[ScopeKey, V]
-	hits    atomic.Int64
-	misses  atomic.Int64
 }
 
-// NewPatternCache creates a pattern cache; disabled caches are no-ops that
-// still count misses.
+// NewPatternCache creates a pattern cache; disabled caches are no-ops.
 func NewPatternCache[V any](enabled bool) *PatternCache[V] {
 	c := &PatternCache[V]{enabled: enabled}
 	for i := range c.shards {
@@ -331,22 +298,7 @@ func (c *PatternCache[V]) lookup(key ScopeKey) (V, bool) {
 	return v, ok
 }
 
-// Get looks up key, counting a hit or miss.
-func (c *PatternCache[V]) Get(key ScopeKey) (V, bool) {
-	var zero V
-	if !c.enabled {
-		c.misses.Add(1)
-		return zero, false
-	}
-	if v, ok := c.lookup(key); ok {
-		c.hits.Add(1)
-		return v, true
-	}
-	c.misses.Add(1)
-	return zero, false
-}
-
-// Peek looks up key without touching the hit/miss counters.
+// Peek looks up key.
 func (c *PatternCache[V]) Peek(key ScopeKey) (V, bool) {
 	var zero V
 	if !c.enabled {
@@ -367,10 +319,11 @@ func (c *PatternCache[V]) Put(key ScopeKey, v V) {
 }
 
 // Materialize returns the memoized value for key, computing and storing it
-// on a miss. Concurrent misses on the same key single-flight into one
-// compute call. It does not touch the hit/miss counters: the miner accounts
-// for pattern-cache traffic canonically at commit time, independent of the
-// physical interleaving. On a disabled cache every call computes.
+// on a miss: compute runs at most once per key. Concurrent misses on the same
+// key single-flight into one compute call, and the flight re-checks the cache
+// first, so a caller that missed just before an earlier leader's Put finds
+// the value instead of computing it again. On a disabled cache every call
+// computes.
 func (c *PatternCache[V]) Materialize(key ScopeKey, compute func() V) V {
 	if !c.enabled {
 		return compute()
@@ -379,6 +332,9 @@ func (c *PatternCache[V]) Materialize(key ScopeKey, compute func() V) V {
 		return v
 	}
 	v, _ := c.flight.Do(key, func() V {
+		if v, ok := c.lookup(key); ok {
+			return v // raced with another leader's Put
+		}
 		v := compute()
 		c.Put(key, v)
 		return v
@@ -402,8 +358,8 @@ func (c *PatternCache[V]) ShardStats() []Stats {
 	return out
 }
 
-// Stats returns a snapshot of the cache counters. Bytes is left zero; the
-// pattern cache is reported by entry count in Table 3.
+// Stats reports the cache's occupancy: Entries only (Table 3 sizes the
+// pattern cache by entry count).
 func (c *PatternCache[V]) Stats() Stats {
 	var entries int64
 	for i := range c.shards {
@@ -412,9 +368,5 @@ func (c *PatternCache[V]) Stats() Stats {
 		entries += int64(len(s.entries))
 		s.mu.RUnlock()
 	}
-	return Stats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Entries: entries,
-	}
+	return Stats{Entries: entries}
 }

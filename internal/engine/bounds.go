@@ -84,16 +84,11 @@ func (e *Engine) impactBoundsData() *impactBounds {
 // never fires.
 func (e *Engine) BoundsSound() bool { return e.impactBoundsData().sound }
 
-// ImpactShareUpperBound returns a deterministic upper bound on Impact(s)
-// without scanning: the minimum single-filter impact share across s's
-// filters (1 for the empty subspace or when the bounds are unsound, exactly
-// 0 for a filter value absent from its column). The bound is a pure function
-// of the immutable table and the subspace.
-func (e *Engine) ImpactShareUpperBound(s model.Subspace) float64 {
-	return e.ImpactShareUpperBoundAt(e.in.Intern(s))
-}
-
-// ImpactShareUpperBoundAt is ImpactShareUpperBound by handle.
+// ImpactShareUpperBoundAt returns a deterministic upper bound on the impact
+// of h's subspace without scanning: the minimum single-filter impact share
+// across its filters (1 for the empty subspace or when the bounds are
+// unsound, exactly 0 for a filter value absent from its column). The bound
+// is a pure function of the immutable table and the subspace.
 func (e *Engine) ImpactShareUpperBoundAt(h *Handle) float64 {
 	if h.Len() == 0 {
 		return 1
@@ -117,16 +112,12 @@ func (e *Engine) ImpactShareUpperBoundAt(h *Handle) float64 {
 	return ub
 }
 
-// DimMaxImpactShare returns the largest single-value impact share of a
-// dimension: an upper bound on the impact of any subspace filtering on that
-// dimension. Returns 1 when the bounds are unsound or the dimension is
-// unknown. The miner uses it to skip an entire frontier expansion scan when
-// even the dimension's heaviest value cannot reach MinSubspaceImpact.
-func (e *Engine) DimMaxImpactShare(dim string) float64 {
-	return e.DimMaxImpactShareAt(e.tab.DimensionIndex(dim))
-}
-
-// DimMaxImpactShareAt is DimMaxImpactShare by table dimension index.
+// DimMaxImpactShareAt returns the largest single-value impact share of the
+// dimension with table index dim: an upper bound on the impact of any
+// subspace filtering on that dimension. Returns 1 when the bounds are unsound
+// or the index is negative (an unknown dimension). The miner uses it to skip
+// an entire frontier expansion scan when even the dimension's heaviest value
+// cannot reach MinSubspaceImpact.
 func (e *Engine) DimMaxImpactShareAt(dim int) float64 {
 	b := e.impactBoundsData()
 	if !b.sound || dim < 0 {

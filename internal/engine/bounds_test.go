@@ -48,8 +48,9 @@ func TestImpactShareUpperBoundSound(t *testing.T) {
 		r := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 100; trial++ {
 			sub := randomSubspace(r, tab, 1+r.Intn(3))
-			ub := e.ImpactShareUpperBound(sub)
-			truth, _, err := e.ImpactUnmetered(sub)
+			h := e.Intern(sub)
+			ub := e.ImpactShareUpperBoundAt(h)
+			truth, _, err := e.ImpactAt(h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,11 +59,11 @@ func TestImpactShareUpperBoundSound(t *testing.T) {
 					impact, trial, sub.Key(), truth, ub)
 			}
 		}
-		if ub := e.ImpactShareUpperBound(model.EmptySubspace); ub != 1 {
+		if ub := e.ImpactShareUpperBoundAt(e.Intern(model.EmptySubspace)); ub != 1 {
 			t.Fatalf("empty subspace bound %g, want 1", ub)
 		}
 		absent := model.NewSubspace(model.Filter{Dim: "A", Value: "zzz"})
-		if ub := e.ImpactShareUpperBound(absent); ub != 0 {
+		if ub := e.ImpactShareUpperBoundAt(e.Intern(absent)); ub != 0 {
 			t.Fatalf("absent value bound %g, want 0", ub)
 		}
 	}
@@ -81,10 +82,10 @@ func TestBoundsDisabledOnNegativeSum(t *testing.T) {
 		t.Fatal("bounds claim soundness over a negative-valued SUM column")
 	}
 	sub := model.NewSubspace(model.Filter{Dim: "A", Value: "a1"})
-	if ub := e.ImpactShareUpperBound(sub); ub != 1 {
+	if ub := e.ImpactShareUpperBoundAt(e.Intern(sub)); ub != 1 {
 		t.Fatalf("unsound bounds returned %g, want trivial 1", ub)
 	}
-	if m := e.DimMaxImpactShare("A"); m != 1 {
+	if m := e.DimMaxImpactShareAt(tab.DimensionIndex("A")); m != 1 {
 		t.Fatalf("unsound DimMaxImpactShare returned %g, want trivial 1", m)
 	}
 }
@@ -97,10 +98,11 @@ func TestDimMaxImpactShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range tab.Dimensions() {
-		m := e.DimMaxImpactShare(d.Name)
+	for di, d := range tab.Dimensions() {
+		m := e.DimMaxImpactShareAt(di)
 		for _, v := range d.Domain() {
-			truth, _, err := e.ImpactUnmetered(model.NewSubspace(model.Filter{Dim: d.Name, Value: v}))
+			h := e.Intern(model.NewSubspace(model.Filter{Dim: d.Name, Value: v}))
+			truth, _, err := e.ImpactAt(h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,12 +111,12 @@ func TestDimMaxImpactShare(t *testing.T) {
 			}
 			// Under COUNT impact a single filter's share is its posting set's
 			// cardinality over the row count: the impact itself, to the bit.
-			if ub := e.ImpactShareUpperBound(model.NewSubspace(model.Filter{Dim: d.Name, Value: v})); ub != truth {
+			if ub := e.ImpactShareUpperBoundAt(h); ub != truth {
 				t.Fatalf("dim %s value %s: single-filter bound %g, impact %g", d.Name, v, ub, truth)
 			}
 		}
 	}
-	if m := e.DimMaxImpactShare("NoSuchDim"); m != 1 {
+	if m := e.DimMaxImpactShareAt(tab.DimensionIndex("NoSuchDim")); m != 1 {
 		t.Fatalf("unknown dimension bound %g, want 1", m)
 	}
 }

@@ -45,8 +45,10 @@ func augJSON(t *testing.T, units map[string]any) string {
 // diffSubstrates enumerates every physical configuration of the vectorized
 // substrate the differential test compares against the reference: auto and
 // each of the three strategies it chooses between, crossed with parallelism
-// 1/2/8 and pooled vs fresh accumulators, all with a small morsel size so
-// multi-morsel merging and zone-block pruning happen on test-sized tables.
+// 1/2/8, all with a small morsel size so multi-morsel merging and zone-block
+// pruning happen on test-sized tables. Each substrate pools its accumulators,
+// and every arm scans many times, so a pooled accumulator that leaked state
+// from one scan into the next would show as a mismatch.
 func diffSubstrates(tab *dataset.Table, minMax map[string]bool) map[string]*ColumnarSubstrate {
 	subs := make(map[string]*ColumnarSubstrate)
 	for _, mode := range []struct {
@@ -54,19 +56,8 @@ func diffSubstrates(tab *dataset.Table, minMax map[string]bool) map[string]*Colu
 		m    PlanMode
 	}{{"auto", PlanAuto}, {"intersect", PlanBitmap}, {"residual", PlanResidual}, {"zone", PlanZone}} {
 		for _, par := range []int{1, 2, 8} {
-			for _, pool := range []bool{true, false} {
-				opts := []ColumnarOption{
-					WithPlanMode(mode.m),
-					WithScanParallelism(par),
-					WithMorselSize(64),
-					WithMinMaxColumns(minMax),
-				}
-				if !pool {
-					opts = append(opts, WithoutAccumulatorPool())
-				}
-				name := fmt.Sprintf("%s/par%d/pool=%v", mode.name, par, pool)
-				subs[name] = NewColumnarSubstrate(tab, opts...)
-			}
+			subs[fmt.Sprintf("%s/par%d", mode.name, par)] = NewColumnarSubstrate(tab,
+				WithPlanMode(mode.m), WithScanParallelism(par), WithMorselSize(64), WithMinMaxColumns(minMax))
 		}
 	}
 	return subs
@@ -113,13 +104,13 @@ func randomSubspace(r *rand.Rand, tab *dataset.Table, depth int) model.Subspace 
 }
 
 // diffTables returns the row layouts the differential tests scan: the
-// uniformly random table (runs ≈ 1 row long, the per-row kernel regime) and
-// three clustered ones whose filtered scans reach the run regime — cross-
-// product row order as workload.buildTable emits it, the random table sorted
-// by one dimension, and sections of single-row runs alternating with
-// sections of runs up to 200 rows long, so that runs straddle the
-// WithMorselSize(64) boundaries and both regimes occur within one scan. All
-// share randomTable's schema and integer-valued measures.
+// uniformly random table (runs ≈ 1 row long) and three clustered ones whose
+// filtered scans fold long runs — cross-product row order as
+// workload.buildTable emits it, the random table sorted by one dimension,
+// and sections of single-row runs alternating with sections of runs up to
+// 200 rows long, so that runs straddle the WithMorselSize(64) boundaries and
+// both run shapes occur within one scan. All share randomTable's schema and
+// integer-valued measures.
 func diffTables(seed int64) map[string]*dataset.Table {
 	random := randomTable(seed, 700)
 	dims := random.Dimensions()
@@ -275,11 +266,10 @@ func differentialScanAugmented(t *testing.T, tab *dataset.Table) {
 
 // TestDifferentialFractionalParallelism checks bit-identity where it is
 // actually promised for arbitrary floats: for a fixed plan mode and morsel
-// size, every parallelism and pooling choice produces the same bits, because
-// morsel boundaries and merge order are fixed. (Cross-plan-mode identity for
-// fractional values is not promised — different row orders regroup float
-// additions — which is exactly why the mode is pinned per configuration
-// here.)
+// size, every parallelism produces the same bits, because morsel boundaries
+// and merge order are fixed. (Cross-plan-mode identity for fractional values
+// is not promised — different row orders regroup float additions — which is
+// exactly why the mode is pinned per configuration here.)
 func TestDifferentialFractionalParallelism(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	b := dataset.NewBuilder("frac", []model.Field{
@@ -298,26 +288,17 @@ func TestDifferentialFractionalParallelism(t *testing.T) {
 	for _, mode := range []PlanMode{PlanBitmap, PlanResidual, PlanZone} {
 		var want string
 		for _, par := range []int{1, 0, 2, 3, 8} {
-			for _, pool := range []bool{true, false} {
-				opts := []ColumnarOption{
-					WithPlanMode(mode), WithScanParallelism(par), WithMorselSize(64),
-				}
-				if !pool {
-					opts = append(opts, WithoutAccumulatorPool())
-				}
-				c := NewColumnarSubstrate(tab, opts...)
-				sub := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
-				u, _, err := c.ScanUnit(sub, "G")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := unitJSON(t, u)
-				if want == "" {
-					want = got
-				} else if got != want {
-					t.Fatalf("mode %v par %d pool %v: fractional bits differ\n got %s\nwant %s",
-						mode, par, pool, got, want)
-				}
+			c := NewColumnarSubstrate(tab, WithPlanMode(mode), WithScanParallelism(par), WithMorselSize(64))
+			sub := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
+			u, _, err := c.ScanUnit(sub, "G")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := unitJSON(t, u)
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("mode %v par %d: fractional bits differ\n got %s\nwant %s", mode, par, got, want)
 			}
 		}
 	}
@@ -448,9 +429,8 @@ func TestDifferentialEdgeCases(t *testing.T) {
 	}
 }
 
-// rebuildRows rebuilds tab with the source's row order[i] as its row i,
-// taking measure i of that row from measure(sourceRow, i).
-func rebuildRows(tab *dataset.Table, order []int, measure func(row, i int) float64) *dataset.Table {
+// permuteRows rebuilds tab with the source's row order[i] as its row i.
+func permuteRows(tab *dataset.Table, order []int) *dataset.Table {
 	b := dataset.NewBuilder(tab.Name(), tab.Fields())
 	dims := make([]string, len(tab.Dimensions()))
 	vals := make([]float64, len(tab.MeasureColumns()))
@@ -458,90 +438,10 @@ func rebuildRows(tab *dataset.Table, order []int, measure func(row, i int) float
 		for i, d := range tab.Dimensions() {
 			dims[i] = d.Value(int(d.CodeAt(r)))
 		}
-		for i := range vals {
-			vals[i] = measure(r, i)
+		for i, mc := range tab.MeasureColumns() {
+			vals[i] = mc.At(r)
 		}
 		b.AddRow(dims, vals)
 	}
 	return b.Build()
-}
-
-// permuteRows rebuilds tab with the source's row order[i] as its row i.
-func permuteRows(tab *dataset.Table, order []int) *dataset.Table {
-	return rebuildRows(tab, order, func(row, i int) float64 { return tab.MeasureColumns()[i].At(row) })
-}
-
-// fractionalCopy rebuilds tab with the same dimension values and fractional
-// measure values, for tests where float addition order must show.
-func fractionalCopy(tab *dataset.Table, seed int64) *dataset.Table {
-	r := rand.New(rand.NewSource(seed))
-	order := make([]int, tab.Rows())
-	for i := range order {
-		order[i] = i
-	}
-	return rebuildRows(tab, order, func(int, int) float64 { return r.NormFloat64() * 1e3 })
-}
-
-// TestSelectionRegimesBitIdentical feeds the same morsels of fractional
-// values to both stage-3 kernels of the selection-vector path and requires
-// identical accumulator bits: the regime a morsel takes may never show in a
-// result. The alternating layout makes the scan's own choice take either
-// regime, which the test checks so neither kernel goes unexercised.
-func TestSelectionRegimesBitIdentical(t *testing.T) {
-	tab := fractionalCopy(diffTables(51)["alternating"], 51)
-	city, style, month := tab.Dimension("City"), tab.Dimension("Style"), tab.Dimension("Month")
-	one := model.NewSubspace(model.Filter{Dim: "City", Value: city.Value(1)})
-	two := one.With("Style", style.Value(0))
-	runMorsels, rowMorsels := 0, 0
-	for _, mode := range []PlanMode{PlanBitmap, PlanResidual, PlanZone} {
-		for _, minMax := range []map[string]bool{nil, {"Sales": true}} {
-			c := NewColumnarSubstrate(tab, WithPlanMode(mode), WithMorselSize(64), WithMinMaxColumns(minMax))
-			for _, tc := range []struct {
-				sub    model.Subspace
-				dcodes []int32 // nil: unit scan by Month; else augmented by (Month, dcodes)
-				cells  int
-			}{
-				{one, nil, month.Cardinality()},
-				{two, nil, month.Cardinality()},
-				{one, style.Codes(), month.Cardinality() * style.Cardinality()},
-			} {
-				plan := c.planFor(c.in.Intern(tc.sub))
-				byRun, byRow, sc := c.acquire(tc.cells), c.acquire(tc.cells), c.acquireScratch()
-				for mi := 0; mi < c.morselCount(plan, plan.rows); mi++ {
-					lo, hi := c.morselBounds(plan, mi, plan.rows)
-					sel, gids := selectMorsel(plan, lo, hi, month.Codes(), tc.dcodes, month.Cardinality(), sc)
-					if len(sel) == 0 {
-						continue
-					}
-					runs := sc.findRuns(sel, gids)
-					if (len(runs)-1)*minMeanRun <= len(sel) {
-						runMorsels++
-					} else {
-						rowMorsels++
-					}
-					c.accumulateSelRuns(byRun, sel, gids, runs)
-					c.accumulateSelRows(byRow, sel, gids)
-				}
-				if fmt.Sprint(byRun.touched) != fmt.Sprint(byRow.touched) {
-					t.Fatalf("mode %v [%s]: touch order differs\n run %v\n row %v", mode, tc.sub.Key(), byRun.touched, byRow.touched)
-				}
-				for _, g := range byRun.touched {
-					same := byRun.counts[g] == byRow.counts[g]
-					for i := range c.mvals {
-						same = same && math.Float64bits(byRun.sums[i][g]) == math.Float64bits(byRow.sums[i][g])
-						if c.needMM[i] {
-							same = same && byRun.mins[i][g] == byRow.mins[i][g] && byRun.maxs[i][g] == byRow.maxs[i][g]
-						}
-					}
-					if !same {
-						t.Fatalf("mode %v [%s] cell %d: run and per-row regimes disagree", mode, tc.sub.Key(), g)
-					}
-				}
-			}
-		}
-	}
-	if runMorsels == 0 || rowMorsels == 0 {
-		t.Fatalf("the scans chose the run regime for %d morsels and the per-row regime for %d: both must occur", runMorsels, rowMorsels)
-	}
-	t.Logf("run regime %d morsels, per-row regime %d", runMorsels, rowMorsels)
 }

@@ -1,15 +1,18 @@
 // Package engine is the query substrate MetaInsight mines over. The paper's
 // implementation issued SQL-style queries against Microsoft Excel's query
 // interface (Table 2); this package implements the equivalent engine over the
-// in-memory columnar tables of internal/dataset: BasicQuery and
-// AugmentedQuery with group-by aggregation across all measures, integrated
+// in-memory columnar tables of internal/dataset: the paper's BasicQuery and
+// AugmentedQuery as group-by aggregations across all measures, integrated
 // with the query cache of internal/cache.
 //
 // Because an in-process scan is orders of magnitude cheaper than the paper's
-// inter-process query round trips, the engine also meters a deterministic
+// inter-process query round trips, the engine also defines a deterministic
 // cost per executed query (a fixed per-query overhead plus a per-row scan
-// cost). Mining budgets can be denominated in these cost units, making the
-// cache/queue ablations of Figure 6 both visible and exactly reproducible.
+// cost, ScanCostAt). Mining budgets can be denominated in these cost units,
+// making the cache/queue ablations of Figure 6 both visible and exactly
+// reproducible. The engine computes and never charges: its callers write the
+// Meter — the miner by replaying its units' usage in commit order,
+// QuickInsight inline — so a query is accounted exactly once.
 package engine
 
 import (
@@ -43,8 +46,10 @@ func DefaultCostModel() CostModel {
 	return CostModel{PerQuery: 5, PerRow: 0.0005, PerEvaluation: 0.2}
 }
 
-// Meter accumulates cost units and query counts. It is safe for concurrent
-// use; costs are stored in nano-units to allow atomic addition.
+// Meter accumulates cost units and query counts: the ledger an engine's
+// callers charge (the engine itself never writes it) and cost budgets read.
+// It is safe for concurrent use; costs are stored in nano-units to allow
+// atomic addition.
 type Meter struct {
 	costNanos atomic.Int64
 	executed  atomic.Int64 // queries that actually scanned the table
@@ -78,8 +83,7 @@ func (m *Meter) ServedQueries() int64 { return m.served.Load() }
 // AugmentedQueries returns how many executed queries were augmented scans.
 func (m *Meter) AugmentedQueries() int64 { return m.augmented.Load() }
 
-// AddExecuted adds n to the executed-query count. The miner uses it to apply
-// canonically-ordered accounting computed outside the engine's metered paths.
+// AddExecuted adds n to the executed-query count.
 func (m *Meter) AddExecuted(n int64) { m.executed.Add(n) }
 
 // AddServed adds n to the cache-served query count.
@@ -108,33 +112,17 @@ type augKey struct {
 	ext       int     // the augmentation dimension d
 }
 
-// unitRes is a metered unit-flight result: the unit plus whether this flight
-// actually scanned (false when a concurrent leader's Put was found by the
-// double-check, in which case the caller counts as served), or the
-// substrate's error.
+// unitRes is a unit-flight result: the unit or the substrate's error.
 type unitRes struct {
-	u       *cache.Unit
-	scanned bool
-	err     error
-}
-
-// quietUnitRes is a quiet unit-flight result.
-type quietUnitRes struct {
 	u   *cache.Unit
 	err error
 }
 
-// augRes is a metered augmented-flight result.
-type augRes struct {
-	units map[string]*cache.Unit
-	err   error
-}
-
 // Engine executes queries for one table against one measure set. All query
 // paths are safe for concurrent use: concurrent cache misses on the same key
-// coalesce into a single scan via per-path single-flight groups, so a query
-// is executed at most once per unit no matter how many workers race for it
-// (the at-most-once assumption behind the paper's Fig 7 / Table 3 counts).
+// coalesce into a single scan via single-flight groups, so a unit is scanned
+// at most once no matter how many workers race for it (the at-most-once
+// assumption behind the paper's Fig 7 / Table 3 counts).
 type Engine struct {
 	tab      *dataset.Table
 	measures []model.Measure
@@ -149,15 +137,9 @@ type Engine struct {
 	totalImp float64
 	bnd      impactBounds // lazily built impact-sum summaries (bounds.go)
 
-	// Single-flight groups. Metered and quiet paths use separate groups: a
-	// quiet follower piggybacking on a metered leader (or vice versa) would
-	// blur which path paid for the scan. Augmented queries of either kind
-	// share the physical flight and memo of scanPair; meteredAug only decides
-	// who is charged.
-	meteredUnits cache.Flight[cache.UnitKey, unitRes]
-	meteredAug   cache.Flight[augKey, augRes]
-	quietUnits   cache.Flight[cache.UnitKey, quietUnitRes]
-	pairFlight   cache.Flight[augKey, *pairScan]
+	// Single-flight groups: one per physical scan kind.
+	unitFlight cache.Flight[cache.UnitKey, unitRes]
+	pairFlight cache.Flight[augKey, *pairScan]
 
 	pairMu sync.Mutex
 	pairs  map[augKey]*pairScan // completed augmented scans, see scanPair
@@ -172,9 +154,10 @@ type Config struct {
 	ImpactMeasure model.Measure
 	// QueryCache to use; nil creates an enabled cache.
 	QueryCache *cache.QueryCache
-	// Cost is the metered cost model; zero value uses DefaultCostModel.
+	// Cost is the cost model; zero value uses DefaultCostModel.
 	Cost CostModel
-	// Meter receives cost and query accounting; nil creates a fresh meter.
+	// Meter is the ledger the engine's callers charge; nil creates a fresh
+	// meter.
 	Meter *Meter
 	// ExtraMeasures lists measures that are not part of the mined measure set
 	// M but will be queried against this engine (e.g. the secondary measures
@@ -194,7 +177,7 @@ type Config struct {
 	// visited, counted via atomics on every scan path). Physical counts
 	// reflect real work — unlike the canonical counters in miner.Stats they
 	// may vary with worker count and budget timing — and never influence
-	// query results or metering.
+	// query results or accounting.
 	Observer *obs.Observer
 	// Substrate is the physical scan layer; nil uses the in-process
 	// ColumnarSubstrate over the table.
@@ -228,9 +211,7 @@ func (cfg Config) MinMaxColumns(tab *dataset.Table) map[string]bool {
 // FlightStats sums the followers of the engine's single-flight groups:
 // callers that asked for a unit some other caller was already scanning.
 func (e *Engine) FlightStats() cache.FlightStats {
-	st := e.meteredUnits.Stats()
-	st.Add(e.meteredAug.Stats())
-	st.Add(e.quietUnits.Stats())
+	st := e.unitFlight.Stats()
 	st.Add(e.pairFlight.Stats())
 	return st
 }
@@ -311,10 +292,9 @@ func (e *Engine) checkMeasure(m model.Measure) error {
 }
 
 // recordScan counts one physical scan on the observer (a no-op when no
-// observer is attached). Counted on every path that actually visits rows —
-// metered and quiet alike — so "engine.physical.*" reports the machine's
-// real work, complementing the canonical (worker-count-invariant) accounting
-// in miner.Stats.
+// observer is attached). Counted on every path that actually visits rows, so
+// "engine.physical.*" reports the machine's real work, complementing the
+// canonical (worker-count-invariant) accounting in miner.Stats.
 func (e *Engine) recordScan(rows int, augmented bool) {
 	e.obs.Count("engine.physical.scans", 1)
 	e.obs.Count("engine.physical.rows", int64(rows))
@@ -335,13 +315,13 @@ func (e *Engine) Measures() []model.Measure { return e.measures }
 // ImpactMeasure returns the configured impact measure.
 func (e *Engine) ImpactMeasure() model.Measure { return e.impact }
 
-// Meter returns the engine's cost meter.
+// Meter returns the ledger the engine's callers charge.
 func (e *Engine) Meter() *Meter { return e.meter }
 
 // QueryCache returns the engine's query cache.
 func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
 
-// totalImpactValue computes m_Impact({*}) directly (not metered: it is a
+// totalImpactValue computes m_Impact({*}) directly (never charged: it is a
 // one-time setup computation, equivalent to dataset metadata).
 func (e *Engine) totalImpactValue() float64 {
 	if e.impact.Agg == model.AggCount {
@@ -358,18 +338,10 @@ func (e *Engine) totalImpactValue() float64 {
 // TotalImpact returns m_Impact({*}), the denominator of Equation 2.
 func (e *Engine) TotalImpact() float64 { return e.totalImp }
 
-// Intern returns the engine's handle for s. Every query path below resolves
-// its subspace argument through it exactly once; callers that touch a
-// subspace repeatedly (the miner) keep the handle and use the *At forms.
+// Intern returns the engine's handle for s. The query paths below take
+// handles (the *At forms); callers that touch a subspace repeatedly (the
+// miner) keep the handle.
 func (e *Engine) Intern(s model.Subspace) *Handle { return e.in.Intern(s) }
-
-// dimIndex resolves a breakdown (or augmentation) dimension name.
-func (e *Engine) dimIndex(name, role string) (int, error) {
-	if i := e.tab.DimensionIndex(name); i >= 0 {
-		return i, nil
-	}
-	return -1, fmt.Errorf("engine: unknown %s dimension %q", role, name)
-}
 
 // UnitKeyAt returns the query-cache key of (h, breakdown dimension index):
 // two strings that already exist, so forming it allocates nothing.
@@ -378,143 +350,34 @@ func (e *Engine) UnitKeyAt(h *Handle, bdim int) cache.UnitKey {
 }
 
 // BasicQuery answers the paper's BasicQuery(ds): the aggregate of
-// ds.Measure grouped by ds.Breakdown under ds.Subspace (Table 2, row 1).
-// The result is served from the query cache when possible; a miss scans the
-// table once, producing (and caching) the full all-measures unit. Concurrent
-// misses on the same unit coalesce: one scan executes and is charged, the
-// other callers are accounted as cache-served.
+// ds.Measure grouped by ds.Breakdown under ds.Subspace (Table 2, row 1),
+// served from the query cache when possible; a miss scans the table once,
+// producing (and caching) the full all-measures unit. Like every engine path
+// it charges nothing: it is the value-form read for callers that hold a
+// scope rather than a handle (report rendering, iCube, scope-aware
+// evaluators).
 func (e *Engine) BasicQuery(ds model.DataScope) (*Series, error) {
 	if err := e.tab.Validate(ds); err != nil {
 		return nil, err
 	}
-	unit, err := e.Unit(ds.Subspace, ds.Breakdown)
+	u, err := e.MaterializeUnitAt(e.in.Intern(ds.Subspace), e.tab.DimensionIndex(ds.Breakdown), nil)
 	if err != nil {
 		return nil, err
 	}
-	return extract(unit, ds)
+	return extract(u, ds)
 }
 
-// Unit returns the full query-cache unit for (subspace, breakdown),
-// executing a scan on a cache miss. Callers that need several measures of
-// the same scope use this to avoid repeated extraction lookups. Concurrent
-// misses single-flight into one charged scan; followers count as served.
-func (e *Engine) Unit(subspace model.Subspace, breakdown string) (*cache.Unit, error) {
-	bdim, err := e.dimIndex(breakdown, "breakdown")
-	if err != nil {
-		return nil, err
-	}
-	return e.unitAt(e.in.Intern(subspace), bdim)
-}
-
-func (e *Engine) unitAt(h *Handle, bdim int) (*cache.Unit, error) {
-	key := e.UnitKeyAt(h, bdim)
-	unit, ok := e.qc.Get(key.Subspace, key.Breakdown)
-	if ok {
-		e.meter.served.Add(1)
-		return unit, nil
-	}
-	res, leader := e.meteredUnits.Do(key, func() unitRes {
-		// Double-check under the flight: a previous leader may have cached
-		// the unit between this caller's miss and its flight entry.
-		if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
-			return unitRes{u: u}
-		}
-		u, scanned, err := e.sub.ScanUnit(h.sub, key.Breakdown)
-		if err != nil {
-			return unitRes{err: err}
-		}
-		e.recordScan(scanned, false)
-		e.meter.executed.Add(1)
-		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned))
-		e.qc.Put(u)
-		return unitRes{u: u, scanned: true}
-	})
-	if res.err != nil {
-		return nil, res.err
-	}
-	if !leader || !res.scanned {
-		e.meter.served.Add(1)
-	}
-	return res.u, nil
-}
-
-// CheckAugmented validates an AugmentedQuery(ds, d) request without running
-// it: the scope must be valid, d must be a known dimension, and d must not
-// equal the breakdown.
-func (e *Engine) CheckAugmented(ds model.DataScope, d string) error {
-	if err := e.tab.Validate(ds); err != nil {
-		return err
-	}
-	if e.tab.Dimension(d) == nil {
-		return fmt.Errorf("engine: unknown augmentation dimension %q", d)
-	}
-	if d == ds.Breakdown {
-		return fmt.Errorf("engine: augmentation dimension %q equals the breakdown", d)
-	}
-	return nil
-}
-
-// AugmentedQuery answers the paper's AugmentedQuery(ds, d) (Table 2, row 2):
-// one scan filtered by ds.Subspace \ d, grouped by (ds.Breakdown, d), across
-// all measures. It returns the cache units for every sibling subspace in
-// SG(ds.Subspace, d) that has at least one record, keyed by the sibling's
-// value on d; each unit is also stored in the query cache, pre-fetching the
-// measure-extending and subspace-extending HDSs generated from ds.
-// Concurrent identical calls coalesce into one charged scan; followers count
-// as served.
-func (e *Engine) AugmentedQuery(ds model.DataScope, d string) (map[string]*cache.Unit, error) {
-	if err := e.CheckAugmented(ds, d); err != nil {
-		return nil, err
-	}
-	bdim, ext := e.tab.DimensionIndex(ds.Breakdown), e.tab.DimensionIndex(d)
-	base := e.in.Intern(ds.Subspace).Without(ext)
-	res, leader := e.meteredAug.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() augRes {
-		units, scanned, err := e.scanPair(base, bdim, ext)
-		if err != nil {
-			return augRes{err: err}
-		}
-		e.meter.executed.Add(1)
-		e.meter.augmented.Add(1)
-		// One scan answers |dom(d)| sibling queries; charge a single round
-		// trip plus the scan, mirroring the paper's motivation for augmented
-		// queries. The charge is for the logical query: it does not depend on
-		// whether scanPair scanned or served a twin.
-		e.meter.AddCost(e.cost.PerQuery + e.cost.PerRow*float64(scanned))
-		return augRes{units: units}
-	})
-	if res.err != nil {
-		return nil, res.err
-	}
-	if !leader {
-		e.meter.served.Add(1)
-	}
-	return res.units, nil
-}
-
-// MaterializeUnit returns the unit for (subspace, breakdown) without touching
-// the meter or the cache's hit/miss counters: a cached unit is peeked, a
-// missing one is scanned (single-flighted) and stored. The miner's workers
-// use the Materialize* paths for all data access and account for the work
-// canonically at commit time, so the numbers reported for a run are
-// independent of worker count and physical interleaving.
-func (e *Engine) MaterializeUnit(subspace model.Subspace, breakdown string) (*cache.Unit, error) {
-	bdim, err := e.dimIndex(breakdown, "breakdown")
-	if err != nil {
-		return nil, err
-	}
-	return e.MaterializeUnitAt(e.in.Intern(subspace), bdim, nil)
-}
-
-// PeekUnitAt returns the cached unit of (h, bdim), if any, without touching
-// counters or the meter.
+// PeekUnitAt returns the cached unit of (h, bdim), if any.
 func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
 	return e.qc.Peek(h.key, e.dimNames[bdim])
 }
 
-// MaterializeUnitAt is MaterializeUnit by handle and breakdown dimension
-// index. peeked, when non-nil, is the unit a PeekUnitAt of the same scope
-// returned earlier in the same compute unit: it stands in for the cache
-// probe, so a scope resolved once is not looked up again.
+// MaterializeUnitAt returns the unit of (h, breakdown dimension index bdim):
+// a cached unit is peeked, a missing one is scanned and stored. Concurrent
+// misses on one unit single-flight into one scan. peeked, when non-nil, is
+// the unit a PeekUnitAt of the same scope returned earlier in the same
+// compute unit: it stands in for the cache probe, so a scope resolved once is
+// not looked up again.
 func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*cache.Unit, error) {
 	key := e.UnitKeyAt(h, bdim)
 	if peeked != nil {
@@ -523,48 +386,28 @@ func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*ca
 	if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
 		return u, nil
 	}
-	res, _ := e.quietUnits.Do(key, func() quietUnitRes {
+	res, _ := e.unitFlight.Do(key, func() unitRes {
 		if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
-			return quietUnitRes{u: u} // raced with another leader's Put
+			return unitRes{u: u} // raced with another leader's Put
 		}
 		u, scanned, err := e.sub.ScanUnit(h.sub, key.Breakdown)
 		if err != nil {
-			return quietUnitRes{err: err}
+			return unitRes{err: err}
 		}
 		e.recordScan(scanned, false)
 		e.qc.Put(u)
-		return quietUnitRes{u: u}
+		return unitRes{u: u}
 	})
 	return res.u, res.err
 }
 
-// MaterializeBasic is the quiet (unmetered, uncounted) form of BasicQuery.
-func (e *Engine) MaterializeBasic(ds model.DataScope) (*Series, error) {
-	if err := e.tab.Validate(ds); err != nil {
-		return nil, err
-	}
-	u, err := e.MaterializeUnit(ds.Subspace, ds.Breakdown)
-	if err != nil {
-		return nil, err
-	}
-	return extract(u, ds)
-}
-
-// MaterializeAugmented is the quiet (unmetered, uncounted) form of
-// AugmentedQuery. The returned map's key set identifies exactly the
-// non-empty siblings, which callers use to distinguish "empty sibling" from
-// "not yet fetched".
-func (e *Engine) MaterializeAugmented(ds model.DataScope, d string) (map[string]*cache.Unit, error) {
-	if err := e.CheckAugmented(ds, d); err != nil {
-		return nil, err
-	}
-	ext := e.tab.DimensionIndex(d)
-	return e.MaterializeAugmentedAt(e.in.Intern(ds.Subspace).Without(ext), e.tab.DimensionIndex(ds.Breakdown), ext)
-}
-
-// MaterializeAugmentedAt is MaterializeAugmented by handle: base is the
-// scope's subspace without the augmentation dimension, bdim and ext the
-// breakdown and augmentation dimension indices.
+// MaterializeAugmentedAt answers the paper's AugmentedQuery(ds, d) (Table 2,
+// row 2): one scan filtered by base = ds.Subspace \ d, grouped by
+// (breakdown bdim, augmentation dimension ext), across all measures. It
+// returns the units of every sibling subspace in SG(ds.Subspace, d) that has
+// at least one record, keyed by the sibling's value on d — the key set
+// identifies exactly the non-empty siblings — and stores each in the query
+// cache, pre-fetching the subspace-extending HDS's scopes.
 func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string]*cache.Unit, error) {
 	if ext < 0 || ext >= len(e.dimNames) {
 		return nil, fmt.Errorf("engine: unknown augmentation dimension index %d", ext)
@@ -576,21 +419,18 @@ func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string
 	return units, err
 }
 
-// ScanCost returns the metered cost a unit scan under subspace s would be
-// charged, without scanning: the per-query overhead plus the per-row cost of
-// the rows the scan plan would visit. When the substrate is a RowPlanner
-// (ColumnarSubstrate is), the exact planned row count is used, so the
-// analytic cost agrees bit for bit with what the scan will meter — including
-// when posting-list intersection shrinks the row set below any single
-// filter's posting set. Other substrates fall back to the most-selective-
-// drive estimate: the full table when s is unfiltered, otherwise the
-// cardinality of the most selective filter's posting set. The cost of a scan
-// depends only on the subspace, not the breakdown, and an augmented scan of
-// base subspace b costs exactly ScanCost(b).
-func (e *Engine) ScanCost(s model.Subspace) float64 { return e.ScanCostAt(e.in.Intern(s)) }
-
-// ScanCostAt is ScanCost by handle; the planned row count is memoized on the
-// handle, so repeated estimates are one atomic load.
+// ScanCostAt returns the cost a unit scan under h is charged, without
+// scanning: the per-query overhead plus the per-row cost of the rows the scan
+// plan visits. When the substrate is a RowPlanner (ColumnarSubstrate is), the
+// exact planned row count is used, so the cost agrees bit for bit with the
+// rows the scan reports — including when posting-list intersection shrinks
+// the row set below any single filter's posting set. Other substrates fall
+// back to the most-selective-drive estimate: the full table when h is
+// unfiltered, otherwise the cardinality of the most selective filter's
+// posting set. The cost of a scan depends only on the subspace, not the
+// breakdown, and an augmented scan of base b costs exactly ScanCostAt(b). The
+// planned row count is memoized on the handle, so repeated estimates are one
+// atomic load.
 func (e *Engine) ScanCostAt(h *Handle) float64 {
 	return e.cost.PerQuery + e.cost.PerRow*float64(e.plannedRows(h))
 }
@@ -614,29 +454,8 @@ func (e *Engine) plannedRows(h *Handle) int {
 	return scanned
 }
 
-// EvaluationCost returns the metered cost of one data-pattern evaluation.
+// EvaluationCost returns the cost of one data-pattern evaluation.
 func (e *Engine) EvaluationCost() float64 { return e.cost.PerEvaluation }
-
-// Impact returns Impact_ds for a subspace (Equation 2): the impact measure's
-// value on the subspace divided by its value on the whole dataset. The
-// numerator is served by any unit of the subspace if cached; otherwise a
-// count-style scan is metered.
-func (e *Engine) Impact(s model.Subspace) (float64, error) {
-	if len(s) == 0 {
-		return 1, nil
-	}
-	h := e.in.Intern(s)
-	// Any breakdown unit of this subspace can serve the impact value; prefer
-	// a cached one before paying for a scan.
-	if u := e.peekAnyUnit(h); u != nil {
-		return e.unitImpact(u) / e.totalImp, nil
-	}
-	u, err := e.unitAt(h, e.impactFallbackDim(h))
-	if err != nil {
-		return 0, err
-	}
-	return e.unitImpact(u) / e.totalImp, nil
-}
 
 // peekAnyUnit returns a cached unit of h on any unfiltered breakdown, probing
 // in table dimension order, or nil.
@@ -676,23 +495,20 @@ type ImpactProbe struct {
 	Handle *Handle
 	// Fallback is the unit scanned when no probe key is cached.
 	Fallback cache.UnitKey
-	// Cost is the analytic metered cost of the fallback scan (ScanCost).
+	// Cost is the cost of the fallback scan (ScanCostAt).
 	Cost float64
 	// Bytes is the fallback unit's ApproxBytes when this call observed the
 	// unit, else 0. Best-effort: cache byte sizes are reporting-only.
 	Bytes int64
 }
 
-// ImpactUnmetered is the quiet form of Impact: it computes the impact value
-// without touching the meter or cache counters and returns an ImpactProbe
-// recording how the lookup would be charged. The probe is nil for the empty
-// subspace (impact 1 is free dataset metadata).
-func (e *Engine) ImpactUnmetered(s model.Subspace) (float64, *ImpactProbe, error) {
-	return e.ImpactUnmeteredAt(e.in.Intern(s))
-}
-
-// ImpactUnmeteredAt is ImpactUnmetered by handle.
-func (e *Engine) ImpactUnmeteredAt(h *Handle) (float64, *ImpactProbe, error) {
+// ImpactAt returns Impact_ds for the subspace of h (Equation 2): the impact
+// measure's value on the subspace divided by its value on the whole dataset.
+// The numerator is served by a cached unit of the subspace on any unfiltered
+// breakdown; otherwise the fallback unit is scanned. The ImpactProbe records
+// how the lookup is charged; it is nil for the empty subspace (impact 1 is
+// free dataset metadata).
+func (e *Engine) ImpactAt(h *Handle) (float64, *ImpactProbe, error) {
 	if h.Len() == 0 {
 		return 1, nil, nil
 	}
@@ -735,10 +551,9 @@ func statsSum(xs []float64) float64 {
 	return s
 }
 
-// Extract materializes one measure's series from an already-fetched unit
-// without touching the cache counters; callers that evaluate several
-// measures of the same (subspace, breakdown) family use it after one Unit
-// call.
+// Extract materializes one measure's series from an already-fetched unit;
+// callers that evaluate several measures of the same (subspace, breakdown)
+// family use it after one unit fetch.
 func Extract(u *cache.Unit, ds model.DataScope) (*Series, error) {
 	return extract(u, ds)
 }
@@ -791,9 +606,4 @@ func extract(u *cache.Unit, ds model.DataScope) (*Series, error) {
 		copy(vals, src)
 	}
 	return &Series{Scope: ds, Keys: u.GroupKeys, Values: vals}, nil
-}
-
-// ChargeEvaluation charges the metered cost of one data-pattern evaluation.
-func (e *Engine) ChargeEvaluation() {
-	e.meter.AddCost(e.cost.PerEvaluation)
 }

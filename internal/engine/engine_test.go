@@ -10,6 +10,7 @@ import (
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/model"
+	"metainsight/internal/obs"
 )
 
 // randomTable builds a deterministic random table for reference checks.
@@ -42,11 +43,32 @@ func newEngine(t *testing.T, tab *dataset.Table, qcEnabled bool) *Engine {
 	for _, mc := range tab.MeasureColumns() {
 		extras = append(extras, model.Min(mc.Name), model.Max(mc.Name))
 	}
-	e, err := New(tab, Config{QueryCache: cache.NewQueryCache(qcEnabled), ExtraMeasures: extras})
+	e, err := New(tab, Config{
+		QueryCache:    cache.NewQueryCache(qcEnabled),
+		ExtraMeasures: extras,
+		Observer:      obs.New(obs.Options{}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// physicalScans is the number of scans an engine built by newEngine has
+// executed, unit and augmented alike: the observer's engine.physical.scans.
+func physicalScans(e *Engine) int64 {
+	return e.Observer().Snapshot().Counters["engine.physical.scans"]
+}
+
+// meterUntouched fails t unless e's meter is still zero: the engine computes
+// and never charges, whatever path a query took.
+func meterUntouched(t *testing.T, e *Engine) {
+	t.Helper()
+	m := e.Meter()
+	if m.CostNanos() != 0 || m.ExecutedQueries() != 0 || m.ServedQueries() != 0 || m.AugmentedQueries() != 0 {
+		t.Errorf("an engine path charged the meter: cost=%v exec=%d served=%d aug=%d",
+			m.Cost(), m.ExecutedQueries(), m.ServedQueries(), m.AugmentedQueries())
+	}
 }
 
 // naiveAggregate computes the reference result of a basic query by direct
@@ -165,23 +187,16 @@ func TestQueryCacheHitSkipsScan(t *testing.T) {
 	if _, err := e.BasicQuery(ds); err != nil {
 		t.Fatal(err)
 	}
-	execAfterFirst := e.Meter().ExecutedQueries()
-	cost1 := e.Meter().Cost()
 	// Same unit, different measure: must be a cache hit.
 	ds2 := ds
 	ds2.Measure = model.Avg("Profit")
 	if _, err := e.BasicQuery(ds2); err != nil {
 		t.Fatal(err)
 	}
-	if e.Meter().ExecutedQueries() != execAfterFirst {
-		t.Error("measure variant re-scanned despite cache")
+	if n := physicalScans(e); n != 1 {
+		t.Errorf("%d scans, want 1: the measure variant re-scanned despite the cache", n)
 	}
-	if e.Meter().Cost() != cost1 {
-		t.Error("cache hit charged cost")
-	}
-	if e.Meter().ServedQueries() != 1 {
-		t.Errorf("served = %d", e.Meter().ServedQueries())
-	}
+	meterUntouched(t, e)
 }
 
 func TestDisabledCacheAlwaysScans(t *testing.T) {
@@ -193,8 +208,8 @@ func TestDisabledCacheAlwaysScans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Meter().ExecutedQueries() != 3 {
-		t.Errorf("executed = %d, want 3", e.Meter().ExecutedQueries())
+	if n := physicalScans(e); n != 3 {
+		t.Errorf("%d scans, want 3", n)
 	}
 }
 
@@ -208,7 +223,8 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 		Breakdown: "Month",
 		Measure:   model.Sum("Sales"),
 	}
-	units, err := e.AugmentedQuery(anchor, "City")
+	city, month := tab.DimensionIndex("City"), tab.DimensionIndex("Month")
+	units, err := e.MaterializeAugmentedAt(e.Intern(anchor.Subspace.Without("City")), month, city)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +249,8 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 		}
 	}
 	// One scan must have answered all four siblings.
-	if e.Meter().ExecutedQueries() != 1 {
-		t.Errorf("augmented query executed %d scans", e.Meter().ExecutedQueries())
+	if n := physicalScans(e); n != 1 {
+		t.Errorf("augmented query executed %d scans", n)
 	}
 	// Subsequent sibling basic queries are served by the cache.
 	dsSF := anchor
@@ -242,7 +258,7 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 	if _, err := e.BasicQuery(dsSF); err != nil {
 		t.Fatal(err)
 	}
-	if e.Meter().ExecutedQueries() != 1 {
+	if physicalScans(e) != 1 {
 		t.Error("prefetched sibling re-scanned")
 	}
 }
@@ -250,9 +266,12 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 func TestAugmentedQueryRejectsBreakdownDim(t *testing.T) {
 	tab := randomTable(5, 50)
 	e := newEngine(t, tab, true)
-	anchor := model.DataScope{Breakdown: "Month", Measure: model.Sum("Sales")}
-	if _, err := e.AugmentedQuery(anchor, "Month"); err == nil {
+	h, month := e.Intern(model.EmptySubspace), tab.DimensionIndex("Month")
+	if _, err := e.MaterializeAugmentedAt(h, month, month); err == nil {
 		t.Error("augmenting by the breakdown dimension must fail")
+	}
+	if _, err := e.MaterializeAugmentedAt(h, month, len(tab.Dimensions())); err == nil {
+		t.Error("augmenting by an unknown dimension must fail")
 	}
 }
 
@@ -273,15 +292,18 @@ func TestImpact(t *testing.T) {
 	if e.TotalImpact() != 8 {
 		t.Fatalf("total impact = %v", e.TotalImpact())
 	}
-	imp, err := e.Impact(model.NewSubspace(model.Filter{Dim: "City", Value: "LA"}))
+	imp, probe, err := e.ImpactAt(e.Intern(model.NewSubspace(model.Filter{Dim: "City", Value: "LA"})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(imp-0.75) > 1e-12 {
 		t.Errorf("impact(LA) = %v, want 0.75", imp)
 	}
-	if imp, _ := e.Impact(model.EmptySubspace); imp != 1 {
-		t.Errorf("impact({*}) = %v", imp)
+	if probe == nil || probe.Cost != e.ScanCostAt(probe.Handle) {
+		t.Errorf("impact probe = %+v", probe)
+	}
+	if imp, probe, _ := e.ImpactAt(e.Intern(model.EmptySubspace)); imp != 1 || probe != nil {
+		t.Errorf("impact({*}) = %v, probe %+v", imp, probe)
 	}
 }
 
@@ -296,7 +318,7 @@ func TestImpactWithSumMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp, err := e.Impact(model.NewSubspace(model.Filter{Dim: "City", Value: "LA"}))
+	imp, _, err := e.ImpactAt(e.Intern(model.NewSubspace(model.Filter{Dim: "City", Value: "LA"})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +341,9 @@ func TestNewRejectsUnknownMeasure(t *testing.T) {
 	}
 }
 
+// TestCostModelCharges pins what the configured cost model charges — an
+// unfiltered scan costs PerQuery plus PerRow per table row, an evaluation
+// PerEvaluation — and that it is the callers, not the engine, who charge it.
 func TestCostModelCharges(t *testing.T) {
 	tab := randomTable(8, 1000)
 	m := &Meter{}
@@ -329,16 +354,18 @@ func TestCostModelCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if e.Meter() != m {
+		t.Fatal("engine does not expose the configured meter")
+	}
 	if _, err := e.BasicQuery(model.DataScope{Breakdown: "Month", Measure: model.Sum("Sales")}); err != nil {
 		t.Fatal(err)
 	}
-	want := 5 + 0.001*1000
-	if math.Abs(m.Cost()-want) > 1e-6 {
-		t.Errorf("cost = %v, want %v", m.Cost(), want)
+	meterUntouched(t, e)
+	if got, want := e.ScanCostAt(e.Intern(model.EmptySubspace)), 5+0.001*1000; math.Abs(got-want) > 1e-6 {
+		t.Errorf("scan cost = %v, want %v", got, want)
 	}
-	e.ChargeEvaluation()
-	if math.Abs(m.Cost()-want-0.2) > 1e-6 {
-		t.Error("evaluation cost not charged")
+	if got := e.EvaluationCost(); got != 0.2 {
+		t.Errorf("evaluation cost = %v, want 0.2", got)
 	}
 }
 
@@ -347,7 +374,7 @@ func TestUnitImpactConsistency(t *testing.T) {
 	// property Equation 17 and the miner's Impact_HDS computation rely on).
 	tab := randomTable(9, 300)
 	e := newEngine(t, tab, true)
-	u, err := e.Unit(model.EmptySubspace, "City")
+	u, err := e.MaterializeUnitAt(e.Intern(model.EmptySubspace), tab.DimensionIndex("City"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +387,21 @@ func TestUnitImpactConsistency(t *testing.T) {
 	}
 }
 
-// TestScanCostMatchesMeteredCost verifies the analytic ScanCost equals what
-// an executed scan is actually charged, filtered and unfiltered. The miner's
-// canonical accounting relies on this equality to charge budgets without
-// scanning.
+// scanCostOf is the cost model applied to the rows a substrate scan
+// reported: the charge ScanCostAt must predict without scanning.
+func scanCostOf(t *testing.T, e *Engine, s model.Subspace) float64 {
+	t.Helper()
+	_, rows, err := e.sub.ScanUnit(s, "Month")
+	if err != nil {
+		t.Fatalf("%s: %v", s.Key(), err)
+	}
+	return e.cost.PerQuery + e.cost.PerRow*float64(rows)
+}
+
+// TestScanCostMatchesMeteredCost verifies ScanCostAt equals, bit for bit, the
+// cost model applied to the rows Substrate.ScanUnit reports, filtered and
+// unfiltered. The miner's canonical accounting and QuickInsight rely on this
+// equality to charge scans without counting rows themselves.
 func TestScanCostMatchesMeteredCost(t *testing.T) {
 	tab := randomTable(11, 500)
 	subspaces := []model.Subspace{
@@ -373,14 +411,9 @@ func TestScanCostMatchesMeteredCost(t *testing.T) {
 		model.EmptySubspace.With("City", "SD").With("Style", "1Story").With("Month", "Jan"),
 	}
 	for _, s := range subspaces {
-		e := newEngine(t, tab, false) // disabled cache: every query scans
-		want := e.ScanCost(s)
-		before := e.Meter().Cost()
-		if _, err := e.Unit(s, "Month"); err != nil {
-			t.Fatalf("%s: %v", s.Key(), err)
-		}
-		if got := e.Meter().Cost() - before; got != want {
-			t.Errorf("subspace %q: ScanCost = %v, metered = %v", s.Key(), want, got)
+		e := newEngine(t, tab, true)
+		if got, want := e.ScanCostAt(e.Intern(s)), scanCostOf(t, e, s); got != want {
+			t.Errorf("subspace %q: ScanCostAt = %v, scan reports rows costing %v", s.Key(), got, want)
 		}
 	}
 }
@@ -402,151 +435,99 @@ func TestPlannedRowsFallbackMatchesReferenceScan(t *testing.T) {
 		model.EmptySubspace.With("City", "SJ").With("Style", "Igloo"),
 	}
 	for _, s := range subspaces {
-		e, err := New(tab, Config{
-			QueryCache: cache.NewQueryCache(false), // every query scans
-			Substrate:  NewReferenceSubstrate(tab, nil),
-		})
+		e, err := New(tab, Config{Substrate: NewReferenceSubstrate(tab, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := e.sub.(RowPlanner); ok {
 			t.Fatal("ReferenceSubstrate became a RowPlanner; the fallback is no longer under test")
 		}
-		want := e.ScanCost(s)
-		if _, err := e.Unit(s, "Month"); err != nil {
-			t.Fatalf("%s: %v", s.Key(), err)
-		}
-		if got := e.Meter().Cost(); got != want {
-			t.Errorf("subspace %q: ScanCost = %v, reference scan metered %v", s.Key(), want, got)
+		if got, want := e.ScanCostAt(e.Intern(s)), scanCostOf(t, e, s); got != want {
+			t.Errorf("subspace %q: ScanCostAt = %v, reference scan's rows cost %v", s.Key(), got, want)
 		}
 	}
 }
 
-// TestMaterializePathsAreQuiet verifies the Materialize*/ImpactUnmetered
-// paths touch neither the meter nor the cache hit/miss counters, while still
-// caching their scans.
+// TestMaterializePathsAreQuiet verifies that no engine path moves the meter —
+// the unit, augmented, impact, peek and value-form reads, cached or scanned —
+// while every one of them still caches what it scans.
 func TestMaterializePathsAreQuiet(t *testing.T) {
 	tab := randomTable(12, 400)
-	e := newEngine(t, tab, true)
-	sub := model.EmptySubspace.With("City", "LA")
-
-	if _, err := e.MaterializeUnit(sub, "Month"); err != nil {
-		t.Fatal(err)
-	}
-	ds := model.DataScope{Subspace: sub, Breakdown: "Style", Measure: model.Sum("Sales")}
-	if _, err := e.MaterializeBasic(ds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.MaterializeAugmented(
-		model.DataScope{Subspace: sub, Breakdown: "Style", Measure: model.Sum("Sales")}, "Month"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.ImpactUnmetered(sub); err != nil {
-		t.Fatal(err)
-	}
-
-	m := e.Meter()
-	if m.Cost() != 0 || m.ExecutedQueries() != 0 || m.ServedQueries() != 0 || m.AugmentedQueries() != 0 {
-		t.Errorf("quiet paths charged the meter: cost=%v exec=%d served=%d aug=%d",
-			m.Cost(), m.ExecutedQueries(), m.ServedQueries(), m.AugmentedQueries())
-	}
-	st := e.QueryCache().Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("quiet paths touched cache counters: %+v", st)
-	}
-	if st.Entries == 0 {
-		t.Error("quiet paths did not populate the cache")
-	}
-}
-
-// TestMaterializeMatchesMeteredResults verifies quiet and metered paths
-// return identical data.
-func TestMaterializeMatchesMeteredResults(t *testing.T) {
-	tab := randomTable(13, 300)
-	quiet := newEngine(t, tab, true)
-	metered := newEngine(t, tab, true)
-	sub := model.EmptySubspace.With("Style", "Condo")
-	ds := model.DataScope{Subspace: sub, Breakdown: "Month", Measure: model.Avg("Profit")}
-
-	a, err := quiet.MaterializeBasic(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := metered.BasicQuery(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Keys) != len(b.Keys) {
-		t.Fatalf("lengths differ: %d vs %d", len(a.Keys), len(b.Keys))
-	}
-	for i := range a.Keys {
-		if a.Keys[i] != b.Keys[i] || a.Values[i] != b.Values[i] {
-			t.Errorf("group %d: (%s, %v) vs (%s, %v)", i, a.Keys[i], a.Values[i], b.Keys[i], b.Values[i])
+	for _, qcEnabled := range []bool{true, false} {
+		e := newEngine(t, tab, qcEnabled)
+		sub := model.EmptySubspace.With("City", "LA")
+		h := e.Intern(sub)
+		month, style := tab.DimensionIndex("Month"), tab.DimensionIndex("Style")
+		for i := 0; i < 2; i++ { // a miss, then (cache enabled) a hit
+			if _, err := e.MaterializeUnitAt(h, month, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.BasicQuery(model.DataScope{Subspace: sub, Breakdown: "Style", Measure: model.Sum("Sales")}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.MaterializeAugmentedAt(e.Intern(model.EmptySubspace), style, month); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.ImpactAt(e.Intern(model.EmptySubspace.With("Style", "Condo"))); err != nil {
+				t.Fatal(err)
+			}
+			e.PeekUnitAt(h, style)
+			e.ScanCostAt(h)
+		}
+		meterUntouched(t, e)
+		if st := e.QueryCache().Stats(); qcEnabled && st.Entries == 0 {
+			t.Error("engine paths did not populate the cache")
+		}
+		if physicalScans(e) == 0 {
+			t.Error("nothing was scanned: the paths were not exercised")
 		}
 	}
-
-	ia, pa, err := quiet.ImpactUnmetered(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ib, err := metered.Impact(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ia != ib {
-		t.Errorf("impact: quiet %v vs metered %v", ia, ib)
-	}
-	if pa == nil || pa.Cost != quiet.ScanCost(sub) {
-		t.Errorf("impact probe = %+v", pa)
-	}
 }
 
-// TestUnitSingleFlight verifies that concurrent metered misses on one unit
-// coalesce: exactly one scan executes and is charged, the rest are served.
+// TestUnitSingleFlight verifies that concurrent misses on one unit coalesce:
+// exactly one scan executes, and every caller gets its unit.
 func TestUnitSingleFlight(t *testing.T) {
 	tab := randomTable(14, 2000)
 	e := newEngine(t, tab, true)
-	sub := model.EmptySubspace.With("City", "SJ")
+	h, month := e.Intern(model.EmptySubspace.With("City", "SJ")), tab.DimensionIndex("Month")
 
 	const n = 16
+	units := make([]*cache.Unit, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range units {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.Unit(sub, "Month"); err != nil {
+			u, err := e.MaterializeUnitAt(h, month, nil)
+			if err != nil {
 				t.Error(err)
 			}
+			units[i] = u
 		}()
 	}
 	wg.Wait()
 
-	m := e.Meter()
-	if m.ExecutedQueries() != 1 {
-		t.Errorf("executed = %d, want 1 (single-flight)", m.ExecutedQueries())
+	if n := physicalScans(e); n != 1 {
+		t.Errorf("%d scans, want 1 (single-flight)", n)
 	}
-	if m.ExecutedQueries()+m.ServedQueries() != n {
-		t.Errorf("executed+served = %d, want %d", m.ExecutedQueries()+m.ServedQueries(), n)
+	for i, u := range units {
+		if u != units[0] {
+			t.Errorf("caller %d got a different unit", i)
+		}
 	}
-	if want := e.ScanCost(sub); m.Cost() != want {
-		t.Errorf("cost = %v, want %v (one scan)", m.Cost(), want)
-	}
+	meterUntouched(t, e)
 }
 
-// TestAugmentedSingleFlightAccounting checks the augmented-scan accounting
-// invariant under concurrency: every call is either the leader of a scan
-// (executed+augmented) or a follower of a concurrent one (served), and cost
-// equals exactly the executed scans. Calls that do not overlap in time scan
-// again (an augmented query has no cache short-circuit, as in the paper), so
-// only the sum — not executed == 1 — is timing-independent.
+// TestAugmentedSingleFlightAccounting checks the augmented path's at-most-once
+// guarantee under concurrency: however many callers race for one augmented
+// query, and whether or not their calls overlap in time, the table is scanned
+// exactly once — concurrent callers follow the leader's flight, later ones
+// are served from the pair memo — and nothing is charged.
 func TestAugmentedSingleFlightAccounting(t *testing.T) {
 	tab := randomTable(15, 2000)
 	e := newEngine(t, tab, true)
-	ds := model.DataScope{
-		Subspace:  model.EmptySubspace.With("City", "LA"),
-		Breakdown: "Month",
-		Measure:   model.Sum("Sales"),
-	}
+	base := e.Intern(model.EmptySubspace)
+	month, style := tab.DimensionIndex("Month"), tab.DimensionIndex("Style")
 
 	const n = 16
 	var wg sync.WaitGroup
@@ -554,22 +535,18 @@ func TestAugmentedSingleFlightAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.AugmentedQuery(ds, "Style"); err != nil {
+			if _, err := e.MaterializeAugmentedAt(base, month, style); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 
-	m := e.Meter()
-	if m.ExecutedQueries() < 1 || m.ExecutedQueries() != m.AugmentedQueries() {
-		t.Errorf("executed = %d augmented = %d", m.ExecutedQueries(), m.AugmentedQueries())
+	if n := physicalScans(e); n != 1 {
+		t.Errorf("%d scans, want 1", n)
 	}
-	if m.ExecutedQueries()+m.ServedQueries() != n {
-		t.Errorf("executed+served = %d, want %d", m.ExecutedQueries()+m.ServedQueries(), n)
+	if n := e.Observer().Snapshot().Counters["engine.physical.augmented_scans"]; n != 1 {
+		t.Errorf("%d augmented scans, want 1", n)
 	}
-	base := ds.Subspace.Without("Style")
-	if want := float64(m.ExecutedQueries()) * e.ScanCost(base); m.Cost() != want {
-		t.Errorf("cost = %v, want %v (%d scans)", m.Cost(), want, m.ExecutedQueries())
-	}
+	meterUntouched(t, e)
 }

@@ -11,12 +11,10 @@ package engine
 //  3. aggregation — counts, sums and (for measures in the needed-aggregate
 //     set) min/max, with first-touch initialization so there is no O(cells)
 //     ±Inf fill. A run is a maximal stretch of selected rows with consecutive
-//     row ids and one group id. When the morsel's runs average minMeanRun
-//     rows or more (clustered tables: posting-driven rows hit the same cell
-//     hundreds of times in a row) each run folds into its cell held in a
-//     register; otherwise (shuffled data) every row updates its cell in
-//     memory, column at a time. Both add the same values to the same cell in
-//     the same order, so which regime a morsel takes never shows in a result.
+//     row ids and one group id; each run folds into its cell held in a
+//     register (clustered tables: posting-driven rows hit the same cell
+//     hundreds of times in a row). On shuffled data almost every row is its
+//     own run; values still reach each cell in row order.
 //
 // Contiguous scans (no filters, or one zone block) skip stages 1–2 entirely:
 // the group-id vector is the breakdown code column itself, and aggregation
@@ -26,8 +24,8 @@ package engine
 // through four independent accumulator lanes instead of one serial
 // load-add-store dependency chain through memory. The lane split changes
 // the float addition association, but deterministically: it depends only on
-// the morsel boundaries and the code sequence, never on parallelism or
-// pooling (integer-valued sums are exact under any association, which is
+// the morsel boundaries and the code sequence, never on parallelism
+// (integer-valued sums are exact under any association, which is
 // what the cross-substrate differential tests compare byte for byte).
 //
 // All accumulator arrays of one scanAcc live in a single flat slab — counts
@@ -87,18 +85,14 @@ type morselScratch struct {
 }
 
 func (c *ColumnarSubstrate) acquireScratch() *morselScratch {
-	if !c.noPool {
-		if v := c.scratch.Get(); v != nil {
-			return v.(*morselScratch)
-		}
+	if v := c.scratch.Get(); v != nil {
+		return v.(*morselScratch)
 	}
 	return &morselScratch{}
 }
 
 func (c *ColumnarSubstrate) releaseScratch(sc *morselScratch) {
-	if !c.noPool {
-		c.scratch.Put(sc)
-	}
+	c.scratch.Put(sc)
 }
 
 // acquire returns a zeroed accumulator sized for cells, reusing a pooled one
@@ -108,10 +102,8 @@ func (c *ColumnarSubstrate) releaseScratch(sc *morselScratch) {
 // non-zero count.
 func (c *ColumnarSubstrate) acquire(cells int) *scanAcc {
 	var a *scanAcc
-	if !c.noPool {
-		if v := c.pool.Get(); v != nil {
-			a = v.(*scanAcc)
-		}
+	if v := c.pool.Get(); v != nil {
+		a = v.(*scanAcc)
 	}
 	nmeas := len(c.mcols)
 	if a == nil {
@@ -148,12 +140,11 @@ func (c *ColumnarSubstrate) acquire(cells int) *scanAcc {
 	return a
 }
 
-// release returns an accumulator to the pool (a no-op without pooling).
+// release returns an accumulator to the pool.
 func (c *ColumnarSubstrate) release(a *scanAcc) {
-	if c.noPool || a == nil {
-		return
+	if a != nil {
+		c.pool.Put(a)
 	}
-	c.pool.Put(a)
 }
 
 // resetTouched re-zeroes exactly the cells this accumulator touched, making
@@ -174,17 +165,6 @@ func growInt32(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
-}
-
-// growInt32Keep grows s to length n preserving its contents, unlike
-// growInt32 which may discard them.
-func growInt32Keep(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	t := make([]int32, n, n+n/2)
-	copy(t, s)
-	return t
 }
 
 // parScan is the shared state of one multi-morsel scan spread over several
@@ -386,12 +366,8 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 	if len(sel) == 0 {
 		return
 	}
-	// Stage 3: aggregation, in the regime the morsel's own runs select.
-	if runs := sc.findRuns(sel, gids); (len(runs)-1)*minMeanRun <= len(sel) {
-		c.accumulateSelRuns(acc, sel, gids, runs)
-	} else {
-		c.accumulateSelRows(acc, sel, gids)
-	}
+	// Stage 3: aggregation, run by run.
+	c.accumulateSelRuns(acc, sel, gids, sc.findRuns(sel, gids))
 }
 
 // selectMorsel runs stages 1 and 2 of a filtered morsel: it returns the
@@ -458,16 +434,6 @@ func selectMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int,
 	return sel, gids
 }
 
-// minMeanRun is the mean run length (selected rows per run) from which a
-// selection-vector morsel aggregates run by run. Below it — shuffled data,
-// where almost every row starts a run — the per-run bookkeeping costs more
-// than the accumulator round trips it saves, and the per-row loops win: with
-// both kernels called on one 8192-row morsel of runs exactly L long, the run
-// kernel takes 2.2× the per-row kernel's time at L = 1, 1.25× at 2, ties at
-// 3 and wins from 4 on (0.8× at 4, 0.65× at 8, 0.4× at 64). See DESIGN.md §8
-// for which traffic takes which regime.
-const minMeanRun = 4
-
 // findRuns splits the selection into runs: maximal stretches of consecutive
 // row ids (sel[j+1] == sel[j]+1) sharing one group id, so a run's values are
 // one contiguous slice of every measure column. It returns each run's start
@@ -492,12 +458,12 @@ func (sc *morselScratch) findRuns(sel, gids []int32) []int32 {
 	return runs[:nr+1]
 }
 
-// accumulateSelRuns is the run regime of stage 3: each run folds into its
-// cell with the cell held in a register — one load and one store per run and
-// measure instead of one load-add-store round trip per row, the dependency
-// chain that dominates when clustered rows hit the same cell hundreds of
-// times in a row. Every value is added to the same cell in the same order as
-// accumulateSelRows adds it, so the two regimes produce identical bits.
+// accumulateSelRuns is stage 3: each run folds into its cell with the cell
+// held in a register — one load and one store per run and measure instead of
+// one load-add-store round trip per row, the dependency chain that dominates
+// when clustered rows hit the same cell hundreds of times in a row. Every
+// value is added to its cell in row order, exactly as a per-row loop would
+// add it, so the fold changes no bit of a result.
 func (c *ColumnarSubstrate) accumulateSelRuns(acc *scanAcc, sel, gids, runs []int32) {
 	nr := len(runs) - 1
 	counts := acc.counts
@@ -542,55 +508,6 @@ func (c *ColumnarSubstrate) accumulateSelRuns(acc *scanAcc, sel, gids, runs []in
 				}
 			}
 			sums[g], mins[g], maxs[g] = s, mn, mx
-		}
-	}
-}
-
-// accumulateSelRows is the per-row regime of stage 3, column at a time.
-func (c *ColumnarSubstrate) accumulateSelRows(acc *scanAcc, sel, gids []int32) {
-	// Counts plus branch-free first-touch tracking. The candidate cell is
-	// written to the touch list unconditionally; the list length advances
-	// only on a first touch, so the hot loop carries no append and no
-	// hard-to-predict branch target — just a conditional increment.
-	m := len(sel)
-	counts := acc.counts
-	tb := len(acc.touched)
-	touched := growInt32Keep(acc.touched, tb+m)
-	tl := tb
-	for _, g := range gids {
-		touched[tl] = g
-		if counts[g] == 0 {
-			tl++
-		}
-		counts[g]++
-	}
-	acc.touched = touched[:tl]
-	newTouched := touched[tb:tl]
-
-	// One fused pass per measure column.
-	for i, vals := range c.mvals {
-		sums := acc.sums[i]
-		if !c.needMM[i] {
-			for j, r := range sel {
-				sums[gids[j]] += vals[r]
-			}
-			continue
-		}
-		mins, maxs := acc.mins[i], acc.maxs[i]
-		for _, g := range newTouched {
-			mins[g] = math.Inf(1)
-			maxs[g] = math.Inf(-1)
-		}
-		for j, r := range sel {
-			g := gids[j]
-			x := vals[r]
-			sums[g] += x
-			if x < mins[g] {
-				mins[g] = x
-			}
-			if x > maxs[g] {
-				maxs[g] = x
-			}
 		}
 	}
 }

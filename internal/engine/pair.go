@@ -20,9 +20,8 @@ type pairScan struct {
 	twin     map[string]*cache.Unit // one unit per breakdown value, grouped by ext
 }
 
-// scanPair is the physical layer under both augmented-query paths: it returns
-// the units of ScanAugmented(base, bdim, ext) and the rows that scan visits,
-// touching neither the meter nor the cache counters.
+// scanPair is the physical layer under MaterializeAugmentedAt: it returns
+// the units of ScanAugmented(base, bdim, ext) and the rows that scan visits.
 //
 // The 2-D group-by over (bdim, ext) under base answers the request and its
 // twin with breakdown and augmentation dimension swapped, so each unordered

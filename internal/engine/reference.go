@@ -38,7 +38,7 @@ func NewReferenceSubstrate(tab *dataset.Table, minMax map[string]bool) *Referenc
 // drive off the most selective filter visits — the smallest per-filter match
 // count, brute-forced over the dictionary codes; the whole table when s is
 // unfiltered — which is the cost contract of a substrate that is not a
-// RowPlanner (see Engine.ScanCost).
+// RowPlanner (see Engine.ScanCostAt).
 func (c *ReferenceSubstrate) refScan(s model.Subspace, cells int, cell func(r int) int) (counts []float64, sums, mins, maxs [][]float64, scanned int) {
 	filters := resolveFilters(c.tab, s)
 	mcols := c.tab.MeasureColumns()

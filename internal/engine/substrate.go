@@ -38,10 +38,10 @@ type Substrate interface {
 
 // RowPlanner is implemented by substrates that can predict, without scanning,
 // exactly how many rows a unit scan under a subspace will visit. The engine's
-// analytic ScanCost — the single cost authority shared by the metered query
-// paths and the miner's canonical commit-order accounting — consults it so
-// that predicted and metered costs agree bit for bit even when the physical
-// plan (posting-list intersection vs residual verification) changes the row
+// ScanCostAt — the single cost authority the miner's commit-order accounting
+// and QuickInsight charge — consults it so that the charged cost agrees bit
+// for bit with the rows the scan reports even when the physical plan
+// (posting-list intersection vs residual verification) changes the row
 // count. Substrates without it fall back to the most-selective-posting-list
 // estimate.
 type RowPlanner interface {
@@ -95,7 +95,6 @@ type ColumnarSubstrate struct {
 	par    int         // scan parallelism (>= 1)
 	morsel int         // morsel size in rows
 	mode   PlanMode
-	noPool bool
 	obs    *obs.Observer
 
 	// in interns the subspaces this substrate has planned or scanned; each
@@ -123,7 +122,6 @@ type columnarConfig struct {
 	par    int
 	morsel int
 	mode   PlanMode
-	noPool bool
 	minMax map[string]bool
 	obs    *obs.Observer
 }
@@ -171,13 +169,6 @@ func WithPlanMode(m PlanMode) ColumnarOption {
 	return func(c *columnarConfig) { c.mode = m }
 }
 
-// WithoutAccumulatorPool disables accumulator reuse, allocating fresh arrays
-// per scan. Results are identical with or without the pool (the differential
-// tests assert it); the option exists to isolate pooling bugs.
-func WithoutAccumulatorPool() ColumnarOption {
-	return func(c *columnarConfig) { c.noPool = true }
-}
-
 // WithScanObserver attaches an observer receiving physical scan-path
 // counters ("engine.physical.plan_*", "engine.physical.morsels",
 // "engine.physical.rows_pruned"). Like all observability, it is inert.
@@ -206,7 +197,6 @@ func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarS
 		par:    cfg.par,
 		morsel: cfg.morsel,
 		mode:   cfg.mode,
-		noPool: cfg.noPool,
 		obs:    cfg.obs,
 		in:     NewInterner(tab),
 	}
@@ -247,7 +237,7 @@ type residualFilter struct {
 
 // scanPlan is the memoized physical plan for one subspace: the row set the
 // scan drives off plus any filters still verified per row. rows is the exact
-// number of rows the scan visits — the quantity the meter charges and
+// number of rows the scan visits — the quantity ScanCostAt charges and
 // PlannedRows predicts.
 type scanPlan struct {
 	full    bool             // unfiltered: iterate every table row
@@ -261,9 +251,11 @@ type scanPlan struct {
 // Plan-choice weights. A residual check costs random dictionary-code loads
 // per driven row; a container AND streams two compressed sets. Aggregating
 // one surviving row touches the group code plus every measure column. The
-// weights bias accordingly; they only steer plan choice and never enter the
-// metered cost, so tuning them is always determinism-safe for a fixed
-// binary.
+// weights bias accordingly. They feed the cost model: they choose the plan,
+// and ScanCostAt charges that plan's rows — the exact matches, the best
+// posting set or the zone rows. Changing them therefore moves the charged
+// cost of every multi-filter scan whose plan flips, and with it every
+// budgeted result; it stays deterministic for a fixed binary.
 const (
 	residualCheckWeight = 4.0
 	kernelRowWeight     = 4.0
@@ -311,10 +303,10 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 // would have pruned (expected under the independence assumption) — and
 // against the analogous cost of the zone scan. The zone strategy is only
 // eligible when its surviving blocks hold no more rows than the most
-// selective posting set, so the metered row count (and PlannedRows) never
+// selective posting set, so the charged row count (and PlannedRows) never
 // exceeds what the most-selective-set drive would have charged. Everything
 // is a pure function of container composition, cardinalities and the
-// immutable zone maps, so the plan — and the metered row count that follows
+// immutable zone maps, so the plan — and the charged row count that follows
 // from it — is deterministic. Every drive list, a residual plan's included,
 // is emitted from the compressed set: no per-value row list is ever cached.
 func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {

@@ -77,7 +77,7 @@ func TestPlanAutoPicksZone(t *testing.T) {
 }
 
 // TestForcedZoneMatchesReference drives the forced PlanZone strategy across
-// parallelism and pooling, asserting byte-identical units against the
+// parallelism, asserting byte-identical units against the
 // reference even where the zone plan visits more rows than a posting drive.
 func TestForcedZoneMatchesReference(t *testing.T) {
 	tab := clusteredTable(512)
@@ -92,30 +92,21 @@ func TestForcedZoneMatchesReference(t *testing.T) {
 		model.NewSubspace(model.Filter{Dim: "X", Value: "nope"}),
 	}
 	for _, par := range []int{1, 4} {
-		for _, pool := range []bool{true, false} {
-			opts := []ColumnarOption{
-				WithPlanMode(PlanZone), WithScanParallelism(par), WithMorselSize(64),
+		c := NewColumnarSubstrate(tab, WithPlanMode(PlanZone), WithScanParallelism(par), WithMorselSize(64))
+		for _, sub := range subs {
+			got, rows, err := c.ScanUnit(sub, "B")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !pool {
-				opts = append(opts, WithoutAccumulatorPool())
+			want, _, err := ref.ScanUnit(sub, "B")
+			if err != nil {
+				t.Fatal(err)
 			}
-			c := NewColumnarSubstrate(tab, opts...)
-			for _, sub := range subs {
-				got, rows, err := c.ScanUnit(sub, "B")
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, err := ref.ScanUnit(sub, "B")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if unitJSON(t, got) != unitJSON(t, want) {
-					t.Fatalf("par=%d pool=%v [%s]: zone unit mismatch", par, pool, sub.Key())
-				}
-				if pr := c.PlannedRows(sub); pr != rows {
-					t.Fatalf("par=%d pool=%v [%s]: PlannedRows %d != scanned %d",
-						par, pool, sub.Key(), pr, rows)
-				}
+			if unitJSON(t, got) != unitJSON(t, want) {
+				t.Fatalf("par=%d [%s]: zone unit mismatch", par, sub.Key())
+			}
+			if pr := c.PlannedRows(sub); pr != rows {
+				t.Fatalf("par=%d [%s]: PlannedRows %d != scanned %d", par, sub.Key(), pr, rows)
 			}
 		}
 	}

@@ -9,14 +9,14 @@
 //
 // Concurrency model: workers execute compute units speculatively and purely.
 // They touch no shared miner state; all data access goes through the
-// engine's quiet single-flighted paths (so two workers never scan the same
-// unit twice concurrently), and every logical query or evaluation the unit
-// performs is recorded as a usage event (see usage.go). The dispatcher — the
-// only goroutine that mutates miner state — commits completed units in
-// canonical order (the order a single worker would process them) and replays
-// their usage events against a simulated cache. Statistics, budget spending,
-// result deduplication and MetaInsight emission therefore need no locks and
-// are bit-identical for any worker count.
+// engine's single-flighted paths, which charge nothing (so two workers never
+// scan the same unit twice concurrently), and every logical query or
+// evaluation the unit performs is recorded as a usage event (see usage.go).
+// The dispatcher — the only goroutine that mutates miner state — commits
+// completed units in canonical order (the order a single worker would
+// process them) and replays their usage events against a simulated cache.
+// Statistics, budget spending, result deduplication and MetaInsight emission
+// therefore need no locks and are bit-identical for any worker count.
 package miner
 
 import (
@@ -91,7 +91,7 @@ type Config struct {
 	// EnablePruning2 enables discarding low-impact MetaInsight units.
 	EnablePruning2 bool
 	// EnableBoundPruning cuts frontier work using the engine's precomputed
-	// impact-sum bounds (engine.ImpactShareUpperBound / DimMaxImpactShare)
+	// impact-sum bounds (engine.ImpactShareUpperBoundAt / DimMaxImpactShareAt)
 	// before any query is issued: a subspace-extension whose root-subspace
 	// impact bound cannot reach MinImpact is never emitted (the Pruning 2
 	// check would discard it after the scan anyway), and an expansion
@@ -1167,7 +1167,7 @@ func (m *Miner) extensions(u *workUnit, ds model.DataScope, measureKey string) [
 			exts = append(exts, extension{skipped: true})
 			continue
 		}
-		rootImpact, probe, err := m.eng.ImpactUnmeteredAt(root)
+		rootImpact, probe, err := m.eng.ImpactAt(root)
 		if err != nil {
 			exts = append(exts, extension{probe: probe, failed: true})
 			continue

@@ -10,15 +10,16 @@ import (
 
 // This file implements the miner's canonical accounting. Workers execute
 // compute units speculatively and purely — they materialize data through the
-// engine's quiet (unmetered) paths and record *usage events* describing the
+// engine, which charges nothing, and record *usage events* describing the
 // cache lookups and scans their unit logically performs. The dispatcher
 // replays those events against a simulated cache in canonical commit order,
-// charging the meter and the run statistics as a single-worker run would.
-// Because the replay depends only on the commit order (which is
-// deterministic) and on data (which is deterministic), ExecutedQueries,
-// AugmentedQueries, CacheServed, CostUsed and the cache hit/miss statistics
-// are bit-identical for any worker count — the at-most-once query accounting
-// the paper's Fig 6/7 and Table 3 assume.
+// charging the meter and the run statistics as a single-worker run would:
+// this replay, with the checkpoint restore that reinstates it, is the only
+// writer of the run's Meter. Because the replay depends only on the commit
+// order (which is deterministic) and on data (which is deterministic),
+// ExecutedQueries, AugmentedQueries, CacheServed, CostUsed and the cache
+// hit/miss statistics are bit-identical for any worker count — the
+// at-most-once query accounting the paper's Fig 6/7 and Table 3 assume.
 //
 // A query whose substrate call errored is recorded as failed by the worker
 // and replayed as skipped-but-accounted: counted, traced, charged nothing.
@@ -271,7 +272,7 @@ func (a *accounting) apply(ev usageEvent) {
 		p := ev.impact
 		if a.qcEnabled {
 			// A cached unit on any unfiltered breakdown serves the impact
-			// value for free (uncounted peek, as in Engine.Impact).
+			// value for free (a peek, as in Engine.ImpactAt).
 			for d, dim := range a.dimNames {
 				if p.Handle.Has(d) {
 					continue

@@ -11,6 +11,7 @@ package quickinsight
 import (
 	"sort"
 
+	"metainsight/internal/cache"
 	"metainsight/internal/engine"
 	"metainsight/internal/model"
 	"metainsight/internal/pattern"
@@ -107,29 +108,29 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 		}
 		item := queue[best]
 		queue = append(queue[:best], queue[best+1:]...)
+		h := eng.Intern(item.subspace)
 
-		for _, dim := range tab.DimensionNames() {
+		for bdim, col := range tab.Dimensions() {
 			if cfg.Budget.Exceeded() {
 				break
 			}
-			col := tab.Dimension(dim)
-			if item.subspace.Has(dim) || col.Cardinality() < 3 ||
+			if item.subspace.Has(col.Name) || col.Cardinality() < 3 ||
 				col.Cardinality() > cfg.MaxBreakdownCardinality {
 				continue
 			}
 			temporal := col.Kind == model.KindTemporal
-			unit, err := eng.Unit(item.subspace, dim)
+			unit, err := query(eng, h, bdim)
 			if err != nil {
 				continue
 			}
 			for _, meas := range eng.Measures() {
-				ds := model.DataScope{Subspace: item.subspace, Breakdown: dim, Measure: meas}
+				ds := model.DataScope{Subspace: item.subspace, Breakdown: col.Name, Measure: meas}
 				series, err := engine.Extract(unit, ds)
 				if err != nil || series.Len() < 3 {
 					continue
 				}
 				se := pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, cfg.Pattern)
-				eng.ChargeEvaluation()
+				eng.Meter().AddCost(eng.EvaluationCost())
 				for _, t := range se.ValidTypes() {
 					ev := se.Evals[t]
 					insights = append(insights, &Insight{
@@ -156,7 +157,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 			if item.subspace.Has(dim.Name) || dim.Cardinality() > cfg.MaxBreakdownCardinality {
 				continue
 			}
-			unit, err := eng.Unit(item.subspace, dim.Name)
+			unit, err := query(eng, h, idx)
 			if err != nil {
 				continue
 			}
@@ -192,4 +193,23 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 		ExecutedQueries: eng.Meter().ExecutedQueries() - startExec,
 		CostUsed:        eng.Meter().Cost() - startCost,
 	}
+}
+
+// query is the paper's BasicQuery as QuickInsights issues it, charged
+// inline (the run is single-threaded, so issue order is the canonical order):
+// a cached unit counts as served; a miss is one executed scan at the cost
+// ScanCostAt charges.
+func query(eng *engine.Engine, h *engine.Handle, bdim int) (*cache.Unit, error) {
+	m := eng.Meter()
+	if u, ok := eng.PeekUnitAt(h, bdim); ok {
+		m.AddServed(1)
+		return u, nil
+	}
+	u, err := eng.MaterializeUnitAt(h, bdim, nil)
+	if err != nil {
+		return nil, err
+	}
+	m.AddExecuted(1)
+	m.AddCost(eng.ScanCostAt(h))
+	return u, nil
 }

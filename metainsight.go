@@ -570,10 +570,13 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 	return out
 }
 
-// Snapshot publishes the engine's meter and cache statistics as gauges into
-// the attached observer, then returns a point-in-time copy of all metrics,
-// phase timers and trace totals. Without an observer it returns an empty
-// snapshot. Reading a snapshot never perturbs the analysis.
+// Snapshot publishes the engine's meter and the physical caches' occupancy
+// as gauges into the attached observer, then returns a point-in-time copy of
+// all metrics, phase timers and trace totals. Cache hit rates and sizes are
+// the run's canonical accounting, already published as the miner.qcache.*
+// and miner.pcache.* gauges; the physical caches count nothing. Without an
+// observer it returns an empty snapshot. Reading a snapshot never perturbs
+// the analysis.
 func (a *Analyzer) Snapshot() MetricsSnapshot {
 	if !a.obs.Enabled() {
 		return MetricsSnapshot{}
@@ -582,18 +585,11 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 	a.obs.SetGauge("engine.queries.executed", float64(a.meter.ExecutedQueries()))
 	a.obs.SetGauge("engine.queries.served", float64(a.meter.ServedQueries()))
 	a.obs.SetGauge("engine.queries.augmented", float64(a.meter.AugmentedQueries()))
-	qs := a.eng.QueryCache().Stats()
-	a.obs.SetGauge("cache.query.hits", float64(qs.Hits))
-	a.obs.SetGauge("cache.query.misses", float64(qs.Misses))
-	a.obs.SetGauge("cache.query.entries", float64(qs.Entries))
-	a.obs.SetGauge("cache.query.bytes", float64(qs.Bytes))
+	a.obs.SetGauge("cache.query.entries", float64(a.eng.QueryCache().Stats().Entries))
 	for i, ss := range a.eng.QueryCache().ShardStats() {
 		a.obs.SetGauge(fmt.Sprintf("cache.query.shard.%02d.entries", i), float64(ss.Entries))
 	}
-	ps := a.cfg.PatternCache.Stats()
-	a.obs.SetGauge("cache.pattern.hits", float64(ps.Hits))
-	a.obs.SetGauge("cache.pattern.misses", float64(ps.Misses))
-	a.obs.SetGauge("cache.pattern.entries", float64(ps.Entries))
+	a.obs.SetGauge("cache.pattern.entries", float64(a.cfg.PatternCache.Stats().Entries))
 	for i, ss := range a.cfg.PatternCache.ShardStats() {
 		a.obs.SetGauge(fmt.Sprintf("cache.pattern.shard.%02d.entries", i), float64(ss.Entries))
 	}
@@ -612,8 +608,8 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 func (a *Analyzer) Observer() *Observer { return a.obs }
 
 // Engine exposes the query engine of the last Mine call (before the first,
-// the one it will use) for advanced use (issuing basic/augmented queries
-// directly).
+// the one it will use) for advanced use (issuing basic queries directly).
+// Engine queries are never charged: they move neither the meter nor Stats.
 func (a *Analyzer) Engine() *engine.Engine { return a.eng }
 
 // Analyze is the one-call API: mine with default configuration and return

@@ -276,8 +276,9 @@ func TestStatsStringAndJSON(t *testing.T) {
 }
 
 // TestSnapshotPublishesEngineAndCacheGauges checks Analyzer.Snapshot: it
-// reflects the meter and cache state into gauges, includes phase timers, and
-// encodes stably.
+// reflects the meter and the caches' occupancy into gauges, carries the
+// canonical cache accounting (and no physical hit/miss counts, which the
+// caches no longer keep), includes phase timers, and encodes stably.
 func TestSnapshotPublishesEngineAndCacheGauges(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
@@ -296,13 +297,26 @@ func TestSnapshotPublishesEngineAndCacheGauges(t *testing.T) {
 	snap := a.Snapshot()
 	for _, g := range []string{
 		"engine.cost_units", "engine.queries.executed",
-		"cache.query.hits", "cache.query.entries",
-		"cache.pattern.hits", "cache.pattern.entries",
+		"cache.query.entries", "cache.pattern.entries",
+		"miner.qcache.hit_rate", "miner.qcache.entries",
+		"miner.pcache.hit_rate", "miner.pcache.entries",
 		"miner.cost_used", "ranker.pool", "ranker.selected",
 	} {
 		if _, ok := snap.Gauges[g]; !ok {
 			t.Errorf("snapshot missing gauge %q", g)
 		}
+	}
+	for _, g := range []string{
+		"cache.query.hits", "cache.query.misses", "cache.query.bytes",
+		"cache.pattern.hits", "cache.pattern.misses",
+	} {
+		if v, ok := snap.Gauges[g]; ok {
+			t.Errorf("snapshot publishes physical cache counter %q = %v", g, v)
+		}
+	}
+	if snap.Gauges["miner.qcache.hit_rate"] <= 0 || snap.Gauges["miner.pcache.hit_rate"] <= 0 {
+		t.Errorf("canonical hit rates not positive after a run: query %v pattern %v",
+			snap.Gauges["miner.qcache.hit_rate"], snap.Gauges["miner.pcache.hit_rate"])
 	}
 	if snap.Gauges["engine.cost_units"] <= 0 {
 		t.Error("engine.cost_units not positive after a run")

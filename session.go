@@ -375,7 +375,8 @@ func (an *Analysis) WriteReport(w io.Writer, title string) error {
 }
 
 // Engine exposes the call's query engine for ad-hoc follow-up queries — the
-// "exception as a new entry point" loop of exploratory analysis.
+// "exception as a new entry point" loop of exploratory analysis. Engine
+// queries are never charged: they move neither the meter nor Result.Stats.
 func (an *Analysis) Engine() *engine.Engine { return an.a.Engine() }
 
 // Analyze mines and ranks one request. The error mirrors the legacy
