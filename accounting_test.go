@@ -70,13 +70,14 @@ func TestPatternScopesEvaluatedExactlyOnce(t *testing.T) {
 			},
 		}
 		s, err := metainsight.NewSession(tab,
-			metainsight.WithMeasures(metainsight.Sum("Sales")),
 			metainsight.WithCustomPatternTypes(counter),
 			metainsight.WithExec(metainsight.ExecConfig{Workers: 8}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := s.Analyze(context.Background(), metainsight.Request{})
+		an, err := s.Analyze(context.Background(), metainsight.Request{
+			Measures: []metainsight.Measure{metainsight.Sum("Sales")},
+		})
 		s.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -113,10 +114,10 @@ func TestCorrelationRunsAreWorkerInvariant(t *testing.T) {
 		{"top-k pruning 10", metainsight.Request{TopKPruning: 10}},
 	}
 	for _, arm := range arms {
+		arm.req.Measures = []metainsight.Measure{metainsight.Sum("Sales"), metainsight.Sum("Profit")}
 		var want *outcome
 		for _, workers := range []int{1, 8} {
 			s, err := metainsight.NewSession(tab,
-				metainsight.WithMeasures(metainsight.Sum("Sales"), metainsight.Sum("Profit")),
 				metainsight.WithCorrelationPatterns([2]metainsight.Measure{
 					metainsight.Sum("Sales"), metainsight.Sum("Profit"),
 				}),

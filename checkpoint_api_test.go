@@ -19,6 +19,20 @@ func mineJSON(t *testing.T, res *metainsight.MiningResult) string {
 	return string(b)
 }
 
+// analyzeDurably runs one request on a fresh session with the given
+// durability config and worker count.
+func analyzeDurably(t *testing.T, ctx context.Context, tab *metainsight.Dataset, dc metainsight.DurabilityConfig, workers int, req metainsight.Request) (*metainsight.Analysis, error) {
+	t.Helper()
+	s, err := metainsight.NewSession(tab,
+		metainsight.WithDurability(dc),
+		metainsight.WithExec(metainsight.ExecConfig{Workers: workers}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	return s.Analyze(ctx, req)
+}
+
 // TestCheckpointResumePublicAPI drives the crash-recovery loop end to end
 // through the public options: a checkpointed run is cancelled mid-flight,
 // then resumed — at a different worker count — and must finish with exactly
@@ -29,17 +43,15 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bg := context.Background()
 
-	full, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithCheckpoint(filepath.Join(t.TempDir(), "full"), 8),
-		metainsight.WithWorkers(4))
+	full, err := analyzeDurably(t, bg, tab, metainsight.DurabilityConfig{
+		CheckpointDir: filepath.Join(t.TempDir(), "full"), Every: 8,
+	}, 4, metainsight.Request{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("uninterrupted checkpointed run failed: %v", err)
 	}
-	fullRes := full.Mine()
-	if fullRes.Err != nil {
-		t.Fatalf("uninterrupted checkpointed run failed: %v", fullRes.Err)
-	}
+	fullRes := full.Result
 	if len(fullRes.MetaInsights) == 0 {
 		t.Fatal("uninterrupted run mined nothing")
 	}
@@ -51,33 +63,26 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 	// cancellation point is nondeterministic — resume correctness must not
 	// depend on where the run stopped.
 	dir := filepath.Join(t.TempDir(), "ck")
-	ctx, cancel := context.WithCancel(context.Background())
-	interrupted, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithCheckpoint(dir, 8),
-		metainsight.WithWorkers(4),
-		metainsight.WithProgress(func(*metainsight.MetaInsight) { cancel() }))
+	ctx, cancel := context.WithCancel(bg)
+	interrupted, err := analyzeDurably(t, ctx, tab, metainsight.DurabilityConfig{CheckpointDir: dir, Every: 8}, 4,
+		metainsight.Request{Progress: func(*metainsight.MetaInsight) { cancel() }})
+	cancel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	intRes := interrupted.MineContext(ctx)
-	cancel()
-	if !intRes.Stats.Cancelled {
+	if !interrupted.Result.Stats.Cancelled {
 		// The run may have finished before the first discovery's cancel
 		// landed; that leaves nothing to resume meaningfully, but resuming
 		// must still work (covered below either way).
 		t.Log("run completed before cancellation took effect")
 	}
 
-	resumed, err := metainsight.NewAnalyzer(tab,
-		metainsight.ResumeFromCheckpoint(dir),
-		metainsight.WithWorkers(2))
+	resumed, err := analyzeDurably(t, bg, tab, metainsight.DurabilityConfig{CheckpointDir: dir, Resume: true}, 2,
+		metainsight.Request{TopK: 5})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resumed run failed: %v", err)
 	}
-	resRes := resumed.Mine()
-	if resRes.Err != nil {
-		t.Fatalf("resumed run failed: %v", resRes.Err)
-	}
+	resRes := resumed.Result
 	if mineJSON(t, resRes) != mineJSON(t, fullRes) {
 		t.Fatal("resumed run's MetaInsights differ from the uninterrupted run's")
 	}
@@ -90,7 +95,7 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 	if a != b {
 		t.Fatalf("resumed stats differ from uninterrupted:\n resumed %+v\n full %+v", b, a)
 	}
-	if top := resumed.Rank(resRes, 5); len(top) == 0 {
+	if len(resumed.Insights) == 0 {
 		t.Fatal("ranking the resumed result returned nothing")
 	}
 }
@@ -103,42 +108,28 @@ func TestCheckpointPublicErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bg := context.Background()
 	dir := filepath.Join(t.TempDir(), "ck")
+	fresh := metainsight.DurabilityConfig{CheckpointDir: dir, Every: 8}
 
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithCheckpoint(dir, 8))
-	if err != nil {
+	if _, err := analyzeDurably(t, bg, tab, fresh, 8, metainsight.Request{}); err != nil {
 		t.Fatal(err)
-	}
-	if res := a.Mine(); res.Err != nil {
-		t.Fatal(res.Err)
 	}
 
 	// A fresh checkpointed run must refuse the already-used directory.
-	b, err := metainsight.NewAnalyzer(tab, metainsight.WithCheckpoint(dir, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := b.Mine(); !errors.Is(res.Err, metainsight.ErrCheckpointExists) {
-		t.Fatalf("fresh run over an existing checkpoint returned %v, want ErrCheckpointExists", res.Err)
+	if _, err := analyzeDurably(t, bg, tab, fresh, 8, metainsight.Request{}); !errors.Is(err, metainsight.ErrCheckpointExists) {
+		t.Fatalf("fresh run over an existing checkpoint returned %v, want ErrCheckpointExists", err)
 	}
 
 	// Resuming under a different configuration must be refused.
-	c, err := metainsight.NewAnalyzer(tab,
-		metainsight.ResumeFromCheckpoint(dir), metainsight.WithTau(0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := c.Mine(); !errors.Is(res.Err, metainsight.ErrCheckpointMismatch) {
-		t.Fatalf("resume under a different config returned %v, want ErrCheckpointMismatch", res.Err)
+	resume := metainsight.DurabilityConfig{CheckpointDir: dir, Resume: true}
+	if _, err := analyzeDurably(t, bg, tab, resume, 8, metainsight.Request{Tau: 0.9}); !errors.Is(err, metainsight.ErrCheckpointMismatch) {
+		t.Fatalf("resume under a different config returned %v, want ErrCheckpointMismatch", err)
 	}
 
 	// Resuming a directory that was never checkpointed.
-	d, err := metainsight.NewAnalyzer(tab,
-		metainsight.ResumeFromCheckpoint(filepath.Join(t.TempDir(), "missing")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := d.Mine(); !errors.Is(res.Err, metainsight.ErrNoCheckpoint) {
-		t.Fatalf("resume of a missing directory returned %v, want ErrNoCheckpoint", res.Err)
+	missing := metainsight.DurabilityConfig{CheckpointDir: filepath.Join(t.TempDir(), "missing"), Resume: true}
+	if _, err := analyzeDurably(t, bg, tab, missing, 8, metainsight.Request{}); !errors.Is(err, metainsight.ErrNoCheckpoint) {
+		t.Fatalf("resume of a missing directory returned %v, want ErrNoCheckpoint", err)
 	}
 }

@@ -155,27 +155,23 @@ func run() int {
 		fmt.Printf("  %-30s %s\n", f.Name, f.Kind)
 	}
 
-	opts := []metainsight.SessionOption{
-		metainsight.WithTau(*tau),
-		metainsight.WithMaxSubspaceFilters(*depth),
+	opts := []metainsight.Option{
 		metainsight.WithExec(metainsight.ExecConfig{
 			Workers:         *workers,
 			ScanParallelism: *scanPar,
 		}),
-	}
-	if *topKCut > 0 {
-		opts = append(opts, metainsight.WithTopKPruning(*topKCut))
-	}
-	if *ckDir != "" {
-		opts = append(opts, metainsight.WithDurability(metainsight.DurabilityConfig{
+		metainsight.WithDurability(metainsight.DurabilityConfig{
 			CheckpointDir: *ckDir,
 			Every:         *ckEvery,
 			Resume:        *resume,
-		}))
+		}),
 	}
 	req := metainsight.Request{
-		TopK:   *k,
-		Budget: metainsight.Budget{Time: *budget},
+		TopK:        *k,
+		Budget:      metainsight.Budget{Time: *budget},
+		Tau:         *tau,
+		MaxFilters:  *depth,
+		TopKPruning: *topKCut,
 	}
 	if *trace != "" || *metrics {
 		obOpts := metainsight.ObserverOptions{}

@@ -42,14 +42,14 @@ func main() {
 		},
 	}
 
-	s, err := metainsight.NewSession(tab,
-		metainsight.WithMeasures(metainsight.Sum("Revenue")),
-		metainsight.WithCustomPatternTypes(weekendLift),
-	)
+	s, err := metainsight.NewSession(tab, metainsight.WithCustomPatternTypes(weekendLift))
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 6})
+	an, err := s.Analyze(context.Background(), metainsight.Request{
+		TopK:     6,
+		Measures: []metainsight.Measure{metainsight.Sum("Revenue")},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

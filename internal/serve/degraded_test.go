@@ -46,7 +46,7 @@ func TestDegradedContract(t *testing.T) {
 			Datasets: []DatasetSpec{{Name: "house", Path: csv}},
 			StateDir: state,
 			Observer: ob,
-			SessionOptions: []metainsight.SessionOption{
+			SessionOptions: []metainsight.Option{
 				metainsight.WithSubstrate(cityDown{engine.NewColumnarSubstrate(ds), "Oakland"}),
 				metainsight.WithResilience(metainsight.ResilienceConfig{DegradedThreshold: -1}),
 			},

@@ -371,7 +371,7 @@ func (s *scheduler) run(j *job) {
 	// configuration. The dataset's dictionaries, posting lists and zone
 	// maps are cached on the dataset itself, so this is cheap relative to
 	// the mining it fronts.
-	opts := append(append([]metainsight.SessionOption(nil), entry.opts...),
+	opts := append(append([]metainsight.Option(nil), entry.opts...),
 		metainsight.WithDurability(metainsight.DurabilityConfig{
 			CheckpointDir: s.ckDir(j.spec.ID),
 			Every:         j.spec.CheckpointEvery,

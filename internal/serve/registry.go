@@ -29,7 +29,7 @@ type dsEntry struct {
 	spec DatasetSpec
 	ds   *metainsight.Dataset
 	sess *metainsight.Session
-	opts []metainsight.SessionOption
+	opts []metainsight.Option
 }
 
 // registry is the daemon's named-session registry. The entry set is fixed
@@ -40,7 +40,7 @@ type registry struct {
 	names   []string
 }
 
-func newRegistry(specs []DatasetSpec, opts []metainsight.SessionOption) (*registry, error) {
+func newRegistry(specs []DatasetSpec, opts []metainsight.Option) (*registry, error) {
 	r := &registry{entries: make(map[string]*dsEntry, len(specs))}
 	for _, spec := range specs {
 		if spec.Name == "" {

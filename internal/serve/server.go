@@ -32,7 +32,7 @@ type Config struct {
 	Jobs JobsConfig
 	// SessionOptions apply to every session the daemon builds (shared
 	// synchronous sessions and per-job durable sessions alike).
-	SessionOptions []metainsight.SessionOption
+	SessionOptions []metainsight.Option
 	// Observer receives every serve.* counter/gauge and job transition.
 	// Nil is valid (metrics become no-ops, /metricsz reports empty).
 	Observer *obs.Observer

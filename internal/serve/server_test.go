@@ -180,6 +180,23 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestTauOutsideOpenUnitIntervalIs400: both endpoints reject a τ the scoring
+// cannot use before any work starts — at τ ≤ 0 every MetaInsight unit would
+// panic, at τ ≥ 1 no commonness can exist. Both used to accept it:
+// /v1/analyze answered with no insights and /v1/jobs journaled the job.
+func TestTauOutsideOpenUnitIntervalIs400(t *testing.T) {
+	state := t.TempDir()
+	_, hs := newTestServer(t, func(cfg *Config) { cfg.StateDir = state })
+	for _, tau := range []string{"-0.3", "1", "1.5"} {
+		for _, path := range []string{"/v1/analyze", "/v1/jobs"} {
+			status, data := postJSON(t, hs.URL+path, `{"dataset":"house","tau":`+tau+`}`, nil)
+			if status != http.StatusBadRequest || errorCode(t, data) != CodeBadRequest {
+				t.Errorf("%s with tau %s: status %d, body %s", path, tau, status, data)
+			}
+		}
+	}
+}
+
 func TestQuotaOverHTTP(t *testing.T) {
 	_, hs := newTestServer(t, func(cfg *Config) {
 		cfg.Quota = QuotaConfig{Rate: 0.001, Burst: 2} // two requests, then a long refill

@@ -19,7 +19,8 @@ type AnalyzeParams struct {
 	Dataset string `json:"dataset"`
 	// TopK is the ranked suggestion count (default 10).
 	TopK int `json:"top_k,omitempty"`
-	// Tau is the commonness threshold τ (default 0.5).
+	// Tau is the commonness threshold τ (default 0.5); a non-zero τ must lie
+	// strictly between 0 and 1.
 	Tau float64 `json:"tau,omitempty"`
 	// MaxFilters caps subspace depth (default 3).
 	MaxFilters int `json:"max_filters,omitempty"`
@@ -71,6 +72,9 @@ func (p AnalyzeParams) validate() error {
 	}
 	if p.BudgetCost < 0 {
 		return fmt.Errorf("budget_cost must be non-negative")
+	}
+	if p.Tau != 0 && !(p.Tau > 0 && p.Tau < 1) {
+		return fmt.Errorf("tau must lie strictly between 0 and 1 (0 keeps the default 0.5)")
 	}
 	for _, m := range p.Measures {
 		if _, err := m.toMeasure(); err != nil {

@@ -22,8 +22,10 @@
 //		fmt.Println(in.Description())
 //	}
 //
-// Per-call knobs (budgets, measures, τ) travel in the Request;
-// construction-time settings are grouped into typed configs:
+// Every setting has one spelling. Per-call knobs (measures, budgets, τ,
+// top-k, pruning, progress, observer) travel in the Request; session-wide
+// settings are grouped into typed configs (WithExec, WithResilience,
+// WithDurability) beside the pattern-registration and substrate options:
 //
 //	s, err := metainsight.NewSession(tab,
 //		metainsight.WithExec(metainsight.ExecConfig{Workers: 8, ScanParallelism: 2}),
@@ -34,9 +36,9 @@
 //		Tau:    0.5,
 //	})
 //
-// The pre-Session surface (Analyze, NewAnalyzer and the flat With*
-// options) remains supported as deprecated shims over the Session API; see
-// README.md for the migration table.
+// NewAnalyzer, WithObserver, WithProgress and WithCostBudget remain as
+// deprecated shims over the Session API; see README.md for the migration
+// table.
 package metainsight
 
 import (
@@ -97,8 +99,8 @@ type (
 	// like the built-ins.
 	CustomPattern = pattern.CustomEvaluator
 	// Observer collects metrics, phase timings and (optionally) a structured
-	// run trace from an analysis. Attach one with WithObserver; read it back
-	// with Analyzer.Snapshot or Observer.Trace. Observers are provably inert:
+	// run trace from an analysis. Attach one with Request.Observer; read it
+	// back with Analysis.Snapshot or Observer.Trace. Observers are provably inert:
 	// attaching one never changes mining results or statistics.
 	Observer = obs.Observer
 	// ObserverOptions configures NewObserver.
@@ -131,14 +133,14 @@ const (
 
 // ErrDegraded marks a best-effort mining result whose query failure rate
 // exceeded the degradation threshold; test with errors.Is on
-// MiningResult.Err or the error returned by Analyze.
+// MiningResult.Err or the error returned by Session.Analyze.
 var ErrDegraded = miner.ErrDegraded
 
 // Checkpoint/resume sentinels; test with errors.Is on MiningResult.Err or
-// the error returned by Analyze.
+// the error returned by Session.Analyze.
 var (
-	// ErrNoCheckpoint: ResumeFromCheckpoint found no usable checkpoint in
-	// the directory.
+	// ErrNoCheckpoint: a DurabilityConfig with Resume set found no usable
+	// checkpoint in the directory.
 	ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
 	// ErrCheckpointCorrupt: a checkpoint file failed validation (bad magic,
 	// CRC mismatch on a complete frame, non-contiguous journal, trailing
@@ -148,8 +150,9 @@ var (
 	// ErrCheckpointVersion: the checkpoint was written by an incompatible
 	// format version.
 	ErrCheckpointVersion = checkpoint.ErrVersion
-	// ErrCheckpointExists: WithCheckpoint refuses to overwrite a directory
-	// that already holds a checkpoint; resume it or remove it explicitly.
+	// ErrCheckpointExists: a fresh checkpointed run (DurabilityConfig
+	// without Resume) refuses to overwrite a directory that already holds a
+	// checkpoint; resume it or remove it explicitly.
 	ErrCheckpointExists = checkpoint.ErrExists
 	// ErrCheckpointMismatch: the checkpoint was written under a different
 	// mining configuration (dataset, measures, scoring, caches or budget
@@ -160,7 +163,8 @@ var (
 	ErrReplayDiverged = miner.ErrReplayDiverged
 )
 
-// NewObserver creates an observability collector to attach via WithObserver.
+// NewObserver creates an observability collector to attach via
+// Request.Observer.
 // A zero ObserverOptions records metrics and phase timers only; set
 // TraceCapacity to also keep a ring-buffered structured run trace.
 func NewObserver(opts ObserverOptions) *Observer { return obs.New(opts) }
@@ -278,14 +282,15 @@ type Analyzer struct {
 	cfg   miner.Config
 	mined bool
 
-	wts        ranker.Weights
 	obs        *obs.Observer
 	timeBudget time.Duration // anchored at each Mine call
 }
 
-// Option customizes an Analyzer.
+// Option configures a Session (or the deprecated Analyzer) at construction.
 type Option func(*analyzerOptions)
 
+// analyzerOptions is one analysis' resolved configuration: the session's
+// options applied over the defaults, then the request's fields (resolve).
 type analyzerOptions struct {
 	measures       []Measure
 	impact         Measure
@@ -294,134 +299,39 @@ type analyzerOptions struct {
 	correlations   [][2]Measure
 	timeBudget     time.Duration
 	costBudget     float64
-	disableQC      bool
-	disablePC      bool
-	weights        ranker.Weights
 	observer       *obs.Observer
 	substrate      Substrate
 	checkpoint     *miner.CheckpointSpec
 	scanPar        int
-
-	// Fields below are written by the Session-surface options (session.go)
-	// and by the reworked checkpoint options; resolveOptions validates and
-	// lowers them.
-	topKSet   bool
-	ckDir     string
-	ckEvery   int64
-	resumeDir string
-	subLimit  int
-}
-
-// WithMeasures sets the measure set M (default: SUM over every measure
-// column plus COUNT(*)).
-func WithMeasures(ms ...Measure) Option {
-	return func(o *analyzerOptions) { o.measures = ms }
-}
-
-// WithImpactMeasure sets the impact measure (must be SUM or COUNT; default
-// COUNT(*), as in the paper's evaluation).
-func WithImpactMeasure(m Measure) Option {
-	return func(o *analyzerOptions) { o.impact = m }
-}
-
-// WithTimeBudget bounds mining by wall-clock time; mining is progressive
-// and returns the best-so-far MetaInsights at the deadline.
-func WithTimeBudget(d time.Duration) Option {
-	return func(o *analyzerOptions) { o.timeBudget = d }
 }
 
 // WithCostBudget bounds mining by deterministic engine cost units (one unit
 // approximates a millisecond of an IPC-backed query substrate). Runs with a
 // cost budget are exactly reproducible.
+//
+// Deprecated: use Request.Budget.Cost. Kept only because the frozen
+// benchmark/ harness compiles against it; it goes when that harness moves to
+// the Session API (ROADMAP.md, the benchmark-port item, step ii).
 func WithCostBudget(units float64) Option {
 	return func(o *analyzerOptions) { o.costBudget = units }
 }
 
-// WithWorkers sets the evaluation worker count (default 8, as in the paper).
-func WithWorkers(n int) Option {
-	return func(o *analyzerOptions) { o.minerCfg.Workers = n }
-}
-
-// WithTau sets the commonness threshold τ (default 0.5). Only τ is touched:
-// other score parameters set before or after this option are preserved, and
-// any left at zero are lazily defaulted when mining starts.
-func WithTau(tau float64) Option {
-	return func(o *analyzerOptions) { o.minerCfg.Score.Tau = tau }
-}
-
-// WithObserver attaches an observability collector to the analysis: atomic
-// metrics and phase timers, plus (if the observer was built with a trace
-// capacity) a structured run trace recorded in deterministic commit order.
-// The observer is inert — results and statistics are bit-identical with or
-// without it, at any worker count. Read it back with Analyzer.Snapshot.
+// WithObserver attaches an observability collector to every analysis of the
+// session; see Request.Observer.
+//
+// Deprecated: use Request.Observer. Kept only because the frozen benchmark/
+// harness compiles against it; it goes when that harness moves to the Session
+// API (ROADMAP.md, the benchmark-port item, step ii).
 func WithObserver(ob *Observer) Option {
 	return func(o *analyzerOptions) { o.observer = ob }
 }
 
-// WithScanParallelism sets how many goroutines one physical scan of the
-// default columnar substrate may use: 0 (the default) is GOMAXPROCS, 1 is the
-// sequential path, n > 1 is n; a scan that fits one morsel (8192 rows) runs
-// inline whatever the setting. This is intra-query parallelism, orthogonal to
-// WithWorkers' inter-query parallelism: it is what uses the other cores while
-// the miner can run only one unit (DESIGN.md §13). Scan
-// results — and therefore every mined insight, statistic and checkpoint —
-// are bit-identical for any value: the scan pipeline splits
-// rows into fixed-size morsels and merges partial aggregates in morsel-index
-// order, so the floating-point grouping never depends on n. Ignored when
-// WithSubstrate replaces the default substrate.
-func WithScanParallelism(n int) Option {
-	return func(o *analyzerOptions) { o.scanPar = n }
-}
-
-// WithMaxSubspaceFilters caps subspace depth (default 3).
-func WithMaxSubspaceFilters(n int) Option {
-	return func(o *analyzerOptions) { o.minerCfg.MaxSubspaceFilters = n }
-}
-
-// WithTopKPruning enables S*-bounded early termination: once k MetaInsights
-// are committed, candidates whose score upper bound (Lemma 4.1's S* combined
-// with the impact term of Equation 18) cannot strictly beat the k-th best
-// committed score are cut before evaluation, so their sibling scans never
-// run. Every MetaInsight whose score strictly exceeds the run's final k-th
-// best score is still mined, so the score-ordered top k is preserved; mine
-// with headroom (e.g. 2–4× the suggestion count) when ranking with diversity
-// weights, which may promote lower-scoring insights. Zero (the default)
-// disables termination and mines the complete candidate set.
-func WithTopKPruning(k int) Option {
-	return func(o *analyzerOptions) { o.minerCfg.TopK = k; o.topKSet = true }
-}
-
-// WithoutBoundPruning disables the impact-sum bound cuts (on by default):
-// the miner issues every frontier query instead of skipping candidates whose
-// precomputed impact upper bound cannot reach the pruning thresholds. Mined
-// MetaInsights are identical either way — the bounds are sound, so a cut
-// candidate would have been discarded after its scan — making this toggle an
-// ablation/debugging knob for comparing query counts and costs.
-func WithoutBoundPruning() Option {
-	return func(o *analyzerOptions) { o.minerCfg.EnableBoundPruning = false }
-}
-
-// WithoutQueryCache disables the query cache (ablation runs).
-func WithoutQueryCache() Option {
-	return func(o *analyzerOptions) { o.disableQC = true }
-}
-
-// WithoutPatternCache disables the pattern cache (ablation runs).
-func WithoutPatternCache() Option {
-	return func(o *analyzerOptions) { o.disablePC = true }
-}
-
-// WithFIFOQueues replaces the impact-ordered priority queues with FIFO
-// queues (ablation runs).
-func WithFIFOQueues() Option {
-	return func(o *analyzerOptions) { o.minerCfg.UsePriorityQueues = false }
-}
-
 // WithProgress registers a callback invoked whenever the miner stores a new
-// MetaInsight, enabling progressive display during a budgeted run. The
-// callback is invoked serially from the miner's dispatcher goroutine, in
-// deterministic discovery order; it should be fast (it runs on the mining
-// path, pausing unit commits while it executes).
+// MetaInsight; see Request.Progress.
+//
+// Deprecated: use Request.Progress. Kept only because the frozen benchmark/
+// harness compiles against it; it goes when that harness moves to the Session
+// API (ROADMAP.md, the benchmark-port item, step ii).
 func WithProgress(fn func(*MetaInsight)) Option {
 	return func(o *analyzerOptions) { o.minerCfg.OnMetaInsight = fn }
 }
@@ -451,12 +361,6 @@ func WithCustomPatternTypes(evals ...CustomPattern) Option {
 	}
 }
 
-// WithRankingWeights overrides the overlap-ratio weights of the ranking
-// stage.
-func WithRankingWeights(w ranker.Weights) Option {
-	return func(o *analyzerOptions) { o.weights = w }
-}
-
 // WithSubstrate replaces the physical scan layer behind the query engine
 // (default: the in-process columnar substrate over the dataset). A query
 // whose substrate call returns an error is not retried: it is skipped and
@@ -466,54 +370,21 @@ func WithSubstrate(s Substrate) Option {
 	return func(o *analyzerOptions) { o.substrate = s }
 }
 
-// WithDegradedThreshold sets the query failure rate above which a run is
-// flagged degraded (MiningResult.Err wraps ErrDegraded; default 0.1). Set
-// negative to flag any failure, or >= 1 to never flag.
-func WithDegradedThreshold(f float64) Option {
-	return func(o *analyzerOptions) { o.minerCfg.DegradedThreshold = f }
-}
-
-// WithCheckpoint makes mining crash-safe: the miner journals every committed
-// unit to dir (an append-only, CRC-framed log of the canonical commit
-// stream) and writes an atomic snapshot of its full state every `every`
-// commits (default 256 when every <= 0) plus once at loop exit. After a
-// crash or cancellation, ResumeFromCheckpoint(dir) continues the run where
-// it left off. The directory must not already hold a checkpoint
-// (ErrCheckpointExists otherwise). Checkpointing requires the deterministic
-// budget kinds — cost budget or unbounded — to guarantee a resumed run is
-// bit-identical to an uninterrupted one; a time budget re-anchors at resume.
-func WithCheckpoint(dir string, every int64) Option {
-	return func(o *analyzerOptions) { o.ckDir = dir; o.ckEvery = every }
-}
-
-// ResumeFromCheckpoint resumes a crashed or cancelled run from the
-// checkpoint directory: the latest valid snapshot is restored, the journal
-// tail (tolerating a torn final record) is replayed by deterministic
-// re-execution — which also re-primes the caches — and mining re-enters its
-// loop on the pending work. The resumed run's results, statistics and trace
-// continue exactly where the interrupted run stopped, at any worker count.
-// Checkpointing continues into the same directory. Combining it with
-// WithCheckpoint is allowed only when both name the same directory
-// (ErrConflictingCheckpoints otherwise), in which case the WithCheckpoint
-// snapshot cadence applies to the resumed run.
-func ResumeFromCheckpoint(dir string) Option {
-	return func(o *analyzerOptions) { o.resumeDir = dir }
-}
-
-// ErrConflictingBudgets is returned by NewAnalyzer when both WithTimeBudget
-// and WithCostBudget are supplied. The two budgets have incompatible
-// semantics — cost budgets are deterministic and reproducible, time budgets
-// are not — so the library refuses to guess which one should win.
+// ErrConflictingBudgets is returned when an analysis sets both a time budget
+// and a cost budget. The two budgets have incompatible semantics — cost
+// budgets are deterministic and reproducible, time budgets are not — so the
+// library refuses to guess which one should win.
 var ErrConflictingBudgets = errors.New(
-	"metainsight: WithTimeBudget and WithCostBudget are mutually exclusive; pick one")
+	"metainsight: Budget.Time and Budget.Cost are mutually exclusive; pick one")
 
 // NewAnalyzer creates an analyzer over a dataset.
 //
-// Deprecated: NewAnalyzer is the pre-Session construction surface, kept as
-// a thin shim over NewSession; use NewSession and Session.Analyze (see the
-// migration table in README.md). Both surfaces funnel through the same
-// construction path, so results, statistics and traces are bit-identical
-// across them.
+// Deprecated: use NewSession and Session.Analyze (see the migration table in
+// README.md). NewAnalyzer builds through the same path as Session.Analyze
+// with a zero Request, so results, statistics and traces are bit-identical
+// across the two. Kept only because the frozen benchmark/ harness compiles
+// against it; it goes when that harness moves to the Session API (ROADMAP.md,
+// the benchmark-port item, step ii).
 func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 	s, err := NewSession(d, opts...)
 	if err != nil {
@@ -556,7 +427,7 @@ func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
 // inter-MetaInsight redundancy (the paper's greedy second-order algorithm).
 func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 	t0 := time.Now()
-	top, sel := ranker.GreedyStats(result.MetaInsights, k, a.wts)
+	top, sel := ranker.GreedyStats(result.MetaInsights, k, ranker.DefaultWeights())
 	if a.obs.Enabled() {
 		a.obs.Phase(obs.PhaseRank, time.Since(t0))
 		a.obs.SetGauge("ranker.pool", float64(sel.Pool))
@@ -611,37 +482,6 @@ func (a *Analyzer) Observer() *Observer { return a.obs }
 // the one it will use) for advanced use (issuing basic queries directly).
 // Engine queries are never charged: they move neither the meter nor Stats.
 func (a *Analyzer) Engine() *engine.Engine { return a.eng }
-
-// Analyze is the one-call API: mine with default configuration and return
-// the top-k ranked insights. It is AnalyzeContext with a background context.
-//
-// Deprecated: use NewSession and Session.Analyze with Request{TopK: k}; a
-// session amortizes dataset indexing and substrate construction across
-// calls. This shim delegates to a single-use session and behaves
-// identically.
-func Analyze(d *Dataset, k int, opts ...Option) ([]*Insight, error) {
-	return AnalyzeContext(context.Background(), d, k, opts...)
-}
-
-// AnalyzeContext is Analyze with cancellation; see MineContext for the
-// cancellation contract. A cancelled run still ranks and returns whatever
-// was mined before the cancellation point. When substrate queries failed the
-// returned error may wrap ErrDegraded — the insights are still valid
-// best-effort output, so check errors.Is(err, ErrDegraded) before discarding
-// them.
-//
-// Deprecated: use NewSession and Session.Analyze with Request{TopK: k}.
-func AnalyzeContext(ctx context.Context, d *Dataset, k int, opts ...Option) ([]*Insight, error) {
-	s, err := NewSession(d, opts...)
-	if err != nil {
-		return nil, err
-	}
-	an, err := s.Analyze(ctx, Request{TopK: k})
-	if an == nil {
-		return nil, err
-	}
-	return an.Insights, err
-}
 
 // correlationEvaluator builds the scope-aware evaluator behind
 // WithCorrelationPatterns: it fetches the secondary measure's series for the
@@ -749,15 +589,15 @@ func (a *Analyzer) WriteReport(w io.Writer, insights []*Insight, title string) e
 }
 
 // NewProgressiveRanker returns a live diversified top-k maintainer for
-// budgeted runs: register its Add method with WithProgress and read TopK at
-// any time while mining is still in flight.
+// budgeted runs: pass its Add method as Request.Progress and read TopK at any
+// time while mining is still in flight.
 //
 //	prog := metainsight.NewProgressiveRanker(10)
-//	a, _ := metainsight.NewAnalyzer(tab,
-//		metainsight.WithTimeBudget(30*time.Second),
-//		metainsight.WithProgress(prog.Add),
-//	)
-//	go a.Mine()
+//	go s.Analyze(ctx, metainsight.Request{
+//		TopK:     10,
+//		Budget:   metainsight.Budget{Time: 30 * time.Second},
+//		Progress: prog.Add,
+//	})
 //	... // prog.TopK() serves the current suggestion
 func NewProgressiveRanker(k int) *ranker.Progressive {
 	return ranker.NewProgressive(k, ranker.DefaultWeights(), 0)

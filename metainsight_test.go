@@ -1,6 +1,7 @@
 package metainsight_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,9 +14,31 @@ import (
 	"time"
 
 	"metainsight"
+	"metainsight/internal/experiments"
 	"metainsight/internal/model"
 	"metainsight/internal/workload"
 )
+
+// salesOnly is the measure set most house-table tests mine.
+var salesOnly = []metainsight.Measure{metainsight.Sum("Sales")}
+
+// analyzeOnce runs one request on a fresh session over tab.
+func analyzeOnce(t *testing.T, tab *metainsight.Dataset, req metainsight.Request, opts ...metainsight.Option) *metainsight.Analysis {
+	t.Helper()
+	s, err := metainsight.NewSession(tab, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	an, err := s.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an
+}
+
+// oneWorker is the session option of the tests that compare runs by count.
+var oneWorker = metainsight.WithExec(metainsight.ExecConfig{Workers: 1})
 
 // houseRecords builds the paper's running example as raw records.
 func houseRecords() ([]string, [][]string) {
@@ -42,11 +65,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insights, err := metainsight.Analyze(tab, 5,
-		metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	insights := analyzeOnce(t, tab, metainsight.Request{TopK: 5, Measures: salesOnly}).Insights
 	if len(insights) == 0 {
 		t.Fatal("no insights")
 	}
@@ -116,34 +135,22 @@ func TestAnalyzerBudgetsAndAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cost budget: deterministic and progressive.
-	a1, err := metainsight.NewAnalyzer(tab, metainsight.WithCostBudget(30), metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := a1.Mine()
-	a2, err := metainsight.NewAnalyzer(tab, metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := a2.Mine()
+	small := analyzeOnce(t, tab, metainsight.Request{Budget: metainsight.Budget{Cost: 30}}, oneWorker).Result
+	full := analyzeOnce(t, tab, metainsight.Request{}, oneWorker).Result
 	if len(small.MetaInsights) > len(full.MetaInsights) {
 		t.Error("budgeted run found more than the full run")
 	}
-	// Ablation options must not change the unbudgeted result set.
-	a3, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithoutQueryCache(),
-		metainsight.WithoutPatternCache(),
-		metainsight.WithFIFOQueues(),
-		metainsight.WithWorkers(1),
-	)
-	if err != nil {
-		t.Fatal(err)
+	// The paper's ablations (no query cache, no pattern cache, FIFO queues)
+	// run through experiments.Setup; they must not change the unbudgeted
+	// result set, only the query count.
+	golden, _ := experiments.FullFunctionality().Run(tab)
+	ablated, _ := experiments.Setup{Workers: 1}.Run(tab)
+	for _, res := range []*metainsight.MiningResult{golden, ablated} {
+		if len(res.MetaInsights) != len(full.MetaInsights) {
+			t.Errorf("experiments.Setup mined %d, the session %d", len(res.MetaInsights), len(full.MetaInsights))
+		}
 	}
-	ablated := a3.Mine()
-	if len(ablated.MetaInsights) != len(full.MetaInsights) {
-		t.Errorf("ablations changed results: %d vs %d", len(ablated.MetaInsights), len(full.MetaInsights))
-	}
-	if ablated.Stats.ExecutedQueries <= full.Stats.ExecutedQueries {
+	if ablated.Stats.ExecutedQueries <= golden.Stats.ExecutedQueries {
 		t.Error("disabling the caches should execute more queries")
 	}
 }
@@ -177,7 +184,7 @@ func TestAnalyzerMineIsHermetic(t *testing.T) {
 		for _, budget := range []float64{0, 200} {
 			var ref *run
 			for _, workers := range []int{1, 8} {
-				opts := []metainsight.Option{metainsight.WithWorkers(workers)}
+				opts := []metainsight.Option{metainsight.WithExec(metainsight.ExecConfig{Workers: workers})}
 				if budget > 0 {
 					opts = append(opts, metainsight.WithCostBudget(budget))
 				}
@@ -211,12 +218,8 @@ func TestWithTimeBudgetStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithTimeBudget(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	a.Mine()
+	analyzeOnce(t, tab, metainsight.Request{Budget: metainsight.Budget{Time: 50 * time.Millisecond}})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("time budget ignored: ran %v", elapsed)
 	}
@@ -228,15 +231,9 @@ func TestWithTauChangesAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := metainsight.NewAnalyzer(tab, metainsight.WithTau(0.7), metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := metainsight.NewAnalyzer(tab, metainsight.WithTau(0.3), metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, nl := len(strict.Mine().MetaInsights), len(loose.Mine().MetaInsights)
+	strict := analyzeOnce(t, tab, metainsight.Request{Tau: 0.7}, oneWorker).Result
+	loose := analyzeOnce(t, tab, metainsight.Request{Tau: 0.3}, oneWorker).Result
+	ns, nl := len(strict.MetaInsights), len(loose.MetaInsights)
 	if ns > nl {
 		t.Errorf("τ=0.7 found %d, τ=0.3 found %d — higher τ must be a subset", ns, nl)
 	}
@@ -245,12 +242,15 @@ func TestWithTauChangesAcceptance(t *testing.T) {
 func TestNewAnalyzerRejectsBadConfig(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
-	if _, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithImpactMeasure(metainsight.Avg("Sales"))); err == nil {
+	s, err := metainsight.NewSession(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Analyze(ctx, metainsight.Request{ImpactMeasure: metainsight.Avg("Sales")}); err == nil {
 		t.Error("non-additive impact measure accepted")
 	}
-	if _, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Nope"))); err == nil {
+	if _, err := s.Analyze(ctx, metainsight.Request{Measures: []metainsight.Measure{metainsight.Sum("Nope")}}); err == nil {
 		t.Error("unknown measure accepted")
 	}
 }
@@ -258,11 +258,7 @@ func TestNewAnalyzerRejectsBadConfig(t *testing.T) {
 func TestDescribeHelpers(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.Mine()
+	res := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly}).Result
 	if len(res.MetaInsights) == 0 {
 		t.Fatal("no results")
 	}
@@ -328,17 +324,12 @@ func TestCustomPatternTypeEndToEnd(t *testing.T) {
 			}
 		},
 	}
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Revenue")),
-		metainsight.WithCustomPatternTypes(quarterEnd),
-		metainsight.WithWorkers(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
+	an := analyzeOnce(t, tab, metainsight.Request{
+		TopK:     20,
+		Measures: []metainsight.Measure{metainsight.Sum("Revenue")},
+	}, metainsight.WithCustomPatternTypes(quarterEnd), oneWorker)
 	var found *metainsight.Insight
-	for _, in := range a.Rank(result, 20) {
+	for _, in := range an.Insights {
 		if strings.Contains(in.Description(), "Quarter-End Spike") {
 			found = in
 			break
@@ -359,11 +350,7 @@ func TestCustomPatternTypeEndToEnd(t *testing.T) {
 func TestInsightMarshalJSON(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
-	insights, err := metainsight.Analyze(tab, 3,
-		metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	insights := analyzeOnce(t, tab, metainsight.Request{TopK: 3, Measures: salesOnly}).Insights
 	if len(insights) == 0 {
 		t.Fatal("no insights")
 	}
@@ -390,18 +377,14 @@ func TestWithProgressStreamsDiscoveries(t *testing.T) {
 	tab, _ := metainsight.FromRecords("houses", header, records)
 	var mu sync.Mutex
 	var streamed []string
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithProgress(func(mi *metainsight.MetaInsight) {
+	result := analyzeOnce(t, tab, metainsight.Request{
+		Measures: salesOnly,
+		Progress: func(mi *metainsight.MetaInsight) {
 			mu.Lock()
 			streamed = append(streamed, mi.Key())
 			mu.Unlock()
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
+		},
+	}).Result
 	mu.Lock()
 	defer mu.Unlock()
 	if len(streamed) != len(result.MetaInsights) {
@@ -422,15 +405,7 @@ func TestProgressiveRankerDuringMining(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
 	prog := metainsight.NewProgressiveRanker(3)
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithProgress(prog.Add),
-		metainsight.WithWorkers(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
+	result := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly, Progress: prog.Add}, oneWorker).Result
 	if prog.Added() != len(result.MetaInsights) {
 		t.Fatalf("progressive saw %d of %d discoveries", prog.Added(), len(result.MetaInsights))
 	}
@@ -474,14 +449,7 @@ func TestBreakdownExtensionAcrossDerivedGranularities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithWorkers(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
+	result := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly}, oneWorker).Result
 	found := false
 	for _, mi := range result.MetaInsights {
 		if mi.HDP.HDS.Kind != model.ExtendBreakdown {
@@ -504,15 +472,9 @@ func TestBreakdownExtensionAcrossDerivedGranularities(t *testing.T) {
 func TestWriteReportEndToEnd(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := a.Rank(a.Mine(), 3)
+	an := analyzeOnce(t, tab, metainsight.Request{TopK: 3, Measures: salesOnly}, oneWorker)
 	var buf strings.Builder
-	if err := a.WriteReport(&buf, top, "Houses"); err != nil {
+	if err := an.WriteReport(&buf, "Houses"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -555,17 +517,14 @@ func TestCorrelationPatternsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales"), metainsight.Sum("Profit")),
-		metainsight.WithCorrelationPatterns([2]metainsight.Measure{
-			metainsight.Sum("Sales"), metainsight.Sum("Profit"),
-		}),
-		metainsight.WithWorkers(1),
-	)
-	if err != nil {
-		t.Fatal(err)
+	req := metainsight.Request{
+		TopK:     25,
+		Measures: []metainsight.Measure{metainsight.Sum("Sales"), metainsight.Sum("Profit")},
 	}
-	result := a.Mine()
+	an := analyzeOnce(t, tab, req, metainsight.WithCorrelationPatterns([2]metainsight.Measure{
+		metainsight.Sum("Sales"), metainsight.Sum("Profit"),
+	}), oneWorker)
+	result := an.Result
 	corrType := metainsight.CustomPatternType(0)
 	var found *metainsight.MetaInsight
 	for _, mi := range result.MetaInsights {
@@ -603,7 +562,7 @@ func TestCorrelationPatternsEndToEnd(t *testing.T) {
 	}
 	// Through the ranked Insight view the custom type renders by name.
 	named := false
-	for _, in := range a.Rank(result, 25) {
+	for _, in := range an.Insights {
 		if strings.Contains(in.Description(), "Correlation(SUM(Sales), SUM(Profit))") {
 			named = true
 			break
@@ -616,16 +575,10 @@ func TestCorrelationPatternsEndToEnd(t *testing.T) {
 	// A MIN/MAX secondary is declared only through the evaluator's Requires
 	// set: the session-built substrate must materialize it, or the query the
 	// evaluator issues fails with "unit lacks column".
-	a, err = metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales"), metainsight.Sum("Profit")),
-		metainsight.WithCorrelationPatterns([2]metainsight.Measure{
-			metainsight.Sum("Sales"), metainsight.Max("Profit"),
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Engine().BasicQuery(metainsight.DataScope{
+	an = analyzeOnce(t, tab, req, metainsight.WithCorrelationPatterns([2]metainsight.Measure{
+		metainsight.Sum("Sales"), metainsight.Max("Profit"),
+	}))
+	if _, err := an.Engine().BasicQuery(metainsight.DataScope{
 		Breakdown: "Month", Measure: metainsight.Max("Profit"),
 	}); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"metainsight"
 	"metainsight/internal/workload"
@@ -15,18 +17,8 @@ import (
 // stats (query-cache bytes zeroed; sizes are reporting-only best-effort).
 func mineWorkload(t *testing.T, tab *metainsight.Dataset, workers int, ob *metainsight.Observer) (map[string]bool, metainsight.MiningStats) {
 	t.Helper()
-	opts := []metainsight.Option{
-		metainsight.WithCostBudget(800),
-		metainsight.WithWorkers(workers),
-	}
-	if ob != nil {
-		opts = append(opts, metainsight.WithObserver(ob))
-	}
-	a, err := metainsight.NewAnalyzer(tab, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.Mine()
+	res := analyzeOnce(t, tab, metainsight.Request{Budget: metainsight.Budget{Cost: 800}, Observer: ob},
+		metainsight.WithExec(metainsight.ExecConfig{Workers: workers})).Result
 	st := res.Stats
 	st.QueryCacheStats.Bytes = 0
 	return res.Keys(), st
@@ -77,7 +69,7 @@ func TestObserverInertness(t *testing.T) {
 
 // TestTraceStoreOrderMatchesDiscoveryOrder checks the trace contract: the
 // "store" events appear in exactly the deterministic discovery order that
-// WithProgress observes, and the trace round-trips through JSONL.
+// Request.Progress observes, and the trace round-trips through JSONL.
 func TestTraceStoreOrderMatchesDiscoveryOrder(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
@@ -86,18 +78,13 @@ func TestTraceStoreOrderMatchesDiscoveryOrder(t *testing.T) {
 	}
 	var discovered []string
 	ob := metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 14})
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithWorkers(8),
-		metainsight.WithObserver(ob),
-		metainsight.WithProgress(func(mi *metainsight.MetaInsight) {
+	res := analyzeOnce(t, tab, metainsight.Request{
+		Measures: salesOnly,
+		Observer: ob,
+		Progress: func(mi *metainsight.MetaInsight) {
 			discovered = append(discovered, mi.Key())
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.Mine()
+		},
+	}, metainsight.WithExec(metainsight.ExecConfig{Workers: 8})).Result
 	if len(res.MetaInsights) == 0 || len(discovered) == 0 {
 		t.Fatal("mined nothing")
 	}
@@ -115,7 +102,7 @@ func TestTraceStoreOrderMatchesDiscoveryOrder(t *testing.T) {
 		}
 	}
 	if len(stored) != len(discovered) {
-		t.Fatalf("trace has %d store events, WithProgress saw %d discoveries", len(stored), len(discovered))
+		t.Fatalf("trace has %d store events, Progress saw %d discoveries", len(stored), len(discovered))
 	}
 	for i := range stored {
 		if stored[i] != discovered[i] {
@@ -146,28 +133,30 @@ func TestTraceStoreOrderMatchesDiscoveryOrder(t *testing.T) {
 
 // TestMineContextCancellation checks the satellite contract: a cancelled
 // context stops mining at a unit-commit boundary and returns the best-so-far
-// result with Stats.Cancelled set.
+// result with Stats.Cancelled set, still ranked.
 func TestMineContextCancellation(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newAnalyzer := func() *metainsight.Analyzer {
-		a, err := metainsight.NewAnalyzer(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	full := newAnalyzer().Mine()
+	req := metainsight.Request{TopK: 5, Measures: salesOnly}
+	full := analyzeOnce(t, tab, req).Result
 	if full.Stats.Cancelled {
 		t.Error("uncancelled run reported Cancelled")
 	}
 
+	s, err := metainsight.NewSession(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first commit
-	res := newAnalyzer().MineContext(ctx)
+	an, err := s.Analyze(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := an.Result
 	if !res.Stats.Cancelled {
 		t.Error("cancelled run did not report Cancelled")
 	}
@@ -175,56 +164,47 @@ func TestMineContextCancellation(t *testing.T) {
 		t.Errorf("cancelled run mined more than a full run: %d vs %d",
 			len(res.MetaInsights), len(full.MetaInsights))
 	}
-
-	// AnalyzeContext still ranks whatever was mined.
-	if _, err := metainsight.AnalyzeContext(ctx, tab, 5,
-		metainsight.WithMeasures(metainsight.Sum("Sales"))); err != nil {
-		t.Fatal(err)
+	if len(an.Insights) > len(res.MetaInsights) {
+		t.Errorf("ranked %d insights out of %d mined", len(an.Insights), len(res.MetaInsights))
 	}
 }
 
 // TestConflictingBudgetsRejected checks the satellite contract: combining a
-// time budget with a cost budget is a construction-time error, not a silent
-// precedence rule.
+// time budget with a cost budget is an error, not a silent precedence rule.
 func TestConflictingBudgetsRejected(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = metainsight.NewAnalyzer(tab,
-		metainsight.WithTimeBudget(1e9),
-		metainsight.WithCostBudget(100))
-	if err == nil {
-		t.Fatal("NewAnalyzer accepted both a time budget and a cost budget")
+	s, err := metainsight.NewSession(tab)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err != metainsight.ErrConflictingBudgets {
-		t.Errorf("err = %v, want ErrConflictingBudgets", err)
+	an, err := s.Analyze(context.Background(), metainsight.Request{
+		Budget: metainsight.Budget{Time: time.Second, Cost: 100},
+	})
+	if an != nil || !errors.Is(err, metainsight.ErrConflictingBudgets) {
+		t.Errorf("analysis %v, err = %v, want ErrConflictingBudgets", an, err)
 	}
 }
 
-// TestWithTauComposes checks the WithTau fix: the option only touches τ, so a
-// run with the default τ passed explicitly is bit-identical to a run with no
-// options, and the remaining score parameters still receive their lazy
-// defaults.
+// TestWithTauComposes checks that Request.Tau only touches τ: a run with the
+// default τ passed explicitly is bit-identical to a run without it, and the
+// remaining score parameters still receive their lazy defaults.
 func TestWithTauComposes(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opts ...metainsight.Option) metainsight.MiningStats {
-		opts = append(opts, metainsight.WithMeasures(metainsight.Sum("Sales")))
-		a, err := metainsight.NewAnalyzer(tab, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := a.Mine().Stats
+	run := func(tau float64) metainsight.MiningStats {
+		st := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly, Tau: tau}).Result.Stats
 		st.QueryCacheStats.Bytes = 0
 		return st
 	}
-	if plain, tau := run(), run(metainsight.WithTau(0.5)); plain != tau {
-		t.Errorf("WithTau(default) changed the run:\n  plain: %+v\n  tau:   %+v", plain, tau)
+	if plain, tau := run(0), run(0.5); plain != tau {
+		t.Errorf("Tau 0.5 (the default) changed the run:\n  plain: %+v\n  tau:   %+v", plain, tau)
 	}
 }
 
@@ -237,11 +217,7 @@ func TestStatsStringAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := a.Mine().Stats
+	st := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly}).Result.Stats
 
 	line := st.String()
 	for _, want := range []string{"units[", "patterns=", "queries[", "cost="} {
@@ -275,7 +251,7 @@ func TestStatsStringAndJSON(t *testing.T) {
 	}
 }
 
-// TestSnapshotPublishesEngineAndCacheGauges checks Analyzer.Snapshot: it
+// TestSnapshotPublishesEngineAndCacheGauges checks Analysis.Snapshot: it
 // reflects the meter and the caches' occupancy into gauges, carries the
 // canonical cache accounting (and no physical hit/miss counts, which the
 // caches no longer keep), includes phase timers, and encodes stably.
@@ -286,15 +262,7 @@ func TestSnapshotPublishesEngineAndCacheGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	ob := metainsight.NewObserver(metainsight.ObserverOptions{})
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithObserver(ob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Rank(a.Mine(), 5)
-
-	snap := a.Snapshot()
+	snap := analyzeOnce(t, tab, metainsight.Request{TopK: 5, Measures: salesOnly, Observer: ob}).Snapshot()
 	for _, g := range []string{
 		"engine.cost_units", "engine.queries.executed",
 		"cache.query.entries", "cache.pattern.entries",
@@ -329,12 +297,7 @@ func TestSnapshotPublishesEngineAndCacheGauges(t *testing.T) {
 	}
 
 	// No observer → empty snapshot, no panic.
-	b, err := metainsight.NewAnalyzer(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Mine()
-	empty := b.Snapshot()
+	empty := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly}).Snapshot()
 	if len(empty.Counters) != 0 || len(empty.Gauges) != 0 {
 		t.Errorf("observer-less snapshot not empty: %+v", empty)
 	}

@@ -2,10 +2,12 @@ package metainsight
 
 // The Session API is the package's primary analysis surface: a Session
 // loads and indexes a dataset once and then serves many Analyze calls, each
-// parameterized by a Request. Construction-time settings (execution layout,
-// resilience, durability, custom patterns, ranking weights) are grouped
-// into typed configs attached via SessionOption; per-call knobs (measures,
-// budgets, τ, top-k) travel in the Request.
+// parameterized by a Request. Every setting has exactly one spelling:
+// per-call knobs (measures, budgets, τ, top-k, pruning, progress, observer)
+// live only in the Request; session-wide settings live only in the grouped
+// configs (WithExec, WithResilience, WithDurability) and the pattern
+// registration and substrate options, which have no per-call meaning.
+// resolve merges the two into one configuration per call.
 //
 // Every Analyze call is hermetic: it runs with fresh query/pattern caches
 // and a fresh meter, so its result — insights, statistics and trace — is
@@ -16,9 +18,9 @@ package metainsight
 // substrates (intern tables, plan caches, accumulator pools), reused from a
 // registry keyed by their full configuration.
 //
-// The pre-Session construction surface (NewAnalyzer, Analyze and the flat
-// With* options) remains supported as thin deprecated shims over this API;
-// see the migration table in README.md.
+// The pre-Session construction surface survives only as the deprecated
+// NewAnalyzer, WithObserver, WithProgress and WithCostBudget shims; see the
+// migration table in README.md.
 
 import (
 	"context"
@@ -34,14 +36,7 @@ import (
 	"metainsight/internal/engine"
 	"metainsight/internal/miner"
 	"metainsight/internal/pattern"
-	"metainsight/internal/ranker"
 )
-
-// SessionOption configures a Session at construction. It is the same type
-// as the legacy Option, so every existing With* option can be passed to
-// NewSession unchanged; prefer the grouped WithExec / WithResilience /
-// WithDurability configs for new code.
-type SessionOption = Option
 
 // ExecConfig groups the execution-layout settings: inter-query parallelism
 // (Workers) and intra-scan parallelism (ScanParallelism). Zero-valued fields
@@ -51,10 +46,18 @@ type ExecConfig struct {
 	// Workers is the number of evaluation goroutines (default 8). Results
 	// are bit-identical for any value.
 	Workers int
-	// ScanParallelism is how many goroutines one physical scan may use — the
-	// one way a scan spreads over cores: 0 (the default) is GOMAXPROCS, 1 is
-	// the sequential path, n > 1 is n. Bit-identical for any value; see
-	// WithScanParallelism.
+	// ScanParallelism is how many goroutines one physical scan of the
+	// default columnar substrate may use — the one way a scan spreads over
+	// cores: 0 (the default) is GOMAXPROCS, 1 is the sequential path, n > 1
+	// is n; a scan that fits one morsel (8192 rows) runs inline whatever the
+	// setting. This is intra-query parallelism, orthogonal to Workers'
+	// inter-query parallelism: it is what uses the other cores while the
+	// miner can run only one unit (DESIGN.md §13). Scan results — and
+	// therefore every mined insight, statistic and checkpoint — are
+	// bit-identical for any value: the scan pipeline splits rows into
+	// fixed-size morsels and merges partial aggregates in morsel-index order,
+	// so the floating-point grouping never depends on n. Ignored when
+	// WithSubstrate replaces the default substrate.
 	ScanParallelism int
 }
 
@@ -69,9 +72,18 @@ type ResilienceConfig struct {
 	DegradedThreshold float64
 }
 
-// DurabilityConfig groups crash-safety: checkpoint journaling and resume. A
-// resumed run continues bit-identically except under Budget.Time, which
-// re-anchors on resume.
+// DurabilityConfig groups crash-safety: checkpoint journaling and resume.
+// With a CheckpointDir the miner journals every committed unit there (an
+// append-only, CRC-framed log of the canonical commit stream) and writes an
+// atomic snapshot of its full state every Every commits plus once at loop
+// exit. A fresh run refuses a directory that already holds a checkpoint
+// (ErrCheckpointExists). After a crash or cancellation, the same directory
+// with Resume set restores the latest valid snapshot, replays the journal
+// tail (tolerating a torn final record) by deterministic re-execution and
+// re-enters the mining loop: the resumed run's results, statistics and trace
+// continue exactly where the interrupted run stopped, at any worker count,
+// except under Budget.Time, which re-anchors on resume. Checkpointing
+// continues into the same directory.
 type DurabilityConfig struct {
 	// CheckpointDir is the checkpoint directory. Empty disables
 	// checkpointing.
@@ -105,20 +117,12 @@ func WithResilience(c ResilienceConfig) Option {
 	}
 }
 
-// WithDurability applies a durability config; equivalent to WithCheckpoint
-// or ResumeFromCheckpoint depending on Resume.
+// WithDurability applies a durability config. An empty CheckpointDir leaves
+// prior settings untouched.
 func WithDurability(c DurabilityConfig) Option {
 	return func(o *analyzerOptions) {
-		if c.CheckpointDir == "" {
-			return
-		}
-		if c.Resume {
-			o.resumeDir = c.CheckpointDir
-		} else {
-			o.ckDir = c.CheckpointDir
-		}
-		if c.Every != 0 {
-			o.ckEvery = c.Every
+		if c.CheckpointDir != "" {
+			o.checkpoint = &miner.CheckpointSpec{Dir: c.CheckpointDir, Every: c.Every, Resume: c.Resume}
 		}
 	}
 }
@@ -136,8 +140,8 @@ type Budget struct {
 	Cost float64
 }
 
-// Request parameterizes one Session.Analyze call. Zero-valued fields take
-// the session's settings (or the library defaults).
+// Request parameterizes one Session.Analyze call; it is the only home of
+// the per-call settings. Zero-valued fields take the library defaults.
 type Request struct {
 	// Measures is the mined measure set M (default: SUM over every measure
 	// column plus COUNT(*)).
@@ -149,97 +153,102 @@ type Request struct {
 	// count). Values <= 0 return no ranked insights; the Analysis still
 	// carries every mined candidate in Result.
 	TopK int
-	// MaxFilters caps the number of subspace filters (default 3).
+	// MaxFilters caps the number of subspace filters (default 3; negative
+	// values are rejected).
 	MaxFilters int
 	// Budget bounds the call by wall clock or by deterministic cost units.
 	Budget Budget
-	// Tau overrides the commonness threshold τ (default 0.5).
+	// Tau overrides the commonness threshold τ (default 0.5). A non-zero τ
+	// must lie strictly between 0 and 1: a commonness needs a share of the
+	// patterns above τ, and the score's S* term is undefined outside (0, 1).
 	Tau float64
-	// TopKPruning enables S*-bounded early termination with the given k;
-	// see WithTopKPruning. Must be > 0 when set.
+	// TopKPruning enables S*-bounded early termination: once k MetaInsights
+	// are committed, candidates whose score upper bound (Lemma 4.1's S*
+	// combined with the impact term of Equation 18) cannot strictly beat the
+	// k-th best committed score are cut before evaluation, so their sibling
+	// scans never run. Every MetaInsight whose score strictly exceeds the
+	// run's final k-th best score is still mined, so the score-ordered top k
+	// is preserved; mine with headroom (e.g. 2–4× TopK) because the
+	// diversity-weighted ranking may promote lower-scoring insights. Zero
+	// (the default) mines the complete candidate set; negative values are
+	// rejected (ErrInvalidTopKPruning).
 	TopKPruning int
-	// Progress, when set, is invoked for each newly stored MetaInsight in
-	// deterministic discovery order.
+	// Progress, when set, is invoked for each newly stored MetaInsight,
+	// enabling progressive display during a budgeted run. It is called
+	// serially from the miner's dispatcher goroutine, in deterministic
+	// discovery order, and should be fast: unit commits pause while it runs.
 	Progress func(*MetaInsight)
-	// Observer, when set, receives this call's metrics and trace,
-	// overriding the session observer for the call.
+	// Observer, when set, receives this call's atomic metrics and phase
+	// timers, plus (if it was built with a trace capacity) a structured run
+	// trace recorded in deterministic commit order. Observers are inert:
+	// results and statistics are bit-identical with or without one, at any
+	// worker count. Read it back with Analysis.Snapshot.
 	Observer *Observer
 }
 
-// options lowers the request to the legacy option list, applied after the
-// session's options so per-call settings win.
-func (r Request) options() []Option {
-	var opts []Option
-	if r.Measures != nil {
-		opts = append(opts, WithMeasures(r.Measures...))
-	}
-	if r.ImpactMeasure != (Measure{}) {
-		opts = append(opts, WithImpactMeasure(r.ImpactMeasure))
-	}
-	if r.MaxFilters > 0 {
-		opts = append(opts, WithMaxSubspaceFilters(r.MaxFilters))
-	}
-	if r.Budget.Time > 0 {
-		opts = append(opts, WithTimeBudget(r.Budget.Time))
-	}
-	if r.Budget.Cost > 0 {
-		opts = append(opts, WithCostBudget(r.Budget.Cost))
-	}
-	if r.Tau != 0 {
-		opts = append(opts, WithTau(r.Tau))
-	}
-	if r.TopKPruning != 0 {
-		opts = append(opts, WithTopKPruning(r.TopKPruning))
-	}
-	if r.Progress != nil {
-		opts = append(opts, WithProgress(r.Progress))
-	}
-	if r.Observer != nil {
-		opts = append(opts, WithObserver(r.Observer))
-	}
-	return opts
-}
-
-// Construction-time validation errors. Conflicting or malformed options are
-// rejected by NewSession / NewAnalyzer with one of these (test with
-// errors.Is) instead of surfacing as surprising behavior mid-run.
+// Validation errors. Conflicting or malformed settings are rejected by
+// NewSession or Session.Analyze with one of these (test with errors.Is)
+// instead of surfacing as surprising behavior mid-run.
 var (
-	// ErrConflictingCheckpoints: ResumeFromCheckpoint and WithCheckpoint
-	// (or DurabilityConfig equivalents) name different directories. Naming
-	// the same directory is fine — it resumes and keeps checkpointing there.
-	ErrConflictingCheckpoints = errors.New(
-		"metainsight: ResumeFromCheckpoint and WithCheckpoint name different directories; use one directory")
-	// ErrInvalidTopKPruning: WithTopKPruning (or Request.TopKPruning)
-	// requires k > 0; omit the option to disable early termination.
+	// ErrInvalidTopKPruning: Request.TopKPruning was negative; zero
+	// disables early termination.
 	ErrInvalidTopKPruning = errors.New(
-		"metainsight: WithTopKPruning requires k > 0; omit the option to disable early termination")
-	// ErrNegativeOption: a count option (workers, scan parallelism,
-	// substrate cache limit) was negative.
+		"metainsight: Request.TopKPruning must not be negative; 0 disables early termination")
+	// ErrNegativeOption: a count setting (workers, scan parallelism, max
+	// filters) was negative.
 	ErrNegativeOption = errors.New("metainsight: option value must be non-negative")
 	// ErrSessionClosed: Analyze was called on a closed session.
 	ErrSessionClosed = errors.New("metainsight: session is closed")
 )
 
-// resolveOptions applies the option list over the defaults and validates
-// the combination; every construction path (NewSession, Session.Analyze,
-// NewAnalyzer) funnels through it, so conflicts surface identically
-// everywhere.
-func resolveOptions(opts []Option) (*analyzerOptions, error) {
-	o := &analyzerOptions{
-		minerCfg: miner.DefaultConfig(),
-		weights:  ranker.DefaultWeights(),
-	}
-	o.minerCfg.UsePriorityQueues = true
+// resolve builds one analysis' configuration: the session's options applied
+// over the defaults, then the request's fields written over them, then one
+// validation pass. Every construction path (NewSession with a zero Request,
+// Session.Analyze, NewAnalyzer) funnels through it, so conflicts surface
+// identically everywhere.
+func resolve(opts []Option, req Request) (*analyzerOptions, error) {
+	o := &analyzerOptions{minerCfg: miner.DefaultConfig()}
 	for _, opt := range opts {
 		opt(o)
 	}
+	if req.Measures != nil {
+		o.measures = req.Measures
+	}
+	if req.ImpactMeasure != (Measure{}) {
+		o.impact = req.ImpactMeasure
+	}
+	if req.MaxFilters != 0 {
+		o.minerCfg.MaxSubspaceFilters = req.MaxFilters
+	}
+	if req.Budget.Time > 0 {
+		o.timeBudget = req.Budget.Time
+	}
+	if req.Budget.Cost > 0 {
+		o.costBudget = req.Budget.Cost
+	}
+	if req.Tau != 0 {
+		o.minerCfg.Score.Tau = req.Tau
+	}
+	if req.TopKPruning != 0 {
+		o.minerCfg.TopK = req.TopKPruning
+	}
+	if req.Progress != nil {
+		o.minerCfg.OnMetaInsight = req.Progress
+	}
+	if req.Observer != nil {
+		o.observer = req.Observer
+	}
+
 	if o.timeBudget > 0 && o.costBudget > 0 {
 		return nil, ErrConflictingBudgets
+	}
+	if tau := o.minerCfg.Score.Tau; !(tau > 0 && tau < 1) {
+		return nil, fmt.Errorf("metainsight: τ = %v is outside (0, 1)", tau)
 	}
 	if math.IsNaN(o.minerCfg.DegradedThreshold) {
 		return nil, errors.New("metainsight: degraded threshold is NaN")
 	}
-	if o.topKSet && o.minerCfg.TopK <= 0 {
+	if o.minerCfg.TopK < 0 {
 		return nil, ErrInvalidTopKPruning
 	}
 	if o.minerCfg.Workers < 0 {
@@ -248,16 +257,8 @@ func resolveOptions(opts []Option) (*analyzerOptions, error) {
 	if o.scanPar < 0 {
 		return nil, fmt.Errorf("%w: scan parallelism %d", ErrNegativeOption, o.scanPar)
 	}
-	if o.subLimit < 0 {
-		return nil, fmt.Errorf("%w: substrate cache limit %d", ErrNegativeOption, o.subLimit)
-	}
-	switch {
-	case o.resumeDir != "" && o.ckDir != "" && o.resumeDir != o.ckDir:
-		return nil, ErrConflictingCheckpoints
-	case o.resumeDir != "":
-		o.checkpoint = &miner.CheckpointSpec{Dir: o.resumeDir, Every: o.ckEvery, Resume: true}
-	case o.ckDir != "":
-		o.checkpoint = &miner.CheckpointSpec{Dir: o.ckDir, Every: o.ckEvery}
+	if o.minerCfg.MaxSubspaceFilters < 0 {
+		return nil, fmt.Errorf("%w: max filters %d", ErrNegativeOption, o.minerCfg.MaxSubspaceFilters)
 	}
 	return o, nil
 }
@@ -274,7 +275,7 @@ type Session struct {
 	mu       sync.Mutex
 	closed   bool
 	subs     map[string]*substrateEntry
-	subLimit int
+	subLimit int // substrateCacheLimit; tests shrink it
 	useSeq   int64
 }
 
@@ -288,42 +289,30 @@ type substrateEntry struct {
 	ctor    int64
 }
 
-// DefaultSubstrateCacheLimit bounds how many distinct physical substrates a
-// session retains. Each distinct substrate-shaping configuration (scan
-// parallelism, MIN/MAX column set, session observer) builds one substrate; a
-// resident server handling heterogeneous requests would otherwise grow the
-// registry forever. Override with WithSubstrateCacheLimit.
-const DefaultSubstrateCacheLimit = 16
-
-// WithSubstrateCacheLimit bounds the session's substrate registry to at most
-// n cached physical substrates, evicted least-recently-used first (ties by
-// construction order). 0 keeps DefaultSubstrateCacheLimit. Eviction never
-// changes results — an evicted substrate is rebuilt on next use — it only
-// re-pays interning and plan-cache warmup.
-func WithSubstrateCacheLimit(n int) Option {
-	return func(o *analyzerOptions) { o.subLimit = n }
-}
+// substrateCacheLimit bounds how many distinct physical substrates a session
+// retains, evicted least-recently-used first (ties by construction order).
+// Each distinct substrate-shaping configuration (scan parallelism, MIN/MAX
+// column set, session observer) builds one substrate; a resident server
+// handling heterogeneous requests would otherwise grow the registry forever.
+// Eviction never changes results — an evicted substrate is rebuilt on next
+// use — it only re-pays interning and plan-cache warmup.
+const substrateCacheLimit = 16
 
 // NewSession creates a session over a dataset. Construction validates the
-// option combination eagerly (see the Err* construction errors), so a
+// option combination eagerly (see the validation errors), so a
 // misconfigured session fails here rather than on first Analyze.
-func NewSession(d *Dataset, opts ...SessionOption) (*Session, error) {
+func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 	if d == nil {
 		return nil, errors.New("metainsight: nil dataset")
 	}
-	o, err := resolveOptions(opts)
-	if err != nil {
+	if _, err := resolve(opts, Request{}); err != nil {
 		return nil, err
-	}
-	limit := o.subLimit
-	if limit == 0 {
-		limit = DefaultSubstrateCacheLimit
 	}
 	return &Session{
 		d:        d,
 		opts:     append([]Option(nil), opts...),
 		subs:     make(map[string]*substrateEntry),
-		subLimit: limit,
+		subLimit: substrateCacheLimit,
 	}, nil
 }
 
@@ -379,10 +368,11 @@ func (an *Analysis) WriteReport(w io.Writer, title string) error {
 // queries are never charged: they move neither the meter nor Result.Stats.
 func (an *Analysis) Engine() *engine.Engine { return an.a.Engine() }
 
-// Analyze mines and ranks one request. The error mirrors the legacy
-// Analyze contract: it may wrap ErrDegraded (best-effort result, substrate
-// queries failed) or a checkpoint sentinel, and the returned Analysis is still
-// valid best-effort output whenever it is non-nil.
+// Analyze mines and ranks one request. A cancelled context stops mining at
+// the next unit commit and still ranks whatever was mined. The error may
+// wrap ErrDegraded (best-effort result, substrate queries failed) or a
+// checkpoint sentinel, and the returned Analysis is still valid best-effort
+// output whenever it is non-nil.
 func (s *Session) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 	a, err := s.analyzer(req)
 	if err != nil {
@@ -402,8 +392,7 @@ func (s *Session) analyzer(req Request) (*Analyzer, error) {
 	if closed {
 		return nil, ErrSessionClosed
 	}
-	all := append(append([]Option(nil), s.opts...), req.options()...)
-	o, err := resolveOptions(all)
+	o, err := resolve(s.opts, req)
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +446,7 @@ func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]b
 	// Bounded registry: evict least-recently-used entries (ties broken by
 	// construction order) until the limit holds. Eviction only drops the
 	// cached reference; an in-flight Analyze keeps its substrate alive.
-	for s.subLimit > 0 && len(s.subs) > s.subLimit {
+	for len(s.subs) > s.subLimit {
 		var victim string
 		var ve *substrateEntry
 		for k, e := range s.subs {
@@ -471,12 +460,12 @@ func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]b
 	return sub, nil
 }
 
-// buildAnalyzer assembles the execution state (engine, miner config,
-// ranking weights) from a resolved option set. It is the single
-// construction path behind both Session.Analyze and the deprecated
-// NewAnalyzer shim, which is what makes the two surfaces bit-identical.
+// buildAnalyzer assembles the execution state (engine, miner config) from a
+// resolved configuration. It is the single construction path behind both
+// Session.Analyze and the deprecated NewAnalyzer shim, which is what makes
+// the two surfaces bit-identical.
 func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, error) {
-	a := &Analyzer{d: d, o: o, sub: o.substrate, wts: o.weights, obs: o.observer, timeBudget: o.timeBudget}
+	a := &Analyzer{d: d, o: o, sub: o.substrate, obs: o.observer, timeBudget: o.timeBudget}
 	if err := a.reset(sess); err != nil {
 		return nil, err
 	}
@@ -489,7 +478,7 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 // (from sess's registry when the options name none) and reused after.
 func (a *Analyzer) reset(sess *Session) error {
 	o := a.o
-	qc := cache.NewQueryCache(!o.disableQC)
+	qc := cache.NewQueryCache(true)
 	meter := &engine.Meter{}
 	// The needed-aggregate set: measures that registered evaluators will
 	// query beyond the mined measure set. Custom patterns declare theirs via
@@ -538,7 +527,7 @@ func (a *Analyzer) reset(sess *Session) error {
 	}
 	// The pattern cache is created here, not inside the miner, so Snapshot
 	// can report its stats.
-	cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](!o.disablePC)
+	cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](true)
 	cfg.Observer = o.observer
 	cfg.Checkpoint = o.checkpoint
 	if o.costBudget > 0 {

@@ -18,7 +18,6 @@ import (
 func TestSessionConcurrentAnalyze(t *testing.T) {
 	tab := fracTable(t, 900)
 	sess, err := metainsight.NewSession(tab,
-		metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
 		metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: 2}))
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +31,7 @@ func TestSessionConcurrentAnalyze(t *testing.T) {
 		{TopK: 5, MaxFilters: 2},
 	}
 	analyze := func(req metainsight.Request) (runFacts, error) {
+		req.Measures = fracMeasures
 		an, err := sess.Analyze(context.Background(), req)
 		if err != nil {
 			return runFacts{}, err

@@ -4,8 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
+
+	"metainsight/internal/engine"
+	"metainsight/internal/miner"
 )
 
 // lruTable builds a small in-package fixture (the external houseRecords
@@ -48,11 +54,12 @@ func minOver(mask int) Request {
 // must not grow the registry past the configured limit.
 func TestSessionSubstrateLRUBound(t *testing.T) {
 	tab := lruTable(t)
-	s, err := NewSession(tab, WithSubstrateCacheLimit(2))
+	s, err := NewSession(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.subLimit = 2
 	for mask := 1; mask <= 6; mask++ {
 		if _, err := s.Analyze(context.Background(), minOver(mask)); err != nil {
 			t.Fatalf("analyze %d: %v", mask, err)
@@ -123,11 +130,12 @@ func TestSessionRequestObserverNotRetained(t *testing.T) {
 // next use with bit-identical output — eviction is purely a memory decision.
 func TestSessionEvictionPreservesResults(t *testing.T) {
 	tab := lruTable(t)
-	s, err := NewSession(tab, WithSubstrateCacheLimit(1))
+	s, err := NewSession(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.subLimit = 1
 	run := func(req Request) string {
 		an, err := s.Analyze(context.Background(), req)
 		if err != nil {
@@ -174,9 +182,103 @@ func TestSessionClose(t *testing.T) {
 	}
 }
 
-func TestNegativeSubstrateCacheLimit(t *testing.T) {
+// TestResolveLandsEveryField feeds each Request field and each ExecConfig /
+// ResilienceConfig / DurabilityConfig field through resolve and the build
+// path, and checks it lands where the run reads it: the miner config, the
+// engine, the analyzer or the substrate registry. A field added to one of
+// those types without a row here fails the test.
+func TestResolveLandsEveryField(t *testing.T) {
 	tab := lruTable(t)
-	if _, err := NewSession(tab, WithSubstrateCacheLimit(-1)); !errors.Is(err, ErrNegativeOption) {
-		t.Fatalf("err = %v, want ErrNegativeOption", err)
+	ob := NewObserver(ObserverOptions{})
+	progressed := 0
+	dir := t.TempDir()
+	cases := []struct {
+		fields string // the Type.Field names the row covers
+		opts   []Option
+		req    Request
+		landed func(s *Session, a *Analyzer) bool
+	}{
+		{"Request.Measures", nil, Request{Measures: []Measure{Sum("Cost")}}, func(_ *Session, a *Analyzer) bool {
+			return reflect.DeepEqual(a.eng.Measures(), []Measure{Sum("Cost")})
+		}},
+		{"Request.ImpactMeasure", nil, Request{ImpactMeasure: Sum("Units")}, func(_ *Session, a *Analyzer) bool {
+			return a.eng.ImpactMeasure() == Sum("Units")
+		}},
+		{"Request.TopK", nil, Request{TopK: 2}, func(s *Session, _ *Analyzer) bool {
+			an, err := s.Analyze(context.Background(), Request{TopK: 2})
+			return err == nil && len(an.Insights) == 2
+		}},
+		{"Request.MaxFilters", nil, Request{MaxFilters: 2}, func(_ *Session, a *Analyzer) bool {
+			return a.cfg.MaxSubspaceFilters == 2
+		}},
+		{"Request.Budget", nil, Request{Budget: Budget{Time: time.Minute}}, func(_ *Session, a *Analyzer) bool {
+			return a.timeBudget == time.Minute && a.cfg.Budget == miner.DefaultConfig().Budget
+		}},
+		{"Request.Budget", nil, Request{Budget: Budget{Cost: 7}}, func(_ *Session, a *Analyzer) bool {
+			return a.cfg.Budget == engine.CostBudget{Meter: a.meter, Limit: 7} && a.timeBudget == 0
+		}},
+		{"Request.Tau", nil, Request{Tau: 0.6}, func(_ *Session, a *Analyzer) bool {
+			return a.cfg.Score.Tau == 0.6
+		}},
+		{"Request.TopKPruning", nil, Request{TopKPruning: 4}, func(_ *Session, a *Analyzer) bool {
+			return a.cfg.TopK == 4
+		}},
+		{"Request.Progress", nil, Request{Progress: func(*MetaInsight) { progressed++ }}, func(_ *Session, a *Analyzer) bool {
+			a.cfg.OnMetaInsight(nil)
+			return progressed == 1
+		}},
+		{"Request.Observer", nil, Request{Observer: ob}, func(_ *Session, a *Analyzer) bool {
+			return a.obs == ob && a.cfg.Observer == ob && a.eng.Observer() == ob
+		}},
+		{"ExecConfig.Workers", []Option{WithExec(ExecConfig{Workers: 3})}, Request{}, func(_ *Session, a *Analyzer) bool {
+			return a.cfg.Workers == 3
+		}},
+		{"ExecConfig.ScanParallelism", []Option{WithExec(ExecConfig{ScanParallelism: 3})}, Request{}, func(s *Session, _ *Analyzer) bool {
+			for key := range s.subs {
+				return strings.HasPrefix(key, "par=3 ")
+			}
+			return false
+		}},
+		{"ResilienceConfig.DegradedThreshold", []Option{WithResilience(ResilienceConfig{DegradedThreshold: 0.25})}, Request{},
+			func(_ *Session, a *Analyzer) bool { return a.cfg.DegradedThreshold == 0.25 }},
+		{"DurabilityConfig.CheckpointDir DurabilityConfig.Every DurabilityConfig.Resume",
+			[]Option{WithDurability(DurabilityConfig{CheckpointDir: dir, Every: 5, Resume: true})}, Request{},
+			func(_ *Session, a *Analyzer) bool {
+				return a.cfg.Checkpoint != nil && *a.cfg.Checkpoint == miner.CheckpointSpec{Dir: dir, Every: 5, Resume: true}
+			}},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		s, err := NewSession(tab, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.fields, err)
+		}
+		a, err := s.analyzer(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.fields, err)
+		}
+		if !tc.landed(s, a) {
+			t.Errorf("%s: the setting did not reach the run", tc.fields)
+		}
+		for _, f := range strings.Fields(tc.fields) {
+			covered[f] = true
+		}
+	}
+	for _, typ := range []any{Request{}, ExecConfig{}, ResilienceConfig{}, DurabilityConfig{}} {
+		rt := reflect.TypeOf(typ)
+		for i := 0; i < rt.NumField(); i++ {
+			if f := rt.Name() + "." + rt.Field(i).Name; !covered[f] {
+				t.Errorf("%s has no row: say where it lands", f)
+			}
+		}
+	}
+
+	// With no option and an empty request, the run gets the miner's defaults.
+	o, err := resolve(nil, Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(o.minerCfg, miner.DefaultConfig()) {
+		t.Errorf("empty resolution:\n got  %+v\n want %+v", o.minerCfg, miner.DefaultConfig())
 	}
 }

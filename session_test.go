@@ -1,10 +1,10 @@
 package metainsight_test
 
-// Tests of the Session/Request API redesign: session reuse is hermetic
-// (every Analyze call bit-identical to a fresh Analyzer run), the deprecated
-// shims are trace-identical to the new surface, mining is bit-identical at
-// any scan parallelism and worker count, and conflicting options fail at
-// construction with typed errors.
+// Tests of the Session/Request API: session reuse is hermetic (every Analyze
+// call bit-identical to a fresh run), the deprecated shims the benchmark
+// harness calls are trace-identical to Session.Analyze, mining is
+// bit-identical at any scan parallelism and worker count, and conflicting or
+// malformed settings fail with typed errors.
 
 import (
 	"context"
@@ -13,12 +13,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"metainsight"
+	"metainsight/internal/workload"
 )
+
+// fracMeasures is the measure set mined over fracTable.
+var fracMeasures = []metainsight.Measure{metainsight.Sum("Revenue"), metainsight.Sum("Margin")}
 
 // fracTable builds a fractional-valued table: bit-identity failures in the
 // float merge order show up here, where integer-valued data would hide them.
@@ -91,31 +96,28 @@ func requireSameFacts(t *testing.T, label string, want, got runFacts) {
 }
 
 // TestSessionReuseBitIdentical is the Session contract: two sequential
-// Analyze calls on one session each produce exactly what a fresh Analyzer
-// over the same options produces — reuse shares indexes and substrates, not
-// caches or meters.
+// Analyze calls on one session each produce exactly what a fresh session's
+// first call produces — reuse shares indexes and substrates, not caches or
+// meters.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.Mine()
-	fresh := factsOf(res, a.Rank(res, 5))
+	req := metainsight.Request{TopK: 5, Measures: salesOnly}
+	an := analyzeOnce(t, tab, req)
+	fresh := factsOf(an.Result, an.Insights)
 	if len(fresh.keys) == 0 {
-		t.Fatal("fresh analyzer mined nothing")
+		t.Fatal("fresh session mined nothing")
 	}
 
-	s, err := metainsight.NewSession(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
+	s, err := metainsight.NewSession(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for call := 1; call <= 2; call++ {
-		an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5})
+		an, err := s.Analyze(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,54 +125,86 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShimEquivalence runs the same configuration through the deprecated
-// surface (NewAnalyzer + Mine + Rank) and the Session surface, with a trace
-// observer on each, and requires identical stats, results and trace event
-// streams (wall-clock timestamps zeroed — everything else must match).
+// TestShimEquivalence pins that the benchmark's traced pass measures what
+// Session.Analyze runs. The frozen harness (benchmark/layers.go) calls
+// NewAnalyzer(ds, WithObserver, WithProgress[, WithCostBudget(b)]), then
+// MineContext and Rank; Session.Analyze gets the same settings in its
+// Request. Facts, the progress-callback sequence and the trace events (wall
+// time zeroed) must be identical, unbudgeted and budgeted.
 func TestShimEquivalence(t *testing.T) {
-	header, records := houseRecords()
-	tab, err := metainsight.FromRecords("houses", header, records)
-	if err != nil {
-		t.Fatal(err)
+	tab := workload.CreditCard()
+	type run struct {
+		facts    runFacts
+		progress []string
+		trace    []metainsight.TraceEvent
 	}
+	traced := func(r *run) (*metainsight.Observer, func(*metainsight.MetaInsight)) {
+		ob := metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 14})
+		return ob, func(mi *metainsight.MetaInsight) { r.progress = append(r.progress, mi.Key()) }
+	}
+	events := func(ob *metainsight.Observer) []metainsight.TraceEvent {
+		t.Helper()
+		if n := ob.Trace().Dropped(); n > 0 {
+			t.Fatalf("trace ring dropped %d events", n)
+		}
+		evs := ob.Trace().Events()
+		for i := range evs {
+			evs[i].WallNanos = 0
+		}
+		return evs
+	}
+	var unbudgeted int
+	for _, budget := range []float64{0, 150} {
+		label := fmt.Sprintf("budget %v", budget)
 
-	obOld := metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 14})
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithWorkers(1),
-		metainsight.WithObserver(obOld))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.Mine()
-	oldFacts := factsOf(res, a.Rank(res, 5))
+		var shim run
+		ob, progress := traced(&shim)
+		opts := []metainsight.Option{metainsight.WithObserver(ob), metainsight.WithProgress(progress)}
+		if budget > 0 {
+			opts = append(opts, metainsight.WithCostBudget(budget))
+		}
+		a, err := metainsight.NewAnalyzer(tab, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := a.MineContext(context.Background())
+		shim.facts = factsOf(res, a.Rank(res, 10))
+		shim.trace = events(ob)
 
-	obNew := metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 14})
-	s, err := metainsight.NewSession(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithExec(metainsight.ExecConfig{Workers: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5, Observer: obNew})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameFacts(t, "session vs shim", oldFacts, factsOf(an.Result, an.Insights))
+		var sess run
+		ob, progress = traced(&sess)
+		s, err := metainsight.NewSession(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := s.Analyze(context.Background(), metainsight.Request{
+			TopK: 10, Observer: ob, Progress: progress, Budget: metainsight.Budget{Cost: budget},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.facts = factsOf(an.Result, an.Insights)
+		sess.trace = events(ob)
 
-	oldEvents := obOld.Trace().Events()
-	newEvents := obNew.Trace().Events()
-	if len(oldEvents) != len(newEvents) {
-		t.Fatalf("trace lengths differ: old %d, new %d", len(oldEvents), len(newEvents))
-	}
-	if len(oldEvents) == 0 {
-		t.Fatal("no trace events recorded")
-	}
-	for i := range oldEvents {
-		oe, ne := oldEvents[i], newEvents[i]
-		oe.WallNanos, ne.WallNanos = 0, 0
-		if oe != ne {
-			t.Fatalf("trace event %d differs:\n old %+v\n new %+v", i, oe, ne)
+		requireSameFacts(t, label+": session vs shim", shim.facts, sess.facts)
+		if len(shim.progress) == 0 || len(shim.trace) == 0 {
+			t.Fatalf("%s: vacuous: %d discoveries, %d trace events", label, len(shim.progress), len(shim.trace))
+		}
+		if budget == 0 {
+			unbudgeted = len(shim.progress)
+		} else if len(shim.progress) >= unbudgeted {
+			t.Fatalf("%s: the budget cut nothing (%d discoveries)", label, len(shim.progress))
+		}
+		if !slices.Equal(shim.progress, sess.progress) {
+			t.Fatalf("%s: progress sequences differ: shim %d calls, session %d", label, len(shim.progress), len(sess.progress))
+		}
+		if len(shim.trace) != len(sess.trace) {
+			t.Fatalf("%s: trace lengths differ: shim %d, session %d", label, len(shim.trace), len(sess.trace))
+		}
+		for i := range shim.trace {
+			if shim.trace[i] != sess.trace[i] {
+				t.Fatalf("%s: trace event %d differs:\n shim    %+v\n session %+v", label, i, shim.trace[i], sess.trace[i])
+			}
 		}
 	}
 }
@@ -185,16 +219,8 @@ func TestShimEquivalence(t *testing.T) {
 func TestSessionScanParallelismGridBitIdentical(t *testing.T) {
 	tab := fracTable(t, 60000)
 	run := func(par, workers int) runFacts {
-		s, err := metainsight.NewSession(tab,
-			metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
+		an := analyzeOnce(t, tab, metainsight.Request{TopK: 5, Measures: fracMeasures},
 			metainsight.WithExec(metainsight.ExecConfig{Workers: workers, ScanParallelism: par}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return factsOf(an.Result, an.Insights)
 	}
 	base := run(1, 1)
@@ -210,44 +236,32 @@ func TestSessionScanParallelismGridBitIdentical(t *testing.T) {
 
 // TestScanParallelismSpellings pins what the three values of the setting
 // mean — 0 the default (one goroutine per core), 1 the sequential path, n > 1
-// exactly n — through both ways of saying it, and that a whole Analysis
-// encodes to the same bytes under all of them. Before the default became the
-// core count, 1 was dropped as "unset", which would have left no way to ask
-// for the sequential path.
+// exactly n — and that a whole Analysis encodes to the same bytes under all
+// of them. Before the default became the core count, 1 was dropped as
+// "unset", which would have left no way to ask for the sequential path.
 func TestScanParallelismSpellings(t *testing.T) {
 	tab := fracTable(t, 60000)
-	analysisJSON := func(opts ...metainsight.Option) string {
+	analysisJSON := func(par int) string {
 		t.Helper()
-		opts = append(opts, metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")))
-		s, err := metainsight.NewSession(tab, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		an := analyzeOnce(t, tab, metainsight.Request{TopK: 5, Measures: fracMeasures},
+			metainsight.WithExec(metainsight.ExecConfig{Workers: 2, ScanParallelism: par}))
 		b, err := json.Marshal(an)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(b)
 	}
-	want := analysisJSON(metainsight.WithExec(metainsight.ExecConfig{Workers: 2, ScanParallelism: 1}))
+	want := analysisJSON(1)
 	for _, par := range []int{0, 1, 3} {
-		if got := analysisJSON(metainsight.WithExec(metainsight.ExecConfig{Workers: 2, ScanParallelism: par})); got != want {
+		if got := analysisJSON(par); got != want {
 			t.Errorf("ExecConfig{ScanParallelism: %d}: Analysis JSON differs from the sequential run's", par)
-		}
-		if got := analysisJSON(metainsight.WithWorkers(2), metainsight.WithScanParallelism(par)); got != want {
-			t.Errorf("WithScanParallelism(%d): Analysis JSON differs from the sequential run's", par)
 		}
 	}
 }
 
-// TestConstructionValidation checks that conflicting or malformed option
-// combinations are rejected at construction with the typed errors, on both
-// the Session and the deprecated surfaces.
+// TestConstructionValidation checks that conflicting or malformed settings
+// are rejected with the typed errors: session options at NewSession, request
+// fields at Analyze.
 func TestConstructionValidation(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
@@ -257,65 +271,66 @@ func TestConstructionValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		opts []metainsight.Option
+		req  metainsight.Request
 		want error
 	}{
-		{"budgets", []metainsight.Option{
-			metainsight.WithTimeBudget(time.Second), metainsight.WithCostBudget(10),
+		{"budgets", nil, metainsight.Request{
+			Budget: metainsight.Budget{Time: time.Second, Cost: 10},
 		}, metainsight.ErrConflictingBudgets},
-		{"topk zero", []metainsight.Option{
-			metainsight.WithTopKPruning(0),
-		}, metainsight.ErrInvalidTopKPruning},
-		{"topk negative", []metainsight.Option{
-			metainsight.WithTopKPruning(-3),
-		}, metainsight.ErrInvalidTopKPruning},
+		{"topk negative", nil, metainsight.Request{TopKPruning: -3}, metainsight.ErrInvalidTopKPruning},
 		{"negative workers", []metainsight.Option{
-			metainsight.WithWorkers(-1),
-		}, metainsight.ErrNegativeOption},
-		{"checkpoint dirs", []metainsight.Option{
-			metainsight.WithCheckpoint("/tmp/ck-a", 0),
-			metainsight.ResumeFromCheckpoint("/tmp/ck-b"),
-		}, metainsight.ErrConflictingCheckpoints},
+			metainsight.WithExec(metainsight.ExecConfig{Workers: -1}),
+		}, metainsight.Request{}, metainsight.ErrNegativeOption},
+		{"negative scan parallelism", []metainsight.Option{
+			metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: -1}),
+		}, metainsight.Request{}, metainsight.ErrNegativeOption},
+		{"negative max filters", nil, metainsight.Request{MaxFilters: -1}, metainsight.ErrNegativeOption},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := metainsight.NewSession(tab, tc.opts...); !errors.Is(err, tc.want) {
-				t.Errorf("NewSession: err = %v, want %v", err, tc.want)
+			s, err := metainsight.NewSession(tab, tc.opts...)
+			if err == nil {
+				_, err = s.Analyze(context.Background(), tc.req)
 			}
-			if _, err := metainsight.NewAnalyzer(tab, tc.opts...); !errors.Is(err, tc.want) {
-				t.Errorf("NewAnalyzer: err = %v, want %v", err, tc.want)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
 			}
 		})
 	}
 
 	// A NaN threshold would make "rate > threshold" false forever: degraded
 	// runs would pass as complete.
-	for name, opt := range map[string]metainsight.Option{
-		"WithResilience":        metainsight.WithResilience(metainsight.ResilienceConfig{DegradedThreshold: math.NaN()}),
-		"WithDegradedThreshold": metainsight.WithDegradedThreshold(math.NaN()),
-	} {
-		if _, err := metainsight.NewSession(tab, opt); err == nil {
-			t.Errorf("%s: NaN degraded threshold accepted", name)
-		}
-	}
-
-	// Resuming into the directory WithCheckpoint names is not a conflict.
-	dir := t.TempDir()
 	if _, err := metainsight.NewSession(tab,
-		metainsight.WithCheckpoint(dir, 16),
-		metainsight.ResumeFromCheckpoint(dir)); err != nil {
-		t.Errorf("same-directory checkpoint+resume rejected: %v", err)
+		metainsight.WithResilience(metainsight.ResilienceConfig{DegradedThreshold: math.NaN()})); err == nil {
+		t.Error("NaN degraded threshold accepted")
 	}
+}
 
-	// Per-request conflicts surface from Analyze with the same typed error.
-	s, err := metainsight.NewSession(tab)
+// TestTauOutsideOpenUnitIntervalRejected: a commonness needs a share of the
+// patterns above τ, and the score's S* term panics unless 0 < τ < 1, so
+// Analyze rejects any other non-zero τ (NaN included) before mining. Such a
+// τ used to be accepted: −0.3 panicked in every MetaInsight unit (a nil error
+// and no insights on Credit Card), 1 and 1.5 silently mined nothing.
+func TestTauOutsideOpenUnitIntervalRejected(t *testing.T) {
+	s, err := metainsight.NewSession(workload.CreditCard())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Analyze(context.Background(), metainsight.Request{
-		TopK:   5,
-		Budget: metainsight.Budget{Time: time.Second, Cost: 10},
-	})
-	if !errors.Is(err, metainsight.ErrConflictingBudgets) {
-		t.Errorf("Analyze: err = %v, want ErrConflictingBudgets", err)
+	defer s.Close()
+	ctx := context.Background()
+	for _, tau := range []float64{-0.3, 1, 1.5, math.NaN(), math.Inf(1)} {
+		if an, err := s.Analyze(ctx, metainsight.Request{TopK: 10, Tau: tau}); err == nil {
+			t.Errorf("τ = %v accepted: %d insights, %d panicked units",
+				tau, len(an.Insights), an.Result.Stats.PanickedUnits)
+		}
+	}
+	for _, tau := range []float64{0, 0.3, 0.9} {
+		an, err := s.Analyze(ctx, metainsight.Request{TopK: 10, Tau: tau, Budget: metainsight.Budget{Cost: 200}})
+		if err != nil {
+			t.Fatalf("τ = %v rejected: %v", tau, err)
+		}
+		if n := an.Result.Stats.PanickedUnits; n != 0 {
+			t.Errorf("τ = %v: %d panicked units", tau, n)
+		}
 	}
 }
