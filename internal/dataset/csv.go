@@ -168,7 +168,42 @@ func newCSVReader(b []byte) *csv.Reader {
 	return cr
 }
 
-// csvSource reads the header off data and cuts the rest into chunks.
+// plainRows reads quote-free CSV b. Lines end at '\n', one '\r' is dropped
+// from the end of each, empty lines are skipped and fields are split at ','.
+// On such input that is the record newCSVReader returns, up to the leading
+// space it trims, which the loader's strings.TrimSpace on every cell removes
+// anyway — and quote-free input has no syntax errors. The fields are
+// substrings of one string made here, so a chunk costs one allocation, not
+// one per record.
+func plainRows(b []byte) rowReader {
+	s := string(b)
+	var rec []string
+	return func() ([]string, error) {
+		for s != "" {
+			line, rest, _ := strings.Cut(s, "\n")
+			s = rest
+			line = strings.TrimSuffix(line, "\r")
+			if line == "" {
+				continue
+			}
+			rec = rec[:0]
+			start := 0
+			for i := 0; i < len(line); i++ {
+				if line[i] == ',' {
+					rec = append(rec, line[start:i])
+					start = i + 1
+				}
+			}
+			rec = append(rec, line[start:])
+			return rec, nil
+		}
+		return nil, io.EOF
+	}
+}
+
+// csvSource reads the header off data and cuts the rest into chunks. A
+// stretch of body with no quote byte is read by plainRows; one with a quote
+// keeps encoding/csv, whose syntax errors (line, column, text) are contract.
 func csvSource(data []byte, chunkBytes int) ([]string, source, error) {
 	cr := newCSVReader(data)
 	header, err := cr.Read()
@@ -182,6 +217,9 @@ func csvSource(data []byte, chunkBytes int) ([]string, source, error) {
 		return min(bytes.Count(b, []byte{'\n'}), len(b)/len(header)) + 1
 	}
 	src := source{whole: func() (rowReader, int) {
+		if !bytes.Contains(body, []byte{'"'}) {
+			return plainRows(body), maxRows(body)
+		}
 		// From the top of the input, so that a syntax error carries the line
 		// numbers of the file and not of a chunk.
 		cr := newCSVReader(data)
@@ -192,6 +230,9 @@ func csvSource(data []byte, chunkBytes int) ([]string, source, error) {
 		for i := range cuts[:len(cuts)-1] {
 			piece := body[cuts[i]:cuts[i+1]]
 			src.pieces = append(src.pieces, func() (rowReader, int) {
+				if !bytes.Contains(piece, []byte{'"'}) {
+					return plainRows(piece), maxRows(piece)
+				}
 				return newCSVReader(piece).Read, maxRows(piece)
 			})
 		}
@@ -530,8 +571,55 @@ func parseNumber(s string) (float64, bool) {
 	if s == "" {
 		return 0, true
 	}
+	if v, ok := parseDecimal(s); ok {
+		return v, true
+	}
 	v, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64)
 	return v, err == nil
+}
+
+// pow10[k] is 10^k, exact in a float64 for every k up to 22; parseDecimal
+// needs them up to 15.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// parseDecimal reads non-empty s that is an optional sign and then 1 to 15
+// digits with at most one '.' among them or around them ("1.", ".5"), and
+// reports false for anything else. The digits, read as an integer, are below
+// 2^53 and the divisor 10^frac is at most 10^15, so both are exact
+// float64s, one IEEE division rounds their quotient correctly, and negation
+// commutes with that rounding: the result is strconv.ParseFloat's, bit for
+// bit, -0 included.
+func parseDecimal(s string) (float64, bool) {
+	i, neg := 0, false
+	if s[0] == '+' || s[0] == '-' {
+		i, neg = 1, s[0] == '-'
+	}
+	var mant uint64
+	digits, frac := 0, -1 // frac counts digits after the point; -1 before one
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			if digits++; digits > len(pow10)-1 {
+				return 0, false
+			}
+			mant = mant*10 + uint64(c-'0')
+			if frac >= 0 {
+				frac++
+			}
+		case c == '.' && frac < 0:
+			frac = 0
+		default:
+			return 0, false
+		}
+	}
+	if digits == 0 {
+		return 0, false
+	}
+	v := float64(mant) / pow10[max(frac, 0)]
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // measureError words the defect in trimmed measure cell s: one that did not

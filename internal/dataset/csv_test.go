@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -186,6 +189,124 @@ func TestLoadCSVReaderError(t *testing.T) {
 	r := io.MultiReader(strings.NewReader("a,b\nx,1\n"), iotest.ErrReader(boom))
 	if _, err := LoadCSV(r, LoadOptions{}); !errors.Is(err, boom) {
 		t.Errorf("error %v, want it to wrap the reader's", err)
+	}
+}
+
+// readTrimmed reads every record next yields, each cell trimmed as the loader
+// trims it.
+func readTrimmed(t *testing.T, next rowReader) [][]string {
+	t.Helper()
+	var out [][]string
+	for {
+		rec, err := next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]string, len(rec))
+		for i, cell := range rec {
+			row[i] = strings.TrimSpace(cell)
+		}
+		out = append(out, row)
+	}
+}
+
+// On quote-free input the byte-level reader yields the records encoding/csv
+// does, once each cell is trimmed: the same records, field counts and cells,
+// at every line-ending and whitespace edge, and on random quote-free inputs.
+func TestPlainTokenizerMatchesEncodingCSV(t *testing.T) {
+	same := func(in string) {
+		t.Helper()
+		want := readTrimmed(t, newCSVReader([]byte(in)).Read)
+		if got := readTrimmed(t, plainRows([]byte(in))); !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: records %q, encoding/csv %q", in, got, want)
+		}
+	}
+	for _, in := range []string{
+		"", "\n", "\r", "\r\n", "\r\r", ",", ",,\n",
+		"a,b\r\nc,d\r\n",                 // CRLF
+		"a,b\r\r\nc\r\r\n\r\r\n",         // "\r\r\n": one '\r' dropped, one kept
+		"a\rb,c\nd,e\r f\n",              // a lone '\r' inside a field
+		"a,b\nc,d\r",                     // a trailing '\r' with no final newline
+		"a,b\nc,d\r\r",                   // two of them: one is dropped
+		"a\n\n\nb\n \n\t\t\n\r\n \r\nc",  // blank and whitespace-only lines
+		"a,b,\nc,\n,\n",                  // trailing commas
+		"\u00a0x\u00a0,\u0085y\u0085\n",  // NBSP and NEL around a cell
+		"\u00a0\n\u0085,\u00a0\u0085\n ", // lines of nothing else
+		"a,b\nc,",                        // an empty last field
+		"\xc2,\xff\xc2\xa0\n \xa0x\n",    // invalid UTF-8 beside NBSP
+	} {
+		same(in)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	pieces := []string{"a", "7", ",", "\n", "\r", " ", "\t", "\u00a0", "\u0085", "\xc2", "\v"}
+	for range 20000 {
+		var b strings.Builder
+		for n := rng.IntN(16); n > 0; n-- {
+			b.WriteString(pieces[rng.IntN(len(pieces))])
+		}
+		same(b.String())
+	}
+}
+
+// A plain decimal of at most 15 digits takes parseDecimal, and the value it
+// returns is strconv.ParseFloat's bit for bit; every other string falls
+// through. The random arm draws a million decimals of 1–17 digits with
+// random signs, points and leading zeros.
+func TestParseDecimalExact(t *testing.T) {
+	check := func(s string, fast bool) {
+		t.Helper()
+		want, err := strconv.ParseFloat(s, 64)
+		got, ok := parseDecimal(s)
+		if ok != fast {
+			t.Fatalf("%q: fast path %v, want %v", s, ok, fast)
+		}
+		if ok && (err != nil || math.Float64bits(got) != math.Float64bits(want)) {
+			t.Fatalf("%q: %v (%#x), ParseFloat %v (%#x, %v)", s, got, math.Float64bits(got), want, math.Float64bits(want), err)
+		}
+	}
+	for s, fast := range map[string]bool{
+		"-0": true, "+.5": true, "1.": true, ".": false, "-": false, "+": false,
+		"-0.000": true, "000000000000123": true, "0000000000000123": false,
+		"123456789012345": true, "1234567890123456": false,
+		".123456789012345": true, ".1234567890123456": false,
+		"0.1": true, "-999999999999999": true, "1,5": false, "1e5": false, "1.2.3": false,
+		"Inf": false, "NaN": false, "0x10": false, " 1": false, "1_0": false,
+	} {
+		check(s, fast)
+	}
+	if v, _ := parseDecimal("-0"); !math.Signbit(v) {
+		t.Error("-0 lost its sign")
+	}
+	rng := rand.New(rand.NewPCG(28, 5))
+	var b []byte
+	for range 1_000_000 {
+		b = b[:0]
+		switch rng.IntN(3) {
+		case 1:
+			b = append(b, '-')
+		case 2:
+			b = append(b, '+')
+		}
+		digits := 1 + rng.IntN(17)
+		point := rng.IntN(digits + 2) // digits+1: no point
+		lead := rng.IntN(digits + 1)  // how many leading zeros
+		for d := 0; d < digits; d++ {
+			if d == point {
+				b = append(b, '.')
+			}
+			if d < lead {
+				b = append(b, '0')
+			} else {
+				b = append(b, byte('0'+rng.IntN(10)))
+			}
+		}
+		if point == digits {
+			b = append(b, '.')
+		}
+		check(string(b), digits <= 15)
 	}
 }
 

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -49,6 +50,12 @@ func FuzzLoadCSV(f *testing.F) {
 	f.Add("a,b\n", byte(0))
 	// A byte-order mark before the header, and a syntax error on a late line.
 	f.Add("\ufeffCity,Sales\nLA,1\nSF,\"2\n", byte(6))
+	// The quote-free reader's edges: "\r\r\n" (one '\r' dropped, one left in
+	// the cell), a '\r' at the end of the input, whitespace-only lines, NBSP
+	// and NEL around cells, and measures at 15 and 16 digits and -0.
+	f.Add("a,b\r\r\nx,1\r\r\ny,2\r", byte(3))
+	f.Add("k,v\n \n\t\nx, 1\n\r\n\u00a0y\u00a0,\u00852\u0085\n", byte(4))
+	f.Add("k,v\na,123456789012345\nb,1234567890123456\nc,-0\nd,-0.000\ne,+.5\n", byte(5))
 	f.Fuzz(func(t *testing.T, data string, tune byte) {
 		chunkBytes, presume := int(tune&7)+1, int(tune>>3)&3
 		var arms []LoadOptions
@@ -96,6 +103,34 @@ func FuzzLoadCSV(f *testing.F) {
 			if d := TableDiff(got, want); d != "" {
 				t.Fatalf("FromRecords opts %+v: differs from the reference: %s", opts, d)
 			}
+		}
+	})
+}
+
+// FuzzParseNumber holds parseNumber, whose plain decimals take a fast path,
+// equal to the strconv.ParseFloat of the cell with its commas removed: the
+// same ok-ness and, when ok, the same bits. Run with `go test
+// -fuzz=FuzzParseNumber ./internal/dataset` to explore beyond the seeds.
+func FuzzParseNumber(f *testing.F) {
+	for _, s := range []string{"", "0", "-0", "+.5", "1.", ".", "-", "+", "007.50",
+		"123456789012345", "1234567890123456", ".123456789012345", "9007199254740993",
+		"1,234.5", "1e5", "Inf", "NaN", "0x1p-2", "1_000", "--1", "1.2.3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := parseNumber(s)
+		if s == "" {
+			if !ok || math.Float64bits(got) != 0 {
+				t.Fatalf("empty cell: %v, %v; want 0, true", got, ok)
+			}
+			return
+		}
+		want, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64)
+		if ok != (err == nil) {
+			t.Fatalf("%q: ok %v, ParseFloat error %v", s, ok, err)
+		}
+		if ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%q: %v (%#x), ParseFloat %v (%#x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
 }
