@@ -11,10 +11,8 @@ package dataset
 //
 // Intersections run directly on the compressed containers — word-wise AND for
 // bitmap×bitmap, membership probes for array×bitmap, interval merges for run
-// containers — and only the final result is materialized to an ascending
-// []int32 drive list, so the morsel scan machinery consumes bitmap-planned
-// row sets unchanged. Chunks are 8× the default morsel size, so materialized
-// ids stay morsel-aligned by construction.
+// containers — and only the final result is materialized, as the maximal runs
+// of consecutive rows a scan drives (RowRuns).
 
 import "math/bits"
 
@@ -239,6 +237,105 @@ func (b *Bitmap) ToArray(dst []int32) []int32 {
 		dst = b.ctrs[i].appendRows(dst, int32(b.keys[i])<<chunkBits)
 	}
 	return dst
+}
+
+// RowRun is one entry of a RowRuns list.
+type RowRun struct {
+	Row int32 // first row of the run
+	Pos int32 // rows of the set before the run
+}
+
+// RowRuns is an ascending row set held as its maximal runs of consecutive
+// rows, closed by a sentinel whose Row is one past the last row and whose Pos
+// is the set's cardinality: run k covers rows [rr[k].Row, rr[k].Row +
+// rr[k+1].Pos - rr[k].Pos). Keeping each run's position beside its first row
+// lets a scan seek to the i-th row of the set by binary search. The empty set
+// is nil.
+type RowRuns []RowRun
+
+// Rows returns the number of rows in the set.
+func (rr RowRuns) Rows() int {
+	if len(rr) == 0 {
+		return 0
+	}
+	return int(rr[len(rr)-1].Pos)
+}
+
+// RowRuns returns the set as maximal runs of consecutive rows in one
+// exact-size allocation (none for the empty set). Run containers map
+// directly, array and bitmap containers coalesce consecutive rows, and runs
+// that cross a chunk boundary coalesce too.
+func (b *Bitmap) RowRuns() RowRuns {
+	if b.Cardinality() == 0 {
+		return nil
+	}
+	n, _ := b.walkRuns(nil)
+	rr := make(RowRuns, n+1)
+	_, end := b.walkRuns(rr)
+	rr[n] = RowRun{Row: end, Pos: int32(b.card)}
+	return rr
+}
+
+// walkRuns visits the set's maximal runs in ascending order, writing run k
+// to out[k] unless out is nil. It returns the number of runs and one past
+// the last row.
+func (b *Bitmap) walkRuns(out RowRuns) (n int, end int32) {
+	end = -1 // one past the last row visited; a row equal to it extends the run
+	var pos int32
+	for i := range b.ctrs {
+		c := &b.ctrs[i]
+		base := int32(b.keys[i]) << chunkBits
+		switch c.kind {
+		case ctArray:
+			for _, v := range c.arr {
+				row := base | int32(v)
+				if row != end {
+					if out != nil {
+						out[n] = RowRun{Row: row, Pos: pos}
+					}
+					n++
+				}
+				end = row + 1
+				pos++
+			}
+		case ctRun:
+			for j := 0; j < len(c.runs); j += 2 {
+				row, l := base|int32(c.runs[j]), int32(c.runs[j+1])+1
+				if row != end {
+					if out != nil {
+						out[n] = RowRun{Row: row, Pos: pos}
+					}
+					n++
+				}
+				end = row + l
+				pos += l
+			}
+		case ctBitmap:
+			for w, word := range c.words {
+				if word == 0 {
+					continue
+				}
+				wbase := base + int32(w<<6)
+				var carry uint64 // bit 0 continues a run when the row before it is set
+				if end == wbase {
+					carry = 1
+				}
+				starts := word &^ (word<<1 | carry)
+				if out == nil {
+					n += bits.OnesCount64(starts)
+				} else {
+					for ; starts != 0; starts &= starts - 1 {
+						bit := bits.TrailingZeros64(starts)
+						out[n] = RowRun{Row: wbase + int32(bit), Pos: pos + int32(bits.OnesCount64(word&(1<<bit-1)))}
+						n++
+					}
+				}
+				pos += int32(bits.OnesCount64(word))
+				end = wbase + 64 - int32(bits.LeadingZeros64(word))
+			}
+		}
+	}
+	return n, end
 }
 
 // And intersects two bitmaps into a fresh Bitmap; neither input is mutated.

@@ -185,6 +185,77 @@ func TestBitmapAndAllMatchesIntersect(t *testing.T) {
 	}
 }
 
+// checkRowRuns compares bm.RowRuns with the oracle: bm.ToArray coalesced
+// into runs of consecutive rows one row at a time.
+func checkRowRuns(t *testing.T, what string, bm *Bitmap) {
+	t.Helper()
+	var want RowRuns
+	rows := bm.ToArray(nil)
+	for i, r := range rows {
+		if i == 0 || r != rows[i-1]+1 {
+			want = append(want, RowRun{Row: r, Pos: int32(i)})
+		}
+	}
+	if len(rows) > 0 {
+		want = append(want, RowRun{Row: rows[len(rows)-1] + 1, Pos: int32(len(rows))})
+	}
+	got := bm.RowRuns()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: RowRuns %v, coalesced rows %v", what, got, want)
+	}
+	if got.Rows() != len(rows) {
+		t.Fatalf("%s: RowRuns.Rows() = %d, want %d", what, got.Rows(), len(rows))
+	}
+}
+
+// TestBitmapRowRuns pins the interval builder against the coalesced row
+// list on every container kind, on runs that cross the 65,536-row chunk
+// boundary out of and into each kind, on intersection results, and on the
+// empty and single-row sets; a non-empty set must cost exactly one
+// allocation.
+func TestBitmapRowRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	sets := map[string][]int32{}
+	for _, shape := range bitmapShapes {
+		sets[shape] = genRows(shape, rng)
+	}
+	// Runs crossing a chunk boundary: array→array, run→run, bitmap→bitmap
+	// and run→bitmap, each with a stretch of rows on both sides of it.
+	sets["cross/array"] = []int32{5, 9, chunkSize - 2, chunkSize - 1, chunkSize, chunkSize + 1, chunkSize + 7}
+	var runs, dense, mixed []int32
+	for r := int32(chunkSize - 900); r < chunkSize+900; r++ {
+		runs = append(runs, r)
+	}
+	for r := int32(0); r < 2*chunkSize; r++ {
+		if r%3 != 0 || (r >= chunkSize-5 && r < chunkSize+5) {
+			dense = append(dense, r)
+		}
+		if r >= chunkSize-900 && (r < chunkSize || r%3 != 0 || r < chunkSize+5) {
+			mixed = append(mixed, r)
+		}
+	}
+	sets["cross/run"], sets["cross/bitmap"], sets["cross/run-bitmap"] = runs, dense, mixed
+	for name, rows := range sets {
+		bm := NewBitmapFromSorted(rows)
+		checkRowRuns(t, name, bm)
+		if len(rows) == 0 {
+			continue
+		}
+		if n := testing.AllocsPerRun(5, func() { bm.RowRuns() }); n != 1 {
+			t.Errorf("%s: RowRuns made %v allocations, want 1", name, n)
+		}
+	}
+	st := NewBitmapFromSorted(sets["cross/run-bitmap"]).Stats()
+	if st.RunContainers != 1 || st.BitmapContainers != 1 {
+		t.Fatalf("cross/run-bitmap has containers %+v, want one run and one bitmap", st)
+	}
+	for na, a := range sets {
+		for nb, b := range sets {
+			checkRowRuns(t, na+"∧"+nb, And(NewBitmapFromSorted(a), NewBitmapFromSorted(b)))
+		}
+	}
+}
+
 func TestBitmapStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	dense := NewBitmapFromSorted(genRows("dense", rng))

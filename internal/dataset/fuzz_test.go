@@ -186,9 +186,10 @@ func checkLoaded(t *testing.T, tab *Table, opts LoadOptions) {
 
 // FuzzContainerRoundTrip feeds arbitrary byte strings — decoded into a
 // sorted, duplicate-free row-id set — through the compressed container
-// build, and checks the three invariants every representation must hold:
-// exact round trip to the original ids, cardinality agreement, and
-// intersection against a derived subset returning exactly that subset. Run
+// build, and checks the invariants every representation must hold: exact
+// round trip to the original ids, cardinality agreement, intersection
+// against a derived subset returning exactly that subset, and runs of
+// consecutive rows equal to the coalesced row list for both sets. Run
 // with `go test -fuzz=FuzzContainerRoundTrip ./internal/dataset` to explore
 // beyond the seed corpus.
 func FuzzContainerRoundTrip(f *testing.F) {
@@ -228,7 +229,10 @@ func FuzzContainerRoundTrip(f *testing.F) {
 		for i := 0; i < len(rows); i += 2 {
 			want = append(want, rows[i])
 		}
-		and := And(bm, NewBitmapFromSorted(want)).ToArray(nil)
+		andBm := And(bm, NewBitmapFromSorted(want))
+		checkRowRuns(t, "set", bm)
+		checkRowRuns(t, "subset", andBm)
+		and := andBm.ToArray(nil)
 		if len(and) != len(want) {
 			t.Fatalf("AND cardinality %d, want %d", len(and), len(want))
 		}

@@ -5,7 +5,8 @@ package engine
 // parallelism (1/4), each beside the naive reference substrate (which always
 // reads the whole table), plus layout=clustered|shuffled arms over one
 // 1 M-row table in generator order and in shuffled row order — the two
-// regimes of the selection-vector kernel. For development only — numbers a
+// regimes of the interval walk (runs of hundreds of rows, runs of about
+// one). For development only — numbers a
 // claim rests on come from benchmark/. Run with
 //
 //	go test ./internal/engine -bench 'BenchmarkScan' -benchmem

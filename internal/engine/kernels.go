@@ -1,38 +1,39 @@
 package engine
 
 // Fused aggregation kernels and the morsel-parallel scan driver behind
-// ColumnarSubstrate. One scan proceeds in three stages, each a tight loop
-// over flat slices with no closure captures:
+// ColumnarSubstrate. A morsel is aggregated by one of two kernels, each a
+// tight loop over flat slices with no closure captures; both fold counts,
+// sums and (for measures in the needed-aggregate set) min/max, with
+// first-touch initialization so there is no O(cells) ±Inf fill.
 //
-//  1. selection — the plan's driving rows for the morsel, filtered by any
-//     residual filters into a selection vector of row ids (zone plans verify
-//     every filter across their surviving blocks);
-//  2. group ids — one gather computing each selected row's accumulator cell;
-//  3. aggregation — counts, sums and (for measures in the needed-aggregate
-//     set) min/max, with first-touch initialization so there is no O(cells)
-//     ±Inf fill. A run is a maximal stretch of selected rows with consecutive
-//     row ids and one group id; each run folds into its cell held in a
-//     register (clustered tables: posting-driven rows hit the same cell
-//     hundreds of times in a row). On shuffled data almost every row is its
-//     own run; values still reach each cell in row order.
+// Filtered scans walk intervals (walkMorsel). A plan holds its driving rows
+// as runs of consecutive rows; the walker visits the runs that fall in the
+// morsel, verifies any residual filters in place, and splits each stretch of
+// selected rows into group-id runs read straight off the breakdown (and ext)
+// code columns. Each group-id run folds into its cell held in a register —
+// clustered tables hit one cell hundreds of rows in a row — adding its
+// values strictly in row order, so a cell's sum is the same sequential fold
+// however its rows split into runs. On shuffled data almost every row is its
+// own run.
 //
-// Contiguous scans (no filters, or one zone block) skip stages 1–2 entirely:
-// the group-id vector is the breakdown code column itself, and aggregation
-// works run by run — dictionary codes of real tables are heavily clustered
-// (sorted or generated in cross-product order), so one run covers hundreds
-// of rows, the count update is O(1) per run, and the per-run sum folds
-// through four independent accumulator lanes instead of one serial
-// load-add-store dependency chain through memory. The lane split changes
-// the float addition association, but deterministically: it depends only on
-// the morsel boundaries and the code sequence, never on parallelism
-// (integer-valued sums are exact under any association, which is
-// what the cross-substrate differential tests compare byte for byte).
+// Full-table scans work run by run over the group-id vector, which for a
+// unit scan is the breakdown code column itself (accumulateRuns). Dictionary
+// codes of real tables are heavily clustered (sorted or generated in
+// cross-product order), so one run covers hundreds of rows, the count update
+// is O(1) per run, and the per-run sum folds through four independent
+// accumulator lanes instead of one serial load-add-store dependency chain
+// through memory. The lane split changes the float addition association, but
+// deterministically: it depends only on the morsel boundaries and the code
+// sequence, never on parallelism (integer-valued sums are exact under any
+// association, which is what the cross-substrate differential tests compare
+// byte for byte). The interval walk never uses the lanes: that would move the
+// low bits of every filtered unit.
 //
 // All accumulator arrays of one scanAcc live in a single flat slab — counts
 // first, then every sum column, then the min/max pairs — so acquire zeroes
 // one contiguous prefix with a single memclr and the kernels stay in one
-// allocation's cache lines. The selection, group-id and run vectors of stages
-// 1–2 live apart from it, in a morselScratch.
+// allocation's cache lines. The group-id vector of a full-table augmented
+// scan lives apart from it, in a morselScratch.
 //
 // The driving row set is split into fixed-size morsels. Each morsel
 // accumulates into a partial accumulator that starts from zero; partials are
@@ -51,6 +52,7 @@ package engine
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -71,17 +73,14 @@ type scanAcc struct {
 	touched []int32 // cells first touched by this accumulator, in touch order
 }
 
-// morselScratch is the working memory of stages 1 and 2, one morsel's worth
-// (three vectors of up to a morsel of row ids: 96 KiB at the default morsel
-// size, usually far more than the accumulator slab). It belongs to whoever
+// morselScratch is the group-id vector of a full-table augmented scan, one
+// morsel's worth (32 KiB at the default morsel size). It belongs to whoever
 // processes morsels — one per sequential scan, one per goroutine of a
 // parallel one, kept across all the morsels it takes — not to an
 // accumulator: the scan's result and a partial waiting to be merged need
 // none. Pooled per substrate beside the accumulators.
 type morselScratch struct {
-	gids []int32 // group id per selected row
-	sel  []int32 // selection vector under residual filters
-	runs []int32 // findRuns' result
+	gids []int32 // group id per row
 }
 
 func (c *ColumnarSubstrate) acquireScratch() *morselScratch {
@@ -211,7 +210,7 @@ func (p *parScan) run() {
 		if a == nil {
 			a = p.c.acquire(p.cells)
 		}
-		lo, hi := p.c.morselBounds(p.plan, mi, p.n)
+		lo, hi := p.c.morselBounds(mi, p.n)
 		p.c.processMorsel(p.plan, lo, hi, p.bcodes, p.dcodes, p.bcard, a, sc)
 		a = p.deposit(mi, a)
 	}
@@ -251,33 +250,11 @@ func (p *parScan) deposit(mi int, a *scanAcc) *scanAcc {
 	return a
 }
 
-// morselCount returns how many morsels the plan's driving set splits into.
-// Zone plans morselize per surviving block (each block is one morsel by
-// construction — the zone block size is the morsel size).
-func (c *ColumnarSubstrate) morselCount(plan *scanPlan, n int) int {
-	if plan.zone {
-		return len(plan.zblocks)
-	}
-	return (n + c.morsel - 1) / c.morsel
-}
-
-// morselBounds returns the driving range of morsel mi: row addresses for
-// zone plans (the block's rows), driving-set positions otherwise.
-func (c *ColumnarSubstrate) morselBounds(plan *scanPlan, mi, n int) (lo, hi int) {
-	if plan.zone {
-		lo = int(plan.zblocks[mi]) * c.morsel
-		hi = lo + c.morsel
-		if t := c.tab.Rows(); hi > t {
-			hi = t
-		}
-		return lo, hi
-	}
+// morselBounds returns the driving positions [lo, hi) of morsel mi of a
+// driving set of n rows.
+func (c *ColumnarSubstrate) morselBounds(mi, n int) (lo, hi int) {
 	lo = mi * c.morsel
-	hi = lo + c.morsel
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+	return lo, min(lo+c.morsel, n)
 }
 
 // scan executes the plan into one accumulator of the given cell count.
@@ -289,12 +266,11 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 	if n == 0 {
 		return global
 	}
-	nm := c.morselCount(plan, n)
+	nm := (n + c.morsel - 1) / c.morsel
 	c.obs.Count("engine.physical.morsels", int64(nm))
 	if nm == 1 {
 		sc := c.acquireScratch()
-		lo, hi := c.morselBounds(plan, 0, n)
-		c.processMorsel(plan, lo, hi, bcodes, dcodes, bcard, global, sc)
+		c.processMorsel(plan, 0, n, bcodes, dcodes, bcard, global, sc)
 		c.releaseScratch(sc)
 		return global
 	}
@@ -309,7 +285,7 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 		// path, so results are bit-identical at any parallelism.
 		m, sc := c.acquire(cells), c.acquireScratch()
 		for mi := 0; mi < nm; mi++ {
-			lo, hi := c.morselBounds(plan, mi, n)
+			lo, hi := c.morselBounds(mi, n)
 			c.processMorsel(plan, lo, hi, bcodes, dcodes, bcard, m, sc)
 			c.mergeAcc(global, m)
 			m.resetTouched()
@@ -340,176 +316,133 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 	return global
 }
 
-// processMorsel runs the kernel stages for driving positions [lo, hi) into
-// acc. Contiguous full-table morsels take the run-fused path; everything
-// else builds a selection vector and goes through the gather kernels.
+// processMorsel aggregates driving positions [lo, hi) into acc: full-table
+// morsels through the lane kernel, filtered ones through the interval walk.
 func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, acc *scanAcc, sc *morselScratch) {
-	if plan.full {
-		if dcodes == nil {
-			// Unit scan over contiguous rows: the group-id vector is the
-			// breakdown code column itself — no copy, no gather.
-			c.accumulateRuns(acc, bcodes[lo:hi], lo)
-			return
-		}
-		n := hi - lo
-		sc.gids = growInt32(sc.gids, n)
-		gids := sc.gids[:n]
-		bc := bcodes[lo:hi]
-		dc := dcodes[lo:hi]
-		for i := range bc {
-			gids[i] = dc[i]*int32(bcard) + bc[i]
-		}
-		c.accumulateRuns(acc, gids, lo)
+	if !plan.full {
+		c.walkMorsel(plan, lo, hi, bcodes, dcodes, int32(bcard), acc)
 		return
 	}
-	sel, gids := selectMorsel(plan, lo, hi, bcodes, dcodes, bcard, sc)
-	if len(sel) == 0 {
-		return
-	}
-	// Stage 3: aggregation, run by run.
-	c.accumulateSelRuns(acc, sel, gids, sc.findRuns(sel, gids))
-}
-
-// selectMorsel runs stages 1 and 2 of a filtered morsel: it returns the
-// selection vector of driving positions [lo, hi) and the group id of every
-// selected row, both possibly views into sc.
-func selectMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, sc *morselScratch) (sel, gids []int32) {
-	// Stage 1: selection. Intersection plans drive their exact row list;
-	// residual plans filter the driving slice into sc.sel; zone plans verify
-	// every filter across the block's contiguous rows.
-	n := hi - lo
-	switch {
-	case plan.zone:
-		if cap(sc.sel) < n {
-			sc.sel = make([]int32, 0, n)
-		}
-		sc.sel = sc.sel[:0]
-		for r := lo; r < hi; r++ {
-			keep := true
-			for _, f := range plan.rest {
-				if f.codes[r] != f.code {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				sc.sel = append(sc.sel, int32(r))
-			}
-		}
-		sel = sc.sel
-	case len(plan.rest) == 0:
-		sel = plan.drive[lo:hi]
-	default:
-		if cap(sc.sel) < n {
-			sc.sel = make([]int32, 0, n)
-		}
-		sc.sel = sc.sel[:0]
-		for _, r := range plan.drive[lo:hi] {
-			keep := true
-			for _, f := range plan.rest {
-				if f.codes[r] != f.code {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				sc.sel = append(sc.sel, r)
-			}
-		}
-		sel = sc.sel
-	}
-
-	// Stage 2: group ids, gathered through the selection vector.
-	sc.gids = growInt32(sc.gids, len(sel))
-	gids = sc.gids[:len(sel)]
 	if dcodes == nil {
-		for i, r := range sel {
-			gids[i] = bcodes[r]
-		}
-	} else {
-		for i, r := range sel {
-			gids[i] = dcodes[r]*int32(bcard) + bcodes[r]
-		}
+		// Unit scan over contiguous rows: the group-id vector is the
+		// breakdown code column itself — no copy, no gather.
+		c.accumulateRuns(acc, bcodes[lo:hi], lo)
+		return
 	}
-	return sel, gids
+	n := hi - lo
+	sc.gids = growInt32(sc.gids, n)
+	gids := sc.gids[:n]
+	bc := bcodes[lo:hi]
+	dc := dcodes[lo:hi]
+	for i := range bc {
+		gids[i] = dc[i]*int32(bcard) + bc[i]
+	}
+	c.accumulateRuns(acc, gids, lo)
 }
 
-// findRuns splits the selection into runs: maximal stretches of consecutive
-// row ids (sel[j+1] == sel[j]+1) sharing one group id, so a run's values are
-// one contiguous slice of every measure column. It returns each run's start
-// position in sel followed by len(sel), so run k spans [runs[k], runs[k+1]),
-// in sc.runs. The candidate start is stored unconditionally and the
-// count advances only where a run begins, so the loop carries a conditional
-// increment and no data-dependent branch target.
-func (sc *morselScratch) findRuns(sel, gids []int32) []int32 {
-	sc.runs = growInt32(sc.runs, len(sel)+1)
-	runs := sc.runs
-	nr := 0
-	pg, pr := int32(-1), int32(-2)
-	for j, r := range sel {
-		g := gids[j]
-		runs[nr] = int32(j)
-		if (g^pg)|(r^(pr+1)) != 0 {
-			nr++
-		}
-		pg, pr = g, r
-	}
-	runs[nr] = int32(len(sel))
-	return runs[:nr+1]
-}
-
-// accumulateSelRuns is stage 3: each run folds into its cell with the cell
+// walkMorsel is the interval walk: it folds driving positions [lo, hi) of a
+// filtered plan into acc. It seeks the plan run holding position lo and clips
+// each run to the morsel. Within a run it skips rows a residual filter
+// rejects and splits the rest into group-id runs: maximal stretches of
+// selected rows with one breakdown (and ext) code, read straight off the code
+// columns (dcodes is nil for unit scans; the cell of an augmented row is
+// dcode·bcard + bcode). Each group-id run folds into its cell with the cell
 // held in a register — one load and one store per run and measure instead of
-// one load-add-store round trip per row, the dependency chain that dominates
-// when clustered rows hit the same cell hundreds of times in a row. Every
-// value is added to its cell in row order, exactly as a per-row loop would
-// add it, so the fold changes no bit of a result.
-func (c *ColumnarSubstrate) accumulateSelRuns(acc *scanAcc, sel, gids, runs []int32) {
-	nr := len(runs) - 1
+// a load-add-store round trip per row — adding its values in row order,
+// exactly as a per-row loop would, so the fold changes no bit of a result.
+// Two adjacent sum-only columns fold in one pass: their in-order chains are
+// independent, so their additions overlap instead of queuing behind each
+// other.
+func (c *ColumnarSubstrate) walkMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int32, acc *scanAcc) {
+	runs := plan.runs
 	counts := acc.counts
-	tb := len(acc.touched)
-	for k, j := range runs[:nr] {
-		g := gids[j]
-		if counts[g] == 0 {
-			acc.touched = append(acc.touched, g)
+	k := sort.Search(len(runs)-1, func(i int) bool { return int(runs[i+1].Pos) > lo })
+	for ; k < len(runs)-1 && int(runs[k].Pos) < hi; k++ {
+		row, pos := int(runs[k].Row), int(runs[k].Pos)
+		j, r1 := row+max(lo-pos, 0), row+min(hi, int(runs[k+1].Pos))-pos
+		for j < r1 {
+			end := r1 // selected rows are [j, end)
+			if len(plan.rest) > 0 {
+				for j < r1 && !plan.keeps(j) {
+					j++
+				}
+				end = j
+				for end < r1 && plan.keeps(end) {
+					end++
+				}
+			}
+			for j < end {
+				g, e := bcodes[j], j+1
+				if dcodes == nil {
+					for e < end && bcodes[e] == g {
+						e++
+					}
+				} else {
+					d := dcodes[j]
+					for e < end && bcodes[e] == g && dcodes[e] == d {
+						e++
+					}
+					g += d * bcard
+				}
+				if counts[g] == 0 {
+					acc.touched = append(acc.touched, g)
+					for i := range c.mvals {
+						if c.needMM[i] {
+							acc.mins[i][g] = math.Inf(1)
+							acc.maxs[i][g] = math.Inf(-1)
+						}
+					}
+				}
+				counts[g] += float64(e - j)
+				for i := 0; i < len(c.mvals); i++ {
+					v, sums := c.mvals[i][j:e], acc.sums[i]
+					s := sums[g]
+					if !c.needMM[i] && i+1 < len(c.mvals) && !c.needMM[i+1] {
+						v2, sums2 := c.mvals[i+1][j:e], acc.sums[i+1]
+						v2 = v2[:len(v)]
+						s2 := sums2[g]
+						for n, x := range v {
+							s += x
+							s2 += v2[n]
+						}
+						sums[g], sums2[g] = s, s2
+						i++
+						continue
+					}
+					if !c.needMM[i] {
+						for _, x := range v {
+							s += x
+						}
+						sums[g] = s
+						continue
+					}
+					mins, maxs := acc.mins[i], acc.maxs[i]
+					mn, mx := mins[g], maxs[g]
+					for _, x := range v {
+						s += x
+						if x < mn {
+							mn = x
+						}
+						if x > mx {
+							mx = x
+						}
+					}
+					sums[g], mins[g], maxs[g] = s, mn, mx
+				}
+				j = e
+			}
 		}
-		counts[g] += float64(runs[k+1] - j)
 	}
-	newTouched := acc.touched[tb:]
+}
 
-	for i, vals := range c.mvals {
-		sums := acc.sums[i]
-		if !c.needMM[i] {
-			for k, j := range runs[:nr] {
-				g, r := gids[j], sel[j]
-				s := sums[g]
-				for _, x := range vals[r : r+runs[k+1]-j] {
-					s += x
-				}
-				sums[g] = s
-			}
-			continue
-		}
-		mins, maxs := acc.mins[i], acc.maxs[i]
-		for _, g := range newTouched {
-			mins[g] = math.Inf(1)
-			maxs[g] = math.Inf(-1)
-		}
-		for k, j := range runs[:nr] {
-			g, r := gids[j], sel[j]
-			s, mn, mx := sums[g], mins[g], maxs[g]
-			for _, x := range vals[r : r+runs[k+1]-j] {
-				s += x
-				if x < mn {
-					mn = x
-				}
-				if x > mx {
-					mx = x
-				}
-			}
-			sums[g], mins[g], maxs[g] = s, mn, mx
+// keeps reports whether row r passes every residual filter.
+func (p *scanPlan) keeps(r int) bool {
+	for _, f := range p.rest {
+		if f.codes[r] != f.code {
+			return false
 		}
 	}
+	return true
 }
 
 // accumulateRuns is the contiguous-scan kernel: it walks the group-id vector

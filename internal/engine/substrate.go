@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
@@ -57,8 +58,8 @@ const (
 	// forced modes exist for tests to pin each physical path.
 	PlanAuto PlanMode = iota
 	// PlanBitmap always intersects the compressed bitmap posting sets
-	// (dataset.Bitmap) directly in container form and drives the materialized
-	// row list: the scan visits exactly the matching rows.
+	// (dataset.Bitmap) directly in container form and drives the result's
+	// runs of consecutive rows: the scan visits exactly the matching rows.
 	PlanBitmap
 	// PlanResidual always drives off the most selective posting set and
 	// verifies the remaining filters row by row.
@@ -81,8 +82,8 @@ const DefaultMorselSize = 8192
 // ColumnarSubstrate is the default Substrate: a morsel-driven, vectorized
 // filtered group-by scan over the in-memory columnar table. Multi-filter
 // subspaces are planned per subspace (posting-list intersection vs residual
-// verification, memoized); aggregation runs as fused per-measure kernels
-// over selection vectors, with min/max materialized only for the measure
+// verification, memoized); aggregation runs as fused kernels over the plan's
+// runs of driving rows, with min/max materialized only for the measure
 // columns some registered evaluator actually needs; accumulators are pooled
 // per substrate. It is infallible and pure with respect to the engine's
 // meter and caches.
@@ -236,16 +237,21 @@ type residualFilter struct {
 }
 
 // scanPlan is the memoized physical plan for one subspace: the row set the
-// scan drives off plus any filters still verified per row. rows is the exact
-// number of rows the scan visits — the quantity ScanCostAt charges and
-// PlannedRows predicts.
+// scan drives off, as runs of consecutive rows, plus any filters still
+// verified per driven row. rows is the exact number of rows the scan visits —
+// the quantity ScanCostAt charges and PlannedRows predicts.
 type scanPlan struct {
-	full    bool             // unfiltered: iterate every table row
-	drive   []int32          // rows to visit when !full && !zone (may be empty)
-	rest    []residualFilter // residual filters (residual and zone plans)
-	rows    int              // rows visited = len(drive), table rows when full, or block rows when zone
-	zone    bool             // drive the surviving zone blocks instead of a row list
-	zblocks []int32          // zone plans: surviving block indices, ascending
+	full bool             // unfiltered: iterate every table row
+	runs dataset.RowRuns  // driving rows when !full: the exact matches, the best posting set or the surviving zone blocks
+	rest []residualFilter // filters verified per driven row (residual and zone plans)
+	rows int              // rows visited: runs.Rows(), or table rows when full
+}
+
+// bytes is what the plan holds beyond its header: the driving runs and the
+// residual filters.
+func (p *scanPlan) bytes() int64 {
+	return int64(cap(p.runs))*int64(unsafe.Sizeof(dataset.RowRun{})) +
+		int64(cap(p.rest))*int64(unsafe.Sizeof(residualFilter{}))
 }
 
 // Plan-choice weights. A residual check costs random dictionary-code loads
@@ -273,14 +279,15 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 		return p
 	}
 	// One builder per handle: the units of one subspace are dispatched
-	// together and all want its plan at once, and a plan is a row list of up
-	// to 4 bytes per table row that a losing racer would build and drop.
+	// together and all want its plan at once, and a plan holds a posting
+	// intersection that a losing racer would compute and drop.
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
 	if p := h.plan.Load(); p != nil {
 		return p
 	}
 	p := c.buildPlan(h)
+	c.obs.Count("engine.physical.plan_bytes", p.bytes())
 	h.plan.Store(p)
 	return p
 }
@@ -290,7 +297,7 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 //   - no filters: full-table scan;
 //   - one filter: drive its posting set;
 //   - several filters: intersect all posting sets directly on the
-//     compressed bitmap containers and drive the exact matching row list,
+//     compressed bitmap containers and drive the exact matching rows,
 //     drive the most selective set and verify the rest per row, or — when
 //     the zone maps prune the table below the most selective posting set —
 //     scan the surviving zone blocks sequentially, verifying every filter
@@ -307,8 +314,9 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 // exceeds what the most-selective-set drive would have charged. Everything
 // is a pure function of container composition, cardinalities and the
 // immutable zone maps, so the plan — and the charged row count that follows
-// from it — is deterministic. Every drive list, a residual plan's included,
-// is emitted from the compressed set: no per-value row list is ever cached.
+// from it — is deterministic. Every posting-driven set, a residual plan's
+// included, is emitted from the compressed set as runs of consecutive rows:
+// no per-value row list is ever cached.
 func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	if h.Len() == 0 {
 		return &scanPlan{full: true, rows: c.tab.Rows()}
@@ -316,7 +324,7 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	if !h.valid {
 		// A filter on an unknown dimension or a value absent from its
 		// column: no rows match, nothing is scanned.
-		return &scanPlan{drive: []int32{}}
+		return &scanPlan{}
 	}
 	filters := make([]filterSpec, len(h.filters))
 	for i, f := range h.filters {
@@ -336,15 +344,13 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	if lens[best] == 0 {
 		// A filter value absent from its column: no rows match, nothing is
 		// scanned.
-		return &scanPlan{drive: []int32{}}
+		return &scanPlan{}
 	}
 	if c.mode == PlanZone {
-		return c.buildZonePlan(filters)
+		return c.zonePlan(filters, c.zoneRuns(filters))
 	}
 	if len(filters) == 1 {
-		// Materializing from the compressed set yields a fresh list, so no
-		// plan ever aliases an index-owned slice.
-		return &scanPlan{drive: bms[0].ToArray(nil), rows: lens[0]}
+		return &scanPlan{runs: bms[0].RowRuns(), rows: lens[0]}
 	}
 
 	nRest := len(filters) - 1
@@ -357,20 +363,20 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 		residualCost := float64(lens[best])*residualCheckWeight*float64(nRest) +
 			(float64(lens[best])-expected)*kernelRowWeight
 		intersectCost := dataset.BitmapAndCost(bms...)
-		if blocks, zrows := c.zoneBlocks(filters); zrows <= lens[best] {
-			zoneCost := float64(zrows)*zoneCheckWeight*float64(len(filters)) +
-				(float64(zrows)-expected)*kernelRowWeight
+		if zruns := c.zoneRuns(filters); zruns.Rows() <= lens[best] {
+			zrows := float64(zruns.Rows())
+			zoneCost := zrows*zoneCheckWeight*float64(len(filters)) + (zrows-expected)*kernelRowWeight
 			if zoneCost < intersectCost && zoneCost < residualCost {
-				return c.finishZonePlan(filters, blocks, zrows)
+				return c.zonePlan(filters, zruns)
 			}
 		}
 		intersect = intersectCost < residualCost
 	}
 	if intersect {
-		drive := dataset.AndAll(bms...).ToArray(nil)
+		and := dataset.AndAll(bms...)
 		c.obs.Count("engine.physical.plan_bitmap", 1)
-		c.obs.Count("engine.physical.rows_pruned", int64(lens[best]-len(drive)))
-		return &scanPlan{drive: drive, rows: len(drive)}
+		c.obs.Count("engine.physical.rows_pruned", int64(lens[best]-and.Cardinality()))
+		return &scanPlan{runs: and.RowRuns(), rows: and.Cardinality()}
 	}
 	rest := make([]residualFilter, 0, nRest)
 	for i, f := range filters {
@@ -379,7 +385,7 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 		}
 	}
 	c.obs.Count("engine.physical.plan_residual", 1)
-	return &scanPlan{drive: bms[best].ToArray(nil), rest: rest, rows: lens[best]}
+	return &scanPlan{runs: bms[best].RowRuns(), rest: rest, rows: lens[best]}
 }
 
 // notePostings feeds the postings storage instruments the first time this
@@ -415,56 +421,69 @@ func (c *ColumnarSubstrate) notePostings(col *dataset.DimColumn) {
 	}
 }
 
-// zoneBlocks computes the zone-surviving blocks for a filter set: the
-// morsel-sized blocks whose per-dimension [min, max] code range admits every
-// filter value, plus the total row count those blocks hold. Zone maps are
-// built lazily per column and cached (see dataset.DimColumn.Zones).
-func (c *ColumnarSubstrate) zoneBlocks(filters []filterSpec) (blocks []int32, zrows int) {
+// zoneRuns computes the rows of the zone-surviving blocks for a filter set:
+// the morsel-sized blocks whose per-dimension [min, max] code range admits
+// every filter value, adjacent blocks coalesced into one run. Blocks are
+// morsel-aligned and only the table's last one may be short, so cutting the
+// driving rows every morsel rows makes morsel i exactly surviving block i.
+// Zone maps are built lazily per column and cached (see
+// dataset.DimColumn.Zones). Like a posting set's runs, the result takes one
+// exact-size allocation, none when no block survives.
+func (c *ColumnarSubstrate) zoneRuns(filters []filterSpec) dataset.RowRuns {
 	rows := c.tab.Rows()
 	nb := (rows + c.morsel - 1) / c.morsel
 	zms := make([]*dataset.ZoneMap, len(filters))
 	for i, f := range filters {
 		zms[i] = f.col.Zones(c.morsel)
 	}
-	for b := 0; b < nb; b++ {
-		keep := true
+	survives := func(b int) bool {
 		for i, f := range filters {
 			if !zms[i].Contains(b, f.code) {
-				keep = false
-				break
+				return false
 			}
 		}
-		if !keep {
-			continue
-		}
-		blocks = append(blocks, int32(b))
-		hi := (b + 1) * c.morsel
-		if hi > rows {
-			hi = rows
-		}
-		zrows += hi - b*c.morsel
+		return true
 	}
-	return blocks, zrows
+	n, prev := 0, false
+	for b := 0; b < nb; b++ {
+		s := survives(b)
+		if s && !prev {
+			n++
+		}
+		prev = s
+	}
+	if n == 0 {
+		return nil
+	}
+	runs := make(dataset.RowRuns, 0, n+1)
+	var pos, end int32 // driving rows so far; one past the last surviving row
+	prev = false
+	for b := 0; b < nb; b++ {
+		s := survives(b)
+		if s {
+			lo, hi := int32(b*c.morsel), int32(min((b+1)*c.morsel, rows))
+			if !prev {
+				runs = append(runs, dataset.RowRun{Row: lo, Pos: pos})
+			}
+			pos, end = pos+hi-lo, hi
+		}
+		prev = s
+	}
+	return append(runs, dataset.RowRun{Row: end, Pos: pos})
 }
 
-// finishZonePlan assembles the zone plan for the surviving blocks: every
-// filter becomes a residual check over the blocks' contiguous rows.
-func (c *ColumnarSubstrate) finishZonePlan(filters []filterSpec, blocks []int32, zrows int) *scanPlan {
+// zonePlan assembles the zone plan over the surviving blocks' runs: every
+// filter becomes a residual check over their contiguous rows.
+func (c *ColumnarSubstrate) zonePlan(filters []filterSpec, runs dataset.RowRuns) *scanPlan {
 	rest := make([]residualFilter, len(filters))
 	for i, f := range filters {
 		rest[i] = residualFilter{codes: f.col.Codes(), code: f.code}
 	}
 	nb := (c.tab.Rows() + c.morsel - 1) / c.morsel
+	kept := (runs.Rows() + c.morsel - 1) / c.morsel // every surviving block but the table's last is full
 	c.obs.Count("engine.physical.plan_zone", 1)
-	c.obs.Count("engine.physical.blocks_skipped", int64(nb-len(blocks)))
-	return &scanPlan{zone: true, zblocks: blocks, rest: rest, rows: zrows}
-}
-
-// buildZonePlan is the forced-PlanZone strategy: zone-prune and verify every
-// filter per row, regardless of cost.
-func (c *ColumnarSubstrate) buildZonePlan(filters []filterSpec) *scanPlan {
-	blocks, zrows := c.zoneBlocks(filters)
-	return c.finishZonePlan(filters, blocks, zrows)
+	c.obs.Count("engine.physical.blocks_skipped", int64(nb-kept))
+	return &scanPlan{runs: runs, rest: rest, rows: runs.Rows()}
 }
 
 // PlannedRows implements RowPlanner: the exact rows a unit scan under s

@@ -16,6 +16,12 @@ const (
 	// as testing.AllocsPerRun reports it, blessed when subspaces were
 	// interned (the same measurement gave 1,503,070 before).
 	blessedMineAllocs = 246000
+	// blessedColdAllocs is the heap-allocation count of the first
+	// Session.Analyze on a fresh session over the benchmark's generated table
+	// at its quick scale (one worker, unbudgeted, TopK 10), blessed when plans
+	// came to hold their driving rows as runs (the same measurement gave
+	// 266,000 with row lists).
+	blessedColdAllocs = 264600
 	// mineAllocsSlack is how far past the blessed count a run may go.
 	mineAllocsSlack = 1.05
 	// scanParAllocsSlack bounds what ScanParallelism 4 may allocate relative
@@ -41,6 +47,24 @@ func warmAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, exec metainsight.
 	}
 	defer sess.Close()
 	return testing.AllocsPerRun(3, func() {
+		if _, err := sess.Analyze(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// coldAnalyzeAllocs reports the allocations of the first Analyze on a fresh
+// session over tab: the one that interns every subspace and builds every
+// plan. The table's posting sets are built on AllocsPerRun's warm-up call and
+// shared by every session after it.
+func coldAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, exec metainsight.ExecConfig, req metainsight.Request) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(3, func() {
+		sess, err := metainsight.NewSession(tab, metainsight.WithExec(exec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
 		if _, err := sess.Analyze(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
@@ -118,6 +142,18 @@ func TestMineAllocsGuard(t *testing.T) {
 	// the merge skew and this arm would show it in bytes.
 	gen := workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30})
 	req = metainsight.Request{TopK: 10}
+
+	// The first request on a session plans every subspace it touches, so a
+	// plan representation that costs allocations shows here and not in the
+	// warm arms.
+	cold := coldAnalyzeAllocs(t, gen, metainsight.ExecConfig{Workers: 1}, req)
+	limit = blessedColdAllocs * mineAllocsSlack
+	t.Logf("allocations per cold Analyze over gen quick: %.0f (blessed %d, limit %.0f)", cold, blessedColdAllocs, limit)
+	if cold > limit {
+		t.Errorf("allocations per cold Analyze regressed: %.0f exceeds blessed %d x %.2f = %.0f",
+			cold, blessedColdAllocs, mineAllocsSlack, limit)
+	}
+
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		// Both arms at the same GOMAXPROCS: the pools are per P, so the core
@@ -131,6 +167,36 @@ func TestMineAllocsGuard(t *testing.T) {
 			t.Errorf("GOMAXPROCS %d: default scan parallelism allocates %.0f objects / %.0f bytes, more than %.2f x the sequential %.0f / %.0f",
 				procs, allocs, bytes, defaultParSlack, seqAllocs, seqBytes)
 		}
+	}
+}
+
+// blessedPlanBytes is what the memoized scan plans hold after one
+// Analyze(TopK 10) at one worker on a fresh session over the benchmark's
+// generated table at its quick scale ("engine.physical.plan_bytes": driving
+// runs plus residual filters), blessed when plans came to hold runs of
+// consecutive rows (the same plans held 5,528,156 bytes as row lists).
+const blessedPlanBytes = 179392
+
+// TestPlanBytesGuard pins the memory a session's plans keep. Plans live as
+// long as the session's substrate, one per distinct subspace mined, so their
+// size is the growth rate of a resident session; the count is exact at one
+// worker.
+func TestPlanBytesGuard(t *testing.T) {
+	tab := workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30})
+	sess, err := metainsight.NewSession(tab, metainsight.WithExec(metainsight.ExecConfig{Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ob := metainsight.NewObserver(metainsight.ObserverOptions{})
+	if _, err := sess.Analyze(context.Background(), metainsight.Request{TopK: 10, Observer: ob}); err != nil {
+		t.Fatal(err)
+	}
+	got := ob.Snapshot().Counters["engine.physical.plan_bytes"]
+	limit := blessedPlanBytes * scanTrafficSlack
+	t.Logf("engine.physical.plan_bytes: %d (blessed %d, limit %.0f)", got, blessedPlanBytes, limit)
+	if float64(got) > limit {
+		t.Errorf("plan bytes regressed: %d exceeds blessed %d x %.2f = %.0f", got, blessedPlanBytes, scanTrafficSlack, limit)
 	}
 }
 
