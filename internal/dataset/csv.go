@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
+	"unicode/utf8"
 
 	"metainsight/internal/model"
 )
@@ -76,6 +78,9 @@ const (
 	// loadPresumeRows is how many well-formed rows the kind presumption
 	// reads before the load proper starts.
 	loadPresumeRows = 4096
+	// runProbe is how many kept rows of a chunk try the last kept row's code
+	// on every dictionary cell before each column settles whether to go on.
+	runProbe = 256
 )
 
 // utf8BOM is the byte-order mark spreadsheet exports put before the header.
@@ -119,9 +124,9 @@ func LoadCSV(r io.Reader, opts LoadOptions) (*Table, error) {
 // applying the same inference rules as LoadCSV. Neither slice is modified.
 func FromRecords(name string, header []string, records [][]string, opts LoadOptions) (*Table, error) {
 	opts.Name = name
-	whole := func() (rowReader, int) {
+	whole := func() ([]byte, rowReader[string], int) {
 		i := 0
-		return func() ([]string, error) {
+		return nil, func() ([]string, error) {
 			if i == len(records) {
 				return nil, io.EOF
 			}
@@ -143,12 +148,19 @@ func loadCSV(data []byte, opts LoadOptions, chunkBytes, presumeRows int) (*Table
 	return load(header, src, opts, presumeRows)
 }
 
-// A rowReader yields the next record, or io.EOF after the last. The slice it
-// returns may be overwritten by the following call.
-type rowReader func() ([]string, error)
+// A cell is one field of a record: a range of quote-free input bytes, or a
+// string that encoding/csv or a FromRecords caller tokenized. One row decoder
+// serves both.
+type cell interface{ string | []byte }
 
-// A chunk opens a reader over one run of rows and bounds how many there are.
-type chunk func() (next rowReader, maxRows int)
+// A rowReader yields the next record, or io.EOF after the last. The slice it
+// returns may be overwritten by the following call; the cells in it are not.
+type rowReader[T cell] func() ([]T, error)
+
+// A chunk opens one run of rows: quote-free CSV for byteRows to split when
+// records is nil, else a reader over records tokenized elsewhere. maxRows
+// bounds how many rows there are.
+type chunk func() (plain []byte, records rowReader[string], maxRows int)
 
 // A source hands the loader its rows: whole reads all of them from the top
 // of the input, pieces the same rows cut into runs that can be read
@@ -168,33 +180,38 @@ func newCSVReader(b []byte) *csv.Reader {
 	return cr
 }
 
-// plainRows reads quote-free CSV b. Lines end at '\n', one '\r' is dropped
-// from the end of each, empty lines are skipped and fields are split at ','.
-// On such input that is the record newCSVReader returns, up to the leading
-// space it trims, which the loader's strings.TrimSpace on every cell removes
-// anyway — and quote-free input has no syntax errors. The fields are
-// substrings of one string made here, so a chunk costs one allocation, not
-// one per record.
-func plainRows(b []byte) rowReader {
-	s := string(b)
-	var rec []string
-	return func() ([]string, error) {
-		for s != "" {
-			line, rest, _ := strings.Cut(s, "\n")
-			s = rest
-			line = strings.TrimSuffix(line, "\r")
-			if line == "" {
+// byteRows splits quote-free CSV b into records: lines end at '\n', one '\r'
+// is dropped from the end of each, empty lines are skipped and fields are
+// split at ','. On such input that is the record newCSVReader returns, up to
+// the leading space it trims, which trimSpace removes from every cell anyway
+// — and quote-free input has no syntax errors. The cells are ranges of b and
+// the record is reused, so a chunk allocates nothing per row.
+func byteRows(b []byte) rowReader[[]byte] {
+	var rec [][]byte
+	return func() ([][]byte, error) {
+		for len(b) > 0 {
+			line := b
+			if i := bytes.IndexByte(b, '\n'); i >= 0 {
+				line, b = b[:i], b[i+1:]
+			} else {
+				b = nil
+			}
+			if n := len(line); n > 0 && line[n-1] == '\r' {
+				line = line[:n-1]
+			}
+			if len(line) == 0 {
 				continue
 			}
 			rec = rec[:0]
-			start := 0
-			for i := 0; i < len(line); i++ {
-				if line[i] == ',' {
-					rec = append(rec, line[start:i])
-					start = i + 1
+			for {
+				i := bytes.IndexByte(line, ',')
+				if i < 0 {
+					break
 				}
+				rec = append(rec, line[:i])
+				line = line[i+1:]
 			}
-			rec = append(rec, line[start:])
+			rec = append(rec, line)
 			return rec, nil
 		}
 		return nil, io.EOF
@@ -202,7 +219,7 @@ func plainRows(b []byte) rowReader {
 }
 
 // csvSource reads the header off data and cuts the rest into chunks. A
-// stretch of body with no quote byte is read by plainRows; one with a quote
+// stretch of body with no quote byte is split by byteRows; one with a quote
 // keeps encoding/csv, whose syntax errors (line, column, text) are contract.
 func csvSource(data []byte, chunkBytes int) ([]string, source, error) {
 	cr := newCSVReader(data)
@@ -213,28 +230,26 @@ func csvSource(data []byte, chunkBytes int) ([]string, source, error) {
 	body := data[cr.InputOffset():]
 	// A well-formed row is at least one byte per column and ends a line, which
 	// bounds the rows of any stretch of body without parsing it.
-	maxRows := func(b []byte) int {
-		return min(bytes.Count(b, []byte{'\n'}), len(b)/len(header)) + 1
-	}
-	src := source{whole: func() (rowReader, int) {
-		if !bytes.Contains(body, []byte{'"'}) {
-			return plainRows(body), maxRows(body)
+	open := func(b []byte, quoted func() rowReader[string]) chunk {
+		return func() ([]byte, rowReader[string], int) {
+			maxRows := min(bytes.Count(b, []byte{'\n'}), len(b)/len(header)) + 1
+			if bytes.IndexByte(b, '"') >= 0 {
+				return nil, quoted(), maxRows
+			}
+			return b, nil, maxRows
 		}
+	}
+	src := source{whole: open(body, func() rowReader[string] {
 		// From the top of the input, so that a syntax error carries the line
 		// numbers of the file and not of a chunk.
 		cr := newCSVReader(data)
 		cr.Read() //nolint:errcheck // the header, read without error just above
-		return cr.Read, maxRows(body)
-	}}
+		return cr.Read
+	})}
 	if cuts := chunkCuts(body, chunkBytes); len(cuts) > 2 {
 		for i := range cuts[:len(cuts)-1] {
 			piece := body[cuts[i]:cuts[i+1]]
-			src.pieces = append(src.pieces, func() (rowReader, int) {
-				if !bytes.Contains(piece, []byte{'"'}) {
-					return plainRows(piece), maxRows(piece)
-				}
-				return newCSVReader(piece).Read, maxRows(piece)
-			})
+			src.pieces = append(src.pieces, open(piece, func() rowReader[string] { return newCSVReader(piece).Read }))
 		}
 	}
 	return header, src, nil
@@ -307,6 +322,7 @@ type segment struct {
 	codes []int32          // asDict: one chunk-local code per kept row
 	dict  []string         // asDict: chunk-local code -> value, in order of first occurrence
 	index map[string]int32 // asDict: value -> chunk-local code
+	hits  int              // asDict: cells that took the last kept row's code
 	// unkept holds values met only in rows a bad measure dropped. The old
 	// loader inferred kinds before it dropped rows, so these values count
 	// for the column's kind and cardinality but never enter its dictionary.
@@ -344,15 +360,17 @@ func load(header []string, src source, opts LoadOptions, presumeRows int) (*Tabl
 	names, err := columnNames(header)
 	if err != nil {
 		// The sequential loader read every row before it looked at the
-		// names, so a syntax error anywhere wins.
-		next, _ := src.whole()
-		for {
-			if _, rerr := next(); rerr == io.EOF {
-				return nil, err
-			} else if rerr != nil {
-				return nil, syntaxError(rerr)
+		// names, so a syntax error anywhere wins; quote-free input has none.
+		if _, next, _ := src.whole(); next != nil {
+			for {
+				if _, rerr := next(); rerr == io.EOF {
+					break
+				} else if rerr != nil {
+					return nil, syntaxError(rerr)
+				}
 			}
 		}
+		return nil, err
 	}
 	l := newLoader(names, opts)
 	pieces := src.pieces
@@ -442,7 +460,14 @@ func newLoader(names []string, opts LoadOptions) *loader {
 // no non-empty cell so far — so the only correction the load proper can need
 // is from number to dictionary.
 func (l *loader) presume(open chunk, rows int) {
-	next, _ := open()
+	if plain, records, _ := open(); records != nil {
+		presumeRows(l, records, rows)
+	} else {
+		presumeRows(l, byteRows(plain), rows)
+	}
+}
+
+func presumeRows[T cell](l *loader, next rowReader[T], rows int) {
 	for seen := 0; seen < rows; {
 		rec, err := next()
 		if err != nil {
@@ -454,7 +479,7 @@ func (l *loader) presume(open chunk, rows int) {
 		seen++
 		for c, cell := range rec {
 			if l.mode[c] == asNumber && !l.forced[c] {
-				if _, ok := parseNumber(strings.TrimSpace(cell)); !ok {
+				if _, ok := parseNumber(trimSpace(cell)); !ok {
 					l.mode[c] = asDict
 				}
 			}
@@ -467,7 +492,14 @@ func (l *loader) presume(open chunk, rows int) {
 // goes on, because a later cell can still retype a column, which outranks
 // the bad measure.
 func (l *loader) parse(open chunk) *part {
-	next, maxRows := open()
+	plain, records, maxRows := open()
+	if records != nil {
+		return parseRows(l, records, maxRows)
+	}
+	return parseRows(l, byteRows(plain), maxRows)
+}
+
+func parseRows[T cell](l *loader, next rowReader[T], maxRows int) *part {
 	ncols := len(l.names)
 	p := &part{segs: make([]segment, ncols)}
 	mode := append([]colMode(nil), l.mode...)
@@ -507,16 +539,16 @@ func (l *loader) parse(open chunk) *part {
 				continue
 			}
 			seg := &p.segs[c]
-			s := strings.TrimSpace(cell)
+			s := trimSpace(cell)
 			v, ok := parseNumber(s)
-			seg.nonEmpty = seg.nonEmpty || s != ""
+			seg.nonEmpty = seg.nonEmpty || len(s) > 0
 			switch {
 			case !ok && !l.forced[c]:
 				mode[c] = retyped
 				p.retype = append(p.retype, c)
 			case !ok || math.IsNaN(v) || math.IsInf(v, 0):
 				if l.opts.BadMeasures == RowError && p.bad == nil {
-					p.bad = fmt.Errorf("dataset: row %d column %q: %w", wellFormed, l.names[c], measureError(s, ok))
+					p.bad = fmt.Errorf("dataset: row %d column %q: %w", wellFormed, l.names[c], measureError(string(s), ok))
 				}
 				keep = false
 			default:
@@ -528,24 +560,36 @@ func (l *loader) parse(open chunk) *part {
 				continue
 			}
 			seg := &p.segs[c]
-			v := strings.TrimSpace(cell)
-			code, ok := seg.index[v]
+			v := trimSpace(cell)
+			// In a run of one value, a cell equal to the last kept row's
+			// value takes its code without the map. Where rows do not run,
+			// trying only costs, so a column goes on trying past its first
+			// runProbe kept rows only if at least half of the tries hit.
+			var code int32
+			n := len(seg.codes)
+			ok := n > 0 && (n < runProbe || 2*seg.hits >= runProbe) && string(v) == seg.dict[seg.codes[n-1]]
+			if ok {
+				code = seg.codes[n-1]
+				seg.hits++
+			} else {
+				code, ok = seg.index[string(v)]
+			}
 			switch {
 			case keep:
 				if !ok {
-					// Cloned, so the dictionary does not pin the record's buffer.
-					v = strings.Clone(v)
+					// Cloned, so the dictionary does not pin the input.
+					s := strings.Clone(string(v))
 					code = int32(len(seg.dict))
-					seg.index[v] = code
-					seg.dict = append(seg.dict, v)
+					seg.index[s] = code
+					seg.dict = append(seg.dict, s)
 				}
 				seg.codes = append(seg.codes, code)
 			case !ok && !l.forced[c]:
 				if seg.unkept == nil {
 					seg.unkept = make(map[string]struct{})
 				}
-				if _, ok := seg.unkept[v]; !ok {
-					seg.unkept[strings.Clone(v)] = struct{}{}
+				if _, ok := seg.unkept[string(v)]; !ok {
+					seg.unkept[strings.Clone(string(v))] = struct{}{}
 				}
 			}
 		}
@@ -565,16 +609,53 @@ func (l *loader) parse(open chunk) *part {
 	return p
 }
 
+// trimSpace is strings.TrimSpace for either kind of cell: it drops the
+// leading and then the trailing runes unicode.IsSpace holds of (NBSP and NEL
+// among them), decoded as utf8 decodes them, and tells ASCII bytes apart
+// without decoding. A rune is at most utf8.UTFMax bytes, so decoding one reads
+// no more than that.
+func trimSpace[T cell](s T) T {
+	for len(s) > 0 {
+		if c := s[0]; c < utf8.RuneSelf {
+			if !asciiSpace(c) {
+				break
+			}
+			s = s[1:]
+		} else if r, n := utf8.DecodeRuneInString(string(s[:min(len(s), utf8.UTFMax)])); unicode.IsSpace(r) {
+			s = s[n:]
+		} else {
+			break
+		}
+	}
+	for len(s) > 0 {
+		if c := s[len(s)-1]; c < utf8.RuneSelf {
+			if !asciiSpace(c) {
+				break
+			}
+			s = s[:len(s)-1]
+		} else if r, n := utf8.DecodeLastRuneInString(string(s[max(0, len(s)-utf8.UTFMax):])); unicode.IsSpace(r) {
+			s = s[:len(s)-n]
+		} else {
+			break
+		}
+	}
+	return s
+}
+
+// asciiSpace reports whether c is one of the ASCII bytes unicode.IsSpace
+// holds of.
+func asciiSpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
+
 // parseNumber reads a trimmed measure cell: thousands commas are ignored and
 // an empty cell is 0.
-func parseNumber(s string) (float64, bool) {
-	if s == "" {
+func parseNumber[T cell](s T) (float64, bool) {
+	if len(s) == 0 {
 		return 0, true
 	}
 	if v, ok := parseDecimal(s); ok {
 		return v, true
 	}
-	v, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64)
+	v, err := strconv.ParseFloat(strings.ReplaceAll(string(s), ",", ""), 64)
 	return v, err == nil
 }
 
@@ -589,7 +670,7 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 // float64s, one IEEE division rounds their quotient correctly, and negation
 // commutes with that rounding: the result is strconv.ParseFloat's, bit for
 // bit, -0 included.
-func parseDecimal(s string) (float64, bool) {
+func parseDecimal[T cell](s T) (float64, bool) {
 	i, neg := 0, false
 	if s[0] == '+' || s[0] == '-' {
 		i, neg = 1, s[0] == '-'

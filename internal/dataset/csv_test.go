@@ -114,21 +114,24 @@ func TestLoadCSVStripsBOM(t *testing.T) {
 	}
 }
 
-// sameAsReference loads in with both loaders and fails unless they agree on
-// the error text or on the table.
-func sameAsReference(t *testing.T, in string, opts LoadOptions, chunkBytes, presumeRows int) {
+// sameAsReference loads in with both loaders and fails, reporting false,
+// unless they agree on the error text or on the table.
+func sameAsReference(t *testing.T, in string, opts LoadOptions, chunkBytes, presumeRows int) bool {
 	t.Helper()
 	want, werr := refLoadCSV(strings.NewReader(in), opts)
 	got, gerr := loadCSV([]byte(in), opts, chunkBytes, presumeRows)
 	if werr != nil || gerr != nil {
 		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
 			t.Errorf("chunk %d: error %v, reference %v", chunkBytes, gerr, werr)
+			return false
 		}
-		return
+		return true
 	}
 	if d := TableDiff(got, want); d != "" {
 		t.Errorf("chunk %d: differs from the reference: %s", chunkBytes, d)
+		return false
 	}
+	return true
 }
 
 // A column that is numeric for the whole presumption prefix and textual
@@ -192,36 +195,22 @@ func TestLoadCSVReaderError(t *testing.T) {
 	}
 }
 
-// readTrimmed reads every record next yields, each cell trimmed as the loader
-// trims it.
-func readTrimmed(t *testing.T, next rowReader) [][]string {
-	t.Helper()
-	var out [][]string
-	for {
-		rec, err := next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		row := make([]string, len(rec))
-		for i, cell := range rec {
-			row[i] = strings.TrimSpace(cell)
-		}
-		out = append(out, row)
-	}
-}
-
-// On quote-free input the byte-level reader yields the records encoding/csv
-// does, once each cell is trimmed: the same records, field counts and cells,
-// at every line-ending and whitespace edge, and on random quote-free inputs.
-func TestPlainTokenizerMatchesEncodingCSV(t *testing.T) {
-	same := func(in string) {
+// Quote-free input is decoded from its bytes, with the last kept row's code
+// tried before the dictionary, and the table that comes out is the reference
+// loader's — or the error is, to the byte — at every line-ending and
+// whitespace edge and on random quote-free bodies, at chunk sizes of 1–8 bytes
+// and at the production size, with ragged and bad-measure rows both rejected
+// and skipped.
+func TestQuoteFreeLoadMatchesReference(t *testing.T) {
+	arms := []LoadOptions{{Name: "t"}, {Name: "t", RaggedRows: RowSkip, BadMeasures: RowSkip}}
+	same := func(body string) {
 		t.Helper()
-		want := readTrimmed(t, newCSVReader([]byte(in)).Read)
-		if got := readTrimmed(t, plainRows([]byte(in))); !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: records %q, encoding/csv %q", in, got, want)
+		for _, opts := range arms {
+			for _, chunkBytes := range []int{1, 2, 3, 4, 5, 6, 7, 8, loadChunkBytes} {
+				if !sameAsReference(t, "k,v\n"+body, opts, chunkBytes, 1) {
+					t.Fatalf("body %q, opts %+v", body, opts)
+				}
+			}
 		}
 	}
 	for _, in := range []string{
@@ -237,14 +226,17 @@ func TestPlainTokenizerMatchesEncodingCSV(t *testing.T) {
 		"\u00a0\n\u0085,\u00a0\u0085\n ", // lines of nothing else
 		"a,b\nc,",                        // an empty last field
 		"\xc2,\xff\xc2\xa0\n \xa0x\n",    // invalid UTF-8 beside NBSP
+		"a,1\nb,NaN\nb,2\nb,3\n",         // a value first met in a dropped row
+		"a,1\na,2\na\na,3\nb,4\n",        // a run broken by a ragged row
+		"a,1\n a,2\na ,3\n a,4\n",        // one value, spaced differently
 	} {
 		same(in)
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
-	pieces := []string{"a", "7", ",", "\n", "\r", " ", "\t", "\u00a0", "\u0085", "\xc2", "\v"}
+	pieces := []string{"a", "7", ",", "\n", "\r", " ", "\t", "\u00a0", "\u0085", "\xc2", "\v", "\u3000", "b", "NaN"}
 	for range 20000 {
 		var b strings.Builder
-		for n := rng.IntN(16); n > 0; n-- {
+		for n := rng.IntN(24); n > 0; n-- {
 			b.WriteString(pieces[rng.IntN(len(pieces))])
 		}
 		same(b.String())

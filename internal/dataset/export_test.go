@@ -13,7 +13,10 @@ var (
 	RefLoadCSV     = refLoadCSV
 )
 
-const LoadPresumeRows = loadPresumeRows
+const (
+	LoadChunkBytes  = loadChunkBytes
+	LoadPresumeRows = loadPresumeRows
+)
 
 // CSVChunks reports how many chunks loadCSV parses data in at chunkBytes.
 func CSVChunks(data []byte, chunkBytes int) int {

@@ -6,7 +6,8 @@ package dataset
 // several — instead of the whole table, the classic inverted-index
 // optimization of columnar engines. Sets are built lazily per dimension and
 // cached on the column; Table is immutable after Build, so the build is
-// idempotent and race-free under sync.Once.
+// idempotent and race-free under sync.Once. A mine needs every column's sets
+// at its root, so Table.BuildPostings builds them all at once, in parallel.
 
 // Postings returns the row ids holding the given dictionary code, in
 // ascending order, or nil for an out-of-range code. It materializes a fresh
@@ -29,6 +30,16 @@ func (c *DimColumn) PostingsBitmap(code int) *Bitmap {
 	}
 	c.bmOnce.Do(c.buildBitmapPostings)
 	return c.bmPost[code]
+}
+
+// BuildPostings builds the posting sets of every dimension column not built
+// yet, one column per goroutine up to GOMAXPROCS, the first time it is called
+// on the table. Every later call only checks a sync.Once: it starts no
+// goroutine and allocates nothing.
+func (t *Table) BuildPostings() {
+	t.postings.Do(func() {
+		forEach(len(t.dims), func(i int) { t.dims[i].bmOnce.Do(t.dims[i].buildBitmapPostings) })
+	})
 }
 
 func (c *DimColumn) buildBitmapPostings() {

@@ -2,9 +2,12 @@ package dataset_test
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"metainsight/internal/dataset"
@@ -16,7 +19,7 @@ func quickGen() *dataset.Table {
 	return workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 7, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30})
 }
 
-func csvOf(t *testing.T, tab *dataset.Table) []byte {
+func csvOf(t testing.TB, tab *dataset.Table) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := workload.WriteCSV(tab, &buf); err != nil {
@@ -60,15 +63,52 @@ func TestLoadChunkCountInvariance(t *testing.T) {
 	}
 }
 
+// TestBuildPostingsMatchesPerColumn builds every column's posting sets at
+// once, from 8 callers racing on a fresh table, and requires each bitmap to
+// equal, container by container, what a serial per-column build of an
+// identical table makes, at GOMAXPROCS 1 and 4; a call after the build must
+// allocate nothing. The tables are the four Figure-6 ones and the quick
+// generated one. CI runs it under -race -cpu 1,4.
+func TestBuildPostingsMatchesPerColumn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		refs := append(workload.FourLargeDatasets(), quickGen())
+		for i, tab := range append(workload.FourLargeDatasets(), quickGen()) {
+			var wg sync.WaitGroup
+			for range 8 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tab.BuildPostings()
+				}()
+			}
+			wg.Wait()
+			for d, col := range tab.Dimensions() {
+				ref := refs[i].Dimensions()[d]
+				for code := range col.Cardinality() {
+					if !reflect.DeepEqual(col.PostingsBitmap(code), ref.PostingsBitmap(code)) {
+						t.Errorf("%s GOMAXPROCS %d: %s = %q differs from the per-column build", tab.Name(), procs, col.Name, col.Value(code))
+					}
+				}
+			}
+			if n := testing.AllocsPerRun(10, tab.BuildPostings); n != 0 {
+				t.Errorf("%s: BuildPostings after the build allocates %.0f times", tab.Name(), n)
+			}
+		}
+	}
+}
+
 // TestLoadAllocsGuard holds the cold path's allocation bill: loading the
-// quick generated CSV from a file may cost at most 0.05 allocations and 220
+// quick generated CSV from a file may cost at most 0.05 allocations and 115
 // bytes per row, so one allocation per record fails it. The row-at-a-time
 // loader this one replaced measured ≈3.0 and ≈543 (a [][]string of every
 // record, a copy of every column for inference, one string per cell); with
 // encoding/csv under the chunks it read ≈1.04 and ≈153 (one string per
-// record). The quote-free reader reads ≈0.00 and ≈165: the file, one string
-// per chunk, the column segments and the columns. Counts, not timings, so it
-// runs in every plain `go test`.
+// record), and with quote-free chunks copied into one string each ≈0.00 and
+// ≈165. Decoded straight from the bytes it reads ≈0.00 and ≈105: the file,
+// the column segments and the columns. Counts, not timings, so it runs in
+// every plain `go test`.
 func TestLoadAllocsGuard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gen.csv")
 	if err := os.WriteFile(path, csvOf(t, quickGen()), 0o644); err != nil {
@@ -86,7 +126,33 @@ func TestLoadAllocsGuard(t *testing.T) {
 	allocs := float64(m1.Mallocs-m0.Mallocs) / rows
 	bytesPerRow := float64(m1.TotalAlloc-m0.TotalAlloc) / rows
 	t.Logf("%d rows: %.2f allocations and %.0f B per row", tab.Rows(), allocs, bytesPerRow)
-	if allocs > 0.05 || bytesPerRow > 220 {
-		t.Errorf("load allocates %.2f times and %.0f B per row, want at most 0.05 and 220", allocs, bytesPerRow)
+	if allocs > 0.05 || bytesPerRow > 115 {
+		t.Errorf("load allocates %.2f times and %.0f B per row, want at most 0.05 and 115", allocs, bytesPerRow)
+	}
+}
+
+// BenchmarkLoadCSV loads the quick generated CSV from memory at the
+// production chunk size: as written, where rows come in runs of one value per
+// dimension (clustered), and with its rows shuffled, where a cell seldom
+// repeats the one above it.
+func BenchmarkLoadCSV(b *testing.B) {
+	clustered := csvOf(b, quickGen())
+	header, body, _ := bytes.Cut(clustered, []byte{'\n'})
+	rows := bytes.SplitAfter(body, []byte{'\n'})
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	shuffled := bytes.Join(append([][]byte{header, []byte{'\n'}}, rows...), nil)
+	for _, arm := range []struct {
+		layout string
+		data   []byte
+	}{{"clustered", clustered}, {"shuffled", shuffled}} {
+		b.Run("layout="+arm.layout, func(b *testing.B) {
+			b.SetBytes(int64(len(arm.data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := dataset.LoadCSVChunked(arm.data, dataset.LoadOptions{}, dataset.LoadChunkBytes, dataset.LoadPresumeRows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

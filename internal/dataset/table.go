@@ -83,6 +83,7 @@ type Table struct {
 	dimIdx   map[string]int
 	measIdx  map[string]int
 	load     LoadStats
+	postings sync.Once // BuildPostings
 }
 
 // LoadStats reports what ingestion kept and dropped for tables built by
@@ -99,6 +100,7 @@ func (t *Table) LoadStats() LoadStats {
 // (an idempotent one-off O(dims × rows) pass) and returns their aggregate
 // container composition and byte footprint.
 func (t *Table) PostingsStats() BitmapStats {
+	t.BuildPostings()
 	var s BitmapStats
 	for _, d := range t.dims {
 		s.Add(d.BitmapPostingsStats())

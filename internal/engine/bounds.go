@@ -49,6 +49,8 @@ func (e *Engine) impactBoundsData() *impactBounds {
 					return // b.sound stays false: bounds disabled
 				}
 			}
+		} else {
+			e.tab.BuildPostings() // every value's posting set is counted below
 		}
 		b.share = make([][]float64, len(e.tab.Dimensions()))
 		b.max = make([]float64, len(e.tab.Dimensions()))
