@@ -626,48 +626,3 @@ func (b *Bitmap) Stats() BitmapStats {
 	}
 	return s
 }
-
-// andUnits estimates the work units one AND against this bitmap costs when
-// it is the smaller operand: array values are probed individually, run pairs
-// are merged, bitmap containers cost their full word count. Pure in the
-// container composition, so planner costs stay deterministic.
-func (b *Bitmap) andUnits() float64 {
-	if b == nil {
-		return 0
-	}
-	units := 0.0
-	for i := range b.ctrs {
-		c := &b.ctrs[i]
-		switch c.kind {
-		case ctArray:
-			units += float64(len(c.arr))
-		case ctRun:
-			units += float64(len(c.runs))
-		case ctBitmap:
-			units += bitmapWords
-		}
-	}
-	return units
-}
-
-// BitmapAndCost estimates the work AndAll(bms...) spends, in units comparable
-// to per-row comparison counts: each pairwise AND costs roughly the
-// smaller operand's container work, and the final materialization touches at
-// most the smallest cardinality. A pure function of container composition so
-// plans — and metered costs — stay deterministic.
-func BitmapAndCost(bms ...*Bitmap) float64 {
-	switch len(bms) {
-	case 0, 1:
-		return 0
-	}
-	minUnits, minCard := bms[0].andUnits(), bms[0].Cardinality()
-	for _, bm := range bms[1:] {
-		if u := bm.andUnits(); u < minUnits {
-			minUnits = u
-		}
-		if c := bm.Cardinality(); c < minCard {
-			minCard = c
-		}
-	}
-	return minUnits*float64(len(bms)-1) + float64(minCard)
-}

@@ -282,20 +282,6 @@ func TestBitmapStats(t *testing.T) {
 	}
 }
 
-func TestBitmapAndCostPure(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a := NewBitmapFromSorted(genRows("dense", rng))
-	b := NewBitmapFromSorted(genRows("sparse", rng))
-	c1 := BitmapAndCost(a, b)
-	c2 := BitmapAndCost(a, b)
-	if c1 != c2 || c1 <= 0 {
-		t.Fatalf("BitmapAndCost not deterministic or non-positive: %g vs %g", c1, c2)
-	}
-	if BitmapAndCost(a) != 0 || BitmapAndCost() != 0 {
-		t.Fatal("degenerate arities must cost zero")
-	}
-}
-
 // checkPostingsAgainstScan checks every posting set of tb against a
 // brute-force scan of the dictionary codes.
 func checkPostingsAgainstScan(t *testing.T, tb *Table) {

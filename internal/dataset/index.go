@@ -2,8 +2,8 @@ package dataset
 
 // Posting sets: for each (dimension, value) pair, the rows holding that
 // value, as a compressed bitmap (see bitmap.go). Filtered group-by scans
-// drive the most selective filter's posting set — or the intersection of
-// several — instead of the whole table, the classic inverted-index
+// drive their filter's posting set — or the exact intersection of several —
+// instead of the whole table, the classic inverted-index
 // optimization of columnar engines. Sets are built lazily per dimension and
 // cached on the column; Table is immutable after Build, so the build is
 // idempotent and race-free under sync.Once. A mine needs every column's sets

@@ -1,14 +1,14 @@
 package dataset
 
 // Zone maps: per-block min/max dictionary codes of a dimension column, the
-// classic small-materialized-aggregate trick. A filtered scan consults them
-// to skip whole blocks whose code range excludes the filter value — on
-// clustered data (sorted tables, cross-product generators) most blocks hold
-// a narrow code range and a selective filter eliminates nearly all of them
-// without touching a single row. Like posting lists, zone maps are built
-// lazily in one O(rows) pass and cached on the immutable column; the block
-// size is supplied by the caller (the engine passes its morsel size so each
-// surviving block is exactly one morsel of the scan pipeline).
+// classic small-materialized-aggregate trick: a block whose code range
+// excludes a filter value can be skipped without touching a single row. Like
+// posting lists, zone maps are built lazily in one O(rows) pass and cached on
+// the immutable column, at a block size the caller supplies.
+//
+// The engine does not plan through them: every filtered scan drives the
+// exact intersection of its posting sets. Their only non-test caller is the
+// benchmark's index-build span (benchmark/layers.go:52); they go when it does.
 
 // ZoneMap holds the per-block [min, max] dictionary-code ranges of one
 // dimension column at one block size. It is immutable after construction.

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -43,43 +42,27 @@ func augJSON(t *testing.T, units map[string]any) string {
 }
 
 // diffSubstrates enumerates every physical configuration of the vectorized
-// substrate the differential test compares against the reference: auto and
-// each of the three strategies it chooses between, crossed with parallelism
-// 1/2/8, all with a small morsel size so multi-morsel merging and zone-block
-// pruning happen on test-sized tables. Each substrate pools its accumulators,
-// and every arm scans many times, so a pooled accumulator that leaked state
-// from one scan into the next would show as a mismatch.
+// substrate the differential test compares against the reference: scan
+// parallelism 1/2/8, all with a small morsel size so multi-morsel merging
+// happens on test-sized tables. Each substrate pools its accumulators, and
+// every arm scans many times, so a pooled accumulator that leaked state from
+// one scan into the next would show as a mismatch.
 func diffSubstrates(tab *dataset.Table, minMax map[string]bool) map[string]*ColumnarSubstrate {
 	subs := make(map[string]*ColumnarSubstrate)
-	for _, mode := range []struct {
-		name string
-		m    PlanMode
-	}{{"auto", PlanAuto}, {"intersect", PlanBitmap}, {"residual", PlanResidual}, {"zone", PlanZone}} {
-		for _, par := range []int{1, 2, 8} {
-			subs[fmt.Sprintf("%s/par%d", mode.name, par)] = NewColumnarSubstrate(tab,
-				WithPlanMode(mode.m), WithScanParallelism(par), WithMorselSize(64), WithMinMaxColumns(minMax))
-		}
+	for _, par := range []int{1, 2, 8} {
+		subs[fmt.Sprintf("par%d", par)] = NewColumnarSubstrate(tab,
+			WithScanParallelism(par), withMorselSize(64), WithMinMaxColumns(minMax))
 	}
 	return subs
 }
 
-// checkScannedRows asserts what each arm's metered row count must be, given
-// the reference's count (the smallest per-filter match count) and the exact
-// number of matching rows (the sum of the reference units' Counts): the
-// intersect strategy visits exactly the matching rows, the residual strategy
-// exactly the reference's drive, auto never more than that drive. The forced
-// zone strategy is exempt from the upper bound: its surviving blocks may
-// hold more rows than the best posting set (under PlanAuto the zone plan is
-// only chosen when they do not).
-func checkScannedRows(t *testing.T, trial int, name string, got, refRows, matching int) {
+// checkScannedRows asserts that an arm's metered row count is exactly the
+// number of matching rows (the sum of the reference units' Counts): every
+// plan drives the exact intersection of its filters' posting sets.
+func checkScannedRows(t *testing.T, trial int, name string, got, matching int) {
 	t.Helper()
-	switch {
-	case strings.HasPrefix(name, "intersect/") && got != matching:
+	if got != matching {
 		t.Fatalf("trial %d %s: scanned %d rows, exactly %d match", trial, name, got, matching)
-	case strings.HasPrefix(name, "residual/") && got != refRows:
-		t.Fatalf("trial %d %s: scanned %d rows, reference scanned %d", trial, name, got, refRows)
-	case strings.HasPrefix(name, "auto/") && got > refRows:
-		t.Fatalf("trial %d %s: scanned %d rows, reference scanned only %d", trial, name, got, refRows)
 	}
 }
 
@@ -108,7 +91,7 @@ func randomSubspace(r *rand.Rand, tab *dataset.Table, depth int) model.Subspace 
 // filtered scans fold long runs — cross-product row order as
 // workload.buildTable emits it, the random table sorted by one dimension,
 // and sections of single-row runs alternating with sections of runs up to
-// 200 rows long, so that runs straddle the WithMorselSize(64) boundaries and
+// 200 rows long, so that runs straddle the withMorselSize(64) boundaries and
 // both run shapes occur within one scan. All share randomTable's schema and
 // integer-valued measures.
 func diffTables(seed int64) map[string]*dataset.Table {
@@ -182,7 +165,7 @@ func differentialScanUnit(t *testing.T, tab *dataset.Table) {
 			if sub.Has(breakdown) {
 				continue
 			}
-			wantU, wantRows, err := ref.ScanUnit(sub, breakdown)
+			wantU, _, err := ref.ScanUnit(sub, breakdown)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +183,7 @@ func differentialScanUnit(t *testing.T, tab *dataset.Table) {
 					t.Fatalf("trial %d %s [%s ⟂ %s]: unit mismatch\n got %s\nwant %s",
 						trial, name, sub.Key(), breakdown, got, want)
 				}
-				checkScannedRows(t, trial, name, gotRows, wantRows, matching)
+				checkScannedRows(t, trial, name, gotRows, matching)
 				// The substrate's own prediction must be exact.
 				if pr := c.PlannedRows(sub); pr != gotRows {
 					t.Fatalf("trial %d %s: PlannedRows %d != scanned %d", trial, name, pr, gotRows)
@@ -231,7 +214,7 @@ func differentialScanAugmented(t *testing.T, tab *dataset.Table) {
 			continue
 		}
 		base := sub.Without(ext)
-		wantUnits, wantRows, err := ref.ScanAugmented(base, breakdown, ext)
+		wantUnits, _, err := ref.ScanAugmented(base, breakdown, ext)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,17 +242,18 @@ func differentialScanAugmented(t *testing.T, tab *dataset.Table) {
 				t.Fatalf("trial %d %s [%s ⟂ %s +%s]: augmented mismatch\n got %s\nwant %s",
 					trial, name, base.Key(), breakdown, ext, got, want)
 			}
-			checkScannedRows(t, trial, name, gotRows, wantRows, matching)
+			checkScannedRows(t, trial, name, gotRows, matching)
+			if pr := c.PlannedRows(base); pr != gotRows {
+				t.Fatalf("trial %d %s: PlannedRows %d != scanned %d", trial, name, pr, gotRows)
+			}
 		}
 	}
 }
 
 // TestDifferentialFractionalParallelism checks bit-identity where it is
-// actually promised for arbitrary floats: for a fixed plan mode and morsel
-// size, every parallelism produces the same bits, because morsel boundaries
-// and merge order are fixed. (Cross-plan-mode identity for fractional values
-// is not promised — different row orders regroup float additions — which is
-// exactly why the mode is pinned per configuration here.)
+// actually promised for arbitrary floats: for a fixed morsel size, every
+// parallelism produces the same bits, because morsel boundaries and merge
+// order are fixed.
 func TestDifferentialFractionalParallelism(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	b := dataset.NewBuilder("frac", []model.Field{
@@ -285,21 +269,19 @@ func TestDifferentialFractionalParallelism(t *testing.T) {
 	}
 	tab := b.Build()
 
-	for _, mode := range []PlanMode{PlanBitmap, PlanResidual, PlanZone} {
-		var want string
-		for _, par := range []int{1, 0, 2, 3, 8} {
-			c := NewColumnarSubstrate(tab, WithPlanMode(mode), WithScanParallelism(par), WithMorselSize(64))
-			sub := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
-			u, _, err := c.ScanUnit(sub, "G")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := unitJSON(t, u)
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Fatalf("mode %v par %d: fractional bits differ\n got %s\nwant %s", mode, par, got, want)
-			}
+	var want string
+	for _, par := range []int{1, 0, 2, 3, 8} {
+		c := NewColumnarSubstrate(tab, WithScanParallelism(par), withMorselSize(64))
+		sub := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
+		u, _, err := c.ScanUnit(sub, "G")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := unitJSON(t, u)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("par %d: fractional bits differ\n got %s\nwant %s", par, got, want)
 		}
 	}
 }
@@ -322,8 +304,8 @@ func TestParallelScanManyMorsels(t *testing.T) {
 			[]float64{r.NormFloat64() * 1e3})
 	}
 	tab := b.Build()
-	seq := NewColumnarSubstrate(tab, WithScanParallelism(1), WithMorselSize(16))
-	par := NewColumnarSubstrate(tab, WithScanParallelism(8), WithMorselSize(16))
+	seq := NewColumnarSubstrate(tab, WithScanParallelism(1), withMorselSize(16))
+	par := NewColumnarSubstrate(tab, WithScanParallelism(8), withMorselSize(16))
 	h1 := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
 	scans := []func(c *ColumnarSubstrate) any{
 		func(c *ColumnarSubstrate) any { u, _, _ := c.ScanUnit(model.EmptySubspace, "G"); return u },
@@ -379,7 +361,7 @@ func TestScanParallelismResolution(t *testing.T) {
 // on one ext value yields no unit for that value.
 func TestDifferentialEdgeCases(t *testing.T) {
 	tab := randomTable(47, 200)
-	c := NewColumnarSubstrate(tab, WithMorselSize(32))
+	c := NewColumnarSubstrate(tab, withMorselSize(32))
 	ref := NewReferenceSubstrate(tab, nil)
 
 	sub := model.NewSubspace(model.Filter{Dim: "City", Value: "Atlantis"})
@@ -408,24 +390,22 @@ func TestDifferentialEdgeCases(t *testing.T) {
 	b.AddRow([]string{"a1", "b1"}, []float64{1})
 	b.AddRow([]string{"a2", "b2"}, []float64{2})
 	tab2 := b.Build()
-	for _, mode := range []PlanMode{PlanBitmap, PlanResidual} {
-		c2 := NewColumnarSubstrate(tab2, WithPlanMode(mode))
-		disjoint := model.NewSubspace(
-			model.Filter{Dim: "A", Value: "a1"},
-			model.Filter{Dim: "B", Value: "b2"},
-		)
-		u2, _, err := c2.ScanUnit(disjoint, "A")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(u2.GroupKeys) != 0 {
-			t.Fatalf("mode %v: disjoint filters produced groups %v", mode, u2.GroupKeys)
-		}
-		ref2 := NewReferenceSubstrate(tab2, nil)
-		ru2, _, _ := ref2.ScanUnit(disjoint, "A")
-		if unitJSON(t, u2) != unitJSON(t, ru2) {
-			t.Fatalf("mode %v: disjoint unit differs from reference", mode)
-		}
+	c2 := NewColumnarSubstrate(tab2)
+	disjoint := model.NewSubspace(
+		model.Filter{Dim: "A", Value: "a1"},
+		model.Filter{Dim: "B", Value: "b2"},
+	)
+	u2, rows2, err := c2.ScanUnit(disjoint, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows2 != 0 || len(u2.GroupKeys) != 0 {
+		t.Fatalf("disjoint filters: rows=%d groups=%v, want 0/none", rows2, u2.GroupKeys)
+	}
+	ref2 := NewReferenceSubstrate(tab2, nil)
+	ru2, _, _ := ref2.ScanUnit(disjoint, "A")
+	if unitJSON(t, u2) != unitJSON(t, ru2) {
+		t.Fatal("disjoint unit differs from reference")
 	}
 }
 

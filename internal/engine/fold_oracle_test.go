@@ -54,8 +54,8 @@ func newFoldCells(cells, nmeas int) *foldCells {
 // rows in ascending order, cut every morsel rows; within a morsel each row
 // that passes every filter of s is added to its cell one at a time into a
 // fresh partial; partials merge into the result in morsel order. cell maps a
-// row to its accumulator cell. It also checks the driving set itself: every
-// matching row is driven, and an intersect plan drives nothing else.
+// row to its accumulator cell. It also checks the driving set itself: the plan
+// drives every matching row and nothing else.
 func perRowFold(t *testing.T, c *ColumnarSubstrate, s model.Subspace, cells int, cell func(r int) int) *foldCells {
 	t.Helper()
 	tab := c.tab
@@ -93,7 +93,7 @@ func perRowFold(t *testing.T, c *ColumnarSubstrate, s model.Subspace, cells int,
 			driven++
 		}
 	}
-	if driven != matching || (c.mode == PlanBitmap && len(drive) != matching) {
+	if driven != matching || len(drive) != matching {
 		t.Fatalf("[%s]: plan drives %d rows holding %d of the %d matching", s.Key(), len(drive), driven, matching)
 	}
 
@@ -166,55 +166,51 @@ func checkFoldUnit(t *testing.T, c *ColumnarSubstrate, what string, u *cache.Uni
 
 // TestFilteredScanMatchesPerRowFold pins every filtered scan, unit and
 // augmented, bit for bit to a plain per-row fold over fractional values, on
-// every row layout of diffTables, for every plan mode at morsel sizes 7 and
-// 64 and scan parallelism 1 and 4, with min/max on both measure columns, on
-// neither (the paired sum-only fold) and on one. The
-// differential suite compares integer-valued sums, which any addition order
-// gets right; this is the test that fails when a kernel change regroups a
-// filtered cell's additions. Unfiltered scans fold through accumulation
+// every row layout of diffTables, at morsel sizes 7 and 64 and scan
+// parallelism 1 and 4, with min/max on both measure columns, on neither (the
+// paired sum-only fold) and on one. The differential suite compares
+// integer-valued sums, which any addition order gets right; this is the test
+// that fails when a kernel change regroups a filtered cell's additions. Unfiltered scans fold through accumulation
 // lanes by design and are not its subject.
 func TestFilteredScanMatchesPerRowFold(t *testing.T) {
 	for layout, tab := range diffTables(53) {
 		tab := fractional(tab, 53)
 		t.Run(layout, func(t *testing.T) {
 			dims := tab.DimensionNames()
-			for _, mode := range []PlanMode{PlanAuto, PlanBitmap, PlanResidual, PlanZone} {
-				for _, morsel := range []int{7, 64} {
-					for _, par := range []int{1, 4} {
-						for mm, minMax := range map[string]map[string]bool{"all": nil, "none": {}, "Profit": {"Profit": true}} {
-							c := NewColumnarSubstrate(tab, WithPlanMode(mode), WithMorselSize(morsel),
-								WithScanParallelism(par), WithMinMaxColumns(minMax))
-							arm := fmt.Sprintf("mode %d morsel %d par %d minmax %s", mode, morsel, par, mm)
-							r := rand.New(rand.NewSource(int64(morsel*10 + par)))
-							for trial := 0; trial < 12; trial++ {
-								sub := randomSubspace(r, tab, 1+r.Intn(3))
-								bdim := dims[r.Intn(len(dims))]
-								if sub.Has(bdim) {
-									continue
-								}
-								bcol := tab.Dimension(bdim)
-								bcodes := bcol.Codes()
-								u, _, _ := c.ScanUnit(sub, bdim)
-								want := perRowFold(t, c, sub, bcol.Cardinality(), func(r int) int { return int(bcodes[r]) })
-								checkFoldUnit(t, c, fmt.Sprintf("%s unit [%s ⟂ %s]", arm, sub.Key(), bdim), u, want, 0, bcol.Cardinality(), bcol.Domain())
+			for _, morsel := range []int{7, 64} {
+				for _, par := range []int{1, 4} {
+					for mm, minMax := range map[string]map[string]bool{"all": nil, "none": {}, "Profit": {"Profit": true}} {
+						c := NewColumnarSubstrate(tab, withMorselSize(morsel), WithScanParallelism(par), WithMinMaxColumns(minMax))
+						arm := fmt.Sprintf("morsel %d par %d minmax %s", morsel, par, mm)
+						r := rand.New(rand.NewSource(int64(morsel*10 + par)))
+						for trial := 0; trial < 12; trial++ {
+							sub := randomSubspace(r, tab, 1+r.Intn(3))
+							bdim := dims[r.Intn(len(dims))]
+							if sub.Has(bdim) {
+								continue
+							}
+							bcol := tab.Dimension(bdim)
+							bcodes := bcol.Codes()
+							u, _, _ := c.ScanUnit(sub, bdim)
+							want := perRowFold(t, c, sub, bcol.Cardinality(), func(r int) int { return int(bcodes[r]) })
+							checkFoldUnit(t, c, fmt.Sprintf("%s unit [%s ⟂ %s]", arm, sub.Key(), bdim), u, want, 0, bcol.Cardinality(), bcol.Domain())
 
-								ext := dims[r.Intn(len(dims))]
-								base := sub.Without(ext)
-								if ext == bdim || len(base) == 0 {
-									continue
+							ext := dims[r.Intn(len(dims))]
+							base := sub.Without(ext)
+							if ext == bdim || len(base) == 0 {
+								continue
+							}
+							dcol := tab.Dimension(ext)
+							dcodes, bcard := dcol.Codes(), bcol.Cardinality()
+							units, _, _ := c.ScanAugmented(base, bdim, ext)
+							want = perRowFold(t, c, base, bcard*dcol.Cardinality(), func(r int) int { return int(dcodes[r])*bcard + int(bcodes[r]) })
+							for dv := 0; dv < dcol.Cardinality(); dv++ {
+								what := fmt.Sprintf("%s augmented [%s ⟂ %s +%s=%s]", arm, base.Key(), bdim, ext, dcol.Value(dv))
+								u, ok := units[dcol.Value(dv)]
+								if !ok {
+									u = &cache.Unit{}
 								}
-								dcol := tab.Dimension(ext)
-								dcodes, bcard := dcol.Codes(), bcol.Cardinality()
-								units, _, _ := c.ScanAugmented(base, bdim, ext)
-								want = perRowFold(t, c, base, bcard*dcol.Cardinality(), func(r int) int { return int(dcodes[r])*bcard + int(bcodes[r]) })
-								for dv := 0; dv < dcol.Cardinality(); dv++ {
-									what := fmt.Sprintf("%s augmented [%s ⟂ %s +%s=%s]", arm, base.Key(), bdim, ext, dcol.Value(dv))
-									u, ok := units[dcol.Value(dv)]
-									if !ok {
-										u = &cache.Unit{}
-									}
-									checkFoldUnit(t, c, what, u, want, dv*bcard, bcard, bcol.Domain())
-								}
+								checkFoldUnit(t, c, what, u, want, dv*bcard, bcard, bcol.Domain())
 							}
 						}
 					}

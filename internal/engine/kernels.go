@@ -7,10 +7,9 @@ package engine
 // first-touch initialization so there is no O(cells) ±Inf fill.
 //
 // Filtered scans walk intervals (walkMorsel). A plan holds its driving rows
-// as runs of consecutive rows; the walker visits the runs that fall in the
-// morsel, verifies any residual filters in place, and splits each stretch of
-// selected rows into group-id runs read straight off the breakdown (and ext)
-// code columns. Each group-id run folds into its cell held in a register —
+// as runs of consecutive matching rows; the walker visits the runs that fall
+// in the morsel and splits each into group-id runs read straight off the
+// breakdown (and ext) code columns. Each group-id run folds into its cell held in a register —
 // clustered tables hit one cell hundreds of rows in a row — adding its
 // values strictly in row order, so a cell's sum is the same sequential fold
 // however its rows split into runs. On shuffled data almost every row is its
@@ -342,10 +341,9 @@ func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dc
 
 // walkMorsel is the interval walk: it folds driving positions [lo, hi) of a
 // filtered plan into acc. It seeks the plan run holding position lo and clips
-// each run to the morsel. Within a run it skips rows a residual filter
-// rejects and splits the rest into group-id runs: maximal stretches of
-// selected rows with one breakdown (and ext) code, read straight off the code
-// columns (dcodes is nil for unit scans; the cell of an augmented row is
+// each run to the morsel, then splits it into group-id runs: maximal
+// stretches of rows with one breakdown (and ext) code, read straight off the
+// code columns (dcodes is nil for unit scans; the cell of an augmented row is
 // dcode·bcard + bcode). Each group-id run folds into its cell with the cell
 // held in a register — one load and one store per run and measure instead of
 // a load-add-store round trip per row — adding its values in row order,
@@ -359,90 +357,68 @@ func (c *ColumnarSubstrate) walkMorsel(plan *scanPlan, lo, hi int, bcodes, dcode
 	k := sort.Search(len(runs)-1, func(i int) bool { return int(runs[i+1].Pos) > lo })
 	for ; k < len(runs)-1 && int(runs[k].Pos) < hi; k++ {
 		row, pos := int(runs[k].Row), int(runs[k].Pos)
-		j, r1 := row+max(lo-pos, 0), row+min(hi, int(runs[k+1].Pos))-pos
-		for j < r1 {
-			end := r1 // selected rows are [j, end)
-			if len(plan.rest) > 0 {
-				for j < r1 && !plan.keeps(j) {
-					j++
+		j, end := row+max(lo-pos, 0), row+min(hi, int(runs[k+1].Pos))-pos
+		for j < end {
+			g, e := bcodes[j], j+1
+			if dcodes == nil {
+				for e < end && bcodes[e] == g {
+					e++
 				}
-				end = j
-				for end < r1 && plan.keeps(end) {
-					end++
+			} else {
+				d := dcodes[j]
+				for e < end && bcodes[e] == g && dcodes[e] == d {
+					e++
+				}
+				g += d * bcard
+			}
+			if counts[g] == 0 {
+				acc.touched = append(acc.touched, g)
+				for i := range c.mvals {
+					if c.needMM[i] {
+						acc.mins[i][g] = math.Inf(1)
+						acc.maxs[i][g] = math.Inf(-1)
+					}
 				}
 			}
-			for j < end {
-				g, e := bcodes[j], j+1
-				if dcodes == nil {
-					for e < end && bcodes[e] == g {
-						e++
+			counts[g] += float64(e - j)
+			for i := 0; i < len(c.mvals); i++ {
+				v, sums := c.mvals[i][j:e], acc.sums[i]
+				s := sums[g]
+				if !c.needMM[i] && i+1 < len(c.mvals) && !c.needMM[i+1] {
+					v2, sums2 := c.mvals[i+1][j:e], acc.sums[i+1]
+					v2 = v2[:len(v)]
+					s2 := sums2[g]
+					for n, x := range v {
+						s += x
+						s2 += v2[n]
 					}
-				} else {
-					d := dcodes[j]
-					for e < end && bcodes[e] == g && dcodes[e] == d {
-						e++
-					}
-					g += d * bcard
+					sums[g], sums2[g] = s, s2
+					i++
+					continue
 				}
-				if counts[g] == 0 {
-					acc.touched = append(acc.touched, g)
-					for i := range c.mvals {
-						if c.needMM[i] {
-							acc.mins[i][g] = math.Inf(1)
-							acc.maxs[i][g] = math.Inf(-1)
-						}
-					}
-				}
-				counts[g] += float64(e - j)
-				for i := 0; i < len(c.mvals); i++ {
-					v, sums := c.mvals[i][j:e], acc.sums[i]
-					s := sums[g]
-					if !c.needMM[i] && i+1 < len(c.mvals) && !c.needMM[i+1] {
-						v2, sums2 := c.mvals[i+1][j:e], acc.sums[i+1]
-						v2 = v2[:len(v)]
-						s2 := sums2[g]
-						for n, x := range v {
-							s += x
-							s2 += v2[n]
-						}
-						sums[g], sums2[g] = s, s2
-						i++
-						continue
-					}
-					if !c.needMM[i] {
-						for _, x := range v {
-							s += x
-						}
-						sums[g] = s
-						continue
-					}
-					mins, maxs := acc.mins[i], acc.maxs[i]
-					mn, mx := mins[g], maxs[g]
+				if !c.needMM[i] {
 					for _, x := range v {
 						s += x
-						if x < mn {
-							mn = x
-						}
-						if x > mx {
-							mx = x
-						}
 					}
-					sums[g], mins[g], maxs[g] = s, mn, mx
+					sums[g] = s
+					continue
 				}
-				j = e
+				mins, maxs := acc.mins[i], acc.maxs[i]
+				mn, mx := mins[g], maxs[g]
+				for _, x := range v {
+					s += x
+					if x < mn {
+						mn = x
+					}
+					if x > mx {
+						mx = x
+					}
+				}
+				sums[g], mins[g], maxs[g] = s, mn, mx
 			}
+			j = e
 		}
 	}
-}
-
-// keeps reports whether row r passes every residual filter.
-func (p *scanPlan) keeps(r int) bool {
-	for _, f := range p.rest {
-		if f.codes[r] != f.code {
-			return false
-		}
-	}
-	return true
 }
 
 // accumulateRuns is the contiguous-scan kernel: it walks the group-id vector

@@ -10,8 +10,8 @@ import (
 
 // ReferenceSubstrate is the retained naive scan: a row-at-a-time accumulate
 // closure over every table row, verifying every filter per row, with freshly
-// allocated full-domain accumulators per scan. It touches no posting index
-// and no zone map, so it shares no build code with what it checks. It is the
+// allocated full-domain accumulators per scan. It touches no posting set, so
+// it shares no build code with what it checks. It is the
 // executable specification the vectorized ColumnarSubstrate is
 // differentially tested against, and the one scan oracle. Not used on any
 // production path.
@@ -31,6 +31,21 @@ type ReferenceSubstrate struct {
 // mirroring WithMinMaxColumns.
 func NewReferenceSubstrate(tab *dataset.Table, minMax map[string]bool) *ReferenceSubstrate {
 	return &ReferenceSubstrate{tab: tab, minMax: minMax}
+}
+
+// filterSpec is a resolved subspace filter.
+type filterSpec struct {
+	col  *dataset.DimColumn
+	code int32
+}
+
+func resolveFilters(tab *dataset.Table, s model.Subspace) []filterSpec {
+	specs := make([]filterSpec, 0, len(s))
+	for _, f := range s {
+		col := tab.Dimension(f.Dim)
+		specs = append(specs, filterSpec{col: col, code: int32(col.Code(f.Value))})
+	}
+	return specs
 }
 
 // refScan accumulates every row of the table matching all of s's filters

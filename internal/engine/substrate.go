@@ -41,36 +41,13 @@ type Substrate interface {
 // exactly how many rows a unit scan under a subspace will visit. The engine's
 // ScanCostAt — the single cost authority the miner's commit-order accounting
 // and QuickInsight charge — consults it so that the charged cost agrees bit
-// for bit with the rows the scan reports even when the physical plan
-// (posting-list intersection vs residual verification) changes the row
-// count. Substrates without it fall back to the most-selective-posting-list
+// for bit with the rows the scan reports, including when a posting-set
+// intersection visits fewer rows than any single filter's posting set.
+// Substrates without it fall back to the most-selective-posting-list
 // estimate.
 type RowPlanner interface {
 	PlannedRows(s model.Subspace) int
 }
-
-// PlanMode selects the multi-filter scan strategy of the ColumnarSubstrate.
-type PlanMode int
-
-const (
-	// PlanAuto picks, per multi-filter subspace, among the three strategies
-	// below with the cost model described at buildPlan (the default). The
-	// forced modes exist for tests to pin each physical path.
-	PlanAuto PlanMode = iota
-	// PlanBitmap always intersects the compressed bitmap posting sets
-	// (dataset.Bitmap) directly in container form and drives the result's
-	// runs of consecutive rows: the scan visits exactly the matching rows.
-	PlanBitmap
-	// PlanResidual always drives off the most selective posting set and
-	// verifies the remaining filters row by row.
-	PlanResidual
-	// PlanZone always scans via the zone maps: whole morsel-sized blocks
-	// whose per-dimension min/max code range excludes any filter value are
-	// skipped, and every filter is verified per row across the surviving
-	// blocks. PlanAuto picks it only when the surviving blocks hold no more
-	// rows than the most selective posting set.
-	PlanZone
-)
 
 // DefaultMorselSize is the fixed morsel width of the parallel scan pipeline,
 // in rows. Morsel boundaries depend only on this constant and the plan's
@@ -80,10 +57,10 @@ const (
 const DefaultMorselSize = 8192
 
 // ColumnarSubstrate is the default Substrate: a morsel-driven, vectorized
-// filtered group-by scan over the in-memory columnar table. Multi-filter
-// subspaces are planned per subspace (posting-list intersection vs residual
-// verification, memoized); aggregation runs as fused kernels over the plan's
-// runs of driving rows, with min/max materialized only for the measure
+// filtered group-by scan over the in-memory columnar table. A filtered scan
+// drives the exact intersection of its filters' posting sets, memoized per
+// subspace; aggregation runs as fused kernels over the plan's runs of
+// matching rows, with min/max materialized only for the measure
 // columns some registered evaluator actually needs; accumulators are pooled
 // per substrate. It is infallible and pure with respect to the engine's
 // meter and caches.
@@ -95,7 +72,6 @@ type ColumnarSubstrate struct {
 	nmm    int         // number of true entries in needMM
 	par    int         // scan parallelism (>= 1)
 	morsel int         // morsel size in rows
-	mode   PlanMode
 	obs    *obs.Observer
 
 	// in interns the subspaces this substrate has planned or scanned; each
@@ -122,7 +98,6 @@ type ColumnarOption func(*columnarConfig)
 type columnarConfig struct {
 	par    int
 	morsel int
-	mode   PlanMode
 	minMax map[string]bool
 	obs    *obs.Observer
 }
@@ -143,11 +118,11 @@ func WithScanParallelism(n int) ColumnarOption {
 	}
 }
 
-// WithMorselSize overrides the fixed morsel width (default DefaultMorselSize).
+// withMorselSize overrides the fixed morsel width (default DefaultMorselSize).
 // Changing it changes the float addition grouping of multi-morsel scans, so
 // it is a new deterministic universe, not a tuning-only knob; tests use small
 // sizes to force the multi-morsel merge path on small tables.
-func WithMorselSize(rows int) ColumnarOption {
+func withMorselSize(rows int) ColumnarOption {
 	return func(c *columnarConfig) {
 		if rows > 0 {
 			c.morsel = rows
@@ -164,22 +139,17 @@ func WithMinMaxColumns(cols map[string]bool) ColumnarOption {
 	return func(c *columnarConfig) { c.minMax = cols }
 }
 
-// WithPlanMode forces the multi-filter scan strategy; the differential tests
-// use it to pin each physical path. Default PlanAuto.
-func WithPlanMode(m PlanMode) ColumnarOption {
-	return func(c *columnarConfig) { c.mode = m }
-}
-
 // WithScanObserver attaches an observer receiving physical scan-path
-// counters ("engine.physical.plan_*", "engine.physical.morsels",
-// "engine.physical.rows_pruned"). Like all observability, it is inert.
+// counters ("engine.physical.plan_*", "engine.physical.postings_*",
+// "engine.physical.morsels", "engine.physical.rows_pruned"). Like all
+// observability, it is inert.
 func WithScanObserver(o *obs.Observer) ColumnarOption {
 	return func(c *columnarConfig) { c.obs = o }
 }
 
 // NewColumnarSubstrate creates the default in-process substrate over tab.
 func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarSubstrate {
-	cfg := columnarConfig{morsel: DefaultMorselSize, mode: PlanAuto}
+	cfg := columnarConfig{morsel: DefaultMorselSize}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -197,7 +167,6 @@ func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarS
 		needMM: make([]bool, len(mcols)),
 		par:    cfg.par,
 		morsel: cfg.morsel,
-		mode:   cfg.mode,
 		obs:    cfg.obs,
 		in:     NewInterner(tab),
 	}
@@ -215,61 +184,19 @@ func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarS
 // handles it navigates are the ones the substrate's plans are memoized on.
 func (c *ColumnarSubstrate) Interner() *Interner { return c.in }
 
-// filterSpec is a resolved subspace filter.
-type filterSpec struct {
-	col  *dataset.DimColumn
-	code int32
-}
-
-func resolveFilters(tab *dataset.Table, s model.Subspace) []filterSpec {
-	specs := make([]filterSpec, 0, len(s))
-	for _, f := range s {
-		col := tab.Dimension(f.Dim)
-		specs = append(specs, filterSpec{col: col, code: int32(col.Code(f.Value))})
-	}
-	return specs
-}
-
-// residualFilter is one filter verified per driven row by the residual plan.
-type residualFilter struct {
-	codes []int32
-	code  int32
-}
-
-// scanPlan is the memoized physical plan for one subspace: the row set the
-// scan drives off, as runs of consecutive rows, plus any filters still
-// verified per driven row. rows is the exact number of rows the scan visits —
-// the quantity ScanCostAt charges and PlannedRows predicts.
+// scanPlan is the memoized physical plan for one subspace: the rows matching
+// every filter, as runs of consecutive rows. rows is the exact number of rows
+// the scan visits — the quantity ScanCostAt charges and PlannedRows predicts.
 type scanPlan struct {
-	full bool             // unfiltered: iterate every table row
-	runs dataset.RowRuns  // driving rows when !full: the exact matches, the best posting set or the surviving zone blocks
-	rest []residualFilter // filters verified per driven row (residual and zone plans)
-	rows int              // rows visited: runs.Rows(), or table rows when full
+	full bool            // unfiltered: iterate every table row
+	runs dataset.RowRuns // matching rows when !full
+	rows int             // rows visited: runs.Rows(), or table rows when full
 }
 
-// bytes is what the plan holds beyond its header: the driving runs and the
-// residual filters.
+// bytes is what the plan holds beyond its header: the driving runs.
 func (p *scanPlan) bytes() int64 {
-	return int64(cap(p.runs))*int64(unsafe.Sizeof(dataset.RowRun{})) +
-		int64(cap(p.rest))*int64(unsafe.Sizeof(residualFilter{}))
+	return int64(cap(p.runs)) * int64(unsafe.Sizeof(dataset.RowRun{}))
 }
-
-// Plan-choice weights. A residual check costs random dictionary-code loads
-// per driven row; a container AND streams two compressed sets. Aggregating
-// one surviving row touches the group code plus every measure column. The
-// weights bias accordingly. They feed the cost model: they choose the plan,
-// and ScanCostAt charges that plan's rows — the exact matches, the best
-// posting set or the zone rows. Changing them therefore moves the charged
-// cost of every multi-filter scan whose plan flips, and with it every
-// budgeted result; it stays deterministic for a fixed binary.
-const (
-	residualCheckWeight = 4.0
-	kernelRowWeight     = 4.0
-	// A zone-plan check streams the dictionary-code columns sequentially
-	// instead of gathering through a posting list, so it is charged at half
-	// the residual weight.
-	zoneCheckWeight = 2.0
-)
 
 // planFor returns the memoized plan of h, a handle of c's own interner,
 // building it on first use. Plans are pure functions of the immutable table
@@ -292,31 +219,17 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 	return p
 }
 
-// buildPlan chooses the physical strategy for a subspace:
+// buildPlan builds the one physical plan for a subspace:
 //
 //   - no filters: full-table scan;
 //   - one filter: drive its posting set;
 //   - several filters: intersect all posting sets directly on the
-//     compressed bitmap containers and drive the exact matching rows,
-//     drive the most selective set and verify the rest per row, or — when
-//     the zone maps prune the table below the most selective posting set —
-//     scan the surviving zone blocks sequentially, verifying every filter
-//     per row.
+//     compressed bitmap containers and drive the exact matching rows.
 //
-// PlanAuto's choice compares the container-aware intersect estimate
-// (dataset.BitmapAndCost, a pure function of container composition) against
-// what residual verification would spend — one weighted check per driven row
-// per residual filter, plus the kernel work on the rows the intersection
-// would have pruned (expected under the independence assumption) — and
-// against the analogous cost of the zone scan. The zone strategy is only
-// eligible when its surviving blocks hold no more rows than the most
-// selective posting set, so the charged row count (and PlannedRows) never
-// exceeds what the most-selective-set drive would have charged. Everything
-// is a pure function of container composition, cardinalities and the
-// immutable zone maps, so the plan — and the charged row count that follows
-// from it — is deterministic. Every posting-driven set, a residual plan's
-// included, is emitted from the compressed set as runs of consecutive rows:
-// no per-value row list is ever cached.
+// Every plan visits exactly the rows that match, so the charged row count is
+// a pure function of the immutable table and the subspace. The driving set is
+// emitted from the compressed set as runs of consecutive rows: no per-value
+// row list is ever cached.
 func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	if h.Len() == 0 {
 		return &scanPlan{full: true, rows: c.tab.Rows()}
@@ -326,66 +239,27 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 		// column: no rows match, nothing is scanned.
 		return &scanPlan{}
 	}
-	filters := make([]filterSpec, len(h.filters))
-	for i, f := range h.filters {
-		filters[i] = filterSpec{col: c.tab.Dimensions()[f.dim], code: f.code}
-	}
-	bms := make([]*dataset.Bitmap, len(filters))
-	lens := make([]int, len(filters))
+	bms := make([]*dataset.Bitmap, len(h.filters))
 	best := 0
-	for i, f := range filters {
-		bms[i] = f.col.PostingsBitmap(int(f.code))
-		c.notePostings(f.col)
-		lens[i] = bms[i].Cardinality()
-		if lens[i] < lens[best] {
+	for i, f := range h.filters {
+		col := c.tab.Dimensions()[f.dim]
+		bms[i] = col.PostingsBitmap(int(f.code))
+		c.notePostings(col)
+		if bms[i].Cardinality() < bms[best].Cardinality() {
 			best = i
 		}
 	}
-	if lens[best] == 0 {
-		// A filter value absent from its column: no rows match, nothing is
-		// scanned.
+	if bms[best].Cardinality() == 0 {
+		// A dictionary value no row holds: nothing is scanned.
 		return &scanPlan{}
 	}
-	if c.mode == PlanZone {
-		return c.zonePlan(filters, c.zoneRuns(filters))
+	if len(bms) == 1 {
+		return &scanPlan{runs: bms[0].RowRuns(), rows: bms[0].Cardinality()}
 	}
-	if len(filters) == 1 {
-		return &scanPlan{runs: bms[0].RowRuns(), rows: lens[0]}
-	}
-
-	nRest := len(filters) - 1
-	intersect := c.mode == PlanBitmap
-	if c.mode == PlanAuto {
-		expected := float64(c.tab.Rows())
-		for _, l := range lens {
-			expected *= float64(l) / float64(c.tab.Rows())
-		}
-		residualCost := float64(lens[best])*residualCheckWeight*float64(nRest) +
-			(float64(lens[best])-expected)*kernelRowWeight
-		intersectCost := dataset.BitmapAndCost(bms...)
-		if zruns := c.zoneRuns(filters); zruns.Rows() <= lens[best] {
-			zrows := float64(zruns.Rows())
-			zoneCost := zrows*zoneCheckWeight*float64(len(filters)) + (zrows-expected)*kernelRowWeight
-			if zoneCost < intersectCost && zoneCost < residualCost {
-				return c.zonePlan(filters, zruns)
-			}
-		}
-		intersect = intersectCost < residualCost
-	}
-	if intersect {
-		and := dataset.AndAll(bms...)
-		c.obs.Count("engine.physical.plan_bitmap", 1)
-		c.obs.Count("engine.physical.rows_pruned", int64(lens[best]-and.Cardinality()))
-		return &scanPlan{runs: and.RowRuns(), rows: and.Cardinality()}
-	}
-	rest := make([]residualFilter, 0, nRest)
-	for i, f := range filters {
-		if i != best {
-			rest = append(rest, residualFilter{codes: f.col.Codes(), code: f.code})
-		}
-	}
-	c.obs.Count("engine.physical.plan_residual", 1)
-	return &scanPlan{runs: bms[best].RowRuns(), rest: rest, rows: lens[best]}
+	and := dataset.AndAll(bms...)
+	c.obs.Count("engine.physical.plan_bitmap", 1)
+	c.obs.Count("engine.physical.rows_pruned", int64(bms[best].Cardinality()-and.Cardinality()))
+	return &scanPlan{runs: and.RowRuns(), rows: and.Cardinality()}
 }
 
 // notePostings feeds the postings storage instruments the first time this
@@ -419,71 +293,6 @@ func (c *ColumnarSubstrate) notePostings(col *dataset.DimColumn) {
 		c.obs.SetGauge("engine.physical.postings_compression_ratio",
 			float64(4*c.bmRows)/float64(c.bmBytes))
 	}
-}
-
-// zoneRuns computes the rows of the zone-surviving blocks for a filter set:
-// the morsel-sized blocks whose per-dimension [min, max] code range admits
-// every filter value, adjacent blocks coalesced into one run. Blocks are
-// morsel-aligned and only the table's last one may be short, so cutting the
-// driving rows every morsel rows makes morsel i exactly surviving block i.
-// Zone maps are built lazily per column and cached (see
-// dataset.DimColumn.Zones). Like a posting set's runs, the result takes one
-// exact-size allocation, none when no block survives.
-func (c *ColumnarSubstrate) zoneRuns(filters []filterSpec) dataset.RowRuns {
-	rows := c.tab.Rows()
-	nb := (rows + c.morsel - 1) / c.morsel
-	zms := make([]*dataset.ZoneMap, len(filters))
-	for i, f := range filters {
-		zms[i] = f.col.Zones(c.morsel)
-	}
-	survives := func(b int) bool {
-		for i, f := range filters {
-			if !zms[i].Contains(b, f.code) {
-				return false
-			}
-		}
-		return true
-	}
-	n, prev := 0, false
-	for b := 0; b < nb; b++ {
-		s := survives(b)
-		if s && !prev {
-			n++
-		}
-		prev = s
-	}
-	if n == 0 {
-		return nil
-	}
-	runs := make(dataset.RowRuns, 0, n+1)
-	var pos, end int32 // driving rows so far; one past the last surviving row
-	prev = false
-	for b := 0; b < nb; b++ {
-		s := survives(b)
-		if s {
-			lo, hi := int32(b*c.morsel), int32(min((b+1)*c.morsel, rows))
-			if !prev {
-				runs = append(runs, dataset.RowRun{Row: lo, Pos: pos})
-			}
-			pos, end = pos+hi-lo, hi
-		}
-		prev = s
-	}
-	return append(runs, dataset.RowRun{Row: end, Pos: pos})
-}
-
-// zonePlan assembles the zone plan over the surviving blocks' runs: every
-// filter becomes a residual check over their contiguous rows.
-func (c *ColumnarSubstrate) zonePlan(filters []filterSpec, runs dataset.RowRuns) *scanPlan {
-	rest := make([]residualFilter, len(filters))
-	for i, f := range filters {
-		rest[i] = residualFilter{codes: f.col.Codes(), code: f.code}
-	}
-	nb := (c.tab.Rows() + c.morsel - 1) / c.morsel
-	kept := (runs.Rows() + c.morsel - 1) / c.morsel // every surviving block but the table's last is full
-	c.obs.Count("engine.physical.plan_zone", 1)
-	c.obs.Count("engine.physical.blocks_skipped", int64(nb-kept))
-	return &scanPlan{runs: runs, rest: rest, rows: runs.Rows()}
 }
 
 // PlannedRows implements RowPlanner: the exact rows a unit scan under s

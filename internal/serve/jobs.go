@@ -368,9 +368,9 @@ func (s *scheduler) run(j *job) {
 
 	// A dedicated session per run: durability is a construction-time
 	// setting, and the checkpoint fingerprint must cover exactly this job's
-	// configuration. The dataset's dictionaries, posting lists and zone
-	// maps are cached on the dataset itself, so this is cheap relative to
-	// the mining it fronts.
+	// configuration. The dataset's dictionaries and posting sets are cached
+	// on the dataset itself, so this is cheap relative to the mining it
+	// fronts.
 	opts := append(append([]metainsight.Option(nil), entry.opts...),
 		metainsight.WithDurability(metainsight.DurabilityConfig{
 			CheckpointDir: s.ckDir(j.spec.ID),

@@ -18,10 +18,11 @@ const (
 	blessedMineAllocs = 246000
 	// blessedColdAllocs is the heap-allocation count of the first
 	// Session.Analyze on a fresh session over the benchmark's generated table
-	// at its quick scale (one worker, unbudgeted, TopK 10), blessed when plans
-	// came to hold their driving rows as runs (the same measurement gave
-	// 266,000 with row lists).
-	blessedColdAllocs = 264600
+	// at its quick scale (one worker, unbudgeted, TopK 10), re-blessed when
+	// every multi-filter plan became the exact posting intersection and the
+	// zone-map probing each plan paid went (the same measurement gave 264,600
+	// before, and 266,000 when plans held row lists).
+	blessedColdAllocs = 258700
 	// mineAllocsSlack is how far past the blessed count a run may go.
 	mineAllocsSlack = 1.05
 	// scanParAllocsSlack bounds what ScanParallelism 4 may allocate relative
@@ -173,7 +174,7 @@ func TestMineAllocsGuard(t *testing.T) {
 // blessedPlanBytes is what the memoized scan plans hold after one
 // Analyze(TopK 10) at one worker on a fresh session over the benchmark's
 // generated table at its quick scale ("engine.physical.plan_bytes": driving
-// runs plus residual filters), blessed when plans came to hold runs of
+// runs), blessed when plans came to hold runs of
 // consecutive rows (the same plans held 5,528,156 bytes as row lists).
 const blessedPlanBytes = 179392
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Static checks for the repo's own binaries and examples.
 #
-# Always runs go vet over the whole module. When staticcheck is installed
+# Always fails on any file gofmt would change, then runs go vet over the whole
+# module. When staticcheck is installed
 # (https://staticcheck.dev), additionally runs its deprecation analysis
 # (SA1019) over cmd/, examples/ and internal/serve, which must not use the
 # four deprecated root names (NewAnalyzer, WithObserver, WithProgress,
@@ -12,6 +13,9 @@
 # them on purpose.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "gofmt -l ."
+test -z "$(gofmt -l .)"
 
 echo "go vet ./..."
 go vet ./...

@@ -13,8 +13,8 @@ package metainsight
 // and a fresh meter, so its result — insights, statistics and trace — is
 // bit-identical to a fresh Analyzer run with the same settings, regardless
 // of what the session served before. What the session shares across calls
-// is the expensive read-only state: the dataset's dictionaries, posting
-// lists and zone maps (cached on the dataset itself), and the physical scan
+// is the expensive read-only state: the dataset's dictionaries and posting
+// sets (cached on the dataset itself), and the physical scan
 // substrates (intern tables, plan caches, accumulator pools), reused from a
 // registry keyed by their full configuration.
 //
