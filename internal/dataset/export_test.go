@@ -11,7 +11,24 @@ import (
 var (
 	LoadCSVChunked = loadCSV
 	RefLoadCSV     = refLoadCSV
+	CodeRunEnds    = codeRunEnds
 )
+
+// NaiveRunEnds recomputes a column's run ends one row at a time: the end of
+// every maximal run of at least MinCodeRun equal codes, ascending.
+func NaiveRunEnds(codes []int32) []int32 {
+	var ends []int32
+	start := 0
+	for r := 1; r <= len(codes); r++ {
+		if r == len(codes) || codes[r] != codes[start] {
+			if r-start >= MinCodeRun {
+				ends = append(ends, int32(r))
+			}
+			start = r
+		}
+	}
+	return ends
+}
 
 const (
 	LoadChunkBytes  = loadChunkBytes

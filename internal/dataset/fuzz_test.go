@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +20,8 @@ import (
 // chunk, and quoted newlines straddle cuts) and a presumption prefix of 0–3
 // rows (so late retypes happen on short inputs); the production sizes run as
 // well. Neither loader may panic, and a built table must be internally
-// consistent with finite measures. Run with `GOMAXPROCS=4 go test
+// consistent with finite measures and run ends equal to a naive
+// recomputation. Run with `GOMAXPROCS=4 go test
 // -fuzz=FuzzLoadCSV ./internal/dataset` to explore beyond the seed corpus
 // with the chunks parsed concurrently.
 func FuzzLoadCSV(f *testing.F) {
@@ -182,6 +184,9 @@ func checkLoaded(t *testing.T, tab *Table, opts LoadOptions) {
 			if col.Code(col.Value(code)) != code {
 				t.Fatalf("dictionary roundtrip broken for %q", col.Name)
 			}
+		}
+		if got, want := col.RunEnds(), NaiveRunEnds(col.codes); !slices.Equal(got, want) {
+			t.Fatalf("run ends of %q: %v, naive %v", col.Name, got, want)
 		}
 	}
 	for _, mc := range tab.MeasureColumns() {

@@ -2,15 +2,19 @@ package dataset_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
 	"metainsight/internal/dataset"
+	"metainsight/internal/model"
 	"metainsight/internal/workload"
 )
 
@@ -66,9 +70,10 @@ func TestLoadChunkCountInvariance(t *testing.T) {
 // TestBuildPostingsMatchesPerColumn builds every column's posting sets at
 // once, from 8 callers racing on a fresh table, and requires each bitmap to
 // equal, container by container, what a serial per-column build of an
-// identical table makes, at GOMAXPROCS 1 and 4; a call after the build must
-// allocate nothing. The tables are the four Figure-6 ones and the quick
-// generated one. CI runs it under -race -cpu 1,4.
+// identical table makes, at GOMAXPROCS 1 and 4, and each column's run ends
+// to equal the serial build's in one exact-size allocation; a call after the
+// build must allocate nothing. The tables are the four Figure-6 ones and the
+// quick generated one. CI runs it under -race -cpu 1,4.
 func TestBuildPostingsMatchesPerColumn(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
@@ -91,11 +96,83 @@ func TestBuildPostingsMatchesPerColumn(t *testing.T) {
 						t.Errorf("%s GOMAXPROCS %d: %s = %q differs from the per-column build", tab.Name(), procs, col.Name, col.Value(code))
 					}
 				}
+				if got := col.RunEnds(); !slices.Equal(got, ref.RunEnds()) || cap(got) != len(got) {
+					t.Errorf("%s GOMAXPROCS %d: %s run ends (%d, capacity %d) differ from the per-column build's %d",
+						tab.Name(), procs, col.Name, len(got), cap(got), len(ref.RunEnds()))
+				}
 			}
-			if n := testing.AllocsPerRun(10, tab.BuildPostings); n != 0 {
+			if n := testing.AllocsPerRun(10, func() {
+				tab.BuildPostings()
+				for _, col := range tab.Dimensions() {
+					col.RunEnds()
+				}
+			}); n != 0 {
 				t.Errorf("%s: BuildPostings after the build allocates %.0f times", tab.Name(), n)
 			}
 		}
+	}
+}
+
+// shuffledRows rebuilds tab with its rows in a seeded random order.
+func shuffledRows(tab *dataset.Table) *dataset.Table {
+	b := dataset.NewBuilder(tab.Name()+" shuffled", tab.Fields())
+	dims := make([]string, len(tab.Dimensions()))
+	vals := make([]float64, len(tab.MeasureColumns()))
+	for _, r := range rand.New(rand.NewPCG(3, 4)).Perm(tab.Rows()) {
+		for i, d := range tab.Dimensions() {
+			dims[i] = d.Value(int(d.CodeAt(r)))
+		}
+		for i, mc := range tab.MeasureColumns() {
+			vals[i] = mc.At(r)
+		}
+		b.AddRow(dims, vals)
+	}
+	return b.Build()
+}
+
+// TestRunEndsMatchNaive holds every column's run ends equal to a naive
+// recomputation, built in one exact-size allocation (none for a column
+// without a long run), on the four Figure-6 tables, the quick generated one
+// and a row-shuffled copy of it, and on hand-built edges: 0 and 1 rows, a
+// single-value column, runs of exactly MinCodeRun-1 and MinCodeRun rows, and
+// a run ending at the last row. CI runs it under -race -cpu 1,4.
+func TestRunEndsMatchNaive(t *testing.T) {
+	const m = dataset.MinCodeRun
+	fields := []model.Field{{Name: "edge", Kind: model.KindCategorical}, {Name: "one", Kind: model.KindCategorical}, {Name: "v", Kind: model.KindMeasure}}
+	// edges holds runs of the given lengths in its edge column, each of a
+	// value other than its neighbours', beside a single-value column.
+	edges := func(runs ...int) *dataset.Table {
+		b := dataset.NewBuilder(fmt.Sprint("edges", runs), fields)
+		for i, n := range runs {
+			for range n {
+				b.AddRow([]string{strconv.Itoa(i % 2), "x"}, []float64{1})
+			}
+		}
+		return b.Build()
+	}
+	gen := quickGen()
+	last := edges(m-1, m, 1, m+1)
+	tabs := append(workload.FourLargeDatasets(), gen, shuffledRows(gen), edges(), edges(1), last)
+	for _, tab := range tabs {
+		for _, col := range tab.Dimensions() {
+			got, want := col.RunEnds(), dataset.NaiveRunEnds(col.Codes())
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: %s keeps %d run ends, the naive recomputation %d", tab.Name(), col.Name, len(got), len(want))
+			}
+			if cap(got) != len(got) {
+				t.Errorf("%s: %s keeps %d run ends in a capacity of %d", tab.Name(), col.Name, len(got), cap(got))
+			}
+			allocs := testing.AllocsPerRun(3, func() { dataset.CodeRunEnds(col.Codes()) })
+			if wantAllocs := float64(min(1, len(want))); allocs != wantAllocs {
+				t.Errorf("%s: building %s's run ends allocates %.0f times, want %.0f", tab.Name(), col.Name, allocs, wantAllocs)
+			}
+		}
+	}
+	if got, want := last.Dimension("edge").RunEnds(), []int32{2*m - 1, 3*m + 1}; !slices.Equal(got, want) {
+		t.Errorf("edge column: run ends %v, want %v", got, want)
+	}
+	if got, want := last.Dimension("one").RunEnds(), []int32{3*m + 1}; !slices.Equal(got, want) {
+		t.Errorf("single-value column: run ends %v, want %v", got, want)
 	}
 }
 

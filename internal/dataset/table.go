@@ -23,8 +23,9 @@ type DimColumn struct {
 	index map[string]int // value -> code
 	codes []int32        // row -> code
 
-	bmOnce sync.Once
-	bmPost []*Bitmap // code -> lazily built compressed posting set (see index.go)
+	bmOnce  sync.Once
+	bmPost  []*Bitmap // code -> lazily built compressed posting set (see index.go)
+	runEnds []int32   // exclusive ends of the long code runs, built with bmPost
 
 	zoneMu sync.Mutex
 	zones  map[int]*ZoneMap // block size -> lazily built zone map (see zones.go)

@@ -3,11 +3,12 @@ package engine
 // Physical-layer benchmarks of the scan substrate: unit and augmented scans
 // across filter depth (0–3), breakdown cardinality (small/large) and scan
 // parallelism (1/4), each beside the naive reference substrate (which always
-// reads the whole table), plus layout=clustered|shuffled arms over one
-// 1 M-row table in generator order and in shuffled row order — the two
-// regimes of the interval walk (runs of hundreds of rows, runs of about
-// one). For development only — numbers a
-// claim rests on come from benchmark/. Run with
+// reads the whole table), plus layout=clustered|shuffled arms at filter
+// depth 0–2 over one 1 M-row table in generator order and in shuffled row
+// order — the two regimes of the walk: code runs of hundreds of rows, which
+// it jumps, and runs of about one, where its probe stops at the first row.
+// For development only — numbers a claim rests on come from benchmark/. Run
+// with
 //
 //	go test ./internal/engine -bench 'BenchmarkScan' -benchmem
 //
@@ -80,12 +81,13 @@ func benchScanUnit(b *testing.B, sub Substrate, s model.Subspace) {
 	b.ReportMetric(float64(rows), "rows/op")
 }
 
-// benchLayouts runs fn over the filters=1,2 × layout=clustered|shuffled arms.
+// benchLayouts runs fn over the filters=0,1,2 × layout=clustered|shuffled
+// arms.
 func benchLayouts(b *testing.B, fn func(b *testing.B, sub Substrate, s model.Subspace)) {
 	for _, layout := range []string{"clustered", "shuffled"} {
 		tab := benchTable(layout)
 		vec := NewColumnarSubstrate(tab)
-		for _, nf := range []int{1, 2} {
+		for _, nf := range []int{0, 1, 2} {
 			s := benchSubspace(tab, nf)
 			b.Run(fmt.Sprintf("layout=%s/filters=%d", layout, nf), func(b *testing.B) { fn(b, vec, s) })
 		}

@@ -114,17 +114,72 @@ func perRowFold(t *testing.T, c *ColumnarSubstrate, s model.Subspace, cells int,
 				part.maxs[i][g] = max(part.maxs[i][g], x)
 			}
 		}
-		for g, n := range part.counts {
-			if n == 0 {
-				continue
-			}
-			out.counts[g] += n
-			for i := 0; i < nmeas; i++ {
-				out.sums[i][g] += part.sums[i][g]
-				out.mins[i][g] = min(out.mins[i][g], part.mins[i][g])
-				out.maxs[i][g] = max(out.maxs[i][g], part.maxs[i][g])
-			}
+		out.merge(part)
+	}
+	return out
+}
+
+// merge folds a morsel's partial into f, as mergeAcc folds one into a
+// scan's result.
+func (f *foldCells) merge(part *foldCells) {
+	for g, n := range part.counts {
+		if n == 0 {
+			continue
 		}
+		f.counts[g] += n
+		for i := range f.sums {
+			f.sums[i][g] += part.sums[i][g]
+			f.mins[i][g] = min(f.mins[i][g], part.mins[i][g])
+			f.maxs[i][g] = max(f.maxs[i][g], part.maxs[i][g])
+		}
+	}
+}
+
+// laneFold is the oracle for an unfiltered scan: the table's rows cut every
+// morsel rows; within a morsel, each maximal stretch of rows with one cell
+// adds to that cell of a fresh partial either its sum through four lanes,
+// combined as (s0+s1)+(s2+s3) with the tail added in order, when it holds at
+// least 8 rows, or else its values one at a time; partials merge into the
+// result in morsel order. cell maps a row to its accumulator cell.
+func laneFold(c *ColumnarSubstrate, cells int, cell func(r int) int) *foldCells {
+	nmeas := len(c.mvals)
+	out := newFoldCells(cells, nmeas)
+	rows := c.tab.Rows()
+	for lo := 0; lo < rows; lo += c.morsel {
+		hi := min(lo+c.morsel, rows)
+		part := newFoldCells(cells, nmeas)
+		for j := lo; j < hi; {
+			g, e := cell(j), j+1
+			for e < hi && cell(e) == g {
+				e++
+			}
+			part.counts[g] += float64(e - j)
+			for i, vals := range c.mvals {
+				v := vals[j:e]
+				if len(v) >= 8 {
+					var lane [4]float64
+					n := len(v) / 4 * 4
+					for k, x := range v[:n] {
+						lane[k%4] += x
+					}
+					s := (lane[0] + lane[1]) + (lane[2] + lane[3])
+					for _, x := range v[n:] {
+						s += x
+					}
+					part.sums[i][g] += s
+				} else {
+					for _, x := range v {
+						part.sums[i][g] += x
+					}
+				}
+				for _, x := range v {
+					part.mins[i][g] = min(part.mins[i][g], x)
+					part.maxs[i][g] = max(part.maxs[i][g], x)
+				}
+			}
+			j = e
+		}
+		out.merge(part)
 	}
 	return out
 }
@@ -164,58 +219,100 @@ func checkFoldUnit(t *testing.T, c *ColumnarSubstrate, what string, u *cache.Uni
 	}
 }
 
-// TestFilteredScanMatchesPerRowFold pins every filtered scan, unit and
-// augmented, bit for bit to a plain per-row fold over fractional values, on
-// every row layout of diffTables, at morsel sizes 7 and 64 and scan
-// parallelism 1 and 4, with min/max on both measure columns, on neither (the
-// paired sum-only fold) and on one. The differential suite compares
-// integer-valued sums, which any addition order gets right; this is the test
-// that fails when a kernel change regroups a filtered cell's additions. Unfiltered scans fold through accumulation
-// lanes by design and are not its subject.
-func TestFilteredScanMatchesPerRowFold(t *testing.T) {
+// checkFoldAugmented compares the units of an augmented scan grouped by
+// (bcol, dcol) with the oracle cells, one ext value at a time.
+func checkFoldAugmented(t *testing.T, c *ColumnarSubstrate, what string, units map[string]*cache.Unit, want *foldCells, bcol, dcol *dataset.DimColumn) {
+	t.Helper()
+	bcard := bcol.Cardinality()
+	for dv := 0; dv < dcol.Cardinality(); dv++ {
+		u, ok := units[dcol.Value(dv)]
+		if !ok {
+			u = &cache.Unit{}
+		}
+		checkFoldUnit(t, c, fmt.Sprintf("%s +%s=%s", what, dcol.Name, dcol.Value(dv)), u, want, dv*bcard, bcard, bcol.Domain())
+	}
+}
+
+// foldArms runs check on every arm of the fold oracles: diffTables' four
+// row layouts made fractional × morsel sizes 7 and 64 × scan parallelism 1
+// and 4 × min/max on both measure columns, on neither (the paired sum-only
+// fold) and on one. r is seeded per arm.
+func foldArms(t *testing.T, check func(t *testing.T, c *ColumnarSubstrate, arm string, r *rand.Rand)) {
 	for layout, tab := range diffTables(53) {
 		tab := fractional(tab, 53)
 		t.Run(layout, func(t *testing.T) {
-			dims := tab.DimensionNames()
 			for _, morsel := range []int{7, 64} {
 				for _, par := range []int{1, 4} {
 					for mm, minMax := range map[string]map[string]bool{"all": nil, "none": {}, "Profit": {"Profit": true}} {
 						c := NewColumnarSubstrate(tab, withMorselSize(morsel), WithScanParallelism(par), WithMinMaxColumns(minMax))
 						arm := fmt.Sprintf("morsel %d par %d minmax %s", morsel, par, mm)
-						r := rand.New(rand.NewSource(int64(morsel*10 + par)))
-						for trial := 0; trial < 12; trial++ {
-							sub := randomSubspace(r, tab, 1+r.Intn(3))
-							bdim := dims[r.Intn(len(dims))]
-							if sub.Has(bdim) {
-								continue
-							}
-							bcol := tab.Dimension(bdim)
-							bcodes := bcol.Codes()
-							u, _, _ := c.ScanUnit(sub, bdim)
-							want := perRowFold(t, c, sub, bcol.Cardinality(), func(r int) int { return int(bcodes[r]) })
-							checkFoldUnit(t, c, fmt.Sprintf("%s unit [%s ⟂ %s]", arm, sub.Key(), bdim), u, want, 0, bcol.Cardinality(), bcol.Domain())
-
-							ext := dims[r.Intn(len(dims))]
-							base := sub.Without(ext)
-							if ext == bdim || len(base) == 0 {
-								continue
-							}
-							dcol := tab.Dimension(ext)
-							dcodes, bcard := dcol.Codes(), bcol.Cardinality()
-							units, _, _ := c.ScanAugmented(base, bdim, ext)
-							want = perRowFold(t, c, base, bcard*dcol.Cardinality(), func(r int) int { return int(dcodes[r])*bcard + int(bcodes[r]) })
-							for dv := 0; dv < dcol.Cardinality(); dv++ {
-								what := fmt.Sprintf("%s augmented [%s ⟂ %s +%s=%s]", arm, base.Key(), bdim, ext, dcol.Value(dv))
-								u, ok := units[dcol.Value(dv)]
-								if !ok {
-									u = &cache.Unit{}
-								}
-								checkFoldUnit(t, c, what, u, want, dv*bcard, bcard, bcol.Domain())
-							}
-						}
+						check(t, c, arm, rand.New(rand.NewSource(int64(morsel*10+par))))
 					}
 				}
 			}
 		})
 	}
+}
+
+// TestFilteredScanMatchesPerRowFold pins every filtered scan, unit and
+// augmented, bit for bit to a plain per-row fold over fractional values, on
+// every arm of foldArms. The differential suite compares integer-valued
+// sums, which any addition order gets right; this is the test that fails
+// when a kernel change regroups a filtered cell's additions.
+func TestFilteredScanMatchesPerRowFold(t *testing.T) {
+	foldArms(t, func(t *testing.T, c *ColumnarSubstrate, arm string, r *rand.Rand) {
+		tab := c.tab
+		dims := tab.DimensionNames()
+		for trial := 0; trial < 12; trial++ {
+			sub := randomSubspace(r, tab, 1+r.Intn(3))
+			bdim := dims[r.Intn(len(dims))]
+			if sub.Has(bdim) {
+				continue
+			}
+			bcol := tab.Dimension(bdim)
+			bcodes := bcol.Codes()
+			u, _, _ := c.ScanUnit(sub, bdim)
+			want := perRowFold(t, c, sub, bcol.Cardinality(), func(r int) int { return int(bcodes[r]) })
+			checkFoldUnit(t, c, fmt.Sprintf("%s unit [%s ⟂ %s]", arm, sub.Key(), bdim), u, want, 0, bcol.Cardinality(), bcol.Domain())
+
+			ext := dims[r.Intn(len(dims))]
+			base := sub.Without(ext)
+			if ext == bdim || len(base) == 0 {
+				continue
+			}
+			dcol := tab.Dimension(ext)
+			dcodes, bcard := dcol.Codes(), bcol.Cardinality()
+			units, _, _ := c.ScanAugmented(base, bdim, ext)
+			want = perRowFold(t, c, base, bcard*dcol.Cardinality(), func(r int) int { return int(dcodes[r])*bcard + int(bcodes[r]) })
+			checkFoldAugmented(t, c, fmt.Sprintf("%s augmented [%s ⟂ %s]", arm, base.Key(), bdim), units, want, bcol, dcol)
+		}
+	})
+}
+
+// TestFullScanMatchesLaneFold pins every unfiltered scan bit for bit to
+// laneFold on every arm of foldArms: the unit scan of every breakdown and
+// the augmented scan of every (breakdown, ext) pair. Full-table plans are
+// the only scans whose runs fold through lanes, and nothing else fixes that
+// association: the differential suite compares integer-valued sums.
+func TestFullScanMatchesLaneFold(t *testing.T) {
+	foldArms(t, func(t *testing.T, c *ColumnarSubstrate, arm string, _ *rand.Rand) {
+		dims := c.tab.DimensionNames()
+		for _, bdim := range dims {
+			bcol := c.tab.Dimension(bdim)
+			bcodes, bcard := bcol.Codes(), bcol.Cardinality()
+			u, _, _ := c.ScanUnit(model.EmptySubspace, bdim)
+			want := laneFold(c, bcard, func(r int) int { return int(bcodes[r]) })
+			checkFoldUnit(t, c, fmt.Sprintf("%s unit [⟂ %s]", arm, bdim), u, want, 0, bcard, bcol.Domain())
+			for _, ext := range dims {
+				if ext == bdim {
+					continue
+				}
+				dcol := c.tab.Dimension(ext)
+				dcodes := dcol.Codes()
+				units, _, _ := c.ScanAugmented(model.EmptySubspace, bdim, ext)
+				want := laneFold(c, bcard*dcol.Cardinality(), func(r int) int { return int(dcodes[r])*bcard + int(bcodes[r]) })
+				checkFoldAugmented(t, c, fmt.Sprintf("%s augmented [⟂ %s]", arm, bdim), units, want, bcol, dcol)
+			}
+		}
+	})
 }

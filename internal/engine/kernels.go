@@ -1,52 +1,55 @@
 package engine
 
-// Fused aggregation kernels and the morsel-parallel scan driver behind
-// ColumnarSubstrate. A morsel is aggregated by one of two kernels, each a
-// tight loop over flat slices with no closure captures; both fold counts,
-// sums and (for measures in the needed-aggregate set) min/max, with
+// The aggregation kernel and the morsel-parallel scan driver behind
+// ColumnarSubstrate. One kernel (walkMorsel) folds every scan, filtered or
+// not: a tight loop over flat slices with no closure captures that folds
+// counts, sums and (for measures in the needed-aggregate set) min/max, with
 // first-touch initialization so there is no O(cells) ±Inf fill.
 //
-// Filtered scans walk intervals (walkMorsel). A plan holds its driving rows
-// as runs of consecutive matching rows; the walker visits the runs that fall
-// in the morsel and splits each into group-id runs read straight off the
-// breakdown (and ext) code columns. Each group-id run folds into its cell held in a register —
-// clustered tables hit one cell hundreds of rows in a row — adding its
-// values strictly in row order, so a cell's sum is the same sequential fold
-// however its rows split into runs. On shuffled data almost every row is its
-// own run.
+// A plan holds its driving rows as runs of consecutive rows; a full-table
+// plan is the one run [0, rows). The walk visits the runs that fall in the
+// morsel and splits each into group-id runs, maximal stretches of rows with
+// one breakdown (and ext) code. It finds where a group-id run ends by
+// probing at most dataset.MinCodeRun codes: a run that is still going lies
+// inside a long run of each group-by column, whose end the column keeps
+// (DimColumn.RunEnds), so the walk jumps to the nearest of those ends and
+// the plan run's end, through one forward cursor per column per morsel.
+// Clustered tables hold their codes in runs of hundreds of rows, so a jump
+// skips hundreds of comparisons; on shuffled data the probe stops at the
+// first row, as a row-by-row comparison would.
 //
-// Full-table scans work run by run over the group-id vector, which for a
-// unit scan is the breakdown code column itself (accumulateRuns). Dictionary
-// codes of real tables are heavily clustered (sorted or generated in
-// cross-product order), so one run covers hundreds of rows, the count update
-// is O(1) per run, and the per-run sum folds through four independent
-// accumulator lanes instead of one serial load-add-store dependency chain
-// through memory. The lane split changes the float addition association, but
-// deterministically: it depends only on the morsel boundaries and the code
-// sequence, never on parallelism (integer-valued sums are exact under any
-// association, which is what the cross-substrate differential tests compare
-// byte for byte). The interval walk never uses the lanes: that would move the
-// low bits of every filtered unit.
+// Each group-id run folds into its cell held in a register. A filtered
+// plan's runs add their values strictly in row order, so a cell's sum is
+// the same sequential fold however its rows split into runs. A full plan's
+// runs of shortRun or more rows fold through four independent accumulator
+// lanes instead (sumLanes, reduceLanes), which breaks the serial
+// load-add-store chain through the cell that dominates an unfiltered scan
+// of clustered data. The lane split changes the float addition association,
+// but deterministically: a full plan's group-id runs are the maximal
+// stretches of one cell within a morsel however the walk found their ends,
+// so the association depends only on the morsel boundaries and the code
+// sequence, never on parallelism. Filtered plans never take the lanes: that
+// would move the low bits of every filtered unit. Fold oracles pin both
+// associations bit for bit.
 //
 // All accumulator arrays of one scanAcc live in a single flat slab — counts
 // first, then every sum column, then the min/max pairs — so acquire zeroes
-// one contiguous prefix with a single memclr and the kernels stay in one
-// allocation's cache lines. The group-id vector of a full-table augmented
-// scan lives apart from it, in a morselScratch.
+// one contiguous prefix with a single memclr and the kernel stays in one
+// allocation's cache lines.
 //
 // The driving row set is split into fixed-size morsels. Each morsel
 // accumulates into a partial accumulator that starts from zero; partials are
 // merged into the scan's result strictly in morsel-index order. The
 // sequential path reuses one partial, merged and reset after every morsel.
-// The parallel path (parScan) gives every goroutine one partial and one
-// scratch for all the morsels it takes, parks a partial that finished ahead
-// of its turn in a small reorder ring, and never lets a goroutine run par or
-// more morsels ahead of the merge frontier: a scan holds fewer than 2·par
-// partials however its goroutines are scheduled. Because the morsel
-// boundaries depend only on the morsel size and the plan's driving row count,
-// and the merge order is fixed, every float addition has the same grouping at
-// any parallelism — scan results are bit-identical for WithScanParallelism 1
-// or 16. Scans whose driving set fits one morsel skip partials and merge
+// The parallel path (parScan) gives every goroutine one partial for all the
+// morsels it takes, parks a partial that finished ahead of its turn in a
+// small reorder ring, and never lets a goroutine run par or more morsels
+// ahead of the merge frontier: a scan holds fewer than 2·par partials
+// however its goroutines are scheduled. Because the morsel boundaries depend
+// only on the morsel size and the plan's driving row count, and the merge
+// order is fixed, every float addition has the same grouping at any
+// parallelism — scan results are bit-identical for WithScanParallelism 1 or
+// 16. Scans whose driving set fits one morsel skip partials and merge
 // entirely.
 
 import (
@@ -56,6 +59,7 @@ import (
 	"sync/atomic"
 
 	"metainsight/internal/cache"
+	"metainsight/internal/dataset"
 )
 
 // scanAcc is one accumulator set: full-domain counts and per-measure sums
@@ -70,27 +74,6 @@ type scanAcc struct {
 	mins    [][]float64 // slab views; nil per measure when min/max not needed
 	maxs    [][]float64
 	touched []int32 // cells first touched by this accumulator, in touch order
-}
-
-// morselScratch is the group-id vector of a full-table augmented scan, one
-// morsel's worth (32 KiB at the default morsel size). It belongs to whoever
-// processes morsels — one per sequential scan, one per goroutine of a
-// parallel one, kept across all the morsels it takes — not to an
-// accumulator: the scan's result and a partial waiting to be merged need
-// none. Pooled per substrate beside the accumulators.
-type morselScratch struct {
-	gids []int32 // group id per row
-}
-
-func (c *ColumnarSubstrate) acquireScratch() *morselScratch {
-	if v := c.scratch.Get(); v != nil {
-		return v.(*morselScratch)
-	}
-	return &morselScratch{}
-}
-
-func (c *ColumnarSubstrate) releaseScratch(sc *morselScratch) {
-	c.scratch.Put(sc)
 }
 
 // acquire returns a zeroed accumulator sized for cells, reusing a pooled one
@@ -158,32 +141,26 @@ func (a *scanAcc) resetTouched() {
 	a.touched = a.touched[:0]
 }
 
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
 // parScan is the shared state of one multi-morsel scan spread over several
-// goroutines. Each goroutine claims morsels off one counter, holds one
-// scratch for the whole scan, and accumulates every morsel it takes into one
-// partial it keeps, handing the partial over only when it cannot merge yet: merging is strictly in morsel-index order, the order the
-// sequential path uses, so results stay bit-identical. A goroutine that
-// finishes morsel i while an earlier one is outstanding parks the partial in
-// the reorder ring and carries on with a spare (one an in-order merge has
-// drained, else a pooled one); whoever completes the in-order morsel merges
-// it and every parked successor. No goroutine runs par or more morsels ahead
-// of the merge frontier — it waits instead — so a scan holds fewer than 2·par
-// partials whatever the scheduler does, where one accumulator per morsel in
-// flight could pile up the whole scan behind a descheduled goroutine.
+// goroutines. Each goroutine claims morsels off one counter and accumulates
+// every morsel it takes into one partial it keeps, handing the partial over
+// only when it cannot merge yet: merging is strictly in morsel-index order,
+// the order the sequential path uses, so results stay bit-identical. A
+// goroutine that finishes morsel i while an earlier one is outstanding parks
+// the partial in the reorder ring and carries on with a spare (one an
+// in-order merge has drained, else a pooled one); whoever completes the
+// in-order morsel merges it and every parked successor. No goroutine runs
+// par or more morsels ahead of the merge frontier — it waits instead — so a
+// scan holds fewer than 2·par partials whatever the scheduler does, where
+// one accumulator per morsel in flight could pile up the whole scan behind a
+// descheduled goroutine.
 type parScan struct {
-	c              *ColumnarSubstrate
-	plan           *scanPlan
-	bcodes, dcodes []int32
-	bcard, cells   int
-	n, nm, par     int
-	global         *scanAcc
+	c          *ColumnarSubstrate
+	plan       *scanPlan
+	bcol, dcol *dataset.DimColumn
+	cells      int
+	n, nm, par int
+	global     *scanAcc
 
 	claim atomic.Int64 // morsels handed out so far
 	wg    sync.WaitGroup
@@ -198,8 +175,6 @@ type parScan struct {
 // run is one goroutine's share of the scan.
 func (p *parScan) run() {
 	defer p.wg.Done()
-	sc := p.c.acquireScratch()
-	defer p.c.releaseScratch(sc)
 	var a *scanAcc
 	for {
 		mi := int(p.claim.Add(1)) - 1
@@ -210,7 +185,7 @@ func (p *parScan) run() {
 			a = p.c.acquire(p.cells)
 		}
 		lo, hi := p.c.morselBounds(mi, p.n)
-		p.c.processMorsel(p.plan, lo, hi, p.bcodes, p.dcodes, p.bcard, a, sc)
+		p.c.walkMorsel(p.plan, lo, hi, p.bcol, p.dcol, a)
 		a = p.deposit(mi, a)
 	}
 	p.c.release(a)
@@ -256,10 +231,10 @@ func (c *ColumnarSubstrate) morselBounds(mi, n int) (lo, hi int) {
 	return lo, min(lo+c.morsel, n)
 }
 
-// scan executes the plan into one accumulator of the given cell count.
-// dcodes is nil for unit scans; for augmented scans the cell of row r is
-// dcodes[r]*bcard + bcodes[r].
-func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, cells int) *scanAcc {
+// scan executes the plan into one accumulator of the given cell count,
+// grouped by bcol and, for augmented scans, dcol (nil for unit scans): the
+// cell of row r is dcode(r)·bcard + bcode(r).
+func (c *ColumnarSubstrate) scan(plan *scanPlan, bcol, dcol *dataset.DimColumn, cells int) *scanAcc {
 	n := plan.rows
 	global := c.acquire(cells)
 	if n == 0 {
@@ -268,9 +243,7 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 	nm := (n + c.morsel - 1) / c.morsel
 	c.obs.Count("engine.physical.morsels", int64(nm))
 	if nm == 1 {
-		sc := c.acquireScratch()
-		c.processMorsel(plan, 0, n, bcodes, dcodes, bcard, global, sc)
-		c.releaseScratch(sc)
+		c.walkMorsel(plan, 0, n, bcol, dcol, global)
 		return global
 	}
 
@@ -282,15 +255,14 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 		// Sequential multi-morsel: one reusable partial, merged after each
 		// morsel — the identical boundaries and merge order as the parallel
 		// path, so results are bit-identical at any parallelism.
-		m, sc := c.acquire(cells), c.acquireScratch()
+		m := c.acquire(cells)
 		for mi := 0; mi < nm; mi++ {
 			lo, hi := c.morselBounds(mi, n)
-			c.processMorsel(plan, lo, hi, bcodes, dcodes, bcard, m, sc)
+			c.walkMorsel(plan, lo, hi, bcol, dcol, m)
 			c.mergeAcc(global, m)
 			m.resetTouched()
 		}
 		c.release(m)
-		c.releaseScratch(sc)
 		return global
 	}
 
@@ -298,7 +270,7 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 	// than 2·par partials, so the spares never outgrow the other 2·par slots.
 	slots := make([]*scanAcc, 3*par)
 	p := &parScan{
-		c: c, plan: plan, bcodes: bcodes, dcodes: dcodes, bcard: bcard, cells: cells,
+		c: c, plan: plan, bcol: bcol, dcol: dcol, cells: cells,
 		n: n, nm: nm, par: par, global: global,
 		parked: slots[:par:par], spare: slots[par:par],
 	}
@@ -315,59 +287,58 @@ func (c *ColumnarSubstrate) scan(plan *scanPlan, bcodes, dcodes []int32, bcard, 
 	return global
 }
 
-// processMorsel aggregates driving positions [lo, hi) into acc: full-table
-// morsels through the lane kernel, filtered ones through the interval walk.
-func (c *ColumnarSubstrate) processMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int, acc *scanAcc, sc *morselScratch) {
-	if !plan.full {
-		c.walkMorsel(plan, lo, hi, bcodes, dcodes, int32(bcard), acc)
-		return
+// walkMorsel folds driving positions [lo, hi) of plan into acc, grouped by
+// bcol and, for augmented scans, dcol (nil for unit scans; the cell of a row
+// is dcode·bcard + bcode). It seeks the plan run holding position lo, clips
+// each run to the morsel and splits it into group-id runs: it compares at
+// most MinCodeRun codes, and when the run is still going it jumps to the
+// nearest of the plan run's end and the ends of the columns' long runs
+// holding it. Each group-id run folds into its cell with the cell held in a
+// register — one load and one store per run and measure instead of a
+// load-add-store round trip per row. A filtered plan adds each run's values
+// in row order, exactly as a per-row loop would, so the fold changes no bit
+// of a result; two adjacent sum-only columns fold in one pass, their
+// in-order chains independent, so their additions overlap instead of
+// queuing behind each other. A full plan's runs of shortRun or more rows
+// fold through the lanes.
+func (c *ColumnarSubstrate) walkMorsel(plan *scanPlan, lo, hi int, bcol, dcol *dataset.DimColumn, acc *scanAcc) {
+	bcodes, bends := bcol.Codes(), bcol.RunEnds()
+	var dcodes, dends []int32
+	if dcol != nil {
+		dcodes, dends = dcol.Codes(), dcol.RunEnds()
 	}
-	if dcodes == nil {
-		// Unit scan over contiguous rows: the group-id vector is the
-		// breakdown code column itself — no copy, no gather.
-		c.accumulateRuns(acc, bcodes[lo:hi], lo)
-		return
-	}
-	n := hi - lo
-	sc.gids = growInt32(sc.gids, n)
-	gids := sc.gids[:n]
-	bc := bcodes[lo:hi]
-	dc := dcodes[lo:hi]
-	for i := range bc {
-		gids[i] = dc[i]*int32(bcard) + bc[i]
-	}
-	c.accumulateRuns(acc, gids, lo)
-}
-
-// walkMorsel is the interval walk: it folds driving positions [lo, hi) of a
-// filtered plan into acc. It seeks the plan run holding position lo and clips
-// each run to the morsel, then splits it into group-id runs: maximal
-// stretches of rows with one breakdown (and ext) code, read straight off the
-// code columns (dcodes is nil for unit scans; the cell of an augmented row is
-// dcode·bcard + bcode). Each group-id run folds into its cell with the cell
-// held in a register — one load and one store per run and measure instead of
-// a load-add-store round trip per row — adding its values in row order,
-// exactly as a per-row loop would, so the fold changes no bit of a result.
-// Two adjacent sum-only columns fold in one pass: their in-order chains are
-// independent, so their additions overlap instead of queuing behind each
-// other.
-func (c *ColumnarSubstrate) walkMorsel(plan *scanPlan, lo, hi int, bcodes, dcodes []int32, bcard int32, acc *scanAcc) {
+	bcard := int32(bcol.Cardinality())
+	lanes := plan.full
 	runs := plan.runs
 	counts := acc.counts
+	bk, dk := 0, 0 // cursors into bends and dends; rows only grow within a morsel
 	k := sort.Search(len(runs)-1, func(i int) bool { return int(runs[i+1].Pos) > lo })
 	for ; k < len(runs)-1 && int(runs[k].Pos) < hi; k++ {
 		row, pos := int(runs[k].Row), int(runs[k].Pos)
 		j, end := row+max(lo-pos, 0), row+min(hi, int(runs[k+1].Pos))-pos
 		for j < end {
+			// Rows j … j+MinCodeRun-1 holding one code in every group-by
+			// column lie inside a kept run of each, and the first kept end
+			// past j is that run's end.
 			g, e := bcodes[j], j+1
+			probe := min(end, j+dataset.MinCodeRun)
 			if dcodes == nil {
-				for e < end && bcodes[e] == g {
+				for e < probe && bcodes[e] == g {
 					e++
+				}
+				if e == j+dataset.MinCodeRun && e < end {
+					bk = seekEnd(bends, bk, int32(j))
+					e = min(end, int(bends[bk]))
 				}
 			} else {
 				d := dcodes[j]
-				for e < end && bcodes[e] == g && dcodes[e] == d {
+				for e < probe && bcodes[e] == g && dcodes[e] == d {
 					e++
+				}
+				if e == j+dataset.MinCodeRun && e < end {
+					bk = seekEnd(bends, bk, int32(j))
+					dk = seekEnd(dends, dk, int32(j))
+					e = min(end, int(bends[bk]), int(dends[dk]))
 				}
 				g += d * bcard
 			}
@@ -383,6 +354,21 @@ func (c *ColumnarSubstrate) walkMorsel(plan *scanPlan, lo, hi int, bcodes, dcode
 			counts[g] += float64(e - j)
 			for i := 0; i < len(c.mvals); i++ {
 				v, sums := c.mvals[i][j:e], acc.sums[i]
+				if lanes && len(v) >= shortRun {
+					if !c.needMM[i] {
+						sums[g] += sumLanes(v)
+						continue
+					}
+					s, mn, mx := reduceLanes(v)
+					sums[g] += s
+					if mn < acc.mins[i][g] {
+						acc.mins[i][g] = mn
+					}
+					if mx > acc.maxs[i][g] {
+						acc.maxs[i][g] = mx
+					}
+					continue
+				}
 				s := sums[g]
 				if !c.needMM[i] && i+1 < len(c.mvals) && !c.needMM[i+1] {
 					v2, sums2 := c.mvals[i+1][j:e], acc.sums[i+1]
@@ -421,69 +407,29 @@ func (c *ColumnarSubstrate) walkMorsel(plan *scanPlan, lo, hi int, bcodes, dcode
 	}
 }
 
-// accumulateRuns is the contiguous-scan kernel: it walks the group-id vector
-// run by run. Counts advance O(1) per run; each run's sum folds through four
-// independent accumulator lanes (breaking the serial load-add-store chain
-// through the accumulator cell that dominates clustered data), and min/max
-// reduce in the same pass for measures that need them. Short runs fall back
-// to plain in-order updates. rowBase maps gid index 0 to its table row.
-func (c *ColumnarSubstrate) accumulateRuns(acc *scanAcc, gids []int32, rowBase int) {
-	n := len(gids)
-	counts := acc.counts
-	j := 0
-	for j < n {
-		g := gids[j]
-		k := j + 1
-		for k < n && gids[k] == g {
-			k++
-		}
-		if counts[g] == 0 {
-			acc.touched = append(acc.touched, g)
-			for i := range c.mvals {
-				if c.needMM[i] {
-					acc.mins[i][g] = math.Inf(1)
-					acc.maxs[i][g] = math.Inf(-1)
-				}
-			}
-		}
-		counts[g] += float64(k - j)
-		for i, vals := range c.mvals {
-			v := vals[rowBase+j : rowBase+k]
-			sums := acc.sums[i]
-			if !c.needMM[i] {
-				if len(v) < shortRun {
-					for _, x := range v {
-						sums[g] += x
-					}
-				} else {
-					sums[g] += sumLanes(v)
-				}
-				continue
-			}
-			mins, maxs := acc.mins[i], acc.maxs[i]
-			if len(v) < shortRun {
-				for _, x := range v {
-					sums[g] += x
-					if x < mins[g] {
-						mins[g] = x
-					}
-					if x > maxs[g] {
-						maxs[g] = x
-					}
-				}
-				continue
-			}
-			s, mn, mx := reduceLanes(v)
-			sums[g] += s
-			if mn < mins[g] {
-				mins[g] = mn
-			}
-			if mx > maxs[g] {
-				maxs[g] = mx
-			}
-		}
-		j = k
+// seekEnd returns the first index i >= k of ends, an ascending list, with
+// ends[i] > row; one must exist. It gallops forward from k, so a walk whose
+// rows only grow pays for the distance its cursor moves, not for the length
+// of the list.
+func seekEnd(ends []int32, k int, row int32) int {
+	if ends[k] > row {
+		return k
 	}
+	step := 1
+	for k+step < len(ends) && ends[k+step] <= row {
+		k += step
+		step <<= 1
+	}
+	hi := min(k+step, len(ends)-1) // ends[k] <= row < ends[hi]
+	for hi-k > 1 {
+		m := int(uint(k+hi) >> 1)
+		if ends[m] <= row {
+			k = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
 }
 
 // shortRun is the run length below which per-element in-place updates beat
@@ -512,7 +458,7 @@ func sumLanes(v []float64) float64 {
 
 // reduceLanes is sumLanes fused with a min/max reduction over the same pass.
 // Min/max are exact under any association; NaNs never win a comparison, the
-// same semantics as the per-row kernels and the reference scan.
+// same semantics as the in-order fold and the reference scan.
 func reduceLanes(v []float64) (sum, mn, mx float64) {
 	mn, mx = math.Inf(1), math.Inf(-1)
 	var s0, s1, s2, s3 float64

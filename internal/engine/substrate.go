@@ -88,8 +88,7 @@ type ColumnarSubstrate struct {
 	bmBytes int64
 	bmRows  int64
 
-	pool    sync.Pool // *scanAcc
-	scratch sync.Pool // *morselScratch
+	pool sync.Pool // *scanAcc
 }
 
 // ColumnarOption customizes a ColumnarSubstrate.
@@ -188,9 +187,9 @@ func (c *ColumnarSubstrate) Interner() *Interner { return c.in }
 // every filter, as runs of consecutive rows. rows is the exact number of rows
 // the scan visits — the quantity ScanCostAt charges and PlannedRows predicts.
 type scanPlan struct {
-	full bool            // unfiltered: iterate every table row
-	runs dataset.RowRuns // matching rows when !full
-	rows int             // rows visited: runs.Rows(), or table rows when full
+	full bool            // unfiltered: runs is the one run of every table row, folded through lanes
+	runs dataset.RowRuns // matching rows
+	rows int             // rows visited: runs.Rows()
 }
 
 // bytes is what the plan holds beyond its header: the driving runs.
@@ -221,7 +220,7 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 
 // buildPlan builds the one physical plan for a subspace:
 //
-//   - no filters: full-table scan;
+//   - no filters: the one run of every table row, folded through lanes;
 //   - one filter: drive its posting set;
 //   - several filters: intersect all posting sets directly on the
 //     compressed bitmap containers and drive the exact matching rows.
@@ -232,7 +231,11 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 // row list is ever cached.
 func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	if h.Len() == 0 {
-		return &scanPlan{full: true, rows: c.tab.Rows()}
+		n := c.tab.Rows()
+		if n == 0 {
+			return &scanPlan{full: true}
+		}
+		return &scanPlan{full: true, runs: dataset.RowRuns{{Row: 0, Pos: 0}, {Row: int32(n), Pos: int32(n)}}, rows: n}
 	}
 	if !h.valid {
 		// A filter on an unknown dimension or a value absent from its
@@ -308,7 +311,7 @@ func (c *ColumnarSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache
 	card := bcol.Cardinality()
 	h := c.in.Intern(s)
 	plan := c.planFor(h)
-	acc := c.scan(plan, bcol.Codes(), nil, 0, card)
+	acc := c.scan(plan, bcol, nil, card)
 	u := c.buildUnitSlice(h.key, breakdown, bcol.Domain(), acc, 0, card)
 	c.release(acc)
 	return u, plan.rows, nil
@@ -322,7 +325,7 @@ func (c *ColumnarSubstrate) ScanAugmented(base model.Subspace, breakdown, ext st
 	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
 	h := c.in.Intern(base)
 	plan := c.planFor(h)
-	acc := c.scan(plan, bcol.Codes(), dcol.Codes(), bcard, bcard*dcard)
+	acc := c.scan(plan, bcol, dcol, bcard*dcard)
 	units := c.augmentedUnits(h, breakdown, ext, acc)
 	c.release(acc)
 	return units, plan.rows, nil

@@ -175,8 +175,42 @@ func TestMineAllocsGuard(t *testing.T) {
 // Analyze(TopK 10) at one worker on a fresh session over the benchmark's
 // generated table at its quick scale ("engine.physical.plan_bytes": driving
 // runs), blessed when plans came to hold runs of
-// consecutive rows (the same plans held 5,528,156 bytes as row lists).
-const blessedPlanBytes = 179392
+// consecutive rows (the same plans held 5,528,156 bytes as row lists), and
+// re-blessed when the unfiltered plan came to hold its one run [0, rows),
+// so that every scan walks runs: 16 bytes more, the run and its sentinel.
+const blessedPlanBytes = 179408
+
+// blessedRunEnds is how many long code runs (dataset.MinCodeRun rows or
+// more) the dimension columns of the benchmark's generated table at its
+// quick scale keep for the scan to jump, 4 bytes each.
+const blessedRunEnds = 3752
+
+// TestRunEndsBytesGuard pins the memory the dimension columns' run ends keep
+// beside their posting sets: exactly blessedRunEnds entries (15,008 bytes)
+// on the benchmark's generated table at its quick scale, and under 0.25
+// bytes per row on a row-shuffled copy, the order where keeping every run
+// instead of the long ones would cost more than the posting sets.
+func TestRunEndsBytesGuard(t *testing.T) {
+	runEnds := func(tab *metainsight.Dataset) int {
+		n := 0
+		for _, d := range tab.Dimensions() {
+			n += len(d.RunEnds())
+		}
+		return n
+	}
+	gen := workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30})
+	n := runEnds(gen)
+	t.Logf("gen quick: %d run ends, %d bytes (%.3f per row)", n, 4*n, float64(4*n)/float64(gen.Rows()))
+	if n != blessedRunEnds {
+		t.Errorf("gen quick keeps %d run ends, blessed %d", n, blessedRunEnds)
+	}
+	shuffled := permuted(gen, 1)
+	perRow := float64(4*runEnds(shuffled)) / float64(shuffled.Rows())
+	t.Logf("row-shuffled gen quick: %.3f bytes of run ends per row", perRow)
+	if perRow >= 0.25 {
+		t.Errorf("row-shuffled gen quick keeps %.3f bytes of run ends per row, want under 0.25", perRow)
+	}
+}
 
 // TestPlanBytesGuard pins the memory a session's plans keep. Plans live as
 // long as the session's substrate, one per distinct subspace mined, so their
