@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,21 +28,30 @@ func unit(sub, breakdown string, groups int) *Unit {
 	return u
 }
 
-// TestQueryCachePutGet: a stored unit is found under its own key and no
-// other, and the cache reports its occupancy — never a hit/miss count, which
-// is the miner's canonical accounting and not the cache's.
+// sk builds a pattern-cache key over one distinguishing component.
+func sk(measure string) ScopeKey { return ScopeKey{Measure: measure} }
+
+// TestQueryCachePutGet: a kept unit is found under its own key and no other;
+// a second Put of the key keeps the first unit, and Do serves it without
+// computing; and the cache reports its occupancy — never a hit/miss count,
+// which is the miner's canonical accounting and not the cache's.
 func TestQueryCachePutGet(t *testing.T) {
 	c := NewQueryCache(true)
-	if _, ok := c.Peek("{*}", "Month"); ok {
+	k := UnitKey{Subspace: "{*}", Breakdown: "Month"}
+	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Put(unit("{*}", "Month", 12))
-	u, ok := c.Peek("{*}", "Month")
-	if !ok || len(u.GroupKeys) != 12 {
-		t.Fatal("stored unit not returned")
+	first := unit("{*}", "Month", 12)
+	c.Put(k, first)
+	c.Put(k, unit("{*}", "Month", 12))
+	if u, ok := c.Get(k); !ok || u != first {
+		t.Fatalf("Get = %p, %v; want the first unit put %p", u, ok, first)
 	}
-	if _, ok := c.Peek("{*}", "City"); ok {
+	if _, ok := c.Get(UnitKey{Subspace: "{*}", Breakdown: "City"}); ok {
 		t.Fatal("wrong breakdown hit")
+	}
+	if u, err := c.Do(k, func() (*Unit, error) { t.Fatal("Do recomputed a kept unit"); return nil, nil }); err != nil || u != first {
+		t.Fatalf("Do = %p, %v; want the kept unit", u, err)
 	}
 	if st := c.Stats(); st != (Stats{Entries: 1}) {
 		t.Errorf("stats = %+v, want occupancy only", st)
@@ -49,67 +60,33 @@ func TestQueryCachePutGet(t *testing.T) {
 
 func TestDisabledQueryCache(t *testing.T) {
 	c := NewQueryCache(false)
-	c.Put(unit("a", "b", 3))
-	if _, ok := c.Peek("a", "b"); ok {
+	k := UnitKey{Subspace: "a", Breakdown: "b"}
+	c.Put(k, unit("a", "b", 3))
+	if _, ok := c.Get(k); ok {
 		t.Fatal("disabled cache returned a unit")
 	}
 	if st := c.Stats(); st != (Stats{}) {
 		t.Errorf("stats = %+v", st)
-	}
-	if shardBytes(c) != 0 {
-		t.Error("disabled cache reports bytes")
 	}
 	if c.Enabled() {
 		t.Error("Enabled() = true")
 	}
 }
 
-// shardBytes sums the per-shard byte sizes ShardStats reports.
-func shardBytes(c *QueryCache) int64 {
-	var n int64
-	for _, s := range c.ShardStats() {
-		n += s.Bytes
-	}
-	return n
-}
-
-func TestQueryCacheByteAccountingOnReplace(t *testing.T) {
-	c := NewQueryCache(true)
-	c.Put(unit("a", "b", 10))
-	before := shardBytes(c)
-	c.Put(unit("a", "b", 10)) // same size replacement
-	if shardBytes(c) != before {
-		t.Errorf("bytes drifted on replace: %d → %d", before, shardBytes(c))
-	}
-	c.Put(unit("a2", "b", 10))
-	if shardBytes(c) <= before {
-		t.Error("bytes did not grow with a new entry")
-	}
-}
-
-func TestUnitApproxBytesGrowsWithGroups(t *testing.T) {
-	small := unit("a", "b", 2).ApproxBytes()
-	big := unit("a", "b", 200).ApproxBytes()
-	if big <= small {
-		t.Errorf("ApproxBytes: %d vs %d", small, big)
-	}
-}
-
-// sk builds a pattern-cache key over one distinguishing component.
-func sk(measure string) ScopeKey { return ScopeKey{Measure: measure} }
-
+// TestPatternCache: a stored value is found, a later Put of its key keeps
+// it, and an absent key is not.
 func TestPatternCache(t *testing.T) {
 	c := NewPatternCache[int](true)
-	if _, ok := c.Peek(sk("k")); ok {
+	if _, ok := c.Get(sk("k")); ok {
 		t.Fatal("empty hit")
 	}
 	c.Put(sk("k"), 42)
-	v, ok := c.Peek(sk("k"))
-	if !ok || v != 42 {
-		t.Fatal("value lost")
+	c.Put(sk("k"), 43)
+	if v, ok := c.Get(sk("k")); !ok || v != 42 {
+		t.Fatalf("Get = %d, %v; want the first value put", v, ok)
 	}
-	if _, ok := c.Peek(sk("absent")); ok {
-		t.Fatal("peek hit absent key")
+	if _, ok := c.Get(sk("absent")); ok {
+		t.Fatal("hit on an absent key")
 	}
 	if st := c.Stats(); st != (Stats{Entries: 1}) {
 		t.Errorf("stats = %+v, want occupancy only", st)
@@ -119,8 +96,196 @@ func TestPatternCache(t *testing.T) {
 func TestDisabledPatternCache(t *testing.T) {
 	c := NewPatternCache[string](false)
 	c.Put(sk("k"), "v")
-	if _, ok := c.Peek(sk("k")); ok {
+	if _, ok := c.Get(sk("k")); ok {
 		t.Fatal("disabled cache stored a value")
+	}
+}
+
+// TestPatternCacheMaterialize: Do computes a missing value once and keeps
+// it; a disabled cache computes on every call and keeps nothing.
+func TestPatternCacheMaterialize(t *testing.T) {
+	c := NewPatternCache[int](true)
+	calls := 0
+	compute := func() (int, error) { calls++; return 9, nil }
+	for i := 0; i < 2; i++ {
+		if v, err := c.Do(sk("k"), compute); v != 9 || err != nil {
+			t.Fatalf("Do = %d, %v", v, err)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("compute ran %d times, want 1 (memoized)", calls)
+	}
+	if st := c.Stats(); st != (Stats{Entries: 1}) {
+		t.Errorf("stats = %+v", st)
+	}
+
+	d := NewPatternCache[int](false)
+	calls = 0
+	d.Do(sk("k"), compute)
+	d.Do(sk("k"), compute)
+	if calls != 2 {
+		t.Errorf("disabled Do computed %d times, want 2", calls)
+	}
+	if st := d.Stats(); st != (Stats{}) {
+		t.Errorf("disabled stats = %+v", st)
+	}
+}
+
+// TestFlightForgetsCompletedKeys: once a disabled memo's computation is done
+// its key is forgotten, so the next Do computes afresh.
+func TestFlightForgetsCompletedKeys(t *testing.T) {
+	m := NewMemo[string, int](false)
+	calls := 0
+	for i := 0; i < 3; i++ {
+		if v, _ := m.Do("k", func() (int, error) { calls++; return calls, nil }); v != i+1 {
+			t.Fatalf("call %d returned %d", i, v)
+		}
+	}
+	if _, ok := m.Get("k"); ok {
+		t.Error("a disabled memo kept a value")
+	}
+}
+
+// waitParked blocks until n goroutines are parked waiting inside a Memo's
+// Do. On a single-P scheduler a spawned goroutine may not run until the
+// spawner blocks, so a test that needs followers must see them parked
+// before it lets the computation finish.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		got := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "WaitGroup).Wait") && strings.Contains(g, "cache.(*Memo[") {
+				got++
+			}
+		}
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers parked", got, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// race runs Do(k, fn) from one leader and n followers, parks the followers
+// on the leader's computation, then releases it. Each caller's outcome, or
+// the value it panicked with, is returned in call order (leader first).
+func race[V any](t *testing.T, m *Memo[string, V], n int, fn func() (V, error)) (vals []V, errs []error, panics []any) {
+	t.Helper()
+	vals, errs, panics = make([]V, n+1), make([]error, n+1), make([]any, n+1)
+	release, started := make(chan struct{}), make(chan struct{})
+	call := func(i int, fn func() (V, error)) {
+		defer func() { panics[i] = recover() }()
+		vals[i], errs[i] = m.Do("k", fn)
+	}
+	var wg sync.WaitGroup
+	wg.Add(n + 1)
+	go func() {
+		defer wg.Done()
+		call(0, func() (V, error) { close(started); <-release; return fn() })
+	}()
+	<-started
+	for i := 1; i <= n; i++ {
+		go func() {
+			defer wg.Done()
+			call(i, func() (V, error) { t.Error("a follower computed"); return fn() })
+		}()
+	}
+	waitParked(t, n)
+	close(release)
+	wg.Wait()
+	return vals, errs, panics
+}
+
+// TestFlightCoalescesConcurrentCalls: concurrent callers of one key share
+// one computation, enabled or not, and each waiting caller counts as a
+// follower.
+func TestFlightCoalescesConcurrentCalls(t *testing.T) {
+	for _, enabled := range []bool{true, false} {
+		m := NewMemo[string, int](enabled)
+		var computed atomic.Int64
+		vals, errs, panics := race(t, m, 7, func() (int, error) { computed.Add(1); return 7, nil })
+		if n := computed.Load(); n != 1 {
+			t.Errorf("enabled=%v: fn executed %d times, want 1", enabled, n)
+		}
+		for i := range vals {
+			if vals[i] != 7 || errs[i] != nil || panics[i] != nil {
+				t.Errorf("enabled=%v: caller %d got %d, %v, %v", enabled, i, vals[i], errs[i], panics[i])
+			}
+		}
+		if st := m.FlightStats(); st.Followers != 7 || st.Wait <= 0 {
+			t.Errorf("enabled=%v: flight stats %+v, want 7 followers that waited", enabled, st)
+		}
+		if _, ok := m.Get("k"); ok != enabled {
+			t.Errorf("enabled=%v: value kept = %v", enabled, ok)
+		}
+	}
+}
+
+// TestMemoSharesErrorsThenForgets: a failed computation's error reaches the
+// caller and every waiter, nothing is kept, and the next Do computes afresh.
+func TestMemoSharesErrorsThenForgets(t *testing.T) {
+	m := NewMemo[string, int](true)
+	boom := errors.New("boom")
+	_, errs, _ := race(t, m, 3, func() (int, error) { return 0, boom })
+	for i, err := range errs {
+		if err != boom {
+			t.Errorf("caller %d: err = %v, want the computation's", i, err)
+		}
+	}
+	if _, ok := m.Get("k"); ok {
+		t.Fatal("a failed computation was kept")
+	}
+	if v, err := m.Do("k", func() (int, error) { return 5, nil }); v != 5 || err != nil {
+		t.Fatalf("Do after a failure = %d, %v; want a fresh 5", v, err)
+	}
+	if st := m.Stats(); st.Entries != 1 {
+		t.Errorf("entries = %d, want 1", st.Entries)
+	}
+}
+
+// TestMemoPanicsReachEveryWaiter: a panicking computation re-panics in its
+// caller and in every parked waiter with the same value — a waiter must not
+// deadlock, and the miner's per-unit recover relies on every worker seeing
+// the same deterministic panic — and the key is forgotten.
+func TestMemoPanicsReachEveryWaiter(t *testing.T) {
+	m := NewMemo[string, int](true)
+	_, _, panics := race(t, m, 3, func() (int, error) { panic("evaluator exploded") })
+	for i, p := range panics {
+		if p != "evaluator exploded" {
+			t.Errorf("caller %d: recovered %v, want the computation's panic", i, p)
+		}
+	}
+	if _, ok := m.Get("k"); ok {
+		t.Fatal("a panicked computation left a value")
+	}
+	if v, err := m.Do("k", func() (int, error) { return 6, nil }); v != 6 || err != nil {
+		t.Fatalf("Do after a panic = %d, %v; want a fresh 6", v, err)
+	}
+	if v, ok := m.Get("k"); !ok || v != 6 {
+		t.Errorf("Get = %d, %v; want the kept 6", v, ok)
+	}
+}
+
+// TestMemoFlightOutranksPut: while a key is being computed, Get finds
+// nothing and a Put of the key is dropped; the computed value is kept.
+func TestMemoFlightOutranksPut(t *testing.T) {
+	m := NewMemo[string, int](true)
+	v, err := m.Do("k", func() (int, error) {
+		if _, ok := m.Get("k"); ok {
+			t.Error("Get returned a value still being computed")
+		}
+		m.Put("k", 1)
+		return 2, nil
+	})
+	if v != 2 || err != nil {
+		t.Fatalf("Do = %d, %v", v, err)
+	}
+	if got, ok := m.Get("k"); !ok || got != 2 {
+		t.Errorf("Get = %d, %v; want the computed 2", got, ok)
 	}
 }
 
@@ -129,16 +294,16 @@ func TestQueryCacheConcurrency(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("s%d", i%17)
-				c.Put(unit(key, "b", 4))
-				if _, ok := c.Peek(key, "b"); !ok {
-					t.Errorf("unit %s lost right after its Put", key)
+				k := UnitKey{Subspace: fmt.Sprintf("s%d", i%17), Breakdown: "b"}
+				c.Put(k, unit(k.Subspace, k.Breakdown, 4))
+				if _, ok := c.Get(k); !ok {
+					t.Errorf("unit %v lost right after its Put", k)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if st := c.Stats(); st.Entries != 17 {
@@ -146,107 +311,9 @@ func TestQueryCacheConcurrency(t *testing.T) {
 	}
 }
 
-func TestFlightCoalescesConcurrentCalls(t *testing.T) {
-	var f Flight[string, int]
-	var computed atomic.Int64
-	release := make(chan struct{})
-	started := make(chan struct{})
-
-	var wg sync.WaitGroup
-	results := make([]int, 8)
-	leaders := make([]bool, 8)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0], leaders[0] = f.Do("k", func() int {
-			close(started)
-			<-release
-			computed.Add(1)
-			return 7
-		})
-	}()
-	<-started
-	var entered atomic.Int64
-	for i := 1; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			entered.Add(1)
-			results[i], leaders[i] = f.Do("k", func() int {
-				computed.Add(1)
-				return 7
-			})
-		}(i)
-	}
-	// Park every follower inside Do before releasing the leader: on a
-	// single-P scheduler the spawned goroutines may not run until this
-	// goroutine blocks, and if the leader finished first the key would be
-	// forgotten and every "follower" would lead its own flight.
-	for entered.Load() < 7 {
-		runtime.Gosched()
-	}
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if n := computed.Load(); n != 1 {
-		t.Errorf("fn executed %d times, want 1", n)
-	}
-	nLeaders := 0
-	for i := range results {
-		if results[i] != 7 {
-			t.Errorf("result[%d] = %d", i, results[i])
-		}
-		if leaders[i] {
-			nLeaders++
-		}
-	}
-	if nLeaders != 1 {
-		t.Errorf("leaders = %d, want 1", nLeaders)
-	}
-}
-
-func TestFlightForgetsCompletedKeys(t *testing.T) {
-	var f Flight[string, int]
-	calls := 0
-	for i := 0; i < 3; i++ {
-		v, leader := f.Do("k", func() int { calls++; return calls })
-		if !leader {
-			t.Fatalf("call %d was not leader", i)
-		}
-		if v != i+1 {
-			t.Fatalf("call %d returned %d", i, v)
-		}
-	}
-}
-
-func TestPatternCacheMaterialize(t *testing.T) {
-	c := NewPatternCache[int](true)
-	calls := 0
-	compute := func() int { calls++; return 9 }
-	if v := c.Materialize(sk("k"), compute); v != 9 {
-		t.Fatalf("materialize = %d", v)
-	}
-	if v := c.Materialize(sk("k"), compute); v != 9 {
-		t.Fatalf("second materialize = %d", v)
-	}
-	if calls != 1 {
-		t.Errorf("compute ran %d times, want 1 (memoized)", calls)
-	}
-	if st := c.Stats(); st != (Stats{Entries: 1}) {
-		t.Errorf("materialize stats = %+v", st)
-	}
-
-	// Disabled cache computes every time and stores nothing.
-	d := NewPatternCache[int](false)
-	calls = 0
-	d.Materialize(sk("k"), compute)
-	d.Materialize(sk("k"), compute)
-	if calls != 2 {
-		t.Errorf("disabled materialize computed %d times, want 2", calls)
-	}
-}
-
+// TestPatternCacheMaterializeConcurrent: racing Do calls compute exactly
+// once per key — a racer either follows the computation in flight or, coming
+// after it, finds the kept value.
 func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 	c := NewPatternCache[int](true)
 	var computed atomic.Int64
@@ -256,12 +323,11 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				key := fmt.Sprintf("k%d", i%7)
-				v := c.Materialize(sk(key), func() int {
-					computed.Add(1)
-					return i % 7
-				})
-				_ = v
+				want := i % 7
+				v, _ := c.Do(sk(fmt.Sprint(want)), func() (int, error) { computed.Add(1); return want, nil })
+				if v != want {
+					t.Errorf("Do = %d, want %d", v, want)
+				}
 			}
 		}()
 	}
@@ -269,25 +335,33 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 	if st := c.Stats(); st.Entries != 7 {
 		t.Errorf("entries = %d", st.Entries)
 	}
-	// Exactly once per key: a racer that missed before a leader's Put either
-	// follows that leader's flight or, arriving after it, finds the value
-	// when its own flight re-checks the cache.
-	if computed.Load() != 7 {
-		t.Errorf("computed = %d, want 7 (once per key)", computed.Load())
+	if n := computed.Load(); n != 7 {
+		t.Errorf("computed = %d, want 7 (once per key)", n)
 	}
 }
 
-func TestShardDistribution(t *testing.T) {
-	// Keys spread across shards: with 500 distinct keys and 16 shards, every
-	// shard should receive at least one key (collision into few shards would
-	// recreate the global-lock hot path this cache is sharded to avoid).
-	seen := make(map[uint64]bool)
-	for i := 0; i < 500; i++ {
-		k := UnitKey{Subspace: fmt.Sprintf("city=c%d", i), Breakdown: "month"}
-		seen[k.hash()%shardCount] = true
+// TestMemoHitAllocatesNothing: a hit, through Get or through Do with a
+// capturing closure, allocates nothing — the closure must not escape.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	p := NewPatternCache[int](true)
+	k := ScopeKey{Unit: UnitKey{Subspace: "{City=LA}", Breakdown: "Month"}, Measure: "SUM(Sales)"}
+	p.Put(k, 3)
+	x := 4
+	allocs := testing.AllocsPerRun(100, func() {
+		v, _ := p.Do(k, func() (int, error) { return x, nil })
+		w, _ := p.Get(k)
+		x += v + w
+	})
+	if allocs != 0 {
+		t.Errorf("a hit allocates %.1f times, want 0", allocs)
 	}
-	if len(seen) != shardCount {
-		t.Errorf("keys landed in %d/%d shards", len(seen), shardCount)
+}
+
+func TestUnitApproxBytesGrowsWithGroups(t *testing.T) {
+	small := unit("a", "b", 2).ApproxBytes()
+	big := unit("a", "b", 200).ApproxBytes()
+	if big <= small {
+		t.Errorf("ApproxBytes: %d vs %d", small, big)
 	}
 }
 

@@ -412,7 +412,7 @@ func (st *Store) WriteSnapshot(index int64, payload json.RawMessage) error {
 	if err != nil {
 		return err
 	}
-	if err := atomicWrite(st.dir, snapshotFile, data, nil); err != nil {
+	if err := AtomicWrite(st.dir, snapshotFile, data, nil); err != nil {
 		return err
 	}
 	return st.resetJournal(index)
@@ -427,7 +427,7 @@ func (st *Store) resetJournal(base int64) error {
 	}
 	data := appendFrame(encodePreamble(journalMagic), hdr)
 	var keep *os.File
-	if err := atomicWrite(st.dir, journalFile, data, &keep); err != nil {
+	if err := AtomicWrite(st.dir, journalFile, data, &keep); err != nil {
 		return err
 	}
 	if st.jf != nil {
@@ -437,10 +437,12 @@ func (st *Store) resetJournal(base int64) error {
 	return nil
 }
 
-// atomicWrite writes name under dir via temp file + fsync + rename + dir
-// sync. When keep is non-nil the (renamed) file handle is returned through
-// it, positioned at end of file, instead of being closed.
-func atomicWrite(dir, name string, data []byte, keep **os.File) error {
+// AtomicWrite writes name under dir via temp file + fsync + rename + dir
+// sync, so a kill -9 leaves either the old file, the new file, or a stray
+// temp file, never a half-written one. When keep is non-nil the (renamed)
+// file handle is returned through it, positioned at end of file, instead of
+// being closed. The daemon's job records are written through it too.
+func AtomicWrite(dir, name string, data []byte, keep **os.File) error {
 	f, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return err

@@ -17,7 +17,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"metainsight/internal/cache"
@@ -105,29 +104,25 @@ type Series struct {
 func (s *Series) Len() int { return len(s.Keys) }
 
 // augKey identifies one augmented scan: the paper's AugmentedQuery(ds, d) is
-// one scan filtered by ds.Subspace \ d, grouped by (ds.Breakdown, d).
+// one scan filtered by ds.Subspace \ d, grouped by (ds.Breakdown, d). The
+// base is named by its handle's key string, so the key holds no pointer.
 type augKey struct {
-	base      *Handle // ds.Subspace.Without(d)
-	breakdown int     // table dimension indices
-	ext       int     // the augmentation dimension d
-}
-
-// unitRes is a unit-flight result: the unit or the substrate's error.
-type unitRes struct {
-	u   *cache.Unit
-	err error
+	base      string // key of ds.Subspace.Without(d)
+	breakdown int    // table dimension indices
+	ext       int    // the augmentation dimension d
 }
 
 // Engine executes queries for one table against one measure set. All query
 // paths are safe for concurrent use: concurrent cache misses on the same key
-// coalesce into a single scan via single-flight groups, so a unit is scanned
-// at most once no matter how many workers race for it (the at-most-once
-// assumption behind the paper's Fig 7 / Table 3 counts).
+// coalesce into a single scan through the query cache's and the pair memo's
+// Do, so a unit is scanned at most once no matter how many workers race for
+// it (the at-most-once assumption behind the paper's Fig 7 / Table 3 counts).
 type Engine struct {
 	tab      *dataset.Table
 	measures []model.Measure
 	impact   model.Measure
 	qc       *cache.QueryCache
+	pairs    *cache.Memo[augKey, *pairScan] // augmented scans, see scanPair
 	cost     CostModel
 	meter    *Meter
 	obs      *obs.Observer
@@ -136,13 +131,6 @@ type Engine struct {
 	dimNames []string  // tab.DimensionNames()
 	totalImp float64
 	bnd      impactBounds // lazily built impact-sum summaries (bounds.go)
-
-	// Single-flight groups: one per physical scan kind.
-	unitFlight cache.Flight[cache.UnitKey, unitRes]
-	pairFlight cache.Flight[augKey, *pairScan]
-
-	pairMu sync.Mutex
-	pairs  map[augKey]*pairScan // completed augmented scans, see scanPair
 }
 
 // Config configures an Engine.
@@ -208,11 +196,11 @@ func (cfg Config) MinMaxColumns(tab *dataset.Table) map[string]bool {
 	return need
 }
 
-// FlightStats sums the followers of the engine's single-flight groups:
+// FlightStats sums the followers of the query cache and the pair memo:
 // callers that asked for a unit some other caller was already scanning.
 func (e *Engine) FlightStats() cache.FlightStats {
-	st := e.unitFlight.Stats()
-	st.Add(e.pairFlight.Stats())
+	st := e.qc.FlightStats()
+	st.Add(e.pairs.FlightStats())
 	return st
 }
 
@@ -247,6 +235,7 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		measures: cfg.Measures,
 		impact:   cfg.ImpactMeasure,
 		qc:       cfg.QueryCache,
+		pairs:    cache.NewMemo[augKey, *pairScan](cfg.QueryCache.Enabled()),
 		cost:     cfg.Cost,
 		meter:    cfg.Meter,
 		obs:      cfg.Observer,
@@ -369,36 +358,28 @@ func (e *Engine) BasicQuery(ds model.DataScope) (*Series, error) {
 
 // PeekUnitAt returns the cached unit of (h, bdim), if any.
 func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
-	return e.qc.Peek(h.key, e.dimNames[bdim])
+	return e.qc.Get(e.UnitKeyAt(h, bdim))
 }
 
 // MaterializeUnitAt returns the unit of (h, breakdown dimension index bdim):
-// a cached unit is peeked, a missing one is scanned and stored. Concurrent
-// misses on one unit single-flight into one scan. peeked, when non-nil, is
-// the unit a PeekUnitAt of the same scope returned earlier in the same
-// compute unit: it stands in for the cache probe, so a scope resolved once is
-// not looked up again.
+// a cached unit is returned, a missing one is scanned and stored. Concurrent
+// misses on one unit share one scan. peeked, when non-nil, is the unit a
+// PeekUnitAt of the same scope returned earlier in the same compute unit: it
+// stands in for the cache lookup, so a scope resolved once is not looked up
+// again.
 func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*cache.Unit, error) {
-	key := e.UnitKeyAt(h, bdim)
 	if peeked != nil {
 		return peeked, nil
 	}
-	if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
-		return u, nil
-	}
-	res, _ := e.unitFlight.Do(key, func() unitRes {
-		if u, ok := e.qc.Peek(key.Subspace, key.Breakdown); ok {
-			return unitRes{u: u} // raced with another leader's Put
-		}
+	key := e.UnitKeyAt(h, bdim)
+	return e.qc.Do(key, func() (*cache.Unit, error) {
 		u, scanned, err := e.sub.ScanUnit(h.sub, key.Breakdown)
 		if err != nil {
-			return unitRes{err: err}
+			return nil, err
 		}
 		e.recordScan(scanned, false)
-		e.qc.Put(u)
-		return unitRes{u: u}
+		return u, nil
 	})
-	return res.u, res.err
 }
 
 // MaterializeAugmentedAt answers the paper's AugmentedQuery(ds, d) (Table 2,
@@ -464,7 +445,7 @@ func (e *Engine) peekAnyUnit(h *Handle) *cache.Unit {
 		if h.Has(d) {
 			continue
 		}
-		if u, ok := e.qc.Peek(h.key, dim); ok {
+		if u, ok := e.qc.Get(cache.UnitKey{Subspace: h.key, Breakdown: dim}); ok {
 			return u
 		}
 	}

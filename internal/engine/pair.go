@@ -14,7 +14,6 @@ type pairScan struct {
 	breakdown int                    // the orientation the scan ran in
 	rows      int                    // rows the scan visited
 	units     map[string]*cache.Unit // as scanned: one unit per ext value
-	err       error
 
 	twinOnce sync.Once
 	twin     map[string]*cache.Unit // one unit per breakdown value, grouped by ext
@@ -36,49 +35,25 @@ type pairScan struct {
 // sibling groups with an empty member (never all-cached, so the miner asks
 // again for every unit that touches them).
 //
-// Remembered units are exactly ones the query cache was given, so the memo
-// holds nothing the cache does not — provided the cache keeps what it is
-// given. A disabled cache keeps nothing, and the memo would pin what the
-// cache dropped: there every request scans in its own orientation and
-// nothing is remembered.
+// Remembered units were all given to the query cache, so the pair memo
+// holds nothing the cache lacks an equal of — provided the cache keeps what
+// it is given. A disabled cache keeps nothing, and the memo, disabled with it,
+// keeps nothing either: there every request scans in its own orientation,
+// sharing the scan only with concurrent identical requests.
 func (e *Engine) scanPair(base *Handle, bdim, ext int) (map[string]*cache.Unit, int, error) {
-	if !e.qc.Enabled() {
-		// Concurrent identical requests still share one scan, keyed as asked.
-		p, _ := e.pairFlight.Do(augKey{base: base, breakdown: bdim, ext: ext}, func() *pairScan {
-			units, scanned, err := e.scanAugmented(base, bdim, ext)
-			return &pairScan{rows: scanned, units: units, err: err}
-		})
-		return p.units, p.rows, p.err
+	key := augKey{base: base.key, breakdown: bdim, ext: ext}
+	if e.pairs.Enabled() {
+		key.breakdown, key.ext = min(bdim, ext), max(bdim, ext) // one entry per unordered pair
 	}
-	// One flight and one memo entry per unordered pair.
-	key := augKey{base: base, breakdown: min(bdim, ext), ext: max(bdim, ext)}
-	remembered := func() *pairScan {
-		e.pairMu.Lock()
-		defer e.pairMu.Unlock()
-		return e.pairs[key]
-	}
-	p := remembered()
-	if p == nil {
-		p, _ = e.pairFlight.Do(key, func() *pairScan {
-			if p := remembered(); p != nil {
-				return p // a previous leader finished between the miss and the flight
-			}
-			units, scanned, err := e.scanAugmented(base, bdim, ext)
-			p := &pairScan{breakdown: bdim, rows: scanned, units: units, err: err}
-			if err != nil {
-				return p // not remembered: the next request tries again
-			}
-			e.pairMu.Lock()
-			if e.pairs == nil {
-				e.pairs = make(map[augKey]*pairScan)
-			}
-			e.pairs[key] = p
-			e.pairMu.Unlock()
-			return p
-		})
-	}
-	if p.err != nil {
-		return nil, 0, p.err
+	p, err := e.pairs.Do(key, func() (*pairScan, error) {
+		units, scanned, err := e.scanAugmented(base, bdim, ext)
+		if err != nil {
+			return nil, err // not remembered: the next request tries again
+		}
+		return &pairScan{breakdown: bdim, rows: scanned, units: units}, nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	if p.breakdown == bdim {
 		return p.units, p.rows, nil
@@ -86,7 +61,7 @@ func (e *Engine) scanPair(base *Handle, bdim, ext int) (map[string]*cache.Unit, 
 	p.twinOnce.Do(func() {
 		p.twin = e.transposeUnits(base, p.units, ext, bdim)
 		for _, u := range p.twin {
-			e.qc.Put(u)
+			e.qc.Put(u.Key, u)
 		}
 	})
 	return p.twin, p.rows, nil
@@ -101,7 +76,7 @@ func (e *Engine) scanAugmented(base *Handle, bdim, ext int) (map[string]*cache.U
 	}
 	e.recordScan(scanned, true)
 	for _, u := range units {
-		e.qc.Put(u)
+		e.qc.Put(u.Key, u)
 	}
 	return units, scanned, nil
 }

@@ -326,7 +326,7 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 								t.Fatal(err)
 							}
 							for _, u := range units {
-								if cached, ok := qc.Peek(u.Key.Subspace, u.Key.Breakdown); !tc.disabled && (!ok || cached != u) {
+								if cached, ok := qc.Get(u.Key); !tc.disabled && (!ok || cached != u) {
 									t.Fatalf("%s [%s] %s+%s: unit %v not in the query cache", tc.name, base.Key(), dims[bd], dims[xd], u.Key)
 								}
 							}

@@ -19,8 +19,8 @@ import (
 //
 // Contract: both methods report the number of rows physically visited, are
 // safe for concurrent use, and must be deterministic for a fixed table —
-// the engine's single-flight groups assume any two calls with equal
-// arguments are interchangeable. Returned units must carry the canonical
+// the engine's memos assume any two calls with equal arguments are
+// interchangeable, and the query cache keeps whichever equal unit came first. Returned units must carry the canonical
 // cache.UnitKey for their scope and list only non-empty groups in domain
 // order, and the units of one ScanAugmented carry the same measure columns:
 // the engine may answer ScanAugmented(base, b, ext) by transposing the units

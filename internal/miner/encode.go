@@ -137,7 +137,9 @@ type evalEntryJSON struct {
 // BreakerTrips and Breaker are reserved, always zero: state of the retired
 // fault simulation, kept so snapshots stay byte-identical across its removal
 // and the ones written before it still decode. Evictions is reserved the
-// same way for the retired byte-bounded caches.
+// same way for the retired byte-bounded caches. Executed, Augmented and
+// Served repeat the meter's counts (the meter is the one ledger of them);
+// a restore reads the Meter* fields.
 type acctJSON struct {
 	Executed         int64   `json:"executed"`
 	Augmented        int64   `json:"augmented"`
@@ -172,9 +174,9 @@ type acctJSON struct {
 
 func (a *accounting) exportState() acctJSON {
 	st := acctJSON{
-		Executed:         a.executed,
-		Augmented:        a.augmented,
-		Served:           a.served,
+		Executed:         a.meter.ExecutedQueries(),
+		Augmented:        a.meter.AugmentedQueries(),
+		Served:           a.meter.ServedQueries(),
 		QCHits:           a.qcHits,
 		QCMisses:         a.qcMisses,
 		PCHits:           a.pcHits,
@@ -228,9 +230,6 @@ func (a *accounting) restoreState(st acctJSON) error {
 		a.pc[k] = struct{}{}
 	}
 
-	a.executed = st.Executed
-	a.augmented = st.Augmented
-	a.served = st.Served
 	a.qcHits = st.QCHits
 	a.qcMisses = st.QCMisses
 	a.pcHits = st.PCHits

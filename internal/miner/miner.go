@@ -907,7 +907,7 @@ func (m *Miner) finish() *Result {
 // children process accumulated are discarded, so the commit is a pure
 // function of the unit — and carries only the kind counter plus the panic
 // value. Panics are deterministic (pure functions of unit + data; the
-// single-flight groups propagate the leader's panic to every follower), so
+// memos re-raise a computation's panic in every caller waiting on it), so
 // the same units panic at every worker count.
 func (m *Miner) safeProcess(u *workUnit) (c *completion) {
 	defer func() {
@@ -1105,16 +1105,13 @@ func (m *Miner) processDataPattern(u *workUnit, rec *recorder, delta *statDelta)
 // accounting. The scope is keyed by parts that already exist — the unit's
 // key and the measure's — and the series is extracted from the unit (which
 // CheckExtract has cleared) only when the evaluation actually runs.
-// Concurrent evaluations of the same scope single-flight.
+// Concurrent evaluations of the same scope share one.
 func (m *Miner) evaluateScope(rec *recorder, unit *cache.Unit, ds model.DataScope, measureKey string, temporal bool) *pattern.ScopeEvaluation {
 	key := cache.ScopeKey{Unit: unit.Key, Measure: measureKey}
-	se, ok := m.pcache.Peek(key)
-	if !ok {
-		se = m.pcache.Materialize(key, func() *pattern.ScopeEvaluation {
-			series, _ := engine.Extract(unit, ds)
-			return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern)
-		})
-	}
+	se, _ := m.pcache.Do(key, func() (*pattern.ScopeEvaluation, error) {
+		series, _ := engine.Extract(unit, ds)
+		return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern), nil
+	})
 	rec.recordEval(key)
 	return se
 }

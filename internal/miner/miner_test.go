@@ -477,7 +477,7 @@ func TestPrefetchFailureFallsBackToBasicQueries(t *testing.T) {
 	if m.acct.prefetchFailures != 1 {
 		t.Errorf("prefetchFailures = %d, want 1", m.acct.prefetchFailures)
 	}
-	if m.acct.executed == 0 {
+	if m.acct.meter.ExecutedQueries() == 0 {
 		t.Error("fallback executed no basic queries")
 	}
 }

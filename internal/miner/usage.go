@@ -162,9 +162,6 @@ type accounting struct {
 	qcBytes int64
 	pc      map[cache.ScopeKey]struct{} // simulated pattern cache: committed scopes
 
-	executed         int64
-	augmented        int64
-	served           int64
 	qcHits, qcMisses int64
 	pcHits, pcMisses int64
 	prefetchFailures int64
@@ -218,7 +215,6 @@ func (a *accounting) applyUnit(u unitUse) {
 	}
 	if !a.qcEnabled {
 		a.qcMisses++
-		a.executed++
 		a.meter.AddExecuted(1)
 		a.charge(u.cost)
 		if a.traced {
@@ -228,7 +224,6 @@ func (a *accounting) applyUnit(u unitUse) {
 	}
 	if _, ok := a.qc[u.key]; ok {
 		a.qcHits++
-		a.served++
 		a.meter.AddServed(1)
 		if a.traced {
 			a.obs.Event(obs.EvCacheHit, keyLabel(u.key), "query-cache", 0)
@@ -236,7 +231,6 @@ func (a *accounting) applyUnit(u unitUse) {
 		return
 	}
 	a.qcMisses++
-	a.executed++
 	a.meter.AddExecuted(1)
 	a.charge(u.cost)
 	a.store(u.key, u.bytes)
@@ -321,8 +315,6 @@ func (a *accounting) applySiblings(s *siblingUse) {
 		}
 		return
 	}
-	a.executed++
-	a.augmented++
 	a.meter.AddExecuted(1)
 	a.meter.AddAugmented(1)
 	a.charge(s.cost)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"metainsight/internal/cache"
@@ -20,8 +19,8 @@ import (
 type windowRun struct {
 	res     *Result
 	journal []byte
-	qShards []cache.Stats
-	pShards []cache.Stats
+	qStats  cache.Stats
+	pStats  cache.Stats
 	peak    float64 // deepest speculation window of the run
 }
 
@@ -55,17 +54,17 @@ func runForWindow(t *testing.T, tab *dataset.Table, workers int, dir string, hal
 			t.Fatal(err)
 		}
 	}
-	out.qShards = eng.QueryCache().ShardStats()
-	out.pShards = cfg.PatternCache.ShardStats()
+	out.qStats = eng.QueryCache().Stats()
+	out.pStats = cfg.PatternCache.Stats()
 	out.peak = cfg.Observer.Snapshot().Gauges[obsWindowPeak]
 	return out
 }
 
 // TestDeepWindowInvariance is the net under the deeper speculation window:
 // on the four Figure-6 tables and the benchmark's generated table at its
-// quick scale, results, statistics, the commit journal byte for byte and the
-// caches' per-shard contents are the same at 1, 2 and 8 workers — and so are
-// a cost-budgeted and an S*-terminated run, where units evaluated ahead of
+// quick scale, results, statistics, the commit journal byte for byte and
+// both caches' occupancy are the same at 1, 2 and 8 workers — and so are a
+// cost-budgeted and an S*-terminated run, where units evaluated ahead of
 // the stop or of a cut are thrown away.
 func TestDeepWindowInvariance(t *testing.T) {
 	if testing.Short() {
@@ -89,8 +88,9 @@ func TestDeepWindowInvariance(t *testing.T) {
 				if miJSON(t, got.res) != miJSON(t, ref.res) {
 					t.Errorf("%s: MetaInsights differ from the one-worker run", label)
 				}
-				if !reflect.DeepEqual(got.qShards, ref.qShards) || !reflect.DeepEqual(got.pShards, ref.pShards) {
-					t.Errorf("%s: cache shard contents differ from the one-worker run", label)
+				if got.qStats != ref.qStats || got.pStats != ref.pStats {
+					t.Errorf("%s: cache occupancy %+v / %+v differs from the one-worker run's %+v / %+v",
+						label, got.qStats, got.pStats, ref.qStats, ref.pStats)
 				}
 				if ref.journal == nil {
 					ref.journal = got.journal

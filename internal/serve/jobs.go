@@ -269,7 +269,7 @@ func (s *scheduler) submit(tenant string, params AnalyzeParams, every int64) (*j
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, CodeInternal, "job dir: %v", err)
 	}
-	if err := atomicWriteFile(dir, "spec.json", mustJSON(spec)); err != nil {
+	if err := checkpoint.AtomicWrite(dir, "spec.json", mustJSON(spec), nil); err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, CodeInternal, "journal spec: %v", err)
 	}
 	j := s.newJob(spec)
@@ -443,7 +443,7 @@ func (s *scheduler) finish(j *job, an *metainsight.Analysis, err error) {
 	}
 	if s.enabled() {
 		dir := filepath.Join(s.cfg.Dir, j.spec.ID)
-		if wErr := atomicWriteFile(dir, "result.json", mustJSON(res)); wErr != nil {
+		if wErr := checkpoint.AtomicWrite(dir, "result.json", mustJSON(res), nil); wErr != nil {
 			s.logf("serve: job %s: persisting result: %v", j.spec.ID, wErr)
 		}
 	}
@@ -523,40 +523,4 @@ func mustJSON(v any) []byte {
 		return []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
 	}
 	return data
-}
-
-// atomicWriteFile writes name into dir via a temp file, fsync, rename and
-// directory fsync — the same torn-write discipline the checkpoint store
-// uses, so a kill -9 leaves either the old file, the new file, or a stray
-// temp file, never a half-written record.
-func atomicWriteFile(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -441,11 +441,13 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 	return out
 }
 
-// Snapshot publishes the engine's meter and the physical caches' occupancy
-// as gauges into the attached observer, then returns a point-in-time copy of
-// all metrics, phase timers and trace totals. Cache hit rates and sizes are
-// the run's canonical accounting, already published as the miner.qcache.*
-// and miner.pcache.* gauges; the physical caches count nothing. Without an
+// Snapshot publishes the engine's meter, the physical caches' occupancy
+// (cache.query.entries, cache.pattern.entries) and their waiters
+// (cache.flight.*) as gauges into the attached observer, then returns a
+// point-in-time copy of all metrics, phase timers and trace totals. Cache hit
+// rates and sizes are the run's canonical accounting, already published as
+// the miner.qcache.* and miner.pcache.* gauges; the physical caches count
+// nothing else, and their lock shards are not reported. Without an
 // observer it returns an empty snapshot. Reading a snapshot never perturbs
 // the analysis.
 func (a *Analyzer) Snapshot() MetricsSnapshot {
@@ -457,13 +459,7 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 	a.obs.SetGauge("engine.queries.served", float64(a.meter.ServedQueries()))
 	a.obs.SetGauge("engine.queries.augmented", float64(a.meter.AugmentedQueries()))
 	a.obs.SetGauge("cache.query.entries", float64(a.eng.QueryCache().Stats().Entries))
-	for i, ss := range a.eng.QueryCache().ShardStats() {
-		a.obs.SetGauge(fmt.Sprintf("cache.query.shard.%02d.entries", i), float64(ss.Entries))
-	}
 	a.obs.SetGauge("cache.pattern.entries", float64(a.cfg.PatternCache.Stats().Entries))
-	for i, ss := range a.cfg.PatternCache.ShardStats() {
-		a.obs.SetGauge(fmt.Sprintf("cache.pattern.shard.%02d.entries", i), float64(ss.Entries))
-	}
 	// Workers that found their unit or scope already being computed by
 	// another worker, and how long they then waited for it.
 	fs := a.eng.FlightStats()
