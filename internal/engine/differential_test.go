@@ -184,9 +184,9 @@ func differentialScanUnit(t *testing.T, tab *dataset.Table) {
 						trial, name, sub.Key(), breakdown, got, want)
 				}
 				checkScannedRows(t, trial, name, gotRows, matching)
-				// The substrate's own prediction must be exact.
-				if pr := c.PlannedRows(sub); pr != gotRows {
-					t.Fatalf("trial %d %s: PlannedRows %d != scanned %d", trial, name, pr, gotRows)
+				// The plan ScanCostAt charges must count exactly these rows.
+				if pr := c.in.Intern(sub).plan(nil).rows; pr != gotRows {
+					t.Fatalf("trial %d %s: planned %d rows != scanned %d", trial, name, pr, gotRows)
 				}
 			}
 		}
@@ -243,8 +243,8 @@ func differentialScanAugmented(t *testing.T, tab *dataset.Table) {
 					trial, name, base.Key(), breakdown, ext, got, want)
 			}
 			checkScannedRows(t, trial, name, gotRows, matching)
-			if pr := c.PlannedRows(base); pr != gotRows {
-				t.Fatalf("trial %d %s: PlannedRows %d != scanned %d", trial, name, pr, gotRows)
+			if pr := c.in.Intern(base).plan(nil).rows; pr != gotRows {
+				t.Fatalf("trial %d %s: planned %d rows != scanned %d", trial, name, pr, gotRows)
 			}
 		}
 	}
@@ -376,8 +376,8 @@ func TestDifferentialEdgeCases(t *testing.T) {
 	if rrows != 0 || unitJSON(t, u) != unitJSON(t, ru) {
 		t.Fatalf("absent value: reference disagrees (rows=%d)", rrows)
 	}
-	if pr := c.PlannedRows(sub); pr != 0 {
-		t.Fatalf("absent value: PlannedRows=%d, want 0", pr)
+	if pr := c.in.Intern(sub).plan(nil).rows; pr != 0 {
+		t.Fatalf("absent value: planned %d rows, want 0", pr)
 	}
 
 	// Multi-filter subspace whose intersection is empty but whose individual

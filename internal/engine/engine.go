@@ -127,7 +127,7 @@ type Engine struct {
 	meter    *Meter
 	obs      *obs.Observer
 	sub      Substrate
-	in       *Interner // the substrate's intern table, or the engine's own
+	in       *Interner // Config.Interner, or the engine's own
 	dimNames []string  // tab.DimensionNames()
 	totalImp float64
 	bnd      impactBounds // lazily built impact-sum summaries (bounds.go)
@@ -168,19 +168,23 @@ type Config struct {
 	// query results or accounting.
 	Observer *obs.Observer
 	// Substrate is the physical scan layer; nil uses the in-process
-	// ColumnarSubstrate over the table.
+	// ColumnarSubstrate over the table, planning on Interner.
 	Substrate Substrate
+	// Interner is the intern table the engine's handles, and with them the
+	// scan plans ScanCostAt charges, come from; nil creates a fresh one. It
+	// must be over the engine's table. Engines that share one (a Session's
+	// requests) plan each subspace once between them.
+	Interner *Interner
 }
 
-// MinMaxColumns derives the configuration's needed-aggregate set over tab:
+// minMaxColumns derives the configuration's needed-aggregate set over tab:
 // the measure columns that some measure in Measures ∪ ExtraMeasures ∪
 // {ImpactMeasure} aggregates with MIN or MAX, the only columns whose MIN/MAX
 // arrays a scan must materialize. The set is non-nil (possibly empty) so
 // undeclared MIN/MAX queries surface as "unit lacks column" rather than
 // silently paying for every column. New builds its default substrate from
-// it; a caller that builds the ColumnarSubstrate itself (to share it across
-// engines) passes the same set to WithMinMaxColumns.
-func (cfg Config) MinMaxColumns(tab *dataset.Table) map[string]bool {
+// it.
+func (cfg Config) minMaxColumns(tab *dataset.Table) map[string]bool {
 	measures := cfg.Measures
 	if measures == nil {
 		measures = tab.DefaultMeasures()
@@ -224,11 +228,19 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 	if cfg.Meter == nil {
 		cfg.Meter = &Meter{}
 	}
+	if cfg.Interner == nil {
+		cfg.Interner = NewInterner(tab)
+	} else if cfg.Interner.tab != tab {
+		return nil, fmt.Errorf("engine: Config.Interner is over table %q, not the engine's", cfg.Interner.tab.Name())
+	}
 	if cfg.Substrate == nil {
-		cfg.Substrate = NewColumnarSubstrate(tab,
-			WithMinMaxColumns(cfg.MinMaxColumns(tab)),
-			WithScanParallelism(cfg.ScanParallelism),
-			WithScanObserver(cfg.Observer))
+		cfg.Substrate = newColumnarSubstrate(tab, columnarConfig{
+			par:    cfg.ScanParallelism,
+			morsel: DefaultMorselSize,
+			minMax: cfg.minMaxColumns(tab),
+			obs:    cfg.Observer,
+			in:     cfg.Interner,
+		})
 	}
 	e := &Engine{
 		tab:      tab,
@@ -240,15 +252,8 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		meter:    cfg.Meter,
 		obs:      cfg.Observer,
 		sub:      cfg.Substrate,
+		in:       cfg.Interner,
 		dimNames: tab.DimensionNames(),
-	}
-	// Handles must come from the table the substrate plans against: adopt its
-	// intern table when it has one over this very table (so plans, keys and
-	// links built by earlier requests are reused), else keep a private one.
-	if ho, ok := cfg.Substrate.(interface{ Interner() *Interner }); ok && ho.Interner().tab == tab {
-		e.in = ho.Interner()
-	} else {
-		e.in = NewInterner(tab)
 	}
 	for _, m := range cfg.Measures {
 		if err := e.checkMeasure(m); err != nil {
@@ -401,38 +406,15 @@ func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string
 }
 
 // ScanCostAt returns the cost a unit scan under h is charged, without
-// scanning: the per-query overhead plus the per-row cost of the rows the scan
-// plan visits. When the substrate is a RowPlanner (ColumnarSubstrate is), the
-// exact planned row count is used, so the cost agrees bit for bit with the
-// rows the scan reports — including when posting-list intersection shrinks
-// the row set below any single filter's posting set. Other substrates fall
-// back to the most-selective-drive estimate: the full table when h is
-// unfiltered, otherwise the cardinality of the most selective filter's
-// posting set. The cost of a scan depends only on the subspace, not the
-// breakdown, and an augmented scan of base b costs exactly ScanCostAt(b). The
-// planned row count is memoized on the handle, so repeated estimates are one
-// atomic load.
+// scanning: the per-query overhead plus the per-row cost of the rows that
+// match every filter of h — the rows h's plan visits, which is what every
+// substrate reports. It is the one cost authority: the miner's commit-order
+// accounting and QuickInsight both charge it, whichever substrate scans. The
+// cost of a scan depends only on the subspace, not the breakdown, and an
+// augmented scan of base b costs exactly ScanCostAt(b). The plan is memoized
+// on the handle, so repeated estimates are one atomic load.
 func (e *Engine) ScanCostAt(h *Handle) float64 {
-	return e.cost.PerQuery + e.cost.PerRow*float64(e.plannedRows(h))
-}
-
-func (e *Engine) plannedRows(h *Handle) int {
-	if r := h.rows.Load(); r > 0 {
-		return int(r - 1)
-	}
-	var scanned int
-	if rp, ok := e.sub.(RowPlanner); ok {
-		scanned = rp.PlannedRows(h.sub)
-	} else if h.valid {
-		scanned = e.tab.Rows()
-		for _, f := range h.filters {
-			if l := e.tab.Dimensions()[f.dim].PostingsBitmap(int(f.code)).Cardinality(); l < scanned {
-				scanned = l
-			}
-		}
-	} // else some filter matches no rows: nothing to scan
-	h.rows.Store(int64(scanned) + 1)
-	return scanned
+	return e.cost.PerQuery + e.cost.PerRow*float64(h.plan(e.obs).rows)
 }
 
 // EvaluationCost returns the cost of one data-pattern evaluation.

@@ -68,7 +68,7 @@ func perRowFold(t *testing.T, c *ColumnarSubstrate, s model.Subspace, cells int,
 		}
 		return true
 	}
-	plan := c.planFor(c.in.Intern(s))
+	plan := c.in.Intern(s).plan(nil)
 	var drive []int
 	for k := 0; k+1 < len(plan.runs); k++ {
 		lo := int(plan.runs[k].Row)

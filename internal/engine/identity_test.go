@@ -75,7 +75,7 @@ func TestCollidingSubspacesGetTheirOwnUnits(t *testing.T) {
 			}
 			total += got.Values[i]
 		}
-		if rows := e.sub.(RowPlanner).PlannedRows(sub); float64(rows) != total {
+		if rows := e.Intern(sub).plan(nil).rows; float64(rows) != total {
 			t.Errorf("%s: planned %d rows, the subspace holds %v", sub, rows, total)
 		}
 	}

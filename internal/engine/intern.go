@@ -25,11 +25,12 @@ import (
 // on worker interleaving — never reach an ordering, a reported hash or the
 // wire (DESIGN.md §14).
 
-// Interner is the intern table of one table's subspaces. It is owned by
-// whatever outlives a request — the ColumnarSubstrate a Session keeps, or the
-// Engine itself for substrates that bring none — and is safe for concurrent
-// use. Sharing it across requests is determinism-safe: every field of a
-// Handle is a pure function of the immutable table and the subspace.
+// Interner is the intern table of one table's subspaces, and through its
+// handles the one owner of their scan plans. A Session keeps one for its
+// lifetime and hands it to every request's Engine (Config.Interner); an
+// Engine built without one keeps a fresh one of its own. It is safe for
+// concurrent use. Sharing it across requests is determinism-safe: every field
+// of a Handle is a pure function of the immutable table and the subspace.
 type Interner struct {
 	tab  *dataset.Table
 	dims []*dataset.DimColumn
@@ -65,18 +66,25 @@ type Handle struct {
 	filters []handleFilter // aligned with sub
 	valid   bool           // every filter names a known dimension and value
 
-	// plan is the owning ColumnarSubstrate's memoized physical plan; rows
-	// memoizes the engine's planned row count plus one (0 = not computed).
-	// Both are pure functions of the subspace for the interner's one owner.
-	plan   atomic.Pointer[scanPlan]
-	planMu sync.Mutex // serializes building plan
-	rows   atomic.Int64
+	// planned is the memoized physical plan (see plan), a pure function of
+	// the table and the subspace: every substrate and every cost estimate
+	// over this interner reads the same one.
+	planned atomic.Pointer[scanPlan]
+	planMu  sync.Mutex // serializes building planned
 
 	// parents[i] is the handle without filter i. kids[d], for an unfiltered
 	// dimension index d, holds the child handles by dictionary code — the
 	// sibling group SG(·, d) of every child. Entries fill on first use.
 	parents []atomic.Pointer[Handle]
 	kids    []atomic.Pointer[[]atomic.Pointer[Handle]]
+}
+
+// Len returns the number of handles interned so far, the empty subspace's
+// included. DESIGN.md §14 states how a session's table grows.
+func (in *Interner) Len() int {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return len(in.byKey)
 }
 
 // Root returns the handle of the empty subspace.

@@ -7,6 +7,7 @@ import (
 
 	"metainsight/internal/dataset"
 	"metainsight/internal/model"
+	"metainsight/internal/obs"
 )
 
 // escapeTable has dimension names and values containing every key separator,
@@ -93,16 +94,46 @@ func TestInternForeignSubspaces(t *testing.T) {
 		model.EmptySubspace.With("Planet", "Mars"),
 		model.EmptySubspace.With("City", "LA").With("Planet", "Mars"),
 	} {
-		h := sub.Interner().Intern(s)
+		h := sub.in.Intern(s)
 		if h.Valid() || h.Key() != s.Key() {
 			t.Errorf("Intern(%v): valid=%v key=%q", s, h.Valid(), h.Key())
 		}
-		if rows := sub.PlannedRows(s); rows != 0 {
-			t.Errorf("PlannedRows(%v) = %d, want 0", s, rows)
+		if rows := h.plan(nil).rows; rows != 0 {
+			t.Errorf("plan(%v) drives %d rows, want 0", s, rows)
 		}
 		u, rows, err := sub.ScanUnit(s, "Month")
 		if err != nil || rows != 0 || len(u.GroupKeys) != 0 {
 			t.Errorf("ScanUnit(%v) = %d groups, %d rows, err %v; want an empty unit", s, len(u.GroupKeys), rows, err)
 		}
+	}
+}
+
+// TestEnginesShareOneInterner: engines given one Config.Interner plan each
+// subspace once between them — the second engine's cost estimate and scan
+// build no plan — and an interner over another table is refused.
+func TestEnginesShareOneInterner(t *testing.T) {
+	tab := randomTable(7, 300)
+	in := NewInterner(tab)
+	s := model.EmptySubspace.With("City", "LA").With("Style", "Condo")
+	month := tab.DimensionIndex("Month")
+	var planBytes [2]int64
+	for i := range planBytes {
+		ob := obs.New(obs.Options{})
+		e, err := New(tab, Config{Interner: in, Observer: ob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := e.Intern(s)
+		e.ScanCostAt(h)
+		if _, err := e.MaterializeUnitAt(h, month, nil); err != nil {
+			t.Fatal(err)
+		}
+		planBytes[i] = ob.Snapshot().Counters["engine.physical.plan_bytes"]
+	}
+	if planBytes[0] == 0 || planBytes[1] != 0 {
+		t.Errorf("plan bytes per engine = %v, want the first engine alone to build the plan", planBytes)
+	}
+	if _, err := New(randomTable(8, 300), Config{Interner: in}); err == nil {
+		t.Error("an interner over another table was accepted")
 	}
 }

@@ -65,7 +65,7 @@ import (
 // scanAcc is one accumulator set: full-domain counts and per-measure sums
 // (always), min/max arrays for needed measures only, and the first-touch
 // group list. counts, sums, mins and maxs are views into one flat slab.
-// Instances are pooled per substrate (see acquire/release).
+// Instances are pooled package-wide (see acquire/release).
 type scanAcc struct {
 	cells   int
 	slab    []float64   // backing storage: counts | sums… | min,max…
@@ -76,24 +76,27 @@ type scanAcc struct {
 	touched []int32 // cells first touched by this accumulator, in touch order
 }
 
+// accPool holds released accumulators of every substrate: substrates are
+// built per request, so a pool of their own would start cold every time.
+var accPool sync.Pool // *scanAcc
+
 // acquire returns a zeroed accumulator sized for cells, reusing a pooled one
 // when available. counts and sums are zero-filled (one memclr over the slab
 // prefix); min/max arrays hold garbage outside touched cells by design —
 // they are initialized at first touch and only ever read for cells with a
 // non-zero count.
 func (c *ColumnarSubstrate) acquire(cells int) *scanAcc {
-	var a *scanAcc
-	if v := c.pool.Get(); v != nil {
-		a = v.(*scanAcc)
+	a, _ := accPool.Get().(*scanAcc)
+	if a == nil {
+		a = &scanAcc{}
 	}
 	nmeas := len(c.mcols)
-	if a == nil {
-		a = &scanAcc{
-			sums: make([][]float64, nmeas),
-			mins: make([][]float64, nmeas),
-			maxs: make([][]float64, nmeas),
-		}
+	if cap(a.sums) < nmeas {
+		a.sums = make([][]float64, nmeas)
+		a.mins = make([][]float64, nmeas)
+		a.maxs = make([][]float64, nmeas)
 	}
+	a.sums, a.mins, a.maxs = a.sums[:nmeas], a.mins[:nmeas], a.maxs[:nmeas]
 	a.cells = cells
 	need := cells * (1 + nmeas + 2*c.nmm)
 	if cap(a.slab) < need {
@@ -124,7 +127,7 @@ func (c *ColumnarSubstrate) acquire(cells int) *scanAcc {
 // release returns an accumulator to the pool.
 func (c *ColumnarSubstrate) release(a *scanAcc) {
 	if a != nil {
-		c.pool.Put(a)
+		accPool.Put(a)
 	}
 }
 

@@ -49,28 +49,21 @@ func resolveFilters(tab *dataset.Table, s model.Subspace) []filterSpec {
 }
 
 // refScan accumulates every row of the table matching all of s's filters
-// into cell(r) of fresh accumulators. The row count it reports is what a
-// drive off the most selective filter visits — the smallest per-filter match
-// count, brute-forced over the dictionary codes; the whole table when s is
-// unfiltered — which is the cost contract of a substrate that is not a
-// RowPlanner (see Engine.ScanCostAt).
+// into cell(r) of fresh accumulators. The row count it reports is the number
+// of those rows, brute-forced over the dictionary codes: what the plan of s
+// visits and Engine.ScanCostAt charges.
 func (c *ReferenceSubstrate) refScan(s model.Subspace, cells int, cell func(r int) int) (counts []float64, sums, mins, maxs [][]float64, scanned int) {
 	filters := resolveFilters(c.tab, s)
 	mcols := c.tab.MeasureColumns()
 	counts, sums, mins, maxs = refAlloc(cells, len(mcols))
-	matches := make([]int, len(filters))
+rows:
 	for r := 0; r < c.tab.Rows(); r++ {
-		all := true
-		for i, f := range filters {
-			if f.col.CodeAt(r) == f.code {
-				matches[i]++
-			} else {
-				all = false
+		for _, f := range filters {
+			if f.col.CodeAt(r) != f.code {
+				continue rows
 			}
 		}
-		if !all {
-			continue
-		}
+		scanned++
 		g := cell(r)
 		counts[g]++
 		for i, mc := range mcols {
@@ -82,12 +75,6 @@ func (c *ReferenceSubstrate) refScan(s model.Subspace, cells int, cell func(r in
 			if v > maxs[i][g] {
 				maxs[i][g] = v
 			}
-		}
-	}
-	scanned = c.tab.Rows()
-	for _, m := range matches {
-		if m < scanned {
-			scanned = m
 		}
 	}
 	return counts, sums, mins, maxs, scanned

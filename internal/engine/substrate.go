@@ -2,7 +2,6 @@ package engine
 
 import (
 	"runtime"
-	"sync"
 	"unsafe"
 
 	"metainsight/internal/cache"
@@ -37,18 +36,6 @@ type Substrate interface {
 	ScanAugmented(base model.Subspace, breakdown, ext string) (map[string]*cache.Unit, int, error)
 }
 
-// RowPlanner is implemented by substrates that can predict, without scanning,
-// exactly how many rows a unit scan under a subspace will visit. The engine's
-// ScanCostAt — the single cost authority the miner's commit-order accounting
-// and QuickInsight charge — consults it so that the charged cost agrees bit
-// for bit with the rows the scan reports, including when a posting-set
-// intersection visits fewer rows than any single filter's posting set.
-// Substrates without it fall back to the most-selective-posting-list
-// estimate.
-type RowPlanner interface {
-	PlannedRows(s model.Subspace) int
-}
-
 // DefaultMorselSize is the fixed morsel width of the parallel scan pipeline,
 // in rows. Morsel boundaries depend only on this constant and the plan's
 // driving row count — never on the parallelism — which is what makes float
@@ -58,37 +45,23 @@ const DefaultMorselSize = 8192
 
 // ColumnarSubstrate is the default Substrate: a morsel-driven, vectorized
 // filtered group-by scan over the in-memory columnar table. A filtered scan
-// drives the exact intersection of its filters' posting sets, memoized per
-// subspace; aggregation runs as fused kernels over the plan's runs of
-// matching rows, with min/max materialized only for the measure
-// columns some registered evaluator actually needs; accumulators are pooled
-// per substrate. It is infallible and pure with respect to the engine's
-// meter and caches.
+// drives the exact intersection of its filters' posting sets, the plan
+// memoized on the subspace's interned handle; aggregation runs as fused
+// kernels over the plan's runs of matching rows, with min/max materialized
+// only for the measure columns some registered evaluator actually needs;
+// accumulators come from one package-wide pool. It keeps nothing but its
+// configuration, so building one per request is cheap. It is infallible and
+// pure with respect to the engine's meter and caches.
 type ColumnarSubstrate struct {
 	tab    *dataset.Table
 	mcols  []*dataset.MeasureColumn
-	mvals  [][]float64 // raw values per measure, aligned with mcols
-	needMM []bool      // per measure: materialize min/max?
-	nmm    int         // number of true entries in needMM
-	par    int         // scan parallelism (>= 1)
-	morsel int         // morsel size in rows
-	obs    *obs.Observer
-
-	// in interns the subspaces this substrate has planned or scanned; each
-	// handle carries its memoized plan. Engines built over the substrate
-	// share it (Interner), so it outlives a request exactly as the substrate
-	// does.
-	in *Interner
-
-	// Postings telemetry: which dimensions' compressed posting sets this
-	// substrate has planned against, and their cumulative footprint (feeds
-	// the engine.physical.postings_* instruments).
-	bmMu    sync.Mutex
-	bmSeen  map[string]bool
-	bmBytes int64
-	bmRows  int64
-
-	pool sync.Pool // *scanAcc
+	mvals  [][]float64   // raw values per measure, aligned with mcols
+	needMM []bool        // per measure: materialize min/max?
+	nmm    int           // number of true entries in needMM
+	par    int           // scan parallelism (>= 1)
+	morsel int           // morsel size in rows
+	obs    *obs.Observer // physical counters: the building engine's Config.Observer
+	in     *Interner     // the handles this substrate's plans live on
 }
 
 // ColumnarOption customizes a ColumnarSubstrate.
@@ -99,6 +72,7 @@ type columnarConfig struct {
 	morsel int
 	minMax map[string]bool
 	obs    *obs.Observer
+	in     *Interner
 }
 
 // WithScanParallelism sets how many goroutines one scan may use: 1 is the
@@ -138,19 +112,20 @@ func WithMinMaxColumns(cols map[string]bool) ColumnarOption {
 	return func(c *columnarConfig) { c.minMax = cols }
 }
 
-// WithScanObserver attaches an observer receiving physical scan-path
-// counters ("engine.physical.plan_*", "engine.physical.postings_*",
-// "engine.physical.morsels", "engine.physical.rows_pruned"). Like all
-// observability, it is inert.
-func WithScanObserver(o *obs.Observer) ColumnarOption {
-	return func(c *columnarConfig) { c.obs = o }
-}
-
-// NewColumnarSubstrate creates the default in-process substrate over tab.
+// NewColumnarSubstrate creates the default in-process substrate over tab,
+// planning on a fresh intern table of its own. An Engine built without an
+// explicit Substrate builds one over the engine's intern table instead.
 func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarSubstrate {
 	cfg := columnarConfig{morsel: DefaultMorselSize}
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	return newColumnarSubstrate(tab, cfg)
+}
+
+func newColumnarSubstrate(tab *dataset.Table, cfg columnarConfig) *ColumnarSubstrate {
+	if cfg.in == nil {
+		cfg.in = NewInterner(tab)
 	}
 	if cfg.par == 0 {
 		// Mining leaves cores idle exactly when one scan is all that can run
@@ -167,7 +142,7 @@ func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarS
 		par:    cfg.par,
 		morsel: cfg.morsel,
 		obs:    cfg.obs,
-		in:     NewInterner(tab),
+		in:     cfg.in,
 	}
 	for i, mc := range mcols {
 		c.mvals[i] = mc.Values()
@@ -179,13 +154,9 @@ func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarS
 	return c
 }
 
-// Interner returns the substrate's intern table. An Engine adopts it, so the
-// handles it navigates are the ones the substrate's plans are memoized on.
-func (c *ColumnarSubstrate) Interner() *Interner { return c.in }
-
 // scanPlan is the memoized physical plan for one subspace: the rows matching
 // every filter, as runs of consecutive rows. rows is the exact number of rows
-// the scan visits — the quantity ScanCostAt charges and PlannedRows predicts.
+// the scan visits — the quantity ScanCostAt charges.
 type scanPlan struct {
 	full bool            // unfiltered: runs is the one run of every table row, folded through lanes
 	runs dataset.RowRuns // matching rows
@@ -197,11 +168,12 @@ func (p *scanPlan) bytes() int64 {
 	return int64(cap(p.runs)) * int64(unsafe.Sizeof(dataset.RowRun{}))
 }
 
-// planFor returns the memoized plan of h, a handle of c's own interner,
-// building it on first use. Plans are pure functions of the immutable table
-// and the subspace, so memoization is invisible to results and costs.
-func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
-	if p := h.plan.Load(); p != nil {
+// plan returns the memoized plan of h, building it on first use and counting
+// what the build holds and prunes into o. Plans are pure functions of the
+// immutable table and the subspace, so memoization is invisible to results
+// and costs; whichever request builds a plan, every later one reuses it.
+func (h *Handle) plan(o *obs.Observer) *scanPlan {
+	if p := h.planned.Load(); p != nil {
 		return p
 	}
 	// One builder per handle: the units of one subspace are dispatched
@@ -209,12 +181,12 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 	// intersection that a losing racer would compute and drop.
 	h.planMu.Lock()
 	defer h.planMu.Unlock()
-	if p := h.plan.Load(); p != nil {
+	if p := h.planned.Load(); p != nil {
 		return p
 	}
-	p := c.buildPlan(h)
-	c.obs.Count("engine.physical.plan_bytes", p.bytes())
-	h.plan.Store(p)
+	p := h.buildPlan(o)
+	o.Count("engine.physical.plan_bytes", p.bytes())
+	h.planned.Store(p)
 	return p
 }
 
@@ -229,9 +201,9 @@ func (c *ColumnarSubstrate) planFor(h *Handle) *scanPlan {
 // a pure function of the immutable table and the subspace. The driving set is
 // emitted from the compressed set as runs of consecutive rows: no per-value
 // row list is ever cached.
-func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
+func (h *Handle) buildPlan(o *obs.Observer) *scanPlan {
 	if h.Len() == 0 {
-		n := c.tab.Rows()
+		n := h.in.tab.Rows()
 		if n == 0 {
 			return &scanPlan{full: true}
 		}
@@ -245,9 +217,7 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 	bms := make([]*dataset.Bitmap, len(h.filters))
 	best := 0
 	for i, f := range h.filters {
-		col := c.tab.Dimensions()[f.dim]
-		bms[i] = col.PostingsBitmap(int(f.code))
-		c.notePostings(col)
+		bms[i] = h.in.dims[f.dim].PostingsBitmap(int(f.code))
 		if bms[i].Cardinality() < bms[best].Cardinality() {
 			best = i
 		}
@@ -260,48 +230,9 @@ func (c *ColumnarSubstrate) buildPlan(h *Handle) *scanPlan {
 		return &scanPlan{runs: bms[0].RowRuns(), rows: bms[0].Cardinality()}
 	}
 	and := dataset.AndAll(bms...)
-	c.obs.Count("engine.physical.plan_bitmap", 1)
-	c.obs.Count("engine.physical.rows_pruned", int64(bms[best].Cardinality()-and.Cardinality()))
+	o.Count("engine.physical.plan_bitmap", 1)
+	o.Count("engine.physical.rows_pruned", int64(bms[best].Cardinality()-and.Cardinality()))
 	return &scanPlan{runs: and.RowRuns(), rows: and.Cardinality()}
-}
-
-// notePostings feeds the postings storage instruments the first time this
-// substrate plans against a dimension's compressed posting sets:
-// engine.physical.postings_bytes / postings_rows / postings_containers_*
-// counters plus the postings_compression_ratio gauge (4-byte-per-row slice
-// footprint ÷ compressed bytes across every dimension seen so far). Inert
-// without an observer, like all observability.
-func (c *ColumnarSubstrate) notePostings(col *dataset.DimColumn) {
-	if c.obs == nil {
-		return
-	}
-	c.bmMu.Lock()
-	defer c.bmMu.Unlock()
-	if c.bmSeen[col.Name] {
-		return
-	}
-	if c.bmSeen == nil {
-		c.bmSeen = make(map[string]bool)
-	}
-	c.bmSeen[col.Name] = true
-	st := col.BitmapPostingsStats()
-	c.obs.Count("engine.physical.postings_bytes", st.CompressedBytes)
-	c.obs.Count("engine.physical.postings_rows", st.Cardinality)
-	c.obs.Count("engine.physical.postings_containers_array", int64(st.ArrayContainers))
-	c.obs.Count("engine.physical.postings_containers_run", int64(st.RunContainers))
-	c.obs.Count("engine.physical.postings_containers_bitmap", int64(st.BitmapContainers))
-	c.bmBytes += st.CompressedBytes
-	c.bmRows += st.Cardinality
-	if c.bmBytes > 0 {
-		c.obs.SetGauge("engine.physical.postings_compression_ratio",
-			float64(4*c.bmRows)/float64(c.bmBytes))
-	}
-}
-
-// PlannedRows implements RowPlanner: the exact rows a unit scan under s
-// visits (and an augmented scan of base s — same plan, same driving rows).
-func (c *ColumnarSubstrate) PlannedRows(s model.Subspace) int {
-	return c.planFor(c.in.Intern(s)).rows
 }
 
 // ScanUnit executes one filtered group-by scan across all measure columns,
@@ -310,7 +241,7 @@ func (c *ColumnarSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache
 	bcol := c.tab.Dimension(breakdown)
 	card := bcol.Cardinality()
 	h := c.in.Intern(s)
-	plan := c.planFor(h)
+	plan := h.plan(c.obs)
 	acc := c.scan(plan, bcol, nil, card)
 	u := c.buildUnitSlice(h.key, breakdown, bcol.Domain(), acc, 0, card)
 	c.release(acc)
@@ -324,7 +255,7 @@ func (c *ColumnarSubstrate) ScanAugmented(base model.Subspace, breakdown, ext st
 	dcol := c.tab.Dimension(ext)
 	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
 	h := c.in.Intern(base)
-	plan := c.planFor(h)
+	plan := h.plan(c.obs)
 	acc := c.scan(plan, bcol, dcol, bcard*dcard)
 	units := c.augmentedUnits(h, breakdown, ext, acc)
 	c.release(acc)

@@ -14,8 +14,8 @@ import (
 
 // failingSubstrate is the columnar substrate with scans that fail on demand —
 // the one way a query can fail: a Substrate method returning an error.
-// Embedding keeps the row planner and the intern table, so costs and handles
-// are those of a clean run.
+// Costs and handles are those of a clean run whatever the substrate: the
+// engine charges every scan from its own interned plans.
 type failingSubstrate struct {
 	*engine.ColumnarSubstrate
 	failUnit func(s model.Subspace, breakdown string) bool

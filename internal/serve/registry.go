@@ -34,7 +34,8 @@ type dsEntry struct {
 
 // registry is the daemon's named-session registry. The entry set is fixed
 // at startup (and therefore bounded); sessions are closed on server
-// shutdown so substrate memory is released deterministically.
+// shutdown so their intern tables and scan plans are released
+// deterministically.
 type registry struct {
 	entries map[string]*dsEntry
 	names   []string

@@ -112,7 +112,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Close shuts the server down: queued admissions are shed with a typed
 // shutting-down error, running jobs are interrupted at their next unit commit
 // (flushing a final checkpoint so the next process resumes bit-identically),
-// and every session's substrate memory is released. Idempotent.
+// and every session's intern table and scan plans are released. Idempotent.
 func (s *Server) Close() {
 	select {
 	case <-s.closed:

@@ -270,9 +270,9 @@ func WithBadMeasures(p RowPolicy) LoadOption {
 
 // Analyzer runs MetaInsight mining and ranking over one dataset.
 type Analyzer struct {
-	d   *Dataset
-	o   *analyzerOptions
-	sub Substrate // the physical scan layer every Mine call reuses
+	d  *Dataset
+	o  *analyzerOptions
+	in *engine.Interner // the session's intern table every Mine call reuses
 
 	// The state of one run, replaced before every Mine call but the first:
 	// the engine (with its query cache), its meter and the miner config
@@ -398,7 +398,7 @@ func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 // MineContext with a background context.
 //
 // Each call is hermetic: it mines with a fresh query cache, pattern cache and
-// meter (reusing only the physical scan substrate), so a second call returns
+// meter (reusing only the session's intern table), so a second call returns
 // exactly what the first did. Calls must not overlap; a Session serves
 // concurrent analyses.
 func (a *Analyzer) Mine() *MiningResult { return a.MineContext(context.Background()) }
@@ -409,7 +409,7 @@ func (a *Analyzer) Mine() *MiningResult { return a.MineContext(context.Backgroun
 // never torn mid-commit — everything in the result was fully accounted.
 func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
 	if a.mined {
-		if err := a.reset(nil); err != nil {
+		if err := a.reset(); err != nil {
 			return &MiningResult{Err: err}
 		}
 	}
@@ -442,8 +442,10 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 }
 
 // Snapshot publishes the engine's meter, the physical caches' occupancy
-// (cache.query.entries, cache.pattern.entries) and their waiters
-// (cache.flight.*) as gauges into the attached observer, then returns a
+// (cache.query.entries, cache.pattern.entries), their waiters
+// (cache.flight.*) and the size of the session's intern table
+// (engine.interned_handles, DESIGN.md §14) as gauges into the attached
+// observer, then returns a
 // point-in-time copy of all metrics, phase timers and trace totals. Cache hit
 // rates and sizes are the run's canonical accounting, already published as
 // the miner.qcache.* and miner.pcache.* gauges; the physical caches count
@@ -460,6 +462,7 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 	a.obs.SetGauge("engine.queries.augmented", float64(a.meter.AugmentedQueries()))
 	a.obs.SetGauge("cache.query.entries", float64(a.eng.QueryCache().Stats().Entries))
 	a.obs.SetGauge("cache.pattern.entries", float64(a.cfg.PatternCache.Stats().Entries))
+	a.obs.SetGauge("engine.interned_handles", float64(a.in.Len()))
 	// Workers that found their unit or scope already being computed by
 	// another worker, and how long they then waited for it.
 	fs := a.eng.FlightStats()

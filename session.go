@@ -14,9 +14,10 @@ package metainsight
 // bit-identical to a fresh Analyzer run with the same settings, regardless
 // of what the session served before. What the session shares across calls
 // is the expensive read-only state: the dataset's dictionaries and posting
-// sets (cached on the dataset itself), and the physical scan
-// substrates (intern tables, plan caches, accumulator pools), reused from a
-// registry keyed by their full configuration.
+// sets (cached on the dataset itself), and one intern table whose handles
+// carry every subspace's scan plan, so a subspace mined by any request is
+// planned once for the session. The scan substrate itself is a cheap value
+// built per request over that table.
 //
 // The pre-Session construction surface survives only as the deprecated
 // NewAnalyzer, WithObserver, WithProgress and WithCostBudget shims; see the
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -267,36 +267,15 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 // loads and validates once, Analyze serves many requests. Sessions are safe
 // for concurrent Analyze calls; each call is hermetic (fresh caches and
 // meter), sharing only the dataset's read-only index structures and the
-// substrate registry.
+// session's intern table.
 type Session struct {
 	d    *Dataset
 	opts []Option
 
-	mu       sync.Mutex
-	closed   bool
-	subs     map[string]*substrateEntry
-	subLimit int // substrateCacheLimit; tests shrink it
-	useSeq   int64
+	mu     sync.Mutex
+	closed bool
+	in     *engine.Interner // every request's handles and scan plans
 }
-
-// substrateEntry is one cached physical substrate plus the bookkeeping the
-// bounded registry evicts by: lastUse orders entries least-recently-used
-// first, ctor (the construction sequence number) breaks ties, so eviction is
-// a deterministic function of the access history alone.
-type substrateEntry struct {
-	sub     Substrate
-	lastUse int64
-	ctor    int64
-}
-
-// substrateCacheLimit bounds how many distinct physical substrates a session
-// retains, evicted least-recently-used first (ties by construction order).
-// Each distinct substrate-shaping configuration (scan parallelism, MIN/MAX
-// column set, session observer) builds one substrate; a resident server
-// handling heterogeneous requests would otherwise grow the registry forever.
-// Eviction never changes results — an evicted substrate is rebuilt on next
-// use — it only re-pays interning and plan-cache warmup.
-const substrateCacheLimit = 16
 
 // NewSession creates a session over a dataset. Construction validates the
 // option combination eagerly (see the validation errors), so a
@@ -308,37 +287,24 @@ func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 	if _, err := resolve(opts, Request{}); err != nil {
 		return nil, err
 	}
-	return &Session{
-		d:        d,
-		opts:     append([]Option(nil), opts...),
-		subs:     make(map[string]*substrateEntry),
-		subLimit: substrateCacheLimit,
-	}, nil
+	return &Session{d: d, opts: append([]Option(nil), opts...), in: engine.NewInterner(d)}, nil
 }
 
 // Dataset returns the dataset the session analyzes.
 func (s *Session) Dataset() *Dataset { return s.d }
 
-// Close releases the session's cached physical substrates and marks the
-// session closed; subsequent Analyze calls fail with ErrSessionClosed.
-// In-flight Analyze calls are unaffected (they hold their substrate already).
-// Close is idempotent. A resident server holding a registry of sessions
-// should Close a session when evicting it, so the substrate memory is
-// reclaimable immediately rather than when the GC notices.
+// Close releases the session's intern table — its handles and scan plans —
+// and marks the session closed; subsequent Analyze calls fail with
+// ErrSessionClosed. In-flight Analyze calls are unaffected (they hold the
+// table already). Close is idempotent. A resident server holding a registry
+// of sessions should Close a session when evicting it, so the plan memory is
+// reclaimable as soon as its last request finishes.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	s.subs = nil
+	s.in = nil
 	return nil
-}
-
-// substrateCount reports how many physical substrates the registry currently
-// retains (tests pin the LRU bound with it).
-func (s *Session) substrateCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
 }
 
 // Analysis is the outcome of one Session.Analyze call: the ranked top-k
@@ -383,11 +349,13 @@ func (s *Session) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 }
 
 // analyzer builds the per-request execution state: session options plus the
-// request's overrides, resolved and validated, over substrates reused from
-// the session registry.
+// request's overrides, resolved and validated, over the session's intern
+// table. It is the single construction path behind both Session.Analyze and
+// the deprecated NewAnalyzer shim, which is what makes the two surfaces
+// bit-identical.
 func (s *Session) analyzer(req Request) (*Analyzer, error) {
 	s.mu.Lock()
-	closed := s.closed
+	closed, in := s.closed, s.in
 	s.mu.Unlock()
 	if closed {
 		return nil, ErrSessionClosed
@@ -396,122 +364,19 @@ func (s *Session) analyzer(req Request) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := s
-	if req.Observer != nil {
-		// A substrate bakes its observer in, so one built for a
-		// request-scoped observer can never be hit again: retaining it would
-		// only pin its intern table, plan memos and the observer's trace ring.
-		reg = nil
-	}
-	return buildAnalyzer(s.d, o, reg)
-}
-
-// substrateFor returns the physical scan substrate for one resolved
-// configuration, reusing a previously built one from the session registry
-// when every substrate-affecting setting matches. Substrates are safe to
-// share: scans are read-only over the dataset, intern tables, plan caches
-// and accumulator pools are internally synchronized, and reuse never changes
-// results — it only skips re-interning and re-planning. A nil receiver (a
-// call with a request-scoped observer) builds without caching.
-func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]bool) (Substrate, error) {
-	build := func() Substrate {
-		return engine.NewColumnarSubstrate(d,
-			engine.WithMinMaxColumns(need),
-			engine.WithScanParallelism(o.scanPar),
-			engine.WithScanObserver(o.observer))
-	}
-	if s == nil {
-		return build(), nil
-	}
-	cols := make([]string, 0, len(need))
-	for c := range need {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	// The key covers every input that shapes the substrate, including the
-	// observer identity (substrates bake their observer in).
-	key := fmt.Sprintf("par=%d mm=%v obs=%p", o.scanPar, cols, o.observer)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
-	s.useSeq++
-	if e, ok := s.subs[key]; ok {
-		e.lastUse = s.useSeq
-		return e.sub, nil
-	}
-	sub := build()
-	s.subs[key] = &substrateEntry{sub: sub, lastUse: s.useSeq, ctor: s.useSeq}
-	// Bounded registry: evict least-recently-used entries (ties broken by
-	// construction order) until the limit holds. Eviction only drops the
-	// cached reference; an in-flight Analyze keeps its substrate alive.
-	for len(s.subs) > s.subLimit {
-		var victim string
-		var ve *substrateEntry
-		for k, e := range s.subs {
-			if ve == nil || e.lastUse < ve.lastUse ||
-				(e.lastUse == ve.lastUse && e.ctor < ve.ctor) {
-				victim, ve = k, e
-			}
-		}
-		delete(s.subs, victim)
-	}
-	return sub, nil
-}
-
-// buildAnalyzer assembles the execution state (engine, miner config) from a
-// resolved configuration. It is the single construction path behind both
-// Session.Analyze and the deprecated NewAnalyzer shim, which is what makes
-// the two surfaces bit-identical.
-func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, error) {
-	a := &Analyzer{d: d, o: o, sub: o.substrate, obs: o.observer, timeBudget: o.timeBudget}
-	if err := a.reset(sess); err != nil {
+	a := &Analyzer{d: s.d, o: o, in: in, obs: o.observer, timeBudget: o.timeBudget}
+	if err := a.reset(); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// reset gives the analyzer the state of one fresh run: an engine over its
-// substrate with an empty query cache and a zero meter, and a miner config
-// with an empty pattern cache. The substrate is resolved on the first call
-// (from sess's registry when the options name none) and reused after.
-func (a *Analyzer) reset(sess *Session) error {
+// reset gives the analyzer the state of one fresh run: an engine over the
+// session's intern table with an empty query cache and a zero meter, and a
+// miner config with an empty pattern cache.
+func (a *Analyzer) reset() error {
 	o := a.o
-	qc := cache.NewQueryCache(true)
-	meter := &engine.Meter{}
-	// The needed-aggregate set: measures that registered evaluators will
-	// query beyond the mined measure set. Custom patterns declare theirs via
-	// CustomEvaluator.Requires; each correlation pair queries its secondary
-	// measure for the primary's scopes. engine.Config.MinMaxColumns derives
-	// from this which MIN/MAX accumulators the scan substrate materializes.
-	reqCfg := pattern.Config{Custom: o.customPatterns}
-	for _, pair := range o.correlations {
-		reqCfg.Custom = append(reqCfg.Custom, pattern.CustomEvaluator{
-			Requires: []Measure{pair[0], pair[1]},
-		})
-	}
-	ecfg := engine.Config{
-		Measures:        o.measures,
-		ImpactMeasure:   o.impact,
-		ExtraMeasures:   reqCfg.RequiredMeasures(),
-		ScanParallelism: o.scanPar,
-		QueryCache:      qc,
-		Meter:           meter,
-		Observer:        o.observer,
-		Substrate:       a.sub,
-	}
-	if ecfg.Substrate == nil {
-		// The session builds the default substrate itself, to share it across
-		// requests, from the same needed-aggregate set engine.New would use.
-		var err error
-		ecfg.Substrate, err = sess.substrateFor(a.d, o, ecfg.MinMaxColumns(a.d))
-		if err != nil {
-			return err
-		}
-		a.sub = ecfg.Substrate
-	}
-	eng, err := engine.New(a.d, ecfg)
+	eng, err := engine.New(a.d, a.engineConfig())
 	if err != nil {
 		return err
 	}
@@ -531,8 +396,36 @@ func (a *Analyzer) reset(sess *Session) error {
 	cfg.Observer = o.observer
 	cfg.Checkpoint = o.checkpoint
 	if o.costBudget > 0 {
-		cfg.Budget = engine.CostBudget{Meter: meter, Limit: o.costBudget}
+		cfg.Budget = engine.CostBudget{Meter: eng.Meter(), Limit: o.costBudget}
 	}
-	a.eng, a.meter, a.cfg = eng, meter, cfg
+	a.eng, a.meter, a.cfg = eng, eng.Meter(), cfg
 	return nil
+}
+
+// engineConfig is the configuration of one fresh run's engine: the resolved
+// options, an empty query cache, a zero meter and the session's intern table.
+func (a *Analyzer) engineConfig() engine.Config {
+	o := a.o
+	// The needed-aggregate set: measures that registered evaluators will
+	// query beyond the mined measure set. Custom patterns declare theirs via
+	// CustomEvaluator.Requires; each correlation pair queries its secondary
+	// measure for the primary's scopes. engine.New derives from this which
+	// MIN/MAX accumulators the default scan substrate materializes.
+	reqCfg := pattern.Config{Custom: o.customPatterns}
+	for _, pair := range o.correlations {
+		reqCfg.Custom = append(reqCfg.Custom, pattern.CustomEvaluator{
+			Requires: []Measure{pair[0], pair[1]},
+		})
+	}
+	return engine.Config{
+		Measures:        o.measures,
+		ImpactMeasure:   o.impact,
+		ExtraMeasures:   reqCfg.RequiredMeasures(),
+		ScanParallelism: o.scanPar,
+		QueryCache:      cache.NewQueryCache(true),
+		Meter:           &engine.Meter{},
+		Observer:        o.observer,
+		Substrate:       o.substrate,
+		Interner:        a.in,
+	}
 }

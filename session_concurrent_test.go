@@ -12,9 +12,11 @@ import (
 // TestSessionConcurrentAnalyze drives one shared session from many
 // goroutines with heterogeneous requests and checks every concurrent outcome
 // against that request's sequential baseline. Hermeticity is the contract
-// under test: concurrent calls share only read-only indexes and substrates,
-// so interleaving must never change results or statistics. Run it under
-// -race (CI does).
+// under test: concurrent calls share only read-only indexes and the
+// session's intern table, whose handles and scan plans any of them may build
+// first, so interleaving must never change results or statistics. The mix
+// includes a traced request and one with a MIN measure, the two shapes that
+// once got a substrate of their own. Run it under -race (CI does).
 func TestSessionConcurrentAnalyze(t *testing.T) {
 	tab := fracTable(t, 900)
 	sess, err := metainsight.NewSession(tab,
@@ -29,9 +31,17 @@ func TestSessionConcurrentAnalyze(t *testing.T) {
 		{TopK: 3, Tau: 0.7},
 		{TopK: 4, Tau: 0.4},
 		{TopK: 5, MaxFilters: 2},
+		{TopK: 5, Observer: metainsight.NewObserver(metainsight.ObserverOptions{})},
+		{TopK: 4, Measures: append(fracMeasures[:len(fracMeasures):len(fracMeasures)], metainsight.Min("Margin"))},
 	}
 	analyze := func(req metainsight.Request) (runFacts, error) {
-		req.Measures = fracMeasures
+		if req.Measures == nil {
+			req.Measures = fracMeasures
+		}
+		if req.Observer != nil {
+			// Each call traces into an observer of its own.
+			req.Observer = metainsight.NewObserver(metainsight.ObserverOptions{})
+		}
 		an, err := sess.Analyze(context.Background(), req)
 		if err != nil {
 			return runFacts{}, err

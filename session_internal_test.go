@@ -14,9 +14,9 @@ import (
 	"metainsight/internal/miner"
 )
 
-// lruTable builds a small in-package fixture (the external houseRecords
+// sessionTable builds a small in-package fixture (the external houseRecords
 // helper lives in metainsight_test and is out of reach here).
-func lruTable(t *testing.T) *Dataset {
+func sessionTable(t *testing.T) *Dataset {
 	t.Helper()
 	header := []string{"City", "Month", "Sales", "Cost", "Units"}
 	var records [][]string
@@ -28,136 +28,17 @@ func lruTable(t *testing.T) *Dataset {
 			})
 		}
 	}
-	tab, err := FromRecords("lru", header, records)
+	tab, err := FromRecords("session", header, records)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tab
 }
 
-// minOver is a request whose MIN/MAX column set — the one substrate-shaping
-// input a request can vary — is the subset of lruTable's measure columns
-// selected by mask.
-func minOver(mask int) Request {
-	ms := []Measure{Sum("Sales")}
-	for b, col := range []string{"Sales", "Cost", "Units"} {
-		if mask>>b&1 == 1 {
-			ms = append(ms, Min(col))
-		}
-	}
-	return Request{TopK: 3, Measures: ms}
-}
-
-// TestSessionSubstrateLRUBound pins the bounded-registry contract: distinct
-// substrate-shaping configurations (here: distinct MIN/MAX column sets, the
-// shape a resident server produces under heterogeneous measure requests)
-// must not grow the registry past the configured limit.
-func TestSessionSubstrateLRUBound(t *testing.T) {
-	tab := lruTable(t)
-	s, err := NewSession(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.subLimit = 2
-	for mask := 1; mask <= 6; mask++ {
-		if _, err := s.Analyze(context.Background(), minOver(mask)); err != nil {
-			t.Fatalf("analyze %d: %v", mask, err)
-		}
-		if n := s.substrateCount(); n > 2 {
-			t.Fatalf("after %d distinct column sets the registry holds %d substrates, limit 2", mask, n)
-		}
-	}
-	if n := s.substrateCount(); n != 2 {
-		t.Fatalf("registry holds %d substrates after 6 distinct column sets, want the limit 2", n)
-	}
-	// Repeating one configuration must not grow the registry at all.
-	for i := 0; i < 3; i++ {
-		if _, err := s.Analyze(context.Background(), minOver(7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.substrateCount(); n != 2 {
-		t.Fatalf("repeated identical config left %d substrates, want 2", n)
-	}
-}
-
-// TestSessionRequestObserverNotRetained: a substrate bakes its observer in,
-// so one built for a request-scoped observer can never be hit again and must
-// not enter the registry — the shape a resident server produces when every
-// request traces. The session's own warm substrate stays put and keeps
-// serving untraced requests.
-func TestSessionRequestObserverNotRetained(t *testing.T) {
-	s, err := NewSession(lruTable(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	soleSubstrate := func() Substrate {
-		t.Helper()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if len(s.subs) != 1 {
-			t.Fatalf("registry holds %d substrates, want 1", len(s.subs))
-		}
-		for _, e := range s.subs {
-			return e.sub
-		}
-		return nil
-	}
-	if _, err := s.Analyze(context.Background(), Request{TopK: 3}); err != nil {
-		t.Fatal(err)
-	}
-	warm := soleSubstrate()
-	for i := 0; i < 20; i++ {
-		req := Request{TopK: 3, Observer: NewObserver(ObserverOptions{})}
-		if _, err := s.Analyze(context.Background(), req); err != nil {
-			t.Fatalf("traced analyze %d: %v", i, err)
-		}
-		if n := s.substrateCount(); n > 1 {
-			t.Fatalf("after %d traced requests the registry holds %d substrates, want 1", i+1, n)
-		}
-	}
-	if _, err := s.Analyze(context.Background(), Request{TopK: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if soleSubstrate() != warm {
-		t.Fatal("untraced request after traced ones did not reuse the session's warm substrate")
-	}
-}
-
-// TestSessionEvictionPreservesResults: an evicted substrate is rebuilt on
-// next use with bit-identical output — eviction is purely a memory decision.
-func TestSessionEvictionPreservesResults(t *testing.T) {
-	tab := lruTable(t)
-	s, err := NewSession(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.subLimit = 1
-	run := func(req Request) string {
-		an, err := s.Analyze(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out string
-		for _, in := range an.Insights {
-			out += in.String() + "\n"
-		}
-		return out
-	}
-	first := run(minOver(1))
-	// Evict that substrate by running a different configuration through the
-	// size-1 registry, then rebuild it.
-	run(minOver(2))
-	if again := run(minOver(1)); again != first {
-		t.Fatalf("results changed across eviction:\nfirst:\n%s\nagain:\n%s", first, again)
-	}
-}
-
+// TestSessionClose: Close releases the session's intern table and refuses
+// further requests.
 func TestSessionClose(t *testing.T) {
-	tab := lruTable(t)
+	tab := sessionTable(t)
 	s, err := NewSession(tab)
 	if err != nil {
 		t.Fatal(err)
@@ -165,14 +46,14 @@ func TestSessionClose(t *testing.T) {
 	if _, err := s.Analyze(context.Background(), Request{TopK: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if s.substrateCount() == 0 {
-		t.Fatal("analyze cached no substrate")
+	if s.in.Len() <= 1 {
+		t.Fatal("analyze interned no subspace")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.substrateCount() != 0 {
-		t.Fatal("close retained substrates")
+	if s.in != nil {
+		t.Fatal("close retained the intern table")
 	}
 	if _, err := s.Analyze(context.Background(), Request{TopK: 3}); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("analyze on closed session: err = %v, want ErrSessionClosed", err)
@@ -185,10 +66,10 @@ func TestSessionClose(t *testing.T) {
 // TestResolveLandsEveryField feeds each Request field and each ExecConfig /
 // ResilienceConfig / DurabilityConfig field through resolve and the build
 // path, and checks it lands where the run reads it: the miner config, the
-// engine, the analyzer or the substrate registry. A field added to one of
+// engine or its configuration, or the analyzer. A field added to one of
 // those types without a row here fails the test.
 func TestResolveLandsEveryField(t *testing.T) {
-	tab := lruTable(t)
+	tab := sessionTable(t)
 	ob := NewObserver(ObserverOptions{})
 	progressed := 0
 	dir := t.TempDir()
@@ -233,11 +114,8 @@ func TestResolveLandsEveryField(t *testing.T) {
 		{"ExecConfig.Workers", []Option{WithExec(ExecConfig{Workers: 3})}, Request{}, func(_ *Session, a *Analyzer) bool {
 			return a.cfg.Workers == 3
 		}},
-		{"ExecConfig.ScanParallelism", []Option{WithExec(ExecConfig{ScanParallelism: 3})}, Request{}, func(s *Session, _ *Analyzer) bool {
-			for key := range s.subs {
-				return strings.HasPrefix(key, "par=3 ")
-			}
-			return false
+		{"ExecConfig.ScanParallelism", []Option{WithExec(ExecConfig{ScanParallelism: 3})}, Request{}, func(_ *Session, a *Analyzer) bool {
+			return a.engineConfig().ScanParallelism == 3
 		}},
 		{"ResilienceConfig.DegradedThreshold", []Option{WithResilience(ResilienceConfig{DegradedThreshold: 0.25})}, Request{},
 			func(_ *Session, a *Analyzer) bool { return a.cfg.DegradedThreshold == 0.25 }},

@@ -97,8 +97,8 @@ func requireSameFacts(t *testing.T, label string, want, got runFacts) {
 
 // TestSessionReuseBitIdentical is the Session contract: two sequential
 // Analyze calls on one session each produce exactly what a fresh session's
-// first call produces — reuse shares indexes and substrates, not caches or
-// meters.
+// first call produces — reuse shares indexes and the intern table, not
+// caches or meters.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
@@ -122,6 +122,78 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameFacts(t, fmt.Sprintf("session call %d", call), fresh, factsOf(an.Result, an.Insights))
+	}
+}
+
+// TestTracedRequestOnWarmSessionBuildsNoPlans: scan plans live on the
+// session's interned handles, not on a substrate built for one observer, so
+// a request tracing into an observer of its own on a warm session reuses
+// every plan — it counts no plan bytes — and mines what an untraced request
+// mines.
+func TestTracedRequestOnWarmSessionBuildsNoPlans(t *testing.T) {
+	sess, err := metainsight.NewSession(workload.CreditCard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	req := metainsight.Request{TopK: 5}
+	warm, err := sess.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := metainsight.NewObserver(metainsight.ObserverOptions{})
+	req.Observer = ob
+	traced, err := sess.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := ob.Snapshot()
+	if snap.Counters["engine.physical.scans"] == 0 {
+		t.Fatal("the traced request scanned nothing: the test is vacuous")
+	}
+	if n := snap.Counters["engine.physical.plan_bytes"]; n != 0 {
+		t.Errorf("a traced request on a warm session built %d bytes of plans, want 0", n)
+	}
+	requireSameFacts(t, "traced", factsOf(warm.Result, warm.Insights), factsOf(traced.Result, traced.Insights))
+}
+
+// TestInternTableGrowthLaw pins the growth law of a session's intern table
+// (DESIGN.md §14): one handle per distinct subspace any request interned, so
+// repeating a request on a warm session adds none, and no more than the
+// subspaces of at most MaxFilters filters (3 by default) the table holds.
+func TestInternTableGrowthLaw(t *testing.T) {
+	tab := workload.CreditCard()
+	sess, err := metainsight.NewSession(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	interned := func() float64 {
+		t.Helper()
+		req := metainsight.Request{TopK: 5, Observer: metainsight.NewObserver(metainsight.ObserverOptions{})}
+		an, err := sess.Analyze(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an.Snapshot().Gauges["engine.interned_handles"]
+	}
+	// reach[k] counts the subspaces with exactly k filters.
+	reach := [4]float64{1}
+	for _, d := range tab.Dimensions() {
+		for k := 3; k >= 1; k-- {
+			reach[k] += reach[k-1] * float64(d.Cardinality())
+		}
+	}
+	bound := reach[0] + reach[1] + reach[2] + reach[3]
+	first := interned()
+	t.Logf("one request interned %v handles of at most %v", first, bound)
+	if first <= 1 || first > bound {
+		t.Fatalf("one request interned %v handles, want more than the root and at most %v", first, bound)
+	}
+	for i := 0; i < 3; i++ {
+		if got := interned(); got != first {
+			t.Fatalf("repeat %d: the intern table holds %v handles, the first request left %v", i+1, got, first)
+		}
 	}
 }
 
