@@ -17,6 +17,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"metainsight/internal/cache"
@@ -268,8 +269,12 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 	if err := e.checkMeasure(cfg.ImpactMeasure); err != nil {
 		return nil, err
 	}
+	// Every impact is a share of this total, so it must be positive and
+	// finite: then every unit priority is finite and the miner's canonical
+	// order a strict total order. NaN and +Inf (a non-finite cell, or a sum
+	// that overflows) would turn every share into NaN or zero.
 	e.totalImp = e.totalImpactValue()
-	if e.totalImp <= 0 {
+	if !(e.totalImp > 0) || math.IsInf(e.totalImp, 1) {
 		return nil, fmt.Errorf("engine: impact measure %s totals %v over the dataset", cfg.ImpactMeasure, e.totalImp)
 	}
 	return e, nil

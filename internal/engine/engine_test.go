@@ -334,6 +334,42 @@ func TestNewRejectsNonAdditiveImpact(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFiniteImpact pins that a SUM impact measure whose
+// dataset total is NaN or infinite — a non-finite cell, or finite cells whose
+// sum overflows — fails engine construction instead of mining nothing.
+func TestNewRejectsNonFiniteImpact(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cells map[int]float64
+	}{
+		{"nan", map[int]float64{17: math.NaN()}},
+		{"inf", map[int]float64{17: math.Inf(1)}},
+		{"overflow", map[int]float64{17: 1e308, 18: 1e308}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := dataset.NewBuilder("impact", []model.Field{
+				{Name: "A", Kind: model.KindCategorical},
+				{Name: "B", Kind: model.KindCategorical},
+				{Name: "M", Kind: model.KindMeasure},
+			})
+			for i := 0; i < 400; i++ {
+				v, ok := tc.cells[i]
+				if !ok {
+					v = float64(i%7 + 1)
+				}
+				b.AddRow([]string{strconv.Itoa(i % 5), strconv.Itoa(i % 4)}, []float64{v})
+			}
+			tab := b.Build()
+			if _, err := New(tab, Config{ImpactMeasure: model.Sum("M")}); err == nil {
+				t.Fatal("non-finite impact total accepted")
+			}
+			if _, err := New(tab, Config{}); err != nil {
+				t.Fatalf("COUNT impact over the same table rejected: %v", err)
+			}
+		})
+	}
+}
+
 func TestNewRejectsUnknownMeasure(t *testing.T) {
 	tab := randomTable(7, 20)
 	if _, err := New(tab, Config{Measures: []model.Measure{model.Sum("Nope")}}); err == nil {

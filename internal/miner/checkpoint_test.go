@@ -22,8 +22,18 @@ import (
 // meter and caches — exactly what a restarted process sees.
 func ckRun(t *testing.T, workers int, dir string, every, halt int64, resume bool) (*Result, []traceLine) {
 	t.Helper()
+	return ckRunWith(t, nil, workers, dir, every, halt, resume)
+}
+
+// ckRunWith is ckRun with discipline, when set, adjusting the configuration
+// (the queue discipline) first.
+func ckRunWith(t *testing.T, discipline func(*Config), workers int, dir string, every, halt int64, resume bool) (*Result, []traceLine) {
+	t.Helper()
 	ob := obs.New(obs.Options{TraceCapacity: 1 << 18})
 	res := runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
+		if discipline != nil {
+			discipline(c)
+		}
 		meter := &engine.Meter{}
 		e.Meter = meter
 		c.Workers = workers
@@ -117,53 +127,120 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	for i, kill := range kills {
 		kw, rw := pairs[i%len(pairs)][0], pairs[i%len(pairs)][1]
 		t.Run(fmt.Sprintf("kill=%d_w%d_resume_w%d", kill, kw, rw), func(t *testing.T) {
-			dir := t.TempDir()
-			killRes, killTrace := ckRun(t, kw, dir, every, kill, false)
-			if got := commitTotal(killRes.Stats); got != kill {
-				t.Fatalf("killed run committed %d units, want %d", got, kill)
-			}
-			// The killed run's trace must be an exact prefix of the
-			// uninterrupted run's.
-			if len(killTrace) >= len(refTrace) {
-				t.Fatalf("killed trace (%d events) not shorter than reference (%d)", len(killTrace), len(refTrace))
-			}
-			for j := range killTrace {
-				if killTrace[j] != refTrace[j] {
-					t.Fatalf("killed trace diverges from reference at %d: %+v vs %+v", j, killTrace[j], refTrace[j])
-				}
-			}
-
-			resRes, resTrace := ckRun(t, rw, dir, every, 0, true)
-			if resRes.Err != nil && !errors.Is(resRes.Err, ErrDegraded) {
-				t.Fatalf("resumed run failed: %v", resRes.Err)
-			}
-			if resRes.Stats.ResumedUnits != kill {
-				t.Fatalf("ResumedUnits = %d, want %d", resRes.Stats.ResumedUnits, kill)
-			}
-			if resRes.Stats.CheckpointWrites != refRes.Stats.CheckpointWrites {
-				t.Fatalf("CheckpointWrites = %d, want %d (cumulative across the resume)",
-					resRes.Stats.CheckpointWrites, refRes.Stats.CheckpointWrites)
-			}
-			if miJSON(t, resRes) != miJSON(t, refRes) {
-				t.Fatal("resumed results differ from the uninterrupted run")
-			}
-			if normalizeStats(resRes.Stats) != normalizeStats(refRes.Stats) {
-				t.Fatalf("resumed stats differ:\n resumed %+v\n reference %+v",
-					normalizeStats(resRes.Stats), normalizeStats(refRes.Stats))
-			}
-			// Concatenating the killed run's trace with the resumed run's
-			// (minus the resume marker) must reproduce the uninterrupted
-			// trace bit for bit.
-			concat := append(append([]traceLine(nil), killTrace...), dropResumeEvents(resTrace)...)
-			if len(concat) != len(refTrace) {
-				t.Fatalf("concatenated trace has %d events, reference %d", len(concat), len(refTrace))
-			}
-			for j := range concat {
-				if concat[j] != refTrace[j] {
-					t.Fatalf("concatenated trace diverges at %d: %+v vs %+v", j, concat[j], refTrace[j])
-				}
-			}
+			killAndResume(t, nil, refRes, refTrace, every, kill, kw, rw, nil)
 		})
+	}
+}
+
+// TestCheckpointResumePerDiscipline runs the kill/resume acceptance test
+// under the queue disciplines other than the default merged priority order:
+// FIFO, PatternsFirst, and both. Each kill lands past a snapshot that holds
+// pending MetaInsight units, so the restore and the journal replay both
+// rebuild a queue in which the disciplines' orders differ.
+func TestCheckpointResumePerDiscipline(t *testing.T) {
+	const every = int64(16)
+	for _, d := range []struct {
+		name       string
+		kill       int64
+		kw, rw     int
+		discipline func(*Config)
+	}{
+		{"fifo", 3*every + every/2, 8, 2, func(c *Config) { c.UsePriorityQueues = false }},
+		{"patterns-first", 2*every + every/2, 2, 8, func(c *Config) { c.PatternsFirst = true }},
+		{"fifo+patterns-first", 3*every + 3, 4, 1, func(c *Config) {
+			c.UsePriorityQueues = false
+			c.PatternsFirst = true
+		}},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			ref, refTrace := ckRunWith(t, d.discipline, 1, t.TempDir(), every, 0, false)
+			if ref.Err != nil && !errors.Is(ref.Err, ErrDegraded) {
+				t.Fatalf("reference run failed: %v", ref.Err)
+			}
+			if total := commitTotal(ref.Stats); total <= d.kill+every {
+				t.Fatalf("planted workload too small for a kill at %d: %d commits", d.kill, total)
+			}
+			killAndResume(t, d.discipline, ref, refTrace, every, d.kill, d.kw, d.rw, func(dir string) {
+				lr, err := checkpoint.Load(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer lr.Store.Close()
+				if lr.Snapshot == nil || len(lr.Tail) == 0 {
+					t.Fatalf("kill at %d left no snapshot or no journal tail to replay", d.kill)
+				}
+				var snap snapshotJSON
+				if err := json.Unmarshal(lr.Snapshot.Payload, &snap); err != nil {
+					t.Fatal(err)
+				}
+				pendingMI := 0
+				for _, u := range snap.Pending {
+					if u.Kind == kindMetaInsight.String() {
+						pendingMI++
+					}
+				}
+				if pendingMI == 0 {
+					t.Fatalf("snapshot at commit %d holds no pending MetaInsight unit", lr.Snapshot.Index)
+				}
+			})
+		})
+	}
+}
+
+// killAndResume hard-kills a checkpointed run after kill commits at kw
+// workers, hands its directory to afterKill (when set), resumes it at rw
+// workers, and asserts the pair reproduces the uninterrupted run ref: the
+// killed trace is a prefix of refTrace, and the results, the statistics and
+// the concatenated trace equal ref's.
+func killAndResume(t *testing.T, discipline func(*Config), ref *Result, refTrace []traceLine, every, kill int64, kw, rw int, afterKill func(dir string)) {
+	t.Helper()
+	dir := t.TempDir()
+	killRes, killTrace := ckRunWith(t, discipline, kw, dir, every, kill, false)
+	if got := commitTotal(killRes.Stats); got != kill {
+		t.Fatalf("killed run committed %d units, want %d", got, kill)
+	}
+	// The killed run's trace must be an exact prefix of the
+	// uninterrupted run's.
+	if len(killTrace) >= len(refTrace) {
+		t.Fatalf("killed trace (%d events) not shorter than reference (%d)", len(killTrace), len(refTrace))
+	}
+	for j := range killTrace {
+		if killTrace[j] != refTrace[j] {
+			t.Fatalf("killed trace diverges from reference at %d: %+v vs %+v", j, killTrace[j], refTrace[j])
+		}
+	}
+	if afterKill != nil {
+		afterKill(dir)
+	}
+
+	resRes, resTrace := ckRunWith(t, discipline, rw, dir, every, 0, true)
+	if resRes.Err != nil && !errors.Is(resRes.Err, ErrDegraded) {
+		t.Fatalf("resumed run failed: %v", resRes.Err)
+	}
+	if resRes.Stats.ResumedUnits != kill {
+		t.Fatalf("ResumedUnits = %d, want %d", resRes.Stats.ResumedUnits, kill)
+	}
+	if resRes.Stats.CheckpointWrites != ref.Stats.CheckpointWrites {
+		t.Fatalf("CheckpointWrites = %d, want %d (cumulative across the resume)",
+			resRes.Stats.CheckpointWrites, ref.Stats.CheckpointWrites)
+	}
+	if miJSON(t, resRes) != miJSON(t, ref) {
+		t.Fatal("resumed results differ from the uninterrupted run")
+	}
+	if normalizeStats(resRes.Stats) != normalizeStats(ref.Stats) {
+		t.Fatalf("resumed stats differ:\n resumed %+v\n reference %+v",
+			normalizeStats(resRes.Stats), normalizeStats(ref.Stats))
+	}
+	// Concatenating the killed run's trace with the resumed run's (minus
+	// the resume marker) must reproduce the uninterrupted trace bit for bit.
+	concat := append(append([]traceLine(nil), killTrace...), dropResumeEvents(resTrace)...)
+	if len(concat) != len(refTrace) {
+		t.Fatalf("concatenated trace has %d events, reference %d", len(concat), len(refTrace))
+	}
+	for j := range concat {
+		if concat[j] != refTrace[j] {
+			t.Fatalf("concatenated trace diverges at %d: %+v vs %+v", j, concat[j], refTrace[j])
+		}
 	}
 }
 

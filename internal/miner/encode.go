@@ -293,18 +293,14 @@ type recordJSON struct {
 }
 
 // encodeSnapshotPayload captures the complete dispatcher-owned state:
-// sequence counter, stats, every pending unit (queued or dispatched-but-
-// uncommitted — the pending *set* after N canonical commits is worker-count-
-// invariant even though its queue/spec split is not), dedup set, results,
-// and the accounting. Pending units sort by seq, which is a total order over
-// live units and equals FIFO insertion order, so both queue disciplines
-// rebuild identically.
-func (m *Miner) encodeSnapshotPayload(patternQ, miQ workQueue, spec []*specEntry) ([]byte, error) {
-	var pending []*workUnit
-	pending = append(pending, patternQ.Items()...)
-	if miQ != patternQ {
-		pending = append(pending, miQ.Items()...)
-	}
+// sequence counter, stats, every pending unit (in the queue, or dispatched
+// but uncommitted in the speculation window spec — the pending *set* after N
+// canonical commits is worker-count-invariant even though its split between
+// the two is not), dedup set, results, and the accounting. Pending units sort
+// by seq, which is unique among live units, so the bytes do not depend on
+// either heap's layout.
+func (m *Miner) encodeSnapshotPayload(spec []*specEntry) ([]byte, error) {
+	pending := append([]*workUnit(nil), m.queue.items...)
 	for _, e := range spec {
 		pending = append(pending, e.unit)
 	}
@@ -333,10 +329,9 @@ func (m *Miner) encodeSnapshotPayload(patternQ, miQ workQueue, spec []*specEntry
 }
 
 // restoreSnapshotPayload rebuilds dispatcher state from a snapshot. Pending
-// units are re-routed to the queues they came from (MetaInsight units to the
-// MI queue under PatternsFirst) in seq order. Cancelled is cleared: the
+// units go back into the one queue in seq order. Cancelled is cleared: the
 // restored run is live again.
-func (m *Miner) restoreSnapshotPayload(payload []byte, patternQ, miQ workQueue) error {
+func (m *Miner) restoreSnapshotPayload(payload []byte) error {
 	var snap snapshotJSON
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		return fmt.Errorf("snapshot payload: %w", err)
@@ -361,11 +356,7 @@ func (m *Miner) restoreSnapshotPayload(payload []byte, patternQ, miQ workQueue) 
 		if err != nil {
 			return err
 		}
-		if u.kind == kindMetaInsight {
-			miQ.Push(u)
-		} else {
-			patternQ.Push(u)
-		}
+		m.queue.push(u)
 	}
 	return m.acct.restoreState(snap.Acct)
 }

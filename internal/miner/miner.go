@@ -1,6 +1,6 @@
 // Package miner implements the MetaInsight mining procedure of Section 4.2:
-// pattern-guided search over data scopes, impact-ordered priority queues for
-// the data-pattern and MetaInsight compute units, augmented-query prefetching
+// pattern-guided search over data scopes, one impact-ordered queue of the
+// data-pattern and MetaInsight compute units, augmented-query prefetching
 // through the query cache, pattern-cache memoization of evaluations, the two
 // pruning rules, and a progressive budget. The procedure is decomposed into
 // the paper's three functionalities — search (subspace expansion), query
@@ -20,7 +20,6 @@
 package miner
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -82,8 +81,8 @@ type Config struct {
 	// Worker count affects only wall-clock time: results, statistics and
 	// budget consumption are identical for any value.
 	Workers int
-	// UsePriorityQueues selects impact-ordered queues (true, the paper's
-	// design) or FIFO queues (the Figure 6 ablation baseline).
+	// UsePriorityQueues selects impact order (true, the paper's design) or
+	// FIFO order (the Figure 6 ablation baseline) for the pending work.
 	UsePriorityQueues bool
 	// EnablePruning1 enables early termination of HDP evaluation once no
 	// commonness can reach τ.
@@ -129,11 +128,11 @@ type Config struct {
 	// ErrDegraded. The default is 0.1; set negative to flag any failure, or
 	// >= 1 to never flag.
 	DegradedThreshold float64
-	// PatternsFirst schedules MetaInsight compute units only when no
-	// data-pattern work is pending, following the sequential reading of the
-	// paper's workflow (the data pattern mining module feeds the
-	// MetaInsight mining module). The default (false) is the best-effort
-	// progressive scheduler: one merged impact-ordered queue, which lets
+	// PatternsFirst orders every MetaInsight compute unit after all pending
+	// data-pattern work, following the sequential reading of the paper's
+	// workflow (the data pattern mining module feeds the MetaInsight mining
+	// module). The default (false) is the best-effort progressive order: one
+	// merged impact order over all units, which lets
 	// augmented-query prefetches also serve upcoming data-pattern units —
 	// strictly fewer executed queries, at the price of deviating from the
 	// paper's two-module accounting (see the Figure 7 experiment).
@@ -167,7 +166,7 @@ type CheckpointSpec struct {
 }
 
 // DefaultConfig mirrors the paper's configuration: depth-3 subspaces,
-// 8 workers, priority queues, both prunings, τ = 0.5 scoring.
+// 8 workers, impact order, both prunings, τ = 0.5 scoring.
 func DefaultConfig() Config {
 	return Config{
 		Score:                   core.DefaultScoreParams(),
@@ -301,6 +300,7 @@ type Miner struct {
 
 	// Dispatcher-owned state: written only by Run's dispatcher goroutine,
 	// in commit order. No lock needed.
+	queue   canonHeap[*workUnit] // pending units, ordered by canonicalBefore
 	results map[string]*core.MetaInsight
 	seenMI  map[string]bool
 	stats   Stats
@@ -361,6 +361,7 @@ func New(eng *engine.Engine, cfg Config) *Miner {
 		results:     make(map[string]*core.MetaInsight),
 		seenMI:      make(map[string]bool),
 	}
+	m.queue.before = m.canonicalBefore
 	for _, ms := range eng.Measures() {
 		m.measureKeys = append(m.measureKeys, ms.Key())
 	}
@@ -402,12 +403,6 @@ func (m *Miner) Run() *Result { return m.RunContext(context.Background()) }
 func (m *Miner) RunContext(ctx context.Context) *Result {
 	o := m.cfg.Observer
 	initStart := time.Now()
-	patternQ := m.newQueue()
-	miQ := patternQ
-	if m.cfg.PatternsFirst {
-		miQ = m.newQueue()
-	}
-
 	m.acct = newAccounting(m.eng, m.pcache.Enabled(), m.cfg.Observer)
 
 	// stopped is set when a resume's replay was cancelled mid-way: the
@@ -417,13 +412,13 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 	stopped := false
 	if cs := m.cfg.Checkpoint; cs != nil {
 		var err error
-		ck, stopped, err = m.initCheckpoint(ctx, cs, patternQ, miQ)
+		ck, stopped, err = m.initCheckpoint(ctx, cs)
 		if err != nil {
 			return &Result{Stats: m.stats, Err: err}
 		}
 		defer ck.close()
 	} else {
-		m.pushRoot(patternQ)
+		m.pushRoot()
 	}
 
 	workCh := make(chan *specEntry)
@@ -451,41 +446,22 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 	}
 	o.Phase(obs.PhaseInit, time.Since(initStart))
 
-	spec := &specWindow{m: m}
+	// spec is the speculation window (see specEntry).
+	spec := canonHeap[*specEntry]{before: func(a, b *specEntry) bool { return m.canonicalBefore(a.unit, b.unit) }}
 	inflight := 0
-	patternSpec := 0 // in-flight or finished entries on the pattern side (non-MetaInsight)
 	windowPeak := 0
 	var spare *specEntry // an entry a lost send left unused
 
 	// canonicalNext returns the unit a single-worker run would process next
-	// given the committed state — the first, in canonical order, of the queue
-	// heads and the window's top — and its window entry if it has already been
-	// dispatched.
+	// given the committed state — the first, in canonical order, of the
+	// queue's top and the window's top — and its window entry if it has
+	// already been dispatched.
 	canonicalNext := func() (*workUnit, *specEntry) {
-		next := patternQ.Peek()
-		if u := miQ.Peek(); u != nil && (next == nil || m.canonicalBefore(u, next)) {
-			next = u
-		}
+		next := m.queue.top()
 		if e := spec.top(); e != nil && (next == nil || m.canonicalBefore(e.unit, next)) {
 			return e.unit, e
 		}
 		return next, nil
-	}
-	// nextReady returns the queue to dispatch from, mirroring the canonical
-	// preference: pattern work first, and under PatternsFirst no MetaInsight
-	// unit is dispatched while pattern-side work is outstanding (it cannot
-	// commit before that work anyway).
-	nextReady := func() workQueue {
-		if patternQ.Len() > 0 {
-			return patternQ
-		}
-		if m.cfg.PatternsFirst && patternSpec > 0 {
-			return nil
-		}
-		if miQ.Len() > 0 {
-			return miQ
-		}
-		return nil
 	}
 	receive := func(c *completion) {
 		c.entry.comp = c
@@ -509,14 +485,11 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		}
 		windowPeak = max(windowPeak, spec.Len())
 		if entry != nil && entry.comp != nil {
-			m.commit(entry.comp, miQ, patternQ)
-			heap.Pop(spec) // entry is the window's top
-			if entry.unit.kind != kindMetaInsight {
-				patternSpec--
-			}
+			m.commit(entry.comp)
+			spec.pop() // entry is the window's top
 			m.commitIndex++
 			if ck != nil {
-				if err := ck.onCommit(m, entry.comp, patternQ, miQ, spec.entries); err != nil {
+				if err := ck.onCommit(m, entry.comp, spec.items); err != nil {
 					m.ckErr = err
 					break
 				}
@@ -532,25 +505,23 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		// holds back only speculation past a head that is already in the
 		// window; a head still in the queue is always dispatched, or the run
 		// could not advance.
-		var q workQueue
 		var why waitReason
 		switch {
 		case inflight >= m.cfg.Workers:
 			why = waitWorkersBusy
 		case entry != nil && spec.Len()-inflight >= m.maxFinished:
 			why = waitWindowFull
+		case m.queue.Len() == 0:
+			why = waitQueueEmpty
 		default:
-			why, q = waitQueueEmpty, nextReady()
-		}
-		if q != nil {
-			u := q.Peek()
+			u := m.queue.top()
 			if m.sstarCut(u) {
 				// Dispatch-time pre-filter: the K-th best score only grows, so
 				// the cut still holds at the unit's canonical commit slot. Skip
 				// the worker round-trip entirely and let commit record the cut
 				// in its slot.
-				q.Pop()
-				heap.Push(spec, &specEntry{unit: u, comp: &completion{unit: u, cut: true}})
+				m.queue.pop()
+				spec.push(&specEntry{unit: u, comp: &completion{unit: u, cut: true}})
 				continue
 			}
 			if spare == nil {
@@ -559,12 +530,9 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 			spare.unit = u
 			select {
 			case workCh <- spare:
-				q.Pop()
-				heap.Push(spec, spare)
+				m.queue.pop()
+				spec.push(spare)
 				spare = nil
-				if u.kind != kindMetaInsight {
-					patternSpec++
-				}
 				inflight++
 			case c := <-doneCh:
 				receive(c)
@@ -602,7 +570,7 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 	// deliberately skips it — that is the simulated crash — and after a
 	// checkpoint I/O failure the directory is not trustworthy to advance.
 	if ck != nil && !halted && m.ckErr == nil {
-		if err := ck.writeFinalSnapshot(m, patternQ, miQ, spec.entries); err != nil {
+		if err := ck.writeFinalSnapshot(m, spec.items); err != nil {
 			m.ckErr = err
 		}
 	}
@@ -652,10 +620,13 @@ func (m *Miner) rebuildTopScores() {
 }
 
 // canonicalBefore reports whether a precedes b in the canonical processing
-// order: priority descending with seq as tie-breaker under priority queues,
-// emission (seq) order under FIFO queues. It matches the queues' ordering.
-// Under PatternsFirst any pattern-side unit precedes every MetaInsight unit
-// (the pattern side can still refill), as the two queues' precedence does.
+// order, the only definition of that order: the pending queue and the
+// speculation window are both heaps ordered by it. Under priority order it is
+// priority descending with seq as tie-breaker; under FIFO it is seq, the
+// emission order. Under PatternsFirst any pattern-side unit precedes every
+// MetaInsight unit — the paper's data pattern module feeding the MetaInsight
+// module. Priorities are never NaN (engine.New rejects a non-finite impact
+// total) and seq is unique among live units, so this is a strict total order.
 func (m *Miner) canonicalBefore(a, b *workUnit) bool {
 	if m.cfg.PatternsFirst && (a.kind == kindMetaInsight) != (b.kind == kindMetaInsight) {
 		return b.kind == kindMetaInsight
@@ -675,7 +646,7 @@ var commitCostBounds = []float64{0, 1, 2, 5, 10, 25, 50, 100, 250}
 // counters, filter and enqueue its children, and record its MetaInsight.
 // All observability recording here runs on the dispatcher goroutine, so the
 // trace reads as the deterministic canonical execution.
-func (m *Miner) commit(c *completion, miQ, patternQ workQueue) {
+func (m *Miner) commit(c *completion) {
 	o := m.cfg.Observer
 	traced := o.Tracing()
 	var t0 time.Time
@@ -783,14 +754,10 @@ func (m *Miner) commit(c *completion, miQ, patternQ workQueue) {
 				continue
 			}
 			m.stats.EmittedMIUnits++
-			m.seq++
-			u.seq = m.seq
-			miQ.Push(u)
-			continue
 		}
 		m.seq++
 		u.seq = m.seq
-		patternQ.Push(u)
+		m.queue.push(u)
 	}
 
 	if c.mi != nil {
@@ -828,16 +795,9 @@ func describeUnit(u *workUnit) string {
 	}
 }
 
-func (m *Miner) newQueue() workQueue {
-	if m.cfg.UsePriorityQueues {
-		return newPriorityQueue()
-	}
-	return newFIFOQueue()
-}
-
 // pushRoot seeds the search with the empty-subspace expansion unit.
-func (m *Miner) pushRoot(patternQ workQueue) {
-	patternQ.Push(&workUnit{
+func (m *Miner) pushRoot() {
+	m.queue.push(&workUnit{
 		kind:      kindExpand,
 		priority:  1,
 		subspace:  model.EmptySubspace,

@@ -376,6 +376,10 @@ func TestMultiWorkerDeterministicAccounting(t *testing.T) {
 		{"priority", nil},
 		{"patterns-first", func(c *Config, e *engine.Config) { c.PatternsFirst = true }},
 		{"fifo", func(c *Config, e *engine.Config) { c.UsePriorityQueues = false }},
+		{"fifo+patterns-first", func(c *Config, e *engine.Config) {
+			c.UsePriorityQueues = false
+			c.PatternsFirst = true
+		}},
 		{"no-query-cache", func(c *Config, e *engine.Config) {
 			e.QueryCache = cache.NewQueryCache(false)
 		}},

@@ -84,99 +84,37 @@ type scopeRef struct {
 	bdim int
 }
 
-// workQueue abstracts the compute-unit queue so the paper's priority-queue
-// vs FIFO-queue ablation (Figure 6) is a one-flag swap.
-type workQueue interface {
-	Push(u *workUnit)
-	Pop() *workUnit
-	Peek() *workUnit
-	Len() int
-	// Items returns the queued units in no particular order, without
-	// consuming them. Checkpoint snapshots serialize pending work through it
-	// (sorting by seq, which is a total order over live units).
-	Items() []*workUnit
+// canonHeap is a binary heap ordered by before. The miner keeps two: the
+// pending queue of work units and the speculation window of dispatched ones,
+// and both order by Miner.canonicalBefore, the one definition of the
+// processing order. container/heap does the sifting.
+type canonHeap[T any] struct {
+	items  []T
+	before func(a, b T) bool
 }
 
-// priorityQueue orders units by priority descending, breaking ties by
-// emission order, using container/heap.
-type priorityQueue struct {
-	items unitHeap
+func (h *canonHeap[T]) Len() int           { return len(h.items) }
+func (h *canonHeap[T]) Less(i, j int) bool { return h.before(h.items[i], h.items[j]) }
+func (h *canonHeap[T]) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *canonHeap[T]) Push(x any)         { h.items = append(h.items, x.(T)) }
+func (h *canonHeap[T]) Pop() any {
+	n := len(h.items) - 1
+	x := h.items[n]
+	var zero T
+	h.items[n] = zero
+	h.items = h.items[:n]
+	return x
 }
 
-func newPriorityQueue() *priorityQueue { return &priorityQueue{} }
+func (h *canonHeap[T]) push(x T) { heap.Push(h, x) }
+func (h *canonHeap[T]) pop() T   { return heap.Pop(h).(T) }
 
-func (q *priorityQueue) Push(u *workUnit) { heap.Push(&q.items, u) }
-
-func (q *priorityQueue) Pop() *workUnit {
-	if len(q.items) == 0 {
-		return nil
+// top returns the first item in order without removing it; the zero T when
+// the heap is empty.
+func (h *canonHeap[T]) top() T {
+	if len(h.items) == 0 {
+		var zero T
+		return zero
 	}
-	return heap.Pop(&q.items).(*workUnit)
+	return h.items[0]
 }
-
-func (q *priorityQueue) Peek() *workUnit {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
-}
-
-func (q *priorityQueue) Len() int { return len(q.items) }
-
-func (q *priorityQueue) Items() []*workUnit { return append([]*workUnit(nil), q.items...) }
-
-type unitHeap []*workUnit
-
-func (h unitHeap) Len() int { return len(h) }
-func (h unitHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h unitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *unitHeap) Push(x any)   { *h = append(*h, x.(*workUnit)) }
-func (h *unitHeap) Pop() any {
-	old := *h
-	n := len(old)
-	u := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return u
-}
-
-// fifoQueue is the baseline first-in-first-out queue used by the ablation.
-// It is implemented as a ring over a growable slice.
-type fifoQueue struct {
-	items []*workUnit
-	head  int
-}
-
-func newFIFOQueue() *fifoQueue { return &fifoQueue{} }
-
-func (q *fifoQueue) Push(u *workUnit) { q.items = append(q.items, u) }
-
-func (q *fifoQueue) Pop() *workUnit {
-	if q.head >= len(q.items) {
-		return nil
-	}
-	u := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head > 1024 && q.head*2 > len(q.items) {
-		q.items = append([]*workUnit(nil), q.items[q.head:]...)
-		q.head = 0
-	}
-	return u
-}
-
-func (q *fifoQueue) Peek() *workUnit {
-	if q.head >= len(q.items) {
-		return nil
-	}
-	return q.items[q.head]
-}
-
-func (q *fifoQueue) Len() int { return len(q.items) - q.head }
-
-func (q *fifoQueue) Items() []*workUnit { return append([]*workUnit(nil), q.items[q.head:]...) }

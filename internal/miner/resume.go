@@ -44,7 +44,7 @@ type ckptRunner struct {
 // returned bool reports that the context was cancelled during replay: the
 // caller must skip the mining loop (the final snapshot still lands, so the
 // run stays resumable).
-func (m *Miner) initCheckpoint(ctx context.Context, cs *CheckpointSpec, patternQ, miQ workQueue) (*ckptRunner, bool, error) {
+func (m *Miner) initCheckpoint(ctx context.Context, cs *CheckpointSpec) (*ckptRunner, bool, error) {
 	every := cs.Every
 	if every <= 0 {
 		every = 256
@@ -55,7 +55,7 @@ func (m *Miner) initCheckpoint(ctx context.Context, cs *CheckpointSpec, patternQ
 		if err != nil {
 			return nil, false, err
 		}
-		m.pushRoot(patternQ)
+		m.pushRoot()
 		return &ckptRunner{store: st, every: every}, false, nil
 	}
 
@@ -80,13 +80,13 @@ func (m *Miner) initCheckpoint(ctx context.Context, cs *CheckpointSpec, patternQ
 
 	var snapIdx int64
 	if lr.Snapshot != nil {
-		if err := m.restoreSnapshotPayload(lr.Snapshot.Payload, patternQ, miQ); err != nil {
+		if err := m.restoreSnapshotPayload(lr.Snapshot.Payload); err != nil {
 			return nil, false, err
 		}
 		snapIdx = lr.Snapshot.Index
 	} else {
 		// Genesis resume: killed before the first snapshot ever landed.
-		m.pushRoot(patternQ)
+		m.pushRoot()
 	}
 	m.commitIndex = snapIdx
 
@@ -102,7 +102,7 @@ func (m *Miner) initCheckpoint(ctx context.Context, cs *CheckpointSpec, patternQ
 			cancelled = true
 			break
 		}
-		if rerr = m.replayRecord(rec, patternQ, miQ); rerr != nil {
+		if rerr = m.replayRecord(rec); rerr != nil {
 			break
 		}
 	}
@@ -123,31 +123,19 @@ func (m *Miner) initCheckpoint(ctx context.Context, cs *CheckpointSpec, patternQ
 	return ck, cancelled, nil
 }
 
-// replayPop mirrors canonicalNext for an empty speculation set: with no
-// dispatched units, the canonical next unit is simply the queue head
-// (pattern side first under PatternsFirst).
-func (m *Miner) replayPop(patternQ, miQ workQueue) *workUnit {
-	if u := patternQ.Pop(); u != nil {
-		return u
-	}
-	if miQ != patternQ {
-		return miQ.Pop()
-	}
-	return nil
-}
-
 // replayRecord re-executes one journaled commit and verifies the result
-// against the record's post-commit invariants.
-func (m *Miner) replayRecord(rec checkpoint.Record, patternQ, miQ workQueue) error {
+// against the record's post-commit invariants. Replay dispatches nothing, so
+// the canonical next unit is the queue's top.
+func (m *Miner) replayRecord(rec checkpoint.Record) error {
 	var want recordJSON
 	if err := json.Unmarshal(rec.Payload, &want); err != nil {
 		return fmt.Errorf("%w: journal record %d: %v", checkpoint.ErrCorrupt, rec.Index, err)
 	}
-	u := m.replayPop(patternQ, miQ)
-	if u == nil {
+	if m.queue.Len() == 0 {
 		return fmt.Errorf("%w: record %d wants %s %q but no unit is pending",
 			ErrReplayDiverged, rec.Index, want.Kind, want.Unit)
 	}
+	u := m.queue.pop()
 	if u.kind.String() != want.Kind || describeUnit(u) != want.Unit || u.seq != want.Seq {
 		return fmt.Errorf("%w: record %d journals %s %q seq=%d; canonical next is %s %q seq=%d",
 			ErrReplayDiverged, rec.Index, want.Kind, want.Unit, want.Seq,
@@ -163,7 +151,7 @@ func (m *Miner) replayRecord(rec checkpoint.Record, patternQ, miQ workQueue) err
 	} else {
 		c = m.safeProcess(u)
 	}
-	m.commit(c, miQ, patternQ)
+	m.commit(c)
 	m.commitIndex++
 	if got := m.encodeRecord(c); got != want {
 		return fmt.Errorf("%w: record %d (%s %q): replay produced %+v, journal holds %+v",
@@ -175,7 +163,7 @@ func (m *Miner) replayRecord(rec checkpoint.Record, patternQ, miQ workQueue) err
 // onCommit journals one committed unit and, on a snapshot boundary, writes
 // a snapshot. Called from the dispatcher immediately after the commit, so
 // everything it serializes is the post-commit state.
-func (ck *ckptRunner) onCommit(m *Miner, c *completion, patternQ, miQ workQueue, spec []*specEntry) error {
+func (ck *ckptRunner) onCommit(m *Miner, c *completion, spec []*specEntry) error {
 	payload, err := json.Marshal(m.encodeRecord(c))
 	if err != nil {
 		return err
@@ -186,21 +174,21 @@ func (ck *ckptRunner) onCommit(m *Miner, c *completion, patternQ, miQ workQueue,
 	if m.commitIndex%ck.every != 0 {
 		return nil
 	}
-	return ck.snapshot(m, patternQ, miQ, spec)
+	return ck.snapshot(m, spec)
 }
 
 // writeFinalSnapshot persists the state at loop exit (budget stop, drained
 // work, or cancellation), so even a "finished" directory can be re-loaded.
-func (ck *ckptRunner) writeFinalSnapshot(m *Miner, patternQ, miQ workQueue, spec []*specEntry) error {
-	return ck.snapshot(m, patternQ, miQ, spec)
+func (ck *ckptRunner) writeFinalSnapshot(m *Miner, spec []*specEntry) error {
+	return ck.snapshot(m, spec)
 }
 
-func (ck *ckptRunner) snapshot(m *Miner, patternQ, miQ workQueue, spec []*specEntry) error {
+func (ck *ckptRunner) snapshot(m *Miner, spec []*specEntry) error {
 	// Counted before encoding so the snapshot itself carries the write that
 	// produced it — that keeps CheckpointWrites cumulative across resumes,
 	// matching the uninterrupted run's total.
 	m.stats.CheckpointWrites++
-	payload, err := m.encodeSnapshotPayload(patternQ, miQ, spec)
+	payload, err := m.encodeSnapshotPayload(spec)
 	if err != nil {
 		return err
 	}

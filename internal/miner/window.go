@@ -6,23 +6,18 @@ import (
 	"metainsight/internal/obs"
 )
 
-// specEntry tracks one dispatched-but-uncommitted unit.
+// specEntry is one entry of the speculation window: a dispatched but
+// uncommitted unit. The window is a canonHeap of them, ordered by their
+// units, so the entry whose turn is next is the top. Invariant: at most
+// Workers entries are in flight — that is the CPU bound, and the bound on
+// work thrown away at a budget stop; an entry that has finished only holds its
+// completion's memory until its turn comes, so finished entries get their
+// own, much deeper bound (Miner.maxFinished). Commit order is the heap's order
+// and nothing else: which units are in the window, and when they finished,
+// never shows in what is committed.
 type specEntry struct {
 	unit *workUnit
 	comp *completion // nil while the unit is in flight
-}
-
-// specWindow is the speculation window: every dispatched-but-uncommitted
-// unit, as a heap in canonical order, so the entry whose turn is next is the
-// top. Invariant: at most Workers entries are in flight — that is the CPU
-// bound, and the bound on work thrown away at a budget stop; an entry that
-// has finished only holds its completion's memory until its turn comes, so
-// finished entries get their own, much deeper bound (Miner.maxFinished). Commit
-// order is the heap's order and nothing else: which units are in the window,
-// and when they finished, never shows in what is committed.
-type specWindow struct {
-	m       *Miner
-	entries []*specEntry
 }
 
 // defaultMaxFinished bounds the finished-but-uncommitted entries behind a head
@@ -32,28 +27,6 @@ type specWindow struct {
 // work queued. A completion is a few hundred bytes to a few kilobytes, so
 // this is megabytes at most.
 const defaultMaxFinished = 1024
-
-func (w *specWindow) Len() int { return len(w.entries) }
-func (w *specWindow) Less(i, j int) bool {
-	return w.m.canonicalBefore(w.entries[i].unit, w.entries[j].unit)
-}
-func (w *specWindow) Swap(i, j int) { w.entries[i], w.entries[j] = w.entries[j], w.entries[i] }
-func (w *specWindow) Push(x any)    { w.entries = append(w.entries, x.(*specEntry)) }
-func (w *specWindow) Pop() any {
-	n := len(w.entries) - 1
-	e := w.entries[n]
-	w.entries[n] = nil
-	w.entries = w.entries[:n]
-	return e
-}
-
-// top returns the canonically-first entry, nil when the window is empty.
-func (w *specWindow) top() *specEntry {
-	if len(w.entries) == 0 {
-		return nil
-	}
-	return w.entries[0]
-}
 
 // waitReason says why the dispatcher blocked on a completion instead of
 // committing or dispatching; its value names the instrument the blocked time

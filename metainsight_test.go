@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -252,6 +253,31 @@ func TestNewAnalyzerRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := s.Analyze(ctx, metainsight.Request{Measures: []metainsight.Measure{metainsight.Sum("Nope")}}); err == nil {
 		t.Error("unknown measure accepted")
+	}
+}
+
+// TestAnalyzeRejectsNonFiniteImpact: a SUM impact measure with a NaN cell
+// fails the request with the engine's error, not with an empty analysis.
+func TestAnalyzeRejectsNonFiniteImpact(t *testing.T) {
+	b := metainsight.NewDatasetBuilder("impact", []metainsight.Field{
+		{Name: "A", Kind: metainsight.Categorical},
+		{Name: "B", Kind: metainsight.Categorical},
+		{Name: "M", Kind: metainsight.MeasureKind},
+	})
+	for i := 0; i < 400; i++ {
+		v := float64(i%7 + 1)
+		if i == 17 {
+			v = math.NaN()
+		}
+		b.AddRow([]string{strconv.Itoa(i % 5), strconv.Itoa(i % 4)}, []float64{v})
+	}
+	s, err := metainsight.NewSession(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Analyze(context.Background(), metainsight.Request{ImpactMeasure: metainsight.Sum("M")})
+	if err == nil {
+		t.Fatalf("NaN impact total accepted: %d MetaInsights", len(a.Result.MetaInsights))
 	}
 }
 
