@@ -117,13 +117,15 @@ type augKey struct {
 // paths are safe for concurrent use: concurrent cache misses on the same key
 // coalesce into a single scan through the query cache's and the pair memo's
 // Do, so a unit is scanned at most once no matter how many workers race for
-// it (the at-most-once assumption behind the paper's Fig 7 / Table 3 counts).
+// it. Engines over one Interner with the same MIN/MAX set share both memos,
+// so across a Session's requests too a unit is scanned at most once.
 type Engine struct {
 	tab      *dataset.Table
 	measures []model.Measure
 	impact   model.Measure
 	qc       *cache.QueryCache
 	pairs    *cache.Memo[augKey, *pairScan] // augmented scans, see scanPair
+	flight0  cache.FlightStats              // qc's and pairs' waits before New
 	cost     CostModel
 	meter    *Meter
 	obs      *obs.Observer
@@ -132,6 +134,9 @@ type Engine struct {
 	dimNames []string  // tab.DimensionNames()
 	totalImp float64
 	bnd      impactBounds // lazily built impact-sum summaries (bounds.go)
+	// impactSums memoizes a SUM impact measure's impactSum by subspace key;
+	// nil for COUNT.
+	impactSums *cache.Memo[string, float64]
 }
 
 // Config configures an Engine.
@@ -141,7 +146,9 @@ type Config struct {
 	// ImpactMeasure must be additive (SUM or COUNT); defaults to COUNT(*),
 	// the impact measure used throughout the paper's evaluation.
 	ImpactMeasure model.Measure
-	// QueryCache to use; nil creates an enabled cache.
+	// QueryCache to use, with a pair memo of the engine's own; nil uses the
+	// Interner's query cache and pair memo for the configuration's MIN/MAX
+	// set, which every engine over that interner with the same set shares.
 	QueryCache *cache.QueryCache
 	// Cost is the cost model; zero value uses DefaultCostModel.
 	Cost CostModel
@@ -174,7 +181,8 @@ type Config struct {
 	// Interner is the intern table the engine's handles, and with them the
 	// scan plans ScanCostAt charges, come from; nil creates a fresh one. It
 	// must be over the engine's table. Engines that share one (a Session's
-	// requests) plan each subspace once between them.
+	// requests) plan each subspace once between them and, unless QueryCache
+	// is set, scan each unit once between them.
 	Interner *Interner
 }
 
@@ -201,9 +209,17 @@ func (cfg Config) minMaxColumns(tab *dataset.Table) map[string]bool {
 	return need
 }
 
-// FlightStats sums the followers of the query cache and the pair memo:
-// callers that asked for a unit some other caller was already scanning.
+// FlightStats sums the followers of the query cache and the pair memo since
+// the engine was built: callers that asked for a unit some other caller was
+// already scanning. Engines sharing the memos count each other's waits.
 func (e *Engine) FlightStats() cache.FlightStats {
+	st := e.memoFlight()
+	st.Followers -= e.flight0.Followers
+	st.Wait -= e.flight0.Wait
+	return st
+}
+
+func (e *Engine) memoFlight() cache.FlightStats {
 	st := e.qc.FlightStats()
 	st.Add(e.pairs.FlightStats())
 	return st
@@ -220,9 +236,6 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 	if !cfg.ImpactMeasure.Agg.Additive() {
 		return nil, fmt.Errorf("engine: impact measure %s is not additive", cfg.ImpactMeasure)
 	}
-	if cfg.QueryCache == nil {
-		cfg.QueryCache = cache.NewQueryCache(true)
-	}
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
 	}
@@ -234,21 +247,26 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 	} else if cfg.Interner.tab != tab {
 		return nil, fmt.Errorf("engine: Config.Interner is over table %q, not the engine's", cfg.Interner.tab.Name())
 	}
+	minMax := cfg.minMaxColumns(tab)
 	if cfg.Substrate == nil {
 		cfg.Substrate = newColumnarSubstrate(tab, columnarConfig{
 			par:    cfg.ScanParallelism,
 			morsel: DefaultMorselSize,
-			minMax: cfg.minMaxColumns(tab),
+			minMax: minMax,
 			obs:    cfg.Observer,
 			in:     cfg.Interner,
 		})
+	}
+	units := newUnitMemo(cfg.QueryCache)
+	if cfg.QueryCache == nil {
+		units = cfg.Interner.units(minMax)
 	}
 	e := &Engine{
 		tab:      tab,
 		measures: cfg.Measures,
 		impact:   cfg.ImpactMeasure,
-		qc:       cfg.QueryCache,
-		pairs:    cache.NewMemo[augKey, *pairScan](cfg.QueryCache.Enabled()),
+		qc:       units.qc,
+		pairs:    units.pairs,
 		cost:     cfg.Cost,
 		meter:    cfg.Meter,
 		obs:      cfg.Observer,
@@ -256,6 +274,10 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		in:       cfg.Interner,
 		dimNames: tab.DimensionNames(),
 	}
+	if e.impact.Agg != model.AggCount {
+		e.impactSums = cache.NewMemo[string, float64](true)
+	}
+	e.flight0 = e.memoFlight()
 	for _, m := range cfg.Measures {
 		if err := e.checkMeasure(m); err != nil {
 			return nil, err
@@ -317,7 +339,9 @@ func (e *Engine) ImpactMeasure() model.Measure { return e.impact }
 // Meter returns the ledger the engine's callers charge.
 func (e *Engine) Meter() *Meter { return e.meter }
 
-// QueryCache returns the engine's query cache.
+// QueryCache returns the engine's query cache: Config.QueryCache, or the
+// interner's cache that the engine shares with every engine over the same
+// interner and MIN/MAX set.
 func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
 
 // totalImpactValue computes m_Impact({*}) directly (never charged: it is a
@@ -425,20 +449,6 @@ func (e *Engine) ScanCostAt(h *Handle) float64 {
 // EvaluationCost returns the cost of one data-pattern evaluation.
 func (e *Engine) EvaluationCost() float64 { return e.cost.PerEvaluation }
 
-// peekAnyUnit returns a cached unit of h on any unfiltered breakdown, probing
-// in table dimension order, or nil.
-func (e *Engine) peekAnyUnit(h *Handle) *cache.Unit {
-	for d, dim := range e.dimNames {
-		if h.Has(d) {
-			continue
-		}
-		if u, ok := e.qc.Get(cache.UnitKey{Subspace: h.key, Breakdown: dim}); ok {
-			return u
-		}
-	}
-	return nil
-}
-
 // impactFallbackDim picks the breakdown for an impact scan: the first
 // unfiltered dimension. If every dimension is filtered, grouping by a
 // filtered one is still correct: the scan keeps the filter, so the unit
@@ -465,15 +475,18 @@ type ImpactProbe struct {
 	Fallback cache.UnitKey
 	// Cost is the cost of the fallback scan (ScanCostAt).
 	Cost float64
-	// Bytes is the fallback unit's ApproxBytes when this call observed the
-	// unit, else 0. Best-effort: cache byte sizes are reporting-only.
+	// Bytes is the fallback unit's ApproxBytes.
 	Bytes int64
 }
 
 // ImpactAt returns Impact_ds for the subspace of h (Equation 2): the impact
-// measure's value on the subspace divided by its value on the whole dataset.
-// The numerator is served by a cached unit of the subspace on any unfiltered
-// breakdown; otherwise the fallback unit is scanned. The ImpactProbe records
+// measure's value on the subspace (impactSum) divided by its value on the
+// whole dataset. The lookup is a query of the fallback unit, as the miner's
+// replay charges it when no probe unit is cached: a failing fallback scan
+// fails the lookup, and the unit's size is the probe's Bytes. The value is
+// never read from a unit: a unit's sums depend on the scan that produced it
+// (a basic and an augmented scan group a cell's additions differently), and
+// which one filled the cache first depends on timing. The ImpactProbe records
 // how the lookup is charged; it is nil for the empty subspace (impact 1 is
 // free dataset metadata).
 func (e *Engine) ImpactAt(h *Handle) (float64, *ImpactProbe, error) {
@@ -486,37 +499,64 @@ func (e *Engine) ImpactAt(h *Handle) (float64, *ImpactProbe, error) {
 		Fallback: e.UnitKeyAt(h, fallback),
 		Cost:     e.ScanCostAt(h),
 	}
-	// p.Bytes is reporting-only, so a probe unit found by a (timing-dependent)
-	// peek may serve the value and leave Bytes zero.
-	unit := e.peekAnyUnit(h)
-	if unit == nil {
-		u, err := e.MaterializeUnitAt(h, fallback, nil)
-		if err != nil {
-			return 0, p, err
-		}
-		unit = u
+	unit, err := e.MaterializeUnitAt(h, fallback, nil)
+	if err != nil {
+		return 0, p, err
 	}
-	if unit.Key == p.Fallback {
-		p.Bytes = unit.ApproxBytes()
-	}
-	return e.unitImpact(unit) / e.totalImp, p, nil
+	p.Bytes = unit.ApproxBytes()
+	return e.impactSum(h) / e.totalImp, p, nil
 }
 
-// unitImpact sums the impact measure over a unit's groups; valid because the
-// impact measure is additive.
-func (e *Engine) unitImpact(u *cache.Unit) float64 {
+// impactSum returns the impact measure's value on h's subspace: the rows h's
+// plan visits for COUNT, and for SUM the impact column added over those rows
+// in ascending row order, the order totalImpactValue adds the whole table in.
+// It is a pure function of the table and the subspace, so every impact the
+// miner reads is the same whatever scanned what first; GroupImpactsAt
+// computes the same values for a subspace's children.
+func (e *Engine) impactSum(h *Handle) float64 {
+	p := h.plan(e.obs)
 	if e.impact.Agg == model.AggCount {
-		return statsSum(u.Counts)
+		return float64(p.rows)
 	}
-	return statsSum(u.Sums[e.impact.Column])
+	s, _ := e.impactSums.Do(h.key, func() (float64, error) {
+		vals, s := e.tab.MeasureColumn(e.impact.Column).Values(), 0.0
+		for k := 0; k+1 < len(p.runs); k++ {
+			start := int(p.runs[k].Row)
+			for _, v := range vals[start : start+int(p.runs[k+1].Pos-p.runs[k].Pos)] {
+				s += v
+			}
+		}
+		return s, nil
+	})
+	return s
 }
 
-func statsSum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
+// GroupImpactsAt returns the impact measure's value on every child subspace
+// h ∧ (dimension bdim = group) of u, the unit of (h, bdim), aligned with
+// u.GroupKeys. For COUNT these are the unit's counts, which no scan order
+// can change; for SUM one pass over h's plan adds each child's rows in
+// ascending row order, so every value equals impactSum of the child's handle
+// bit for bit.
+func (e *Engine) GroupImpactsAt(h *Handle, bdim int, u *cache.Unit) []float64 {
+	if e.impact.Agg == model.AggCount {
+		return u.Counts
 	}
-	return s
+	col := e.tab.Dimensions()[bdim]
+	codes, vals := col.Codes(), e.tab.MeasureColumn(e.impact.Column).Values()
+	sums := make([]float64, col.Cardinality())
+	p := h.plan(e.obs)
+	for k := 0; k+1 < len(p.runs); k++ {
+		start := int(p.runs[k].Row)
+		end := start + int(p.runs[k+1].Pos-p.runs[k].Pos)
+		for r := start; r < end; r++ {
+			sums[codes[r]] += vals[r]
+		}
+	}
+	out := make([]float64, len(u.GroupKeys))
+	for gi, k := range u.GroupKeys {
+		out[gi] = sums[col.Code(k)]
+	}
+	return out
 }
 
 // Extract materializes one measure's series from an already-fetched unit;

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/model"
 )
@@ -26,11 +27,15 @@ import (
 // wire (DESIGN.md §14).
 
 // Interner is the intern table of one table's subspaces, and through its
-// handles the one owner of their scan plans. A Session keeps one for its
-// lifetime and hands it to every request's Engine (Config.Interner); an
-// Engine built without one keeps a fresh one of its own. It is safe for
-// concurrent use. Sharing it across requests is determinism-safe: every field
-// of a Handle is a pure function of the immutable table and the subspace.
+// handles the one owner of their scan plans. It also owns the scanned units:
+// one query cache and pair memo per MIN/MAX set (see units). A Session keeps
+// one for its lifetime and hands it to every request's Engine
+// (Config.Interner); an Engine built without one keeps a fresh one of its
+// own. It is safe for concurrent use. Sharing handles across requests is
+// determinism-safe: every field of a Handle is a pure function of the
+// immutable table and the subspace. A unit's float sums also depend on the
+// scan that produced it, which timing picks; no impact is read from a unit
+// (Engine.ImpactAt), and DESIGN.md §14 says what else reads them.
 type Interner struct {
 	tab  *dataset.Table
 	dims []*dataset.DimColumn
@@ -38,14 +43,61 @@ type Interner struct {
 
 	mu    sync.RWMutex
 	byKey map[string]*Handle
+	memos map[string]unitMemo // by MIN/MAX set, see units
 }
 
 // NewInterner creates an empty intern table over tab.
 func NewInterner(tab *dataset.Table) *Interner {
-	in := &Interner{tab: tab, dims: tab.Dimensions(), byKey: make(map[string]*Handle)}
+	in := &Interner{
+		tab:   tab,
+		dims:  tab.Dimensions(),
+		byKey: make(map[string]*Handle),
+		memos: make(map[string]unitMemo),
+	}
 	in.root = in.newHandle(model.EmptySubspace, model.EmptySubspace.Key())
 	in.byKey[in.root.key] = in.root
 	return in
+}
+
+// unitMemo is a query cache and the augmented-pair memo that travels with
+// it: the pair memo holds nothing the cache lacks (Engine.scanPair), so the
+// two are created, shared and released together.
+type unitMemo struct {
+	qc    *cache.QueryCache
+	pairs *cache.Memo[augKey, *pairScan]
+}
+
+// newUnitMemo pairs qc with a fresh pair memo, enabled with it; a nil qc
+// gets a fresh enabled cache.
+func newUnitMemo(qc *cache.QueryCache) unitMemo {
+	if qc == nil {
+		qc = cache.NewQueryCache(true)
+	}
+	return unitMemo{qc: qc, pairs: cache.NewMemo[augKey, *pairScan](qc.Enabled())}
+}
+
+// units returns the interner's unit memo for the MIN/MAX set minMax,
+// creating it on first use. A unit's Mins and Maxs hold exactly the set's
+// columns, so requests with different sets keep apart; the default request
+// shape uses one. Nothing is evicted: a memo holds at most one unit per
+// (handle, breakdown) and lives as long as the interner.
+func (in *Interner) units(minMax map[string]bool) unitMemo {
+	key := make([]byte, 0, len(in.tab.MeasureColumns()))
+	for _, mc := range in.tab.MeasureColumns() {
+		if minMax[mc.Name] {
+			key = append(key, '1')
+		} else {
+			key = append(key, '0')
+		}
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	m, ok := in.memos[string(key)]
+	if !ok {
+		m = newUnitMemo(nil)
+		in.memos[string(key)] = m
+	}
+	return m
 }
 
 // handleFilter is one resolved filter of a handle: the table's dimension

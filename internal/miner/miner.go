@@ -982,7 +982,7 @@ func (m *Miner) processExpand(u *workUnit, rec *recorder, delta *statDelta) []*w
 			continue
 		}
 		rec.recordUnit(unit, cost)
-		src, total := m.impactColumn(unit), m.eng.TotalImpact()
+		src, total := m.eng.GroupImpactsAt(u.handle, idx, unit), m.eng.TotalImpact()
 		for gi, v := range unit.GroupKeys {
 			imp := src[gi] / total
 			if imp < m.cfg.MinSubspaceImpact {
@@ -1000,17 +1000,6 @@ func (m *Miner) processExpand(u *workUnit, rec *recorder, delta *statDelta) []*w
 		}
 	}
 	return produced
-}
-
-// impactColumn returns the unit's per-group values of the additive impact
-// measure; dividing by the total impact gives each group's child-subspace
-// impact.
-func (m *Miner) impactColumn(u *cache.Unit) []float64 {
-	im := m.eng.ImpactMeasure()
-	if im.Agg == model.AggCount {
-		return u.Counts
-	}
-	return u.Sums[im.Column]
 }
 
 // processDataPattern evaluates every measure and pattern type on one

@@ -333,8 +333,8 @@ func TestBudgetPrefixMonotonicity(t *testing.T) {
 }
 
 // assertSameStats asserts two runs' statistics are bit-identical, except
-// QueryCacheStats.Bytes, which is documented best-effort (an impact-fallback
-// unit observed only via a cached peek reports size 0).
+// QueryCacheStats.Bytes, which is documented reporting-only (see
+// accounting.queryStats).
 func assertSameStats(t *testing.T, label string, a, b Stats) {
 	t.Helper()
 	a.QueryCacheStats.Bytes = 0

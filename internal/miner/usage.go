@@ -266,7 +266,7 @@ func (a *accounting) apply(ev usageEvent) {
 		p := ev.impact
 		if a.qcEnabled {
 			// A cached unit on any unfiltered breakdown serves the impact
-			// value for free (a peek, as in Engine.ImpactAt).
+			// lookup for free.
 			for d, dim := range a.dimNames {
 				if p.Handle.Has(d) {
 					continue
@@ -328,9 +328,9 @@ func (a *accounting) applySiblings(s *siblingUse) {
 }
 
 // queryStats reports the simulated query cache as cache.Stats. Bytes is
-// best-effort: an impact-fallback unit observed only through a cached peek
-// reports size 0 (sizes are reporting-only and excluded from the
-// determinism guarantee).
+// reporting-only and excluded from the determinism guarantee: it sums the
+// sizes of the units the run recorded, which can differ by substrate (its
+// unit columns) and across a resume.
 func (a *accounting) queryStats() cache.Stats {
 	return cache.Stats{
 		Hits:    a.qcHits,

@@ -272,11 +272,11 @@ func WithBadMeasures(p RowPolicy) LoadOption {
 type Analyzer struct {
 	d  *Dataset
 	o  *analyzerOptions
-	in *engine.Interner // the session's intern table every Mine call reuses
+	in *engine.Interner // the session's intern table and unit memo every Mine call reuses
 
 	// The state of one run, replaced before every Mine call but the first:
-	// the engine (with its query cache), its meter and the miner config
-	// (with its pattern cache). mined marks that a Mine call has run.
+	// the engine, its meter and the miner config (with its pattern cache).
+	// mined marks that a Mine call has run.
 	eng   *engine.Engine
 	meter *engine.Meter
 	cfg   miner.Config
@@ -397,10 +397,10 @@ func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 // candidate (deduplicated, score-descending) plus run statistics. It is
 // MineContext with a background context.
 //
-// Each call is hermetic: it mines with a fresh query cache, pattern cache and
-// meter (reusing only the session's intern table), so a second call returns
-// exactly what the first did. Calls must not overlap; a Session serves
-// concurrent analyses.
+// Each call is hermetic: it mines with a fresh pattern cache and meter, so a
+// second call returns exactly what the first did. It reuses the session's
+// intern table and the units earlier calls scanned, so a second call scans
+// nothing. Calls must not overlap; a Session serves concurrent analyses.
 func (a *Analyzer) Mine() *MiningResult { return a.MineContext(context.Background()) }
 
 // MineContext is Mine with cancellation: the context is checked at every
@@ -442,8 +442,9 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 }
 
 // Snapshot publishes the engine's meter, the physical caches' occupancy
-// (cache.query.entries, cache.pattern.entries), their waiters
-// (cache.flight.*) and the size of the session's intern table
+// (cache.query.entries, the session's unit memo for the run's MIN/MAX set;
+// cache.pattern.entries, the run's pattern cache), their waiters during the
+// run (cache.flight.*) and the size of the session's intern table
 // (engine.interned_handles, DESIGN.md §14) as gauges into the attached
 // observer, then returns a
 // point-in-time copy of all metrics, phase timers and trace totals. Cache hit

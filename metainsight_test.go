@@ -156,12 +156,13 @@ func TestAnalyzerBudgetsAndAblations(t *testing.T) {
 	}
 }
 
-// TestAnalyzerMineIsHermetic: every Mine call on one Analyzer starts from
-// empty caches and a zero meter, so the second call returns what the first
-// did — keys, scores and every statistic — and both agree across worker
-// counts, but for the best-effort QueryCacheStats.Bytes. The second call used
-// to start from the first one's caches and meter: a budgeted one committed
-// nothing, and its statistics depended on the worker count.
+// TestAnalyzerMineIsHermetic: every Mine call on one Analyzer starts from an
+// empty pattern cache, an empty commit-order replay and a zero meter, so the
+// second call returns what the first did — keys, scores and every statistic —
+// though it reuses the units the first one scanned, and both agree across
+// worker counts, but for the reporting-only QueryCacheStats.Bytes. The second
+// call used to start from the first one's caches and meter: a budgeted one
+// committed nothing, and its statistics depended on the worker count.
 func TestAnalyzerMineIsHermetic(t *testing.T) {
 	type run struct {
 		keys   []string

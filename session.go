@@ -9,15 +9,18 @@ package metainsight
 // registration and substrate options, which have no per-call meaning.
 // resolve merges the two into one configuration per call.
 //
-// Every Analyze call is hermetic: it runs with fresh query/pattern caches
-// and a fresh meter, so its result — insights, statistics and trace — is
+// Every Analyze call is hermetic: it runs with a fresh pattern cache and a
+// fresh meter, and its accounting is the miner's commit-order replay, which
+// starts empty; so its result — insights, statistics and trace — is
 // bit-identical to a fresh Analyzer run with the same settings, regardless
 // of what the session served before. What the session shares across calls
-// is the expensive read-only state: the dataset's dictionaries and posting
-// sets (cached on the dataset itself), and one intern table whose handles
-// carry every subspace's scan plan, so a subspace mined by any request is
-// planned once for the session. The scan substrate itself is a cheap value
-// built per request over that table.
+// is what a request computes but never decides by: the dataset's
+// dictionaries and posting sets (cached on the dataset itself), and one
+// intern table whose handles carry every subspace's scan plan and which
+// holds every unit any request scanned (one query cache and pair memo per
+// MIN/MAX set). A subspace mined by any request is planned once for the
+// session, and a unit scanned once; a repeated request scans nothing. The
+// scan substrate itself is a cheap value built per request over that table.
 //
 // The pre-Session construction surface survives only as the deprecated
 // NewAnalyzer, WithObserver, WithProgress and WithCostBudget shims; see the
@@ -265,16 +268,16 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 
 // Session is a long-lived analysis handle over one dataset: NewSession
 // loads and validates once, Analyze serves many requests. Sessions are safe
-// for concurrent Analyze calls; each call is hermetic (fresh caches and
-// meter), sharing only the dataset's read-only index structures and the
-// session's intern table.
+// for concurrent Analyze calls; each call is hermetic (a fresh pattern cache
+// and meter), sharing only the dataset's read-only index structures and the
+// session's intern table with its plans and scanned units.
 type Session struct {
 	d    *Dataset
 	opts []Option
 
 	mu     sync.Mutex
 	closed bool
-	in     *engine.Interner // every request's handles and scan plans
+	in     *engine.Interner // every request's handles, scan plans and units
 }
 
 // NewSession creates a session over a dataset. Construction validates the
@@ -293,12 +296,13 @@ func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 // Dataset returns the dataset the session analyzes.
 func (s *Session) Dataset() *Dataset { return s.d }
 
-// Close releases the session's intern table — its handles and scan plans —
-// and marks the session closed; subsequent Analyze calls fail with
-// ErrSessionClosed. In-flight Analyze calls are unaffected (they hold the
-// table already). Close is idempotent. A resident server holding a registry
-// of sessions should Close a session when evicting it, so the plan memory is
-// reclaimable as soon as its last request finishes.
+// Close releases the session's intern table — its handles, scan plans and
+// scanned units — and marks the session closed; subsequent Analyze calls
+// fail with ErrSessionClosed. In-flight Analyze calls are unaffected (they
+// hold the table already). Close is idempotent. A resident server holding a
+// registry of sessions should Close a session when evicting it, so the plan
+// and unit memory is reclaimable as soon as its last request, and the last
+// Analysis it returned, is gone.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -372,8 +376,8 @@ func (s *Session) analyzer(req Request) (*Analyzer, error) {
 }
 
 // reset gives the analyzer the state of one fresh run: an engine over the
-// session's intern table with an empty query cache and a zero meter, and a
-// miner config with an empty pattern cache.
+// session's intern table and unit memo with a zero meter, and a miner config
+// with an empty pattern cache.
 func (a *Analyzer) reset() error {
 	o := a.o
 	eng, err := engine.New(a.d, a.engineConfig())
@@ -402,8 +406,9 @@ func (a *Analyzer) reset() error {
 	return nil
 }
 
-// engineConfig is the configuration of one fresh run's engine: the resolved
-// options, an empty query cache, a zero meter and the session's intern table.
+// engineConfig is the configuration of one run's engine: the resolved
+// options, a zero meter and the session's intern table, whose query cache and
+// pair memo for the run's MIN/MAX set the engine uses.
 func (a *Analyzer) engineConfig() engine.Config {
 	o := a.o
 	// The needed-aggregate set: measures that registered evaluators will
@@ -422,7 +427,6 @@ func (a *Analyzer) engineConfig() engine.Config {
 		ImpactMeasure:   o.impact,
 		ExtraMeasures:   reqCfg.RequiredMeasures(),
 		ScanParallelism: o.scanPar,
-		QueryCache:      cache.NewQueryCache(true),
 		Meter:           &engine.Meter{},
 		Observer:        o.observer,
 		Substrate:       o.substrate,

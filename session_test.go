@@ -13,12 +13,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
 	"time"
+	"weak"
 
 	"metainsight"
+	"metainsight/internal/cache"
 	"metainsight/internal/workload"
 )
 
@@ -125,22 +128,31 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// creditCardWithMin is Credit Card's default measure set plus a MIN measure,
+// whose units need a MIN column the default set's do not.
+var creditCardWithMin = []metainsight.Measure{
+	metainsight.Sum("Spend"), metainsight.Sum("Transactions"), metainsight.Count("*"), metainsight.Min("Spend"),
+}
+
 // TestTracedRequestOnWarmSessionBuildsNoPlans: scan plans live on the
 // session's interned handles, not on a substrate built for one observer, so
 // a request tracing into an observer of its own on a warm session reuses
-// every plan — it counts no plan bytes — and mines what an untraced request
-// mines.
+// every plan — it counts no plan bytes — and mines what the same request
+// mines untraced on a fresh session. The traced request adds a MIN measure:
+// its units then need MIN columns the warm request's memo lacks, so it scans
+// them afresh, over the plans the warm request built.
 func TestTracedRequestOnWarmSessionBuildsNoPlans(t *testing.T) {
-	sess, err := metainsight.NewSession(workload.CreditCard())
+	tab := workload.CreditCard()
+	sess, err := metainsight.NewSession(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	req := metainsight.Request{TopK: 5}
-	warm, err := sess.Analyze(context.Background(), req)
-	if err != nil {
+	if _, err := sess.Analyze(context.Background(), metainsight.Request{TopK: 5}); err != nil {
 		t.Fatal(err)
 	}
+	req := metainsight.Request{TopK: 5, Measures: creditCardWithMin}
+	untraced := analyzeOnce(t, tab, req)
 	ob := metainsight.NewObserver(metainsight.ObserverOptions{})
 	req.Observer = ob
 	traced, err := sess.Analyze(context.Background(), req)
@@ -154,7 +166,7 @@ func TestTracedRequestOnWarmSessionBuildsNoPlans(t *testing.T) {
 	if n := snap.Counters["engine.physical.plan_bytes"]; n != 0 {
 		t.Errorf("a traced request on a warm session built %d bytes of plans, want 0", n)
 	}
-	requireSameFacts(t, "traced", factsOf(warm.Result, warm.Insights), factsOf(traced.Result, traced.Insights))
+	requireSameFacts(t, "traced", factsOf(untraced.Result, untraced.Insights), factsOf(traced.Result, traced.Insights))
 }
 
 // TestInternTableGrowthLaw pins the growth law of a session's intern table
@@ -197,6 +209,214 @@ func TestInternTableGrowthLaw(t *testing.T) {
 	}
 }
 
+// TestUnitMemoGrowthLaw pins the growth law of a session's unit memo
+// (DESIGN.md §6 and §14): at most one unit per (interned handle, breakdown,
+// MIN/MAX set), released by Close. A repeated request scans nothing and adds
+// no unit; a request with a new MIN/MAX set scans into a memo of its own but
+// plans nothing; and once the session is closed, the memo is garbage.
+func TestUnitMemoGrowthLaw(t *testing.T) {
+	tab := workload.CreditCard()
+	sess, err := metainsight.NewSession(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// observe runs req and keeps only its metrics and a weak pointer to its
+	// query cache, so nothing it returns holds the memo.
+	observe := func(req metainsight.Request) (metainsight.MetricsSnapshot, weak.Pointer[cache.QueryCache]) {
+		t.Helper()
+		req.Observer = metainsight.NewObserver(metainsight.ObserverOptions{})
+		an, err := sess.Analyze(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an.Snapshot(), weak.Make(an.Engine().QueryCache())
+	}
+	def := metainsight.Request{TopK: 5}
+	first, memo := observe(def)
+	entries, handles := first.Gauges["cache.query.entries"], first.Gauges["engine.interned_handles"]
+	t.Logf("one request scanned %d units into a memo of %v over %v handles",
+		first.Counters["engine.physical.scans"], entries, handles)
+	if first.Counters["engine.physical.scans"] == 0 || entries == 0 {
+		t.Fatal("the first request scanned nothing: the test is vacuous")
+	}
+	if bound := handles * float64(len(tab.Dimensions())); entries > bound {
+		t.Fatalf("the memo holds %v units, more than one per (handle, breakdown): %v", entries, bound)
+	}
+	for i := 0; i < 2; i++ {
+		snap, again := observe(def)
+		if n := snap.Counters["engine.physical.scans"]; n != 0 {
+			t.Errorf("repeat %d scanned %d units, want 0", i+1, n)
+		}
+		if got := snap.Gauges["cache.query.entries"]; got != entries {
+			t.Errorf("repeat %d: the memo holds %v units, the first request left %v", i+1, got, entries)
+		}
+		if again.Value() != memo.Value() {
+			t.Errorf("repeat %d used another query cache", i+1)
+		}
+	}
+
+	withMin := def
+	withMin.Measures = creditCardWithMin
+	snap, minMemo := observe(withMin)
+	if snap.Counters["engine.physical.scans"] == 0 {
+		t.Error("a request with a new MIN/MAX set scanned nothing")
+	}
+	if n := snap.Counters["engine.physical.plan_bytes"]; n != 0 {
+		t.Errorf("a request with a new MIN/MAX set built %d bytes of plans, want 0", n)
+	}
+	if minMemo.Value() == memo.Value() {
+		t.Error("a request with a new MIN/MAX set shared the default memo")
+	}
+	if snap, _ := observe(def); snap.Counters["engine.physical.scans"] != 0 || snap.Gauges["cache.query.entries"] != entries {
+		t.Errorf("after a MIN request the default request scanned %d units into %v entries, want 0 into %v",
+			snap.Counters["engine.physical.scans"], snap.Gauges["cache.query.entries"], entries)
+	}
+
+	runtime.GC()
+	if memo.Value() == nil || minMemo.Value() == nil {
+		t.Fatal("an open session dropped its unit memos")
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if memo.Value() != nil || minMemo.Value() != nil {
+		t.Error("a closed session's unit memos survived a GC")
+	}
+}
+
+// TestWarmSessionEqualsFresh: a session's unit memo decides no result. After
+// requests of other shapes — another TopK, MaxFilters 2 then 3, a cost
+// budget, TopKPruning, a SUM impact and a MIN measure — a request's facts,
+// statistics and trace equal a fresh session's, at Workers 1 and 8.
+func TestWarmSessionEqualsFresh(t *testing.T) {
+	tab := workload.CreditCard()
+	earlier := []metainsight.Request{
+		{TopK: 3},
+		{TopK: 5, MaxFilters: 2},
+		{TopK: 5, MaxFilters: 3},
+		{TopK: 5, Budget: metainsight.Budget{Cost: 150}},
+		{TopK: 5, TopKPruning: 4},
+		{TopK: 5, ImpactMeasure: metainsight.Sum("Spend")},
+		{TopK: 5, Measures: []metainsight.Measure{metainsight.Min("Spend"), metainsight.Sum("Transactions")}},
+	}
+	targets := []metainsight.Request{{TopK: 10}, {TopK: 10, Budget: metainsight.Budget{Cost: 100}}}
+	type run struct {
+		facts runFacts
+		trace []metainsight.TraceEvent
+	}
+	analyze := func(s *metainsight.Session, req metainsight.Request) run {
+		t.Helper()
+		req.Observer = metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 14})
+		an, err := s.Analyze(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{factsOf(an.Result, an.Insights), traceEvents(t, req.Observer)}
+	}
+	for _, workers := range []int{1, 8} {
+		exec := metainsight.WithExec(metainsight.ExecConfig{Workers: workers})
+		warm, err := metainsight.NewSession(tab, exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range earlier {
+			if _, err := warm.Analyze(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, req := range targets {
+			fresh, err := metainsight.NewSession(tab, exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := analyze(fresh, req)
+			fresh.Close()
+			got := analyze(warm, req)
+			label := fmt.Sprintf("workers %d, budget %v", workers, req.Budget.Cost)
+			requireSameFacts(t, label, want.facts, got.facts)
+			if !slices.Equal(got.trace, want.trace) {
+				t.Fatalf("%s: the warm session's trace differs from a fresh session's", label)
+			}
+		}
+		warm.Close()
+	}
+}
+
+// TestSumImpactMiningIsDeterministic: with a SUM impact measure every
+// Figure-6 table mines the same keys with bit-identical scores and impacts at
+// Workers 1 and 8, run after run. A subspace's impact is its rows' impact
+// values added in row order, never a sum over whichever cached unit a worker
+// found first: a unit's float sums depend on the scan that produced it.
+// MaxFilters 2 keeps the test within the race detector's budget; two-filter
+// subspaces are where the sums diverged.
+func TestSumImpactMiningIsDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		tab    *metainsight.Dataset
+		impact string
+	}{
+		{workload.SalesForecast(), "Sales"},
+		{workload.TabletSales(), "Revenue"},
+		{workload.CreditCard(), "Spend"},
+		{workload.HotelBooking(), "Bookings"},
+	} {
+		req := metainsight.Request{TopK: 10, MaxFilters: 2, ImpactMeasure: metainsight.Sum(tc.impact)}
+		var want []string
+		for _, workers := range []int{1, 8} {
+			for rep := 0; rep < 3; rep++ {
+				an := analyzeOnce(t, tc.tab, req, metainsight.WithExec(metainsight.ExecConfig{Workers: workers}))
+				got := make([]string, len(an.Result.MetaInsights))
+				for i, mi := range an.Result.MetaInsights {
+					got[i] = fmt.Sprintf("%s score=%x impact=%x",
+						mi.Key(), math.Float64bits(mi.Score), math.Float64bits(mi.ImpactHDS))
+				}
+				slices.Sort(got)
+				if want == nil {
+					if want = got; len(want) == 0 {
+						t.Fatalf("%s: mined nothing", tc.tab.Name())
+					}
+					continue
+				}
+				if i := firstDiff(want, got); i >= 0 {
+					t.Fatalf("%s, workers %d, run %d differs from the first run at result %d of %d/%d:\n want %s\n got  %s",
+						tc.tab.Name(), workers, rep+1, i, len(want), len(got), at(want, i), at(got, i))
+				}
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []string) int {
+	for i := 0; i < max(len(a), len(b)); i++ {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+func at(xs []string, i int) string {
+	if i < len(xs) {
+		return xs[i]
+	}
+	return "(none)"
+}
+
+// traceEvents returns ob's trace with wall times zeroed, failing if the ring
+// dropped any event.
+func traceEvents(t *testing.T, ob *metainsight.Observer) []metainsight.TraceEvent {
+	t.Helper()
+	if n := ob.Trace().Dropped(); n > 0 {
+		t.Fatalf("trace ring dropped %d events", n)
+	}
+	evs := ob.Trace().Events()
+	for i := range evs {
+		evs[i].WallNanos = 0
+	}
+	return evs
+}
+
 // TestShimEquivalence pins that the benchmark's traced pass measures what
 // Session.Analyze runs. The frozen harness (benchmark/layers.go) calls
 // NewAnalyzer(ds, WithObserver, WithProgress[, WithCostBudget(b)]), then
@@ -214,17 +434,6 @@ func TestShimEquivalence(t *testing.T) {
 		ob := metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 14})
 		return ob, func(mi *metainsight.MetaInsight) { r.progress = append(r.progress, mi.Key()) }
 	}
-	events := func(ob *metainsight.Observer) []metainsight.TraceEvent {
-		t.Helper()
-		if n := ob.Trace().Dropped(); n > 0 {
-			t.Fatalf("trace ring dropped %d events", n)
-		}
-		evs := ob.Trace().Events()
-		for i := range evs {
-			evs[i].WallNanos = 0
-		}
-		return evs
-	}
 	var unbudgeted int
 	for _, budget := range []float64{0, 150} {
 		label := fmt.Sprintf("budget %v", budget)
@@ -241,7 +450,7 @@ func TestShimEquivalence(t *testing.T) {
 		}
 		res := a.MineContext(context.Background())
 		shim.facts = factsOf(res, a.Rank(res, 10))
-		shim.trace = events(ob)
+		shim.trace = traceEvents(t, ob)
 
 		var sess run
 		ob, progress = traced(&sess)
@@ -256,7 +465,7 @@ func TestShimEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess.facts = factsOf(an.Result, an.Insights)
-		sess.trace = events(ob)
+		sess.trace = traceEvents(t, ob)
 
 		requireSameFacts(t, label+": session vs shim", shim.facts, sess.facts)
 		if len(shim.progress) == 0 || len(shim.trace) == 0 {
