@@ -56,10 +56,13 @@ func ledgerTable(t *testing.T) *metainsight.Dataset {
 // TestPatternScopesEvaluatedExactlyOnce: at Workers 8, every data scope an
 // unbudgeted run evaluates is evaluated exactly once, however the workers
 // race for it — so a counting custom evaluator is called exactly as often as
-// the run's pattern cache has entries. The pattern cache used to evaluate a
-// scope again when a worker missed it just before another worker's Put.
+// the run's pattern cache has entries — and a second and a third request on
+// the same session evaluate nothing: they read the session's pattern memo.
+// The pattern cache used to evaluate a scope again when a worker missed it
+// just before another worker's Put.
 func TestPatternScopesEvaluatedExactlyOnce(t *testing.T) {
 	tab := ledgerTable(t)
+	req := metainsight.Request{Measures: []metainsight.Measure{metainsight.Sum("Sales")}}
 	for run := 0; run < 30; run++ {
 		var calls atomic.Int64
 		counter := metainsight.CustomPattern{
@@ -75,10 +78,7 @@ func TestPatternScopesEvaluatedExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := s.Analyze(context.Background(), metainsight.Request{
-			Measures: []metainsight.Measure{metainsight.Sum("Sales")},
-		})
-		s.Close()
+		an, err := s.Analyze(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +89,15 @@ func TestPatternScopesEvaluatedExactlyOnce(t *testing.T) {
 		if got := calls.Load(); got != entries {
 			t.Fatalf("run %d: the evaluator ran %d times for %d scopes", run, got, entries)
 		}
+		for again := 2; again <= 3; again++ {
+			if _, err := s.Analyze(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls.Load() - entries; got != 0 {
+				t.Fatalf("run %d: request %d on the session ran the evaluator %d times, want 0", run, again, got)
+			}
+		}
+		s.Close()
 	}
 }
 

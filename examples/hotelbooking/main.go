@@ -21,8 +21,8 @@ func main() {
 		tab.Name(), tab.Rows(), tab.Cols(), tab.Cells())
 
 	// One session serves every run below: the dataset is loaded and indexed
-	// once, and a unit one run scanned serves the later ones, while each
-	// Analyze call gets a fresh pattern cache, meter and budget.
+	// once, and a unit one run scanned, and a scope it evaluated, serve the
+	// later ones, while each Analyze call gets a fresh meter and budget.
 	ctx := context.Background()
 	sess, err := metainsight.NewSession(tab)
 	if err != nil {

@@ -5,16 +5,18 @@
 // results keyed by data scope (Section 4.2.3).
 //
 // Both caches are Memos (memo.go): plain, unbounded once-per-key memos that
-// evict nothing and count nothing. A pattern cache lives for one mining run.
-// A query cache lives as long as whoever holds it: a Session's requests share
-// one (it belongs to the session's intern table, engine.Interner), an
-// ablation engine keeps its own. Neither decides a result, a statistic or a
+// evict nothing and count nothing. Each lives as long as whoever holds it,
+// and a pattern cache travels with the query cache whose units it
+// evaluated: a Session's requests share one of each per MIN/MAX set (they
+// belong to the session's intern table, engine.Interner), an ablation engine
+// or miner keeps its own. Neither decides a result, a statistic or a
 // charge. The hit rates and sizes of the paper's Table 3 are the miner's
 // canonical accounting (reported in the Stats shape below), a commit-order
 // replay that starts empty for every run, not a property of the physical
 // caches, whose traffic depends on worker scheduling and on earlier runs. A
 // Memo coalesces concurrent misses on one key into one computation, so a unit
-// is scanned at most once however many workers ask for it.
+// is scanned, and a scope evaluated, at most once however many workers ask
+// for it.
 package cache
 
 import "metainsight/internal/model"

@@ -24,6 +24,7 @@ import (
 	"metainsight/internal/dataset"
 	"metainsight/internal/model"
 	"metainsight/internal/obs"
+	"metainsight/internal/pattern"
 )
 
 // CostModel assigns deterministic cost units to engine work. Units are
@@ -118,14 +119,16 @@ type augKey struct {
 // coalesce into a single scan through the query cache's and the pair memo's
 // Do, so a unit is scanned at most once no matter how many workers race for
 // it. Engines over one Interner with the same MIN/MAX set share both memos,
-// so across a Session's requests too a unit is scanned at most once.
+// and the pattern memo beside them, so across a Session's requests too a
+// unit is scanned at most once and a scope evaluated at most once.
 type Engine struct {
 	tab      *dataset.Table
 	measures []model.Measure
 	impact   model.Measure
 	qc       *cache.QueryCache
-	pairs    *cache.Memo[augKey, *pairScan] // augmented scans, see scanPair
-	flight0  cache.FlightStats              // qc's and pairs' waits before New
+	pairs    *cache.Memo[augKey, *pairScan]                // augmented scans, see scanPair
+	patterns *cache.PatternCache[*pattern.ScopeEvaluation] // evaluations of qc's units
+	flight0  cache.FlightStats                             // the three memos' waits before New
 	cost     CostModel
 	meter    *Meter
 	obs      *obs.Observer
@@ -146,9 +149,10 @@ type Config struct {
 	// ImpactMeasure must be additive (SUM or COUNT); defaults to COUNT(*),
 	// the impact measure used throughout the paper's evaluation.
 	ImpactMeasure model.Measure
-	// QueryCache to use, with a pair memo of the engine's own; nil uses the
-	// Interner's query cache and pair memo for the configuration's MIN/MAX
-	// set, which every engine over that interner with the same set shares.
+	// QueryCache to use, with a pair memo and a pattern memo of the engine's
+	// own; nil uses the Interner's query cache, pair memo and pattern memo
+	// for the configuration's MIN/MAX set, which every engine over that
+	// interner with the same set shares.
 	QueryCache *cache.QueryCache
 	// Cost is the cost model; zero value uses DefaultCostModel.
 	Cost CostModel
@@ -209,9 +213,10 @@ func (cfg Config) minMaxColumns(tab *dataset.Table) map[string]bool {
 	return need
 }
 
-// FlightStats sums the followers of the query cache and the pair memo since
-// the engine was built: callers that asked for a unit some other caller was
-// already scanning. Engines sharing the memos count each other's waits.
+// FlightStats sums the followers of the query cache, the pair memo and the
+// pattern memo since the engine was built: callers that asked for a unit or
+// an evaluation some other caller was already computing. Engines sharing the
+// memos count each other's waits.
 func (e *Engine) FlightStats() cache.FlightStats {
 	st := e.memoFlight()
 	st.Followers -= e.flight0.Followers
@@ -222,6 +227,7 @@ func (e *Engine) FlightStats() cache.FlightStats {
 func (e *Engine) memoFlight() cache.FlightStats {
 	st := e.qc.FlightStats()
 	st.Add(e.pairs.FlightStats())
+	st.Add(e.patterns.FlightStats())
 	return st
 }
 
@@ -267,6 +273,7 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		impact:   cfg.ImpactMeasure,
 		qc:       units.qc,
 		pairs:    units.pairs,
+		patterns: units.patterns,
 		cost:     cfg.Cost,
 		meter:    cfg.Meter,
 		obs:      cfg.Observer,
@@ -343,6 +350,11 @@ func (e *Engine) Meter() *Meter { return e.meter }
 // interner's cache that the engine shares with every engine over the same
 // interner and MIN/MAX set.
 func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
+
+// PatternCache returns the memo of the evaluations of the query cache's
+// units: the engine's own beside an explicit Config.QueryCache, otherwise
+// the interner's, shared like its query cache.
+func (e *Engine) PatternCache() *cache.PatternCache[*pattern.ScopeEvaluation] { return e.patterns }
 
 // totalImpactValue computes m_Impact({*}) directly (never charged: it is a
 // one-time setup computation, equivalent to dataset metadata).

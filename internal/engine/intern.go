@@ -7,6 +7,7 @@ import (
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/model"
+	"metainsight/internal/pattern"
 )
 
 // Interned subspace handles. Mining touches the same few thousand subspaces
@@ -27,15 +28,16 @@ import (
 // wire (DESIGN.md §14).
 
 // Interner is the intern table of one table's subspaces, and through its
-// handles the one owner of their scan plans. It also owns the scanned units:
-// one query cache and pair memo per MIN/MAX set (see units). A Session keeps
-// one for its lifetime and hands it to every request's Engine
-// (Config.Interner); an Engine built without one keeps a fresh one of its
-// own. It is safe for concurrent use. Sharing handles across requests is
-// determinism-safe: every field of a Handle is a pure function of the
-// immutable table and the subspace. A unit's float sums also depend on the
-// scan that produced it, which timing picks; no impact is read from a unit
-// (Engine.ImpactAt), and DESIGN.md §14 says what else reads them.
+// handles the one owner of their scan plans. It also owns the scanned units
+// and their pattern evaluations: one query cache, pair memo and pattern memo
+// per MIN/MAX set (see units). A Session keeps one for its lifetime and
+// hands it to every request's Engine (Config.Interner); an Engine built
+// without one keeps a fresh one of its own. It is safe for concurrent use.
+// Sharing handles across requests is determinism-safe: every field of a
+// Handle is a pure function of the immutable table and the subspace. A
+// unit's float sums also depend on the scan that produced it, which timing
+// picks; no impact is read from a unit (Engine.ImpactAt), and DESIGN.md §14
+// says what else reads them.
 type Interner struct {
 	tab  *dataset.Table
 	dims []*dataset.DimColumn
@@ -59,28 +61,38 @@ func NewInterner(tab *dataset.Table) *Interner {
 	return in
 }
 
-// unitMemo is a query cache and the augmented-pair memo that travels with
-// it: the pair memo holds nothing the cache lacks (Engine.scanPair), so the
-// two are created, shared and released together.
+// unitMemo is a query cache and the two memos that travel with it: the
+// augmented-pair memo, which holds nothing the cache lacks
+// (Engine.scanPair), and the pattern memo, whose evaluations are functions
+// of the units they read. The three are created, shared and released
+// together.
 type unitMemo struct {
-	qc    *cache.QueryCache
-	pairs *cache.Memo[augKey, *pairScan]
+	qc       *cache.QueryCache
+	pairs    *cache.Memo[augKey, *pairScan]
+	patterns *cache.PatternCache[*pattern.ScopeEvaluation]
 }
 
-// newUnitMemo pairs qc with a fresh pair memo, enabled with it; a nil qc
-// gets a fresh enabled cache.
+// newUnitMemo gives qc a fresh pair memo, enabled with it, and a fresh
+// enabled pattern memo; a nil qc gets a fresh enabled cache.
 func newUnitMemo(qc *cache.QueryCache) unitMemo {
 	if qc == nil {
 		qc = cache.NewQueryCache(true)
 	}
-	return unitMemo{qc: qc, pairs: cache.NewMemo[augKey, *pairScan](qc.Enabled())}
+	return unitMemo{
+		qc:       qc,
+		pairs:    cache.NewMemo[augKey, *pairScan](qc.Enabled()),
+		patterns: cache.NewPatternCache[*pattern.ScopeEvaluation](true),
+	}
 }
 
 // units returns the interner's unit memo for the MIN/MAX set minMax,
 // creating it on first use. A unit's Mins and Maxs hold exactly the set's
 // columns, so requests with different sets keep apart; the default request
 // shape uses one. Nothing is evicted: a memo holds at most one unit per
-// (handle, breakdown) and lives as long as the interner.
+// (handle, breakdown), and one evaluation per (unit, measure), and lives as
+// long as the interner. An evaluation is keyed by its scope alone, so every
+// engine over one interner must evaluate with one pattern.Config, as a
+// Session's requests do.
 func (in *Interner) units(minMax map[string]bool) unitMemo {
 	key := make([]byte, 0, len(in.tab.MeasureColumns()))
 	for _, mc := range in.tab.MeasureColumns() {

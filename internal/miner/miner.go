@@ -107,8 +107,9 @@ type Config struct {
 	// Budget bounds the run; nil means Unlimited. The budget is checked
 	// before each unit commit, so a run stops on a whole-unit boundary.
 	Budget Budget
-	// PatternCache is the evaluation memo; nil creates an enabled cache.
-	// Pass a disabled cache for the "w/o Pattern Cache" ablation.
+	// PatternCache is the evaluation memo; nil uses the engine's
+	// (Engine.PatternCache), which travels with its query cache. Pass a
+	// disabled cache for the "w/o Pattern Cache" ablation.
 	PatternCache *cache.PatternCache[*pattern.ScopeEvaluation]
 	// OnMetaInsight, when set, is invoked once for each newly stored
 	// MetaInsight as the progressive mining run discovers it. Calls are made
@@ -351,7 +352,7 @@ func New(eng *engine.Engine, cfg Config) *Miner {
 		cfg.DegradedThreshold = def.DegradedThreshold
 	}
 	if cfg.PatternCache == nil {
-		cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](true)
+		cfg.PatternCache = eng.PatternCache()
 	}
 	m := &Miner{
 		eng:         eng,
@@ -857,6 +858,9 @@ func (m *Miner) finish() *Result {
 		o.SetGauge("miner.qcache.bytes", float64(m.stats.QueryCacheStats.Bytes))
 		o.SetGauge("miner.pcache.hit_rate", m.stats.PatternCacheStats.HitRate())
 		o.SetGauge("miner.pcache.entries", float64(m.stats.PatternCacheStats.Entries))
+		// Past a budget or a top-k cut, speculative units evaluate scopes
+		// that no commit reads, as many as the workers got to.
+		o.MarkTiming(obsEvaluations)
 	}
 	return &Result{MetaInsights: out, Stats: m.stats, Err: runErr}
 }
@@ -1035,29 +1039,33 @@ func (m *Miner) processDataPattern(u *workUnit, rec *recorder, delta *statDelta)
 		// The extension candidates depend on the anchor scope only, so they
 		// are built once and emitted under every type that holds.
 		var exts []extension
-		for t, ev := range se.Evals {
-			if !ev.Valid {
-				continue
-			}
+		for _, h := range se.Holds {
 			delta.patternsFound++
 			if exts == nil {
 				exts = m.extensions(u, ds, m.measureKeys[i])
 			}
-			produced = emitMetaInsightUnits(produced, rec, exts, pattern.Type(t), delta)
+			produced = emitMetaInsightUnits(produced, rec, exts, h.Type, delta)
 		}
 	}
 	return produced
 }
 
+// obsEvaluations counts the scope evaluations a run actually performed, the
+// pattern-side twin of engine.physical.scans: a scope some earlier request
+// over the same pattern memo evaluated counts nothing.
+const obsEvaluations = "pattern.physical.evaluations"
+
 // evaluateScope runs (or recalls) the all-types evaluation of one data scope
 // through the pattern cache, recording the evaluation for canonical
 // accounting. The scope is keyed by parts that already exist — the unit's
 // key and the measure's — and the series is extracted from the unit (which
-// CheckExtract has cleared) only when the evaluation actually runs.
-// Concurrent evaluations of the same scope share one.
+// CheckExtract has cleared) only when the evaluation actually runs, which
+// the observer counts as obsEvaluations. Concurrent evaluations of the same
+// scope share one.
 func (m *Miner) evaluateScope(rec *recorder, unit *cache.Unit, ds model.DataScope, measureKey string, temporal bool) *pattern.ScopeEvaluation {
 	key := cache.ScopeKey{Unit: unit.Key, Measure: measureKey}
 	se, _ := m.pcache.Do(key, func() (*pattern.ScopeEvaluation, error) {
+		m.cfg.Observer.Count(obsEvaluations, 1)
 		series, _ := engine.Extract(unit, ds)
 		return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern), nil
 	})

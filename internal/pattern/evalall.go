@@ -16,41 +16,62 @@ import (
 // criteria have in common: the series is checked for non-finite values and
 // ranked once for all four Outstanding* types, regressed against time once
 // for Trend and Seasonality, and every intermediate series lives in pooled
-// scratch rather than a fresh allocation.
+// scratch rather than a fresh allocation. Only the types that hold are copied
+// out; a scope where none holds gets a shared empty value and costs no
+// allocation.
 func EvaluateAllScoped(scope model.DataScope, keys []string, values []float64, temporal bool, cfg Config) *ScopeEvaluation {
 	if len(keys) != len(values) {
 		panic("pattern: keys/values length mismatch")
 	}
-	se := &ScopeEvaluation{Evals: make([]Evaluation, cfg.NumConcreteTypes())}
 	// A non-finite value invalidates every type (custom ones included).
 	if hasNonFinite(values) {
-		return se
+		return &noneHold
 	}
 	sc := scratchPool.Get().(*evalScratch)
-	sc.evalBuiltins(se.Evals, keys, values, temporal, cfg)
-	scratchPool.Put(sc)
+	defer scratchPool.Put(sc)
+	nt := cfg.NumConcreteTypes()
+	if cap(sc.evals) < nt {
+		sc.evals = make([]Evaluation, nt)
+	}
+	evals := sc.evals[:nt]
+	clear(evals)
+	sc.evalBuiltins(evals, keys, values, temporal, cfg)
 	for i, ev := range cfg.Custom {
 		if ev.TemporalOnly && !temporal {
 			continue
 		}
 		if ev.EvaluateScope != nil {
-			se.Evals[int(NumTypes)+i] = ev.EvaluateScope(scope, keys, values)
+			evals[int(NumTypes)+i] = ev.EvaluateScope(scope, keys, values)
 		} else {
-			se.Evals[int(NumTypes)+i] = ev.Evaluate(keys, values)
+			evals[int(NumTypes)+i] = ev.Evaluate(keys, values)
 		}
 	}
-	for _, ev := range se.Evals {
+	n := 0
+	for _, ev := range evals {
 		if ev.Valid {
-			se.AnyValid = true
-			break
+			n++
 		}
 	}
-	return se
+	if n == 0 {
+		return &noneHold
+	}
+	holds := make([]Hold, 0, n)
+	for t, ev := range evals {
+		if ev.Valid {
+			holds = append(holds, Hold{Type: Type(t), Evaluation: ev})
+		}
+	}
+	return &ScopeEvaluation{Holds: holds}
 }
 
-// evalScratch is the working memory of one EvaluateAllScoped call. Nothing
-// in a returned Evaluation aliases it.
+// noneHold is the one evaluation of every scope where no type holds.
+var noneHold ScopeEvaluation
+
+// evalScratch is the working memory of one EvaluateAllScoped call: evals
+// holds every type's evaluation until the holders are copied out. Nothing in
+// a returned ScopeEvaluation aliases it.
 type evalScratch struct {
+	evals  []Evaluation
 	ints   []int
 	floats []float64
 	medbuf []float64

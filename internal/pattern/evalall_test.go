@@ -11,14 +11,13 @@ import (
 )
 
 // referenceAll is the per-type loop EvaluateAllScoped replaced: every type
-// evaluated independently through EvaluateScoped.
+// evaluated independently through EvaluateScoped, the ones that hold kept in
+// type order.
 func referenceAll(scope model.DataScope, keys []string, values []float64, temporal bool, cfg Config) *ScopeEvaluation {
-	n := cfg.NumConcreteTypes()
-	se := &ScopeEvaluation{Evals: make([]Evaluation, n)}
-	for t := Type(0); int(t) < n; t++ {
-		se.Evals[t] = EvaluateScoped(scope, t, keys, values, temporal, cfg)
-		if se.Evals[t].Valid {
-			se.AnyValid = true
+	se := &ScopeEvaluation{}
+	for t := Type(0); int(t) < cfg.NumConcreteTypes(); t++ {
+		if ev := EvaluateScoped(scope, t, keys, values, temporal, cfg); ev.Valid {
+			se.Holds = append(se.Holds, Hold{Type: t, Evaluation: ev})
 		}
 	}
 	return se
@@ -132,10 +131,8 @@ func TestEvaluateAllScopedMatchesPerTypeReference(t *testing.T) {
 					t.Fatalf("trial %d: EvaluateAllScoped modified its input at %d", trial, i)
 				}
 			}
-			for ty, ev := range got.Evals {
-				if ev.Valid {
-					valid[Type(ty)]++
-				}
+			for _, h := range got.Holds {
+				valid[h.Type]++
 			}
 		}
 	}
@@ -144,5 +141,52 @@ func TestEvaluateAllScopedMatchesPerTypeReference(t *testing.T) {
 		if valid[ty] == 0 {
 			t.Errorf("no trial produced a valid %s; the generator does not cover it", cfg.TypeName(ty))
 		}
+	}
+}
+
+// TestHoldsDoNotAliasScratch: an evaluation's holders are its own. Evaluating
+// another series, which reuses the pooled scratch, leaves them as they were.
+func TestHoldsDoNotAliasScratch(t *testing.T) {
+	valley := []float64{100, 80, 55, 30, 12, 28, 52, 78, 95, 98, 99, 100}
+	rising := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	a := EvaluateAll(months(), valley, true, cfg)
+	want := referenceAll(model.DataScope{}, months(), valley, true, cfg)
+	if !a.AnyValid() {
+		t.Fatal("vacuous: nothing holds for the valley")
+	}
+	for i := 0; i < 8; i++ {
+		if b := EvaluateAll(months(), rising, true, cfg); !b.AnyValid() {
+			t.Fatal("vacuous: nothing holds for the rising series")
+		}
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Fatalf("the valley's holders changed after later evaluations:\n got  %+v\n want %+v", a, want)
+	}
+}
+
+// TestNothingHoldsIsEmpty: a non-finite series and a noise series both
+// evaluate to a value with no holders, the one shared value, allocating
+// nothing for it.
+func TestNothingHoldsIsEmpty(t *testing.T) {
+	noise := []float64{2, 8, 8, 10, 2, 9, 6, 1, 7, 1, 5, 2}
+	nonFinite := []float64{1, 2, math.NaN(), 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	for _, tc := range []struct {
+		name   string
+		values []float64
+	}{{"noise", noise}, {"non-finite", nonFinite}} {
+		se := EvaluateAll(months(), tc.values, true, cfg)
+		if len(se.Holds) != 0 || se.AnyValid() {
+			t.Errorf("%s: %d types hold, want none", tc.name, len(se.Holds))
+		}
+		if se != &noneHold {
+			t.Errorf("%s: got a value of its own, want the shared empty one", tc.name)
+		}
+		if tp, _ := se.Induced(Trend); tp != NoPattern {
+			t.Errorf("%s: Induced(Trend) = %v, want NoPattern", tc.name, tp)
+		}
+	}
+	keys := months()
+	if allocs := testing.AllocsPerRun(10, func() { EvaluateAll(keys, nonFinite, true, cfg) }); allocs != 0 {
+		t.Errorf("a non-finite series allocates %v times, want 0", allocs)
 	}
 }

@@ -48,7 +48,9 @@ type Config struct {
 	Custom []CustomEvaluator
 }
 
-// CustomEvaluator is a user-supplied pattern type.
+// CustomEvaluator is a user-supplied pattern type. Its criterion must be a
+// pure function of its inputs: a Session runs it at most once per (unit,
+// measure) and serves every later request from that one evaluation.
 type CustomEvaluator struct {
 	// Name is the display name used in descriptions.
 	Name string

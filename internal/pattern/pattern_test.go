@@ -231,12 +231,19 @@ func TestInducedRules(t *testing.T) {
 	// Pure noise: nothing holds → NoPattern for every type.
 	noise := []float64{2, 8, 8, 10, 2, 9, 6, 1, 7, 1, 5, 2}
 	se = EvaluateAll(months(), noise, true, cfg)
-	if se.AnyValid {
-		t.Fatalf("noise yields valid types: %v", se.ValidTypes())
+	if se.AnyValid() {
+		t.Fatalf("noise yields valid types: %+v", se.Holds)
 	}
 	if tp, _ := se.Induced(Trend); tp != NoPattern {
 		t.Errorf("Induced on patternless scope = %v, want NoPattern", tp)
 	}
+	// A placeholder is no type to ask about.
+	defer func() {
+		if recover() == nil {
+			t.Error("Induced(OtherPattern) did not panic")
+		}
+	}()
+	se.Induced(OtherPattern)
 }
 
 func TestHighlightKey(t *testing.T) {
@@ -278,7 +285,7 @@ func TestEvaluateAllMatchesSingleEvaluate(t *testing.T) {
 	se := EvaluateAll(months(), vals, true, cfg)
 	for _, tp := range Types() {
 		single := Evaluate(tp, months(), vals, true, cfg)
-		if single.Valid != se.Evals[tp].Valid {
+		if got, _ := se.Induced(tp); single.Valid != (got == tp) {
 			t.Errorf("%v: EvaluateAll disagrees with Evaluate", tp)
 		}
 	}
@@ -315,11 +322,8 @@ func TestCustomEvaluator(t *testing.T) {
 
 	frontLoaded := []float64{50, 40, 45, 55, 48, 52, 2, 3, 1, 2, 3, 2}
 	se := EvaluateAll(months(), frontLoaded, true, cfg)
-	if len(se.Evals) != cfg.NumConcreteTypes() {
-		t.Fatalf("evaluated %d types, want %d", len(se.Evals), cfg.NumConcreteTypes())
-	}
-	if !se.Evals[ct].Valid {
-		t.Fatal("custom criterion not detected")
+	if n := len(se.Holds); n == 0 || se.Holds[n-1].Type != ct {
+		t.Fatalf("custom criterion not detected, or not last of the holders: %+v", se.Holds)
 	}
 	if tp, h := se.Induced(ct); tp != ct || h.Label != "first-half" {
 		t.Errorf("Induced = %v %v", tp, h)
@@ -332,7 +336,7 @@ func TestCustomEvaluator(t *testing.T) {
 	// when another type holds.
 	even := []float64{100, 101, 99, 100, 102, 100, 98, 100, 101, 99, 100, 100}
 	se = EvaluateAll(months(), even, true, cfg)
-	if se.Evals[ct].Valid {
+	if tp, _ := se.Induced(ct); tp == ct {
 		t.Error("balanced series flagged as front-loaded")
 	}
 	if tp, _ := se.Induced(ct); tp != OtherPattern {

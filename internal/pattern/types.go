@@ -215,40 +215,42 @@ type Evaluation struct {
 	Strength float64
 }
 
-// ScopeEvaluation is the full evaluation of one data scope across every
-// concrete type — the eleven built-ins followed by any custom types of the
-// Config, indexed by Type. It is the pattern cache's value type: evaluating
-// dp(ds, t) requires knowing whether any other type holds, so all types are
-// evaluated together and memoized as one entry.
-type ScopeEvaluation struct {
-	Evals    []Evaluation
-	AnyValid bool
+// Hold is one concrete type that holds for a scope, with its evaluation.
+type Hold struct {
+	Type Type
+	Evaluation
 }
+
+// ScopeEvaluation is the evaluation of one data scope across every concrete
+// type — the eleven built-ins followed by any custom types of the Config. It
+// is the pattern cache's value type: evaluating dp(ds, t) requires knowing
+// whether any other type holds, so all types are evaluated together and
+// memoized as one entry. Only the types that hold are kept, usually one or
+// two of a dozen, because a Session keeps one entry per scope for its
+// lifetime. A ScopeEvaluation is immutable once returned; scopes where
+// nothing holds all share one value.
+type ScopeEvaluation struct {
+	// Holds lists the types that hold, in ascending type order.
+	Holds []Hold
+}
+
+// AnyValid reports whether some concrete type holds for the scope.
+func (se *ScopeEvaluation) AnyValid() bool { return len(se.Holds) > 0 }
 
 // Induced applies the paper's type-induced generative function dp(ds, type):
 // it returns (type, highlight) if type holds; (OtherPattern, zero) if some
 // other type holds; (NoPattern, zero) otherwise.
 func (se *ScopeEvaluation) Induced(t Type) (Type, Highlight) {
-	if !t.Concrete() || int(t) >= len(se.Evals) {
+	if !t.Concrete() {
 		panic(fmt.Sprintf("pattern: Induced called with invalid type %v", t))
 	}
-	if se.Evals[t].Valid {
-		return t, se.Evals[t].Highlight
+	for _, h := range se.Holds {
+		if h.Type == t {
+			return t, h.Highlight
+		}
 	}
-	if se.AnyValid {
+	if se.AnyValid() {
 		return OtherPattern, Highlight{}
 	}
 	return NoPattern, Highlight{}
-}
-
-// ValidTypes returns the concrete types (built-in and custom) that hold for
-// the scope.
-func (se *ScopeEvaluation) ValidTypes() []Type {
-	var out []Type
-	for t := Type(0); int(t) < len(se.Evals); t++ {
-		if se.Evals[t].Valid {
-			out = append(out, t)
-		}
-	}
-	return out
 }

@@ -131,15 +131,14 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 				}
 				se := pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, cfg.Pattern)
 				eng.Meter().AddCost(eng.EvaluationCost())
-				for _, t := range se.ValidTypes() {
-					ev := se.Evals[t]
+				for _, h := range se.Holds {
 					insights = append(insights, &Insight{
 						Scope:        ds,
-						Type:         t,
-						Highlight:    ev.Highlight,
-						Significance: ev.Strength,
+						Type:         h.Type,
+						Highlight:    h.Highlight,
+						Significance: h.Strength,
 						Impact:       item.impact,
-						Score:        item.impact * ev.Strength,
+						Score:        item.impact * h.Strength,
 					})
 				}
 			}

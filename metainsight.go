@@ -272,11 +272,11 @@ func WithBadMeasures(p RowPolicy) LoadOption {
 type Analyzer struct {
 	d  *Dataset
 	o  *analyzerOptions
-	in *engine.Interner // the session's intern table and unit memo every Mine call reuses
+	in *engine.Interner // the session's intern table and memos every Mine call reuses
 
 	// The state of one run, replaced before every Mine call but the first:
-	// the engine, its meter and the miner config (with its pattern cache).
-	// mined marks that a Mine call has run.
+	// the engine, its meter and the miner config. mined marks that a Mine
+	// call has run.
 	eng   *engine.Engine
 	meter *engine.Meter
 	cfg   miner.Config
@@ -397,10 +397,11 @@ func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 // candidate (deduplicated, score-descending) plus run statistics. It is
 // MineContext with a background context.
 //
-// Each call is hermetic: it mines with a fresh pattern cache and meter, so a
-// second call returns exactly what the first did. It reuses the session's
-// intern table and the units earlier calls scanned, so a second call scans
-// nothing. Calls must not overlap; a Session serves concurrent analyses.
+// Each call is hermetic: it mines with a fresh meter and its accounting
+// replay starts empty, so a second call returns exactly what the first did.
+// It reuses the session's intern table, the units earlier calls scanned and
+// the scopes they evaluated, so a second call scans and evaluates nothing.
+// Calls must not overlap; a Session serves concurrent analyses.
 func (a *Analyzer) Mine() *MiningResult { return a.MineContext(context.Background()) }
 
 // MineContext is Mine with cancellation: the context is checked at every
@@ -442,12 +443,12 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 }
 
 // Snapshot publishes the engine's meter, the physical caches' occupancy
-// (cache.query.entries, the session's unit memo for the run's MIN/MAX set;
-// cache.pattern.entries, the run's pattern cache), their waiters during the
-// run (cache.flight.*) and the size of the session's intern table
-// (engine.interned_handles, DESIGN.md §14) as gauges into the attached
-// observer, then returns a
-// point-in-time copy of all metrics, phase timers and trace totals. Cache hit
+// (cache.query.entries and cache.pattern.entries, the session's unit memo
+// and pattern memo for the run's MIN/MAX set, so both count what earlier
+// requests left too), their waiters during the run (cache.flight.*) and the
+// size of the session's intern table (engine.interned_handles, DESIGN.md
+// §14) as gauges into the attached observer, then returns a point-in-time
+// copy of all metrics, phase timers and trace totals. Cache hit
 // rates and sizes are the run's canonical accounting, already published as
 // the miner.qcache.* and miner.pcache.* gauges; the physical caches count
 // nothing else, and their lock shards are not reported. Without an
@@ -462,12 +463,11 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 	a.obs.SetGauge("engine.queries.served", float64(a.meter.ServedQueries()))
 	a.obs.SetGauge("engine.queries.augmented", float64(a.meter.AugmentedQueries()))
 	a.obs.SetGauge("cache.query.entries", float64(a.eng.QueryCache().Stats().Entries))
-	a.obs.SetGauge("cache.pattern.entries", float64(a.cfg.PatternCache.Stats().Entries))
+	a.obs.SetGauge("cache.pattern.entries", float64(a.eng.PatternCache().Stats().Entries))
 	a.obs.SetGauge("engine.interned_handles", float64(a.in.Len()))
 	// Workers that found their unit or scope already being computed by
 	// another worker, and how long they then waited for it.
 	fs := a.eng.FlightStats()
-	fs.Add(a.cfg.PatternCache.FlightStats())
 	a.obs.SetGauge("cache.flight.followers", float64(fs.Followers))
 	a.obs.SetGauge("cache.flight.wait_ns", float64(fs.Wait))
 	a.obs.MarkTiming("cache.flight.followers", "cache.flight.wait_ns")

@@ -9,18 +9,19 @@ package metainsight
 // registration and substrate options, which have no per-call meaning.
 // resolve merges the two into one configuration per call.
 //
-// Every Analyze call is hermetic: it runs with a fresh pattern cache and a
-// fresh meter, and its accounting is the miner's commit-order replay, which
-// starts empty; so its result — insights, statistics and trace — is
-// bit-identical to a fresh Analyzer run with the same settings, regardless
-// of what the session served before. What the session shares across calls
-// is what a request computes but never decides by: the dataset's
-// dictionaries and posting sets (cached on the dataset itself), and one
-// intern table whose handles carry every subspace's scan plan and which
-// holds every unit any request scanned (one query cache and pair memo per
+// Every Analyze call is hermetic: it runs with a fresh meter, and its
+// accounting is the miner's commit-order replay, which starts empty; so its
+// result — insights, statistics and trace — is bit-identical to a fresh
+// Analyzer run with the same settings, regardless of what the session served
+// before. What the session shares across calls is what a request computes
+// but never decides by: the dataset's dictionaries and posting sets (cached
+// on the dataset itself), and one intern table whose handles carry every
+// subspace's scan plan and which holds every unit any request scanned and
+// every scope it evaluated (one query cache, pair memo and pattern memo per
 // MIN/MAX set). A subspace mined by any request is planned once for the
-// session, and a unit scanned once; a repeated request scans nothing. The
-// scan substrate itself is a cheap value built per request over that table.
+// session, a unit scanned once and a scope evaluated once; a repeated
+// request scans and evaluates nothing. The scan substrate itself is a cheap
+// value built per request over that table.
 //
 // The pre-Session construction surface survives only as the deprecated
 // NewAnalyzer, WithObserver, WithProgress and WithCostBudget shims; see the
@@ -35,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/engine"
 	"metainsight/internal/miner"
 	"metainsight/internal/pattern"
@@ -268,9 +268,10 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 
 // Session is a long-lived analysis handle over one dataset: NewSession
 // loads and validates once, Analyze serves many requests. Sessions are safe
-// for concurrent Analyze calls; each call is hermetic (a fresh pattern cache
-// and meter), sharing only the dataset's read-only index structures and the
-// session's intern table with its plans and scanned units.
+// for concurrent Analyze calls; each call is hermetic (a fresh meter and an
+// accounting replay that starts empty), sharing only the dataset's read-only
+// index structures and the session's intern table with its plans, scanned
+// units and pattern evaluations.
 type Session struct {
 	d    *Dataset
 	opts []Option
@@ -296,13 +297,13 @@ func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 // Dataset returns the dataset the session analyzes.
 func (s *Session) Dataset() *Dataset { return s.d }
 
-// Close releases the session's intern table — its handles, scan plans and
-// scanned units — and marks the session closed; subsequent Analyze calls
-// fail with ErrSessionClosed. In-flight Analyze calls are unaffected (they
-// hold the table already). Close is idempotent. A resident server holding a
-// registry of sessions should Close a session when evicting it, so the plan
-// and unit memory is reclaimable as soon as its last request, and the last
-// Analysis it returned, is gone.
+// Close releases the session's intern table — its handles, scan plans,
+// scanned units and pattern evaluations — and marks the session closed;
+// subsequent Analyze calls fail with ErrSessionClosed. In-flight Analyze
+// calls are unaffected (they hold the table already). Close is idempotent. A
+// resident server holding a registry of sessions should Close a session when
+// evicting it, so the plan, unit and evaluation memory is reclaimable as
+// soon as its last request, and the last Analysis it returned, is gone.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -376,8 +377,9 @@ func (s *Session) analyzer(req Request) (*Analyzer, error) {
 }
 
 // reset gives the analyzer the state of one fresh run: an engine over the
-// session's intern table and unit memo with a zero meter, and a miner config
-// with an empty pattern cache.
+// session's intern table with a zero meter, and a miner config. The miner
+// takes the engine's pattern memo, the session's for the run's MIN/MAX set,
+// whose evaluations earlier runs may have made.
 func (a *Analyzer) reset() error {
 	o := a.o
 	eng, err := engine.New(a.d, a.engineConfig())
@@ -394,9 +396,6 @@ func (a *Analyzer) reset() error {
 			cfg.Pattern.Custom = append(cfg.Pattern.Custom, correlationEvaluator(eng, pair[0], pair[1]))
 		}
 	}
-	// The pattern cache is created here, not inside the miner, so Snapshot
-	// can report its stats.
-	cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](true)
 	cfg.Observer = o.observer
 	cfg.Checkpoint = o.checkpoint
 	if o.costBudget > 0 {
@@ -407,8 +406,8 @@ func (a *Analyzer) reset() error {
 }
 
 // engineConfig is the configuration of one run's engine: the resolved
-// options, a zero meter and the session's intern table, whose query cache and
-// pair memo for the run's MIN/MAX set the engine uses.
+// options, a zero meter and the session's intern table, whose query cache,
+// pair memo and pattern memo for the run's MIN/MAX set the engine uses.
 func (a *Analyzer) engineConfig() engine.Config {
 	o := a.o
 	// The needed-aggregate set: measures that registered evaluators will

@@ -22,6 +22,7 @@ import (
 
 	"metainsight"
 	"metainsight/internal/cache"
+	"metainsight/internal/pattern"
 	"metainsight/internal/workload"
 )
 
@@ -209,49 +210,72 @@ func TestInternTableGrowthLaw(t *testing.T) {
 	}
 }
 
-// TestUnitMemoGrowthLaw pins the growth law of a session's unit memo
-// (DESIGN.md §6 and §14): at most one unit per (interned handle, breakdown,
-// MIN/MAX set), released by Close. A repeated request scans nothing and adds
-// no unit; a request with a new MIN/MAX set scans into a memo of its own but
-// plans nothing; and once the session is closed, the memo is garbage.
+// TestUnitMemoGrowthLaw pins the growth law of a session's unit memo and
+// the pattern memo beside it (DESIGN.md §6 and §14): at most one unit per
+// (interned handle, breakdown, MIN/MAX set) and at most one evaluation per
+// (unit, mined measure), released by Close. A repeated request scans and
+// evaluates nothing, waits on no other caller and adds no entry; a request
+// with a new MIN/MAX set scans and evaluates into memos of its own but plans
+// nothing; and once the session is closed, the memos are garbage.
 func TestUnitMemoGrowthLaw(t *testing.T) {
 	tab := workload.CreditCard()
 	sess, err := metainsight.NewSession(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// observe runs req and keeps only its metrics and a weak pointer to its
-	// query cache, so nothing it returns holds the memo.
-	observe := func(req metainsight.Request) (metainsight.MetricsSnapshot, weak.Pointer[cache.QueryCache]) {
+	// memos holds weak pointers to one request's query cache and pattern
+	// memo, so nothing a request leaves behind holds either.
+	type memos struct {
+		qc       weak.Pointer[cache.QueryCache]
+		patterns weak.Pointer[cache.PatternCache[*pattern.ScopeEvaluation]]
+	}
+	observe := func(req metainsight.Request) (metainsight.MetricsSnapshot, memos) {
 		t.Helper()
 		req.Observer = metainsight.NewObserver(metainsight.ObserverOptions{})
 		an, err := sess.Analyze(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return an.Snapshot(), weak.Make(an.Engine().QueryCache())
+		return an.Snapshot(), memos{weak.Make(an.Engine().QueryCache()), weak.Make(an.Engine().PatternCache())}
 	}
 	def := metainsight.Request{TopK: 5}
 	first, memo := observe(def)
 	entries, handles := first.Gauges["cache.query.entries"], first.Gauges["engine.interned_handles"]
-	t.Logf("one request scanned %d units into a memo of %v over %v handles",
-		first.Counters["engine.physical.scans"], entries, handles)
-	if first.Counters["engine.physical.scans"] == 0 || entries == 0 {
-		t.Fatal("the first request scanned nothing: the test is vacuous")
+	evals, scopes := first.Counters["pattern.physical.evaluations"], first.Gauges["cache.pattern.entries"]
+	t.Logf("one request scanned %d units into a memo of %v over %v handles, and evaluated %d scopes into a memo of %v",
+		first.Counters["engine.physical.scans"], entries, handles, evals, scopes)
+	if first.Counters["engine.physical.scans"] == 0 || entries == 0 || evals == 0 {
+		t.Fatal("the first request scanned or evaluated nothing: the test is vacuous")
 	}
 	if bound := handles * float64(len(tab.Dimensions())); entries > bound {
 		t.Fatalf("the memo holds %v units, more than one per (handle, breakdown): %v", entries, bound)
+	}
+	if float64(evals) != scopes {
+		t.Errorf("the first request evaluated %d scopes into a pattern memo of %v", evals, scopes)
+	}
+	// Credit Card's default measure set mines three measures.
+	if bound := 3 * entries; scopes > bound {
+		t.Errorf("the pattern memo holds %v evaluations, more than one per (unit, measure): %v", scopes, bound)
 	}
 	for i := 0; i < 2; i++ {
 		snap, again := observe(def)
 		if n := snap.Counters["engine.physical.scans"]; n != 0 {
 			t.Errorf("repeat %d scanned %d units, want 0", i+1, n)
 		}
+		if n := snap.Counters["pattern.physical.evaluations"]; n != 0 {
+			t.Errorf("repeat %d evaluated %d scopes, want 0", i+1, n)
+		}
+		if n := snap.Gauges["cache.flight.followers"]; n != 0 {
+			t.Errorf("repeat %d waited %v times on another caller, want 0", i+1, n)
+		}
 		if got := snap.Gauges["cache.query.entries"]; got != entries {
 			t.Errorf("repeat %d: the memo holds %v units, the first request left %v", i+1, got, entries)
 		}
-		if again.Value() != memo.Value() {
-			t.Errorf("repeat %d used another query cache", i+1)
+		if got := snap.Gauges["cache.pattern.entries"]; got != scopes {
+			t.Errorf("repeat %d: the pattern memo holds %v evaluations, the first request left %v", i+1, got, scopes)
+		}
+		if again.qc.Value() != memo.qc.Value() || again.patterns.Value() != memo.patterns.Value() {
+			t.Errorf("repeat %d used another query cache or pattern memo", i+1)
 		}
 	}
 
@@ -261,34 +285,42 @@ func TestUnitMemoGrowthLaw(t *testing.T) {
 	if snap.Counters["engine.physical.scans"] == 0 {
 		t.Error("a request with a new MIN/MAX set scanned nothing")
 	}
+	if n := snap.Counters["pattern.physical.evaluations"]; n == 0 || float64(n) != snap.Gauges["cache.pattern.entries"] {
+		t.Errorf("a request with a new MIN/MAX set evaluated %d scopes into a pattern memo of %v, want a fresh memo of its own",
+			n, snap.Gauges["cache.pattern.entries"])
+	}
 	if n := snap.Counters["engine.physical.plan_bytes"]; n != 0 {
 		t.Errorf("a request with a new MIN/MAX set built %d bytes of plans, want 0", n)
 	}
-	if minMemo.Value() == memo.Value() {
-		t.Error("a request with a new MIN/MAX set shared the default memo")
+	if minMemo.qc.Value() == memo.qc.Value() || minMemo.patterns.Value() == memo.patterns.Value() {
+		t.Error("a request with a new MIN/MAX set shared the default memos")
 	}
-	if snap, _ := observe(def); snap.Counters["engine.physical.scans"] != 0 || snap.Gauges["cache.query.entries"] != entries {
-		t.Errorf("after a MIN request the default request scanned %d units into %v entries, want 0 into %v",
-			snap.Counters["engine.physical.scans"], snap.Gauges["cache.query.entries"], entries)
+	if snap, _ := observe(def); snap.Counters["engine.physical.scans"] != 0 || snap.Gauges["cache.query.entries"] != entries ||
+		snap.Counters["pattern.physical.evaluations"] != 0 || snap.Gauges["cache.pattern.entries"] != scopes {
+		t.Errorf("after a MIN request the default request scanned %d units into %v entries and evaluated %d scopes into %v, want 0 into %v and 0 into %v",
+			snap.Counters["engine.physical.scans"], snap.Gauges["cache.query.entries"],
+			snap.Counters["pattern.physical.evaluations"], snap.Gauges["cache.pattern.entries"], entries, scopes)
 	}
 
 	runtime.GC()
-	if memo.Value() == nil || minMemo.Value() == nil {
-		t.Fatal("an open session dropped its unit memos")
+	if memo.qc.Value() == nil || minMemo.qc.Value() == nil || memo.patterns.Value() == nil || minMemo.patterns.Value() == nil {
+		t.Fatal("an open session dropped its memos")
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
-	if memo.Value() != nil || minMemo.Value() != nil {
-		t.Error("a closed session's unit memos survived a GC")
+	if memo.qc.Value() != nil || minMemo.qc.Value() != nil || memo.patterns.Value() != nil || minMemo.patterns.Value() != nil {
+		t.Error("a closed session's memos survived a GC")
 	}
 }
 
-// TestWarmSessionEqualsFresh: a session's unit memo decides no result. After
-// requests of other shapes — another TopK, MaxFilters 2 then 3, a cost
-// budget, TopKPruning, a SUM impact and a MIN measure — a request's facts,
-// statistics and trace equal a fresh session's, at Workers 1 and 8.
+// TestWarmSessionEqualsFresh: a session's unit and pattern memos decide no
+// result. After requests of other shapes — another TopK, MaxFilters 2 then
+// 3, a cost budget, TopKPruning, a SUM impact and a MIN measure — a
+// request's facts, statistics and trace equal a fresh session's, at Workers 1
+// and 8, on a plain session and on one that registers a custom pattern type
+// and a correlation pattern.
 func TestWarmSessionEqualsFresh(t *testing.T) {
 	tab := workload.CreditCard()
 	earlier := []metainsight.Request{
@@ -302,8 +334,9 @@ func TestWarmSessionEqualsFresh(t *testing.T) {
 	}
 	targets := []metainsight.Request{{TopK: 10}, {TopK: 10, Budget: metainsight.Budget{Cost: 100}}}
 	type run struct {
-		facts runFacts
-		trace []metainsight.TraceEvent
+		facts  runFacts
+		trace  []metainsight.TraceEvent
+		custom int // MetaInsights of a registered pattern type
 	}
 	analyze := func(s *metainsight.Session, req metainsight.Request) run {
 		t.Helper()
@@ -312,34 +345,61 @@ func TestWarmSessionEqualsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return run{factsOf(an.Result, an.Insights), traceEvents(t, req.Observer)}
-	}
-	for _, workers := range []int{1, 8} {
-		exec := metainsight.WithExec(metainsight.ExecConfig{Workers: workers})
-		warm, err := metainsight.NewSession(tab, exec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, req := range earlier {
-			if _, err := warm.Analyze(context.Background(), req); err != nil {
-				t.Fatal(err)
+		r := run{facts: factsOf(an.Result, an.Insights), trace: traceEvents(t, req.Observer)}
+		for _, mi := range an.Result.MetaInsights {
+			if !mi.HDP.Type.Builtin() {
+				r.custom++
 			}
 		}
-		for _, req := range targets {
-			fresh, err := metainsight.NewSession(tab, exec)
+		return r
+	}
+	firstAboveLast := metainsight.CustomPattern{
+		Name: "First Above Last",
+		Evaluate: func(keys []string, values []float64) metainsight.PatternEvaluation {
+			if values[0] <= 2*values[len(values)-1] {
+				return metainsight.PatternEvaluation{}
+			}
+			return metainsight.PatternEvaluation{Valid: true, Highlight: metainsight.Highlight{Positions: []string{keys[0]}}, Strength: 0.5}
+		},
+	}
+	patterns := []metainsight.Option{
+		metainsight.WithCustomPatternTypes(firstAboveLast),
+		metainsight.WithCorrelationPatterns([2]metainsight.Measure{metainsight.Sum("Spend"), metainsight.Sum("Transactions")}),
+	}
+	for _, arm := range []struct {
+		name string
+		opts []metainsight.Option
+	}{{"plain", nil}, {"custom patterns", patterns}} {
+		for _, workers := range []int{1, 8} {
+			opts := append(slices.Clone(arm.opts), metainsight.WithExec(metainsight.ExecConfig{Workers: workers}))
+			warm, err := metainsight.NewSession(tab, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := analyze(fresh, req)
-			fresh.Close()
-			got := analyze(warm, req)
-			label := fmt.Sprintf("workers %d, budget %v", workers, req.Budget.Cost)
-			requireSameFacts(t, label, want.facts, got.facts)
-			if !slices.Equal(got.trace, want.trace) {
-				t.Fatalf("%s: the warm session's trace differs from a fresh session's", label)
+			for _, req := range earlier {
+				if _, err := warm.Analyze(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
 			}
+			for _, req := range targets {
+				fresh, err := metainsight.NewSession(tab, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := analyze(fresh, req)
+				fresh.Close()
+				got := analyze(warm, req)
+				label := fmt.Sprintf("%s, workers %d, budget %v", arm.name, workers, req.Budget.Cost)
+				if arm.opts != nil && want.custom == 0 {
+					t.Fatalf("%s: vacuous: no registered pattern type was mined", label)
+				}
+				requireSameFacts(t, label, want.facts, got.facts)
+				if !slices.Equal(got.trace, want.trace) {
+					t.Fatalf("%s: the warm session's trace differs from a fresh session's", label)
+				}
+			}
+			warm.Close()
 		}
-		warm.Close()
 	}
 }
 
