@@ -11,7 +11,6 @@ import (
 	"io"
 	"testing"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
 	"metainsight/internal/experiments"
@@ -105,7 +104,7 @@ func BenchmarkQuickInsightSalesForecast(b *testing.B) {
 	tab := workload.SalesForecast()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := engine.New(tab, engine.Config{QueryCache: cache.NewQueryCache(true)})
+		eng, err := engine.New(tab, engine.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,12 +167,14 @@ func BenchmarkAblationFull(b *testing.B) {
 	ablationRun(b, func(s *experiments.Setup) {})
 }
 
-// BenchmarkAblationNoQueryCache disables the query cache.
+// BenchmarkAblationNoQueryCache charges the run as if it had no query cache
+// (miner.Config.EnableQueryCache off).
 func BenchmarkAblationNoQueryCache(b *testing.B) {
 	ablationRun(b, func(s *experiments.Setup) { s.QueryCache = false })
 }
 
-// BenchmarkAblationNoPatternCache disables the pattern cache.
+// BenchmarkAblationNoPatternCache charges the run as if it had no pattern
+// cache (miner.Config.EnablePatternCache off).
 func BenchmarkAblationNoPatternCache(b *testing.B) {
 	ablationRun(b, func(s *experiments.Setup) { s.PatternCache = false })
 }
@@ -189,7 +190,7 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 	tab := workload.SalesForecast()
 	for i := 0; i < b.N; i++ {
 		meter := &engine.Meter{}
-		eng, err := engine.New(tab, engine.Config{Meter: meter, QueryCache: cache.NewQueryCache(true)})
+		eng, err := engine.New(tab, engine.Config{Meter: meter})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,18 +5,19 @@
 // results keyed by data scope (Section 4.2.3).
 //
 // Both caches are Memos (memo.go): plain, unbounded once-per-key memos that
-// evict nothing and count nothing. Each lives as long as whoever holds it,
-// and a pattern cache travels with the query cache whose units it
-// evaluated: a Session's requests share one of each per MIN/MAX set (they
-// belong to the session's intern table, engine.Interner), an ablation engine
-// or miner keeps its own. Neither decides a result, a statistic or a
-// charge. The hit rates and sizes of the paper's Table 3 are the miner's
-// canonical accounting (reported in the Stats shape below), a commit-order
-// replay that starts empty for every run, not a property of the physical
-// caches, whose traffic depends on worker scheduling and on earlier runs. A
-// Memo coalesces concurrent misses on one key into one computation, so a unit
-// is scanned, and a scope evaluated, at most once however many workers ask
-// for it.
+// evict nothing, count nothing and keep everything they compute. A pattern
+// cache travels with the query cache whose units it evaluated, and both
+// belong to an intern table (engine.Interner), one of each per MIN/MAX set,
+// shared by every engine over it: a Session's requests share them. Neither
+// decides a result, a statistic or a charge. The hit rates and sizes of the
+// paper's Table 3 are the miner's canonical accounting (reported in the
+// Stats shape below), a commit-order replay that starts empty for every run,
+// not a property of the physical caches, whose traffic depends on worker
+// scheduling and on earlier runs; the paper's "w/o Query Cache" and "w/o
+// Pattern Cache" ablations are settings of that replay
+// (miner.Config.EnableQueryCache, EnablePatternCache). A Memo coalesces
+// concurrent misses on one key into one computation, so a unit is scanned,
+// and a scope evaluated, at most once however many workers ask for it.
 package cache
 
 import "metainsight/internal/model"
@@ -125,19 +126,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// QueryCache stores query-cache units by key. A disabled cache (see
-// NewQueryCache) keeps nothing, which is how the paper's "w/o Query Cache"
-// ablation is run.
+// QueryCache stores query-cache units by key.
 type QueryCache = Memo[UnitKey, *Unit]
 
-// NewQueryCache creates a query cache. If enabled is false the cache keeps
-// nothing, for ablation experiments.
-func NewQueryCache(enabled bool) *QueryCache { return NewMemo[UnitKey, *Unit](enabled) }
-
 // PatternCache memoizes values of type V keyed by data scope (MetaInsight
-// memoizes pattern evaluations). A disabled cache keeps nothing, matching the
-// "w/o Pattern Cache" ablation.
+// memoizes pattern evaluations).
 type PatternCache[V any] = Memo[ScopeKey, V]
-
-// NewPatternCache creates a pattern cache; a disabled one keeps nothing.
-func NewPatternCache[V any](enabled bool) *PatternCache[V] { return NewMemo[ScopeKey, V](enabled) }

@@ -36,7 +36,7 @@ func sk(measure string) ScopeKey { return ScopeKey{Measure: measure} }
 // computing; and the cache reports its occupancy — never a hit/miss count,
 // which is the miner's canonical accounting and not the cache's.
 func TestQueryCachePutGet(t *testing.T) {
-	c := NewQueryCache(true)
+	c := NewMemo[UnitKey, *Unit]()
 	k := UnitKey{Subspace: "{*}", Breakdown: "Month"}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache hit")
@@ -58,25 +58,10 @@ func TestQueryCachePutGet(t *testing.T) {
 	}
 }
 
-func TestDisabledQueryCache(t *testing.T) {
-	c := NewQueryCache(false)
-	k := UnitKey{Subspace: "a", Breakdown: "b"}
-	c.Put(k, unit("a", "b", 3))
-	if _, ok := c.Get(k); ok {
-		t.Fatal("disabled cache returned a unit")
-	}
-	if st := c.Stats(); st != (Stats{}) {
-		t.Errorf("stats = %+v", st)
-	}
-	if c.Enabled() {
-		t.Error("Enabled() = true")
-	}
-}
-
 // TestPatternCache: a stored value is found, a later Put of its key keeps
 // it, and an absent key is not.
 func TestPatternCache(t *testing.T) {
-	c := NewPatternCache[int](true)
+	c := NewMemo[ScopeKey, int]()
 	if _, ok := c.Get(sk("k")); ok {
 		t.Fatal("empty hit")
 	}
@@ -93,18 +78,10 @@ func TestPatternCache(t *testing.T) {
 	}
 }
 
-func TestDisabledPatternCache(t *testing.T) {
-	c := NewPatternCache[string](false)
-	c.Put(sk("k"), "v")
-	if _, ok := c.Get(sk("k")); ok {
-		t.Fatal("disabled cache stored a value")
-	}
-}
-
 // TestPatternCacheMaterialize: Do computes a missing value once and keeps
-// it; a disabled cache computes on every call and keeps nothing.
+// it.
 func TestPatternCacheMaterialize(t *testing.T) {
-	c := NewPatternCache[int](true)
+	c := NewMemo[ScopeKey, int]()
 	calls := 0
 	compute := func() (int, error) { calls++; return 9, nil }
 	for i := 0; i < 2; i++ {
@@ -117,32 +94,6 @@ func TestPatternCacheMaterialize(t *testing.T) {
 	}
 	if st := c.Stats(); st != (Stats{Entries: 1}) {
 		t.Errorf("stats = %+v", st)
-	}
-
-	d := NewPatternCache[int](false)
-	calls = 0
-	d.Do(sk("k"), compute)
-	d.Do(sk("k"), compute)
-	if calls != 2 {
-		t.Errorf("disabled Do computed %d times, want 2", calls)
-	}
-	if st := d.Stats(); st != (Stats{}) {
-		t.Errorf("disabled stats = %+v", st)
-	}
-}
-
-// TestFlightForgetsCompletedKeys: once a disabled memo's computation is done
-// its key is forgotten, so the next Do computes afresh.
-func TestFlightForgetsCompletedKeys(t *testing.T) {
-	m := NewMemo[string, int](false)
-	calls := 0
-	for i := 0; i < 3; i++ {
-		if v, _ := m.Do("k", func() (int, error) { calls++; return calls, nil }); v != i+1 {
-			t.Fatalf("call %d returned %d", i, v)
-		}
-	}
-	if _, ok := m.Get("k"); ok {
-		t.Error("a disabled memo kept a value")
 	}
 }
 
@@ -201,34 +152,32 @@ func race[V any](t *testing.T, m *Memo[string, V], n int, fn func() (V, error)) 
 }
 
 // TestFlightCoalescesConcurrentCalls: concurrent callers of one key share
-// one computation, enabled or not, and each waiting caller counts as a
+// one computation, whose value is kept, and each waiting caller counts as a
 // follower.
 func TestFlightCoalescesConcurrentCalls(t *testing.T) {
-	for _, enabled := range []bool{true, false} {
-		m := NewMemo[string, int](enabled)
-		var computed atomic.Int64
-		vals, errs, panics := race(t, m, 7, func() (int, error) { computed.Add(1); return 7, nil })
-		if n := computed.Load(); n != 1 {
-			t.Errorf("enabled=%v: fn executed %d times, want 1", enabled, n)
+	m := NewMemo[string, int]()
+	var computed atomic.Int64
+	vals, errs, panics := race(t, m, 7, func() (int, error) { computed.Add(1); return 7, nil })
+	if n := computed.Load(); n != 1 {
+		t.Errorf("fn executed %d times, want 1", n)
+	}
+	for i := range vals {
+		if vals[i] != 7 || errs[i] != nil || panics[i] != nil {
+			t.Errorf("caller %d got %d, %v, %v", i, vals[i], errs[i], panics[i])
 		}
-		for i := range vals {
-			if vals[i] != 7 || errs[i] != nil || panics[i] != nil {
-				t.Errorf("enabled=%v: caller %d got %d, %v, %v", enabled, i, vals[i], errs[i], panics[i])
-			}
-		}
-		if st := m.FlightStats(); st.Followers != 7 || st.Wait <= 0 {
-			t.Errorf("enabled=%v: flight stats %+v, want 7 followers that waited", enabled, st)
-		}
-		if _, ok := m.Get("k"); ok != enabled {
-			t.Errorf("enabled=%v: value kept = %v", enabled, ok)
-		}
+	}
+	if st := m.FlightStats(); st.Followers != 7 || st.Wait <= 0 {
+		t.Errorf("flight stats %+v, want 7 followers that waited", st)
+	}
+	if v, ok := m.Get("k"); !ok || v != 7 {
+		t.Errorf("Get = %d, %v; want the kept 7", v, ok)
 	}
 }
 
 // TestMemoSharesErrorsThenForgets: a failed computation's error reaches the
 // caller and every waiter, nothing is kept, and the next Do computes afresh.
 func TestMemoSharesErrorsThenForgets(t *testing.T) {
-	m := NewMemo[string, int](true)
+	m := NewMemo[string, int]()
 	boom := errors.New("boom")
 	_, errs, _ := race(t, m, 3, func() (int, error) { return 0, boom })
 	for i, err := range errs {
@@ -252,7 +201,7 @@ func TestMemoSharesErrorsThenForgets(t *testing.T) {
 // deadlock, and the miner's per-unit recover relies on every worker seeing
 // the same deterministic panic — and the key is forgotten.
 func TestMemoPanicsReachEveryWaiter(t *testing.T) {
-	m := NewMemo[string, int](true)
+	m := NewMemo[string, int]()
 	_, _, panics := race(t, m, 3, func() (int, error) { panic("evaluator exploded") })
 	for i, p := range panics {
 		if p != "evaluator exploded" {
@@ -273,7 +222,7 @@ func TestMemoPanicsReachEveryWaiter(t *testing.T) {
 // TestMemoFlightOutranksPut: while a key is being computed, Get finds
 // nothing and a Put of the key is dropped; the computed value is kept.
 func TestMemoFlightOutranksPut(t *testing.T) {
-	m := NewMemo[string, int](true)
+	m := NewMemo[string, int]()
 	v, err := m.Do("k", func() (int, error) {
 		if _, ok := m.Get("k"); ok {
 			t.Error("Get returned a value still being computed")
@@ -290,7 +239,7 @@ func TestMemoFlightOutranksPut(t *testing.T) {
 }
 
 func TestQueryCacheConcurrency(t *testing.T) {
-	c := NewQueryCache(true)
+	c := NewMemo[UnitKey, *Unit]()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -315,7 +264,7 @@ func TestQueryCacheConcurrency(t *testing.T) {
 // once per key — a racer either follows the computation in flight or, coming
 // after it, finds the kept value.
 func TestPatternCacheMaterializeConcurrent(t *testing.T) {
-	c := NewPatternCache[int](true)
+	c := NewMemo[ScopeKey, int]()
 	var computed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -343,7 +292,7 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 // TestMemoHitAllocatesNothing: a hit, through Get or through Do with a
 // capturing closure, allocates nothing — the closure must not escape.
 func TestMemoHitAllocatesNothing(t *testing.T) {
-	p := NewPatternCache[int](true)
+	p := NewMemo[ScopeKey, int]()
 	k := ScopeKey{Unit: UnitKey{Subspace: "{City=LA}", Breakdown: "Month"}, Measure: "SUM(Sales)"}
 	p.Put(k, 3)
 	x := 4

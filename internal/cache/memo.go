@@ -23,17 +23,12 @@ import (
 //     tries again; a panic is re-raised in the caller and every waiter and the
 //     key is forgotten the same way. A finished computation removes only its
 //     own entry.
-//   - A disabled memo still coalesces concurrent Do calls but keeps nothing:
-//     Get finds nothing, Put drops its value, and every Do after a finished
-//     one computes afresh. That is how the paper's "w/o Query Cache" and
-//     "w/o Pattern Cache" ablations run.
 //
 // Keys are spread over 16 lock shards (comfortably more than the paper's 8
 // workers) by the runtime's map hash under a per-process seed.
 type Memo[K comparable, V any] struct {
-	enabled bool
-	seed    maphash.Seed
-	shards  [16]memoShard[K, V]
+	seed   maphash.Seed
+	shards [16]memoShard[K, V]
 
 	// Callers that waited on another caller's computation, and the time they
 	// spent blocked: worker time that went to waiting, not to work. Only the
@@ -78,17 +73,14 @@ func (s *FlightStats) Add(o FlightStats) {
 	s.Wait += o.Wait
 }
 
-// NewMemo creates an empty memo; a disabled one keeps nothing.
-func NewMemo[K comparable, V any](enabled bool) *Memo[K, V] {
-	m := &Memo[K, V]{enabled: enabled, seed: maphash.MakeSeed()}
+// NewMemo creates an empty memo.
+func NewMemo[K comparable, V any]() *Memo[K, V] {
+	m := &Memo[K, V]{seed: maphash.MakeSeed()}
 	for i := range m.shards {
 		m.shards[i].entries = make(map[K]memoEntry[V])
 	}
 	return m
 }
-
-// Enabled reports whether the memo keeps values.
-func (m *Memo[K, V]) Enabled() bool { return m.enabled }
 
 func (m *Memo[K, V]) shard(k K) *memoShard[K, V] {
 	return &m.shards[maphash.Comparable(m.seed, k)%uint64(len(m.shards))]
@@ -105,9 +97,6 @@ func (m *Memo[K, V]) Get(k K) (V, bool) {
 
 // Put keeps v for k unless k already has a value or a computation in flight.
 func (m *Memo[K, V]) Put(k K, v V) {
-	if !m.enabled {
-		return
-	}
 	s := m.shard(k)
 	s.mu.Lock()
 	if _, ok := s.entries[k]; !ok {
@@ -159,7 +148,7 @@ func (m *Memo[K, V]) compute(s *memoShard[K, V], k K, c *memoCall[V], fn func() 
 			c.panicked, c.panicVal = true, recover()
 		}
 		s.mu.Lock()
-		if returned && c.err == nil && m.enabled {
+		if returned && c.err == nil {
 			s.entries[k] = memoEntry[V]{val: c.val}
 			s.kept++
 		} else {

@@ -105,13 +105,14 @@ type Series struct {
 // Len returns the number of groups in the series.
 func (s *Series) Len() int { return len(s.Keys) }
 
-// augKey identifies one augmented scan: the paper's AugmentedQuery(ds, d) is
-// one scan filtered by ds.Subspace \ d, grouped by (ds.Breakdown, d). The
-// base is named by its handle's key string, so the key holds no pointer.
+// augKey identifies one augmented scan up to orientation: the paper's
+// AugmentedQuery(ds, d) is one scan filtered by ds.Subspace \ d, grouped by
+// (ds.Breakdown, d), and its twin with the two swapped is the same scan
+// (Engine.scanPair). The base is named by its handle's key string, so the
+// key holds no pointer.
 type augKey struct {
-	base      string // key of ds.Subspace.Without(d)
-	breakdown int    // table dimension indices
-	ext       int    // the augmentation dimension d
+	base   string // key of ds.Subspace.Without(d)
+	lo, hi int    // the table indices of ds.Breakdown and d, ascending
 }
 
 // Engine executes queries for one table against one measure set. All query
@@ -149,11 +150,6 @@ type Config struct {
 	// ImpactMeasure must be additive (SUM or COUNT); defaults to COUNT(*),
 	// the impact measure used throughout the paper's evaluation.
 	ImpactMeasure model.Measure
-	// QueryCache to use, with a pair memo and a pattern memo of the engine's
-	// own; nil uses the Interner's query cache, pair memo and pattern memo
-	// for the configuration's MIN/MAX set, which every engine over that
-	// interner with the same set shares.
-	QueryCache *cache.QueryCache
 	// Cost is the cost model; zero value uses DefaultCostModel.
 	Cost CostModel
 	// Meter is the ledger the engine's callers charge; nil creates a fresh
@@ -183,10 +179,12 @@ type Config struct {
 	// ColumnarSubstrate over the table, planning on Interner.
 	Substrate Substrate
 	// Interner is the intern table the engine's handles, and with them the
-	// scan plans ScanCostAt charges, come from; nil creates a fresh one. It
-	// must be over the engine's table. Engines that share one (a Session's
-	// requests) plan each subspace once between them and, unless QueryCache
-	// is set, scan each unit once between them.
+	// scan plans ScanCostAt charges, come from, and the owner of the query
+	// cache, pair memo and pattern memo the engine uses (one of each per
+	// MIN/MAX set); nil creates a fresh one. It must be over the engine's
+	// table. Engines that share one (a Session's requests) plan each
+	// subspace once between them, and with one MIN/MAX set scan each unit
+	// and evaluate each scope once between them.
 	Interner *Interner
 }
 
@@ -263,10 +261,7 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 			in:     cfg.Interner,
 		})
 	}
-	units := newUnitMemo(cfg.QueryCache)
-	if cfg.QueryCache == nil {
-		units = cfg.Interner.units(minMax)
-	}
+	units := cfg.Interner.units(minMax)
 	e := &Engine{
 		tab:      tab,
 		measures: cfg.Measures,
@@ -282,7 +277,7 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		dimNames: tab.DimensionNames(),
 	}
 	if e.impact.Agg != model.AggCount {
-		e.impactSums = cache.NewMemo[string, float64](true)
+		e.impactSums = cache.NewMemo[string, float64]()
 	}
 	e.flight0 = e.memoFlight()
 	for _, m := range cfg.Measures {
@@ -346,14 +341,12 @@ func (e *Engine) ImpactMeasure() model.Measure { return e.impact }
 // Meter returns the ledger the engine's callers charge.
 func (e *Engine) Meter() *Meter { return e.meter }
 
-// QueryCache returns the engine's query cache: Config.QueryCache, or the
-// interner's cache that the engine shares with every engine over the same
-// interner and MIN/MAX set.
+// QueryCache returns the engine's query cache: the interner's, which the
+// engine shares with every engine over the same interner and MIN/MAX set.
 func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
 
 // PatternCache returns the memo of the evaluations of the query cache's
-// units: the engine's own beside an explicit Config.QueryCache, otherwise
-// the interner's, shared like its query cache.
+// units, the interner's, shared like the query cache.
 func (e *Engine) PatternCache() *cache.PatternCache[*pattern.ScopeEvaluation] { return e.patterns }
 
 // totalImpactValue computes m_Impact({*}) directly (never charged: it is a

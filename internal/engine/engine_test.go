@@ -35,7 +35,7 @@ func randomTable(seed int64, rows int) *dataset.Table {
 	return b.Build()
 }
 
-func newEngine(t *testing.T, tab *dataset.Table, qcEnabled bool) *Engine {
+func newEngine(t *testing.T, tab *dataset.Table) *Engine {
 	t.Helper()
 	// Tests query MIN/MAX ad hoc, so declare them over every measure column;
 	// production callers declare only what registered evaluators need.
@@ -44,7 +44,6 @@ func newEngine(t *testing.T, tab *dataset.Table, qcEnabled bool) *Engine {
 		extras = append(extras, model.Min(mc.Name), model.Max(mc.Name))
 	}
 	e, err := New(tab, Config{
-		QueryCache:    cache.NewQueryCache(qcEnabled),
 		ExtraMeasures: extras,
 		Observer:      obs.New(obs.Options{}),
 	})
@@ -104,7 +103,7 @@ func naiveAggregate(tab *dataset.Table, ds model.DataScope) (map[string]float64,
 
 func TestBasicQueryMatchesNaiveSum(t *testing.T) {
 	tab := randomTable(1, 500)
-	e := newEngine(t, tab, true)
+	e := newEngine(t, tab)
 	ds := model.DataScope{
 		Subspace:  model.NewSubspace(model.Filter{Dim: "City", Value: "LA"}),
 		Breakdown: "Month",
@@ -133,7 +132,7 @@ func TestBasicQueryAggregates(t *testing.T) {
 	for i, g := range []string{"a", "a", "a", "b", "b"} {
 		b.AddRow([]string{g}, []float64{float64(i + 1)}) // a: 1,2,3  b: 4,5
 	}
-	e := newEngine(t, b.Build(), true)
+	e := newEngine(t, b.Build())
 	cases := []struct {
 		m    model.Measure
 		want map[string]float64
@@ -166,7 +165,7 @@ func TestBasicQueryOmitsEmptyGroups(t *testing.T) {
 	b.AddRow([]string{"LA", "Jan"}, []float64{1})
 	b.AddRow([]string{"LA", "Feb"}, []float64{2})
 	b.AddRow([]string{"SF", "Mar"}, []float64{3})
-	e := newEngine(t, b.Build(), true)
+	e := newEngine(t, b.Build())
 	s, err := e.BasicQuery(model.DataScope{
 		Subspace:  model.NewSubspace(model.Filter{Dim: "City", Value: "LA"}),
 		Breakdown: "Month",
@@ -182,7 +181,7 @@ func TestBasicQueryOmitsEmptyGroups(t *testing.T) {
 
 func TestQueryCacheHitSkipsScan(t *testing.T) {
 	tab := randomTable(2, 200)
-	e := newEngine(t, tab, true)
+	e := newEngine(t, tab)
 	ds := model.DataScope{Breakdown: "Month", Measure: model.Sum("Sales")}
 	if _, err := e.BasicQuery(ds); err != nil {
 		t.Fatal(err)
@@ -199,25 +198,11 @@ func TestQueryCacheHitSkipsScan(t *testing.T) {
 	meterUntouched(t, e)
 }
 
-func TestDisabledCacheAlwaysScans(t *testing.T) {
-	tab := randomTable(3, 200)
-	e := newEngine(t, tab, false)
-	ds := model.DataScope{Breakdown: "Month", Measure: model.Sum("Sales")}
-	for i := 0; i < 3; i++ {
-		if _, err := e.BasicQuery(ds); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := physicalScans(e); n != 3 {
-		t.Errorf("%d scans, want 3", n)
-	}
-}
-
 func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 	tab := randomTable(4, 400)
 	// Reference engine without cache interference.
-	ref := newEngine(t, tab, false)
-	e := newEngine(t, tab, true)
+	ref := newEngine(t, tab)
+	e := newEngine(t, tab)
 	anchor := model.DataScope{
 		Subspace:  model.NewSubspace(model.Filter{Dim: "City", Value: "LA"}),
 		Breakdown: "Month",
@@ -265,7 +250,7 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 
 func TestAugmentedQueryRejectsBreakdownDim(t *testing.T) {
 	tab := randomTable(5, 50)
-	e := newEngine(t, tab, true)
+	e := newEngine(t, tab)
 	h, month := e.Intern(model.EmptySubspace), tab.DimensionIndex("Month")
 	if _, err := e.MaterializeAugmentedAt(h, month, month); err == nil {
 		t.Error("augmenting by the breakdown dimension must fail")
@@ -288,7 +273,7 @@ func TestImpact(t *testing.T) {
 		}
 		b.AddRow([]string{city, "M" + strconv.Itoa(i%3+1)}, []float64{1})
 	}
-	e := newEngine(t, b.Build(), true)
+	e := newEngine(t, b.Build())
 	if e.TotalImpact() != 8 {
 		t.Fatalf("total impact = %v", e.TotalImpact())
 	}
@@ -409,7 +394,7 @@ func TestUnitImpactConsistency(t *testing.T) {
 	// Sum of sibling impacts equals the parent impact (additivity — the
 	// property Equation 17 and the miner's Impact_HDS computation rely on).
 	tab := randomTable(9, 300)
-	e := newEngine(t, tab, true)
+	e := newEngine(t, tab)
 	u, err := e.MaterializeUnitAt(e.Intern(model.EmptySubspace), tab.DimensionIndex("City"), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +432,7 @@ func TestScanCostMatchesMeteredCost(t *testing.T) {
 		model.EmptySubspace.With("City", "SD").With("Style", "1Story").With("Month", "Jan"),
 	}
 	for _, s := range subspaces {
-		e := newEngine(t, tab, true)
+		e := newEngine(t, tab)
 		if got, want := e.ScanCostAt(e.Intern(s)), scanCostOf(t, e, s); got != want {
 			t.Errorf("subspace %q: ScanCostAt = %v, scan reports rows costing %v", s.Key(), got, want)
 		}
@@ -487,34 +472,32 @@ func TestPlannedRowCostMatchesReference(t *testing.T) {
 // while every one of them still caches what it scans.
 func TestMaterializePathsAreQuiet(t *testing.T) {
 	tab := randomTable(12, 400)
-	for _, qcEnabled := range []bool{true, false} {
-		e := newEngine(t, tab, qcEnabled)
-		sub := model.EmptySubspace.With("City", "LA")
-		h := e.Intern(sub)
-		month, style := tab.DimensionIndex("Month"), tab.DimensionIndex("Style")
-		for i := 0; i < 2; i++ { // a miss, then (cache enabled) a hit
-			if _, err := e.MaterializeUnitAt(h, month, nil); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.BasicQuery(model.DataScope{Subspace: sub, Breakdown: "Style", Measure: model.Sum("Sales")}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.MaterializeAugmentedAt(e.Intern(model.EmptySubspace), style, month); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := e.ImpactAt(e.Intern(model.EmptySubspace.With("Style", "Condo"))); err != nil {
-				t.Fatal(err)
-			}
-			e.PeekUnitAt(h, style)
-			e.ScanCostAt(h)
+	e := newEngine(t, tab)
+	sub := model.EmptySubspace.With("City", "LA")
+	h := e.Intern(sub)
+	month, style := tab.DimensionIndex("Month"), tab.DimensionIndex("Style")
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		if _, err := e.MaterializeUnitAt(h, month, nil); err != nil {
+			t.Fatal(err)
 		}
-		meterUntouched(t, e)
-		if st := e.QueryCache().Stats(); qcEnabled && st.Entries == 0 {
-			t.Error("engine paths did not populate the cache")
+		if _, err := e.BasicQuery(model.DataScope{Subspace: sub, Breakdown: "Style", Measure: model.Sum("Sales")}); err != nil {
+			t.Fatal(err)
 		}
-		if physicalScans(e) == 0 {
-			t.Error("nothing was scanned: the paths were not exercised")
+		if _, err := e.MaterializeAugmentedAt(e.Intern(model.EmptySubspace), style, month); err != nil {
+			t.Fatal(err)
 		}
+		if _, _, err := e.ImpactAt(e.Intern(model.EmptySubspace.With("Style", "Condo"))); err != nil {
+			t.Fatal(err)
+		}
+		e.PeekUnitAt(h, style)
+		e.ScanCostAt(h)
+	}
+	meterUntouched(t, e)
+	if st := e.QueryCache().Stats(); st.Entries == 0 {
+		t.Error("engine paths did not populate the cache")
+	}
+	if physicalScans(e) == 0 {
+		t.Error("nothing was scanned: the paths were not exercised")
 	}
 }
 
@@ -522,7 +505,7 @@ func TestMaterializePathsAreQuiet(t *testing.T) {
 // exactly one scan executes, and every caller gets its unit.
 func TestUnitSingleFlight(t *testing.T) {
 	tab := randomTable(14, 2000)
-	e := newEngine(t, tab, true)
+	e := newEngine(t, tab)
 	h, month := e.Intern(model.EmptySubspace.With("City", "SJ")), tab.DimensionIndex("Month")
 
 	const n = 16
@@ -559,7 +542,7 @@ func TestUnitSingleFlight(t *testing.T) {
 // are served from the pair memo — and nothing is charged.
 func TestAugmentedSingleFlightAccounting(t *testing.T) {
 	tab := randomTable(15, 2000)
-	e := newEngine(t, tab, true)
+	e := newEngine(t, tab)
 	base := e.Intern(model.EmptySubspace)
 	month, style := tab.DimensionIndex("Month"), tab.DimensionIndex("Style")
 

@@ -52,7 +52,7 @@ func TestCollidingSubspacesGetTheirOwnUnits(t *testing.T) {
 		b.AddRow([]string{as[i%len(as)], bs[i%len(bs)], cs[i%len(cs)]}, []float64{1})
 	}
 	tab := b.Build()
-	e := newEngine(t, tab, true)
+	e := newEngine(t, tab)
 
 	one := model.NewSubspace(model.Filter{Dim: "A", Value: "x;B=y"})
 	two := model.NewSubspace(model.Filter{Dim: "A", Value: "x"}, model.Filter{Dim: "B", Value: "y"})

@@ -23,9 +23,10 @@ import (
 //
 // Strings stay the external identity: trace labels, checkpoint bytes,
 // cache.UnitKey as stored on units and MetaInsight keys are all derived from
-// Handle.Key, which equals model.Subspace.Key byte for byte. Handles themselves — their addresses and creation order, which depend
-// on worker interleaving — never reach an ordering, a reported hash or the
-// wire (DESIGN.md §14).
+// Handle.Key, which equals model.Subspace.Key byte for byte. Handles
+// themselves — their addresses and creation order, which depend on worker
+// interleaving — never reach an ordering, a reported hash or the wire
+// (DESIGN.md §14).
 
 // Interner is the intern table of one table's subspaces, and through its
 // handles the one owner of their scan plans. It also owns the scanned units
@@ -72,19 +73,6 @@ type unitMemo struct {
 	patterns *cache.PatternCache[*pattern.ScopeEvaluation]
 }
 
-// newUnitMemo gives qc a fresh pair memo, enabled with it, and a fresh
-// enabled pattern memo; a nil qc gets a fresh enabled cache.
-func newUnitMemo(qc *cache.QueryCache) unitMemo {
-	if qc == nil {
-		qc = cache.NewQueryCache(true)
-	}
-	return unitMemo{
-		qc:       qc,
-		pairs:    cache.NewMemo[augKey, *pairScan](qc.Enabled()),
-		patterns: cache.NewPatternCache[*pattern.ScopeEvaluation](true),
-	}
-}
-
 // units returns the interner's unit memo for the MIN/MAX set minMax,
 // creating it on first use. A unit's Mins and Maxs hold exactly the set's
 // columns, so requests with different sets keep apart; the default request
@@ -106,7 +94,11 @@ func (in *Interner) units(minMax map[string]bool) unitMemo {
 	defer in.mu.Unlock()
 	m, ok := in.memos[string(key)]
 	if !ok {
-		m = newUnitMemo(nil)
+		m = unitMemo{
+			qc:       cache.NewMemo[cache.UnitKey, *cache.Unit](),
+			pairs:    cache.NewMemo[augKey, *pairScan](),
+			patterns: cache.NewMemo[cache.ScopeKey, *pattern.ScopeEvaluation](),
+		}
 		in.memos[string(key)] = m
 	}
 	return m

@@ -24,28 +24,21 @@ type pairScan struct {
 //
 // The 2-D group-by over (bdim, ext) under base answers the request and its
 // twin with breakdown and augmentation dimension swapped, so each unordered
-// dimension pair is scanned at most once per engine: the first request scans
-// in its own orientation and is remembered; a later request for the twin is
-// answered by transposing the remembered cells. That is exact, not merely
-// equal up to rounding: a cell (bdim = v, ext = w) receives the same rows in
-// the same order, with the same morsel, run and lane boundaries, whichever way
-// the 2-D accumulator is laid out, so the transposed units are the bytes a
-// twin scan would have produced. Repeated requests for a remembered
-// orientation are served the same way, which also ends the re-scans of
-// sibling groups with an empty member (never all-cached, so the miner asks
-// again for every unit that touches them).
+// dimension pair is scanned at most once per unit memo (Interner.units): the
+// first request scans in its own orientation and is remembered; a later
+// request for the twin is answered by transposing the remembered cells.
+// That is exact, not merely equal up to rounding: a cell (bdim = v, ext = w)
+// receives the same rows in the same order, with the same morsel, run and
+// lane boundaries, whichever way the 2-D accumulator is laid out, so the
+// transposed units are the bytes a twin scan would have produced. Repeated
+// requests for a remembered orientation are served the same way, which also
+// ends the re-scans of sibling groups with an empty member (never
+// all-cached, so the miner asks again for every unit that touches them).
 //
-// Remembered units were all given to the query cache, so the pair memo
-// holds nothing the cache lacks an equal of — provided the cache keeps what
-// it is given. A disabled cache keeps nothing, and the memo, disabled with it,
-// keeps nothing either: there every request scans in its own orientation,
-// sharing the scan only with concurrent identical requests.
+// Remembered units were all given to the query cache, which keeps what it is
+// given, so the pair memo holds nothing the cache lacks an equal of.
 func (e *Engine) scanPair(base *Handle, bdim, ext int) (map[string]*cache.Unit, int, error) {
-	key := augKey{base: base.key, breakdown: bdim, ext: ext}
-	if e.pairs.Enabled() {
-		key.breakdown, key.ext = min(bdim, ext), max(bdim, ext) // one entry per unordered pair
-	}
-	p, err := e.pairs.Do(key, func() (*pairScan, error) {
+	p, err := e.pairs.Do(augKey{base: base.key, lo: min(bdim, ext), hi: max(bdim, ext)}, func() (*pairScan, error) {
 		units, scanned, err := e.scanAugmented(base, bdim, ext)
 		if err != nil {
 			return nil, err // not remembered: the next request tries again

@@ -19,7 +19,7 @@ import (
 // the fundamental correctness property everything above the engine rests on.
 func TestBasicQueryMatchesNaiveProperty(t *testing.T) {
 	tab := randomTable(99, 800)
-	e := newEngine(t, tab, true)
+	e := newEngine(t, tab)
 	r := rand.New(rand.NewSource(17))
 	dims := tab.DimensionNames()
 	aggs := []func(string) model.Measure{model.Sum, model.Avg, model.Min, model.Max}
@@ -121,8 +121,8 @@ func TestAugmentedEqualsBasicsProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	dims := tab.DimensionNames()
 	for trial := 0; trial < 40; trial++ {
-		e := newEngine(t, tab, true)
-		ref := newEngine(t, tab, false)
+		e := newEngine(t, tab)
+		ref := newEngine(t, tab)
 		extDim := dims[r.Intn(len(dims))]
 		breakdown := dims[r.Intn(len(dims))]
 		if breakdown == extDim {
@@ -169,14 +169,11 @@ func TestAugmentedEqualsBasicsProperty(t *testing.T) {
 }
 
 // TestCacheTransparencyProperty: for any sequence of random queries, results
-// with the cache enabled equal results with it disabled.
+// from one engine that caches every unit equal those of a fresh engine per
+// query, which has nothing cached.
 func TestCacheTransparencyProperty(t *testing.T) {
 	tab := randomTable(5, 500)
-	cached := newEngine(t, tab, true)
-	uncached, err := New(tab, Config{QueryCache: cache.NewQueryCache(false)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cached := newEngine(t, tab)
 	r := rand.New(rand.NewSource(11))
 	dims := tab.DimensionNames()
 	for trial := 0; trial < 200; trial++ {
@@ -191,7 +188,7 @@ func TestCacheTransparencyProperty(t *testing.T) {
 		}
 		ds := model.DataScope{Subspace: sub, Breakdown: breakdown, Measure: model.Sum("Sales")}
 		a, errA := cached.BasicQuery(ds)
-		b, errB := uncached.BasicQuery(ds)
+		b, errB := newEngine(t, tab).BasicQuery(ds)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("error mismatch: %v vs %v", errA, errB)
 		}
@@ -304,18 +301,14 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 						}
 					}
 					for _, tc := range []struct {
-						name      string
-						swap      bool // ask for (ext, b) first
-						disabled  bool // query cache off
-						wantScans int64
+						name string
+						swap bool // ask for (ext, b) first
 					}{
-						{"in order", false, false, 1},
-						{"swapped", true, false, 1},
-						{"disabled cache", true, true, 2},
+						{"in order", false},
+						{"swapped", true},
 					} {
 						ob := obs.New(obs.Options{})
-						qc := cache.NewQueryCache(!tc.disabled)
-						e, err := New(tab, Config{Substrate: sub, QueryCache: qc, Observer: ob})
+						e, err := New(tab, Config{Substrate: sub, Observer: ob})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -326,7 +319,7 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 								t.Fatal(err)
 							}
 							for _, u := range units {
-								if cached, ok := qc.Get(u.Key); !tc.disabled && (!ok || cached != u) {
+								if cached, ok := e.QueryCache().Get(u.Key); !ok || cached != u {
 									t.Fatalf("%s [%s] %s+%s: unit %v not in the query cache", tc.name, base.Key(), dims[bd], dims[xd], u.Key)
 								}
 							}
@@ -348,12 +341,8 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 									tc.name, base.Key(), i, dims[b], dims[ext], got[i], want[i])
 							}
 						}
-						wantScans := tc.wantScans
-						if tc.disabled {
-							wantScans++ // the repeated request scans too
-						}
-						if scans := ob.Snapshot().Counters["engine.physical.augmented_scans"]; scans != wantScans {
-							t.Fatalf("%s [%s] {%s, %s}: %d physical scans, want %d", tc.name, base.Key(), dims[b], dims[ext], scans, wantScans)
+						if scans := ob.Snapshot().Counters["engine.physical.augmented_scans"]; scans != 1 {
+							t.Fatalf("%s [%s] {%s, %s}: %d physical scans, want 1", tc.name, base.Key(), dims[b], dims[ext], scans)
 						}
 					}
 				}

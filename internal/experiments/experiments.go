@@ -18,16 +18,18 @@ import (
 	"fmt"
 	"io"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
 	"metainsight/internal/miner"
 	"metainsight/internal/obs"
-	"metainsight/internal/pattern"
 )
 
 // Setup configures one mining run of an experiment.
 type Setup struct {
+	// QueryCache and PatternCache switch the paper's two caches on in the
+	// run's accounting (miner.Config.EnableQueryCache, EnablePatternCache);
+	// off, they are Figure 6's "w/o Query Cache" and "w/o Pattern Cache"
+	// arms.
 	QueryCache   bool
 	PatternCache bool
 	Priority     bool
@@ -72,7 +74,6 @@ func FullFunctionality() Setup {
 func (s Setup) Run(tab *dataset.Table) (*miner.Result, *engine.Engine) {
 	meter := &engine.Meter{}
 	eng, err := engine.New(tab, engine.Config{
-		QueryCache:      cache.NewQueryCache(s.QueryCache),
 		Meter:           meter,
 		Observer:        s.Observer,
 		ScanParallelism: s.ScanParallelism,
@@ -86,7 +87,8 @@ func (s Setup) Run(tab *dataset.Table) (*miner.Result, *engine.Engine) {
 		cfg.Workers = 1
 	}
 	cfg.UsePriorityQueues = s.Priority
-	cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](s.PatternCache)
+	cfg.EnableQueryCache = s.QueryCache
+	cfg.EnablePatternCache = s.PatternCache
 	if s.BudgetUnits > 0 {
 		cfg.Budget = miner.CostBudget{Meter: meter, Limit: s.BudgetUnits}
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
 	"metainsight/internal/quickinsight"
@@ -51,7 +50,7 @@ func Figure7Datasets(w io.Writer, tables []*dataset.Table) Fig7Result {
 	var sumExtra, sumExtraLarge float64
 	var nLarge int
 	for _, tab := range tables {
-		qiEng, err := engine.New(tab, engine.Config{QueryCache: cache.NewQueryCache(true)})
+		qiEng, err := engine.New(tab, engine.Config{})
 		if err != nil {
 			panic(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/core"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
@@ -51,7 +50,7 @@ func Figure8(w io.Writer, seed int64) Fig8Result {
 		res.ExpertExamples = append(res.ExpertExamples, render.DescribeMetaInsight(mi))
 	}
 
-	qiEng, err := engine.New(survey, engine.Config{QueryCache: cache.NewQueryCache(true)})
+	qiEng, err := engine.New(survey, engine.Config{})
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/engine"
 	"metainsight/internal/icube"
 	"metainsight/internal/model"
@@ -31,7 +30,7 @@ type ICubeResult struct {
 // its top-N outputs.
 func ICubeComparison(w io.Writer, topN int) ICubeResult {
 	tab := workload.AirPollution()
-	eng, err := engine.New(tab, engine.Config{QueryCache: cache.NewQueryCache(true)})
+	eng, err := engine.New(tab, engine.Config{})
 	if err != nil {
 		panic(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
 	"metainsight/internal/model"
@@ -40,7 +39,7 @@ func pollutionTable(t testing.TB) *dataset.Table {
 
 func mine(t testing.TB, tab *dataset.Table) []*Result {
 	t.Helper()
-	eng, err := engine.New(tab, engine.Config{QueryCache: cache.NewQueryCache(true)})
+	eng, err := engine.New(tab, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

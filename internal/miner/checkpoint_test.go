@@ -284,19 +284,39 @@ func TestCheckpointCorruptJournalRejected(t *testing.T) {
 }
 
 // TestCheckpointFingerprintMismatchRejected resumes a checkpoint under a
-// different mining configuration and verifies the typed mismatch error.
+// configuration that differs from the checkpointed one in one setting —
+// another τ, or either cache ablation — and verifies the typed mismatch
+// error. The ablations' fingerprints are pinned
+// to the values the caches' retired enabled flags rendered ("qcache false 0",
+// "pcache false 0"), so their checkpoints keep matching across versions.
 func TestCheckpointFingerprintMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	ckRun(t, 1, dir, 16, 20, false)
-	ob := obs.New(obs.Options{})
-	res := runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
-		c.Workers = 1
-		c.Observer = ob
-		c.Score.Tau = 0.7 // different scoring → different fingerprint
-		c.Checkpoint = &CheckpointSpec{Dir: dir, Resume: true}
-	})
-	if !errors.Is(res.Err, ErrCheckpointMismatch) {
-		t.Fatalf("resume under a different config returned %v, want ErrCheckpointMismatch", res.Err)
+	for _, arm := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string // the fingerprint of the arm over the planted table, "" to skip
+	}{
+		{"tau", func(c *Config) { c.Score.Tau = 0.7 }, ""},
+		{"w/o Query Cache", func(c *Config) { c.EnableQueryCache = false }, "37ae3c2e2c639eba"},
+		{"w/o Pattern Cache", func(c *Config) { c.EnablePatternCache = false }, "9ae0985d19818982"},
+	} {
+		res, _ := ckRunWith(t, arm.mutate, 1, dir, 16, 0, true)
+		if !errors.Is(res.Err, ErrCheckpointMismatch) {
+			t.Fatalf("%s: resume under a different config returned %v, want ErrCheckpointMismatch", arm.name, res.Err)
+		}
+		if arm.want == "" {
+			continue
+		}
+		eng, err := engine.New(plantedTable(t), engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		arm.mutate(&cfg)
+		if got := New(eng, cfg).fingerprint(); got != arm.want {
+			t.Errorf("%s: fingerprint %s, want %s", arm.name, got, arm.want)
+		}
 	}
 }
 

@@ -420,8 +420,8 @@ func (m *Miner) fingerprint() string {
 		m.cfg.PatternsFirst, m.cfg.TopK))
 	// The trailing 0 is the retired byte bound, as unbounded caches rendered
 	// it: kept so checkpoints written before its removal still match.
-	w("qcache", fmt.Sprintf("%t 0", m.eng.QueryCache().Enabled()))
-	w("pcache", fmt.Sprintf("%t 0", m.pcache.Enabled()))
+	w("qcache", fmt.Sprintf("%t 0", m.cfg.EnableQueryCache))
+	w("pcache", fmt.Sprintf("%t 0", m.cfg.EnablePatternCache))
 	// The retired fault simulation's zero policies, as it rendered them: kept
 	// so checkpoints written before its removal still match.
 	w("faults", "{Seed:0 TransientRate:0 PermanentRate:0 LatencyRate:0 LatencyUnits:0}",

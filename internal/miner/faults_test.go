@@ -63,12 +63,17 @@ func tracedRun(t *testing.T, workers int, mutate func(*Config, *engine.Config)) 
 		c.Workers = workers
 		c.Observer = ob
 	})
+	return res, traceOf(ob)
+}
+
+// traceOf returns ob's trace events.
+func traceOf(ob *obs.Observer) []traceLine {
 	evs := ob.Trace().Events()
 	lines := make([]traceLine, len(evs))
 	for i, ev := range evs {
 		lines[i] = traceLine{Seq: ev.Seq, Kind: ev.Kind, Unit: ev.Unit, Detail: ev.Detail, Cost: ev.Cost}
 	}
-	return res, lines
+	return lines
 }
 
 // TestFaultDeterminismAcrossWorkers asserts that the results, the complete

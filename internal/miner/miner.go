@@ -84,6 +84,14 @@ type Config struct {
 	// UsePriorityQueues selects impact order (true, the paper's design) or
 	// FIFO order (the Figure 6 ablation baseline) for the pending work.
 	UsePriorityQueues bool
+	// EnableQueryCache and EnablePatternCache turn the paper's query cache
+	// and pattern cache on in the run's accounting; turning one off is
+	// Figure 6's "w/o Query Cache" or "w/o Pattern Cache" ablation. They
+	// decide what the commit-order replay charges (usage.go) and whether a
+	// subspace extension is prefetched with one augmented query; the
+	// engine's physical memos keep what they compute either way.
+	EnableQueryCache   bool
+	EnablePatternCache bool
 	// EnablePruning1 enables early termination of HDP evaluation once no
 	// commonness can reach τ.
 	EnablePruning1 bool
@@ -107,10 +115,6 @@ type Config struct {
 	// Budget bounds the run; nil means Unlimited. The budget is checked
 	// before each unit commit, so a run stops on a whole-unit boundary.
 	Budget Budget
-	// PatternCache is the evaluation memo; nil uses the engine's
-	// (Engine.PatternCache), which travels with its query cache. Pass a
-	// disabled cache for the "w/o Pattern Cache" ablation.
-	PatternCache *cache.PatternCache[*pattern.ScopeEvaluation]
 	// OnMetaInsight, when set, is invoked once for each newly stored
 	// MetaInsight as the progressive mining run discovers it. Calls are made
 	// serially from the dispatcher goroutine, in deterministic discovery
@@ -178,6 +182,8 @@ func DefaultConfig() Config {
 		MinSubspaceImpact:       0.005,
 		Workers:                 8,
 		UsePriorityQueues:       true,
+		EnableQueryCache:        true,
+		EnablePatternCache:      true,
 		EnablePruning1:          true,
 		EnablePruning2:          true,
 		EnableBoundPruning:      true,
@@ -282,8 +288,6 @@ type Miner struct {
 	eng *engine.Engine
 	cfg Config
 
-	pcache *cache.PatternCache[*pattern.ScopeEvaluation]
-
 	// Per-table lookups resolved once: the canonical key of each mined
 	// measure (aligned with eng.Measures()) and, per table dimension index,
 	// whether the dimension is temporal.
@@ -351,13 +355,9 @@ func New(eng *engine.Engine, cfg Config) *Miner {
 	if cfg.DegradedThreshold == 0 {
 		cfg.DegradedThreshold = def.DegradedThreshold
 	}
-	if cfg.PatternCache == nil {
-		cfg.PatternCache = eng.PatternCache()
-	}
 	m := &Miner{
 		eng:         eng,
 		cfg:         cfg,
-		pcache:      cfg.PatternCache,
 		maxFinished: defaultMaxFinished,
 		results:     make(map[string]*core.MetaInsight),
 		seenMI:      make(map[string]bool),
@@ -404,7 +404,7 @@ func (m *Miner) Run() *Result { return m.RunContext(context.Background()) }
 func (m *Miner) RunContext(ctx context.Context) *Result {
 	o := m.cfg.Observer
 	initStart := time.Now()
-	m.acct = newAccounting(m.eng, m.pcache.Enabled(), m.cfg.Observer)
+	m.acct = newAccounting(m.eng, m.cfg.EnableQueryCache, m.cfg.EnablePatternCache, m.cfg.Observer)
 
 	// stopped is set when a resume's replay was cancelled mid-way: the
 	// restored state is checkpointed again and returned without re-entering
@@ -1064,7 +1064,7 @@ const obsEvaluations = "pattern.physical.evaluations"
 // scope share one.
 func (m *Miner) evaluateScope(rec *recorder, unit *cache.Unit, ds model.DataScope, measureKey string, temporal bool) *pattern.ScopeEvaluation {
 	key := cache.ScopeKey{Unit: unit.Key, Measure: measureKey}
-	se, _ := m.pcache.Do(key, func() (*pattern.ScopeEvaluation, error) {
+	se, _ := m.eng.PatternCache().Do(key, func() (*pattern.ScopeEvaluation, error) {
 		m.cfg.Observer.Count(obsEvaluations, 1)
 		series, _ := engine.Extract(unit, ds)
 		return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern), nil
@@ -1225,7 +1225,7 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 	rec.grow(2*n + 1)
 
 	var peeked []*cache.Unit
-	if u.hds.Kind == model.ExtendSubspace && m.eng.QueryCache().Enabled() {
+	if u.hds.Kind == model.ExtendSubspace && m.cfg.EnableQueryCache {
 		peeked = m.prefetchSiblings(u, rec)
 	}
 

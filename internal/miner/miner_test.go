@@ -1,15 +1,18 @@
 package miner
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/core"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
 	"metainsight/internal/model"
+	"metainsight/internal/obs"
 	"metainsight/internal/pattern"
+	"metainsight/internal/workload"
 )
 
 var monthNames = []string{"Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"}
@@ -150,10 +153,10 @@ func TestAblationsPreserveResultsUnderUnlimitedBudget(t *testing.T) {
 	tab := plantedTable(t)
 	full := runMiner(t, tab, nil)
 	noQC := runMiner(t, tab, func(c *Config, e *engine.Config) {
-		e.QueryCache = cache.NewQueryCache(false)
+		c.EnableQueryCache = false
 	})
 	noPC := runMiner(t, tab, func(c *Config, e *engine.Config) {
-		c.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](false)
+		c.EnablePatternCache = false
 	})
 	fifo := runMiner(t, tab, func(c *Config, e *engine.Config) {
 		c.UsePriorityQueues = false
@@ -177,6 +180,57 @@ func TestAblationsPreserveResultsUnderUnlimitedBudget(t *testing.T) {
 	}
 	if full.Stats.PatternCacheStats.Hits == 0 {
 		t.Error("pattern cache never hit")
+	}
+}
+
+// TestAblationsIgnoreWarmMemos: the "w/o Query Cache" and "w/o Pattern
+// Cache" ablations are settings of the commit-order replay, not memos that
+// keep nothing, so on an engine whose interner a full-functionality run has
+// already filled, their results, statistics (cache statistics, executed
+// queries and cost included) and traces equal a cold run's, at 1 and 8
+// workers, while the warm run scans less.
+func TestAblationsIgnoreWarmMemos(t *testing.T) {
+	tab := workload.CreditCard()
+	run := func(in *engine.Interner, workers int, mutate func(*Config)) (*Result, []traceLine, int64) {
+		t.Helper()
+		ob, phys := obs.New(obs.Options{TraceCapacity: 1 << 18}), obs.New(obs.Options{})
+		eng, err := engine.New(tab, engine.Config{Interner: in, Observer: phys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		cfg.Observer = ob
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		return New(eng, cfg).Run(), traceOf(ob), phys.Snapshot().Counters["engine.physical.scans"]
+	}
+	for _, arm := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"w/o Query Cache", func(c *Config) { c.EnableQueryCache = false }},
+		{"w/o Pattern Cache", func(c *Config) { c.EnablePatternCache = false }},
+	} {
+		for _, workers := range []int{1, 8} {
+			label := fmt.Sprintf("%s workers=%d", arm.name, workers)
+			cold, coldTrace, coldScans := run(nil, workers, arm.mutate)
+			in := engine.NewInterner(tab)
+			run(in, workers, nil)
+			warm, warmTrace, warmScans := run(in, workers, arm.mutate)
+			assertSameOrderedKeys(t, label, cold, warm)
+			if warm.Stats != cold.Stats {
+				t.Errorf("%s: stats differ\n  cold: %+v\n  warm: %+v", label, cold.Stats, warm.Stats)
+			}
+			if !reflect.DeepEqual(warmTrace, coldTrace) {
+				t.Errorf("%s: trace differs (%d events warm, %d cold)", label, len(warmTrace), len(coldTrace))
+			}
+			if len(cold.MetaInsights) == 0 || warmScans >= coldScans {
+				t.Errorf("%s: vacuous: %d MetaInsights, %d scans warm against %d cold",
+					label, len(cold.MetaInsights), warmScans, coldScans)
+			}
+		}
 	}
 }
 
@@ -380,12 +434,8 @@ func TestMultiWorkerDeterministicAccounting(t *testing.T) {
 			c.UsePriorityQueues = false
 			c.PatternsFirst = true
 		}},
-		{"no-query-cache", func(c *Config, e *engine.Config) {
-			e.QueryCache = cache.NewQueryCache(false)
-		}},
-		{"no-pattern-cache", func(c *Config, e *engine.Config) {
-			c.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](false)
-		}},
+		{"no-query-cache", func(c *Config, e *engine.Config) { c.EnableQueryCache = false }},
+		{"no-pattern-cache", func(c *Config, e *engine.Config) { c.EnablePatternCache = false }},
 		{"budget60", func(c *Config, e *engine.Config) {
 			meter := &engine.Meter{}
 			e.Meter = meter
@@ -451,7 +501,7 @@ func TestPrefetchFailureFallsBackToBasicQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(eng, DefaultConfig())
-	m.acct = newAccounting(eng, m.pcache.Enabled(), nil)
+	m.acct = newAccounting(eng, true, true, nil)
 
 	anchor := model.DataScope{
 		Subspace:  model.EmptySubspace.With("City", "Los Angeles"),

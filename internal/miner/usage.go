@@ -171,12 +171,12 @@ type accounting struct {
 
 // newAccounting creates the simulation with empty caches: a run's physical
 // caches start empty too, so a single worker would find nothing cached.
-func newAccounting(eng *engine.Engine, pcEnabled bool, o *obs.Observer) *accounting {
+func newAccounting(eng *engine.Engine, qcEnabled, pcEnabled bool, o *obs.Observer) *accounting {
 	return &accounting{
 		eng:       eng,
 		dimNames:  eng.Table().DimensionNames(),
 		meter:     eng.Meter(),
-		qcEnabled: eng.QueryCache().Enabled(),
+		qcEnabled: qcEnabled,
 		pcEnabled: pcEnabled,
 		evalCost:  eng.EvaluationCost(),
 		obs:       o,

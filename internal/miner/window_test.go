@@ -11,7 +11,6 @@ import (
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
 	"metainsight/internal/obs"
-	"metainsight/internal/pattern"
 	"metainsight/internal/workload"
 )
 
@@ -36,7 +35,6 @@ func runForWindow(t *testing.T, tab *dataset.Table, workers int, dir string, hal
 	}
 	cfg.Workers = workers
 	cfg.Observer = obs.New(obs.Options{})
-	cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](true)
 	if dir != "" {
 		cfg.Checkpoint = &CheckpointSpec{Dir: dir, Every: 1 << 40}
 		cfg.HaltAfterCommits = halt
@@ -55,7 +53,7 @@ func runForWindow(t *testing.T, tab *dataset.Table, workers int, dir string, hal
 		}
 	}
 	out.qStats = eng.QueryCache().Stats()
-	out.pStats = cfg.PatternCache.Stats()
+	out.pStats = eng.PatternCache().Stats()
 	out.peak = cfg.Observer.Snapshot().Gauges[obsWindowPeak]
 	return out
 }

@@ -93,6 +93,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 	}
 	queue := []frontierItem{{subspace: model.EmptySubspace, impact: 1, maxDimIdx: -1}}
 	var insights []*Insight
+	charged := make(map[cache.UnitKey]bool) // the units this run has charged
 
 	for len(queue) > 0 {
 		if cfg.Budget.Exceeded() {
@@ -119,7 +120,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 				continue
 			}
 			temporal := col.Kind == model.KindTemporal
-			unit, err := query(eng, h, bdim)
+			unit, err := query(eng, charged, h, bdim)
 			if err != nil {
 				continue
 			}
@@ -156,17 +157,13 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 			if item.subspace.Has(dim.Name) || dim.Cardinality() > cfg.MaxBreakdownCardinality {
 				continue
 			}
-			unit, err := query(eng, h, idx)
+			unit, err := query(eng, charged, h, idx)
 			if err != nil {
 				continue
 			}
-			im := eng.ImpactMeasure()
-			src := unit.Counts
-			if im.Agg != model.AggCount {
-				src = unit.Sums[im.Column]
-			}
+			impacts := eng.GroupImpactsAt(h, idx, unit)
 			for gi, v := range unit.GroupKeys {
-				imp := src[gi] / eng.TotalImpact()
+				imp := impacts[gi] / eng.TotalImpact()
 				if imp < cfg.MinSubspaceImpact {
 					continue
 				}
@@ -195,19 +192,21 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 }
 
 // query is the paper's BasicQuery as QuickInsights issues it, charged
-// inline (the run is single-threaded, so issue order is the canonical order):
-// a cached unit counts as served; a miss is one executed scan at the cost
-// ScanCostAt charges.
-func query(eng *engine.Engine, h *engine.Handle, bdim int) (*cache.Unit, error) {
-	m := eng.Meter()
-	if u, ok := eng.PeekUnitAt(h, bdim); ok {
-		m.AddServed(1)
-		return u, nil
-	}
+// inline against the run's own ledger (the run is single-threaded, so issue
+// order is the canonical order): a unit the run has charged before counts as
+// served; any other is one executed scan at the cost ScanCostAt charges,
+// whatever the engine's memo already holds.
+func query(eng *engine.Engine, charged map[cache.UnitKey]bool, h *engine.Handle, bdim int) (*cache.Unit, error) {
 	u, err := eng.MaterializeUnitAt(h, bdim, nil)
 	if err != nil {
 		return nil, err
 	}
+	m, k := eng.Meter(), eng.UnitKeyAt(h, bdim)
+	if charged[k] {
+		m.AddServed(1)
+		return u, nil
+	}
+	charged[k] = true
 	m.AddExecuted(1)
 	m.AddCost(eng.ScanCostAt(h))
 	return u, nil

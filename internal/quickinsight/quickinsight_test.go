@@ -1,11 +1,12 @@
 package quickinsight
 
 import (
+	"reflect"
 	"testing"
 
-	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
+	"metainsight/internal/miner"
 	"metainsight/internal/model"
 	"metainsight/internal/pattern"
 )
@@ -34,7 +35,7 @@ func plantedTable(t testing.TB) *dataset.Table {
 
 func mine(t testing.TB, tab *dataset.Table, cfg Config) (*Result, *engine.Engine) {
 	t.Helper()
-	eng, err := engine.New(tab, engine.Config{QueryCache: cache.NewQueryCache(true)})
+	eng, err := engine.New(tab, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestBudgetStopsEarly(t *testing.T) {
 	tab := plantedTable(t)
 	full, _ := mine(t, tab, Config{})
 	meter := &engine.Meter{}
-	eng, err := engine.New(tab, engine.Config{QueryCache: cache.NewQueryCache(true), Meter: meter})
+	eng, err := engine.New(tab, engine.Config{Meter: meter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +140,43 @@ func TestMaxSubspaceFiltersRespected(t *testing.T) {
 	for _, in := range res.Insights {
 		if in.Scope.Subspace.Len() > 1 {
 			t.Fatalf("insight at depth %d", in.Scope.Subspace.Len())
+		}
+	}
+}
+
+// TestWarmInternerEqualsCold: a run charges from its own ledger, not from
+// what the engine's memo holds, so on an interner that earlier runs filled
+// (a QuickInsight run and a MetaInsight run, whose augmented scans leave
+// units QuickInsight never asks for) insights, ExecutedQueries and CostUsed
+// equal a cold run's, for a COUNT and a SUM impact measure.
+func TestWarmInternerEqualsCold(t *testing.T) {
+	tab := plantedTable(t)
+	for _, impact := range []model.Measure{model.Count("*"), model.Sum("Sales")} {
+		run := func(in *engine.Interner) *Result {
+			eng, err := engine.New(tab, engine.Config{ImpactMeasure: impact, Interner: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Mine(eng, Config{})
+		}
+		cold := run(nil)
+		if cold.ExecutedQueries == 0 || len(cold.Insights) == 0 {
+			t.Fatalf("%s: cold run executed %d queries and found %d insights", impact, cold.ExecutedQueries, len(cold.Insights))
+		}
+		in := engine.NewInterner(tab)
+		run(in)
+		eng, err := engine.New(tab, engine.Config{ImpactMeasure: impact, Interner: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		miner.New(eng, miner.DefaultConfig()).Run()
+		warm := run(in)
+		if warm.ExecutedQueries != cold.ExecutedQueries || warm.CostUsed != cold.CostUsed {
+			t.Errorf("%s: warm run executed %d queries for %v cost units, cold %d for %v",
+				impact, warm.ExecutedQueries, warm.CostUsed, cold.ExecutedQueries, cold.CostUsed)
+		}
+		if !reflect.DeepEqual(warm.Insights, cold.Insights) {
+			t.Errorf("%s: warm run found %d insights, cold %d, or they differ", impact, len(warm.Insights), len(cold.Insights))
 		}
 	}
 }
