@@ -189,8 +189,7 @@ func BenchmarkAblationFIFO(b *testing.B) {
 func BenchmarkAblationNoPruning(b *testing.B) {
 	tab := workload.SalesForecast()
 	for i := 0; i < b.N; i++ {
-		meter := &engine.Meter{}
-		eng, err := engine.New(tab, engine.Config{Meter: meter})
+		eng, err := engine.New(tab, engine.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

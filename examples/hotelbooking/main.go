@@ -22,7 +22,7 @@ func main() {
 
 	// One session serves every run below: the dataset is loaded and indexed
 	// once, and a unit one run scanned, and a scope it evaluated, serve the
-	// later ones, while each Analyze call gets a fresh meter and budget.
+	// later ones, while each Analyze call gets a fresh ledger and budget.
 	ctx := context.Background()
 	sess, err := metainsight.NewSession(tab)
 	if err != nil {

@@ -185,9 +185,6 @@ const (
 	TypeChange
 	// NoPatternException: the scope exhibits no pattern at all.
 	NoPatternException
-
-	// NumExceptionCategories is k in the paper's scoring (k = 3).
-	NumExceptionCategories
 )
 
 // String names the exception category.

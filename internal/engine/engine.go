@@ -10,15 +10,14 @@
 // cost per executed query (a fixed per-query overhead plus a per-row scan
 // cost, ScanCostAt). Mining budgets can be denominated in these cost units,
 // making the cache/queue ablations of Figure 6 both visible and exactly
-// reproducible. The engine computes and never charges: its callers write the
-// Meter — the miner by replaying its units' usage in commit order,
-// QuickInsight inline — so a query is accounted exactly once.
+// reproducible. The engine computes and never charges: the ledger belongs to
+// its callers — the miner replays its units' usage in commit order,
+// QuickInsight charges inline — so a query is accounted exactly once.
 package engine
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
@@ -27,71 +26,19 @@ import (
 	"metainsight/internal/pattern"
 )
 
-// CostModel assigns deterministic cost units to engine work. Units are
-// arbitrary but are calibrated so that one unit ≈ one millisecond of the
-// paper's Excel-backed substrate.
-type CostModel struct {
-	// PerQuery is the fixed overhead charged for every executed (non-cached)
-	// query, standing in for the query-interface round trip.
-	PerQuery float64
-	// PerRow is charged for every record scanned by an executed query.
-	PerRow float64
-	// PerEvaluation is charged for each data-pattern evaluation performed
+// The cost model: units are arbitrary but calibrated so that one unit ≈ one
+// millisecond of the paper's Excel-backed substrate — a ~5ms query round
+// trip, ~2000 rows scanned per ms and a ~0.2ms pattern evaluation.
+const (
+	// perQuery is the fixed overhead of every executed (non-cached) query,
+	// standing in for the query-interface round trip.
+	perQuery = 5
+	// perRow is charged for every record an executed query scans.
+	perRow = 0.0005
+	// EvaluationCost is the cost of one data-pattern evaluation
 	// (pattern-cache hits are free).
-	PerEvaluation float64
-}
-
-// DefaultCostModel approximates the paper's environment: a ~5ms query
-// round trip, ~2000 rows scanned per ms, and a ~0.2ms pattern evaluation.
-func DefaultCostModel() CostModel {
-	return CostModel{PerQuery: 5, PerRow: 0.0005, PerEvaluation: 0.2}
-}
-
-// Meter accumulates cost units and query counts: the ledger an engine's
-// callers charge (the engine itself never writes it) and cost budgets read.
-// It is safe for concurrent use; costs are stored in nano-units to allow
-// atomic addition.
-type Meter struct {
-	costNanos atomic.Int64
-	executed  atomic.Int64 // queries that actually scanned the table
-	served    atomic.Int64 // logical queries answered from the cache
-	augmented atomic.Int64 // executed queries that were augmented scans
-}
-
-// AddCost adds cost units to the meter.
-func (m *Meter) AddCost(units float64) {
-	m.costNanos.Add(int64(units * 1e9))
-}
-
-// Cost returns the accumulated cost in units.
-func (m *Meter) Cost() float64 { return float64(m.costNanos.Load()) / 1e9 }
-
-// CostNanos returns the accumulated cost in exact nano-units. Checkpointing
-// snapshots this integer rather than the float units: AddCost truncates per
-// call, so restoring a sum of float units would not be bit-exact.
-func (m *Meter) CostNanos() int64 { return m.costNanos.Load() }
-
-// AddCostNanos adds exact nano-units; the checkpoint restore path uses it to
-// reproduce the pre-crash meter bit for bit.
-func (m *Meter) AddCostNanos(n int64) { m.costNanos.Add(n) }
-
-// ExecutedQueries returns the number of queries that scanned the table.
-func (m *Meter) ExecutedQueries() int64 { return m.executed.Load() }
-
-// ServedQueries returns the number of logical queries answered from cache.
-func (m *Meter) ServedQueries() int64 { return m.served.Load() }
-
-// AugmentedQueries returns how many executed queries were augmented scans.
-func (m *Meter) AugmentedQueries() int64 { return m.augmented.Load() }
-
-// AddExecuted adds n to the executed-query count.
-func (m *Meter) AddExecuted(n int64) { m.executed.Add(n) }
-
-// AddServed adds n to the cache-served query count.
-func (m *Meter) AddServed(n int64) { m.served.Add(n) }
-
-// AddAugmented adds n to the augmented-query count.
-func (m *Meter) AddAugmented(n int64) { m.augmented.Add(n) }
+	EvaluationCost = 0.2
+)
 
 // Series is the result of a basic query: the raw data distribution of a data
 // scope (aggregate values of the measure over the breakdown's sibling group).
@@ -130,8 +77,6 @@ type Engine struct {
 	pairs    *cache.Memo[augKey, *pairScan]                // augmented scans, see scanPair
 	patterns *cache.PatternCache[*pattern.ScopeEvaluation] // evaluations of qc's units
 	flight0  cache.FlightStats                             // the three memos' waits before New
-	cost     CostModel
-	meter    *Meter
 	obs      *obs.Observer
 	sub      Substrate
 	in       *Interner // Config.Interner, or the engine's own
@@ -150,11 +95,6 @@ type Config struct {
 	// ImpactMeasure must be additive (SUM or COUNT); defaults to COUNT(*),
 	// the impact measure used throughout the paper's evaluation.
 	ImpactMeasure model.Measure
-	// Cost is the cost model; zero value uses DefaultCostModel.
-	Cost CostModel
-	// Meter is the ledger the engine's callers charge; nil creates a fresh
-	// meter.
-	Meter *Meter
 	// ExtraMeasures lists measures that are not part of the mined measure set
 	// M but will be queried against this engine (e.g. the secondary measures
 	// of registered correlation evaluators, or a custom evaluator's declared
@@ -240,12 +180,6 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 	if !cfg.ImpactMeasure.Agg.Additive() {
 		return nil, fmt.Errorf("engine: impact measure %s is not additive", cfg.ImpactMeasure)
 	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCostModel()
-	}
-	if cfg.Meter == nil {
-		cfg.Meter = &Meter{}
-	}
 	if cfg.Interner == nil {
 		cfg.Interner = NewInterner(tab)
 	} else if cfg.Interner.tab != tab {
@@ -269,8 +203,6 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		qc:       units.qc,
 		pairs:    units.pairs,
 		patterns: units.patterns,
-		cost:     cfg.Cost,
-		meter:    cfg.Meter,
 		obs:      cfg.Observer,
 		sub:      cfg.Substrate,
 		in:       cfg.Interner,
@@ -337,9 +269,6 @@ func (e *Engine) Measures() []model.Measure { return e.measures }
 
 // ImpactMeasure returns the configured impact measure.
 func (e *Engine) ImpactMeasure() model.Measure { return e.impact }
-
-// Meter returns the ledger the engine's callers charge.
-func (e *Engine) Meter() *Meter { return e.meter }
 
 // QueryCache returns the engine's query cache: the interner's, which the
 // engine shares with every engine over the same interner and MIN/MAX set.
@@ -448,11 +377,8 @@ func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string
 // augmented scan of base b costs exactly ScanCostAt(b). The plan is memoized
 // on the handle, so repeated estimates are one atomic load.
 func (e *Engine) ScanCostAt(h *Handle) float64 {
-	return e.cost.PerQuery + e.cost.PerRow*float64(h.plan(e.obs).rows)
+	return perQuery + perRow*float64(h.plan(e.obs).rows)
 }
-
-// EvaluationCost returns the cost of one data-pattern evaluation.
-func (e *Engine) EvaluationCost() float64 { return e.cost.PerEvaluation }
 
 // impactFallbackDim picks the breakdown for an impact scan: the first
 // unfiltered dimension. If every dimension is filtered, grouping by a

@@ -51,7 +51,7 @@ const DefaultMorselSize = 8192
 // only for the measure columns some registered evaluator actually needs;
 // accumulators come from one package-wide pool. It keeps nothing but its
 // configuration, so building one per request is cheap. It is infallible and
-// pure with respect to the engine's meter and caches.
+// pure with respect to the engine's caches.
 type ColumnarSubstrate struct {
 	tab    *dataset.Table
 	mcols  []*dataset.MeasureColumn

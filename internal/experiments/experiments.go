@@ -70,11 +70,9 @@ func FullFunctionality() Setup {
 	return Setup{QueryCache: true, PatternCache: true, Priority: true, Workers: 1}
 }
 
-// Run executes one mining run under the setup with fresh caches and meter.
+// Run executes one mining run under the setup with fresh caches and ledger.
 func (s Setup) Run(tab *dataset.Table) (*miner.Result, *engine.Engine) {
-	meter := &engine.Meter{}
 	eng, err := engine.New(tab, engine.Config{
-		Meter:           meter,
 		Observer:        s.Observer,
 		ScanParallelism: s.ScanParallelism,
 	})
@@ -89,9 +87,7 @@ func (s Setup) Run(tab *dataset.Table) (*miner.Result, *engine.Engine) {
 	cfg.UsePriorityQueues = s.Priority
 	cfg.EnableQueryCache = s.QueryCache
 	cfg.EnablePatternCache = s.PatternCache
-	if s.BudgetUnits > 0 {
-		cfg.Budget = miner.CostBudget{Meter: meter, Limit: s.BudgetUnits}
-	}
+	cfg.Budget.Cost = s.BudgetUnits
 	if s.Tau > 0 {
 		cfg.Score.Tau = s.Tau
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"metainsight/internal/checkpoint"
 	"metainsight/internal/engine"
@@ -18,27 +19,26 @@ import (
 // ckRun executes one checkpointed mining pass over the planted table,
 // returning the result and the deterministic trace projection. halt > 0
 // simulates a hard kill (process death) after that many commits; resume
-// continues a previous pass's directory. Every call builds a fresh engine,
-// meter and caches — exactly what a restarted process sees.
+// continues a previous pass's directory under a cost budget of 400. Every
+// call builds a fresh engine, ledger and caches — exactly what a restarted
+// process sees.
 func ckRun(t *testing.T, workers int, dir string, every, halt int64, resume bool) (*Result, []traceLine) {
 	t.Helper()
 	return ckRunWith(t, nil, workers, dir, every, halt, resume)
 }
 
 // ckRunWith is ckRun with discipline, when set, adjusting the configuration
-// (the queue discipline) first.
+// (the queue discipline, or the budget) first.
 func ckRunWith(t *testing.T, discipline func(*Config), workers int, dir string, every, halt int64, resume bool) (*Result, []traceLine) {
 	t.Helper()
 	ob := obs.New(obs.Options{TraceCapacity: 1 << 18})
 	res := runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
+		c.Budget = Budget{Cost: 400}
 		if discipline != nil {
 			discipline(c)
 		}
-		meter := &engine.Meter{}
-		e.Meter = meter
 		c.Workers = workers
 		c.Observer = ob
-		c.Budget = CostBudget{Meter: meter, Limit: 400}
 		c.Checkpoint = &CheckpointSpec{Dir: dir, Every: every, Resume: resume}
 		c.HaltAfterCommits = halt
 	})
@@ -285,10 +285,12 @@ func TestCheckpointCorruptJournalRejected(t *testing.T) {
 
 // TestCheckpointFingerprintMismatchRejected resumes a checkpoint under a
 // configuration that differs from the checkpointed one in one setting —
-// another τ, or either cache ablation — and verifies the typed mismatch
-// error. The ablations' fingerprints are pinned
-// to the values the caches' retired enabled flags rendered ("qcache false 0",
-// "pcache false 0"), so their checkpoints keep matching across versions.
+// another τ, either cache ablation, or another budget kind — and verifies the
+// typed mismatch error. The ablations' fingerprints are pinned to the values
+// the caches' retired enabled flags rendered ("qcache false 0", "pcache false
+// 0"), and the budgets' to the values the retired Budget interface's types
+// rendered ("unlimited", "cost:400", "time"), so their checkpoints keep
+// matching across versions.
 func TestCheckpointFingerprintMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	ckRun(t, 1, dir, 16, 20, false)
@@ -296,14 +298,20 @@ func TestCheckpointFingerprintMismatchRejected(t *testing.T) {
 		name   string
 		mutate func(*Config)
 		want   string // the fingerprint of the arm over the planted table, "" to skip
+		same   bool   // the checkpoint's own configuration: not resumed
 	}{
-		{"tau", func(c *Config) { c.Score.Tau = 0.7 }, ""},
-		{"w/o Query Cache", func(c *Config) { c.EnableQueryCache = false }, "37ae3c2e2c639eba"},
-		{"w/o Pattern Cache", func(c *Config) { c.EnablePatternCache = false }, "9ae0985d19818982"},
+		{"tau", func(c *Config) { c.Score.Tau = 0.7 }, "", false},
+		{"w/o Query Cache", func(c *Config) { c.EnableQueryCache = false }, "37ae3c2e2c639eba", false},
+		{"w/o Pattern Cache", func(c *Config) { c.EnablePatternCache = false }, "9ae0985d19818982", false},
+		{"unlimited", func(c *Config) { c.Budget = Budget{} }, "d2c624bdb1ab4fe9", false},
+		{"cost 400", func(c *Config) { c.Budget = Budget{Cost: 400} }, "84a4bca2a9a454cd", true},
+		{"time", func(c *Config) { c.Budget = Budget{Deadline: time.Now().Add(time.Hour)} }, "69e3bae4733425ef", false},
 	} {
-		res, _ := ckRunWith(t, arm.mutate, 1, dir, 16, 0, true)
-		if !errors.Is(res.Err, ErrCheckpointMismatch) {
-			t.Fatalf("%s: resume under a different config returned %v, want ErrCheckpointMismatch", arm.name, res.Err)
+		if !arm.same {
+			res, _ := ckRunWith(t, arm.mutate, 1, dir, 16, 0, true)
+			if !errors.Is(res.Err, ErrCheckpointMismatch) {
+				t.Fatalf("%s: resume under a different config returned %v, want ErrCheckpointMismatch", arm.name, res.Err)
+			}
 		}
 		if arm.want == "" {
 			continue

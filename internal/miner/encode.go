@@ -133,13 +133,13 @@ type evalEntryJSON struct {
 	Bytes int64  `json:"n"`
 }
 
-// acctJSON is the accounting's full mutable state, meter included. Retries,
+// acctJSON is the accounting's full mutable state, ledger included. Retries,
 // BreakerTrips and Breaker are reserved, always zero: state of the retired
 // fault simulation, kept so snapshots stay byte-identical across its removal
 // and the ones written before it still decode. Evictions is reserved the
 // same way for the retired byte-bounded caches. Executed, Augmented and
-// Served repeat the meter's counts (the meter is the one ledger of them);
-// a restore reads the Meter* fields.
+// Served repeat the ledger's counts, which the Meter* fields hold under the
+// names of the retired engine meter; a restore reads the Meter* fields.
 type acctJSON struct {
 	Executed         int64   `json:"executed"`
 	Augmented        int64   `json:"augmented"`
@@ -164,8 +164,8 @@ type acctJSON struct {
 		Trips       int64 `json:"trips"`
 	} `json:"breaker"`
 
-	// Meter state in exact nano-units (AddCost truncates per call, so the
-	// float total is not restorable bit-exactly — the integer is).
+	// The ledger, cost in exact nano-units (a charge truncates, so the float
+	// total is not restorable bit-exactly — the integer is).
 	MeterCostNanos int64 `json:"meter_cost_nanos"`
 	MeterExecuted  int64 `json:"meter_executed"`
 	MeterServed    int64 `json:"meter_served"`
@@ -174,9 +174,9 @@ type acctJSON struct {
 
 func (a *accounting) exportState() acctJSON {
 	st := acctJSON{
-		Executed:         a.meter.ExecutedQueries(),
-		Augmented:        a.meter.AugmentedQueries(),
-		Served:           a.meter.ServedQueries(),
+		Executed:         a.executed,
+		Augmented:        a.augmented,
+		Served:           a.served,
 		QCHits:           a.qcHits,
 		QCMisses:         a.qcMisses,
 		PCHits:           a.pcHits,
@@ -184,10 +184,10 @@ func (a *accounting) exportState() acctJSON {
 		PrefetchFailures: a.prefetchFailures,
 		FailedUnits:      a.failedUnits,
 		Cost:             a.cost,
-		MeterCostNanos:   a.meter.CostNanos(),
-		MeterExecuted:    a.meter.ExecutedQueries(),
-		MeterServed:      a.meter.ServedQueries(),
-		MeterAugmented:   a.meter.AugmentedQueries(),
+		MeterCostNanos:   a.costNanos,
+		MeterExecuted:    a.executed,
+		MeterServed:      a.served,
+		MeterAugmented:   a.augmented,
 	}
 	keys := make([]cache.UnitKey, 0, len(a.qc))
 	for k := range a.qc {
@@ -215,11 +215,10 @@ func (a *accounting) exportState() acctJSON {
 	return st
 }
 
-// restoreState overwrites the (empty) accounting with checkpointed state.
-// It expects the meter at zero: the engine a resume runs against must be
-// fresh, and the replay verification catches a non-fresh one immediately.
-// The snapshot names pattern-cache entries by their canonical string; they
-// are parsed back into the part-wise keys the replay looks up.
+// restoreState overwrites the (empty) accounting with checkpointed state,
+// its ledger included. The snapshot names pattern-cache entries by their
+// canonical string; they are parsed back into the part-wise keys the replay
+// looks up.
 func (a *accounting) restoreState(st acctJSON) error {
 	a.pc = make(map[cache.ScopeKey]struct{}, len(st.PC))
 	for _, e := range st.PC {
@@ -237,10 +236,10 @@ func (a *accounting) restoreState(st acctJSON) error {
 	a.prefetchFailures = st.PrefetchFailures
 	a.failedUnits = st.FailedUnits
 	a.cost = st.Cost
-	a.meter.AddCostNanos(st.MeterCostNanos)
-	a.meter.AddExecuted(st.MeterExecuted)
-	a.meter.AddServed(st.MeterServed)
-	a.meter.AddAugmented(st.MeterAugmented)
+	a.costNanos = st.MeterCostNanos
+	a.executed = st.MeterExecuted
+	a.served = st.MeterServed
+	a.augmented = st.MeterAugmented
 
 	a.qc = make(map[cache.UnitKey]int64, len(st.QC))
 	a.qcBytes = 0
@@ -370,7 +369,7 @@ func (m *Miner) encodeRecord(c *completion) recordJSON {
 		Produced:       len(c.produced),
 		Panicked:       c.panicked,
 		Cut:            c.cut,
-		CostNanos:      m.acct.meter.CostNanos(),
+		CostNanos:      m.acct.costNanos,
 		Results:        len(m.results),
 		FailedUnits:    m.acct.failedUnits,
 		BoundSkips:     m.stats.BoundSkips,
@@ -426,17 +425,15 @@ func (m *Miner) fingerprint() string {
 	// so checkpoints written before its removal still match.
 	w("faults", "{Seed:0 TransientRate:0 PermanentRate:0 LatencyRate:0 LatencyUnits:0}",
 		"{MaxAttempts:0 BaseBackoff:0 BackoffFactor:0 MaxBackoff:0 JitterFrac:0 DeadlineUnits:0 BreakerThreshold:0}")
-	switch b := m.cfg.Budget.(type) {
-	case Unlimited:
-		w("budget", "unlimited")
-	case CostBudget:
-		w("budget", fmt.Sprintf("cost:%g", b.Limit))
-	case TimeBudget:
+	switch b := m.cfg.Budget; {
+	case b.Cost > 0:
+		w("budget", fmt.Sprintf("cost:%g", b.Cost))
+	case !b.Deadline.IsZero():
 		// Deadlines re-anchor on resume (documented); only the budget kind
 		// is part of the run's identity.
 		w("budget", "time")
 	default:
-		w("budget", fmt.Sprintf("custom:%T", b))
+		w("budget", "unlimited")
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -36,6 +36,20 @@ import (
 	"metainsight/internal/pattern"
 )
 
+// Budget bounds a progressive mining run (Section 4.2): once it is spent the
+// miner returns its best-so-far results. The zero value is unlimited, and at
+// most one field is set.
+type Budget struct {
+	// Cost, when positive, bounds the run by the deterministic cost units the
+	// commit-order replay charges (engine.ScanCostAt, engine.EvaluationCost),
+	// so two runs with the same configuration stop at the same commit — the
+	// denomination of the reproduction benches (DESIGN.md, substitution 1).
+	Cost float64
+	// Deadline, when set, bounds the run by wall-clock time, as the paper's
+	// deployment does (interactive EDA within a pre-specified time budget).
+	Deadline time.Time
+}
+
 // Config configures a mining run.
 type Config struct {
 	// Score holds the MetaInsight scoring hyper-parameters (τ, k, r, γ).
@@ -112,7 +126,7 @@ type Config struct {
 	// When the bounds are unsound (SUM impact over a column with negative
 	// values) they return the trivial bound and the cuts never fire.
 	EnableBoundPruning bool
-	// Budget bounds the run; nil means Unlimited. The budget is checked
+	// Budget bounds the run; the zero value is unlimited. It is checked
 	// before each unit commit, so a run stops on a whole-unit boundary.
 	Budget Budget
 	// OnMetaInsight, when set, is invoked once for each newly stored
@@ -187,7 +201,6 @@ func DefaultConfig() Config {
 		EnablePruning1:          true,
 		EnablePruning2:          true,
 		EnableBoundPruning:      true,
-		Budget:                  Unlimited{},
 		DegradedThreshold:       0.1,
 	}
 }
@@ -349,9 +362,6 @@ func New(eng *engine.Engine, cfg Config) *Miner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = def.Workers
 	}
-	if cfg.Budget == nil {
-		cfg.Budget = Unlimited{}
-	}
 	if cfg.DegradedThreshold == 0 {
 		cfg.DegradedThreshold = def.DegradedThreshold
 	}
@@ -476,7 +486,7 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 			o.Event(obs.EvCancel, "", "context cancelled; returning best-so-far results", 0)
 			break
 		}
-		if m.cfg.Budget.Exceeded() {
+		if m.budgetSpent() {
 			o.Event(obs.EvBudgetStop, "", fmt.Sprintf("cost=%.3f", m.acct.cost), 0)
 			break
 		}
@@ -643,7 +653,7 @@ func (m *Miner) canonicalBefore(a, b *workUnit) bool {
 var commitCostBounds = []float64{0, 1, 2, 5, 10, 25, 50, 100, 250}
 
 // commit applies one completed unit in canonical order: replay its usage
-// events against the simulated cache (charging the meter), fold its
+// events against the simulated cache (charging the ledger), fold its
 // counters, filter and enqueue its children, and record its MetaInsight.
 // All observability recording here runs on the dispatcher goroutine, so the
 // trace reads as the deterministic canonical execution.
@@ -808,6 +818,14 @@ func (m *Miner) pushRoot() {
 	})
 }
 
+// budgetSpent reports whether the run's budget is used up. The ledger it
+// reads is the dispatcher's own, and so is every call.
+func (m *Miner) budgetSpent() bool {
+	b := m.cfg.Budget
+	return b.Cost > 0 && float64(m.acct.costNanos)/1e9 >= b.Cost ||
+		!b.Deadline.IsZero() && time.Now().After(b.Deadline)
+}
+
 func (m *Miner) finish() *Result {
 	out := make([]*core.MetaInsight, 0, len(m.results))
 	for _, mi := range m.results {
@@ -819,11 +837,10 @@ func (m *Miner) finish() *Result {
 		}
 		return out[i].Key() < out[j].Key()
 	})
-	meter := m.eng.Meter()
-	m.stats.ExecutedQueries = meter.ExecutedQueries()
-	m.stats.AugmentedQueries = meter.AugmentedQueries()
-	m.stats.CacheServed = meter.ServedQueries()
-	m.stats.CostUsed = meter.Cost()
+	m.stats.ExecutedQueries = m.acct.executed
+	m.stats.AugmentedQueries = m.acct.augmented
+	m.stats.CacheServed = m.acct.served
+	m.stats.CostUsed = float64(m.acct.costNanos) / 1e9
 	m.stats.PrefetchFailures = m.acct.prefetchFailures
 	m.stats.FailedUnits = m.acct.failedUnits
 	m.stats.QueryCacheStats = m.acct.queryStats()

@@ -247,10 +247,8 @@ func TestPruning1OnlySkipsInvalidHDPs(t *testing.T) {
 func TestCostBudgetIsProgressive(t *testing.T) {
 	tab := plantedTable(t)
 	full := runMiner(t, tab, nil)
-	meter := &engine.Meter{}
 	small := runMiner(t, tab, func(c *Config, e *engine.Config) {
-		e.Meter = meter
-		c.Budget = CostBudget{Meter: meter, Limit: 40}
+		c.Budget = Budget{Cost: 40}
 	})
 	if len(small.MetaInsights) >= len(full.MetaInsights) {
 		t.Skipf("budget too generous: %d vs %d", len(small.MetaInsights), len(full.MetaInsights))
@@ -371,10 +369,8 @@ func TestBudgetPrefixMonotonicity(t *testing.T) {
 	tab := plantedTable(t)
 	var prev map[string]bool
 	for _, limit := range []float64{20, 40, 80, 160, 1e9} {
-		meter := &engine.Meter{}
 		res := runMiner(t, tab, func(c *Config, e *engine.Config) {
-			e.Meter = meter
-			c.Budget = CostBudget{Meter: meter, Limit: limit}
+			c.Budget = Budget{Cost: limit}
 		})
 		keys := res.Keys()
 		for k := range prev {
@@ -437,9 +433,7 @@ func TestMultiWorkerDeterministicAccounting(t *testing.T) {
 		{"no-query-cache", func(c *Config, e *engine.Config) { c.EnableQueryCache = false }},
 		{"no-pattern-cache", func(c *Config, e *engine.Config) { c.EnablePatternCache = false }},
 		{"budget60", func(c *Config, e *engine.Config) {
-			meter := &engine.Meter{}
-			e.Meter = meter
-			c.Budget = CostBudget{Meter: meter, Limit: 60}
+			c.Budget = Budget{Cost: 60}
 		}},
 	}
 	for _, v := range variants {
@@ -531,7 +525,7 @@ func TestPrefetchFailureFallsBackToBasicQueries(t *testing.T) {
 	if m.acct.prefetchFailures != 1 {
 		t.Errorf("prefetchFailures = %d, want 1", m.acct.prefetchFailures)
 	}
-	if m.acct.meter.ExecutedQueries() == 0 {
+	if m.acct.executed == 0 {
 		t.Error("fallback executed no basic queries")
 	}
 }

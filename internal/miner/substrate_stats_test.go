@@ -49,8 +49,7 @@ func assertSubstrateIdentity(t *testing.T, tab *dataset.Table, limit float64) *R
 		return runMiner(t, tab, func(c *Config, e *engine.Config) {
 			e.Substrate = sub
 			if limit > 0 {
-				e.Meter = &engine.Meter{}
-				c.Budget = CostBudget{Meter: e.Meter, Limit: limit}
+				c.Budget = Budget{Cost: limit}
 			}
 		})
 	}

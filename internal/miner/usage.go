@@ -13,13 +13,13 @@ import (
 // engine, which charges nothing, and record *usage events* describing the
 // cache lookups and scans their unit logically performs. The dispatcher
 // replays those events against a simulated cache in canonical commit order,
-// charging the meter and the run statistics as a single-worker run would:
+// charging the run's ledger and statistics as a single-worker run would:
 // this replay, with the checkpoint restore that reinstates it, is the only
-// writer of the run's Meter. Because the replay depends only on the commit
-// order (which is deterministic) and on data (which is deterministic),
-// ExecutedQueries, AugmentedQueries, CacheServed, CostUsed and the cache
-// hit/miss statistics are bit-identical for any worker count — the
-// at-most-once query accounting the paper's Fig 6/7 and Table 3 assume.
+// writer of the ledger, and the budget reads it. Because the replay depends
+// only on the commit order (which is deterministic) and on data (which is
+// deterministic), ExecutedQueries, AugmentedQueries, CacheServed, CostUsed
+// and the cache hit/miss statistics are bit-identical for any worker count —
+// the at-most-once query accounting the paper's Fig 6/7 and Table 3 assume.
 //
 // A query whose substrate call errored is recorded as failed by the worker
 // and replayed as skipped-but-accounted: counted, traced, charged nothing.
@@ -141,16 +141,14 @@ func (r *recorder) recordSiblings(s *siblingUse) {
 
 // accounting replays usage events against a simulated query cache and
 // pattern cache, mirroring exactly what a single worker executing the
-// committed units in commit order would have been charged. It also forwards
-// the charges to the engine's meter, so cost budgets observe only committed
-// (deterministic) spending.
+// committed units in commit order would have been charged. It is the run's
+// ledger: only the dispatcher goroutine writes it, and the cost budget reads
+// it there, so budgets observe only committed (deterministic) spending.
 type accounting struct {
 	eng       *engine.Engine // renders handles as unit keys
 	dimNames  []string       // table dimension names, for impact probe keys
-	meter     *engine.Meter
 	qcEnabled bool
 	pcEnabled bool
-	evalCost  float64
 	// obs receives one trace event per replayed charge/lookup. The replay
 	// runs on the dispatcher goroutine in commit order, so the emitted
 	// events read as the canonical single-worker execution; traced caches
@@ -167,6 +165,13 @@ type accounting struct {
 	prefetchFailures int64
 	failedUnits      int64
 	cost             float64
+	// The ledger's counts: queries that scanned the table, logical queries
+	// answered from the cache, and the executed ones that were augmented
+	// scans. costNanos is the cost in exact nano-units, truncated per charge:
+	// the total Stats.CostUsed and the budget read, and the one a checkpoint
+	// restores bit for bit, which the float cost is not.
+	executed, served, augmented int64
+	costNanos                   int64
 }
 
 // newAccounting creates the simulation with empty caches: a run's physical
@@ -175,10 +180,8 @@ func newAccounting(eng *engine.Engine, qcEnabled, pcEnabled bool, o *obs.Observe
 	return &accounting{
 		eng:       eng,
 		dimNames:  eng.Table().DimensionNames(),
-		meter:     eng.Meter(),
 		qcEnabled: qcEnabled,
 		pcEnabled: pcEnabled,
-		evalCost:  eng.EvaluationCost(),
 		obs:       o,
 		traced:    o.Tracing(),
 		qc:        make(map[cache.UnitKey]int64),
@@ -188,7 +191,7 @@ func newAccounting(eng *engine.Engine, qcEnabled, pcEnabled bool, o *obs.Observe
 
 func (a *accounting) charge(cost float64) {
 	a.cost += cost
-	a.meter.AddCost(cost)
+	a.costNanos += int64(cost * 1e9)
 }
 
 // store simulates a query-cache Put, replacing any previous entry.
@@ -215,7 +218,7 @@ func (a *accounting) applyUnit(u unitUse) {
 	}
 	if !a.qcEnabled {
 		a.qcMisses++
-		a.meter.AddExecuted(1)
+		a.executed++
 		a.charge(u.cost)
 		if a.traced {
 			a.obs.Event(obs.EvQueryExec, keyLabel(u.key), "query-cache disabled", u.cost)
@@ -224,14 +227,14 @@ func (a *accounting) applyUnit(u unitUse) {
 	}
 	if _, ok := a.qc[u.key]; ok {
 		a.qcHits++
-		a.meter.AddServed(1)
+		a.served++
 		if a.traced {
 			a.obs.Event(obs.EvCacheHit, keyLabel(u.key), "query-cache", 0)
 		}
 		return
 	}
 	a.qcMisses++
-	a.meter.AddExecuted(1)
+	a.executed++
 	a.charge(u.cost)
 	a.store(u.key, u.bytes)
 	if a.traced {
@@ -258,9 +261,9 @@ func (a *accounting) apply(ev usageEvent) {
 			a.pc[key] = struct{}{}
 		}
 		a.pcMisses++
-		a.charge(a.evalCost)
+		a.charge(engine.EvaluationCost)
 		if a.traced {
-			a.obs.Event(obs.EvPatternEval, key.String(), "", a.evalCost)
+			a.obs.Event(obs.EvPatternEval, key.String(), "", engine.EvaluationCost)
 		}
 	case useImpact:
 		p := ev.impact
@@ -315,8 +318,8 @@ func (a *accounting) applySiblings(s *siblingUse) {
 		}
 		return
 	}
-	a.meter.AddExecuted(1)
-	a.meter.AddAugmented(1)
+	a.executed++
+	a.augmented++
 	a.charge(s.cost)
 	for _, sib := range s.siblings {
 		a.store(sib.key, sib.bytes)

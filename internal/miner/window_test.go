@@ -105,8 +105,7 @@ func TestDeepWindowInvariance(t *testing.T) {
 				mutate func(*Config, *engine.Config)
 			}{
 				{"budget", func(c *Config, e *engine.Config) {
-					e.Meter = &engine.Meter{}
-					c.Budget = CostBudget{Meter: e.Meter, Limit: ref.res.Stats.CostUsed / 3}
+					c.Budget = Budget{Cost: ref.res.Stats.CostUsed / 3}
 				}},
 				{"topk10", func(c *Config, e *engine.Config) { c.TopK = 10 }},
 			} {

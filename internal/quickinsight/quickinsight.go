@@ -39,7 +39,6 @@ type Config struct {
 	MaxSubspaceFilters      int
 	MaxBreakdownCardinality int
 	MinSubspaceImpact       float64
-	Budget                  engine.Budget
 }
 
 func (c *Config) fillDefaults() {
@@ -56,9 +55,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MinSubspaceImpact == 0 {
 		c.MinSubspaceImpact = 0.005
-	}
-	if c.Budget == nil {
-		c.Budget = engine.Unlimited{}
 	}
 }
 
@@ -83,8 +79,7 @@ func (r *Result) TopK(k int) []*Insight {
 func Mine(eng *engine.Engine, cfg Config) *Result {
 	cfg.fillDefaults()
 	tab := eng.Table()
-	startExec := eng.Meter().ExecutedQueries()
-	startCost := eng.Meter().Cost()
+	led := &ledger{charged: make(map[cache.UnitKey]bool)}
 
 	type frontierItem struct {
 		subspace  model.Subspace
@@ -93,12 +88,8 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 	}
 	queue := []frontierItem{{subspace: model.EmptySubspace, impact: 1, maxDimIdx: -1}}
 	var insights []*Insight
-	charged := make(map[cache.UnitKey]bool) // the units this run has charged
 
 	for len(queue) > 0 {
-		if cfg.Budget.Exceeded() {
-			break
-		}
 		// Pop the highest-impact frontier item (linear scan: the frontier
 		// here is small relative to query cost, and determinism matters).
 		best := 0
@@ -112,15 +103,12 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 		h := eng.Intern(item.subspace)
 
 		for bdim, col := range tab.Dimensions() {
-			if cfg.Budget.Exceeded() {
-				break
-			}
 			if item.subspace.Has(col.Name) || col.Cardinality() < 3 ||
 				col.Cardinality() > cfg.MaxBreakdownCardinality {
 				continue
 			}
 			temporal := col.Kind == model.KindTemporal
-			unit, err := query(eng, charged, h, bdim)
+			unit, err := led.query(eng, h, bdim)
 			if err != nil {
 				continue
 			}
@@ -131,7 +119,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 					continue
 				}
 				se := pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, cfg.Pattern)
-				eng.Meter().AddCost(eng.EvaluationCost())
+				led.charge(engine.EvaluationCost)
 				for _, h := range se.Holds {
 					insights = append(insights, &Insight{
 						Scope:        ds,
@@ -150,14 +138,11 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 		}
 		dims := tab.Dimensions()
 		for idx := item.maxDimIdx + 1; idx < len(dims); idx++ {
-			if cfg.Budget.Exceeded() {
-				break
-			}
 			dim := dims[idx]
 			if item.subspace.Has(dim.Name) || dim.Cardinality() > cfg.MaxBreakdownCardinality {
 				continue
 			}
-			unit, err := query(eng, charged, h, idx)
+			unit, err := led.query(eng, h, idx)
 			if err != nil {
 				continue
 			}
@@ -186,28 +171,36 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 	})
 	return &Result{
 		Insights:        insights,
-		ExecutedQueries: eng.Meter().ExecutedQueries() - startExec,
-		CostUsed:        eng.Meter().Cost() - startCost,
+		ExecutedQueries: led.executed,
+		CostUsed:        float64(led.costNanos) / 1e9,
 	}
 }
 
-// query is the paper's BasicQuery as QuickInsights issues it, charged
-// inline against the run's own ledger (the run is single-threaded, so issue
-// order is the canonical order): a unit the run has charged before counts as
-// served; any other is one executed scan at the cost ScanCostAt charges,
-// whatever the engine's memo already holds.
-func query(eng *engine.Engine, charged map[cache.UnitKey]bool, h *engine.Handle, bdim int) (*cache.Unit, error) {
+// ledger is one run's charges. The run is single-threaded, so it charges
+// inline and issue order is the canonical order.
+type ledger struct {
+	charged   map[cache.UnitKey]bool // the units this run has charged
+	executed  int64
+	costNanos int64 // cost in nano-units, truncated per charge
+}
+
+func (l *ledger) charge(cost float64) { l.costNanos += int64(cost * 1e9) }
+
+// query is the paper's BasicQuery as QuickInsights issues it, charged to the
+// run's ledger: a unit the run has charged before is served for free; any
+// other is one executed scan at the cost ScanCostAt charges, whatever the
+// engine's memo already holds.
+func (l *ledger) query(eng *engine.Engine, h *engine.Handle, bdim int) (*cache.Unit, error) {
 	u, err := eng.MaterializeUnitAt(h, bdim, nil)
 	if err != nil {
 		return nil, err
 	}
-	m, k := eng.Meter(), eng.UnitKeyAt(h, bdim)
-	if charged[k] {
-		m.AddServed(1)
+	k := eng.UnitKeyAt(h, bdim)
+	if l.charged[k] {
 		return u, nil
 	}
-	charged[k] = true
-	m.AddExecuted(1)
-	m.AddCost(eng.ScanCostAt(h))
+	l.charged[k] = true
+	l.executed++
+	l.charge(eng.ScanCostAt(h))
 	return u, nil
 }

@@ -106,20 +106,6 @@ func TestSortedByScore(t *testing.T) {
 	}
 }
 
-func TestBudgetStopsEarly(t *testing.T) {
-	tab := plantedTable(t)
-	full, _ := mine(t, tab, Config{})
-	meter := &engine.Meter{}
-	eng, err := engine.New(tab, engine.Config{Meter: meter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Mine(eng, Config{Budget: engine.CostBudget{Meter: meter, Limit: 30}})
-	if res.ExecutedQueries >= full.ExecutedQueries {
-		t.Errorf("budgeted run executed %d queries, full run %d", res.ExecutedQueries, full.ExecutedQueries)
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	tab := plantedTable(t)
 	a, _ := mine(t, tab, Config{})

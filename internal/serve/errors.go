@@ -34,10 +34,6 @@ const (
 	CodeNotFound ErrorCode = "not_found"
 	// CodeBadRequest: malformed body or invalid parameter combination (400).
 	CodeBadRequest ErrorCode = "bad_request"
-	// CodeDegraded: the analysis completed best-effort — the query failure
-	// rate exceeded the degradation threshold (206, body still carries the
-	// insights; the HTTP analogue of the CLI's exit code 2).
-	CodeDegraded ErrorCode = "degraded"
 	// CodeInternal: an unexpected server-side failure (500).
 	CodeInternal ErrorCode = "internal"
 )

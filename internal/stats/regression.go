@@ -223,12 +223,8 @@ func SeasonalStrengthWith(work, xs []float64, period int) float64 {
 	return s
 }
 
-// Residuals returns xs - fit, element-wise.
-func Residuals(xs, fit []float64) []float64 {
-	return ResidualsInto(make([]float64, len(xs)), xs, fit)
-}
-
-// ResidualsInto is Residuals into out, which must have len(xs) elements.
+// ResidualsInto writes xs - fit, element-wise, into out, which must have
+// len(xs) elements, and returns it.
 func ResidualsInto(out, xs, fit []float64) []float64 {
 	if len(xs) != len(fit) {
 		panic("stats: Residuals length mismatch")

@@ -275,11 +275,11 @@ type Analyzer struct {
 	in *engine.Interner // the session's intern table and memos every Mine call reuses
 
 	// The state of one run, replaced before every Mine call but the first:
-	// the engine, its meter and the miner config. mined marks that a Mine
-	// call has run.
+	// the engine and the miner config. stats is the last Mine call's ledger,
+	// zero before the first. mined marks that a Mine call has run.
 	eng   *engine.Engine
-	meter *engine.Meter
 	cfg   miner.Config
+	stats miner.Stats
 	mined bool
 
 	obs        *obs.Observer
@@ -397,8 +397,8 @@ func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 // candidate (deduplicated, score-descending) plus run statistics. It is
 // MineContext with a background context.
 //
-// Each call is hermetic: it mines with a fresh meter and its accounting
-// replay starts empty, so a second call returns exactly what the first did.
+// Each call is hermetic: its accounting replay, the run's ledger, starts
+// empty, so a second call returns exactly what the first did.
 // It reuses the session's intern table, the units earlier calls scanned and
 // the scopes they evaluated, so a second call scans and evaluates nothing.
 // Calls must not overlap; a Session serves concurrent analyses.
@@ -418,10 +418,12 @@ func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
 	cfg := a.cfg
 	// Time budgets anchor at the call to Mine, not at analyzer creation,
 	// and never override an explicit cost budget.
-	if a.timeBudget > 0 && cfg.Budget == nil {
-		cfg.Budget = engine.NewTimeBudget(a.timeBudget)
+	if a.timeBudget > 0 && cfg.Budget.Cost == 0 {
+		cfg.Budget.Deadline = time.Now().Add(a.timeBudget)
 	}
-	return miner.New(a.eng, cfg).RunContext(ctx)
+	res := miner.New(a.eng, cfg).RunContext(ctx)
+	a.stats = res.Stats
+	return res
 }
 
 // Rank selects the top-k MetaInsights with high usefulness and low
@@ -442,7 +444,8 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 	return out
 }
 
-// Snapshot publishes the engine's meter, the physical caches' occupancy
+// Snapshot publishes the last Mine call's ledger (engine.cost_units and
+// engine.queries.*, the values of its Stats), the physical caches' occupancy
 // (cache.query.entries and cache.pattern.entries, the session's unit memo
 // and pattern memo for the run's MIN/MAX set, so both count what earlier
 // requests left too), their waiters during the run (cache.flight.*) and the
@@ -458,10 +461,10 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 	if !a.obs.Enabled() {
 		return MetricsSnapshot{}
 	}
-	a.obs.SetGauge("engine.cost_units", a.meter.Cost())
-	a.obs.SetGauge("engine.queries.executed", float64(a.meter.ExecutedQueries()))
-	a.obs.SetGauge("engine.queries.served", float64(a.meter.ServedQueries()))
-	a.obs.SetGauge("engine.queries.augmented", float64(a.meter.AugmentedQueries()))
+	a.obs.SetGauge("engine.cost_units", a.stats.CostUsed)
+	a.obs.SetGauge("engine.queries.executed", float64(a.stats.ExecutedQueries))
+	a.obs.SetGauge("engine.queries.served", float64(a.stats.CacheServed))
+	a.obs.SetGauge("engine.queries.augmented", float64(a.stats.AugmentedQueries))
 	a.obs.SetGauge("cache.query.entries", float64(a.eng.QueryCache().Stats().Entries))
 	a.obs.SetGauge("cache.pattern.entries", float64(a.eng.PatternCache().Stats().Entries))
 	a.obs.SetGauge("engine.interned_handles", float64(a.in.Len()))
@@ -480,7 +483,7 @@ func (a *Analyzer) Observer() *Observer { return a.obs }
 
 // Engine exposes the query engine of the last Mine call (before the first,
 // the one it will use) for advanced use (issuing basic queries directly).
-// Engine queries are never charged: they move neither the meter nor Stats.
+// Engine queries are never charged: they move no ledger and no Stats.
 func (a *Analyzer) Engine() *engine.Engine { return a.eng }
 
 // correlationEvaluator builds the scope-aware evaluator behind

@@ -157,7 +157,7 @@ func TestAnalyzerBudgetsAndAblations(t *testing.T) {
 }
 
 // TestAnalyzerMineIsHermetic: every Mine call on one Analyzer starts from an
-// empty pattern cache, an empty commit-order replay and a zero meter, so the
+// empty pattern cache, an empty commit-order replay, the run's ledger, so the
 // second call returns what the first did — keys, scores and every statistic —
 // though it reuses the units the first one scanned, and both agree across
 // worker counts, but for the reporting-only QueryCacheStats.Bytes. The second
@@ -224,6 +224,12 @@ func TestWithTimeBudgetStops(t *testing.T) {
 	analyzeOnce(t, tab, metainsight.Request{Budget: metainsight.Budget{Time: 50 * time.Millisecond}})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("time budget ignored: ran %v", elapsed)
+	}
+	// A deadline that has passed by the first commit stops the run there.
+	full := analyzeOnce(t, tab, metainsight.Request{}).Result.Stats
+	spent := analyzeOnce(t, tab, metainsight.Request{Budget: metainsight.Budget{Time: time.Nanosecond}}).Result.Stats
+	if spent.CostUsed >= full.CostUsed {
+		t.Errorf("1ns time budget spent %v cost units, an unbudgeted run %v", spent.CostUsed, full.CostUsed)
 	}
 }
 

@@ -252,9 +252,11 @@ func TestStatsStringAndJSON(t *testing.T) {
 }
 
 // TestSnapshotPublishesEngineAndCacheGauges checks Analysis.Snapshot: it
-// reflects the meter and the caches' occupancy into gauges, carries the
-// canonical cache accounting (and no physical hit/miss counts, which the
-// caches no longer keep), includes phase timers, and encodes stably.
+// reflects the run's ledger and the caches' occupancy into gauges, carries
+// the canonical cache accounting (and no physical hit/miss counts, which the
+// caches no longer keep), includes phase timers, and encodes stably. The
+// engine.cost_units and engine.queries.* gauges equal the miner's own, on a
+// budgeted and an unbudgeted request, and read zero before the first run.
 func TestSnapshotPublishesEngineAndCacheGauges(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
@@ -294,6 +296,40 @@ func TestSnapshotPublishesEngineAndCacheGauges(t *testing.T) {
 	}
 	if !strings.Contains(snap.Text(), "engine.cost_units") {
 		t.Error("snapshot text missing gauges section")
+	}
+
+	ledger := map[string]string{
+		"engine.cost_units":        "miner.cost_used",
+		"engine.queries.executed":  "miner.queries.executed",
+		"engine.queries.served":    "miner.queries.cache_served",
+		"engine.queries.augmented": "miner.queries.augmented",
+	}
+	budgeted := analyzeOnce(t, tab, metainsight.Request{
+		TopK: 5, Measures: salesOnly, Budget: metainsight.Budget{Cost: 30},
+		Observer: metainsight.NewObserver(metainsight.ObserverOptions{}),
+	}).Snapshot()
+	if budgeted.Gauges["engine.cost_units"] >= snap.Gauges["engine.cost_units"] {
+		t.Errorf("budget did not bind: %v cost units budgeted, %v unbudgeted",
+			budgeted.Gauges["engine.cost_units"], snap.Gauges["engine.cost_units"])
+	}
+	for name, s := range map[string]metainsight.MetricsSnapshot{"unbudgeted": snap, "budgeted": budgeted} {
+		for eg, mg := range ledger {
+			ev, eok := s.Gauges[eg]
+			mv, mok := s.Gauges[mg]
+			if !eok || !mok || ev != mv {
+				t.Errorf("%s: %s = %v (present %t), %s = %v (present %t)", name, eg, ev, eok, mg, mv, mok)
+			}
+		}
+	}
+	a, err := metainsight.NewAnalyzer(tab, metainsight.WithObserver(metainsight.NewObserver(metainsight.ObserverOptions{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := a.Snapshot()
+	for eg := range ledger {
+		if v, ok := pre.Gauges[eg]; !ok || v != 0 {
+			t.Errorf("before the first Mine: %s = %v (present %t), want 0", eg, v, ok)
+		}
 	}
 
 	// No observer → empty snapshot, no panic.

@@ -9,8 +9,8 @@ package metainsight
 // registration and substrate options, which have no per-call meaning.
 // resolve merges the two into one configuration per call.
 //
-// Every Analyze call is hermetic: it runs with a fresh meter, and its
-// accounting is the miner's commit-order replay, which starts empty; so its
+// Every Analyze call is hermetic: its accounting, the run's ledger, is the
+// miner's commit-order replay, which starts empty; so its
 // result — insights, statistics and trace — is bit-identical to a fresh
 // Analyzer run with the same settings, regardless of what the session served
 // before. What the session shares across calls is what a request computes
@@ -198,7 +198,7 @@ var (
 	ErrInvalidTopKPruning = errors.New(
 		"metainsight: Request.TopKPruning must not be negative; 0 disables early termination")
 	// ErrNegativeOption: a count setting (workers, scan parallelism, max
-	// filters) was negative.
+	// filters) or a budget was negative, or the cost budget NaN.
 	ErrNegativeOption = errors.New("metainsight: option value must be non-negative")
 	// ErrSessionClosed: Analyze was called on a closed session.
 	ErrSessionClosed = errors.New("metainsight: session is closed")
@@ -223,10 +223,10 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 	if req.MaxFilters != 0 {
 		o.minerCfg.MaxSubspaceFilters = req.MaxFilters
 	}
-	if req.Budget.Time > 0 {
+	if req.Budget.Time != 0 {
 		o.timeBudget = req.Budget.Time
 	}
-	if req.Budget.Cost > 0 {
+	if req.Budget.Cost != 0 {
 		o.costBudget = req.Budget.Cost
 	}
 	if req.Tau != 0 {
@@ -242,6 +242,12 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 		o.observer = req.Observer
 	}
 
+	if o.timeBudget < 0 {
+		return nil, fmt.Errorf("%w: time budget %v", ErrNegativeOption, o.timeBudget)
+	}
+	if !(o.costBudget >= 0) {
+		return nil, fmt.Errorf("%w: cost budget %v", ErrNegativeOption, o.costBudget)
+	}
 	if o.timeBudget > 0 && o.costBudget > 0 {
 		return nil, ErrConflictingBudgets
 	}
@@ -268,8 +274,8 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 
 // Session is a long-lived analysis handle over one dataset: NewSession
 // loads and validates once, Analyze serves many requests. Sessions are safe
-// for concurrent Analyze calls; each call is hermetic (a fresh meter and an
-// accounting replay that starts empty), sharing only the dataset's read-only
+// for concurrent Analyze calls; each call is hermetic (an accounting replay,
+// the run's ledger, that starts empty), sharing only the dataset's read-only
 // index structures and the session's intern table with its plans, scanned
 // units and pattern evaluations.
 type Session struct {
@@ -336,7 +342,7 @@ func (an *Analysis) WriteReport(w io.Writer, title string) error {
 
 // Engine exposes the call's query engine for ad-hoc follow-up queries — the
 // "exception as a new entry point" loop of exploratory analysis. Engine
-// queries are never charged: they move neither the meter nor Result.Stats.
+// queries are never charged: they move no ledger and no Result.Stats.
 func (an *Analysis) Engine() *engine.Engine { return an.a.Engine() }
 
 // Analyze mines and ranks one request. A cancelled context stops mining at
@@ -377,7 +383,7 @@ func (s *Session) analyzer(req Request) (*Analyzer, error) {
 }
 
 // reset gives the analyzer the state of one fresh run: an engine over the
-// session's intern table with a zero meter, and a miner config. The miner
+// session's intern table and a miner config. The miner
 // takes the engine's pattern memo, the session's for the run's MIN/MAX set,
 // whose evaluations earlier runs may have made.
 func (a *Analyzer) reset() error {
@@ -398,16 +404,14 @@ func (a *Analyzer) reset() error {
 	}
 	cfg.Observer = o.observer
 	cfg.Checkpoint = o.checkpoint
-	if o.costBudget > 0 {
-		cfg.Budget = engine.CostBudget{Meter: eng.Meter(), Limit: o.costBudget}
-	}
-	a.eng, a.meter, a.cfg = eng, eng.Meter(), cfg
+	cfg.Budget.Cost = o.costBudget
+	a.eng, a.cfg = eng, cfg
 	return nil
 }
 
 // engineConfig is the configuration of one run's engine: the resolved
-// options, a zero meter and the session's intern table, whose query cache,
-// pair memo and pattern memo for the run's MIN/MAX set the engine uses.
+// options and the session's intern table, whose query cache, pair memo and
+// pattern memo for the run's MIN/MAX set the engine uses.
 func (a *Analyzer) engineConfig() engine.Config {
 	o := a.o
 	// The needed-aggregate set: measures that registered evaluators will
@@ -426,7 +430,6 @@ func (a *Analyzer) engineConfig() engine.Config {
 		ImpactMeasure:   o.impact,
 		ExtraMeasures:   reqCfg.RequiredMeasures(),
 		ScanParallelism: o.scanPar,
-		Meter:           &engine.Meter{},
 		Observer:        o.observer,
 		Substrate:       o.substrate,
 		Interner:        a.in,

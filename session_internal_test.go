@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"metainsight/internal/engine"
 	"metainsight/internal/miner"
 )
 
@@ -96,7 +95,7 @@ func TestResolveLandsEveryField(t *testing.T) {
 			return a.timeBudget == time.Minute && a.cfg.Budget == miner.DefaultConfig().Budget
 		}},
 		{"Request.Budget", nil, Request{Budget: Budget{Cost: 7}}, func(_ *Session, a *Analyzer) bool {
-			return a.cfg.Budget == engine.CostBudget{Meter: a.meter, Limit: 7} && a.timeBudget == 0
+			return a.cfg.Budget == (miner.Budget{Cost: 7}) && a.timeBudget == 0
 		}},
 		{"Request.Tau", nil, Request{Tau: 0.6}, func(_ *Session, a *Analyzer) bool {
 			return a.cfg.Score.Tau == 0.6

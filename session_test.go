@@ -102,7 +102,7 @@ func requireSameFacts(t *testing.T, label string, want, got runFacts) {
 // TestSessionReuseBitIdentical is the Session contract: two sequential
 // Analyze calls on one session each produce exactly what a fresh session's
 // first call produces — reuse shares indexes and the intern table, not
-// caches or meters.
+// caches or ledgers.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
@@ -626,6 +626,10 @@ func TestConstructionValidation(t *testing.T) {
 			metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: -1}),
 		}, metainsight.Request{}, metainsight.ErrNegativeOption},
 		{"negative max filters", nil, metainsight.Request{MaxFilters: -1}, metainsight.ErrNegativeOption},
+		{"negative cost budget", nil, metainsight.Request{Budget: metainsight.Budget{Cost: -5}}, metainsight.ErrNegativeOption},
+		{"NaN cost budget", nil, metainsight.Request{Budget: metainsight.Budget{Cost: math.NaN()}}, metainsight.ErrNegativeOption},
+		{"negative time budget", nil, metainsight.Request{Budget: metainsight.Budget{Time: -5 * time.Second}}, metainsight.ErrNegativeOption},
+		{"negative WithCostBudget", []metainsight.Option{metainsight.WithCostBudget(-5)}, metainsight.Request{}, metainsight.ErrNegativeOption},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
