@@ -117,22 +117,6 @@ func CategorizeRaw(dists []RawDistribution, p RawClusterParams) (RawCategorizati
 	return cat, true
 }
 
-// PatternCategorization extracts the pattern-based commonness/exception
-// split of a built MetaInsight as index sets comparable with CategorizeRaw's
-// output (indices refer to the HDP's pattern order).
-func PatternCategorization(mi *MetaInsight) RawCategorization {
-	var cat RawCategorization
-	for _, c := range mi.CommSet {
-		cat.CommonIdx = append(cat.CommonIdx, c.Indices...)
-	}
-	for _, e := range mi.Exceptions {
-		cat.ExceptionIdx = append(cat.ExceptionIdx, e.Index)
-	}
-	sort.Ints(cat.CommonIdx)
-	sort.Ints(cat.ExceptionIdx)
-	return cat
-}
-
 // ExceptionSetEquals compares an exception index set against a ground-truth
 // set.
 func ExceptionSetEquals(got []int, want map[int]bool) bool {

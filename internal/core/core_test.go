@@ -99,7 +99,7 @@ func TestHDSConstructors(t *testing.T) {
 		t.Fatalf("MeasureHDS size = %d", len(hm.Scopes))
 	}
 	for i, m := range ms {
-		if hm.Scopes[i].Measure != m || !hm.Scopes[i].Subspace.Equal(anchor.Subspace) {
+		if hm.Scopes[i].Measure != m || hm.Scopes[i].Subspace.Key() != anchor.Subspace.Key() {
 			t.Error("measure extension must vary only the measure")
 		}
 	}
@@ -145,7 +145,7 @@ func TestRootSubspace(t *testing.T) {
 		t.Errorf("root = %v", root)
 	}
 	hm := MeasureHDS(anchor, []model.Measure{model.Sum("Sales"), model.Count("*")})
-	if !hm.RootSubspace().Equal(anchor.Subspace) {
+	if hm.RootSubspace().Key() != anchor.Subspace.Key() {
 		t.Error("measure-extension root must be the anchor subspace")
 	}
 }
@@ -460,22 +460,6 @@ func TestCategorizeRawRequiresMajority(t *testing.T) {
 	}
 }
 
-func TestPatternCategorizationMatchesMetaInsight(t *testing.T) {
-	dps := []DataPattern{}
-	for i := 0; i < 5; i++ {
-		dps = append(dps, valleyPattern("c"+strconv.Itoa(i), "Apr"))
-	}
-	dps = append(dps, DataPattern{Scope: scope("x"), Type: pattern.NoPattern})
-	mi, ok := BuildMetaInsight(buildHDP(t, dps), 1, DefaultScoreParams())
-	if !ok {
-		t.Fatal("rejected")
-	}
-	cat := PatternCategorization(mi)
-	if len(cat.CommonIdx) != 5 || len(cat.ExceptionIdx) != 1 || cat.ExceptionIdx[0] != 5 {
-		t.Errorf("categorization = %+v", cat)
-	}
-}
-
 func TestExceptionSetEquals(t *testing.T) {
 	if !ExceptionSetEquals([]int{1, 3}, map[int]bool{1: true, 3: true}) {
 		t.Error("equal sets reported unequal")
@@ -535,6 +519,67 @@ func TestBuildMetaInsightProportionsProperty(t *testing.T) {
 			return false
 		}
 		return mi.Score >= 0 && mi.Score <= 1 && mi.Conciseness >= 0 && mi.Conciseness <= 1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBuildMetaInsightClassesAreSimClasses checks BuildMetaInsight's
+// partition against Sim (Equation 8) on random HDPs: a pattern in a
+// commonness is similar to exactly that commonness's members, and an HDP is
+// rejected exactly when no Sim class has more than τ of its patterns.
+func TestBuildMetaInsightClassesAreSimClasses(t *testing.T) {
+	p := DefaultScoreParams()
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(12)
+		dps := make([]DataPattern, 0, n)
+		for i := 0; i < n; i++ {
+			switch r.Intn(5) {
+			case 0, 1, 2:
+				dp := valleyPattern("c"+strconv.Itoa(i), []string{"Apr", "Jul"}[r.Intn(2)])
+				dp.Highlight.Label = []string{"valley", "peak"}[r.Intn(2)]
+				dps = append(dps, dp)
+			case 3:
+				dps = append(dps, DataPattern{Scope: scope("o" + strconv.Itoa(i)), Type: pattern.OtherPattern})
+			default:
+				dps = append(dps, DataPattern{Scope: scope("n" + strconv.Itoa(i)), Type: pattern.NoPattern})
+			}
+		}
+		largest := 0
+		for _, a := range dps {
+			size := 0
+			for _, b := range dps {
+				if Sim(a, b) {
+					size++
+				}
+			}
+			largest = max(largest, size)
+		}
+		mi, ok := BuildMetaInsight(buildHDP(t, dps), 1, p)
+		if ok != (float64(largest) > p.Tau*float64(n)) {
+			t.Logf("accepted = %v with a largest Sim class of %d of %d", ok, largest, n)
+			return false
+		}
+		if !ok {
+			return true
+		}
+		for _, c := range mi.CommSet {
+			in := map[int]bool{}
+			for _, i := range c.Indices {
+				in[i] = true
+			}
+			for _, i := range c.Indices {
+				for j := range dps {
+					if Sim(dps[i], dps[j]) != in[j] {
+						t.Logf("commonness %v: Sim(%d, %d) = %v", c.Indices, i, j, !in[j])
+						return false
+					}
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -125,16 +125,6 @@ func (bb *bitmapBuilder) Finish() *Bitmap {
 	return &bm
 }
 
-// NewBitmapFromSorted builds a Bitmap from an ascending, duplicate-free list
-// of row ids. It never retains rows.
-func NewBitmapFromSorted(rows []int32) *Bitmap {
-	bb := newBitmapBuilder()
-	for _, r := range rows {
-		bb.Add(r)
-	}
-	return bb.Finish()
-}
-
 // makeContainer picks the smallest representation for a chunk given its run
 // decomposition (pairs of start, length-1) and cardinality. Size ties break
 // by kind order (array, then run, then bitmap), so the choice is
@@ -252,14 +242,6 @@ type RowRun struct {
 // lets a scan seek to the i-th row of the set by binary search. The empty set
 // is nil.
 type RowRuns []RowRun
-
-// Rows returns the number of rows in the set.
-func (rr RowRuns) Rows() int {
-	if len(rr) == 0 {
-		return 0
-	}
-	return int(rr[len(rr)-1].Pos)
-}
 
 // RowRuns returns the set as maximal runs of consecutive rows in one
 // exact-size allocation (none for the empty set). Run containers map
@@ -588,19 +570,6 @@ func (s *BitmapStats) Add(other BitmapStats) {
 	s.BitmapContainers += other.BitmapContainers
 	s.CompressedBytes += other.CompressedBytes
 	s.Cardinality += other.Cardinality
-}
-
-// UncompressedBytes is the sorted-slice footprint of the same row set: four
-// bytes per row id.
-func (s BitmapStats) UncompressedBytes() int64 { return 4 * s.Cardinality }
-
-// CompressionRatio is uncompressed ÷ compressed bytes (higher is better);
-// zero when nothing is stored.
-func (s BitmapStats) CompressionRatio() float64 {
-	if s.CompressedBytes == 0 {
-		return 0
-	}
-	return float64(s.UncompressedBytes()) / float64(s.CompressedBytes)
 }
 
 // Stats reports the bitmap's container composition and byte footprint.

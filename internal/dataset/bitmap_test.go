@@ -203,9 +203,6 @@ func checkRowRuns(t *testing.T, what string, bm *Bitmap) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: RowRuns %v, coalesced rows %v", what, got, want)
 	}
-	if got.Rows() != len(rows) {
-		t.Fatalf("%s: RowRuns.Rows() = %d, want %d", what, got.Rows(), len(rows))
-	}
 }
 
 // TestBitmapRowRuns pins the interval builder against the coalesced row
@@ -270,9 +267,10 @@ func TestBitmapStats(t *testing.T) {
 	if s := sparse.Stats(); s.ArrayContainers == 0 {
 		t.Errorf("sparse shape produced no array containers: %+v", s)
 	}
-	// Clustered data must compress well below the 4-byte-per-row slice form.
-	if s := runs.Stats(); s.CompressionRatio() < 4 {
-		t.Errorf("run-shaped postings compress only %.2fx", s.CompressionRatio())
+	// Clustered data must compress well below the 4-byte-per-row slice form:
+	// to at most one byte a row.
+	if s := runs.Stats(); s.CompressedBytes > s.Cardinality {
+		t.Errorf("run-shaped postings take %d bytes for %d rows", s.CompressedBytes, s.Cardinality)
 	}
 	var agg BitmapStats
 	agg.Add(dense.Stats())

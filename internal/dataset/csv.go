@@ -43,8 +43,8 @@ type LoadStats struct {
 	// unparseable measure cell (BadMeasures = RowSkip only).
 	BadMeasureSkipped int
 	// Postings is the compressed posting-index footprint across all dimension
-	// columns: per-container-type counts, compressed bytes, and — via
-	// CompressionRatio — the saving over 4-byte-per-row sorted slices.
+	// columns: per-container-type counts, compressed bytes and the number of
+	// row ids they hold (four bytes each as a sorted slice).
 	// Table.LoadStats fills it in (building the indexes if needed); it is not
 	// an ingestion counter.
 	Postings BitmapStats

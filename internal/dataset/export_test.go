@@ -14,6 +14,16 @@ var (
 	CodeRunEnds    = codeRunEnds
 )
 
+// NewBitmapFromSorted builds a Bitmap from an ascending, duplicate-free list
+// of row ids. It never retains rows.
+func NewBitmapFromSorted(rows []int32) *Bitmap {
+	bb := newBitmapBuilder()
+	for _, r := range rows {
+		bb.Add(r)
+	}
+	return bb.Finish()
+}
+
 // NaiveRunEnds recomputes a column's run ends one row at a time: the end of
 // every maximal run of at least MinCodeRun equal codes, ascending.
 func NaiveRunEnds(codes []int32) []int32 {

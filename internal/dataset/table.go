@@ -178,22 +178,6 @@ func (t *Table) DefaultMeasures() []model.Measure {
 	return ms
 }
 
-// SiblingGroup materializes SG(s, dim): the set of subspaces that agree with
-// s everywhere except on dim, where each takes one concrete domain value
-// (Section 2.1). The anchor's own filter value, if any, is included, matching
-// the definition.
-func (t *Table) SiblingGroup(s model.Subspace, dim string) []model.Subspace {
-	col := t.Dimension(dim)
-	if col == nil {
-		return nil
-	}
-	out := make([]model.Subspace, 0, col.Cardinality())
-	for _, v := range col.Domain() {
-		out = append(out, s.With(dim, v))
-	}
-	return out
-}
-
 // Validate checks that a data scope refers to existing columns of the table.
 func (t *Table) Validate(ds model.DataScope) error {
 	if !ds.Valid() {

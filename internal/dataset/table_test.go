@@ -73,23 +73,6 @@ func TestCodesRoundtrip(t *testing.T) {
 	}
 }
 
-func TestSiblingGroup(t *testing.T) {
-	tab := buildSalesTable(t)
-	s := model.NewSubspace(model.Filter{Dim: "City", Value: "LA"})
-	sg := tab.SiblingGroup(s, "City")
-	if len(sg) != 2 {
-		t.Fatalf("|SG| = %d", len(sg))
-	}
-	if v, _ := sg[0].Get("City"); v != "LA" {
-		t.Errorf("first sibling = %v", sg[0])
-	}
-	// Sibling group on an unfiltered dimension extends the subspace.
-	sg2 := tab.SiblingGroup(s, "Month")
-	if len(sg2) != 3 || !sg2[0].Has("City") {
-		t.Errorf("SG over Month = %v", sg2)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	tab := buildSalesTable(t)
 	good := model.DataScope{

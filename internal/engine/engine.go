@@ -258,9 +258,6 @@ func (e *Engine) recordScan(rows int, augmented bool) {
 	}
 }
 
-// Observer returns the engine's attached observer (possibly nil).
-func (e *Engine) Observer() *obs.Observer { return e.obs }
-
 // Table returns the table the engine queries.
 func (e *Engine) Table() *dataset.Table { return e.tab }
 

@@ -56,7 +56,7 @@ func newEngine(t *testing.T, tab *dataset.Table) *Engine {
 // physicalScans is the number of scans an engine built by newEngine has
 // executed, unit and augmented alike: the observer's engine.physical.scans.
 func physicalScans(e *Engine) int64 {
-	return e.Observer().Snapshot().Counters["engine.physical.scans"]
+	return e.obs.Snapshot().Counters["engine.physical.scans"]
 }
 
 // naiveAggregate computes the reference result of a basic query by direct
@@ -534,7 +534,7 @@ func TestAugmentedSingleFlightAccounting(t *testing.T) {
 	if n := physicalScans(e); n != 1 {
 		t.Errorf("%d scans, want 1", n)
 	}
-	if n := e.Observer().Snapshot().Counters["engine.physical.augmented_scans"]; n != 1 {
+	if n := e.obs.Snapshot().Counters["engine.physical.augmented_scans"]; n != 1 {
 		t.Errorf("%d augmented scans, want 1", n)
 	}
 }

@@ -143,9 +143,6 @@ func (in *Interner) Len() int {
 	return len(in.byKey)
 }
 
-// Root returns the handle of the empty subspace.
-func (in *Interner) Root() *Handle { return in.root }
-
 // Intern returns the handle of s, creating it on first use. Equal subspaces
 // always yield the same handle.
 func (in *Interner) Intern(s model.Subspace) *Handle {

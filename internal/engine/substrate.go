@@ -160,7 +160,7 @@ func newColumnarSubstrate(tab *dataset.Table, cfg columnarConfig) *ColumnarSubst
 type scanPlan struct {
 	full bool            // unfiltered: runs is the one run of every table row, folded through lanes
 	runs dataset.RowRuns // matching rows
-	rows int             // rows visited: runs.Rows()
+	rows int             // rows visited: the sentinel run's Pos
 }
 
 // bytes is what the plan holds beyond its header: the driving runs.

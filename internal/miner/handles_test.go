@@ -33,7 +33,7 @@ func TestUnitsCarryHandlesThatAgreeWithTheirValues(t *testing.T) {
 		queue = queue[1:]
 		for _, p := range m.process(u).produced {
 			if p.kind != kindMetaInsight {
-				if p.handle.Key() != p.subspace.Key() || !p.handle.Subspace().Equal(p.subspace) {
+				if p.handle.Key() != p.subspace.Key() || p.handle.Subspace().Key() != p.subspace.Key() {
 					t.Fatalf("%s unit: handle %q for subspace %q", p.kind, p.handle.Key(), p.subspace.Key())
 				}
 				if p.kind == kindDataPattern && dims[p.bdim] != p.breakdown {

@@ -209,19 +209,6 @@ func (s Subspace) Without(dim string) Subspace {
 	return out
 }
 
-// Equal reports whether two subspaces hold exactly the same filters.
-func (s Subspace) Equal(o Subspace) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a canonical string identifier for the subspace, suitable as a
 // cache or set key. The empty subspace's key is "{*}". Dimension names and
 // values are escaped (see EscapeKey), so distinct subspaces never share a key.

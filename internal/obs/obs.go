@@ -35,14 +35,6 @@ func (o *Observer) Enabled() bool { return o != nil }
 // Tracing reports whether event tracing is enabled.
 func (o *Observer) Tracing() bool { return o != nil && o.trace != nil }
 
-// Registry returns the metrics registry (nil on a nil observer).
-func (o *Observer) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.registry
-}
-
 // Trace returns the event trace, or nil when tracing is disabled.
 func (o *Observer) Trace() *Trace {
 	if o == nil {
@@ -99,14 +91,6 @@ func (o *Observer) Phase(ph Phase, d time.Duration) {
 		return
 	}
 	o.phases.Add(ph, d)
-}
-
-// PhaseTime returns the accumulated time of phase ph.
-func (o *Observer) PhaseTime(ph Phase) time.Duration {
-	if o == nil {
-		return 0
-	}
-	return o.phases.Get(ph)
 }
 
 // Snapshot copies the observer's current state: the registry's instruments,

@@ -12,7 +12,7 @@ import (
 func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(3)
-	r.Counter("a").Inc()
+	r.Counter("a").Add(1)
 	r.Gauge("g").Set(2.5)
 	r.Gauge("g").Add(0.5)
 	h := r.Histogram("h", []float64{1, 10})
@@ -83,7 +83,7 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Counter("shared").Inc()
+				r.Counter("shared").Add(1)
 			}
 		}()
 	}
@@ -148,9 +148,6 @@ func TestPhases(t *testing.T) {
 	p.Add(PhaseExpand, 2*time.Second)
 	p.Add(PhaseExpand, time.Second)
 	p.Add(PhaseRank, 500*time.Millisecond)
-	if got := p.Get(PhaseExpand); got != 3*time.Second {
-		t.Errorf("expand = %v, want 3s", got)
-	}
 	secs := p.Seconds()
 	if secs["expand"] != 3.0 || secs["rank"] != 0.5 {
 		t.Errorf("Seconds = %v", secs)
@@ -172,14 +169,11 @@ func TestNilObserverIsInert(t *testing.T) {
 	o.Observe("x", []float64{1}, 0.5)
 	o.Event(EvPop, "u", "", 0)
 	o.Phase(PhaseCommit, time.Second)
-	if o.PhaseTime(PhaseCommit) != 0 {
-		t.Error("nil observer accumulated time")
-	}
 	s := o.Snapshot()
-	if len(s.Counters) != 0 || len(s.Gauges) != 0 {
+	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.PhaseSeconds) != 0 {
 		t.Errorf("nil snapshot not empty: %+v", s)
 	}
-	if o.Registry() != nil || o.Trace() != nil {
+	if o.Trace() != nil {
 		t.Error("nil observer exposes instruments")
 	}
 }

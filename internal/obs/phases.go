@@ -55,14 +55,6 @@ func (p *Phases) Add(ph Phase, d time.Duration) {
 	}
 }
 
-// Get returns the accumulated duration of phase ph.
-func (p *Phases) Get(ph Phase) time.Duration {
-	if ph >= numPhases {
-		return 0
-	}
-	return time.Duration(p.nanos[ph].Load())
-}
-
 // Seconds returns all non-zero phase totals in seconds, keyed by phase name.
 func (p *Phases) Seconds() map[string]float64 {
 	out := make(map[string]float64, numPhases)

@@ -31,9 +31,6 @@ type Counter struct {
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

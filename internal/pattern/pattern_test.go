@@ -211,7 +211,7 @@ func TestUnimodalityRejectsBoundaryExtremumAndNoise(t *testing.T) {
 
 func TestEvaluateRejectsNaN(t *testing.T) {
 	vals := []float64{1, math.NaN(), 3, 4, 5, 6, 7}
-	for _, tp := range Types() {
+	for tp := Type(0); tp < NumTypes; tp++ {
 		if Evaluate(tp, keysFor(7), vals, true, cfg).Valid {
 			t.Errorf("%v accepted NaN input", tp)
 		}
@@ -260,11 +260,11 @@ func TestHighlightKey(t *testing.T) {
 }
 
 func TestTypeMetadata(t *testing.T) {
-	if len(Types()) != 11 {
-		t.Fatalf("paper specifies 11 types, got %d", len(Types()))
+	if NumTypes != 11 {
+		t.Fatalf("paper specifies 11 types, got %d", NumTypes)
 	}
 	temporalOnly := map[Type]bool{Trend: true, Outlier: true, Seasonality: true, ChangePoint: true, Unimodality: true}
-	for _, tp := range Types() {
+	for tp := Type(0); tp < NumTypes; tp++ {
 		if tp.TemporalOnly() != temporalOnly[tp] {
 			t.Errorf("%v TemporalOnly = %v", tp, tp.TemporalOnly())
 		}
@@ -283,7 +283,7 @@ func TestTypeMetadata(t *testing.T) {
 func TestEvaluateAllMatchesSingleEvaluate(t *testing.T) {
 	vals := []float64{100, 80, 55, 30, 12, 28, 52, 78, 95, 98, 99, 100}
 	se := EvaluateAll(months(), vals, true, cfg)
-	for _, tp := range Types() {
+	for tp := Type(0); tp < NumTypes; tp++ {
 		single := Evaluate(tp, months(), vals, true, cfg)
 		if got, _ := se.Induced(tp); single.Valid != (got == tp) {
 			t.Errorf("%v: EvaluateAll disagrees with Evaluate", tp)
@@ -316,7 +316,7 @@ func TestCustomEvaluator(t *testing.T) {
 	if cfg.TypeName(ct) != "First-Half Dominance" {
 		t.Errorf("TypeName = %q", cfg.TypeName(ct))
 	}
-	if !ct.Concrete() || ct.Builtin() {
+	if !ct.Concrete() || ct < NumTypes {
 		t.Error("custom type classification wrong")
 	}
 

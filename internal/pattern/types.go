@@ -101,9 +101,6 @@ func (t Type) String() string {
 // as opposed to the OtherPattern/NoPattern placeholders.
 func (t Type) Concrete() bool { return t >= 0 }
 
-// Builtin reports whether t is one of the paper's eleven types.
-func (t Type) Builtin() bool { return t >= 0 && t < NumTypes }
-
 // TemporalOnly reports whether the built-in type's evaluation criterion
 // requires a temporal breakdown (the time-series perspectives of Table 1).
 // For custom types, consult the CustomEvaluator's TemporalOnly field.
@@ -114,15 +111,6 @@ func (t Type) TemporalOnly() bool {
 	default:
 		return false
 	}
-}
-
-// Types returns the eleven built-in pattern types in canonical order.
-func Types() []Type {
-	out := make([]Type, NumTypes)
-	for i := range out {
-		out[i] = Type(i)
-	}
-	return out
 }
 
 // Highlight encodes the essential, type-dependent characteristics extracted

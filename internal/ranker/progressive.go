@@ -22,7 +22,6 @@ type Progressive struct {
 
 	mu     sync.Mutex
 	buffer []*core.MetaInsight // score-descending, at most bufferN
-	added  int
 	dirty  bool
 	cached []*core.MetaInsight
 }
@@ -47,7 +46,6 @@ func NewProgressive(k int, w Weights, bufferN int) *Progressive {
 func (p *Progressive) Add(mi *core.MetaInsight) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.added++
 	if len(p.buffer) == p.bufferN && mi.Score <= p.buffer[len(p.buffer)-1].Score {
 		return // cannot displace anything
 	}
@@ -64,13 +62,6 @@ func (p *Progressive) Add(mi *core.MetaInsight) {
 		p.buffer = p.buffer[:p.bufferN]
 	}
 	p.dirty = true
-}
-
-// Added returns how many MetaInsights have been offered so far.
-func (p *Progressive) Added() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.added
 }
 
 // TopK returns the current diversified suggestion (the greedy second-order

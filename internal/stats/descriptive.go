@@ -67,12 +67,6 @@ func ArgMax(xs []float64) int {
 	return i
 }
 
-// ArgMin returns the index of the minimum of xs, or -1 for an empty slice.
-func ArgMin(xs []float64) int {
-	_, i, _, _ := MinMax(xs)
-	return i
-}
-
 // RankDescending returns the indices of xs sorted by value in descending
 // order (ties broken by index for determinism).
 func RankDescending(xs []float64) []int {
@@ -137,18 +131,6 @@ func Normalize(xs []float64) []float64 {
 		out[i] = x / total
 	}
 	return out
-}
-
-// Entropy returns the Shannon entropy (base 2) of a probability vector.
-// Zero entries contribute zero; the vector is not re-normalized.
-func Entropy(p []float64) float64 {
-	h := 0.0
-	for _, pi := range p {
-		if pi > 0 {
-			h -= pi * math.Log2(pi)
-		}
-	}
-	return h
 }
 
 // KLDivergence returns the Kullback-Leibler divergence D(p‖q) in bits, with

@@ -86,43 +86,12 @@ func LinSpace(n int) []float64 {
 	return out
 }
 
-// MovingAverage returns the centered moving average of xs with the given
-// window (forced odd; window 1 returns a copy). Edges use a shrunken window,
-// so the result has the same length as the input. This is the
-// "non-parametric regression" baseline behind the 3-sigma outlier pattern.
-func MovingAverage(xs []float64, window int) []float64 {
-	if window < 1 {
-		window = 1
-	}
-	if window%2 == 0 {
-		window++
-	}
-	half := window / 2
-	out := make([]float64, len(xs))
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		out[i] = Mean(xs[lo : hi+1])
-	}
-	return out
-}
-
-// MedianFilter returns the centered running median of xs with the given
-// window (forced odd; window 1 returns a copy). Edges use a shrunken window.
-// Unlike a moving average, the median baseline is not contaminated by the
-// very outliers the 3-sigma rule is trying to detect.
-func MedianFilter(xs []float64, window int) []float64 {
-	return MedianFilterInto(make([]float64, len(xs)), nil, xs, window)
-}
-
-// MedianFilterInto is MedianFilter into out, which must have len(xs)
-// elements; buf is working space that grows to the window as needed.
+// MedianFilterInto writes the centered running median of xs with the given
+// window (forced odd; window 1 copies xs) into out, which must have len(xs)
+// elements, and returns it. Edges use a shrunken window. Unlike a moving
+// average, the median baseline is not contaminated by the very outliers the
+// 3-sigma rule is trying to detect. buf is working space that grows to the
+// window as needed.
 func MedianFilterInto(out, buf []float64, xs []float64, window int) []float64 {
 	if window < 1 {
 		window = 1
@@ -160,12 +129,10 @@ func Median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// MAD returns the median absolute deviation of xs scaled by 1.4826, the
-// robust standard-deviation estimate used by the outlier pattern.
-func MAD(xs []float64) float64 { return MADWith(nil, xs) }
-
-// MADWith is MAD with work as its working copy; work is replaced when it has
-// fewer than len(xs) elements.
+// MADWith returns the median absolute deviation of xs scaled by 1.4826, the
+// robust standard-deviation estimate used by the outlier pattern. work is
+// its working copy, replaced when it has fewer than len(xs) elements; xs is
+// not written.
 func MADWith(work, xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
@@ -182,15 +149,11 @@ func MADWith(work, xs []float64) float64 {
 	return 1.4826 * Median(work)
 }
 
-// SeasonalStrength measures how much variance a candidate period explains:
-// 1 − Var(xs − phase means)/Var(xs), in [0, 1] (clamped). A pure periodic
-// signal scores 1; white noise scores near (period−1)/(n−1).
-func SeasonalStrength(xs []float64, period int) float64 {
-	return SeasonalStrengthWith(nil, xs, period)
-}
-
-// SeasonalStrengthWith is SeasonalStrength with work as its working space;
-// work is replaced when it has fewer than len(xs)+period elements.
+// SeasonalStrengthWith measures how much variance a candidate period
+// explains: 1 − Var(xs − phase means)/Var(xs), in [0, 1] (clamped). A pure
+// periodic signal scores 1; white noise scores near (period−1)/(n−1). work
+// is its working space, replaced when it has fewer than len(xs)+period
+// elements.
 func SeasonalStrengthWith(work, xs []float64, period int) float64 {
 	n := len(xs)
 	if period < 2 || period >= n {
@@ -235,13 +198,8 @@ func ResidualsInto(out, xs, fit []float64) []float64 {
 	return out
 }
 
-// ACF returns the sample autocorrelation of xs at lags 1..maxLag.
-// Result index 0 corresponds to lag 1. Lags beyond len(xs)-2 are zero.
-func ACF(xs []float64, maxLag int) []float64 {
-	return ACFInto(make([]float64, maxLag), xs)
-}
-
-// ACFInto is ACF at lags 1..len(out) into out.
+// ACFInto writes the sample autocorrelation of xs at lags 1..len(out) into
+// out and returns it: out[0] is lag 1. Lags beyond len(xs)-2 are zero.
 func ACFInto(out, xs []float64) []float64 {
 	n, maxLag := len(xs), len(out)
 	clear(out)

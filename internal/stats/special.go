@@ -1,9 +1,9 @@
 // Package stats is the statistics substrate for MetaInsight's pattern
 // evaluators and evaluation harness. It implements, from the standard
-// library only: special functions (regularized incomplete beta and gamma),
-// distribution tails (normal, Student t, chi-square), ordinary least squares,
-// non-parametric smoothing, autocorrelation, entropy and KL divergence, and
-// Welch's t-test (used by the user-study analysis, Section 5.2.2).
+// library only: the regularized incomplete beta function, the normal and
+// Student t tails, ordinary least squares, median smoothing,
+// autocorrelation, KL divergence, and Welch's t-test (used by the user-study
+// analysis, Section 5.2.2).
 package stats
 
 import (
@@ -85,98 +85,9 @@ func betaContinuedFraction(a, b, x float64) float64 {
 	return h
 }
 
-// RegularizedLowerGamma computes P(a, x) = γ(a, x)/Γ(a), the regularized
-// lower incomplete gamma function, using the series expansion for x < a+1
-// and the continued fraction otherwise.
-func RegularizedLowerGamma(a, x float64) float64 {
-	if a <= 0 {
-		panic("stats: RegularizedLowerGamma requires a > 0")
-	}
-	if x <= 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
-// RegularizedUpperGamma computes Q(a, x) = 1 - P(a, x).
-func RegularizedUpperGamma(a, x float64) float64 {
-	return 1 - RegularizedLowerGamma(a, x)
-}
-
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for n := 0; n < maxIterations; n++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*epsilon {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaContinuedFraction(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / fpmin
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxIterations; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < epsilon {
-			break
-		}
-	}
-	return h * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// NormalCDF returns P(Z ≤ z) for a standard normal Z.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
 // NormalSF returns the standard normal survival function P(Z > z).
 func NormalSF(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// StudentTCDF returns P(T ≤ t) for Student's t distribution with df degrees
-// of freedom.
-func StudentTCDF(t, df float64) float64 {
-	if df <= 0 {
-		panic("stats: StudentTCDF requires df > 0")
-	}
-	if math.IsInf(t, 1) {
-		return 1
-	}
-	if math.IsInf(t, -1) {
-		return 0
-	}
-	x := df / (df + t*t)
-	p := 0.5 * RegularizedIncompleteBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
 }
 
 // StudentTTwoSidedP returns the two-sided p-value P(|T| ≥ |t|) for Student's
@@ -187,13 +98,4 @@ func StudentTTwoSidedP(t, df float64) float64 {
 	}
 	x := df / (df + t*t)
 	return RegularizedIncompleteBeta(df/2, 0.5, x)
-}
-
-// ChiSquareSF returns the survival function P(X ≥ x) for a chi-square
-// distribution with df degrees of freedom.
-func ChiSquareSF(x, df float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	return RegularizedUpperGamma(df/2, x/2)
 }

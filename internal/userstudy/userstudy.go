@@ -154,7 +154,6 @@ const (
 	Neutral
 	Harder
 	MuchHarder
-	numQ3
 )
 
 // String names the choice.
@@ -192,7 +191,6 @@ const (
 	LossNone Q4Choice = iota
 	LossFew
 	LossLot
-	numQ4
 )
 
 // String names the choice.

@@ -95,24 +95,6 @@ func noisy() shape {
 	}
 }
 
-// trending returns a multiplicative linear trend across months.
-func trending(slope float64) shape {
-	return func(month int, r *rand.Rand) float64 {
-		return (1 + slope*float64(month)) * (0.98 + 0.04*r.Float64())
-	}
-}
-
-// spikeAt returns a mostly flat curve with one outlier month.
-func spikeAt(month int, factor float64) shape {
-	return func(m int, r *rand.Rand) float64 {
-		v := 1 + 0.02*r.Float64()
-		if m == month {
-			v *= factor
-		}
-		return v
-	}
-}
-
 // assignShapes gives members of a protagonist dimension their monthly
 // curves: most share a commonness curve, with up to three exceptions —
 // highlight-change (a shifted curve), type-change (flat ⇒ Evenness holds

@@ -140,7 +140,7 @@ var ErrDegraded = miner.ErrDegraded
 // the error returned by Session.Analyze.
 var (
 	// ErrNoCheckpoint: a DurabilityConfig with Resume set found no usable
-	// checkpoint in the directory.
+	// checkpoint in the directory, or named no directory.
 	ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
 	// ErrCheckpointCorrupt: a checkpoint file failed validation (bad magic,
 	// CRC mismatch on a complete frame, non-contiguous journal, trailing
@@ -302,6 +302,7 @@ type analyzerOptions struct {
 	observer       *obs.Observer
 	substrate      Substrate
 	checkpoint     *miner.CheckpointSpec
+	resumeNoDir    bool // a DurabilityConfig asked to Resume without a CheckpointDir
 	scanPar        int
 }
 

@@ -438,9 +438,11 @@ func TestProgressiveRankerDuringMining(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
 	prog := metainsight.NewProgressiveRanker(3)
-	result := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly, Progress: prog.Add}, oneWorker).Result
-	if prog.Added() != len(result.MetaInsights) {
-		t.Fatalf("progressive saw %d of %d discoveries", prog.Added(), len(result.MetaInsights))
+	added := 0
+	progress := func(mi *metainsight.MetaInsight) { added++; prog.Add(mi) }
+	result := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly, Progress: progress}, oneWorker).Result
+	if added != len(result.MetaInsights) {
+		t.Fatalf("progressive saw %d of %d discoveries", added, len(result.MetaInsights))
 	}
 	top := prog.TopK()
 	if len(top) == 0 {

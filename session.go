@@ -94,6 +94,7 @@ type DurabilityConfig struct {
 	// Every is the snapshot cadence in unit commits (<= 0 defaults to 256).
 	Every int64
 	// Resume restores the run from CheckpointDir instead of starting fresh.
+	// Resume without a CheckpointDir is an error (ErrNoCheckpoint).
 	Resume bool
 }
 
@@ -121,11 +122,14 @@ func WithResilience(c ResilienceConfig) Option {
 }
 
 // WithDurability applies a durability config. An empty CheckpointDir leaves
-// prior settings untouched.
+// prior settings untouched, unless Resume is set: then construction fails
+// with ErrNoCheckpoint rather than mine from scratch.
 func WithDurability(c DurabilityConfig) Option {
 	return func(o *analyzerOptions) {
 		if c.CheckpointDir != "" {
 			o.checkpoint = &miner.CheckpointSpec{Dir: c.CheckpointDir, Every: c.Every, Resume: c.Resume}
+		} else if c.Resume {
+			o.resumeNoDir = true
 		}
 	}
 }
@@ -268,6 +272,9 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 	}
 	if o.minerCfg.MaxSubspaceFilters < 0 {
 		return nil, fmt.Errorf("%w: max filters %d", ErrNegativeOption, o.minerCfg.MaxSubspaceFilters)
+	}
+	if o.resumeNoDir {
+		return nil, fmt.Errorf("%w: Resume needs a CheckpointDir", ErrNoCheckpoint)
 	}
 	return o, nil
 }

@@ -108,7 +108,7 @@ func TestResolveLandsEveryField(t *testing.T) {
 			return progressed == 1
 		}},
 		{"Request.Observer", nil, Request{Observer: ob}, func(_ *Session, a *Analyzer) bool {
-			return a.obs == ob && a.cfg.Observer == ob && a.eng.Observer() == ob
+			return a.obs == ob && a.cfg.Observer == ob && a.engineConfig().Observer == ob
 		}},
 		{"ExecConfig.Workers", []Option{WithExec(ExecConfig{Workers: 3})}, Request{}, func(_ *Session, a *Analyzer) bool {
 			return a.cfg.Workers == 3

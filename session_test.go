@@ -347,7 +347,7 @@ func TestWarmSessionEqualsFresh(t *testing.T) {
 		}
 		r := run{facts: factsOf(an.Result, an.Insights), trace: traceEvents(t, req.Observer)}
 		for _, mi := range an.Result.MetaInsights {
-			if !mi.HDP.Type.Builtin() {
+			if mi.HDP.Type >= metainsight.CustomPatternType(0) {
 				r.custom++
 			}
 		}
@@ -630,6 +630,9 @@ func TestConstructionValidation(t *testing.T) {
 		{"NaN cost budget", nil, metainsight.Request{Budget: metainsight.Budget{Cost: math.NaN()}}, metainsight.ErrNegativeOption},
 		{"negative time budget", nil, metainsight.Request{Budget: metainsight.Budget{Time: -5 * time.Second}}, metainsight.ErrNegativeOption},
 		{"negative WithCostBudget", []metainsight.Option{metainsight.WithCostBudget(-5)}, metainsight.Request{}, metainsight.ErrNegativeOption},
+		{"resume without checkpoint dir", []metainsight.Option{
+			metainsight.WithDurability(metainsight.DurabilityConfig{Resume: true}),
+		}, metainsight.Request{}, metainsight.ErrNoCheckpoint},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
