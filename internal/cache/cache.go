@@ -18,6 +18,15 @@
 // (miner.Config.EnableQueryCache, EnablePatternCache). A Memo coalesces
 // concurrent misses on one key into one computation, so a unit is scanned,
 // and a scope evaluated, at most once however many workers ask for it.
+//
+// A unit and a scope have two names. UnitKey and ScopeKey, made of canonical
+// strings, are the external identity: trace labels and checkpoint snapshots.
+// A Unit carries neither name; its memo key is its identity. UnitID and ScopeID, made of an intern table's ordinals (its
+// handle ordinal, the breakdown's table index and its measure ordinal), key
+// the memos and the miner's replay, so a lookup hashes one integer and never
+// a string. Ordinals depend on the order a session interned things in, so
+// they key memos and the replay only: they never decide an ordering, reach a
+// reported hash or go on the wire (DESIGN.md §14).
 package cache
 
 import "metainsight/internal/model"
@@ -73,6 +82,44 @@ func ParseScopeKey(s string) (k ScopeKey, ok bool) {
 	}, true
 }
 
+// UnitID names one query-cache unit inside one intern table: the ordinal of
+// its subspace's handle in the high 32 bits and the breakdown's table index
+// in the next 16, the low 16 left zero for a measure (ScopeID).
+type UnitID uint64
+
+// ScopeID names one pattern-cache entry inside one intern table: its unit's
+// UnitID with the measure's ordinal in the low 16 bits.
+type ScopeID uint64
+
+// MaxBreakdowns and MaxMeasures bound the breakdown index and the measure
+// ordinal an id can carry.
+const (
+	MaxBreakdowns = 1 << 16
+	MaxMeasures   = 1 << 16
+)
+
+// MakeUnitID packs a handle ordinal and a breakdown index, which must be
+// below MaxBreakdowns.
+func MakeUnitID(handle uint32, breakdown int) UnitID {
+	return UnitID(handle)<<32 | UnitID(uint16(breakdown))<<16
+}
+
+// Handle returns the unit's handle ordinal.
+func (u UnitID) Handle() uint32 { return uint32(u >> 32) }
+
+// Breakdown returns the unit's breakdown index.
+func (u UnitID) Breakdown() int { return int(uint16(u >> 16)) }
+
+// Scope returns the id of the unit's scope with the given measure ordinal,
+// which must be below MaxMeasures.
+func (u UnitID) Scope(measure uint32) ScopeID { return ScopeID(u) | ScopeID(uint16(measure)) }
+
+// Unit returns the scope's unit.
+func (s ScopeID) Unit() UnitID { return UnitID(s) &^ 0xffff }
+
+// Measure returns the scope's measure ordinal.
+func (s ScopeID) Measure() uint32 { return uint32(uint16(s)) }
+
 // Unit is one query-cache entry: the aggregation of every measure column of
 // the table, grouped by the breakdown dimension, under a fixed subspace
 // filter — exactly the compound structure of the paper's Figure 5. It serves
@@ -80,7 +127,6 @@ func ParseScopeKey(s string) (k ScopeKey, ok bool) {
 // impact calculation (the impact measure is one of its columns), and the
 // sibling units written by an augmented query serve subspace extension.
 type Unit struct {
-	Key UnitKey
 	// GroupKeys are the breakdown values with at least one record, in
 	// domain order.
 	GroupKeys []string
@@ -95,7 +141,8 @@ type Unit struct {
 }
 
 // ApproxBytes estimates the in-memory footprint of the unit, used for the
-// cache-size statistics of Table 3.
+// cache-size statistics of Table 3. It walks the group keys, so the miner's
+// replay calls it only for a unit its simulated cache stores.
 func (u *Unit) ApproxBytes() int64 {
 	n := int64(len(u.GroupKeys))
 	bytes := int64(64) // struct + maps overhead
@@ -126,9 +173,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// QueryCache stores query-cache units by key.
-type QueryCache = Memo[UnitKey, *Unit]
+// QueryCache stores query-cache units by id.
+type QueryCache = Memo[UnitID, *Unit]
 
 // PatternCache memoizes values of type V keyed by data scope (MetaInsight
 // memoizes pattern evaluations).
-type PatternCache[V any] = Memo[ScopeKey, V]
+type PatternCache[V any] = Memo[ScopeID, V]

@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,9 +14,8 @@ import (
 	"metainsight/internal/model"
 )
 
-func unit(sub, breakdown string, groups int) *Unit {
+func unit(groups int) *Unit {
 	u := &Unit{
-		Key:  UnitKey{Subspace: sub, Breakdown: breakdown},
 		Sums: map[string][]float64{}, Mins: map[string][]float64{}, Maxs: map[string][]float64{},
 	}
 	for i := 0; i < groups; i++ {
@@ -41,9 +41,9 @@ func TestQueryCachePutGet(t *testing.T) {
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache hit")
 	}
-	first := unit("{*}", "Month", 12)
+	first := unit(12)
 	c.Put(k, first)
-	c.Put(k, unit("{*}", "Month", 12))
+	c.Put(k, unit(12))
 	if u, ok := c.Get(k); !ok || u != first {
 		t.Fatalf("Get = %p, %v; want the first unit put %p", u, ok, first)
 	}
@@ -247,7 +247,7 @@ func TestQueryCacheConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := UnitKey{Subspace: fmt.Sprintf("s%d", i%17), Breakdown: "b"}
-				c.Put(k, unit(k.Subspace, k.Breakdown, 4))
+				c.Put(k, unit(4))
 				if _, ok := c.Get(k); !ok {
 					t.Errorf("unit %v lost right after its Put", k)
 				}
@@ -307,8 +307,8 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 }
 
 func TestUnitApproxBytesGrowsWithGroups(t *testing.T) {
-	small := unit("a", "b", 2).ApproxBytes()
-	big := unit("a", "b", 200).ApproxBytes()
+	small := unit(2).ApproxBytes()
+	big := unit(200).ApproxBytes()
 	if big <= small {
 		t.Errorf("ApproxBytes: %d vs %d", small, big)
 	}
@@ -338,6 +338,31 @@ func TestScopeKeyStringIsTheDataScopeKey(t *testing.T) {
 	for _, bad := range []string{"", "{*}", "{*}|Month", "{*}|Month|COUNT(*)|extra"} {
 		if k, ok := ParseScopeKey(bad); ok {
 			t.Errorf("ParseScopeKey(%q) accepted: %+v", bad, k)
+		}
+	}
+}
+
+// TestIDsPackTheirParts: a unit id keeps its handle ordinal and breakdown
+// index at their extremes, and a scope id keeps its unit and measure ordinal,
+// so distinct parts never share an id.
+func TestIDsPackTheirParts(t *testing.T) {
+	seen := make(map[ScopeID]bool)
+	for _, handle := range []uint32{0, 1, 1 << 20, math.MaxUint32} {
+		for _, bdim := range []int{0, 1, MaxBreakdowns - 1} {
+			u := MakeUnitID(handle, bdim)
+			if u.Handle() != handle || u.Breakdown() != bdim {
+				t.Errorf("MakeUnitID(%d, %d) unpacks to (%d, %d)", handle, bdim, u.Handle(), u.Breakdown())
+			}
+			for _, m := range []uint32{0, 1, MaxMeasures - 1} {
+				s := u.Scope(m)
+				if s.Unit() != u || s.Measure() != m {
+					t.Errorf("(%x).Scope(%d) unpacks to (%x, %d)", u, m, s.Unit(), s.Measure())
+				}
+				if seen[s] {
+					t.Errorf("scope id %x taken twice", s)
+				}
+				seen[s] = true
+			}
 		}
 	}
 }

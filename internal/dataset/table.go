@@ -195,10 +195,17 @@ func (t *Table) Validate(ds model.DataScope) error {
 			return fmt.Errorf("dataset: value %q not in domain of %q", f.Value, f.Dim)
 		}
 	}
-	if ds.Measure.Agg != model.AggCount || ds.Measure.Column != "*" {
-		if ds.Measure.Column == "" || t.MeasureColumn(ds.Measure.Column) == nil {
-			return fmt.Errorf("dataset: unknown measure column %q", ds.Measure.Column)
-		}
+	return t.ValidateMeasure(ds.Measure)
+}
+
+// ValidateMeasure checks that the table can answer m: COUNT(*), or an
+// aggregate — COUNT included — of one of its measure columns.
+func (t *Table) ValidateMeasure(m model.Measure) error {
+	if m.Agg == model.AggCount && m.Column == "*" {
+		return nil
+	}
+	if m.Column == "" || t.MeasureColumn(m.Column) == nil {
+		return fmt.Errorf("dataset: unknown measure column %q", m.Column)
 	}
 	return nil
 }

@@ -88,14 +88,18 @@ func TestValidate(t *testing.T) {
 		{Subspace: model.NewSubspace(model.Filter{Dim: "Nope", Value: "x"}), Breakdown: "Month", Measure: model.Sum("Sales")},
 		{Subspace: model.NewSubspace(model.Filter{Dim: "City", Value: "Chicago"}), Breakdown: "Month", Measure: model.Sum("Sales")},
 		{Subspace: good.Subspace, Breakdown: "Month", Measure: model.Sum("Nope")},
+		{Subspace: good.Subspace, Breakdown: "Month", Measure: model.Count("Nope")},
+		{Subspace: good.Subspace, Breakdown: "Month", Measure: model.Count("City")},
 	}
 	for i, ds := range cases {
 		if err := tab.Validate(ds); err == nil {
 			t.Errorf("case %d: invalid scope accepted: %s", i, ds)
 		}
 	}
-	if err := tab.Validate(model.DataScope{Subspace: good.Subspace, Breakdown: "Month", Measure: model.Count("*")}); err != nil {
-		t.Errorf("COUNT(*) rejected: %v", err)
+	for _, m := range []model.Measure{model.Count("*"), model.Count("Sales")} {
+		if err := tab.Validate(model.DataScope{Subspace: good.Subspace, Breakdown: "Month", Measure: m}); err != nil {
+			t.Errorf("%s rejected: %v", m, err)
+		}
 	}
 }
 

@@ -55,11 +55,11 @@ func (s *Series) Len() int { return len(s.Keys) }
 // augKey identifies one augmented scan up to orientation: the paper's
 // AugmentedQuery(ds, d) is one scan filtered by ds.Subspace \ d, grouped by
 // (ds.Breakdown, d), and its twin with the two swapped is the same scan
-// (Engine.scanPair). The base is named by its handle's key string, so the
-// key holds no pointer.
+// (Engine.scanPair). The base is named by its handle's ordinal, so the key
+// is one word and holds no pointer.
 type augKey struct {
-	base   string // key of ds.Subspace.Without(d)
-	lo, hi int    // the table indices of ds.Breakdown and d, ascending
+	base   uint32 // ordinal of ds.Subspace.Without(d)'s handle
+	lo, hi uint16 // the table indices of ds.Breakdown and d, ascending
 }
 
 // Engine executes queries for one table against one measure set. All query
@@ -81,11 +81,14 @@ type Engine struct {
 	sub      Substrate
 	in       *Interner // Config.Interner, or the engine's own
 	dimNames []string  // tab.DimensionNames()
-	totalImp float64
-	bnd      impactBounds // lazily built impact-sum summaries (bounds.go)
-	// impactSums memoizes a SUM impact measure's impactSum by subspace key;
-	// nil for COUNT.
-	impactSums *cache.Memo[string, float64]
+	// measureIDs are the interner's ordinals of the measures, aligned with
+	// measures.
+	measureIDs []uint32
+	totalImp   float64
+	bnd        impactBounds // lazily built impact-sum summaries (bounds.go)
+	// impactSums memoizes a SUM impact measure's impactSum by handle
+	// ordinal; nil for COUNT.
+	impactSums *cache.Memo[uint32, float64]
 }
 
 // Config configures an Engine.
@@ -180,6 +183,9 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 	if !cfg.ImpactMeasure.Agg.Additive() {
 		return nil, fmt.Errorf("engine: impact measure %s is not additive", cfg.ImpactMeasure)
 	}
+	if n := len(tab.Dimensions()); n > cache.MaxBreakdowns {
+		return nil, fmt.Errorf("engine: table has %d dimensions, more than the %d a unit id can name", n, cache.MaxBreakdowns)
+	}
 	if cfg.Interner == nil {
 		cfg.Interner = NewInterner(tab)
 	} else if cfg.Interner.tab != tab {
@@ -209,21 +215,24 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		dimNames: tab.DimensionNames(),
 	}
 	if e.impact.Agg != model.AggCount {
-		e.impactSums = cache.NewMemo[string, float64]()
+		e.impactSums = cache.NewMemo[uint32, float64]()
 	}
 	e.flight0 = e.memoFlight()
+	// Every measure is checked before any takes an interner ordinal, which it
+	// keeps for the session's life.
+	for _, ms := range [][]model.Measure{cfg.Measures, cfg.ExtraMeasures, {cfg.ImpactMeasure}} {
+		for _, m := range ms {
+			if err := tab.ValidateMeasure(m); err != nil {
+				return nil, fmt.Errorf("engine: measure %s: %w", m, err)
+			}
+		}
+	}
 	for _, m := range cfg.Measures {
-		if err := e.checkMeasure(m); err != nil {
-			return nil, err
+		id, ok := e.MeasureID(m)
+		if !ok {
+			return nil, fmt.Errorf("engine: the session has named more than %d measures", cache.MaxMeasures)
 		}
-	}
-	for _, m := range cfg.ExtraMeasures {
-		if err := e.checkMeasure(m); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.checkMeasure(cfg.ImpactMeasure); err != nil {
-		return nil, err
+		e.measureIDs = append(e.measureIDs, id)
 	}
 	// Every impact is a share of this total, so it must be positive and
 	// finite: then every unit priority is finite and the miner's canonical
@@ -234,16 +243,6 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: impact measure %s totals %v over the dataset", cfg.ImpactMeasure, e.totalImp)
 	}
 	return e, nil
-}
-
-func (e *Engine) checkMeasure(m model.Measure) error {
-	if m.Agg == model.AggCount {
-		return nil
-	}
-	if e.tab.MeasureColumn(m.Column) == nil {
-		return fmt.Errorf("engine: measure %s references unknown column", m)
-	}
-	return nil
 }
 
 // recordScan counts one physical scan on the observer (a no-op when no
@@ -297,10 +296,63 @@ func (e *Engine) TotalImpact() float64 { return e.totalImp }
 // miner) keep the handle.
 func (e *Engine) Intern(s model.Subspace) *Handle { return e.in.Intern(s) }
 
-// UnitKeyAt returns the query-cache key of (h, breakdown dimension index):
-// two strings that already exist, so forming it allocates nothing.
-func (e *Engine) UnitKeyAt(h *Handle, bdim int) cache.UnitKey {
-	return cache.UnitKey{Subspace: h.key, Breakdown: e.dimNames[bdim]}
+// UnitIDAt returns the query-cache id of (h, breakdown dimension index).
+func (e *Engine) UnitIDAt(h *Handle, bdim int) cache.UnitID {
+	return cache.MakeUnitID(h.ord, bdim)
+}
+
+// MeasureIDs returns the interner's ordinals of the measure set M, aligned
+// with Measures.
+func (e *Engine) MeasureIDs() []uint32 { return e.measureIDs }
+
+// MeasureID returns the interner's ordinal of m, giving it one on first use.
+// ok is false, and m takes no ordinal, when the table cannot answer m
+// (dataset.Table.ValidateMeasure), so made-up names cannot fill the
+// session's measure table; it is also false once the session has named
+// cache.MaxMeasures measures.
+func (e *Engine) MeasureID(m model.Measure) (id uint32, ok bool) {
+	if e.tab.ValidateMeasure(m) != nil {
+		return 0, false
+	}
+	return e.in.measureID(m.Key())
+}
+
+// UnitKeyOf renders a unit id as the unit's external identity.
+func (e *Engine) UnitKeyOf(id cache.UnitID) cache.UnitKey {
+	return cache.UnitKey{Subspace: e.in.handle(id.Handle()).key, Breakdown: e.dimNames[id.Breakdown()]}
+}
+
+// ScopeKeyOf renders a scope id as the scope's external identity.
+func (e *Engine) ScopeKeyOf(id cache.ScopeID) cache.ScopeKey {
+	return cache.ScopeKey{Unit: e.UnitKeyOf(id.Unit()), Measure: e.in.measureKey(id.Measure())}
+}
+
+// UnitIDOf inverts UnitKeyOf: it interns the subspace k names and resolves
+// its breakdown. ok is false when k.Subspace is not a canonical subspace key
+// or k.Breakdown no dimension of the table.
+func (e *Engine) UnitIDOf(k cache.UnitKey) (id cache.UnitID, ok bool) {
+	sub, ok := model.ParseSubspaceKey(k.Subspace)
+	bdim := e.tab.DimensionIndex(k.Breakdown)
+	if !ok || bdim < 0 {
+		return 0, false
+	}
+	return e.UnitIDAt(e.in.Intern(sub), bdim), true
+}
+
+// ScopeIDOf inverts ScopeKeyOf, as UnitIDOf does for units. ok is also
+// false when k.Measure is not the canonical key of a measure the table can
+// answer, which then takes no ordinal (MeasureID).
+func (e *Engine) ScopeIDOf(k cache.ScopeKey) (id cache.ScopeID, ok bool) {
+	m, ok := model.ParseMeasureKey(k.Measure)
+	if !ok {
+		return 0, false
+	}
+	unit, ok := e.UnitIDOf(k.Unit)
+	if !ok {
+		return 0, false
+	}
+	mid, ok := e.MeasureID(m)
+	return unit.Scope(mid), ok
 }
 
 // BasicQuery answers the paper's BasicQuery(ds): the aggregate of
@@ -323,7 +375,7 @@ func (e *Engine) BasicQuery(ds model.DataScope) (*Series, error) {
 
 // PeekUnitAt returns the cached unit of (h, bdim), if any.
 func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
-	return e.qc.Get(e.UnitKeyAt(h, bdim))
+	return e.qc.Get(e.UnitIDAt(h, bdim))
 }
 
 // MaterializeUnitAt returns the unit of (h, breakdown dimension index bdim):
@@ -336,9 +388,8 @@ func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*ca
 	if peeked != nil {
 		return peeked, nil
 	}
-	key := e.UnitKeyAt(h, bdim)
-	return e.qc.Do(key, func() (*cache.Unit, error) {
-		u, scanned, err := e.sub.ScanUnit(h.sub, key.Breakdown)
+	return e.qc.Do(e.UnitIDAt(h, bdim), func() (*cache.Unit, error) {
+		u, scanned, err := e.sub.ScanUnit(h.sub, e.dimNames[bdim])
 		if err != nil {
 			return nil, err
 		}
@@ -350,11 +401,11 @@ func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*ca
 // MaterializeAugmentedAt answers the paper's AugmentedQuery(ds, d) (Table 2,
 // row 2): one scan filtered by base = ds.Subspace \ d, grouped by
 // (breakdown bdim, augmentation dimension ext), across all measures. It
-// returns the units of every sibling subspace in SG(ds.Subspace, d) that has
-// at least one record, keyed by the sibling's value on d — the key set
-// identifies exactly the non-empty siblings — and stores each in the query
-// cache, pre-fetching the subspace-extending HDS's scopes.
-func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) (map[string]*cache.Unit, error) {
+// returns the units of the sibling subspaces in SG(ds.Subspace, d), indexed
+// by the sibling's dictionary code on d and nil for a sibling without
+// records, and stores each in the query cache, pre-fetching the
+// subspace-extending HDS's scopes. The caller must not modify the slice.
+func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) ([]*cache.Unit, error) {
 	if ext < 0 || ext >= len(e.dimNames) {
 		return nil, fmt.Errorf("engine: unknown augmentation dimension index %d", ext)
 	}
@@ -395,43 +446,43 @@ func (e *Engine) impactFallbackDim(h *Handle) int {
 // if any probe unit is cached the value is free, otherwise the fallback unit
 // is scanned at Cost and enters the cache.
 type ImpactProbe struct {
-	// Handle is the probed subspace. The probe keys are (Handle.Key(), dim)
-	// for every table dimension the handle does not filter, in table
-	// dimension order; a cached unit on any of them serves the impact value.
+	// Handle is the probed subspace. The probe keys are (Handle, dim) for
+	// every table dimension the handle does not filter, in table dimension
+	// order; a cached unit on any of them serves the impact value.
 	Handle *Handle
 	// Fallback is the unit scanned when no probe key is cached.
-	Fallback cache.UnitKey
+	Fallback cache.UnitID
 	// Cost is the cost of the fallback scan (ScanCostAt).
 	Cost float64
-	// Bytes is the fallback unit's ApproxBytes.
-	Bytes int64
+	// Unit is the fallback unit; nil when its scan failed.
+	Unit *cache.Unit
 }
 
 // ImpactAt returns Impact_ds for the subspace of h (Equation 2): the impact
 // measure's value on the subspace (impactSum) divided by its value on the
 // whole dataset. The lookup is a query of the fallback unit, as the miner's
 // replay charges it when no probe unit is cached: a failing fallback scan
-// fails the lookup, and the unit's size is the probe's Bytes. The value is
-// never read from a unit: a unit's sums depend on the scan that produced it
-// (a basic and an augmented scan group a cell's additions differently), and
+// fails the lookup, and the unit is the probe's Unit. The value is never
+// read from a unit: a unit's sums depend on the scan that produced it (a
+// basic and an augmented scan group a cell's additions differently), and
 // which one filled the cache first depends on timing. The ImpactProbe records
-// how the lookup is charged; it is nil for the empty subspace (impact 1 is
-// free dataset metadata).
-func (e *Engine) ImpactAt(h *Handle) (float64, *ImpactProbe, error) {
+// how the lookup is charged; it is the zero probe, with a nil Handle, for the
+// empty subspace (impact 1 is free dataset metadata).
+func (e *Engine) ImpactAt(h *Handle) (float64, ImpactProbe, error) {
 	if h.Len() == 0 {
-		return 1, nil, nil
+		return 1, ImpactProbe{}, nil
 	}
 	fallback := e.impactFallbackDim(h)
-	p := &ImpactProbe{
+	p := ImpactProbe{
 		Handle:   h,
-		Fallback: e.UnitKeyAt(h, fallback),
+		Fallback: e.UnitIDAt(h, fallback),
 		Cost:     e.ScanCostAt(h),
 	}
 	unit, err := e.MaterializeUnitAt(h, fallback, nil)
 	if err != nil {
 		return 0, p, err
 	}
-	p.Bytes = unit.ApproxBytes()
+	p.Unit = unit
 	return e.impactSum(h) / e.totalImp, p, nil
 }
 
@@ -446,7 +497,7 @@ func (e *Engine) impactSum(h *Handle) float64 {
 	if e.impact.Agg == model.AggCount {
 		return float64(p.rows)
 	}
-	s, _ := e.impactSums.Do(h.key, func() (float64, error) {
+	s, _ := e.impactSums.Do(h.ord, func() (float64, error) {
 		vals, s := e.tab.MeasureColumn(e.impact.Column).Values(), 0.0
 		for k := 0; k+1 < len(p.runs); k++ {
 			start := int(p.runs[k].Row)

@@ -202,8 +202,8 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, city := range []string{"LA", "SF", "SD", "SJ"} {
-		u, ok := units[city]
-		if !ok {
+		u := units[tab.Dimensions()[tab.DimensionIndex("City")].Code(city)]
+		if u == nil {
 			t.Fatalf("missing sibling unit for %s", city)
 		}
 		ds := anchor
@@ -272,10 +272,10 @@ func TestImpact(t *testing.T) {
 	if math.Abs(imp-0.75) > 1e-12 {
 		t.Errorf("impact(LA) = %v, want 0.75", imp)
 	}
-	if probe == nil || probe.Cost != e.ScanCostAt(probe.Handle) {
+	if probe.Handle == nil || probe.Cost != e.ScanCostAt(probe.Handle) || probe.Unit == nil {
 		t.Errorf("impact probe = %+v", probe)
 	}
-	if imp, probe, _ := e.ImpactAt(e.Intern(model.EmptySubspace)); imp != 1 || probe != nil {
+	if imp, probe, _ := e.ImpactAt(e.Intern(model.EmptySubspace)); imp != 1 || probe != (ImpactProbe{}) {
 		t.Errorf("impact({*}) = %v, probe %+v", imp, probe)
 	}
 }
@@ -343,10 +343,36 @@ func TestNewRejectsNonFiniteImpact(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnknownMeasure: a measure set, extra measure or impact
+// measure over a column the table lacks is refused — COUNT included, whose
+// column the scan ignores, since COUNT(x) and COUNT(*) would otherwise mine
+// one measure under two keys — and a refused engine gives no measure of its
+// configuration a session ordinal, so unknown names cannot fill the
+// interner's measure table.
 func TestNewRejectsUnknownMeasure(t *testing.T) {
 	tab := randomTable(7, 20)
-	if _, err := New(tab, Config{Measures: []model.Measure{model.Sum("Nope")}}); err == nil {
-		t.Error("unknown measure column accepted")
+	in := NewInterner(tab)
+	for _, cfg := range []Config{
+		{Measures: []model.Measure{model.Sum("Nope")}},
+		{Measures: []model.Measure{model.Count("Nope"), model.Sum("Sales")}},
+		{Measures: []model.Measure{model.Count("City")}}, // a dimension, not a measure column
+		{ExtraMeasures: []model.Measure{model.Max("Nope")}},
+		{ImpactMeasure: model.Count("Nope")},
+	} {
+		cfg.Interner = in
+		if _, err := New(tab, cfg); err == nil {
+			t.Errorf("%+v: unknown measure column accepted", cfg)
+		}
+	}
+	if n := len(in.measureKeys); n != 0 {
+		t.Errorf("refused engines named %d measures: %q", n, in.measureKeys)
+	}
+	e, err := New(tab, Config{Interner: in, Measures: []model.Measure{model.Count("Sales"), model.Count("*")}})
+	if err != nil {
+		t.Fatalf("COUNT over a measure column refused: %v", err)
+	}
+	if _, ok := e.MeasureID(model.Count("Nope")); ok || len(in.measureKeys) != 2 {
+		t.Errorf("MeasureID gave COUNT(Nope) an ordinal: %q", in.measureKeys)
 	}
 }
 

@@ -22,11 +22,14 @@ import (
 // builds or re-derives a string.
 //
 // Strings stay the external identity: trace labels, checkpoint bytes,
-// cache.UnitKey as stored on units and MetaInsight keys are all derived from
-// Handle.Key, which equals model.Subspace.Key byte for byte. Handles
-// themselves — their addresses and creation order, which depend on worker
-// interleaving — never reach an ordering, a reported hash or the wire
-// (DESIGN.md §14).
+// cache.UnitKey and MetaInsight keys are all derived from Handle.Key, which
+// equals model.Subspace.Key byte for byte. Inside, every handle carries a
+// dense ordinal, and every canonical measure key the interner has seen one
+// too; the memos and the miner's replay key units and scopes by them
+// (cache.UnitID, cache.ScopeID), so a hit hashes no string.
+// Handles themselves — their addresses, ordinals and creation order, which
+// depend on worker interleaving — never reach an ordering, a reported hash or
+// the wire (DESIGN.md §14).
 
 // Interner is the intern table of one table's subspaces, and through its
 // handles the one owner of their scan plans. It also owns the scanned units
@@ -44,9 +47,13 @@ type Interner struct {
 	dims []*dataset.DimColumn
 	root *Handle
 
-	mu    sync.RWMutex
-	byKey map[string]*Handle
-	memos map[string]unitMemo // by MIN/MAX set, see units
+	mu      sync.RWMutex
+	byKey   map[string]*Handle
+	handles []*Handle           // by ordinal
+	memos   map[string]unitMemo // by MIN/MAX set, see units
+
+	measureIDs  map[string]uint32 // canonical measure key → ordinal
+	measureKeys []string          // by ordinal
 }
 
 // NewInterner creates an empty intern table over tab.
@@ -56,10 +63,58 @@ func NewInterner(tab *dataset.Table) *Interner {
 		dims:  tab.Dimensions(),
 		byKey: make(map[string]*Handle),
 		memos: make(map[string]unitMemo),
+
+		measureIDs: make(map[string]uint32),
 	}
 	in.root = in.newHandle(model.EmptySubspace, model.EmptySubspace.Key())
-	in.byKey[in.root.key] = in.root
+	in.publish(in.root)
 	return in
+}
+
+// publish gives h the next ordinal and makes it the handle of its key. The
+// caller holds in.mu for writing, or is NewInterner.
+func (in *Interner) publish(h *Handle) {
+	h.ord = uint32(len(in.handles))
+	in.handles = append(in.handles, h)
+	in.byKey[h.key] = h
+}
+
+// handle returns the handle with ordinal ord.
+func (in *Interner) handle(ord uint32) *Handle {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.handles[ord]
+}
+
+// measureID returns the ordinal of the canonical measure key k, giving it
+// the next one on first use; ok is false when cache.MaxMeasures keys already
+// have one.
+func (in *Interner) measureID(k string) (id uint32, ok bool) {
+	in.mu.RLock()
+	id, ok = in.measureIDs[k]
+	in.mu.RUnlock()
+	if ok {
+		return id, true
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if id, ok = in.measureIDs[k]; ok {
+		return id, true
+	}
+	if len(in.measureKeys) >= cache.MaxMeasures {
+		return 0, false
+	}
+	id = uint32(len(in.measureKeys))
+	in.measureIDs[k] = id
+	in.measureKeys = append(in.measureKeys, k)
+	return id, true
+}
+
+// measureKey returns the canonical measure key with ordinal id.
+func (in *Interner) measureKey(id uint32) string {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.measureKeys[id]
 }
 
 // unitMemo is a query cache and the two memos that travel with it: the
@@ -95,9 +150,9 @@ func (in *Interner) units(minMax map[string]bool) unitMemo {
 	m, ok := in.memos[string(key)]
 	if !ok {
 		m = unitMemo{
-			qc:       cache.NewMemo[cache.UnitKey, *cache.Unit](),
+			qc:       cache.NewMemo[cache.UnitID, *cache.Unit](),
 			pairs:    cache.NewMemo[augKey, *pairScan](),
-			patterns: cache.NewMemo[cache.ScopeKey, *pattern.ScopeEvaluation](),
+			patterns: cache.NewMemo[cache.ScopeID, *pattern.ScopeEvaluation](),
 		}
 		in.memos[string(key)] = m
 	}
@@ -117,6 +172,7 @@ type handleFilter struct {
 // return shared immutable data; callers must not modify it.
 type Handle struct {
 	in      *Interner
+	ord     uint32 // dense, in publication order; fixed before publication
 	sub     model.Subspace
 	key     string
 	filters []handleFilter // aligned with sub
@@ -172,7 +228,7 @@ func (in *Interner) intern(s model.Subspace, owned bool) *Handle {
 	if won, ok := in.byKey[h.key]; ok {
 		h = won // a racing creator won; the handles are interchangeable
 	} else {
-		in.byKey[h.key] = h
+		in.publish(h)
 	}
 	in.mu.Unlock()
 	return h

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/model"
 	"metainsight/internal/obs"
@@ -135,5 +136,85 @@ func TestEnginesShareOneInterner(t *testing.T) {
 	}
 	if _, err := New(randomTable(8, 300), Config{Interner: in}); err == nil {
 		t.Error("an interner over another table was accepted")
+	}
+}
+
+// TestOrdinalsAreDenseAndRoundTrip: handles interned concurrently get the
+// ordinals 0 … Len()-1, each once, and the ids built from them render to the
+// external keys and parse back: UnitIDOf inverts UnitKeyOf and ScopeIDOf
+// inverts ScopeKeyOf, for keys with escaped separators too, and keys that name
+// nothing of the table are refused.
+func TestOrdinalsAreDenseAndRoundTrip(t *testing.T) {
+	tab := escapeTable()
+	in := NewInterner(tab)
+	e, err := New(tab, Config{Interner: in, Measures: []model.Measure{model.Sum("M"), model.Count("*")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := tab.Dimensions()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for chain := 0; chain < 100; chain++ {
+				h := in.Intern(model.EmptySubspace)
+				for step := 0; step < 4; step++ {
+					d := r.Intn(len(dims))
+					h = h.With(d, r.Intn(dims[d].Cardinality()))
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+
+	seen := make([]bool, in.Len())
+	for _, h := range in.byKey {
+		if int(h.ord) >= len(seen) || seen[h.ord] || in.handle(h.ord) != h {
+			t.Fatalf("%q: ordinal %d of %d handles is out of range, taken twice or not its own", h.Key(), h.ord, len(seen))
+		}
+		seen[h.ord] = true
+		for d, dim := range dims {
+			id := e.UnitIDAt(h, d)
+			k := e.UnitKeyOf(id)
+			if k != (cache.UnitKey{Subspace: h.Key(), Breakdown: dim.Name}) {
+				t.Fatalf("UnitKeyOf(%q, %q) = %+v", h.Key(), dim.Name, k)
+			}
+			if back, ok := e.UnitIDOf(k); !ok || back != id {
+				t.Fatalf("UnitIDOf(%+v) = %x, %v; want %x", k, back, ok, id)
+			}
+			for i, m := range e.Measures() {
+				sid := id.Scope(e.MeasureIDs()[i])
+				sk := e.ScopeKeyOf(sid)
+				ds := model.DataScope{Subspace: h.Subspace(), Breakdown: dim.Name, Measure: m}
+				if sk.String() != ds.Key() || sid.Unit() != id {
+					t.Fatalf("ScopeKeyOf(%x) = %q, want %q", sid, sk.String(), ds.Key())
+				}
+				parsed, ok := cache.ParseScopeKey(ds.Key())
+				if back, ok2 := e.ScopeIDOf(parsed); !ok || !ok2 || back != sid {
+					t.Fatalf("ScopeIDOf(%q) = %x, %v; want %x", ds.Key(), back, ok && ok2, sid)
+				}
+			}
+		}
+	}
+	for _, k := range []cache.UnitKey{
+		{Subspace: "{*}", Breakdown: "Z"},
+		{Subspace: "{D=p;A=x}", Breakdown: "A"}, // not sorted
+		{Subspace: "{A=x", Breakdown: "D"},
+	} {
+		if id, ok := e.UnitIDOf(k); ok {
+			t.Errorf("UnitIDOf(%+v) accepted: %x", k, id)
+		}
+	}
+	named := len(in.measureKeys)
+	for _, m := range []string{"COUNT(Nope)", "SUM(Nope)", "SUM(A)", "MEDIAN(M)", "SUM(M", "SUM(M))", "sum(M)", ""} {
+		k := cache.ScopeKey{Unit: cache.UnitKey{Subspace: "{*}", Breakdown: "A"}, Measure: m}
+		if id, ok := e.ScopeIDOf(k); ok {
+			t.Errorf("ScopeIDOf(%q) accepted: %x", k.String(), id)
+		}
+	}
+	if len(in.measureKeys) != named {
+		t.Errorf("refused scope keys named measures: %q", in.measureKeys[named:])
 	}
 }

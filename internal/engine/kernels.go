@@ -545,7 +545,7 @@ func (c *ColumnarSubstrate) mergeAcc(global, m *scanAcc) {
 // share one slab allocation, and min/max columns exist only for measures in
 // the needed-aggregate set — the "leaner buildUnit" that removes the
 // per-unit map churn the augmented path used to pay per ext value.
-func (c *ColumnarSubstrate) buildUnitSlice(subspaceKey, breakdown string, domain []string, acc *scanAcc, lo, n int) *cache.Unit {
+func (c *ColumnarSubstrate) buildUnitSlice(domain []string, acc *scanAcc, lo, n int) *cache.Unit {
 	counts := acc.counts[lo : lo+n]
 	nonEmpty := 0
 	for _, v := range counts {
@@ -561,7 +561,6 @@ func (c *ColumnarSubstrate) buildUnitSlice(subspaceKey, breakdown string, domain
 		return s
 	}
 	u := &cache.Unit{
-		Key:       cache.UnitKey{Subspace: subspaceKey, Breakdown: breakdown},
 		GroupKeys: make([]string, nonEmpty),
 		Counts:    next(),
 		Sums:      make(map[string][]float64, nmeas),

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 
 	"metainsight/internal/cache"
@@ -11,16 +12,17 @@ import (
 // dimension swapped, derived by transposing cells instead of scanning again
 // (see Engine.scanPair).
 type pairScan struct {
-	breakdown int                    // the orientation the scan ran in
-	rows      int                    // rows the scan visited
-	units     map[string]*cache.Unit // as scanned: one unit per ext value
+	breakdown int           // the orientation the scan ran in
+	rows      int           // rows the scan visited
+	units     []*cache.Unit // as scanned: one unit per ext code, nil if empty
 
 	twinOnce sync.Once
-	twin     map[string]*cache.Unit // one unit per breakdown value, grouped by ext
+	twin     []*cache.Unit // one unit per breakdown code, grouped by ext
 }
 
 // scanPair is the physical layer under MaterializeAugmentedAt: it returns
-// the units of ScanAugmented(base, bdim, ext) and the rows that scan visits.
+// the units of ScanAugmented(base, bdim, ext), by ext code, and the rows
+// that scan visits.
 //
 // The 2-D group-by over (bdim, ext) under base answers the request and its
 // twin with breakdown and augmentation dimension swapped, so each unordered
@@ -37,8 +39,9 @@ type pairScan struct {
 //
 // Remembered units were all given to the query cache, which keeps what it is
 // given, so the pair memo holds nothing the cache lacks an equal of.
-func (e *Engine) scanPair(base *Handle, bdim, ext int) (map[string]*cache.Unit, int, error) {
-	p, err := e.pairs.Do(augKey{base: base.key, lo: min(bdim, ext), hi: max(bdim, ext)}, func() (*pairScan, error) {
+func (e *Engine) scanPair(base *Handle, bdim, ext int) ([]*cache.Unit, int, error) {
+	k := augKey{base: base.ord, lo: uint16(min(bdim, ext)), hi: uint16(max(bdim, ext))}
+	p, err := e.pairs.Do(k, func() (*pairScan, error) {
 		units, scanned, err := e.scanAugmented(base, bdim, ext)
 		if err != nil {
 			return nil, err // not remembered: the next request tries again
@@ -52,26 +55,41 @@ func (e *Engine) scanPair(base *Handle, bdim, ext int) (map[string]*cache.Unit, 
 		return p.units, p.rows, nil
 	}
 	p.twinOnce.Do(func() {
-		p.twin = e.transposeUnits(base, p.units, ext, bdim)
-		for _, u := range p.twin {
-			e.qc.Put(u.Key, u)
-		}
+		p.twin = e.transposeUnits(p.units, ext, bdim)
+		e.putSiblings(base, p.twin, bdim, ext)
 	})
 	return p.twin, p.rows, nil
 }
 
 // scanAugmented runs one physical augmented scan and hands its units to the
-// query cache.
-func (e *Engine) scanAugmented(base *Handle, bdim, ext int) (map[string]*cache.Unit, int, error) {
-	units, scanned, err := e.sub.ScanAugmented(base.sub, e.dimNames[bdim], e.dimNames[ext])
+// query cache, indexed by ext code.
+func (e *Engine) scanAugmented(base *Handle, bdim, ext int) ([]*cache.Unit, int, error) {
+	byValue, scanned, err := e.sub.ScanAugmented(base.sub, e.dimNames[bdim], e.dimNames[ext])
 	if err != nil {
 		return nil, 0, err
 	}
 	e.recordScan(scanned, true)
-	for _, u := range units {
-		e.qc.Put(u.Key, u)
+	dcol := e.tab.Dimensions()[ext]
+	units := make([]*cache.Unit, dcol.Cardinality())
+	for v, u := range byValue {
+		code := dcol.Code(v)
+		if code < 0 {
+			return nil, 0, fmt.Errorf("engine: augmented scan returned a unit for %s=%q, not in the domain", dcol.Name, v)
+		}
+		units[code] = u
 	}
+	e.putSiblings(base, units, bdim, ext)
 	return units, scanned, nil
+}
+
+// putSiblings gives the query cache the units of ScanAugmented(base, bdim,
+// ext), indexed by ext code.
+func (e *Engine) putSiblings(base *Handle, units []*cache.Unit, bdim, ext int) {
+	for code, u := range units {
+		if u != nil {
+			e.qc.Put(e.UnitIDAt(base.With(ext, code), bdim), u)
+		}
+	}
 }
 
 // unitColumns lists u's float columns in a fixed order — counts, then the
@@ -88,25 +106,22 @@ func unitColumns(u *cache.Unit, sums, minmax []string, cols [][]float64) {
 	}
 }
 
-// transposeUnits turns the units of ScanAugmented(base, bdim, ext) — one per
-// ext value, grouped by bdim — into those of ScanAugmented(base, ext, bdim):
-// one per bdim value, grouped by ext, copying every aggregate of every
+// transposeUnits turns the units of one ScanAugmented(base, bdim, ext) — one
+// per ext code, grouped by bdim — into those of ScanAugmented(base, ext, bdim):
+// one per bdim code, grouped by ext, copying every aggregate of every
 // non-empty cell. It relies on the Substrate contract that units list only
 // non-empty groups, in domain order, and carry the same columns.
-func (e *Engine) transposeUnits(base *Handle, units map[string]*cache.Unit, bdim, ext int) map[string]*cache.Unit {
+func (e *Engine) transposeUnits(src []*cache.Unit, bdim, ext int) []*cache.Unit {
 	bcol, dcol := e.tab.Dimensions()[bdim], e.tab.Dimensions()[ext]
 	bdomain := bcol.Domain()
 
-	// Source units in ext domain order, and the group count of every twin.
-	src := make([]*cache.Unit, dcol.Cardinality())
+	// The group count of every twin.
 	groups := make([]int, len(bdomain))
 	var first *cache.Unit
-	for dv := range src {
-		u := units[dcol.Value(dv)]
+	for _, u := range src {
 		if u == nil {
 			continue
 		}
-		src[dv] = u
 		if first == nil {
 			first = u
 		}
@@ -118,9 +133,9 @@ func (e *Engine) transposeUnits(base *Handle, units map[string]*cache.Unit, bdim
 			groups[code]++
 		}
 	}
-	out := make(map[string]*cache.Unit, len(bdomain))
+	twins := make([]*cache.Unit, len(bdomain))
 	if first == nil {
-		return out
+		return twins
 	}
 	sums := make([]string, 0, len(first.Sums))
 	for name := range first.Sums {
@@ -134,7 +149,6 @@ func (e *Engine) transposeUnits(base *Handle, units map[string]*cache.Unit, bdim
 
 	// One unit per non-empty bdim value; as in the substrate, all float
 	// columns of a unit share one slab.
-	twins := make([]*cache.Unit, len(bdomain))
 	dst := make([][]float64, len(bdomain)*ncols)
 	for code, n := range groups {
 		if n == 0 {
@@ -147,7 +161,6 @@ func (e *Engine) transposeUnits(base *Handle, units map[string]*cache.Unit, bdim
 			return col
 		}
 		u := &cache.Unit{
-			Key:       cache.UnitKey{Subspace: base.With(bdim, code).key, Breakdown: dcol.Name},
 			GroupKeys: make([]string, 0, n),
 			Counts:    next(),
 			Sums:      make(map[string][]float64, len(sums)),
@@ -162,7 +175,6 @@ func (e *Engine) transposeUnits(base *Handle, units map[string]*cache.Unit, bdim
 		}
 		unitColumns(u, sums, minmax, dst[code*ncols:(code+1)*ncols])
 		twins[code] = u
-		out[bdomain[code]] = u
 	}
 
 	from := make([][]float64, ncols)
@@ -184,5 +196,5 @@ func (e *Engine) transposeUnits(base *Handle, units map[string]*cache.Unit, bdim
 			}
 		}
 	}
-	return out
+	return twins
 }

@@ -139,7 +139,7 @@ func TestAugmentedEqualsBasicsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v, u := range units {
+		for v, u := range unitsByValue(tab, tab.DimensionIndex(extDim), units) {
 			for _, m := range []model.Measure{model.Sum("Sales"), model.Avg("Profit"), model.Count("*")} {
 				ds := model.DataScope{
 					Subspace:  anchor.Subspace.With(extDim, v),
@@ -318,12 +318,15 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							for _, u := range units {
-								if cached, ok := e.QueryCache().Get(u.Key); !ok || cached != u {
-									t.Fatalf("%s [%s] %s+%s: unit %v not in the query cache", tc.name, base.Key(), dims[bd], dims[xd], u.Key)
+							for code, u := range units {
+								if u == nil {
+									continue
+								}
+								if cached, ok := e.QueryCache().Get(e.UnitIDAt(h.With(xd, code), bd)); !ok || cached != u {
+									t.Fatalf("%s [%s] %s+%s: unit %+v not in the query cache", tc.name, base.Key(), dims[bd], dims[xd], e.UnitKeyOf(e.UnitIDAt(h.With(xd, code), bd)))
 								}
 							}
-							return augUnitsJSON(t, units)
+							return augUnitsJSON(t, unitsByValue(tab, xd, units))
 						}
 						var got [2]string
 						if tc.swap {
@@ -353,6 +356,18 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 				clustered, sawEmptySibling, sawPartialGroup)
 		}
 	}
+}
+
+// unitsByValue keys the units MaterializeAugmentedAt returns by ext code as
+// the substrate's ScanAugmented does, by ext value.
+func unitsByValue(tab *dataset.Table, ext int, units []*cache.Unit) map[string]*cache.Unit {
+	m := make(map[string]*cache.Unit, len(units))
+	for code, u := range units {
+		if u != nil {
+			m[tab.Dimensions()[ext].Value(code)] = u
+		}
+	}
+	return m
 }
 
 // augUnitsJSON canonicalizes an augmented result for byte comparison.
@@ -388,7 +403,7 @@ func TestAugmentedPairConcurrent(t *testing.T) {
 		}
 		h, b, d := e.Intern(base), tab.DimensionIndex("B"), tab.DimensionIndex("D")
 		var wg sync.WaitGroup
-		got := make([]map[string]*cache.Unit, 16)
+		got := make([][]*cache.Unit, 16)
 		for i := range got {
 			wg.Add(1)
 			go func() {
@@ -406,7 +421,7 @@ func TestAugmentedPairConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 		for i, units := range got {
-			if g := augUnitsJSON(t, units); g != want[i%2] {
+			if g := augUnitsJSON(t, unitsByValue(tab, []int{d, b}[i%2], units)); g != want[i%2] {
 				t.Fatalf("round %d caller %d: engine\n %s\ndirect scan\n %s", round, i, g, want[i%2])
 			}
 		}

@@ -86,7 +86,7 @@ func (c *ReferenceSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cach
 	counts, sums, mins, maxs, scanned := c.refScan(s, bcol.Cardinality(), func(r int) int {
 		return int(bcol.CodeAt(r))
 	})
-	return c.refBuildUnit(s.Key(), breakdown, bcol.Domain(), counts, c.tab.MeasureColumns(), sums, mins, maxs), scanned, nil
+	return c.refBuildUnit(bcol.Domain(), counts, c.tab.MeasureColumns(), sums, mins, maxs), scanned, nil
 }
 
 // ScanAugmented implements Substrate with the naive per-row scan.
@@ -103,7 +103,6 @@ func (c *ReferenceSubstrate) ScanAugmented(base model.Subspace, breakdown, ext s
 	bdomain := bcol.Domain()
 	for dv := 0; dv < dcard; dv++ {
 		lo, hi := dv*bcard, (dv+1)*bcard
-		sub := base.With(ext, dcol.Value(dv))
 		colSums := make([][]float64, len(mcols))
 		colMins := make([][]float64, len(mcols))
 		colMaxs := make([][]float64, len(mcols))
@@ -112,7 +111,7 @@ func (c *ReferenceSubstrate) ScanAugmented(base model.Subspace, breakdown, ext s
 			colMins[i] = mins[i][lo:hi]
 			colMaxs[i] = maxs[i][lo:hi]
 		}
-		u := c.refBuildUnit(sub.Key(), breakdown, bdomain, counts[lo:hi], mcols, colSums, colMins, colMaxs)
+		u := c.refBuildUnit(bdomain, counts[lo:hi], mcols, colSums, colMins, colMaxs)
 		if len(u.GroupKeys) > 0 {
 			units[dcol.Value(dv)] = u
 		}
@@ -142,7 +141,7 @@ func refAlloc(cells, nmeas int) (counts []float64, sums, mins, maxs [][]float64)
 // refBuildUnit compresses full-domain accumulator arrays into a unit holding
 // only the non-empty groups, emitting min/max columns per the substrate's
 // needed-aggregate set.
-func (c *ReferenceSubstrate) refBuildUnit(subspaceKey, breakdown string, domain []string, counts []float64,
+func (c *ReferenceSubstrate) refBuildUnit(domain []string, counts []float64,
 	mcols []*dataset.MeasureColumn, sums, mins, maxs [][]float64) *cache.Unit {
 
 	nonEmpty := 0
@@ -152,7 +151,6 @@ func (c *ReferenceSubstrate) refBuildUnit(subspaceKey, breakdown string, domain 
 		}
 	}
 	u := &cache.Unit{
-		Key:       cache.UnitKey{Subspace: subspaceKey, Breakdown: breakdown},
 		GroupKeys: make([]string, 0, nonEmpty),
 		Counts:    make([]float64, 0, nonEmpty),
 		Sums:      make(map[string][]float64, len(mcols)),

@@ -19,9 +19,9 @@ import (
 // Contract: both methods report the number of rows physically visited, are
 // safe for concurrent use, and must be deterministic for a fixed table —
 // the engine's memos assume any two calls with equal arguments are
-// interchangeable, and the query cache keeps whichever equal unit came first. Returned units must carry the canonical
-// cache.UnitKey for their scope and list only non-empty groups in domain
-// order, and the units of one ScanAugmented carry the same measure columns:
+// interchangeable, and the query cache keeps whichever equal unit came first.
+// Returned units list only non-empty groups in domain order, and the units of
+// one ScanAugmented carry the same measure columns:
 // the engine may answer ScanAugmented(base, b, ext) by transposing the units
 // of ScanAugmented(base, ext, b) (Engine.scanPair). An error is returned to
 // the engine's caller as is, never retried (the miner skips and accounts the
@@ -243,7 +243,7 @@ func (c *ColumnarSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache
 	h := c.in.Intern(s)
 	plan := h.plan(c.obs)
 	acc := c.scan(plan, bcol, nil, card)
-	u := c.buildUnitSlice(h.key, breakdown, bcol.Domain(), acc, 0, card)
+	u := c.buildUnitSlice(bcol.Domain(), acc, 0, card)
 	c.release(acc)
 	return u, plan.rows, nil
 }
@@ -257,23 +257,21 @@ func (c *ColumnarSubstrate) ScanAugmented(base model.Subspace, breakdown, ext st
 	h := c.in.Intern(base)
 	plan := h.plan(c.obs)
 	acc := c.scan(plan, bcol, dcol, bcard*dcard)
-	units := c.augmentedUnits(h, breakdown, ext, acc)
+	units := c.augmentedUnits(breakdown, ext, acc)
 	c.release(acc)
 	return units, plan.rows, nil
 }
 
 // augmentedUnits splits an augmented accumulator (cell = dcode*bcard+bcode)
-// into one unit per non-empty value of ext, each keyed by its sibling
-// handle's built-once key.
-func (c *ColumnarSubstrate) augmentedUnits(base *Handle, breakdown, ext string, acc *scanAcc) map[string]*cache.Unit {
+// into one unit per non-empty value of ext.
+func (c *ColumnarSubstrate) augmentedUnits(breakdown, ext string, acc *scanAcc) map[string]*cache.Unit {
 	bcol := c.tab.Dimension(breakdown)
 	dcol := c.tab.Dimension(ext)
-	extIdx := c.tab.DimensionIndex(ext)
 	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
 	units := make(map[string]*cache.Unit, dcard)
 	bdomain := bcol.Domain()
 	for dv := 0; dv < dcard; dv++ {
-		u := c.buildUnitSlice(base.With(extIdx, dv).key, breakdown, bdomain, acc, dv*bcard, bcard)
+		u := c.buildUnitSlice(bdomain, acc, dv*bcard, bcard)
 		if len(u.GroupKeys) > 0 {
 			units[dcol.Value(dv)] = u
 		}

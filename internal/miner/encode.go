@@ -189,24 +189,22 @@ func (a *accounting) exportState() acctJSON {
 		MeterServed:      a.served,
 		MeterAugmented:   a.augmented,
 	}
-	keys := make([]cache.UnitKey, 0, len(a.qc))
-	for k := range a.qc {
-		keys = append(keys, k)
+	// Both caches are rendered as their external identities and sorted by
+	// them, so the order is the same wherever and whenever it is computed,
+	// whatever ordinals the session gave them.
+	for id, bytes := range a.qc {
+		k := a.eng.UnitKeyOf(id)
+		st.QC = append(st.QC, cacheEntryJSON{Subspace: k.Subspace, Breakdown: k.Breakdown, Bytes: bytes})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Subspace != keys[j].Subspace {
-			return keys[i].Subspace < keys[j].Subspace
+	sort.Slice(st.QC, func(i, j int) bool {
+		if st.QC[i].Subspace != st.QC[j].Subspace {
+			return st.QC[i].Subspace < st.QC[j].Subspace
 		}
-		return keys[i].Breakdown < keys[j].Breakdown
+		return st.QC[i].Breakdown < st.QC[j].Breakdown
 	})
-	for _, k := range keys {
-		st.QC = append(st.QC, cacheEntryJSON{Subspace: k.Subspace, Breakdown: k.Breakdown, Bytes: a.qc[k]})
-	}
-	// Sorted by the canonical string — the external identity, so the order is
-	// the same wherever and whenever it is computed.
 	scopes := make([]string, 0, len(a.pc))
-	for k := range a.pc {
-		scopes = append(scopes, k.String())
+	for id := range a.pc {
+		scopes = append(scopes, a.eng.ScopeKeyOf(id).String())
 	}
 	sort.Strings(scopes)
 	for _, s := range scopes {
@@ -216,17 +214,21 @@ func (a *accounting) exportState() acctJSON {
 }
 
 // restoreState overwrites the (empty) accounting with checkpointed state,
-// its ledger included. The snapshot names pattern-cache entries by their
-// canonical string; they are parsed back into the part-wise keys the replay
-// looks up.
+// its ledger included. The snapshot names units and scopes by their
+// canonical strings; they are parsed and re-interned into the ids the
+// replay looks up.
 func (a *accounting) restoreState(st acctJSON) error {
-	a.pc = make(map[cache.ScopeKey]struct{}, len(st.PC))
+	a.pc = make(map[cache.ScopeID]struct{}, len(st.PC))
 	for _, e := range st.PC {
 		k, ok := cache.ParseScopeKey(e.Scope)
-		if !ok {
-			return fmt.Errorf("snapshot payload: pattern-cache entry %q is not a data-scope key", e.Scope)
+		var id cache.ScopeID
+		if ok {
+			id, ok = a.eng.ScopeIDOf(k)
 		}
-		a.pc[k] = struct{}{}
+		if !ok {
+			return fmt.Errorf("snapshot payload: pattern-cache entry %q is not a data scope of this table", e.Scope)
+		}
+		a.pc[id] = struct{}{}
 	}
 
 	a.qcHits = st.QCHits
@@ -241,10 +243,14 @@ func (a *accounting) restoreState(st acctJSON) error {
 	a.served = st.MeterServed
 	a.augmented = st.MeterAugmented
 
-	a.qc = make(map[cache.UnitKey]int64, len(st.QC))
+	a.qc = make(map[cache.UnitID]int64, len(st.QC))
 	a.qcBytes = 0
 	for _, e := range st.QC {
-		a.store(cache.UnitKey{Subspace: e.Subspace, Breakdown: e.Breakdown}, e.Bytes)
+		id, ok := a.eng.UnitIDOf(cache.UnitKey{Subspace: e.Subspace, Breakdown: e.Breakdown})
+		if !ok {
+			return fmt.Errorf("snapshot payload: query-cache entry %q|%q is not a unit of this table", e.Subspace, e.Breakdown)
+		}
+		a.store(id, e.Bytes)
 	}
 	return nil
 }

@@ -301,10 +301,11 @@ type Miner struct {
 	eng *engine.Engine
 	cfg Config
 
-	// Per-table lookups resolved once: the canonical key of each mined
-	// measure (aligned with eng.Measures()) and, per table dimension index,
-	// whether the dimension is temporal.
+	// Per-table lookups resolved once: the canonical key and the interner's
+	// ordinal of each mined measure (aligned with eng.Measures()) and, per
+	// table dimension index, whether the dimension is temporal.
 	measureKeys []string
+	measureIDs  []uint32
 	temporal    []bool
 
 	// maxFinished bounds the speculation window's finished entries
@@ -376,6 +377,7 @@ func New(eng *engine.Engine, cfg Config) *Miner {
 	for _, ms := range eng.Measures() {
 		m.measureKeys = append(m.measureKeys, ms.Key())
 	}
+	m.measureIDs = eng.MeasureIDs()
 	for _, d := range eng.Table().Dimensions() {
 		m.temporal = append(m.temporal, d.Kind == model.KindTemporal)
 	}
@@ -996,13 +998,12 @@ func (m *Miner) processExpand(u *workUnit, rec *recorder, delta *statDelta) []*w
 			continue
 		}
 		unit, err := m.eng.MaterializeUnitAt(u.handle, idx, nil)
+		rec.recordUnit(m.eng.UnitIDAt(u.handle, idx), unit, cost)
 		if err != nil {
 			// Skipped-but-accounted: the child subspaces behind this group-by
 			// are not explored, but the failed query is counted canonically.
-			rec.recordUnitFail(m.eng.UnitKeyAt(u.handle, idx), cost)
 			continue
 		}
-		rec.recordUnit(unit, cost)
 		src, total := m.eng.GroupImpactsAt(u.handle, idx, unit), m.eng.TotalImpact()
 		for gi, v := range unit.GroupKeys {
 			imp := src[gi] / total
@@ -1033,12 +1034,12 @@ func (m *Miner) processDataPattern(u *workUnit, rec *recorder, delta *statDelta)
 	// One unit fetch serves every measure of the scope family (the cache
 	// unit spans all measures, Figure 5).
 	cost := m.eng.ScanCostAt(u.handle)
+	id := m.eng.UnitIDAt(u.handle, u.bdim)
 	unit, err := m.eng.MaterializeUnitAt(u.handle, u.bdim, nil)
+	rec.recordUnit(id, unit, cost)
 	if err != nil {
-		rec.recordUnitFail(m.eng.UnitKeyAt(u.handle, u.bdim), cost)
 		return nil
 	}
-	rec.recordUnit(unit, cost)
 	var produced []*workUnit
 	for i, meas := range measures {
 		if engine.CheckExtract(unit, meas) != nil {
@@ -1052,7 +1053,7 @@ func (m *Miner) processDataPattern(u *workUnit, rec *recorder, delta *statDelta)
 			continue
 		}
 		ds := model.DataScope{Subspace: u.subspace, Breakdown: u.breakdown, Measure: meas}
-		se := m.evaluateScope(rec, unit, ds, m.measureKeys[i], m.temporal[u.bdim])
+		se := m.evaluateScope(rec, id.Scope(m.measureIDs[i]), unit, ds, m.temporal[u.bdim])
 		// The extension candidates depend on the anchor scope only, so they
 		// are built once and emitted under every type that holds.
 		var exts []extension
@@ -1074,19 +1075,17 @@ const obsEvaluations = "pattern.physical.evaluations"
 
 // evaluateScope runs (or recalls) the all-types evaluation of one data scope
 // through the pattern cache, recording the evaluation for canonical
-// accounting. The scope is keyed by parts that already exist — the unit's
-// key and the measure's — and the series is extracted from the unit (which
-// CheckExtract has cleared) only when the evaluation actually runs, which
-// the observer counts as obsEvaluations. Concurrent evaluations of the same
-// scope share one.
-func (m *Miner) evaluateScope(rec *recorder, unit *cache.Unit, ds model.DataScope, measureKey string, temporal bool) *pattern.ScopeEvaluation {
-	key := cache.ScopeKey{Unit: unit.Key, Measure: measureKey}
-	se, _ := m.eng.PatternCache().Do(key, func() (*pattern.ScopeEvaluation, error) {
+// accounting. The scope is keyed by its id, and the series is extracted from
+// the unit (which CheckExtract has cleared) only when the evaluation
+// actually runs, which the observer counts as obsEvaluations. Concurrent
+// evaluations of the same scope share one.
+func (m *Miner) evaluateScope(rec *recorder, id cache.ScopeID, unit *cache.Unit, ds model.DataScope, temporal bool) *pattern.ScopeEvaluation {
+	se, _ := m.eng.PatternCache().Do(id, func() (*pattern.ScopeEvaluation, error) {
 		m.cfg.Observer.Count(obsEvaluations, 1)
 		series, _ := engine.Extract(unit, ds)
 		return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern), nil
 	})
-	rec.recordEval(key)
+	rec.recordEval(id)
 	return se
 }
 
@@ -1099,12 +1098,12 @@ type extension struct {
 	scopes []scopeRef
 	impact float64 // Impact_HDS
 
-	// probe is the root-impact lookup of a subspace extension (nil
-	// otherwise); it is recorded once per emitting type, as a sequential
-	// execution would perform it. skipped marks an extension the impact-sum
-	// bound cut before that lookup, failed one whose lookup failed: neither
-	// emits a unit.
-	probe   *engine.ImpactProbe
+	// probe is the root-impact lookup of a subspace extension (the zero
+	// probe otherwise); it is recorded once per emitting type, as a
+	// sequential execution would perform it. skipped marks an extension the
+	// impact-sum bound cut before that lookup, failed one whose lookup
+	// failed: neither emits a unit.
+	probe   engine.ImpactProbe
 	skipped bool
 	failed  bool
 }
@@ -1201,10 +1200,10 @@ func emitMetaInsightUnits(produced []*workUnit, rec *recorder, exts []extension,
 		if x.failed {
 			// The lookup's fallback scan errored: a failed query, not a
 			// lookup the replay could serve or charge.
-			rec.recordUnitFail(x.probe.Fallback, x.probe.Cost)
+			rec.recordUnit(x.probe.Fallback, nil, x.probe.Cost)
 			continue
 		}
-		if x.probe != nil {
+		if x.probe.Handle != nil {
 			rec.recordImpact(x.probe)
 		}
 		if len(x.hds.Scopes) < 2 {
@@ -1260,7 +1259,7 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 	// Only measure extension varies the measure; the others resolve the
 	// anchor's once.
 	varying := u.hds.Kind == model.ExtendMeasure
-	measureKey, measureOK := m.resolveMeasure(u.hds.Anchor.Measure)
+	measureID, measureOK := m.resolveMeasure(u.hds.Anchor.Measure)
 
 	for j, scope := range u.hds.Scopes {
 		if m.stopping.Load() {
@@ -1268,7 +1267,7 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 		}
 		ref := u.scopes[j]
 		if varying {
-			measureKey, measureOK = m.resolveMeasure(scope.Measure)
+			measureID, measureOK = m.resolveMeasure(scope.Measure)
 		}
 		if !measureOK || !ref.h.Valid() || ref.h.Has(ref.bdim) {
 			continue // not a scope of this table (dataset.Table.Validate)
@@ -1278,14 +1277,14 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 			hint = peeked[j]
 		}
 		cost := m.eng.ScanCostAt(ref.h)
+		id := m.eng.UnitIDAt(ref.h, ref.bdim)
 		unit, err := m.eng.MaterializeUnitAt(ref.h, ref.bdim, hint)
+		rec.recordUnit(id, unit, cost)
 		if err != nil {
 			// Failed sibling query: the scope drops out of the HDP (best
 			// effort) and the failure is counted canonically at commit.
-			rec.recordUnitFail(m.eng.UnitKeyAt(ref.h, ref.bdim), cost)
 			continue
 		}
-		rec.recordUnit(unit, cost)
 		if engine.CheckExtract(unit, scope.Measure) != nil {
 			delta.extractErrors++
 			continue
@@ -1295,7 +1294,7 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 			delta.shortSeriesSkips++
 			continue
 		}
-		se := m.evaluateScope(rec, unit, scope, measureKey, m.temporal[ref.bdim])
+		se := m.evaluateScope(rec, id.Scope(measureID), unit, scope, m.temporal[ref.bdim])
 		t, h := se.Induced(u.ptype)
 		patterns = append(patterns, core.DataPattern{Scope: scope, Type: t, Highlight: h})
 		if t == u.ptype {
@@ -1332,17 +1331,15 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 	return mi
 }
 
-// resolveMeasure returns a measure's canonical key and whether the table can
-// answer it — dataset.Table.Validate's measure rule.
-func (m *Miner) resolveMeasure(meas model.Measure) (key string, ok bool) {
+// resolveMeasure returns a measure's ordinal and whether the table can
+// answer it (dataset.Table.ValidateMeasure).
+func (m *Miner) resolveMeasure(meas model.Measure) (id uint32, ok bool) {
 	for i, ms := range m.eng.Measures() {
 		if ms == meas {
-			return m.measureKeys[i], true // engine.New validated the measure set
+			return m.measureIDs[i], true // engine.New validated the measure set
 		}
 	}
-	ok = (meas.Agg == model.AggCount && meas.Column == "*") ||
-		m.eng.Table().MeasureColumn(meas.Column) != nil
-	return meas.Key(), ok
+	return m.eng.MeasureID(meas) // false for a measure the table cannot answer
 }
 
 // prefetchSiblings records (and, if the physical cache lacks any sibling,
@@ -1374,17 +1371,19 @@ func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) []*cache.Unit {
 		// commit-time replay can populate its simulation if it decides the
 		// prefetch fires there.
 		use.siblings = make([]unitUse, 0, len(peeked))
-		for _, unit := range peeked {
+		for i, unit := range peeked {
 			if len(unit.GroupKeys) > 0 {
-				use.siblings = append(use.siblings, unitUse{key: unit.Key, bytes: unit.ApproxBytes()})
+				use.siblings = append(use.siblings, unitUse{id: m.eng.UnitIDAt(u.scopes[i].h, anchor.bdim), unit: unit})
 			}
 		}
 	} else if units, err := m.eng.MaterializeAugmentedAt(base, anchor.bdim, ext); err != nil {
 		use.failed = true
 	} else {
 		use.siblings = make([]unitUse, 0, len(units))
-		for _, unit := range units {
-			use.siblings = append(use.siblings, unitUse{key: unit.Key, bytes: unit.ApproxBytes()})
+		for code, unit := range units {
+			if unit != nil {
+				use.siblings = append(use.siblings, unitUse{id: m.eng.UnitIDAt(base.With(ext, code), anchor.bdim), unit: unit})
+			}
 		}
 	}
 	rec.recordSiblings(use)

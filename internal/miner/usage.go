@@ -24,7 +24,10 @@ import (
 // A query whose substrate call errored is recorded as failed by the worker
 // and replayed as skipped-but-accounted: counted, traced, charged nothing.
 // The simulated caches are the committed-key sets of one run: they start
-// empty, as the physical caches do, and never evict.
+// empty, as the physical caches do, and never evict. Events and simulated
+// caches name units and scopes by the session's ordinals (cache.UnitID,
+// cache.ScopeID), so the replay hashes no string; the strings are rendered
+// only for trace labels and snapshots.
 
 // usageKind tags one recorded usage event.
 type usageKind int
@@ -45,15 +48,15 @@ const (
 	useSiblings
 )
 
-// unitUse describes one unit query: its cache key, the analytic cost of the
-// scan that a miss would execute, and the unit's approximate size.
+// unitUse describes one unit query: its id, the analytic cost of the scan
+// that a miss would execute, and the unit read, whose size the replay takes
+// when its simulated cache stores it.
 type unitUse struct {
-	key   cache.UnitKey
-	cost  float64
-	bytes int64
-	// failed records that the worker's materialization errored (a substrate
+	id   cache.UnitID
+	cost float64
+	// unit is nil when the worker's materialization errored (a substrate
 	// error): the query is counted as failed but charged nothing.
-	failed bool
+	unit *cache.Unit
 }
 
 // siblingUse describes one augmented-prefetch decision.
@@ -67,18 +70,19 @@ type siblingUse struct {
 	// failed records that the augmented query errored; the unit fell back to
 	// per-sibling basic queries.
 	failed bool
-	// siblings are the non-empty sibling units the scan produces.
+	// siblings are the non-empty sibling units the scan produces (cost
+	// unused).
 	siblings []unitUse
 }
 
-// usageEvent is one recorded event. unit is set for useUnit and useEval —
-// for an evaluation, unit.key is the scope's unit key and measure its
-// canonical measure key; impact and sibling for their kinds.
+// usageEvent is one recorded event. unit is set for useUnit, and for
+// useImpact as the probe's fallback query with probed the probed handle;
+// scope for useEval; sibling for useSiblings.
 type usageEvent struct {
 	kind    usageKind
 	unit    unitUse
-	measure string
-	impact  *engine.ImpactProbe
+	scope   cache.ScopeID
+	probed  *engine.Handle
 	sibling *siblingUse
 }
 
@@ -110,29 +114,19 @@ func (r *recorder) grow(n int) {
 	}
 }
 
-func (r *recorder) recordUnit(u *cache.Unit, cost float64) {
-	r.events = append(r.events, usageEvent{kind: useUnit, unit: unitUse{
-		key:   u.Key,
-		cost:  cost,
-		bytes: u.ApproxBytes(),
-	}})
+// recordUnit records a unit query; u is nil when its materialization
+// errored.
+func (r *recorder) recordUnit(id cache.UnitID, u *cache.Unit, cost float64) {
+	r.events = append(r.events, usageEvent{kind: useUnit, unit: unitUse{id: id, cost: cost, unit: u}})
 }
 
-// recordUnitFail records a unit query whose materialization errored.
-func (r *recorder) recordUnitFail(key cache.UnitKey, cost float64) {
-	r.events = append(r.events, usageEvent{kind: useUnit, unit: unitUse{
-		key:    key,
-		cost:   cost,
-		failed: true,
-	}})
+func (r *recorder) recordEval(id cache.ScopeID) {
+	r.events = append(r.events, usageEvent{kind: useEval, scope: id})
 }
 
-func (r *recorder) recordEval(k cache.ScopeKey) {
-	r.events = append(r.events, usageEvent{kind: useEval, unit: unitUse{key: k.Unit}, measure: k.Measure})
-}
-
-func (r *recorder) recordImpact(p *engine.ImpactProbe) {
-	r.events = append(r.events, usageEvent{kind: useImpact, impact: p})
+func (r *recorder) recordImpact(p engine.ImpactProbe) {
+	r.events = append(r.events, usageEvent{kind: useImpact, probed: p.Handle,
+		unit: unitUse{id: p.Fallback, cost: p.Cost, unit: p.Unit}})
 }
 
 func (r *recorder) recordSiblings(s *siblingUse) {
@@ -145,8 +139,8 @@ func (r *recorder) recordSiblings(s *siblingUse) {
 // ledger: only the dispatcher goroutine writes it, and the cost budget reads
 // it there, so budgets observe only committed (deterministic) spending.
 type accounting struct {
-	eng       *engine.Engine // renders handles as unit keys
-	dimNames  []string       // table dimension names, for impact probe keys
+	eng       *engine.Engine // names units and scopes, and renders them
+	dims      int            // table dimensions, for impact probe ids
 	qcEnabled bool
 	pcEnabled bool
 	// obs receives one trace event per replayed charge/lookup. The replay
@@ -156,9 +150,9 @@ type accounting struct {
 	obs    *obs.Observer
 	traced bool
 
-	qc      map[cache.UnitKey]int64 // simulated query cache: key → bytes
+	qc      map[cache.UnitID]int64 // simulated query cache: unit → bytes
 	qcBytes int64
-	pc      map[cache.ScopeKey]struct{} // simulated pattern cache: committed scopes
+	pc      map[cache.ScopeID]struct{} // simulated pattern cache: committed scopes
 
 	qcHits, qcMisses int64
 	pcHits, pcMisses int64
@@ -179,13 +173,13 @@ type accounting struct {
 func newAccounting(eng *engine.Engine, qcEnabled, pcEnabled bool, o *obs.Observer) *accounting {
 	return &accounting{
 		eng:       eng,
-		dimNames:  eng.Table().DimensionNames(),
+		dims:      len(eng.Table().Dimensions()),
 		qcEnabled: qcEnabled,
 		pcEnabled: pcEnabled,
 		obs:       o,
 		traced:    o.Tracing(),
-		qc:        make(map[cache.UnitKey]int64),
-		pc:        make(map[cache.ScopeKey]struct{}),
+		qc:        make(map[cache.UnitID]int64),
+		pc:        make(map[cache.ScopeID]struct{}),
 	}
 }
 
@@ -195,24 +189,27 @@ func (a *accounting) charge(cost float64) {
 }
 
 // store simulates a query-cache Put, replacing any previous entry.
-func (a *accounting) store(k cache.UnitKey, bytes int64) {
-	a.qcBytes += bytes - a.qc[k]
-	a.qc[k] = bytes
+func (a *accounting) store(id cache.UnitID, bytes int64) {
+	a.qcBytes += bytes - a.qc[id]
+	a.qc[id] = bytes
 }
 
-// keyLabel renders a unit key as a trace label, matching DataScope.Key's
+// label renders a unit id as a trace label, matching DataScope.Key's
 // "subspace|breakdown" shape.
-func keyLabel(k cache.UnitKey) string { return k.Subspace + "|" + k.Breakdown }
+func (a *accounting) label(id cache.UnitID) string {
+	k := a.eng.UnitKeyOf(id)
+	return k.Subspace + "|" + k.Breakdown
+}
 
-// applyUnit replays one unit query: a failed one is counted, a cached key is
-// served, a missing one is scanned (counted, charged) and stored.
+// applyUnit replays one unit query: a failed one is counted, a cached unit
+// is served, a missing one is scanned (counted, charged) and stored.
 func (a *accounting) applyUnit(u unitUse) {
-	if u.failed {
+	if u.unit == nil {
 		// Substrate error: skipped-but-accounted, no charge — the scan never
 		// completed.
 		a.failedUnits++
 		if a.traced {
-			a.obs.Event(obs.EvQueryFail, keyLabel(u.key), "substrate error", 0)
+			a.obs.Event(obs.EvQueryFail, a.label(u.id), "substrate error", 0)
 		}
 		return
 	}
@@ -221,25 +218,26 @@ func (a *accounting) applyUnit(u unitUse) {
 		a.executed++
 		a.charge(u.cost)
 		if a.traced {
-			a.obs.Event(obs.EvQueryExec, keyLabel(u.key), "query-cache disabled", u.cost)
+			a.obs.Event(obs.EvQueryExec, a.label(u.id), "query-cache disabled", u.cost)
 		}
 		return
 	}
-	if _, ok := a.qc[u.key]; ok {
+	if _, ok := a.qc[u.id]; ok {
 		a.qcHits++
 		a.served++
 		if a.traced {
-			a.obs.Event(obs.EvCacheHit, keyLabel(u.key), "query-cache", 0)
+			a.obs.Event(obs.EvCacheHit, a.label(u.id), "query-cache", 0)
 		}
 		return
 	}
 	a.qcMisses++
 	a.executed++
 	a.charge(u.cost)
-	a.store(u.key, u.bytes)
+	a.store(u.id, u.unit.ApproxBytes())
 	if a.traced {
-		a.obs.Event(obs.EvCacheMiss, keyLabel(u.key), "query-cache", 0)
-		a.obs.Event(obs.EvQueryExec, keyLabel(u.key), "", u.cost)
+		label := a.label(u.id)
+		a.obs.Event(obs.EvCacheMiss, label, "query-cache", 0)
+		a.obs.Event(obs.EvQueryExec, label, "", u.cost)
 	}
 }
 
@@ -249,41 +247,39 @@ func (a *accounting) apply(ev usageEvent) {
 	case useUnit:
 		a.applyUnit(ev.unit)
 	case useEval:
-		key := cache.ScopeKey{Unit: ev.unit.key, Measure: ev.measure}
 		if a.pcEnabled {
-			if _, ok := a.pc[key]; ok {
+			if _, ok := a.pc[ev.scope]; ok {
 				a.pcHits++
 				if a.traced {
-					a.obs.Event(obs.EvCacheHit, key.String(), "pattern-cache", 0)
+					a.obs.Event(obs.EvCacheHit, a.eng.ScopeKeyOf(ev.scope).String(), "pattern-cache", 0)
 				}
 				return
 			}
-			a.pc[key] = struct{}{}
+			a.pc[ev.scope] = struct{}{}
 		}
 		a.pcMisses++
 		a.charge(engine.EvaluationCost)
 		if a.traced {
-			a.obs.Event(obs.EvPatternEval, key.String(), "", engine.EvaluationCost)
+			a.obs.Event(obs.EvPatternEval, a.eng.ScopeKeyOf(ev.scope).String(), "", engine.EvaluationCost)
 		}
 	case useImpact:
-		p := ev.impact
 		if a.qcEnabled {
 			// A cached unit on any unfiltered breakdown serves the impact
 			// lookup for free.
-			for d, dim := range a.dimNames {
-				if p.Handle.Has(d) {
+			for d := 0; d < a.dims; d++ {
+				if ev.probed.Has(d) {
 					continue
 				}
-				k := cache.UnitKey{Subspace: p.Handle.Key(), Breakdown: dim}
-				if _, ok := a.qc[k]; ok {
+				id := a.eng.UnitIDAt(ev.probed, d)
+				if _, ok := a.qc[id]; ok {
 					if a.traced {
-						a.obs.Event(obs.EvCacheHit, keyLabel(k), "impact-probe", 0)
+						a.obs.Event(obs.EvCacheHit, a.label(id), "impact-probe", 0)
 					}
 					return
 				}
 			}
 		}
-		a.applyUnit(unitUse{key: p.Fallback, cost: p.Cost, bytes: p.Bytes})
+		a.applyUnit(ev.unit)
 	case useSiblings:
 		a.applySiblings(ev.sibling)
 	}
@@ -295,14 +291,14 @@ func (a *accounting) apply(ev usageEvent) {
 func (a *accounting) applySiblings(s *siblingUse) {
 	missing := false
 	for _, ref := range s.scopes {
-		if _, ok := a.qc[a.eng.UnitKeyAt(ref.h, ref.bdim)]; !ok {
+		if _, ok := a.qc[a.eng.UnitIDAt(ref.h, ref.bdim)]; !ok {
 			missing = true
 			break
 		}
 	}
 	rep := ""
 	if a.traced && len(s.scopes) > 0 {
-		rep = keyLabel(a.eng.UnitKeyAt(s.scopes[0].h, s.scopes[0].bdim))
+		rep = a.label(a.eng.UnitIDAt(s.scopes[0].h, s.scopes[0].bdim))
 	}
 	if !missing {
 		// Every sibling unit cached: the prefetch is skipped.
@@ -322,7 +318,7 @@ func (a *accounting) applySiblings(s *siblingUse) {
 	a.augmented++
 	a.charge(s.cost)
 	for _, sib := range s.siblings {
-		a.store(sib.key, sib.bytes)
+		a.store(sib.id, sib.unit.ApproxBytes())
 	}
 	if a.traced {
 		a.obs.Event(obs.EvQueryExec, rep,

@@ -79,7 +79,7 @@ func (r *Result) TopK(k int) []*Insight {
 func Mine(eng *engine.Engine, cfg Config) *Result {
 	cfg.fillDefaults()
 	tab := eng.Table()
-	led := &ledger{charged: make(map[cache.UnitKey]bool)}
+	led := &ledger{charged: make(map[cache.UnitID]bool)}
 
 	type frontierItem struct {
 		subspace  model.Subspace
@@ -179,7 +179,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 // ledger is one run's charges. The run is single-threaded, so it charges
 // inline and issue order is the canonical order.
 type ledger struct {
-	charged   map[cache.UnitKey]bool // the units this run has charged
+	charged   map[cache.UnitID]bool // the units this run has charged
 	executed  int64
 	costNanos int64 // cost in nano-units, truncated per charge
 }
@@ -195,7 +195,7 @@ func (l *ledger) query(eng *engine.Engine, h *engine.Handle, bdim int) (*cache.U
 	if err != nil {
 		return nil, err
 	}
-	k := eng.UnitKeyAt(h, bdim)
+	k := eng.UnitIDAt(h, bdim)
 	if l.charged[k] {
 		return u, nil
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -177,6 +178,30 @@ func TestAnalyzeErrors(t *testing.T) {
 	status, data = postJSON(t, hs.URL+"/v1/analyze", analyzeBody, map[string]string{"X-Deadline-Ms": "soon"})
 	if status != http.StatusBadRequest || errorCode(t, data) != CodeBadRequest {
 		t.Fatalf("bad deadline header: status %d, body %s", status, data)
+	}
+}
+
+// TestUnknownCountColumnIsRefused: /v1/analyze refuses COUNT over a column
+// the dataset lacks, as it refuses SUM over one, whatever the name, and the
+// dataset's session answers the next well-formed request as a fresh server
+// does. (That a refused measure takes none of the session's measure
+// ordinals is TestUnknownCountColumnTakesNoOrdinal's, at the library.)
+func TestUnknownCountColumnIsRefused(t *testing.T) {
+	_, hs := newTestServer(t, nil)
+	for _, col := range []string{"Nope", "x1", "City"} {
+		body := `{"dataset":"house","top_k":5,"measures":[{"agg":"COUNT","column":"` + col + `"},{"agg":"SUM","column":"Sales"}]}`
+		status, data := postJSON(t, hs.URL+"/v1/analyze", body, nil)
+		if status == http.StatusOK || !strings.Contains(string(data), "unknown measure column") {
+			t.Fatalf("COUNT(%s): status %d, body %s", col, status, data)
+		}
+	}
+	status, got := postJSON(t, hs.URL+"/v1/analyze", analyzeBody, nil)
+	if status != http.StatusOK {
+		t.Fatalf("well-formed request after refusals: status %d, body %s", status, got)
+	}
+	_, fresh := newTestServer(t, nil)
+	if _, want := postJSON(t, fresh.URL+"/v1/analyze", analyzeBody, nil); !bytes.Equal(got, want) {
+		t.Errorf("refused requests changed the next answer:\n got %s\nwant %s", got, want)
 	}
 }
 

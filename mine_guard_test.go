@@ -18,6 +18,11 @@ const (
 	// nothing (the same measurement gave 212,971 before, and 1,503,070 before
 	// subspaces were interned).
 	blessedMineAllocs = 170300
+	// blessedMineBytes is the bytes the same warm Analyze allocates, as
+	// warmAnalyzeBytes reads them, blessed when units, scopes and the
+	// replay's usage events came to be named by the session's ordinals (the
+	// same measurement gave 37,450,000 when they were named by strings).
+	blessedMineBytes = 31330000
 	// blessedColdAllocs is the heap-allocation count of the first
 	// Session.Analyze on a fresh session over the benchmark's generated table
 	// at its quick scale (one worker, unbudgeted, TopK 10), re-blessed when
@@ -122,6 +127,23 @@ func TestMineAllocsGuard(t *testing.T) {
 	if allocs > limit {
 		t.Errorf("allocations per warm Analyze regressed: %.0f exceeds blessed %d x %.2f = %.0f",
 			allocs, blessedMineAllocs, mineAllocsSlack, limit)
+	}
+
+	// The bytes arm, at GOMAXPROCS 1 as AllocsPerRun measures: usage events
+	// or memo keys that grow fat again show here before the allocation count
+	// moves. The deferred restore also runs when warmAnalyzeBytes fails the
+	// test, so the package's later tests keep their GOMAXPROCS.
+	mineBytes := func() float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		_, b := warmAnalyzeBytes(t, workload.SalesForecast(),
+			metainsight.ExecConfig{Workers: 1}, metainsight.Request{TopK: 10})
+		return b
+	}()
+	bytesLimit := blessedMineBytes * mineAllocsSlack
+	t.Logf("bytes per warm Analyze: %.0f (blessed %d, limit %.0f)", mineBytes, blessedMineBytes, bytesLimit)
+	if mineBytes > bytesLimit {
+		t.Errorf("bytes per warm Analyze regressed: %.0f exceeds blessed %d x %.2f = %.0f",
+			mineBytes, blessedMineBytes, mineAllocsSlack, bytesLimit)
 	}
 
 	// Credit Card's 1920 rows fit inside one 8192-row morsel, so every scan
