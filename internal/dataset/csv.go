@@ -180,39 +180,47 @@ func newCSVReader(b []byte) *csv.Reader {
 	return cr
 }
 
-// byteRows splits quote-free CSV b into records: lines end at '\n', one '\r'
-// is dropped from the end of each, empty lines are skipped and fields are
-// split at ','. On such input that is the record newCSVReader returns, up to
-// the leading space it trims, which trimSpace removes from every cell anyway
-// — and quote-free input has no syntax errors. The cells are ranges of b and
-// the record is reused, so a chunk allocates nothing per row.
+// cutLine cuts the first line off quote-free CSV b: lines end at '\n', and
+// one '\r' is dropped from the end of each. It is the one line splitter of
+// both quote-free readers, byteRows and parse, which skip empty lines.
+func cutLine(b []byte) (line, rest []byte) {
+	line = b
+	if i := bytes.IndexByte(b, '\n'); i >= 0 {
+		line, rest = b[:i], b[i+1:]
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, rest
+}
+
+// splitFields appends the fields of line, split at ',', to rec.
+func splitFields(rec [][]byte, line []byte) [][]byte {
+	for {
+		i := bytes.IndexByte(line, ',')
+		if i < 0 {
+			return append(rec, line)
+		}
+		rec = append(rec, line[:i])
+		line = line[i+1:]
+	}
+}
+
+// byteRows splits quote-free CSV b into records: empty lines are skipped and
+// the rest split by cutLine and splitFields. On such input that is the record
+// newCSVReader returns, up to the leading space it trims, which trimSpace
+// removes from every cell anyway — and quote-free input has no syntax errors.
+// The cells are ranges of b and the record is reused, so a chunk allocates
+// nothing per row.
 func byteRows(b []byte) rowReader[[]byte] {
 	var rec [][]byte
 	return func() ([][]byte, error) {
 		for len(b) > 0 {
-			line := b
-			if i := bytes.IndexByte(b, '\n'); i >= 0 {
-				line, b = b[:i], b[i+1:]
-			} else {
-				b = nil
+			var line []byte
+			if line, b = cutLine(b); len(line) > 0 {
+				rec = splitFields(rec[:0], line)
+				return rec, nil
 			}
-			if n := len(line); n > 0 && line[n-1] == '\r' {
-				line = line[:n-1]
-			}
-			if len(line) == 0 {
-				continue
-			}
-			rec = rec[:0]
-			for {
-				i := bytes.IndexByte(line, ',')
-				if i < 0 {
-					break
-				}
-				rec = append(rec, line[:i])
-				line = line[i+1:]
-			}
-			rec = append(rec, line)
-			return rec, nil
 		}
 		return nil, io.EOF
 	}
@@ -329,7 +337,19 @@ type segment struct {
 	unkept map[string]struct{}
 }
 
-// part is what parsing one chunk produced.
+// lastRun returns the last kept row's value and code while the column tries
+// them first: in a run of one value, a cell equal to it takes the code
+// without the map. Where rows do not run, trying only costs, so a column goes
+// on trying past its first runProbe kept rows only if half the tries hit.
+func (seg *segment) lastRun() (string, int32, bool) {
+	n := len(seg.codes)
+	if n == 0 || n >= runProbe && 2*seg.hits < runProbe {
+		return "", 0, false
+	}
+	return seg.dict[seg.codes[n-1]], seg.codes[n-1], true
+}
+
+// part is what parsing one chunk produced, and the state of the parse.
 type part struct {
 	segs  []segment
 	rows  int // rows kept
@@ -337,7 +357,19 @@ type part struct {
 	// The first defect of each class, worded as if the chunk were the whole
 	// input — which it is whenever one of them is returned to the caller.
 	syntax, ragged, bad error
-	retype              []int // presumed measures that met a non-number
+	retype              []int     // presumed measures that met a non-number
+	mode                []colMode // the loader's, with this chunk's retypes
+	records, wellFormed int       // rows read so far, and those of the header's width
+	row                 []pending // quote-free chunks: the line being decoded, one per column
+}
+
+// pending is one decoded cell of a quote-free line, held until every cell of
+// the line has decoded.
+type pending struct {
+	val      float64 // asNumber: the value
+	nonEmpty bool    // asNumber: the cell was not empty
+	code     int32   // asDict: the chunk-local code, or -1 for a value new to the chunk
+	value    []byte  // asDict: the trimmed cell when code is -1
 }
 
 // load builds the table in two stages. Stage one presumes each column's
@@ -487,126 +519,216 @@ func presumeRows[T cell](l *loader, next rowReader[T], rows int) {
 	}
 }
 
-// parse reads one chunk into column segments. Only a syntax error stops it
-// early: a ragged row or a bad measure under RowError is noted and the scan
-// goes on, because a later cell can still retype a column, which outranks
-// the bad measure.
+// parse reads one chunk into column segments sized so that they never grow.
+// Only a syntax error stops it early: a ragged row or a bad measure under
+// RowError is noted and the scan goes on, because a later cell can still
+// retype a column, which outranks the bad measure. A quote-free line that
+// decodeLine declines, or follows a retype, is split and goes to decodeRow.
 func (l *loader) parse(open chunk) *part {
 	plain, records, maxRows := open()
-	if records != nil {
-		return parseRows(l, records, maxRows)
-	}
-	return parseRows(l, byteRows(plain), maxRows)
-}
-
-func parseRows[T cell](l *loader, next rowReader[T], maxRows int) *part {
-	ncols := len(l.names)
-	p := &part{segs: make([]segment, ncols)}
-	mode := append([]colMode(nil), l.mode...)
+	p := &part{segs: make([]segment, len(l.names)), mode: append([]colMode(nil), l.mode...)}
 	for c := range p.segs {
-		if mode[c] == asNumber {
+		if p.mode[c] == asNumber {
 			p.segs[c].vals = make([]float64, 0, maxRows)
 		} else {
 			p.segs[c].codes = make([]int32, 0, maxRows)
 			p.segs[c].index = make(map[string]int32)
 		}
 	}
-	records, wellFormed := 0, 0
-	for {
-		rec, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			p.syntax = syntaxError(err)
-			break
-		}
-		records++
-		if len(rec) != ncols {
-			if l.opts.RaggedRows == RowSkip {
-				p.stats.RaggedSkipped++
-			} else if p.ragged == nil {
-				p.ragged = fmt.Errorf("dataset: row %d has %d columns, header has %d", records, len(rec), ncols)
+	if records != nil {
+		for {
+			rec, err := records()
+			if err == io.EOF {
+				break
 			}
+			if err != nil {
+				p.syntax = syntaxError(err)
+				break
+			}
+			decodeRow(l, p, rec)
+		}
+		return p
+	}
+	p.row = make([]pending, len(p.segs))
+	var rec [][]byte
+	for len(plain) > 0 {
+		var line []byte
+		if line, plain = cutLine(plain); len(line) == 0 {
 			continue
 		}
-		wellFormed++
-		// Measures first: whether the row is kept decides what the
-		// dimension cells below may touch.
-		keep := true
-		for c, cell := range rec {
-			if mode[c] != asNumber {
-				continue
-			}
-			seg := &p.segs[c]
-			s := trimSpace(cell)
-			v, ok := parseNumber(s)
-			seg.nonEmpty = seg.nonEmpty || len(s) > 0
-			switch {
-			case !ok && !l.forced[c]:
-				mode[c] = retyped
-				p.retype = append(p.retype, c)
-			case !ok || math.IsNaN(v) || math.IsInf(v, 0):
-				if l.opts.BadMeasures == RowError && p.bad == nil {
-					p.bad = fmt.Errorf("dataset: row %d column %q: %w", wellFormed, l.names[c], measureError(string(s), ok))
-				}
-				keep = false
-			default:
-				seg.vals = append(seg.vals, v)
-			}
-		}
-		for c, cell := range rec {
-			if mode[c] != asDict {
-				continue
-			}
-			seg := &p.segs[c]
-			v := trimSpace(cell)
-			// In a run of one value, a cell equal to the last kept row's
-			// value takes its code without the map. Where rows do not run,
-			// trying only costs, so a column goes on trying past its first
-			// runProbe kept rows only if at least half of the tries hit.
-			var code int32
-			n := len(seg.codes)
-			ok := n > 0 && (n < runProbe || 2*seg.hits >= runProbe) && string(v) == seg.dict[seg.codes[n-1]]
-			if ok {
-				code = seg.codes[n-1]
-				seg.hits++
-			} else {
-				code, ok = seg.index[string(v)]
-			}
-			switch {
-			case keep:
-				if !ok {
-					// Cloned, so the dictionary does not pin the input.
-					s := strings.Clone(string(v))
-					code = int32(len(seg.dict))
-					seg.index[s] = code
-					seg.dict = append(seg.dict, s)
-				}
-				seg.codes = append(seg.codes, code)
-			case !ok && !l.forced[c]:
-				if seg.unkept == nil {
-					seg.unkept = make(map[string]struct{})
-				}
-				if _, ok := seg.unkept[string(v)]; !ok {
-					seg.unkept[strings.Clone(string(v))] = struct{}{}
-				}
-			}
-		}
-		if keep {
-			p.rows++
-			continue
-		}
-		if l.opts.BadMeasures == RowSkip {
-			p.stats.BadMeasureSkipped++
-		}
-		for c := range p.segs { // take back the measures stored before the bad one
-			if seg := &p.segs[c]; len(seg.vals) > p.rows {
-				seg.vals = seg.vals[:p.rows]
-			}
+		if len(p.retype) > 0 || !decodeLine(p, line) {
+			rec = splitFields(rec[:0], line)
+			decodeRow(l, p, rec)
 		}
 	}
 	return p
+}
+
+// decodeLine decodes non-empty quote-free line in one pass, into what
+// decodeRow would make of it, and appends the row to p; p must have no
+// retyped column. It reports false, with p as it was (up to run-hit counts),
+// for a column count other than the header's or a measure that is not a
+// finite number. A run value is matched in place: its bytes, then ',' or the
+// end of the line. A value new to the chunk enters the dictionary last.
+func decodeLine(p *part, line []byte) bool {
+	last := len(p.segs) - 1
+	pos := 0
+	for c := range p.segs {
+		seg, cell := &p.segs[c], &p.row[c]
+		if p.mode[c] == asNumber {
+			start := pos
+			v, n, ok := parseDecimal(line[pos:])
+			cell.nonEmpty, pos = true, pos+n
+			if !ok {
+				pos = cellEnd(line, start)
+				s := trimSpace(line[start:pos])
+				if v, ok = parseNumber(s); !ok || math.IsNaN(v) || math.IsInf(v, 0) {
+					return false
+				}
+				cell.nonEmpty = len(s) > 0
+			}
+			cell.val = v
+		} else {
+			hit := false
+			if v, code, try := seg.lastRun(); try {
+				if end := pos + len(v); end <= len(line) && (end == len(line) || line[end] == ',') && string(line[pos:end]) == v {
+					seg.hits++
+					cell.code, pos, hit = code, end, true
+				}
+			}
+			if !hit {
+				end := cellEnd(line, pos)
+				v := line[pos:end]
+				if n := len(v); n > 0 && (maySpace(v[0]) || maySpace(v[n-1])) {
+					v = trimSpace(v)
+				}
+				code, ok := seg.index[string(v)]
+				if !ok {
+					code, cell.value = -1, v
+				}
+				cell.code, pos = code, end
+			}
+		}
+		// pos is at the ',' that ends the cell, or at the end of the line.
+		if (pos == len(line)) != (c == last) {
+			return false
+		}
+		pos++
+	}
+	for c := range p.segs {
+		seg, cell := &p.segs[c], &p.row[c]
+		if p.mode[c] == asNumber {
+			seg.vals = append(seg.vals, cell.val)
+			seg.nonEmpty = seg.nonEmpty || cell.nonEmpty
+			continue
+		}
+		if cell.code < 0 {
+			s := string(cell.value)
+			cell.code = int32(len(seg.dict))
+			seg.index[s] = cell.code
+			seg.dict = append(seg.dict, s)
+		}
+		seg.codes = append(seg.codes, cell.code)
+	}
+	p.records++
+	p.wellFormed++
+	p.rows++
+	return true
+}
+
+// cellEnd is the index of the first ',' in line at or after pos, or len(line).
+func cellEnd(line []byte, pos int) int {
+	if i := bytes.IndexByte(line[pos:], ','); i >= 0 {
+		return pos + i
+	}
+	return len(line)
+}
+
+// maySpace reports whether c could be the first or last byte of a rune
+// unicode.IsSpace holds of: an ASCII space, or any byte of a multi-byte rune.
+func maySpace(c byte) bool { return c >= utf8.RuneSelf || asciiSpace(c) }
+
+// decodeRow adds one record to p: the ragged, bad-measure, retype and unkept
+// rules, and their error texts, for every kind of cell.
+func decodeRow[T cell](l *loader, p *part, rec []T) {
+	ncols, mode, segs := len(l.names), p.mode, p.segs
+	p.records++
+	if len(rec) != ncols {
+		if l.opts.RaggedRows == RowSkip {
+			p.stats.RaggedSkipped++
+		} else if p.ragged == nil {
+			p.ragged = fmt.Errorf("dataset: row %d has %d columns, header has %d", p.records, len(rec), ncols)
+		}
+		return
+	}
+	p.wellFormed++
+	// Measures first: whether the row is kept decides what the dimension
+	// cells below may touch.
+	keep := true
+	for c, cell := range rec {
+		if mode[c] != asNumber {
+			continue
+		}
+		seg := &segs[c]
+		s := trimSpace(cell)
+		v, ok := parseNumber(s)
+		seg.nonEmpty = seg.nonEmpty || len(s) > 0
+		switch {
+		case !ok && !l.forced[c]:
+			mode[c] = retyped
+			p.retype = append(p.retype, c)
+		case !ok || math.IsNaN(v) || math.IsInf(v, 0):
+			if l.opts.BadMeasures == RowError && p.bad == nil {
+				p.bad = fmt.Errorf("dataset: row %d column %q: %w", p.wellFormed, l.names[c], measureError(string(s), ok))
+			}
+			keep = false
+		default:
+			seg.vals = append(seg.vals, v)
+		}
+	}
+	for c, cell := range rec {
+		if mode[c] != asDict {
+			continue
+		}
+		seg := &segs[c]
+		v := trimSpace(cell)
+		run, code, ok := seg.lastRun()
+		if ok = ok && string(v) == run; ok {
+			seg.hits++
+		} else {
+			code, ok = seg.index[string(v)]
+		}
+		switch {
+		case keep:
+			if !ok {
+				// Cloned, so the dictionary does not pin the input.
+				s := strings.Clone(string(v))
+				code = int32(len(seg.dict))
+				seg.index[s] = code
+				seg.dict = append(seg.dict, s)
+			}
+			seg.codes = append(seg.codes, code)
+		case !ok && !l.forced[c]:
+			if seg.unkept == nil {
+				seg.unkept = make(map[string]struct{})
+			}
+			if _, ok := seg.unkept[string(v)]; !ok {
+				seg.unkept[strings.Clone(string(v))] = struct{}{}
+			}
+		}
+	}
+	if keep {
+		p.rows++
+		return
+	}
+	if l.opts.BadMeasures == RowSkip {
+		p.stats.BadMeasureSkipped++
+	}
+	for c := range segs { // take back the measures stored before the bad one
+		if seg := &segs[c]; len(seg.vals) > p.rows {
+			seg.vals = seg.vals[:p.rows]
+		}
+	}
 }
 
 // trimSpace is strings.TrimSpace for either kind of cell: it drops the
@@ -652,7 +774,7 @@ func parseNumber[T cell](s T) (float64, bool) {
 	if len(s) == 0 {
 		return 0, true
 	}
-	if v, ok := parseDecimal(s); ok {
+	if v, n, ok := parseDecimal(s); ok && n == len(s) {
 		return v, true
 	}
 	v, err := strconv.ParseFloat(strings.ReplaceAll(string(s), ",", ""), 64)
@@ -663,44 +785,41 @@ func parseNumber[T cell](s T) (float64, bool) {
 // needs them up to 15.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
-// parseDecimal reads non-empty s that is an optional sign and then 1 to 15
-// digits with at most one '.' among them or around them ("1.", ".5"), and
-// reports false for anything else. The digits, read as an integer, are below
-// 2^53 and the divisor 10^frac is at most 10^15, so both are exact
-// float64s, one IEEE division rounds their quotient correctly, and negation
-// commutes with that rounding: the result is strconv.ParseFloat's, bit for
-// bit, -0 included.
-func parseDecimal[T cell](s T) (float64, bool) {
+// parseDecimal reads s up to its first ',', or to its end, and returns where
+// it stopped. ok holds if what it read is an optional sign and then 1 to 15
+// digits with at most one '.' among them or around them ("1.", ".5"). The
+// digits, read as an integer, are below 2^53 and the divisor 10^frac is at
+// most 10^15, so both are exact float64s, one IEEE division rounds their
+// quotient correctly, and negation commutes with that rounding: the result is
+// strconv.ParseFloat's, bit for bit, -0 included.
+func parseDecimal[T cell](s T) (v float64, end int, ok bool) {
 	i, neg := 0, false
-	if s[0] == '+' || s[0] == '-' {
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
 		i, neg = 1, s[0] == '-'
 	}
+	// mant wraps past 19 digits, but more than 15 are refused anyway.
 	var mant uint64
-	digits, frac := 0, -1 // frac counts digits after the point; -1 before one
-	for ; i < len(s); i++ {
-		switch c := s[i]; {
-		case '0' <= c && c <= '9':
-			if digits++; digits > len(pow10)-1 {
-				return 0, false
-			}
-			mant = mant*10 + uint64(c-'0')
-			if frac >= 0 {
-				frac++
-			}
-		case c == '.' && frac < 0:
-			frac = 0
-		default:
-			return 0, false
+	start := i
+	for ; i < len(s) && s[i]-'0' <= 9; i++ {
+		mant = mant*10 + uint64(s[i]-'0')
+	}
+	digits, frac := i-start, 0 // frac counts digits after the point
+	if i < len(s) && s[i] == '.' {
+		i++
+		for start = i; i < len(s) && s[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(s[i]-'0')
 		}
+		frac = i - start
+		digits += frac
 	}
-	if digits == 0 {
-		return 0, false
+	if digits == 0 || digits > len(pow10)-1 || i < len(s) && s[i] != ',' {
+		return 0, i, false
 	}
-	v := float64(mant) / pow10[max(frac, 0)]
+	v = float64(mant) / pow10[frac]
 	if neg {
 		v = -v
 	}
-	return v, true
+	return v, i, true
 }
 
 // measureError words the defect in trimmed measure cell s: one that did not

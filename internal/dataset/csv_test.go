@@ -229,11 +229,25 @@ func TestQuoteFreeLoadMatchesReference(t *testing.T) {
 		"a,1\nb,NaN\nb,2\nb,3\n",         // a value first met in a dropped row
 		"a,1\na,2\na\na,3\nb,4\n",        // a run broken by a ragged row
 		"a,1\n a,2\na ,3\n a,4\n",        // one value, spaced differently
+		// The one-pass decoder's edges: a run value that is a prefix of the
+		// cell and the reverse, in either column (and "abc4", one column
+		// that starts with the run value "ab"); a run value followed by a
+		// space before the comma; a value new to the chunk in a row a later
+		// bad measure drops; a 16-digit and an exponent measure inside a run
+		// of plain decimals; an extra trailing comma after a run hit in the
+		// last column.
+		"abc,1\nab,2\nabc,3\n",
+		"ab,1\nabc,2\nab,3\nabc4\n",
+		"1,abc\n2,ab\n3,abc\n4,abc\n",
+		"a,1\na ,2\na,3\n",
+		"a,1\nnew,NaN\na,2\n",
+		"a,1\na,2.5\na,1234567890123456\na,1e3\na,-.5\n",
+		"1,a\n2,a\n3,a,\n",
 	} {
 		same(in)
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
-	pieces := []string{"a", "7", ",", "\n", "\r", " ", "\t", "\u00a0", "\u0085", "\xc2", "\v", "\u3000", "b", "NaN"}
+	pieces := []string{"a", "7", ",", "\n", "\r", " ", "\t", "\u00a0", "\u0085", "\xc2", "\v", "\u3000", "b", "NaN", "ab", "abc", "1.5", "-", "."}
 	for range 20000 {
 		var b strings.Builder
 		for n := rng.IntN(24); n > 0; n-- {
@@ -251,8 +265,8 @@ func TestParseDecimalExact(t *testing.T) {
 	check := func(s string, fast bool) {
 		t.Helper()
 		want, err := strconv.ParseFloat(s, 64)
-		got, ok := parseDecimal(s)
-		if ok != fast {
+		got, n, ok := parseDecimal(s)
+		if ok = ok && n == len(s); ok != fast {
 			t.Fatalf("%q: fast path %v, want %v", s, ok, fast)
 		}
 		if ok && (err != nil || math.Float64bits(got) != math.Float64bits(want)) {
@@ -269,7 +283,7 @@ func TestParseDecimalExact(t *testing.T) {
 	} {
 		check(s, fast)
 	}
-	if v, _ := parseDecimal("-0"); !math.Signbit(v) {
+	if v, _, _ := parseDecimal("-0"); !math.Signbit(v) {
 		t.Error("-0 lost its sign")
 	}
 	rng := rand.New(rand.NewPCG(28, 5))

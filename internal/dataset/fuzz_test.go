@@ -67,6 +67,19 @@ func FuzzLoadCSV(f *testing.F) {
 	f.Add("k,v\na,1\n a,2\na ,3\na,4\n a,5\n", byte(7))
 	f.Add("k,v\nrun,1\nrun,2\nrun,3\nrun,4\nend,5\n", byte(2))
 	f.Add("k,v,w\na,1,x\na,2,x\na,y,x\na,3,x\n", byte(1<<3|7))
+	// The one-pass decoder matches a run value in place and reads a measure
+	// up to its comma. Its traps: a run value that is a prefix of the cell
+	// and the reverse (and "abc4", one column that starts with the run value
+	// "ab"); a run value followed by a space before the comma; a
+	// value new to the chunk in a row a later bad measure drops; a 16-digit
+	// and an exponent measure inside a run of plain decimals; an extra
+	// trailing comma after a run hit in the last column.
+	f.Add("k,v\nabc,1\nab,2\nabc,3\n", byte(0))
+	f.Add("k,v\nab,1\nabc,2\nab,3\nabc4\n", byte(0))
+	f.Add("k,v\na,1\na ,2\na,3\n", byte(0))
+	f.Add("k,v\na,1\nnew,NaN\na,2\n", byte(0))
+	f.Add("k,v\na,1\na,2.5\na,1234567890123456\na,1e3\na,-.5\n", byte(0))
+	f.Add("v,k\n1,a\n2,a\n3,a,\n", byte(0))
 	f.Fuzz(func(t *testing.T, data string, tune byte) {
 		chunkBytes, presume := int(tune&7)+1, int(tune>>3)&3
 		var arms []LoadOptions
@@ -120,15 +133,31 @@ func FuzzLoadCSV(f *testing.F) {
 
 // FuzzParseNumber holds parseNumber, whose plain decimals take a fast path,
 // equal to the strconv.ParseFloat of the cell with its commas removed: the
-// same ok-ness and, when ok, the same bits. Run with `go test
-// -fuzz=FuzzParseNumber ./internal/dataset` to explore beyond the seeds.
+// same ok-ness and, when ok, the same bits. It also holds parseDecimal,
+// which reads a quote-free line's measure up to its comma, to parseNumber of
+// the cell before the first comma: where it succeeds it stops at that comma
+// with the same bits, and it succeeds on s exactly when it does on the cell.
+// Run with `go test -fuzz=FuzzParseNumber ./internal/dataset` to explore
+// beyond the seeds.
 func FuzzParseNumber(f *testing.F) {
 	for _, s := range []string{"", "0", "-0", "+.5", "1.", ".", "-", "+", "007.50",
 		"123456789012345", "1234567890123456", ".123456789012345", "9007199254740993",
-		"1,234.5", "1e5", "Inf", "NaN", "0x1p-2", "1_000", "--1", "1.2.3"} {
+		"1,234.5", "1e5", "Inf", "NaN", "0x1p-2", "1_000", "--1", "1.2.3",
+		",", "-,", ".5,x", "1e5,2", "1234567890123456,1", "7,"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		cell, _, _ := strings.Cut(s, ",")
+		v, n, ok := parseDecimal(s)
+		if _, m, cellOK := parseDecimal(cell); ok != (cellOK && m == len(cell)) {
+			t.Fatalf("%q: parseDecimal ok %v, on the cell %q ok %v stopping at %d", s, ok, cell, cellOK, m)
+		}
+		if ok {
+			want, wok := parseNumber(cell)
+			if n != len(cell) || !wok || math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%q: parseDecimal %v stopping at %d, parseNumber of %q %v, %v", s, v, n, cell, want, wok)
+			}
+		}
 		got, ok := parseNumber(s)
 		if s == "" {
 			if !ok || math.Float64bits(got) != 0 {

@@ -5,6 +5,7 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -198,6 +199,10 @@ func (t *Table) Validate(ds model.DataScope) error {
 	return t.ValidateMeasure(ds.Measure)
 }
 
+// ErrUnknownMeasure is wrapped by the error ValidateMeasure returns for a
+// measure the table cannot answer: a caller's mistake, not a failure.
+var ErrUnknownMeasure = errors.New("unknown measure column")
+
 // ValidateMeasure checks that the table can answer m: COUNT(*), or an
 // aggregate — COUNT included — of one of its measure columns.
 func (t *Table) ValidateMeasure(m model.Measure) error {
@@ -205,7 +210,7 @@ func (t *Table) ValidateMeasure(m model.Measure) error {
 		return nil
 	}
 	if m.Column == "" || t.MeasureColumn(m.Column) == nil {
-		return fmt.Errorf("dataset: unknown measure column %q", m.Column)
+		return fmt.Errorf("dataset: %w %q", ErrUnknownMeasure, m.Column)
 	}
 	return nil
 }

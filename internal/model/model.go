@@ -373,12 +373,13 @@ func (s Subspace) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// FilterSet returns the subspace's filters as a set keyed by "Dim=Value".
-// The ranker's subspace overlap ratio (Definition 9.1) operates on these sets.
-func (s Subspace) FilterSet() map[string]bool {
-	set := make(map[string]bool, len(s))
+// FilterSet returns the subspace's filters as a set of (Dim, Value) pairs, on
+// which the ranker's subspace overlap ratio (Definition 9.1) operates. (As
+// "Dim=Value" strings, a=(b=c) and (a=b)=c would be one filter.)
+func (s Subspace) FilterSet() map[Filter]bool {
+	set := make(map[Filter]bool, len(s))
 	for _, f := range s {
-		set[f.String()] = true
+		set[f] = true
 	}
 	return set
 }

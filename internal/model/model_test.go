@@ -157,8 +157,12 @@ func TestParseMeasureKey(t *testing.T) {
 func TestFilterSet(t *testing.T) {
 	s := NewSubspace(Filter{"City", "LA"}, Filter{"Month", "Apr"})
 	set := s.FilterSet()
-	if len(set) != 2 || !set["City=LA"] || !set["Month=Apr"] {
+	if len(set) != 2 || !set[Filter{"City", "LA"}] || !set[Filter{"Month", "Apr"}] {
 		t.Errorf("FilterSet = %v", set)
+	}
+	// Pairs, not "Dim=Value" strings: a=(b=c) and (a=b)=c are two filters.
+	if set := NewSubspace(Filter{"a", "b=c"}).FilterSet(); set[Filter{"a=b", "c"}] {
+		t.Errorf("FilterSet of a=(b=c) holds (a=b)=c: %v", set)
 	}
 }
 

@@ -65,7 +65,7 @@ func groupTotalUse(g []*core.MetaInsight, w Weights) []float64 {
 	// the group's filters (≤ n·MaxSubspaceFilters distinct, and n ≤ ~20, so
 	// a uint64 per word-chunk suffices for realistic depth-3 subspaces; fall
 	// back to 128 bits via two words if needed).
-	filterIDs := map[string]int{}
+	filterIDs := map[model.Filter]int{}
 	memberBits := make([][2]uint64, n)
 	filterCount := make([]int, n)
 	for i, mi := range g {
@@ -83,11 +83,11 @@ func groupTotalUse(g []*core.MetaInsight, w Weights) []float64 {
 	}
 
 	extDim := make([]string, n)
-	measure := make([]string, n)
+	measure := make([]model.Measure, n)
 	breakdown := make([]string, n)
 	for i, mi := range g {
 		extDim[i] = mi.HDP.HDS.ExtDim
-		measure[i] = mi.HDP.HDS.Anchor.Measure.Key()
+		measure[i] = mi.HDP.HDS.Anchor.Measure
 		breakdown[i] = mi.HDP.HDS.Anchor.Breakdown
 	}
 

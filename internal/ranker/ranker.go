@@ -39,7 +39,8 @@ func DefaultWeights() Weights {
 // SubspaceOverlapRatio is Definition 9.1, the generalized overlap
 // coefficient over the non-empty filter sets of the HDS root subspaces:
 // |s₁ ∩ … ∩ s_p| / min|sᵢ|. When the smallest filter set is empty, the empty
-// set is contained in every other, so the ratio is 1.
+// set is contained in every other, so the ratio is 1. (OverlapRatio reads it
+// in place from the anchors.)
 func SubspaceOverlapRatio(subs []model.Subspace) float64 {
 	if len(subs) == 0 {
 		return 0
@@ -72,24 +73,20 @@ func OverlapRatio(mis []*core.MetaInsight, w Weights) float64 {
 	if len(mis) < 2 {
 		return 1
 	}
-	kind := mis[0].HDP.HDS.Kind
-	ptype := mis[0].HDP.Type
+	h0 := &mis[0].HDP.HDS
+	sameExtDim, sameMeasure, sameBreakdown := true, true, true
 	for _, mi := range mis[1:] {
-		if mi.HDP.HDS.Kind != kind || mi.HDP.Type != ptype {
+		h := &mi.HDP.HDS
+		if h.Kind != h0.Kind || mi.HDP.Type != mis[0].HDP.Type {
 			return 0
 		}
+		sameExtDim = sameExtDim && h.ExtDim == h0.ExtDim
+		sameMeasure = sameMeasure && h.Anchor.Measure == h0.Anchor.Measure
+		sameBreakdown = sameBreakdown && h.Anchor.Breakdown == h0.Anchor.Breakdown
 	}
-	roots := make([]model.Subspace, len(mis))
-	for i, mi := range mis {
-		roots[i] = mi.HDP.HDS.RootSubspace()
-	}
-	rsub := SubspaceOverlapRatio(roots)
+	rsub := rootOverlapRatio(mis)
 
-	sameExtDim := allEqual(mis, func(mi *core.MetaInsight) string { return mi.HDP.HDS.ExtDim })
-	sameMeasure := allEqual(mis, func(mi *core.MetaInsight) string { return mi.HDP.HDS.Anchor.Measure.Key() })
-	sameBreakdown := allEqual(mis, func(mi *core.MetaInsight) string { return mi.HDP.HDS.Anchor.Breakdown })
-
-	switch kind {
+	switch h0.Kind {
 	case model.ExtendSubspace:
 		return w.W11*rsub + w.W12*ind(sameExtDim) + w.W13*ind(sameMeasure) + w.W14*ind(sameBreakdown)
 	case model.ExtendMeasure:
@@ -101,14 +98,35 @@ func OverlapRatio(mis []*core.MetaInsight, w Weights) float64 {
 	}
 }
 
-func allEqual(mis []*core.MetaInsight, f func(*core.MetaInsight) string) bool {
-	first := f(mis[0])
-	for _, mi := range mis[1:] {
-		if f(mi) != first {
-			return false
+// rootOverlapRatio is SubspaceOverlapRatio of the MetaInsights' HDS root
+// subspaces (core.HDS.RootSubspace), read in their anchors: a filter is
+// common when every root holds the same (Dim, Value) pair.
+func rootOverlapRatio(mis []*core.MetaInsight) float64 {
+	minSize := math.MaxInt
+	for _, mi := range mis {
+		h := &mi.HDP.HDS
+		n := h.Anchor.Subspace.Len()
+		if h.Kind == model.ExtendSubspace && h.Anchor.Subspace.Has(h.ExtDim) {
+			n--
+		}
+		minSize = min(minSize, n)
+	}
+	if minSize == 0 {
+		return 1
+	}
+	common := 0
+	for _, f := range mis[0].HDP.HDS.Anchor.Subspace {
+		in := true
+		for _, mi := range mis {
+			h := &mi.HDP.HDS
+			v, ok := h.Anchor.Subspace.Get(f.Dim)
+			in = in && ok && v == f.Value && !(h.Kind == model.ExtendSubspace && f.Dim == h.ExtDim)
+		}
+		if in {
+			common++
 		}
 	}
-	return true
+	return float64(common) / float64(minSize)
 }
 
 func ind(b bool) float64 {
@@ -175,7 +193,8 @@ func TotalUseApprox(mis []*core.MetaInsight, w Weights) float64 {
 	}
 	for i := 0; i < len(mis); i++ {
 		for j := i + 1; j < len(mis); j++ {
-			total -= Overlap([]*core.MetaInsight{mis[i], mis[j]}, w)
+			pair := [2]*core.MetaInsight{mis[i], mis[j]}
+			total -= Overlap(pair[:], w)
 		}
 	}
 	return total
@@ -242,7 +261,8 @@ func GreedyStats(cands []*core.MetaInsight, k int, w Weights) ([]*core.MetaInsig
 			if used[c] {
 				continue
 			}
-			penalty[i] += Overlap([]*core.MetaInsight{c, last}, w)
+			pair := [2]*core.MetaInsight{c, last}
+			penalty[i] += Overlap(pair[:], w)
 			st.OverlapEvals++
 			gain := c.Score - penalty[i]
 			if gain > bestGain {

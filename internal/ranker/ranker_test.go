@@ -56,6 +56,60 @@ func TestSubspaceOverlapRatio(t *testing.T) {
 	}
 }
 
+// TestOverlapComparesFilterPairs plants two filters whose "Dim=Value"
+// strings collide: dimension "a" at value "b=c" and dimension "a=b" at value
+// "c". They are different filters, so two roots that hold one each share
+// nothing, in Definition 9.1 as stated and in OverlapRatio.
+func TestOverlapComparesFilterPairs(t *testing.T) {
+	x := sub(model.Filter{Dim: "a", Value: "b=c"})
+	y := sub(model.Filter{Dim: "a=b", Value: "c"})
+	if r := SubspaceOverlapRatio([]model.Subspace{x, y}); r != 0 {
+		t.Errorf("SubspaceOverlapRatio(a=(b=c), (a=b)=c) = %v, want 0", r)
+	}
+	p := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality, x, "City", "Month", "Sales")
+	q := mkMI(0.8, model.ExtendSubspace, pattern.Unimodality, y, "City", "Month", "Sales")
+	want := w.W11*0 + w.W12*1 + w.W13*1 + w.W14*1
+	if r := OverlapRatio([]*core.MetaInsight{p, q}, w); math.Abs(r-want) > 1e-12 {
+		t.Errorf("OverlapRatio = %v, want %v: the colliding filters counted as common", r, want)
+	}
+}
+
+// TestRootOverlapMatchesDefinition holds the subspace factor OverlapRatio
+// reads in place from the anchors equal to Definition 9.1 as stated —
+// SubspaceOverlapRatio over the built root subspaces — on every pair and
+// triple of random candidates, and holds the Overlap of a pair, as Greedy
+// computes it, to no allocation.
+func TestRootOverlapMatchesDefinition(t *testing.T) {
+	cands := randomCandidates(7, 18)
+	roots := func(mis ...*core.MetaInsight) []model.Subspace {
+		out := make([]model.Subspace, len(mis))
+		for i, mi := range mis {
+			out[i] = mi.HDP.HDS.RootSubspace()
+		}
+		return out
+	}
+	for _, a := range cands {
+		for _, b := range cands {
+			if got, want := rootOverlapRatio([]*core.MetaInsight{a, b}), SubspaceOverlapRatio(roots(a, b)); got != want {
+				t.Fatalf("pair %s, %s: %v, definition %v", a.Key(), b.Key(), got, want)
+			}
+			for _, c := range cands {
+				if got, want := rootOverlapRatio([]*core.MetaInsight{a, b, c}), SubspaceOverlapRatio(roots(a, b, c)); got != want {
+					t.Fatalf("triple %s, %s, %s: %v, definition %v", a.Key(), b.Key(), c.Key(), got, want)
+				}
+			}
+		}
+	}
+	a, b := cands[0], cands[1]
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		pair := [2]*core.MetaInsight{a, b}
+		sink += Overlap(pair[:], w)
+	}); n != 0 {
+		t.Errorf("the overlap of a pair allocates %.0f times", n)
+	}
+}
+
 func TestOverlapRatioCrossStrategyAndType(t *testing.T) {
 	a := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Sales")
 	b := mkMI(0.8, model.ExtendMeasure, pattern.Unimodality, sub(), "", "Month", "Sales")

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"metainsight"
+	"metainsight/internal/dataset"
 	"metainsight/internal/obs"
 )
 
@@ -221,6 +222,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	an, err := entry.sess.Analyze(ctx, req)
+	if errors.Is(err, dataset.ErrUnknownMeasure) {
+		writeAPIError(w, apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err))
+		return
+	}
 	if an == nil {
 		writeAPIError(w, apiErrorf(http.StatusInternalServerError, CodeInternal, "analysis failed: %v", err))
 		return

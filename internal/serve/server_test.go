@@ -181,18 +181,21 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-// TestUnknownCountColumnIsRefused: /v1/analyze refuses COUNT over a column
-// the dataset lacks, as it refuses SUM over one, whatever the name, and the
-// dataset's session answers the next well-formed request as a fresh server
-// does. (That a refused measure takes none of the session's measure
-// ordinals is TestUnknownCountColumnTakesNoOrdinal's, at the library.)
+// TestUnknownCountColumnIsRefused: /v1/analyze refuses COUNT or SUM over a
+// column the dataset lacks, whatever the name, with 400 bad_request — the
+// client's mistake, not a server failure — and the dataset's session
+// answers the next well-formed request as a fresh server does. (That a
+// refused measure takes none of the session's measure ordinals is
+// TestUnknownCountColumnTakesNoOrdinal's, at the library.)
 func TestUnknownCountColumnIsRefused(t *testing.T) {
 	_, hs := newTestServer(t, nil)
-	for _, col := range []string{"Nope", "x1", "City"} {
-		body := `{"dataset":"house","top_k":5,"measures":[{"agg":"COUNT","column":"` + col + `"},{"agg":"SUM","column":"Sales"}]}`
-		status, data := postJSON(t, hs.URL+"/v1/analyze", body, nil)
-		if status == http.StatusOK || !strings.Contains(string(data), "unknown measure column") {
-			t.Fatalf("COUNT(%s): status %d, body %s", col, status, data)
+	for _, agg := range []string{"COUNT", "SUM"} {
+		for _, col := range []string{"Nope", "x1", "City"} {
+			body := `{"dataset":"house","top_k":5,"measures":[{"agg":"` + agg + `","column":"` + col + `"},{"agg":"SUM","column":"Sales"}]}`
+			status, data := postJSON(t, hs.URL+"/v1/analyze", body, nil)
+			if status != http.StatusBadRequest || errorCode(t, data) != CodeBadRequest || !strings.Contains(string(data), "unknown measure column") {
+				t.Fatalf("%s(%s): status %d, body %s", agg, col, status, data)
+			}
 		}
 	}
 	status, got := postJSON(t, hs.URL+"/v1/analyze", analyzeBody, nil)
