@@ -357,3 +357,27 @@ func (m *module) resolves(span string) bool {
 	}
 	return true
 }
+
+// topLevelNames returns the names a file declares at top level: its
+// functions (not methods), types, constants and variables.
+func topLevelNames(f *ast.File) []*ast.Ident {
+	var ids []*ast.Ident
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				ids = append(ids, d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					ids = append(ids, s.Name)
+				case *ast.ValueSpec:
+					ids = append(ids, s.Names...)
+				}
+			}
+		}
+	}
+	return ids
+}

@@ -11,33 +11,12 @@ package dataset
 // benchmark's index-build span (benchmark/layers.go:52); they go when it does.
 
 // ZoneMap holds the per-block [min, max] dictionary-code ranges of one
-// dimension column at one block size. It is immutable after construction.
+// dimension column at one block size. It is immutable after construction and
+// has no accessors: nothing reads a zone map, the benchmark times its build.
 type ZoneMap struct {
 	blockRows int
 	mins      []int32
 	maxs      []int32
-}
-
-// BlockRows returns the block size in rows the map was built at.
-func (z *ZoneMap) BlockRows() int { return z.blockRows }
-
-// Blocks returns the number of blocks covered.
-func (z *ZoneMap) Blocks() int { return len(z.mins) }
-
-// Min returns the smallest dictionary code occurring in block b.
-func (z *ZoneMap) Min(b int) int32 { return z.mins[b] }
-
-// Max returns the largest dictionary code occurring in block b.
-func (z *ZoneMap) Max(b int) int32 { return z.maxs[b] }
-
-// Contains reports whether code can occur in block b — false means the
-// block is provably free of the code and a scan may skip it wholesale.
-// Out-of-range blocks contain nothing.
-func (z *ZoneMap) Contains(b int, code int32) bool {
-	if b < 0 || b >= len(z.mins) {
-		return false
-	}
-	return code >= z.mins[b] && code <= z.maxs[b]
 }
 
 // Zones returns the column's zone map at the given block size, building it

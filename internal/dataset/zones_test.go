@@ -30,14 +30,14 @@ func TestZoneMapMatchesNaive(t *testing.T) {
 	codes := col.Codes()
 	for _, blockRows := range []int{1, 7, 64, 517, 1000} {
 		z := col.Zones(blockRows)
-		if z.BlockRows() != blockRows {
-			t.Fatalf("blockRows %d: map reports %d", blockRows, z.BlockRows())
+		if z.blockRows != blockRows {
+			t.Fatalf("blockRows %d: map reports %d", blockRows, z.blockRows)
 		}
 		wantBlocks := (len(codes) + blockRows - 1) / blockRows
-		if z.Blocks() != wantBlocks {
-			t.Fatalf("blockRows %d: %d blocks, want %d", blockRows, z.Blocks(), wantBlocks)
+		if len(z.mins) != wantBlocks || len(z.maxs) != wantBlocks {
+			t.Fatalf("blockRows %d: %d/%d blocks, want %d", blockRows, len(z.mins), len(z.maxs), wantBlocks)
 		}
-		for b := 0; b < z.Blocks(); b++ {
+		for b := range z.mins {
 			lo := b * blockRows
 			hi := lo + blockRows
 			if hi > len(codes) {
@@ -52,20 +52,10 @@ func TestZoneMapMatchesNaive(t *testing.T) {
 					mx = c
 				}
 			}
-			if z.Min(b) != mn || z.Max(b) != mx {
+			if z.mins[b] != mn || z.maxs[b] != mx {
 				t.Fatalf("blockRows %d block %d: [%d,%d], want [%d,%d]",
-					blockRows, b, z.Min(b), z.Max(b), mn, mx)
+					blockRows, b, z.mins[b], z.maxs[b], mn, mx)
 			}
-			for _, code := range []int32{mn - 1, mn, mx, mx + 1} {
-				want := code >= mn && code <= mx
-				if got := z.Contains(b, code); got != want {
-					t.Fatalf("blockRows %d block %d Contains(%d)=%v, want %v",
-						blockRows, b, code, got, want)
-				}
-			}
-		}
-		if z.Contains(-1, 0) || z.Contains(z.Blocks(), 0) {
-			t.Fatal("out-of-range block must contain nothing")
 		}
 	}
 }

@@ -101,7 +101,7 @@ func BenchmarkScanUnit(b *testing.B) {
 		for nf := 0; nf <= 3; nf++ {
 			s := benchSubspace(tab, nf)
 			for _, par := range []int{1, 4} {
-				vec := NewColumnarSubstrate(tab, WithScanParallelism(par))
+				vec := newColumnarSubstrate(tab, columnarConfig{par: par})
 				b.Run(fmt.Sprintf("table=%s/filters=%d/sub=vec/par=%d", card, nf, par), func(b *testing.B) {
 					benchScanUnit(b, vec, s)
 				})
@@ -145,7 +145,7 @@ func BenchmarkScanAugmented(b *testing.B) {
 				s = s.With(dims[i], col.Domain()[col.Cardinality()/2])
 			}
 			for _, par := range []int{1, 4} {
-				vec := NewColumnarSubstrate(tab, WithScanParallelism(par))
+				vec := newColumnarSubstrate(tab, columnarConfig{par: par})
 				b.Run(fmt.Sprintf("table=%s/filters=%d/sub=vec/par=%d", card, nf, par), func(b *testing.B) {
 					benchScanAugmented(b, vec, s, "Period")
 				})

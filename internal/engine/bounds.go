@@ -80,12 +80,6 @@ func (e *Engine) impactBoundsData() *impactBounds {
 	return b
 }
 
-// BoundsSound reports whether the impact-sum bounds are usable: true for
-// COUNT impact and for SUM impact over a non-negative column. When false,
-// the bound queries below return the trivial bound 1 and bound pruning
-// never fires.
-func (e *Engine) BoundsSound() bool { return e.impactBoundsData().sound }
-
 // ImpactShareUpperBoundAt returns a deterministic upper bound on the impact
 // of h's subspace without scanning: the minimum single-filter impact share
 // across its filters (1 for the empty subspace or when the bounds are

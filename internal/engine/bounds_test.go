@@ -42,7 +42,7 @@ func TestImpactShareUpperBoundSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !e.BoundsSound() {
+		if !e.impactBoundsData().sound {
 			t.Fatalf("impact %v: bounds unexpectedly unsound", impact)
 		}
 		r := rand.New(rand.NewSource(7))
@@ -78,7 +78,7 @@ func TestBoundsDisabledOnNegativeSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.BoundsSound() {
+	if e.impactBoundsData().sound {
 		t.Fatal("bounds claim soundness over a negative-valued SUM column")
 	}
 	sub := model.NewSubspace(model.Filter{Dim: "A", Value: "a1"})

@@ -50,8 +50,7 @@ func augJSON(t *testing.T, units map[string]any) string {
 func diffSubstrates(tab *dataset.Table, minMax map[string]bool) map[string]*ColumnarSubstrate {
 	subs := make(map[string]*ColumnarSubstrate)
 	for _, par := range []int{1, 2, 8} {
-		subs[fmt.Sprintf("par%d", par)] = NewColumnarSubstrate(tab,
-			WithScanParallelism(par), withMorselSize(64), WithMinMaxColumns(minMax))
+		subs[fmt.Sprintf("par%d", par)] = newColumnarSubstrate(tab, columnarConfig{par: par, morsel: 64, minMax: minMax})
 	}
 	return subs
 }
@@ -91,7 +90,7 @@ func randomSubspace(r *rand.Rand, tab *dataset.Table, depth int) model.Subspace 
 // filtered scans fold long runs — cross-product row order as
 // workload.buildTable emits it, the random table sorted by one dimension,
 // and sections of single-row runs alternating with sections of runs up to
-// 200 rows long, so that runs straddle the withMorselSize(64) boundaries and
+// 200 rows long, so that runs straddle the 64-row morsel boundaries and
 // both run shapes occur within one scan. All share randomTable's schema and
 // integer-valued measures.
 func diffTables(seed int64) map[string]*dataset.Table {
@@ -271,7 +270,7 @@ func TestDifferentialFractionalParallelism(t *testing.T) {
 
 	var want string
 	for _, par := range []int{1, 0, 2, 3, 8} {
-		c := NewColumnarSubstrate(tab, WithScanParallelism(par), withMorselSize(64))
+		c := newColumnarSubstrate(tab, columnarConfig{par: par, morsel: 64})
 		sub := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
 		u, _, err := c.ScanUnit(sub, "G")
 		if err != nil {
@@ -304,8 +303,8 @@ func TestParallelScanManyMorsels(t *testing.T) {
 			[]float64{r.NormFloat64() * 1e3})
 	}
 	tab := b.Build()
-	seq := NewColumnarSubstrate(tab, WithScanParallelism(1), withMorselSize(16))
-	par := NewColumnarSubstrate(tab, WithScanParallelism(8), withMorselSize(16))
+	seq := newColumnarSubstrate(tab, columnarConfig{par: 1, morsel: 16})
+	par := newColumnarSubstrate(tab, columnarConfig{par: 8, morsel: 16})
 	h1 := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
 	scans := []func(c *ColumnarSubstrate) any{
 		func(c *ColumnarSubstrate) any { u, _, _ := c.ScanUnit(model.EmptySubspace, "G"); return u },
@@ -341,8 +340,8 @@ func TestParallelScanManyMorsels(t *testing.T) {
 }
 
 // TestScanParallelismResolution pins the one place scan parallelism is
-// resolved: 0 (and the option left out) is GOMAXPROCS, 1 is the sequential
-// branch of scan(), n > 1 is n, and a negative n is ignored.
+// resolved: 0 (the default) is GOMAXPROCS, 1 is the sequential branch of
+// scan(), n > 1 is n, and a negative n is GOMAXPROCS too.
 func TestScanParallelismResolution(t *testing.T) {
 	tab := randomTable(47, 200)
 	procs := runtime.GOMAXPROCS(0)
@@ -350,8 +349,8 @@ func TestScanParallelismResolution(t *testing.T) {
 		t.Errorf("default parallelism %d, GOMAXPROCS is %d", got, procs)
 	}
 	for n, want := range map[int]int{-2: procs, 0: procs, 1: 1, 2: 2, 7: 7} {
-		if got := NewColumnarSubstrate(tab, WithScanParallelism(n)).par; got != want {
-			t.Errorf("WithScanParallelism(%d) resolved to %d, want %d", n, got, want)
+		if got := newColumnarSubstrate(tab, columnarConfig{par: n}).par; got != want {
+			t.Errorf("scan parallelism %d resolved to %d, want %d", n, got, want)
 		}
 	}
 }
@@ -361,7 +360,7 @@ func TestScanParallelismResolution(t *testing.T) {
 // on one ext value yields no unit for that value.
 func TestDifferentialEdgeCases(t *testing.T) {
 	tab := randomTable(47, 200)
-	c := NewColumnarSubstrate(tab, withMorselSize(32))
+	c := newColumnarSubstrate(tab, columnarConfig{morsel: 32})
 	ref := NewReferenceSubstrate(tab, nil)
 
 	sub := model.NewSubspace(model.Filter{Dim: "City", Value: "Atlantis"})

@@ -108,8 +108,8 @@ type Config struct {
 	ExtraMeasures []model.Measure
 	// ScanParallelism is how many goroutines one scan of the default substrate
 	// may use (0 = GOMAXPROCS, 1 = sequential). Results are bit-identical for
-	// any value; see WithScanParallelism. Ignored when Substrate is set
-	// explicitly.
+	// any value: morsels have fixed boundaries and merge in morsel-index
+	// order. Ignored when Substrate is set explicitly.
 	ScanParallelism int
 	// Observer, when non-nil, receives physical execution metrics
 	// ("engine.physical.*": scans actually performed and rows actually
@@ -195,7 +195,6 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 	if cfg.Substrate == nil {
 		cfg.Substrate = newColumnarSubstrate(tab, columnarConfig{
 			par:    cfg.ScanParallelism,
-			morsel: DefaultMorselSize,
 			minMax: minMax,
 			obs:    cfg.Observer,
 			in:     cfg.Interner,

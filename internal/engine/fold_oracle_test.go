@@ -244,7 +244,7 @@ func foldArms(t *testing.T, check func(t *testing.T, c *ColumnarSubstrate, arm s
 			for _, morsel := range []int{7, 64} {
 				for _, par := range []int{1, 4} {
 					for mm, minMax := range map[string]map[string]bool{"all": nil, "none": {}, "Profit": {"Profit": true}} {
-						c := NewColumnarSubstrate(tab, withMorselSize(morsel), WithScanParallelism(par), WithMinMaxColumns(minMax))
+						c := newColumnarSubstrate(tab, columnarConfig{par: par, morsel: morsel, minMax: minMax})
 						arm := fmt.Sprintf("morsel %d par %d minmax %s", morsel, par, mm)
 						check(t, c, arm, rand.New(rand.NewSource(int64(morsel*10+par))))
 					}

@@ -48,7 +48,7 @@ package engine
 // however its goroutines are scheduled. Because the morsel boundaries depend
 // only on the morsel size and the plan's driving row count, and the merge
 // order is fixed, every float addition has the same grouping at any
-// parallelism — scan results are bit-identical for WithScanParallelism 1 or
+// parallelism — scan results are bit-identical for scan parallelism 1 or
 // 16. Scans whose driving set fits one morsel skip partials and merge
 // entirely.
 

@@ -259,7 +259,7 @@ func sparseTable(seed int64, rows int, clustered bool) *dataset.Table {
 func TestAugmentedTransposeExactProperty(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		tab := sparseTable(21, 1500, clustered)
-		sub := NewColumnarSubstrate(tab, withMorselSize(64))
+		sub := newColumnarSubstrate(tab, columnarConfig{morsel: 64})
 		dims := tab.DimensionNames()
 		direct := func(base model.Subspace, b, ext int) (map[string]*cache.Unit, string) {
 			units, _, err := sub.ScanAugmented(base, dims[b], dims[ext])
@@ -385,7 +385,7 @@ func augUnitsJSON(t *testing.T, units map[string]*cache.Unit) string {
 // table is scanned exactly once, whichever orientation won the flight.
 func TestAugmentedPairConcurrent(t *testing.T) {
 	tab := sparseTable(23, 1500, true)
-	sub := NewColumnarSubstrate(tab, withMorselSize(64))
+	sub := newColumnarSubstrate(tab, columnarConfig{morsel: 64})
 	base := model.EmptySubspace.With("A", "a0")
 	var want [2]string
 	for i, o := range [2][2]string{{"B", "D"}, {"D", "B"}} {

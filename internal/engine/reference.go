@@ -28,7 +28,7 @@ type ReferenceSubstrate struct {
 
 // NewReferenceSubstrate creates the naive reference scan over tab. minMax
 // restricts which measure columns carry min/max aggregates (nil = all),
-// mirroring WithMinMaxColumns.
+// mirroring the columnar substrate's minMax setting.
 func NewReferenceSubstrate(tab *dataset.Table, minMax map[string]bool) *ReferenceSubstrate {
 	return &ReferenceSubstrate{tab: tab, minMax: minMax}
 }

@@ -39,7 +39,7 @@ type Substrate interface {
 // DefaultMorselSize is the fixed morsel width of the parallel scan pipeline,
 // in rows. Morsel boundaries depend only on this constant and the plan's
 // driving row count — never on the parallelism — which is what makes float
-// aggregation results bit-identical for any WithScanParallelism setting (see
+// aggregation results bit-identical for any scan parallelism (see
 // DESIGN.md §8).
 const DefaultMorselSize = 8192
 
@@ -64,70 +64,48 @@ type ColumnarSubstrate struct {
 	in     *Interner     // the handles this substrate's plans live on
 }
 
-// ColumnarOption customizes a ColumnarSubstrate.
-type ColumnarOption func(*columnarConfig)
-
+// columnarConfig configures a ColumnarSubstrate. Zero values are the
+// defaults.
 type columnarConfig struct {
-	par    int
+	// par is how many goroutines one scan may use: 1 is the sequential path,
+	// n > 1 is n, and 0 or less is GOMAXPROCS. A scan never uses more
+	// goroutines than it has morsels, so one-morsel scans run inline whatever
+	// the setting. Results are bit-identical for any value: morsels have
+	// fixed boundaries and their partial accumulators merge in morsel-index
+	// order, so the floating-point addition grouping never depends on par.
+	par int
+	// morsel is the morsel width in rows (0 is DefaultMorselSize). Changing
+	// it changes the float addition grouping of multi-morsel scans, so it is
+	// a new deterministic universe, not a tuning knob; tests use small sizes
+	// to force the multi-morsel merge path on small tables.
 	morsel int
+	// minMax restricts min/max materialization to the named measure columns
+	// (the needed-aggregate set derived from measure and evaluator
+	// registration). nil keeps the safe default — min/max for every measure;
+	// a non-nil (possibly empty) set materializes min/max only for its
+	// members, and MIN/MAX queries on other columns report "unit lacks
+	// column".
 	minMax map[string]bool
 	obs    *obs.Observer
 	in     *Interner
 }
 
-// WithScanParallelism sets how many goroutines one scan may use: 1 is the
-// sequential path, n > 1 is n, and 0 (the default) is GOMAXPROCS. A scan never
-// uses more goroutines than it has morsels, so one-morsel scans run inline
-// whatever the setting. Results are bit-identical for any value: morsels have
-// fixed boundaries and their partial accumulators merge in morsel-index
-// order, so the floating-point addition grouping never depends on n. This
-// option configures the substrate built by NewColumnarSubstrate;
-// Config.ScanParallelism applies it to the engine's default substrate.
-func WithScanParallelism(n int) ColumnarOption {
-	return func(c *columnarConfig) {
-		if n > 0 {
-			c.par = n
-		}
-	}
-}
-
-// withMorselSize overrides the fixed morsel width (default DefaultMorselSize).
-// Changing it changes the float addition grouping of multi-morsel scans, so
-// it is a new deterministic universe, not a tuning-only knob; tests use small
-// sizes to force the multi-morsel merge path on small tables.
-func withMorselSize(rows int) ColumnarOption {
-	return func(c *columnarConfig) {
-		if rows > 0 {
-			c.morsel = rows
-		}
-	}
-}
-
-// WithMinMaxColumns restricts min/max materialization to the named measure
-// columns (the needed-aggregate set derived from measure and evaluator
-// registration). nil keeps the safe default — min/max for every measure; a
-// non-nil (possibly empty) set materializes min/max only for its members,
-// and MIN/MAX queries on other columns report "unit lacks column".
-func WithMinMaxColumns(cols map[string]bool) ColumnarOption {
-	return func(c *columnarConfig) { c.minMax = cols }
-}
-
 // NewColumnarSubstrate creates the default in-process substrate over tab,
-// planning on a fresh intern table of its own. An Engine built without an
-// explicit Substrate builds one over the engine's intern table instead.
-func NewColumnarSubstrate(tab *dataset.Table, opts ...ColumnarOption) *ColumnarSubstrate {
-	cfg := columnarConfig{morsel: DefaultMorselSize}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return newColumnarSubstrate(tab, cfg)
+// planning on a fresh intern table of its own and scanning on GOMAXPROCS
+// goroutines. An Engine built without an explicit Substrate builds one over
+// the engine's intern table instead.
+func NewColumnarSubstrate(tab *dataset.Table) *ColumnarSubstrate {
+	return newColumnarSubstrate(tab, columnarConfig{})
 }
 
 func newColumnarSubstrate(tab *dataset.Table, cfg columnarConfig) *ColumnarSubstrate {
 	if cfg.in == nil {
 		cfg.in = NewInterner(tab)
 	}
-	if cfg.par == 0 {
+	if cfg.morsel <= 0 {
+		cfg.morsel = DefaultMorselSize
+	}
+	if cfg.par <= 0 {
 		// Mining leaves cores idle exactly when one scan is all that can run
 		// (the canonical head, its children unknown until it commits); that
 		// scan should have them.

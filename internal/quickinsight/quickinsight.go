@@ -13,6 +13,7 @@ import (
 
 	"metainsight/internal/cache"
 	"metainsight/internal/engine"
+	"metainsight/internal/miner"
 	"metainsight/internal/model"
 	"metainsight/internal/pattern"
 )
@@ -32,30 +33,13 @@ type Insight struct {
 	Score float64
 }
 
-// Config configures a QuickInsight mining run. Zero values take the same
-// defaults as the MetaInsight miner so comparisons are like-for-like.
+// Config configures a QuickInsight mining run. Everything else — pattern
+// evaluation, the breakdown cardinality cap, the subspace impact floor — is
+// miner.DefaultConfig()'s, so comparisons with the MetaInsight miner are
+// like-for-like.
 type Config struct {
-	Pattern                 pattern.Config
-	MaxSubspaceFilters      int
-	MaxBreakdownCardinality int
-	MinSubspaceImpact       float64
-}
-
-func (c *Config) fillDefaults() {
-	if c.Pattern.Alpha == 0 {
-		custom := c.Pattern.Custom
-		c.Pattern = pattern.DefaultConfig()
-		c.Pattern.Custom = custom
-	}
-	if c.MaxSubspaceFilters == 0 {
-		c.MaxSubspaceFilters = 3
-	}
-	if c.MaxBreakdownCardinality == 0 {
-		c.MaxBreakdownCardinality = 50
-	}
-	if c.MinSubspaceImpact == 0 {
-		c.MinSubspaceImpact = 0.005
-	}
+	// MaxSubspaceFilters bounds the subspace depth; 0 is the miner's default.
+	MaxSubspaceFilters int
 }
 
 // Result is the outcome of a QuickInsight run.
@@ -77,7 +61,11 @@ func (r *Result) TopK(k int) []*Insight {
 // MetaInsight miner uses) and evaluates every pattern type on each scope.
 // Unlike MetaInsight it stops there: no HDS extension, no HDP evaluation.
 func Mine(eng *engine.Engine, cfg Config) *Result {
-	cfg.fillDefaults()
+	defaults := miner.DefaultConfig()
+	maxFilters := cfg.MaxSubspaceFilters
+	if maxFilters == 0 {
+		maxFilters = defaults.MaxSubspaceFilters
+	}
 	tab := eng.Table()
 	led := &ledger{charged: make(map[cache.UnitID]bool)}
 
@@ -104,7 +92,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 
 		for bdim, col := range tab.Dimensions() {
 			if item.subspace.Has(col.Name) || col.Cardinality() < 3 ||
-				col.Cardinality() > cfg.MaxBreakdownCardinality {
+				col.Cardinality() > defaults.MaxBreakdownCardinality {
 				continue
 			}
 			temporal := col.Kind == model.KindTemporal
@@ -118,7 +106,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 				if err != nil || series.Len() < 3 {
 					continue
 				}
-				se := pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, cfg.Pattern)
+				se := pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, defaults.Pattern)
 				led.charge(engine.EvaluationCost)
 				for _, h := range se.Holds {
 					insights = append(insights, &Insight{
@@ -133,13 +121,13 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 			}
 		}
 
-		if item.subspace.Len() >= cfg.MaxSubspaceFilters {
+		if item.subspace.Len() >= maxFilters {
 			continue
 		}
 		dims := tab.Dimensions()
 		for idx := item.maxDimIdx + 1; idx < len(dims); idx++ {
 			dim := dims[idx]
-			if item.subspace.Has(dim.Name) || dim.Cardinality() > cfg.MaxBreakdownCardinality {
+			if item.subspace.Has(dim.Name) || dim.Cardinality() > defaults.MaxBreakdownCardinality {
 				continue
 			}
 			unit, err := led.query(eng, h, idx)
@@ -149,7 +137,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 			impacts := eng.GroupImpactsAt(h, idx, unit)
 			for gi, v := range unit.GroupKeys {
 				imp := impacts[gi] / eng.TotalImpact()
-				if imp < cfg.MinSubspaceImpact {
+				if imp < defaults.MinSubspaceImpact {
 					continue
 				}
 				queue = append(queue, frontierItem{

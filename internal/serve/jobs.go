@@ -33,11 +33,12 @@ type JobsConfig struct {
 	// CheckpointEvery is the default snapshot cadence in unit commits for
 	// jobs that do not specify one (default 64).
 	CheckpointEvery int64
-	// StreamBuffer is the per-subscriber SSE event buffer (default 64). A
-	// subscriber that falls further behind is switched to snapshot mode
-	// (drop-to-snapshot) instead of backpressuring the miner.
-	StreamBuffer int
 }
+
+// streamBuffer is the per-subscriber SSE event buffer. A subscriber that
+// falls further behind is switched to snapshot mode (drop-to-snapshot)
+// instead of backpressuring the miner.
+const streamBuffer = 64
 
 func (c JobsConfig) withDefaults() JobsConfig {
 	if c.Workers <= 0 {
@@ -45,9 +46,6 @@ func (c JobsConfig) withDefaults() JobsConfig {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
-	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = 64
 	}
 	return c
 }
@@ -245,11 +243,16 @@ func (s *scheduler) submit(tenant string, params AnalyzeParams, every int64) (*j
 		return nil, apiErrorf(http.StatusServiceUnavailable, CodeShuttingDown,
 			"durable jobs are disabled (no state directory)")
 	}
-	if _, err := params.request(); err != nil {
+	req, err := params.request()
+	if err != nil {
 		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest, "invalid job params: %v", err)
 	}
-	if _, ok := s.reg.get(params.Dataset); !ok {
+	entry, ok := s.reg.get(params.Dataset)
+	if !ok {
 		return nil, apiErrorf(http.StatusNotFound, CodeNotFound, "unknown dataset %q", params.Dataset)
+	}
+	if aerr := checkMeasures(entry, req); aerr != nil {
+		return nil, aerr
 	}
 	if every <= 0 {
 		every = s.cfg.CheckpointEvery

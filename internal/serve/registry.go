@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 
 	"metainsight"
@@ -77,6 +78,19 @@ func newRegistry(specs []DatasetSpec, opts []metainsight.Option) (*registry, err
 func (r *registry) get(name string) (*dsEntry, bool) {
 	e, ok := r.entries[name]
 	return e, ok
+}
+
+// checkMeasures refuses, with 400 bad_request, a request naming a measure
+// the entry's dataset cannot answer (Dataset.ValidateMeasure): a column it
+// lacks. Both endpoints call it before any work — before a job's spec is
+// journaled and before an analysis takes an admission slot.
+func checkMeasures(e *dsEntry, req metainsight.Request) *APIError {
+	for _, m := range req.Measures {
+		if err := e.ds.ValidateMeasure(m); err != nil {
+			return apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
+		}
+	}
+	return nil
 }
 
 // DatasetInfo is the wire form of one registered dataset.

@@ -42,10 +42,11 @@ type Config struct {
 	// UnitDelay throttles job progress callbacks — a test-only hook used by
 	// the chaos suite to stretch job runtime without perturbing results.
 	UnitDelay time.Duration
-	// TraceCapacity bounds per-request trace event buffers when a request
-	// sets "trace": true (default 4096).
-	TraceCapacity int
 }
+
+// requestTraceCapacity bounds the trace event ring of a request that sets
+// "trace": true.
+const requestTraceCapacity = 4096
 
 // Server is the resident insight service: an HTTP handler over a registry of
 // named sessions, with every request passing admission control and per-tenant
@@ -174,8 +175,9 @@ type AnalyzeResponse struct {
 }
 
 // handleAnalyze runs one synchronous analysis. Order of gates: quota (cheap,
-// per-tenant) → decode/validate → dataset lookup → admission (may queue; may
-// shed on saturation or hopeless deadline) → execute.
+// per-tenant) → decode/validate → dataset lookup → measures against the
+// dataset → admission (may queue; may shed on saturation or hopeless
+// deadline) → execute.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
 	if aerr := s.quo.Allow(tenant); aerr != nil {
@@ -197,6 +199,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErrorf(http.StatusNotFound, CodeNotFound, "unknown dataset %q", params.Dataset))
 		return
 	}
+	if aerr := checkMeasures(entry, req); aerr != nil {
+		writeAPIError(w, aerr)
+		return
+	}
 	ctx, cancel, aerr := requestContext(r)
 	if aerr != nil {
 		writeAPIError(w, aerr)
@@ -213,11 +219,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	var reqObs *obs.Observer
 	if params.Trace {
-		capN := s.cfg.TraceCapacity
-		if capN <= 0 {
-			capN = 4096
-		}
-		reqObs = obs.New(obs.Options{TraceCapacity: capN})
+		reqObs = obs.New(obs.Options{TraceCapacity: requestTraceCapacity})
 		req.Observer = reqObs
 	}
 
@@ -312,7 +314,7 @@ func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErrorf(http.StatusNotFound, CodeNotFound, "unknown job %q", r.PathValue("id")))
 		return
 	}
-	sub := j.hub.subscribe(s.sched.cfg.StreamBuffer)
+	sub := j.hub.subscribe(streamBuffer)
 	defer j.hub.unsubscribe(sub)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -20,7 +20,7 @@ import (
 
 // writeHouseCSV materializes the canonical house-sales fixture (the same
 // shape the root package's tests mine) as a CSV file.
-func writeHouseCSV(t *testing.T) string {
+func writeHouseCSV(t testing.TB) string {
 	t.Helper()
 	months := []string{"Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"}
 	valley := []float64{100, 70, 40, 10, 40, 70, 100, 100, 100, 100, 100, 100}
@@ -205,6 +205,37 @@ func TestUnknownCountColumnIsRefused(t *testing.T) {
 	_, fresh := newTestServer(t, nil)
 	if _, want := postJSON(t, fresh.URL+"/v1/analyze", analyzeBody, nil); !bytes.Equal(got, want) {
 		t.Errorf("refused requests changed the next answer:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestUnknownMeasureColumnIsRefusedBeforeWork: a job naming a measure over a
+// column the dataset lacks is refused with 400 bad_request before its spec is
+// journaled — no <state>/jobs/<id> directory appears — and such an analysis
+// is refused before admission: serve.admitted does not move.
+func TestUnknownMeasureColumnIsRefusedBeforeWork(t *testing.T) {
+	state := t.TempDir()
+	ob := obs.New(obs.Options{})
+	_, hs := newTestServer(t, func(cfg *Config) { cfg.StateDir = state; cfg.Observer = ob })
+	for _, agg := range []string{"COUNT", "SUM"} {
+		body := `{"dataset":"house","measures":[{"agg":"SUM","column":"Sales"},{"agg":"` + agg + `","column":"nope"}]}`
+		for _, path := range []string{"/v1/jobs", "/v1/analyze"} {
+			status, data := postJSON(t, hs.URL+path, body, nil)
+			if status != http.StatusBadRequest || errorCode(t, data) != CodeBadRequest || !strings.Contains(string(data), "unknown measure column") {
+				t.Errorf("%s with %s(nope): status %d, body %s", path, agg, status, data)
+			}
+		}
+	}
+	if entries, err := os.ReadDir(filepath.Join(state, "jobs")); err != nil || len(entries) != 0 {
+		t.Errorf("refused jobs left %d entries under the jobs directory (%v)", len(entries), err)
+	}
+	if n := ob.Snapshot().Counters["serve.admitted"]; n != 0 {
+		t.Errorf("refused analyses were admitted %d times", n)
+	}
+	if status, data := postJSON(t, hs.URL+"/v1/analyze", analyzeBody, nil); status != http.StatusOK {
+		t.Fatalf("well-formed request: status %d, body %s", status, data)
+	}
+	if n := ob.Snapshot().Counters["serve.admitted"]; n != 1 {
+		t.Errorf("a well-formed analysis moved serve.admitted to %d, want 1", n)
 	}
 }
 

@@ -272,18 +272,18 @@ func WithBadMeasures(p RowPolicy) LoadOption {
 type Analyzer struct {
 	d  *Dataset
 	o  *analyzerOptions
-	in *engine.Interner // the session's intern table and memos every Mine call reuses
+	in *engine.Interner // the session's intern table and memos every MineContext call reuses
 
-	// The state of one run, replaced before every Mine call but the first:
-	// the engine and the miner config. stats is the last Mine call's ledger,
-	// zero before the first. mined marks that a Mine call has run.
+	// The state of one run, replaced before every MineContext call but the first:
+	// the engine and the miner config. stats is the last MineContext call's ledger,
+	// zero before the first. mined marks that a MineContext call has run.
 	eng   *engine.Engine
 	cfg   miner.Config
 	stats miner.Stats
 	mined bool
 
 	obs        *obs.Observer
-	timeBudget time.Duration // anchored at each Mine call
+	timeBudget time.Duration // anchored at each MineContext call
 }
 
 // Option configures a Session (or the deprecated Analyzer) at construction.
@@ -394,21 +394,20 @@ func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 	return s.analyzer(Request{})
 }
 
-// Mine runs the mining procedure, returning every qualified MetaInsight
-// candidate (deduplicated, score-descending) plus run statistics. It is
-// MineContext with a background context.
+// MineContext runs the mining procedure, returning every qualified
+// MetaInsight candidate (deduplicated, score-descending) plus run
+// statistics.
 //
 // Each call is hermetic: its accounting replay, the run's ledger, starts
 // empty, so a second call returns exactly what the first did.
 // It reuses the session's intern table, the units earlier calls scanned and
 // the scopes they evaluated, so a second call scans and evaluates nothing.
 // Calls must not overlap; a Session serves concurrent analyses.
-func (a *Analyzer) Mine() *MiningResult { return a.MineContext(context.Background()) }
-
-// MineContext is Mine with cancellation: the context is checked at every
-// unit-commit boundary, so a cancelled run stops on a whole-unit boundary and
-// returns the best-so-far MetaInsights with Stats.Cancelled set. A run is
-// never torn mid-commit — everything in the result was fully accounted.
+//
+// The context is checked at every unit-commit boundary, so a cancelled run
+// stops on a whole-unit boundary and returns the best-so-far MetaInsights
+// with Stats.Cancelled set. A run is never torn mid-commit — everything in
+// the result was fully accounted.
 func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
 	if a.mined {
 		if err := a.reset(); err != nil {
@@ -417,7 +416,7 @@ func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
 	}
 	a.mined = true
 	cfg := a.cfg
-	// Time budgets anchor at the call to Mine, not at analyzer creation,
+	// Time budgets anchor at the call to MineContext, not at analyzer creation,
 	// and never override an explicit cost budget.
 	if a.timeBudget > 0 && cfg.Budget.Cost == 0 {
 		cfg.Budget.Deadline = time.Now().Add(a.timeBudget)
@@ -445,7 +444,7 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 	return out
 }
 
-// Snapshot publishes the last Mine call's ledger (engine.cost_units and
+// Snapshot publishes the last MineContext call's ledger (engine.cost_units and
 // engine.queries.*, the values of its Stats), the physical caches' occupancy
 // (cache.query.entries and cache.pattern.entries, the session's unit memo
 // and pattern memo for the run's MIN/MAX set, so both count what earlier
@@ -478,11 +477,7 @@ func (a *Analyzer) Snapshot() MetricsSnapshot {
 	return a.obs.Snapshot()
 }
 
-// Observer returns the attached observer (nil when none was attached), for
-// direct access to the trace ring.
-func (a *Analyzer) Observer() *Observer { return a.obs }
-
-// Engine exposes the query engine of the last Mine call (before the first,
+// Engine exposes the query engine of the last MineContext call (before the first,
 // the one it will use) for advanced use (issuing basic queries directly).
 // Engine queries are never charged: they move no ledger and no Stats.
 func (a *Analyzer) Engine() *engine.Engine { return a.eng }

@@ -171,7 +171,7 @@ func TestAnalyzerMineIsHermetic(t *testing.T) {
 	}
 	mine := func(a *metainsight.Analyzer) run {
 		t.Helper()
-		res := a.Mine()
+		res := a.MineContext(context.Background())
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}

@@ -307,9 +307,6 @@ func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 	return &Session{d: d, opts: append([]Option(nil), opts...), in: engine.NewInterner(d)}, nil
 }
 
-// Dataset returns the dataset the session analyzes.
-func (s *Session) Dataset() *Dataset { return s.d }
-
 // Close releases the session's intern table — its handles, scan plans,
 // scanned units and pattern evaluations — and marks the session closed;
 // subsequent Analyze calls fail with ErrSessionClosed. In-flight Analyze
