@@ -119,10 +119,9 @@ func BenchmarkQuickInsightSalesForecast(b *testing.B) {
 // Hotel Booking candidate set (thousands of MetaInsights, k = 10).
 func BenchmarkGreedyRanking(b *testing.B) {
 	res, _ := experiments.FullFunctionality().Run(workload.HotelBooking())
-	w := ranker.DefaultWeights()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ranker.Greedy(res.MetaInsights, 10, w); len(got) != 10 {
+		if got := ranker.Greedy(res.MetaInsights, 10); len(got) != 10 {
 			b.Fatal("short selection")
 		}
 	}
@@ -132,11 +131,10 @@ func BenchmarkGreedyRanking(b *testing.B) {
 // 16-candidate pool (the Table 4 configuration).
 func BenchmarkExactRanking(b *testing.B) {
 	res, _ := experiments.FullFunctionality().Run(workload.CreditCard())
-	w := ranker.DefaultWeights()
 	pool := ranker.RankByScore(res.MetaInsights, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ranker.ExactTopK(pool, 10, w, 0); len(got) != 10 {
+		if got := ranker.ExactTopK(pool, 10); len(got) != 10 {
 			b.Fatal("short selection")
 		}
 	}
@@ -206,10 +204,9 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 // Baseline row).
 func BenchmarkExactRankingGrouped(b *testing.B) {
 	res, _ := experiments.FullFunctionality().Run(workload.SalesForecast())
-	w := ranker.DefaultWeights()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ranker.ExactTopKGrouped(res.MetaInsights, 10, w, 18); len(got) != 10 {
+		if got := ranker.ExactTopKGrouped(res.MetaInsights, 10, 18); len(got) != 10 {
 			b.Fatal("short selection")
 		}
 	}
@@ -218,10 +215,9 @@ func BenchmarkExactRankingGrouped(b *testing.B) {
 // BenchmarkGreedyExactRanking measures the exact-marginal greedy extension.
 func BenchmarkGreedyExactRanking(b *testing.B) {
 	res, _ := experiments.FullFunctionality().Run(workload.SalesForecast())
-	w := ranker.DefaultWeights()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ranker.GreedyExact(res.MetaInsights, 10, w); len(got) != 10 {
+		if got := ranker.GreedyExact(res.MetaInsights, 10); len(got) != 10 {
 			b.Fatal("short selection")
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -387,6 +388,395 @@ func use() { metainsight.T{}.Aliased() }
 	}
 }
 
+// testOnlyFields names the exported struct fields under internal/ or in the
+// root package that no non-test code writes outside its package's defaults
+// constructors (see unwrittenFields), each with why it stays a field. A key is
+// "pkg.Type.Field", pkg as in testOnly. A setting only a defaults constructor
+// writes has one value in use, so it is a constant; these earn their place by
+// a test that sets them, or by a reader that needs the field to exist.
+var testOnlyFields = map[string]string{
+	"core.ScoreParams.K":                        "TestScoreUpperBoundDominatesRealizableScores draws K, R and Gamma to check the score bound against realizable scores",
+	"core.ScoreParams.R":                        "TestScoreUpperBoundDominatesRealizableScores draws K, R and Gamma to check the score bound against realizable scores",
+	"core.ScoreParams.Gamma":                    "TestScoreUpperBoundDominatesRealizableScores draws K, R and Gamma to check the score bound against realizable scores",
+	"experiments.Table4Config.K":                "TestTable4 runs Table 4 smaller than the paper's configuration",
+	"experiments.Table4Config.NaivePool":        "TestTable4 runs Table 4 smaller than the paper's configuration",
+	"experiments.Table4Config.MaxGroup":         "TestTable4 runs Table 4 smaller than the paper's configuration",
+	"miner.Config.EnableBoundPruning":           "the bound-pruning suite and TestMinerMatchesBruteForceOracle turn it off to prove the cuts change no result",
+	"miner.Stats.Evictions":                     "reserved and always zero; the benchmark reads it",
+	"serve.AdmissionConfig.ExpectedServiceTime": "the admission tests seed the service-time estimate",
+	"serve.Config.SessionOptions":               "TestDegradedSubstrate injects a failing substrate through it",
+}
+
+// TestNoFieldsOnlyDefaultsWrite gates struct fields the way the other gates
+// gate names and methods: every exported field declared in a non-test file
+// under internal/ or in the root package must be written by non-test code
+// outside its package's defaults constructors, be exempt as a wire field, or
+// have a testOnlyFields entry.
+func TestNoFieldsOnlyDefaultsWrite(t *testing.T) {
+	m, err := loadTyped(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := unwrittenFields(m, testOnlyFields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestFieldGateFires proves the field gate on a synthetic module. It must
+// report a field only a DefaultConfig writes, one only tests write, an
+// allowlisted field that non-test code writes and an allowlist entry naming
+// no field. It must stay silent on fields written by assignment, through a
+// nested selector, through an index, by taking their address, by a pointer
+// method, in keyed and positional literals, on a field with a JSON tag, on
+// an embedded field of a decoded wire struct, on a root-package field
+// README.md sets and on an allowlisted field a test sets.
+func TestFieldGateFires(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module metainsight\n")
+	write("README.md", "Set `Request{TopK: 10}` for ten suggestions.\n")
+	write("internal/a/a.go", `package a
+
+import "encoding/json"
+
+type Budget struct{ Cost int }
+
+type Config struct {
+	Alpha    float64 // only DefaultConfig writes it
+	TestSet  int     // only tests write it
+	Budget   Budget  // written through c.Budget.Cost
+	Assigned int
+	Oracle   int // allowlisted, a test sets it
+	Promoted int // allowlisted, but production sets it
+}
+
+func DefaultConfig() Config { return Config{Alpha: 0.05} }
+
+type Result struct {
+	Q3    []float64
+	Ptr   int
+	Count counter
+	Wire  string `+"`json:\"wire\"`"+`
+}
+
+type counter struct{ n int }
+
+func (c *counter) Add() { c.n++ }
+
+type Pair struct{ Left, Right int }
+
+type Params struct {
+	TopK int `+"`json:\"top_k\"`"+`
+}
+
+type Spec struct {
+	Params
+	Name string `+"`json:\"name\"`"+`
+}
+
+func Run(data []byte) (Config, Result, Pair, Spec) {
+	c := DefaultConfig()
+	c.Budget.Cost = 3
+	c.Assigned++
+	c.Promoted = 1
+	var res Result
+	res.Q3 = make([]float64, 1)
+	for i := range res.Q3 {
+		res.Q3[i] = 1
+	}
+	p := &res.Ptr
+	*p = 2
+	res.Count.Add()
+	var s Spec
+	_ = json.Unmarshal(data, &s)
+	return c, res, Pair{1, 2}, s
+}
+`)
+	write("internal/a/a_test.go", `package a
+
+var _ = Config{TestSet: 1, Oracle: 2}
+`)
+	write("api.go", `package metainsight
+
+import "metainsight/internal/a"
+
+type Request struct {
+	TopK   int // README sets it
+	Hidden int // nothing sets it
+}
+
+func run() int { a.Run(nil); return Request{}.TopK + Request{}.Hidden }
+`)
+	allow := map[string]string{
+		"a.Config.Oracle":   "a test sets it",
+		"a.Config.Promoted": "was test-only",
+		"a.Config.Gone":     "deleted since",
+	}
+	m, err := loadTyped(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := unwrittenFields(m, allow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"Request.Hidden", "Config.Alpha", "Config.TestSet", "Config.Promoted", "a.Config.Gone"}
+	if len(findings) != len(want) {
+		t.Fatalf("findings = %q, want one each for %v", findings, want)
+	}
+	for i, name := range want {
+		if !strings.Contains(findings[i], " "+name+" ") {
+			t.Errorf("finding %d = %q, want %s", i, findings[i], name)
+		}
+	}
+}
+
+// unwrittenFields returns the field gate's findings: one, in file and line
+// order, per exported field of a named struct type declared in a non-test
+// file under root/internal or in the root package that is not live and that
+// allow does not name, or that allow names but is live or nothing references;
+// then one per allow entry that names no such field. A field is live when
+// non-test code writes it (see fieldWrites) outside its own package's
+// defaults constructors (functions and methods named Default*, withDefaults
+// or WithDefaults), or, for a field of the root package or of a type the root
+// package re-exports by an alias, when README.md sets it ("Name:" or
+// ".Name ="). Wire fields are exempt: those with a JSON tag, and the
+// embedded fields of a struct whose fields carry JSON tags, which
+// encoding/json decodes in place.
+func unwrittenFields(m *typedModule, allow map[string]string) ([]string, error) {
+	readme, err := os.ReadFile(filepath.Join(m.root, "README.md"))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	readmeSets := func(name string) bool {
+		return strings.Contains(string(readme), name+":") || strings.Contains(string(readme), "."+name+" =")
+	}
+	aliased := map[*types.Named]bool{}
+	if rootPkg := m.prod[modulePath]; rootPkg != nil {
+		for _, name := range rootPkg.Scope().Names() {
+			if tn, ok := rootPkg.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() && tn.Exported() {
+				if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+					aliased[n] = true
+				}
+			}
+		}
+	}
+
+	// Declared fields, keyed by position so that a field seen through a
+	// test's own type-check of its package resolves too.
+	type field struct {
+		key, name, file string
+		line            int
+		live            bool // written by non-test code, or set by README.md
+		referenced      bool // used anywhere in the module
+		testWritten     bool
+	}
+	var fields []*field
+	byPos := map[string]*field{} // token.Position.String() → its field
+	for path, p := range m.prod {
+		short, ok := shortPath(path)
+		if !ok {
+			continue
+		}
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n := tn.Type().(*types.Named)
+			st, ok := n.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			wire := false
+			for i := 0; i < st.NumFields(); i++ {
+				if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+					wire = true
+				}
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); !v.Exported() || tagged || (wire && v.Embedded()) {
+					continue
+				}
+				pos := m.fset.Position(v.Pos())
+				f := &field{
+					key: short + "." + name + "." + v.Name(), name: name + "." + v.Name(),
+					file: pos.Filename, line: pos.Line,
+					live: (path == modulePath || aliased[n]) && readmeSets(v.Name()),
+				}
+				fields = append(fields, f)
+				byPos[pos.String()] = f
+			}
+		}
+	}
+	fieldOf := func(v *types.Var) *field { return byPos[m.fset.Position(v.Origin().Pos()).String()] }
+
+	for _, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			if f := fieldOf(v); f != nil {
+				f.referenced = true
+			}
+		}
+	}
+	for path, files := range m.files {
+		for _, file := range files {
+			fieldWrites(file, m.info, func(v *types.Var, fn *ast.FuncDecl) {
+				defaults := fn != nil && (strings.HasPrefix(fn.Name.Name, "Default") || strings.EqualFold(fn.Name.Name, "withDefaults"))
+				if f := fieldOf(v); f != nil && (!defaults || v.Pkg().Path() != path) {
+					f.live = true
+				}
+			})
+		}
+	}
+	for pos := range m.testWrites {
+		if f := byPos[pos]; f != nil {
+			f.testWritten = true
+		}
+	}
+	for pos := range m.tested {
+		if f := byPos[pos]; f != nil {
+			f.referenced = true
+		}
+	}
+
+	sort.Slice(fields, func(i, j int) bool {
+		if fields[i].file != fields[j].file {
+			return fields[i].file < fields[j].file
+		}
+		return fields[i].line < fields[j].line || fields[i].line == fields[j].line && fields[i].key < fields[j].key
+	})
+	var findings []string
+	declared := map[string]bool{}
+	for _, f := range fields {
+		declared[f.key] = true
+		var problem string
+		_, listed := allow[f.key]
+		switch {
+		case listed && f.live:
+			problem = "is written by non-test code; drop it from testOnlyFields"
+		case listed && !f.referenced:
+			problem = "is referenced nowhere in the module; delete it"
+		case !listed && !f.live && f.testWritten:
+			problem = "is written only by tests and defaults constructors; make it a constant, or name in testOnlyFields the test that sets it"
+		case !listed && !f.live:
+			problem = "is written by nothing but defaults constructors; make it a constant or delete it"
+		default:
+			continue
+		}
+		rel, _ := filepath.Rel(m.root, f.file)
+		findings = append(findings, rel+":"+strconv.Itoa(f.line)+": field "+f.name+" "+problem)
+	}
+	var stale []string
+	for key := range allow {
+		if !declared[key] {
+			stale = append(stale, "testOnlyFields entry "+key+" names no exported field declared under internal/ or in the root package; drop it")
+		}
+	}
+	sort.Strings(stale)
+	return append(findings, stale...), nil
+}
+
+// fieldWrites calls visit for every struct field f writes, with the function
+// declaration the write sits in (nil at package level). A write assigns the
+// field (plain, compound or as a range variable), increments or decrements
+// it, takes its address (with & or by calling a pointer method on it), or
+// sets it in a keyed or positional struct literal. Writing a field of a
+// field, or an element of a field's slice, array or map, writes every field
+// on the way: c.Budget.Cost = 1 writes Budget and Cost.
+func fieldWrites(f *ast.File, info *types.Info, visit func(v *types.Var, fn *ast.FuncDecl)) {
+	for _, d := range f.Decls {
+		fn, _ := d.(*ast.FuncDecl)
+		lvalue := func(e ast.Expr) {
+			for e != nil {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					sel := info.Selections[x]
+					if sel == nil || sel.Kind() != types.FieldVal {
+						return
+					}
+					visit(sel.Obj().(*types.Var), fn)
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					lvalue(l)
+				}
+			case *ast.IncDecStmt:
+				lvalue(n.X)
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					lvalue(n.Key)
+					lvalue(n.Value)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					lvalue(n.X)
+				}
+			case *ast.CallExpr:
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+					_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+					if _, ptr := s.Recv().Underlying().(*types.Pointer); ptrRecv && !ptr {
+						lvalue(sel.X)
+					}
+				}
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if t == nil {
+					break
+				}
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+								visit(v, fn)
+							}
+						}
+					} else if i < st.NumFields() {
+						visit(st.Field(i), fn)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
 // typedModule is a module type-checked package by package: its production
 // packages once each, with their uses and selections in one types.Info, and
 // the standard library through go/importer's source importer.
@@ -396,11 +786,16 @@ type typedModule struct {
 	std   types.ImporterFrom
 	info  *types.Info
 	prod  map[string]*types.Package // import path → package, non-test files only
+	files map[string][]*ast.File    // import path → its non-test files
 	paths []string                  // the module's import paths, in walk order
 	// tested holds the keys (objectKey, methodKey) of the package-level
-	// names and the methods that test files use.
+	// names and the methods that test files use, and the positions
+	// (token.Position.String) of the struct fields they use.
 	tested map[string]bool
-	errs   []error
+	// testWrites holds the positions of the struct fields test files write
+	// (see fieldWrites).
+	testWrites map[string]bool
+	errs       []error
 }
 
 // loaded caches loadTyped per module root: both gates read the repository.
@@ -426,7 +821,7 @@ func loadTyped(root string) (*typedModule, error) {
 	if len(m.errs) > 0 {
 		return nil, m.errs[0]
 	}
-	if m.tested, err = m.testUses(); err != nil {
+	if m.tested, m.testWrites, err = m.testUses(); err != nil {
 		return nil, err
 	}
 	loaded[root] = m
@@ -442,11 +837,22 @@ var (
 
 func newTypedModule(root string) *typedModule {
 	return &typedModule{
-		root: root,
-		fset: stdFiles,
-		std:  stdImporter,
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
-		prod: map[string]*types.Package{},
+		root:  root,
+		fset:  stdFiles,
+		std:   stdImporter,
+		info:  newInfo(),
+		prod:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+	}
+}
+
+// newInfo records what the gates read: uses, selections and the types of
+// composite literals.
+func newInfo() *types.Info {
+	return &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
 	}
 }
 
@@ -471,6 +877,7 @@ func (m *typedModule) Import(path string) (*types.Package, error) {
 	conf := types.Config{Importer: m, Error: func(err error) { m.errs = append(m.errs, err) }}
 	p, _ := conf.Check(path, m.fset, files, m.info)
 	m.prod[path] = p
+	m.files[path] = files
 	return p, nil
 }
 
@@ -776,12 +1183,13 @@ func testOnlyMethods(m *typedModule, allow map[string]string) ([]string, error) 
 }
 
 // testUses returns the keys of the package-level names and the methods the
-// module's test files use. Each package's in-package tests are checked with
-// its non-test files, its external tests against that checked package; type
-// errors are ignored, since an external test's imports see the production
-// package.
-func (m *typedModule) testUses() (map[string]bool, error) {
-	used := map[string]bool{}
+// module's test files use, with the positions of the struct fields they use,
+// and the positions of the struct fields they write. Each package's
+// in-package tests are checked with its non-test files, its external tests
+// against that checked package; type errors are ignored, since an external
+// test's imports see the production package.
+func (m *typedModule) testUses() (used, written map[string]bool, err error) {
+	used, written = map[string]bool{}, map[string]bool{}
 	inTest := func(pos token.Pos) bool { return strings.HasSuffix(m.fset.Position(pos).Filename, "_test.go") }
 	for _, path := range m.paths {
 		name := m.prod[path].Name()
@@ -799,12 +1207,12 @@ func (m *typedModule) testUses() (map[string]bool, error) {
 			hasTests = hasTests || test
 			return false
 		}); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !hasTests {
 			continue
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		info := newInfo()
 		conf := types.Config{Importer: m, Error: func(error) {}}
 		withTests, _ := conf.Check(path, m.fset, internal, info)
 		conf.Importer = importerFunc(func(p string) (*types.Package, error) {
@@ -815,8 +1223,20 @@ func (m *typedModule) testUses() (map[string]bool, error) {
 		})
 		conf.Check(path+"_test", m.fset, external, info)
 		for id, obj := range info.Uses {
-			if key, ok := objectKey(obj); ok && inTest(id.Pos()) {
+			if !inTest(id.Pos()) {
+				continue
+			}
+			if key, ok := objectKey(obj); ok {
 				used[key] = true
+			} else if v, ok := obj.(*types.Var); ok && v.IsField() {
+				used[m.fset.Position(v.Origin().Pos()).String()] = true
+			}
+		}
+		for _, f := range append(internal, external...) {
+			if inTest(f.Pos()) {
+				fieldWrites(f, info, func(v *types.Var, _ *ast.FuncDecl) {
+					written[m.fset.Position(v.Origin().Pos()).String()] = true
+				})
 			}
 		}
 		for sel, s := range info.Selections {
@@ -827,7 +1247,7 @@ func (m *typedModule) testUses() (map[string]bool, error) {
 			}
 		}
 	}
-	return used, nil
+	return used, written, nil
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -32,28 +32,24 @@ type RawCategorization struct {
 	ExceptionIdx []int
 }
 
-// RawClusterParams configures the raw-distribution clustering.
-type RawClusterParams struct {
-	// Epsilon is the symmetric-KL radius (bits) within which two
+// The raw-distribution clustering's settings, i³'s (Appendix 9.2): package
+// icube clusters with the same two KL values.
+const (
+	// KLRadius is the symmetric-KL radius (bits) within which two
 	// distributions join the same cluster.
-	Epsilon float64
-	// Smoothing is the additive KL smoothing.
-	Smoothing float64
-	// Tau is the minimum cluster ratio for a commonness, mirroring the
-	// MetaInsight threshold.
-	Tau float64
-}
-
-// DefaultRawClusterParams mirrors the i³ configuration.
-func DefaultRawClusterParams() RawClusterParams {
-	return RawClusterParams{Epsilon: 0.05, Smoothing: 1e-6, Tau: 0.5}
-}
+	KLRadius = 0.05
+	// KLSmoothing is the additive KL smoothing.
+	KLSmoothing = 1e-6
+	// rawTau is the minimum cluster ratio for a commonness, mirroring the
+	// MetaInsight threshold τ.
+	rawTau = 0.5
+)
 
 // CategorizeRaw clusters raw distributions by symmetric KL distance around
-// the medoid: the members within Epsilon of the medoid form the candidate
-// commonness; if its ratio does not exceed Tau, no commonness exists and ok
-// is false (mirroring Definition 3.5's CommSet ≠ ∅ requirement).
-func CategorizeRaw(dists []RawDistribution, p RawClusterParams) (RawCategorization, bool) {
+// the medoid: the members within KLRadius of the medoid form the candidate
+// commonness; if its ratio does not exceed τ = 0.5, no commonness exists and
+// ok is false (mirroring Definition 3.5's CommSet ≠ ∅ requirement).
+func CategorizeRaw(dists []RawDistribution) (RawCategorization, bool) {
 	n := len(dists)
 	if n < 2 {
 		return RawCategorization{}, false
@@ -89,7 +85,7 @@ func CategorizeRaw(dists []RawDistribution, p RawClusterParams) (RawCategorizati
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := stats.SymmetricKL(aligned[i], aligned[j], p.Smoothing)
+			d := stats.SymmetricKL(aligned[i], aligned[j], KLSmoothing)
 			dist[i][j], dist[j][i] = d, d
 		}
 	}
@@ -105,13 +101,13 @@ func CategorizeRaw(dists []RawDistribution, p RawClusterParams) (RawCategorizati
 	}
 	var cat RawCategorization
 	for i := 0; i < n; i++ {
-		if dist[medoid][i] <= p.Epsilon {
+		if dist[medoid][i] <= KLRadius {
 			cat.CommonIdx = append(cat.CommonIdx, i)
 		} else {
 			cat.ExceptionIdx = append(cat.ExceptionIdx, i)
 		}
 	}
-	if float64(len(cat.CommonIdx)) <= p.Tau*float64(n) {
+	if float64(len(cat.CommonIdx)) <= rawTau*float64(n) {
 		return cat, false
 	}
 	return cat, true
@@ -139,30 +135,36 @@ func ExceptionSetEquals(got []int, want map[int]bool) bool {
 func BuildPatternCategorization(dists []RawDistribution, t pattern.Type, temporal bool,
 	cfg pattern.Config, tau float64) (RawCategorization, bool) {
 
-	classes := map[string][]int{}
-	var classOrder []string
+	// The Sim classes of the scopes where t holds, in first-seen order.
+	type class struct {
+		highlight pattern.Highlight
+		members   []int
+	}
+	var classes []class
 	var others []int
 	for i, d := range dists {
 		se := pattern.EvaluateAll(d.Keys, d.Values, temporal, cfg)
 		tp, h := se.Induced(t)
-		if tp == t {
-			k := h.Key()
-			if _, seen := classes[k]; !seen {
-				classOrder = append(classOrder, k)
-			}
-			classes[k] = append(classes[k], i)
-		} else {
+		if tp != t {
 			others = append(others, i)
+			continue
 		}
+		c := 0
+		for c < len(classes) && !h.Equal(classes[c].highlight) {
+			c++
+		}
+		if c == len(classes) {
+			classes = append(classes, class{highlight: h})
+		}
+		classes[c].members = append(classes[c].members, i)
 	}
 	var cat RawCategorization
 	n := float64(len(dists))
-	for _, k := range classOrder {
-		members := classes[k]
-		if float64(len(members)) > tau*n {
-			cat.CommonIdx = append(cat.CommonIdx, members...)
+	for _, c := range classes {
+		if float64(len(c.members)) > tau*n {
+			cat.CommonIdx = append(cat.CommonIdx, c.members...)
 		} else {
-			cat.ExceptionIdx = append(cat.ExceptionIdx, members...)
+			cat.ExceptionIdx = append(cat.ExceptionIdx, c.members...)
 		}
 	}
 	cat.ExceptionIdx = append(cat.ExceptionIdx, others...)

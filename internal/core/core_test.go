@@ -438,7 +438,7 @@ func TestCategorizeRawRecoversShapeOutlier(t *testing.T) {
 		mk(5, 5, 5, 5, 5, 5),
 		mk(100, 1, 1, 1, 1, 1), // the shape outlier
 	}
-	cat, ok := CategorizeRaw(dists, DefaultRawClusterParams())
+	cat, ok := CategorizeRaw(dists)
 	if !ok {
 		t.Fatal("no commonness found")
 	}
@@ -455,7 +455,7 @@ func TestCategorizeRawRequiresMajority(t *testing.T) {
 		{Keys: months, Values: []float64{0, 0, 1, 0}},
 		{Keys: months, Values: []float64{0, 0, 0, 1}},
 	}
-	if _, ok := CategorizeRaw(dists, DefaultRawClusterParams()); ok {
+	if _, ok := CategorizeRaw(dists); ok {
 		t.Error("four disjoint point masses cannot form a commonness")
 	}
 }

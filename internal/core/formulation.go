@@ -32,7 +32,7 @@ func Sim(a, b DataPattern) bool {
 	if !a.Type.Concrete() || !b.Type.Concrete() {
 		return false
 	}
-	return a.Type == b.Type && a.Highlight.KeyEqual(b.Highlight)
+	return a.Type == b.Type && a.Highlight.Equal(b.Highlight)
 }
 
 // HDS is a homogeneous data scope (Definition 3.2): the set of data scopes
@@ -267,7 +267,7 @@ func BuildMetaInsight(hdp *HDP, impactHDS float64, p ScoreParams) (*MetaInsight,
 		switch {
 		case dp.Type == hdp.Type:
 			c := 0
-			for c < len(classes) && !dp.Highlight.KeyEqual(hdp.Patterns[classes[c][0]].Highlight) {
+			for c < len(classes) && !dp.Highlight.Equal(hdp.Patterns[classes[c][0]].Highlight) {
 				c++
 			}
 			if c == len(classes) {

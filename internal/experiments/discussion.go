@@ -82,7 +82,6 @@ func Discussion(w io.Writer, trials int, seed int64) DiscussionResult {
 		trials = 200
 	}
 	cfg := pattern.DefaultConfig()
-	rawParams := core.DefaultRawClusterParams()
 	sigmas := []float64{0, 0.02, 0.05, 0.10, 0.15, 0.20}
 
 	var res DiscussionResult
@@ -98,7 +97,7 @@ func Discussion(w io.Writer, trials int, seed int64) DiscussionResult {
 				core.ExceptionSetEquals(cat.ExceptionIdx, truth) {
 				patternHits++
 			}
-			if cat, ok := core.CategorizeRaw(dists, rawParams); ok &&
+			if cat, ok := core.CategorizeRaw(dists); ok &&
 				core.ExceptionSetEquals(cat.ExceptionIdx, truth) {
 				rawHits++
 			}

@@ -34,7 +34,7 @@ func ICubeComparison(w io.Writer, topN int) ICubeResult {
 	if err != nil {
 		panic(err)
 	}
-	results := icube.Mine(eng, icube.DefaultConfig(model.Sum("SO2")))
+	results := icube.Mine(eng, model.Sum("SO2"))
 	res := ICubeResult{TopN: topN, TotalResults: len(results)}
 	if topN > len(results) {
 		topN = len(results)

@@ -52,30 +52,29 @@ func DefaultTable4Config() Table4Config {
 func Table4Dataset(w io.Writer, tab *dataset.Table, cfg Table4Config) []Table4Row {
 	run, _ := FullFunctionality().Run(tab)
 	cands := run.MetaInsights
-	weights := ranker.DefaultWeights()
 
 	t0 := time.Now()
-	baseline := ranker.ExactTopKGrouped(cands, cfg.K, weights, cfg.MaxGroup)
+	baseline := ranker.ExactTopKGrouped(cands, cfg.K, cfg.MaxGroup)
 	baselineTime := time.Since(t0)
 
 	t0 = time.Now()
 	naivePool := ranker.RankByScore(cands, cfg.NaivePool)
-	naive := ranker.ExactTopK(naivePool, cfg.K, weights, 0)
+	naive := ranker.ExactTopK(naivePool, cfg.K)
 	naiveTime := time.Since(t0)
 
 	t0 = time.Now()
-	ours := ranker.Greedy(cands, cfg.K, weights)
+	ours := ranker.Greedy(cands, cfg.K)
 	oursTime := time.Since(t0)
 
 	t0 = time.Now()
-	oursExact := ranker.GreedyExact(cands, cfg.K, weights)
+	oursExact := ranker.GreedyExact(cands, cfg.K)
 	oursExactTime := time.Since(t0)
 
 	t0 = time.Now()
 	rbs := ranker.RankByScore(cands, cfg.K)
 	rbsTime := time.Since(t0)
 
-	use := func(sel []*core.MetaInsight) float64 { return ranker.TotalUseExact(sel, weights) }
+	use := func(sel []*core.MetaInsight) float64 { return ranker.TotalUseExact(sel) }
 	prec := func(sel []*core.MetaInsight) float64 { return ranker.Precision(baseline, sel) }
 	rows := []Table4Row{
 		{tab.Name(), "Baseline", baselineTime, use(baseline), 1},
@@ -108,5 +107,5 @@ func Table4(w io.Writer) Table4Result {
 // topKByGreedy is a small helper other experiments reuse to present the
 // suggested MetaInsights of a mining run.
 func topKByGreedy(cands []*core.MetaInsight, k int) []*core.MetaInsight {
-	return ranker.Greedy(cands, k, ranker.DefaultWeights())
+	return ranker.Greedy(cands, k)
 }

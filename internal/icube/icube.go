@@ -20,37 +20,21 @@ import (
 	"fmt"
 	"sort"
 
+	"metainsight/internal/core"
 	"metainsight/internal/engine"
 	"metainsight/internal/model"
 	"metainsight/internal/stats"
 )
 
-// Config configures an i³ run.
-type Config struct {
-	// Measure is the aggregate under comparison (e.g. SUM(SO2)).
-	Measure model.Measure
-	// ClusterEpsilon is the symmetric-KL radius (bits) within which two
-	// 2-point distributions are deemed similar.
-	ClusterEpsilon float64
-	// Smoothing is the additive KL smoothing.
-	Smoothing float64
-	// MaxMembers skips extension dimensions with more members (chart
+// The comparison's member bounds, fixed like its KL settings (the raw
+// clustering's core.KLRadius and core.KLSmoothing).
+const (
+	// maxMembers skips extension dimensions with more members (chart
 	// readability, mirroring the breakdown-cardinality cap elsewhere).
-	MaxMembers int
-	// MinMembers skips comparisons with fewer extended members.
-	MinMembers int
-}
-
-// DefaultConfig returns the configuration used by the comparison experiment.
-func DefaultConfig(measure model.Measure) Config {
-	return Config{
-		Measure:        measure,
-		ClusterEpsilon: 0.05,
-		Smoothing:      1e-6,
-		MaxMembers:     30,
-		MinMembers:     4,
-	}
-}
+	maxMembers = 30
+	// minMembers skips comparisons with fewer extended members.
+	minMembers = 4
+)
 
 // Member is one extended subspace in a result: its name on the extension
 // dimension and its normalized 2-point distribution over (V1, V2).
@@ -156,14 +140,14 @@ func (r *Result) MiscategorizedAgainstReference() bool {
 
 // Mine runs i³ over every (breakdown, value pair, extension dimension)
 // combination at subspace level 0 (the appendix restricts the search space
-// the same way), ranking results by score descending.
-func Mine(eng *engine.Engine, cfg Config) []*Result {
+// the same way), comparing measure and ranking results by score descending.
+func Mine(eng *engine.Engine, measure model.Measure) []*Result {
 	tab := eng.Table()
 	var results []*Result
 	dims := tab.DimensionNames()
 	for _, bd := range dims {
 		bcol := tab.Dimension(bd)
-		if bcol.Cardinality() < 2 || bcol.Cardinality() > cfg.MaxMembers {
+		if bcol.Cardinality() < 2 || bcol.Cardinality() > maxMembers {
 			continue
 		}
 		for _, ext := range dims {
@@ -171,7 +155,7 @@ func Mine(eng *engine.Engine, cfg Config) []*Result {
 				continue
 			}
 			ecol := tab.Dimension(ext)
-			if ecol.Cardinality() < cfg.MinMembers || ecol.Cardinality() > cfg.MaxMembers {
+			if ecol.Cardinality() < minMembers || ecol.Cardinality() > maxMembers {
 				continue
 			}
 			// One unit per breakdown value serves every pair: the 2-point
@@ -181,7 +165,7 @@ func Mine(eng *engine.Engine, cfg Config) []*Result {
 				ds := model.DataScope{
 					Subspace:  model.NewSubspace(model.Filter{Dim: bd, Value: v}),
 					Breakdown: ext,
-					Measure:   cfg.Measure,
+					Measure:   measure,
 				}
 				s, err := eng.BasicQuery(ds)
 				if err != nil {
@@ -196,7 +180,7 @@ func Mine(eng *engine.Engine, cfg Config) []*Result {
 			domain := bcol.Domain()
 			for i := 0; i < len(domain); i++ {
 				for j := i + 1; j < len(domain); j++ {
-					if r := compare(domain[i], domain[j], bd, ext, ecol.Domain(), series, cfg); r != nil {
+					if r := compare(domain[i], domain[j], bd, ext, ecol.Domain(), series); r != nil {
 						results = append(results, r)
 					}
 				}
@@ -214,7 +198,7 @@ func Mine(eng *engine.Engine, cfg Config) []*Result {
 
 // compare assembles and categorizes one pairwise comparison.
 func compare(v1, v2, bd, ext string, extDomain []string,
-	series map[string]map[string]float64, cfg Config) *Result {
+	series map[string]map[string]float64) *Result {
 
 	s1, s2 := series[v1], series[v2]
 	if s1 == nil || s2 == nil {
@@ -241,12 +225,12 @@ func compare(v1, v2, bd, ext string, extDomain []string,
 		}
 		r.Members = append(r.Members, m)
 	}
-	if len(r.Members) < cfg.MinMembers {
+	if len(r.Members) < minMembers {
 		return nil
 	}
 
 	// Medoid clustering by symmetric KL: the member minimizing total
-	// distance anchors the commonness; everything within ClusterEpsilon of
+	// distance anchors the commonness; everything within core.KLRadius of
 	// it joins, the rest are exceptions.
 	n := len(r.Members)
 	dist := make([][]float64, n)
@@ -255,7 +239,7 @@ func compare(v1, v2, bd, ext string, extDomain []string,
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := stats.SymmetricKL(r.Members[i].P[:], r.Members[j].P[:], cfg.Smoothing)
+			d := stats.SymmetricKL(r.Members[i].P[:], r.Members[j].P[:], core.KLSmoothing)
 			dist[i][j], dist[j][i] = d, d
 		}
 	}
@@ -270,7 +254,7 @@ func compare(v1, v2, bd, ext string, extDomain []string,
 		}
 	}
 	for i := 0; i < n; i++ {
-		if dist[medoid][i] <= cfg.ClusterEpsilon {
+		if dist[medoid][i] <= core.KLRadius {
 			r.CommonIdx = append(r.CommonIdx, i)
 		} else {
 			r.ExceptionIdx = append(r.ExceptionIdx, i)

@@ -43,7 +43,7 @@ func mine(t testing.TB, tab *dataset.Table) []*Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Mine(eng, DefaultConfig(model.Sum("SO2")))
+	return Mine(eng, model.Sum("SO2"))
 }
 
 func findResult(results []*Result, v1, v2, ext string) *Result {

@@ -356,9 +356,6 @@ func TestCheckpointRefusesOverwrite(t *testing.T) {
 // identically) that fails only those units, leaving the planted
 // Month-breakdown insights minable.
 func panickyPattern(c *Config) {
-	if c.Pattern.Alpha == 0 {
-		c.Pattern = pattern.DefaultConfig()
-	}
 	c.Pattern.Custom = append(c.Pattern.Custom, pattern.CustomEvaluator{
 		Name: "Panicky",
 		EvaluateScope: func(scope model.DataScope, _ []string, _ []float64) pattern.Evaluation {

@@ -410,12 +410,8 @@ func (m *Miner) fingerprint() string {
 	}
 	w("impact", m.eng.ImpactMeasure().Key())
 	w("score", fmt.Sprintf("%+v", m.cfg.Score))
-	p := m.cfg.Pattern
-	w("pattern", fmt.Sprintf("%g %g %g %g %g %d %g %g %g %g",
-		p.Alpha, p.EvennessCV, p.AttributionShare, p.OutlierSigma,
-		p.OutlierMaxFraction, p.SmoothWindow, p.SeasonalityMinACF, p.TrendMinR2,
-		p.UnimodalViolationFraction, p.UnimodalMinProminence))
-	for _, c := range p.Custom {
+	w("pattern", pattern.Thresholds())
+	for _, c := range m.cfg.Pattern.Custom {
 		w("custom", c.Name, strconv.FormatBool(c.TemporalOnly))
 	}
 	w("miner", fmt.Sprintf("%d %d %g %g %t %t %t %t %g %t %d",

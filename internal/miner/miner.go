@@ -57,7 +57,8 @@ type Config struct {
 	// (core.ScoreParams.WithDefaults), so overriding only Tau keeps k, r
 	// and γ meaningful.
 	Score core.ScoreParams
-	// Pattern holds the evaluation-criterion thresholds.
+	// Pattern registers custom pattern types beside the paper's eleven; the
+	// zero value registers none.
 	Pattern pattern.Config
 	// MaxSubspaceFilters caps the number of non-empty filters in a subspace;
 	// the paper's configuration uses 3.
@@ -343,11 +344,6 @@ type Miner struct {
 func New(eng *engine.Engine, cfg Config) *Miner {
 	def := DefaultConfig()
 	cfg.Score = cfg.Score.WithDefaults()
-	if cfg.Pattern.Alpha == 0 {
-		custom := cfg.Pattern.Custom
-		cfg.Pattern = def.Pattern
-		cfg.Pattern.Custom = custom
-	}
 	if cfg.MaxSubspaceFilters == 0 {
 		cfg.MaxSubspaceFilters = def.MaxSubspaceFilters
 	}
@@ -1299,7 +1295,7 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 		patterns = append(patterns, core.DataPattern{Scope: scope, Type: t, Highlight: h})
 		if t == u.ptype {
 			c := 0
-			for c < len(classes) && !h.KeyEqual(classes[c].highlight) {
+			for c < len(classes) && !h.Equal(classes[c].highlight) {
 				c++
 			}
 			if c == len(classes) {

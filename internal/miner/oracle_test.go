@@ -704,7 +704,9 @@ func compareInsights(t *testing.T, arm string, want, got map[string]oracleInsigh
 // impact-sum bounds are unsound there, and a frontier dimension's heaviest
 // value lies below a conjunction's impact), and a sparse one with empty
 // cells, a two-valued dimension and AVG, mined again with its five-valued
-// dimension above the cardinality cap.
+// dimension above the cardinality cap; and one whose breakdown values hold
+// commas, so that two different Outstanding Top-2 highlights read the same
+// once their positions are joined with ",".
 func toyCases() []toyCase {
 	months := []string{"Jan", "Feb", "Mar", "Apr", "May"}
 	shop := toyCase{
@@ -842,5 +844,31 @@ a3 d4 | 5,5,2    | 2        | 1`,
 		},
 		shop,
 		capped,
+		{
+			name: "commas",
+			dims: []toyDim{
+				{name: "Store", domain: []string{"s1", "s2", "s3"}},
+				{name: "Item", domain: []string{"a", "a,b", "b", "b,c", "c"}},
+			},
+			measure: "Sales",
+			// SUM(Sales) by Item: the top two are ("a,b", "c") in s1 and
+			// s3 but ("a", "b,c") in s2.
+			rows: `
+s1 | 10  | 100 | 8 | 7  | 90
+s2 | 100 | 10  | 8 | 90 | 7
+s3 | 9   | 95  | 8 | 6  | 88`,
+			mined:  []model.Measure{model.Sum("Sales")},
+			impact: model.Sum("Sales"),
+			check: func(t *testing.T, o *bruteForce, _ []toyRow) {
+				top2 := func(store string) pattern.Highlight {
+					holds, _ := o.evaluate(oracleScope{map[string]string{"Store": store}, "Item", model.Sum("Sales")})
+					return holds[pattern.OutstandingTop2]
+				}
+				a, b := top2("s1"), top2("s2")
+				if len(a.Positions) != 2 || slices.Equal(a.Positions, b.Positions) || strings.Join(a.Positions, ",") != strings.Join(b.Positions, ",") {
+					t.Errorf("Outstanding Top-2 highlights %q and %q are not two that one joined string merges", a.Positions, b.Positions)
+				}
+			},
+		},
 	}
 }

@@ -35,7 +35,7 @@ func EvaluateAllScoped(scope model.DataScope, keys []string, values []float64, t
 	}
 	evals := sc.evals[:nt]
 	clear(evals)
-	sc.evalBuiltins(evals, keys, values, temporal, cfg)
+	sc.evalBuiltins(evals, keys, values, temporal)
 	for i, ev := range cfg.Custom {
 		if ev.TemporalOnly && !temporal {
 			continue
@@ -80,7 +80,7 @@ type evalScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // evalBuiltins evaluates the eleven built-in types on a finite series.
-func (sc *evalScratch) evalBuiltins(evals []Evaluation, keys []string, values []float64, temporal bool, cfg Config) {
+func (sc *evalScratch) evalBuiltins(evals []Evaluation, keys []string, values []float64, temporal bool) {
 	n := len(values)
 	if cap(sc.ints) < n {
 		sc.ints = make([]int, n)
@@ -126,7 +126,7 @@ func (sc *evalScratch) evalBuiltins(evals []Evaluation, keys []string, values []
 			if n < o.lead+3 {
 				continue
 			}
-			p, significant := outstandingSorted(o.sorted, logs, work, o.lead, cfg.Alpha)
+			p, significant := outstandingSorted(o.sorted, logs, work, o.lead)
 			if !significant {
 				continue
 			}
@@ -142,8 +142,8 @@ func (sc *evalScratch) evalBuiltins(evals []Evaluation, keys []string, values []
 		}
 	}
 
-	evals[Evenness] = evalEvenness(values, cfg)
-	evals[Attribution] = evalAttribution(keys, values, cfg)
+	evals[Evenness] = evalEvenness(values)
+	evals[Attribution] = evalAttribution(keys, values)
 	if !temporal {
 		return
 	}
@@ -154,26 +154,26 @@ func (sc *evalScratch) evalBuiltins(evals []Evaluation, keys []string, values []
 			t[i] = float64(i)
 		}
 		fit := stats.OLS(t, values)
-		evals[Trend] = trendOf(fit, cfg)
+		evals[Trend] = trendOf(fit)
 		if n >= 8 {
-			evals[Seasonality] = seasonalityWith(work, values, fit, cfg)
+			evals[Seasonality] = seasonalityWith(work, values, fit)
 		}
 	}
 	if n >= 6 {
-		if cap(sc.medbuf) < cfg.SmoothWindow+1 {
-			sc.medbuf = make([]float64, 0, cfg.SmoothWindow+1)
+		if cap(sc.medbuf) < smoothWindow+1 {
+			sc.medbuf = make([]float64, 0, smoothWindow+1)
 		}
-		evals[Outlier] = outlierWith(work, sc.medbuf, keys, values, cfg)
+		evals[Outlier] = outlierWith(work, sc.medbuf, keys, values)
 	}
-	evals[ChangePoint] = evalChangePoint(keys, values, cfg)
-	evals[Unimodality] = evalUnimodality(keys, values, cfg)
+	evals[ChangePoint] = evalChangePoint(keys, values)
+	evals[Unimodality] = evalUnimodality(keys, values)
 }
 
 // outstandingSorted is the outstandingness test of stats.OutstandingTop on an
 // already ranked series: sorted is descending, logs[i] = log(i+1) and resid
 // is working space of at least len(sorted) elements. It returns the p-value
 // and whether the top lead values are significantly outstanding.
-func outstandingSorted(sorted, logs, resid []float64, lead int, alpha float64) (p float64, significant bool) {
+func outstandingSorted(sorted, logs, resid []float64, lead int) (p float64, significant bool) {
 	n := len(sorted)
 	// The last leader must strictly exceed the first non-leader.
 	if sorted[lead-1] <= sorted[lead] {

@@ -9,37 +9,51 @@ import (
 	"metainsight/internal/stats"
 )
 
-// Config holds the evaluation criteria thresholds. The zero value is not
-// usable; start from DefaultConfig.
-type Config struct {
-	// Alpha is the significance level for the test-based criteria
+// The evaluation criteria's thresholds. Like the paper's implementation
+// parameters (Section 4.1) they are fixed values, not settings.
+const (
+	// alpha is the significance level for the test-based criteria
 	// (outstandingness, trend, change point).
-	Alpha float64
-	// EvennessCV is the maximum coefficient of variation for a series to be
+	alpha = 0.05
+	// evennessCV is the maximum coefficient of variation for a series to be
 	// deemed evenly distributed.
-	EvennessCV float64
-	// AttributionShare is the share of the total one value must reach to
-	// dominate (e.g. 0.5 = majority).
-	AttributionShare float64
-	// OutlierSigma is the 3-sigma rule's multiplier on the residual spread.
-	OutlierSigma float64
-	// OutlierMaxFraction caps how many points may be flagged before the
-	// "outliers" are considered structure instead (e.g. 0.2).
-	OutlierMaxFraction float64
-	// SmoothWindow is the centered moving-average window of the
+	evennessCV = 0.15
+	// attributionShare is the share of the total one value must exceed to
+	// dominate (a majority).
+	attributionShare = 0.5
+	// outlierSigma is the 3-sigma rule's multiplier on the residual spread.
+	outlierSigma = 3.0
+	// outlierMaxFraction caps how many points may be flagged before the
+	// "outliers" are considered structure instead.
+	outlierMaxFraction = 0.2
+	// smoothWindow is the centered moving-average window of the
 	// non-parametric regression baseline behind the outlier test.
-	SmoothWindow int
-	// SeasonalityMinACF is the minimum detrended autocorrelation at the
+	smoothWindow = 5
+	// seasonalityMinACF is the minimum detrended autocorrelation at the
 	// candidate period.
-	SeasonalityMinACF float64
-	// TrendMinR2 is the minimum coefficient of determination for a trend.
-	TrendMinR2 float64
-	// UnimodalViolationFraction is the tolerated fraction of monotonicity
+	seasonalityMinACF = 0.5
+	// trendMinR2 is the minimum coefficient of determination for a trend.
+	trendMinR2 = 0.5
+	// unimodalViolationFraction is the tolerated fraction of monotonicity
 	// violations on each side of a unimodal extremum.
-	UnimodalViolationFraction float64
-	// UnimodalMinProminence is the minimum prominence of the extremum
+	unimodalViolationFraction = 0.34
+	// unimodalMinProminence is the minimum prominence of the extremum
 	// relative to the series range (both endpoints must clear it).
-	UnimodalMinProminence float64
+	unimodalMinProminence = 0.25
+)
+
+// Thresholds renders the criteria's thresholds in the form a miner
+// checkpoint's fingerprint records them.
+func Thresholds() string {
+	return fmt.Sprintf("%g %g %g %g %g %d %g %g %g %g",
+		alpha, evennessCV, attributionShare, outlierSigma, outlierMaxFraction,
+		smoothWindow, seasonalityMinACF, trendMinR2, unimodalViolationFraction, unimodalMinProminence)
+}
+
+// Config registers the pattern types evaluated beside the paper's eleven.
+// Its zero value is the paper's configuration: the built-in types under the
+// fixed thresholds above.
+type Config struct {
 	// Custom holds domain-specific pattern types beyond the paper's eleven
 	// (the extensibility hook of Section 3.1). The i-th entry is evaluated
 	// as Type CustomType(i); custom types participate in HDPs, Sim,
@@ -106,21 +120,9 @@ func (c Config) TypeName(t Type) string {
 // configuration (built-ins plus custom).
 func (c Config) NumConcreteTypes() int { return int(NumTypes) + len(c.Custom) }
 
-// DefaultConfig returns the thresholds used throughout the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		Alpha:                     0.05,
-		EvennessCV:                0.15,
-		AttributionShare:          0.5,
-		OutlierSigma:              3,
-		OutlierMaxFraction:        0.2,
-		SmoothWindow:              5,
-		SeasonalityMinACF:         0.5,
-		TrendMinR2:                0.5,
-		UnimodalViolationFraction: 0.34,
-		UnimodalMinProminence:     0.25,
-	}
-}
+// DefaultConfig returns the paper's configuration, which registers no
+// custom type.
+func DefaultConfig() Config { return Config{} }
 
 // Evaluate runs one type's evaluation criterion on a series. keys and values
 // are the raw data distribution of the data scope (breakdown values in domain
@@ -163,27 +165,27 @@ func EvaluateScoped(scope model.DataScope, t Type, keys []string, values []float
 	}
 	switch t {
 	case OutstandingFirst:
-		return evalOutstanding(keys, values, 1, true, cfg)
+		return evalOutstanding(keys, values, 1, true)
 	case OutstandingLast:
-		return evalOutstanding(keys, values, 1, false, cfg)
+		return evalOutstanding(keys, values, 1, false)
 	case OutstandingTop2:
-		return evalOutstanding(keys, values, 2, true, cfg)
+		return evalOutstanding(keys, values, 2, true)
 	case OutstandingLast2:
-		return evalOutstanding(keys, values, 2, false, cfg)
+		return evalOutstanding(keys, values, 2, false)
 	case Evenness:
-		return evalEvenness(values, cfg)
+		return evalEvenness(values)
 	case Attribution:
-		return evalAttribution(keys, values, cfg)
+		return evalAttribution(keys, values)
 	case Trend:
-		return evalTrend(values, cfg)
+		return evalTrend(values)
 	case Outlier:
-		return evalOutlier(keys, values, cfg)
+		return evalOutlier(keys, values)
 	case Seasonality:
-		return evalSeasonality(values, cfg)
+		return evalSeasonality(values)
 	case ChangePoint:
-		return evalChangePoint(keys, values, cfg)
+		return evalChangePoint(keys, values)
 	case Unimodality:
-		return evalUnimodality(keys, values, cfg)
+		return evalUnimodality(keys, values)
 	default:
 		panic(fmt.Sprintf("pattern: Evaluate called with non-concrete type %v", t))
 	}
@@ -206,15 +208,15 @@ func hasNonFinite(values []float64) bool {
 	return false
 }
 
-func evalOutstanding(keys []string, values []float64, lead int, top bool, cfg Config) Evaluation {
+func evalOutstanding(keys []string, values []float64, lead int, top bool) Evaluation {
 	if len(values) < lead+3 {
 		return Evaluation{}
 	}
 	var res stats.OutstandingResult
 	if top {
-		res = stats.OutstandingTop(values, lead, cfg.Alpha)
+		res = stats.OutstandingTop(values, lead, alpha)
 	} else {
-		res = stats.OutstandingBottom(values, lead, cfg.Alpha)
+		res = stats.OutstandingBottom(values, lead, alpha)
 	}
 	if !res.Significant {
 		return Evaluation{}
@@ -237,22 +239,22 @@ func evalOutstanding(keys []string, values []float64, lead int, top bool, cfg Co
 	}
 }
 
-func evalEvenness(values []float64, cfg Config) Evaluation {
+func evalEvenness(values []float64) Evaluation {
 	if len(values) < 3 {
 		return Evaluation{}
 	}
 	cv := stats.CoefficientOfVariation(values)
-	if math.IsInf(cv, 1) || cv >= cfg.EvennessCV {
+	if math.IsInf(cv, 1) || cv >= evennessCV {
 		return Evaluation{}
 	}
 	return Evaluation{
 		Valid:     true,
 		Highlight: Highlight{Label: "even"},
-		Strength:  1 - cv/cfg.EvennessCV,
+		Strength:  1 - cv/evennessCV,
 	}
 }
 
-func evalAttribution(keys []string, values []float64, cfg Config) Evaluation {
+func evalAttribution(keys []string, values []float64) Evaluation {
 	if len(values) < 3 {
 		return Evaluation{}
 	}
@@ -269,7 +271,7 @@ func evalAttribution(keys []string, values []float64, cfg Config) Evaluation {
 	}
 	i := stats.ArgMax(values)
 	share := values[i] / total
-	if share <= cfg.AttributionShare {
+	if share <= attributionShare {
 		return Evaluation{}
 	}
 	return Evaluation{
@@ -279,19 +281,19 @@ func evalAttribution(keys []string, values []float64, cfg Config) Evaluation {
 	}
 }
 
-func evalTrend(values []float64, cfg Config) Evaluation {
+func evalTrend(values []float64) Evaluation {
 	if len(values) < 5 {
 		return Evaluation{}
 	}
-	return trendOf(stats.OLS(stats.LinSpace(len(values)), values), cfg)
+	return trendOf(stats.OLS(stats.LinSpace(len(values)), values))
 }
 
 // trendOf judges the trend criterion on the series' fit against time.
-func trendOf(fit stats.OLSResult, cfg Config) Evaluation {
+func trendOf(fit stats.OLSResult) Evaluation {
 	if math.IsNaN(fit.Slope) || fit.Slope == 0 {
 		return Evaluation{}
 	}
-	if fit.SlopeP >= cfg.Alpha || fit.R2 < cfg.TrendMinR2 {
+	if fit.SlopeP >= alpha || fit.R2 < trendMinR2 {
 		return Evaluation{}
 	}
 	label := "increasing"
@@ -305,18 +307,18 @@ func trendOf(fit stats.OLSResult, cfg Config) Evaluation {
 	}
 }
 
-func evalOutlier(keys []string, values []float64, cfg Config) Evaluation {
+func evalOutlier(keys []string, values []float64) Evaluation {
 	if len(values) < 6 {
 		return Evaluation{}
 	}
-	return outlierWith(make([]float64, 3*len(values)), nil, keys, values, cfg)
+	return outlierWith(make([]float64, 3*len(values)), nil, keys, values)
 }
 
 // outlierWith is the outlier criterion for a series of n >= 6 points, using
 // buf (3n elements) and medbuf (grown as needed) as working space.
-func outlierWith(buf, medbuf []float64, keys []string, values []float64, cfg Config) Evaluation {
+func outlierWith(buf, medbuf []float64, keys []string, values []float64) Evaluation {
 	n := len(values)
-	window := cfg.SmoothWindow
+	window := smoothWindow
 	if window >= n {
 		window = n - 1
 	}
@@ -337,7 +339,7 @@ func outlierWith(buf, medbuf []float64, keys []string, values []float64, cfg Con
 	worstZ := 0.0
 	for i, r := range resid {
 		z := r / sd
-		if math.Abs(z) > cfg.OutlierSigma {
+		if math.Abs(z) > outlierSigma {
 			positions = append(positions, keys[i])
 			if z > 0 {
 				above++
@@ -349,7 +351,7 @@ func outlierWith(buf, medbuf []float64, keys []string, values []float64, cfg Con
 			}
 		}
 	}
-	if len(positions) == 0 || float64(len(positions)) > cfg.OutlierMaxFraction*float64(n) {
+	if len(positions) == 0 || float64(len(positions)) > outlierMaxFraction*float64(n) {
 		return Evaluation{}
 	}
 	label := "above"
@@ -366,17 +368,17 @@ func outlierWith(buf, medbuf []float64, keys []string, values []float64, cfg Con
 	}
 }
 
-func evalSeasonality(values []float64, cfg Config) Evaluation {
+func evalSeasonality(values []float64) Evaluation {
 	n := len(values)
 	if n < 8 {
 		return Evaluation{}
 	}
-	return seasonalityWith(make([]float64, 3*n), values, stats.OLS(stats.LinSpace(n), values), cfg)
+	return seasonalityWith(make([]float64, 3*n), values, stats.OLS(stats.LinSpace(n), values))
 }
 
 // seasonalityWith is the seasonality criterion for a series of n >= 8 points
 // given its fit against time, using buf (3n elements) as working space.
-func seasonalityWith(buf, values []float64, fit stats.OLSResult, cfg Config) Evaluation {
+func seasonalityWith(buf, values []float64, fit stats.OLSResult) Evaluation {
 	n := len(values)
 	// Detrend first so a strong trend does not masquerade as correlation.
 	detrended := buf[:n]
@@ -398,7 +400,7 @@ func seasonalityWith(buf, values []float64, fit stats.OLSResult, cfg Config) Eva
 			bestLag, bestACF = lag, a
 		}
 	}
-	if bestLag == 0 || bestACF < cfg.SeasonalityMinACF {
+	if bestLag == 0 || bestACF < seasonalityMinACF {
 		return Evaluation{}
 	}
 	// Confirm with the explained-variance check: folding the detrended
@@ -415,7 +417,7 @@ func seasonalityWith(buf, values []float64, fit stats.OLSResult, cfg Config) Eva
 	}
 }
 
-func evalChangePoint(keys []string, values []float64, cfg Config) Evaluation {
+func evalChangePoint(keys []string, values []float64) Evaluation {
 	n := len(values)
 	if n < 6 {
 		return Evaluation{}
@@ -429,7 +431,7 @@ func evalChangePoint(keys []string, values []float64, cfg Config) Evaluation {
 	}
 	// Bonferroni correction over the n-3 candidate splits keeps the
 	// family-wise false-positive rate at alpha.
-	if bestIdx < 0 || bestP*float64(n-3) >= cfg.Alpha {
+	if bestIdx < 0 || bestP*float64(n-3) >= alpha {
 		return Evaluation{}
 	}
 	return Evaluation{
@@ -439,7 +441,7 @@ func evalChangePoint(keys []string, values []float64, cfg Config) Evaluation {
 	}
 }
 
-func evalUnimodality(keys []string, values []float64, cfg Config) Evaluation {
+func evalUnimodality(keys []string, values []float64) Evaluation {
 	n := len(values)
 	if n < 5 {
 		return Evaluation{}
@@ -449,10 +451,10 @@ func evalUnimodality(keys []string, values []float64, cfg Config) Evaluation {
 	if rng == 0 {
 		return Evaluation{}
 	}
-	if ev, ok := unimodalAt(keys, values, loIdx, "valley", rng, cfg); ok {
+	if ev, ok := unimodalAt(keys, values, loIdx, "valley", rng); ok {
 		return ev
 	}
-	if ev, ok := unimodalAt(keys, values, hiIdx, "peak", rng, cfg); ok {
+	if ev, ok := unimodalAt(keys, values, hiIdx, "peak", rng); ok {
 		return ev
 	}
 	return Evaluation{}
@@ -462,7 +464,7 @@ func evalUnimodality(keys []string, values []float64, cfg Config) Evaluation {
 // index idx: the extremum must be interior, both sides must be (tolerantly)
 // monotone toward it, and both endpoints must be prominently separated from
 // the extremum.
-func unimodalAt(keys []string, values []float64, idx int, label string, rng float64, cfg Config) (Evaluation, bool) {
+func unimodalAt(keys []string, values []float64, idx int, label string, rng float64) (Evaluation, bool) {
 	n := len(values)
 	if idx <= 0 || idx >= n-1 {
 		return Evaluation{}, false
@@ -481,7 +483,7 @@ func unimodalAt(keys []string, values []float64, idx int, label string, rng floa
 			violations++
 		}
 	}
-	if float64(violations) > cfg.UnimodalViolationFraction*float64(idx) {
+	if float64(violations) > unimodalViolationFraction*float64(idx) {
 		return Evaluation{}, false
 	}
 	violations = 0
@@ -490,12 +492,12 @@ func unimodalAt(keys []string, values []float64, idx int, label string, rng floa
 			violations++
 		}
 	}
-	if float64(violations) > cfg.UnimodalViolationFraction*float64(n-1-idx) {
+	if float64(violations) > unimodalViolationFraction*float64(n-1-idx) {
 		return Evaluation{}, false
 	}
 	promLeft := sign * (values[0] - values[idx]) / rng
 	promRight := sign * (values[n-1] - values[idx]) / rng
-	if promLeft < cfg.UnimodalMinProminence || promRight < cfg.UnimodalMinProminence {
+	if promLeft < unimodalMinProminence || promRight < unimodalMinProminence {
 		return Evaluation{}, false
 	}
 	strength := math.Min(promLeft, promRight)

@@ -246,16 +246,33 @@ func TestInducedRules(t *testing.T) {
 	se.Induced(OtherPattern)
 }
 
-func TestHighlightKey(t *testing.T) {
-	a := Highlight{Positions: []string{"Apr"}, Label: "valley"}
-	b := Highlight{Positions: []string{"Apr"}, Label: "valley"}
-	c := Highlight{Positions: []string{"Jul"}, Label: "valley"}
-	d := Highlight{Positions: []string{"Apr"}, Label: "peak"}
-	if a.Key() != b.Key() {
-		t.Error("equal highlights must share keys")
-	}
-	if a.Key() == c.Key() || a.Key() == d.Key() {
-		t.Error("distinct highlights must not collide")
+// TestHighlightEqual checks highlight identity, the highlight half of Sim
+// (Equation 8): same label and same positions, element by element. Joining
+// either into one string would merge highlights whose breakdown values or
+// label contain the separator.
+func TestHighlightEqual(t *testing.T) {
+	for _, c := range []struct {
+		a, b Highlight
+		want bool
+	}{
+		{Highlight{Positions: []string{"Apr"}, Label: "valley"}, Highlight{Positions: []string{"Apr"}, Label: "valley"}, true},
+		{Highlight{Label: "even"}, Highlight{Label: "even", Positions: []string{}}, true},
+		{Highlight{Positions: []string{"Apr"}, Label: "valley"}, Highlight{Positions: []string{"Jul"}, Label: "valley"}, false},
+		{Highlight{Positions: []string{"Apr"}, Label: "valley"}, Highlight{Positions: []string{"Apr"}, Label: "peak"}, false},
+		{Highlight{Positions: []string{"a", "b"}}, Highlight{Positions: []string{"b", "a"}}, false},
+		// Breakdown values may hold commas (quoted CSV fields).
+		{Highlight{Positions: []string{"a,b", "c"}}, Highlight{Positions: []string{"a", "b,c"}}, false},
+		{Highlight{Positions: []string{"a,b"}}, Highlight{Positions: []string{"a", "b"}}, false},
+		// Neither may a label's "@" move the boundary between label and positions.
+		{Highlight{Label: "x@", Positions: []string{"y"}}, Highlight{Label: "x", Positions: []string{"@y"}}, false},
+		{Highlight{Label: "x@y"}, Highlight{Label: "x", Positions: []string{"y"}}, false},
+	} {
+		if got := c.a.Equal(c.b); got != c.want {
+			t.Errorf("%+v.Equal(%+v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Equal(c.a); got != c.want {
+			t.Errorf("%+v.Equal(%+v) = %v, want %v", c.b, c.a, got, c.want)
+		}
 	}
 }
 
@@ -360,36 +377,4 @@ func TestEvaluatePanicsOnUnregisteredCustom(t *testing.T) {
 		}
 	}()
 	Evaluate(CustomType(0), months(), make([]float64, 12), true, DefaultConfig())
-}
-
-// TestHighlightKeyEqualMatchesKey checks the allocation-free key comparison
-// against Key() == Key() on highlights built to share key bytes across
-// different label/position splits.
-func TestHighlightKeyEqualMatchesKey(t *testing.T) {
-	parts := []string{"", "a", "b", "ab", ",", "@", "a,b", "a@b", "peak", "Jan"}
-	var hs []Highlight
-	for _, label := range parts {
-		hs = append(hs, Highlight{Label: label})
-		for _, p := range parts {
-			hs = append(hs, Highlight{Label: label, Positions: []string{p}})
-			for _, q := range parts[:6] {
-				hs = append(hs, Highlight{Label: label, Positions: []string{p, q}})
-			}
-		}
-	}
-	equal := 0
-	for _, a := range hs {
-		for _, b := range hs {
-			want := a.Key() == b.Key()
-			if got := a.KeyEqual(b); got != want {
-				t.Fatalf("KeyEqual(%+v, %+v) = %v, keys %q vs %q", a, b, got, a.Key(), b.Key())
-			}
-			if want {
-				equal++
-			}
-		}
-	}
-	if equal <= len(hs) {
-		t.Errorf("only %d equal pairs among %d highlights: no structurally different pair shares a key", equal, len(hs))
-	}
 }

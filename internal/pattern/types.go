@@ -9,6 +9,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -116,7 +117,7 @@ func (t Type) TemporalOnly() bool {
 // Highlight encodes the essential, type-dependent characteristics extracted
 // by a successful evaluation (Definition 3.1). Two data patterns within an
 // HDP are similar iff they share both type and highlight (Equation 8), so
-// Highlight equality — via Key — defines the Sim equivalence relation.
+// Highlight equality — Equal — defines the Sim equivalence relation.
 type Highlight struct {
 	// Positions are the breakdown values the pattern points at: the
 	// outstanding subspace(s), the outlier positions, the unimodal extremum,
@@ -128,52 +129,11 @@ type Highlight struct {
 	Label string
 }
 
-// Key returns the canonical identity of the highlight used by Sim.
-func (h Highlight) Key() string {
-	return h.Label + "@" + strings.Join(h.Positions, ",")
-}
-
-// KeyEqual reports h.Key() == o.Key() without building either key: it walks
-// the two keys' segments (label, "@", positions joined by ",") in step.
-// Classifying an HDP compares every pattern's highlight, nearly always to an
-// equal one.
-func (h Highlight) KeyEqual(o Highlight) bool {
-	var a, b string
-	i, j := 0, 0
-	for {
-		for a == "" && i < h.keySegments() {
-			a = h.keySegment(i)
-			i++
-		}
-		for b == "" && j < o.keySegments() {
-			b = o.keySegment(j)
-			j++
-		}
-		if a == "" || b == "" {
-			return a == b
-		}
-		n := min(len(a), len(b))
-		if a[:n] != b[:n] {
-			return false
-		}
-		a, b = a[n:], b[n:]
-	}
-}
-
-// keySegments and keySegment enumerate the strings Key concatenates.
-func (h Highlight) keySegments() int { return 2 + max(2*len(h.Positions)-1, 0) }
-
-func (h Highlight) keySegment(i int) string {
-	switch {
-	case i == 0:
-		return h.Label
-	case i == 1:
-		return "@"
-	case i%2 == 0:
-		return h.Positions[(i-2)/2]
-	default:
-		return ","
-	}
+// Equal reports whether two highlights are the same: the same label and the
+// same positions in the same order. It is the Sim equivalence relation's
+// highlight half.
+func (h Highlight) Equal(o Highlight) bool {
+	return h.Label == o.Label && slices.Equal(h.Positions, o.Positions)
 }
 
 // String renders the highlight for display.

@@ -58,7 +58,7 @@ func groupCandidates(cands []*core.MetaInsight, maxGroupSize int) [][]*core.Meta
 // TotalUse[mask] = Σ_{∅≠U⊆mask} (−1)^{|U|+1}·Overlap(U). Overlap values for
 // every mask come from incremental DP on min-score, filter-set intersection
 // and the identity indicators.
-func groupTotalUse(g []*core.MetaInsight, w Weights) []float64 {
+func groupTotalUse(g []*core.MetaInsight) []float64 {
 	n := len(g)
 	size := 1 << n
 	// Encode each member's non-empty root filters as bits over the union of
@@ -138,11 +138,11 @@ func groupTotalUse(g []*core.MetaInsight, w Weights) []float64 {
 		var r float64
 		switch kind {
 		case model.ExtendSubspace:
-			r = w.W11*rsub + w.W12*ind(sameExt[mask]) + w.W13*ind(sameMea[mask]) + w.W14*ind(sameBrk[mask])
+			r = w11*rsub + w12*ind(sameExt[mask]) + w13*ind(sameMea[mask]) + w14*ind(sameBrk[mask])
 		case model.ExtendMeasure:
-			r = w.W21*rsub + w.W22*ind(sameBrk[mask])
+			r = w21*rsub + w22*ind(sameBrk[mask])
 		default:
-			r = w.W31*rsub + w.W32*ind(sameMea[mask])
+			r = w31*rsub + w32*ind(sameMea[mask])
 		}
 		sign := 1.0
 		if bits.OnesCount(uint(mask))%2 == 0 {
@@ -169,7 +169,7 @@ func groupTotalUse(g []*core.MetaInsight, w Weights) []float64 {
 // maxGroupSize (default 18 when 0) are truncated to their top members by
 // score — the only approximation, and one that only matters if the optimum
 // would dip below a group's top-maxGroupSize scores.
-func ExactTopKGrouped(cands []*core.MetaInsight, k int, w Weights, maxGroupSize int) []*core.MetaInsight {
+func ExactTopKGrouped(cands []*core.MetaInsight, k int, maxGroupSize int) []*core.MetaInsight {
 	if maxGroupSize <= 0 {
 		maxGroupSize = 18
 	}
@@ -186,7 +186,7 @@ func ExactTopKGrouped(cands []*core.MetaInsight, k int, w Weights, maxGroupSize 
 	plans := make([]groupPlan, len(groups))
 	for gi, g := range groups {
 		n := len(g)
-		tu := groupTotalUse(g, w)
+		tu := groupTotalUse(g)
 		maxSize := n
 		if maxSize > k {
 			maxSize = k
@@ -269,7 +269,7 @@ func ExactTopKGrouped(cands []*core.MetaInsight, k int, w Weights, maxGroupSize 
 // marginal evaluation at 2^{|S ∩ group|}, so the algorithm stays fast. This
 // extension is evaluated against the paper's second-order greedy in the
 // Table 4 benchmarks.
-func GreedyExact(cands []*core.MetaInsight, k int, w Weights) []*core.MetaInsight {
+func GreedyExact(cands []*core.MetaInsight, k int) []*core.MetaInsight {
 	if k <= 0 || len(cands) == 0 {
 		return nil
 	}
@@ -290,7 +290,7 @@ func GreedyExact(cands []*core.MetaInsight, k int, w Weights) []*core.MetaInsigh
 			if len(members) >= 20 {
 				continue // keep the exact marginal tractable
 			}
-			gain := TotalUseExact(append(members[:len(members):len(members)], c), w) - groupUse[gk]
+			gain := TotalUseExact(append(members[:len(members):len(members)], c)) - groupUse[gk]
 			if gain > bestGain {
 				bestGain, bestIdx = gain, i
 			}

@@ -17,7 +17,6 @@ import (
 // selection lazily on demand. Progressive is safe for concurrent use.
 type Progressive struct {
 	k       int
-	w       Weights
 	bufferN int
 
 	mu     sync.Mutex
@@ -28,7 +27,7 @@ type Progressive struct {
 
 // NewProgressive creates a progressive ranker for top-k suggestions.
 // bufferN bounds the candidate buffer (0 defaults to 32·k).
-func NewProgressive(k int, w Weights, bufferN int) *Progressive {
+func NewProgressive(k int, bufferN int) *Progressive {
 	if k < 1 {
 		k = 1
 	}
@@ -38,7 +37,7 @@ func NewProgressive(k int, w Weights, bufferN int) *Progressive {
 	if bufferN < k {
 		bufferN = k
 	}
-	return &Progressive{k: k, w: w, bufferN: bufferN}
+	return &Progressive{k: k, bufferN: bufferN}
 }
 
 // Add offers one discovered MetaInsight. It is cheap (a binary insertion
@@ -71,7 +70,7 @@ func (p *Progressive) TopK() []*core.MetaInsight {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dirty || p.cached == nil {
-		p.cached = Greedy(p.buffer, p.k, p.w)
+		p.cached = Greedy(p.buffer, p.k)
 		p.dirty = false
 	}
 	return p.cached

@@ -14,27 +14,18 @@ import (
 	"metainsight/internal/model"
 )
 
-// Weights parameterize the per-strategy overlap ratios of Equations 25-27.
-// Within each strategy the weights must sum to 1 so the ratio stays in [0,1].
-type Weights struct {
+// The weights of the per-strategy overlap ratios of Equations 25-27. Within
+// each strategy they sum to 1, so the ratio stays in [0,1]; the shared
+// subspace factor weighs highest and the identity indicators split the rest.
+const (
 	// Subspace-extended HDPs (Equation 25):
-	// r_s = W11·r_sub + W12·1_i + W13·1_m + W14·1_b.
-	W11, W12, W13, W14 float64
-	// Measure-extended HDPs (Equation 26): r_m = W21·r_sub + W22·1_b.
-	W21, W22 float64
-	// Breakdown-extended HDPs (Equation 27): r_b = W31·r_sub + W32·1_m.
-	W31, W32 float64
-}
-
-// DefaultWeights weighs the shared-subspace factor highest, splitting the
-// remainder over the identity indicators.
-func DefaultWeights() Weights {
-	return Weights{
-		W11: 0.4, W12: 0.2, W13: 0.2, W14: 0.2,
-		W21: 0.6, W22: 0.4,
-		W31: 0.6, W32: 0.4,
-	}
-}
+	// r_s = w11·r_sub + w12·1_i + w13·1_m + w14·1_b.
+	w11, w12, w13, w14 = 0.4, 0.2, 0.2, 0.2
+	// Measure-extended HDPs (Equation 26): r_m = w21·r_sub + w22·1_b.
+	w21, w22 = 0.6, 0.4
+	// Breakdown-extended HDPs (Equation 27): r_b = w31·r_sub + w32·1_m.
+	w31, w32 = 0.6, 0.4
+)
 
 // SubspaceOverlapRatio is Definition 9.1, the generalized overlap
 // coefficient over the non-empty filter sets of the HDS root subspaces:
@@ -69,7 +60,7 @@ func SubspaceOverlapRatio(subs []model.Subspace) float64 {
 // OverlapRatio is the general-form r(I₁, …, I_p) of Equation 28: zero when
 // the MetaInsights differ in extension strategy or pattern type, otherwise
 // the strategy-specific weighted combination of Equations 25-27.
-func OverlapRatio(mis []*core.MetaInsight, w Weights) float64 {
+func OverlapRatio(mis []*core.MetaInsight) float64 {
 	if len(mis) < 2 {
 		return 1
 	}
@@ -88,11 +79,11 @@ func OverlapRatio(mis []*core.MetaInsight, w Weights) float64 {
 
 	switch h0.Kind {
 	case model.ExtendSubspace:
-		return w.W11*rsub + w.W12*ind(sameExtDim) + w.W13*ind(sameMeasure) + w.W14*ind(sameBreakdown)
+		return w11*rsub + w12*ind(sameExtDim) + w13*ind(sameMeasure) + w14*ind(sameBreakdown)
 	case model.ExtendMeasure:
-		return w.W21*rsub + w.W22*ind(sameBreakdown)
+		return w21*rsub + w22*ind(sameBreakdown)
 	case model.ExtendBreakdown:
-		return w.W31*rsub + w.W32*ind(sameMeasure)
+		return w31*rsub + w32*ind(sameMeasure)
 	default:
 		return 0
 	}
@@ -138,7 +129,7 @@ func ind(b bool) float64 {
 
 // Overlap is Definition 4.4: |I₁ ∩ … ∩ I_p| = min(|I₁|, …, |I_p|) ·
 // r(I₁, …, I_p), where |I| is the MetaInsight's score (Definition 4.2).
-func Overlap(mis []*core.MetaInsight, w Weights) float64 {
+func Overlap(mis []*core.MetaInsight) float64 {
 	if len(mis) == 0 {
 		return 0
 	}
@@ -151,13 +142,13 @@ func Overlap(mis []*core.MetaInsight, w Weights) float64 {
 	if len(mis) == 1 {
 		return minScore
 	}
-	return minScore * OverlapRatio(mis, w)
+	return minScore * OverlapRatio(mis)
 }
 
 // TotalUseExact is Definition 4.3, the full inclusion-exclusion total
 // usefulness |I₁ ∪ … ∪ I_p|. Cost is Θ(2^p · p); it backs the exact ranking
 // baseline of Table 4 and is only practical for small p.
-func TotalUseExact(mis []*core.MetaInsight, w Weights) float64 {
+func TotalUseExact(mis []*core.MetaInsight) float64 {
 	p := len(mis)
 	if p == 0 {
 		return 0
@@ -174,7 +165,7 @@ func TotalUseExact(mis []*core.MetaInsight, w Weights) float64 {
 				subset = append(subset, mis[i])
 			}
 		}
-		term := Overlap(subset, w)
+		term := Overlap(subset)
 		if len(subset)%2 == 1 {
 			total += term
 		} else {
@@ -186,7 +177,7 @@ func TotalUseExact(mis []*core.MetaInsight, w Weights) float64 {
 
 // TotalUseApprox is the second-order approximation of Equation 22:
 // Σ|Iᵢ| − Σ_{i<j} |Iᵢ ∩ Iⱼ|.
-func TotalUseApprox(mis []*core.MetaInsight, w Weights) float64 {
+func TotalUseApprox(mis []*core.MetaInsight) float64 {
 	total := 0.0
 	for _, mi := range mis {
 		total += mi.Score
@@ -194,7 +185,7 @@ func TotalUseApprox(mis []*core.MetaInsight, w Weights) float64 {
 	for i := 0; i < len(mis); i++ {
 		for j := i + 1; j < len(mis); j++ {
 			pair := [2]*core.MetaInsight{mis[i], mis[j]}
-			total -= Overlap(pair[:], w)
+			total -= Overlap(pair[:])
 		}
 	}
 	return total
@@ -236,13 +227,13 @@ type SelectionStats struct {
 // greedily. The selection starts from the highest-scoring MetaInsight; each
 // iteration adds the candidate with the largest marginal gain
 // |I| − Σ_{J ∈ S} |I ∩ J| until k MetaInsights are selected.
-func Greedy(cands []*core.MetaInsight, k int, w Weights) []*core.MetaInsight {
-	out, _ := GreedyStats(cands, k, w)
+func Greedy(cands []*core.MetaInsight, k int) []*core.MetaInsight {
+	out, _ := GreedyStats(cands, k)
 	return out
 }
 
 // GreedyStats is Greedy plus a SelectionStats report of the work performed.
-func GreedyStats(cands []*core.MetaInsight, k int, w Weights) ([]*core.MetaInsight, SelectionStats) {
+func GreedyStats(cands []*core.MetaInsight, k int) ([]*core.MetaInsight, SelectionStats) {
 	if k <= 0 || len(cands) == 0 {
 		return nil, SelectionStats{Pool: len(cands)}
 	}
@@ -262,7 +253,7 @@ func GreedyStats(cands []*core.MetaInsight, k int, w Weights) ([]*core.MetaInsig
 				continue
 			}
 			pair := [2]*core.MetaInsight{c, last}
-			penalty[i] += Overlap(pair[:], w)
+			penalty[i] += Overlap(pair[:])
 			st.OverlapEvals++
 			gain := c.Score - penalty[i]
 			if gain > bestGain {
@@ -282,15 +273,11 @@ func GreedyStats(cands []*core.MetaInsight, k int, w Weights) ([]*core.MetaInsig
 
 // ExactTopK is the standalone exact baseline of Table 4: it enumerates all
 // k-subsets of the candidate pool and returns the one maximizing the full
-// inclusion-exclusion TotalUse (Equation 21 solved exactly). The paper's
-// baseline runs over all N candidates and takes minutes-to-hours; poolSize
-// bounds the enumeration to the top candidates by score (0 means the whole
-// candidate set — use with care, the cost is C(N, k)·2^k).
-func ExactTopK(cands []*core.MetaInsight, k int, w Weights, poolSize int) []*core.MetaInsight {
+// inclusion-exclusion TotalUse (Equation 21 solved exactly). The cost is
+// C(N, k)·2^k over N candidates — the paper's baseline takes minutes to
+// hours — so callers cut the pool first (RankByScore).
+func ExactTopK(cands []*core.MetaInsight, k int) []*core.MetaInsight {
 	pool := sortByScore(cands)
-	if poolSize > 0 && len(pool) > poolSize {
-		pool = pool[:poolSize]
-	}
 	if k >= len(pool) {
 		return pool
 	}
@@ -300,7 +287,7 @@ func ExactTopK(cands []*core.MetaInsight, k int, w Weights, poolSize int) []*cor
 	var recurse func(start int)
 	recurse = func(start int) {
 		if len(current) == k {
-			use := TotalUseExact(current, w)
+			use := TotalUseExact(current)
 			if use > bestUse {
 				bestUse = use
 				best = append(best[:0], current...)

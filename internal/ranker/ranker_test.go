@@ -29,8 +29,6 @@ func mkMI(score float64, kind model.ExtensionKind, ptype pattern.Type,
 	return &core.MetaInsight{HDP: hdp, Score: score}
 }
 
-var w = DefaultWeights()
-
 func sub(filters ...model.Filter) model.Subspace { return model.NewSubspace(filters...) }
 
 func TestSubspaceOverlapRatio(t *testing.T) {
@@ -68,8 +66,8 @@ func TestOverlapComparesFilterPairs(t *testing.T) {
 	}
 	p := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality, x, "City", "Month", "Sales")
 	q := mkMI(0.8, model.ExtendSubspace, pattern.Unimodality, y, "City", "Month", "Sales")
-	want := w.W11*0 + w.W12*1 + w.W13*1 + w.W14*1
-	if r := OverlapRatio([]*core.MetaInsight{p, q}, w); math.Abs(r-want) > 1e-12 {
+	want := w11*0 + w12*1 + w13*1 + w14*1
+	if r := OverlapRatio([]*core.MetaInsight{p, q}); math.Abs(r-want) > 1e-12 {
 		t.Errorf("OverlapRatio = %v, want %v: the colliding filters counted as common", r, want)
 	}
 }
@@ -104,7 +102,7 @@ func TestRootOverlapMatchesDefinition(t *testing.T) {
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() {
 		pair := [2]*core.MetaInsight{a, b}
-		sink += Overlap(pair[:], w)
+		sink += Overlap(pair[:])
 	}); n != 0 {
 		t.Errorf("the overlap of a pair allocates %.0f times", n)
 	}
@@ -114,10 +112,10 @@ func TestOverlapRatioCrossStrategyAndType(t *testing.T) {
 	a := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Sales")
 	b := mkMI(0.8, model.ExtendMeasure, pattern.Unimodality, sub(), "", "Month", "Sales")
 	c := mkMI(0.8, model.ExtendSubspace, pattern.Trend, sub(), "City", "Month", "Sales")
-	if r := OverlapRatio([]*core.MetaInsight{a, b}, w); r != 0 {
+	if r := OverlapRatio([]*core.MetaInsight{a, b}); r != 0 {
 		t.Errorf("cross-strategy overlap = %v (Cond of Equation 28)", r)
 	}
-	if r := OverlapRatio([]*core.MetaInsight{a, c}, w); r != 0 {
+	if r := OverlapRatio([]*core.MetaInsight{a, c}); r != 0 {
 		t.Errorf("cross-type overlap = %v", r)
 	}
 }
@@ -125,7 +123,7 @@ func TestOverlapRatioCrossStrategyAndType(t *testing.T) {
 func TestOverlapRatioIdenticalIsOne(t *testing.T) {
 	a := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality,
 		sub(model.Filter{Dim: "Style", Value: "2S"}), "City", "Month", "Sales")
-	if r := OverlapRatio([]*core.MetaInsight{a, a}, w); math.Abs(r-1) > 1e-12 {
+	if r := OverlapRatio([]*core.MetaInsight{a, a}); math.Abs(r-1) > 1e-12 {
 		t.Errorf("identical MetaInsights overlap ratio = %v, want 1", r)
 	}
 }
@@ -134,8 +132,8 @@ func TestOverlapRatioPartial(t *testing.T) {
 	a := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Sales")
 	// Same strategy/type/extdim/breakdown, different measure.
 	b := mkMI(0.8, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Profit")
-	r := OverlapRatio([]*core.MetaInsight{a, b}, w)
-	want := w.W11*1 + w.W12*1 + w.W13*0 + w.W14*1
+	r := OverlapRatio([]*core.MetaInsight{a, b})
+	want := w11*1 + w12*1 + w13*0 + w14*1
 	if math.Abs(r-want) > 1e-12 {
 		t.Errorf("partial overlap = %v, want %v", r, want)
 	}
@@ -144,11 +142,11 @@ func TestOverlapRatioPartial(t *testing.T) {
 func TestOverlapUsesMinScore(t *testing.T) {
 	a := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Sales")
 	b := mkMI(0.4, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Sales")
-	ov := Overlap([]*core.MetaInsight{a, b}, w)
+	ov := Overlap([]*core.MetaInsight{a, b})
 	if math.Abs(ov-0.4) > 1e-12 {
 		t.Errorf("overlap of identical-identity pair = %v, want min score 0.4", ov)
 	}
-	if Overlap([]*core.MetaInsight{a}, w) != 0.9 {
+	if Overlap([]*core.MetaInsight{a}) != 0.9 {
 		t.Error("singleton overlap must be the score")
 	}
 }
@@ -157,7 +155,7 @@ func TestTotalUseExactTwoIdentical(t *testing.T) {
 	a := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Sales")
 	b := mkMI(0.4, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Sales")
 	// |a ∪ b| = 0.9 + 0.4 − 0.4 = 0.9: the fully redundant insight adds nothing.
-	if got := TotalUseExact([]*core.MetaInsight{a, b}, w); math.Abs(got-0.9) > 1e-12 {
+	if got := TotalUseExact([]*core.MetaInsight{a, b}); math.Abs(got-0.9) > 1e-12 {
 		t.Errorf("TotalUse = %v, want 0.9", got)
 	}
 }
@@ -167,10 +165,10 @@ func TestTotalUseDisjointIsSum(t *testing.T) {
 	b := mkMI(0.8, model.ExtendMeasure, pattern.Trend, sub(), "", "Month", "Sales")
 	c := mkMI(0.7, model.ExtendBreakdown, pattern.Outlier, sub(), "", "Week", "Sales")
 	mis := []*core.MetaInsight{a, b, c}
-	if got := TotalUseExact(mis, w); math.Abs(got-2.4) > 1e-12 {
+	if got := TotalUseExact(mis); math.Abs(got-2.4) > 1e-12 {
 		t.Errorf("disjoint TotalUse = %v, want 2.4", got)
 	}
-	if got := TotalUseApprox(mis, w); math.Abs(got-2.4) > 1e-12 {
+	if got := TotalUseApprox(mis); math.Abs(got-2.4) > 1e-12 {
 		t.Errorf("disjoint TotalUseApprox = %v", got)
 	}
 }
@@ -179,7 +177,7 @@ func TestApproxMatchesExactForPairs(t *testing.T) {
 	a := mkMI(0.9, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Sales")
 	b := mkMI(0.5, model.ExtendSubspace, pattern.Unimodality, sub(), "City", "Month", "Profit")
 	mis := []*core.MetaInsight{a, b}
-	if math.Abs(TotalUseExact(mis, w)-TotalUseApprox(mis, w)) > 1e-12 {
+	if math.Abs(TotalUseExact(mis)-TotalUseApprox(mis)) > 1e-12 {
 		t.Error("second-order approximation must be exact for p=2")
 	}
 }
@@ -217,7 +215,7 @@ func TestGreedyAvoidsRedundancy(t *testing.T) {
 			mi.Score = 0.5 - 0.001*float64(i)
 		}
 	}
-	got := Greedy(mis, 4, w)
+	got := Greedy(mis, 4)
 	if len(got) != 4 {
 		t.Fatalf("greedy returned %d", len(got))
 	}
@@ -236,7 +234,7 @@ func TestGreedyAvoidsRedundancy(t *testing.T) {
 	if len(rbsGroups) != 1 {
 		t.Errorf("rank-by-score should have picked all of group 0, got %d groups", len(rbsGroups))
 	}
-	if TotalUseExact(got, w) <= TotalUseExact(rbs, w) {
+	if TotalUseExact(got) <= TotalUseExact(rbs) {
 		t.Error("greedy must beat rank-by-score on redundant candidates")
 	}
 }
@@ -244,10 +242,10 @@ func TestGreedyAvoidsRedundancy(t *testing.T) {
 func TestGreedyMatchesExactOnSmallPools(t *testing.T) {
 	mis := family(8, 3)
 	k := 3
-	exact := ExactTopK(mis, k, w, 0)
-	greedy := Greedy(mis, k, w)
-	eu := TotalUseExact(exact, w)
-	gu := TotalUseExact(greedy, w)
+	exact := ExactTopK(mis, k)
+	greedy := Greedy(mis, k)
+	eu := TotalUseExact(exact)
+	gu := TotalUseExact(greedy)
 	if gu < eu-1e-9 && eu-gu > 0.05*eu {
 		t.Errorf("greedy %.4f far below exact %.4f", gu, eu)
 	}
@@ -256,9 +254,12 @@ func TestGreedyMatchesExactOnSmallPools(t *testing.T) {
 	}
 }
 
+// TestExactTopKPoolRestriction checks Table 4's naive baseline as it runs:
+// the exact enumeration over the top candidates by score never selects from
+// outside that pool.
 func TestExactTopKPoolRestriction(t *testing.T) {
 	mis := family(20, 5)
-	got := ExactTopK(mis, 3, w, 6)
+	got := ExactTopK(RankByScore(mis, 6), 3)
 	if len(got) != 3 {
 		t.Fatalf("returned %d", len(got))
 	}
@@ -308,7 +309,7 @@ func TestTotalUseExactRefusesHugeP(t *testing.T) {
 			t.Fatal("expected panic for p > 25")
 		}
 	}()
-	TotalUseExact(family(26, 26), w)
+	TotalUseExact(family(26, 26))
 }
 
 // randomCandidates builds a redundancy-heavy candidate set spanning several
@@ -341,10 +342,10 @@ func TestExactTopKGroupedMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		cands := randomCandidates(seed, 10)
 		for _, k := range []int{2, 3, 4} {
-			brute := ExactTopK(cands, k, w, 0)
-			grouped := ExactTopKGrouped(cands, k, w, 0)
-			bu := TotalUseExact(brute, w)
-			gu := TotalUseExact(grouped, w)
+			brute := ExactTopK(cands, k)
+			grouped := ExactTopKGrouped(cands, k, 0)
+			bu := TotalUseExact(brute)
+			gu := TotalUseExact(grouped)
 			if math.Abs(bu-gu) > 1e-9 {
 				t.Fatalf("seed %d k=%d: grouped %v vs brute %v", seed, k, gu, bu)
 			}
@@ -357,10 +358,10 @@ func TestGroupDecompositionOfTotalUse(t *testing.T) {
 	// (Equation 28's Cond makes cross-group overlap vanish).
 	for seed := int64(0); seed < 10; seed++ {
 		cands := randomCandidates(100+seed, 8)
-		whole := TotalUseExact(cands, w)
+		whole := TotalUseExact(cands)
 		sum := 0.0
 		for _, g := range groupCandidates(cands, 0) {
-			sum += TotalUseExact(g, w)
+			sum += TotalUseExact(g)
 		}
 		if math.Abs(whole-sum) > 1e-9 {
 			t.Fatalf("seed %d: whole %v vs group sum %v", seed, whole, sum)
@@ -374,12 +375,12 @@ func TestGreedyExactAtLeastSecondOrder(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		cands := randomCandidates(200+seed, 24)
 		k := 6
-		exact := ExactTopKGrouped(cands, k, w, 0)
-		ge := GreedyExact(cands, k, w)
-		g2 := Greedy(cands, k, w)
-		eu := TotalUseExact(exact, w)
-		geu := TotalUseExact(ge, w)
-		g2u := TotalUseExact(g2, w)
+		exact := ExactTopKGrouped(cands, k, 0)
+		ge := GreedyExact(cands, k)
+		g2 := Greedy(cands, k)
+		eu := TotalUseExact(exact)
+		geu := TotalUseExact(ge)
+		g2u := TotalUseExact(g2)
 		if geu > eu+1e-9 {
 			t.Fatalf("seed %d: exact-greedy %v beats optimum %v", seed, geu, eu)
 		}
@@ -394,24 +395,24 @@ func TestGreedyExactAtLeastSecondOrder(t *testing.T) {
 
 func TestExactTopKGroupedTruncation(t *testing.T) {
 	cands := randomCandidates(77, 40)
-	full := ExactTopKGrouped(cands, 5, w, 0)
-	trunc := ExactTopKGrouped(cands, 5, w, 8)
+	full := ExactTopKGrouped(cands, 5, 0)
+	trunc := ExactTopKGrouped(cands, 5, 8)
 	if len(full) != 5 || len(trunc) != 5 {
 		t.Fatalf("selection sizes %d / %d", len(full), len(trunc))
 	}
-	if TotalUseExact(trunc, w) > TotalUseExact(full, w)+1e-9 {
+	if TotalUseExact(trunc) > TotalUseExact(full)+1e-9 {
 		t.Error("truncated search beat the untruncated optimum")
 	}
 }
 
 func TestProgressiveMatchesBatchGreedy(t *testing.T) {
 	cands := randomCandidates(5, 60)
-	p := NewProgressive(5, w, 0) // buffer 160 ≥ 60: no truncation
+	p := NewProgressive(5, 0) // buffer 160 ≥ 60: no truncation
 	for _, mi := range cands {
 		p.Add(mi)
 	}
 	got := p.TopK()
-	want := Greedy(cands, 5, w)
+	want := Greedy(cands, 5)
 	if len(got) != len(want) {
 		t.Fatalf("%d vs %d selections", len(got), len(want))
 	}
@@ -424,7 +425,7 @@ func TestProgressiveMatchesBatchGreedy(t *testing.T) {
 
 func TestProgressiveBufferTruncation(t *testing.T) {
 	cands := randomCandidates(9, 100)
-	p := NewProgressive(3, w, 10)
+	p := NewProgressive(3, 10)
 	for _, mi := range cands {
 		p.Add(mi)
 	}
@@ -447,7 +448,7 @@ func TestProgressiveBufferTruncation(t *testing.T) {
 
 func TestProgressiveConcurrentAdds(t *testing.T) {
 	cands := randomCandidates(3, 200)
-	p := NewProgressive(5, w, 50)
+	p := NewProgressive(5, 50)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -463,7 +464,7 @@ func TestProgressiveConcurrentAdds(t *testing.T) {
 	}
 	wg.Wait()
 	// Every concurrent Add lands: the suggestion equals a sequential one's.
-	seq := NewProgressive(5, w, 50)
+	seq := NewProgressive(5, 50)
 	for _, mi := range cands {
 		seq.Add(mi)
 	}

@@ -89,7 +89,7 @@ func writeSparklines(w io.Writer, mi *core.MetaInsight, eng *engine.Engine) {
 		marker := " "
 		if dp.Type != mi.HDP.Type {
 			marker = "*"
-		} else if len(mi.CommSet) > 0 && dp.Highlight.Key() != mi.CommSet[0].Highlight.Key() {
+		} else if len(mi.CommSet) > 0 && !dp.Highlight.Equal(mi.CommSet[0].Highlight) {
 			marker = "*"
 		}
 		fmt.Fprintf(w, "%s %-*s %s\n", marker, width, memberName(h, dp), Sparkline(series.Values))

@@ -222,7 +222,7 @@ func (s *scheduler) newJob(spec JobSpec) *job {
 	return &job{
 		spec:  spec,
 		hub:   newStreamHub(),
-		prog:  ranker.NewProgressive(k, ranker.DefaultWeights(), 0),
+		prog:  ranker.NewProgressive(k, 0),
 		state: JobQueued,
 	}
 }

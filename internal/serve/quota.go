@@ -18,15 +18,6 @@ type QuotaConfig struct {
 	// Burst is the bucket capacity — how many requests a tenant may issue
 	// back-to-back after an idle period. 0 defaults to max(1, Rate).
 	Burst float64
-	// Overrides replaces Rate/Burst for specific tenants. A tenant override
-	// with Rate 0 makes that tenant unlimited.
-	Overrides map[string]TenantQuota
-}
-
-// TenantQuota is one tenant's override of the default quota.
-type TenantQuota struct {
-	Rate  float64
-	Burst float64
 }
 
 // quotas is the token-bucket quota layer. Buckets are created lazily per
@@ -42,8 +33,6 @@ type quotas struct {
 }
 
 type bucket struct {
-	rate   float64
-	burst  float64
 	tokens float64
 	last   time.Time
 }
@@ -58,26 +47,11 @@ func newQuotas(cfg QuotaConfig, ob *obs.Observer) *quotas {
 	return &quotas{cfg: cfg, obs: ob, now: time.Now, buckets: make(map[string]*bucket)}
 }
 
-// limitsFor resolves the (rate, burst) pair for one tenant.
-func (q *quotas) limitsFor(tenant string) (rate, burst float64) {
-	if o, ok := q.cfg.Overrides[tenant]; ok {
-		rate, burst = o.Rate, o.Burst
-		if burst == 0 {
-			burst = rate
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		return rate, burst
-	}
-	return q.cfg.Rate, q.cfg.Burst
-}
-
 // Allow spends one token from the tenant's bucket. On an empty bucket it
 // returns a typed 429 APIError carrying the refill wait; the caller rejects
 // without queuing — quota denials never occupy admission capacity.
 func (q *quotas) Allow(tenant string) *APIError {
-	rate, burst := q.limitsFor(tenant)
+	rate, burst := q.cfg.Rate, q.cfg.Burst
 	if rate <= 0 {
 		return nil // unlimited
 	}
@@ -86,15 +60,12 @@ func (q *quotas) Allow(tenant string) *APIError {
 	now := q.now()
 	b, ok := q.buckets[tenant]
 	if !ok {
-		b = &bucket{rate: rate, burst: burst, tokens: burst, last: now}
+		b = &bucket{tokens: burst, last: now}
 		q.buckets[tenant] = b
 	}
 	elapsed := now.Sub(b.last).Seconds()
 	if elapsed > 0 {
-		b.tokens += elapsed * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
+		b.tokens = min(b.tokens+elapsed*rate, burst)
 		b.last = now
 	}
 	if b.tokens >= 1 {
@@ -102,7 +73,7 @@ func (q *quotas) Allow(tenant string) *APIError {
 		q.obs.Count("serve.quota.allowed", 1)
 		return nil
 	}
-	wait := time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
+	wait := time.Duration((1 - b.tokens) / rate * float64(time.Second))
 	q.obs.Count("serve.quota.denied", 1)
 	err := apiErrorf(http.StatusTooManyRequests, CodeQuotaExhausted,
 		"tenant %q is over quota (rate %.3g/s, burst %.3g)", tenant, rate, burst)

@@ -53,35 +53,6 @@ func TestQuotaTenantsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestQuotaOverrides(t *testing.T) {
-	q := newQuotas(QuotaConfig{
-		Rate: 1, Burst: 1,
-		Overrides: map[string]TenantQuota{
-			"vip":  {Rate: 100, Burst: 100},
-			"free": {Rate: 0}, // explicit override to unlimited
-		},
-	}, nil)
-	clock := time.Unix(1000, 0)
-	q.now = func() time.Time { return clock }
-
-	for i := 0; i < 50; i++ {
-		if err := q.Allow("vip"); err != nil {
-			t.Fatalf("vip request %d denied: %v", i, err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		if err := q.Allow("free"); err != nil {
-			t.Fatalf("unlimited-override request %d denied: %v", i, err)
-		}
-	}
-	if err := q.Allow("normal"); err != nil {
-		t.Fatalf("normal tenant first request: %v", err)
-	}
-	if err := q.Allow("normal"); err == nil {
-		t.Fatal("normal tenant still bound by the default quota")
-	}
-}
-
 func TestQuotaDisabled(t *testing.T) {
 	q := newQuotas(QuotaConfig{}, nil)
 	for i := 0; i < 100; i++ {

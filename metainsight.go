@@ -430,7 +430,7 @@ func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
 // inter-MetaInsight redundancy (the paper's greedy second-order algorithm).
 func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 	t0 := time.Now()
-	top, sel := ranker.GreedyStats(result.MetaInsights, k, ranker.DefaultWeights())
+	top, sel := ranker.GreedyStats(result.MetaInsights, k)
 	if a.obs.Enabled() {
 		a.obs.Phase(obs.PhaseRank, time.Since(t0))
 		a.obs.SetGauge("ranker.pool", float64(sel.Pool))
@@ -599,7 +599,7 @@ func (a *Analyzer) WriteReport(w io.Writer, insights []*Insight, title string) e
 //	})
 //	... // prog.TopK() serves the current suggestion
 func NewProgressiveRanker(k int) *ranker.Progressive {
-	return ranker.NewProgressive(k, ranker.DefaultWeights(), 0)
+	return ranker.NewProgressive(k, 0)
 }
 
 // CustomPatternType returns the PatternType assigned to the i-th registered

@@ -398,9 +398,6 @@ func (a *Analyzer) reset() error {
 	}
 	cfg := o.minerCfg
 	if len(o.customPatterns) > 0 || len(o.correlations) > 0 {
-		if cfg.Pattern.Alpha == 0 {
-			cfg.Pattern = pattern.DefaultConfig()
-		}
 		cfg.Pattern.Custom = append(cfg.Pattern.Custom, o.customPatterns...)
 		for _, pair := range o.correlations {
 			cfg.Pattern.Custom = append(cfg.Pattern.Custom, correlationEvaluator(eng, pair[0], pair[1]))
