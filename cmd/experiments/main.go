@@ -6,8 +6,14 @@
 //
 //	experiments -run all
 //	experiments -run fig6,table4
+//	experiments -run fig8 -seed 7
 //
-// Experiments: fig6, fig7, table3, table4, table5, fig8, fig12, icube.
+// -run takes a comma-separated list of experiments or "all"; -seed seeds
+// fig8's rater model and the discussion experiment's trials (default
+// 20210620).
+//
+// Experiments: table1, fig6, fig7, table3, table4, table5, fig8, fig12, icube,
+// discussion, pruning.
 //
 // The extra "smoke" target is a fast CI check: a short-budget run that
 // verifies Workers=1 and Workers=8 produce identical results and accounting,
@@ -30,7 +36,7 @@ import (
 func main() {
 	var (
 		run  = flag.String("run", "all", "comma-separated experiments to run (table1, fig6, fig7, table3, table4, table5, fig8, fig12, icube, discussion, pruning, smoke) or 'all'")
-		seed = flag.Int64("seed", 20210620, "rater-model seed for fig8")
+		seed = flag.Int64("seed", 20210620, "seed of fig8's rater model and the discussion experiment's trials")
 	)
 	flag.Parse()
 

@@ -4,20 +4,19 @@
 // Usage:
 //
 //	metainsight -csv data.csv [-k 10] [-budget 10s] [-tau 0.5] [-workers 8]
-//	            [-topk-prune 40]
-//	            [-flat] [-max-card 50] [-trace run.jsonl] [-metrics]
+//	            [-depth 3] [-topk-prune 40]
+//	            [-max-card 50] [-derive Date] [-skip-ragged] [-skip-bad-measures]
+//	            [-flat] [-json] [-report report.md] [-trace run.jsonl] [-metrics]
 //	            [-checkpoint dir [-checkpoint-every 256] [-resume]]
 //	            [-scan-parallelism 4]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// -h lists every flag with its meaning and default.
 //
 // Exit codes:
 //
 //	0  the run completed normally
 //	1  the run failed (bad usage, unreadable input, checkpoint error)
-//	2  the run completed degraded: the printed insights are valid
-//	   best-effort output, but the share of queries the substrate failed
-//	   exceeded the degradation threshold (the built-in columnar scan
-//	   never fails a query, so this command does not produce it today)
 //	3  the run was interrupted (SIGINT/SIGTERM): mining stopped cleanly at
 //	   the next unit commit, the trace and metrics epilogue still ran, and
 //	   with -checkpoint a final snapshot was flushed — re-run with -resume
@@ -72,8 +71,8 @@ func run() int {
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: metainsight -csv data.csv [flags]")
-		fmt.Fprintln(fs.Output(), "exit codes: 0 completed, 1 failed, 2 completed degraded (best-effort output; substrate queries failed),")
-		fmt.Fprintln(fs.Output(), "            3 interrupted by SIGINT/SIGTERM (partial output; -checkpoint runs resume with -resume)")
+		fmt.Fprintln(fs.Output(), "exit codes: 0 completed, 1 failed, 3 interrupted by SIGINT/SIGTERM")
+		fmt.Fprintln(fs.Output(), "            (partial output; -checkpoint runs resume with -resume)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -195,15 +194,11 @@ func run() int {
 
 	start := time.Now()
 	an, err := sess.Analyze(ctx, req)
-	degraded := false
 	if err != nil {
-		if an == nil || !errors.Is(err, metainsight.ErrDegraded) {
-			// A hard failure (bad options, checkpoint I/O, resume mismatch,
-			// replay divergence): nothing below is trustworthy.
-			fmt.Fprintln(os.Stderr, "metainsight:", err)
-			return 1
-		}
-		degraded = true
+		// Bad options, checkpoint I/O, resume mismatch or replay divergence:
+		// nothing below is trustworthy.
+		fmt.Fprintln(os.Stderr, "metainsight:", err)
+		return 1
 	}
 	result, top, ob := an.Result, an.Insights, req.Observer
 
@@ -241,11 +236,6 @@ func run() int {
 					"metainsight: a final checkpoint snapshot was flushed; re-run with -checkpoint %s -resume to finish\n", *ckDir)
 			}
 			return 3
-		}
-		if degraded {
-			fmt.Fprintln(os.Stderr,
-				"metainsight: degraded run: query failure rate exceeded the threshold; output is best-effort (exit 2)")
-			return 2
 		}
 		return 0
 	}

@@ -8,7 +8,14 @@
 //
 // Usage:
 //
+//	metainsightd -data name=path[,temporal=Col] [-data ...] [-addr 127.0.0.1:8080]
+//	             [-state dir] [-max-concurrent 8] [-max-queue 64]
+//	             [-quota-rate r] [-quota-burst b] [-job-workers 2]
+//	             [-checkpoint-every 64] [-max-card 100]
+//
 //	metainsightd -addr :8080 -data house=testdata/house_sales.csv -state /var/lib/metainsightd
+//
+// -h lists every flag with its meaning and default.
 //
 // Endpoints:
 //

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -380,4 +381,139 @@ func topLevelNames(f *ast.File) []*ast.Ident {
 		}
 	}
 	return ids
+}
+
+// TestCommandDocsNameEveryFlag fails on every flag a command under cmd/
+// registers that the command's package doc comment does not name as -flag,
+// so the usage a reader of the doc sees cannot drift from the one the
+// command parses.
+func TestCommandDocsNameEveryFlag(t *testing.T) {
+	findings, err := undocumentedFlags(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestFlagDocCheckFires proves the check on a synthetic command: a flag its
+// doc names, one whose name is only a prefix of a documented flag, one whose
+// name only ends a hyphenated word of the doc, one registered through a
+// FlagSet's Var, a NewFlagSet call that registers nothing, and bare calls
+// that are not selector calls at all.
+func TestFlagDocCheckFires(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cmd", "tool")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := `// Command tool does things.
+//
+//	tool -a [-long-name x] — a top-k tool
+package main
+
+import "flag"
+
+func main() {
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	_ = flag.Bool("a", false, "documented")
+	_ = fs.String("long", "", "a prefix of a documented flag")
+	var x flag.Value
+	fs.Var(x, "b", "registered through Var")
+	_ = fs.String("long-name", "", "documented")
+	_ = fs.Int("k", 0, "only the end of top-k")
+	run(len("x"))
+}
+
+func run(int) {}
+`
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	findings, err := undocumentedFlags(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"-long", "-b", "-k"}
+	if len(findings) != len(want) {
+		t.Fatalf("findings = %q, want one each for %v", findings, want)
+	}
+	for i, name := range want {
+		if !strings.Contains(findings[i], " "+name+" ") {
+			t.Errorf("finding %d = %q, want %s", i, findings[i], name)
+		}
+	}
+}
+
+// flagFuncs are the flag package's functions and FlagSet methods that
+// register a flag; the flag's name is the call's first string literal.
+var flagFuncs = map[string]bool{
+	"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "Int64": true,
+	"Int64Var": true, "IntVar": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "Uint64": true, "Uint64Var": true, "UintVar": true, "Var": true,
+}
+
+// undocumentedFlags returns one finding, in file and line order, per flag
+// registered in a non-test file of a command directory root/cmd/* whose
+// name its package doc comment does not contain as -name (neither preceded
+// nor followed by a letter, a digit or a dash).
+func undocumentedFlags(root string) ([]string, error) {
+	dirs, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	for _, dir := range dirs {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, pkg := range pkgs {
+			var doc strings.Builder
+			var files []string
+			for name, f := range pkg.Files {
+				if f.Doc != nil {
+					doc.WriteString(f.Doc.Text())
+				}
+				files = append(files, name)
+			}
+			sort.Strings(files)
+			for _, name := range files {
+				ast.Inspect(pkg.Files[name], func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if _, recv := sel.X.(*ast.Ident); !recv || !flagFuncs[sel.Sel.Name] {
+						return true
+					}
+					for _, arg := range call.Args {
+						lit, ok := arg.(*ast.BasicLit)
+						if !ok || lit.Kind != token.STRING {
+							continue
+						}
+						flag, err := strconv.Unquote(lit.Value)
+						named := regexp.MustCompile(`(^|[^A-Za-z0-9-])-` + regexp.QuoteMeta(flag) + `([^A-Za-z0-9-]|$)`)
+						if err == nil && !named.MatchString(doc.String()) {
+							rel, _ := filepath.Rel(root, name)
+							findings = append(findings, rel+":"+strconv.Itoa(fset.Position(lit.Pos()).Line)+
+								": flag -"+flag+" is not named in the command's package doc comment")
+						}
+						break
+					}
+					return true
+				})
+			}
+		}
+	}
+	return findings, nil
 }

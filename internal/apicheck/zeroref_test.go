@@ -401,10 +401,13 @@ var testOnlyFields = map[string]string{
 	"experiments.Table4Config.K":                "TestTable4 runs Table 4 smaller than the paper's configuration",
 	"experiments.Table4Config.NaivePool":        "TestTable4 runs Table 4 smaller than the paper's configuration",
 	"experiments.Table4Config.MaxGroup":         "TestTable4 runs Table 4 smaller than the paper's configuration",
+	"engine.Config.Substrate":                   "TestReferenceSubstrateStatsIdentity (miner) and TestPlannedRowCostMatchesReference (engine) mine and cost over the reference oracle through it, and the stall tests hold scans back through it",
 	"miner.Config.EnableBoundPruning":           "the bound-pruning suite and TestMinerMatchesBruteForceOracle turn it off to prove the cuts change no result",
+	"miner.Config.MaxBreakdownCardinality":      "TestMinerMatchesBruteForceOracle's capped case lowers the cap to 4 to check it against the oracle",
+	"miner.Config.MinImpact":                    "the bound-pruning suite, TestMinerMatchesBruteForceOracle's threshold cases and miner_test's MinImpact 0.99 run set the Pruning 2 threshold",
+	"miner.Config.MinSubspaceImpact":            "the bound-pruning suite and TestMinerMatchesBruteForceOracle's threshold cases set the frontier threshold",
 	"miner.Stats.Evictions":                     "reserved and always zero; the benchmark reads it",
 	"serve.AdmissionConfig.ExpectedServiceTime": "the admission tests seed the service-time estimate",
-	"serve.Config.SessionOptions":               "TestDegradedSubstrate injects a failing substrate through it",
 }
 
 // TestNoFieldsOnlyDefaultsWrite gates struct fields the way the other gates
@@ -428,8 +431,9 @@ func TestNoFieldsOnlyDefaultsWrite(t *testing.T) {
 
 // TestFieldGateFires proves the field gate on a synthetic module. It must
 // report a field only a DefaultConfig writes, one only tests write, an
-// allowlisted field that non-test code writes and an allowlist entry naming
-// no field. It must stay silent on fields written by assignment, through a
+// allowlisted field that non-test code writes, one that non-test code only
+// copies from another value's same field (a defaults fill) and an allowlist
+// entry naming no field. It must stay silent on fields written by assignment, through a
 // nested selector, through an index, by taking their address, by a pointer
 // method, in keyed and positional literals, on a field with a JSON tag, on
 // an embedded field of a decoded wire struct, on a root-package field
@@ -461,6 +465,7 @@ type Config struct {
 	Assigned int
 	Oracle   int // allowlisted, a test sets it
 	Promoted int // allowlisted, but production sets it
+	Copied   int // only copied from DefaultConfig's
 }
 
 func DefaultConfig() Config { return Config{Alpha: 0.05} }
@@ -489,6 +494,9 @@ type Spec struct {
 
 func Run(data []byte) (Config, Result, Pair, Spec) {
 	c := DefaultConfig()
+	if def := DefaultConfig(); c.Copied == 0 {
+		c.Copied = def.Copied
+	}
 	c.Budget.Cost = 3
 	c.Assigned++
 	c.Promoted = 1
@@ -533,7 +541,7 @@ func run() int { a.Run(nil); return Request{}.TopK + Request{}.Hidden }
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"Request.Hidden", "Config.Alpha", "Config.TestSet", "Config.Promoted", "a.Config.Gone"}
+	want := []string{"Request.Hidden", "Config.Alpha", "Config.TestSet", "Config.Promoted", "Config.Copied", "a.Config.Gone"}
 	if len(findings) != len(want) {
 		t.Fatalf("findings = %q, want one each for %v", findings, want)
 	}
@@ -697,7 +705,9 @@ func unwrittenFields(m *typedModule, allow map[string]string) ([]string, error) 
 // it, takes its address (with & or by calling a pointer method on it), or
 // sets it in a keyed or positional struct literal. Writing a field of a
 // field, or an element of a field's slice, array or map, writes every field
-// on the way: c.Budget.Cost = 1 writes Budget and Cost.
+// on the way: c.Budget.Cost = 1 writes Budget and Cost. A plain assignment
+// from the same field of another value (cfg.F = def.F, a defaults fill) is
+// no write: it adds no value the field did not already hold.
 func fieldWrites(f *ast.File, info *types.Info, visit func(v *types.Var, fn *ast.FuncDecl)) {
 	for _, d := range f.Decls {
 		fn, _ := d.(*ast.FuncDecl)
@@ -723,7 +733,10 @@ func fieldWrites(f *ast.File, info *types.Info, visit func(v *types.Var, fn *ast
 		ast.Inspect(d, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				for _, l := range n.Lhs {
+				for i, l := range n.Lhs {
+					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && sameField(info, l, n.Rhs[i]) {
+						continue // a.F = b.F copies a value the field already had somewhere
+					}
 					lvalue(l)
 				}
 			case *ast.IncDecStmt:
@@ -775,6 +788,23 @@ func fieldWrites(f *ast.File, info *types.Info, visit func(v *types.Var, fn *ast
 			return true
 		})
 	}
+}
+
+// sameField reports whether l and r both select the same struct field, as in
+// a.F = b.F.
+func sameField(info *types.Info, l, r ast.Expr) bool {
+	field := func(e ast.Expr) types.Object {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			return s.Obj()
+		}
+		return nil
+	}
+	f := field(l)
+	return f != nil && f == field(r)
 }
 
 // typedModule is a module type-checked package by package: its production

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -50,8 +49,8 @@ func TestQueryCachePutGet(t *testing.T) {
 	if _, ok := c.Get(UnitKey{Subspace: "{*}", Breakdown: "City"}); ok {
 		t.Fatal("wrong breakdown hit")
 	}
-	if u, err := c.Do(k, func() (*Unit, error) { t.Fatal("Do recomputed a kept unit"); return nil, nil }); err != nil || u != first {
-		t.Fatalf("Do = %p, %v; want the kept unit", u, err)
+	if u := c.Do(k, func() *Unit { t.Fatal("Do recomputed a kept unit"); return nil }); u != first {
+		t.Fatalf("Do = %p; want the kept unit", u)
 	}
 	if st := c.Stats(); st != (Stats{Entries: 1}) {
 		t.Errorf("stats = %+v, want occupancy only", st)
@@ -83,10 +82,10 @@ func TestPatternCache(t *testing.T) {
 func TestPatternCacheMaterialize(t *testing.T) {
 	c := NewMemo[ScopeKey, int]()
 	calls := 0
-	compute := func() (int, error) { calls++; return 9, nil }
+	compute := func() int { calls++; return 9 }
 	for i := 0; i < 2; i++ {
-		if v, err := c.Do(sk("k"), compute); v != 9 || err != nil {
-			t.Fatalf("Do = %d, %v", v, err)
+		if v := c.Do(sk("k"), compute); v != 9 {
+			t.Fatalf("Do = %d", v)
 		}
 	}
 	if calls != 1 {
@@ -124,31 +123,31 @@ func waitParked(t *testing.T, n int) {
 // race runs Do(k, fn) from one leader and n followers, parks the followers
 // on the leader's computation, then releases it. Each caller's outcome, or
 // the value it panicked with, is returned in call order (leader first).
-func race[V any](t *testing.T, m *Memo[string, V], n int, fn func() (V, error)) (vals []V, errs []error, panics []any) {
+func race[V any](t *testing.T, m *Memo[string, V], n int, fn func() V) (vals []V, panics []any) {
 	t.Helper()
-	vals, errs, panics = make([]V, n+1), make([]error, n+1), make([]any, n+1)
+	vals, panics = make([]V, n+1), make([]any, n+1)
 	release, started := make(chan struct{}), make(chan struct{})
-	call := func(i int, fn func() (V, error)) {
+	call := func(i int, fn func() V) {
 		defer func() { panics[i] = recover() }()
-		vals[i], errs[i] = m.Do("k", fn)
+		vals[i] = m.Do("k", fn)
 	}
 	var wg sync.WaitGroup
 	wg.Add(n + 1)
 	go func() {
 		defer wg.Done()
-		call(0, func() (V, error) { close(started); <-release; return fn() })
+		call(0, func() V { close(started); <-release; return fn() })
 	}()
 	<-started
 	for i := 1; i <= n; i++ {
 		go func() {
 			defer wg.Done()
-			call(i, func() (V, error) { t.Error("a follower computed"); return fn() })
+			call(i, func() V { t.Error("a follower computed"); return fn() })
 		}()
 	}
 	waitParked(t, n)
 	close(release)
 	wg.Wait()
-	return vals, errs, panics
+	return vals, panics
 }
 
 // TestFlightCoalescesConcurrentCalls: concurrent callers of one key share
@@ -157,13 +156,13 @@ func race[V any](t *testing.T, m *Memo[string, V], n int, fn func() (V, error)) 
 func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 	m := NewMemo[string, int]()
 	var computed atomic.Int64
-	vals, errs, panics := race(t, m, 7, func() (int, error) { computed.Add(1); return 7, nil })
+	vals, panics := race(t, m, 7, func() int { computed.Add(1); return 7 })
 	if n := computed.Load(); n != 1 {
 		t.Errorf("fn executed %d times, want 1", n)
 	}
 	for i := range vals {
-		if vals[i] != 7 || errs[i] != nil || panics[i] != nil {
-			t.Errorf("caller %d got %d, %v, %v", i, vals[i], errs[i], panics[i])
+		if vals[i] != 7 || panics[i] != nil {
+			t.Errorf("caller %d got %d, %v", i, vals[i], panics[i])
 		}
 	}
 	if st := m.FlightStats(); st.Followers != 7 || st.Wait <= 0 {
@@ -174,35 +173,13 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestMemoSharesErrorsThenForgets: a failed computation's error reaches the
-// caller and every waiter, nothing is kept, and the next Do computes afresh.
-func TestMemoSharesErrorsThenForgets(t *testing.T) {
-	m := NewMemo[string, int]()
-	boom := errors.New("boom")
-	_, errs, _ := race(t, m, 3, func() (int, error) { return 0, boom })
-	for i, err := range errs {
-		if err != boom {
-			t.Errorf("caller %d: err = %v, want the computation's", i, err)
-		}
-	}
-	if _, ok := m.Get("k"); ok {
-		t.Fatal("a failed computation was kept")
-	}
-	if v, err := m.Do("k", func() (int, error) { return 5, nil }); v != 5 || err != nil {
-		t.Fatalf("Do after a failure = %d, %v; want a fresh 5", v, err)
-	}
-	if st := m.Stats(); st.Entries != 1 {
-		t.Errorf("entries = %d, want 1", st.Entries)
-	}
-}
-
 // TestMemoPanicsReachEveryWaiter: a panicking computation re-panics in its
 // caller and in every parked waiter with the same value — a waiter must not
 // deadlock, and the miner's per-unit recover relies on every worker seeing
 // the same deterministic panic — and the key is forgotten.
 func TestMemoPanicsReachEveryWaiter(t *testing.T) {
 	m := NewMemo[string, int]()
-	_, _, panics := race(t, m, 3, func() (int, error) { panic("evaluator exploded") })
+	_, panics := race(t, m, 3, func() int { panic("evaluator exploded") })
 	for i, p := range panics {
 		if p != "evaluator exploded" {
 			t.Errorf("caller %d: recovered %v, want the computation's panic", i, p)
@@ -211,8 +188,8 @@ func TestMemoPanicsReachEveryWaiter(t *testing.T) {
 	if _, ok := m.Get("k"); ok {
 		t.Fatal("a panicked computation left a value")
 	}
-	if v, err := m.Do("k", func() (int, error) { return 6, nil }); v != 6 || err != nil {
-		t.Fatalf("Do after a panic = %d, %v; want a fresh 6", v, err)
+	if v := m.Do("k", func() int { return 6 }); v != 6 {
+		t.Fatalf("Do after a panic = %d; want a fresh 6", v)
 	}
 	if v, ok := m.Get("k"); !ok || v != 6 {
 		t.Errorf("Get = %d, %v; want the kept 6", v, ok)
@@ -223,15 +200,15 @@ func TestMemoPanicsReachEveryWaiter(t *testing.T) {
 // nothing and a Put of the key is dropped; the computed value is kept.
 func TestMemoFlightOutranksPut(t *testing.T) {
 	m := NewMemo[string, int]()
-	v, err := m.Do("k", func() (int, error) {
+	v := m.Do("k", func() int {
 		if _, ok := m.Get("k"); ok {
 			t.Error("Get returned a value still being computed")
 		}
 		m.Put("k", 1)
-		return 2, nil
+		return 2
 	})
-	if v != 2 || err != nil {
-		t.Fatalf("Do = %d, %v", v, err)
+	if v != 2 {
+		t.Fatalf("Do = %d", v)
 	}
 	if got, ok := m.Get("k"); !ok || got != 2 {
 		t.Errorf("Get = %d, %v; want the computed 2", got, ok)
@@ -273,7 +250,7 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				want := i % 7
-				v, _ := c.Do(sk(fmt.Sprint(want)), func() (int, error) { computed.Add(1); return want, nil })
+				v := c.Do(sk(fmt.Sprint(want)), func() int { computed.Add(1); return want })
 				if v != want {
 					t.Errorf("Do = %d, want %d", v, want)
 				}
@@ -297,7 +274,7 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 	p.Put(k, 3)
 	x := 4
 	allocs := testing.AllocsPerRun(100, func() {
-		v, _ := p.Do(k, func() (int, error) { return x, nil })
+		v := p.Do(k, func() int { return x })
 		w, _ := p.Get(k)
 		x += v + w
 	})

@@ -18,11 +18,10 @@ import (
 //     key (the Substrate determinism contract), so which one is kept does not
 //     matter.
 //   - Do runs fn at most once across concurrent callers of one key; the
-//     others wait for it and share its outcome. A value is kept. An error goes
-//     to the caller and every waiter and the key is forgotten, so the next Do
-//     tries again; a panic is re-raised in the caller and every waiter and the
-//     key is forgotten the same way. A finished computation removes only its
-//     own entry.
+//     others wait for it and share its value, which is kept. A panic (a
+//     custom pattern evaluator's, inside the pattern memo) is re-raised in
+//     the caller and every waiter and the key is forgotten, so the next Do
+//     tries again. A finished computation removes only its own entry.
 //
 // Keys are spread over 16 lock shards (comfortably more than the paper's 8
 // workers) by the runtime's map hash under a per-process seed.
@@ -55,7 +54,6 @@ type memoEntry[V any] struct {
 type memoCall[V any] struct {
 	wg       sync.WaitGroup
 	val      V
-	err      error
 	panicked bool
 	panicVal any
 }
@@ -108,7 +106,7 @@ func (m *Memo[K, V]) Put(k K, v V) {
 
 // Do returns k's value, running fn to compute it unless it is kept or some
 // other caller is already computing it; see Memo for what is kept.
-func (m *Memo[K, V]) Do(k K, fn func() (V, error)) (V, error) {
+func (m *Memo[K, V]) Do(k K, fn func() V) V {
 	s := m.shard(k)
 	s.mu.RLock()
 	e, ok := s.entries[k]
@@ -125,7 +123,7 @@ func (m *Memo[K, V]) Do(k K, fn func() (V, error)) (V, error) {
 		s.mu.Unlock()
 	}
 	if e.call == nil {
-		return e.val, nil
+		return e.val
 	}
 	t0 := time.Now()
 	e.call.wg.Wait()
@@ -134,12 +132,12 @@ func (m *Memo[K, V]) Do(k K, fn func() (V, error)) (V, error) {
 	if e.call.panicked {
 		panic(e.call.panicVal)
 	}
-	return e.call.val, e.call.err
+	return e.call.val
 }
 
-// compute runs fn as k's one computation c, then keeps its value or forgets
-// the key, and releases the waiters.
-func (m *Memo[K, V]) compute(s *memoShard[K, V], k K, c *memoCall[V], fn func() (V, error)) (V, error) {
+// compute runs fn as k's one computation c, then keeps its value or, after
+// a panic, forgets the key, and releases the waiters.
+func (m *Memo[K, V]) compute(s *memoShard[K, V], k K, c *memoCall[V], fn func() V) V {
 	returned := false
 	defer func() {
 		if !returned {
@@ -148,7 +146,7 @@ func (m *Memo[K, V]) compute(s *memoShard[K, V], k K, c *memoCall[V], fn func() 
 			c.panicked, c.panicVal = true, recover()
 		}
 		s.mu.Lock()
-		if returned && c.err == nil {
+		if returned {
 			s.entries[k] = memoEntry[V]{val: c.val}
 			s.kept++
 		} else {
@@ -160,9 +158,9 @@ func (m *Memo[K, V]) compute(s *memoShard[K, V], k K, c *memoCall[V], fn func() 
 			panic(c.panicVal)
 		}
 	}()
-	c.val, c.err = fn()
+	c.val = fn()
 	returned = true
-	return c.val, c.err
+	return c.val
 }
 
 // Stats reports the memo's occupancy: Entries, the kept values.

@@ -130,10 +130,9 @@ func ExceptionSetEquals(got []int, want map[int]bool) bool {
 // BuildPatternCategorization evaluates an HDP's scopes with the given
 // pattern type and returns the Sim-based categorization directly from raw
 // series, a convenience for head-to-head comparisons with CategorizeRaw on
-// identical inputs. temporal marks the breakdown kind; cfg supplies the
-// evaluation criteria; tau the commonness threshold.
-func BuildPatternCategorization(dists []RawDistribution, t pattern.Type, temporal bool,
-	cfg pattern.Config, tau float64) (RawCategorization, bool) {
+// identical inputs: the built-in evaluation criteria, and the commonness
+// threshold CategorizeRaw uses (τ = 0.5). temporal marks the breakdown kind.
+func BuildPatternCategorization(dists []RawDistribution, t pattern.Type, temporal bool) (RawCategorization, bool) {
 
 	// The Sim classes of the scopes where t holds, in first-seen order.
 	type class struct {
@@ -143,7 +142,7 @@ func BuildPatternCategorization(dists []RawDistribution, t pattern.Type, tempora
 	var classes []class
 	var others []int
 	for i, d := range dists {
-		se := pattern.EvaluateAll(d.Keys, d.Values, temporal, cfg)
+		se := pattern.EvaluateAll(d.Keys, d.Values, temporal, pattern.Config{})
 		tp, h := se.Induced(t)
 		if tp != t {
 			others = append(others, i)
@@ -161,7 +160,7 @@ func BuildPatternCategorization(dists []RawDistribution, t pattern.Type, tempora
 	var cat RawCategorization
 	n := float64(len(dists))
 	for _, c := range classes {
-		if float64(len(c.members)) > tau*n {
+		if float64(len(c.members)) > rawTau*n {
 			cat.CommonIdx = append(cat.CommonIdx, c.members...)
 		} else {
 			cat.ExceptionIdx = append(cat.ExceptionIdx, c.members...)

@@ -68,28 +68,25 @@ func benchSubspace(tab *dataset.Table, nFilters int) model.Subspace {
 }
 
 // benchScanUnit runs one substrate configuration of BenchmarkScanUnit.
-func benchScanUnit(b *testing.B, sub Substrate, s model.Subspace) {
+func benchScanUnit(b *testing.B, sub Substrate, h *Handle) {
+	bdim := h.in.tab.DimensionIndex("DimA")
 	var rows int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, r, err := sub.ScanUnit(s, "DimA")
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = r
+		_, rows = sub.ScanUnitAt(h, bdim)
 	}
 	b.ReportMetric(float64(rows), "rows/op")
 }
 
 // benchLayouts runs fn over the filters=0,1,2 × layout=clustered|shuffled
 // arms.
-func benchLayouts(b *testing.B, fn func(b *testing.B, sub Substrate, s model.Subspace)) {
+func benchLayouts(b *testing.B, fn func(b *testing.B, sub Substrate, h *Handle)) {
 	for _, layout := range []string{"clustered", "shuffled"} {
 		tab := benchTable(layout)
-		vec := NewColumnarSubstrate(tab)
+		vec, in := NewColumnarSubstrate(tab), NewInterner(tab)
 		for _, nf := range []int{0, 1, 2} {
-			s := benchSubspace(tab, nf)
-			b.Run(fmt.Sprintf("layout=%s/filters=%d", layout, nf), func(b *testing.B) { fn(b, vec, s) })
+			h := in.Intern(benchSubspace(tab, nf))
+			b.Run(fmt.Sprintf("layout=%s/filters=%d", layout, nf), func(b *testing.B) { fn(b, vec, h) })
 		}
 	}
 }
@@ -98,8 +95,9 @@ func BenchmarkScanUnit(b *testing.B) {
 	benchLayouts(b, benchScanUnit)
 	for _, card := range []string{"small", "large"} {
 		tab := benchTable(card)
+		in := NewInterner(tab)
 		for nf := 0; nf <= 3; nf++ {
-			s := benchSubspace(tab, nf)
+			s := in.Intern(benchSubspace(tab, nf))
 			for _, par := range []int{1, 4} {
 				vec := newColumnarSubstrate(tab, columnarConfig{par: par})
 				b.Run(fmt.Sprintf("table=%s/filters=%d/sub=vec/par=%d", card, nf, par), func(b *testing.B) {
@@ -116,25 +114,24 @@ func BenchmarkScanUnit(b *testing.B) {
 
 // benchScanAugmented runs one substrate configuration of
 // BenchmarkScanAugmented.
-func benchScanAugmented(b *testing.B, sub Substrate, s model.Subspace, ext string) {
+func benchScanAugmented(b *testing.B, sub Substrate, h *Handle, ext string) {
+	tab := h.in.tab
+	bdim, xdim := tab.DimensionIndex("DimA"), tab.DimensionIndex(ext)
 	var rows int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, r, err := sub.ScanAugmented(s, "DimA", ext)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = r
+		_, rows = sub.ScanAugmentedAt(h, bdim, xdim)
 	}
 	b.ReportMetric(float64(rows), "rows/op")
 }
 
 func BenchmarkScanAugmented(b *testing.B) {
-	benchLayouts(b, func(b *testing.B, sub Substrate, s model.Subspace) {
-		benchScanAugmented(b, sub, s, "Period")
+	benchLayouts(b, func(b *testing.B, sub Substrate, h *Handle) {
+		benchScanAugmented(b, sub, h, "Period")
 	})
 	for _, card := range []string{"small", "large"} {
 		tab := benchTable(card)
+		in := NewInterner(tab)
 		for _, nf := range []int{0, 1, 2} {
 			// Filters go on DimB/DimC; the augmentation dimension is Period,
 			// so the base subspace never filters the ext dimension.
@@ -144,15 +141,16 @@ func BenchmarkScanAugmented(b *testing.B) {
 				col := tab.Dimension(dims[i])
 				s = s.With(dims[i], col.Domain()[col.Cardinality()/2])
 			}
+			h := in.Intern(s)
 			for _, par := range []int{1, 4} {
 				vec := newColumnarSubstrate(tab, columnarConfig{par: par})
 				b.Run(fmt.Sprintf("table=%s/filters=%d/sub=vec/par=%d", card, nf, par), func(b *testing.B) {
-					benchScanAugmented(b, vec, s, "Period")
+					benchScanAugmented(b, vec, h, "Period")
 				})
 			}
 			ref := NewReferenceSubstrate(tab, nil)
 			b.Run(fmt.Sprintf("table=%s/filters=%d/sub=ref", card, nf), func(b *testing.B) {
-				benchScanAugmented(b, ref, s, "Period")
+				benchScanAugmented(b, ref, h, "Period")
 			})
 		}
 	}

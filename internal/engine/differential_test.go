@@ -26,21 +26,6 @@ func unitJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// augJSON canonicalizes an augmented-scan result for byte comparison.
-func augJSON(t *testing.T, units map[string]any) string {
-	t.Helper()
-	keys := make([]string, 0, len(units))
-	for k := range units {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := ""
-	for _, k := range keys {
-		s += k + "=" + unitJSON(t, units[k]) + ";"
-	}
-	return s
-}
-
 // diffSubstrates enumerates every physical configuration of the vectorized
 // substrate the differential test compares against the reference: scan
 // parallelism 1/2/8, all with a small morsel size so multi-morsel merging
@@ -156,35 +141,32 @@ func differentialScanUnit(t *testing.T, tab *dataset.Table) {
 	for _, minMax := range []map[string]bool{nil, {"Sales": true}, {}} {
 		ref := NewReferenceSubstrate(tab, minMax)
 		subs := diffSubstrates(tab, minMax)
+		in := NewInterner(tab)
 		r := rand.New(rand.NewSource(5))
 		dims := tab.DimensionNames()
 		for trial := 0; trial < 60; trial++ {
 			sub := randomSubspace(r, tab, r.Intn(4))
-			breakdown := dims[r.Intn(len(dims))]
+			bd := r.Intn(len(dims))
+			breakdown := dims[bd]
 			if sub.Has(breakdown) {
 				continue
 			}
-			wantU, _, err := ref.ScanUnit(sub, breakdown)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := in.Intern(sub)
+			wantU, _ := ref.ScanUnitAt(h, bd)
 			want := unitJSON(t, wantU)
 			matching := 0
 			for _, n := range wantU.Counts {
 				matching += int(n)
 			}
 			for name, c := range subs {
-				gotU, gotRows, err := c.ScanUnit(sub, breakdown)
-				if err != nil {
-					t.Fatal(err)
-				}
+				gotU, gotRows := c.ScanUnitAt(h, bd)
 				if got := unitJSON(t, gotU); got != want {
 					t.Fatalf("trial %d %s [%s ⟂ %s]: unit mismatch\n got %s\nwant %s",
 						trial, name, sub.Key(), breakdown, got, want)
 				}
 				checkScannedRows(t, trial, name, gotRows, matching)
 				// The plan ScanCostAt charges must count exactly these rows.
-				if pr := c.in.Intern(sub).plan(nil).rows; pr != gotRows {
+				if pr := h.plan(nil).rows; pr != gotRows {
 					t.Fatalf("trial %d %s: planned %d rows != scanned %d", trial, name, pr, gotRows)
 				}
 			}
@@ -203,46 +185,36 @@ func TestDifferentialScanAugmented(t *testing.T) {
 func differentialScanAugmented(t *testing.T, tab *dataset.Table) {
 	ref := NewReferenceSubstrate(tab, nil)
 	subs := diffSubstrates(tab, nil)
+	in := NewInterner(tab)
 	r := rand.New(rand.NewSource(9))
 	dims := tab.DimensionNames()
 	for trial := 0; trial < 40; trial++ {
 		sub := randomSubspace(r, tab, r.Intn(3))
-		breakdown := dims[r.Intn(len(dims))]
-		ext := dims[r.Intn(len(dims))]
+		bd, xd := r.Intn(len(dims)), r.Intn(len(dims))
+		breakdown, ext := dims[bd], dims[xd]
 		if ext == breakdown || sub.Has(breakdown) {
 			continue
 		}
 		base := sub.Without(ext)
-		wantUnits, _, err := ref.ScanAugmented(base, breakdown, ext)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wm := make(map[string]any, len(wantUnits))
-		for k, u := range wantUnits {
-			wm[k] = u
-		}
-		want := augJSON(t, wm)
+		h := in.Intern(base)
+		wantUnits, _ := ref.ScanAugmentedAt(h, bd, xd)
+		want := unitJSON(t, wantUnits)
 		matching := 0
 		for _, u := range wantUnits {
-			for _, n := range u.Counts {
-				matching += int(n)
+			if u != nil {
+				for _, n := range u.Counts {
+					matching += int(n)
+				}
 			}
 		}
 		for name, c := range subs {
-			gotUnits, gotRows, err := c.ScanAugmented(base, breakdown, ext)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gm := make(map[string]any, len(gotUnits))
-			for k, u := range gotUnits {
-				gm[k] = u
-			}
-			if got := augJSON(t, gm); got != want {
+			gotUnits, gotRows := c.ScanAugmentedAt(h, bd, xd)
+			if got := unitJSON(t, gotUnits); got != want {
 				t.Fatalf("trial %d %s [%s ⟂ %s +%s]: augmented mismatch\n got %s\nwant %s",
 					trial, name, base.Key(), breakdown, ext, got, want)
 			}
 			checkScannedRows(t, trial, name, gotRows, matching)
-			if pr := c.in.Intern(base).plan(nil).rows; pr != gotRows {
+			if pr := h.plan(nil).rows; pr != gotRows {
 				t.Fatalf("trial %d %s: planned %d rows != scanned %d", trial, name, pr, gotRows)
 			}
 		}
@@ -272,10 +244,7 @@ func TestDifferentialFractionalParallelism(t *testing.T) {
 	for _, par := range []int{1, 0, 2, 3, 8} {
 		c := newColumnarSubstrate(tab, columnarConfig{par: par, morsel: 64})
 		sub := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
-		u, _, err := c.ScanUnit(sub, "G")
-		if err != nil {
-			t.Fatal(err)
-		}
+		u, _ := c.ScanUnitAt(c.in.Intern(sub), tab.DimensionIndex("G"))
 		got := unitJSON(t, u)
 		if want == "" {
 			want = got
@@ -305,11 +274,13 @@ func TestParallelScanManyMorsels(t *testing.T) {
 	tab := b.Build()
 	seq := newColumnarSubstrate(tab, columnarConfig{par: 1, morsel: 16})
 	par := newColumnarSubstrate(tab, columnarConfig{par: 8, morsel: 16})
-	h1 := model.NewSubspace(model.Filter{Dim: "H", Value: "h1"})
+	in := NewInterner(tab)
+	root, h1 := in.Intern(model.EmptySubspace), in.Intern(model.NewSubspace(model.Filter{Dim: "H", Value: "h1"}))
+	g, hd := tab.DimensionIndex("G"), tab.DimensionIndex("H")
 	scans := []func(c *ColumnarSubstrate) any{
-		func(c *ColumnarSubstrate) any { u, _, _ := c.ScanUnit(model.EmptySubspace, "G"); return u },
-		func(c *ColumnarSubstrate) any { u, _, _ := c.ScanUnit(h1, "G"); return u },
-		func(c *ColumnarSubstrate) any { u, _, _ := c.ScanAugmented(model.EmptySubspace, "G", "H"); return u },
+		func(c *ColumnarSubstrate) any { u, _ := c.ScanUnitAt(root, g); return u },
+		func(c *ColumnarSubstrate) any { u, _ := c.ScanUnitAt(h1, g); return u },
+		func(c *ColumnarSubstrate) any { u, _ := c.ScanAugmentedAt(root, g, hd); return u },
 	}
 	want := make([]string, len(scans))
 	for i, scan := range scans {
@@ -363,19 +334,17 @@ func TestDifferentialEdgeCases(t *testing.T) {
 	c := newColumnarSubstrate(tab, columnarConfig{morsel: 32})
 	ref := NewReferenceSubstrate(tab, nil)
 
-	sub := model.NewSubspace(model.Filter{Dim: "City", Value: "Atlantis"})
-	u, rows, err := c.ScanUnit(sub, "Month")
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := c.in.Intern(model.NewSubspace(model.Filter{Dim: "City", Value: "Atlantis"}))
+	month := tab.DimensionIndex("Month")
+	u, rows := c.ScanUnitAt(h, month)
 	if rows != 0 || len(u.GroupKeys) != 0 {
 		t.Fatalf("absent value: rows=%d groups=%d, want 0/0", rows, len(u.GroupKeys))
 	}
-	ru, rrows, _ := ref.ScanUnit(sub, "Month")
+	ru, rrows := ref.ScanUnitAt(h, month)
 	if rrows != 0 || unitJSON(t, u) != unitJSON(t, ru) {
 		t.Fatalf("absent value: reference disagrees (rows=%d)", rrows)
 	}
-	if pr := c.in.Intern(sub).plan(nil).rows; pr != 0 {
+	if pr := h.plan(nil).rows; pr != 0 {
 		t.Fatalf("absent value: planned %d rows, want 0", pr)
 	}
 
@@ -390,19 +359,16 @@ func TestDifferentialEdgeCases(t *testing.T) {
 	b.AddRow([]string{"a2", "b2"}, []float64{2})
 	tab2 := b.Build()
 	c2 := NewColumnarSubstrate(tab2)
-	disjoint := model.NewSubspace(
+	disjoint := c2.in.Intern(model.NewSubspace(
 		model.Filter{Dim: "A", Value: "a1"},
 		model.Filter{Dim: "B", Value: "b2"},
-	)
-	u2, rows2, err := c2.ScanUnit(disjoint, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
+	))
+	u2, rows2 := c2.ScanUnitAt(disjoint, tab2.DimensionIndex("A"))
 	if rows2 != 0 || len(u2.GroupKeys) != 0 {
 		t.Fatalf("disjoint filters: rows=%d groups=%v, want 0/none", rows2, u2.GroupKeys)
 	}
 	ref2 := NewReferenceSubstrate(tab2, nil)
-	ru2, _, _ := ref2.ScanUnit(disjoint, "A")
+	ru2, _ := ref2.ScanUnitAt(disjoint, tab2.DimensionIndex("A"))
 	if unitJSON(t, u2) != unitJSON(t, ru2) {
 		t.Fatal("disjoint unit differs from reference")
 	}

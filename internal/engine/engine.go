@@ -119,7 +119,7 @@ type Config struct {
 	// query results or accounting.
 	Observer *obs.Observer
 	// Substrate is the physical scan layer; nil uses the in-process
-	// ColumnarSubstrate over the table, planning on Interner.
+	// ColumnarSubstrate over the table.
 	Substrate Substrate
 	// Interner is the intern table the engine's handles, and with them the
 	// scan plans ScanCostAt charges, come from, and the owner of the query
@@ -192,8 +192,9 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: Config.Interner is over table %q, not the engine's", cfg.Interner.tab.Name())
 	}
 	minMax := cfg.minMaxColumns(tab)
-	if cfg.Substrate == nil {
-		cfg.Substrate = newColumnarSubstrate(tab, columnarConfig{
+	sub := cfg.Substrate
+	if sub == nil {
+		sub = newColumnarSubstrate(tab, columnarConfig{
 			par:    cfg.ScanParallelism,
 			minMax: minMax,
 			obs:    cfg.Observer,
@@ -209,7 +210,7 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		pairs:    units.pairs,
 		patterns: units.patterns,
 		obs:      cfg.Observer,
-		sub:      cfg.Substrate,
+		sub:      sub,
 		in:       cfg.Interner,
 		dimNames: tab.DimensionNames(),
 	}
@@ -365,11 +366,7 @@ func (e *Engine) BasicQuery(ds model.DataScope) (*Series, error) {
 	if err := e.tab.Validate(ds); err != nil {
 		return nil, err
 	}
-	u, err := e.MaterializeUnitAt(e.in.Intern(ds.Subspace), e.tab.DimensionIndex(ds.Breakdown), nil)
-	if err != nil {
-		return nil, err
-	}
-	return extract(u, ds)
+	return extract(e.MaterializeUnitAt(e.in.Intern(ds.Subspace), e.tab.DimensionIndex(ds.Breakdown), nil), ds)
 }
 
 // PeekUnitAt returns the cached unit of (h, bdim), if any.
@@ -383,17 +380,14 @@ func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
 // PeekUnitAt of the same scope returned earlier in the same compute unit: it
 // stands in for the cache lookup, so a scope resolved once is not looked up
 // again.
-func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*cache.Unit, error) {
+func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) *cache.Unit {
 	if peeked != nil {
-		return peeked, nil
+		return peeked
 	}
-	return e.qc.Do(e.UnitIDAt(h, bdim), func() (*cache.Unit, error) {
-		u, scanned, err := e.sub.ScanUnit(h.sub, e.dimNames[bdim])
-		if err != nil {
-			return nil, err
-		}
+	return e.qc.Do(e.UnitIDAt(h, bdim), func() *cache.Unit {
+		u, scanned := e.sub.ScanUnitAt(h, bdim)
 		e.recordScan(scanned, false)
-		return u, nil
+		return u
 	})
 }
 
@@ -403,16 +397,19 @@ func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) (*ca
 // returns the units of the sibling subspaces in SG(ds.Subspace, d), indexed
 // by the sibling's dictionary code on d and nil for a sibling without
 // records, and stores each in the query cache, pre-fetching the
-// subspace-extending HDS's scopes. The caller must not modify the slice.
-func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) ([]*cache.Unit, error) {
+// subspace-extending HDS's scopes. The caller must not modify the slice. An
+// augmentation dimension that is not the table's, or that is the breakdown,
+// is a caller's bug and panics, as a bad breakdown index does in
+// MaterializeUnitAt.
+func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) []*cache.Unit {
 	if ext < 0 || ext >= len(e.dimNames) {
-		return nil, fmt.Errorf("engine: unknown augmentation dimension index %d", ext)
+		panic(fmt.Sprintf("engine: unknown augmentation dimension index %d", ext))
 	}
 	if ext == bdim {
-		return nil, fmt.Errorf("engine: augmentation dimension %q equals the breakdown", e.dimNames[ext])
+		panic(fmt.Sprintf("engine: augmentation dimension %q equals the breakdown", e.dimNames[ext]))
 	}
-	units, _, err := e.scanPair(base, bdim, ext)
-	return units, err
+	units, _ := e.scanPair(base, bdim, ext)
+	return units
 }
 
 // ScanCostAt returns the cost a unit scan under h is charged, without
@@ -453,36 +450,31 @@ type ImpactProbe struct {
 	Fallback cache.UnitID
 	// Cost is the cost of the fallback scan (ScanCostAt).
 	Cost float64
-	// Unit is the fallback unit; nil when its scan failed.
+	// Unit is the fallback unit.
 	Unit *cache.Unit
 }
 
 // ImpactAt returns Impact_ds for the subspace of h (Equation 2): the impact
 // measure's value on the subspace (impactSum) divided by its value on the
 // whole dataset. The lookup is a query of the fallback unit, as the miner's
-// replay charges it when no probe unit is cached: a failing fallback scan
-// fails the lookup, and the unit is the probe's Unit. The value is never
-// read from a unit: a unit's sums depend on the scan that produced it (a
-// basic and an augmented scan group a cell's additions differently), and
-// which one filled the cache first depends on timing. The ImpactProbe records
+// replay charges it when no probe unit is cached; the unit is the probe's
+// Unit. The value is never read from a unit: a unit's sums depend on the scan
+// that produced it (a basic and an augmented scan group a cell's additions
+// differently), and which one filled the cache first depends on timing. The ImpactProbe records
 // how the lookup is charged; it is the zero probe, with a nil Handle, for the
 // empty subspace (impact 1 is free dataset metadata).
-func (e *Engine) ImpactAt(h *Handle) (float64, ImpactProbe, error) {
+func (e *Engine) ImpactAt(h *Handle) (float64, ImpactProbe) {
 	if h.Len() == 0 {
-		return 1, ImpactProbe{}, nil
+		return 1, ImpactProbe{}
 	}
 	fallback := e.impactFallbackDim(h)
 	p := ImpactProbe{
 		Handle:   h,
 		Fallback: e.UnitIDAt(h, fallback),
 		Cost:     e.ScanCostAt(h),
+		Unit:     e.MaterializeUnitAt(h, fallback, nil),
 	}
-	unit, err := e.MaterializeUnitAt(h, fallback, nil)
-	if err != nil {
-		return 0, p, err
-	}
-	p.Unit = unit
-	return e.impactSum(h) / e.totalImp, p, nil
+	return e.impactSum(h) / e.totalImp, p
 }
 
 // impactSum returns the impact measure's value on h's subspace: the rows h's
@@ -496,7 +488,7 @@ func (e *Engine) impactSum(h *Handle) float64 {
 	if e.impact.Agg == model.AggCount {
 		return float64(p.rows)
 	}
-	s, _ := e.impactSums.Do(h.ord, func() (float64, error) {
+	return e.impactSums.Do(h.ord, func() float64 {
 		vals, s := e.tab.MeasureColumn(e.impact.Column).Values(), 0.0
 		for k := 0; k+1 < len(p.runs); k++ {
 			start := int(p.runs[k].Row)
@@ -504,9 +496,8 @@ func (e *Engine) impactSum(h *Handle) float64 {
 				s += v
 			}
 		}
-		return s, nil
+		return s
 	})
-	return s
 }
 
 // GroupImpactsAt returns the impact measure's value on every child subspace

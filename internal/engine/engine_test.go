@@ -197,10 +197,7 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 		Measure:   model.Sum("Sales"),
 	}
 	city, month := tab.DimensionIndex("City"), tab.DimensionIndex("Month")
-	units, err := e.MaterializeAugmentedAt(e.Intern(anchor.Subspace.Without("City")), month, city)
-	if err != nil {
-		t.Fatal(err)
-	}
+	units := e.MaterializeAugmentedAt(e.Intern(anchor.Subspace.Without("City")), month, city)
 	for _, city := range []string{"LA", "SF", "SD", "SJ"} {
 		u := units[tab.Dimensions()[tab.DimensionIndex("City")].Code(city)]
 		if u == nil {
@@ -236,15 +233,25 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 	}
 }
 
+// TestAugmentedQueryRejectsBreakdownDim: augmenting by the breakdown itself
+// or by a dimension the table lacks is a caller's bug, and panics rather
+// than scan.
 func TestAugmentedQueryRejectsBreakdownDim(t *testing.T) {
 	tab := randomTable(5, 50)
 	e := newEngine(t, tab)
 	h, month := e.Intern(model.EmptySubspace), tab.DimensionIndex("Month")
-	if _, err := e.MaterializeAugmentedAt(h, month, month); err == nil {
-		t.Error("augmenting by the breakdown dimension must fail")
+	for ext, what := range map[int]string{month: "the breakdown dimension", len(tab.Dimensions()): "an unknown dimension"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("augmenting by %s must panic", what)
+				}
+			}()
+			e.MaterializeAugmentedAt(h, month, ext)
+		}()
 	}
-	if _, err := e.MaterializeAugmentedAt(h, month, len(tab.Dimensions())); err == nil {
-		t.Error("augmenting by an unknown dimension must fail")
+	if n := physicalScans(e); n != 0 {
+		t.Errorf("%d scans, want none", n)
 	}
 }
 
@@ -265,17 +272,14 @@ func TestImpact(t *testing.T) {
 	if e.TotalImpact() != 8 {
 		t.Fatalf("total impact = %v", e.TotalImpact())
 	}
-	imp, probe, err := e.ImpactAt(e.Intern(model.NewSubspace(model.Filter{Dim: "City", Value: "LA"})))
-	if err != nil {
-		t.Fatal(err)
-	}
+	imp, probe := e.ImpactAt(e.Intern(model.NewSubspace(model.Filter{Dim: "City", Value: "LA"})))
 	if math.Abs(imp-0.75) > 1e-12 {
 		t.Errorf("impact(LA) = %v, want 0.75", imp)
 	}
 	if probe.Handle == nil || probe.Cost != e.ScanCostAt(probe.Handle) || probe.Unit == nil {
 		t.Errorf("impact probe = %+v", probe)
 	}
-	if imp, probe, _ := e.ImpactAt(e.Intern(model.EmptySubspace)); imp != 1 || probe != (ImpactProbe{}) {
+	if imp, probe := e.ImpactAt(e.Intern(model.EmptySubspace)); imp != 1 || probe != (ImpactProbe{}) {
 		t.Errorf("impact({*}) = %v, probe %+v", imp, probe)
 	}
 }
@@ -291,10 +295,7 @@ func TestImpactWithSumMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp, _, err := e.ImpactAt(e.Intern(model.NewSubspace(model.Filter{Dim: "City", Value: "LA"})))
-	if err != nil {
-		t.Fatal(err)
-	}
+	imp, _ := e.ImpactAt(e.Intern(model.NewSubspace(model.Filter{Dim: "City", Value: "LA"})))
 	if math.Abs(imp-0.3) > 1e-12 {
 		t.Errorf("impact = %v, want 0.3", imp)
 	}
@@ -395,10 +396,7 @@ func TestUnitImpactConsistency(t *testing.T) {
 	// property Equation 17 and the miner's Impact_HDS computation rely on).
 	tab := randomTable(9, 300)
 	e := newEngine(t, tab)
-	u, err := e.MaterializeUnitAt(e.Intern(model.EmptySubspace), tab.DimensionIndex("City"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := e.MaterializeUnitAt(e.Intern(model.EmptySubspace), tab.DimensionIndex("City"), nil)
 	total := 0.0
 	for _, c := range u.Counts {
 		total += c
@@ -410,17 +408,13 @@ func TestUnitImpactConsistency(t *testing.T) {
 
 // scanCostOf is the cost model applied to the rows a substrate scan
 // reported: the charge ScanCostAt must predict without scanning.
-func scanCostOf(t *testing.T, e *Engine, s model.Subspace) float64 {
-	t.Helper()
-	_, rows, err := e.sub.ScanUnit(s, "Month")
-	if err != nil {
-		t.Fatalf("%s: %v", s.Key(), err)
-	}
+func scanCostOf(e *Engine, s model.Subspace) float64 {
+	_, rows := e.sub.ScanUnitAt(e.Intern(s), e.tab.DimensionIndex("Month"))
 	return perQuery + perRow*float64(rows)
 }
 
 // TestScanCostMatchesMeteredCost verifies ScanCostAt equals, bit for bit, the
-// cost model applied to the rows Substrate.ScanUnit reports, filtered and
+// cost model applied to the rows Substrate.ScanUnitAt reports, filtered and
 // unfiltered. The miner's canonical accounting and QuickInsight rely on this
 // equality to charge scans without counting rows themselves.
 func TestScanCostMatchesMeteredCost(t *testing.T) {
@@ -433,7 +427,7 @@ func TestScanCostMatchesMeteredCost(t *testing.T) {
 	}
 	for _, s := range subspaces {
 		e := newEngine(t, tab)
-		if got, want := e.ScanCostAt(e.Intern(s)), scanCostOf(t, e, s); got != want {
+		if got, want := e.ScanCostAt(e.Intern(s)), scanCostOf(e, s); got != want {
 			t.Errorf("subspace %q: ScanCostAt = %v, scan reports rows costing %v", s.Key(), got, want)
 		}
 	}
@@ -461,7 +455,7 @@ func TestPlannedRowCostMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := e.ScanCostAt(e.Intern(s)), scanCostOf(t, e, s); got != want {
+		if got, want := e.ScanCostAt(e.Intern(s)), scanCostOf(e, s); got != want {
 			t.Errorf("subspace %q: ScanCostAt = %v, reference scan's rows cost %v", s.Key(), got, want)
 		}
 	}
@@ -477,18 +471,12 @@ func TestMaterializePathsAreQuiet(t *testing.T) {
 	h := e.Intern(sub)
 	month, style := tab.DimensionIndex("Month"), tab.DimensionIndex("Style")
 	for i := 0; i < 2; i++ { // a miss, then a hit
-		if _, err := e.MaterializeUnitAt(h, month, nil); err != nil {
-			t.Fatal(err)
-		}
+		e.MaterializeUnitAt(h, month, nil)
 		if _, err := e.BasicQuery(model.DataScope{Subspace: sub, Breakdown: "Style", Measure: model.Sum("Sales")}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.MaterializeAugmentedAt(e.Intern(model.EmptySubspace), style, month); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := e.ImpactAt(e.Intern(model.EmptySubspace.With("Style", "Condo"))); err != nil {
-			t.Fatal(err)
-		}
+		e.MaterializeAugmentedAt(e.Intern(model.EmptySubspace), style, month)
+		e.ImpactAt(e.Intern(model.EmptySubspace.With("Style", "Condo")))
 		e.PeekUnitAt(h, style)
 		e.ScanCostAt(h)
 	}
@@ -514,11 +502,7 @@ func TestUnitSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			u, err := e.MaterializeUnitAt(h, month, nil)
-			if err != nil {
-				t.Error(err)
-			}
-			units[i] = u
+			units[i] = e.MaterializeUnitAt(h, month, nil)
 		}()
 	}
 	wg.Wait()
@@ -550,9 +534,7 @@ func TestAugmentedSingleFlightAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.MaterializeAugmentedAt(base, month, style); err != nil {
-				t.Error(err)
-			}
+			e.MaterializeAugmentedAt(base, month, style)
 		}()
 	}
 	wg.Wait()

@@ -221,12 +221,11 @@ func checkFoldUnit(t *testing.T, c *ColumnarSubstrate, what string, u *cache.Uni
 
 // checkFoldAugmented compares the units of an augmented scan grouped by
 // (bcol, dcol) with the oracle cells, one ext value at a time.
-func checkFoldAugmented(t *testing.T, c *ColumnarSubstrate, what string, units map[string]*cache.Unit, want *foldCells, bcol, dcol *dataset.DimColumn) {
+func checkFoldAugmented(t *testing.T, c *ColumnarSubstrate, what string, units []*cache.Unit, want *foldCells, bcol, dcol *dataset.DimColumn) {
 	t.Helper()
 	bcard := bcol.Cardinality()
-	for dv := 0; dv < dcol.Cardinality(); dv++ {
-		u, ok := units[dcol.Value(dv)]
-		if !ok {
+	for dv, u := range units {
+		if u == nil {
 			u = &cache.Unit{}
 		}
 		checkFoldUnit(t, c, fmt.Sprintf("%s +%s=%s", what, dcol.Name, dcol.Value(dv)), u, want, dv*bcard, bcard, bcol.Domain())
@@ -271,7 +270,7 @@ func TestFilteredScanMatchesPerRowFold(t *testing.T) {
 			}
 			bcol := tab.Dimension(bdim)
 			bcodes := bcol.Codes()
-			u, _, _ := c.ScanUnit(sub, bdim)
+			u, _ := c.ScanUnitAt(c.in.Intern(sub), tab.DimensionIndex(bdim))
 			want := perRowFold(t, c, sub, bcol.Cardinality(), func(r int) int { return int(bcodes[r]) })
 			checkFoldUnit(t, c, fmt.Sprintf("%s unit [%s ⟂ %s]", arm, sub.Key(), bdim), u, want, 0, bcol.Cardinality(), bcol.Domain())
 
@@ -282,7 +281,7 @@ func TestFilteredScanMatchesPerRowFold(t *testing.T) {
 			}
 			dcol := tab.Dimension(ext)
 			dcodes, bcard := dcol.Codes(), bcol.Cardinality()
-			units, _, _ := c.ScanAugmented(base, bdim, ext)
+			units, _ := c.ScanAugmentedAt(c.in.Intern(base), tab.DimensionIndex(bdim), tab.DimensionIndex(ext))
 			want = perRowFold(t, c, base, bcard*dcol.Cardinality(), func(r int) int { return int(dcodes[r])*bcard + int(bcodes[r]) })
 			checkFoldAugmented(t, c, fmt.Sprintf("%s augmented [%s ⟂ %s]", arm, base.Key(), bdim), units, want, bcol, dcol)
 		}
@@ -300,7 +299,7 @@ func TestFullScanMatchesLaneFold(t *testing.T) {
 		for _, bdim := range dims {
 			bcol := c.tab.Dimension(bdim)
 			bcodes, bcard := bcol.Codes(), bcol.Cardinality()
-			u, _, _ := c.ScanUnit(model.EmptySubspace, bdim)
+			u, _ := c.ScanUnitAt(c.in.Intern(model.EmptySubspace), c.tab.DimensionIndex(bdim))
 			want := laneFold(c, bcard, func(r int) int { return int(bcodes[r]) })
 			checkFoldUnit(t, c, fmt.Sprintf("%s unit [⟂ %s]", arm, bdim), u, want, 0, bcard, bcol.Domain())
 			for _, ext := range dims {
@@ -309,7 +308,7 @@ func TestFullScanMatchesLaneFold(t *testing.T) {
 				}
 				dcol := c.tab.Dimension(ext)
 				dcodes := dcol.Codes()
-				units, _, _ := c.ScanAugmented(model.EmptySubspace, bdim, ext)
+				units, _ := c.ScanAugmentedAt(c.in.Intern(model.EmptySubspace), c.tab.DimensionIndex(bdim), c.tab.DimensionIndex(ext))
 				want := laneFold(c, bcard*dcol.Cardinality(), func(r int) int { return int(dcodes[r])*bcard + int(bcodes[r]) })
 				checkFoldAugmented(t, c, fmt.Sprintf("%s augmented [⟂ %s]", arm, bdim), units, want, bcol, dcol)
 			}

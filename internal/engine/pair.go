@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 
 	"metainsight/internal/cache"
@@ -21,8 +20,8 @@ type pairScan struct {
 }
 
 // scanPair is the physical layer under MaterializeAugmentedAt: it returns
-// the units of ScanAugmented(base, bdim, ext), by ext code, and the rows
-// that scan visits.
+// the units of ScanAugmentedAt(base, bdim, ext), by ext code, and the rows
+// that scan visits. A physical scan hands its units to the query cache.
 //
 // The 2-D group-by over (bdim, ext) under base answers the request and its
 // twin with breakdown and augmentation dimension swapped, so each unordered
@@ -39,51 +38,26 @@ type pairScan struct {
 //
 // Remembered units were all given to the query cache, which keeps what it is
 // given, so the pair memo holds nothing the cache lacks an equal of.
-func (e *Engine) scanPair(base *Handle, bdim, ext int) ([]*cache.Unit, int, error) {
+func (e *Engine) scanPair(base *Handle, bdim, ext int) ([]*cache.Unit, int) {
 	k := augKey{base: base.ord, lo: uint16(min(bdim, ext)), hi: uint16(max(bdim, ext))}
-	p, err := e.pairs.Do(k, func() (*pairScan, error) {
-		units, scanned, err := e.scanAugmented(base, bdim, ext)
-		if err != nil {
-			return nil, err // not remembered: the next request tries again
-		}
-		return &pairScan{breakdown: bdim, rows: scanned, units: units}, nil
+	p := e.pairs.Do(k, func() *pairScan {
+		units, scanned := e.sub.ScanAugmentedAt(base, bdim, ext)
+		e.recordScan(scanned, true)
+		e.putSiblings(base, units, bdim, ext)
+		return &pairScan{breakdown: bdim, rows: scanned, units: units}
 	})
-	if err != nil {
-		return nil, 0, err
-	}
 	if p.breakdown == bdim {
-		return p.units, p.rows, nil
+		return p.units, p.rows
 	}
 	p.twinOnce.Do(func() {
 		p.twin = e.transposeUnits(p.units, ext, bdim)
 		e.putSiblings(base, p.twin, bdim, ext)
 	})
-	return p.twin, p.rows, nil
+	return p.twin, p.rows
 }
 
-// scanAugmented runs one physical augmented scan and hands its units to the
-// query cache, indexed by ext code.
-func (e *Engine) scanAugmented(base *Handle, bdim, ext int) ([]*cache.Unit, int, error) {
-	byValue, scanned, err := e.sub.ScanAugmented(base.sub, e.dimNames[bdim], e.dimNames[ext])
-	if err != nil {
-		return nil, 0, err
-	}
-	e.recordScan(scanned, true)
-	dcol := e.tab.Dimensions()[ext]
-	units := make([]*cache.Unit, dcol.Cardinality())
-	for v, u := range byValue {
-		code := dcol.Code(v)
-		if code < 0 {
-			return nil, 0, fmt.Errorf("engine: augmented scan returned a unit for %s=%q, not in the domain", dcol.Name, v)
-		}
-		units[code] = u
-	}
-	e.putSiblings(base, units, bdim, ext)
-	return units, scanned, nil
-}
-
-// putSiblings gives the query cache the units of ScanAugmented(base, bdim,
-// ext), indexed by ext code.
+// putSiblings gives the query cache the units of ScanAugmentedAt(base,
+// bdim, ext), indexed by ext code.
 func (e *Engine) putSiblings(base *Handle, units []*cache.Unit, bdim, ext int) {
 	for code, u := range units {
 		if u != nil {
@@ -106,8 +80,9 @@ func unitColumns(u *cache.Unit, sums, minmax []string, cols [][]float64) {
 	}
 }
 
-// transposeUnits turns the units of one ScanAugmented(base, bdim, ext) — one
-// per ext code, grouped by bdim — into those of ScanAugmented(base, ext, bdim):
+// transposeUnits turns the units of one ScanAugmentedAt(base, bdim, ext) —
+// one per ext code, grouped by bdim — into those of
+// ScanAugmentedAt(base, ext, bdim):
 // one per bdim code, grouped by ext, copying every aggregate of every
 // non-empty cell. It relies on the Substrate contract that units list only
 // non-empty groups, in domain order, and carry the same columns.

@@ -80,28 +80,30 @@ rows:
 	return counts, sums, mins, maxs, scanned
 }
 
-// ScanUnit implements Substrate with the naive per-row scan.
-func (c *ReferenceSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
-	bcol := c.tab.Dimension(breakdown)
-	counts, sums, mins, maxs, scanned := c.refScan(s, bcol.Cardinality(), func(r int) int {
+// ScanUnitAt implements Substrate with the naive per-row scan. It reads only
+// h's subspace value and the table, never the handle's resolved filters or
+// plan, so it shares nothing with what it checks.
+func (c *ReferenceSubstrate) ScanUnitAt(h *Handle, bdim int) (*cache.Unit, int) {
+	bcol := c.tab.Dimensions()[bdim]
+	counts, sums, mins, maxs, scanned := c.refScan(h.Subspace(), bcol.Cardinality(), func(r int) int {
 		return int(bcol.CodeAt(r))
 	})
-	return c.refBuildUnit(bcol.Domain(), counts, c.tab.MeasureColumns(), sums, mins, maxs), scanned, nil
+	return c.refBuildUnit(bcol.Domain(), counts, c.tab.MeasureColumns(), sums, mins, maxs), scanned
 }
 
-// ScanAugmented implements Substrate with the naive per-row scan.
-func (c *ReferenceSubstrate) ScanAugmented(base model.Subspace, breakdown, ext string) (map[string]*cache.Unit, int, error) {
-	bcol := c.tab.Dimension(breakdown)
-	dcol := c.tab.Dimension(ext)
+// ScanAugmentedAt implements Substrate with the naive per-row scan, reading
+// only base's subspace value and the table.
+func (c *ReferenceSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]*cache.Unit, int) {
+	bcol, dcol := c.tab.Dimensions()[bdim], c.tab.Dimensions()[ext]
 	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
 	mcols := c.tab.MeasureColumns()
-	counts, sums, mins, maxs, scanned := c.refScan(base, bcard*dcard, func(r int) int {
+	counts, sums, mins, maxs, scanned := c.refScan(base.Subspace(), bcard*dcard, func(r int) int {
 		return int(dcol.CodeAt(r))*bcard + int(bcol.CodeAt(r))
 	})
 
-	units := make(map[string]*cache.Unit, dcard)
+	units := make([]*cache.Unit, dcard)
 	bdomain := bcol.Domain()
-	for dv := 0; dv < dcard; dv++ {
+	for dv := range units {
 		lo, hi := dv*bcard, (dv+1)*bcard
 		colSums := make([][]float64, len(mcols))
 		colMins := make([][]float64, len(mcols))
@@ -111,12 +113,11 @@ func (c *ReferenceSubstrate) ScanAugmented(base model.Subspace, breakdown, ext s
 			colMins[i] = mins[i][lo:hi]
 			colMaxs[i] = maxs[i][lo:hi]
 		}
-		u := c.refBuildUnit(bdomain, counts[lo:hi], mcols, colSums, colMins, colMaxs)
-		if len(u.GroupKeys) > 0 {
-			units[dcol.Value(dv)] = u
+		if u := c.refBuildUnit(bdomain, counts[lo:hi], mcols, colSums, colMins, colMaxs); len(u.GroupKeys) > 0 {
+			units[dv] = u
 		}
 	}
-	return units, scanned, nil
+	return units, scanned
 }
 
 // refAlloc allocates fresh full-domain accumulators with the historical

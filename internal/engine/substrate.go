@@ -13,27 +13,26 @@ import (
 // Substrate is the physical scan layer behind the engine: the component that
 // actually visits rows and produces query-cache units. The paper's substrate
 // was Excel's query interface over IPC; ours is an in-process columnar scan
-// (ColumnarSubstrate). Extracting the interface lets deployments swap in a
-// remote cube or SQL backend, and lets tests substitute one that fails.
+// (ColumnarSubstrate), and ReferenceSubstrate is its naive oracle. A scan
+// cannot fail: every handle names a subspace of the engine's table (one that
+// matches no rows scans nothing), and every dimension index is the table's.
 //
 // Contract: both methods report the number of rows physically visited, are
 // safe for concurrent use, and must be deterministic for a fixed table —
 // the engine's memos assume any two calls with equal arguments are
 // interchangeable, and the query cache keeps whichever equal unit came first.
 // Returned units list only non-empty groups in domain order, and the units of
-// one ScanAugmented carry the same measure columns:
-// the engine may answer ScanAugmented(base, b, ext) by transposing the units
-// of ScanAugmented(base, ext, b) (Engine.scanPair). An error is returned to
-// the engine's caller as is, never retried (the miner skips and accounts the
-// unit); ColumnarSubstrate never errors.
+// one ScanAugmentedAt carry the same measure columns: the engine may answer
+// ScanAugmentedAt(base, b, ext) by transposing the units of
+// ScanAugmentedAt(base, ext, b) (Engine.scanPair).
 type Substrate interface {
-	// ScanUnit executes one filtered group-by scan of (subspace, breakdown)
-	// across all measure columns.
-	ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error)
-	// ScanAugmented executes one scan filtered by base, grouped by
-	// (breakdown, ext), returning one unit per non-empty value of ext keyed
-	// by that value.
-	ScanAugmented(base model.Subspace, breakdown, ext string) (map[string]*cache.Unit, int, error)
+	// ScanUnitAt executes one filtered group-by scan of (h's subspace,
+	// breakdown dimension index bdim) across all measure columns.
+	ScanUnitAt(h *Handle, bdim int) (*cache.Unit, int)
+	// ScanAugmentedAt executes one scan filtered by base, grouped by
+	// (bdim, ext), returning one unit per dictionary code of ext: the units
+	// of the sibling subspaces base ∧ ext = code, nil where one has no rows.
+	ScanAugmentedAt(base *Handle, bdim, ext int) ([]*cache.Unit, int)
 }
 
 // DefaultMorselSize is the fixed morsel width of the parallel scan pipeline,
@@ -50,8 +49,8 @@ const DefaultMorselSize = 8192
 // kernels over the plan's runs of matching rows, with min/max materialized
 // only for the measure columns some registered evaluator actually needs;
 // accumulators come from one package-wide pool. It keeps nothing but its
-// configuration, so building one per request is cheap. It is infallible and
-// pure with respect to the engine's caches.
+// configuration, so building one per request is cheap. It is pure with
+// respect to the engine's caches.
 type ColumnarSubstrate struct {
 	tab    *dataset.Table
 	mcols  []*dataset.MeasureColumn
@@ -61,7 +60,7 @@ type ColumnarSubstrate struct {
 	par    int           // scan parallelism (>= 1)
 	morsel int           // morsel size in rows
 	obs    *obs.Observer // physical counters: the building engine's Config.Observer
-	in     *Interner     // the handles this substrate's plans live on
+	in     *Interner     // where the value-form adapters intern their subspaces
 }
 
 // columnarConfig configures a ColumnarSubstrate. Zero values are the
@@ -91,9 +90,9 @@ type columnarConfig struct {
 }
 
 // NewColumnarSubstrate creates the default in-process substrate over tab,
-// planning on a fresh intern table of its own and scanning on GOMAXPROCS
-// goroutines. An Engine built without an explicit Substrate builds one over
-// the engine's intern table instead.
+// scanning on GOMAXPROCS goroutines; its value-form adapters intern on a
+// fresh intern table of its own. An Engine built without an explicit
+// Substrate builds one over the engine's intern table instead.
 func NewColumnarSubstrate(tab *dataset.Table) *ColumnarSubstrate {
 	return newColumnarSubstrate(tab, columnarConfig{})
 }
@@ -213,46 +212,50 @@ func (h *Handle) buildPlan(o *obs.Observer) *scanPlan {
 	return &scanPlan{runs: and.RowRuns(), rows: and.Cardinality()}
 }
 
-// ScanUnit executes one filtered group-by scan across all measure columns,
-// producing the cache unit and the number of rows visited.
-func (c *ColumnarSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
-	bcol := c.tab.Dimension(breakdown)
+// ScanUnitAt executes one filtered group-by scan across all measure columns
+// on h's plan, producing the cache unit and the number of rows visited.
+func (c *ColumnarSubstrate) ScanUnitAt(h *Handle, bdim int) (*cache.Unit, int) {
+	bcol := c.tab.Dimensions()[bdim]
 	card := bcol.Cardinality()
-	h := c.in.Intern(s)
 	plan := h.plan(c.obs)
 	acc := c.scan(plan, bcol, nil, card)
 	u := c.buildUnitSlice(bcol.Domain(), acc, 0, card)
 	c.release(acc)
-	return u, plan.rows, nil
+	return u, plan.rows
 }
 
-// ScanAugmented executes one scan grouped by (breakdown, ext), producing one
-// unit per non-empty value of ext and the number of rows visited.
-func (c *ColumnarSubstrate) ScanAugmented(base model.Subspace, breakdown, ext string) (map[string]*cache.Unit, int, error) {
-	bcol := c.tab.Dimension(breakdown)
-	dcol := c.tab.Dimension(ext)
-	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
-	h := c.in.Intern(base)
-	plan := h.plan(c.obs)
-	acc := c.scan(plan, bcol, dcol, bcard*dcard)
-	units := c.augmentedUnits(breakdown, ext, acc)
-	c.release(acc)
-	return units, plan.rows, nil
-}
-
-// augmentedUnits splits an augmented accumulator (cell = dcode*bcard+bcode)
-// into one unit per non-empty value of ext.
-func (c *ColumnarSubstrate) augmentedUnits(breakdown, ext string, acc *scanAcc) map[string]*cache.Unit {
-	bcol := c.tab.Dimension(breakdown)
-	dcol := c.tab.Dimension(ext)
-	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
-	units := make(map[string]*cache.Unit, dcard)
+// ScanAugmentedAt executes one scan grouped by (bdim, ext) on base's plan,
+// splitting the accumulator (cell = ext code·|bdim| + bdim code) into one
+// unit per non-empty value of ext, and reports the number of rows visited.
+func (c *ColumnarSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]*cache.Unit, int) {
+	dims := c.tab.Dimensions()
+	bcol, dcol := dims[bdim], dims[ext]
+	bcard := bcol.Cardinality()
+	plan := base.plan(c.obs)
+	acc := c.scan(plan, bcol, dcol, bcard*dcol.Cardinality())
+	units := make([]*cache.Unit, dcol.Cardinality())
 	bdomain := bcol.Domain()
-	for dv := 0; dv < dcard; dv++ {
-		u := c.buildUnitSlice(bdomain, acc, dv*bcard, bcard)
-		if len(u.GroupKeys) > 0 {
-			units[dcol.Value(dv)] = u
+	for dv := range units {
+		if u := c.buildUnitSlice(bdomain, acc, dv*bcard, bcard); len(u.GroupKeys) > 0 {
+			units[dv] = u
 		}
 	}
-	return units
+	c.release(acc)
+	return units, plan.rows
+}
+
+// ScanUnit is ScanUnitAt on a subspace value, interned in the substrate's
+// own intern table, and a breakdown name, with an error that is always nil. It and
+// ScanAugmented are the value-form adapters the benchmark harness's layer
+// probes call; they go when that harness moves to the Session API (ROADMAP.md
+// item 7(b)).
+func (c *ColumnarSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
+	u, rows := c.ScanUnitAt(c.in.Intern(s), c.tab.DimensionIndex(breakdown))
+	return u, rows, nil
+}
+
+// ScanAugmented is ScanAugmentedAt on value forms; see ScanUnit.
+func (c *ColumnarSubstrate) ScanAugmented(base model.Subspace, breakdown, ext string) ([]*cache.Unit, int, error) {
+	units, rows := c.ScanAugmentedAt(c.in.Intern(base), c.tab.DimensionIndex(breakdown), c.tab.DimensionIndex(ext))
+	return units, rows, nil
 }

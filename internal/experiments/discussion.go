@@ -81,7 +81,6 @@ func Discussion(w io.Writer, trials int, seed int64) DiscussionResult {
 	if trials <= 0 {
 		trials = 200
 	}
-	cfg := pattern.DefaultConfig()
 	sigmas := []float64{0, 0.02, 0.05, 0.10, 0.15, 0.20}
 
 	var res DiscussionResult
@@ -93,7 +92,7 @@ func Discussion(w io.Writer, trials int, seed int64) DiscussionResult {
 		patternHits, rawHits := 0, 0
 		for trial := 0; trial < trials; trial++ {
 			dists, truth := plantHDP(r, 6, 1, 1, sigma)
-			if cat, ok := core.BuildPatternCategorization(dists, pattern.Unimodality, true, cfg, 0.5); ok &&
+			if cat, ok := core.BuildPatternCategorization(dists, pattern.Unimodality, true); ok &&
 				core.ExceptionSetEquals(cat.ExceptionIdx, truth) {
 				patternHits++
 			}

@@ -36,13 +36,13 @@ func TestCheckpointWireFormatUnchanged(t *testing.T) {
 			t.Errorf("workers=%d: final snapshot (%d bytes) differs from the one the parent commit wrote (%d bytes)",
 				workers, len(got), len(want))
 		}
-		// The stats encoding keeps its five reserved names, always zero, and
+		// The stats encoding keeps its seven reserved names, always zero, and
 		// round-trips.
 		raw, err := json.Marshal(res.Stats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, reserved := range []string{`"retries":0,`, `"breaker_trips":0,`, `"speculative_reissues":0,`, `"shard_retries":0,`, `"evictions":0,`} {
+		for _, reserved := range []string{`"prefetch_failures":0,`, `"failed_units":0,`, `"retries":0,`, `"breaker_trips":0,`, `"speculative_reissues":0,`, `"shard_retries":0,`, `"evictions":0,`} {
 			if !strings.Contains(string(raw), reserved) {
 				t.Errorf("workers=%d: stats JSON lacks reserved %s: %s", workers, reserved, raw)
 			}

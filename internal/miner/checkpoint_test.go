@@ -97,7 +97,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	// determinism contract), so collapse them to one reference.
 	refDir := t.TempDir()
 	refRes, refTrace := ckRun(t, 1, filepath.Join(refDir, "w1"), every, 0, false)
-	if refRes.Err != nil && !errors.Is(refRes.Err, ErrDegraded) {
+	if refRes.Err != nil {
 		t.Fatalf("reference run failed: %v", refRes.Err)
 	}
 	total := commitTotal(refRes.Stats)
@@ -154,7 +154,7 @@ func TestCheckpointResumePerDiscipline(t *testing.T) {
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			ref, refTrace := ckRunWith(t, d.discipline, 1, t.TempDir(), every, 0, false)
-			if ref.Err != nil && !errors.Is(ref.Err, ErrDegraded) {
+			if ref.Err != nil {
 				t.Fatalf("reference run failed: %v", ref.Err)
 			}
 			if total := commitTotal(ref.Stats); total <= d.kill+every {
@@ -214,7 +214,7 @@ func killAndResume(t *testing.T, discipline func(*Config), ref *Result, refTrace
 	}
 
 	resRes, resTrace := ckRunWith(t, discipline, rw, dir, every, 0, true)
-	if resRes.Err != nil && !errors.Is(resRes.Err, ErrDegraded) {
+	if resRes.Err != nil {
 		t.Fatalf("resumed run failed: %v", resRes.Err)
 	}
 	if resRes.Stats.ResumedUnits != kill {

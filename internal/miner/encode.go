@@ -136,8 +136,9 @@ type evalEntryJSON struct {
 // acctJSON is the accounting's full mutable state, ledger included. Retries,
 // BreakerTrips and Breaker are reserved, always zero: state of the retired
 // fault simulation, kept so snapshots stay byte-identical across its removal
-// and the ones written before it still decode. Evictions is reserved the
-// same way for the retired byte-bounded caches. Executed, Augmented and
+// and the ones written before it still decode. PrefetchFailures and
+// FailedUnits are reserved the same way for the retired scan failure model,
+// and Evictions for the retired byte-bounded caches. Executed, Augmented and
 // Served repeat the ledger's counts, which the Meter* fields hold under the
 // names of the retired engine meter; a restore reads the Meter* fields.
 type acctJSON struct {
@@ -174,20 +175,18 @@ type acctJSON struct {
 
 func (a *accounting) exportState() acctJSON {
 	st := acctJSON{
-		Executed:         a.executed,
-		Augmented:        a.augmented,
-		Served:           a.served,
-		QCHits:           a.qcHits,
-		QCMisses:         a.qcMisses,
-		PCHits:           a.pcHits,
-		PCMisses:         a.pcMisses,
-		PrefetchFailures: a.prefetchFailures,
-		FailedUnits:      a.failedUnits,
-		Cost:             a.cost,
-		MeterCostNanos:   a.costNanos,
-		MeterExecuted:    a.executed,
-		MeterServed:      a.served,
-		MeterAugmented:   a.augmented,
+		Executed:       a.executed,
+		Augmented:      a.augmented,
+		Served:         a.served,
+		QCHits:         a.qcHits,
+		QCMisses:       a.qcMisses,
+		PCHits:         a.pcHits,
+		PCMisses:       a.pcMisses,
+		Cost:           a.cost,
+		MeterCostNanos: a.costNanos,
+		MeterExecuted:  a.executed,
+		MeterServed:    a.served,
+		MeterAugmented: a.augmented,
 	}
 	// Both caches are rendered as their external identities and sorted by
 	// them, so the order is the same wherever and whenever it is computed,
@@ -235,8 +234,6 @@ func (a *accounting) restoreState(st acctJSON) error {
 	a.qcMisses = st.QCMisses
 	a.pcHits = st.PCHits
 	a.pcMisses = st.PCMisses
-	a.prefetchFailures = st.PrefetchFailures
-	a.failedUnits = st.FailedUnits
 	a.cost = st.Cost
 	a.costNanos = st.MeterCostNanos
 	a.executed = st.MeterExecuted
@@ -278,18 +275,19 @@ type snapshotJSON struct {
 // is not reproducing the original run and must abort with
 // ErrReplayDiverged rather than continue silently wrong).
 type recordJSON struct {
-	Kind        string `json:"kind"`
-	Unit        string `json:"unit"`
-	Seq         int64  `json:"seq"`
-	Produced    int    `json:"produced"`
-	Panicked    bool   `json:"panicked,omitempty"`
-	Cut         bool   `json:"cut,omitempty"`
-	CostNanos   int64  `json:"cost_nanos"`
-	Results     int    `json:"results"`
-	FailedUnits int64  `json:"failed_units"`
-	// Evictions is reserved, always zero: the retired byte-bounded caches'
-	// eviction count, kept so journals stay byte-identical.
-	Evictions int64 `json:"evictions"`
+	Kind      string `json:"kind"`
+	Unit      string `json:"unit"`
+	Seq       int64  `json:"seq"`
+	Produced  int    `json:"produced"`
+	Panicked  bool   `json:"panicked,omitempty"`
+	Cut       bool   `json:"cut,omitempty"`
+	CostNanos int64  `json:"cost_nanos"`
+	Results   int    `json:"results"`
+	// FailedUnits and Evictions are reserved, always zero: the retired scan
+	// failure model's and byte-bounded caches' counts, kept so journals stay
+	// byte-identical.
+	FailedUnits int64 `json:"failed_units"`
+	Evictions   int64 `json:"evictions"`
 	// BoundSkips/BoundScanSkips carry the cumulative bound-pruning counters,
 	// so a resume replay also verifies the restored run makes the exact cut
 	// decisions the original made.
@@ -377,7 +375,6 @@ func (m *Miner) encodeRecord(c *completion) recordJSON {
 		Cut:            c.cut,
 		CostNanos:      m.acct.costNanos,
 		Results:        len(m.results),
-		FailedUnits:    m.acct.failedUnits,
 		BoundSkips:     m.stats.BoundSkips,
 		BoundScanSkips: m.stats.BoundScanSkips,
 	}
@@ -414,10 +411,12 @@ func (m *Miner) fingerprint() string {
 	for _, c := range m.cfg.Pattern.Custom {
 		w("custom", c.Name, strconv.FormatBool(c.TemporalOnly))
 	}
-	w("miner", fmt.Sprintf("%d %d %g %g %t %t %t %t %g %t %d",
+	// The 0.1 is the retired degraded-result threshold, as its default
+	// rendered: kept so checkpoints written before its removal still match.
+	w("miner", fmt.Sprintf("%d %d %g %g %t %t %t %t 0.1 %t %d",
 		m.cfg.MaxSubspaceFilters, m.cfg.MaxBreakdownCardinality, m.cfg.MinImpact,
 		m.cfg.MinSubspaceImpact, m.cfg.UsePriorityQueues, m.cfg.EnablePruning1,
-		m.cfg.EnablePruning2, m.cfg.EnableBoundPruning, m.cfg.DegradedThreshold,
+		m.cfg.EnablePruning2, m.cfg.EnableBoundPruning,
 		m.cfg.PatternsFirst, m.cfg.TopK))
 	// The trailing 0 is the retired byte bound, as unbounded caches rendered
 	// it: kept so checkpoints written before its removal still match.

@@ -21,7 +21,6 @@ package miner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -141,13 +140,6 @@ type Config struct {
 	// accumulated via atomics. Observation is inert: results, statistics and
 	// budget spending are bit-identical with the observer on or off.
 	Observer *obs.Observer
-	// DegradedThreshold is the failure-rate bound of graceful degradation:
-	// when more than this fraction of the run's unit queries failed
-	// (substrate errors), the result is still returned — best-effort, with
-	// every committed MetaInsight — but Result.Err is set to a wrapped
-	// ErrDegraded. The default is 0.1; set negative to flag any failure, or
-	// >= 1 to never flag.
-	DegradedThreshold float64
 	// PatternsFirst orders every MetaInsight compute unit after all pending
 	// data-pattern work, following the sequential reading of the paper's
 	// workflow (the data pattern mining module feeds the MetaInsight mining
@@ -202,15 +194,8 @@ func DefaultConfig() Config {
 		EnablePruning1:          true,
 		EnablePruning2:          true,
 		EnableBoundPruning:      true,
-		DegradedThreshold:       0.1,
 	}
 }
-
-// ErrDegraded is reported (wrapped, via Result.Err) when a run's query
-// failure rate exceeded Config.DegradedThreshold. The result still carries
-// every MetaInsight committed from the queries that did succeed; the error
-// marks the output as best-effort rather than complete.
-var ErrDegraded = errors.New("miner: degraded result: query failure rate exceeded threshold")
 
 // Stats aggregates counters from one mining run. All counters reflect
 // committed compute units only and are identical for any Workers value.
@@ -234,12 +219,8 @@ type Stats struct {
 	// cuts are result-identical to scan-then-prune, so these counters trade
 	// one-for-one against queries, Pruned2 discards and empty child lists —
 	// never against mined MetaInsights.
-	BoundSkips       int64
-	BoundScanSkips   int64
-	PrefetchFailures int64 // augmented prefetches that fell back to basic queries
-	// FailedUnits counts queries whose substrate call returned an error; each
-	// is skipped-but-accounted and the run continues.
-	FailedUnits int64
+	BoundSkips     int64
+	BoundScanSkips int64
 	// PanickedUnits counts compute units whose evaluation panicked; each was
 	// recovered on its worker and committed as failed-and-accounted (see
 	// EvUnitPanic) instead of crashing the run. Panics are pure functions of
@@ -281,9 +262,9 @@ type Stats struct {
 type Result struct {
 	MetaInsights []*core.MetaInsight
 	Stats        Stats
-	// Err is non-nil when the run degraded: the query failure rate exceeded
-	// Config.DegradedThreshold (errors.Is(Err, ErrDegraded)). MetaInsights
-	// and Stats are still valid best-effort output.
+	// Err is non-nil when a checkpoint write failed and stopped the run, or
+	// a resume could not restore it. MetaInsights and Stats are still valid
+	// best-effort output.
 	Err error
 }
 
@@ -336,7 +317,7 @@ type Miner struct {
 	commitIndex int64
 	// ckErr records the first checkpoint I/O failure; the run stops (its
 	// determinism guarantee would otherwise silently lapse) and the error is
-	// joined into Result.Err.
+	// Result.Err.
 	ckErr error
 }
 
@@ -358,9 +339,6 @@ func New(eng *engine.Engine, cfg Config) *Miner {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = def.Workers
-	}
-	if cfg.DegradedThreshold == 0 {
-		cfg.DegradedThreshold = def.DegradedThreshold
 	}
 	m := &Miner{
 		eng:         eng,
@@ -839,25 +817,8 @@ func (m *Miner) finish() *Result {
 	m.stats.AugmentedQueries = m.acct.augmented
 	m.stats.CacheServed = m.acct.served
 	m.stats.CostUsed = float64(m.acct.costNanos) / 1e9
-	m.stats.PrefetchFailures = m.acct.prefetchFailures
-	m.stats.FailedUnits = m.acct.failedUnits
 	m.stats.QueryCacheStats = m.acct.queryStats()
 	m.stats.PatternCacheStats = m.acct.patternStats()
-	var runErr error
-	if m.stats.FailedUnits > 0 {
-		attempted := m.stats.ExecutedQueries + m.stats.CacheServed + m.stats.FailedUnits
-		rate := float64(m.stats.FailedUnits) / float64(attempted)
-		if rate > m.cfg.DegradedThreshold {
-			runErr = fmt.Errorf("%w: %d of %d queries failed (%.1f%% > %.1f%%)",
-				ErrDegraded, m.stats.FailedUnits, attempted,
-				100*rate, 100*m.cfg.DegradedThreshold)
-		}
-	}
-	if m.ckErr != nil {
-		// errors.Join keeps both matchable with errors.Is; the MetaInsights
-		// remain valid best-effort output either way.
-		runErr = errors.Join(m.ckErr, runErr)
-	}
 	if o := m.cfg.Observer; o != nil {
 		// End-of-run gauges carry the canonical (worker-count-invariant)
 		// accounting; the live counters above track progressive commit-side
@@ -866,8 +827,6 @@ func (m *Miner) finish() *Result {
 		o.SetGauge("miner.queries.executed", float64(m.stats.ExecutedQueries))
 		o.SetGauge("miner.queries.augmented", float64(m.stats.AugmentedQueries))
 		o.SetGauge("miner.queries.cache_served", float64(m.stats.CacheServed))
-		o.SetGauge("miner.prefetch.failures", float64(m.stats.PrefetchFailures))
-		o.SetGauge("miner.queries.failed", float64(m.stats.FailedUnits))
 		o.SetGauge("miner.qcache.hit_rate", m.stats.QueryCacheStats.HitRate())
 		o.SetGauge("miner.qcache.entries", float64(m.stats.QueryCacheStats.Entries))
 		o.SetGauge("miner.qcache.bytes", float64(m.stats.QueryCacheStats.Bytes))
@@ -877,7 +836,7 @@ func (m *Miner) finish() *Result {
 		// that no commit reads, as many as the workers got to.
 		o.MarkTiming(obsEvaluations)
 	}
-	return &Result{MetaInsights: out, Stats: m.stats, Err: runErr}
+	return &Result{MetaInsights: out, Stats: m.stats, Err: m.ckErr}
 }
 
 // safeProcess runs process under a recover barrier: a panicking pattern
@@ -993,13 +952,8 @@ func (m *Miner) processExpand(u *workUnit, rec *recorder, delta *statDelta) []*w
 			delta.boundScanSkips++
 			continue
 		}
-		unit, err := m.eng.MaterializeUnitAt(u.handle, idx, nil)
+		unit := m.eng.MaterializeUnitAt(u.handle, idx, nil)
 		rec.recordUnit(m.eng.UnitIDAt(u.handle, idx), unit, cost)
-		if err != nil {
-			// Skipped-but-accounted: the child subspaces behind this group-by
-			// are not explored, but the failed query is counted canonically.
-			continue
-		}
 		src, total := m.eng.GroupImpactsAt(u.handle, idx, unit), m.eng.TotalImpact()
 		for gi, v := range unit.GroupKeys {
 			imp := src[gi] / total
@@ -1031,11 +985,8 @@ func (m *Miner) processDataPattern(u *workUnit, rec *recorder, delta *statDelta)
 	// unit spans all measures, Figure 5).
 	cost := m.eng.ScanCostAt(u.handle)
 	id := m.eng.UnitIDAt(u.handle, u.bdim)
-	unit, err := m.eng.MaterializeUnitAt(u.handle, u.bdim, nil)
+	unit := m.eng.MaterializeUnitAt(u.handle, u.bdim, nil)
 	rec.recordUnit(id, unit, cost)
-	if err != nil {
-		return nil
-	}
 	var produced []*workUnit
 	for i, meas := range measures {
 		if engine.CheckExtract(unit, meas) != nil {
@@ -1076,10 +1027,10 @@ const obsEvaluations = "pattern.physical.evaluations"
 // actually runs, which the observer counts as obsEvaluations. Concurrent
 // evaluations of the same scope share one.
 func (m *Miner) evaluateScope(rec *recorder, id cache.ScopeID, unit *cache.Unit, ds model.DataScope, temporal bool) *pattern.ScopeEvaluation {
-	se, _ := m.eng.PatternCache().Do(id, func() (*pattern.ScopeEvaluation, error) {
+	se := m.eng.PatternCache().Do(id, func() *pattern.ScopeEvaluation {
 		m.cfg.Observer.Count(obsEvaluations, 1)
 		series, _ := engine.Extract(unit, ds)
-		return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern), nil
+		return pattern.EvaluateAllScoped(ds, series.Keys, series.Values, temporal, m.cfg.Pattern)
 	})
 	rec.recordEval(id)
 	return se
@@ -1097,11 +1048,9 @@ type extension struct {
 	// probe is the root-impact lookup of a subspace extension (the zero
 	// probe otherwise); it is recorded once per emitting type, as a
 	// sequential execution would perform it. skipped marks an extension the
-	// impact-sum bound cut before that lookup, failed one whose lookup
-	// failed: neither emits a unit.
+	// impact-sum bound cut before that lookup, which emits no unit.
 	probe   engine.ImpactProbe
 	skipped bool
-	failed  bool
 }
 
 // extensions applies the three extension strategies to the anchor scope ds
@@ -1133,11 +1082,7 @@ func (m *Miner) extensions(u *workUnit, ds model.DataScope, measureKey string) [
 			exts = append(exts, extension{skipped: true})
 			continue
 		}
-		rootImpact, probe, err := m.eng.ImpactAt(root)
-		if err != nil {
-			exts = append(exts, extension{probe: probe, failed: true})
-			continue
-		}
+		rootImpact, probe := m.eng.ImpactAt(root)
 		hds := core.HDS{Kind: model.ExtendSubspace, Anchor: ds, ExtDim: f.Dim,
 			Scopes: make([]model.DataScope, card)}
 		scopes := make([]scopeRef, card)
@@ -1193,12 +1138,6 @@ func emitMetaInsightUnits(produced []*workUnit, rec *recorder, exts []extension,
 			delta.boundSkips++
 			continue
 		}
-		if x.failed {
-			// The lookup's fallback scan errored: a failed query, not a
-			// lookup the replay could serve or charge.
-			rec.recordUnit(x.probe.Fallback, nil, x.probe.Cost)
-			continue
-		}
 		if x.probe.Handle != nil {
 			rec.recordImpact(x.probe)
 		}
@@ -1227,11 +1166,10 @@ func minClamp(x float64) float64 {
 
 // processMetaInsight evaluates one HDP and returns the resulting
 // MetaInsight, if any. Subspace-extended HDSs are prefetched with one
-// augmented query when the query cache is enabled; a failed prefetch falls
-// back to per-sibling basic queries (counted in Stats.PrefetchFailures).
-// Pruning 1 aborts the evaluation as soon as no commonness can reach τ.
-// Each scope is resolved to its unit exactly once: a unit the prefetch
-// already peeked is handed to the materialization instead of probed again.
+// augmented query when the query cache is enabled. Pruning 1 aborts the
+// evaluation as soon as no commonness can reach τ. Each scope is resolved to
+// its unit exactly once: a unit the prefetch already peeked is handed to the
+// materialization instead of probed again.
 func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta) *core.MetaInsight {
 	n := len(u.hds.Scopes)
 	rec.grow(2*n + 1)
@@ -1274,13 +1212,8 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, delta *statDelta)
 		}
 		cost := m.eng.ScanCostAt(ref.h)
 		id := m.eng.UnitIDAt(ref.h, ref.bdim)
-		unit, err := m.eng.MaterializeUnitAt(ref.h, ref.bdim, hint)
+		unit := m.eng.MaterializeUnitAt(ref.h, ref.bdim, hint)
 		rec.recordUnit(id, unit, cost)
-		if err != nil {
-			// Failed sibling query: the scope drops out of the HDP (best
-			// effort) and the failure is counted canonically at commit.
-			continue
-		}
 		if engine.CheckExtract(unit, scope.Measure) != nil {
 			delta.extractErrors++
 			continue
@@ -1372,9 +1305,8 @@ func (m *Miner) prefetchSiblings(u *workUnit, rec *recorder) []*cache.Unit {
 				use.siblings = append(use.siblings, unitUse{id: m.eng.UnitIDAt(u.scopes[i].h, anchor.bdim), unit: unit})
 			}
 		}
-	} else if units, err := m.eng.MaterializeAugmentedAt(base, anchor.bdim, ext); err != nil {
-		use.failed = true
 	} else {
+		units := m.eng.MaterializeAugmentedAt(base, anchor.bdim, ext)
 		use.siblings = make([]unitUse, 0, len(units))
 		for code, unit := range units {
 			if unit != nil {

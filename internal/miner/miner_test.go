@@ -484,52 +484,6 @@ func TestProgressCallbackOrderIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPrefetchFailureFallsBackToBasicQueries white-boxes a MetaInsight unit
-// whose augmented-query prefetch is invalid (extension dimension equals the
-// anchor breakdown) and asserts the unit is still evaluated via per-sibling
-// basic queries, with the failure counted.
-func TestPrefetchFailureFallsBackToBasicQueries(t *testing.T) {
-	tab := plantedTable(t)
-	eng, err := engine.New(tab, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(eng, DefaultConfig())
-	m.acct = newAccounting(eng, true, true, nil)
-
-	anchor := model.DataScope{
-		Subspace:  model.EmptySubspace.With("City", "Los Angeles"),
-		Breakdown: "Month",
-		Measure:   model.Sum("Sales"),
-	}
-	hds := core.SubspaceHDS(anchor, "City", tab.Dimension("City").Domain())
-	hds.ExtDim = "Month" // sabotage: collides with the breakdown → prefetch invalid
-	u := &workUnit{
-		kind:      kindMetaInsight,
-		hds:       hds,
-		ptype:     pattern.Unimodality,
-		impactHDS: 1,
-		miKey:     hds.Key() + "|" + pattern.Unimodality.String(),
-	}
-	if err := m.attach(u); err != nil {
-		t.Fatal(err)
-	}
-
-	c := m.process(u)
-	if c.mi == nil {
-		t.Fatal("MetaInsight unit dropped on prefetch failure; want basic-query fallback")
-	}
-	for _, ev := range c.events {
-		m.acct.apply(ev)
-	}
-	if m.acct.prefetchFailures != 1 {
-		t.Errorf("prefetchFailures = %d, want 1", m.acct.prefetchFailures)
-	}
-	if m.acct.executed == 0 {
-		t.Error("fallback executed no basic queries")
-	}
-}
-
 // TestScoreParamsPartialOverride is the regression test for the
 // all-or-nothing Score default: overriding only Tau must keep k, r, γ at
 // their paper defaults rather than zeroing Equation 18's terms.

@@ -59,11 +59,12 @@ type gatedSubstrate struct {
 	seen map[string]bool
 }
 
-// heldScan names the scan a gatedSubstrate holds back and the commit index of
-// the unit that issues it.
+// heldScan names the scan a gatedSubstrate holds back (its subspace key and
+// breakdown dimension index) and the commit index of the unit that issues it.
 type heldScan struct {
-	subspace, breakdown string
-	commit              int64
+	subspace string
+	bdim     int
+	commit   int64
 }
 
 func newGatedSubstrate(tab *dataset.Table, hold heldScan, release int) *gatedSubstrate {
@@ -76,11 +77,11 @@ func newGatedSubstrate(tab *dataset.Table, hold heldScan, release int) *gatedSub
 
 func (g *gatedSubstrate) openGate() { g.open.Do(func() { close(g.gate) }) }
 
-func (g *gatedSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
-	switch key := s.Key(); {
-	case key == g.hold.subspace && breakdown == g.hold.breakdown:
+func (g *gatedSubstrate) ScanUnitAt(h *engine.Handle, bdim int) (*cache.Unit, int) {
+	switch key := h.Key(); {
+	case key == g.hold.subspace && bdim == g.hold.bdim:
 		<-g.gate
-	case s.Len() > 0:
+	case h.Len() > 0:
 		g.mu.Lock()
 		g.seen[key] = true
 		n := len(g.seen)
@@ -89,7 +90,7 @@ func (g *gatedSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Un
 			g.openGate()
 		}
 	}
-	return g.ColumnarSubstrate.ScanUnit(s, breakdown)
+	return g.ColumnarSubstrate.ScanUnitAt(h, bdim)
 }
 
 // firstChildScan returns the first scan under a non-empty subspace that a
@@ -122,16 +123,16 @@ type recordingSubstrate struct {
 	first heldScan
 }
 
-func (r *recordingSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
-	if r.first.subspace == "" && s.Len() > 0 {
-		r.first = heldScan{subspace: s.Key(), breakdown: breakdown, commit: 1}
+func (r *recordingSubstrate) ScanUnitAt(h *engine.Handle, bdim int) (*cache.Unit, int) {
+	if r.first.subspace == "" && h.Len() > 0 {
+		r.first = heldScan{subspace: h.Key(), bdim: bdim, commit: 1}
 		for _, ev := range r.ob.Trace().Events() {
 			if ev.Kind == obs.EvPop {
 				r.first.commit++
 			}
 		}
 	}
-	return r.ColumnarSubstrate.ScanUnit(s, breakdown)
+	return r.ColumnarSubstrate.ScanUnitAt(h, bdim)
 }
 
 // TestSpeculationRunsPastASlowHead holds the canonical head in its scan and

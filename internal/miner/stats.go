@@ -25,12 +25,6 @@ func (s Stats) String() string {
 		s.ExecutedQueries, s.AugmentedQueries, s.CacheServed)
 	fmt.Fprintf(&b, " cost=%.1f qcache=%.1f%% pcache=%.1f%%",
 		s.CostUsed, 100*s.QueryCacheStats.HitRate(), 100*s.PatternCacheStats.HitRate())
-	if s.PrefetchFailures > 0 {
-		fmt.Fprintf(&b, " prefetch-failures=%d", s.PrefetchFailures)
-	}
-	if s.FailedUnits > 0 {
-		fmt.Fprintf(&b, " failed=%d", s.FailedUnits)
-	}
 	if s.PanickedUnits > 0 {
 		fmt.Fprintf(&b, " panicked=%d", s.PanickedUnits)
 	}
@@ -67,11 +61,11 @@ func toCacheStatsJSON(s cache.Stats) cacheStatsJSON {
 }
 
 // statsJSON fixes the stable wire names of Stats. Fields marshal in
-// declaration order, so the encoding is byte-stable for equal values. The
-// four fields with no Stats counterpart, and Evictions, are reserved, always
-// zero: counters of the retired sharded execution mode, fault simulation and
-// byte-bounded caches, kept so checkpoints and response bodies stay
-// byte-identical across their removal.
+// declaration order, so the encoding is byte-stable for equal values. The six
+// fields with no Stats counterpart, and Evictions, are reserved, always zero:
+// counters of the retired sharded execution mode, fault simulation, scan
+// failure model and byte-bounded caches, kept so checkpoints and response
+// bodies stay byte-identical across their removal.
 type statsJSON struct {
 	ExpandUnits      int64          `json:"expand_units"`
 	DataPatternUnits int64          `json:"data_pattern_units"`
@@ -119,8 +113,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		SStarCut:         s.SStarCut,
 		BoundSkips:       s.BoundSkips,
 		BoundScanSkips:   s.BoundScanSkips,
-		PrefetchFailures: s.PrefetchFailures,
-		FailedUnits:      s.FailedUnits,
 		PanickedUnits:    s.PanickedUnits,
 		CheckpointWrites: s.CheckpointWrites,
 		ResumedUnits:     s.ResumedUnits,
@@ -153,8 +145,6 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 		SStarCut:         j.SStarCut,
 		BoundSkips:       j.BoundSkips,
 		BoundScanSkips:   j.BoundScanSkips,
-		PrefetchFailures: j.PrefetchFailures,
-		FailedUnits:      j.FailedUnits,
 		PanickedUnits:    j.PanickedUnits,
 		CheckpointWrites: j.CheckpointWrites,
 		ResumedUnits:     j.ResumedUnits,

@@ -21,8 +21,6 @@ import (
 // and the cache hit/miss statistics are bit-identical for any worker count —
 // the at-most-once query accounting the paper's Fig 6/7 and Table 3 assume.
 //
-// A query whose substrate call errored is recorded as failed by the worker
-// and replayed as skipped-but-accounted: counted, traced, charged nothing.
 // The simulated caches are the committed-key sets of one run: they start
 // empty, as the physical caches do, and never evict. Events and simulated
 // caches name units and scopes by the session's ordinals (cache.UnitID,
@@ -54,8 +52,6 @@ const (
 type unitUse struct {
 	id   cache.UnitID
 	cost float64
-	// unit is nil when the worker's materialization errored (a substrate
-	// error): the query is counted as failed but charged nothing.
 	unit *cache.Unit
 }
 
@@ -67,9 +63,6 @@ type siblingUse struct {
 	scopes []scopeRef
 	// cost is the analytic cost of the augmented scan.
 	cost float64
-	// failed records that the augmented query errored; the unit fell back to
-	// per-sibling basic queries.
-	failed bool
 	// siblings are the non-empty sibling units the scan produces (cost
 	// unused).
 	siblings []unitUse
@@ -114,8 +107,7 @@ func (r *recorder) grow(n int) {
 	}
 }
 
-// recordUnit records a unit query; u is nil when its materialization
-// errored.
+// recordUnit records a unit query of u.
 func (r *recorder) recordUnit(id cache.UnitID, u *cache.Unit, cost float64) {
 	r.events = append(r.events, usageEvent{kind: useUnit, unit: unitUse{id: id, cost: cost, unit: u}})
 }
@@ -156,8 +148,6 @@ type accounting struct {
 
 	qcHits, qcMisses int64
 	pcHits, pcMisses int64
-	prefetchFailures int64
-	failedUnits      int64
 	cost             float64
 	// The ledger's counts: queries that scanned the table, logical queries
 	// answered from the cache, and the executed ones that were augmented
@@ -201,18 +191,9 @@ func (a *accounting) label(id cache.UnitID) string {
 	return k.Subspace + "|" + k.Breakdown
 }
 
-// applyUnit replays one unit query: a failed one is counted, a cached unit
-// is served, a missing one is scanned (counted, charged) and stored.
+// applyUnit replays one unit query: a cached unit is served, a missing one
+// is scanned (counted, charged) and stored.
 func (a *accounting) applyUnit(u unitUse) {
-	if u.unit == nil {
-		// Substrate error: skipped-but-accounted, no charge — the scan never
-		// completed.
-		a.failedUnits++
-		if a.traced {
-			a.obs.Event(obs.EvQueryFail, a.label(u.id), "substrate error", 0)
-		}
-		return
-	}
 	if !a.qcEnabled {
 		a.qcMisses++
 		a.executed++
@@ -304,13 +285,6 @@ func (a *accounting) applySiblings(s *siblingUse) {
 		// Every sibling unit cached: the prefetch is skipped.
 		if a.traced {
 			a.obs.Event(obs.EvCacheHit, rep, "prefetch skipped: all siblings cached", 0)
-		}
-		return
-	}
-	if s.failed {
-		a.prefetchFailures++
-		if a.traced {
-			a.obs.Event(obs.EvCacheMiss, rep, "augmented prefetch failed; per-sibling fallback", 0)
 		}
 		return
 	}

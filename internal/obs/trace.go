@@ -36,8 +36,6 @@ const (
 	EvBudgetStop
 	// EvCancel marks the run stopping on context cancellation.
 	EvCancel
-	// EvQueryFail marks a query whose substrate call errored and was skipped.
-	EvQueryFail
 	// EvUnitPanic marks a compute unit whose evaluation panicked; the worker
 	// recovered and the unit was committed as failed (detail = panic value).
 	EvUnitPanic
@@ -60,7 +58,6 @@ var eventKindNames = [...]string{
 	EvStore:            "store",
 	EvBudgetStop:       "budget-stop",
 	EvCancel:           "cancel",
-	EvQueryFail:        "query-fail",
 	EvUnitPanic:        "unit-panic",
 	EvCheckpointWrite:  "checkpoint-write",
 	EvCheckpointResume: "checkpoint-resume",

@@ -96,10 +96,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 				continue
 			}
 			temporal := col.Kind == model.KindTemporal
-			unit, err := led.query(eng, h, bdim)
-			if err != nil {
-				continue
-			}
+			unit := led.query(eng, h, bdim)
 			for _, meas := range eng.Measures() {
 				ds := model.DataScope{Subspace: item.subspace, Breakdown: col.Name, Measure: meas}
 				series, err := engine.Extract(unit, ds)
@@ -130,10 +127,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 			if item.subspace.Has(dim.Name) || dim.Cardinality() > defaults.MaxBreakdownCardinality {
 				continue
 			}
-			unit, err := led.query(eng, h, idx)
-			if err != nil {
-				continue
-			}
+			unit := led.query(eng, h, idx)
 			impacts := eng.GroupImpactsAt(h, idx, unit)
 			for gi, v := range unit.GroupKeys {
 				imp := impacts[gi] / eng.TotalImpact()
@@ -178,17 +172,14 @@ func (l *ledger) charge(cost float64) { l.costNanos += int64(cost * 1e9) }
 // run's ledger: a unit the run has charged before is served for free; any
 // other is one executed scan at the cost ScanCostAt charges, whatever the
 // engine's memo already holds.
-func (l *ledger) query(eng *engine.Engine, h *engine.Handle, bdim int) (*cache.Unit, error) {
-	u, err := eng.MaterializeUnitAt(h, bdim, nil)
-	if err != nil {
-		return nil, err
-	}
+func (l *ledger) query(eng *engine.Engine, h *engine.Handle, bdim int) *cache.Unit {
+	u := eng.MaterializeUnitAt(h, bdim, nil)
 	k := eng.UnitIDAt(h, bdim)
 	if l.charged[k] {
-		return u, nil
+		return u
 	}
 	l.charged[k] = true
 	l.executed++
 	l.charge(eng.ScanCostAt(h))
-	return u, nil
+	return u
 }

@@ -25,19 +25,13 @@ type Progressive struct {
 	cached []*core.MetaInsight
 }
 
-// NewProgressive creates a progressive ranker for top-k suggestions.
-// bufferN bounds the candidate buffer (0 defaults to 32·k).
-func NewProgressive(k int, bufferN int) *Progressive {
+// NewProgressive creates a progressive ranker for top-k suggestions whose
+// candidate buffer holds the 32·k best scores.
+func NewProgressive(k int) *Progressive {
 	if k < 1 {
 		k = 1
 	}
-	if bufferN <= 0 {
-		bufferN = 32 * k
-	}
-	if bufferN < k {
-		bufferN = k
-	}
-	return &Progressive{k: k, bufferN: bufferN}
+	return &Progressive{k: k, bufferN: 32 * k}
 }
 
 // Add offers one discovered MetaInsight. It is cheap (a binary insertion

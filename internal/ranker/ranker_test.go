@@ -407,7 +407,7 @@ func TestExactTopKGroupedTruncation(t *testing.T) {
 
 func TestProgressiveMatchesBatchGreedy(t *testing.T) {
 	cands := randomCandidates(5, 60)
-	p := NewProgressive(5, 0) // buffer 160 ≥ 60: no truncation
+	p := NewProgressive(5) // buffer 160 ≥ 60: no truncation
 	for _, mi := range cands {
 		p.Add(mi)
 	}
@@ -424,17 +424,21 @@ func TestProgressiveMatchesBatchGreedy(t *testing.T) {
 }
 
 func TestProgressiveBufferTruncation(t *testing.T) {
-	cands := randomCandidates(9, 100)
-	p := NewProgressive(3, 10)
+	// 400 candidates overflow the 32·3 = 96 buffer.
+	cands := randomCandidates(9, 400)
+	p := NewProgressive(3)
 	for _, mi := range cands {
 		p.Add(mi)
+	}
+	if len(p.buffer) != 96 {
+		t.Fatalf("buffer holds %d candidates, want 96", len(p.buffer))
 	}
 	got := p.TopK()
 	if len(got) != 3 {
 		t.Fatalf("got %d selections", len(got))
 	}
-	// Every selection must come from the overall top-10 by score.
-	top := RankByScore(cands, 10)
+	// Every selection must come from the overall top-96 by score.
+	top := RankByScore(cands, 96)
 	inTop := map[string]bool{}
 	for _, mi := range top {
 		inTop[mi.Key()] = true
@@ -447,8 +451,9 @@ func TestProgressiveBufferTruncation(t *testing.T) {
 }
 
 func TestProgressiveConcurrentAdds(t *testing.T) {
-	cands := randomCandidates(3, 200)
-	p := NewProgressive(5, 50)
+	// 400 candidates overflow the 32·5 = 160 buffer.
+	cands := randomCandidates(3, 400)
+	p := NewProgressive(5)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -464,7 +469,7 @@ func TestProgressiveConcurrentAdds(t *testing.T) {
 	}
 	wg.Wait()
 	// Every concurrent Add lands: the suggestion equals a sequential one's.
-	seq := NewProgressive(5, 50)
+	seq := NewProgressive(5)
 	for _, mi := range cands {
 		seq.Add(mi)
 	}

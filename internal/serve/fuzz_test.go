@@ -10,7 +10,7 @@ import (
 // against a small registered dataset by checkMeasures. Nothing may panic,
 // and every refusal checkMeasures makes must be a typed 4xx error.
 func FuzzAnalyzeParams(f *testing.F) {
-	reg, err := newRegistry([]DatasetSpec{{Name: "house", Path: writeHouseCSV(f)}}, nil)
+	reg, err := newRegistry([]DatasetSpec{{Name: "house", Path: writeHouseCSV(f)}})
 	if err != nil {
 		f.Fatal(err)
 	}

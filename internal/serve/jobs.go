@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -55,7 +54,6 @@ func (c JobsConfig) withDefaults() JobsConfig {
 // finished job from one to resume at startup.
 type jobResult struct {
 	State    JobState        `json:"state"`
-	Degraded bool            `json:"degraded,omitempty"`
 	Error    string          `json:"error,omitempty"`
 	Insights json.RawMessage `json:"insights,omitempty"`
 	Stats    json.RawMessage `json:"stats,omitempty"`
@@ -69,7 +67,6 @@ type JobStatus struct {
 	Dataset       string          `json:"dataset"`
 	Resumed       bool            `json:"resumed,omitempty"`
 	InsightsFound int64           `json:"insights_found"`
-	Degraded      bool            `json:"degraded,omitempty"`
 	Error         string          `json:"error,omitempty"`
 	Insights      json.RawMessage `json:"insights,omitempty"`
 	Stats         json.RawMessage `json:"stats,omitempty"`
@@ -86,7 +83,6 @@ type job struct {
 	mu       sync.Mutex
 	state    JobState
 	resumed  bool
-	degraded bool
 	errMsg   string
 	insights json.RawMessage
 	stats    json.RawMessage
@@ -102,7 +98,6 @@ func (j *job) status() JobStatus {
 		Dataset:       j.spec.Params.Dataset,
 		Resumed:       j.resumed,
 		InsightsFound: j.found.Load(),
-		Degraded:      j.degraded,
 		Error:         j.errMsg,
 		Insights:      j.insights,
 		Stats:         j.stats,
@@ -192,7 +187,6 @@ func (s *scheduler) recover() error {
 			var res jobResult
 			if err := json.Unmarshal(resData, &res); err == nil {
 				j.state = res.State
-				j.degraded = res.Degraded
 				j.errMsg = res.Error
 				j.insights = res.Insights
 				j.stats = res.Stats
@@ -222,7 +216,7 @@ func (s *scheduler) newJob(spec JobSpec) *job {
 	return &job{
 		spec:  spec,
 		hub:   newStreamHub(),
-		prog:  ranker.NewProgressive(k, 0),
+		prog:  ranker.NewProgressive(k),
 		state: JobQueued,
 	}
 }
@@ -374,13 +368,12 @@ func (s *scheduler) run(j *job) {
 	// configuration. The dataset's dictionaries and posting sets are cached
 	// on the dataset itself, so this is cheap relative to the mining it
 	// fronts.
-	opts := append(append([]metainsight.Option(nil), entry.opts...),
+	sess, err := metainsight.NewSession(entry.ds,
 		metainsight.WithDurability(metainsight.DurabilityConfig{
 			CheckpointDir: s.ckDir(j.spec.ID),
 			Every:         j.spec.CheckpointEvery,
 			Resume:        resume,
 		}))
-	sess, err := metainsight.NewSession(entry.ds, opts...)
 	if err != nil {
 		s.finish(j, nil, err)
 		return
@@ -431,18 +424,11 @@ func (s *scheduler) finish(j *job, an *metainsight.Analysis, err error) {
 			res.Stats = data
 		}
 	}
-	switch {
-	case an == nil:
+	if an == nil || err != nil {
 		res.State = JobFailed
 		if err != nil {
 			res.Error = err.Error()
 		}
-	case errors.Is(err, metainsight.ErrDegraded):
-		res.Degraded = true
-		res.Error = err.Error()
-	case err != nil:
-		res.State = JobFailed
-		res.Error = err.Error()
 	}
 	if s.enabled() {
 		dir := filepath.Join(s.cfg.Dir, j.spec.ID)
@@ -452,17 +438,13 @@ func (s *scheduler) finish(j *job, an *metainsight.Analysis, err error) {
 	}
 	j.mu.Lock()
 	s.transition(j, res.State)
-	j.degraded = res.Degraded
 	j.errMsg = res.Error
 	j.insights = res.Insights
 	j.stats = res.Stats
 	j.mu.Unlock()
-	switch {
-	case res.State == JobFailed:
+	if res.State == JobFailed {
 		s.obs.Count("serve.jobs.failed", 1)
-	case res.Degraded:
-		s.obs.Count("serve.jobs.degraded", 1)
-	default:
+	} else {
 		s.obs.Count("serve.jobs.completed", 1)
 	}
 	j.hub.finish(mustJSON(j.status()))

@@ -24,13 +24,12 @@ type DatasetSpec struct {
 
 // dsEntry is one loaded dataset plus its long-lived session. The session is
 // the shared fast path for synchronous requests; durable jobs build their
-// own session (same options + durability) per run, sharing the dataset's
-// cached index structures.
+// own session (with durability) per run, sharing the dataset's cached index
+// structures.
 type dsEntry struct {
 	spec DatasetSpec
 	ds   *metainsight.Dataset
 	sess *metainsight.Session
-	opts []metainsight.Option
 }
 
 // registry is the daemon's named-session registry. The entry set is fixed
@@ -42,7 +41,7 @@ type registry struct {
 	names   []string
 }
 
-func newRegistry(specs []DatasetSpec, opts []metainsight.Option) (*registry, error) {
+func newRegistry(specs []DatasetSpec) (*registry, error) {
 	r := &registry{entries: make(map[string]*dsEntry, len(specs))}
 	for _, spec := range specs {
 		if spec.Name == "" {
@@ -64,11 +63,11 @@ func newRegistry(specs []DatasetSpec, opts []metainsight.Option) (*registry, err
 				return nil, fmt.Errorf("serve: dataset %q: %w", spec.Name, err)
 			}
 		}
-		sess, err := metainsight.NewSession(ds, opts...)
+		sess, err := metainsight.NewSession(ds)
 		if err != nil {
 			return nil, fmt.Errorf("serve: dataset %q: %w", spec.Name, err)
 		}
-		r.entries[spec.Name] = &dsEntry{spec: spec, ds: ds, sess: sess, opts: opts}
+		r.entries[spec.Name] = &dsEntry{spec: spec, ds: ds, sess: sess}
 		r.names = append(r.names, spec.Name)
 	}
 	sort.Strings(r.names)

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"metainsight"
 	"metainsight/internal/dataset"
 	"metainsight/internal/obs"
 )
@@ -31,9 +30,6 @@ type Config struct {
 	// Jobs configures the durable job scheduler (Dir is derived from
 	// StateDir and must be left empty).
 	Jobs JobsConfig
-	// SessionOptions apply to every session the daemon builds (shared
-	// synchronous sessions and per-job durable sessions alike).
-	SessionOptions []metainsight.Option
 	// Observer receives every serve.* counter/gauge and job transition.
 	// Nil is valid (metrics become no-ops, /metricsz reports empty).
 	Observer *obs.Observer
@@ -77,7 +73,7 @@ func New(cfg Config) (*Server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	reg, err := newRegistry(cfg.Datasets, cfg.SessionOptions)
+	reg, err := newRegistry(cfg.Datasets)
 	if err != nil {
 		return nil, err
 	}
@@ -164,9 +160,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 type AnalyzeResponse struct {
 	Insights json.RawMessage `json:"insights"`
 	Stats    json.RawMessage `json:"stats"`
-	// Degraded marks a best-effort result (the substrate failed more queries
-	// than the degraded threshold allows, or the deadline fired mid-mining)
-	// — delivered with HTTP 206.
+	// Degraded marks a best-effort result: the deadline fired mid-mining and
+	// the insights are ranked from what was mined by then — delivered with
+	// HTTP 206.
 	Degraded bool   `json:"degraded,omitempty"`
 	Warning  string `json:"warning,omitempty"`
 	// Metrics and TraceEvents are attached when the request set "trace".
@@ -242,11 +238,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	status := http.StatusOK
 	switch {
-	case errors.Is(err, metainsight.ErrDegraded):
-		resp.Degraded = true
-		resp.Warning = err.Error()
-		status = http.StatusPartialContent
-		s.obs.Count("serve.analyze.degraded", 1)
 	case an.Result.Stats.Cancelled:
 		// Deadline fired mid-mining: the engine stops at the next unit
 		// commit and ranks what it has — a best-effort partial result.

@@ -24,8 +24,8 @@
 //
 // Every setting has one spelling. Per-call knobs (measures, budgets, τ,
 // top-k, pruning, progress, observer) travel in the Request; session-wide
-// settings are grouped into typed configs (WithExec, WithResilience,
-// WithDurability) beside the pattern-registration and substrate options:
+// settings are grouped into typed configs (WithExec, WithDurability) beside
+// the pattern-registration options:
 //
 //	s, err := metainsight.NewSession(tab,
 //		metainsight.WithExec(metainsight.ExecConfig{Workers: 8, ScanParallelism: 2}),
@@ -111,10 +111,6 @@ type (
 	// TraceEvent is one structured run-trace event (pop, query execution,
 	// cache hit/miss, pattern evaluation, prune, dedup, store, budget stop).
 	TraceEvent = obs.Event
-	// Substrate is the physical scan layer behind the query engine. The
-	// default is the in-process columnar scan; swap it with WithSubstrate to
-	// back analyses by a different executor.
-	Substrate = engine.Substrate
 	// LoadStats counts what CSV ingestion kept and dropped
 	// (Dataset.LoadStats).
 	LoadStats = dataset.LoadStats
@@ -130,11 +126,6 @@ const (
 	// RowSkip drops defective rows and counts them in Dataset.LoadStats.
 	RowSkip = dataset.RowSkip
 )
-
-// ErrDegraded marks a best-effort mining result whose query failure rate
-// exceeded the degradation threshold; test with errors.Is on
-// MiningResult.Err or the error returned by Session.Analyze.
-var ErrDegraded = miner.ErrDegraded
 
 // Checkpoint/resume sentinels; test with errors.Is on MiningResult.Err or
 // the error returned by Session.Analyze.
@@ -300,7 +291,6 @@ type analyzerOptions struct {
 	timeBudget     time.Duration
 	costBudget     float64
 	observer       *obs.Observer
-	substrate      Substrate
 	checkpoint     *miner.CheckpointSpec
 	resumeNoDir    bool // a DurabilityConfig asked to Resume without a CheckpointDir
 	scanPar        int
@@ -360,15 +350,6 @@ func WithCustomPatternTypes(evals ...CustomPattern) Option {
 	return func(o *analyzerOptions) {
 		o.customPatterns = append(o.customPatterns, evals...)
 	}
-}
-
-// WithSubstrate replaces the physical scan layer behind the query engine
-// (default: the in-process columnar substrate over the dataset). A query
-// whose substrate call returns an error is not retried: it is skipped and
-// counted (Stats.FailedUnits), the run finishes best-effort, and past
-// ResilienceConfig.DegradedThreshold the result's error wraps ErrDegraded.
-func WithSubstrate(s Substrate) Option {
-	return func(o *analyzerOptions) { o.substrate = s }
 }
 
 // ErrConflictingBudgets is returned when an analysis sets both a time budget
@@ -599,7 +580,7 @@ func (a *Analyzer) WriteReport(w io.Writer, insights []*Insight, title string) e
 //	})
 //	... // prog.TopK() serves the current suggestion
 func NewProgressiveRanker(k int) *ranker.Progressive {
-	return ranker.NewProgressive(k, 0)
+	return ranker.NewProgressive(k)
 }
 
 // CustomPatternType returns the PatternType assigned to the i-th registered

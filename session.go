@@ -5,8 +5,8 @@ package metainsight
 // parameterized by a Request. Every setting has exactly one spelling:
 // per-call knobs (measures, budgets, τ, top-k, pruning, progress, observer)
 // live only in the Request; session-wide settings live only in the grouped
-// configs (WithExec, WithResilience, WithDurability) and the pattern
-// registration and substrate options, which have no per-call meaning.
+// configs (WithExec, WithDurability) and the pattern registration options,
+// which have no per-call meaning.
 // resolve merges the two into one configuration per call.
 //
 // Every Analyze call is hermetic: its accounting, the run's ledger, is the
@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -59,20 +58,8 @@ type ExecConfig struct {
 	// therefore every mined insight, statistic and checkpoint — are
 	// bit-identical for any value: the scan pipeline splits rows into
 	// fixed-size morsels and merges partial aggregates in morsel-index order,
-	// so the floating-point grouping never depends on n. Ignored when
-	// WithSubstrate replaces the default substrate.
+	// so the floating-point grouping never depends on n.
 	ScanParallelism int
-}
-
-// ResilienceConfig groups the failure-handling settings: what a run does
-// when the Substrate returns errors. A failed query is skipped and counted
-// (Stats.FailedUnits) and the run finishes best-effort; this sets when that
-// result is flagged. A zero-valued field leaves the setting unchanged.
-type ResilienceConfig struct {
-	// DegradedThreshold is the query failure rate above which a run is
-	// flagged degraded (Result.Err wraps ErrDegraded). 0 keeps the default
-	// (0.1); negative flags any failure; >= 1 never flags.
-	DegradedThreshold float64
 }
 
 // DurabilityConfig groups crash-safety: checkpoint journaling and resume.
@@ -107,16 +94,6 @@ func WithExec(c ExecConfig) Option {
 		}
 		if c.ScanParallelism != 0 {
 			o.scanPar = c.ScanParallelism
-		}
-	}
-}
-
-// WithResilience applies a resilience config. Zero-valued fields leave
-// prior settings untouched.
-func WithResilience(c ResilienceConfig) Option {
-	return func(o *analyzerOptions) {
-		if c.DegradedThreshold != 0 {
-			o.minerCfg.DegradedThreshold = c.DegradedThreshold
 		}
 	}
 }
@@ -258,9 +235,6 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 	if tau := o.minerCfg.Score.Tau; !(tau > 0 && tau < 1) {
 		return nil, fmt.Errorf("metainsight: τ = %v is outside (0, 1)", tau)
 	}
-	if math.IsNaN(o.minerCfg.DegradedThreshold) {
-		return nil, errors.New("metainsight: degraded threshold is NaN")
-	}
 	if o.minerCfg.TopK < 0 {
 		return nil, ErrInvalidTopKPruning
 	}
@@ -351,9 +325,8 @@ func (an *Analysis) Engine() *engine.Engine { return an.a.Engine() }
 
 // Analyze mines and ranks one request. A cancelled context stops mining at
 // the next unit commit and still ranks whatever was mined. The error may
-// wrap ErrDegraded (best-effort result, substrate queries failed) or a
-// checkpoint sentinel, and the returned Analysis is still valid best-effort
-// output whenever it is non-nil.
+// wrap a checkpoint sentinel, and the returned Analysis is still valid
+// best-effort output whenever it is non-nil.
 func (s *Session) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 	a, err := s.analyzer(req)
 	if err != nil {
@@ -432,7 +405,6 @@ func (a *Analyzer) engineConfig() engine.Config {
 		ExtraMeasures:   reqCfg.RequiredMeasures(),
 		ScanParallelism: o.scanPar,
 		Observer:        o.observer,
-		Substrate:       o.substrate,
 		Interner:        a.in,
 	}
 }

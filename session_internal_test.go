@@ -63,7 +63,7 @@ func TestSessionClose(t *testing.T) {
 }
 
 // TestResolveLandsEveryField feeds each Request field and each ExecConfig /
-// ResilienceConfig / DurabilityConfig field through resolve and the build
+// DurabilityConfig field through resolve and the build
 // path, and checks it lands where the run reads it: the miner config, the
 // engine or its configuration, or the analyzer. A field added to one of
 // those types without a row here fails the test.
@@ -116,8 +116,6 @@ func TestResolveLandsEveryField(t *testing.T) {
 		{"ExecConfig.ScanParallelism", []Option{WithExec(ExecConfig{ScanParallelism: 3})}, Request{}, func(_ *Session, a *Analyzer) bool {
 			return a.engineConfig().ScanParallelism == 3
 		}},
-		{"ResilienceConfig.DegradedThreshold", []Option{WithResilience(ResilienceConfig{DegradedThreshold: 0.25})}, Request{},
-			func(_ *Session, a *Analyzer) bool { return a.cfg.DegradedThreshold == 0.25 }},
 		{"DurabilityConfig.CheckpointDir DurabilityConfig.Every DurabilityConfig.Resume",
 			[]Option{WithDurability(DurabilityConfig{CheckpointDir: dir, Every: 5, Resume: true})}, Request{},
 			func(_ *Session, a *Analyzer) bool {
@@ -141,7 +139,7 @@ func TestResolveLandsEveryField(t *testing.T) {
 			covered[f] = true
 		}
 	}
-	for _, typ := range []any{Request{}, ExecConfig{}, ResilienceConfig{}, DurabilityConfig{}} {
+	for _, typ := range []any{Request{}, ExecConfig{}, DurabilityConfig{}} {
 		rt := reflect.TypeOf(typ)
 		for i := 0; i < rt.NumField(); i++ {
 			if f := rt.Name() + "." + rt.Field(i).Name; !covered[f] {

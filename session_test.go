@@ -646,12 +646,6 @@ func TestConstructionValidation(t *testing.T) {
 		})
 	}
 
-	// A NaN threshold would make "rate > threshold" false forever: degraded
-	// runs would pass as complete.
-	if _, err := metainsight.NewSession(tab,
-		metainsight.WithResilience(metainsight.ResilienceConfig{DegradedThreshold: math.NaN()})); err == nil {
-		t.Error("NaN degraded threshold accepted")
-	}
 }
 
 // TestTauOutsideOpenUnitIntervalRejected: a commonness needs a share of the
