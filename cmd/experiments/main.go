@@ -17,9 +17,8 @@
 //
 // The extra "smoke" target is a fast CI check: a short-budget run that
 // verifies Workers=1 and Workers=8 produce identical results and accounting,
-// with and without scan parallelism and an observer, and that a run killed
-// mid-way and resumed from its checkpoint reproduces the uninterrupted one,
-// exiting non-zero on any mismatch. It is not part of "all". Timing lives in
+// with and without scan parallelism and an observer, exiting non-zero on any
+// mismatch. It is not part of "all". Timing lives in
 // benchmark/ (see BENCHMARK.json), not here.
 package main
 

@@ -7,7 +7,6 @@
 //	            [-depth 3] [-topk-prune 40]
 //	            [-max-card 50] [-derive Date] [-skip-ragged] [-skip-bad-measures]
 //	            [-flat] [-json] [-report report.md] [-trace run.jsonl] [-metrics]
-//	            [-checkpoint dir [-checkpoint-every 256] [-resume]]
 //	            [-scan-parallelism 4]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -16,13 +15,11 @@
 // Exit codes:
 //
 //	0  the run completed normally
-//	1  the run failed (bad usage, unreadable input, checkpoint error)
+//	1  the run failed (bad usage, unreadable input)
 //	3  the run was interrupted (SIGINT/SIGTERM): mining stopped cleanly at
-//	   the next unit commit, the trace and metrics epilogue still ran, and
-//	   with -checkpoint a final snapshot was flushed — re-run with -resume
-//	   to finish the run exactly where it left off. The printed insights
-//	   are the partial best-effort output. A second signal kills the
-//	   process immediately.
+//	   the next unit commit and the trace and metrics epilogue still ran.
+//	   The printed insights are the partial best-effort output; re-run to
+//	   mine to the end. A second signal kills the process immediately.
 package main
 
 import (
@@ -61,9 +58,6 @@ func run() int {
 		metrics = fs.Bool("metrics", false, "print the metrics snapshot (counters, gauges, phase timers) after the run")
 		ragged  = fs.Bool("skip-ragged", false, "skip-and-count rows whose column count differs from the header instead of failing")
 		badMeas = fs.Bool("skip-bad-measures", false, "skip-and-count rows with NaN/Inf/unparseable measure cells instead of failing")
-		ckDir   = fs.String("checkpoint", "", "crash-safe mining: journal every commit and snapshot periodically into this directory")
-		ckEvery = fs.Int64("checkpoint-every", 256, "commits between checkpoint snapshots (with -checkpoint)")
-		resume  = fs.Bool("resume", false, "resume the run recorded in -checkpoint instead of starting fresh")
 		scanPar = fs.Int("scan-parallelism", 0, "goroutines per physical scan: 0 = one per core, 1 = sequential (results are bit-identical for any value)")
 		topKCut = fs.Int("topk-prune", 0, "S*-bounded early termination: skip candidates that provably cannot enter the score top k (0 = off; size with headroom over -k)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
@@ -72,7 +66,7 @@ func run() int {
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: metainsight -csv data.csv [flags]")
 		fmt.Fprintln(fs.Output(), "exit codes: 0 completed, 1 failed, 3 interrupted by SIGINT/SIGTERM")
-		fmt.Fprintln(fs.Output(), "            (partial output; -checkpoint runs resume with -resume)")
+		fmt.Fprintln(fs.Output(), "            (partial output)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -84,10 +78,6 @@ func run() int {
 	}
 	if *csvPath == "" {
 		fs.Usage()
-		return 1
-	}
-	if *resume && *ckDir == "" {
-		fmt.Fprintln(os.Stderr, "metainsight: -resume requires -checkpoint")
 		return 1
 	}
 	if *cpuProf != "" {
@@ -154,17 +144,6 @@ func run() int {
 		fmt.Printf("  %-30s %s\n", f.Name, f.Kind)
 	}
 
-	opts := []metainsight.Option{
-		metainsight.WithExec(metainsight.ExecConfig{
-			Workers:         *workers,
-			ScanParallelism: *scanPar,
-		}),
-		metainsight.WithDurability(metainsight.DurabilityConfig{
-			CheckpointDir: *ckDir,
-			Every:         *ckEvery,
-			Resume:        *resume,
-		}),
-	}
 	req := metainsight.Request{
 		TopK:        *k,
 		Budget:      metainsight.Budget{Time: *budget},
@@ -179,14 +158,17 @@ func run() int {
 		}
 		req.Observer = metainsight.NewObserver(obOpts)
 	}
-	sess, err := metainsight.NewSession(tab, opts...)
+	sess, err := metainsight.NewSession(tab, metainsight.WithExec(metainsight.ExecConfig{
+		Workers:         *workers,
+		ScanParallelism: *scanPar,
+	}))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "metainsight:", err)
 		return 1
 	}
 	// SIGINT/SIGTERM cancel the mining context: the engine stops at the next
-	// unit commit (flushing a final checkpoint snapshot under -checkpoint),
-	// the epilogue below still flushes the trace and metrics, and the exit
+	// unit commit, the epilogue below still flushes the trace and metrics,
+	// and the exit
 	// code is 3. stop() restores default signal disposition, so a second
 	// signal kills the process immediately.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -195,8 +177,7 @@ func run() int {
 	start := time.Now()
 	an, err := sess.Analyze(ctx, req)
 	if err != nil {
-		// Bad options, checkpoint I/O, resume mismatch or replay divergence:
-		// nothing below is trustworthy.
+		// Bad options: nothing below is trustworthy.
 		fmt.Fprintln(os.Stderr, "metainsight:", err)
 		return 1
 	}
@@ -231,10 +212,6 @@ func run() int {
 		if result.Stats.Cancelled {
 			fmt.Fprintln(os.Stderr,
 				"metainsight: interrupted: mining stopped at the last unit commit; output is partial (exit 3)")
-			if *ckDir != "" {
-				fmt.Fprintf(os.Stderr,
-					"metainsight: a final checkpoint snapshot was flushed; re-run with -checkpoint %s -resume to finish\n", *ckDir)
-			}
 			return 3
 		}
 		return 0

@@ -2,16 +2,16 @@
 // daemon holding a registry of named datasets, each fronted by a long-lived
 // Session. Every request passes an admission controller (bounded concurrency,
 // bounded wait queue, deadline-aware load shedding) and per-tenant token-bucket
-// quotas; durable jobs journal their specs and checkpoints under the state
-// directory, so a crash — including kill -9 — resumes in-flight jobs on the
-// next start with bit-identical results.
+// quotas; durable jobs journal their specs under the state directory, so a
+// crash — including kill -9 — re-mines in-flight jobs on the next start with
+// bit-identical results.
 //
 // Usage:
 //
 //	metainsightd -data name=path[,temporal=Col] [-data ...] [-addr 127.0.0.1:8080]
 //	             [-state dir] [-max-concurrent 8] [-max-queue 64]
 //	             [-quota-rate r] [-quota-burst b] [-job-workers 2]
-//	             [-checkpoint-every 64] [-max-card 100]
+//	             [-max-card 100]
 //
 //	metainsightd -addr :8080 -data house=testdata/house_sales.csv -state /var/lib/metainsightd
 //
@@ -29,8 +29,8 @@
 //	GET  /metricsz            serve.* counters and gauges
 //
 // SIGINT/SIGTERM drain gracefully: queued requests are shed with a typed
-// shutting-down error, running jobs checkpoint and stop, and the process
-// exits 0. A second signal exits immediately.
+// shutting-down error, running jobs stop (the next start re-mines them), and
+// the process exits 0. A second signal exits immediately.
 package main
 
 import (
@@ -85,7 +85,6 @@ func main() {
 		quotaRate  = flag.Float64("quota-rate", 0, "per-tenant sustained requests/second (0 = unlimited)")
 		quotaBurst = flag.Float64("quota-burst", 0, "per-tenant burst size (0 = max(1, rate))")
 		jobWorkers = flag.Int("job-workers", 2, "concurrent durable job workers")
-		ckEvery    = flag.Int64("checkpoint-every", 64, "default job checkpoint cadence in unit commits")
 		maxCard    = flag.Int("max-card", 100, "drop categorical columns with more distinct values")
 		datasets   dataFlags
 	)
@@ -121,7 +120,7 @@ func main() {
 		StateDir:  *stateDir,
 		Admission: serve.AdmissionConfig{MaxConcurrent: *maxConc, MaxQueue: *maxQueue},
 		Quota:     serve.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
-		Jobs:      serve.JobsConfig{Workers: *jobWorkers, CheckpointEvery: *ckEvery},
+		Jobs:      serve.JobsConfig{Workers: *jobWorkers},
 		Observer:  ob,
 		Logf:      logger.Printf,
 		UnitDelay: unitDelay,
@@ -145,7 +144,7 @@ func main() {
 	defer stop()
 	select {
 	case <-ctx.Done():
-		logger.Println("signal received; draining (checkpointing running jobs)")
+		logger.Println("signal received; draining")
 		stop() // a second signal kills immediately
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -20,7 +20,7 @@
 // and a scope evaluated, at most once however many workers ask for it.
 //
 // A unit and a scope have two names. UnitKey and ScopeKey, made of canonical
-// strings, are the external identity: trace labels and checkpoint snapshots.
+// strings, are the external identity: trace labels.
 // A Unit carries neither name; its memo key is its identity. UnitID and ScopeID, made of an intern table's ordinals (its
 // handle ordinal, the breakdown's table index and its measure ordinal), key
 // the memos and the miner's replay, so a lookup hashes one integer and never
@@ -39,8 +39,8 @@ type UnitKey struct {
 
 // ScopeKey identifies one pattern-cache entry — a data scope — by its parts,
 // so the miner's hot path keys evaluations without concatenating a string.
-// String renders the external identity (trace labels, checkpoint snapshots),
-// byte for byte model.DataScope.Key.
+// String renders the external identity (trace labels), byte for byte
+// model.DataScope.Key.
 type ScopeKey struct {
 	Unit    UnitKey
 	Measure string // canonical measure key (model.Measure.Key)
@@ -50,36 +50,6 @@ type ScopeKey struct {
 // the scope it identifies.
 func (k ScopeKey) String() string {
 	return k.Unit.Subspace + "|" + model.EscapeKey(k.Unit.Breakdown) + "|" + k.Measure
-}
-
-// ParseScopeKey inverts String: it splits a canonical data-scope key at its
-// unescaped separators. The checkpoint restore path uses it to rebuild the
-// simulated pattern cache from the string form a snapshot stores. ok is false
-// when s does not have exactly three parts.
-func ParseScopeKey(s string) (k ScopeKey, ok bool) {
-	var parts [3]string
-	n, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++ // the escaped byte is never a separator
-		case '|':
-			if n == 2 {
-				return ScopeKey{}, false
-			}
-			parts[n] = s[start:i]
-			n++
-			start = i + 1
-		}
-	}
-	if n != 2 {
-		return ScopeKey{}, false
-	}
-	parts[2] = s[start:]
-	return ScopeKey{
-		Unit:    UnitKey{Subspace: parts[0], Breakdown: model.UnescapeKey(parts[1])},
-		Measure: parts[2],
-	}, true
 }
 
 // UnitID names one query-cache unit inside one intern table: the ordinal of

@@ -293,8 +293,7 @@ func TestUnitApproxBytesGrowsWithGroups(t *testing.T) {
 
 // TestScopeKeyStringIsTheDataScopeKey pins the part-wise pattern-cache key
 // to the external identity it stands for — including names that need
-// escaping — and checks that ParseScopeKey inverts String, which the
-// checkpoint restore path relies on.
+// escaping.
 func TestScopeKeyStringIsTheDataScopeKey(t *testing.T) {
 	scopes := []model.DataScope{
 		{Breakdown: "Month", Measure: model.Count("*")},
@@ -306,15 +305,6 @@ func TestScopeKeyStringIsTheDataScopeKey(t *testing.T) {
 		k := ScopeKey{Unit: UnitKey{Subspace: ds.Subspace.Key(), Breakdown: ds.Breakdown}, Measure: ds.Measure.Key()}
 		if k.String() != ds.Key() {
 			t.Errorf("ScopeKey.String() = %q, DataScope.Key() = %q", k.String(), ds.Key())
-		}
-		back, ok := ParseScopeKey(k.String())
-		if !ok || back != k {
-			t.Errorf("ParseScopeKey(%q) = %+v, %v; want %+v", k.String(), back, ok, k)
-		}
-	}
-	for _, bad := range []string{"", "{*}", "{*}|Month", "{*}|Month|COUNT(*)|extra"} {
-		if k, ok := ParseScopeKey(bad); ok {
-			t.Errorf("ParseScopeKey(%q) accepted: %+v", bad, k)
 		}
 	}
 }

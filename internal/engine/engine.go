@@ -263,9 +263,6 @@ func (e *Engine) Table() *dataset.Table { return e.tab }
 // Measures returns the measure set M.
 func (e *Engine) Measures() []model.Measure { return e.measures }
 
-// ImpactMeasure returns the configured impact measure.
-func (e *Engine) ImpactMeasure() model.Measure { return e.impact }
-
 // QueryCache returns the engine's query cache: the interner's, which the
 // engine shares with every engine over the same interner and MIN/MAX set.
 func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
@@ -325,34 +322,6 @@ func (e *Engine) UnitKeyOf(id cache.UnitID) cache.UnitKey {
 // ScopeKeyOf renders a scope id as the scope's external identity.
 func (e *Engine) ScopeKeyOf(id cache.ScopeID) cache.ScopeKey {
 	return cache.ScopeKey{Unit: e.UnitKeyOf(id.Unit()), Measure: e.in.measureKey(id.Measure())}
-}
-
-// UnitIDOf inverts UnitKeyOf: it interns the subspace k names and resolves
-// its breakdown. ok is false when k.Subspace is not a canonical subspace key
-// or k.Breakdown no dimension of the table.
-func (e *Engine) UnitIDOf(k cache.UnitKey) (id cache.UnitID, ok bool) {
-	sub, ok := model.ParseSubspaceKey(k.Subspace)
-	bdim := e.tab.DimensionIndex(k.Breakdown)
-	if !ok || bdim < 0 {
-		return 0, false
-	}
-	return e.UnitIDAt(e.in.Intern(sub), bdim), true
-}
-
-// ScopeIDOf inverts ScopeKeyOf, as UnitIDOf does for units. ok is also
-// false when k.Measure is not the canonical key of a measure the table can
-// answer, which then takes no ordinal (MeasureID).
-func (e *Engine) ScopeIDOf(k cache.ScopeKey) (id cache.ScopeID, ok bool) {
-	m, ok := model.ParseMeasureKey(k.Measure)
-	if !ok {
-		return 0, false
-	}
-	unit, ok := e.UnitIDOf(k.Unit)
-	if !ok {
-		return 0, false
-	}
-	mid, ok := e.MeasureID(m)
-	return unit.Scope(mid), ok
 }
 
 // BasicQuery answers the paper's BasicQuery(ds): the aggregate of

@@ -9,9 +9,9 @@ import (
 )
 
 // TestIdentityStringsArePinned pins the external identity formats — the
-// strings that reach traces, checkpoints and result keys
-// — to literals captured before subspaces were interned. Any change to these
-// bytes invalidates existing checkpoints and traces.
+// strings that reach traces and result keys — to literals captured before
+// subspaces were interned. Any change to these bytes changes the traces and
+// keys clients already hold.
 func TestIdentityStringsArePinned(t *testing.T) {
 	sub := model.NewSubspace(
 		model.Filter{Dim: "Month", Value: "2019-04"},

@@ -21,8 +21,8 @@ import (
 // hot path navigates base → sibling by (dimension index, code) and never
 // builds or re-derives a string.
 //
-// Strings stay the external identity: trace labels, checkpoint bytes,
-// cache.UnitKey and MetaInsight keys are all derived from Handle.Key, which
+// Strings stay the external identity: trace labels, cache.UnitKey and
+// MetaInsight keys are all derived from Handle.Key, which
 // equals model.Subspace.Key byte for byte. Inside, every handle carries a
 // dense ordinal, and every canonical measure key the interner has seen one
 // too; the memos and the miner's replay key units and scopes by them

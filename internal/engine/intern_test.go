@@ -138,10 +138,10 @@ func TestEnginesShareOneInterner(t *testing.T) {
 }
 
 // TestOrdinalsAreDenseAndRoundTrip: handles interned concurrently get the
-// ordinals 0 … Len()-1, each once, and the ids built from them render to the
-// external keys and parse back: UnitIDOf inverts UnitKeyOf and ScopeIDOf
-// inverts ScopeKeyOf, for keys with escaped separators too, and keys that name
-// nothing of the table are refused.
+// ordinals 0 … Len()-1, each once, each ordinal resolves back to its handle,
+// and the ids built from them render to the canonical external keys:
+// UnitKeyOf and ScopeKeyOf equal the Key of the unit and the data scope they
+// name, for keys with escaped separators too.
 func TestOrdinalsAreDenseAndRoundTrip(t *testing.T) {
 	tab := escapeTable()
 	in := NewInterner(tab)
@@ -179,9 +179,6 @@ func TestOrdinalsAreDenseAndRoundTrip(t *testing.T) {
 			if k != (cache.UnitKey{Subspace: h.Key(), Breakdown: dim.Name}) {
 				t.Fatalf("UnitKeyOf(%q, %q) = %+v", h.Key(), dim.Name, k)
 			}
-			if back, ok := e.UnitIDOf(k); !ok || back != id {
-				t.Fatalf("UnitIDOf(%+v) = %x, %v; want %x", k, back, ok, id)
-			}
 			for i, m := range e.Measures() {
 				sid := id.Scope(e.MeasureIDs()[i])
 				sk := e.ScopeKeyOf(sid)
@@ -189,30 +186,7 @@ func TestOrdinalsAreDenseAndRoundTrip(t *testing.T) {
 				if sk.String() != ds.Key() || sid.Unit() != id {
 					t.Fatalf("ScopeKeyOf(%x) = %q, want %q", sid, sk.String(), ds.Key())
 				}
-				parsed, ok := cache.ParseScopeKey(ds.Key())
-				if back, ok2 := e.ScopeIDOf(parsed); !ok || !ok2 || back != sid {
-					t.Fatalf("ScopeIDOf(%q) = %x, %v; want %x", ds.Key(), back, ok && ok2, sid)
-				}
 			}
 		}
-	}
-	for _, k := range []cache.UnitKey{
-		{Subspace: "{*}", Breakdown: "Z"},
-		{Subspace: "{D=p;A=x}", Breakdown: "A"}, // not sorted
-		{Subspace: "{A=x", Breakdown: "D"},
-	} {
-		if id, ok := e.UnitIDOf(k); ok {
-			t.Errorf("UnitIDOf(%+v) accepted: %x", k, id)
-		}
-	}
-	named := len(in.measureKeys)
-	for _, m := range []string{"COUNT(Nope)", "SUM(Nope)", "SUM(A)", "MEDIAN(M)", "SUM(M", "SUM(M))", "sum(M)", ""} {
-		k := cache.ScopeKey{Unit: cache.UnitKey{Subspace: "{*}", Breakdown: "A"}, Measure: m}
-		if id, ok := e.ScopeIDOf(k); ok {
-			t.Errorf("ScopeIDOf(%q) accepted: %x", k.String(), id)
-		}
-	}
-	if len(in.measureKeys) != named {
-		t.Errorf("refused scope keys named measures: %q", in.measureKeys[named:])
 	}
 }

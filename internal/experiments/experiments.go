@@ -52,11 +52,6 @@ type Setup struct {
 	// Observers are inert: results and statistics must be bit-identical with
 	// or without one (Smoke asserts this in CI).
 	Observer *obs.Observer
-	// Checkpoint, when set, makes the run crash-safe (journal + snapshots in
-	// the spec's directory); HaltAfterCommits simulates a hard kill. The
-	// checkpoint-resume smoke arm uses both.
-	Checkpoint       *miner.CheckpointSpec
-	HaltAfterCommits int64
 	// ScanParallelism is the per-scan goroutine count of the engine's default
 	// substrate (0 = GOMAXPROCS, 1 = sequential). Scan results are bit-
 	// identical at any value — the morsel pipeline's invariance — which Smoke
@@ -96,8 +91,6 @@ func (s Setup) Run(tab *dataset.Table) (*miner.Result, *engine.Engine) {
 	}
 	cfg.PatternsFirst = s.PatternsFirst
 	cfg.Observer = s.Observer
-	cfg.Checkpoint = s.Checkpoint
-	cfg.HaltAfterCommits = s.HaltAfterCommits
 	if s.DisablePruning {
 		cfg.EnablePruning1 = false
 		cfg.EnablePruning2 = false

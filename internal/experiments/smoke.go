@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"metainsight/internal/miner"
 	"metainsight/internal/obs"
@@ -107,94 +105,5 @@ func Smoke(w io.Writer) error {
 	fprintf(w, "  observer inert: identical results and accounting with tracing on (%d events)\n",
 		ob.Trace().Len())
 
-	return smokeCheckpoint(w)
-}
-
-// smokeCheckpoint is the crash-recovery smoke arm: a checkpointed Credit
-// Card run (snapshot every 50 commits) is hard-killed after 125 commits and
-// resumed at a different worker count; the killed run's trace concatenated
-// with the resumed run's must reproduce an uninterrupted run's trace event
-// for event, and results and accounting must match bit for bit.
-func smokeCheckpoint(w io.Writer) error {
-	tab := workload.CreditCard()
-	const (
-		budget = 400
-		every  = 50
-		kill   = 125
-	)
-
-	type line struct {
-		Kind   obs.EventKind
-		Unit   string
-		Detail string
-		Cost   float64
-	}
-	run := func(workers int, dir string, halt int64, resume bool) (*miner.Result, []line) {
-		ob := obs.New(obs.Options{TraceCapacity: 1 << 17})
-		s := FullFunctionality()
-		s.Workers = workers
-		s.BudgetUnits = budget
-		s.Observer = ob
-		s.Checkpoint = &miner.CheckpointSpec{Dir: dir, Every: every, Resume: resume}
-		s.HaltAfterCommits = halt
-		res, _ := s.Run(tab)
-		var lines []line
-		for _, ev := range ob.Trace().Events() {
-			if ev.Kind == obs.EvCheckpointResume {
-				continue
-			}
-			lines = append(lines, line{Kind: ev.Kind, Unit: ev.Unit, Detail: ev.Detail, Cost: ev.Cost})
-		}
-		return res, lines
-	}
-
-	root, err := os.MkdirTemp("", "metainsight-smoke-ckpt-*")
-	if err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-	defer os.RemoveAll(root)
-
-	refRes, refTrace := run(8, filepath.Join(root, "ref"), 0, false)
-	killDir := filepath.Join(root, "kill")
-	killRes, killTrace := run(8, killDir, kill, false)
-	resRes, resTrace := run(1, killDir, 0, true)
-
-	fprintf(w, "Smoke (checkpoint): %s, snapshot every %d commits, killed after %d, resumed at W=1\n",
-		tab.Name(), every, kill)
-	if got := killRes.Stats.ExpandUnits + killRes.Stats.DataPatternUnits + killRes.Stats.MetaInsightUnits; got != kill {
-		return fmt.Errorf("smoke: killed run committed %d units, want %d", got, kill)
-	}
-	if resRes.Stats.ResumedUnits != kill {
-		return fmt.Errorf("smoke: resumed run restored %d units, want %d", resRes.Stats.ResumedUnits, kill)
-	}
-	refKeys, resKeys := refRes.Keys(), resRes.Keys()
-	if len(refKeys) == 0 || len(refKeys) != len(resKeys) {
-		return fmt.Errorf("smoke: resumed result count %d != uninterrupted %d", len(resKeys), len(refKeys))
-	}
-	for k := range refKeys {
-		if !resKeys[k] {
-			return fmt.Errorf("smoke: %q mined uninterrupted but lost across kill+resume", k)
-		}
-	}
-	a, b := refRes.Stats, resRes.Stats
-	b.ResumedUnits = 0
-	a.QueryCacheStats.Bytes = 0
-	b.QueryCacheStats.Bytes = 0
-	if a != b {
-		return fmt.Errorf("smoke: kill+resume changed accounting\n  uninterrupted: %+v\n  resumed: %+v", a, b)
-	}
-	concat := append(append([]line(nil), killTrace...), resTrace...)
-	if len(concat) != len(refTrace) {
-		return fmt.Errorf("smoke: concatenated killed+resumed trace has %d events, uninterrupted %d",
-			len(concat), len(refTrace))
-	}
-	for i := range concat {
-		if concat[i] != refTrace[i] {
-			return fmt.Errorf("smoke: trace diverges at event %d: killed+resumed %+v vs uninterrupted %+v",
-				i, concat[i], refTrace[i])
-		}
-	}
-	fprintf(w, "  kill+resume exact: %d MetaInsights, %d trace events reproduced bit for bit\n",
-		len(resKeys), len(refTrace))
 	return nil
 }

@@ -2,8 +2,6 @@ package miner
 
 import (
 	"encoding/json"
-	"fmt"
-	"path/filepath"
 	"testing"
 
 	"metainsight/internal/dataset"
@@ -131,51 +129,6 @@ func TestBoundPruningWorkerInvariance(t *testing.T) {
 		if res.Stats != ref.Stats {
 			t.Fatalf("workers=%d: stats differ:\n got  %+v\n want %+v", w, res.Stats, ref.Stats)
 		}
-	}
-}
-
-// TestBoundPruningResumeInvariance hard-kills a bound-pruned run mid-stream
-// and resumes it: the journal's cumulative skip counters verify the restored
-// run re-makes the exact cut decisions, and the final results and statistics
-// match the uninterrupted run.
-func TestBoundPruningResumeInvariance(t *testing.T) {
-	tab := skewedTable(t)
-	run := func(workers int, dir string, halt int64, resume bool) *Result {
-		return runMiner(t, tab, func(c *Config, e *engine.Config) {
-			c.Workers = workers
-			c.MinImpact = 0.15
-			c.MinSubspaceImpact = 0.03
-			c.Checkpoint = &CheckpointSpec{Dir: dir, Every: 8, Resume: resume}
-			c.HaltAfterCommits = halt
-		})
-	}
-	ref := run(1, filepath.Join(t.TempDir(), "ref"), 0, false)
-	if ref.Err != nil {
-		t.Fatalf("reference run failed: %v", ref.Err)
-	}
-	if ref.Stats.BoundSkips == 0 {
-		t.Fatal("bound cuts never fired; the resume check would be vacuous")
-	}
-	for i, kill := range []int64{1, 7, 8, 20} {
-		kw, rw := []int{1, 8, 4, 2}[i], []int{8, 1, 4, 2}[i]
-		t.Run(fmt.Sprintf("kill=%d_w%d_resume_w%d", kill, kw, rw), func(t *testing.T) {
-			dir := t.TempDir()
-			killed := run(kw, dir, kill, false)
-			if got := commitTotal(killed.Stats); got != kill {
-				t.Fatalf("killed run committed %d units, want %d", got, kill)
-			}
-			res := run(rw, dir, 0, true)
-			if res.Err != nil {
-				t.Fatalf("resumed run failed: %v", res.Err)
-			}
-			if miJSON(t, res) != miJSON(t, ref) {
-				t.Fatal("resumed results differ from the uninterrupted run")
-			}
-			if normalizeStats(res.Stats) != normalizeStats(ref.Stats) {
-				t.Fatalf("resumed stats differ:\n got  %+v\n want %+v",
-					normalizeStats(res.Stats), normalizeStats(ref.Stats))
-			}
-		})
 	}
 }
 

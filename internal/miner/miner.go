@@ -122,7 +122,7 @@ type Config struct {
 	// are identical with the flag on or off — only the query/cost accounting
 	// differs (fewer scans, counted in Stats.BoundSkips/BoundScanSkips). The
 	// cut decisions are pure functions of the immutable table and the
-	// configuration, so they are worker-count-invariant and resume-safe.
+	// configuration, so they are worker-count-invariant.
 	// When the bounds are unsound (SUM impact over a column with negative
 	// values) they return the trivial bound and the cuts never fire.
 	EnableBoundPruning bool
@@ -149,32 +149,6 @@ type Config struct {
 	// strictly fewer executed queries, at the price of deviating from the
 	// paper's two-module accounting (see the Figure 7 experiment).
 	PatternsFirst bool
-	// Checkpoint, when set, makes the run crash-safe: the dispatcher appends
-	// one durable journal record per committed unit and writes an atomic
-	// snapshot every Checkpoint.Every commits (see internal/checkpoint and
-	// DESIGN.md §7). With Resume set, the run restores the directory's latest
-	// valid state first and continues bit-identically to an uninterrupted
-	// run.
-	Checkpoint *CheckpointSpec
-	// HaltAfterCommits, when positive, hard-stops the dispatcher after that
-	// many unit commits without writing a final snapshot — a deterministic
-	// stand-in for kill -9 used by the kill-and-resume tests and the CI
-	// smoke arm. Zero (the default) never halts.
-	HaltAfterCommits int64
-}
-
-// CheckpointSpec configures crash-safety for one run.
-type CheckpointSpec struct {
-	// Dir is the checkpoint directory (created if missing).
-	Dir string
-	// Every is the snapshot cadence in unit commits; <= 0 defaults to 256.
-	// The journal bounds replay work between snapshots, so Every trades
-	// snapshot I/O against resume time, never correctness.
-	Every int64
-	// Resume restores the run from Dir instead of starting fresh. The
-	// directory's configuration fingerprint must match this run's
-	// configuration (ErrCheckpointMismatch otherwise).
-	Resume bool
 }
 
 // DefaultConfig mirrors the paper's configuration: depth-3 subspaces,
@@ -239,15 +213,6 @@ type Stats struct {
 	AugmentedQueries int64
 	CacheServed      int64
 	CostUsed         float64
-	// CheckpointWrites counts durable snapshots written, cumulatively across
-	// a resumed run's lifetimes (a run resumed once and finishing with N
-	// total snapshots reports N, exactly like the uninterrupted run).
-	CheckpointWrites int64
-	// ResumedUnits is the commit index this run restored from its checkpoint
-	// directory (snapshot commits + replayed journal records); 0 for a fresh
-	// run. It is the one Stats field that legitimately differs between an
-	// uninterrupted run and a killed-and-resumed one.
-	ResumedUnits int64
 	// Cancelled reports that the run stopped early because its context was
 	// cancelled; the result holds the best-so-far MetaInsights committed up
 	// to the cancellation point.
@@ -262,9 +227,9 @@ type Stats struct {
 type Result struct {
 	MetaInsights []*core.MetaInsight
 	Stats        Stats
-	// Err is non-nil when a checkpoint write failed and stopped the run, or
-	// a resume could not restore it. MetaInsights and Stats are still valid
-	// best-effort output.
+	// Err is never set by the miner. It exists for the root package's
+	// MiningResult, which reports in it an analyzer whose engine failed to
+	// rebuild for a repeated mine.
 	Err error
 }
 
@@ -308,17 +273,8 @@ type Miner struct {
 	seq     int64
 	acct    *accounting
 	// topScores holds the scores of the best min(TopK, committed) results,
-	// sorted descending — the termination threshold of Config.TopK. Derived
-	// from results, so a snapshot restore rebuilds it instead of saving it.
+	// sorted descending — the termination threshold of Config.TopK.
 	topScores []float64
-	// commitIndex counts unit commits across the run's whole lifetime
-	// (snapshot base + replayed + live); the checkpoint journal and snapshot
-	// cadence key off it.
-	commitIndex int64
-	// ckErr records the first checkpoint I/O failure; the run stops (its
-	// determinism guarantee would otherwise silently lapse) and the error is
-	// Result.Err.
-	ckErr error
 }
 
 // New creates a Miner. The zero-value parts of cfg are filled with defaults.
@@ -392,21 +348,7 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 	initStart := time.Now()
 	m.acct = newAccounting(m.eng, m.cfg.EnableQueryCache, m.cfg.EnablePatternCache, m.cfg.Observer)
 
-	// stopped is set when a resume's replay was cancelled mid-way: the
-	// restored state is checkpointed again and returned without re-entering
-	// the mining loop.
-	var ck *ckptRunner
-	stopped := false
-	if cs := m.cfg.Checkpoint; cs != nil {
-		var err error
-		ck, stopped, err = m.initCheckpoint(ctx, cs)
-		if err != nil {
-			return &Result{Stats: m.stats, Err: err}
-		}
-		defer ck.close()
-	} else {
-		m.pushRoot()
-	}
+	m.pushRoot()
 
 	workCh := make(chan *specEntry)
 	doneCh := make(chan *completion)
@@ -455,8 +397,7 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		inflight--
 	}
 
-	halted := false
-	for !stopped {
+	for {
 		if ctx.Err() != nil {
 			m.stats.Cancelled = true
 			o.Event(obs.EvCancel, "", "context cancelled; returning best-so-far results", 0)
@@ -474,17 +415,6 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		if entry != nil && entry.comp != nil {
 			m.commit(entry.comp)
 			spec.pop() // entry is the window's top
-			m.commitIndex++
-			if ck != nil {
-				if err := ck.onCommit(m, entry.comp, spec.items); err != nil {
-					m.ckErr = err
-					break
-				}
-			}
-			if m.cfg.HaltAfterCommits > 0 && m.commitIndex >= m.cfg.HaltAfterCommits {
-				halted = true
-				break
-			}
 			continue
 		}
 		// The head is still in flight or not yet dispatched: feed a worker if
@@ -551,17 +481,6 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 	for range doneCh {
 	}
 
-	// Final snapshot: budget stop, drained work, cancellation and a replay
-	// cancelled mid-resume all leave a resumable (or, when the run simply
-	// finished, re-loadable) directory behind. A HaltAfterCommits hard-stop
-	// deliberately skips it — that is the simulated crash — and after a
-	// checkpoint I/O failure the directory is not trustworthy to advance.
-	if ck != nil && !halted && m.ckErr == nil {
-		if err := ck.writeFinalSnapshot(m, spec.items); err != nil {
-			m.ckErr = err
-		}
-	}
-
 	return m.finish()
 }
 
@@ -594,15 +513,6 @@ func (m *Miner) recordTopScore(s float64) {
 	m.topScores[i] = s
 	if len(m.topScores) > m.cfg.TopK {
 		m.topScores = m.topScores[:m.cfg.TopK]
-	}
-}
-
-// rebuildTopScores rederives the termination threshold from the committed
-// results — the snapshot-restore path, where topScores is not serialized.
-func (m *Miner) rebuildTopScores() {
-	m.topScores = m.topScores[:0]
-	for _, mi := range m.results {
-		m.recordTopScore(mi.Score)
 	}
 }
 
@@ -836,7 +746,7 @@ func (m *Miner) finish() *Result {
 		// that no commit reads, as many as the workers got to.
 		o.MarkTiming(obsEvaluations)
 	}
-	return &Result{MetaInsights: out, Stats: m.stats, Err: m.ckErr}
+	return &Result{MetaInsights: out, Stats: m.stats}
 }
 
 // safeProcess runs process under a recover barrier: a panicking pattern

@@ -1,6 +1,7 @@
 package miner
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -16,6 +17,19 @@ import (
 )
 
 var monthNames = []string{"Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"}
+
+func commitTotal(s Stats) int64 {
+	return s.ExpandUnits + s.DataPatternUnits + s.MetaInsightUnits
+}
+
+func miJSON(t *testing.T, res *Result) string {
+	t.Helper()
+	b, err := json.Marshal(res.MetaInsights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
 // plantedTable builds a small house-sales table mirroring the paper's
 // running example: most cities have a sales valley in April, San Diego has

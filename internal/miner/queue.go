@@ -52,8 +52,8 @@ func (k unitKind) phase() obs.Phase {
 
 // workUnit is a compute unit. Exactly the fields for its kind are set. The
 // model values (subspace, breakdown, hds) are the unit's external identity —
-// what traces and checkpoints render; the handles beside them are what the
-// hot path navigates, re-derived by attach after a checkpoint decode.
+// what traces render; the handles beside them are what the hot path
+// navigates.
 type workUnit struct {
 	kind     unitKind
 	priority float64 // impact-based priority (higher first)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"metainsight/internal/engine"
 )
 
 func TestPriorityQueueOrdersByImpactThenSeq(t *testing.T) {
@@ -109,5 +111,55 @@ func TestPriorityQueueRandomizedHeapProperty(t *testing.T) {
 			t.Fatalf("heap order violated: %v after %v", u.priority, prev)
 		}
 		prev = u.priority
+	}
+}
+
+// TestDisciplinesAreWorkerInvariant mines the planted table under a cost
+// budget in each queue discipline other than the default merged priority
+// order — FIFO, PatternsFirst, and both — and requires the results, the
+// statistics and the commit-order trace to be the same at 1, 2, 4 and 8
+// workers: the disciplines reorder the canonical order, and the speculation
+// window must commit in it whatever order the workers finish in.
+func TestDisciplinesAreWorkerInvariant(t *testing.T) {
+	for _, d := range []struct {
+		name       string
+		discipline func(*Config)
+	}{
+		{"fifo", func(c *Config) { c.UsePriorityQueues = false }},
+		{"patterns-first", func(c *Config) { c.PatternsFirst = true }},
+		{"fifo+patterns-first", func(c *Config) {
+			c.UsePriorityQueues = false
+			c.PatternsFirst = true
+		}},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			run := func(workers int) (*Result, []traceLine) {
+				return tracedRun(t, workers, func(c *Config, e *engine.Config) {
+					c.Budget = Budget{Cost: 400}
+					d.discipline(c)
+				})
+			}
+			ref, refTrace := run(1)
+			if commitTotal(ref.Stats) < 50 {
+				t.Fatalf("planted workload too small: %d commits", commitTotal(ref.Stats))
+			}
+			for _, w := range []int{2, 4, 8} {
+				res, tr := run(w)
+				if miJSON(t, res) != miJSON(t, ref) {
+					t.Fatalf("workers=%d: results differ from workers=1", w)
+				}
+				if res.Stats != ref.Stats {
+					t.Fatalf("workers=%d: stats differ:\n got  %+v\n want %+v", w, res.Stats, ref.Stats)
+				}
+				if len(tr) != len(refTrace) {
+					t.Fatalf("workers=%d: trace length %d != %d", w, len(tr), len(refTrace))
+				}
+				for i := range tr {
+					if tr[i] != refTrace[i] {
+						t.Fatalf("workers=%d: trace diverges at %d: %+v vs %+v", w, i, tr[i], refTrace[i])
+					}
+				}
+			}
+		})
 	}
 }

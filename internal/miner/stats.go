@@ -28,9 +28,6 @@ func (s Stats) String() string {
 	if s.PanickedUnits > 0 {
 		fmt.Fprintf(&b, " panicked=%d", s.PanickedUnits)
 	}
-	if s.CheckpointWrites > 0 || s.ResumedUnits > 0 {
-		fmt.Fprintf(&b, " checkpoint[writes=%d resumed=%d]", s.CheckpointWrites, s.ResumedUnits)
-	}
 	if s.ShortSeriesSkips > 0 || s.ExtractErrors > 0 {
 		fmt.Fprintf(&b, " skips[short-series=%d extract-errors=%d]",
 			s.ShortSeriesSkips, s.ExtractErrors)
@@ -61,11 +58,11 @@ func toCacheStatsJSON(s cache.Stats) cacheStatsJSON {
 }
 
 // statsJSON fixes the stable wire names of Stats. Fields marshal in
-// declaration order, so the encoding is byte-stable for equal values. The six
-// fields with no Stats counterpart, and Evictions, are reserved, always zero:
-// counters of the retired sharded execution mode, fault simulation, scan
-// failure model and byte-bounded caches, kept so checkpoints and response
-// bodies stay byte-identical across their removal.
+// declaration order, so the encoding is byte-stable for equal values. The
+// eight fields with no Stats counterpart, and Evictions, are reserved, always
+// zero: counters of the retired sharded execution mode, fault simulation,
+// scan failure model, checkpoint/resume and byte-bounded caches, kept so
+// response bodies stay byte-identical across their removal.
 type statsJSON struct {
 	ExpandUnits      int64          `json:"expand_units"`
 	DataPatternUnits int64          `json:"data_pattern_units"`
@@ -114,8 +111,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		BoundSkips:       s.BoundSkips,
 		BoundScanSkips:   s.BoundScanSkips,
 		PanickedUnits:    s.PanickedUnits,
-		CheckpointWrites: s.CheckpointWrites,
-		ResumedUnits:     s.ResumedUnits,
 		ShortSeriesSkips: s.ShortSeriesSkips,
 		ExtractErrors:    s.ExtractErrors,
 		ExecutedQueries:  s.ExecutedQueries,
@@ -146,8 +141,6 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 		BoundSkips:       j.BoundSkips,
 		BoundScanSkips:   j.BoundScanSkips,
 		PanickedUnits:    j.PanickedUnits,
-		CheckpointWrites: j.CheckpointWrites,
-		ResumedUnits:     j.ResumedUnits,
 		ShortSeriesSkips: j.ShortSeriesSkips,
 		ExtractErrors:    j.ExtractErrors,
 		ExecutedQueries:  j.ExecutedQueries,

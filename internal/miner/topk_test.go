@@ -81,52 +81,3 @@ func TestTopKTerminationWorkerInvariance(t *testing.T) {
 		t.Fatal("no S* cuts at k=2: the invariance test is vacuous")
 	}
 }
-
-// TestTopKTerminationSurvivesResume kills a TopK run mid-stream and resumes
-// it: the journal records cut commits, the replay must re-derive each cut
-// from the restored top-K threshold instead of re-executing the unit, and the
-// final results and statistics must match the uninterrupted run's.
-func TestTopKTerminationSurvivesResume(t *testing.T) {
-	topkCk := func(workers int, dir string, halt int64, resume bool) *Result {
-		return runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
-			c.TopK = 2
-			c.Workers = workers
-			c.Checkpoint = &CheckpointSpec{Dir: dir, Every: 8, Resume: resume}
-			c.HaltAfterCommits = halt
-		})
-	}
-	ref := topkCk(1, t.TempDir(), 0, false)
-	if ref.Err != nil {
-		t.Fatalf("reference run failed: %v", ref.Err)
-	}
-	if ref.Stats.SStarCut == 0 {
-		t.Fatal("no S* cuts: the resume test is vacuous")
-	}
-	// commitIndex counts cut commits too, so the halt point is placed against
-	// the full commit stream, not just the evaluated units.
-	total := commitTotal(ref.Stats) + ref.Stats.SStarCut
-	kill := total / 2
-	if kill < 1 {
-		t.Fatalf("run too small to kill: %d commits", total)
-	}
-	dir := t.TempDir()
-	killed := topkCk(4, dir, kill, false)
-	if killed.Err != nil {
-		t.Fatalf("killed run failed: %v", killed.Err)
-	}
-	res := topkCk(1, dir, 0, true)
-	if res.Err != nil {
-		t.Fatalf("resumed run failed: %v", res.Err)
-	}
-	if res.Stats.ResumedUnits != kill {
-		t.Fatalf("ResumedUnits = %d, want %d", res.Stats.ResumedUnits, kill)
-	}
-	if miJSON(t, res) != miJSON(t, ref) {
-		t.Fatal("resumed results differ from the uninterrupted run")
-	}
-	ns, nr := normalizeStats(res.Stats), normalizeStats(ref.Stats)
-	ns.CheckpointWrites, nr.CheckpointWrites = 0, 0
-	if ns != nr {
-		t.Fatalf("resumed stats differ:\n resumed  %+v\n reference %+v", ns, nr)
-	}
-}

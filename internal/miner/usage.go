@@ -14,8 +14,7 @@ import (
 // cache lookups and scans their unit logically performs. The dispatcher
 // replays those events against a simulated cache in canonical commit order,
 // charging the run's ledger and statistics as a single-worker run would:
-// this replay, with the checkpoint restore that reinstates it, is the only
-// writer of the ledger, and the budget reads it. Because the replay depends
+// this replay is the only writer of the ledger, and the budget reads it. Because the replay depends
 // only on the commit order (which is deterministic) and on data (which is
 // deterministic), ExecutedQueries, AugmentedQueries, CacheServed, CostUsed
 // and the cache hit/miss statistics are bit-identical for any worker count —
@@ -152,8 +151,8 @@ type accounting struct {
 	// The ledger's counts: queries that scanned the table, logical queries
 	// answered from the cache, and the executed ones that were augmented
 	// scans. costNanos is the cost in exact nano-units, truncated per charge:
-	// the total Stats.CostUsed and the budget read, and the one a checkpoint
-	// restores bit for bit, which the float cost is not.
+	// the total Stats.CostUsed reports and the budget reads. cost, the float
+	// sum, only labels trace events and metrics.
 	executed, served, augmented int64
 	costNanos                   int64
 }
@@ -303,7 +302,7 @@ func (a *accounting) applySiblings(s *siblingUse) {
 // queryStats reports the simulated query cache as cache.Stats. Bytes is
 // reporting-only and excluded from the determinism guarantee: it sums the
 // sizes of the units the run recorded, which can differ by substrate (its
-// unit columns) and across a resume.
+// unit columns).
 func (a *accounting) queryStats() cache.Stats {
 	return cache.Stats{
 		Hits:    a.qcHits,

@@ -1,10 +1,8 @@
 package miner
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"metainsight/internal/cache"
@@ -16,17 +14,21 @@ import (
 
 // windowRun is one mining run with everything the invariance net compares.
 type windowRun struct {
-	res     *Result
-	journal []byte
-	qStats  cache.Stats
-	pStats  cache.Stats
-	peak    float64 // deepest speculation window of the run
+	res    *Result
+	trace  [sha256.Size]byte // digest of the commit-order trace
+	events int64             // events the trace recorded
+	qStats cache.Stats
+	pStats cache.Stats
+	peak   float64 // deepest speculation window of the run
 }
 
-// runForWindow mines tab; with dir set the run journals every commit there
-// (no snapshot before the end), and halt > 0 hard-stops it after that many
-// commits, which leaves the journal in place for comparison.
-func runForWindow(t *testing.T, tab *dataset.Table, workers int, dir string, halt int64, mutate func(*Config, *engine.Config)) windowRun {
+// windowTraceCapacity holds the whole trace of the largest run the net
+// mines (Hotel Booking unbudgeted: ≈ 394 k events).
+const windowTraceCapacity = 1 << 19
+
+// runForWindow mines tab, tracing every event the commit path records when
+// traced is set; the run keeps only a digest of the trace.
+func runForWindow(t *testing.T, tab *dataset.Table, workers int, traced bool, mutate func(*Config, *engine.Config)) windowRun {
 	t.Helper()
 	ecfg := engine.Config{}
 	cfg := DefaultConfig()
@@ -34,23 +36,26 @@ func runForWindow(t *testing.T, tab *dataset.Table, workers int, dir string, hal
 		mutate(&cfg, &ecfg)
 	}
 	cfg.Workers = workers
-	cfg.Observer = obs.New(obs.Options{})
-	if dir != "" {
-		cfg.Checkpoint = &CheckpointSpec{Dir: dir, Every: 1 << 40}
-		cfg.HaltAfterCommits = halt
+	opts := obs.Options{}
+	if traced {
+		opts.TraceCapacity = windowTraceCapacity
 	}
+	cfg.Observer = obs.New(opts)
 	eng, err := engine.New(tab, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := windowRun{res: New(eng, cfg).Run()}
-	if out.res.Err != nil {
-		t.Fatalf("workers=%d: %v", workers, out.res.Err)
-	}
-	if dir != "" {
-		if out.journal, err = os.ReadFile(filepath.Join(dir, "journal.ck")); err != nil {
-			t.Fatal(err)
+	if tr := cfg.Observer.Trace(); tr != nil {
+		if tr.Dropped() > 0 {
+			t.Fatalf("workers=%d: the trace ring dropped %d events; raise windowTraceCapacity", workers, tr.Dropped())
 		}
+		h := sha256.New()
+		for _, l := range traceOf(cfg.Observer) {
+			fmt.Fprintf(h, "%d %v %q %q %v\n", l.Seq, l.Kind, l.Unit, l.Detail, l.Cost)
+		}
+		h.Sum(out.trace[:0])
+		out.events = int64(tr.Len())
 	}
 	out.qStats = eng.QueryCache().Stats()
 	out.pStats = eng.PatternCache().Stats()
@@ -60,9 +65,9 @@ func runForWindow(t *testing.T, tab *dataset.Table, workers int, dir string, hal
 
 // TestDeepWindowInvariance is the net under the deeper speculation window:
 // on the four Figure-6 tables and the benchmark's generated table at its
-// quick scale, results, statistics, the commit journal byte for byte and
-// both caches' occupancy are the same at 1, 2 and 8 workers — and so are a
-// cost-budgeted and an S*-terminated run, where units evaluated ahead of
+// quick scale, results, statistics, the commit-order trace event for event
+// and both caches' occupancy are the same at 1, 2 and 8 workers — and so are
+// a cost-budgeted and an S*-terminated run, where units evaluated ahead of
 // the stop or of a cut are thrown away.
 func TestDeepWindowInvariance(t *testing.T) {
 	if testing.Short() {
@@ -73,14 +78,12 @@ func TestDeepWindowInvariance(t *testing.T) {
 	for _, tab := range tabs {
 		t.Run(tab.Name(), func(t *testing.T) {
 			t.Parallel()
-			ref := runForWindow(t, tab, 1, "", 0, nil)
+			ref := runForWindow(t, tab, 1, true, nil)
 			total := commitTotal(ref.res.Stats)
 			deepest := 0.0
-			for _, workers := range []int{1, 2, 8} {
+			for _, workers := range []int{2, 8} {
 				label := fmt.Sprintf("workers=%d", workers)
-				// Halting at the last commit ends the run where it would end
-				// anyway, but skips the final snapshot that empties the journal.
-				got := runForWindow(t, tab, workers, t.TempDir(), total, nil)
+				got := runForWindow(t, tab, workers, true, nil)
 				assertSameOrderedKeys(t, label, ref.res, got.res)
 				assertSameStats(t, label, ref.res.Stats, got.res.Stats)
 				if miJSON(t, got.res) != miJSON(t, ref.res) {
@@ -90,15 +93,13 @@ func TestDeepWindowInvariance(t *testing.T) {
 					t.Errorf("%s: cache occupancy %+v / %+v differs from the one-worker run's %+v / %+v",
 						label, got.qStats, got.pStats, ref.qStats, ref.pStats)
 				}
-				if ref.journal == nil {
-					ref.journal = got.journal
-				} else if !bytes.Equal(got.journal, ref.journal) {
-					t.Errorf("%s: journal (%d bytes) differs from the one-worker journal (%d bytes)",
-						label, len(got.journal), len(ref.journal))
+				if got.trace != ref.trace || got.events != ref.events {
+					t.Errorf("%s: commit-order trace (%d events) differs from the one-worker trace (%d events)",
+						label, got.events, ref.events)
 				}
 				deepest = max(deepest, got.peak)
 			}
-			t.Logf("%d commits, %d journal bytes, deepest window %.0f entries", total, len(ref.journal), deepest)
+			t.Logf("%d commits, %d trace events, deepest window %.0f entries", total, ref.events, deepest)
 
 			for _, arm := range []struct {
 				name   string
@@ -109,8 +110,8 @@ func TestDeepWindowInvariance(t *testing.T) {
 				}},
 				{"topk10", func(c *Config, e *engine.Config) { c.TopK = 10 }},
 			} {
-				one := runForWindow(t, tab, 1, "", 0, arm.mutate)
-				got := runForWindow(t, tab, 8, "", 0, arm.mutate)
+				one := runForWindow(t, tab, 1, false, arm.mutate)
+				got := runForWindow(t, tab, 8, false, arm.mutate)
 				assertSameOrderedKeys(t, arm.name+" workers=8", one.res, got.res)
 				assertSameStats(t, arm.name+" workers=8", one.res.Stats, got.res.Stats)
 				if arm.name == "topk10" && one.res.Stats.SStarCut == 0 {
@@ -121,56 +122,6 @@ func TestDeepWindowInvariance(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestResumeFromADeepWindow kills a run at a moment its window is known to be
-// deep and resumes it at another worker count. The head was held until more
-// than 64 + every + Workers units had run behind it, so more than 64 + every
-// of them had finished and sat uncommitted when it committed; the run is
-// killed at the next snapshot boundary, fewer than every commits later, so
-// that snapshot is written with more than 64 finished entries in the window.
-// It must carry every one of them as pending work: the resumed run has to end
-// exactly where an uninterrupted one does.
-func TestResumeFromADeepWindow(t *testing.T) {
-	tab := wideTable()
-	head := firstChildScan(t, tab)
-	const (
-		workers = 8
-		every   = 16
-	)
-	ckpt := func(w int, dir string, halt int64, resume bool, sub engine.Substrate) (*Result, *obs.Observer) {
-		ob := obs.New(obs.Options{})
-		res := runMiner(t, tab, func(c *Config, e *engine.Config) {
-			c.Workers = w
-			c.Observer = ob
-			c.Checkpoint = &CheckpointSpec{Dir: dir, Every: every, Resume: resume}
-			c.HaltAfterCommits = halt
-			e.Substrate = sub
-		})
-		if res.Err != nil {
-			t.Fatalf("workers=%d halt=%d resume=%v: %v", w, halt, resume, res.Err)
-		}
-		return res, ob
-	}
-	ref, _ := ckpt(1, t.TempDir(), 0, false, nil)
-	kill := (head.commit/every + 1) * every
-
-	for _, resumeWorkers := range []int{1, 8} {
-		dir := t.TempDir()
-		_, killedObs := ckpt(workers, dir, kill, false, newGatedSubstrate(tab, head, 64+every+workers))
-		if peak := killedObs.Snapshot().Gauges[obsWindowPeak]; peak <= 64+every {
-			t.Fatalf("the killed run's window peaked at %.0f entries; the test needs it deeper than %d", peak, 64+every)
-		}
-		res, _ := ckpt(resumeWorkers, dir, 0, true, nil)
-		label := fmt.Sprintf("resume at %d workers", resumeWorkers)
-		if res.Stats.ResumedUnits != kill {
-			t.Errorf("%s: resumed from commit %d, killed at %d", label, res.Stats.ResumedUnits, kill)
-		}
-		if miJSON(t, res) != miJSON(t, ref) {
-			t.Errorf("%s: results differ from the uninterrupted run", label)
-		}
-		assertSameStats(t, label, normalizeStats(ref.Stats), normalizeStats(res.Stats))
 	}
 }
 

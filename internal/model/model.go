@@ -121,24 +121,6 @@ func (m Measure) String() string { return m.Agg.String() + "(" + m.Column + ")" 
 // into larger keys unambiguously.
 func (m Measure) Key() string { return m.Agg.String() + "(" + EscapeKey(m.Column) + ")" }
 
-// ParseMeasureKey inverts Key. ok is false unless s is the Key of a measure
-// of one of the five aggregates, and then Key of the measure returned is s
-// byte for byte. The checkpoint restore path uses it to check the measures a
-// snapshot names.
-func ParseMeasureKey(s string) (m Measure, ok bool) {
-	open := strings.IndexByte(s, '(')
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return Measure{}, false
-	}
-	for a := AggSum; a <= AggMax; a++ {
-		if a.String() == s[:open] {
-			m = Measure{Agg: a, Column: UnescapeKey(s[open+1 : len(s)-1])}
-			return m, m.Key() == s
-		}
-	}
-	return Measure{}, false
-}
-
 // Filter is a single non-empty filter on one dimension: Dim = Value.
 type Filter struct {
 	Dim   string
@@ -259,43 +241,6 @@ func (s Subspace) AppendKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// ParseSubspaceKey inverts Key: it splits a canonical subspace key at its
-// unescaped separators and unescapes the parts. ok is false unless s is the
-// Key of a subspace NewSubspace could build, and then Key of the subspace
-// returned is s byte for byte. The checkpoint restore path
-// uses it to re-intern the subspaces a snapshot names.
-func ParseSubspaceKey(s string) (sub Subspace, ok bool) {
-	if s == "{*}" {
-		return EmptySubspace, true
-	}
-	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		return nil, false
-	}
-	body := s[1 : len(s)-1]
-	var f Filter
-	start, inValue := 0, false
-	for i := 0; i <= len(body); i++ {
-		switch {
-		case i == len(body) || body[i] == ';':
-			if !inValue {
-				return nil, false
-			}
-			f.Value = UnescapeKey(body[start:i])
-			if n := len(sub); n > 0 && sub[n-1].Dim >= f.Dim {
-				return nil, false // not sorted by dimension, or a dimension twice
-			}
-			sub = append(sub, f)
-			start, inValue = i+1, false
-		case body[i] == keyEscape:
-			i++ // the escaped byte is never a separator
-		case body[i] == '=' && !inValue:
-			f.Dim = UnescapeKey(body[start:i])
-			start, inValue = i+1, true
-		}
-	}
-	return sub, sub.Key() == s
-}
-
 // keyEscape is the escape byte of canonical keys.
 const keyEscape = '\\'
 
@@ -332,21 +277,6 @@ func AppendEscapedKey(dst []byte, s string) []byte {
 		dst = append(dst, keyEscape, s[i])
 		s = s[i+1:]
 	}
-}
-
-// UnescapeKey inverts EscapeKey.
-func UnescapeKey(s string) string {
-	if strings.IndexByte(s, keyEscape) < 0 {
-		return s
-	}
-	b := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == keyEscape && i+1 < len(s) {
-			i++
-		}
-		b = append(b, s[i])
-	}
-	return string(b)
 }
 
 // firstKeySpecial returns the index of the first byte of s that needs

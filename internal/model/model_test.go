@@ -135,25 +135,6 @@ func TestMeasureStringAndAdditivity(t *testing.T) {
 	}
 }
 
-// TestParseMeasureKey: ParseMeasureKey inverts Measure.Key for every
-// aggregate, over column names made of the key separators and the escape
-// byte, and refuses what is not the Key of a measure.
-func TestParseMeasureKey(t *testing.T) {
-	for a := AggSum; a <= AggMax; a++ {
-		for _, col := range []string{"Sales", "*", "", "a(b)", `x|{;=}\`, ")"} {
-			m := Measure{Agg: a, Column: col}
-			if back, ok := ParseMeasureKey(m.Key()); !ok || back != m {
-				t.Errorf("ParseMeasureKey(%q) = %+v, %v; want %+v", m.Key(), back, ok, m)
-			}
-		}
-	}
-	for _, bad := range []string{"", "SUM", "SUM(", "SUM)", "(Sales)", "sum(Sales)", "MEDIAN(Sales)", "AggFunc(9)(x)", "SUM(a|b)", `SUM(a\)`} {
-		if m, ok := ParseMeasureKey(bad); ok {
-			t.Errorf("ParseMeasureKey(%q) accepted %+v", bad, m)
-		}
-	}
-}
-
 func TestFilterSet(t *testing.T) {
 	s := NewSubspace(Filter{"City", "LA"}, Filter{"Month", "Apr"})
 	set := s.FilterSet()

@@ -39,28 +39,20 @@ const (
 	// EvUnitPanic marks a compute unit whose evaluation panicked; the worker
 	// recovered and the unit was committed as failed (detail = panic value).
 	EvUnitPanic
-	// EvCheckpointWrite marks one durable snapshot landing on disk.
-	EvCheckpointWrite
-	// EvCheckpointResume marks a run restored from a checkpoint directory
-	// (detail = snapshot index and journal records replayed). It is the only
-	// event a resumed run emits that an uninterrupted run does not.
-	EvCheckpointResume
 )
 
 var eventKindNames = [...]string{
-	EvPop:              "pop",
-	EvQueryExec:        "query-exec",
-	EvCacheHit:         "cache-hit",
-	EvCacheMiss:        "cache-miss",
-	EvPatternEval:      "pattern-eval",
-	EvPrune:            "prune",
-	EvDedup:            "dedup",
-	EvStore:            "store",
-	EvBudgetStop:       "budget-stop",
-	EvCancel:           "cancel",
-	EvUnitPanic:        "unit-panic",
-	EvCheckpointWrite:  "checkpoint-write",
-	EvCheckpointResume: "checkpoint-resume",
+	EvPop:         "pop",
+	EvQueryExec:   "query-exec",
+	EvCacheHit:    "cache-hit",
+	EvCacheMiss:   "cache-miss",
+	EvPatternEval: "pattern-eval",
+	EvPrune:       "prune",
+	EvDedup:       "dedup",
+	EvStore:       "store",
+	EvBudgetStop:  "budget-stop",
+	EvCancel:      "cancel",
+	EvUnitPanic:   "unit-panic",
 }
 
 // String returns the stable wire name of the kind.

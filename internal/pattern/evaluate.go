@@ -42,14 +42,6 @@ const (
 	unimodalMinProminence = 0.25
 )
 
-// Thresholds renders the criteria's thresholds in the form a miner
-// checkpoint's fingerprint records them.
-func Thresholds() string {
-	return fmt.Sprintf("%g %g %g %g %g %d %g %g %g %g",
-		alpha, evennessCV, attributionShare, outlierSigma, outlierMaxFraction,
-		smoothWindow, seasonalityMinACF, trendMinR2, unimodalViolationFraction, unimodalMinProminence)
-}
-
 // Config registers the pattern types evaluated beside the paper's eleven.
 // Its zero value is the paper's configuration: the built-in types under the
 // fixed thresholds above.

@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -129,7 +128,7 @@ func (d *daemon) getJob(t *testing.T, id string) JobStatus {
 	return st
 }
 
-const chaosJobBody = `{"dataset":"rich","top_k":5,"checkpoint_every":4}`
+const chaosJobBody = `{"dataset":"rich","top_k":5}`
 
 func submitChaosJob(t *testing.T, d *daemon, tenant string) string {
 	t.Helper()
@@ -159,26 +158,10 @@ func waitDaemonJobDone(t *testing.T, d *daemon, id string, timeout time.Duration
 	}
 }
 
-// normalizeStats strips the fields a resumed run legitimately differs in:
-// resumed_units only exists on the resumed side, checkpoint_writes counts the
-// crash-time extra snapshot, cancelled marks the interrupted attempt.
-// Everything else must match bit-for-bit.
-func normalizeStats(t *testing.T, raw json.RawMessage) map[string]any {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("stats are not an object: %v\n%s", err, raw)
-	}
-	delete(m, "resumed_units")
-	delete(m, "checkpoint_writes")
-	delete(m, "cancelled")
-	return m
-}
-
 // TestServerSmokeKill9 is the chaos acceptance test: concurrent tenants with
 // some over quota, a kill -9 of the daemon mid-job, a restart, and the
-// requirement that the resumed job's results match an uninterrupted run
-// bit-identically.
+// requirement that the job the restarted daemon re-mines from its journaled
+// spec matches an uninterrupted run byte for byte, insights and stats alike.
 func TestServerSmokeKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test; skipped in -short")
@@ -236,8 +219,8 @@ func TestServerSmokeKill9(t *testing.T) {
 		t.Fatalf("flood split ok=%d shed=%d; want both outcomes", okN, shedN)
 	}
 
-	// Let the job make real, checkpointed progress, then kill the process
-	// without any chance to clean up.
+	// Let the job make real progress, then kill the process without any
+	// chance to clean up.
 	deadline := time.Now().Add(time.Minute)
 	for {
 		st := chaos.getJob(t, jobID)
@@ -255,32 +238,20 @@ func TestServerSmokeKill9(t *testing.T) {
 	chaos.kill9(t)
 
 	// Phase 3 — restart over the same state directory: the journaled spec
-	// must be picked up, resumed from its checkpoint, and finish with the
+	// must be picked up, re-mined from the start, and finish with the
 	// baseline's exact results.
 	revived := startDaemon(t, bin, append(dataArgs, "-state", chaosState), nil)
 	defer revived.terminate(t)
-	resSt := waitDaemonJobDone(t, revived, jobID, 2*time.Minute)
-	if resSt.State != JobDone {
-		t.Fatalf("resumed job failed: %q", resSt.Error)
+	reSt := waitDaemonJobDone(t, revived, jobID, 2*time.Minute)
+	if reSt.State != JobDone {
+		t.Fatalf("re-mined job failed: %q", reSt.Error)
 	}
-	if !resSt.Resumed {
-		t.Fatal("restarted job did not resume from its checkpoint")
+	if string(reSt.Insights) != string(baseSt.Insights) {
+		t.Fatalf("re-mined insights differ from uninterrupted run:\nre-mined: %s\nbaseline: %s",
+			reSt.Insights, baseSt.Insights)
 	}
-	var stats struct {
-		ResumedUnits int64 `json:"resumed_units"`
-	}
-	if err := json.Unmarshal(resSt.Stats, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.ResumedUnits == 0 {
-		t.Fatal("resumed job replayed no units — the kill either lost the checkpoint or landed after completion")
-	}
-	if string(resSt.Insights) != string(baseSt.Insights) {
-		t.Fatalf("resumed insights differ from uninterrupted run:\nresumed: %s\nbaseline: %s",
-			resSt.Insights, baseSt.Insights)
-	}
-	got, want := normalizeStats(t, resSt.Stats), normalizeStats(t, baseSt.Stats)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed stats differ from uninterrupted run:\nresumed: %v\nbaseline: %v", got, want)
+	if string(reSt.Stats) != string(baseSt.Stats) {
+		t.Fatalf("re-mined stats differ from uninterrupted run:\nre-mined: %s\nbaseline: %s",
+			reSt.Stats, baseSt.Stats)
 	}
 }

@@ -14,23 +14,23 @@ import (
 	"time"
 
 	"metainsight"
-	"metainsight/internal/checkpoint"
 	"metainsight/internal/obs"
 	"metainsight/internal/ranker"
 )
 
 // JobsConfig configures the durable job scheduler.
 type JobsConfig struct {
-	// Dir is the job state directory (spec journal + per-job checkpoints).
-	// Empty disables durable jobs.
+	// Dir is the job state directory (one spec and one result record per
+	// job). Empty disables durable jobs.
 	Dir string
 	// Workers is how many jobs may run concurrently (default 2). Each
 	// running job additionally holds an admission slot, so jobs and
 	// synchronous requests share — and are fairly scheduled over — the same
 	// execution capacity.
 	Workers int
-	// CheckpointEvery is the default snapshot cadence in unit commits for
-	// jobs that do not specify one (default 64).
+	// CheckpointEvery is reserved and ignored: jobs keep no checkpoint, and
+	// a restarted daemon re-mines each unfinished job from its spec. It
+	// stays only for callers that still set it.
 	CheckpointEvery int64
 }
 
@@ -43,15 +43,12 @@ func (c JobsConfig) withDefaults() JobsConfig {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 64
-	}
 	return c
 }
 
 // jobResult is the durable completion record, written atomically to
 // result.json when a job finishes. Its presence is what distinguishes a
-// finished job from one to resume at startup.
+// finished job from one to re-run at startup.
 type jobResult struct {
 	State    JobState        `json:"state"`
 	Error    string          `json:"error,omitempty"`
@@ -65,7 +62,6 @@ type JobStatus struct {
 	State         JobState        `json:"state"`
 	Tenant        string          `json:"tenant"`
 	Dataset       string          `json:"dataset"`
-	Resumed       bool            `json:"resumed,omitempty"`
 	InsightsFound int64           `json:"insights_found"`
 	Error         string          `json:"error,omitempty"`
 	Insights      json.RawMessage `json:"insights,omitempty"`
@@ -82,7 +78,6 @@ type job struct {
 
 	mu       sync.Mutex
 	state    JobState
-	resumed  bool
 	errMsg   string
 	insights json.RawMessage
 	stats    json.RawMessage
@@ -96,7 +91,6 @@ func (j *job) status() JobStatus {
 		State:         j.state,
 		Tenant:        j.spec.Tenant,
 		Dataset:       j.spec.Params.Dataset,
-		Resumed:       j.resumed,
 		InsightsFound: j.found.Load(),
 		Error:         j.errMsg,
 		Insights:      j.insights,
@@ -107,9 +101,10 @@ func (j *job) status() JobStatus {
 // scheduler owns the durable job queue: specs are journaled before
 // acknowledgement, results are journaled at completion, and anything
 // in between — including a kill -9 of the whole daemon — leaves a spec
-// without a result, which the next startup resumes from its checkpoint
-// directory bit-identically (the mining checkpoint machinery replays the
-// canonical commit stream; see internal/checkpoint and DESIGN.md §7).
+// without a result, which the next startup re-mines from the start. A job
+// is cost-budgeted or unbudgeted, so its mine is a pure function of the
+// table and the spec, and the re-mined result is byte-identical to the one
+// the killed process would have written (DESIGN.md §7).
 type scheduler struct {
 	cfg       JobsConfig
 	reg       *registry
@@ -161,8 +156,9 @@ func (s *scheduler) enabled() bool { return s.cfg.Dir != "" }
 
 // recover scans the job directory at startup: specs with a result record
 // load as finished history; specs without one are in-flight jobs the
-// previous process lost — they re-enter the queue, flagged resumed when a
-// checkpoint exists to restore from.
+// previous process lost — they re-enter the queue and mine from the start.
+// A job's ck/ subdirectory is checkpoint state that versions which resumed
+// jobs left behind; nothing reads it, so it is removed.
 func (s *scheduler) recover() error {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -173,6 +169,9 @@ func (s *scheduler) recover() error {
 			continue
 		}
 		dir := filepath.Join(s.cfg.Dir, ent.Name())
+		if err := os.RemoveAll(filepath.Join(dir, "ck")); err != nil {
+			s.logf("serve: job %s: removing stale checkpoint directory: %v", ent.Name(), err)
+		}
 		specData, err := os.ReadFile(filepath.Join(dir, "spec.json"))
 		if err != nil {
 			continue // a job directory torn before its spec landed: not accepted, skip
@@ -196,13 +195,9 @@ func (s *scheduler) recover() error {
 			}
 			s.logf("serve: job %s: corrupt result record, re-running: %v", spec.ID, err)
 		}
-		j.resumed = checkpoint.Exists(s.ckDir(spec.ID))
 		s.jobs[spec.ID] = j
 		s.queue = append(s.queue, j)
 		s.obs.Count("serve.jobs.recovered", 1)
-		if j.resumed {
-			s.obs.Count("serve.jobs.resumed", 1)
-		}
 		s.transition(j, JobQueued)
 	}
 	return nil
@@ -221,8 +216,6 @@ func (s *scheduler) newJob(spec JobSpec) *job {
 	}
 }
 
-func (s *scheduler) ckDir(id string) string { return filepath.Join(s.cfg.Dir, id, "ck") }
-
 // transition records a job state change through the metrics registry.
 func (s *scheduler) transition(j *job, to JobState) {
 	j.state = to
@@ -232,7 +225,7 @@ func (s *scheduler) transition(j *job, to JobState) {
 // submit validates, journals and enqueues one job. The spec hits disk —
 // atomic write, rename, directory fsync — before the job is acknowledged,
 // so an accepted job is crash-durable from the moment the client sees its id.
-func (s *scheduler) submit(tenant string, params AnalyzeParams, every int64) (*job, *APIError) {
+func (s *scheduler) submit(tenant string, params AnalyzeParams) (*job, *APIError) {
 	if !s.enabled() {
 		return nil, apiErrorf(http.StatusServiceUnavailable, CodeShuttingDown,
 			"durable jobs are disabled (no state directory)")
@@ -248,25 +241,21 @@ func (s *scheduler) submit(tenant string, params AnalyzeParams, every int64) (*j
 	if aerr := checkMeasures(entry, req); aerr != nil {
 		return nil, aerr
 	}
-	if every <= 0 {
-		every = s.cfg.CheckpointEvery
-	}
 	var idb [8]byte
 	if _, err := rand.Read(idb[:]); err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, CodeInternal, "id generation: %v", err)
 	}
 	spec := JobSpec{
-		ID:              "job-" + hex.EncodeToString(idb[:]),
-		Tenant:          tenant,
-		Params:          params,
-		CheckpointEvery: every,
-		SubmittedUnix:   time.Now().Unix(),
+		ID:            "job-" + hex.EncodeToString(idb[:]),
+		Tenant:        tenant,
+		Params:        params,
+		SubmittedUnix: time.Now().Unix(),
 	}
 	dir := filepath.Join(s.cfg.Dir, spec.ID)
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, CodeInternal, "job dir: %v", err)
 	}
-	if err := checkpoint.AtomicWrite(dir, "spec.json", mustJSON(spec), nil); err != nil {
+	if err := atomicWrite(dir, "spec.json", mustJSON(spec)); err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, CodeInternal, "journal spec: %v", err)
 	}
 	j := s.newJob(spec)
@@ -334,9 +323,10 @@ func (s *scheduler) worker() {
 }
 
 // run executes one job to completion (or interruption). The job shares the
-// admission semaphore with synchronous requests, builds a dedicated session
-// carrying the durability options (checkpoint journal + resume), and
-// publishes each discovery to the progressive ranker and SSE hub.
+// admission semaphore with synchronous requests, mines on the dataset's
+// resident session as /v1/analyze does (a session's warmth changes no
+// result and no charge), and publishes each discovery to the progressive
+// ranker and SSE hub.
 func (s *scheduler) run(j *job) {
 	permit, aerr := s.adm.Acquire(s.ctx, j.spec.Tenant)
 	if aerr != nil {
@@ -357,28 +347,9 @@ func (s *scheduler) run(j *job) {
 		s.finish(j, nil, err)
 		return
 	}
-	resume := checkpoint.Exists(s.ckDir(j.spec.ID))
 	j.mu.Lock()
 	s.transition(j, JobRunning)
-	j.resumed = resume
 	j.mu.Unlock()
-
-	// A dedicated session per run: durability is a construction-time
-	// setting, and the checkpoint fingerprint must cover exactly this job's
-	// configuration. The dataset's dictionaries and posting sets are cached
-	// on the dataset itself, so this is cheap relative to the mining it
-	// fronts.
-	sess, err := metainsight.NewSession(entry.ds,
-		metainsight.WithDurability(metainsight.DurabilityConfig{
-			CheckpointDir: s.ckDir(j.spec.ID),
-			Every:         j.spec.CheckpointEvery,
-			Resume:        resume,
-		}))
-	if err != nil {
-		s.finish(j, nil, err)
-		return
-	}
-	defer sess.Close()
 
 	req.Progress = func(mi *metainsight.MetaInsight) {
 		n := j.found.Add(1)
@@ -394,15 +365,15 @@ func (s *scheduler) run(j *job) {
 		}
 	}
 
-	an, err := sess.Analyze(s.ctx, req)
+	an, err := entry.sess.Analyze(s.ctx, req)
 	if an == nil {
 		s.finish(j, nil, err)
 		return
 	}
 	if an.Result.Stats.Cancelled {
-		// Interrupted by shutdown: the miner flushed a final snapshot at
-		// loop exit, so the next process resumes bit-identically. No result
-		// record is written — that is exactly what marks the job in-flight.
+		// Interrupted by shutdown: no result record is written — that is
+		// exactly what marks the job in-flight — so the next process
+		// re-mines it from its spec.
 		j.mu.Lock()
 		s.transition(j, JobQueued)
 		j.mu.Unlock()
@@ -432,7 +403,7 @@ func (s *scheduler) finish(j *job, an *metainsight.Analysis, err error) {
 	}
 	if s.enabled() {
 		dir := filepath.Join(s.cfg.Dir, j.spec.ID)
-		if wErr := checkpoint.AtomicWrite(dir, "result.json", mustJSON(res), nil); wErr != nil {
+		if wErr := atomicWrite(dir, "result.json", mustJSON(res)); wErr != nil {
 			s.logf("serve: job %s: persisting result: %v", j.spec.ID, wErr)
 		}
 	}
@@ -478,8 +449,8 @@ func (s *scheduler) list() []JobStatus {
 }
 
 // stop drains the scheduler: running jobs are cancelled at their next unit
-// commit (flushing a final checkpoint snapshot) and requeued on disk-truth
-// (spec without result), then the workers exit.
+// commit and requeued on disk-truth (spec without result), then the workers
+// exit.
 func (s *scheduler) stop() {
 	s.cancel()
 	s.kick()

@@ -22,10 +22,8 @@ type DatasetSpec struct {
 	DeriveTemporal string
 }
 
-// dsEntry is one loaded dataset plus its long-lived session. The session is
-// the shared fast path for synchronous requests; durable jobs build their
-// own session (with durability) per run, sharing the dataset's cached index
-// structures.
+// dsEntry is one loaded dataset plus its long-lived session, which serves
+// both synchronous requests and durable jobs.
 type dsEntry struct {
 	spec DatasetSpec
 	ds   *metainsight.Dataset

@@ -109,8 +109,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close shuts the server down: queued admissions are shed with a typed
 // shutting-down error, running jobs are interrupted at their next unit commit
-// (flushing a final checkpoint so the next process resumes bit-identically),
-// and every session's intern table and scan plans are released. Idempotent.
+// (the next process re-mines them from their specs), and every session's
+// intern table and scan plans are released. Idempotent.
 func (s *Server) Close() {
 	select {
 	case <-s.closed:
@@ -257,25 +257,20 @@ type SubmitResponse struct {
 	State JobState `json:"state"`
 }
 
-// submitRequest is the POST /v1/jobs body: analysis params plus job knobs.
-type submitRequest struct {
-	AnalyzeParams
-	// CheckpointEvery overrides the snapshot cadence in unit commits.
-	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
-}
-
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
 	if aerr := s.quo.Allow(tenant); aerr != nil {
 		writeAPIError(w, aerr)
 		return
 	}
-	var body submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	// The body is the analysis params. Unknown keys are ignored, so a body
+	// that still carries the retired "checkpoint_every" is accepted.
+	var params AnalyzeParams
+	if err := json.NewDecoder(r.Body).Decode(&params); err != nil {
 		writeAPIError(w, apiErrorf(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err))
 		return
 	}
-	j, aerr := s.sched.submit(tenant, body.AnalyzeParams, body.CheckpointEvery)
+	j, aerr := s.sched.submit(tenant, params)
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"metainsight"
 	"metainsight/internal/obs"
 )
 
@@ -365,7 +366,7 @@ func TestJobLifecycleAndRestartRecovery(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 
 	status, data := postJSON(t, hs.URL+"/v1/jobs",
-		`{"dataset":"house","top_k":5,"checkpoint_every":1,"measures":[{"agg":"SUM","column":"Sales"}]}`,
+		`{"dataset":"house","top_k":5,"measures":[{"agg":"SUM","column":"Sales"}]}`,
 		map[string]string{"X-Tenant": "acme"})
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d, body %s", status, data)
@@ -525,5 +526,61 @@ func TestDeadlineUnattainableOverHTTP(t *testing.T) {
 		map[string]string{"X-Deadline-Ms": "100"})
 	if status != http.StatusServiceUnavailable || errorCode(t, data) != CodeDeadlineUnattainable {
 		t.Fatalf("deadlined request under saturation: status %d, body %s", status, data)
+	}
+}
+
+// TestDeadlineCutMidMineIs206: a deadline that fires after admission and
+// before the mine ends yields the best-effort 206. The dataset's session is
+// swapped for one whose custom pattern evaluator, on its first call, blocks
+// until the request's deadline has passed, so the cut lands mid-mine
+// whatever the timing: an idle server admits at once, and the mine cannot
+// end while the evaluator blocks.
+func TestDeadlineCutMidMineIs206(t *testing.T) {
+	ob := obs.New(obs.Options{})
+	srv, hs := newTestServer(t, func(cfg *Config) { cfg.Observer = ob })
+	const deadline = 50 * time.Millisecond
+	var once sync.Once
+	var until time.Time
+	blocking := metainsight.CustomPattern{
+		Name: "Blocking",
+		Evaluate: func([]string, []float64) metainsight.PatternEvaluation {
+			// The deadline was set before the mine began, so it has passed
+			// once this first call has waited as long.
+			once.Do(func() { until = time.Now().Add(deadline) })
+			time.Sleep(time.Until(until))
+			return metainsight.PatternEvaluation{}
+		},
+	}
+	entry := srv.reg.entries["house"]
+	sess, err := metainsight.NewSession(entry.ds, metainsight.WithCustomPatternTypes(blocking))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = entry.sess.Close()
+	entry.sess = sess
+
+	status, data := postJSON(t, hs.URL+"/v1/analyze", analyzeBody,
+		map[string]string{"X-Deadline-Ms": strconv.FormatInt(deadline.Milliseconds(), 10)})
+	if status != http.StatusPartialContent {
+		t.Fatalf("status = %d, want 206; body %s", status, data)
+	}
+	var resp AnalyzeResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Degraded || resp.Warning == "" {
+		t.Errorf("206 body not marked degraded with a warning: degraded %v, warning %q", resp.Degraded, resp.Warning)
+	}
+	var stats struct {
+		Cancelled bool `json:"cancelled"`
+	}
+	if err := json.Unmarshal(resp.Stats, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Cancelled {
+		t.Errorf("206 stats do not report the cut: %s", resp.Stats)
+	}
+	if n := ob.Snapshot().Counters["serve.analyze.cancelled"]; n != 1 {
+		t.Errorf("serve.analyze.cancelled = %d, want 1", n)
 	}
 }

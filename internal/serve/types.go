@@ -11,7 +11,8 @@ import (
 // the synchronous /v1/analyze endpoint and durable job specs. Zero-valued
 // fields take the library defaults. Durable jobs deliberately have no
 // wall-clock budget field: jobs are bounded by deterministic cost units
-// (BudgetCost) so a resumed job is bit-identical to an uninterrupted one;
+// (BudgetCost) so a job re-mined after a restart is bit-identical to an
+// uninterrupted one;
 // synchronous requests bound wall time through the X-Deadline-Ms header,
 // which propagates as context cancellation into the miner's commit loop.
 type AnalyzeParams struct {
@@ -116,17 +117,15 @@ func (p AnalyzeParams) request() (metainsight.Request, error) {
 // rename + directory fsync) to <state>/jobs/<id>/spec.json before the job is
 // acknowledged, so an accepted job survives kill -9 of the daemon.
 type JobSpec struct {
-	ID     string        `json:"id"`
-	Tenant string        `json:"tenant"`
-	Params AnalyzeParams `json:"params"`
-	// CheckpointEvery is the snapshot cadence in unit commits (default 64).
-	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
-	SubmittedUnix   int64 `json:"submitted_unix"`
+	ID            string        `json:"id"`
+	Tenant        string        `json:"tenant"`
+	Params        AnalyzeParams `json:"params"`
+	SubmittedUnix int64         `json:"submitted_unix"`
 }
 
 // JobState is the lifecycle of a durable job. queued → running → done |
 // failed; a job interrupted by shutdown or crash returns to queued at the
-// next startup and resumes from its checkpoint.
+// next startup and mines again from the start.
 type JobState string
 
 const (

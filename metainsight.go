@@ -24,8 +24,8 @@
 //
 // Every setting has one spelling. Per-call knobs (measures, budgets, τ,
 // top-k, pruning, progress, observer) travel in the Request; session-wide
-// settings are grouped into typed configs (WithExec, WithDurability) beside
-// the pattern-registration options:
+// settings are grouped into a typed config (WithExec) beside the
+// pattern-registration options:
 //
 //	s, err := metainsight.NewSession(tab,
 //		metainsight.WithExec(metainsight.ExecConfig{Workers: 8, ScanParallelism: 2}),
@@ -50,7 +50,6 @@ import (
 	"math"
 	"time"
 
-	"metainsight/internal/checkpoint"
 	"metainsight/internal/core"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
@@ -125,33 +124,6 @@ const (
 	RowError = dataset.RowError
 	// RowSkip drops defective rows and counts them in Dataset.LoadStats.
 	RowSkip = dataset.RowSkip
-)
-
-// Checkpoint/resume sentinels; test with errors.Is on MiningResult.Err or
-// the error returned by Session.Analyze.
-var (
-	// ErrNoCheckpoint: a DurabilityConfig with Resume set found no usable
-	// checkpoint in the directory, or named no directory.
-	ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
-	// ErrCheckpointCorrupt: a checkpoint file failed validation (bad magic,
-	// CRC mismatch on a complete frame, non-contiguous journal, trailing
-	// garbage). A torn final journal record is NOT corruption — it is the
-	// expected shape after a crash and is silently discarded.
-	ErrCheckpointCorrupt = checkpoint.ErrCorrupt
-	// ErrCheckpointVersion: the checkpoint was written by an incompatible
-	// format version.
-	ErrCheckpointVersion = checkpoint.ErrVersion
-	// ErrCheckpointExists: a fresh checkpointed run (DurabilityConfig
-	// without Resume) refuses to overwrite a directory that already holds a
-	// checkpoint; resume it or remove it explicitly.
-	ErrCheckpointExists = checkpoint.ErrExists
-	// ErrCheckpointMismatch: the checkpoint was written under a different
-	// mining configuration (dataset, measures, scoring, caches or budget
-	// kind); resuming it would not reproduce the original run.
-	ErrCheckpointMismatch = miner.ErrCheckpointMismatch
-	// ErrReplayDiverged: re-executing the journal tail did not reproduce the
-	// journaled commits — the inputs changed since the checkpoint was taken.
-	ErrReplayDiverged = miner.ErrReplayDiverged
 )
 
 // NewObserver creates an observability collector to attach via
@@ -291,8 +263,6 @@ type analyzerOptions struct {
 	timeBudget     time.Duration
 	costBudget     float64
 	observer       *obs.Observer
-	checkpoint     *miner.CheckpointSpec
-	resumeNoDir    bool // a DurabilityConfig asked to Resume without a CheckpointDir
 	scanPar        int
 }
 

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -22,8 +20,8 @@ import (
 // subspaces in reverse domain order, and then a request with other
 // measures, have primed gives the request's measures and subspaces other
 // ordinals than a fresh session does; the request's insights, MetaInsights,
-// Stats, trace and final checkpoint snapshot must still be byte-identical
-// to the fresh session's, at Workers 1 and 8.
+// Stats and trace must still be byte-identical to the fresh session's, at
+// Workers 1 and 8.
 func TestOrdinalsNeverReachOutput(t *testing.T) {
 	tab := workload.CreditCard()
 	other := []Measure{Max("Spend"), Avg("Transactions"), Count("*")}
@@ -48,11 +46,11 @@ func TestOrdinalsNeverReachOutput(t *testing.T) {
 		}
 	}
 	type run struct {
-		insights, mis, snapshot []byte
-		stats                   MiningStats
-		trace                   []TraceEvent
+		insights, mis []byte
+		stats         MiningStats
+		trace         []TraceEvent
 	}
-	analyze := func(t *testing.T, s *Session, dir string) run {
+	analyze := func(t *testing.T, s *Session) run {
 		t.Helper()
 		ob := NewObserver(ObserverOptions{TraceCapacity: 1 << 16})
 		an, err := s.Analyze(context.Background(), Request{TopK: 10, Observer: ob})
@@ -64,9 +62,6 @@ func TestOrdinalsNeverReachOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.mis, err = json.Marshal(an.Result.MetaInsights); err != nil {
-			t.Fatal(err)
-		}
-		if r.snapshot, err = os.ReadFile(filepath.Join(dir, "snapshot.ck")); err != nil {
 			t.Fatal(err)
 		}
 		if n := ob.Trace().Dropped(); n > 0 {
@@ -95,24 +90,17 @@ func TestOrdinalsNeverReachOutput(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			session := func(dir string) *Session {
-				s, err := NewSession(tab,
-					WithExec(ExecConfig{Workers: workers}),
-					WithDurability(DurabilityConfig{CheckpointDir: dir, Every: 16}))
+			session := func() *Session {
+				s, err := NewSession(tab, WithExec(ExecConfig{Workers: workers}))
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { s.Close() })
 				return s
 			}
-			freshDir, warmDir := t.TempDir(), t.TempDir()
-			fresh, warm := session(freshDir), session(warmDir)
+			fresh, warm := session(), session()
 			prime(t, warm)
-			// The priming request's checkpoint makes way for the one compared.
-			if err := os.RemoveAll(warmDir); err != nil {
-				t.Fatal(err)
-			}
-			want, got := analyze(t, fresh, freshDir), analyze(t, warm, warmDir)
+			want, got := analyze(t, fresh), analyze(t, warm)
 
 			wantM, wantU := ordinals(t, fresh)
 			gotM, gotU := ordinals(t, warm)
@@ -129,7 +117,6 @@ func TestOrdinalsNeverReachOutput(t *testing.T) {
 			}{
 				{"insights", want.insights, got.insights},
 				{"MetaInsights", want.mis, got.mis},
-				{"checkpoint snapshot", want.snapshot, got.snapshot},
 			} {
 				if !bytes.Equal(c.got, c.want) {
 					t.Errorf("the primed session's %s (%d bytes) differ from a fresh session's (%d bytes)", c.name, len(c.got), len(c.want))

@@ -4,9 +4,9 @@ package metainsight
 // loads and indexes a dataset once and then serves many Analyze calls, each
 // parameterized by a Request. Every setting has exactly one spelling:
 // per-call knobs (measures, budgets, τ, top-k, pruning, progress, observer)
-// live only in the Request; session-wide settings live only in the grouped
-// configs (WithExec, WithDurability) and the pattern registration options,
-// which have no per-call meaning.
+// live only in the Request; session-wide settings live only in the
+// execution config (WithExec) and the pattern registration options, which
+// have no per-call meaning.
 // resolve merges the two into one configuration per call.
 //
 // Every Analyze call is hermetic: its accounting, the run's ledger, is the
@@ -55,34 +55,11 @@ type ExecConfig struct {
 	// setting. This is intra-query parallelism, orthogonal to Workers'
 	// inter-query parallelism: it is what uses the other cores while the
 	// miner can run only one unit (DESIGN.md §13). Scan results — and
-	// therefore every mined insight, statistic and checkpoint — are
+	// therefore every mined insight and statistic — are
 	// bit-identical for any value: the scan pipeline splits rows into
 	// fixed-size morsels and merges partial aggregates in morsel-index order,
 	// so the floating-point grouping never depends on n.
 	ScanParallelism int
-}
-
-// DurabilityConfig groups crash-safety: checkpoint journaling and resume.
-// With a CheckpointDir the miner journals every committed unit there (an
-// append-only, CRC-framed log of the canonical commit stream) and writes an
-// atomic snapshot of its full state every Every commits plus once at loop
-// exit. A fresh run refuses a directory that already holds a checkpoint
-// (ErrCheckpointExists). After a crash or cancellation, the same directory
-// with Resume set restores the latest valid snapshot, replays the journal
-// tail (tolerating a torn final record) by deterministic re-execution and
-// re-enters the mining loop: the resumed run's results, statistics and trace
-// continue exactly where the interrupted run stopped, at any worker count,
-// except under Budget.Time, which re-anchors on resume. Checkpointing
-// continues into the same directory.
-type DurabilityConfig struct {
-	// CheckpointDir is the checkpoint directory. Empty disables
-	// checkpointing.
-	CheckpointDir string
-	// Every is the snapshot cadence in unit commits (<= 0 defaults to 256).
-	Every int64
-	// Resume restores the run from CheckpointDir instead of starting fresh.
-	// Resume without a CheckpointDir is an error (ErrNoCheckpoint).
-	Resume bool
 }
 
 // WithExec applies an execution-layout config. Zero-valued fields leave
@@ -98,27 +75,12 @@ func WithExec(c ExecConfig) Option {
 	}
 }
 
-// WithDurability applies a durability config. An empty CheckpointDir leaves
-// prior settings untouched, unless Resume is set: then construction fails
-// with ErrNoCheckpoint rather than mine from scratch.
-func WithDurability(c DurabilityConfig) Option {
-	return func(o *analyzerOptions) {
-		if c.CheckpointDir != "" {
-			o.checkpoint = &miner.CheckpointSpec{Dir: c.CheckpointDir, Every: c.Every, Resume: c.Resume}
-		} else if c.Resume {
-			o.resumeNoDir = true
-		}
-	}
-}
-
 // Budget bounds one Analyze call. At most one field may be set: cost
 // budgets are deterministic and exactly reproducible, time budgets are not,
 // so the library refuses to combine them (ErrConflictingBudgets).
 type Budget struct {
 	// Time bounds mining by wall clock; mining is progressive and returns
-	// the best-so-far insights at the deadline. A wall-clock budget
-	// re-anchors on resume: a run resumed from a checkpoint gets the full
-	// duration again, so only cost-budgeted and unbounded runs resume exactly.
+	// the best-so-far insights at the deadline.
 	Time time.Duration
 	// Cost bounds mining by deterministic engine cost units.
 	Cost float64
@@ -247,9 +209,6 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 	if o.minerCfg.MaxSubspaceFilters < 0 {
 		return nil, fmt.Errorf("%w: max filters %d", ErrNegativeOption, o.minerCfg.MaxSubspaceFilters)
 	}
-	if o.resumeNoDir {
-		return nil, fmt.Errorf("%w: Resume needs a CheckpointDir", ErrNoCheckpoint)
-	}
 	return o, nil
 }
 
@@ -324,9 +283,7 @@ func (an *Analysis) WriteReport(w io.Writer, title string) error {
 func (an *Analysis) Engine() *engine.Engine { return an.a.Engine() }
 
 // Analyze mines and ranks one request. A cancelled context stops mining at
-// the next unit commit and still ranks whatever was mined. The error may
-// wrap a checkpoint sentinel, and the returned Analysis is still valid
-// best-effort output whenever it is non-nil.
+// the next unit commit and still ranks whatever was mined.
 func (s *Session) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 	a, err := s.analyzer(req)
 	if err != nil {
@@ -377,7 +334,6 @@ func (a *Analyzer) reset() error {
 		}
 	}
 	cfg.Observer = o.observer
-	cfg.Checkpoint = o.checkpoint
 	cfg.Budget.Cost = o.costBudget
 	a.eng, a.cfg = eng, cfg
 	return nil

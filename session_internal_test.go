@@ -62,16 +62,14 @@ func TestSessionClose(t *testing.T) {
 	}
 }
 
-// TestResolveLandsEveryField feeds each Request field and each ExecConfig /
-// DurabilityConfig field through resolve and the build
-// path, and checks it lands where the run reads it: the miner config, the
+// TestResolveLandsEveryField feeds each Request field and each ExecConfig
+// field through resolve and the build path, and checks it lands where the run reads it: the miner config, the
 // engine or its configuration, or the analyzer. A field added to one of
 // those types without a row here fails the test.
 func TestResolveLandsEveryField(t *testing.T) {
 	tab := sessionTable(t)
 	ob := NewObserver(ObserverOptions{})
 	progressed := 0
-	dir := t.TempDir()
 	cases := []struct {
 		fields string // the Type.Field names the row covers
 		opts   []Option
@@ -82,7 +80,7 @@ func TestResolveLandsEveryField(t *testing.T) {
 			return reflect.DeepEqual(a.eng.Measures(), []Measure{Sum("Cost")})
 		}},
 		{"Request.ImpactMeasure", nil, Request{ImpactMeasure: Sum("Units")}, func(_ *Session, a *Analyzer) bool {
-			return a.eng.ImpactMeasure() == Sum("Units")
+			return a.engineConfig().ImpactMeasure == Sum("Units")
 		}},
 		{"Request.TopK", nil, Request{TopK: 2}, func(s *Session, _ *Analyzer) bool {
 			an, err := s.Analyze(context.Background(), Request{TopK: 2})
@@ -116,11 +114,6 @@ func TestResolveLandsEveryField(t *testing.T) {
 		{"ExecConfig.ScanParallelism", []Option{WithExec(ExecConfig{ScanParallelism: 3})}, Request{}, func(_ *Session, a *Analyzer) bool {
 			return a.engineConfig().ScanParallelism == 3
 		}},
-		{"DurabilityConfig.CheckpointDir DurabilityConfig.Every DurabilityConfig.Resume",
-			[]Option{WithDurability(DurabilityConfig{CheckpointDir: dir, Every: 5, Resume: true})}, Request{},
-			func(_ *Session, a *Analyzer) bool {
-				return a.cfg.Checkpoint != nil && *a.cfg.Checkpoint == miner.CheckpointSpec{Dir: dir, Every: 5, Resume: true}
-			}},
 	}
 	covered := map[string]bool{}
 	for _, tc := range cases {
@@ -139,7 +132,7 @@ func TestResolveLandsEveryField(t *testing.T) {
 			covered[f] = true
 		}
 	}
-	for _, typ := range []any{Request{}, ExecConfig{}, DurabilityConfig{}} {
+	for _, typ := range []any{Request{}, ExecConfig{}} {
 		rt := reflect.TypeOf(typ)
 		for i := 0; i < rt.NumField(); i++ {
 			if f := rt.Name() + "." + rt.Field(i).Name; !covered[f] {

@@ -630,9 +630,6 @@ func TestConstructionValidation(t *testing.T) {
 		{"NaN cost budget", nil, metainsight.Request{Budget: metainsight.Budget{Cost: math.NaN()}}, metainsight.ErrNegativeOption},
 		{"negative time budget", nil, metainsight.Request{Budget: metainsight.Budget{Time: -5 * time.Second}}, metainsight.ErrNegativeOption},
 		{"negative WithCostBudget", []metainsight.Option{metainsight.WithCostBudget(-5)}, metainsight.Request{}, metainsight.ErrNegativeOption},
-		{"resume without checkpoint dir", []metainsight.Option{
-			metainsight.WithDurability(metainsight.DurabilityConfig{Resume: true}),
-		}, metainsight.Request{}, metainsight.ErrNoCheckpoint},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
