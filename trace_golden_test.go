@@ -1,0 +1,83 @@
+package metainsight_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"metainsight"
+	"metainsight/internal/workload"
+)
+
+var updateTraces = flag.Bool("update", false, "rewrite the trace golden files under testdata/")
+
+// TestTraceGoldens pins the commit-order trace of the default request
+// (Analyze with TopK 10) on each Figure-6 table: its event count and the
+// SHA-256 of its JSONL rendering with every wall_ns zeroed. The trace names
+// every unit, dedup, prune, store, query and evaluation in the order the
+// miner commits them, so a change to how those labels are rendered, or to
+// what is committed, moves a digest. Run with -update to rewrite the files
+// under testdata/.
+func TestTraceGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tab  func() *metainsight.Dataset
+	}{
+		{"sales_forecast", workload.SalesForecast},
+		{"tablet_sales", workload.TabletSales},
+		{"credit_card", workload.CreditCard},
+		{"hotel_booking", workload.HotelBooking},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := metainsight.NewSession(tc.tab())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			ob := metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 20})
+			if _, err := sess.Analyze(context.Background(), metainsight.Request{TopK: 10, Observer: ob}); err != nil {
+				t.Fatal(err)
+			}
+			tr := ob.Trace()
+			if tr.Dropped() > 0 {
+				t.Fatalf("the trace ring dropped %d events", tr.Dropped())
+			}
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			for _, ev := range tr.Events() {
+				ev.WallNanos = 0
+				if err := enc.Encode(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			got := fmt.Sprintf("events %d\nsha256 %s\n", tr.Len(), hex.EncodeToString(sum[:]))
+			path := filepath.Join("testdata", "trace."+tc.name+".golden")
+			if *updateTraces {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s: trace differs from the golden file (run with -update to accept it):\n got: %s\nwant: %s",
+					tc.name, strings.TrimSpace(got), strings.TrimSpace(string(want)))
+			}
+		})
+	}
+}
