@@ -26,7 +26,7 @@
 //	GET  /v1/jobs/{id}/stream live SSE stream of progressive discoveries
 //	GET  /v1/datasets         registered datasets
 //	GET  /healthz             liveness + admission snapshot
-//	GET  /metricsz            serve.* counters and gauges
+//	GET  /metricsz            serve.* counters and gauges, and process.* GC signals
 //
 // SIGINT/SIGTERM drain gracefully: queued requests are shed with a typed
 // shutting-down error, running jobs stop (the next start re-mines them), and

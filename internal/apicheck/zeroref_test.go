@@ -27,6 +27,8 @@ var testOnly = map[string]string{
 	"engine.NewReferenceSubstrate": "the scan differential oracle: TestDifferentialScanUnit / TestDifferentialScanAugmented (engine) and TestReferenceSubstrateStatsIdentity (miner) check the columnar substrate against it",
 	"core.Sim":                     "Equation 8 as stated: TestBuildMetaInsightClassesAreSimClasses checks BuildMetaInsight's commonness classes against it",
 	"core.SubspaceHDS":             "Equation 4 as stated: TestUnitsCarryHandlesThatAgreeWithTheirValues (miner) checks the HDSs the miner's handles build against it",
+	"core.MeasureHDS":              "Equation 5 as stated: TestUnitsCarryHandlesThatAgreeWithTheirValues (miner) checks the HDSs the miner's handles build against it",
+	"core.BreakdownHDS":            "Equation 6 as stated: TestUnitsCarryHandlesThatAgreeWithTheirValues (miner) checks the HDSs the miner's handles build against it",
 	"ranker.TotalUseApprox":        "Equation 22 as stated: TestApproxMatchesExactForPairs checks TotalUseExact against it",
 	"ranker.SubspaceOverlapRatio":  "Definition 9.1 as stated: TestRootOverlapMatchesDefinition checks OverlapRatio's in-place subspace factor against it",
 }

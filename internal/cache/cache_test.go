@@ -14,17 +14,24 @@ import (
 )
 
 func unit(groups int) *Unit {
-	u := &Unit{
-		Sums: map[string][]float64{}, Mins: map[string][]float64{}, Maxs: map[string][]float64{},
-	}
+	u := &Unit{Cols: NewColumns([]string{"V"}, []bool{true})}
 	for i := 0; i < groups; i++ {
-		u.GroupKeys = append(u.GroupKeys, fmt.Sprintf("g%d", i))
-		u.Counts = append(u.Counts, 1)
+		u.Codes = append(u.Codes, uint32(i))
 	}
-	u.Sums["V"] = make([]float64, groups)
-	u.Mins["V"] = make([]float64, groups)
-	u.Maxs["V"] = make([]float64, groups)
+	u.Data = make([]float64, groups*u.Cols.Width())
+	for i := range u.Counts() {
+		u.Counts()[i] = 1
+	}
 	return u
+}
+
+// domain is a breakdown dictionary of n values g0, g1, ….
+func domain(n int) []string {
+	d := make([]string, n)
+	for i := range d {
+		d[i] = fmt.Sprintf("g%d", i)
+	}
+	return d
 }
 
 // sk builds a pattern-cache key over one distinguishing component.
@@ -283,11 +290,69 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMemoWaitOutlastsAComputation: Wait reports a missing key as missing
+// without computing it, returns a kept value, and waits out a computation
+// in flight, which Get does not.
+func TestMemoWaitOutlastsAComputation(t *testing.T) {
+	m := NewMemo[int, int]()
+	if _, ok := m.Wait(1); ok {
+		t.Fatal("Wait found a key nobody computed")
+	}
+	m.Put(2, 20)
+	if v, ok := m.Wait(2); !ok || v != 20 {
+		t.Fatalf("Wait on a kept value: %d, %v", v, ok)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	go m.Do(3, func() int { close(started); <-release; return 30 })
+	<-started
+	if _, ok := m.Get(3); ok {
+		t.Fatal("Get returned a value still being computed")
+	}
+	go close(release)
+	if v, ok := m.Wait(3); !ok || v != 30 {
+		t.Fatalf("Wait on a computation in flight: %d, %v", v, ok)
+	}
+}
+
 func TestUnitApproxBytesGrowsWithGroups(t *testing.T) {
-	small := unit(2).ApproxBytes()
-	big := unit(200).ApproxBytes()
+	small := unit(2).ApproxBytes(domain(2))
+	big := unit(200).ApproxBytes(domain(200))
 	if big <= small {
 		t.Errorf("ApproxBytes: %d vs %d", small, big)
+	}
+}
+
+// TestUnitColumnsRenderByName checks the flat layout against the named
+// form: counts first, then every column's sums, then min and max of the
+// columns that keep them, each aligned with the group codes; and
+// ApproxBytes is what the named form's keys and columns take.
+func TestUnitColumnsRenderByName(t *testing.T) {
+	cols := NewColumns([]string{"A", "B", "C"}, []bool{false, true, false})
+	u := Unit{Codes: []uint32{1, 3}, Cols: cols,
+		Data: []float64{2, 5, 10, 11, 20, 21, 30, 31, -1, -2, 9, 8}}
+	if cols.Width() != 6 {
+		t.Fatalf("width %d, want 6", cols.Width())
+	}
+	nu := u.Named([]string{"w", "x", "y", "zz"})
+	want := &NamedUnit{
+		GroupKeys: []string{"x", "zz"},
+		Counts:    []float64{2, 5},
+		Sums:      map[string][]float64{"A": {10, 11}, "B": {20, 21}, "C": {30, 31}},
+		Mins:      map[string][]float64{"B": {-1, -2}},
+		Maxs:      map[string][]float64{"B": {9, 8}},
+	}
+	if fmt.Sprint(nu) != fmt.Sprint(want) {
+		t.Errorf("named unit\n got %v\nwant %v", nu, want)
+	}
+	if _, ok := u.Mins("A"); ok {
+		t.Error("column A keeps no minima, but Mins found some")
+	}
+	if _, ok := u.Sums("D"); ok {
+		t.Error("Sums found an unknown column")
+	}
+	// 64 for the header, 16 plus the length per key, 8 per cell.
+	if got, want := u.ApproxBytes([]string{"w", "x", "y", "zz"}), int64(64+17+18+12*8); got != want {
+		t.Errorf("ApproxBytes %d, want %d", got, want)
 	}
 }
 

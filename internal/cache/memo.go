@@ -12,7 +12,8 @@ import (
 // engine's augmented-pair memo. It is safe for concurrent use, and its rules
 // are:
 //
-//   - Get never blocks and never returns a value still being computed.
+//   - Get never blocks and never returns a value still being computed; Wait
+//     is Get that waits out a computation in flight.
 //   - Put writes once: a key that already has a value, or a computation in
 //     flight, keeps what it has. Callers only ever put equal values under one
 //     key (the Substrate determinism contract), so which one is kept does not
@@ -91,6 +92,20 @@ func (m *Memo[K, V]) Get(k K) (V, bool) {
 	e, ok := s.entries[k]
 	s.mu.RUnlock()
 	return e.val, ok && e.call == nil
+}
+
+// Wait returns the value kept for k, waiting for it if a computation of k
+// is in flight; ok is false when k has neither, or its computation panicked.
+func (m *Memo[K, V]) Wait(k K) (v V, ok bool) {
+	s := m.shard(k)
+	s.mu.RLock()
+	e, ok := s.entries[k]
+	s.mu.RUnlock()
+	if !ok || e.call == nil {
+		return e.val, ok
+	}
+	e.call.wg.Wait()
+	return e.call.val, !e.call.panicked
 }
 
 // Put keeps v for k unless k already has a value or a computation in flight.

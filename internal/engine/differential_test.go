@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
+	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/model"
 )
@@ -19,11 +21,35 @@ import (
 // (shortest round-trip), so any bit difference in an aggregate shows up.
 func unitJSON(t *testing.T, v any) string {
 	t.Helper()
+	switch x := v.(type) {
+	case cache.Unit:
+		v = namedByCode(x)
+	case []cache.Unit:
+		named := make([]*cache.NamedUnit, len(x))
+		for i, u := range x {
+			if u.Len() > 0 {
+				named[i] = namedByCode(u)
+			}
+		}
+		v = named
+	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// namedByCode renders u with every group key its dictionary code in
+// decimal, so units compare by content whatever their arrays' capacity.
+func namedByCode(u cache.Unit) *cache.NamedUnit {
+	var domain []string
+	for _, code := range u.Codes {
+		for len(domain) <= int(code) {
+			domain = append(domain, strconv.Itoa(len(domain)))
+		}
+	}
+	return u.Named(domain)
 }
 
 // diffSubstrates enumerates every physical configuration of the vectorized
@@ -155,7 +181,7 @@ func differentialScanUnit(t *testing.T, tab *dataset.Table) {
 			wantU, _ := ref.ScanUnitAt(h, bd)
 			want := unitJSON(t, wantU)
 			matching := 0
-			for _, n := range wantU.Counts {
+			for _, n := range wantU.Counts() {
 				matching += int(n)
 			}
 			for name, c := range subs {
@@ -201,10 +227,8 @@ func differentialScanAugmented(t *testing.T, tab *dataset.Table) {
 		want := unitJSON(t, wantUnits)
 		matching := 0
 		for _, u := range wantUnits {
-			if u != nil {
-				for _, n := range u.Counts {
-					matching += int(n)
-				}
+			for _, n := range u.Counts() {
+				matching += int(n)
 			}
 		}
 		for name, c := range subs {
@@ -337,8 +361,8 @@ func TestDifferentialEdgeCases(t *testing.T) {
 	h := c.in.Intern(model.NewSubspace(model.Filter{Dim: "City", Value: "Atlantis"}))
 	month := tab.DimensionIndex("Month")
 	u, rows := c.ScanUnitAt(h, month)
-	if rows != 0 || len(u.GroupKeys) != 0 {
-		t.Fatalf("absent value: rows=%d groups=%d, want 0/0", rows, len(u.GroupKeys))
+	if rows != 0 || u.Len() != 0 {
+		t.Fatalf("absent value: rows=%d groups=%d, want 0/0", rows, u.Len())
 	}
 	ru, rrows := ref.ScanUnitAt(h, month)
 	if rrows != 0 || unitJSON(t, u) != unitJSON(t, ru) {
@@ -364,8 +388,8 @@ func TestDifferentialEdgeCases(t *testing.T) {
 		model.Filter{Dim: "B", Value: "b2"},
 	))
 	u2, rows2 := c2.ScanUnitAt(disjoint, tab2.DimensionIndex("A"))
-	if rows2 != 0 || len(u2.GroupKeys) != 0 {
-		t.Fatalf("disjoint filters: rows=%d groups=%v, want 0/none", rows2, u2.GroupKeys)
+	if rows2 != 0 || u2.Len() != 0 {
+		t.Fatalf("disjoint filters: rows=%d groups=%v, want 0/none", rows2, u2.Codes)
 	}
 	ref2 := NewReferenceSubstrate(tab2, nil)
 	ru2, _ := ref2.ScanUnitAt(disjoint, tab2.DimensionIndex("A"))

@@ -335,13 +335,19 @@ func (e *Engine) BasicQuery(ds model.DataScope) (*Series, error) {
 	if err := e.tab.Validate(ds); err != nil {
 		return nil, err
 	}
-	return extract(e.MaterializeUnitAt(e.in.Intern(ds.Subspace), e.tab.DimensionIndex(ds.Breakdown), nil), ds)
+	return e.Extract(e.MaterializeUnitAt(e.in.Intern(ds.Subspace), e.tab.DimensionIndex(ds.Breakdown), nil), ds)
 }
 
 // PeekUnitAt returns the cached unit of (h, bdim), if any.
-func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
+func (e *Engine) PeekUnitAt(h *Handle, bdim int) (cache.Unit, bool) {
 	return e.qc.Get(e.UnitIDAt(h, bdim))
 }
+
+// UnitOf returns the cached unit with id, if any, waiting for it if its
+// scan is in flight: a unit the query cache declined to take from an
+// augmented scan because another caller was scanning it is there once that
+// scan ends.
+func (e *Engine) UnitOf(id cache.UnitID) (cache.Unit, bool) { return e.qc.Wait(id) }
 
 // MaterializeUnitAt returns the unit of (h, breakdown dimension index bdim):
 // a cached unit is returned, a missing one is scanned and stored. Concurrent
@@ -349,11 +355,11 @@ func (e *Engine) PeekUnitAt(h *Handle, bdim int) (*cache.Unit, bool) {
 // PeekUnitAt of the same scope returned earlier in the same compute unit: it
 // stands in for the cache lookup, so a scope resolved once is not looked up
 // again.
-func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) *cache.Unit {
+func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) cache.Unit {
 	if peeked != nil {
-		return peeked
+		return *peeked
 	}
-	return e.qc.Do(e.UnitIDAt(h, bdim), func() *cache.Unit {
+	return e.qc.Do(e.UnitIDAt(h, bdim), func() cache.Unit {
 		u, scanned := e.sub.ScanUnitAt(h, bdim)
 		e.recordScan(scanned, false)
 		return u
@@ -364,13 +370,13 @@ func (e *Engine) MaterializeUnitAt(h *Handle, bdim int, peeked *cache.Unit) *cac
 // row 2): one scan filtered by base = ds.Subspace \ d, grouped by
 // (breakdown bdim, augmentation dimension ext), across all measures. It
 // returns the units of the sibling subspaces in SG(ds.Subspace, d), indexed
-// by the sibling's dictionary code on d and nil for a sibling without
+// by the sibling's dictionary code on d and empty for a sibling without
 // records, and stores each in the query cache, pre-fetching the
 // subspace-extending HDS's scopes. The caller must not modify the slice. An
 // augmentation dimension that is not the table's, or that is the breakdown,
 // is a caller's bug and panics, as a bad breakdown index does in
 // MaterializeUnitAt.
-func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) []*cache.Unit {
+func (e *Engine) MaterializeAugmentedAt(base *Handle, bdim, ext int) []cache.Unit {
 	if ext < 0 || ext >= len(e.dimNames) {
 		panic(fmt.Sprintf("engine: unknown augmentation dimension index %d", ext))
 	}
@@ -419,30 +425,25 @@ type ImpactProbe struct {
 	Fallback cache.UnitID
 	// Cost is the cost of the fallback scan (ScanCostAt).
 	Cost float64
-	// Unit is the fallback unit.
-	Unit *cache.Unit
 }
 
 // ImpactAt returns Impact_ds for the subspace of h (Equation 2): the impact
 // measure's value on the subspace (impactSum) divided by its value on the
 // whole dataset. The lookup is a query of the fallback unit, as the miner's
-// replay charges it when no probe unit is cached; the unit is the probe's
-// Unit. The value is never read from a unit: a unit's sums depend on the scan
-// that produced it (a basic and an augmented scan group a cell's additions
-// differently), and which one filled the cache first depends on timing. The ImpactProbe records
-// how the lookup is charged; it is the zero probe, with a nil Handle, for the
-// empty subspace (impact 1 is free dataset metadata).
+// replay charges it when no probe unit is cached, and the fallback unit is
+// materialized into the query cache. The value is never read from a unit: a
+// unit's sums depend on the scan that produced it (a basic and an augmented
+// scan group a cell's additions differently), and which one filled the cache
+// first depends on timing. The ImpactProbe records how the lookup is
+// charged; it is the zero probe, with a nil Handle, for the empty subspace
+// (impact 1 is free dataset metadata).
 func (e *Engine) ImpactAt(h *Handle) (float64, ImpactProbe) {
 	if h.Len() == 0 {
 		return 1, ImpactProbe{}
 	}
 	fallback := e.impactFallbackDim(h)
-	p := ImpactProbe{
-		Handle:   h,
-		Fallback: e.UnitIDAt(h, fallback),
-		Cost:     e.ScanCostAt(h),
-		Unit:     e.MaterializeUnitAt(h, fallback, nil),
-	}
+	e.MaterializeUnitAt(h, fallback, nil)
+	p := ImpactProbe{Handle: h, Fallback: e.UnitIDAt(h, fallback), Cost: e.ScanCostAt(h)}
 	return e.impactSum(h) / e.totalImp, p
 }
 
@@ -471,13 +472,13 @@ func (e *Engine) impactSum(h *Handle) float64 {
 
 // GroupImpactsAt returns the impact measure's value on every child subspace
 // h ∧ (dimension bdim = group) of u, the unit of (h, bdim), aligned with
-// u.GroupKeys. For COUNT these are the unit's counts, which no scan order
-// can change; for SUM one pass over h's plan adds each child's rows in
-// ascending row order, so every value equals impactSum of the child's handle
-// bit for bit.
-func (e *Engine) GroupImpactsAt(h *Handle, bdim int, u *cache.Unit) []float64 {
+// u.Codes. For COUNT these are the unit's counts, which no scan order can
+// change; for SUM one pass over h's plan adds each child's rows in ascending
+// row order, so every value equals impactSum of the child's handle bit for
+// bit.
+func (e *Engine) GroupImpactsAt(h *Handle, bdim int, u cache.Unit) []float64 {
 	if e.impact.Agg == model.AggCount {
-		return u.Counts
+		return u.Counts()
 	}
 	col := e.tab.Dimensions()[bdim]
 	codes, vals := col.Codes(), e.tab.MeasureColumn(e.impact.Column).Values()
@@ -490,24 +491,43 @@ func (e *Engine) GroupImpactsAt(h *Handle, bdim int, u *cache.Unit) []float64 {
 			sums[codes[r]] += vals[r]
 		}
 	}
-	out := make([]float64, len(u.GroupKeys))
-	for gi, k := range u.GroupKeys {
-		out[gi] = sums[col.Code(k)]
+	out := make([]float64, u.Len())
+	for gi, code := range u.Codes {
+		out[gi] = sums[code]
 	}
 	return out
 }
 
-// Extract materializes one measure's series from an already-fetched unit;
-// callers that evaluate several measures of the same (subspace, breakdown)
-// family use it after one unit fetch.
-func Extract(u *cache.Unit, ds model.DataScope) (*Series, error) {
-	return extract(u, ds)
+// Extract materializes one measure's series from an already-fetched unit of
+// ds's subspace and breakdown, rendering the group keys from the breakdown's
+// dictionary; callers that evaluate several measures of the same (subspace,
+// breakdown) family use it after one unit fetch.
+func (e *Engine) Extract(u cache.Unit, ds model.DataScope) (*Series, error) {
+	src, err := measureSource(u, ds.Measure)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, u.Len())
+	if ds.Measure.Agg == model.AggAvg {
+		counts := u.Counts()
+		for i := range vals {
+			vals[i] = src[i] / counts[i]
+		}
+	} else {
+		copy(vals, src)
+	}
+	domain := e.tab.Dimension(ds.Breakdown).Domain()
+	keys := make([]string, u.Len())
+	for i, code := range u.Codes {
+		keys[i] = domain[code]
+	}
+	return &Series{Scope: ds, Keys: keys, Values: vals}, nil
 }
 
 // CheckExtract reports the error Extract(u, ·) would return for measure m,
 // without copying the series. The miner uses it to classify a scope before
 // the pattern-cache lookup and extracts only on a miss.
-func CheckExtract(u *cache.Unit, m model.Measure) error {
+func CheckExtract(u cache.Unit, m model.Measure) error {
 	_, err := measureSource(u, m)
 	return err
 }
@@ -515,41 +535,23 @@ func CheckExtract(u *cache.Unit, m model.Measure) error {
 // measureSource returns the unit's stored column that measure m reads: the
 // per-group values themselves for COUNT, SUM, MIN and MAX, the sums AVG
 // divides by the counts.
-func measureSource(u *cache.Unit, m model.Measure) ([]float64, error) {
-	var cols map[string][]float64
+func measureSource(u cache.Unit, m model.Measure) ([]float64, error) {
+	var src []float64
+	var ok bool
 	switch m.Agg {
 	case model.AggCount:
-		return u.Counts, nil
+		return u.Counts(), nil
 	case model.AggSum, model.AggAvg:
-		cols = u.Sums
+		src, ok = u.Sums(m.Column)
 	case model.AggMin:
-		cols = u.Mins
+		src, ok = u.Mins(m.Column)
 	case model.AggMax:
-		cols = u.Maxs
+		src, ok = u.Maxs(m.Column)
 	default:
 		return nil, fmt.Errorf("engine: unsupported aggregate %v", m.Agg)
 	}
-	src, ok := cols[m.Column]
 	if !ok {
 		return nil, fmt.Errorf("engine: unit lacks column %q", m.Column)
 	}
 	return src, nil
-}
-
-// extract materializes one measure's series from a unit. Groups with no
-// records are already absent from the unit.
-func extract(u *cache.Unit, ds model.DataScope) (*Series, error) {
-	src, err := measureSource(u, ds.Measure)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]float64, len(u.GroupKeys))
-	if ds.Measure.Agg == model.AggAvg {
-		for i := range vals {
-			vals[i] = src[i] / u.Counts[i]
-		}
-	} else {
-		copy(vals, src)
-	}
-	return &Series{Scope: ds, Keys: u.GroupKeys, Values: vals}, nil
 }

@@ -200,7 +200,7 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 	units := e.MaterializeAugmentedAt(e.Intern(anchor.Subspace.Without("City")), month, city)
 	for _, city := range []string{"LA", "SF", "SD", "SJ"} {
 		u := units[tab.Dimensions()[tab.DimensionIndex("City")].Code(city)]
-		if u == nil {
+		if u.Len() == 0 {
 			t.Fatalf("missing sibling unit for %s", city)
 		}
 		ds := anchor
@@ -209,12 +209,13 @@ func TestAugmentedQueryMatchesPerSiblingBasics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(u.GroupKeys) != len(want.Keys) {
-			t.Fatalf("%s: group count %d vs %d", city, len(u.GroupKeys), len(want.Keys))
+		nu := u.Named(tab.Dimensions()[month].Domain())
+		if len(nu.GroupKeys) != len(want.Keys) {
+			t.Fatalf("%s: group count %d vs %d", city, len(nu.GroupKeys), len(want.Keys))
 		}
 		for i, k := range want.Keys {
-			if u.GroupKeys[i] != k || math.Abs(u.Sums["Sales"][i]-want.Values[i]) > 1e-9 {
-				t.Errorf("%s[%s]: %v vs %v", city, k, u.Sums["Sales"][i], want.Values[i])
+			if nu.GroupKeys[i] != k || math.Abs(nu.Sums["Sales"][i]-want.Values[i]) > 1e-9 {
+				t.Errorf("%s[%s]: %v vs %v", city, k, nu.Sums["Sales"][i], want.Values[i])
 			}
 		}
 	}
@@ -276,8 +277,8 @@ func TestImpact(t *testing.T) {
 	if math.Abs(imp-0.75) > 1e-12 {
 		t.Errorf("impact(LA) = %v, want 0.75", imp)
 	}
-	if probe.Handle == nil || probe.Cost != e.ScanCostAt(probe.Handle) || probe.Unit == nil {
-		t.Errorf("impact probe = %+v", probe)
+	if _, cached := e.UnitOf(probe.Fallback); probe.Handle == nil || probe.Cost != e.ScanCostAt(probe.Handle) || !cached {
+		t.Errorf("impact probe = %+v (fallback unit cached: %v)", probe, cached)
 	}
 	if imp, probe := e.ImpactAt(e.Intern(model.EmptySubspace)); imp != 1 || probe != (ImpactProbe{}) {
 		t.Errorf("impact({*}) = %v, probe %+v", imp, probe)
@@ -398,7 +399,7 @@ func TestUnitImpactConsistency(t *testing.T) {
 	e := newEngine(t, tab)
 	u := e.MaterializeUnitAt(e.Intern(model.EmptySubspace), tab.DimensionIndex("City"), nil)
 	total := 0.0
-	for _, c := range u.Counts {
+	for _, c := range u.Counts() {
 		total += c
 	}
 	if total != float64(tab.Rows()) {
@@ -496,7 +497,7 @@ func TestUnitSingleFlight(t *testing.T) {
 	h, month := e.Intern(model.EmptySubspace.With("City", "SJ")), tab.DimensionIndex("Month")
 
 	const n = 16
-	units := make([]*cache.Unit, n)
+	units := make([]cache.Unit, n)
 	var wg sync.WaitGroup
 	for i := range units {
 		wg.Add(1)
@@ -510,8 +511,11 @@ func TestUnitSingleFlight(t *testing.T) {
 	if n := physicalScans(e); n != 1 {
 		t.Errorf("%d scans, want 1 (single-flight)", n)
 	}
+	if units[0].Len() == 0 {
+		t.Fatal("vacuous: the unit is empty")
+	}
 	for i, u := range units {
-		if u != units[0] {
+		if &u.Data[0] != &units[0].Data[0] {
 			t.Errorf("caller %d got a different unit", i)
 		}
 	}

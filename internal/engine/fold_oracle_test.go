@@ -187,8 +187,9 @@ func laneFold(c *ColumnarSubstrate, cells int, cell func(r int) int) *foldCells 
 // checkFoldUnit compares unit u bit for bit with the oracle cells [lo, lo+n):
 // the same non-empty groups, and every count, sum, min and max the unit
 // carries.
-func checkFoldUnit(t *testing.T, c *ColumnarSubstrate, what string, u *cache.Unit, want *foldCells, lo, n int, domain []string) {
+func checkFoldUnit(t *testing.T, c *ColumnarSubstrate, what string, unit cache.Unit, want *foldCells, lo, n int, domain []string) {
 	t.Helper()
+	u := unit.Named(domain)
 	idx := 0
 	for g := 0; g < n; g++ {
 		cell := lo + g
@@ -221,12 +222,14 @@ func checkFoldUnit(t *testing.T, c *ColumnarSubstrate, what string, u *cache.Uni
 
 // checkFoldAugmented compares the units of an augmented scan grouped by
 // (bcol, dcol) with the oracle cells, one ext value at a time.
-func checkFoldAugmented(t *testing.T, c *ColumnarSubstrate, what string, units []*cache.Unit, want *foldCells, bcol, dcol *dataset.DimColumn) {
+func checkFoldAugmented(t *testing.T, c *ColumnarSubstrate, what string, units []cache.Unit, want *foldCells, bcol, dcol *dataset.DimColumn) {
 	t.Helper()
 	bcard := bcol.Cardinality()
 	for dv, u := range units {
-		if u == nil {
-			u = &cache.Unit{}
+		if u.Len() == 0 {
+			u.Cols = c.cols // a sibling without rows is the zero unit
+		} else if u.Cols != c.cols {
+			t.Fatalf("%s +%s=%s: the unit's layout is not its substrate's", what, dcol.Name, dcol.Value(dv))
 		}
 		checkFoldUnit(t, c, fmt.Sprintf("%s +%s=%s", what, dcol.Name, dcol.Value(dv)), u, want, dv*bcard, bcard, bcol.Domain())
 	}

@@ -129,7 +129,7 @@ type unitMemo struct {
 }
 
 // units returns the interner's unit memo for the MIN/MAX set minMax,
-// creating it on first use. A unit's Mins and Maxs hold exactly the set's
+// creating it on first use. A unit's min/max columns are exactly the set's
 // columns, so requests with different sets keep apart; the default request
 // shape uses one. Nothing is evicted: a memo holds at most one unit per
 // (handle, breakdown), and one evaluation per (unit, measure), and lives as
@@ -150,7 +150,7 @@ func (in *Interner) units(minMax map[string]bool) unitMemo {
 	m, ok := in.memos[string(key)]
 	if !ok {
 		m = unitMemo{
-			qc:       cache.NewMemo[cache.UnitID, *cache.Unit](),
+			qc:       cache.NewMemo[cache.UnitID, cache.Unit](),
 			pairs:    cache.NewMemo[augKey, *pairScan](),
 			patterns: cache.NewMemo[cache.ScopeID, *pattern.ScopeEvaluation](),
 		}

@@ -103,8 +103,8 @@ func TestInternForeignSubspaces(t *testing.T) {
 			t.Errorf("plan(%v) drives %d rows, want 0", s, rows)
 		}
 		u, rows := sub.ScanUnitAt(h, tab.DimensionIndex("Month"))
-		if rows != 0 || len(u.GroupKeys) != 0 {
-			t.Errorf("ScanUnitAt(%v) = %d groups, %d rows; want an empty unit", s, len(u.GroupKeys), rows)
+		if rows != 0 || u.Len() != 0 {
+			t.Errorf("ScanUnitAt(%v) = %d groups, %d rows; want an empty unit", s, u.Len(), rows)
 		}
 	}
 }

@@ -540,66 +540,45 @@ func (c *ColumnarSubstrate) mergeAcc(global, m *scanAcc) {
 	}
 }
 
-// buildUnitSlice compresses the accumulator cells [lo, lo+n) into a unit
-// holding only the non-empty groups. All per-group float columns of the unit
-// share one slab allocation, and min/max columns exist only for measures in
-// the needed-aggregate set — the "leaner buildUnit" that removes the
-// per-unit map churn the augmented path used to pay per ext value.
-func (c *ColumnarSubstrate) buildUnitSlice(domain []string, acc *scanAcc, lo, n int) *cache.Unit {
-	counts := acc.counts[lo : lo+n]
-	nonEmpty := 0
-	for _, v := range counts {
+// nonEmpty counts the cells of [lo, lo+n) with at least one record.
+func (acc *scanAcc) nonEmpty(lo, n int) int {
+	k := 0
+	for _, v := range acc.counts[lo : lo+n] {
 		if v > 0 {
-			nonEmpty++
+			k++
 		}
 	}
-	nmeas := len(c.mcols)
-	slab := make([]float64, nonEmpty*(1+nmeas+2*c.nmm))
-	next := func() []float64 {
-		s := slab[:nonEmpty:nonEmpty]
-		slab = slab[nonEmpty:]
-		return s
-	}
-	u := &cache.Unit{
-		GroupKeys: make([]string, nonEmpty),
-		Counts:    next(),
-		Sums:      make(map[string][]float64, nmeas),
-		Mins:      make(map[string][]float64, c.nmm),
-		Maxs:      make(map[string][]float64, c.nmm),
-	}
-	sumCols := make([][]float64, nmeas)
-	minCols := make([][]float64, nmeas)
-	maxCols := make([][]float64, nmeas)
-	for i := range c.mcols {
-		sumCols[i] = next()
-		if c.needMM[i] {
-			minCols[i] = next()
-			maxCols[i] = next()
-		}
-	}
+	return k
+}
+
+// buildUnitSlice compresses the accumulator cells [lo, lo+n) into a unit
+// holding only the non-empty groups, which codes and data (the unit's arrays,
+// len(codes) = acc.nonEmpty(lo, n) and len(data) = len(codes)·Width) receive.
+// Min/max columns exist only for measures in the needed-aggregate set.
+func (c *ColumnarSubstrate) buildUnitSlice(acc *scanAcc, lo, n int, codes []uint32, data []float64) cache.Unit {
+	u := cache.Unit{Codes: codes, Data: data, Cols: c.cols}
+	k := len(codes)
 	idx := 0
-	for g, cnt := range counts {
+	for g, cnt := range acc.counts[lo : lo+n] {
 		if cnt == 0 {
 			continue
 		}
-		u.GroupKeys[idx] = domain[g]
-		u.Counts[idx] = cnt
+		codes[idx] = uint32(g)
+		data[idx] = cnt
 		cell := lo + g
+		col := 1
 		for i := range c.mcols {
-			sumCols[i][idx] = acc.sums[i][cell]
+			data[col*k+idx] = acc.sums[i][cell]
+			col++
+		}
+		for i := range c.mcols {
 			if c.needMM[i] {
-				minCols[i][idx] = acc.mins[i][cell]
-				maxCols[i][idx] = acc.maxs[i][cell]
+				data[col*k+idx] = acc.mins[i][cell]
+				data[(col+1)*k+idx] = acc.maxs[i][cell]
+				col += 2
 			}
 		}
 		idx++
-	}
-	for i, mc := range c.mcols {
-		u.Sums[mc.Name] = sumCols[i]
-		if c.needMM[i] {
-			u.Mins[mc.Name] = minCols[i]
-			u.Maxs[mc.Name] = maxCols[i]
-		}
 	}
 	return u
 }

@@ -11,12 +11,12 @@ import (
 // dimension swapped, derived by transposing cells instead of scanning again
 // (see Engine.scanPair).
 type pairScan struct {
-	breakdown int           // the orientation the scan ran in
-	rows      int           // rows the scan visited
-	units     []*cache.Unit // as scanned: one unit per ext code, nil if empty
+	breakdown int          // the orientation the scan ran in
+	rows      int          // rows the scan visited
+	units     []cache.Unit // as scanned: one unit per ext code, empty if no rows
 
 	twinOnce sync.Once
-	twin     []*cache.Unit // one unit per breakdown code, grouped by ext
+	twin     []cache.Unit // one unit per breakdown code, grouped by ext
 }
 
 // scanPair is the physical layer under MaterializeAugmentedAt: it returns
@@ -38,7 +38,7 @@ type pairScan struct {
 //
 // Remembered units were all given to the query cache, which keeps what it is
 // given, so the pair memo holds nothing the cache lacks an equal of.
-func (e *Engine) scanPair(base *Handle, bdim, ext int) ([]*cache.Unit, int) {
+func (e *Engine) scanPair(base *Handle, bdim, ext int) ([]cache.Unit, int) {
 	k := augKey{base: base.ord, lo: uint16(min(bdim, ext)), hi: uint16(max(bdim, ext))}
 	p := e.pairs.Do(k, func() *pairScan {
 		units, scanned := e.sub.ScanAugmentedAt(base, bdim, ext)
@@ -56,27 +56,13 @@ func (e *Engine) scanPair(base *Handle, bdim, ext int) ([]*cache.Unit, int) {
 	return p.twin, p.rows
 }
 
-// putSiblings gives the query cache the units of ScanAugmentedAt(base,
-// bdim, ext), indexed by ext code.
-func (e *Engine) putSiblings(base *Handle, units []*cache.Unit, bdim, ext int) {
+// putSiblings gives the query cache the non-empty units of
+// ScanAugmentedAt(base, bdim, ext), indexed by ext code.
+func (e *Engine) putSiblings(base *Handle, units []cache.Unit, bdim, ext int) {
 	for code, u := range units {
-		if u != nil {
+		if u.Len() > 0 {
 			e.qc.Put(e.UnitIDAt(base.With(ext, code), bdim), u)
 		}
-	}
-}
-
-// unitColumns lists u's float columns in a fixed order — counts, then the
-// sum, min and max columns of the named measures — into cols.
-func unitColumns(u *cache.Unit, sums, minmax []string, cols [][]float64) {
-	cols[0] = u.Counts
-	cols = cols[1:]
-	for i, name := range sums {
-		cols[i] = u.Sums[name]
-	}
-	cols = cols[len(sums):]
-	for i, name := range minmax {
-		cols[2*i], cols[2*i+1] = u.Mins[name], u.Maxs[name]
 	}
 }
 
@@ -85,89 +71,48 @@ func unitColumns(u *cache.Unit, sums, minmax []string, cols [][]float64) {
 // ScanAugmentedAt(base, ext, bdim):
 // one per bdim code, grouped by ext, copying every aggregate of every
 // non-empty cell. It relies on the Substrate contract that units list only
-// non-empty groups, in domain order, and carry the same columns.
-func (e *Engine) transposeUnits(src []*cache.Unit, bdim, ext int) []*cache.Unit {
-	bcol, dcol := e.tab.Dimensions()[bdim], e.tab.Dimensions()[ext]
-	bdomain := bcol.Domain()
+// non-empty groups, in domain order, and carry the same columns. As in the
+// substrate, the twins share one array of codes and one of aggregates.
+func (e *Engine) transposeUnits(src []cache.Unit, bdim, ext int) []cache.Unit {
+	twins := make([]cache.Unit, e.tab.Dimensions()[bdim].Cardinality())
 
 	// The group count of every twin.
-	groups := make([]int, len(bdomain))
-	var first *cache.Unit
+	groups := make([]int, len(twins))
+	var cols *cache.Columns
+	total := 0
 	for _, u := range src {
-		if u == nil {
+		if u.Len() == 0 {
 			continue
 		}
-		if first == nil {
-			first = u
-		}
-		code := 0
-		for _, k := range u.GroupKeys {
-			for bdomain[code] != k {
-				code++
-			}
+		cols = u.Cols
+		total += u.Len()
+		for _, code := range u.Codes {
 			groups[code]++
 		}
 	}
-	twins := make([]*cache.Unit, len(bdomain))
-	if first == nil {
+	if cols == nil {
 		return twins
 	}
-	sums := make([]string, 0, len(first.Sums))
-	for name := range first.Sums {
-		sums = append(sums, name)
-	}
-	minmax := make([]string, 0, len(first.Mins))
-	for name := range first.Mins {
-		minmax = append(minmax, name)
-	}
-	ncols := 1 + len(sums) + 2*len(minmax)
-
-	// One unit per non-empty bdim value; as in the substrate, all float
-	// columns of a unit share one slab.
-	dst := make([][]float64, len(bdomain)*ncols)
+	w := cols.Width()
+	codes, data := make([]uint32, total), make([]float64, total*w)
+	off := 0
 	for code, n := range groups {
-		if n == 0 {
-			continue
+		if n > 0 {
+			end := off + n
+			twins[code] = cache.Unit{Codes: codes[off:off:end], Data: data[off*w : end*w : end*w], Cols: cols}
+			off = end
 		}
-		slab := make([]float64, n*ncols)
-		next := func() []float64 {
-			col := slab[:n:n]
-			slab = slab[n:]
-			return col
-		}
-		u := &cache.Unit{
-			GroupKeys: make([]string, 0, n),
-			Counts:    next(),
-			Sums:      make(map[string][]float64, len(sums)),
-			Mins:      make(map[string][]float64, len(minmax)),
-			Maxs:      make(map[string][]float64, len(minmax)),
-		}
-		for _, name := range sums {
-			u.Sums[name] = next()
-		}
-		for _, name := range minmax {
-			u.Mins[name], u.Maxs[name] = next(), next()
-		}
-		unitColumns(u, sums, minmax, dst[code*ncols:(code+1)*ncols])
-		twins[code] = u
 	}
 
-	from := make([][]float64, ncols)
 	for dv, u := range src {
-		if u == nil {
-			continue
-		}
-		unitColumns(u, sums, minmax, from)
-		code := 0
-		for g, k := range u.GroupKeys {
-			for bdomain[code] != k {
-				code++
-			}
-			t := twins[code]
-			at := len(t.GroupKeys)
-			t.GroupKeys = append(t.GroupKeys, dcol.Value(dv))
-			for i, col := range dst[code*ncols : (code+1)*ncols] {
-				col[at] = from[i][g]
+		n := u.Len()
+		for g, code := range u.Codes {
+			t := &twins[code]
+			at := len(t.Codes)
+			t.Codes = append(t.Codes, uint32(dv))
+			tn := groups[code]
+			for c := 0; c < w; c++ {
+				t.Data[c*tn+at] = u.Data[c*n+g]
 			}
 		}
 	}

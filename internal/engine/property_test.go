@@ -137,7 +137,7 @@ func TestAugmentedEqualsBasicsProperty(t *testing.T) {
 		base := e.Intern(anchor.Subspace.Without(extDim))
 		units := e.MaterializeAugmentedAt(base, tab.DimensionIndex(breakdown), tab.DimensionIndex(extDim))
 		for code, u := range units {
-			if u == nil {
+			if u.Len() == 0 {
 				continue
 			}
 			for _, m := range []model.Measure{model.Sum("Sales"), model.Avg("Profit"), model.Count("*")} {
@@ -150,7 +150,7 @@ func TestAugmentedEqualsBasicsProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := extract(u, ds)
+				got, err := e.Extract(u, ds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -261,7 +261,7 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 		tab := sparseTable(21, 1500, clustered)
 		sub := newColumnarSubstrate(tab, columnarConfig{morsel: 64})
 		dims := tab.DimensionNames()
-		direct := func(base model.Subspace, b, ext int) ([]*cache.Unit, string) {
+		direct := func(base model.Subspace, b, ext int) ([]cache.Unit, string) {
 			units, _ := sub.ScanAugmentedAt(sub.in.Intern(base), b, ext)
 			return units, unitJSON(t, units)
 		}
@@ -291,11 +291,11 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 					want := [2]string{w0, w1}
 					nonEmpty := 0
 					for _, u := range units {
-						if u == nil {
+						if u.Len() == 0 {
 							continue
 						}
 						nonEmpty++
-						if len(u.GroupKeys) < tab.Dimension(dims[b]).Cardinality() {
+						if u.Len() < tab.Dimension(dims[b]).Cardinality() {
 							sawPartialGroup = true
 						}
 					}
@@ -318,10 +318,10 @@ func TestAugmentedTransposeExactProperty(t *testing.T) {
 						ask := func(bd, xd int) string {
 							units := e.MaterializeAugmentedAt(h, bd, xd)
 							for code, u := range units {
-								if u == nil {
+								if u.Len() == 0 {
 									continue
 								}
-								if cached, ok := e.QueryCache().Get(e.UnitIDAt(h.With(xd, code), bd)); !ok || cached != u {
+								if cached, ok := e.QueryCache().Get(e.UnitIDAt(h.With(xd, code), bd)); !ok || &cached.Data[0] != &u.Data[0] {
 									t.Fatalf("%s [%s] %s+%s: unit %+v not in the query cache", tc.name, base.Key(), dims[bd], dims[xd], e.UnitKeyOf(e.UnitIDAt(h.With(xd, code), bd)))
 								}
 							}
@@ -378,7 +378,7 @@ func TestAugmentedPairConcurrent(t *testing.T) {
 		}
 		h := e.Intern(base)
 		var wg sync.WaitGroup
-		got := make([][]*cache.Unit, 16)
+		got := make([][]cache.Unit, 16)
 		for i := range got {
 			wg.Add(1)
 			go func() {

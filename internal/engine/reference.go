@@ -23,14 +23,22 @@ import (
 // morsel; see the differential tests.
 type ReferenceSubstrate struct {
 	tab    *dataset.Table
-	minMax map[string]bool
+	minMax []bool // per measure column: carries min/max
+	cols   *cache.Columns
 }
 
 // NewReferenceSubstrate creates the naive reference scan over tab. minMax
 // restricts which measure columns carry min/max aggregates (nil = all),
 // mirroring the columnar substrate's minMax setting.
 func NewReferenceSubstrate(tab *dataset.Table, minMax map[string]bool) *ReferenceSubstrate {
-	return &ReferenceSubstrate{tab: tab, minMax: minMax}
+	c := &ReferenceSubstrate{tab: tab}
+	var names []string
+	for _, mc := range tab.MeasureColumns() {
+		names = append(names, mc.Name)
+		c.minMax = append(c.minMax, minMax == nil || minMax[mc.Name])
+	}
+	c.cols = cache.NewColumns(names, c.minMax)
+	return c
 }
 
 // filterSpec is a resolved subspace filter.
@@ -83,17 +91,17 @@ rows:
 // ScanUnitAt implements Substrate with the naive per-row scan. It reads only
 // h's subspace value and the table, never the handle's resolved filters or
 // plan, so it shares nothing with what it checks.
-func (c *ReferenceSubstrate) ScanUnitAt(h *Handle, bdim int) (*cache.Unit, int) {
+func (c *ReferenceSubstrate) ScanUnitAt(h *Handle, bdim int) (cache.Unit, int) {
 	bcol := c.tab.Dimensions()[bdim]
 	counts, sums, mins, maxs, scanned := c.refScan(h.Subspace(), bcol.Cardinality(), func(r int) int {
 		return int(bcol.CodeAt(r))
 	})
-	return c.refBuildUnit(bcol.Domain(), counts, c.tab.MeasureColumns(), sums, mins, maxs), scanned
+	return c.refBuildUnit(counts, sums, mins, maxs), scanned
 }
 
 // ScanAugmentedAt implements Substrate with the naive per-row scan, reading
 // only base's subspace value and the table.
-func (c *ReferenceSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]*cache.Unit, int) {
+func (c *ReferenceSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]cache.Unit, int) {
 	bcol, dcol := c.tab.Dimensions()[bdim], c.tab.Dimensions()[ext]
 	bcard, dcard := bcol.Cardinality(), dcol.Cardinality()
 	mcols := c.tab.MeasureColumns()
@@ -101,8 +109,7 @@ func (c *ReferenceSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]*ca
 		return int(dcol.CodeAt(r))*bcard + int(bcol.CodeAt(r))
 	})
 
-	units := make([]*cache.Unit, dcard)
-	bdomain := bcol.Domain()
+	units := make([]cache.Unit, dcard)
 	for dv := range units {
 		lo, hi := dv*bcard, (dv+1)*bcard
 		colSums := make([][]float64, len(mcols))
@@ -113,9 +120,7 @@ func (c *ReferenceSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]*ca
 			colMins[i] = mins[i][lo:hi]
 			colMaxs[i] = maxs[i][lo:hi]
 		}
-		if u := c.refBuildUnit(bdomain, counts[lo:hi], mcols, colSums, colMins, colMaxs); len(u.GroupKeys) > 0 {
-			units[dv] = u
-		}
+		units[dv] = c.refBuildUnit(counts[lo:hi], colSums, colMins, colMaxs)
 	}
 	return units, scanned
 }
@@ -142,42 +147,24 @@ func refAlloc(cells, nmeas int) (counts []float64, sums, mins, maxs [][]float64)
 // refBuildUnit compresses full-domain accumulator arrays into a unit holding
 // only the non-empty groups, emitting min/max columns per the substrate's
 // needed-aggregate set.
-func (c *ReferenceSubstrate) refBuildUnit(domain []string, counts []float64,
-	mcols []*dataset.MeasureColumn, sums, mins, maxs [][]float64) *cache.Unit {
-
-	nonEmpty := 0
-	for _, v := range counts {
-		if v > 0 {
-			nonEmpty++
-		}
-	}
-	u := &cache.Unit{
-		GroupKeys: make([]string, 0, nonEmpty),
-		Counts:    make([]float64, 0, nonEmpty),
-		Sums:      make(map[string][]float64, len(mcols)),
-		Mins:      make(map[string][]float64, len(mcols)),
-		Maxs:      make(map[string][]float64, len(mcols)),
-	}
-	for _, mc := range mcols {
-		u.Sums[mc.Name] = make([]float64, 0, nonEmpty)
-		if c.minMax == nil || c.minMax[mc.Name] {
-			u.Mins[mc.Name] = make([]float64, 0, nonEmpty)
-			u.Maxs[mc.Name] = make([]float64, 0, nonEmpty)
-		}
-	}
+func (c *ReferenceSubstrate) refBuildUnit(counts []float64, sums, mins, maxs [][]float64) cache.Unit {
+	codes := []uint32{}
 	for g, cnt := range counts {
-		if cnt == 0 {
-			continue
-		}
-		u.GroupKeys = append(u.GroupKeys, domain[g])
-		u.Counts = append(u.Counts, cnt)
-		for i, mc := range mcols {
-			u.Sums[mc.Name] = append(u.Sums[mc.Name], sums[i][g])
-			if c.minMax == nil || c.minMax[mc.Name] {
-				u.Mins[mc.Name] = append(u.Mins[mc.Name], mins[i][g])
-				u.Maxs[mc.Name] = append(u.Maxs[mc.Name], maxs[i][g])
-			}
+		if cnt > 0 {
+			codes = append(codes, uint32(g))
 		}
 	}
-	return u
+	cols := append([][]float64{counts}, sums...)
+	for i, keep := range c.minMax {
+		if keep {
+			cols = append(cols, mins[i], maxs[i])
+		}
+	}
+	data := []float64{}
+	for _, col := range cols {
+		for _, g := range codes {
+			data = append(data, col[g])
+		}
+	}
+	return cache.Unit{Codes: codes, Data: data, Cols: c.cols}
 }

@@ -28,11 +28,12 @@ import (
 type Substrate interface {
 	// ScanUnitAt executes one filtered group-by scan of (h's subspace,
 	// breakdown dimension index bdim) across all measure columns.
-	ScanUnitAt(h *Handle, bdim int) (*cache.Unit, int)
+	ScanUnitAt(h *Handle, bdim int) (cache.Unit, int)
 	// ScanAugmentedAt executes one scan filtered by base, grouped by
 	// (bdim, ext), returning one unit per dictionary code of ext: the units
-	// of the sibling subspaces base ∧ ext = code, nil where one has no rows.
-	ScanAugmentedAt(base *Handle, bdim, ext int) ([]*cache.Unit, int)
+	// of the sibling subspaces base ∧ ext = code, empty where one has no
+	// rows.
+	ScanAugmentedAt(base *Handle, bdim, ext int) ([]cache.Unit, int)
 }
 
 // DefaultMorselSize is the fixed morsel width of the parallel scan pipeline,
@@ -54,13 +55,14 @@ const DefaultMorselSize = 8192
 type ColumnarSubstrate struct {
 	tab    *dataset.Table
 	mcols  []*dataset.MeasureColumn
-	mvals  [][]float64   // raw values per measure, aligned with mcols
-	needMM []bool        // per measure: materialize min/max?
-	nmm    int           // number of true entries in needMM
-	par    int           // scan parallelism (>= 1)
-	morsel int           // morsel size in rows
-	obs    *obs.Observer // physical counters: the building engine's Config.Observer
-	in     *Interner     // where the value-form adapters intern their subspaces
+	mvals  [][]float64    // raw values per measure, aligned with mcols
+	needMM []bool         // per measure: materialize min/max?
+	nmm    int            // number of true entries in needMM
+	cols   *cache.Columns // the layout of the units it builds
+	par    int            // scan parallelism (>= 1)
+	morsel int            // morsel size in rows
+	obs    *obs.Observer  // physical counters: the building engine's Config.Observer
+	in     *Interner      // where the value-form adapters intern their subspaces
 }
 
 // columnarConfig configures a ColumnarSubstrate. Zero values are the
@@ -121,13 +123,16 @@ func newColumnarSubstrate(tab *dataset.Table, cfg columnarConfig) *ColumnarSubst
 		obs:    cfg.obs,
 		in:     cfg.in,
 	}
+	names := make([]string, len(mcols))
 	for i, mc := range mcols {
+		names[i] = mc.Name
 		c.mvals[i] = mc.Values()
 		c.needMM[i] = cfg.minMax == nil || cfg.minMax[mc.Name]
 		if c.needMM[i] {
 			c.nmm++
 		}
 	}
+	c.cols = cache.NewColumns(names, c.needMM)
 	return c
 }
 
@@ -214,12 +219,13 @@ func (h *Handle) buildPlan(o *obs.Observer) *scanPlan {
 
 // ScanUnitAt executes one filtered group-by scan across all measure columns
 // on h's plan, producing the cache unit and the number of rows visited.
-func (c *ColumnarSubstrate) ScanUnitAt(h *Handle, bdim int) (*cache.Unit, int) {
+func (c *ColumnarSubstrate) ScanUnitAt(h *Handle, bdim int) (cache.Unit, int) {
 	bcol := c.tab.Dimensions()[bdim]
 	card := bcol.Cardinality()
 	plan := h.plan(c.obs)
 	acc := c.scan(plan, bcol, nil, card)
-	u := c.buildUnitSlice(bcol.Domain(), acc, 0, card)
+	k := acc.nonEmpty(0, card)
+	u := c.buildUnitSlice(acc, 0, card, make([]uint32, k), make([]float64, k*c.cols.Width()))
 	c.release(acc)
 	return u, plan.rows
 }
@@ -227,17 +233,23 @@ func (c *ColumnarSubstrate) ScanUnitAt(h *Handle, bdim int) (*cache.Unit, int) {
 // ScanAugmentedAt executes one scan grouped by (bdim, ext) on base's plan,
 // splitting the accumulator (cell = ext code·|bdim| + bdim code) into one
 // unit per non-empty value of ext, and reports the number of rows visited.
-func (c *ColumnarSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]*cache.Unit, int) {
+//
+// The units share two arrays, one for their codes and one for their
+// aggregates, so a scan's units cost the collector two objects.
+func (c *ColumnarSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]cache.Unit, int) {
 	dims := c.tab.Dimensions()
 	bcol, dcol := dims[bdim], dims[ext]
 	bcard := bcol.Cardinality()
 	plan := base.plan(c.obs)
 	acc := c.scan(plan, bcol, dcol, bcard*dcol.Cardinality())
-	units := make([]*cache.Unit, dcol.Cardinality())
-	bdomain := bcol.Domain()
+	units := make([]cache.Unit, dcol.Cardinality())
+	total := acc.nonEmpty(0, len(units)*bcard)
+	w := c.cols.Width()
+	codes, data := make([]uint32, total), make([]float64, total*w)
 	for dv := range units {
-		if u := c.buildUnitSlice(bdomain, acc, dv*bcard, bcard); len(u.GroupKeys) > 0 {
-			units[dv] = u
+		if k := acc.nonEmpty(dv*bcard, bcard); k > 0 {
+			units[dv] = c.buildUnitSlice(acc, dv*bcard, bcard, codes[:k:k], data[:k*w:k*w])
+			codes, data = codes[k:], data[k*w:]
 		}
 	}
 	c.release(acc)
@@ -245,17 +257,26 @@ func (c *ColumnarSubstrate) ScanAugmentedAt(base *Handle, bdim, ext int) ([]*cac
 }
 
 // ScanUnit is ScanUnitAt on a subspace value, interned in the substrate's
-// own intern table, and a breakdown name, with an error that is always nil. It and
-// ScanAugmented are the value-form adapters the benchmark harness's layer
-// probes call; they go when that harness moves to the Session API (ROADMAP.md
-// item 7(b)).
-func (c *ColumnarSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.Unit, int, error) {
-	u, rows := c.ScanUnitAt(c.in.Intern(s), c.tab.DimensionIndex(breakdown))
-	return u, rows, nil
+// own intern table, and a breakdown name, returning the unit rendered, with
+// an error that is always nil. It and ScanAugmented are the value-form
+// adapters the benchmark harness's layer probes call; they go when that
+// harness moves to the Session API (ROADMAP.md item 7(b)).
+func (c *ColumnarSubstrate) ScanUnit(s model.Subspace, breakdown string) (*cache.NamedUnit, int, error) {
+	bdim := c.tab.DimensionIndex(breakdown)
+	u, rows := c.ScanUnitAt(c.in.Intern(s), bdim)
+	return u.Named(c.tab.Dimensions()[bdim].Domain()), rows, nil
 }
 
-// ScanAugmented is ScanAugmentedAt on value forms; see ScanUnit.
-func (c *ColumnarSubstrate) ScanAugmented(base model.Subspace, breakdown, ext string) ([]*cache.Unit, int, error) {
-	units, rows := c.ScanAugmentedAt(c.in.Intern(base), c.tab.DimensionIndex(breakdown), c.tab.DimensionIndex(ext))
-	return units, rows, nil
+// ScanAugmented is ScanAugmentedAt on value forms, nil where a sibling has no
+// rows; see ScanUnit.
+func (c *ColumnarSubstrate) ScanAugmented(base model.Subspace, breakdown, ext string) ([]*cache.NamedUnit, int, error) {
+	bdim := c.tab.DimensionIndex(breakdown)
+	units, rows := c.ScanAugmentedAt(c.in.Intern(base), bdim, c.tab.DimensionIndex(ext))
+	named := make([]*cache.NamedUnit, len(units))
+	for i, u := range units {
+		if u.Len() > 0 {
+			named[i] = u.Named(c.tab.Dimensions()[bdim].Domain())
+		}
+	}
+	return named, rows, nil
 }

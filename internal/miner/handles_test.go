@@ -7,15 +7,17 @@ import (
 	"metainsight/internal/core"
 	"metainsight/internal/engine"
 	"metainsight/internal/model"
+	"metainsight/internal/pattern"
 	"metainsight/internal/workload"
 )
 
 // TestUnitsCarryHandlesThatAgreeWithTheirValues walks the search frontier
 // unit by unit and checks every produced unit's interned side against its
-// model-value side: handles name the unit's subspaces, MetaInsight units
-// hold exactly the HDS the value-level constructors of internal/core build
-// (the miner assembles it from handles instead), and the identity key
-// assembled from handle keys is the HDS's own.
+// model-value side: handles name the unit's subspaces, MetaInsight
+// candidates build exactly the HDS the value-level constructors of
+// internal/core build (the miner assembles it from handles instead), and the
+// identity key assembled from handle keys is the HDS's own and the one the
+// candidate's ordinal key renders.
 func TestUnitsCarryHandlesThatAgreeWithTheirValues(t *testing.T) {
 	tab := workload.HotelBooking() // two temporal dimensions: all three extensions fire
 	eng, err := engine.New(tab, engine.Config{})
@@ -28,43 +30,52 @@ func TestUnitsCarryHandlesThatAgreeWithTheirValues(t *testing.T) {
 	queue := []*workUnit{{kind: kindExpand, priority: 1, subspace: model.EmptySubspace,
 		handle: eng.Intern(model.EmptySubspace), impact: 1, maxDimIdx: -1}}
 	kinds := make(map[model.ExtensionKind]int)
+	sc := new(scratch)
 	for n := 0; len(queue) > 0 && n < 400; n++ {
 		u := queue[0]
 		queue = queue[1:]
-		for _, p := range m.process(u).produced {
-			if p.kind != kindMetaInsight {
-				if p.handle.Key() != p.subspace.Key() || p.handle.Subspace().Key() != p.subspace.Key() {
-					t.Fatalf("%s unit: handle %q for subspace %q", p.kind, p.handle.Key(), p.subspace.Key())
-				}
-				if p.kind == kindDataPattern && dims[p.bdim] != p.breakdown {
-					t.Fatalf("data-pattern unit: bdim %d (%s) for breakdown %q", p.bdim, dims[p.bdim], p.breakdown)
-				}
-				queue = append(queue, p)
-				continue
+		c := m.process(u, sc)
+		for _, p := range c.produced {
+			if p.handle.Key() != p.subspace.Key() || p.handle.Subspace().Key() != p.subspace.Key() {
+				t.Fatalf("%s unit: handle %q for subspace %q", p.kind, p.handle.Key(), p.subspace.Key())
 			}
-			kinds[p.hds.Kind]++
+			if p.kind == kindDataPattern && dims[p.bdim] != p.breakdown {
+				t.Fatalf("data-pattern unit: bdim %d (%s) for breakdown %q", p.bdim, dims[p.bdim], p.breakdown)
+			}
+			queue = append(queue, p)
+		}
+		for i := range c.cands {
+			cand := &c.cands[i]
+			hds, scopes, miKey := m.candidateHDS(cand, new(scratch))
+			kinds[hds.Kind]++
 			var want core.HDS
-			switch p.hds.Kind {
+			switch hds.Kind {
 			case model.ExtendSubspace:
-				want = core.SubspaceHDS(p.hds.Anchor, p.hds.ExtDim, tab.Dimension(p.hds.ExtDim).Domain())
+				want = core.SubspaceHDS(hds.Anchor, hds.ExtDim, tab.Dimension(hds.ExtDim).Domain())
 			case model.ExtendMeasure:
-				want = core.MeasureHDS(p.hds.Anchor, eng.Measures())
+				want = core.MeasureHDS(hds.Anchor, eng.Measures())
 			case model.ExtendBreakdown:
-				want = core.BreakdownHDS(p.hds.Anchor, tab.TemporalDimensions())
+				want = core.BreakdownHDS(hds.Anchor, tab.TemporalDimensions())
 			}
-			if !reflect.DeepEqual(p.hds, want) {
-				t.Fatalf("unit %s holds\n %+v\nthe formulation builds\n %+v", p.miKey, p.hds, want)
+			if !reflect.DeepEqual(hds, want) {
+				t.Fatalf("unit %s holds\n %+v\nthe formulation builds\n %+v", miKey, hds, want)
 			}
-			if key := want.Key() + "|" + p.ptype.String(); p.miKey != key {
-				t.Fatalf("unit key %q, HDS key gives %q", p.miKey, key)
+			if key := want.Key() + "|" + pattern.Type(cand.key.ptype).String(); miKey != key {
+				t.Fatalf("unit key %q, HDS key gives %q", miKey, key)
 			}
-			if len(p.scopes) != len(p.hds.Scopes) {
-				t.Fatalf("unit %s: %d scope refs beside %d scopes", p.miKey, len(p.scopes), len(p.hds.Scopes))
+			if label := m.candLabel(cand.key); label != miKey {
+				t.Fatalf("candidate key renders %q, the HDS key is %q", label, miKey)
 			}
-			for i, sc := range p.hds.Scopes {
-				ref := p.scopes[i]
+			if int(cand.n) != len(hds.Scopes) {
+				t.Fatalf("unit %s: candidate size %d beside %d scopes", miKey, cand.n, len(hds.Scopes))
+			}
+			if len(scopes) != len(hds.Scopes) {
+				t.Fatalf("unit %s: %d scope refs beside %d scopes", miKey, len(scopes), len(hds.Scopes))
+			}
+			for i, sc := range hds.Scopes {
+				ref := scopes[i]
 				if ref.h != eng.Intern(sc.Subspace) || dims[ref.bdim] != sc.Breakdown {
-					t.Fatalf("unit %s scope %d: ref (%q, %s) beside scope %s", p.miKey, i, ref.h.Key(), dims[ref.bdim], sc)
+					t.Fatalf("unit %s scope %d: ref (%q, %s) beside scope %s", miKey, i, ref.h.Key(), dims[ref.bdim], sc)
 				}
 			}
 		}

@@ -3,11 +3,10 @@ package miner
 import (
 	"container/heap"
 
-	"metainsight/internal/core"
+	"metainsight/internal/cache"
 	"metainsight/internal/engine"
 	"metainsight/internal/model"
 	"metainsight/internal/obs"
-	"metainsight/internal/pattern"
 )
 
 // unitKind distinguishes the three kinds of compute units flowing through
@@ -51,9 +50,10 @@ func (k unitKind) phase() obs.Phase {
 }
 
 // workUnit is a compute unit. Exactly the fields for its kind are set. The
-// model values (subspace, breakdown, hds) are the unit's external identity —
-// what traces render; the handles beside them are what the hot path
-// navigates.
+// model values (subspace, breakdown) are the unit's external identity — what
+// traces render; the handles beside them are what the hot path navigates. A
+// MetaInsight unit is a candidate the dispatcher admitted: it carries the
+// candidate value, and the worker that mines it builds its HDS.
 type workUnit struct {
 	kind     unitKind
 	priority float64 // impact-based priority (higher first)
@@ -70,11 +70,38 @@ type workUnit struct {
 	bdim      int // breakdown's table dimension index
 
 	// kindMetaInsight
-	hds       core.HDS
-	scopes    []scopeRef // beside hds.Scopes, entry for entry; shared, read-only
-	ptype     pattern.Type
-	impactHDS float64
-	miKey     string // identity key for commit-time deduplication
+	cand miCandidate
+}
+
+// candKey is the identity of a MetaInsight candidate in ordinals, the parts
+// core.HDSKey renders for its kind and nothing else: two candidates have one
+// key exactly when their identity keys (HDS key and pattern type) are equal,
+// so the dispatcher dedups on it without building a string. scope packs the
+// root subspace's handle ordinal with the breakdown index (subspace and
+// measure extension) and the anchor measure's ordinal (subspace and breakdown
+// extension), the parts a kind's key omits left zero; ext is the extended
+// dimension's index (subspace extension); kind is the model.ExtensionKind and
+// ptype the pattern.Type. The key is two words and holds no pointer, so the
+// dedup set is a map the collector does not scan.
+type candKey struct {
+	scope cache.ScopeID
+	ext   uint16
+	kind  uint8
+	ptype int32
+}
+
+// miCandidate is one MetaInsight compute-unit candidate: an HDS extended from
+// an anchor data scope, under one pattern type. It stays a value until the
+// dispatcher admits it, and holds what the worker that mines it needs to
+// build the HDS: the anchor scope as its handle, breakdown index and measure
+// index, and the HDS size, which S*-bounded termination reads first.
+type miCandidate struct {
+	key     candKey
+	anchor  *engine.Handle
+	impact  float64 // Impact_HDS
+	bdim    int32   // anchor breakdown's table dimension index
+	measure int32   // anchor measure's index in the engine's measure set
+	n       int32   // HDS size: its scope count
 }
 
 // scopeRef is the interned form of one data scope's unit: the subspace

@@ -77,7 +77,7 @@ func newGatedSubstrate(tab *dataset.Table, hold heldScan, release int) *gatedSub
 
 func (g *gatedSubstrate) openGate() { g.open.Do(func() { close(g.gate) }) }
 
-func (g *gatedSubstrate) ScanUnitAt(h *engine.Handle, bdim int) (*cache.Unit, int) {
+func (g *gatedSubstrate) ScanUnitAt(h *engine.Handle, bdim int) (cache.Unit, int) {
 	switch key := h.Key(); {
 	case key == g.hold.subspace && bdim == g.hold.bdim:
 		<-g.gate
@@ -123,7 +123,7 @@ type recordingSubstrate struct {
 	first heldScan
 }
 
-func (r *recordingSubstrate) ScanUnitAt(h *engine.Handle, bdim int) (*cache.Unit, int) {
+func (r *recordingSubstrate) ScanUnitAt(h *engine.Handle, bdim int) (cache.Unit, int) {
 	if r.first.subspace == "" && h.Len() > 0 {
 		r.first = heldScan{subspace: h.Key(), bdim: bdim, commit: 1}
 		for _, ev := range r.ob.Trace().Events() {

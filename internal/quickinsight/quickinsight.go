@@ -99,7 +99,7 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 			unit := led.query(eng, h, bdim)
 			for _, meas := range eng.Measures() {
 				ds := model.DataScope{Subspace: item.subspace, Breakdown: col.Name, Measure: meas}
-				series, err := engine.Extract(unit, ds)
+				series, err := eng.Extract(unit, ds)
 				if err != nil || series.Len() < 3 {
 					continue
 				}
@@ -129,13 +129,13 @@ func Mine(eng *engine.Engine, cfg Config) *Result {
 			}
 			unit := led.query(eng, h, idx)
 			impacts := eng.GroupImpactsAt(h, idx, unit)
-			for gi, v := range unit.GroupKeys {
+			for gi, code := range unit.Codes {
 				imp := impacts[gi] / eng.TotalImpact()
 				if imp < defaults.MinSubspaceImpact {
 					continue
 				}
 				queue = append(queue, frontierItem{
-					subspace:  item.subspace.With(dim.Name, v),
+					subspace:  item.subspace.With(dim.Name, dim.Value(int(code))),
 					impact:    imp,
 					maxDimIdx: idx,
 				})
@@ -172,7 +172,7 @@ func (l *ledger) charge(cost float64) { l.costNanos += int64(cost * 1e9) }
 // run's ledger: a unit the run has charged before is served for free; any
 // other is one executed scan at the cost ScanCostAt charges, whatever the
 // engine's memo already holds.
-func (l *ledger) query(eng *engine.Engine, h *engine.Handle, bdim int) *cache.Unit {
+func (l *ledger) query(eng *engine.Engine, h *engine.Handle, bdim int) cache.Unit {
 	u := eng.MaterializeUnitAt(h, bdim, nil)
 	k := eng.UnitIDAt(h, bdim)
 	if l.charged[k] {

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
+	"bytes"
 	"testing"
 )
 
 // FuzzAnalyzeParams drives the daemon's request decoding: a body is decoded
-// as /v1/analyze decodes it, lowered by request() and its measures checked
+// as /v1/analyze decodes it (unknown keys refused), lowered by request() and its measures checked
 // against a small registered dataset by checkMeasures. Nothing may panic,
 // and every refusal checkMeasures makes must be a typed 4xx error.
 func FuzzAnalyzeParams(f *testing.F) {
@@ -35,12 +35,14 @@ func FuzzAnalyzeParams(f *testing.F) {
 		`{"dataset":"house","top_k":1e400}`,
 		`[]`,
 		`{"dataset":"house","measures":[{}]}`,
+		`{"dataset":"house","topk":5,"budget":400}`,
+		`{"dataset":"house","checkpoint_every":8}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var params AnalyzeParams
-		if json.Unmarshal(body, &params) != nil {
+		params, err := decodeParams(bytes.NewReader(body))
+		if err != nil {
 			return // 400: decoding request body
 		}
 		req, err := params.request()

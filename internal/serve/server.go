@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -170,6 +172,23 @@ type AnalyzeResponse struct {
 	TraceEvents json.RawMessage `json:"trace_events,omitempty"`
 }
 
+// decodeParams decodes a request body of /v1/analyze or /v1/jobs. A key
+// AnalyzeParams does not name is refused, naming the key: a misspelled
+// setting ("topk", "budget") would otherwise mine with that setting's
+// default. The one exception is "checkpoint_every", the retired job setting,
+// which is accepted and ignored so that clients written against versions
+// that checkpointed jobs keep working.
+func decodeParams(body io.Reader) (AnalyzeParams, error) {
+	var wire struct {
+		AnalyzeParams
+		CheckpointEvery json.RawMessage `json:"checkpoint_every"`
+	}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&wire)
+	return wire.AnalyzeParams, err
+}
+
 // handleAnalyze runs one synchronous analysis. Order of gates: quota (cheap,
 // per-tenant) → decode/validate → dataset lookup → measures against the
 // dataset → admission (may queue; may shed on saturation or hopeless
@@ -180,8 +199,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, aerr)
 		return
 	}
-	var params AnalyzeParams
-	if err := json.NewDecoder(r.Body).Decode(&params); err != nil {
+	params, err := decodeParams(r.Body)
+	if err != nil {
 		writeAPIError(w, apiErrorf(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err))
 		return
 	}
@@ -263,10 +282,9 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, aerr)
 		return
 	}
-	// The body is the analysis params. Unknown keys are ignored, so a body
-	// that still carries the retired "checkpoint_every" is accepted.
-	var params AnalyzeParams
-	if err := json.NewDecoder(r.Body).Decode(&params); err != nil {
+	// The body is the analysis params.
+	params, err := decodeParams(r.Body)
+	if err != nil {
 		writeAPIError(w, apiErrorf(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err))
 		return
 	}
@@ -332,5 +350,35 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{})
 		return
 	}
+	readRuntimeGauges(s.obs)
 	writeJSON(w, http.StatusOK, s.obs.Snapshot())
+}
+
+// runtimeGauges maps the process-wide collector signals /metricsz reports
+// to the runtime/metrics samples they are read from at scrape time: the CPU
+// time the collector has used, its completed cycles (both totals since the
+// process started) and the heap the last cycle found live. They say what
+// share of a resident daemon's CPU the collector takes, which no request's
+// own metrics show.
+var runtimeGauges = []struct{ gauge, sample string }{
+	{"process.gc.cpu_seconds", "/cpu/classes/gc/total:cpu-seconds"},
+	{"process.gc.cycles", "/gc/cycles/total:gc-cycles"},
+	{"process.heap.live_bytes", "/gc/heap/live:bytes"},
+}
+
+// readRuntimeGauges sets o's runtime gauges to the current samples.
+func readRuntimeGauges(o *obs.Observer) {
+	samples := make([]metrics.Sample, len(runtimeGauges))
+	for i, g := range runtimeGauges {
+		samples[i].Name = g.sample
+	}
+	metrics.Read(samples)
+	for i, g := range runtimeGauges {
+		switch v := samples[i].Value; v.Kind() {
+		case metrics.KindFloat64:
+			o.SetGauge(g.gauge, v.Float64())
+		case metrics.KindUint64:
+			o.SetGauge(g.gauge, float64(v.Uint64()))
+		}
+	}
 }

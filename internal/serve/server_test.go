@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -179,6 +180,27 @@ func TestAnalyzeErrors(t *testing.T) {
 	status, data = postJSON(t, hs.URL+"/v1/analyze", analyzeBody, map[string]string{"X-Deadline-Ms": "soon"})
 	if status != http.StatusBadRequest || errorCode(t, data) != CodeBadRequest {
 		t.Fatalf("bad deadline header: status %d, body %s", status, data)
+	}
+}
+
+// TestUnknownRequestKeysAreRefused: a body key the params do not name is a
+// 400 bad_request naming the key, on /v1/analyze and on /v1/jobs, before
+// any work — a misspelled setting must not mine with its default. The
+// retired "checkpoint_every" stays accepted and ignored.
+func TestUnknownRequestKeysAreRefused(t *testing.T) {
+	_, hs := newTestServer(t, func(cfg *Config) { cfg.StateDir = t.TempDir() })
+	for _, tc := range []struct{ path, body, key string }{
+		{"/v1/analyze", `{"dataset":"house","topk":5}`, "topk"},
+		{"/v1/analyze", `{"dataset":"house","budget":400}`, "budget"},
+		{"/v1/jobs", `{"dataset":"house","max_filter":2}`, "max_filter"},
+	} {
+		status, data := postJSON(t, hs.URL+tc.path, tc.body, nil)
+		if status != http.StatusBadRequest || errorCode(t, data) != CodeBadRequest || !strings.Contains(string(data), tc.key) {
+			t.Errorf("%s %s: status %d, body %s; want 400 bad_request naming %q", tc.path, tc.body, status, data, tc.key)
+		}
+	}
+	if status, data := postJSON(t, hs.URL+"/v1/analyze", `{"dataset":"house","top_k":3,"checkpoint_every":8}`, nil); status != http.StatusOK {
+		t.Errorf("analyze with the retired checkpoint_every: status %d, body %s", status, data)
 	}
 }
 
@@ -486,6 +508,43 @@ func TestDatasetsHealthzMetricsz(t *testing.T) {
 		if !strings.Contains(string(data), metric) {
 			t.Fatalf("metricsz missing %q:\n%s", metric, data)
 		}
+	}
+}
+
+// TestMetricszReportsCollector: /metricsz carries the process's GC CPU
+// seconds, GC cycles and live heap, read at scrape time, and the two totals
+// never decrease from one scrape to the next.
+func TestMetricszReportsCollector(t *testing.T) {
+	_, hs := newTestServer(t, nil)
+	scrape := func() map[string]float64 {
+		t.Helper()
+		status, data := getJSON(t, hs.URL+"/metricsz")
+		if status != http.StatusOK {
+			t.Fatalf("metricsz: status %d", status)
+		}
+		var snap struct {
+			Gauges map[string]float64 `json:"gauges"`
+		}
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []string{"process.gc.cpu_seconds", "process.gc.cycles", "process.heap.live_bytes"} {
+			if _, ok := snap.Gauges[g]; !ok {
+				t.Fatalf("metricsz lacks gauge %q:\n%s", g, data)
+			}
+		}
+		return snap.Gauges
+	}
+	first := scrape()
+	runtime.GC()
+	second := scrape()
+	for _, g := range []string{"process.gc.cpu_seconds", "process.gc.cycles"} {
+		if second[g] < first[g] {
+			t.Errorf("%s went from %v to %v", g, first[g], second[g])
+		}
+	}
+	if second["process.gc.cycles"] <= first["process.gc.cycles"] || second["process.heap.live_bytes"] <= 0 {
+		t.Errorf("after a collection: cycles %v -> %v, live heap %v bytes", first["process.gc.cycles"], second["process.gc.cycles"], second["process.heap.live_bytes"])
 	}
 }
 
