@@ -74,7 +74,7 @@ func TestPatternScopesEvaluatedExactlyOnce(t *testing.T) {
 		}
 		s, err := metainsight.NewSession(tab,
 			metainsight.WithCustomPatternTypes(counter),
-			metainsight.WithExec(metainsight.ExecConfig{Workers: 8}))
+			metainsight.WithWorkers(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestCorrelationRunsAreWorkerInvariant(t *testing.T) {
 				metainsight.WithCorrelationPatterns([2]metainsight.Measure{
 					metainsight.Sum("Sales"), metainsight.Sum("Profit"),
 				}),
-				metainsight.WithExec(metainsight.ExecConfig{Workers: workers}))
+				metainsight.WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,14 +3,15 @@
 //
 // Usage:
 //
-//	metainsight -csv data.csv [-k 10] [-budget 10s] [-tau 0.5] [-workers 8]
+//	metainsight -csv data.csv [-k 10] [-budget 10s] [-tau 0.5]
 //	            [-depth 3] [-topk-prune 40]
 //	            [-max-card 50] [-derive Date] [-skip-ragged] [-skip-bad-measures]
 //	            [-flat] [-json] [-report report.md] [-trace run.jsonl] [-metrics]
-//	            [-scan-parallelism 4]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -h lists every flag with its meaning and default.
+// -h lists every flag with its meaning and default. Mining runs on 8
+// workers and each scan on one goroutine per core; the results are the same
+// at any layout, so neither is a flag.
 //
 // Exit codes:
 //
@@ -47,7 +48,6 @@ func run() int {
 		k       = fs.Int("k", 10, "number of MetaInsights to suggest")
 		budget  = fs.Duration("budget", 15*time.Second, "mining time budget (0 = unlimited)")
 		tau     = fs.Float64("tau", 0.5, "commonness threshold τ")
-		workers = fs.Int("workers", 8, "evaluation worker goroutines")
 		depth   = fs.Int("depth", 3, "maximum subspace filters")
 		maxCard = fs.Int("max-card", 100, "drop categorical columns with more distinct values")
 		flat    = fs.Bool("flat", false, "also print each insight's flat-list representation")
@@ -58,7 +58,6 @@ func run() int {
 		metrics = fs.Bool("metrics", false, "print the metrics snapshot (counters, gauges, phase timers) after the run")
 		ragged  = fs.Bool("skip-ragged", false, "skip-and-count rows whose column count differs from the header instead of failing")
 		badMeas = fs.Bool("skip-bad-measures", false, "skip-and-count rows with NaN/Inf/unparseable measure cells instead of failing")
-		scanPar = fs.Int("scan-parallelism", 0, "goroutines per physical scan: 0 = one per core, 1 = sequential (results are bit-identical for any value)")
 		topKCut = fs.Int("topk-prune", 0, "S*-bounded early termination: skip candidates that provably cannot enter the score top k (0 = off; size with headroom over -k)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile taken after mining to this file")
@@ -158,10 +157,7 @@ func run() int {
 		}
 		req.Observer = metainsight.NewObserver(obOpts)
 	}
-	sess, err := metainsight.NewSession(tab, metainsight.WithExec(metainsight.ExecConfig{
-		Workers:         *workers,
-		ScanParallelism: *scanPar,
-	}))
+	sess, err := metainsight.NewSession(tab)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "metainsight:", err)
 		return 1

@@ -20,9 +20,7 @@ func main() {
 	tab := buildDataset()
 	fmt.Printf("dataset %q: %d rows × %d cols\n\n", tab.Name(), tab.Rows(), tab.Cols())
 
-	s, err := metainsight.NewSession(tab,
-		metainsight.WithExec(metainsight.ExecConfig{Workers: 8}),
-	)
+	s, err := metainsight.NewSession(tab)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -397,9 +397,6 @@ func use() { metainsight.T{}.Aliased() }
 // writes has one value in use, so it is a constant; these earn their place by
 // a test that sets them, or by a reader that needs the field to exist.
 var testOnlyFields = map[string]string{
-	"core.ScoreParams.K":                        "TestScoreUpperBoundDominatesRealizableScores draws K, R and Gamma to check the score bound against realizable scores",
-	"core.ScoreParams.R":                        "TestScoreUpperBoundDominatesRealizableScores draws K, R and Gamma to check the score bound against realizable scores",
-	"core.ScoreParams.Gamma":                    "TestScoreUpperBoundDominatesRealizableScores draws K, R and Gamma to check the score bound against realizable scores",
 	"experiments.Table4Config.K":                "TestTable4 runs Table 4 smaller than the paper's configuration",
 	"experiments.Table4Config.NaivePool":        "TestTable4 runs Table 4 smaller than the paper's configuration",
 	"experiments.Table4Config.MaxGroup":         "TestTable4 runs Table 4 smaller than the paper's configuration",
@@ -560,8 +557,8 @@ func run() int { a.Run(nil); return Request{}.TopK + Request{}.Hidden }
 // allow does not name, or that allow names but is live or nothing references;
 // then one per allow entry that names no such field. A field is live when
 // non-test code writes it (see fieldWrites) outside its own package's
-// defaults constructors (functions and methods named Default*, withDefaults
-// or WithDefaults), or, for a field of the root package or of a type the root
+// defaults constructors (functions and methods named Default* or
+// withDefaults), or, for a field of the root package or of a type the root
 // package re-exports by an alias, when README.md sets it ("Name:" or
 // ".Name ="). Wire fields are exempt: those with a JSON tag, and the
 // embedded fields of a struct whose fields carry JSON tags, which
@@ -646,7 +643,7 @@ func unwrittenFields(m *typedModule, allow map[string]string) ([]string, error) 
 	for path, files := range m.files {
 		for _, file := range files {
 			fieldWrites(file, m.info, func(v *types.Var, fn *ast.FuncDecl) {
-				defaults := fn != nil && (strings.HasPrefix(fn.Name.Name, "Default") || strings.EqualFold(fn.Name.Name, "withDefaults"))
+				defaults := fn != nil && (strings.HasPrefix(fn.Name.Name, "Default") || fn.Name.Name == "withDefaults")
 				if f := fieldOf(v); f != nil && (!defaults || v.Pkg().Path() != path) {
 					f.live = true
 				}

@@ -11,6 +11,9 @@ import (
 	"metainsight/internal/pattern"
 )
 
+// paperTau is the paper's default commonness threshold τ (Section 4.1).
+const paperTau = 0.5
+
 func scope(city string) model.DataScope {
 	return model.DataScope{
 		Subspace:  model.NewSubspace(model.Filter{Dim: "City", Value: city}),
@@ -170,7 +173,7 @@ func TestBuildMetaInsightCommonnessAndExceptions(t *testing.T) {
 	dps = append(dps, DataPattern{Scope: scope("SJ"), Type: pattern.OtherPattern})
 	dps = append(dps, DataPattern{Scope: scope("RV"), Type: pattern.NoPattern})
 
-	mi, ok := BuildMetaInsight(buildHDP(t, dps), 0.8, DefaultScoreParams())
+	mi, ok := BuildMetaInsight(buildHDP(t, dps), 0.8, paperTau)
 	if !ok {
 		t.Fatal("valid MetaInsight rejected")
 	}
@@ -215,18 +218,16 @@ func TestBuildMetaInsightRejectsWithoutCommonness(t *testing.T) {
 		valleyPattern("a", "Jan"), valleyPattern("b", "Feb"),
 		valleyPattern("c", "Mar"), valleyPattern("d", "Apr"),
 	}
-	if _, ok := BuildMetaInsight(buildHDP(t, dps), 1, DefaultScoreParams()); ok {
+	if _, ok := BuildMetaInsight(buildHDP(t, dps), 1, paperTau); ok {
 		t.Error("MetaInsight without commonness accepted (Definition 3.5 requires CommSet ≠ ∅)")
 	}
 	// A single pattern is no structure at all.
-	if _, ok := BuildMetaInsight(buildHDP(t, dps[:1]), 1, DefaultScoreParams()); ok {
+	if _, ok := BuildMetaInsight(buildHDP(t, dps[:1]), 1, paperTau); ok {
 		t.Error("single-pattern HDP accepted")
 	}
 }
 
 func TestBuildMetaInsightMultipleCommonnesses(t *testing.T) {
-	p := DefaultScoreParams()
-	p.Tau = 0.3
 	// 4 valley-Apr + 4 valley-Jul + 2 NoPattern: both classes clear τ=0.3.
 	dps := []DataPattern{}
 	for i := 0; i < 4; i++ {
@@ -237,7 +238,7 @@ func TestBuildMetaInsightMultipleCommonnesses(t *testing.T) {
 	}
 	dps = append(dps, DataPattern{Scope: scope("x"), Type: pattern.NoPattern})
 	dps = append(dps, DataPattern{Scope: scope("y"), Type: pattern.NoPattern})
-	mi, ok := BuildMetaInsight(buildHDP(t, dps), 1, p)
+	mi, ok := BuildMetaInsight(buildHDP(t, dps), 1, 0.3)
 	if !ok || len(mi.CommSet) != 2 {
 		t.Fatalf("ok=%v CommSet=%v", ok, mi.CommSet)
 	}
@@ -247,18 +248,17 @@ func TestBuildMetaInsightMultipleCommonnesses(t *testing.T) {
 }
 
 func TestNoExceptionRegularization(t *testing.T) {
-	p := DefaultScoreParams()
 	// Perfectly uniform commonness: S = 0, but γ penalizes no-exceptions.
 	uniform := []DataPattern{}
 	for i := 0; i < 5; i++ {
 		uniform = append(uniform, valleyPattern("c"+strconv.Itoa(i), "Apr"))
 	}
-	noExc, ok := BuildMetaInsight(buildHDP(t, uniform), 1, p)
+	noExc, ok := BuildMetaInsight(buildHDP(t, uniform), 1, paperTau)
 	if !ok {
 		t.Fatal("rejected")
 	}
-	smax := SMax(p.Tau, p.R, p.K)
-	want := 1 - p.Gamma/smax
+	smax := SMax(paperTau, paperR, paperK)
+	want := 1 - paperGamma/smax
 	if math.Abs(noExc.Conciseness-want) > 1e-12 {
 		t.Errorf("conciseness = %v, want %v", noExc.Conciseness, want)
 	}
@@ -268,11 +268,11 @@ func TestNoExceptionRegularization(t *testing.T) {
 	// here just verify the exception-free penalty applies only without
 	// exceptions.
 	withExc := append(uniform[:4:4], DataPattern{Scope: scope("z"), Type: pattern.NoPattern})
-	excMI, ok := BuildMetaInsight(buildHDP(t, withExc), 1, p)
+	excMI, ok := BuildMetaInsight(buildHDP(t, withExc), 1, paperTau)
 	if !ok {
 		t.Fatal("rejected")
 	}
-	wantS := EntropyS([]float64{0.8}, []float64{0.2}, p.R)
+	wantS := EntropyS([]float64{0.8}, []float64{0.2}, paperR)
 	if math.Abs(excMI.Entropy-wantS) > 1e-12 {
 		t.Errorf("entropy = %v, want %v", excMI.Entropy, wantS)
 	}
@@ -341,7 +341,6 @@ func TestSMaxContinuityAndMonotonicity(t *testing.T) {
 func TestSBoundedBySMax(t *testing.T) {
 	// Property: for any valid MetaInsight representation (α each > τ,
 	// Σα + Σβ = 1, v ≤ k), S ≤ S*(τ).
-	p := DefaultScoreParams()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tau := 0.2 + 0.6*r.Float64()
@@ -365,7 +364,7 @@ func TestSBoundedBySMax(t *testing.T) {
 		extra := remaining * r.Float64()
 		alphas[0] += extra
 		remaining -= extra
-		v := r.Intn(p.K + 1)
+		v := r.Intn(paperK + 1)
 		betas := make([]float64, 0, v)
 		for i := 0; i < v && remaining > 1e-12; i++ {
 			share := remaining
@@ -376,8 +375,8 @@ func TestSBoundedBySMax(t *testing.T) {
 			remaining -= share
 		}
 		alphas[0] += remaining // fold any leftover into a commonness
-		s := EntropyS(alphas, betas, p.R)
-		return s <= SMax(tau, p.R, p.K)+1e-9
+		s := EntropyS(alphas, betas, paperR)
+		return s <= SMax(tau, paperR, paperK)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -385,14 +384,13 @@ func TestSBoundedBySMax(t *testing.T) {
 }
 
 func TestConcisenessRange(t *testing.T) {
-	p := DefaultScoreParams()
-	if c := ConcisenessReg(0, false, p); c != 1 {
+	if c := ConcisenessReg(0, false, paperTau); c != 1 {
 		t.Errorf("zero entropy with exceptions → conciseness %v, want 1", c)
 	}
-	if c := ConcisenessReg(SMax(p.Tau, p.R, p.K), false, p); c != 0 {
+	if c := ConcisenessReg(SMax(paperTau, paperR, paperK), false, paperTau); c != 0 {
 		t.Errorf("max entropy → conciseness %v, want 0", c)
 	}
-	if c := ConcisenessReg(100, false, p); c != 0 {
+	if c := ConcisenessReg(100, false, paperTau); c != 0 {
 		t.Error("conciseness must clamp at 0")
 	}
 }
@@ -476,7 +474,6 @@ func TestBuildMetaInsightProportionsProperty(t *testing.T) {
 	// Property: for random HDPs, any accepted MetaInsight's proportions sum
 	// to 1, every α exceeds τ, exceptions and commonness members partition
 	// the HDP, and the score stays in [0, 1].
-	p := DefaultScoreParams()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(15)
@@ -492,7 +489,7 @@ func TestBuildMetaInsightProportionsProperty(t *testing.T) {
 				dps = append(dps, DataPattern{Scope: scope("n" + strconv.Itoa(i)), Type: pattern.NoPattern})
 			}
 		}
-		mi, ok := BuildMetaInsight(buildHDP(t, dps), r.Float64(), p)
+		mi, ok := BuildMetaInsight(buildHDP(t, dps), r.Float64(), paperTau)
 		if !ok {
 			return true // rejected HDPs are fine
 		}
@@ -500,7 +497,7 @@ func TestBuildMetaInsightProportionsProperty(t *testing.T) {
 		covered := 0
 		for i, a := range mi.Alphas {
 			sum += a
-			if a <= p.Tau {
+			if a <= paperTau {
 				t.Logf("alpha %v ≤ τ", a)
 				return false
 			}
@@ -530,7 +527,6 @@ func TestBuildMetaInsightProportionsProperty(t *testing.T) {
 // commonness is similar to exactly that commonness's members, and an HDP is
 // rejected exactly when no Sim class has more than τ of its patterns.
 func TestBuildMetaInsightClassesAreSimClasses(t *testing.T) {
-	p := DefaultScoreParams()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(12)
@@ -557,8 +553,8 @@ func TestBuildMetaInsightClassesAreSimClasses(t *testing.T) {
 			}
 			largest = max(largest, size)
 		}
-		mi, ok := BuildMetaInsight(buildHDP(t, dps), 1, p)
-		if ok != (float64(largest) > p.Tau*float64(n)) {
+		mi, ok := BuildMetaInsight(buildHDP(t, dps), 1, paperTau)
+		if ok != (float64(largest) > paperTau*float64(n)) {
 			t.Logf("accepted = %v with a largest Sim class of %d of %d", ok, largest, n)
 			return false
 		}
@@ -586,39 +582,8 @@ func TestBuildMetaInsightClassesAreSimClasses(t *testing.T) {
 	}
 }
 
-func TestScoreParamsWithDefaults(t *testing.T) {
-	def := DefaultScoreParams()
-
-	// Zero value: every field defaulted.
-	if got := (ScoreParams{}).WithDefaults(); got != def {
-		t.Errorf("zero WithDefaults = %+v, want %+v", got, def)
-	}
-
-	// Partial override: set fields kept, unset fields filled per-field —
-	// not all-or-nothing.
-	got := ScoreParams{Tau: 0.6}.WithDefaults()
-	want := def
-	want.Tau = 0.6
-	if got != want {
-		t.Errorf("partial WithDefaults = %+v, want %+v", got, want)
-	}
-	got = ScoreParams{K: 5, Gamma: 0.2}.WithDefaults()
-	want = def
-	want.K = 5
-	want.Gamma = 0.2
-	if got != want {
-		t.Errorf("partial WithDefaults = %+v, want %+v", got, want)
-	}
-
-	// Fully specified params pass through untouched.
-	full := ScoreParams{Tau: 0.7, K: 4, R: 2, Gamma: 0.3}
-	if got := full.WithDefaults(); got != full {
-		t.Errorf("full WithDefaults = %+v, want %+v", got, full)
-	}
-}
-
 func TestScoreUpperBoundBasics(t *testing.T) {
-	p := DefaultScoreParams()
+	p := paperTau
 	if ub := ScoreUpperBound(1, 1, p); ub != 0 {
 		t.Errorf("nScopes < 2 must bound to 0, got %v", ub)
 	}
@@ -648,19 +613,13 @@ func TestScoreUpperBoundBasics(t *testing.T) {
 // TestScoreUpperBoundDominatesRealizableScores is the soundness property
 // behind S*-bounded early termination: no MetaInsight built from an HDS with
 // nominal scopes can score above ScoreUpperBound for that HDS. Random draws
-// cover the adversarial single-commonness minimum-entropy shape, no-exception
-// MetaInsights (charged γ instead), evaluated pattern counts below the
-// nominal scope count (empty siblings), and r values where the exception
-// floor is not monotone in the pattern count.
+// over τ cover the adversarial single-commonness minimum-entropy shape,
+// no-exception MetaInsights (charged γ instead), and evaluated pattern counts
+// below the nominal scope count (empty siblings).
 func TestScoreUpperBoundDominatesRealizableScores(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := ScoreParams{
-			Tau:   0.25 + 0.5*r.Float64(),
-			K:     1 + r.Intn(5),
-			R:     []float64{0.5, 1, 3, 12}[r.Intn(4)],
-			Gamma: 0.02 + r.Float64(),
-		}
+		tau := 0.25 + 0.5*r.Float64()
 		nominal := 2 + r.Intn(11)
 		n := 2 + r.Intn(nominal)
 		if n > nominal {
@@ -668,24 +627,24 @@ func TestScoreUpperBoundDominatesRealizableScores(t *testing.T) {
 		}
 		e := r.Intn(n - 1) // exceptions; n-e >= 2 commonness members
 		comm := n - e
-		if float64(comm)/float64(n) <= p.Tau {
+		if float64(comm)/float64(n) <= tau {
 			return true // no commonness class clears tau: not a MetaInsight
 		}
 		alphas := []float64{float64(comm) / float64(n)}
 		var betas []float64
 		rem := e
-		for v := 0; v < p.K && rem > 0; v++ {
+		for v := 0; v < paperK && rem > 0; v++ {
 			take := 1 + r.Intn(rem)
-			if v == p.K-1 {
+			if v == paperK-1 {
 				take = rem
 			}
 			betas = append(betas, float64(take)/float64(n))
 			rem -= take
 		}
 		impact := 1.5 * r.Float64()
-		s := EntropyS(alphas, betas, p.R)
-		score := Score(ConcisenessReg(s, e == 0, p), impact)
-		return score <= ScoreUpperBound(impact, nominal, p)+1e-12
+		s := EntropyS(alphas, betas, paperR)
+		score := Score(ConcisenessReg(s, e == 0, tau), impact)
+		return score <= ScoreUpperBound(impact, nominal, tau)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

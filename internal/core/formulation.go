@@ -249,11 +249,12 @@ func (mi *MetaInsight) String() string {
 	return b.String()
 }
 
-// BuildMetaInsight categorizes an HDP into commonness(es) and exceptions and
-// scores the result. It returns (nil, false) when the HDP yields no valid
-// MetaInsight — i.e. when no Sim-equivalence class clears τ (Definition 3.5
-// requires CommSet ≠ ∅) or the HDP has fewer than two patterns.
-func BuildMetaInsight(hdp *HDP, impactHDS float64, p ScoreParams) (*MetaInsight, bool) {
+// BuildMetaInsight categorizes an HDP into commonness(es) and exceptions at
+// commonness threshold tau and scores the result. It returns (nil, false)
+// when the HDP yields no valid MetaInsight — i.e. when no Sim-equivalence
+// class clears τ (Definition 3.5 requires CommSet ≠ ∅) or the HDP has fewer
+// than two patterns.
+func BuildMetaInsight(hdp *HDP, impactHDS float64, tau float64) (*MetaInsight, bool) {
 	n := len(hdp.Patterns)
 	if n < 2 {
 		return nil, false
@@ -291,7 +292,7 @@ func BuildMetaInsight(hdp *HDP, impactHDS float64, p ScoreParams) (*MetaInsight,
 	total := float64(n)
 	for _, members := range classes {
 		ratio := float64(len(members)) / total
-		if ratio > p.Tau {
+		if ratio > tau {
 			mi.CommSet = append(mi.CommSet, Commonness{
 				Highlight: hdp.Patterns[members[0]].Highlight,
 				Indices:   members,
@@ -319,8 +320,8 @@ func BuildMetaInsight(hdp *HDP, impactHDS float64, p ScoreParams) (*MetaInsight,
 	appendCat(others, TypeChange)
 	appendCat(nones, NoPatternException)
 
-	mi.Entropy = EntropyS(mi.Alphas, mi.Betas, p.R)
-	mi.Conciseness = ConcisenessReg(mi.Entropy, len(mi.Exceptions) == 0, p)
+	mi.Entropy = EntropyS(mi.Alphas, mi.Betas, paperR)
+	mi.Conciseness = ConcisenessReg(mi.Entropy, len(mi.Exceptions) == 0, tau)
 	mi.Score = Score(mi.Conciseness, impactHDS)
 	return mi, true
 }

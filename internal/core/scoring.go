@@ -4,51 +4,21 @@ import (
 	"math"
 )
 
-// ScoreParams holds the scoring hyper-parameters of Section 4.1.
-type ScoreParams struct {
-	// Tau is the commonness acceptance threshold τ (a Sim class is a
-	// commonness iff its ratio strictly exceeds τ).
-	Tau float64
-	// K is the number of exception categories k (3 in the paper).
-	K int
-	// R is the balancing parameter r between commonness and exception
+// The scoring parameters of Section 4.1 ("Parameters in our
+// implementation") other than τ, which each run sets: k = 3, r = 1 and
+// γ = 0.1 are the paper's constants.
+const (
+	// paperK is the number of exception categories k.
+	paperK = 3
+	// paperR is the balancing parameter r between commonness and exception
 	// complexity in Equation 13.
-	R float64
-	// Gamma is the actionability regularization γ of Equation 16, penalizing
-	// MetaInsights without exceptions; it must satisfy S + γ ≤ S* for all
-	// MetaInsights, for which 0 < γ < 1 + 0.5·log₂(k) suffices at τ = 0.5.
-	Gamma float64
-}
-
-// DefaultScoreParams returns the paper's implementation parameters:
-// τ = 0.5, k = 3, r = 1, γ = 0.1 (Section 4.1, "Parameters in our
-// implementation").
-func DefaultScoreParams() ScoreParams {
-	return ScoreParams{Tau: 0.5, K: 3, R: 1, Gamma: 0.1}
-}
-
-// WithDefaults returns p with every unset (zero) field replaced by its
-// paper default, so a caller who overrides only Tau does not silently zero
-// the actionability and impact terms of Equation 18. A zero value for any
-// field is never meaningful: τ = 0 accepts everything as commonness, k = 0
-// leaves no exception categories, r = 0 erases exceptions from Equation 13,
-// and γ = 0 removes the no-exception penalty — none are sensible settings.
-func (p ScoreParams) WithDefaults() ScoreParams {
-	def := DefaultScoreParams()
-	if p.Tau == 0 {
-		p.Tau = def.Tau
-	}
-	if p.K == 0 {
-		p.K = def.K
-	}
-	if p.R == 0 {
-		p.R = def.R
-	}
-	if p.Gamma == 0 {
-		p.Gamma = def.Gamma
-	}
-	return p
-}
+	paperR = 1.0
+	// paperGamma is the actionability regularization γ of Equation 16,
+	// penalizing MetaInsights without exceptions; it must satisfy
+	// S + γ ≤ S* for all MetaInsights, for which 0 < γ < 1 + 0.5·log₂(k)
+	// suffices at τ = 0.5.
+	paperGamma = 0.1
+)
 
 // EntropyS computes S of Equation 13 in bits:
 //
@@ -90,16 +60,17 @@ func SMax(tau, r float64, k int) float64 {
 	return -tau*math.Log2(tau) - r*(1-tau)*math.Log2((1-tau)/kf)
 }
 
-// ConcisenessReg computes the regularized conciseness of Equation 16:
+// ConcisenessReg computes the regularized conciseness of Equation 16 at
+// commonness threshold tau:
 //
-//	Conciseness = 1 − (S + γ·1[no exceptions]) / S*
+//	Conciseness = 1 − (S + γ·1[no exceptions]) / S*(τ)
 //
 // The result is clamped into [0, 1] against floating-point drift.
-func ConcisenessReg(entropy float64, noExceptions bool, p ScoreParams) float64 {
-	smax := SMax(p.Tau, p.R, p.K)
+func ConcisenessReg(entropy float64, noExceptions bool, tau float64) float64 {
+	smax := SMax(tau, paperR, paperK)
 	s := entropy
 	if noExceptions {
-		s += p.Gamma
+		s += paperGamma
 	}
 	c := 1 - s/smax
 	if c < 0 {
@@ -131,21 +102,22 @@ func Score(conciseness, impactHDS float64) float64 {
 // exception of weight 1/n against a single commonness class of weight
 // (n−1)/n. Any other representation refines that partition, and refining a
 // partition never decreases entropy.
-func exceptionEntropyFloor(n int, r float64) float64 {
+func exceptionEntropyFloor(n int) float64 {
 	nf := float64(n)
 	a := (nf - 1) / nf
 	b := 1 / nf
-	return -(a*math.Log2(a) + r*b*math.Log2(b))
+	return -(a*math.Log2(a) + paperR*b*math.Log2(b))
 }
 
 // ScoreUpperBound returns an upper bound on the score (Equation 18) of any
-// MetaInsight an HDS with nScopes data scopes and impact impactHDS can yield,
-// before evaluating a single scope. It follows from Lemma 4.1's S* and the
-// structure of Equation 16: a MetaInsight either has no exceptions — then the
-// γ regularizer is charged — or has at least one exception over m ≤ nScopes
-// evaluated patterns, and its entropy S is at least the cheapest-exception
-// floor min over 2 ≤ m ≤ nScopes of S_exc(m) (the min is taken explicitly
-// because S_exc is not monotone in m for large r). Either way
+// MetaInsight an HDS with nScopes data scopes and impact impactHDS can yield
+// at commonness threshold tau, before evaluating a single scope. It follows
+// from Lemma 4.1's S* and the structure of Equation 16: a MetaInsight either
+// has no exceptions — then the γ regularizer is charged — or has at least
+// one exception over m ≤ nScopes evaluated patterns, and its entropy S is at
+// least the cheapest-exception floor min over 2 ≤ m ≤ nScopes of S_exc(m)
+// (the min is taken explicitly: S_exc falls with m at the paper's r = 1 but
+// is not monotone in m for large r). Either way
 //
 //	Conciseness ≤ 1 − min(γ, min_m S_exc(m)) / S*(τ)
 //
@@ -153,17 +125,17 @@ func exceptionEntropyFloor(n int, r float64) float64 {
 // monotone in impactHDS only, so it is safe to compute from the HDS alone:
 // scopes that later turn out empty only shrink m, which the min already
 // covers. nScopes < 2 cannot form a MetaInsight and bounds to 0.
-func ScoreUpperBound(impactHDS float64, nScopes int, p ScoreParams) float64 {
+func ScoreUpperBound(impactHDS float64, nScopes int, tau float64) float64 {
 	if nScopes < 2 {
 		return 0
 	}
-	floor := p.Gamma
+	floor := paperGamma
 	for m := 2; m <= nScopes; m++ {
-		if s := exceptionEntropyFloor(m, p.R); s < floor {
+		if s := exceptionEntropyFloor(m); s < floor {
 			floor = s
 		}
 	}
-	c := 1 - floor/SMax(p.Tau, p.R, p.K)
+	c := 1 - floor/SMax(tau, paperR, paperK)
 	if c < 0 {
 		c = 0
 	}

@@ -84,7 +84,7 @@ func (s Setup) Run(tab *dataset.Table) (*miner.Result, *engine.Engine) {
 	cfg.EnablePatternCache = s.PatternCache
 	cfg.Budget.Cost = s.BudgetUnits
 	if s.Tau > 0 {
-		cfg.Score.Tau = s.Tau
+		cfg.Tau = s.Tau
 	}
 	if s.MaxSubspaceFilters > 0 {
 		cfg.MaxSubspaceFilters = s.MaxSubspaceFilters

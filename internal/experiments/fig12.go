@@ -51,11 +51,9 @@ func Figure12Datasets(w io.Writer, tables []*dataset.Table, k int) Fig12Result {
 
 		points := make([]Fig12Point, 0, len(Fig12Taus))
 		for _, tau := range Fig12Taus {
-			params := core.DefaultScoreParams()
-			params.Tau = tau
 			var retained []*core.MetaInsight
 			for _, mi := range reference {
-				if re, ok := core.BuildMetaInsight(mi.HDP, mi.ImpactHDS, params); ok {
+				if re, ok := core.BuildMetaInsight(mi.HDP, mi.ImpactHDS, tau); ok {
 					retained = append(retained, re)
 				}
 			}

@@ -52,11 +52,10 @@ type Budget struct {
 
 // Config configures a mining run.
 type Config struct {
-	// Score holds the MetaInsight scoring hyper-parameters (τ, k, r, γ).
-	// Unset (zero) fields are filled individually from the paper defaults
-	// (core.ScoreParams.WithDefaults), so overriding only Tau keeps k, r
-	// and γ meaningful.
-	Score core.ScoreParams
+	// Tau is the commonness threshold τ of Definition 3.5, which also sets
+	// the score's S* term (Lemma 4.1); zero is the paper's 0.5. The other
+	// scoring parameters, k, r and γ, are the paper's constants.
+	Tau float64
 	// Pattern registers custom pattern types beside the paper's eleven; the
 	// zero value registers none.
 	Pattern pattern.Config
@@ -156,7 +155,7 @@ type Config struct {
 // 8 workers, impact order, both prunings, τ = 0.5 scoring.
 func DefaultConfig() Config {
 	return Config{
-		Score:                   core.DefaultScoreParams(),
+		Tau:                     0.5,
 		Pattern:                 pattern.DefaultConfig(),
 		MaxSubspaceFilters:      3,
 		MaxBreakdownCardinality: 50,
@@ -282,7 +281,9 @@ type Miner struct {
 // New creates a Miner. The zero-value parts of cfg are filled with defaults.
 func New(eng *engine.Engine, cfg Config) *Miner {
 	def := DefaultConfig()
-	cfg.Score = cfg.Score.WithDefaults()
+	if cfg.Tau == 0 {
+		cfg.Tau = def.Tau
+	}
 	if cfg.MaxSubspaceFilters == 0 {
 		cfg.MaxSubspaceFilters = def.MaxSubspaceFilters
 	}
@@ -517,7 +518,7 @@ func (m *Miner) sstarCutCand(c *miCandidate) bool {
 	if m.cfg.TopK <= 0 || len(m.topScores) < m.cfg.TopK {
 		return false
 	}
-	return core.ScoreUpperBound(c.impact, int(c.n), m.cfg.Score) <= m.topScores[m.cfg.TopK-1]
+	return core.ScoreUpperBound(c.impact, int(c.n), m.cfg.Tau) <= m.topScores[m.cfg.TopK-1]
 }
 
 // recordTopScore folds a newly stored result's score into the sorted top-K
@@ -804,9 +805,9 @@ func (m *Miner) finish() *Result {
 		}
 		return out[i].Key() < out[j].Key()
 	})
-	m.stats.ExecutedQueries = m.acct.executed
+	m.stats.ExecutedQueries = m.acct.qcMisses + m.acct.augmented
 	m.stats.AugmentedQueries = m.acct.augmented
-	m.stats.CacheServed = m.acct.served
+	m.stats.CacheServed = m.acct.qcHits
 	m.stats.CostUsed = float64(m.acct.costNanos) / 1e9
 	m.stats.QueryCacheStats = m.acct.queryStats()
 	m.stats.PatternCacheStats = m.acct.patternStats()
@@ -1220,7 +1221,7 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, sc *scratch, delt
 	}
 	var classes []class
 	best := 0
-	tau := m.cfg.Score.Tau
+	tau := m.cfg.Tau
 	ptype := pattern.Type(u.cand.key.ptype)
 	// Only measure extension varies the measure; the others resolve the
 	// anchor's once.
@@ -1286,7 +1287,7 @@ func (m *Miner) processMetaInsight(u *workUnit, rec *recorder, sc *scratch, delt
 		return nil
 	}
 	hdp := core.NewHDP(miKey, hds, ptype, patterns)
-	mi, ok := core.BuildMetaInsight(hdp, u.cand.impact, m.cfg.Score)
+	mi, ok := core.BuildMetaInsight(hdp, u.cand.impact, m.cfg.Tau)
 	if !ok {
 		return nil
 	}

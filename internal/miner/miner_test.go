@@ -498,34 +498,33 @@ func TestProgressCallbackOrderIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestScoreParamsPartialOverride is the regression test for the
-// all-or-nothing Score default: overriding only Tau must keep k, r, γ at
-// their paper defaults rather than zeroing Equation 18's terms.
-func TestScoreParamsPartialOverride(t *testing.T) {
+// TestTauOverrideScoresSanely mines at a τ other than the default: the run
+// must read the override, accept only commonnesses above it, and keep every
+// score in (0, 1] (γ > 0 keeps a perfect commonness below 1).
+func TestTauOverrideScoresSanely(t *testing.T) {
 	tab := plantedTable(t)
 	eng, err := engine.New(tab, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Score = core.ScoreParams{Tau: 0.6}
+	cfg.Tau = 0.6
 	m := New(eng, cfg)
-	def := core.DefaultScoreParams()
-	got := m.cfg.Score
-	if got.Tau != 0.6 {
-		t.Errorf("Tau = %v, want 0.6 (explicit override)", got.Tau)
+	if m.cfg.Tau != 0.6 {
+		t.Errorf("Tau = %v, want 0.6 (explicit override)", m.cfg.Tau)
 	}
-	if got.K != def.K || got.R != def.R || got.Gamma != def.Gamma {
-		t.Errorf("unset fields not defaulted: %+v (want K=%d R=%v Gamma=%v)",
-			got, def.K, def.R, def.Gamma)
+	res := m.Run()
+	if len(res.MetaInsights) == 0 {
+		t.Fatal("no MetaInsights at τ = 0.6")
 	}
-
-	// And mining with the partial override must still score sanely (γ > 0
-	// keeps scores in (0, 1]).
-	res := New(eng, cfg).Run()
 	for _, mi := range res.MetaInsights {
 		if mi.Score <= 0 || mi.Score > 1 {
-			t.Fatalf("score out of range with partial Score override: %v", mi.Score)
+			t.Fatalf("score out of range at τ = 0.6: %v", mi.Score)
+		}
+		for _, c := range mi.CommSet {
+			if c.Ratio <= 0.6 {
+				t.Fatalf("commonness ratio %v does not clear τ = 0.6", c.Ratio)
+			}
 		}
 	}
 }

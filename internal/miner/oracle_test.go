@@ -461,7 +461,7 @@ func (o *bruteForce) metaInsight(h oracleHDS, t pattern.Type) (oracleInsight, bo
 		}
 	}
 	n := float64(len(pats))
-	tau := o.cfg.Score.Tau
+	tau := o.cfg.Tau
 	mi := oracleInsight{kind: h.kind}
 	var alphas, betas []float64
 	var highlightChange []oraclePattern
@@ -495,25 +495,25 @@ func (o *bruteForce) metaInsight(h oracleHDS, t pattern.Type) (oracleInsight, bo
 	sort.Strings(mi.commonness)
 	sort.Strings(mi.exceptions)
 
-	// Equation 13: S = −(Σ αᵢ log₂ αᵢ + r Σ βⱼ log₂ βⱼ).
-	p := o.cfg.Score
+	// Equation 13: S = −(Σ αᵢ log₂ αᵢ + r Σ βⱼ log₂ βⱼ), with the paper's
+	// k = 3, r = 1 and γ = 0.1 (Section 4.1).
+	const k, r, gamma = 3.0, 1.0, 0.1
 	s := 0.0
 	for _, a := range alphas {
 		s -= a * math.Log2(a)
 	}
 	for _, b := range betas {
-		s -= p.R * b * math.Log2(b)
+		s -= r * b * math.Log2(b)
 	}
 	// Lemma 4.1's S*(τ), then Equation 16's regularized conciseness.
-	k := float64(p.K)
 	var sStar float64
-	if k < (1-tau)*math.E/math.Pow(tau, 1/p.R) {
-		sStar = -math.Log2(tau) + p.R*k*math.Pow(tau, 1/p.R)*math.Log2(math.E)/math.E
+	if k < (1-tau)*math.E/math.Pow(tau, 1/r) {
+		sStar = -math.Log2(tau) + r*k*math.Pow(tau, 1/r)*math.Log2(math.E)/math.E
 	} else {
-		sStar = -tau*math.Log2(tau) - p.R*(1-tau)*math.Log2((1-tau)/k)
+		sStar = -tau*math.Log2(tau) - r*(1-tau)*math.Log2((1-tau)/k)
 	}
 	if len(betas) == 0 {
-		s += p.Gamma
+		s += gamma
 	}
 	conciseness := min(max(1-s/sStar, 0), 1)
 	// Equation 18 with f(x) = x and g clamped to [0, 1].

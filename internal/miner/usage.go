@@ -135,16 +135,17 @@ type accounting struct {
 	qcBytes int64
 	pc      map[cache.ScopeID]struct{} // simulated pattern cache: committed scopes
 
+	// The ledger's counts. A logical unit query is a query-cache hit (served
+	// from the cache) or a miss (one scan of the table); augmented counts
+	// the augmented scans, which execute beside the misses. costNanos is the
+	// cost in exact nano-units, truncated per charge: the total
+	// Stats.CostUsed reports and the budget reads. cost, the float sum, only
+	// labels trace events and metrics.
 	qcHits, qcMisses int64
 	pcHits, pcMisses int64
+	augmented        int64
 	cost             float64
-	// The ledger's counts: queries that scanned the table, logical queries
-	// answered from the cache, and the executed ones that were augmented
-	// scans. costNanos is the cost in exact nano-units, truncated per charge:
-	// the total Stats.CostUsed reports and the budget reads. cost, the float
-	// sum, only labels trace events and metrics.
-	executed, served, augmented int64
-	costNanos                   int64
+	costNanos        int64
 }
 
 // newAccounting creates the simulation with the empty caches of sets: a
@@ -188,7 +189,6 @@ func (a *accounting) label(id cache.UnitID) string {
 func (a *accounting) applyUnit(id cache.UnitID, cost float64) {
 	if !a.qcEnabled {
 		a.qcMisses++
-		a.executed++
 		a.charge(cost)
 		if a.traced {
 			a.obs.Event(obs.EvQueryExec, a.label(id), "query-cache disabled", cost)
@@ -197,14 +197,12 @@ func (a *accounting) applyUnit(id cache.UnitID, cost float64) {
 	}
 	if _, ok := a.qc[id]; ok {
 		a.qcHits++
-		a.served++
 		if a.traced {
 			a.obs.Event(obs.EvCacheHit, a.label(id), "query-cache", 0)
 		}
 		return
 	}
 	a.qcMisses++
-	a.executed++
 	a.charge(cost)
 	// The memo holds every unit a worker recorded, once any scan of it in
 	// flight ends (UnitOf waits for that scan).
@@ -285,7 +283,6 @@ func (a *accounting) applySiblings(ev usageEvent) {
 		}
 		return
 	}
-	a.executed++
 	a.augmented++
 	a.charge(ev.cost)
 	stored := 0

@@ -2,7 +2,9 @@ package miner
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"metainsight/internal/cache"
@@ -14,7 +16,9 @@ import (
 
 // windowRun is one mining run with everything the invariance net compares.
 type windowRun struct {
-	res    *Result
+	stats  Stats
+	keys   []string          // the MetaInsights' keys, in result order
+	mis    [sha256.Size]byte // digest of the MetaInsights' JSON, in result order
 	trace  [sha256.Size]byte // digest of the commit-order trace
 	events int64             // events the trace recorded
 	qStats cache.Stats
@@ -22,12 +26,23 @@ type windowRun struct {
 	peak   float64 // deepest speculation window of the run
 }
 
-// windowTraceCapacity holds the whole trace of the largest run the net
-// mines (Hotel Booking unbudgeted: ≈ 394 k events).
-const windowTraceCapacity = 1 << 19
+const (
+	// windowTraceCapacity holds the whole trace of the largest run the net
+	// mines (Hotel Booking unbudgeted: ≈ 394 k events).
+	windowTraceCapacity = 1 << 19
+	// windowTablesAtOnce bounds how many tables the net mines at once,
+	// whatever -parallel says. A table's arms hold two results, a trace
+	// ring and the run's memos, and the race detector's shadow memory
+	// multiplies what the heap spans.
+	windowTablesAtOnce = 2
+)
 
 // runForWindow mines tab, tracing every event the commit path records when
-// traced is set; the run keeps only a digest of the trace.
+// traced is set. The run keeps its statistics, its MetaInsights' keys and
+// digests of the MetaInsights and of the trace, not the result: both are
+// hashed a MetaInsight or an event at a time, as Hotel Booking's result
+// holds 27 MB and encodes to 43 MB of JSON, which the race detector's shadow
+// memory would multiply.
 func runForWindow(t *testing.T, tab *dataset.Table, workers int, traced bool, mutate func(*Config, *engine.Config)) windowRun {
 	t.Helper()
 	ecfg := engine.Config{}
@@ -45,22 +60,40 @@ func runForWindow(t *testing.T, tab *dataset.Table, workers int, traced bool, mu
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := windowRun{res: New(eng, cfg).Run()}
+	res := New(eng, cfg).Run()
+	out := windowRun{stats: res.Stats}
+	out.qStats = eng.QueryCache().Stats()
+	out.pStats = eng.PatternCache().Stats()
+	out.peak = cfg.Observer.Snapshot().Gauges[obsWindowPeak]
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for _, mi := range res.MetaInsights {
+		out.keys = append(out.keys, mi.Key())
+		if err := enc.Encode(mi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Sum(out.mis[:0])
 	if tr := cfg.Observer.Trace(); tr != nil {
 		if tr.Dropped() > 0 {
 			t.Fatalf("workers=%d: the trace ring dropped %d events; raise windowTraceCapacity", workers, tr.Dropped())
 		}
 		h := sha256.New()
-		for _, l := range traceOf(cfg.Observer) {
-			fmt.Fprintf(h, "%d %v %q %q %v\n", l.Seq, l.Kind, l.Unit, l.Detail, l.Cost)
+		for _, ev := range tr.Events() {
+			fmt.Fprintf(h, "%d %v %q %q %v\n", ev.Seq, ev.Kind, ev.Unit, ev.Detail, ev.Cost)
 		}
 		h.Sum(out.trace[:0])
 		out.events = int64(tr.Len())
 	}
-	out.qStats = eng.QueryCache().Stats()
-	out.pStats = eng.PatternCache().Stats()
-	out.peak = cfg.Observer.Snapshot().Gauges[obsWindowPeak]
 	return out
+}
+
+// assertSameKeys fails the test when two runs' MetaInsight keys differ.
+func assertSameKeys(t *testing.T, label string, want, got []string) {
+	t.Helper()
+	if !slices.Equal(want, got) {
+		t.Errorf("%s: %d MetaInsights differ from the one-worker run's %d", label, len(got), len(want))
+	}
 }
 
 // TestDeepWindowInvariance is the net under the deeper speculation window:
@@ -75,18 +108,21 @@ func TestDeepWindowInvariance(t *testing.T) {
 	}
 	tabs := append(workload.FourLargeDatasets(),
 		workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30}))
+	tables := make(chan struct{}, windowTablesAtOnce)
 	for _, tab := range tabs {
 		t.Run(tab.Name(), func(t *testing.T) {
 			t.Parallel()
+			tables <- struct{}{}
+			defer func() { <-tables }()
 			ref := runForWindow(t, tab, 1, true, nil)
-			total := commitTotal(ref.res.Stats)
+			total := commitTotal(ref.stats)
 			deepest := 0.0
 			for _, workers := range []int{2, 8} {
 				label := fmt.Sprintf("workers=%d", workers)
 				got := runForWindow(t, tab, workers, true, nil)
-				assertSameOrderedKeys(t, label, ref.res, got.res)
-				assertSameStats(t, label, ref.res.Stats, got.res.Stats)
-				if miJSON(t, got.res) != miJSON(t, ref.res) {
+				assertSameKeys(t, label, ref.keys, got.keys)
+				assertSameStats(t, label, ref.stats, got.stats)
+				if got.mis != ref.mis {
 					t.Errorf("%s: MetaInsights differ from the one-worker run", label)
 				}
 				if got.qStats != ref.qStats || got.pStats != ref.pStats {
@@ -106,18 +142,18 @@ func TestDeepWindowInvariance(t *testing.T) {
 				mutate func(*Config, *engine.Config)
 			}{
 				{"budget", func(c *Config, e *engine.Config) {
-					c.Budget = Budget{Cost: ref.res.Stats.CostUsed / 3}
+					c.Budget = Budget{Cost: ref.stats.CostUsed / 3}
 				}},
 				{"topk10", func(c *Config, e *engine.Config) { c.TopK = 10 }},
 			} {
 				one := runForWindow(t, tab, 1, false, arm.mutate)
 				got := runForWindow(t, tab, 8, false, arm.mutate)
-				assertSameOrderedKeys(t, arm.name+" workers=8", one.res, got.res)
-				assertSameStats(t, arm.name+" workers=8", one.res.Stats, got.res.Stats)
-				if arm.name == "topk10" && one.res.Stats.SStarCut == 0 {
+				assertSameKeys(t, arm.name+" workers=8", one.keys, got.keys)
+				assertSameStats(t, arm.name+" workers=8", one.stats, got.stats)
+				if arm.name == "topk10" && one.stats.SStarCut == 0 {
 					t.Errorf("topk10: no S* cuts, the arm is vacuous")
 				}
-				if arm.name == "budget" && commitTotal(one.res.Stats) >= total {
+				if arm.name == "budget" && commitTotal(one.stats) >= total {
 					t.Errorf("budget: the budget never stopped the run, the arm is vacuous")
 				}
 			}

@@ -99,9 +99,7 @@ func buildMI(t *testing.T, tau float64) *core.MetaInsight {
 	for _, dp := range dps {
 		hds.Scopes = append(hds.Scopes, dp.Scope)
 	}
-	params := core.DefaultScoreParams()
-	params.Tau = tau
-	mi, ok := core.BuildMetaInsight(&core.HDP{HDS: hds, Type: pattern.Unimodality, Patterns: dps}, 1, params)
+	mi, ok := core.BuildMetaInsight(&core.HDP{HDS: hds, Type: pattern.Unimodality, Patterns: dps}, 1, tau)
 	if !ok {
 		t.Fatal("MetaInsight rejected")
 	}
@@ -137,7 +135,7 @@ func TestDescribeMetaInsightWithoutExceptionsEndsCleanly(t *testing.T) {
 	for _, dp := range dps {
 		hds.Scopes = append(hds.Scopes, dp.Scope)
 	}
-	mi, ok := core.BuildMetaInsight(&core.HDP{HDS: hds, Type: pattern.Trend, Patterns: dps}, 1, core.DefaultScoreParams())
+	mi, ok := core.BuildMetaInsight(&core.HDP{HDS: hds, Type: pattern.Trend, Patterns: dps}, 1, 0.5)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -204,7 +202,7 @@ func TestDescribeMetaInsightMeasureExtended(t *testing.T) {
 		{Scope: hds.Scopes[1], Type: pattern.Trend, Highlight: pattern.Highlight{Label: "increasing"}},
 		{Scope: hds.Scopes[2], Type: pattern.NoPattern},
 	}
-	mi, ok := core.BuildMetaInsight(&core.HDP{HDS: hds, Type: pattern.Trend, Patterns: dps}, 1, core.DefaultScoreParams())
+	mi, ok := core.BuildMetaInsight(&core.HDP{HDS: hds, Type: pattern.Trend, Patterns: dps}, 1, 0.5)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -223,10 +221,7 @@ func TestDescribeMetaInsightMeasureExtended(t *testing.T) {
 func TestMarkdownReport(t *testing.T) {
 	mi := buildMI(t, 0.5)
 	var buf strings.Builder
-	err := MarkdownReport(&buf, []*core.MetaInsight{mi}, ReportOptions{
-		Title:    "Test report",
-		FlatList: true,
-	})
+	err := MarkdownReport(&buf, []*core.MetaInsight{mi}, ReportOptions{Title: "Test report"})
 	if err != nil {
 		t.Fatal(err)
 	}

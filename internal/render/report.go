@@ -11,14 +11,10 @@ import (
 
 // ReportOptions configures MarkdownReport.
 type ReportOptions struct {
-	// Title heads the report; defaults to the dataset name.
+	// Title heads the report; defaults to "MetaInsight report".
 	Title string
-	// FlatList appends the unfolded FLR under each insight.
-	FlatList bool
-	// Sparklines draws the commonness's and each exception's raw series
-	// (requires Engine).
-	Sparklines bool
-	// Engine serves the raw distributions for sparklines; nil disables them.
+	// Engine serves the raw distributions the sparklines draw; nil leaves
+	// them out.
 	Engine *engine.Engine
 	// Namer resolves custom pattern-type names; nil uses the built-ins.
 	Namer TypeNamer
@@ -26,9 +22,10 @@ type ReportOptions struct {
 
 // MarkdownReport writes the suggested MetaInsights as a self-contained
 // markdown document: one section per insight with its narrative description,
-// score breakdown, commonness membership, categorized exceptions and
-// (optionally) sparklines of the underlying raw distributions — the
-// EDA-report artifact a downstream user hands to a stakeholder.
+// score breakdown, commonness membership, categorized exceptions,
+// sparklines of the underlying raw distributions (given an Engine) and the
+// unfolded flat-list representation — the EDA-report artifact a downstream
+// user hands to a stakeholder.
 func MarkdownReport(w io.Writer, mis []*core.MetaInsight, opts ReportOptions) error {
 	title := opts.Title
 	if title == "" {
@@ -57,18 +54,16 @@ func MarkdownReport(w io.Writer, mis []*core.MetaInsight, opts ReportOptions) er
 			dp := mi.HDP.Patterns[e.Index]
 			fmt.Fprintf(w, "- **exception** (%s): %s\n", e.Category, memberName(h, dp))
 		}
-		if opts.Sparklines && opts.Engine != nil {
+		if opts.Engine != nil {
 			fmt.Fprintf(w, "\n```\n")
 			writeSparklines(w, mi, opts.Engine)
 			fmt.Fprintf(w, "```\n")
 		}
-		if opts.FlatList {
-			fmt.Fprintf(w, "\n<details><summary>flat-list representation</summary>\n\n")
-			for _, line := range FlatListNamed(mi, opts.Namer) {
-				fmt.Fprintf(w, "- %s\n", line)
-			}
-			fmt.Fprintf(w, "\n</details>\n")
+		fmt.Fprintf(w, "\n<details><summary>flat-list representation</summary>\n\n")
+		for _, line := range FlatListNamed(mi, opts.Namer) {
+			fmt.Fprintf(w, "- %s\n", line)
 		}
+		fmt.Fprintf(w, "\n</details>\n")
 	}
 	return nil
 }

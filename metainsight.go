@@ -23,18 +23,24 @@
 //	}
 //
 // Every setting has one spelling. Per-call knobs (measures, budgets, τ,
-// top-k, pruning, progress, observer) travel in the Request; session-wide
-// settings are grouped into a typed config (WithExec) beside the
-// pattern-registration options:
+// top-k, pruning, progress, observer) travel in the Request; the
+// pattern-registration options are the only session-wide settings:
 //
 //	s, err := metainsight.NewSession(tab,
-//		metainsight.WithExec(metainsight.ExecConfig{Workers: 8, ScanParallelism: 2}),
+//		metainsight.WithCorrelationPatterns([2]metainsight.Measure{
+//			metainsight.Sum("Sales"), metainsight.Sum("Profit"),
+//		}),
 //	)
 //	an, err := s.Analyze(ctx, metainsight.Request{
 //		TopK:   10,
 //		Budget: metainsight.Budget{Time: 5 * time.Second},
 //		Tau:    0.5,
 //	})
+//
+// The execution layout is fixed: 8 mining workers, as in the paper, and
+// each physical scan spread over GOMAXPROCS goroutines. Results are
+// bit-identical at any worker count and any scan parallelism, so neither is
+// a setting.
 //
 // NewAnalyzer, WithObserver, WithProgress and WithCostBudget remain as
 // deprecated shims over the Session API; see README.md for the migration
@@ -238,11 +244,9 @@ type Analyzer struct {
 	in *engine.Interner // the session's intern table and memos every MineContext call reuses
 
 	// The state of one run, replaced before every MineContext call but the first:
-	// the engine and the miner config. stats is the last MineContext call's ledger,
-	// zero before the first. mined marks that a MineContext call has run.
+	// the engine and the miner config. mined marks that a MineContext call has run.
 	eng   *engine.Engine
 	cfg   miner.Config
-	stats miner.Stats
 	mined bool
 
 	obs        *obs.Observer
@@ -263,7 +267,10 @@ type analyzerOptions struct {
 	timeBudget     time.Duration
 	costBudget     float64
 	observer       *obs.Observer
-	scanPar        int
+	// scanPar is the engine's scan parallelism: 0, one goroutine per core,
+	// in every production session. Only the package's tests set another,
+	// to prove results do not depend on it.
+	scanPar int
 }
 
 // WithCostBudget bounds mining by deterministic engine cost units (one unit
@@ -372,9 +379,7 @@ func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
 	if a.timeBudget > 0 && cfg.Budget.Cost == 0 {
 		cfg.Budget.Deadline = time.Now().Add(a.timeBudget)
 	}
-	res := miner.New(a.eng, cfg).RunContext(ctx)
-	a.stats = res.Stats
-	return res
+	return miner.New(a.eng, cfg).RunContext(ctx)
 }
 
 // Rank selects the top-k MetaInsights with high usefulness and low
@@ -395,27 +400,23 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 	return out
 }
 
-// Snapshot publishes the last MineContext call's ledger (engine.cost_units and
-// engine.queries.*, the values of its Stats), the physical caches' occupancy
-// (cache.query.entries and cache.pattern.entries, the session's unit memo
-// and pattern memo for the run's MIN/MAX set, so both count what earlier
-// requests left too), their waiters during the run (cache.flight.*) and the
-// size of the session's intern table (engine.interned_handles, DESIGN.md
-// §14) as gauges into the attached observer, then returns a point-in-time
-// copy of all metrics, phase timers and trace totals. Cache hit
-// rates and sizes are the run's canonical accounting, already published as
-// the miner.qcache.* and miner.pcache.* gauges; the physical caches count
-// nothing else, and their lock shards are not reported. Without an
-// observer it returns an empty snapshot. Reading a snapshot never perturbs
-// the analysis.
+// Snapshot publishes the physical caches' occupancy (cache.query.entries and
+// cache.pattern.entries, the session's unit memo and pattern memo for the
+// run's MIN/MAX set, so both count what earlier requests left too), their
+// waiters during the run (cache.flight.*) and the size of the session's
+// intern table (engine.interned_handles, DESIGN.md §14) as gauges into the
+// attached observer, then returns a point-in-time copy of all metrics, phase
+// timers and trace totals. The run's ledger is the miner's own gauges
+// (miner.cost_used and miner.queries.*, the values of its Stats), set when a
+// MineContext call ends. Cache hit rates and sizes are the run's canonical
+// accounting, already published as the miner.qcache.* and miner.pcache.*
+// gauges; the physical caches count nothing else, and their lock shards are
+// not reported. Without an observer it returns an empty snapshot. Reading a
+// snapshot never perturbs the analysis.
 func (a *Analyzer) Snapshot() MetricsSnapshot {
 	if !a.obs.Enabled() {
 		return MetricsSnapshot{}
 	}
-	a.obs.SetGauge("engine.cost_units", a.stats.CostUsed)
-	a.obs.SetGauge("engine.queries.executed", float64(a.stats.ExecutedQueries))
-	a.obs.SetGauge("engine.queries.served", float64(a.stats.CacheServed))
-	a.obs.SetGauge("engine.queries.augmented", float64(a.stats.AugmentedQueries))
 	a.obs.SetGauge("cache.query.entries", float64(a.eng.QueryCache().Stats().Entries))
 	a.obs.SetGauge("cache.pattern.entries", float64(a.eng.PatternCache().Stats().Entries))
 	a.obs.SetGauge("engine.interned_handles", float64(a.in.Len()))
@@ -523,18 +524,16 @@ func (in *Insight) MarshalJSON() ([]byte, error) {
 // WriteReport renders the given insights as a markdown EDA report: one
 // section per insight with its narrative, score breakdown, commonness
 // membership, categorized exceptions, sparklines of the raw distributions
-// and an optional flat-list appendix.
+// and a flat-list appendix.
 func (a *Analyzer) WriteReport(w io.Writer, insights []*Insight, title string) error {
 	mis := make([]*core.MetaInsight, len(insights))
 	for i, in := range insights {
 		mis[i] = in.mi
 	}
 	return render.MarkdownReport(w, mis, render.ReportOptions{
-		Title:      title,
-		FlatList:   true,
-		Sparklines: true,
-		Engine:     a.eng,
-		Namer:      a.cfg.Pattern.TypeName,
+		Title:  title,
+		Engine: a.eng,
+		Namer:  a.cfg.Pattern.TypeName,
 	})
 }
 

@@ -39,7 +39,7 @@ func analyzeOnce(t *testing.T, tab *metainsight.Dataset, req metainsight.Request
 }
 
 // oneWorker is the session option of the tests that compare runs by count.
-var oneWorker = metainsight.WithExec(metainsight.ExecConfig{Workers: 1})
+var oneWorker = metainsight.WithWorkers(1)
 
 // houseRecords builds the paper's running example as raw records.
 func houseRecords() ([]string, [][]string) {
@@ -186,7 +186,7 @@ func TestAnalyzerMineIsHermetic(t *testing.T) {
 		for _, budget := range []float64{0, 200} {
 			var ref *run
 			for _, workers := range []int{1, 8} {
-				opts := []metainsight.Option{metainsight.WithExec(metainsight.ExecConfig{Workers: workers})}
+				opts := []metainsight.Option{metainsight.WithWorkers(workers)}
 				if budget > 0 {
 					opts = append(opts, metainsight.WithCostBudget(budget))
 				}

@@ -51,9 +51,9 @@ const (
 // warmAnalyzeAllocs reports the allocations of one warm Analyze on a session
 // over tab. AllocsPerRun's own warm-up call is the session's first Analyze,
 // which builds the plans and the intern table every later request reuses.
-func warmAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, exec metainsight.ExecConfig, req metainsight.Request) float64 {
+func warmAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, req metainsight.Request, opts ...metainsight.Option) float64 {
 	t.Helper()
-	sess, err := metainsight.NewSession(tab, metainsight.WithExec(exec))
+	sess, err := metainsight.NewSession(tab, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func warmAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, exec metainsight.
 // session over tab: the one that interns every subspace and builds every
 // plan. The table's posting sets are built on AllocsPerRun's warm-up call and
 // shared by every session after it.
-func coldAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, exec metainsight.ExecConfig, req metainsight.Request) float64 {
+func coldAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, req metainsight.Request, opts ...metainsight.Option) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(3, func() {
-		sess, err := metainsight.NewSession(tab, metainsight.WithExec(exec))
+		sess, err := metainsight.NewSession(tab, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,9 +89,9 @@ func coldAnalyzeAllocs(t *testing.T, tab *metainsight.Dataset, exec metainsight.
 // is the lowest of three readings of three calls each: what the pools hand
 // back depends on where the collector's cycles fall, which moves a reading up
 // by a few tenths of a percent and never down.
-func warmAnalyzeBytes(t *testing.T, tab *metainsight.Dataset, exec metainsight.ExecConfig, req metainsight.Request) (allocs, bytes float64) {
+func warmAnalyzeBytes(t *testing.T, tab *metainsight.Dataset, req metainsight.Request, opts ...metainsight.Option) (allocs, bytes float64) {
 	t.Helper()
-	sess, err := metainsight.NewSession(tab, metainsight.WithExec(exec))
+	sess, err := metainsight.NewSession(tab, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,7 @@ func TestMineAllocsGuard(t *testing.T) {
 		// guard in a step without -race.
 		t.Skip("allocation counts under the race detector do not measure the program")
 	}
-	allocs := warmAnalyzeAllocs(t, workload.SalesForecast(),
-		metainsight.ExecConfig{Workers: 1}, metainsight.Request{TopK: 10})
+	allocs := warmAnalyzeAllocs(t, workload.SalesForecast(), metainsight.Request{TopK: 10}, metainsight.WithWorkers(1))
 	limit := blessedMineAllocs * mineAllocsSlack
 	t.Logf("allocations per warm Analyze: %.0f (blessed %d, limit %.0f)", allocs, blessedMineAllocs, limit)
 	if allocs > limit {
@@ -145,8 +144,7 @@ func TestMineAllocsGuard(t *testing.T) {
 	// test, so the package's later tests keep their GOMAXPROCS.
 	mineBytes := func() float64 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		_, b := warmAnalyzeBytes(t, workload.SalesForecast(),
-			metainsight.ExecConfig{Workers: 1}, metainsight.Request{TopK: 10})
+		_, b := warmAnalyzeBytes(t, workload.SalesForecast(), metainsight.Request{TopK: 10}, metainsight.WithWorkers(1))
 		return b
 	}()
 	bytesLimit := blessedMineBytes * mineAllocsSlack
@@ -161,8 +159,8 @@ func TestMineAllocsGuard(t *testing.T) {
 	// goroutine fan-out, a merge window or per-morsel partials leaking into
 	// small-table scans would show up here as extra allocations.
 	req := metainsight.Request{TopK: 10, Budget: metainsight.Budget{Cost: 400}}
-	par1 := warmAnalyzeAllocs(t, workload.CreditCard(), metainsight.ExecConfig{Workers: 1, ScanParallelism: 1}, req)
-	par4 := warmAnalyzeAllocs(t, workload.CreditCard(), metainsight.ExecConfig{Workers: 1, ScanParallelism: 4}, req)
+	par1 := warmAnalyzeAllocs(t, workload.CreditCard(), req, metainsight.WithWorkers(1), metainsight.WithScanParallelism(1))
+	par4 := warmAnalyzeAllocs(t, workload.CreditCard(), req, metainsight.WithWorkers(1), metainsight.WithScanParallelism(4))
 	t.Logf("Credit Card budget-400 allocations: scan parallelism 1 %.0f, 4 %.0f", par1, par4)
 	if par4 > par1*scanParAllocsSlack {
 		t.Errorf("scan parallelism 4 allocates %.0f on a one-morsel table, more than %.3f x the %.0f of parallelism 1",
@@ -181,7 +179,7 @@ func TestMineAllocsGuard(t *testing.T) {
 	// The first request on a session plans every subspace it touches, so a
 	// plan representation that costs allocations shows here and not in the
 	// warm arms.
-	cold := coldAnalyzeAllocs(t, gen, metainsight.ExecConfig{Workers: 1}, req)
+	cold := coldAnalyzeAllocs(t, gen, req, metainsight.WithWorkers(1))
 	limit = blessedColdAllocs * mineAllocsSlack
 	t.Logf("allocations per cold Analyze over gen quick: %.0f (blessed %d, limit %.0f)", cold, blessedColdAllocs, limit)
 	if cold > limit {
@@ -194,8 +192,8 @@ func TestMineAllocsGuard(t *testing.T) {
 		// Both arms at the same GOMAXPROCS: the pools are per P, so the core
 		// count moves what they retain whatever the scans do.
 		runtime.GOMAXPROCS(procs)
-		seqAllocs, seqBytes := warmAnalyzeBytes(t, gen, metainsight.ExecConfig{Workers: 1, ScanParallelism: 1}, req)
-		allocs, bytes := warmAnalyzeBytes(t, gen, metainsight.ExecConfig{Workers: 1}, req)
+		seqAllocs, seqBytes := warmAnalyzeBytes(t, gen, req, metainsight.WithWorkers(1), metainsight.WithScanParallelism(1))
+		allocs, bytes := warmAnalyzeBytes(t, gen, req, metainsight.WithWorkers(1))
 		t.Logf("gen quick, GOMAXPROCS %d: default scan parallelism %.0f allocations / %.0f bytes, sequential %.0f / %.0f (x%.4f / x%.4f)",
 			procs, allocs, bytes, seqAllocs, seqBytes, allocs/seqAllocs, bytes/seqBytes)
 		if allocs > seqAllocs*defaultParSlack || bytes > seqBytes*defaultParSlack {
@@ -252,7 +250,7 @@ func TestRunEndsBytesGuard(t *testing.T) {
 // worker.
 func TestPlanBytesGuard(t *testing.T) {
 	tab := workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30})
-	sess, err := metainsight.NewSession(tab, metainsight.WithExec(metainsight.ExecConfig{Workers: 1}))
+	sess, err := metainsight.NewSession(tab, metainsight.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +285,7 @@ const (
 // a benchmark run.
 func TestScanTrafficGuard(t *testing.T) {
 	tab := workload.Generate(workload.GenSpec{Name: "gen1m", Seed: 1, Cards: []int{12, 6, 4}, Periods: 12, Measures: 2, RowsPerCell: 30})
-	sess, err := metainsight.NewSession(tab, metainsight.WithExec(metainsight.ExecConfig{Workers: 1}))
+	sess, err := metainsight.NewSession(tab, metainsight.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +340,7 @@ func heapObjects() uint64 {
 // collection costs. It is the objects live after a session's first request
 // minus those live before it.
 func TestWarmSessionRetainedObjects(t *testing.T) {
-	sess, err := metainsight.NewSession(workload.SalesForecast(), metainsight.WithExec(metainsight.ExecConfig{Workers: 1}))
+	sess, err := metainsight.NewSession(workload.SalesForecast(), metainsight.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestOrdinalsNeverReachOutput(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			session := func() *Session {
-				s, err := NewSession(tab, WithExec(ExecConfig{Workers: workers}))
+				s, err := NewSession(tab, WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,10 +4,12 @@ package metainsight
 // loads and indexes a dataset once and then serves many Analyze calls, each
 // parameterized by a Request. Every setting has exactly one spelling:
 // per-call knobs (measures, budgets, τ, top-k, pruning, progress, observer)
-// live only in the Request; session-wide settings live only in the
-// execution config (WithExec) and the pattern registration options, which
-// have no per-call meaning.
-// resolve merges the two into one configuration per call.
+// live only in the Request; session-wide settings are only the pattern
+// registration options, which have no per-call meaning. The execution layout
+// is fixed: 8 mining workers, each scan spread over GOMAXPROCS goroutines;
+// results are bit-identical at any layout, so no caller needs another.
+// resolve merges the options and the request into one configuration per
+// call.
 //
 // Every Analyze call is hermetic: its accounting, the run's ledger, is the
 // miner's commit-order replay, which starts empty; so its
@@ -39,41 +41,6 @@ import (
 	"metainsight/internal/miner"
 	"metainsight/internal/pattern"
 )
-
-// ExecConfig groups the execution-layout settings: inter-query parallelism
-// (Workers) and intra-scan parallelism (ScanParallelism). Zero-valued fields
-// leave the corresponding setting at its prior or default value, so
-// partially-filled configs compose with other options.
-type ExecConfig struct {
-	// Workers is the number of evaluation goroutines (default 8). Results
-	// are bit-identical for any value.
-	Workers int
-	// ScanParallelism is how many goroutines one physical scan of the
-	// default columnar substrate may use — the one way a scan spreads over
-	// cores: 0 (the default) is GOMAXPROCS, 1 is the sequential path, n > 1
-	// is n; a scan that fits one morsel (8192 rows) runs inline whatever the
-	// setting. This is intra-query parallelism, orthogonal to Workers'
-	// inter-query parallelism: it is what uses the other cores while the
-	// miner can run only one unit (DESIGN.md §13). Scan results — and
-	// therefore every mined insight and statistic — are
-	// bit-identical for any value: the scan pipeline splits rows into
-	// fixed-size morsels and merges partial aggregates in morsel-index order,
-	// so the floating-point grouping never depends on n.
-	ScanParallelism int
-}
-
-// WithExec applies an execution-layout config. Zero-valued fields leave
-// prior settings untouched.
-func WithExec(c ExecConfig) Option {
-	return func(o *analyzerOptions) {
-		if c.Workers != 0 {
-			o.minerCfg.Workers = c.Workers
-		}
-		if c.ScanParallelism != 0 {
-			o.scanPar = c.ScanParallelism
-		}
-	}
-}
 
 // Budget bounds one Analyze call. At most one field may be set: cost
 // budgets are deterministic and exactly reproducible, time budgets are not,
@@ -147,8 +114,8 @@ var (
 	// disables early termination.
 	ErrInvalidTopKPruning = errors.New(
 		"metainsight: Request.TopKPruning must not be negative; 0 disables early termination")
-	// ErrNegativeOption: a count setting (workers, scan parallelism, max
-	// filters) or a budget was negative, or the cost budget NaN.
+	// ErrNegativeOption: Request.MaxFilters or a budget was negative, or the
+	// cost budget NaN.
 	ErrNegativeOption = errors.New("metainsight: option value must be non-negative")
 	// ErrSessionClosed: Analyze was called on a closed session.
 	ErrSessionClosed = errors.New("metainsight: session is closed")
@@ -180,7 +147,7 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 		o.costBudget = req.Budget.Cost
 	}
 	if req.Tau != 0 {
-		o.minerCfg.Score.Tau = req.Tau
+		o.minerCfg.Tau = req.Tau
 	}
 	if req.TopKPruning != 0 {
 		o.minerCfg.TopK = req.TopKPruning
@@ -201,17 +168,11 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 	if o.timeBudget > 0 && o.costBudget > 0 {
 		return nil, ErrConflictingBudgets
 	}
-	if tau := o.minerCfg.Score.Tau; !(tau > 0 && tau < 1) {
+	if tau := o.minerCfg.Tau; !(tau > 0 && tau < 1) {
 		return nil, fmt.Errorf("metainsight: τ = %v is outside (0, 1)", tau)
 	}
 	if o.minerCfg.TopK < 0 {
 		return nil, ErrInvalidTopKPruning
-	}
-	if o.minerCfg.Workers < 0 {
-		return nil, fmt.Errorf("%w: workers %d", ErrNegativeOption, o.minerCfg.Workers)
-	}
-	if o.scanPar < 0 {
-		return nil, fmt.Errorf("%w: scan parallelism %d", ErrNegativeOption, o.scanPar)
 	}
 	if o.minerCfg.MaxSubspaceFilters < 0 {
 		return nil, fmt.Errorf("%w: max filters %d", ErrNegativeOption, o.minerCfg.MaxSubspaceFilters)

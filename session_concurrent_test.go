@@ -20,7 +20,7 @@ import (
 func TestSessionConcurrentAnalyze(t *testing.T) {
 	tab := fracTable(t, 900)
 	sess, err := metainsight.NewSession(tab,
-		metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: 2}))
+		metainsight.WithScanParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}

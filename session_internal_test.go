@@ -62,62 +62,55 @@ func TestSessionClose(t *testing.T) {
 	}
 }
 
-// TestResolveLandsEveryField feeds each Request field and each ExecConfig
-// field through resolve and the build path, and checks it lands where the run reads it: the miner config, the
-// engine or its configuration, or the analyzer. A field added to one of
-// those types without a row here fails the test.
+// TestResolveLandsEveryField feeds each Request field through resolve and
+// the build path, and checks it lands where the run reads it: the miner
+// config, the engine or its configuration, or the analyzer. A field added to
+// Request without a row here fails the test.
 func TestResolveLandsEveryField(t *testing.T) {
 	tab := sessionTable(t)
 	ob := NewObserver(ObserverOptions{})
 	progressed := 0
 	cases := []struct {
 		fields string // the Type.Field names the row covers
-		opts   []Option
 		req    Request
 		landed func(s *Session, a *Analyzer) bool
 	}{
-		{"Request.Measures", nil, Request{Measures: []Measure{Sum("Cost")}}, func(_ *Session, a *Analyzer) bool {
+		{"Request.Measures", Request{Measures: []Measure{Sum("Cost")}}, func(_ *Session, a *Analyzer) bool {
 			return reflect.DeepEqual(a.eng.Measures(), []Measure{Sum("Cost")})
 		}},
-		{"Request.ImpactMeasure", nil, Request{ImpactMeasure: Sum("Units")}, func(_ *Session, a *Analyzer) bool {
+		{"Request.ImpactMeasure", Request{ImpactMeasure: Sum("Units")}, func(_ *Session, a *Analyzer) bool {
 			return a.engineConfig().ImpactMeasure == Sum("Units")
 		}},
-		{"Request.TopK", nil, Request{TopK: 2}, func(s *Session, _ *Analyzer) bool {
+		{"Request.TopK", Request{TopK: 2}, func(s *Session, _ *Analyzer) bool {
 			an, err := s.Analyze(context.Background(), Request{TopK: 2})
 			return err == nil && len(an.Insights) == 2
 		}},
-		{"Request.MaxFilters", nil, Request{MaxFilters: 2}, func(_ *Session, a *Analyzer) bool {
+		{"Request.MaxFilters", Request{MaxFilters: 2}, func(_ *Session, a *Analyzer) bool {
 			return a.cfg.MaxSubspaceFilters == 2
 		}},
-		{"Request.Budget", nil, Request{Budget: Budget{Time: time.Minute}}, func(_ *Session, a *Analyzer) bool {
+		{"Request.Budget", Request{Budget: Budget{Time: time.Minute}}, func(_ *Session, a *Analyzer) bool {
 			return a.timeBudget == time.Minute && a.cfg.Budget == miner.DefaultConfig().Budget
 		}},
-		{"Request.Budget", nil, Request{Budget: Budget{Cost: 7}}, func(_ *Session, a *Analyzer) bool {
+		{"Request.Budget", Request{Budget: Budget{Cost: 7}}, func(_ *Session, a *Analyzer) bool {
 			return a.cfg.Budget == (miner.Budget{Cost: 7}) && a.timeBudget == 0
 		}},
-		{"Request.Tau", nil, Request{Tau: 0.6}, func(_ *Session, a *Analyzer) bool {
-			return a.cfg.Score.Tau == 0.6
+		{"Request.Tau", Request{Tau: 0.6}, func(_ *Session, a *Analyzer) bool {
+			return a.cfg.Tau == 0.6
 		}},
-		{"Request.TopKPruning", nil, Request{TopKPruning: 4}, func(_ *Session, a *Analyzer) bool {
+		{"Request.TopKPruning", Request{TopKPruning: 4}, func(_ *Session, a *Analyzer) bool {
 			return a.cfg.TopK == 4
 		}},
-		{"Request.Progress", nil, Request{Progress: func(*MetaInsight) { progressed++ }}, func(_ *Session, a *Analyzer) bool {
+		{"Request.Progress", Request{Progress: func(*MetaInsight) { progressed++ }}, func(_ *Session, a *Analyzer) bool {
 			a.cfg.OnMetaInsight(nil)
 			return progressed == 1
 		}},
-		{"Request.Observer", nil, Request{Observer: ob}, func(_ *Session, a *Analyzer) bool {
+		{"Request.Observer", Request{Observer: ob}, func(_ *Session, a *Analyzer) bool {
 			return a.obs == ob && a.cfg.Observer == ob && a.engineConfig().Observer == ob
-		}},
-		{"ExecConfig.Workers", []Option{WithExec(ExecConfig{Workers: 3})}, Request{}, func(_ *Session, a *Analyzer) bool {
-			return a.cfg.Workers == 3
-		}},
-		{"ExecConfig.ScanParallelism", []Option{WithExec(ExecConfig{ScanParallelism: 3})}, Request{}, func(_ *Session, a *Analyzer) bool {
-			return a.engineConfig().ScanParallelism == 3
 		}},
 	}
 	covered := map[string]bool{}
 	for _, tc := range cases {
-		s, err := NewSession(tab, tc.opts...)
+		s, err := NewSession(tab)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.fields, err)
 		}
@@ -132,21 +125,24 @@ func TestResolveLandsEveryField(t *testing.T) {
 			covered[f] = true
 		}
 	}
-	for _, typ := range []any{Request{}, ExecConfig{}} {
-		rt := reflect.TypeOf(typ)
-		for i := 0; i < rt.NumField(); i++ {
-			if f := rt.Name() + "." + rt.Field(i).Name; !covered[f] {
-				t.Errorf("%s has no row: say where it lands", f)
-			}
+	rt := reflect.TypeOf(Request{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Name() + "." + rt.Field(i).Name; !covered[f] {
+			t.Errorf("%s has no row: say where it lands", f)
 		}
 	}
 
-	// With no option and an empty request, the run gets the miner's defaults.
+	// With no option and an empty request, the run gets the miner's
+	// defaults and the fixed execution layout: 8 workers, scans on
+	// GOMAXPROCS goroutines.
 	o, err := resolve(nil, Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(o.minerCfg, miner.DefaultConfig()) {
 		t.Errorf("empty resolution:\n got  %+v\n want %+v", o.minerCfg, miner.DefaultConfig())
+	}
+	if o.minerCfg.Workers != 8 || o.scanPar != 0 {
+		t.Errorf("execution layout: %d workers, scan parallelism %d; want 8 and 0", o.minerCfg.Workers, o.scanPar)
 	}
 }

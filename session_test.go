@@ -371,7 +371,7 @@ func TestWarmSessionEqualsFresh(t *testing.T) {
 		opts []metainsight.Option
 	}{{"plain", nil}, {"custom patterns", patterns}} {
 		for _, workers := range []int{1, 8} {
-			opts := append(slices.Clone(arm.opts), metainsight.WithExec(metainsight.ExecConfig{Workers: workers}))
+			opts := append(slices.Clone(arm.opts), metainsight.WithWorkers(workers))
 			warm, err := metainsight.NewSession(tab, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -424,7 +424,7 @@ func TestSumImpactMiningIsDeterministic(t *testing.T) {
 		var want []string
 		for _, workers := range []int{1, 8} {
 			for rep := 0; rep < 3; rep++ {
-				an := analyzeOnce(t, tc.tab, req, metainsight.WithExec(metainsight.ExecConfig{Workers: workers}))
+				an := analyzeOnce(t, tc.tab, req, metainsight.WithWorkers(workers))
 				got := make([]string, len(an.Result.MetaInsights))
 				for i, mi := range an.Result.MetaInsights {
 					got[i] = fmt.Sprintf("%s score=%x impact=%x",
@@ -561,7 +561,7 @@ func TestSessionScanParallelismGridBitIdentical(t *testing.T) {
 	tab := fracTable(t, 60000)
 	run := func(par, workers int) runFacts {
 		an := analyzeOnce(t, tab, metainsight.Request{TopK: 5, Measures: fracMeasures},
-			metainsight.WithExec(metainsight.ExecConfig{Workers: workers, ScanParallelism: par}))
+			metainsight.WithWorkers(workers), metainsight.WithScanParallelism(par))
 		return factsOf(an.Result, an.Insights)
 	}
 	base := run(1, 1)
@@ -585,7 +585,7 @@ func TestScanParallelismSpellings(t *testing.T) {
 	analysisJSON := func(par int) string {
 		t.Helper()
 		an := analyzeOnce(t, tab, metainsight.Request{TopK: 5, Measures: fracMeasures},
-			metainsight.WithExec(metainsight.ExecConfig{Workers: 2, ScanParallelism: par}))
+			metainsight.WithWorkers(2), metainsight.WithScanParallelism(par))
 		b, err := json.Marshal(an)
 		if err != nil {
 			t.Fatal(err)
@@ -595,7 +595,7 @@ func TestScanParallelismSpellings(t *testing.T) {
 	want := analysisJSON(1)
 	for _, par := range []int{0, 1, 3} {
 		if got := analysisJSON(par); got != want {
-			t.Errorf("ExecConfig{ScanParallelism: %d}: Analysis JSON differs from the sequential run's", par)
+			t.Errorf("scan parallelism %d: Analysis JSON differs from the sequential run's", par)
 		}
 	}
 }
@@ -619,12 +619,6 @@ func TestConstructionValidation(t *testing.T) {
 			Budget: metainsight.Budget{Time: time.Second, Cost: 10},
 		}, metainsight.ErrConflictingBudgets},
 		{"topk negative", nil, metainsight.Request{TopKPruning: -3}, metainsight.ErrInvalidTopKPruning},
-		{"negative workers", []metainsight.Option{
-			metainsight.WithExec(metainsight.ExecConfig{Workers: -1}),
-		}, metainsight.Request{}, metainsight.ErrNegativeOption},
-		{"negative scan parallelism", []metainsight.Option{
-			metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: -1}),
-		}, metainsight.Request{}, metainsight.ErrNegativeOption},
 		{"negative max filters", nil, metainsight.Request{MaxFilters: -1}, metainsight.ErrNegativeOption},
 		{"negative cost budget", nil, metainsight.Request{Budget: metainsight.Budget{Cost: -5}}, metainsight.ErrNegativeOption},
 		{"NaN cost budget", nil, metainsight.Request{Budget: metainsight.Budget{Cost: math.NaN()}}, metainsight.ErrNegativeOption},
