@@ -103,8 +103,8 @@ func TestPatternScopesEvaluatedExactlyOnce(t *testing.T) {
 
 // TestCorrelationRunsAreWorkerInvariant: a correlation evaluator reads the
 // secondary measure through the engine from inside an evaluation, on a
-// worker goroutine. Those reads are not charged, so unbudgeted, cost-budgeted
-// and top-k-pruned runs report the same Stats, keys and scores at Workers 1
+// worker goroutine. Those reads are not charged, so unbudgeted and
+// cost-budgeted runs report the same Stats, keys and scores at Workers 1
 // and 8. They used to be charged as cache-served queries as the workers
 // happened to issue them, duplicates and speculation included.
 func TestCorrelationRunsAreWorkerInvariant(t *testing.T) {
@@ -120,7 +120,6 @@ func TestCorrelationRunsAreWorkerInvariant(t *testing.T) {
 	}{
 		{"unbudgeted", metainsight.Request{}},
 		{"budget 300", metainsight.Request{Budget: metainsight.Budget{Cost: 300}}},
-		{"top-k pruning 10", metainsight.Request{TopKPruning: 10}},
 	}
 	for _, arm := range arms {
 		arm.req.Measures = []metainsight.Measure{metainsight.Sum("Sales"), metainsight.Sum("Profit")}

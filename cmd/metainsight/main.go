@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	metainsight -csv data.csv [-k 10] [-budget 10s] [-tau 0.5]
-//	            [-depth 3] [-topk-prune 40]
+//	metainsight -csv data.csv [-k 10] [-budget 10s] [-tau 0.5] [-depth 3]
 //	            [-max-card 50] [-derive Date] [-skip-ragged] [-skip-bad-measures]
 //	            [-flat] [-json] [-report report.md] [-trace run.jsonl] [-metrics]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -58,7 +57,6 @@ func run() int {
 		metrics = fs.Bool("metrics", false, "print the metrics snapshot (counters, gauges, phase timers) after the run")
 		ragged  = fs.Bool("skip-ragged", false, "skip-and-count rows whose column count differs from the header instead of failing")
 		badMeas = fs.Bool("skip-bad-measures", false, "skip-and-count rows with NaN/Inf/unparseable measure cells instead of failing")
-		topKCut = fs.Int("topk-prune", 0, "S*-bounded early termination: skip candidates that provably cannot enter the score top k (0 = off; size with headroom over -k)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile taken after mining to this file")
 	)
@@ -144,11 +142,10 @@ func run() int {
 	}
 
 	req := metainsight.Request{
-		TopK:        *k,
-		Budget:      metainsight.Budget{Time: *budget},
-		Tau:         *tau,
-		MaxFilters:  *depth,
-		TopKPruning: *topKCut,
+		TopK:       *k,
+		Budget:     metainsight.Budget{Time: *budget},
+		Tau:        *tau,
+		MaxFilters: *depth,
 	}
 	if *trace != "" || *metrics {
 		obOpts := metainsight.ObserverOptions{}

@@ -385,10 +385,11 @@ func topLevelNames(f *ast.File) []*ast.Ident {
 
 // TestCommandDocsNameEveryFlag fails on every flag a command under cmd/
 // registers that the command's package doc comment does not name as -flag,
-// so the usage a reader of the doc sees cannot drift from the one the
-// command parses.
+// and on every -flag the doc's indented usage synopsis names that the
+// command does not register, so the usage a reader of the doc sees cannot
+// drift from the one the command parses in either direction.
 func TestCommandDocsNameEveryFlag(t *testing.T) {
-	findings, err := undocumentedFlags(repoRoot(t))
+	findings, err := flagDocFindings(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +401,10 @@ func TestCommandDocsNameEveryFlag(t *testing.T) {
 // TestFlagDocCheckFires proves the check on a synthetic command: a flag its
 // doc names, one whose name is only a prefix of a documented flag, one whose
 // name only ends a hyphenated word of the doc, one registered through a
-// FlagSet's Var, a NewFlagSet call that registers nothing, and bare calls
-// that are not selector calls at all.
+// FlagSet's Var, a NewFlagSet call that registers nothing, bare calls that
+// are not selector calls at all; and in the doc, a synopsis flag nothing
+// registers, -h, which the flag package registers itself, and an
+// unregistered -flag in prose, which the synopsis check does not read.
 func TestFlagDocCheckFires(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "cmd", "tool")
@@ -410,7 +413,9 @@ func TestFlagDocCheckFires(t *testing.T) {
 	}
 	src := `// Command tool does things.
 //
-//	tool -a [-long-name x] — a top-k tool
+//	tool -a [-long-name x] [-gone n] [-h] — a top-k tool
+//
+// -h lists the flags; -prose is not part of the synopsis.
 package main
 
 import "flag"
@@ -431,11 +436,11 @@ func run(int) {}
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := undocumentedFlags(root)
+	findings, err := flagDocFindings(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"-long", "-b", "-k"}
+	want := []string{"-long", "-b", "-k", "-gone"}
 	if len(findings) != len(want) {
 		t.Fatalf("findings = %q, want one each for %v", findings, want)
 	}
@@ -455,11 +460,17 @@ var flagFuncs = map[string]bool{
 	"Uint": true, "Uint64": true, "Uint64Var": true, "UintVar": true, "Var": true,
 }
 
-// undocumentedFlags returns one finding, in file and line order, per flag
+// synopsisFlag matches a -name in a usage synopsis: a dash after the start
+// of the line, a blank, [ or (, then a letter.
+var synopsisFlag = regexp.MustCompile(`(?:^|[\s\[(])-([A-Za-z][A-Za-z0-9-]*)`)
+
+// flagDocFindings returns one finding, in file and line order, per flag
 // registered in a non-test file of a command directory root/cmd/* whose
 // name its package doc comment does not contain as -name (neither preceded
-// nor followed by a letter, a digit or a dash).
-func undocumentedFlags(root string) ([]string, error) {
+// nor followed by a letter, a digit or a dash); then one, in doc order, per
+// -name on an indented line of that doc comment (the usage synopsis) that no
+// flag registers, -h aside.
+func flagDocFindings(root string) ([]string, error) {
 	dirs, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
 	if err != nil {
 		return nil, err
@@ -476,13 +487,16 @@ func undocumentedFlags(root string) ([]string, error) {
 		for _, pkg := range pkgs {
 			var doc strings.Builder
 			var files []string
-			for name, f := range pkg.Files {
-				if f.Doc != nil {
-					doc.WriteString(f.Doc.Text())
-				}
+			for name := range pkg.Files {
 				files = append(files, name)
 			}
 			sort.Strings(files)
+			for _, name := range files {
+				if f := pkg.Files[name]; f.Doc != nil {
+					doc.WriteString(f.Doc.Text())
+				}
+			}
+			registered := map[string]bool{"h": true}
 			for _, name := range files {
 				ast.Inspect(pkg.Files[name], func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
@@ -502,6 +516,7 @@ func undocumentedFlags(root string) ([]string, error) {
 							continue
 						}
 						flag, err := strconv.Unquote(lit.Value)
+						registered[flag] = true
 						named := regexp.MustCompile(`(^|[^A-Za-z0-9-])-` + regexp.QuoteMeta(flag) + `([^A-Za-z0-9-]|$)`)
 						if err == nil && !named.MatchString(doc.String()) {
 							rel, _ := filepath.Rel(root, name)
@@ -512,6 +527,18 @@ func undocumentedFlags(root string) ([]string, error) {
 					}
 					return true
 				})
+			}
+			rel, _ := filepath.Rel(root, dir)
+			for _, line := range strings.Split(doc.String(), "\n") {
+				if !strings.HasPrefix(line, "\t") && !strings.HasPrefix(line, " ") {
+					continue
+				}
+				for _, m := range synopsisFlag.FindAllStringSubmatch(line, -1) {
+					if !registered[m[1]] {
+						findings = append(findings, rel+": flag -"+m[1]+
+							" is named in the command's usage synopsis but no flag registers it")
+					}
+				}
 			}
 		}
 	}

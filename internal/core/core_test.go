@@ -581,72 +581,3 @@ func TestBuildMetaInsightClassesAreSimClasses(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestScoreUpperBoundBasics(t *testing.T) {
-	p := paperTau
-	if ub := ScoreUpperBound(1, 1, p); ub != 0 {
-		t.Errorf("nScopes < 2 must bound to 0, got %v", ub)
-	}
-	ub2 := ScoreUpperBound(1, 2, p)
-	if ub2 <= 0 || ub2 >= 1 {
-		t.Errorf("ScoreUpperBound(1, 2) = %v, want in (0, 1)", ub2)
-	}
-	// Monotone in impact, and never above g(impact).
-	if a, b := ScoreUpperBound(0.3, 5, p), ScoreUpperBound(0.6, 5, p); a > b {
-		t.Errorf("bound not monotone in impact: %v > %v", a, b)
-	}
-	if ub := ScoreUpperBound(0.25, 5, p); ub > 0.25 {
-		t.Errorf("bound %v exceeds g(impact) = 0.25", ub)
-	}
-	// More scopes can only loosen the bound: a larger HDS admits a cheaper
-	// exception, so the min over m only shrinks.
-	prev := ScoreUpperBound(1, 2, p)
-	for n := 3; n <= 60; n++ {
-		ub := ScoreUpperBound(1, n, p)
-		if ub < prev-1e-12 {
-			t.Fatalf("bound tightened from n=%d to n=%d: %v -> %v", n-1, n, prev, ub)
-		}
-		prev = ub
-	}
-}
-
-// TestScoreUpperBoundDominatesRealizableScores is the soundness property
-// behind S*-bounded early termination: no MetaInsight built from an HDS with
-// nominal scopes can score above ScoreUpperBound for that HDS. Random draws
-// over τ cover the adversarial single-commonness minimum-entropy shape,
-// no-exception MetaInsights (charged γ instead), and evaluated pattern counts
-// below the nominal scope count (empty siblings).
-func TestScoreUpperBoundDominatesRealizableScores(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		tau := 0.25 + 0.5*r.Float64()
-		nominal := 2 + r.Intn(11)
-		n := 2 + r.Intn(nominal)
-		if n > nominal {
-			n = nominal
-		}
-		e := r.Intn(n - 1) // exceptions; n-e >= 2 commonness members
-		comm := n - e
-		if float64(comm)/float64(n) <= tau {
-			return true // no commonness class clears tau: not a MetaInsight
-		}
-		alphas := []float64{float64(comm) / float64(n)}
-		var betas []float64
-		rem := e
-		for v := 0; v < paperK && rem > 0; v++ {
-			take := 1 + r.Intn(rem)
-			if v == paperK-1 {
-				take = rem
-			}
-			betas = append(betas, float64(take)/float64(n))
-			rem -= take
-		}
-		impact := 1.5 * r.Float64()
-		s := EntropyS(alphas, betas, paperR)
-		score := Score(ConcisenessReg(s, e == 0, tau), impact)
-		return score <= ScoreUpperBound(impact, nominal, tau)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}

@@ -96,51 +96,3 @@ func Score(conciseness, impactHDS float64) float64 {
 	}
 	return conciseness * g
 }
-
-// exceptionEntropyFloor returns the smallest S (Equation 13) any MetaInsight
-// with at least one exception over exactly n evaluated patterns can have: one
-// exception of weight 1/n against a single commonness class of weight
-// (n−1)/n. Any other representation refines that partition, and refining a
-// partition never decreases entropy.
-func exceptionEntropyFloor(n int) float64 {
-	nf := float64(n)
-	a := (nf - 1) / nf
-	b := 1 / nf
-	return -(a*math.Log2(a) + paperR*b*math.Log2(b))
-}
-
-// ScoreUpperBound returns an upper bound on the score (Equation 18) of any
-// MetaInsight an HDS with nScopes data scopes and impact impactHDS can yield
-// at commonness threshold tau, before evaluating a single scope. It follows
-// from Lemma 4.1's S* and the structure of Equation 16: a MetaInsight either
-// has no exceptions — then the γ regularizer is charged — or has at least
-// one exception over m ≤ nScopes evaluated patterns, and its entropy S is at
-// least the cheapest-exception floor min over 2 ≤ m ≤ nScopes of S_exc(m)
-// (the min is taken explicitly: S_exc falls with m at the paper's r = 1 but
-// is not monotone in m for large r). Either way
-//
-//	Conciseness ≤ 1 − min(γ, min_m S_exc(m)) / S*(τ)
-//
-// and the score is at most that bound times g(impactHDS). The bound is
-// monotone in impactHDS only, so it is safe to compute from the HDS alone:
-// scopes that later turn out empty only shrink m, which the min already
-// covers. nScopes < 2 cannot form a MetaInsight and bounds to 0.
-func ScoreUpperBound(impactHDS float64, nScopes int, tau float64) float64 {
-	if nScopes < 2 {
-		return 0
-	}
-	floor := paperGamma
-	for m := 2; m <= nScopes; m++ {
-		if s := exceptionEntropyFloor(m); s < floor {
-			floor = s
-		}
-	}
-	c := 1 - floor/SMax(tau, paperR, paperK)
-	if c < 0 {
-		c = 0
-	}
-	if c > 1 {
-		c = 1
-	}
-	return Score(c, impactHDS)
-}

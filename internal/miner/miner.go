@@ -77,20 +77,6 @@ type Config struct {
 	// for Pruning 2 to remain meaningful (an HDS's impact is never below its
 	// anchor subspace's). Set negative to disable.
 	MinSubspaceImpact float64
-	// TopK, when positive, enables S*-bounded early termination: once K
-	// MetaInsights are committed, a MetaInsight compute unit whose score
-	// upper bound (core.ScoreUpperBound, from Lemma 4.1's S* and the
-	// cheapest-exception entropy floor) cannot strictly beat the K-th best
-	// committed score is cut before evaluation — none of its sibling scans
-	// ever reach the engine and none of its cost is charged. The K-th best
-	// score is monotone nondecreasing over commits and every cut is decided
-	// on the dispatcher's canonical commit path, so results and statistics
-	// remain bit-identical for any worker count, and every MetaInsight whose
-	// score strictly exceeds the run's final K-th best score is still mined.
-	// Zero (the default) disables termination; callers that rank more than K
-	// insights, or rank with diversity weights rather than raw score, should
-	// size TopK accordingly or leave it off.
-	TopK int
 	// Workers is the number of evaluation goroutines; the paper uses 8.
 	// Worker count affects only wall-clock time: results, statistics and
 	// budget consumption are identical for any value.
@@ -181,11 +167,6 @@ type Stats struct {
 	PatternsFound    int64 // valid (scope, type) basic data patterns
 	Pruned1          int64 // HDP evaluations cut short by Pruning 1
 	Pruned2          int64 // MetaInsight units discarded by Pruning 2
-	// SStarCut counts MetaInsight compute units cut by S*-bounded early
-	// termination (Config.TopK): their score upper bound could not beat the
-	// K-th best committed score, so they were dropped without evaluation —
-	// no queries, no budget, no MetaInsightUnits increment.
-	SStarCut int64
 	// BoundSkips counts subspace-extension candidates cut by the impact-sum
 	// bounds (Config.EnableBoundPruning) before their root-impact query was
 	// issued; BoundScanSkips counts frontier expansion scans skipped because
@@ -273,9 +254,6 @@ type Miner struct {
 	stats   Stats
 	seq     int64
 	acct    *accounting
-	// topScores holds the scores of the best min(TopK, committed) results,
-	// sorted descending — the termination threshold of Config.TopK.
-	topScores []float64
 }
 
 // New creates a Miner. The zero-value parts of cfg are filled with defaults.
@@ -331,10 +309,6 @@ type completion struct {
 	// events, no children, no MetaInsight.
 	panicked bool
 	panicVal string
-	// cut marks a unit S*-terminated at dispatch time without execution; the
-	// commit path re-derives the same verdict for units that did execute (the
-	// K-th best score is monotone, so a dispatch-time cut never un-cuts).
-	cut bool
 	// entry is the window entry the worker was handed, so the dispatcher
 	// files the completion without searching for it.
 	entry *specEntry
@@ -448,20 +422,10 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 		case m.queue.Len() == 0:
 			why = waitQueueEmpty
 		default:
-			u := m.queue.top()
-			if m.sstarCut(u) {
-				// Dispatch-time pre-filter: the K-th best score only grows, so
-				// the cut still holds at the unit's canonical commit slot. Skip
-				// the worker round-trip entirely and let commit record the cut
-				// in its slot.
-				m.queue.pop()
-				spec.push(&specEntry{unit: u, comp: &completion{unit: u, cut: true}})
-				continue
-			}
 			if spare == nil {
 				spare = &specEntry{}
 			}
-			spare.unit = u
+			spare.unit = m.queue.top()
 			select {
 			case workCh <- spare:
 				m.queue.pop()
@@ -500,43 +464,6 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 	}
 
 	return m.finish()
-}
-
-// sstarCut reports whether a MetaInsight unit provably cannot enter the
-// current top K: its score upper bound does not exceed the K-th best
-// committed score (ties lose — an equal-scoring insight cannot displace one
-// already committed). The threshold is monotone nondecreasing over commits,
-// so a verdict reached at dispatch time still holds at the unit's canonical
-// commit slot, where the decision is authoritative.
-func (m *Miner) sstarCut(u *workUnit) bool {
-	return u.kind == kindMetaInsight && m.sstarCutCand(&u.cand)
-}
-
-// sstarCutCand is sstarCut's verdict on a MetaInsight candidate, which
-// needs only its impact and HDS size.
-func (m *Miner) sstarCutCand(c *miCandidate) bool {
-	if m.cfg.TopK <= 0 || len(m.topScores) < m.cfg.TopK {
-		return false
-	}
-	return core.ScoreUpperBound(c.impact, int(c.n), m.cfg.Tau) <= m.topScores[m.cfg.TopK-1]
-}
-
-// recordTopScore folds a newly stored result's score into the sorted top-K
-// threshold list (no-op when S* termination is off).
-func (m *Miner) recordTopScore(s float64) {
-	if m.cfg.TopK <= 0 {
-		return
-	}
-	i := sort.Search(len(m.topScores), func(i int) bool { return m.topScores[i] < s })
-	if i >= m.cfg.TopK {
-		return
-	}
-	m.topScores = append(m.topScores, 0)
-	copy(m.topScores[i+1:], m.topScores[i:])
-	m.topScores[i] = s
-	if len(m.topScores) > m.cfg.TopK {
-		m.topScores = m.topScores[:m.cfg.TopK]
-	}
 }
 
 // canonicalBefore reports whether a precedes b in the canonical processing
@@ -579,23 +506,6 @@ func (m *Miner) commit(c *completion) {
 		o.Event(obs.EvPop, m.describeUnit(c.unit), c.unit.kind.String(), 0)
 	}
 	defer recycle(c)
-	if c.cut || m.sstarCut(c.unit) {
-		// S*-terminated at the canonical slot. The unit is dropped wholesale:
-		// no usage replay, no budget charge, no kind counter — a single-worker
-		// run would have cut it before execution, so even a speculative
-		// evaluation (or panic) on some worker is discarded, keeping the
-		// commit stream worker-count-invariant.
-		m.stats.SStarCut++
-		if o != nil {
-			o.Count("miner.sstar_cut", 1)
-			if traced {
-				o.Event(obs.EvPrune, m.describeUnit(c.unit), "sstar", 0)
-			}
-			o.Observe("miner.commit.cost_units", commitCostBounds, 0)
-			o.Phase(obs.PhaseCommit, time.Since(t0))
-		}
-		return
-	}
 	if c.panicked {
 		// Failed-and-accounted: the unit's kind counter still advances (it
 		// was processed), but it contributes no usage, children or result.
@@ -667,16 +577,6 @@ func (m *Miner) commit(c *completion) {
 			}
 			continue
 		}
-		if m.sstarCutCand(cand) {
-			// Emission-time S* cut: the candidate is dead on arrival
-			// against the current top K, so it never enters the queue.
-			m.stats.SStarCut++
-			o.Count("miner.sstar_cut", 1)
-			if traced {
-				o.Event(obs.EvPrune, m.candLabel(cand.key), "sstar", 0)
-			}
-			continue
-		}
 		m.stats.EmittedMIUnits++
 		m.seq++
 		m.queue.push(&workUnit{kind: kindMetaInsight, priority: cand.impact, seq: m.seq, cand: *cand})
@@ -686,7 +586,6 @@ func (m *Miner) commit(c *completion) {
 		key := c.mi.Key()
 		if _, exists := m.results[key]; !exists {
 			m.results[key] = c.mi
-			m.recordTopScore(c.mi.Score)
 			o.Count("miner.stored", 1)
 			if traced {
 				o.Event(obs.EvStore, key, fmt.Sprintf("score=%.6f", c.mi.Score), 0)
@@ -824,8 +723,8 @@ func (m *Miner) finish() *Result {
 		o.SetGauge("miner.qcache.bytes", float64(m.stats.QueryCacheStats.Bytes))
 		o.SetGauge("miner.pcache.hit_rate", m.stats.PatternCacheStats.HitRate())
 		o.SetGauge("miner.pcache.entries", float64(m.stats.PatternCacheStats.Entries))
-		// Past a budget or a top-k cut, speculative units evaluate scopes
-		// that no commit reads, as many as the workers got to.
+		// Past a budget, speculative units evaluate scopes that no commit
+		// reads, as many as the workers got to.
 		o.MarkTiming(obsEvaluations)
 	}
 	return &Result{MetaInsights: out, Stats: m.stats}

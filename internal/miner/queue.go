@@ -94,7 +94,7 @@ type candKey struct {
 // an anchor data scope, under one pattern type. It stays a value until the
 // dispatcher admits it, and holds what the worker that mines it needs to
 // build the HDS: the anchor scope as its handle, breakdown index and measure
-// index, and the HDS size, which S*-bounded termination reads first.
+// index, and the HDS size.
 type miCandidate struct {
 	key     candKey
 	anchor  *engine.Handle

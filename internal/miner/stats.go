@@ -15,9 +15,6 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "units[expand=%d pattern=%d mi=%d emitted=%d]",
 		s.ExpandUnits, s.DataPatternUnits, s.MetaInsightUnits, s.EmittedMIUnits)
 	fmt.Fprintf(&b, " patterns=%d pruned[p1=%d p2=%d]", s.PatternsFound, s.Pruned1, s.Pruned2)
-	if s.SStarCut > 0 {
-		fmt.Fprintf(&b, " sstar-cut=%d", s.SStarCut)
-	}
 	if s.BoundSkips > 0 || s.BoundScanSkips > 0 {
 		fmt.Fprintf(&b, " bound-cut[emit=%d scan=%d]", s.BoundSkips, s.BoundScanSkips)
 	}
@@ -59,10 +56,11 @@ func toCacheStatsJSON(s cache.Stats) cacheStatsJSON {
 
 // statsJSON fixes the stable wire names of Stats. Fields marshal in
 // declaration order, so the encoding is byte-stable for equal values. The
-// eight fields with no Stats counterpart, and Evictions, are reserved, always
+// nine fields with no Stats counterpart, and Evictions, are reserved, always
 // zero: counters of the retired sharded execution mode, fault simulation,
-// scan failure model, checkpoint/resume and byte-bounded caches, kept so
-// response bodies stay byte-identical across their removal.
+// scan failure model, checkpoint/resume, S*-bounded early termination and
+// byte-bounded caches, kept so response bodies stay byte-identical across
+// their removal.
 type statsJSON struct {
 	ExpandUnits      int64          `json:"expand_units"`
 	DataPatternUnits int64          `json:"data_pattern_units"`
@@ -71,7 +69,7 @@ type statsJSON struct {
 	PatternsFound    int64          `json:"patterns_found"`
 	Pruned1          int64          `json:"pruned_1"`
 	Pruned2          int64          `json:"pruned_2"`
-	SStarCut         int64          `json:"sstar_cut"`
+	TopKCuts         int64          `json:"sstar_cut"`
 	BoundSkips       int64          `json:"bound_skips"`
 	BoundScanSkips   int64          `json:"bound_scan_skips"`
 	PrefetchFailures int64          `json:"prefetch_failures"`
@@ -107,7 +105,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		PatternsFound:    s.PatternsFound,
 		Pruned1:          s.Pruned1,
 		Pruned2:          s.Pruned2,
-		SStarCut:         s.SStarCut,
 		BoundSkips:       s.BoundSkips,
 		BoundScanSkips:   s.BoundScanSkips,
 		PanickedUnits:    s.PanickedUnits,
@@ -137,7 +134,6 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 		PatternsFound:    j.PatternsFound,
 		Pruned1:          j.Pruned1,
 		Pruned2:          j.Pruned2,
-		SStarCut:         j.SStarCut,
 		BoundSkips:       j.BoundSkips,
 		BoundScanSkips:   j.BoundScanSkips,
 		PanickedUnits:    j.PanickedUnits,

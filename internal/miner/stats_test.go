@@ -8,7 +8,7 @@ import (
 	"metainsight/internal/engine"
 )
 
-// TestStatsJSONKeepsReservedNames: a run's stats encoding carries the nine
+// TestStatsJSONKeepsReservedNames: a run's stats encoding carries the ten
 // reserved wire names of retired counters, each always zero, so response
 // bodies keep their bytes; and the encoding round-trips.
 func TestStatsJSONKeepsReservedNames(t *testing.T) {
@@ -21,7 +21,7 @@ func TestStatsJSONKeepsReservedNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, reserved := range []string{`"prefetch_failures":0,`, `"failed_units":0,`, `"retries":0,`,
+		for _, reserved := range []string{`"sstar_cut":0,`, `"prefetch_failures":0,`, `"failed_units":0,`, `"retries":0,`,
 			`"breaker_trips":0,`, `"speculative_reissues":0,`, `"shard_retries":0,`, `"evictions":0,`,
 			`"checkpoint_writes":0,`, `"resumed_units":0,`} {
 			if !strings.Contains(string(raw), reserved) {

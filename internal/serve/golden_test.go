@@ -35,14 +35,35 @@ var goldenShapes = []struct{ name, params string }{
 	{"default", ``},
 	{"topk5_filters2", `,"top_k":5,"max_filters":2`},
 	{"budget400", `,"budget_cost":400`},
-	{"pruning10", `,"topk_pruning":10`},
 }
 
 // goldenJobParams is the cost-budgeted job submitted once per table.
 const goldenJobParams = `,"budget_cost":400`
 
+// goldenDataset writes tab as dir/name.csv and registers it under name as
+// the goldens serve a Figure-6 table.
+func goldenDataset(t *testing.T, dir, name string, tab *dataset.Table) DatasetSpec {
+	t.Helper()
+	path := filepath.Join(dir, name+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bufio.NewWriter(f)
+	if err := workload.WriteCSV(tab, w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return DatasetSpec{Name: name, Path: path, MaxCardinality: 100}
+}
+
 // TestDaemonGoldens pins what the daemon answers on the Figure-6 tables:
-// the insights and stats of four /v1/analyze shapes and of one
+// the insights and stats of three /v1/analyze shapes and of one
 // cost-budgeted job per table, byte for byte against
 // testdata/<table>.<shape>.json. Run with -update to rewrite the files; a
 // diff in them is a change in what clients receive.
@@ -50,22 +71,7 @@ func TestDaemonGoldens(t *testing.T) {
 	dir := t.TempDir()
 	var specs []DatasetSpec
 	for _, tb := range goldenTables {
-		path := filepath.Join(dir, tb.name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := bufio.NewWriter(f)
-		if err := workload.WriteCSV(tb.build(), w); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, DatasetSpec{Name: tb.name, Path: path, MaxCardinality: 100})
+		specs = append(specs, goldenDataset(t, dir, tb.name, tb.build()))
 	}
 	srv, err := New(Config{Datasets: specs, StateDir: filepath.Join(dir, "state")})
 	if err != nil {

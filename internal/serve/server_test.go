@@ -186,13 +186,16 @@ func TestAnalyzeErrors(t *testing.T) {
 // TestUnknownRequestKeysAreRefused: a body key the params do not name is a
 // 400 bad_request naming the key, on /v1/analyze and on /v1/jobs, before
 // any work — a misspelled setting must not mine with its default. The
-// retired "checkpoint_every" stays accepted and ignored.
+// retired "topk_pruning" is refused like any unknown key; the retired
+// "checkpoint_every" stays accepted and ignored.
 func TestUnknownRequestKeysAreRefused(t *testing.T) {
 	_, hs := newTestServer(t, func(cfg *Config) { cfg.StateDir = t.TempDir() })
 	for _, tc := range []struct{ path, body, key string }{
 		{"/v1/analyze", `{"dataset":"house","topk":5}`, "topk"},
 		{"/v1/analyze", `{"dataset":"house","budget":400}`, "budget"},
 		{"/v1/jobs", `{"dataset":"house","max_filter":2}`, "max_filter"},
+		{"/v1/analyze", `{"dataset":"house","topk_pruning":10}`, "topk_pruning"},
+		{"/v1/jobs", `{"dataset":"house","topk_pruning":10}`, "topk_pruning"},
 	} {
 		status, data := postJSON(t, hs.URL+tc.path, tc.body, nil)
 		if status != http.StatusBadRequest || errorCode(t, data) != CodeBadRequest || !strings.Contains(string(data), tc.key) {

@@ -28,8 +28,6 @@ type AnalyzeParams struct {
 	// BudgetCost bounds mining by deterministic engine cost units (0 =
 	// unbounded).
 	BudgetCost float64 `json:"budget_cost,omitempty"`
-	// TopKPruning enables S*-bounded early termination with the given k.
-	TopKPruning int `json:"topk_pruning,omitempty"`
 	// Measures overrides the mined measure set (default: SUM over every
 	// measure column plus COUNT(*)).
 	Measures []MeasureSpec `json:"measures,omitempty"`
@@ -68,8 +66,8 @@ func (p AnalyzeParams) validate() error {
 	if p.Dataset == "" {
 		return fmt.Errorf("missing dataset name")
 	}
-	if p.TopK < 0 || p.MaxFilters < 0 || p.TopKPruning < 0 {
-		return fmt.Errorf("top_k, max_filters and topk_pruning must be non-negative")
+	if p.TopK < 0 || p.MaxFilters < 0 {
+		return fmt.Errorf("top_k and max_filters must be non-negative")
 	}
 	if p.BudgetCost < 0 {
 		return fmt.Errorf("budget_cost must be non-negative")
@@ -91,10 +89,9 @@ func (p AnalyzeParams) request() (metainsight.Request, error) {
 		return metainsight.Request{}, err
 	}
 	req := metainsight.Request{
-		TopK:        p.TopK,
-		Tau:         p.Tau,
-		MaxFilters:  p.MaxFilters,
-		TopKPruning: p.TopKPruning,
+		TopK:       p.TopK,
+		Tau:        p.Tau,
+		MaxFilters: p.MaxFilters,
 	}
 	if req.TopK == 0 {
 		req.TopK = 10

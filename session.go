@@ -75,24 +75,6 @@ type Request struct {
 	// must lie strictly between 0 and 1: a commonness needs a share of the
 	// patterns above τ, and the score's S* term is undefined outside (0, 1).
 	Tau float64
-	// TopKPruning enables S*-bounded early termination: once k MetaInsights
-	// are committed, candidates whose score upper bound (Lemma 4.1's S*
-	// combined with the impact term of Equation 18) cannot strictly beat the
-	// k-th best committed score are cut before evaluation, so their sibling
-	// scans never run. Every MetaInsight whose score strictly exceeds the
-	// run's final k-th best score is still mined, so the score-ordered top k
-	// is preserved; mine with headroom (e.g. 2–4× TopK) because the
-	// diversity-weighted ranking may promote lower-scoring insights. Zero
-	// (the default) mines the complete candidate set; negative values are
-	// rejected (ErrInvalidTopKPruning).
-	//
-	// It cuts MetaInsight units, not necessarily cost. The cut units no
-	// longer issue the augmented prefetches that would have served later
-	// data-pattern units, so those scan one by one: at k = 10 on the
-	// Figure-6 tables the charged cost rises on three of four (Credit Card
-	// 379.1 → 970.8, Sales Forecast 3,294.9 → 5,130.3, Tablet Sales
-	// 3,553.9 → 5,380.8) and falls on Hotel Booking (7,342.1 → 6,902.1).
-	TopKPruning int
 	// Progress, when set, is invoked for each newly stored MetaInsight,
 	// enabling progressive display during a budgeted run. It is called
 	// serially from the miner's dispatcher goroutine, in deterministic
@@ -110,10 +92,6 @@ type Request struct {
 // NewSession or Session.Analyze with one of these (test with errors.Is)
 // instead of surfacing as surprising behavior mid-run.
 var (
-	// ErrInvalidTopKPruning: Request.TopKPruning was negative; zero
-	// disables early termination.
-	ErrInvalidTopKPruning = errors.New(
-		"metainsight: Request.TopKPruning must not be negative; 0 disables early termination")
 	// ErrNegativeOption: Request.MaxFilters or a budget was negative, or the
 	// cost budget NaN.
 	ErrNegativeOption = errors.New("metainsight: option value must be non-negative")
@@ -149,9 +127,6 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 	if req.Tau != 0 {
 		o.minerCfg.Tau = req.Tau
 	}
-	if req.TopKPruning != 0 {
-		o.minerCfg.TopK = req.TopKPruning
-	}
 	if req.Progress != nil {
 		o.minerCfg.OnMetaInsight = req.Progress
 	}
@@ -170,9 +145,6 @@ func resolve(opts []Option, req Request) (*analyzerOptions, error) {
 	}
 	if tau := o.minerCfg.Tau; !(tau > 0 && tau < 1) {
 		return nil, fmt.Errorf("metainsight: τ = %v is outside (0, 1)", tau)
-	}
-	if o.minerCfg.TopK < 0 {
-		return nil, ErrInvalidTopKPruning
 	}
 	if o.minerCfg.MaxSubspaceFilters < 0 {
 		return nil, fmt.Errorf("%w: max filters %d", ErrNegativeOption, o.minerCfg.MaxSubspaceFilters)

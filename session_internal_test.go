@@ -97,9 +97,6 @@ func TestResolveLandsEveryField(t *testing.T) {
 		{"Request.Tau", Request{Tau: 0.6}, func(_ *Session, a *Analyzer) bool {
 			return a.cfg.Tau == 0.6
 		}},
-		{"Request.TopKPruning", Request{TopKPruning: 4}, func(_ *Session, a *Analyzer) bool {
-			return a.cfg.TopK == 4
-		}},
 		{"Request.Progress", Request{Progress: func(*MetaInsight) { progressed++ }}, func(_ *Session, a *Analyzer) bool {
 			a.cfg.OnMetaInsight(nil)
 			return progressed == 1

@@ -317,7 +317,7 @@ func TestUnitMemoGrowthLaw(t *testing.T) {
 
 // TestWarmSessionEqualsFresh: a session's unit and pattern memos decide no
 // result. After requests of other shapes — another TopK, MaxFilters 2 then
-// 3, a cost budget, TopKPruning, a SUM impact and a MIN measure — a
+// 3, a cost budget, a SUM impact and a MIN measure — a
 // request's facts, statistics and trace equal a fresh session's, at Workers 1
 // and 8, on a plain session and on one that registers a custom pattern type
 // and a correlation pattern.
@@ -328,7 +328,6 @@ func TestWarmSessionEqualsFresh(t *testing.T) {
 		{TopK: 5, MaxFilters: 2},
 		{TopK: 5, MaxFilters: 3},
 		{TopK: 5, Budget: metainsight.Budget{Cost: 150}},
-		{TopK: 5, TopKPruning: 4},
 		{TopK: 5, ImpactMeasure: metainsight.Sum("Spend")},
 		{TopK: 5, Measures: []metainsight.Measure{metainsight.Min("Spend"), metainsight.Sum("Transactions")}},
 	}
@@ -618,7 +617,6 @@ func TestConstructionValidation(t *testing.T) {
 		{"budgets", nil, metainsight.Request{
 			Budget: metainsight.Budget{Time: time.Second, Cost: 10},
 		}, metainsight.ErrConflictingBudgets},
-		{"topk negative", nil, metainsight.Request{TopKPruning: -3}, metainsight.ErrInvalidTopKPruning},
 		{"negative max filters", nil, metainsight.Request{MaxFilters: -1}, metainsight.ErrNegativeOption},
 		{"negative cost budget", nil, metainsight.Request{Budget: metainsight.Budget{Cost: -5}}, metainsight.ErrNegativeOption},
 		{"NaN cost budget", nil, metainsight.Request{Budget: metainsight.Budget{Cost: math.NaN()}}, metainsight.ErrNegativeOption},
