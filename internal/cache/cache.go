@@ -21,10 +21,11 @@
 //
 // A unit and a scope have two names. UnitKey and ScopeKey, made of canonical
 // strings, are the external identity: trace labels.
-// A Unit carries neither name; its memo key is its identity. UnitID and ScopeID, made of an intern table's ordinals (its
-// handle ordinal, the breakdown's table index and its measure ordinal), key
-// the memos and the miner's replay, so a lookup hashes one integer and never
-// a string. Ordinals depend on the order a session interned things in, so
+// A Unit carries neither name; its memo key is its identity. UnitID and
+// ScopeID, made of an intern table's ordinals (its handle ordinal, the
+// breakdown's table index and its measure ordinal), key the memos and the
+// miner's replay, which index their slots by them, so a lookup hashes
+// nothing. Ordinals depend on the order a session interned things in, so
 // they key memos and the replay only: they never decide an ordering, reach a
 // reported hash or go on the wire (DESIGN.md §14).
 package cache
@@ -79,6 +80,13 @@ func (u UnitID) Handle() uint32 { return uint32(u >> 32) }
 
 // Breakdown returns the unit's breakdown index.
 func (u UnitID) Breakdown() int { return int(uint16(u >> 16)) }
+
+// Index returns the unit's dense index over a table of the given number of
+// breakdown dimensions: its handle ordinal times breakdowns, plus its
+// breakdown index. The memos and the miner's replay lay units out by it.
+func (u UnitID) Index(breakdowns int) uint64 {
+	return uint64(u.Handle())*uint64(breakdowns) + uint64(u.Breakdown())
+}
 
 // Scope returns the id of the unit's scope with the given measure ordinal,
 // which must be below MaxMeasures.

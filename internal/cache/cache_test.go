@@ -34,16 +34,25 @@ func domain(n int) []string {
 	return d
 }
 
+// The slot functions lay ids out as the engine does, over a table of
+// breakdowns dimensions: units by handle ordinal × breakdown index, scopes in
+// one table per measure ordinal; intSlot keys a memo by its integer.
+const breakdowns = 4
+
+func unitSlot(id UnitID) (int, uint64)   { return 0, id.Index(breakdowns) }
+func scopeSlot(id ScopeID) (int, uint64) { return int(id.Measure()), id.Unit().Index(breakdowns) }
+func intSlot(k int) (int, uint64)        { return 0, uint64(k) }
+
 // sk builds a pattern-cache key over one distinguishing component.
-func sk(measure string) ScopeKey { return ScopeKey{Measure: measure} }
+func sk(measure uint32) ScopeID { return MakeUnitID(0, 0).Scope(measure) }
 
 // TestQueryCachePutGet: a kept unit is found under its own key and no other;
 // a second Put of the key keeps the first unit, and Do serves it without
 // computing; and the cache reports its occupancy — never a hit/miss count,
 // which is the miner's canonical accounting and not the cache's.
 func TestQueryCachePutGet(t *testing.T) {
-	c := NewMemo[UnitKey, *Unit]()
-	k := UnitKey{Subspace: "{*}", Breakdown: "Month"}
+	c := NewMemo[UnitID, *Unit](unitSlot)
+	k := MakeUnitID(0, 1)
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -53,7 +62,7 @@ func TestQueryCachePutGet(t *testing.T) {
 	if u, ok := c.Get(k); !ok || u != first {
 		t.Fatalf("Get = %p, %v; want the first unit put %p", u, ok, first)
 	}
-	if _, ok := c.Get(UnitKey{Subspace: "{*}", Breakdown: "City"}); ok {
+	if _, ok := c.Get(MakeUnitID(0, 2)); ok {
 		t.Fatal("wrong breakdown hit")
 	}
 	if u := c.Do(k, func() *Unit { t.Fatal("Do recomputed a kept unit"); return nil }); u != first {
@@ -67,16 +76,16 @@ func TestQueryCachePutGet(t *testing.T) {
 // TestPatternCache: a stored value is found, a later Put of its key keeps
 // it, and an absent key is not.
 func TestPatternCache(t *testing.T) {
-	c := NewMemo[ScopeKey, int]()
-	if _, ok := c.Get(sk("k")); ok {
+	c := NewMemo[ScopeID, int](scopeSlot)
+	if _, ok := c.Get(sk(1)); ok {
 		t.Fatal("empty hit")
 	}
-	c.Put(sk("k"), 42)
-	c.Put(sk("k"), 43)
-	if v, ok := c.Get(sk("k")); !ok || v != 42 {
+	c.Put(sk(1), 42)
+	c.Put(sk(1), 43)
+	if v, ok := c.Get(sk(1)); !ok || v != 42 {
 		t.Fatalf("Get = %d, %v; want the first value put", v, ok)
 	}
-	if _, ok := c.Get(sk("absent")); ok {
+	if _, ok := c.Get(sk(2)); ok {
 		t.Fatal("hit on an absent key")
 	}
 	if st := c.Stats(); st != (Stats{Entries: 1}) {
@@ -87,11 +96,11 @@ func TestPatternCache(t *testing.T) {
 // TestPatternCacheMaterialize: Do computes a missing value once and keeps
 // it.
 func TestPatternCacheMaterialize(t *testing.T) {
-	c := NewMemo[ScopeKey, int]()
+	c := NewMemo[ScopeID, int](scopeSlot)
 	calls := 0
 	compute := func() int { calls++; return 9 }
 	for i := 0; i < 2; i++ {
-		if v := c.Do(sk("k"), compute); v != 9 {
+		if v := c.Do(sk(1), compute); v != 9 {
 			t.Fatalf("Do = %d", v)
 		}
 	}
@@ -127,16 +136,19 @@ func waitParked(t *testing.T, n int) {
 	}
 }
 
-// race runs Do(k, fn) from one leader and n followers, parks the followers
+// key is the one key the coalescing tests race on.
+const key = 1
+
+// race runs Do(key, fn) from one leader and n followers, parks the followers
 // on the leader's computation, then releases it. Each caller's outcome, or
 // the value it panicked with, is returned in call order (leader first).
-func race[V any](t *testing.T, m *Memo[string, V], n int, fn func() V) (vals []V, panics []any) {
+func race[V any](t *testing.T, m *Memo[int, V], n int, fn func() V) (vals []V, panics []any) {
 	t.Helper()
 	vals, panics = make([]V, n+1), make([]any, n+1)
 	release, started := make(chan struct{}), make(chan struct{})
 	call := func(i int, fn func() V) {
 		defer func() { panics[i] = recover() }()
-		vals[i] = m.Do("k", fn)
+		vals[i] = m.Do(key, fn)
 	}
 	var wg sync.WaitGroup
 	wg.Add(n + 1)
@@ -161,7 +173,7 @@ func race[V any](t *testing.T, m *Memo[string, V], n int, fn func() V) (vals []V
 // one computation, whose value is kept, and each waiting caller counts as a
 // follower.
 func TestFlightCoalescesConcurrentCalls(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemo[int, int](intSlot)
 	var computed atomic.Int64
 	vals, panics := race(t, m, 7, func() int { computed.Add(1); return 7 })
 	if n := computed.Load(); n != 1 {
@@ -175,7 +187,7 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 	if st := m.FlightStats(); st.Followers != 7 || st.Wait <= 0 {
 		t.Errorf("flight stats %+v, want 7 followers that waited", st)
 	}
-	if v, ok := m.Get("k"); !ok || v != 7 {
+	if v, ok := m.Get(key); !ok || v != 7 {
 		t.Errorf("Get = %d, %v; want the kept 7", v, ok)
 	}
 }
@@ -185,20 +197,20 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 // deadlock, and the miner's per-unit recover relies on every worker seeing
 // the same deterministic panic — and the key is forgotten.
 func TestMemoPanicsReachEveryWaiter(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemo[int, int](intSlot)
 	_, panics := race(t, m, 3, func() int { panic("evaluator exploded") })
 	for i, p := range panics {
 		if p != "evaluator exploded" {
 			t.Errorf("caller %d: recovered %v, want the computation's panic", i, p)
 		}
 	}
-	if _, ok := m.Get("k"); ok {
+	if _, ok := m.Get(key); ok {
 		t.Fatal("a panicked computation left a value")
 	}
-	if v := m.Do("k", func() int { return 6 }); v != 6 {
+	if v := m.Do(key, func() int { return 6 }); v != 6 {
 		t.Fatalf("Do after a panic = %d; want a fresh 6", v)
 	}
-	if v, ok := m.Get("k"); !ok || v != 6 {
+	if v, ok := m.Get(key); !ok || v != 6 {
 		t.Errorf("Get = %d, %v; want the kept 6", v, ok)
 	}
 }
@@ -206,31 +218,31 @@ func TestMemoPanicsReachEveryWaiter(t *testing.T) {
 // TestMemoFlightOutranksPut: while a key is being computed, Get finds
 // nothing and a Put of the key is dropped; the computed value is kept.
 func TestMemoFlightOutranksPut(t *testing.T) {
-	m := NewMemo[string, int]()
-	v := m.Do("k", func() int {
-		if _, ok := m.Get("k"); ok {
+	m := NewMemo[int, int](intSlot)
+	v := m.Do(key, func() int {
+		if _, ok := m.Get(key); ok {
 			t.Error("Get returned a value still being computed")
 		}
-		m.Put("k", 1)
+		m.Put(key, 1)
 		return 2
 	})
 	if v != 2 {
 		t.Fatalf("Do = %d", v)
 	}
-	if got, ok := m.Get("k"); !ok || got != 2 {
+	if got, ok := m.Get(key); !ok || got != 2 {
 		t.Errorf("Get = %d, %v; want the computed 2", got, ok)
 	}
 }
 
 func TestQueryCacheConcurrency(t *testing.T) {
-	c := NewMemo[UnitKey, *Unit]()
+	c := NewMemo[UnitID, *Unit](unitSlot)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := UnitKey{Subspace: fmt.Sprintf("s%d", i%17), Breakdown: "b"}
+				k := MakeUnitID(uint32(i%17), 1)
 				c.Put(k, unit(4))
 				if _, ok := c.Get(k); !ok {
 					t.Errorf("unit %v lost right after its Put", k)
@@ -248,7 +260,7 @@ func TestQueryCacheConcurrency(t *testing.T) {
 // once per key — a racer either follows the computation in flight or, coming
 // after it, finds the kept value.
 func TestPatternCacheMaterializeConcurrent(t *testing.T) {
-	c := NewMemo[ScopeKey, int]()
+	c := NewMemo[ScopeID, int](scopeSlot)
 	var computed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -257,7 +269,7 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				want := i % 7
-				v := c.Do(sk(fmt.Sprint(want)), func() int { computed.Add(1); return want })
+				v := c.Do(sk(uint32(want)), func() int { computed.Add(1); return want })
 				if v != want {
 					t.Errorf("Do = %d, want %d", v, want)
 				}
@@ -273,11 +285,61 @@ func TestPatternCacheMaterializeConcurrent(t *testing.T) {
 	}
 }
 
+// TestMemoGrowsUnderConcurrentDo: goroutines that Do keys whose slots lie
+// in several chunks and several tables at once, each walking them in its own
+// order, make every chunk and table while others read and grow the
+// directories: each key computes exactly once, and a later Get returns the
+// value its Do computed.
+func TestMemoGrowsUnderConcurrentDo(t *testing.T) {
+	const handles, measures, workers = 6 * chunkLen / breakdowns, 3, 8
+	m := NewMemo[ScopeID, int](scopeSlot)
+	var computed [measures][handles * breakdowns]atomic.Int64
+	value := func(id ScopeID) int { return int(id.Measure())<<20 | int(id.Unit().Index(breakdowns)) }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Worker w starts w eighths of the way in and strides through
+			// every slot, so the workers make different chunks of different
+			// tables at the same time.
+			n := measures * handles * breakdowns
+			for j := 0; j < n; j++ {
+				at := (j*7 + w*n/workers) % n
+				meas, idx := at%measures, at/measures
+				id := MakeUnitID(uint32(idx/breakdowns), idx%breakdowns).Scope(uint32(meas))
+				v := m.Do(id, func() int { computed[meas][idx].Add(1); return value(id) })
+				if v != value(id) {
+					t.Errorf("Do(%x) = %d, want %d", id, v, value(id))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for meas := range computed {
+		for idx := range computed[meas] {
+			id := MakeUnitID(uint32(idx/breakdowns), idx%breakdowns).Scope(uint32(meas))
+			if n := computed[meas][idx].Load(); n != 1 {
+				t.Errorf("key %x computed %d times, want 1", id, n)
+			}
+			if v, ok := m.Get(id); !ok || v != value(id) {
+				t.Errorf("Get(%x) = %d, %v; want %d", id, v, ok, value(id))
+			}
+		}
+	}
+	if got, want := m.Stats().Entries, int64(measures*handles*breakdowns); got != want {
+		t.Errorf("entries = %d, want %d", got, want)
+	}
+	if got, want := m.Slots(), int64(measures*handles*breakdowns); got != want {
+		t.Errorf("slots = %d, want %d: one chunk per %d indices of each table", got, want, chunkLen)
+	}
+}
+
 // TestMemoHitAllocatesNothing: a hit, through Get or through Do with a
 // capturing closure, allocates nothing — the closure must not escape.
 func TestMemoHitAllocatesNothing(t *testing.T) {
-	p := NewMemo[ScopeKey, int]()
-	k := ScopeKey{Unit: UnitKey{Subspace: "{City=LA}", Breakdown: "Month"}, Measure: "SUM(Sales)"}
+	p := NewMemo[ScopeID, int](scopeSlot)
+	k := MakeUnitID(3, 2).Scope(1)
 	p.Put(k, 3)
 	x := 4
 	allocs := testing.AllocsPerRun(100, func() {
@@ -294,7 +356,7 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 // without computing it, returns a kept value, and waits out a computation
 // in flight, which Get does not.
 func TestMemoWaitOutlastsAComputation(t *testing.T) {
-	m := NewMemo[int, int]()
+	m := NewMemo[int, int](intSlot)
 	if _, ok := m.Wait(1); ok {
 		t.Fatal("Wait found a key nobody computed")
 	}

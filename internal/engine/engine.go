@@ -215,7 +215,7 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		dimNames: tab.DimensionNames(),
 	}
 	if e.impact.Agg != model.AggCount {
-		e.impactSums = cache.NewMemo[uint32, float64]()
+		e.impactSums = cache.NewMemo[uint32, float64](func(ord uint32) (int, uint64) { return 0, uint64(ord) })
 	}
 	e.flight0 = e.memoFlight()
 	// Every measure is checked before any takes an interner ordinal, which it

@@ -47,10 +47,12 @@ type Interner struct {
 	dims []*dataset.DimColumn
 	root *Handle
 
-	mu      sync.RWMutex
-	byKey   map[string]*Handle
-	handles []*Handle           // by ordinal
-	memos   map[string]unitMemo // by MIN/MAX set, see units
+	mu    sync.RWMutex
+	byKey map[string]*Handle
+	memos map[string]unitMemo // by MIN/MAX set, see units
+	// handles holds every published handle by ordinal; it is read without
+	// the lock.
+	handles cache.Slots[atomic.Pointer[Handle]]
 
 	measureIDs  map[string]uint32 // canonical measure key → ordinal
 	measureKeys []string          // by ordinal
@@ -74,17 +76,14 @@ func NewInterner(tab *dataset.Table) *Interner {
 // publish gives h the next ordinal and makes it the handle of its key. The
 // caller holds in.mu for writing, or is NewInterner.
 func (in *Interner) publish(h *Handle) {
-	h.ord = uint32(len(in.handles))
-	in.handles = append(in.handles, h)
+	h.ord = uint32(len(in.byKey))
+	in.handles.Make(uint64(h.ord)).Store(h)
 	in.byKey[h.key] = h
 }
 
-// handle returns the handle with ordinal ord.
-func (in *Interner) handle(ord uint32) *Handle {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.handles[ord]
-}
+// handle returns the handle with ordinal ord, which must have been given.
+// It takes no lock.
+func (in *Interner) handle(ord uint32) *Handle { return in.handles.At(uint64(ord)).Load() }
 
 // measureID returns the ordinal of the canonical measure key k, giving it
 // the next one on first use; ok is false when cache.MaxMeasures keys already
@@ -149,14 +148,30 @@ func (in *Interner) units(minMax map[string]bool) unitMemo {
 	defer in.mu.Unlock()
 	m, ok := in.memos[string(key)]
 	if !ok {
-		m = unitMemo{
-			qc:       cache.NewMemo[cache.UnitID, cache.Unit](),
-			pairs:    cache.NewMemo[augKey, *pairScan](),
-			patterns: cache.NewMemo[cache.ScopeID, *pattern.ScopeEvaluation](),
-		}
+		m = in.newUnitMemo()
 		in.memos[string(key)] = m
 	}
 	return m
+}
+
+// newUnitMemo creates an empty unit memo laid out by ordinal (DESIGN.md
+// §14): units by handle ordinal × breakdown index, evaluations by that index
+// in one table per measure ordinal, made when the measure is first
+// evaluated, and augmented scans by base ordinal × dimension pair.
+func (in *Interner) newUnitMemo() unitMemo {
+	dims := len(in.dims)
+	pairs := uint64(dims * (dims - 1) / 2)
+	return unitMemo{
+		qc: cache.NewMemo[cache.UnitID, cache.Unit](func(id cache.UnitID) (int, uint64) {
+			return 0, id.Index(dims)
+		}),
+		pairs: cache.NewMemo[augKey, *pairScan](func(k augKey) (int, uint64) {
+			return 0, uint64(k.base)*pairs + uint64(k.hi)*uint64(k.hi-1)/2 + uint64(k.lo)
+		}),
+		patterns: cache.NewMemo[cache.ScopeID, *pattern.ScopeEvaluation](func(id cache.ScopeID) (int, uint64) {
+			return int(id.Measure()), id.Unit().Index(dims)
+		}),
+	}
 }
 
 // handleFilter is one resolved filter of a handle: the table's dimension

@@ -327,7 +327,7 @@ func (m *Miner) RunContext(ctx context.Context) *Result {
 	initStart := time.Now()
 	sets := keySetPool.Get().(*keySets)
 	defer func() {
-		m.seenMI, m.acct.qc, m.acct.pc = nil, nil, nil
+		m.seenMI, m.acct.qc, m.acct.pc, m.acct.measPos = nil, nil, nil, nil
 		sets.clear()
 		keySetPool.Put(sets)
 	}()
@@ -626,28 +626,28 @@ func (m *Miner) candLabel(k candKey) string {
 }
 
 // keySets are a run's three key sets: the candidate dedup set and the
-// replay's simulated query and pattern caches. Each grows to thousands of
-// entries in a run and is empty at the start of one, so a finished run
-// empties its sets and leaves them for the next; their keys and values hold
-// no pointer, so a set costs the collector nothing to mark.
+// replay's simulated query and pattern caches, with the pattern cache's
+// measure layout. Each grows to thousands of entries in a run and is empty
+// at the start of one, so a finished run empties its sets and leaves them
+// for the next; they hold no pointer, so a set costs the collector nothing
+// to mark.
 type keySets struct {
-	seen map[candKey]struct{}
-	qc   map[cache.UnitID]int64
-	pc   map[cache.ScopeID]struct{}
+	seen    map[candKey]struct{}
+	qc      stampSet[int64]
+	pc      stampSet[struct{}]
+	measPos []uint32
 }
 
 func (s *keySets) clear() {
 	clear(s.seen)
-	clear(s.qc)
-	clear(s.pc)
+	s.qc.reset()
+	s.pc.reset()
 }
 
 var keySetPool = sync.Pool{New: func() any {
-	return &keySets{
-		seen: make(map[candKey]struct{}),
-		qc:   make(map[cache.UnitID]int64),
-		pc:   make(map[cache.ScopeID]struct{}),
-	}
+	s := &keySets{seen: make(map[candKey]struct{})}
+	s.clear()
+	return s
 }}
 
 // completions holds completions the dispatcher has committed or discarded,

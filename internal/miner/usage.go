@@ -22,10 +22,11 @@ import (
 // the at-most-once query accounting the paper's Fig 6/7 and Table 3 assume.
 //
 // The simulated caches are the committed-key sets of one run: they start
-// empty, as the physical caches do, and never evict. Events and simulated
-// caches name units and scopes by the session's ordinals (cache.UnitID,
-// cache.ScopeID), so the replay hashes no string; the strings are rendered
-// only for trace labels and snapshots.
+// empty, as the physical caches do, and never evict. Events name units and
+// scopes by the session's ordinals (cache.UnitID, cache.ScopeID), and the
+// simulated caches are arrays indexed by them (stampSet), so the replay
+// hashes nothing; the strings are rendered only for trace labels and
+// snapshots.
 
 // usageKind tags one recorded usage event.
 type usageKind int
@@ -131,9 +132,16 @@ type accounting struct {
 	obs    *obs.Observer
 	traced bool
 
-	qc      map[cache.UnitID]int64 // simulated query cache: unit → bytes
+	// The simulated query cache holds each stored unit's bytes by its index
+	// (cache.UnitID.Index over the table's dimensions); the simulated
+	// pattern cache holds the committed scopes by scopeIndex.
+	qc      *stampSet[int64]
 	qcBytes int64
-	pc      map[cache.ScopeID]struct{} // simulated pattern cache: committed scopes
+	pc      *stampSet[struct{}]
+	// measPos maps the ordinal of each mined measure to its position in the
+	// measure set; nMeas is the set's size.
+	measPos []uint32
+	nMeas   uint64
 
 	// The ledger's counts. A logical unit query is a query-cache hit (served
 	// from the cache) or a miss (one scan of the table); augmented counts
@@ -152,16 +160,86 @@ type accounting struct {
 // run's physical caches start empty too, so a single worker would find
 // nothing cached.
 func newAccounting(eng *engine.Engine, qcEnabled, pcEnabled bool, o *obs.Observer, sets *keySets) *accounting {
-	return &accounting{
+	a := &accounting{
 		eng:       eng,
 		dims:      eng.Table().Dimensions(),
 		qcEnabled: qcEnabled,
 		pcEnabled: pcEnabled,
 		obs:       o,
 		traced:    o.Tracing(),
-		qc:        sets.qc,
-		pc:        sets.pc,
+		qc:        &sets.qc,
+		pc:        &sets.pc,
 	}
+	ids := eng.MeasureIDs()
+	for _, id := range ids {
+		sets.measPos = grow(sets.measPos, uint64(id))
+	}
+	for p, id := range ids {
+		sets.measPos[id] = uint32(p)
+	}
+	a.measPos, a.nMeas = sets.measPos, uint64(len(ids))
+	return a
+}
+
+// unitIndex is the simulated query cache's index of unit id.
+func (a *accounting) unitIndex(id cache.UnitID) uint64 { return id.Index(len(a.dims)) }
+
+// scopeIndex is the simulated pattern cache's index of scope id, one of a
+// mined measure's: its unit's index times the number of mined measures, plus
+// the measure's position among them.
+func (a *accounting) scopeIndex(id cache.ScopeID) uint64 {
+	return a.unitIndex(id.Unit())*a.nMeas + uint64(a.measPos[id.Measure()])
+}
+
+// stampSet is a set of dense indices with a value per member that empties in
+// constant time: an index is a member while its stamp equals the set's
+// generation, so reset advances the generation and touches no slot. The
+// arrays grow to the largest index a run asks for and are reused as they are
+// by the next run.
+type stampSet[V any] struct {
+	gen    uint32
+	stamps []uint32
+	vals   []V
+	n      int64 // members
+}
+
+// reset empties the set. Stamps are cleared only when the generation wraps.
+func (s *stampSet[V]) reset() {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.stamps)
+		s.gen = 1
+	}
+	s.n = 0
+}
+
+// get returns i's value and whether i is a member.
+func (s *stampSet[V]) get(i uint64) (v V, ok bool) {
+	if i < uint64(len(s.stamps)) && s.stamps[i] == s.gen {
+		return s.vals[i], true
+	}
+	return v, false
+}
+
+// put makes i a member with value v.
+func (s *stampSet[V]) put(i uint64, v V) {
+	if i >= uint64(len(s.stamps)) {
+		s.stamps, s.vals = grow(s.stamps, i), grow(s.vals, i)
+	}
+	if s.stamps[i] != s.gen {
+		s.stamps[i] = s.gen
+		s.n++
+	}
+	s.vals[i] = v
+}
+
+// grow returns xs extended to hold index i, at least doubling its length
+// when it must grow, with the new elements zero.
+func grow[T any](xs []T, i uint64) []T {
+	if i < uint64(len(xs)) {
+		return xs
+	}
+	return append(xs, make([]T, max(i+1, 2*uint64(len(xs)))-uint64(len(xs)))...)
 }
 
 func (a *accounting) charge(cost float64) {
@@ -172,9 +250,17 @@ func (a *accounting) charge(cost float64) {
 // store simulates a query-cache Put of unit u under id, replacing any
 // previous entry.
 func (a *accounting) store(id cache.UnitID, u cache.Unit) {
+	i := a.unitIndex(id)
 	bytes := u.ApproxBytes(a.dims[id.Breakdown()].Domain())
-	a.qcBytes += bytes - a.qc[id]
-	a.qc[id] = bytes
+	old, _ := a.qc.get(i)
+	a.qcBytes += bytes - old
+	a.qc.put(i, bytes)
+}
+
+// cached reports whether the simulated query cache holds unit id.
+func (a *accounting) cached(id cache.UnitID) bool {
+	_, ok := a.qc.get(a.unitIndex(id))
+	return ok
 }
 
 // label renders a unit id as a trace label, matching DataScope.Key's
@@ -195,7 +281,7 @@ func (a *accounting) applyUnit(id cache.UnitID, cost float64) {
 		}
 		return
 	}
-	if _, ok := a.qc[id]; ok {
+	if a.cached(id) {
 		a.qcHits++
 		if a.traced {
 			a.obs.Event(obs.EvCacheHit, a.label(id), "query-cache", 0)
@@ -222,14 +308,15 @@ func (a *accounting) apply(ev usageEvent) {
 		a.applyUnit(ev.id, ev.cost)
 	case useEval:
 		if a.pcEnabled {
-			if _, ok := a.pc[ev.scope]; ok {
+			i := a.scopeIndex(ev.scope)
+			if _, ok := a.pc.get(i); ok {
 				a.pcHits++
 				if a.traced {
 					a.obs.Event(obs.EvCacheHit, a.eng.ScopeKeyOf(ev.scope).String(), "pattern-cache", 0)
 				}
 				return
 			}
-			a.pc[ev.scope] = struct{}{}
+			a.pc.put(i, struct{}{})
 		}
 		a.pcMisses++
 		a.charge(engine.EvaluationCost)
@@ -245,7 +332,7 @@ func (a *accounting) apply(ev usageEvent) {
 					continue
 				}
 				id := a.eng.UnitIDAt(ev.h, d)
-				if _, ok := a.qc[id]; ok {
+				if a.cached(id) {
 					if a.traced {
 						a.obs.Event(obs.EvCacheHit, a.label(id), "impact-probe", 0)
 					}
@@ -267,7 +354,7 @@ func (a *accounting) applySiblings(ev usageEvent) {
 	sibling := func(code int) cache.UnitID { return a.eng.UnitIDAt(ev.h.With(int(ev.ext), code), bdim) }
 	missing := false
 	for code := 0; code < card; code++ {
-		if _, ok := a.qc[sibling(code)]; !ok {
+		if !a.cached(sibling(code)) {
 			missing = true
 			break
 		}
@@ -307,7 +394,7 @@ func (a *accounting) queryStats() cache.Stats {
 	return cache.Stats{
 		Hits:    a.qcHits,
 		Misses:  a.qcMisses,
-		Entries: int64(len(a.qc)),
+		Entries: a.qc.n,
 		Bytes:   a.qcBytes,
 	}
 }
@@ -318,6 +405,6 @@ func (a *accounting) patternStats() cache.Stats {
 	return cache.Stats{
 		Hits:    a.pcHits,
 		Misses:  a.pcMisses,
-		Entries: int64(len(a.pc)),
+		Entries: a.pc.n,
 	}
 }

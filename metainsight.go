@@ -402,23 +402,28 @@ func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 
 // Snapshot publishes the physical caches' occupancy (cache.query.entries and
 // cache.pattern.entries, the session's unit memo and pattern memo for the
-// run's MIN/MAX set, so both count what earlier requests left too), their
-// waiters during the run (cache.flight.*) and the size of the session's
-// intern table (engine.interned_handles, DESIGN.md §14) as gauges into the
-// attached observer, then returns a point-in-time copy of all metrics, phase
-// timers and trace totals. The run's ledger is the miner's own gauges
-// (miner.cost_used and miner.queries.*, the values of its Stats), set when a
-// MineContext call ends. Cache hit rates and sizes are the run's canonical
-// accounting, already published as the miner.qcache.* and miner.pcache.*
-// gauges; the physical caches count nothing else, and their lock shards are
-// not reported. Without an observer it returns an empty snapshot. Reading a
-// snapshot never perturbs the analysis.
+// run's MIN/MAX set, so both count what earlier requests left too) beside
+// the slots their ordinal-indexed chunks hold (cache.query.slots and
+// cache.pattern.slots: entries over slots is how densely the session's
+// ordinals fill them), their waiters during the run (cache.flight.*) and the
+// size of the session's intern table (engine.interned_handles, DESIGN.md
+// §14) as gauges into the attached observer, then returns a point-in-time
+// copy of all metrics, phase timers and trace totals. The run's ledger is
+// the miner's own gauges (miner.cost_used and miner.queries.*, the values of
+// its Stats), set when a MineContext call ends. Cache hit rates and sizes are
+// the run's canonical accounting, already published as the miner.qcache.*
+// and miner.pcache.* gauges; the physical caches count nothing else. Without
+// an observer it returns an empty snapshot. Reading a snapshot never
+// perturbs the analysis.
 func (a *Analyzer) Snapshot() MetricsSnapshot {
 	if !a.obs.Enabled() {
 		return MetricsSnapshot{}
 	}
-	a.obs.SetGauge("cache.query.entries", float64(a.eng.QueryCache().Stats().Entries))
-	a.obs.SetGauge("cache.pattern.entries", float64(a.eng.PatternCache().Stats().Entries))
+	qc, pc := a.eng.QueryCache(), a.eng.PatternCache()
+	a.obs.SetGauge("cache.query.entries", float64(qc.Stats().Entries))
+	a.obs.SetGauge("cache.query.slots", float64(qc.Slots()))
+	a.obs.SetGauge("cache.pattern.entries", float64(pc.Stats().Entries))
+	a.obs.SetGauge("cache.pattern.slots", float64(pc.Slots()))
 	a.obs.SetGauge("engine.interned_handles", float64(a.in.Len()))
 	// Workers that found their unit or scope already being computed by
 	// another worker, and how long they then waited for it.

@@ -2,6 +2,7 @@ package metainsight_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -202,6 +203,71 @@ func TestMineAllocsGuard(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRequestAllocatesNoTable: the memos and the replay's simulated
+// caches are arrays indexed by the session's ordinals, grown as the session
+// interns and reused by every later request, so a warm request allocates
+// nothing in proportion to them. On a Sales Forecast session, a request of
+// another shape (a SUM impact) and 4,000 foreign subspaces more than triple
+// the intern table, and the default request allocates the same bytes after
+// that as before: replay arrays sized to the table and made per run would
+// add about 6 % here.
+func TestWarmRequestAllocatesNoTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector do not measure the program")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sess, err := metainsight.NewSession(workload.SalesForecast(), metainsight.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	analyze := func(req metainsight.Request) *metainsight.Analysis {
+		t.Helper()
+		req.Observer = metainsight.NewObserver(metainsight.ObserverOptions{})
+		an, err := sess.Analyze(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an
+	}
+	def := metainsight.Request{TopK: 10}
+	// warmBytes is the lowest of three readings of three warm requests.
+	warmBytes := func() float64 {
+		bytes := math.Inf(1)
+		for r := 0; r < 3; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 3; i++ {
+				if _, err := sess.Analyze(context.Background(), def); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/3)
+		}
+		return bytes
+	}
+	small := analyze(def).Snapshot().Gauges["engine.interned_handles"]
+	before := warmBytes()
+	other := analyze(metainsight.Request{TopK: 10, ImpactMeasure: metainsight.Sum("Units")})
+	for i := 0; i < 4000; i++ {
+		other.Engine().Intern(metainsight.Subspace{{Dim: "Region", Value: fmt.Sprintf("Elsewhere %d", i)}})
+	}
+	large := analyze(def).Snapshot().Gauges["engine.interned_handles"]
+	after := warmBytes()
+	t.Logf("interned handles %v -> %v; bytes per warm request %.0f -> %.0f (x%.4f)", small, large, before, after, after/before)
+	if large < 3*small {
+		t.Fatalf("the intern table grew from %v to only %v handles: the test is too weak", small, large)
+	}
+	if after > before*warmTableSlack || before > after*warmTableSlack {
+		t.Errorf("a warm request allocates %.0f bytes after the intern table grew and %.0f before, more than x%.2f apart", after, before, warmTableSlack)
+	}
+}
+
+// warmTableSlack bounds how far apart the warm request's bytes may read
+// before and after the session's tables grew.
+const warmTableSlack = 1.02
 
 // blessedPlanBytes is what the memoized scan plans hold after one
 // Analyze(TopK 10) at one worker on a fresh session over the benchmark's

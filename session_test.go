@@ -315,6 +315,40 @@ func TestUnitMemoGrowthLaw(t *testing.T) {
 	}
 }
 
+// TestMemoSlotsHoldTheEntries: the unit memo and the pattern memo report
+// the slots their ordinal-indexed chunks hold beside their entries, so the
+// density the layout relies on can be read from a snapshot: every entry has
+// a slot, and a repeated request, which interns nothing, makes no chunk.
+func TestMemoSlotsHoldTheEntries(t *testing.T) {
+	sess, err := metainsight.NewSession(workload.CreditCard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	gauges := func() map[string]float64 {
+		t.Helper()
+		an, err := sess.Analyze(context.Background(), metainsight.Request{TopK: 5, Observer: metainsight.NewObserver(metainsight.ObserverOptions{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an.Snapshot().Gauges
+	}
+	first := gauges()
+	for _, memo := range []string{"cache.query", "cache.pattern"} {
+		entries, slots := first[memo+".entries"], first[memo+".slots"]
+		t.Logf("%s: %v entries in %v slots (%.0f %%)", memo, entries, slots, 100*entries/slots)
+		if entries == 0 || entries > slots {
+			t.Errorf("%s: %v entries in %v slots, want at least one entry and no more entries than slots", memo, entries, slots)
+		}
+	}
+	again := gauges()
+	for _, g := range []string{"cache.query.slots", "cache.pattern.slots"} {
+		if again[g] != first[g] {
+			t.Errorf("a repeated request moved %s from %v to %v", g, first[g], again[g])
+		}
+	}
+}
+
 // TestWarmSessionEqualsFresh: a session's unit and pattern memos decide no
 // result. After requests of other shapes — another TopK, MaxFilters 2 then
 // 3, a cost budget, a SUM impact and a MIN measure — a
