@@ -141,7 +141,7 @@ func TestCorrelationRunsAreWorkerInvariant(t *testing.T) {
 				got := outcome{stats: an.Result.Stats}
 				// Sizes are reporting-only and best-effort (see Stats).
 				got.stats.QueryCacheStats.Bytes = 0
-				for _, mi := range an.Result.MetaInsights {
+				for _, mi := range an.Result.All() {
 					got.keys = append(got.keys, mi.Key())
 					got.scores = append(got.scores, mi.Score)
 				}

@@ -92,7 +92,7 @@ func BenchmarkMinerSalesForecast(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, _ := experiments.FullFunctionality().Run(tab)
-		if len(res.MetaInsights) == 0 {
+		if len(res.All()) == 0 {
 			b.Fatal("no results")
 		}
 	}
@@ -121,7 +121,7 @@ func BenchmarkGreedyRanking(b *testing.B) {
 	res, _ := experiments.FullFunctionality().Run(workload.HotelBooking())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ranker.Greedy(res.MetaInsights, 10); len(got) != 10 {
+		if got := ranker.Greedy(res.All(), 10); len(got) != 10 {
 			b.Fatal("short selection")
 		}
 	}
@@ -131,7 +131,7 @@ func BenchmarkGreedyRanking(b *testing.B) {
 // 16-candidate pool (the Table 4 configuration).
 func BenchmarkExactRanking(b *testing.B) {
 	res, _ := experiments.FullFunctionality().Run(workload.CreditCard())
-	pool := ranker.RankByScore(res.MetaInsights, 16)
+	pool := ranker.RankByScore(res.All(), 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := ranker.ExactTopK(pool, 10); len(got) != 10 {
@@ -156,7 +156,7 @@ func ablationRun(b *testing.B, mutate func(*experiments.Setup)) {
 		setup.BudgetUnits = budget
 		mutate(&setup)
 		res, _ := setup.Run(tab)
-		b.ReportMetric(float64(len(res.MetaInsights)), "insights")
+		b.ReportMetric(float64(len(res.All())), "insights")
 	}
 }
 
@@ -206,7 +206,7 @@ func BenchmarkExactRankingGrouped(b *testing.B) {
 	res, _ := experiments.FullFunctionality().Run(workload.SalesForecast())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ranker.ExactTopKGrouped(res.MetaInsights, 10, 18); len(got) != 10 {
+		if got := ranker.ExactTopKGrouped(res.All(), 10, 18); len(got) != 10 {
 			b.Fatal("short selection")
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkGreedyExactRanking(b *testing.B) {
 	res, _ := experiments.FullFunctionality().Run(workload.SalesForecast())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ranker.GreedyExact(res.MetaInsights, 10); len(got) != 10 {
+		if got := ranker.GreedyExact(res.All(), 10); len(got) != 10 {
 			b.Fatal("short selection")
 		}
 	}

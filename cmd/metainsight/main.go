@@ -220,7 +220,7 @@ func run() int {
 	}
 
 	fmt.Printf("\nmined %d MetaInsight candidates in %v (%d queries executed, %d cache-served)\n\n",
-		len(result.MetaInsights), time.Since(start).Round(time.Millisecond),
+		result.Len(), time.Since(start).Round(time.Millisecond),
 		result.Stats.ExecutedQueries, result.Stats.CacheServed)
 
 	for i, in := range top {

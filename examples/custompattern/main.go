@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("mined %d MetaInsights (built-in + custom types)\n\n", len(an.Result.MetaInsights))
+	fmt.Printf("mined %d MetaInsights (built-in + custom types)\n\n", an.Result.Len())
 	for i, in := range an.Insights {
 		fmt.Printf("%d. [score %.3f] %s\n", i+1, in.Score(), in.Description())
 	}

@@ -37,10 +37,7 @@ func main() {
 	}
 	fullWall := time.Since(start)
 	full := ref.Result
-	golden := map[string]bool{}
-	for _, mi := range full.MetaInsights {
-		golden[mi.Key()] = true
-	}
+	golden := full.Keys()
 	fmt.Printf("unbudgeted run: %d MetaInsights in %v (%.0f cost units, %d scans)\n\n",
 		len(golden), fullWall.Round(time.Millisecond), full.Stats.CostUsed, full.Stats.ExecutedQueries)
 
@@ -55,13 +52,13 @@ func main() {
 			log.Fatal(err)
 		}
 		hit := 0
-		for _, mi := range an.Result.MetaInsights {
-			if golden[mi.Key()] {
+		for key := range an.Result.Keys() {
+			if golden[key] {
 				hit++
 			}
 		}
 		fmt.Printf("%-22.0f %12d %10.3f %10v\n",
-			budget, len(an.Result.MetaInsights), float64(hit)/float64(len(golden)),
+			budget, an.Result.Len(), float64(hit)/float64(len(golden)),
 			time.Since(t0).Round(time.Millisecond))
 	}
 

@@ -39,7 +39,7 @@ func main() {
 
 	result := an.Result
 	fmt.Printf("mined %d candidates (%d basic patterns, %d queries executed, %d served from cache)\n\n",
-		len(result.MetaInsights), result.Stats.PatternsFound,
+		result.Len(), result.Stats.PatternsFound,
 		result.Stats.ExecutedQueries, result.Stats.CacheServed)
 
 	top := an.Insights

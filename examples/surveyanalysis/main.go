@@ -32,7 +32,7 @@ func main() {
 	}
 	result, top := an.Result, an.Insights
 
-	fmt.Printf("top %d MetaInsights of %d candidates:\n\n", len(top), len(result.MetaInsights))
+	fmt.Printf("top %d MetaInsights of %d candidates:\n\n", len(top), result.Len())
 	for i, in := range top {
 		fmt.Printf("%2d. [score %.3f] %s\n", i+1, in.Score(), in.Description())
 	}
@@ -41,7 +41,7 @@ func main() {
 	// primary question, productivity as the secondary question.
 	workspace := "I have insufficient workspace setup"
 	productivity := "How has your productivity changed vs working in office"
-	for _, mi := range result.MetaInsights {
+	for _, mi := range result.All() {
 		h := mi.HDP.HDS
 		if h.ExtDim == workspace && h.Anchor.Breakdown == productivity && mi.HasExceptions() {
 			fmt.Println("\nhypothesis check (workspace → productivity):")

@@ -151,6 +151,20 @@ func NewColumns(names []string, minMax []bool) *Columns {
 	return c
 }
 
+// SumColumn returns the Data column holding the sums of measure column
+// name, and whether the layout keeps them.
+func (c *Columns) SumColumn(name string) (int, bool) {
+	i, ok := c.sumAt[name]
+	return i, ok
+}
+
+// MinColumn returns the Data column holding the minima of measure column
+// name, the maxima following it, and whether the layout keeps them.
+func (c *Columns) MinColumn(name string) (int, bool) {
+	i, ok := c.minAt[name]
+	return i, ok
+}
+
 // Width is the number of Data columns of a unit: counts, sums and the
 // min/max pairs.
 func (c *Columns) Width() int { return c.width }
@@ -170,7 +184,7 @@ func (u Unit) Counts() []float64 { return u.Col(0) }
 // Sums returns the sums of measure column name per group, and whether the
 // unit holds them.
 func (u Unit) Sums(name string) ([]float64, bool) {
-	i, ok := u.Cols.sumAt[name]
+	i, ok := u.Cols.SumColumn(name)
 	if !ok {
 		return nil, false
 	}
@@ -180,7 +194,7 @@ func (u Unit) Sums(name string) ([]float64, bool) {
 // Mins returns the minima of measure column name per group, and whether the
 // unit holds them.
 func (u Unit) Mins(name string) ([]float64, bool) {
-	i, ok := u.Cols.minAt[name]
+	i, ok := u.Cols.MinColumn(name)
 	if !ok {
 		return nil, false
 	}
@@ -190,7 +204,7 @@ func (u Unit) Mins(name string) ([]float64, bool) {
 // Maxs returns the maxima of measure column name per group, and whether the
 // unit holds them.
 func (u Unit) Maxs(name string) ([]float64, bool) {
-	i, ok := u.Cols.minAt[name]
+	i, ok := u.Cols.MinColumn(name)
 	if !ok {
 		return nil, false
 	}

@@ -55,16 +55,24 @@ func (h HDS) Key() string {
 
 // HDSKey assembles HDS.Key from parts, for callers that already hold them as
 // canonical strings: rootKey is the key of HDS.RootSubspace, measureKey the
-// anchor measure's. It is the single definition of the key format.
+// anchor measure's.
 func HDSKey(kind model.ExtensionKind, rootKey, extDim, breakdown, measureKey string) string {
+	return string(AppendHDSKey(nil, kind, rootKey, extDim, breakdown, measureKey))
+}
+
+// AppendHDSKey appends HDSKey(kind, rootKey, extDim, breakdown, measureKey)
+// to dst. It is the single definition of the key format.
+func AppendHDSKey(dst []byte, kind model.ExtensionKind, rootKey, extDim, breakdown, measureKey string) []byte {
 	switch kind {
 	case model.ExtendSubspace:
-		return "S|" + rootKey + "|" + model.EscapeKey(extDim) +
-			"|" + model.EscapeKey(breakdown) + "|" + measureKey
+		dst = append(append(append(dst, "S|"...), rootKey...), '|')
+		dst = append(model.AppendEscapedKey(dst, extDim), '|')
+		return append(append(model.AppendEscapedKey(dst, breakdown), '|'), measureKey...)
 	case model.ExtendMeasure:
-		return "M|" + rootKey + "|" + model.EscapeKey(breakdown)
+		dst = append(append(append(dst, "M|"...), rootKey...), '|')
+		return model.AppendEscapedKey(dst, breakdown)
 	case model.ExtendBreakdown:
-		return "B|" + rootKey + "|" + measureKey
+		return append(append(append(append(dst, "B|"...), rootKey...), '|'), measureKey...)
 	default:
 		panic(fmt.Sprintf("core: unknown extension kind %v", kind))
 	}
@@ -287,7 +295,17 @@ func BuildMetaInsight(hdp *HDP, impactHDS float64, tau float64) (*MetaInsight, b
 		}
 	}
 
-	mi := &MetaInsight{HDP: hdp, ImpactHDS: impactHDS}
+	counts := make([]int, len(classes))
+	for c, members := range classes {
+		counts[c] = len(members)
+	}
+	sc, ok := ScoreCounts(counts, len(others), len(nones), impactHDS, tau)
+	if !ok {
+		return nil, false
+	}
+
+	mi := &MetaInsight{HDP: hdp, ImpactHDS: impactHDS,
+		Entropy: sc.Entropy, Conciseness: sc.Conciseness, Score: sc.Score}
 	var highlightChanges []int
 	total := float64(n)
 	for _, members := range classes {
@@ -303,9 +321,6 @@ func BuildMetaInsight(hdp *HDP, impactHDS float64, tau float64) (*MetaInsight, b
 			highlightChanges = append(highlightChanges, members...)
 		}
 	}
-	if len(mi.CommSet) == 0 {
-		return nil, false
-	}
 	appendCat := func(indices []int, cat ExceptionCategory) {
 		if len(indices) == 0 {
 			return
@@ -319,9 +334,5 @@ func BuildMetaInsight(hdp *HDP, impactHDS float64, tau float64) (*MetaInsight, b
 	appendCat(highlightChanges, HighlightChange)
 	appendCat(others, TypeChange)
 	appendCat(nones, NoPatternException)
-
-	mi.Entropy = EntropyS(mi.Alphas, mi.Betas, paperR)
-	mi.Conciseness = ConcisenessReg(mi.Entropy, len(mi.Exceptions) == 0, tau)
-	mi.Score = Score(mi.Conciseness, impactHDS)
 	return mi, true
 }

@@ -96,3 +96,56 @@ func Score(conciseness, impactHDS float64) float64 {
 	}
 	return conciseness * g
 }
+
+// Scoring is Equations 13-18 applied to one partition of an HDP: S, the
+// regularized conciseness and the score.
+type Scoring struct {
+	Entropy     float64
+	Conciseness float64
+	Score       float64
+}
+
+// ScoreCounts scores an HDP from the sizes of its partition, the one
+// definition of Equations 13-18 over a partition that the miner and
+// BuildMetaInsight share: classes holds the size of each Sim-equivalence
+// class of the HDP's type, in first-seen order, and others and nones count
+// the scopes that induced OtherPattern and NoPattern. The classes whose
+// share exceeds tau are the commonnesses, the others highlight changes. It
+// returns false when the HDP yields no MetaInsight: fewer than two patterns,
+// or no commonness.
+func ScoreCounts(classes []int, others, nones int, impactHDS, tau float64) (Scoring, bool) {
+	n := others + nones
+	for _, c := range classes {
+		n += c
+	}
+	if n < 2 {
+		return Scoring{}, false
+	}
+	// Most HDPs have a commonness or two and at most three exception
+	// categories; the arrays keep their proportions off the heap.
+	var alphaBuf [4]float64
+	var betaBuf [3]float64
+	alphas, betas := alphaBuf[:0], betaBuf[:0]
+	total := float64(n)
+	highlightChanges := 0
+	for _, c := range classes {
+		if ratio := float64(c) / total; ratio > tau {
+			alphas = append(alphas, ratio)
+		} else {
+			highlightChanges += c
+		}
+	}
+	if len(alphas) == 0 {
+		return Scoring{}, false
+	}
+	for _, c := range [...]int{highlightChanges, others, nones} {
+		if c > 0 {
+			betas = append(betas, float64(c)/total)
+		}
+	}
+	var sc Scoring
+	sc.Entropy = EntropyS(alphas, betas, paperR)
+	sc.Conciseness = ConcisenessReg(sc.Entropy, len(betas) == 0, tau)
+	sc.Score = Score(sc.Conciseness, impactHDS)
+	return sc, true
+}

@@ -314,6 +314,9 @@ func (e *Engine) MeasureID(m model.Measure) (id uint32, ok bool) {
 	return e.in.measureID(m.Key())
 }
 
+// HandleOf returns the handle of unit id's subspace.
+func (e *Engine) HandleOf(id cache.UnitID) *Handle { return e.in.handle(id.Handle()) }
+
 // UnitKeyOf renders a unit id as the unit's external identity.
 func (e *Engine) UnitKeyOf(id cache.UnitID) cache.UnitKey {
 	return cache.UnitKey{Subspace: e.in.handle(id.Handle()).key, Breakdown: e.dimNames[id.Breakdown()]}
@@ -524,34 +527,52 @@ func (e *Engine) Extract(u cache.Unit, ds model.DataScope) (*Series, error) {
 	return &Series{Scope: ds, Keys: keys, Values: vals}, nil
 }
 
-// CheckExtract reports the error Extract(u, ·) would return for measure m,
-// without copying the series. The miner uses it to classify a scope before
-// the pattern-cache lookup and extracts only on a miss.
-func CheckExtract(u cache.Unit, m model.Measure) error {
-	_, err := measureSource(u, m)
-	return err
+// SourceColumns appends to dst, for each measure of ms, the Data column that
+// units laid out by cols hold for it (measureSource), or -1 where such units
+// cannot answer it, as Extract would then fail. The miner resolves each
+// layout once and classifies its units by index before the pattern-cache
+// lookup, extracting a series only on a miss.
+func SourceColumns(dst []int, cols *cache.Columns, ms []model.Measure) []int {
+	for _, m := range ms {
+		i, err := sourceColumn(cols, m)
+		if err != nil {
+			i = -1
+		}
+		dst = append(dst, i)
+	}
+	return dst
 }
 
-// measureSource returns the unit's stored column that measure m reads: the
-// per-group values themselves for COUNT, SUM, MIN and MAX, the sums AVG
-// divides by the counts.
+// measureSource returns the unit's stored column that measure m reads.
 func measureSource(u cache.Unit, m model.Measure) ([]float64, error) {
-	var src []float64
+	i, err := sourceColumn(u.Cols, m)
+	if err != nil {
+		return nil, err
+	}
+	return u.Col(i), nil
+}
+
+// sourceColumn returns the Data column of units laid out by cols that
+// measure m reads: the per-group values themselves for COUNT, SUM, MIN and
+// MAX, the sums AVG divides by the counts.
+func sourceColumn(cols *cache.Columns, m model.Measure) (int, error) {
+	var i int
 	var ok bool
 	switch m.Agg {
 	case model.AggCount:
-		return u.Counts(), nil
+		return 0, nil
 	case model.AggSum, model.AggAvg:
-		src, ok = u.Sums(m.Column)
+		i, ok = cols.SumColumn(m.Column)
 	case model.AggMin:
-		src, ok = u.Mins(m.Column)
+		i, ok = cols.MinColumn(m.Column)
 	case model.AggMax:
-		src, ok = u.Maxs(m.Column)
+		i, ok = cols.MinColumn(m.Column)
+		i++
 	default:
-		return nil, fmt.Errorf("engine: unsupported aggregate %v", m.Agg)
+		return 0, fmt.Errorf("engine: unsupported aggregate %v", m.Agg)
 	}
 	if !ok {
-		return nil, fmt.Errorf("engine: unit lacks column %q", m.Column)
+		return 0, fmt.Errorf("engine: unit lacks column %q", m.Column)
 	}
-	return src, nil
+	return i, nil
 }

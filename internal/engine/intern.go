@@ -281,6 +281,17 @@ func (h *Handle) Subspace() model.Subspace { return h.sub }
 // Len returns the number of filters.
 func (h *Handle) Len() int { return len(h.sub) }
 
+// AppendFilterIDs appends one id per filter of h, in filter order: the
+// dimension's table index in the high 32 bits and the value's dictionary
+// code in the low 32. Two filters of a valid handle have one id exactly
+// when they are equal.
+func (h *Handle) AppendFilterIDs(ids []uint64) []uint64 {
+	for _, f := range h.filters {
+		ids = append(ids, uint64(uint32(f.dim))<<32|uint64(uint32(f.code)))
+	}
+	return ids
+}
+
 // Valid reports whether every filter names a dimension of the table and a
 // value of that dimension's domain.
 func (h *Handle) Valid() bool { return h.valid }

@@ -46,7 +46,7 @@ func Figure12Datasets(w io.Writer, tables []*dataset.Table, k int) Fig12Result {
 		setup := FullFunctionality()
 		setup.Tau = 0.3
 		run, _ := setup.Run(tab)
-		reference := run.MetaInsights
+		reference := run.All()
 		refTop := keySet(topKByGreedy(reference, k))
 
 		points := make([]Fig12Point, 0, len(Fig12Taus))

@@ -42,7 +42,7 @@ func Figure8(w io.Writer, seed int64) Fig8Result {
 	// subspaces — matching the paper's description of the survey study.
 	setup.MaxSubspaceFilters = 1
 	run, _ := setup.Run(survey)
-	metaTop := topKByGreedy(run.MetaInsights, 10)
+	metaTop, _ := run.Top(10)
 	var metaExamples []userstudy.Example
 	for i, mi := range metaTop {
 		name := fmt.Sprintf("expert-meta-%d", i+1)
@@ -67,7 +67,8 @@ func Figure8(w io.Writer, seed int64) Fig8Result {
 	var nonExpertMIs []*core.MetaInsight
 	for _, tab := range []*dataset.Table{workload.CarSales(), workload.AirPollution(), workload.HikingTrail()} {
 		r, _ := FullFunctionality().Run(tab)
-		nonExpertMIs = append(nonExpertMIs, pickStudyExamples(topKByGreedy(r.MetaInsights, 12))...)
+		top, _ := r.Top(12)
+		nonExpertMIs = append(nonExpertMIs, pickStudyExamples(top)...)
 	}
 	// The paper's example list had its exception-free examples at positions
 	// #3, #6 and #8; place ours analogously when available so the

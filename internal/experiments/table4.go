@@ -51,7 +51,7 @@ func DefaultTable4Config() Table4Config {
 // exact-marginal greedy extension.
 func Table4Dataset(w io.Writer, tab *dataset.Table, cfg Table4Config) []Table4Row {
 	run, _ := FullFunctionality().Run(tab)
-	cands := run.MetaInsights
+	cands := run.All()
 
 	t0 := time.Now()
 	baseline := ranker.ExactTopKGrouped(cands, cfg.K, cfg.MaxGroup)

@@ -16,8 +16,7 @@ import (
 // model-value side: handles name the unit's subspaces, MetaInsight
 // candidates build exactly the HDS the value-level constructors of
 // internal/core build (the miner assembles it from handles instead), and the
-// identity key assembled from handle keys is the HDS's own and the one the
-// candidate's ordinal key renders.
+// identity key the candidate's ordinal key renders is the HDS's own.
 func TestUnitsCarryHandlesThatAgreeWithTheirValues(t *testing.T) {
 	tab := workload.HotelBooking() // two temporal dimensions: all three extensions fire
 	eng, err := engine.New(tab, engine.Config{})
@@ -46,7 +45,9 @@ func TestUnitsCarryHandlesThatAgreeWithTheirValues(t *testing.T) {
 		}
 		for i := range c.cands {
 			cand := &c.cands[i]
-			hds, scopes, miKey := m.candidateHDS(cand, new(scratch))
+			scopes := m.hdsRefs(nil, cand)
+			hds := m.hdsOf(cand, scopes)
+			miKey := m.candLabel(cand.key)
 			kinds[hds.Kind]++
 			var want core.HDS
 			switch hds.Kind {
@@ -61,10 +62,7 @@ func TestUnitsCarryHandlesThatAgreeWithTheirValues(t *testing.T) {
 				t.Fatalf("unit %s holds\n %+v\nthe formulation builds\n %+v", miKey, hds, want)
 			}
 			if key := want.Key() + "|" + pattern.Type(cand.key.ptype).String(); miKey != key {
-				t.Fatalf("unit key %q, HDS key gives %q", miKey, key)
-			}
-			if label := m.candLabel(cand.key); label != miKey {
-				t.Fatalf("candidate key renders %q, the HDS key is %q", label, miKey)
+				t.Fatalf("candidate key renders %q, the HDS key gives %q", miKey, key)
 			}
 			if int(cand.n) != len(hds.Scopes) {
 				t.Fatalf("unit %s: candidate size %d beside %d scopes", miKey, cand.n, len(hds.Scopes))
@@ -74,7 +72,7 @@ func TestUnitsCarryHandlesThatAgreeWithTheirValues(t *testing.T) {
 			}
 			for i, sc := range hds.Scopes {
 				ref := scopes[i]
-				if ref.h != eng.Intern(sc.Subspace) || dims[ref.bdim] != sc.Breakdown {
+				if ref.h != eng.Intern(sc.Subspace) || dims[ref.bdim] != sc.Breakdown || eng.Measures()[ref.measure] != sc.Measure {
 					t.Fatalf("unit %s scope %d: ref (%q, %s) beside scope %s", miKey, i, ref.h.Key(), dims[ref.bdim], sc)
 				}
 			}
@@ -92,10 +90,10 @@ func TestUnitsCarryHandlesThatAgreeWithTheirValues(t *testing.T) {
 // from its HDP.
 func TestMinedKeysAreMemoizedCorrectly(t *testing.T) {
 	res := runMiner(t, workload.CreditCard(), nil)
-	if len(res.MetaInsights) == 0 {
+	if len(res.All()) == 0 {
 		t.Fatal("nothing mined")
 	}
-	for _, mi := range res.MetaInsights {
+	for _, mi := range res.All() {
 		fresh := core.HDP{HDS: mi.HDP.HDS, Type: mi.HDP.Type}
 		if mi.Key() != fresh.Key() {
 			t.Errorf("memoized key %q, computed %q", mi.Key(), fresh.Key())

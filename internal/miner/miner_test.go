@@ -24,7 +24,7 @@ func commitTotal(s Stats) int64 {
 
 func miJSON(t *testing.T, res *Result) string {
 	t.Helper()
-	b, err := json.Marshal(res.MetaInsights)
+	b, err := json.Marshal(res.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func runMiner(t testing.TB, tab *dataset.Table, mutate func(*Config, *engine.Con
 // findCityUnimodality returns the subspace-extended Unimodality MetaInsight
 // over City on SUM(Sales) broken down by Month, if mined.
 func findCityUnimodality(res *Result) *core.MetaInsight {
-	for _, mi := range res.MetaInsights {
+	for _, mi := range res.All() {
 		h := mi.HDP.HDS
 		if h.Kind == model.ExtendSubspace && h.ExtDim == "City" &&
 			mi.HDP.Type == pattern.Unimodality &&
@@ -95,7 +95,7 @@ func findCityUnimodality(res *Result) *core.MetaInsight {
 
 func TestMinerFindsPlantedMetaInsight(t *testing.T) {
 	res := runMiner(t, plantedTable(t), nil)
-	if len(res.MetaInsights) == 0 {
+	if len(res.All()) == 0 {
 		t.Fatal("no MetaInsights mined")
 	}
 	mi := findCityUnimodality(res)
@@ -140,11 +140,11 @@ func TestMinerDeterministicSingleWorker(t *testing.T) {
 	tab := plantedTable(t)
 	a := runMiner(t, tab, nil)
 	b := runMiner(t, tab, nil)
-	if len(a.MetaInsights) != len(b.MetaInsights) {
-		t.Fatalf("run sizes differ: %d vs %d", len(a.MetaInsights), len(b.MetaInsights))
+	if len(a.All()) != len(b.All()) {
+		t.Fatalf("run sizes differ: %d vs %d", len(a.All()), len(b.All()))
 	}
-	for i := range a.MetaInsights {
-		if a.MetaInsights[i].Key() != b.MetaInsights[i].Key() {
+	for i := range a.All() {
+		if a.All()[i].Key() != b.All()[i].Key() {
 			t.Fatalf("ordering differs at %d", i)
 		}
 	}
@@ -240,9 +240,9 @@ func TestAblationsIgnoreWarmMemos(t *testing.T) {
 			if !reflect.DeepEqual(warmTrace, coldTrace) {
 				t.Errorf("%s: trace differs (%d events warm, %d cold)", label, len(warmTrace), len(coldTrace))
 			}
-			if len(cold.MetaInsights) == 0 || warmScans >= coldScans {
+			if len(cold.All()) == 0 || warmScans >= coldScans {
 				t.Errorf("%s: vacuous: %d MetaInsights, %d scans warm against %d cold",
-					label, len(cold.MetaInsights), warmScans, coldScans)
+					label, len(cold.All()), warmScans, coldScans)
 			}
 		}
 	}
@@ -264,8 +264,8 @@ func TestCostBudgetIsProgressive(t *testing.T) {
 	small := runMiner(t, tab, func(c *Config, e *engine.Config) {
 		c.Budget = Budget{Cost: 40}
 	})
-	if len(small.MetaInsights) >= len(full.MetaInsights) {
-		t.Skipf("budget too generous: %d vs %d", len(small.MetaInsights), len(full.MetaInsights))
+	if len(small.All()) >= len(full.All()) {
+		t.Skipf("budget too generous: %d vs %d", len(small.All()), len(full.All()))
 	}
 	// Whatever was found under the small budget must be a subset of the
 	// unlimited run's results.
@@ -290,7 +290,7 @@ func TestMeasureExtendedMetaInsight(t *testing.T) {
 	// across measures (COUNT(*) differs — it is uniform).
 	res := runMiner(t, plantedTable(t), nil)
 	found := false
-	for _, mi := range res.MetaInsights {
+	for _, mi := range res.All() {
 		if mi.HDP.HDS.Kind == model.ExtendMeasure {
 			found = true
 			break
@@ -305,7 +305,7 @@ func TestSubspaceDepthRespected(t *testing.T) {
 	res := runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
 		c.MaxSubspaceFilters = 1
 	})
-	for _, mi := range res.MetaInsights {
+	for _, mi := range res.All() {
 		if mi.HDP.HDS.Anchor.Subspace.Len() > 1 {
 			t.Fatalf("anchor %v exceeds depth 1", mi.HDP.HDS.Anchor.Subspace)
 		}
@@ -314,8 +314,8 @@ func TestSubspaceDepthRespected(t *testing.T) {
 
 func TestResultSortedByScore(t *testing.T) {
 	res := runMiner(t, plantedTable(t), nil)
-	for i := 1; i < len(res.MetaInsights); i++ {
-		if res.MetaInsights[i].Score > res.MetaInsights[i-1].Score {
+	for i := 1; i < len(res.All()); i++ {
+		if res.All()[i].Score > res.All()[i-1].Score {
 			t.Fatal("results not sorted by score")
 		}
 	}
@@ -325,7 +325,7 @@ func TestMinImpactPruning2(t *testing.T) {
 	res := runMiner(t, plantedTable(t), func(c *Config, e *engine.Config) {
 		c.MinImpact = 0.99 // everything except whole-dataset HDSs pruned
 	})
-	for _, mi := range res.MetaInsights {
+	for _, mi := range res.All() {
 		if minClamp(mi.ImpactHDS) < 0.99 {
 			t.Fatalf("MetaInsight with impact %v survived pruning 2", mi.ImpactHDS)
 		}
@@ -412,14 +412,14 @@ func assertSameStats(t *testing.T, label string, a, b Stats) {
 // their (score-sorted) order.
 func assertSameOrderedKeys(t *testing.T, label string, a, b *Result) {
 	t.Helper()
-	if len(a.MetaInsights) != len(b.MetaInsights) {
-		t.Errorf("%s: result sizes differ: %d vs %d", label, len(a.MetaInsights), len(b.MetaInsights))
+	if len(a.All()) != len(b.All()) {
+		t.Errorf("%s: result sizes differ: %d vs %d", label, len(a.All()), len(b.All()))
 		return
 	}
-	for i := range a.MetaInsights {
-		if a.MetaInsights[i].Key() != b.MetaInsights[i].Key() {
+	for i := range a.All() {
+		if a.All()[i].Key() != b.All()[i].Key() {
 			t.Errorf("%s: result %d differs: %q vs %q", label, i,
-				a.MetaInsights[i].Key(), b.MetaInsights[i].Key())
+				a.All()[i].Key(), b.All()[i].Key())
 			return
 		}
 	}
@@ -514,10 +514,10 @@ func TestTauOverrideScoresSanely(t *testing.T) {
 		t.Errorf("Tau = %v, want 0.6 (explicit override)", m.cfg.Tau)
 	}
 	res := m.Run()
-	if len(res.MetaInsights) == 0 {
+	if len(res.All()) == 0 {
 		t.Fatal("no MetaInsights at τ = 0.6")
 	}
-	for _, mi := range res.MetaInsights {
+	for _, mi := range res.All() {
 		if mi.Score <= 0 || mi.Score > 1 {
 			t.Fatalf("score out of range at τ = 0.6: %v", mi.Score)
 		}

@@ -567,7 +567,7 @@ func minerInsights(t *testing.T, res *Result) map[string]oracleInsight {
 		return oracleScope{sub, ds.Breakdown, ds.Measure}
 	}
 	out := map[string]oracleInsight{}
-	for _, mi := range res.MetaInsights {
+	for _, mi := range res.All() {
 		h := oracleHDS{kind: kinds[mi.HDP.HDS.Kind]}
 		for _, ds := range mi.HDP.HDS.Scopes {
 			h.scopes = append(h.scopes, scope(ds))

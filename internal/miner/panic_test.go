@@ -39,7 +39,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	if res1.Stats.PanickedUnits == 0 {
 		t.Fatal("panicking evaluator produced no PanickedUnits")
 	}
-	if len(res1.MetaInsights) == 0 {
+	if len(res1.All()) == 0 {
 		t.Fatal("a panicking evaluator took down the whole run")
 	}
 	sawPanic := false

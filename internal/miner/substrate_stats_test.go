@@ -33,9 +33,9 @@ func TestReferenceSubstrateStatsIdentity(t *testing.T) {
 				return
 			}
 			half := assertSubstrateIdentity(t, tc.tab, full.Stats.CostUsed/2)
-			if len(half.MetaInsights) >= len(full.MetaInsights) {
+			if len(half.All()) >= len(full.All()) {
 				t.Fatalf("half the cost budget mined %d MetaInsights of %d: the budget never bound",
-					len(half.MetaInsights), len(full.MetaInsights))
+					len(half.All()), len(full.All()))
 			}
 		})
 	}

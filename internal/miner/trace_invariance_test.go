@@ -47,7 +47,7 @@ func traceOf(ob *obs.Observer) []traceLine {
 // moment depends on worker timing.
 func TestTraceAndStatsAreWorkerInvariant(t *testing.T) {
 	base, baseTrace := tracedRun(t, 1, nil)
-	if len(base.MetaInsights) == 0 {
+	if len(base.All()) == 0 {
 		t.Fatal("vacuous: no MetaInsights")
 	}
 	for _, workers := range []int{2, 3, 5, 8} {

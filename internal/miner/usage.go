@@ -233,6 +233,50 @@ func (s *stampSet[V]) put(i uint64, v V) {
 	s.vals[i] = v
 }
 
+// candSet is the candidate dedup set: a stampSet indexed by the candidate's
+// root-scope slot (Miner.candSlot) whose value heads that slot's list of
+// keys, in entries. A root scope carries a few candidates at most, one per
+// extension kind, extended dimension and pattern type, so a lookup walks a
+// short list and hashes nothing. The entries are one array, emptied with
+// the set and reused by the next run; nothing is sized to the table.
+type candSet struct {
+	heads   stampSet[int32]
+	entries []candEntry
+}
+
+// candEntry is one key of a slot's list: the parts of candKey the slot does
+// not fix, and the index of the next entry (-1 ends the list).
+type candEntry struct {
+	ptype int32
+	next  int32
+	ext   uint16
+	kind  uint8
+}
+
+func (s *candSet) reset() {
+	s.heads.reset()
+	s.entries = s.entries[:0]
+}
+
+// add adds key k at slot i and reports whether it was absent. Two keys at
+// one slot share their scope: the slot is a function of it, and for
+// subspace and breakdown extension holds its measure ordinal, while measure
+// extension, whose key has none, has a slot of its own.
+func (s *candSet) add(i uint64, k candKey) bool {
+	head, ok := s.heads.get(i)
+	if !ok {
+		head = -1
+	}
+	for e := head; e >= 0; e = s.entries[e].next {
+		if x := &s.entries[e]; x.kind == k.kind && x.ext == k.ext && x.ptype == k.ptype {
+			return false
+		}
+	}
+	s.entries = append(s.entries, candEntry{ptype: k.ptype, next: head, ext: k.ext, kind: k.kind})
+	s.heads.put(i, int32(len(s.entries)-1))
+	return true
+}
+
 // grow returns xs extended to hold index i, at least doubling its length
 // when it must grow, with the new elements zero.
 func grow[T any](xs []T, i uint64) []T {

@@ -67,7 +67,7 @@ func runForWindow(t *testing.T, tab *dataset.Table, workers int, traced bool, mu
 	out.peak = cfg.Observer.Snapshot().Gauges[obsWindowPeak]
 	h := sha256.New()
 	enc := json.NewEncoder(h)
-	for _, mi := range res.MetaInsights {
+	for _, mi := range res.All() {
 		out.keys = append(out.keys, mi.Key())
 		if err := enc.Encode(mi); err != nil {
 			t.Fatal(err)

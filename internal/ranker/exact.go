@@ -3,6 +3,7 @@ package ranker
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"metainsight/internal/core"
@@ -22,29 +23,31 @@ import (
 // takes minutes to hours), plus an exact-marginal variant of the greedy
 // algorithm.
 
-// groupKeyOf buckets a MetaInsight by the fields outside of which the
-// overlap ratio vanishes.
-func groupKeyOf(mi *core.MetaInsight) string {
-	return mi.HDP.HDS.Kind.String() + "|" + mi.HDP.Type.String()
+// groupKey buckets an item by the fields outside of which the overlap
+// ratio vanishes.
+func (p *Pool) groupKey(i int) string {
+	it := &p.Items[i]
+	return it.Kind.String() + "|" + it.Type.String()
 }
 
-// groupCandidates partitions candidates into overlap groups, each sorted by
-// score descending and truncated to maxGroupSize (0 = no truncation; the
-// subset DP is 2^n per group, so sizes beyond ~20 are impractical).
-func groupCandidates(cands []*core.MetaInsight, maxGroupSize int) [][]*core.MetaInsight {
-	byKey := map[string][]*core.MetaInsight{}
+// groups partitions the pool's items into overlap groups, in group-key
+// order, each in pool order (the ranking order) and truncated to
+// maxGroupSize (0 = no truncation; the subset DP is 2^n per group, so sizes
+// beyond ~20 are impractical).
+func (p *Pool) groups(maxGroupSize int) [][]int {
+	byKey := map[string][]int{}
 	var order []string
-	for _, mi := range cands {
-		k := groupKeyOf(mi)
+	for i := range p.Items {
+		k := p.groupKey(i)
 		if _, ok := byKey[k]; !ok {
 			order = append(order, k)
 		}
-		byKey[k] = append(byKey[k], mi)
+		byKey[k] = append(byKey[k], i)
 	}
 	sort.Strings(order)
-	groups := make([][]*core.MetaInsight, 0, len(order))
+	groups := make([][]int, 0, len(order))
 	for _, k := range order {
-		g := sortByScore(byKey[k])
+		g := byKey[k]
 		if maxGroupSize > 0 && len(g) > maxGroupSize {
 			g = g[:maxGroupSize]
 		}
@@ -58,18 +61,18 @@ func groupCandidates(cands []*core.MetaInsight, maxGroupSize int) [][]*core.Meta
 // TotalUse[mask] = Σ_{∅≠U⊆mask} (−1)^{|U|+1}·Overlap(U). Overlap values for
 // every mask come from incremental DP on min-score, filter-set intersection
 // and the identity indicators.
-func groupTotalUse(g []*core.MetaInsight) []float64 {
+func (p *Pool) groupTotalUse(g []int) []float64 {
 	n := len(g)
 	size := 1 << n
-	// Encode each member's non-empty root filters as bits over the union of
-	// the group's filters (≤ n·MaxSubspaceFilters distinct, and n ≤ ~20, so
-	// a uint64 per word-chunk suffices for realistic depth-3 subspaces; fall
+	// Encode each member's root filters as bits over the union of the
+	// group's filters (≤ n·MaxSubspaceFilters distinct, and n ≤ ~20, so a
+	// uint64 per word-chunk suffices for realistic depth-3 subspaces; fall
 	// back to 128 bits via two words if needed).
-	filterIDs := map[model.Filter]int{}
+	filterIDs := map[uint64]int{}
 	memberBits := make([][2]uint64, n)
 	filterCount := make([]int, n)
-	for i, mi := range g {
-		for f := range mi.HDP.HDS.RootSubspace().FilterSet() {
+	for i, m := range g {
+		for _, f := range p.root(m) {
 			id, ok := filterIDs[f]
 			if !ok {
 				id = len(filterIDs)
@@ -81,15 +84,7 @@ func groupTotalUse(g []*core.MetaInsight) []float64 {
 			filterCount[i]++
 		}
 	}
-
-	extDim := make([]string, n)
-	measure := make([]model.Measure, n)
-	breakdown := make([]string, n)
-	for i, mi := range g {
-		extDim[i] = mi.HDP.HDS.ExtDim
-		measure[i] = mi.HDP.HDS.Anchor.Measure
-		breakdown[i] = mi.HDP.HDS.Anchor.Breakdown
-	}
+	item := func(i int) *Item { return &p.Items[g[i]] }
 
 	// Per-mask incremental state.
 	minScore := make([]float64, size)
@@ -101,21 +96,21 @@ func groupTotalUse(g []*core.MetaInsight) []float64 {
 	first := make([]int, size) // lowest member index in mask
 	total := make([]float64, size)
 
-	kind := g[0].HDP.HDS.Kind
+	kind := item(0).Kind
 	for mask := 1; mask < size; mask++ {
 		low := bits.TrailingZeros(uint(mask))
 		rest := mask &^ (1 << low)
 		if rest == 0 {
-			minScore[mask] = g[low].Score
+			minScore[mask] = item(low).Score
 			interBits[mask] = memberBits[low]
 			minFilters[mask] = filterCount[low]
 			sameExt[mask], sameMea[mask], sameBrk[mask] = true, true, true
 			first[mask] = low
 			// h(singleton) = +score; zeta accumulation below adds it in.
-			total[mask] = g[low].Score
+			total[mask] = item(low).Score
 			continue
 		}
-		minScore[mask] = math.Min(minScore[rest], g[low].Score)
+		minScore[mask] = math.Min(minScore[rest], item(low).Score)
 		interBits[mask][0] = interBits[rest][0] & memberBits[low][0]
 		interBits[mask][1] = interBits[rest][1] & memberBits[low][1]
 		if filterCount[low] < minFilters[rest] {
@@ -125,9 +120,9 @@ func groupTotalUse(g []*core.MetaInsight) []float64 {
 		}
 		f := first[rest]
 		first[mask] = low // low < f always since low is the lowest bit
-		sameExt[mask] = sameExt[rest] && extDim[low] == extDim[f]
-		sameMea[mask] = sameMea[rest] && measure[low] == measure[f]
-		sameBrk[mask] = sameBrk[rest] && breakdown[low] == breakdown[f]
+		sameExt[mask] = sameExt[rest] && item(low).ExtDim == item(f).ExtDim
+		sameMea[mask] = sameMea[rest] && item(low).Measure == item(f).Measure
+		sameBrk[mask] = sameBrk[rest] && item(low).Breakdown == item(f).Breakdown
 
 		// Overlap(mask) with the strategy-specific ratio of Equations 25-27.
 		rsub := 1.0
@@ -176,17 +171,19 @@ func ExactTopKGrouped(cands []*core.MetaInsight, k int, maxGroupSize int) []*cor
 	if k <= 0 || len(cands) == 0 {
 		return nil
 	}
-	groups := groupCandidates(cands, maxGroupSize)
+	sorted := sortByScore(cands)
+	p := poolOf(sorted)
+	groups := p.groups(maxGroupSize)
 
 	type groupPlan struct {
-		members  []*core.MetaInsight
+		members  []int
 		bestUse  []float64 // best TotalUse per subset size
 		bestMask []int
 	}
 	plans := make([]groupPlan, len(groups))
 	for gi, g := range groups {
 		n := len(g)
-		tu := groupTotalUse(g)
+		tu := p.groupTotalUse(g)
 		maxSize := n
 		if maxSize > k {
 			maxSize = k
@@ -217,24 +214,24 @@ func ExactTopKGrouped(cands []*core.MetaInsight, k int, maxGroupSize int) []*cor
 		dp[i] = -neg
 	}
 	dp[0] = 0
-	for gi, p := range plans {
+	for gi, plan := range plans {
 		choice[gi] = make([]int, k+1)
 		next := make([]float64, k+1)
-		pick := make([]int, k+1)
+		take := make([]int, k+1)
 		for j := 0; j <= k; j++ {
 			next[j] = -neg
-			for s := 0; s <= j && s < len(p.bestUse); s++ {
-				if dp[j-s] == -neg || math.IsInf(p.bestUse[s], -1) {
+			for s := 0; s <= j && s < len(plan.bestUse); s++ {
+				if dp[j-s] == -neg || math.IsInf(plan.bestUse[s], -1) {
 					continue
 				}
-				if v := dp[j-s] + p.bestUse[s]; v > next[j] {
+				if v := dp[j-s] + plan.bestUse[s]; v > next[j] {
 					next[j] = v
-					pick[j] = s
+					take[j] = s
 				}
 			}
 		}
 		dp = next
-		choice[gi] = pick
+		choice[gi] = take
 	}
 	// The optimum may use fewer than k slots only when candidates run out;
 	// otherwise adding any MetaInsight never decreases TotalUse, so take the
@@ -246,7 +243,7 @@ func ExactTopKGrouped(cands []*core.MetaInsight, k int, maxGroupSize int) []*cor
 		}
 	}
 	// Reconstruct.
-	var out []*core.MetaInsight
+	var out []int
 	j := bestJ
 	for gi := len(plans) - 1; gi >= 0; gi-- {
 		s := choice[gi][j]
@@ -260,7 +257,8 @@ func ExactTopKGrouped(cands []*core.MetaInsight, k int, maxGroupSize int) []*cor
 		}
 		j -= s
 	}
-	return sortByScore(out)
+	slices.Sort(out) // pool order is the ranking order
+	return pick(sorted, out)
 }
 
 // GreedyExact is the exact-marginal variant of the greedy ranking: instead
@@ -273,24 +271,25 @@ func GreedyExact(cands []*core.MetaInsight, k int) []*core.MetaInsight {
 	if k <= 0 || len(cands) == 0 {
 		return nil
 	}
-	pool := sortByScore(cands)
-	selectedByGroup := map[string][]*core.MetaInsight{}
+	sorted := sortByScore(cands)
+	p := poolOf(sorted)
+	selectedByGroup := map[string][]int{}
 	groupUse := map[string]float64{}
-	var selected []*core.MetaInsight
-	used := map[*core.MetaInsight]bool{}
-	for len(selected) < k && len(selected) < len(pool) {
+	var selected []int
+	used := make([]bool, len(sorted))
+	for len(selected) < k && len(selected) < len(sorted) {
 		bestIdx := -1
 		bestGain := math.Inf(-1)
-		for i, c := range pool {
-			if used[c] {
+		for i := range p.Items {
+			if used[i] {
 				continue
 			}
-			gk := groupKeyOf(c)
+			gk := p.groupKey(i)
 			members := selectedByGroup[gk]
 			if len(members) >= 20 {
 				continue // keep the exact marginal tractable
 			}
-			gain := TotalUseExact(append(members[:len(members):len(members)], c)) - groupUse[gk]
+			gain := p.totalUseExact(append(members[:len(members):len(members)], i)) - groupUse[gk]
 			if gain > bestGain {
 				bestGain, bestIdx = gain, i
 			}
@@ -298,12 +297,12 @@ func GreedyExact(cands []*core.MetaInsight, k int) []*core.MetaInsight {
 		if bestIdx < 0 {
 			break
 		}
-		c := pool[bestIdx]
-		gk := groupKeyOf(c)
-		selectedByGroup[gk] = append(selectedByGroup[gk], c)
+		gk := p.groupKey(bestIdx)
+		selectedByGroup[gk] = append(selectedByGroup[gk], bestIdx)
 		groupUse[gk] += bestGain
-		used[c] = true
-		selected = append(selected, c)
+		used[bestIdx] = true
+		selected = append(selected, bestIdx)
 	}
-	return sortByScore(selected)
+	slices.Sort(selected) // pool order is the ranking order
+	return pick(sorted, selected)
 }

@@ -8,6 +8,7 @@ package ranker
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"metainsight/internal/core"
@@ -57,27 +58,27 @@ func SubspaceOverlapRatio(subs []model.Subspace) float64 {
 	return float64(len(inter)) / float64(minSize)
 }
 
-// OverlapRatio is the general-form r(I₁, …, I_p) of Equation 28: zero when
-// the MetaInsights differ in extension strategy or pattern type, otherwise
-// the strategy-specific weighted combination of Equations 25-27.
-func OverlapRatio(mis []*core.MetaInsight) float64 {
-	if len(mis) < 2 {
+// overlapRatio is the general-form r(I₁, …, I_p) of Equation 28 over the
+// items idx: zero when they differ in extension strategy or pattern type,
+// otherwise the strategy-specific weighted combination of Equations 25-27.
+func (p *Pool) overlapRatio(idx []int) float64 {
+	if len(idx) < 2 {
 		return 1
 	}
-	h0 := &mis[0].HDP.HDS
+	a := &p.Items[idx[0]]
 	sameExtDim, sameMeasure, sameBreakdown := true, true, true
-	for _, mi := range mis[1:] {
-		h := &mi.HDP.HDS
-		if h.Kind != h0.Kind || mi.HDP.Type != mis[0].HDP.Type {
+	for _, i := range idx[1:] {
+		b := &p.Items[i]
+		if b.Kind != a.Kind || b.Type != a.Type {
 			return 0
 		}
-		sameExtDim = sameExtDim && h.ExtDim == h0.ExtDim
-		sameMeasure = sameMeasure && h.Anchor.Measure == h0.Anchor.Measure
-		sameBreakdown = sameBreakdown && h.Anchor.Breakdown == h0.Anchor.Breakdown
+		sameExtDim = sameExtDim && b.ExtDim == a.ExtDim
+		sameMeasure = sameMeasure && b.Measure == a.Measure
+		sameBreakdown = sameBreakdown && b.Breakdown == a.Breakdown
 	}
-	rsub := rootOverlapRatio(mis)
+	rsub := p.rootOverlapRatio(idx)
 
-	switch h0.Kind {
+	switch a.Kind {
 	case model.ExtendSubspace:
 		return w11*rsub + w12*ind(sameExtDim) + w13*ind(sameMeasure) + w14*ind(sameBreakdown)
 	case model.ExtendMeasure:
@@ -89,29 +90,22 @@ func OverlapRatio(mis []*core.MetaInsight) float64 {
 	}
 }
 
-// rootOverlapRatio is SubspaceOverlapRatio of the MetaInsights' HDS root
-// subspaces (core.HDS.RootSubspace), read in their anchors: a filter is
-// common when every root holds the same (Dim, Value) pair.
-func rootOverlapRatio(mis []*core.MetaInsight) float64 {
+// rootOverlapRatio is SubspaceOverlapRatio of the items' HDS root subspaces
+// (core.HDS.RootSubspace), read from their filter ids: a filter is common
+// when every root holds the same (Dim, Value) pair.
+func (p *Pool) rootOverlapRatio(idx []int) float64 {
 	minSize := math.MaxInt
-	for _, mi := range mis {
-		h := &mi.HDP.HDS
-		n := h.Anchor.Subspace.Len()
-		if h.Kind == model.ExtendSubspace && h.Anchor.Subspace.Has(h.ExtDim) {
-			n--
-		}
-		minSize = min(minSize, n)
+	for _, i := range idx {
+		minSize = min(minSize, len(p.root(i)))
 	}
 	if minSize == 0 {
 		return 1
 	}
 	common := 0
-	for _, f := range mis[0].HDP.HDS.Anchor.Subspace {
+	for _, f := range p.root(idx[0]) {
 		in := true
-		for _, mi := range mis {
-			h := &mi.HDP.HDS
-			v, ok := h.Anchor.Subspace.Get(f.Dim)
-			in = in && ok && v == f.Value && !(h.Kind == model.ExtendSubspace && f.Dim == h.ExtDim)
+		for _, i := range idx[1:] {
+			in = in && slices.Contains(p.root(i), f)
 		}
 		if in {
 			common++
@@ -127,45 +121,51 @@ func ind(b bool) float64 {
 	return 0
 }
 
-// Overlap is Definition 4.4: |I₁ ∩ … ∩ I_p| = min(|I₁|, …, |I_p|) ·
-// r(I₁, …, I_p), where |I| is the MetaInsight's score (Definition 4.2).
-func Overlap(mis []*core.MetaInsight) float64 {
-	if len(mis) == 0 {
+// overlap is Definition 4.4 over the items idx: |I₁ ∩ … ∩ I_p| =
+// min(|I₁|, …, |I_p|) · r(I₁, …, I_p), where |I| is the MetaInsight's score
+// (Definition 4.2).
+func (p *Pool) overlap(idx []int) float64 {
+	if len(idx) == 0 {
 		return 0
 	}
-	minScore := mis[0].Score
-	for _, mi := range mis[1:] {
-		if mi.Score < minScore {
-			minScore = mi.Score
+	minScore := p.Items[idx[0]].Score
+	for _, i := range idx[1:] {
+		if s := p.Items[i].Score; s < minScore {
+			minScore = s
 		}
 	}
-	if len(mis) == 1 {
+	if len(idx) == 1 {
 		return minScore
 	}
-	return minScore * OverlapRatio(mis)
+	return minScore * p.overlapRatio(idx)
 }
 
 // TotalUseExact is Definition 4.3, the full inclusion-exclusion total
 // usefulness |I₁ ∪ … ∪ I_p|. Cost is Θ(2^p · p); it backs the exact ranking
 // baseline of Table 4 and is only practical for small p.
 func TotalUseExact(mis []*core.MetaInsight) float64 {
-	p := len(mis)
-	if p == 0 {
+	return poolOf(mis).totalUseExact(all(len(mis)))
+}
+
+// totalUseExact is TotalUseExact of the items idx.
+func (p *Pool) totalUseExact(idx []int) float64 {
+	n := len(idx)
+	if n == 0 {
 		return 0
 	}
-	if p > 25 {
+	if n > 25 {
 		panic("ranker: TotalUseExact is exponential; refusing p > 25")
 	}
 	total := 0.0
-	subset := make([]*core.MetaInsight, 0, p)
-	for mask := 1; mask < 1<<p; mask++ {
+	subset := make([]int, 0, n)
+	for mask := 1; mask < 1<<n; mask++ {
 		subset = subset[:0]
-		for i := 0; i < p; i++ {
+		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
-				subset = append(subset, mis[i])
+				subset = append(subset, idx[i])
 			}
 		}
-		term := Overlap(subset)
+		term := p.overlap(subset)
 		if len(subset)%2 == 1 {
 			total += term
 		} else {
@@ -178,21 +178,23 @@ func TotalUseExact(mis []*core.MetaInsight) float64 {
 // TotalUseApprox is the second-order approximation of Equation 22:
 // Σ|Iᵢ| − Σ_{i<j} |Iᵢ ∩ Iⱼ|.
 func TotalUseApprox(mis []*core.MetaInsight) float64 {
+	p := poolOf(mis)
 	total := 0.0
-	for _, mi := range mis {
-		total += mi.Score
+	for _, it := range p.Items {
+		total += it.Score
 	}
-	for i := 0; i < len(mis); i++ {
-		for j := i + 1; j < len(mis); j++ {
-			pair := [2]*core.MetaInsight{mis[i], mis[j]}
-			total -= Overlap(pair[:])
+	for i := range p.Items {
+		for j := i + 1; j < len(p.Items); j++ {
+			pair := [2]int{i, j}
+			total -= p.overlap(pair[:])
 		}
 	}
 	return total
 }
 
 // sortByScore returns candidates sorted by score descending with a
-// deterministic key tie-break, without modifying the input.
+// deterministic key tie-break, without modifying the input: the order every
+// ranking algorithm reads its pool in.
 func sortByScore(cands []*core.MetaInsight) []*core.MetaInsight {
 	out := append([]*core.MetaInsight(nil), cands...)
 	sort.Slice(out, func(i, j int) bool {
@@ -234,28 +236,37 @@ func Greedy(cands []*core.MetaInsight, k int) []*core.MetaInsight {
 
 // GreedyStats is Greedy plus a SelectionStats report of the work performed.
 func GreedyStats(cands []*core.MetaInsight, k int) ([]*core.MetaInsight, SelectionStats) {
-	if k <= 0 || len(cands) == 0 {
-		return nil, SelectionStats{Pool: len(cands)}
+	sorted := sortByScore(cands)
+	idx, st := poolOf(sorted).Greedy(k)
+	return pick(sorted, idx), st
+}
+
+// Greedy is the greedy selection over the pool's items, in their order: it
+// returns the selected items' indices in the order it selected them.
+func (p *Pool) Greedy(k int) ([]int, SelectionStats) {
+	n := len(p.Items)
+	st := SelectionStats{Pool: n}
+	if k <= 0 || n == 0 {
+		return nil, st
 	}
-	st := SelectionStats{Pool: len(cands)}
-	pool := sortByScore(cands)
-	selected := []*core.MetaInsight{pool[0]}
-	used := map[*core.MetaInsight]bool{pool[0]: true}
+	selected := []int{0}
+	p.used = append(p.used[:0], make([]bool, n)...)
+	p.used[0] = true
 	// penalty[i] accumulates Σ_{J ∈ S} |candᵢ ∩ J| incrementally, keeping
 	// each iteration O(n) overlap computations.
-	penalty := make([]float64, len(pool))
-	last := pool[0]
-	for len(selected) < k && len(selected) < len(pool) {
+	p.penalty = append(p.penalty[:0], make([]float64, n)...)
+	last := 0
+	for len(selected) < k && len(selected) < n {
 		bestIdx := -1
 		bestGain := math.Inf(-1)
-		for i, c := range pool {
-			if used[c] {
+		for i := range p.Items {
+			if p.used[i] {
 				continue
 			}
-			pair := [2]*core.MetaInsight{c, last}
-			penalty[i] += Overlap(pair[:])
+			pair := [2]int{i, last}
+			p.penalty[i] += p.overlap(pair[:])
 			st.OverlapEvals++
-			gain := c.Score - penalty[i]
+			gain := p.Items[i].Score - p.penalty[i]
 			if gain > bestGain {
 				bestGain, bestIdx = gain, i
 			}
@@ -263,8 +274,8 @@ func GreedyStats(cands []*core.MetaInsight, k int) ([]*core.MetaInsight, Selecti
 		if bestIdx < 0 {
 			break
 		}
-		last = pool[bestIdx]
-		used[last] = true
+		last = bestIdx
+		p.used[last] = true
 		selected = append(selected, last)
 	}
 	st.Selected = len(selected)
@@ -281,13 +292,14 @@ func ExactTopK(cands []*core.MetaInsight, k int) []*core.MetaInsight {
 	if k >= len(pool) {
 		return pool
 	}
-	best := make([]*core.MetaInsight, 0, k)
+	p := poolOf(pool)
+	best := make([]int, 0, k)
 	bestUse := math.Inf(-1)
-	current := make([]*core.MetaInsight, 0, k)
+	current := make([]int, 0, k)
 	var recurse func(start int)
 	recurse = func(start int) {
 		if len(current) == k {
-			use := TotalUseExact(current)
+			use := p.totalUseExact(current)
 			if use > bestUse {
 				bestUse = use
 				best = append(best[:0], current...)
@@ -297,13 +309,13 @@ func ExactTopK(cands []*core.MetaInsight, k int) []*core.MetaInsight {
 		// Not enough remaining candidates to fill the subset.
 		need := k - len(current)
 		for i := start; i+need <= len(pool); i++ {
-			current = append(current, pool[i])
+			current = append(current, i)
 			recurse(i + 1)
 			current = current[:len(current)-1]
 		}
 	}
 	recurse(0)
-	return best
+	return pick(pool, best)
 }
 
 // Precision is the top-k set agreement used in Table 4: |golden ∩ got| / |golden|,

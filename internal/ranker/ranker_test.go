@@ -31,6 +31,13 @@ func mkMI(score float64, kind model.ExtensionKind, ptype pattern.Type,
 
 func sub(filters ...model.Filter) model.Subspace { return model.NewSubspace(filters...) }
 
+// OverlapRatio is Equation 28 over MetaInsights, through the adapter every
+// ranking algorithm reads them by.
+func OverlapRatio(mis []*core.MetaInsight) float64 { return poolOf(mis).overlapRatio(all(len(mis))) }
+
+// Overlap is Definition 4.4 over MetaInsights, through the same adapter.
+func Overlap(mis []*core.MetaInsight) float64 { return poolOf(mis).overlap(all(len(mis))) }
+
 func TestSubspaceOverlapRatio(t *testing.T) {
 	a := sub(model.Filter{Dim: "City", Value: "LA"}, model.Filter{Dim: "Style", Value: "2S"})
 	b := sub(model.Filter{Dim: "City", Value: "LA"})
@@ -73,36 +80,36 @@ func TestOverlapComparesFilterPairs(t *testing.T) {
 }
 
 // TestRootOverlapMatchesDefinition holds the subspace factor OverlapRatio
-// reads in place from the anchors equal to Definition 9.1 as stated —
+// reads from the items' root filter ids equal to Definition 9.1 as stated —
 // SubspaceOverlapRatio over the built root subspaces — on every pair and
-// triple of random candidates, and holds the Overlap of a pair, as Greedy
+// triple of random candidates, and holds the overlap of a pair, as Greedy
 // computes it, to no allocation.
 func TestRootOverlapMatchesDefinition(t *testing.T) {
 	cands := randomCandidates(7, 18)
-	roots := func(mis ...*core.MetaInsight) []model.Subspace {
-		out := make([]model.Subspace, len(mis))
-		for i, mi := range mis {
-			out[i] = mi.HDP.HDS.RootSubspace()
+	p := poolOf(cands)
+	roots := func(idx ...int) []model.Subspace {
+		out := make([]model.Subspace, len(idx))
+		for i, j := range idx {
+			out[i] = cands[j].HDP.HDS.RootSubspace()
 		}
 		return out
 	}
-	for _, a := range cands {
-		for _, b := range cands {
-			if got, want := rootOverlapRatio([]*core.MetaInsight{a, b}), SubspaceOverlapRatio(roots(a, b)); got != want {
-				t.Fatalf("pair %s, %s: %v, definition %v", a.Key(), b.Key(), got, want)
+	for a := range cands {
+		for b := range cands {
+			if got, want := p.rootOverlapRatio([]int{a, b}), SubspaceOverlapRatio(roots(a, b)); got != want {
+				t.Fatalf("pair %s, %s: %v, definition %v", cands[a].Key(), cands[b].Key(), got, want)
 			}
-			for _, c := range cands {
-				if got, want := rootOverlapRatio([]*core.MetaInsight{a, b, c}), SubspaceOverlapRatio(roots(a, b, c)); got != want {
-					t.Fatalf("triple %s, %s, %s: %v, definition %v", a.Key(), b.Key(), c.Key(), got, want)
+			for c := range cands {
+				if got, want := p.rootOverlapRatio([]int{a, b, c}), SubspaceOverlapRatio(roots(a, b, c)); got != want {
+					t.Fatalf("triple %s, %s, %s: %v, definition %v", cands[a].Key(), cands[b].Key(), cands[c].Key(), got, want)
 				}
 			}
 		}
 	}
-	a, b := cands[0], cands[1]
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() {
-		pair := [2]*core.MetaInsight{a, b}
-		sink += Overlap(pair[:])
+		pair := [2]int{0, 1}
+		sink += p.overlap(pair[:])
 	}); n != 0 {
 		t.Errorf("the overlap of a pair allocates %.0f times", n)
 	}
@@ -360,8 +367,9 @@ func TestGroupDecompositionOfTotalUse(t *testing.T) {
 		cands := randomCandidates(100+seed, 8)
 		whole := TotalUseExact(cands)
 		sum := 0.0
-		for _, g := range groupCandidates(cands, 0) {
-			sum += TotalUseExact(g)
+		p := poolOf(cands)
+		for _, g := range p.groups(0) {
+			sum += p.totalUseExact(g)
 		}
 		if math.Abs(whole-sum) > 1e-9 {
 			t.Fatalf("seed %d: whole %v vs group sum %v", seed, whole, sum)

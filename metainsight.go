@@ -353,7 +353,7 @@ func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 }
 
 // MineContext runs the mining procedure, returning every qualified
-// MetaInsight candidate (deduplicated, score-descending) plus run
+// MetaInsight candidate (deduplicated, score-descending), built, plus run
 // statistics.
 //
 // Each call is hermetic: its accounting replay, the run's ledger, starts
@@ -367,6 +367,14 @@ func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
 // with Stats.Cancelled set. A run is never torn mid-commit — everything in
 // the result was fully accounted.
 func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
+	res := a.mine(ctx)
+	res.All()
+	return res
+}
+
+// mine runs the mining procedure and returns its result with the candidates
+// as rows: a MetaInsight is built only when the caller reads it.
+func (a *Analyzer) mine(ctx context.Context) *MiningResult {
 	if a.mined {
 		if err := a.reset(); err != nil {
 			return &MiningResult{Err: err}
@@ -386,7 +394,7 @@ func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
 // inter-MetaInsight redundancy (the paper's greedy second-order algorithm).
 func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
 	t0 := time.Now()
-	top, sel := ranker.GreedyStats(result.MetaInsights, k)
+	top, sel := result.Top(k)
 	if a.obs.Enabled() {
 		a.obs.Phase(obs.PhaseRank, time.Since(t0))
 		a.obs.SetGauge("ranker.pool", float64(sel.Pool))
@@ -564,7 +572,7 @@ func CustomPatternType(i int) PatternType { return pattern.CustomType(i) }
 
 // Describe renders any mined MetaInsight as a sentence in the paper's
 // narrative style; it is the function behind Insight.Description for callers
-// holding a raw *MetaInsight from MiningResult.MetaInsights.
+// holding a raw *MetaInsight from MiningResult.All.
 func Describe(mi *MetaInsight) string { return render.DescribeMetaInsight(mi) }
 
 // FlatListOf renders the Flat-List Representation of any mined MetaInsight.

@@ -138,7 +138,7 @@ func TestAnalyzerBudgetsAndAblations(t *testing.T) {
 	// Cost budget: deterministic and progressive.
 	small := analyzeOnce(t, tab, metainsight.Request{Budget: metainsight.Budget{Cost: 30}}, oneWorker).Result
 	full := analyzeOnce(t, tab, metainsight.Request{}, oneWorker).Result
-	if len(small.MetaInsights) > len(full.MetaInsights) {
+	if len(small.All()) > len(full.All()) {
 		t.Error("budgeted run found more than the full run")
 	}
 	// The paper's ablations (no query cache, no pattern cache, FIFO queues)
@@ -147,8 +147,8 @@ func TestAnalyzerBudgetsAndAblations(t *testing.T) {
 	golden, _ := experiments.FullFunctionality().Run(tab)
 	ablated, _ := experiments.Setup{Workers: 1}.Run(tab)
 	for _, res := range []*metainsight.MiningResult{golden, ablated} {
-		if len(res.MetaInsights) != len(full.MetaInsights) {
-			t.Errorf("experiments.Setup mined %d, the session %d", len(res.MetaInsights), len(full.MetaInsights))
+		if len(res.All()) != len(full.All()) {
+			t.Errorf("experiments.Setup mined %d, the session %d", len(res.All()), len(full.All()))
 		}
 	}
 	if ablated.Stats.ExecutedQueries <= golden.Stats.ExecutedQueries {
@@ -176,7 +176,7 @@ func TestAnalyzerMineIsHermetic(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 		r := run{stats: res.Stats}
-		for _, mi := range res.MetaInsights {
+		for _, mi := range res.All() {
 			r.keys = append(r.keys, mi.Key())
 			r.scores = append(r.scores, mi.Score)
 		}
@@ -241,7 +241,7 @@ func TestWithTauChangesAcceptance(t *testing.T) {
 	}
 	strict := analyzeOnce(t, tab, metainsight.Request{Tau: 0.7}, oneWorker).Result
 	loose := analyzeOnce(t, tab, metainsight.Request{Tau: 0.3}, oneWorker).Result
-	ns, nl := len(strict.MetaInsights), len(loose.MetaInsights)
+	ns, nl := len(strict.All()), len(loose.All())
 	if ns > nl {
 		t.Errorf("τ=0.7 found %d, τ=0.3 found %d — higher τ must be a subset", ns, nl)
 	}
@@ -284,7 +284,7 @@ func TestAnalyzeRejectsNonFiniteImpact(t *testing.T) {
 	}
 	a, err := s.Analyze(context.Background(), metainsight.Request{ImpactMeasure: metainsight.Sum("M")})
 	if err == nil {
-		t.Fatalf("NaN impact total accepted: %d MetaInsights", len(a.Result.MetaInsights))
+		t.Fatalf("NaN impact total accepted: %d MetaInsights", len(a.Result.All()))
 	}
 }
 
@@ -292,10 +292,10 @@ func TestDescribeHelpers(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
 	res := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly}).Result
-	if len(res.MetaInsights) == 0 {
+	if len(res.All()) == 0 {
 		t.Fatal("no results")
 	}
-	mi := res.MetaInsights[0]
+	mi := res.All()[0]
 	if metainsight.Describe(mi) == "" {
 		t.Error("empty description")
 	}
@@ -420,11 +420,11 @@ func TestWithProgressStreamsDiscoveries(t *testing.T) {
 	}).Result
 	mu.Lock()
 	defer mu.Unlock()
-	if len(streamed) != len(result.MetaInsights) {
-		t.Fatalf("streamed %d of %d discoveries", len(streamed), len(result.MetaInsights))
+	if len(streamed) != len(result.All()) {
+		t.Fatalf("streamed %d of %d discoveries", len(streamed), len(result.All()))
 	}
 	final := map[string]bool{}
-	for _, mi := range result.MetaInsights {
+	for _, mi := range result.All() {
 		final[mi.Key()] = true
 	}
 	for _, k := range streamed {
@@ -441,8 +441,8 @@ func TestProgressiveRankerDuringMining(t *testing.T) {
 	added := 0
 	progress := func(mi *metainsight.MetaInsight) { added++; prog.Add(mi) }
 	result := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly, Progress: progress}, oneWorker).Result
-	if added != len(result.MetaInsights) {
-		t.Fatalf("progressive saw %d of %d discoveries", added, len(result.MetaInsights))
+	if added != len(result.All()) {
+		t.Fatalf("progressive saw %d of %d discoveries", added, len(result.All()))
 	}
 	top := prog.TopK()
 	if len(top) == 0 {
@@ -486,7 +486,7 @@ func TestBreakdownExtensionAcrossDerivedGranularities(t *testing.T) {
 	}
 	result := analyzeOnce(t, tab, metainsight.Request{Measures: salesOnly}, oneWorker).Result
 	found := false
-	for _, mi := range result.MetaInsights {
+	for _, mi := range result.All() {
 		if mi.HDP.HDS.Kind != model.ExtendBreakdown {
 			continue
 		}
@@ -562,7 +562,7 @@ func TestCorrelationPatternsEndToEnd(t *testing.T) {
 	result := an.Result
 	corrType := metainsight.CustomPatternType(0)
 	var found *metainsight.MetaInsight
-	for _, mi := range result.MetaInsights {
+	for _, mi := range result.All() {
 		if mi.HDP.HDS.Kind == model.ExtendSubspace && mi.HDP.HDS.ExtDim == "City" &&
 			mi.HDP.Type == corrType {
 			found = mi

@@ -85,7 +85,7 @@ func TestTraceStoreOrderMatchesDiscoveryOrder(t *testing.T) {
 			discovered = append(discovered, mi.Key())
 		},
 	}, metainsight.WithWorkers(8)).Result
-	if len(res.MetaInsights) == 0 || len(discovered) == 0 {
+	if len(res.All()) == 0 || len(discovered) == 0 {
 		t.Fatal("mined nothing")
 	}
 
@@ -160,12 +160,12 @@ func TestMineContextCancellation(t *testing.T) {
 	if !res.Stats.Cancelled {
 		t.Error("cancelled run did not report Cancelled")
 	}
-	if len(res.MetaInsights) > len(full.MetaInsights) {
+	if len(res.All()) > len(full.All()) {
 		t.Errorf("cancelled run mined more than a full run: %d vs %d",
-			len(res.MetaInsights), len(full.MetaInsights))
+			len(res.All()), len(full.All()))
 	}
-	if len(an.Insights) > len(res.MetaInsights) {
-		t.Errorf("ranked %d insights out of %d mined", len(an.Insights), len(res.MetaInsights))
+	if len(an.Insights) > len(res.All()) {
+		t.Errorf("ranked %d insights out of %d mined", len(an.Insights), len(res.All()))
 	}
 }
 

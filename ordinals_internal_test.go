@@ -61,7 +61,7 @@ func TestOrdinalsNeverReachOutput(t *testing.T) {
 		if r.insights, err = json.Marshal(an.Insights); err != nil {
 			t.Fatal(err)
 		}
-		if r.mis, err = json.Marshal(an.Result.MetaInsights); err != nil {
+		if r.mis, err = json.Marshal(an.Result.All()); err != nil {
 			t.Fatal(err)
 		}
 		if n := ob.Trace().Dropped(); n > 0 {

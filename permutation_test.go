@@ -53,8 +53,8 @@ func TestRowPermutationInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores := make(map[string]float64, len(an.Result.MetaInsights))
-		for _, mi := range an.Result.MetaInsights {
+		scores := make(map[string]float64, len(an.Result.All()))
+		for _, mi := range an.Result.All() {
 			scores[mi.Key()] = mi.Score
 		}
 		return scores

@@ -202,6 +202,8 @@ type Analysis struct {
 	// Insights is the ranked, redundancy-aware top-k selection.
 	Insights []*Insight
 	// Result holds every mined MetaInsight candidate plus run statistics.
+	// Its candidates are built on demand: Result.All builds and returns
+	// them, and Result.MetaInsights is nil until it has run.
 	Result *MiningResult
 
 	a *Analyzer
@@ -229,7 +231,7 @@ func (s *Session) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := a.MineContext(ctx)
+	res := a.mine(ctx)
 	return &Analysis{Insights: a.Rank(res, req.TopK), Result: res, a: a}, res.Err
 }
 

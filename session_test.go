@@ -69,8 +69,8 @@ func factsOf(res *metainsight.MiningResult, ins []*metainsight.Insight) runFacts
 	for i, in := range ins {
 		desc[i] = in.String()
 	}
-	keys := make(map[string]bool, len(res.MetaInsights))
-	for _, mi := range res.MetaInsights {
+	keys := make(map[string]bool, len(res.All()))
+	for _, mi := range res.All() {
 		keys[mi.Key()] = true
 	}
 	return runFacts{keys: keys, desc: desc, stats: st}
@@ -379,7 +379,7 @@ func TestWarmSessionEqualsFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := run{facts: factsOf(an.Result, an.Insights), trace: traceEvents(t, req.Observer)}
-		for _, mi := range an.Result.MetaInsights {
+		for _, mi := range an.Result.All() {
 			if mi.HDP.Type >= metainsight.CustomPatternType(0) {
 				r.custom++
 			}
@@ -458,8 +458,8 @@ func TestSumImpactMiningIsDeterministic(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			for rep := 0; rep < 3; rep++ {
 				an := analyzeOnce(t, tc.tab, req, metainsight.WithWorkers(workers))
-				got := make([]string, len(an.Result.MetaInsights))
-				for i, mi := range an.Result.MetaInsights {
+				got := make([]string, len(an.Result.All()))
+				for i, mi := range an.Result.All() {
 					got[i] = fmt.Sprintf("%s score=%x impact=%x",
 						mi.Key(), math.Float64bits(mi.Score), math.Float64bits(mi.ImpactHDS))
 				}
